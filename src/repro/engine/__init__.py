@@ -14,7 +14,7 @@ from .server import AlarmServer
 from .tracking import (TargetTrack, compute_tracking_ground_truth,
                        run_tracking_simulation)
 from .simulation import (SimulationResult, World, replay_vehicle_major,
-                         run_interleaved_simulation, run_simulation)
+                         run_simulation)
 
 __all__ = [
     "PhaseProfiler",
@@ -42,7 +42,6 @@ __all__ = [
     "TriggerEvent",
     "World",
     "compute_ground_truth",
-    "run_interleaved_simulation",
     "run_simulation",
     "verify_accuracy",
 ]

@@ -7,43 +7,35 @@ cruising inside its safe region knows nothing about an alarm installed
 in front of it.  This module supplies the missing machinery:
 
 * an :class:`AlarmSchedule` of timed install/remove actions;
-* :func:`run_dynamic_simulation`, a time-major replay that applies due
-  actions each step and *push-invalidates* exactly the clients whose
-  cached state the action made stale — on install, every relevant client
-  whose cell the new alarm touches (safe regions are cell-scoped) plus
-  every client holding a non-geometric bound (the safe-period timer); on
-  removal, every client locally holding the alarm (the OPT push list),
-  which would otherwise fire it spuriously;
+* :class:`ScheduleMutation`, the schedule as a
+  :class:`~repro.engine.simulation.WorldMutation`: each step it applies
+  the due actions to the run's private registry, and the session's
+  time-major loop *push-invalidates* exactly the clients whose cached
+  state an install or removal made stale;
+* :func:`run_dynamic_simulation`, the session with that mutation;
 * :func:`compute_dynamic_ground_truth`, the reference trigger set under
   alarm lifetimes (an alarm can only fire while installed).
 
 Invalidation is counted as one downlink push (header-sized) per client;
-the invalidated client re-synchronizes on its next position fix, which
-is also the earliest sample at which any new alarm could trigger — so
-the accuracy contract (zero misses, on-time triggers) extends to the
-dynamic setting, and the test suite asserts it.
-
-Runs clone the world's registry, so the (memoized) world is untouched.
+see :func:`~repro.engine.simulation.replay_time_major` for why the
+accuracy contract (zero misses, on-time triggers) survives it.
 """
 
 from __future__ import annotations
 
-import time
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
 from ..geometry import Rect
-from ..protocol.messages import InvalidateState
-from ..protocol.transport import ClientSession, connect
-from .groundtruth import verify_accuracy
-from .metrics import Metrics
-from .server import AlarmServer
-from .simulation import GroundTruth, SimulationResult, World
+from .simulation import (GroundTruth, SimulationResult, StepChanges, World,
+                         compute_mutating_ground_truth, in_process_link,
+                         run_session)
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
-    from ..strategies.base import ClientState, ProcessingStrategy
+    from ..strategies.base import ProcessingStrategy
 
 
 @dataclass(frozen=True)
@@ -91,6 +83,7 @@ class AlarmSchedule:
             if not isinstance(action, (InstallAction, RemoveAction)):
                 raise TypeError("unknown schedule action: %r" % (action,))
         self.actions = sorted(actions, key=lambda action: action.time)
+        self._times = [action.time for action in self.actions]
         install_count = -1
         for action in self.actions:
             if isinstance(action, InstallAction):
@@ -105,38 +98,37 @@ class AlarmSchedule:
 
     def due(self, start: float, end: float) -> List[ScheduleAction]:
         """Actions with ``start <= time < end``, in order."""
-        return [action for action in self.actions
-                if start <= action.time < end]
+        return self.actions[bisect_left(self._times, start):
+                            bisect_left(self._times, end)]
 
     def __len__(self) -> int:
         return len(self.actions)
 
 
-def _clone_registry(registry: AlarmRegistry) -> AlarmRegistry:
-    """A fresh registry with identical alarms and identical ids."""
-    clone = AlarmRegistry()
-    for alarm in registry.all_alarms():
-        installed = clone.install(alarm.region, alarm.scope, alarm.owner_id,
-                                  subscribers=alarm.subscribers,
-                                  moving_target=alarm.moving_target,
-                                  label=alarm.label)
-        assert installed.alarm_id == alarm.alarm_id
-    return clone
+class ScheduleMutation:
+    """The schedule bound to one run's registry and sample clock.
 
+    Step ``k`` applies the actions due up to half an interval past its
+    sample time (and after the previous step's window), so an action
+    stamped on a sample time takes effect at that sample.  Installs get
+    run-local alarm ids, which ``RemoveAction.install_index`` resolves
+    through ``installed_ids``.
+    """
 
-class _ScheduleApplier:
-    """Applies schedule actions to a registry, tracking run-local ids."""
-
-    def __init__(self, registry: AlarmRegistry,
-                 schedule: AlarmSchedule) -> None:
-        self.registry = registry
+    def __init__(self, schedule: AlarmSchedule, registry: AlarmRegistry,
+                 sample_interval: float) -> None:
         self.schedule = schedule
+        self.registry = registry
+        self.sample_interval = sample_interval
         self.installed_ids: List[int] = []
+        self._applied_until = float("-inf")
 
-    def apply(self, start: float,
-              end: float) -> Tuple[List[SpatialAlarm], List[int]]:
-        """Apply due actions; returns (installed alarms, removed ids)."""
-        installed: List[SpatialAlarm] = []
+    def apply(self, step: int) -> StepChanges:
+        """Apply due actions; returns (installs with region, removed ids)."""
+        start = self._applied_until
+        end = step * self.sample_interval + self.sample_interval / 2.0
+        self._applied_until = end
+        installed: List[Tuple[SpatialAlarm, Tuple[Rect, ...]]] = []
         removed: List[int] = []
         for action in self.schedule.due(start, end):
             if isinstance(action, InstallAction):
@@ -144,7 +136,7 @@ class _ScheduleApplier:
                     action.region, action.scope, action.owner_id,
                     subscribers=action.subscribers, label=action.label)
                 self.installed_ids.append(alarm.alarm_id)
-                installed.append(alarm)
+                installed.append((alarm, (alarm.region,)))
             else:
                 if action.install_index is not None:
                     alarm_id = self.installed_ids[action.install_index]
@@ -159,107 +151,14 @@ class _ScheduleApplier:
 def compute_dynamic_ground_truth(world: World,
                                  schedule: AlarmSchedule) -> GroundTruth:
     """Expected triggers under the schedule's alarm lifetimes."""
-    registry = _clone_registry(world.registry)
-    applier = _ScheduleApplier(registry, schedule)
-    interval = world.traces.sample_interval
-    max_steps = max((len(trace) for trace in world.traces), default=0)
-    fired: Dict[int, Set[int]] = {trace.vehicle_id: set()
-                                  for trace in world.traces}
-    expected: Dict[Tuple[int, int], float] = {}
-    previous_time = float("-inf")
-    for step in range(max_steps):
-        step_time = step * interval
-        applier.apply(previous_time, step_time + interval / 2.0)
-        previous_time = step_time + interval / 2.0
-        for trace in world.traces:
-            if step >= len(trace):
-                continue
-            sample = trace[step]
-            user_fired = fired[trace.vehicle_id]
-            for alarm in registry.triggered_at(trace.vehicle_id,
-                                               sample.position,
-                                               exclude_ids=user_fired):
-                user_fired.add(alarm.alarm_id)
-                expected[(trace.vehicle_id, alarm.alarm_id)] = sample.time
-    return expected
+    return compute_mutating_ground_truth(
+        world, functools.partial(ScheduleMutation, schedule))
 
 
 def run_dynamic_simulation(world: World, strategy: "ProcessingStrategy",
                            schedule: AlarmSchedule) -> SimulationResult:
     """Time-major replay with lifecycle actions and push invalidation."""
-    from ..strategies.base import ClientState  # local import: avoid cycle
-
-    registry = _clone_registry(world.registry)
-    applier = _ScheduleApplier(registry, schedule)
-    metrics = Metrics()
-    server = AlarmServer(registry, world.grid, metrics, sizes=world.sizes)
-    session = connect(server, strategy)
-    clients = {trace.vehicle_id: ClientState(trace.vehicle_id)
-               for trace in world.traces}
-    interval = world.traces.sample_interval
-    max_steps = max((len(trace) for trace in world.traces), default=0)
-
-    started = time.perf_counter()
-    previous_time = float("-inf")
-    for step in range(max_steps):
-        step_time = step * interval
-        installed, removed = applier.apply(previous_time,
-                                           step_time + interval / 2.0)
-        previous_time = step_time + interval / 2.0
-        for alarm in installed:
-            for client in clients.values():
-                if _stale_after_install(client, alarm):
-                    _invalidate(client, session, step_time)
-        for alarm_id in removed:
-            for client in clients.values():
-                if any(record.alarm_id == alarm_id
-                       for record in client.local_alarms):
-                    _invalidate(client, session, step_time)
-        for trace in world.traces:
-            if step < len(trace):
-                strategy.on_sample(clients[trace.vehicle_id], trace[step])
-    wall_time = time.perf_counter() - started
-
-    accuracy = verify_accuracy(compute_dynamic_ground_truth(world, schedule),
-                               metrics)
-    return SimulationResult(strategy_name=strategy.name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy)
-
-
-def _stale_after_install(client: "ClientState",
-                         alarm: SpatialAlarm) -> bool:
-    """Does a fresh install make this client's cached state unsafe?"""
-    if not alarm.is_relevant_to(client.user_id):
-        return False
-    has_state = (client.safe_region is not None
-                 or client.cell_rect is not None
-                 or client.expiry > float("-inf")
-                 or bool(client.local_alarms))
-    if not has_state:
-        return False
-    if client.cell_rect is not None:
-        # Safe regions and OPT alarm lists are scoped to the client's
-        # grid cell: alarms elsewhere cannot invalidate them.
-        return client.cell_rect.intersects(alarm.region)
-    return True  # non-geometric state (safe-period timer): always stale
-
-
-def _invalidate(client: "ClientState", session: ClientSession,
-                time_s: float) -> None:
-    """Server push: drop the client's cached state; it re-syncs next fix."""
-    telemetry = session.telemetry
-    if telemetry.enabled and client.region_installed_at is not None:
-        telemetry.saferegion_exit(time_s, client.user_id,
-                                  time_s - client.region_installed_at)
-    client.safe_region = None
-    client.cell_rect = None
-    client.expiry = float("-inf")
-    client.local_alarms = []
-    client.region_installed_at = None
-    # Header-only InvalidateState push; the transport charges its bytes.
-    session.transport.push(client.user_id, InvalidateState(), time_s)
+    return run_session(
+        world, strategy, in_process_link,
+        mutation=functools.partial(ScheduleMutation, schedule),
+        ground_truth=lambda: compute_dynamic_ground_truth(world, schedule))

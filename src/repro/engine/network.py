@@ -11,10 +11,6 @@ serializes (``WireCodec.from_sizes`` additionally rejects any
 comparisons depend on the ratios (a rectangle is tiny, a bitmap is
 ``|B|`` bits, an OPT alarm push grows with alarm count), not the
 absolute values.
-
-The ``DOWNLINK_*`` kind constants live with the message types in
-:mod:`repro.protocol.messages` and are re-exported here for
-compatibility with pre-protocol call sites.
 """
 
 from __future__ import annotations
@@ -23,17 +19,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict
 
 from ..protocol import wire
-from ..protocol.messages import (DOWNLINK_ALARM_PUSH, DOWNLINK_BITMAP,
-                                 DOWNLINK_INVALIDATE, DOWNLINK_KINDS,
-                                 DOWNLINK_PUSH, DOWNLINK_RECT,
-                                 DOWNLINK_SAFE_PERIOD)
-
-__all__ = [
-    "MessageSizes",
-    "DOWNLINK_ALARM_PUSH", "DOWNLINK_BITMAP", "DOWNLINK_INVALIDATE",
-    "DOWNLINK_KINDS", "DOWNLINK_PUSH", "DOWNLINK_RECT",
-    "DOWNLINK_SAFE_PERIOD",
-]
 
 
 @dataclass(frozen=True)

@@ -28,35 +28,38 @@ each shard re-fills its own cache and ``index_node_accesses`` may count
 cache-fill queries once per shard instead of once per run.  Everything
 else remains identical; the differential suite pins this down.
 
-Workers receive (registry, grid, shard, sizes, strategy factory) rather
-than a :class:`World` — worlds may carry non-picklable memoization hooks
-— and return plain metrics plus an optional profile report, keeping the
-process boundary cheap and explicit.
+Workers receive a :class:`ShardJob` (registry, grid, sizes, strategy
+factory, flags) and their slice of the traces rather than a
+:class:`World` — worlds may carry non-picklable memoization hooks — and
+return plain metrics plus an optional profile report, keeping the
+process boundary cheap and explicit.  A shard runs the same
+:func:`~repro.engine.simulation.replay` the serial engine runs on the
+whole trace set; only the scoring happens once, in the parent.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Tuple)
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Tuple)
 
 from ..alarms import AlarmRegistry
 from ..index import GridOverlay
 from ..mobility import TraceSet
-from ..protocol.transport import TransportFactory, connect
+from ..protocol.transport import TransportFactory
 from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
-from .groundtruth import verify_accuracy
 from .metrics import Metrics
 from .network import MessageSizes
 from .profiling import PhaseProfiler, merge_reports
-from .server import AlarmServer
-from .simulation import (SimulationResult, World, replay_vehicle_major,
-                         sanitize_transport_factory)
+from .simulation import (SimulationResult, World, in_process_link, replay,
+                         score_run)
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
     from ..strategies.base import ProcessingStrategy
@@ -69,13 +72,13 @@ if TYPE_CHECKING:  # runtime import would cycle through strategies.base
 #: crosses the same process boundary.
 StrategyFactory = Callable[[], "ProcessingStrategy"]
 
-#: What one shard ships back: metrics, optional profile report, replay
-#: wall time, and — when the run is traced — the shard's buffered
-#: telemetry events plus its serialized metrics registry (plain dicts:
-#: cheap to pickle, merged in the parent through the associative
-#: registry merge exactly like ``Metrics.merged``).
+#: What one shard ships back: metrics, optional profile report, and —
+#: when the run is traced — the shard's buffered telemetry events plus
+#: its serialized metrics registry (plain dicts: cheap to pickle, merged
+#: in the parent through the associative registry merge exactly like
+#: ``Metrics.merged``).
 _ShardOutcome = Tuple[Metrics, Optional[Dict[str, Dict[str, float]]],
-                      float, Optional[List[Mapping[str, object]]],
+                      Optional[List[Mapping[str, object]]],
                       Optional[Dict[str, Dict[str, object]]]]
 
 
@@ -109,13 +112,58 @@ def shard_traces(traces: TraceSet, shards: int) -> List[TraceSet]:
     return sharded
 
 
-#: Shard payload inherited by fork()ed workers: set in the parent
-#: immediately before pool creation, cleared after the run.  Fork
+@dataclass(frozen=True)
+class ShardJob:
+    """What every shard of one run shares; picklable by construction.
+
+    ``trace`` and ``sanitize`` are the parent's *resolved* telemetry and
+    sanitizer switches: workers must not re-read the environment.
+    """
+
+    registry: AlarmRegistry
+    grid: GridOverlay
+    sizes: MessageSizes
+    strategy_factory: StrategyFactory
+    transport_factory: Optional[TransportFactory]
+    use_cell_cache: bool
+    use_region_cache: bool
+    use_batch: bool
+    profile: bool
+    trace: bool
+    sanitize: bool
+
+    def run(self, traces: TraceSet, shard_index: int) -> _ShardOutcome:
+        """Worker body: replay one shard against a private server.
+
+        Shards hold disjoint vehicles, so a per-shard sanitizer checks
+        the same per-client clock invariant the serial engine would; a
+        traced shard stamps its events with ``shard_index``.
+        """
+        profiler = PhaseProfiler() if self.profile else None
+        telemetry = (Telemetry.capture(shard=shard_index) if self.trace
+                     else DISABLED)
+        metrics, _ = replay(
+            self.registry, self.grid, self.sizes, traces,
+            self.strategy_factory(),
+            functools.partial(in_process_link,
+                              transport_factory=self.transport_factory),
+            use_cell_cache=self.use_cell_cache,
+            use_region_cache=self.use_region_cache,
+            use_batch=self.use_batch, profiler=profiler,
+            telemetry=telemetry, sanitizer=Sanitizer.resolve(self.sanitize))
+        return (metrics,
+                profiler.report() if profiler is not None else None,
+                telemetry.drain_events() if self.trace else None,
+                telemetry.registry.to_dict() if self.trace else None)
+
+
+#: The job and its shards, inherited by fork()ed workers: set in the
+#: parent immediately before pool creation, cleared after the run.  Fork
 #: children snapshot the parent's memory, so they read the registry,
 #: grid and their shard's traces directly instead of round-tripping
 #: tens of megabytes of trace samples through the pool's pickle queue —
 #: the overhead that would otherwise cancel the parallel speedup.
-_INHERITED: Optional[Tuple[Any, ...]] = None
+_INHERITED: Optional[Tuple[ShardJob, List[TraceSet]]] = None
 
 
 def _worker_init() -> None:
@@ -131,65 +179,37 @@ def _worker_init() -> None:
     gc.freeze()
 
 
-def _replay_inherited_shard(index: int) -> _ShardOutcome:
-    """Fork-path worker body: replay shard ``index`` of ``_INHERITED``."""
+def _run_inherited_shard(index: int) -> _ShardOutcome:
+    """Fork-path worker body: run shard ``index`` of ``_INHERITED``."""
     assert _INHERITED is not None, "inherited state missing in fork child"
-    (registry, grid, shards, sizes, strategy_factory, use_cell_cache,
-     profile, trace, transport_factory, use_region_cache,
-     sanitize, use_batch) = _INHERITED
-    return _replay_shard(registry, grid, shards[index], sizes,
-                         strategy_factory, use_cell_cache, profile,
-                         trace, index, transport_factory, use_region_cache,
-                         sanitize, use_batch)
+    job, shards = _INHERITED
+    return job.run(shards[index], index)
 
 
-def _replay_shard(registry: AlarmRegistry, grid: GridOverlay,
-                  traces: TraceSet, sizes: MessageSizes,
-                  strategy_factory: StrategyFactory,
-                  use_cell_cache: bool, profile: bool,
-                  trace: bool = False,
-                  shard_index: int = 0,
-                  transport_factory: Optional[TransportFactory] = None,
-                  use_region_cache: bool = False,
-                  sanitize: bool = False,
-                  use_batch: bool = False) -> _ShardOutcome:
-    """Worker body: replay one shard against a private server.
-
-    Top-level by design (process pools pickle the callable).  Returns
-    the shard's metrics, its profile report (when requested), its replay
-    wall time, and — when ``trace`` is set — its buffered telemetry
-    events (stamped with ``shard_index``) and serialized registry.
-    Shards hold disjoint vehicles, so a per-shard sanitizer checks the
-    same per-client clock invariant the serial engine would.
-    """
-    strategy = strategy_factory()
-    sanitizer = Sanitizer.resolve(sanitize)
-    if sanitizer.enabled:
-        transport_factory = sanitize_transport_factory(transport_factory)
-    metrics = Metrics()
-    profiler = PhaseProfiler() if profile else None
-    telemetry = Telemetry.capture(shard=shard_index) if trace else DISABLED
-    server = AlarmServer(registry, grid, metrics, sizes=sizes,
-                         use_cell_cache=use_cell_cache,
-                         use_region_cache=use_region_cache,
-                         profiler=profiler, telemetry=telemetry,
-                         use_batch=use_batch)
-    connect(server, strategy, transport_factory)
-    if telemetry.enabled:
-        telemetry.shard_started(len(traces))
-    started = time.perf_counter()
+def _dispatch(job: ShardJob, shards: List[TraceSet]) -> List[_ShardOutcome]:
+    """Run every shard, in shard order, where the platform allows."""
+    if len(shards) <= 1:  # zero or one shard: stay in-process
+        return [job.run(shard, 0) for shard in shards]
+    # Fast path: fork children inherit the job through copy-on-write
+    # memory, so only a shard *index* crosses the process boundary going
+    # in and only per-shard metrics coming back.  Workers are spawned
+    # after the global is set; clearing it afterwards keeps runs
+    # re-entrant-safe.
+    global _INHERITED
+    fork = multiprocessing.get_start_method() == "fork"
+    _INHERITED = (job, shards) if fork else None
     try:
-        replay_vehicle_major(strategy, traces, sanitizer,
-                             use_batch=use_batch)
+        with ProcessPoolExecutor(max_workers=len(shards),
+                                 initializer=_worker_init) as pool:
+            if fork:
+                futures = [pool.submit(_run_inherited_shard, index)
+                           for index in range(len(shards))]
+            else:  # spawn/forkserver: ship the shards through pickle
+                futures = [pool.submit(job.run, shard, index)
+                           for index, shard in enumerate(shards)]
+            return [future.result() for future in futures]  # shard order
     finally:
-        server.close()
-    wall_time = time.perf_counter() - started
-    if telemetry.enabled:
-        telemetry.shard_finished(len(traces), wall_time)
-    return (metrics, profiler.report() if profiler is not None else None,
-            wall_time,
-            telemetry.drain_events() if trace else None,
-            telemetry.registry.to_dict() if trace else None)
+        _INHERITED = None
 
 
 def run_parallel_simulation(world: World,
@@ -237,13 +257,10 @@ def run_parallel_simulation(world: World,
     if workers < 1:
         raise ValueError("workers must be positive")
     telemetry = telemetry if telemetry is not None else DISABLED
-    trace = telemetry.enabled
-    # Resolve once in the parent (workers must not re-read the
-    # environment); the parent's sanitizer holds the geometry snapshot
-    # and runs the cross-shard merge spot-check, each worker carries its
-    # own clock state for its disjoint vehicle set.
+    # Resolve once in the parent; the parent's sanitizer holds the
+    # geometry snapshot and runs the cross-shard merge spot-check, each
+    # worker carries its own clock state for its disjoint vehicle set.
     sanitizer = Sanitizer.resolve(sanitize)
-    sanitize_shards = sanitizer.enabled
     if sanitizer.enabled:
         sanitizer.snapshot_geometry(world.registry)
     # The factory must be constructible in the parent too: the result
@@ -253,65 +270,25 @@ def run_parallel_simulation(world: World,
 
     started = time.perf_counter()
     shards = shard_traces(world.traces, workers)
-    outcomes: List[_ShardOutcome] = []
-    if len(shards) <= 1:
-        for shard in shards:  # zero or one shard: stay in-process
-            outcomes.append(_replay_shard(
-                world.registry, world.grid, shard, world.sizes,
-                strategy_factory, use_cell_cache, profile, trace, 0,
-                transport_factory, use_region_cache, sanitize_shards,
-                use_batch))
-    elif multiprocessing.get_start_method() == "fork":
-        # Fast path: fork children inherit the shard payload through
-        # copy-on-write memory, so only a shard *index* crosses the
-        # process boundary going in and only per-shard metrics coming
-        # back.  Workers are spawned at submit time, after the global is
-        # set; clearing it afterwards keeps runs re-entrant-safe.
-        global _INHERITED
-        _INHERITED = (world.registry, world.grid, shards, world.sizes,
-                      strategy_factory, use_cell_cache, profile, trace,
-                      transport_factory, use_region_cache, sanitize_shards,
-                      use_batch)
-        try:
-            with ProcessPoolExecutor(max_workers=len(shards),
-                                     initializer=_worker_init) as pool:
-                futures = [pool.submit(_replay_inherited_shard, index)
-                           for index in range(len(shards))]
-                outcomes = [future.result() for future in futures]
-        finally:
-            _INHERITED = None
-    else:  # spawn/forkserver: ship the shards through the pickle queue
-        with ProcessPoolExecutor(max_workers=len(shards),
-                                 initializer=_worker_init) as pool:
-            futures = [pool.submit(_replay_shard, world.registry, world.grid,
-                                   shard, world.sizes, strategy_factory,
-                                   use_cell_cache, profile, trace, index,
-                                   transport_factory, use_region_cache,
-                                   sanitize_shards, use_batch)
-                       for index, shard in enumerate(shards)]
-            outcomes = [future.result() for future in futures]  # shard order
-
-    metrics = Metrics.merged([outcome[0] for outcome in outcomes])
-    if sanitizer.enabled:
-        sanitizer.check_merge([outcome[0] for outcome in outcomes], metrics)
-        sanitizer.verify_geometry(world.registry)
+    outcomes = _dispatch(
+        ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
+                 transport_factory, use_cell_cache=use_cell_cache,
+                 use_region_cache=use_region_cache, use_batch=use_batch,
+                 profile=profile, trace=telemetry.enabled,
+                 sanitize=sanitizer.enabled),
+        shards)
+    parts = [outcome[0] for outcome in outcomes]
+    metrics = Metrics.merged(parts)
+    sanitizer.check_merge(parts, metrics)
     profile_report = (merge_reports([outcome[1] for outcome in outcomes])
                       if profile else None)
-    if trace:
+    if telemetry.enabled:
         # Fold shard telemetry in shard order: the event stream then
         # mirrors the serial replay order the same way the trigger list
         # does, and the registry merge mirrors Metrics.merged.
         for outcome in outcomes:
-            telemetry.absorb_shard(outcome[3] or [], outcome[4])
+            telemetry.absorb_shard(outcome[2] or [], outcome[3])
     wall_time = time.perf_counter() - started
-
-    accuracy = verify_accuracy(world.ground_truth(), metrics)
-    return SimulationResult(strategy_name=strategy_name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy,
-                            profile=profile_report,
-                            workers=len(shards) if shards else 1)
+    return score_run(world, strategy_name, metrics, wall_time, sanitizer,
+                     profile=profile_report,
+                     workers=len(shards) if shards else 1)

@@ -1,32 +1,41 @@
-"""The trace-driven client-server simulation.
+"""The trace-driven client-server simulation: one replay core.
 
 A :class:`World` bundles everything a run needs — universe, grid
 overlay, installed alarms, vehicle traces — and caches the ground truth
 so every strategy is scored against the identical reference.
-:func:`run_simulation` replays the trace set through one strategy and
-returns the metrics plus the accuracy report.
 
-Vehicles do not interact (alarm targets are static within a run and
-one-shot state is per subscriber), so traces are replayed vehicle-major,
-which keeps each client's state hot.  :func:`run_interleaved_simulation`
-replays time-major instead and accepts a per-step world mutation hook —
-the path used by the moving-alarm-target extension, where an alarm
-relocation must be observed by all clients in timestamp order.
+Every engine entry point is a thin front onto the session here:
+:func:`replay` (one server, one linked strategy, one loop, server closed
+on every path) and :func:`run_session` (what a whole run adds: sanitizer
+and telemetry, a private registry for mutating worlds, scoring).  They
+are parameterised by what the engines really differ in.  The *loop*
+follows from the world: vehicles do not interact while the alarm set is
+static (one-shot state is per subscriber), so a static world replays
+vehicle-major, which keeps each client's state hot; a world with a
+:class:`WorldMutation` replays time-major, because every client must
+observe an alarm change in timestamp order.  The *link* is how the
+client half reaches the server: :func:`~repro.protocol.transport.connect`
+in process, or a daemon thread and a socket (:mod:`repro.net.engine`).
+The *executor* is this process or a pool of shard workers
+(:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, Iterator,
+                    List, Optional, Protocol, Sequence, Set, Tuple)
 
-from ..alarms import AlarmRegistry
+from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Rect
 from ..index import GridOverlay
 from ..mobility import TraceSet
-from ..protocol.transport import (InProcessTransport, TransportFactory,
-                                  connect)
+from ..protocol.messages import InvalidateState
+from ..protocol.transport import (ClientSession, InProcessTransport,
+                                  TransportFactory, connect)
 from ..sanitize import DISABLED as SANITIZER_OFF
 from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
@@ -39,7 +48,7 @@ from .profiling import PhaseProfiler
 from .server import AlarmServer
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
-    from ..strategies.base import ProcessingStrategy
+    from ..strategies.base import ClientState, ProcessingStrategy
 
 #: Ground truth: ``(user_id, alarm_id) -> expected trigger time``.
 GroundTruth = Dict[TriggerKey, float]
@@ -188,6 +197,254 @@ def replay_vehicle_major(strategy: "ProcessingStrategy",
             strategy.on_sample(client, sample)
 
 
+#: What one step changed: the alarms whose coverage changed, each with
+#: the regions it gained or lost (an install: its region; a move: the
+#: old and the new region), and the ids of the alarms removed.
+StepChanges = Tuple[Sequence[Tuple[SpatialAlarm, Tuple[Rect, ...]]],
+                    Sequence[int]]
+
+
+class WorldMutation(Protocol):
+    """Alarm churn or target motion, bound to one run's private registry."""
+
+    def apply(self, step: int) -> StepChanges:
+        """Make step ``step``'s changes to the registry; report them."""
+
+
+#: Binds a mutation to ``(private registry, sample interval)``: once for
+#: the replay and once for the ground-truth scan, each on a fresh clone.
+MutationFactory = Callable[[AlarmRegistry, float], WorldMutation]
+
+
+def _clone_registry(registry: AlarmRegistry) -> AlarmRegistry:
+    """A fresh registry with identical alarms and identical ids."""
+    clone = AlarmRegistry()
+    for alarm in registry.all_alarms():
+        installed = clone.install(alarm.region, alarm.scope, alarm.owner_id,
+                                  subscribers=alarm.subscribers,
+                                  moving_target=alarm.moving_target,
+                                  label=alarm.label)
+        assert installed.alarm_id == alarm.alarm_id
+    return clone
+
+
+def _stale(client: "ClientState", server: AlarmServer,
+           changes: StepChanges) -> bool:
+    """Did this step's changes make the client's cached state unsafe?
+
+    A removal: for a client locally holding the alarm (the OPT push
+    list), which would otherwise fire it spuriously.  An install or a
+    move of an alarm that can still fire for the client: for cell-scoped
+    state (safe regions, OPT lists) when a gained or lost region touches
+    the client's cell, for a safe-period timer (a global bound) always.
+    """
+    touched, removed = changes
+    if removed and any(record.alarm_id in removed
+                       for record in client.local_alarms):
+        return True
+    relevant = [regions for alarm, regions in touched
+                if alarm.is_relevant_to(client.user_id)
+                and alarm.alarm_id not in server.fired_for(client.user_id)]
+    if not relevant:
+        return False
+    cell_rect = client.cell_rect
+    if cell_rect is not None:
+        return any(cell_rect.intersects(region)
+                   for regions in relevant for region in regions)
+    return (client.safe_region is not None
+            or client.expiry > float("-inf")
+            or bool(client.local_alarms))
+
+
+def _invalidate(client: "ClientState", session: ClientSession,
+                time_s: float) -> None:
+    """Server push: drop the client's cached state; it re-syncs next fix."""
+    telemetry = session.telemetry
+    if telemetry.enabled and client.region_installed_at is not None:
+        # A push-invalidation forcibly ends the client's residency.
+        telemetry.saferegion_exit(time_s, client.user_id,
+                                  time_s - client.region_installed_at)
+    client.safe_region = None
+    client.cell_rect = None
+    client.expiry = float("-inf")
+    client.local_alarms = []
+    client.region_installed_at = None
+    # Header-only InvalidateState push; the transport charges its bytes.
+    session.transport.push(client.user_id, InvalidateState(), time_s)
+
+
+def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
+                      sanitizer: Sanitizer, server: AlarmServer,
+                      mutation: WorldMutation) -> None:
+    """The mutating-world loop: every client's fix at one step, in turn.
+
+    Before a step's samples the mutation changes the registry, and
+    exactly the clients whose cached state that made stale are
+    push-invalidated.  Such a client re-synchronizes on its fix of the
+    same step — the earliest sample at which a new or moved alarm could
+    trigger — so the accuracy contract extends to mutating worlds.
+    """
+    from ..strategies.base import ClientState  # local import: avoid cycle
+
+    clients = {trace.vehicle_id: ClientState(trace.vehicle_id)
+               for trace in traces}
+    for step in range(max((len(trace) for trace in traces), default=0)):
+        changes = mutation.apply(step)
+        if any(changes):
+            step_time = step * traces.sample_interval
+            for client in clients.values():
+                if _stale(client, server, changes):
+                    _invalidate(client, strategy.session, step_time)
+        for trace in traces:
+            if step < len(trace):
+                if sanitizer.enabled:
+                    sanitizer.check_clock(trace.vehicle_id,
+                                          trace[step].time)
+                strategy.on_sample(clients[trace.vehicle_id], trace[step])
+
+
+def compute_mutating_ground_truth(world: World,
+                                  mutation: MutationFactory) -> GroundTruth:
+    """Expected triggers, the registry taken as it stands at each step."""
+    registry = _clone_registry(world.registry)
+    bound = mutation(registry, world.traces.sample_interval)
+    fired: Dict[int, Set[int]] = {trace.vehicle_id: set()
+                                  for trace in world.traces}
+    expected: GroundTruth = {}
+    for step in range(max((len(trace) for trace in world.traces),
+                          default=0)):
+        bound.apply(step)
+        for trace in world.traces:
+            if step >= len(trace):
+                continue
+            sample = trace[step]
+            user_fired = fired[trace.vehicle_id]
+            for alarm in registry.triggered_at(trace.vehicle_id,
+                                               sample.position,
+                                               exclude_ids=user_fired):
+                user_fired.add(alarm.alarm_id)
+                expected[(trace.vehicle_id, alarm.alarm_id)] = sample.time
+    return expected
+
+
+#: Connects a strategy's client half to the server for the length of a
+#: replay; yields the client side's own ``Metrics`` if it keeps one (the
+#: socket link does: the daemon thread owns the server's).
+Link = Callable[[AlarmServer, "ProcessingStrategy", Sanitizer],
+                ContextManager[Optional[Metrics]]]
+
+
+@contextmanager
+def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
+                    sanitizer: Sanitizer,
+                    transport_factory: Optional[TransportFactory] = None
+                    ) -> Iterator[None]:
+    """The link of every engine but the socket one: :func:`connect`."""
+    connect(server, strategy,
+            sanitize_transport_factory(transport_factory)
+            if sanitizer.enabled else transport_factory)
+    yield
+
+
+def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
+           traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
+           use_cell_cache: bool = False, use_region_cache: bool = False,
+           use_batch: bool = False,
+           profiler: Optional[PhaseProfiler] = None,
+           telemetry: Telemetry = DISABLED,
+           sanitizer: Sanitizer = SANITIZER_OFF,
+           mutation: Optional[MutationFactory] = None
+           ) -> Tuple[Metrics, float]:
+    """One server, one linked strategy, one loop: (metrics, wall time).
+
+    The unscored core of every run: the world's whole trace set, or one
+    shard's slice in a parallel worker.
+    """
+    metrics = Metrics()
+    server = AlarmServer(registry, grid, metrics, sizes=sizes,
+                         use_cell_cache=use_cell_cache,
+                         use_region_cache=use_region_cache,
+                         profiler=profiler, telemetry=telemetry,
+                         use_batch=use_batch)
+    if telemetry.enabled:
+        telemetry.shard_started(len(traces))
+    started = time.perf_counter()
+    try:
+        with link(server, strategy, sanitizer) as client_metrics:
+            if mutation is None:
+                replay_vehicle_major(strategy, traces, sanitizer,
+                                     use_batch=use_batch)
+            else:
+                replay_time_major(
+                    strategy, traces, sanitizer, server,
+                    mutation(registry, traces.sample_interval))
+    finally:
+        server.close()
+    wall_time = time.perf_counter() - started
+    if telemetry.enabled:
+        telemetry.shard_finished(len(traces), wall_time)
+    if client_metrics is not None:
+        # The two sides charge disjoint fields, so the parallel
+        # engine's exact-sum merge recombines them losslessly.
+        parts = [metrics, client_metrics]
+        metrics = Metrics.merged(parts)
+        sanitizer.check_merge(parts, metrics)
+    return metrics, wall_time
+
+
+def score_run(world: World, strategy_name: str, metrics: Metrics,
+              wall_time: float, sanitizer: Sanitizer,
+              ground_truth: Optional[Callable[[], GroundTruth]] = None,
+              profile: Optional[Dict[str, Dict[str, float]]] = None,
+              workers: int = 1) -> SimulationResult:
+    """Close a run: frozen-geometry check, accuracy, the result value."""
+    sanitizer.verify_geometry(world.registry)
+    expected = (ground_truth if ground_truth is not None
+                else world.ground_truth)()
+    return SimulationResult(strategy_name=strategy_name, metrics=metrics,
+                            accuracy=verify_accuracy(expected, metrics),
+                            duration_s=world.duration_s,
+                            client_count=len(world.traces),
+                            total_samples=world.traces.total_samples,
+                            wall_time_s=wall_time,
+                            energy_model=world.energy,
+                            profile=profile, workers=workers)
+
+
+def run_session(world: World, strategy: "ProcessingStrategy",
+                link: Link, use_cell_cache: bool = False,
+                use_region_cache: bool = False, use_batch: bool = False,
+                profiler: Optional[PhaseProfiler] = None,
+                telemetry: Optional[Telemetry] = None,
+                sanitize: Optional[bool] = None,
+                mutation: Optional[MutationFactory] = None,
+                ground_truth: Optional[Callable[[], GroundTruth]] = None
+                ) -> SimulationResult:
+    """Replay the whole world in this process and score the run.
+
+    With a ``mutation`` the run works on a clone of the registry, so the
+    (memoized) world is untouched, and skips the sanitizer's
+    frozen-geometry snapshot: a mutation goes through the registry's
+    install/remove/relocate API on purpose.
+    """
+    telemetry = telemetry if telemetry is not None else DISABLED
+    sanitizer = Sanitizer.resolve(sanitize)
+    registry = world.registry
+    if mutation is not None:
+        registry = _clone_registry(registry)
+    elif sanitizer.enabled:
+        sanitizer.snapshot_geometry(registry)
+    metrics, wall_time = replay(
+        registry, world.grid, world.sizes, world.traces, strategy, link,
+        use_cell_cache=use_cell_cache, use_region_cache=use_region_cache,
+        use_batch=use_batch, profiler=profiler, telemetry=telemetry,
+        sanitizer=sanitizer, mutation=mutation)
+    return score_run(world, strategy.name, metrics, wall_time, sanitizer,
+                     ground_truth=ground_truth,
+                     profile=(profiler.report() if profiler is not None
+                              else None))
+
+
 def run_simulation(world: World, strategy: "ProcessingStrategy",
                    use_cell_cache: bool = False,
                    profiler: Optional[PhaseProfiler] = None,
@@ -221,102 +478,10 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     ``docs/VECTORIZATION.md``); results are bit-identical to the
     scalar replay — the flag trades nothing but speed.
     """
-    telemetry = telemetry if telemetry is not None else DISABLED
-    sanitizer = Sanitizer.resolve(sanitize)
-    if sanitizer.enabled:
-        sanitizer.snapshot_geometry(world.registry)
-        transport_factory = sanitize_transport_factory(transport_factory)
-    metrics = Metrics()
-    server = AlarmServer(world.registry, world.grid, metrics,
-                         sizes=world.sizes, use_cell_cache=use_cell_cache,
-                         use_region_cache=use_region_cache,
-                         profiler=profiler, telemetry=telemetry,
-                         use_batch=use_batch)
-    connect(server, strategy, transport_factory)
-    if telemetry.enabled:
-        telemetry.shard_started(len(world.traces))
-    started = time.perf_counter()
-    try:
-        replay_vehicle_major(strategy, world.traces, sanitizer,
-                             use_batch=use_batch)
-    finally:
-        server.close()
-    wall_time = time.perf_counter() - started
-    if sanitizer.enabled:
-        sanitizer.verify_geometry(world.registry)
-    if telemetry.enabled:
-        telemetry.shard_finished(len(world.traces), wall_time)
-
-    accuracy = verify_accuracy(world.ground_truth(), metrics)
-    return SimulationResult(strategy_name=strategy.name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy,
-                            profile=(profiler.report() if profiler is not None
-                                     else None))
-
-
-def run_interleaved_simulation(
-        world: World, strategy: "ProcessingStrategy",
-        on_step: Optional[Callable[[int, float, AlarmServer], None]] = None,
-        telemetry: Optional[Telemetry] = None,
-        transport_factory: Optional[TransportFactory] = None,
-        sanitize: Optional[bool] = None
-) -> SimulationResult:
-    """Time-major replay with an optional per-step world mutation hook.
-
-    ``on_step(step_index, time_s, server)`` runs before the step's
-    samples are processed; it may relocate moving alarm targets through
-    the registry.  Ground-truth verification is skipped when a hook is
-    present (the reference trigger set is no longer static); the
-    accuracy report then scores against the world's initial alarm
-    placement and is advisory only.
-    """
-    from ..strategies.base import ClientState  # local import: avoid cycle
-
-    telemetry = telemetry if telemetry is not None else DISABLED
-    sanitizer = Sanitizer.resolve(sanitize)
-    if sanitizer.enabled:
-        transport_factory = sanitize_transport_factory(transport_factory)
-        if on_step is None:
-            # A mutation hook relocates alarms through the registry API
-            # on purpose; the frozen-geometry check only holds without.
-            sanitizer.snapshot_geometry(world.registry)
-    metrics = Metrics()
-    server = AlarmServer(world.registry, world.grid, metrics,
-                         sizes=world.sizes, telemetry=telemetry)
-    connect(server, strategy, transport_factory)
-    clients = {trace.vehicle_id: ClientState(trace.vehicle_id)
-               for trace in world.traces}
-    max_steps = max((len(trace) for trace in world.traces), default=0)
-
-    if telemetry.enabled:
-        telemetry.shard_started(len(world.traces))
-    started = time.perf_counter()
-    for step in range(max_steps):
-        step_time = step * world.traces.sample_interval
-        if on_step is not None:
-            on_step(step, step_time, server)
-        for trace in world.traces:
-            if step < len(trace):
-                if sanitizer.enabled:
-                    sanitizer.check_clock(trace.vehicle_id,
-                                          trace[step].time)
-                strategy.on_sample(clients[trace.vehicle_id], trace[step])
-    wall_time = time.perf_counter() - started
-    if telemetry.enabled:
-        telemetry.shard_finished(len(world.traces), wall_time)
-    if sanitizer.enabled:
-        sanitizer.verify_geometry(world.registry)
-
-    accuracy = verify_accuracy(world.ground_truth(), metrics)
-    return SimulationResult(strategy_name=strategy.name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy)
+    return run_session(world, strategy,
+                       functools.partial(in_process_link,
+                                         transport_factory=transport_factory),
+                       use_cell_cache=use_cell_cache,
+                       use_region_cache=use_region_cache,
+                       use_batch=use_batch, profiler=profiler,
+                       telemetry=telemetry, sanitize=sanitize)

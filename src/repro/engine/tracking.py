@@ -9,12 +9,12 @@ the distributed architecture handle the class instead:
 
 * a :class:`TargetTrack` gives an alarm's region per time step (e.g.
   derived from the target vehicle's own trace);
-* :func:`run_tracking_simulation` replays time-major; each step it
-  relocates tracked alarms through the registry and *push-invalidates*
-  exactly the clients whose cached state the move touches — geometric
-  state (safe regions, OPT lists) only when the old or new region
-  intersects the client's cell, and non-geometric state (safe-period
-  timers) whenever a relevant tracked alarm moved at all;
+* :class:`TrackMutation` is a set of tracks as a
+  :class:`~repro.engine.simulation.WorldMutation`: each step it
+  relocates the tracked alarms through the run's private registry, and
+  the session's time-major loop *push-invalidates* exactly the clients
+  whose cached state a move touches;
+* :func:`run_tracking_simulation` is the session with that mutation;
 * :func:`compute_tracking_ground_truth` scores the run against the
   moving reference, so the accuracy contract (zero misses, zero
   spurious, on-time) is *verified*, not assumed, for every strategy.
@@ -30,26 +30,21 @@ measured rather than hand-waved.
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..alarms import AlarmRegistry
+from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Rect
 from ..mobility import Trace
-from ..protocol.messages import InvalidateState
-from ..protocol.transport import ClientSession, connect
-from ..telemetry.facade import DISABLED, Telemetry
-from .dynamic import _clone_registry
-from .groundtruth import verify_accuracy
-from .metrics import Metrics
+from ..telemetry.facade import Telemetry
 from .profiling import PhaseProfiler
-from .server import AlarmServer
-from .simulation import GroundTruth, SimulationResult, World
+from .simulation import (GroundTruth, SimulationResult, StepChanges, World,
+                         compute_mutating_ground_truth, in_process_link,
+                         run_session)
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
-    from ..strategies.base import ClientState, ProcessingStrategy
+    from ..strategies.base import ProcessingStrategy
 
 
 @dataclass(frozen=True)
@@ -81,29 +76,32 @@ class TargetTrack:
         return cls(alarm_id=alarm_id, regions=regions)
 
 
+class TrackMutation:
+    """A set of tracks bound to one run's registry."""
+
+    def __init__(self, tracks: Sequence[TargetTrack],
+                 registry: AlarmRegistry, sample_interval: float) -> None:
+        self.tracks = tracks
+        self.registry = registry
+
+    def apply(self, step: int) -> StepChanges:
+        """Relocate the targets that moved; returns them with both regions."""
+        moved: List[Tuple[SpatialAlarm, Tuple[Rect, ...]]] = []
+        for track in self.tracks:
+            old_region = self.registry.get(track.alarm_id).region
+            new_region = track.region_at(step)
+            if new_region != old_region:
+                alarm = self.registry.relocate(track.alarm_id, new_region)
+                moved.append((alarm, (old_region, new_region)))
+        return moved, ()
+
+
 def compute_tracking_ground_truth(world: World,
                                   tracks: Sequence[TargetTrack]
                                   ) -> GroundTruth:
     """Expected triggers with tracked alarms at their per-step regions."""
-    registry = _clone_registry(world.registry)
-    max_steps = max((len(trace) for trace in world.traces), default=0)
-    fired: Dict[int, Set[int]] = {trace.vehicle_id: set()
-                                  for trace in world.traces}
-    expected: Dict[Tuple[int, int], float] = {}
-    for step in range(max_steps):
-        for track in tracks:
-            registry.relocate(track.alarm_id, track.region_at(step))
-        for trace in world.traces:
-            if step >= len(trace):
-                continue
-            sample = trace[step]
-            user_fired = fired[trace.vehicle_id]
-            for alarm in registry.triggered_at(trace.vehicle_id,
-                                               sample.position,
-                                               exclude_ids=user_fired):
-                user_fired.add(alarm.alarm_id)
-                expected[(trace.vehicle_id, alarm.alarm_id)] = sample.time
-    return expected
+    return compute_mutating_ground_truth(
+        world, functools.partial(TrackMutation, tracks))
 
 
 def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
@@ -112,91 +110,8 @@ def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
                             telemetry: Optional[Telemetry] = None
                             ) -> SimulationResult:
     """Time-major replay with per-step target moves and invalidation."""
-    from ..strategies.base import ClientState  # local import: avoid cycle
-
-    telemetry = telemetry if telemetry is not None else DISABLED
-    track_ids = {track.alarm_id for track in tracks}
-    registry = _clone_registry(world.registry)
-    metrics = Metrics()
-    server = AlarmServer(registry, world.grid, metrics, sizes=world.sizes,
-                         profiler=profiler, telemetry=telemetry)
-    session = connect(server, strategy)
-    clients = {trace.vehicle_id: ClientState(trace.vehicle_id)
-               for trace in world.traces}
-    max_steps = max((len(trace) for trace in world.traces), default=0)
-
-    if telemetry.enabled:
-        telemetry.shard_started(len(world.traces))
-    started = time.perf_counter()
-    for step in range(max_steps):
-        step_time = step * world.traces.sample_interval
-        moves: List[Tuple[Rect, Rect, int]] = []
-        for track in tracks:
-            old_region = registry.get(track.alarm_id).region
-            new_region = track.region_at(step)
-            if new_region != old_region:
-                registry.relocate(track.alarm_id, new_region)
-                moves.append((old_region, new_region, track.alarm_id))
-        if moves:
-            for client in clients.values():
-                if _stale_after_moves(client, server, registry, moves):
-                    _invalidate(client, session, step_time)
-        for trace in world.traces:
-            if step < len(trace):
-                strategy.on_sample(clients[trace.vehicle_id], trace[step])
-    wall_time = time.perf_counter() - started
-    if telemetry.enabled:
-        telemetry.shard_finished(len(world.traces), wall_time)
-
-    accuracy = verify_accuracy(
-        compute_tracking_ground_truth(world, tracks), metrics)
-    return SimulationResult(strategy_name=strategy.name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy,
-                            profile=(profiler.report() if profiler is not None
-                                     else None))
-
-
-def _stale_after_moves(client: "ClientState", server: AlarmServer,
-                       registry: AlarmRegistry,
-                       moves: Sequence[Tuple[Rect, Rect, int]]) -> bool:
-    """Did any tracked-alarm move make this client's cached state unsafe?"""
-    relevant_moves = [
-        (old_region, new_region) for old_region, new_region, alarm_id
-        in moves
-        if registry.get(alarm_id).is_relevant_to(client.user_id)
-        and alarm_id not in server.fired_for(client.user_id)]
-    if not relevant_moves:
-        return False
-    has_state = (client.safe_region is not None
-                 or client.cell_rect is not None
-                 or client.expiry > float("-inf")
-                 or bool(client.local_alarms))
-    if not has_state:
-        return False
-    if client.cell_rect is not None:
-        # Cell-scoped state: only moves touching the client's cell matter.
-        return any(client.cell_rect.intersects(old_region)
-                   or client.cell_rect.intersects(new_region)
-                   for old_region, new_region in relevant_moves)
-    return True  # safe-period timers are global bounds: always stale
-
-
-def _invalidate(client: "ClientState", session: ClientSession,
-                time_s: float) -> None:
-    telemetry = session.telemetry
-    if telemetry.enabled and client.region_installed_at is not None:
-        # A push-invalidation forcibly ends the client's residency.
-        telemetry.saferegion_exit(time_s, client.user_id,
-                                  time_s - client.region_installed_at)
-    client.safe_region = None
-    client.cell_rect = None
-    client.expiry = float("-inf")
-    client.local_alarms = []
-    client.region_installed_at = None
-    # Header-only InvalidateState push; the transport charges its bytes.
-    session.transport.push(client.user_id, InvalidateState(), time_s)
+    return run_session(
+        world, strategy, in_process_link,
+        profiler=profiler, telemetry=telemetry,
+        mutation=functools.partial(TrackMutation, tracks),
+        ground_truth=lambda: compute_tracking_ground_truth(world, tracks))

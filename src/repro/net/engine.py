@@ -1,7 +1,7 @@
 """The network simulation engine: serial replay over a real socket.
 
 :func:`run_network_simulation` is the serial engine
-(:func:`~repro.engine.simulation.run_simulation`) with its transport
+(:func:`~repro.engine.simulation.run_session`) with its link
 replaced by a Unix-domain socket: the server half runs in an
 :class:`~repro.net.daemon.AlarmDaemon` on a background event-loop
 thread, the client half drives a :class:`~repro.net.sockets.SocketTransport`
@@ -13,95 +13,71 @@ The result is scored like any serial run, and the transport
 conformance suite pins its counters equal to the in-process goldens:
 the framed path must charge *exactly* what the in-process path
 charges, message for message and byte for byte.
-
-Metrics bookkeeping: the daemon charges all traffic against the
-server's ``Metrics``; the client session accumulates its local
-containment counters in a second ``Metrics``.  The two sets of fields
-are disjoint, so :meth:`~repro.engine.metrics.Metrics.merged` (the
-parallel engine's exact-sum merge) recombines them losslessly.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
-from ..engine.groundtruth import verify_accuracy
 from ..engine.metrics import Metrics
 from ..engine.server import AlarmServer
-from ..engine.simulation import SimulationResult, World, replay_vehicle_major
+from ..engine.simulation import SimulationResult, World, run_session
 from ..protocol.transport import ClientSession
 from ..protocol.wire import WireCodec
 from ..sanitize import Sanitizer
 from ..strategies.base import ProcessingStrategy
-from ..telemetry.facade import DISABLED, Telemetry
+from ..telemetry.facade import Telemetry
 from .daemon import AlarmDaemon, DaemonThread
 from .sockets import SocketTransport, bitmap_geometry_of, pyramid_resolver
 
+#: Bound on every client read, so a wedged daemon surfaces as
+#: :class:`~repro.protocol.transport.TransportError`, never a hang.
+#: (The daemon's batching and queue bounds are ``AlarmDaemon``'s own.)
+READ_TIMEOUT_S = 60.0
 
-def run_network_simulation(world: World, strategy: ProcessingStrategy,
-                           *, telemetry: Optional[Telemetry] = None,
-                           sanitize: Optional[bool] = None,
-                           batch_max: int = 64,
-                           queue_limit: int = 256,
-                           timeout_s: float = 60.0) -> SimulationResult:
-    """Replay ``world`` through ``strategy`` over a Unix-domain socket.
 
-    Flags mirror the serial engine where they are meaningful;
-    ``batch_max``/``queue_limit`` are the daemon's knobs, ``timeout_s``
-    bounds every client read so a wedged daemon surfaces as
-    :class:`~repro.protocol.transport.TransportError`, never a hang.
+@contextmanager
+def socket_link(server: AlarmServer, strategy: ProcessingStrategy,
+                sanitizer: Sanitizer) -> Iterator[Metrics]:
+    """A daemon thread serving ``server``, the strategy on a socket to it.
+
+    The daemon charges all traffic against the server's ``Metrics``; the
+    client session counts its local containment probes into a second
+    one, yielded here for the session to merge.
     """
-    telemetry = telemetry if telemetry is not None else DISABLED
-    sanitizer = Sanitizer.resolve(sanitize)
-    if sanitizer.enabled:
-        sanitizer.snapshot_geometry(world.registry)
-    server_metrics = Metrics()
-    server = AlarmServer(world.registry, world.grid, server_metrics,
-                         sizes=world.sizes, telemetry=telemetry)
-    codec = WireCodec.from_sizes(world.sizes)
+    codec = WireCodec.from_sizes(server.sizes)
     daemon = AlarmDaemon(server, strategy.server_policy(), codec,
-                         verify_wire=sanitizer.enabled,
-                         batch_max=batch_max, queue_limit=queue_limit,
-                         sanitizer=sanitizer)
+                         verify_wire=sanitizer.enabled, sanitizer=sanitizer)
     geometry = bitmap_geometry_of(strategy)
-    pyramid_for = (pyramid_resolver(world.grid, geometry)
+    pyramid_for = (pyramid_resolver(server.grid, geometry)
                    if geometry is not None else None)
     client_metrics = Metrics()
-    if telemetry.enabled:
-        telemetry.shard_started(len(world.traces))
-    started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="repro-net-") as tmp:
         path = os.path.join(tmp, "alarm.sock")
         with DaemonThread(daemon, path=path):
             transport = SocketTransport.connect_unix(
                 path, codec, pyramid_for=pyramid_for,
-                telemetry=telemetry, timeout_s=timeout_s,
+                telemetry=server.telemetry, timeout_s=READ_TIMEOUT_S,
                 sanitizer=sanitizer)
             try:
-                session = ClientSession(transport, client_metrics,
-                                        world.grid, telemetry)
-                strategy.attach(session)
-                replay_vehicle_major(strategy, world.traces, sanitizer)
+                strategy.attach(ClientSession(transport, client_metrics,
+                                              server.grid, server.telemetry))
+                yield client_metrics
             finally:
                 transport.close()
-                server.close()
-    wall_time = time.perf_counter() - started
-    if sanitizer.enabled:
-        sanitizer.verify_geometry(world.registry)
-    if telemetry.enabled:
-        telemetry.shard_finished(len(world.traces), wall_time)
 
-    metrics = Metrics.merged([server_metrics, client_metrics])
-    if sanitizer.enabled:
-        sanitizer.check_merge([server_metrics, client_metrics], metrics)
-    accuracy = verify_accuracy(world.ground_truth(), metrics)
-    return SimulationResult(strategy_name=strategy.name, metrics=metrics,
-                            accuracy=accuracy,
-                            duration_s=world.duration_s,
-                            client_count=len(world.traces),
-                            total_samples=world.traces.total_samples,
-                            wall_time_s=wall_time,
-                            energy_model=world.energy)
+
+def run_network_simulation(world: World, strategy: ProcessingStrategy,
+                           *, telemetry: Optional[Telemetry] = None,
+                           sanitize: Optional[bool] = None
+                           ) -> SimulationResult:
+    """Replay ``world`` through ``strategy`` over a Unix-domain socket.
+
+    The serial session with a socket link; flags mirror the serial
+    engine where they are meaningful.
+    """
+    return run_session(world, strategy, socket_link, telemetry=telemetry,
+                       sanitize=sanitize)

@@ -2,7 +2,7 @@
 
 The simulation engine keeps client state as Python objects for speed;
 this module is the *wire-true* client: a :class:`ClientMonitor` consumes
-the actual encoded downlink bytes (see :mod:`repro.engine.codec`),
+the actual encoded downlink bytes (see :mod:`repro.protocol.wire`),
 decodes them the way a real device would — the paper's "safe region
 containment detection algorithm which performs pyramid bitmap decoding"
 (Section 4.2) — and monitors position fixes against the decoded
@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.codec import (MessageType, decode_bitmap_region,
-                            decode_rect_region, decode_safe_period,
-                            peek_type)
 from ..geometry import Point, Rect
 from ..index import Pyramid
+from ..protocol.wire import (MessageType, decode_bitmap_region,
+                             decode_rect_region, decode_safe_period,
+                             peek_type)
 from .base import RectangularSafeRegion, SafeRegion
 from .bitmap import BitmapSafeRegion
 

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MessageSizes
-from repro.engine.codec import (LocationReport, MessageType,
-                                decode_alarm_push, decode_bitmap_region,
-                                decode_location, decode_rect_region,
-                                decode_safe_period, encode_alarm_push,
-                                encode_bitmap_region, encode_location,
-                                encode_rect_region, encode_safe_period,
-                                peek_type)
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
+from repro.protocol.messages import LocationReport
+from repro.protocol.wire import (MessageType, decode_alarm_push,
+                                 decode_bitmap_region, decode_location,
+                                 decode_rect_region, decode_safe_period,
+                                 encode_alarm_push, encode_bitmap_region,
+                                 encode_location, encode_rect_region,
+                                 encode_safe_period, peek_type)
 from repro.saferegion import build_pyramid_bitmap
 
 SIZES = MessageSizes()

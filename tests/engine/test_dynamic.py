@@ -70,6 +70,12 @@ class TestSchedule:
         assert len(schedule.due(0.0, 7.0)) == 1
         assert len(schedule.due(7.0, 20.0)) == 1
         assert schedule.due(20.0, 30.0) == []
+        # the window is closed at its start and open at its end
+        assert [a.time for a in schedule.due(5.0, 10.0)] == [5.0]
+        assert [a.time for a in schedule.due(5.0, 10.5)] == [5.0, 10.0]
+        assert schedule.due(6.0, 6.0) == schedule.due(9.0, 6.0) == []
+        assert schedule.due(float("-inf"), 5.0) == []
+        assert len(schedule.due(float("-inf"), float("inf"))) == 2
 
     def test_removal_validation(self):
         with pytest.raises(ValueError):

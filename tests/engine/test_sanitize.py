@@ -2,7 +2,7 @@
 
 Two layers: unit tests of each invariant check on the
 :class:`~repro.sanitize.Sanitizer` itself, and integration runs of the
-serial/interleaved/parallel engines with ``sanitize=True`` over every
+serial/time-major/parallel engines with the sanitizer on over every
 shipped strategy — a clean engine must never trip its own sanitizer.
 """
 
@@ -10,15 +10,18 @@ import functools
 
 import pytest
 
+from repro.alarms import AlarmScope
 from repro.cli import _resolve_strategy
-from repro.engine import (Metrics, run_interleaved_simulation,
-                          run_parallel_simulation, run_simulation)
+from repro.engine import (AlarmSchedule, Metrics, TargetTrack,
+                          run_dynamic_simulation, run_parallel_simulation,
+                          run_simulation, run_tracking_simulation)
 from repro.engine.metrics import TriggerEvent
 from repro.protocol.transport import InProcessTransport
 from repro.sanitize import (DISABLED, LOOP_STALL_THRESHOLD_S, Sanitizer,
                             SanitizerError)
 from repro.strategies import PeriodicStrategy
 from ..strategies.conftest import make_world
+from .test_dynamic import crossing_installs
 
 STRATEGY_SPECS = ["periodic", "sp", "mwpsr", "mwpsr-nw", "gbsr",
                   "pbsr", "opt"]
@@ -189,10 +192,48 @@ class TestSanitizedRuns:
                                  sanitize=True)
         assert checked.metrics.counters() == plain.metrics.counters()
 
-    def test_interleaved_run_is_clean(self, world):
-        result = run_interleaved_simulation(world, PeriodicStrategy(),
-                                            sanitize=True)
+    def test_interleaved_run_is_clean(self, world, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        result = run_dynamic_simulation(world, PeriodicStrategy(),
+                                        AlarmSchedule([]))
         assert result.accuracy.perfect
+
+    @pytest.mark.parametrize("spec", ["sp", "mwpsr", "pbsr", "opt"])
+    def test_mutating_runs_are_clean_and_unchanged(self, world, spec,
+                                                   monkeypatch):
+        """Dynamic and tracking runs honour ``REPRO_SANITIZE``: checked
+        clock, wire-verifying transport, the same counters as unchecked."""
+        schedule = AlarmSchedule(crossing_installs(world, count=6,
+                                                   at_time=20.0))
+        public = next(alarm for alarm in world.registry.all_alarms()
+                      if alarm.scope is AlarmScope.PUBLIC)
+        track = TargetTrack.following_trace(
+            public.alarm_id, world.traces[world.traces.vehicle_ids()[0]],
+            width=300.0, height=300.0)
+
+        def runs():
+            strategies = [_resolve_strategy(spec, world.max_speed())
+                          for _ in range(2)]
+            return strategies, [
+                run_dynamic_simulation(world, strategies[0], schedule),
+                run_tracking_simulation(world, strategies[1], [track])]
+
+        _, plain = runs()
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        strategies, checked = runs()
+        for strategy, before, after in zip(strategies, plain, checked):
+            assert strategy.session.transport.verify_wire
+            assert after.accuracy.perfect
+            assert after.metrics.counters() == before.metrics.counters()
+
+    def test_mutating_run_checks_the_clock(self, monkeypatch):
+        local = make_world(vehicles=2, duration=30.0, alarms=20)
+        samples = local.traces[local.traces.vehicle_ids()[0]].samples
+        samples[3], samples[4] = samples[4], samples[3]
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(SanitizerError):
+            run_dynamic_simulation(local, PeriodicStrategy(),
+                                   AlarmSchedule([]))
 
     def test_parallel_run_is_clean(self, world):
         result = run_parallel_simulation(world, PeriodicStrategy,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import run_interleaved_simulation, run_simulation
+from repro.engine import (AlarmSchedule, run_dynamic_simulation,
+                          run_simulation, run_tracking_simulation)
 from repro.saferegion import MWPSRComputer
 from repro.strategies import (PeriodicStrategy,
                               RectangularSafeRegionStrategy)
@@ -53,17 +54,43 @@ class TestInterleavedSimulation:
     def test_same_totals_as_vehicle_major(self, world):
         """With static alarms the two replay orders agree exactly."""
         vehicle_major = run_simulation(world, PeriodicStrategy())
-        time_major = run_interleaved_simulation(world, PeriodicStrategy())
+        time_major = run_dynamic_simulation(world, PeriodicStrategy(),
+                                            AlarmSchedule([]))
         assert time_major.metrics.uplink_messages == \
             vehicle_major.metrics.uplink_messages
         assert time_major.metrics.fired_pairs() == \
             vehicle_major.metrics.fired_pairs()
         assert time_major.accuracy.perfect
 
-    def test_on_step_hook_called(self, world):
-        steps = []
-        run_interleaved_simulation(
-            world, PeriodicStrategy(),
-            on_step=lambda step, time_s, server: steps.append(step))
-        assert steps[0] == 0
-        assert len(steps) == max(len(t) for t in world.traces)
+
+class _FailingStrategy(PeriodicStrategy):
+    """Raises from the third fix on, whichever loop delivers it."""
+
+    def __init__(self):
+        self.samples = 0
+
+    def on_sample(self, client, sample):
+        self.samples += 1
+        if self.samples > 2:
+            raise RuntimeError("client half failed mid-run")
+        super().on_sample(client, sample)
+
+
+class TestServerClosedOnEveryPath:
+    """A run that dies mid-loop still releases its server's caches."""
+
+    def _assert_closed(self, run):
+        strategy = _FailingStrategy()
+        with pytest.raises(RuntimeError):
+            run(strategy)
+        assert strategy.session.transport.server.state.closed
+
+    def test_static_run(self, world):
+        self._assert_closed(lambda s: run_simulation(world, s))
+
+    def test_schedule_run(self, world):
+        self._assert_closed(lambda s: run_dynamic_simulation(
+            world, s, AlarmSchedule([])))
+
+    def test_track_run(self, world):
+        self._assert_closed(lambda s: run_tracking_simulation(world, s, []))

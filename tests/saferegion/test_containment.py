@@ -5,11 +5,11 @@ import math
 
 import pytest
 
-from repro.engine.codec import (encode_bitmap_region, encode_rect_region,
-                                encode_safe_period)
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
 from repro.mobility import SteadyMotionModel
+from repro.protocol.wire import (encode_bitmap_region, encode_rect_region,
+                                 encode_safe_period)
 from repro.saferegion import (ClientMonitor, MWPSRComputer,
                               build_pyramid_bitmap)
 

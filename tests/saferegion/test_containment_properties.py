@@ -21,8 +21,8 @@ and "this point is inside both" cannot hide.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.codec import encode_rect_region, encode_safe_period
 from repro.geometry import Point, Rect
+from repro.protocol.wire import encode_rect_region, encode_safe_period
 from repro.saferegion import ClientMonitor, MWPSRComputer
 
 CELL = Rect(0, 0, 1000, 1000)

@@ -1,8 +1,13 @@
 """The code in docs/EXTENDING.md must actually work."""
 
+import functools
+
 import pytest
 
+from repro.alarms import AlarmScope
 from repro.engine import run_simulation
+from repro.engine.simulation import (compute_mutating_ground_truth,
+                                     in_process_link, run_session)
 from repro.geometry import Rect
 from repro.saferegion import RectangularSafeRegion, region_is_safe
 from repro.strategies import ProcessingStrategy
@@ -94,3 +99,43 @@ class TestCustomWorldSnippet:
                       registry=load_alarms(tmp_path / "a.jsonl"),
                       traces=load_traces(tmp_path / "t.csv"))
         assert world.ground_truth() == source.ground_truth()
+
+
+class GrowingZone:
+    """The custom world-mutation snippet."""
+
+    def __init__(self, alarm_id, margin_m, registry, sample_interval):
+        self.alarm_id = alarm_id
+        self.margin_m = margin_m
+        self.registry = registry
+        self.every = max(1, round(60.0 / sample_interval))
+
+    def apply(self, step):
+        if step == 0 or step % self.every:
+            return (), ()
+        old = self.registry.get(self.alarm_id).region
+        new = Rect(old.min_x - self.margin_m, old.min_y - self.margin_m,
+                   old.max_x + self.margin_m, old.max_y + self.margin_m)
+        alarm = self.registry.relocate(self.alarm_id, new)
+        return [(alarm, (old, new))], ()
+
+
+class TestCustomMutationSnippet:
+    def test_growing_zone_keeps_the_accuracy_contract(self, world):
+        from repro.saferegion import MWPSRComputer
+        from repro.strategies import RectangularSafeRegionStrategy
+
+        alarm_id = next(alarm.alarm_id
+                        for alarm in world.registry.all_alarms()
+                        if alarm.scope is AlarmScope.PUBLIC)
+        before = world.registry.get(alarm_id).region
+        growing = functools.partial(GrowingZone, alarm_id, 50.0)
+        result = run_session(
+            world, RectangularSafeRegionStrategy(MWPSRComputer()),
+            in_process_link, mutation=growing,
+            ground_truth=lambda: compute_mutating_ground_truth(world,
+                                                               growing))
+        assert result.accuracy.perfect
+        assert result.metrics.downlink_messages > \
+            result.metrics.safe_region_computations  # pushes happened
+        assert world.registry.get(alarm_id).region == before
