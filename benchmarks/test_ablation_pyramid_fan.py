@@ -12,7 +12,7 @@ import random
 from repro.experiments import Table
 from repro.geometry import Rect
 from repro.index import Pyramid
-from repro.saferegion import LazyPyramidBitmap
+from repro.saferegion import PyramidBitmap
 
 from .conftest import print_table
 
@@ -43,7 +43,7 @@ def _sweep():
         for obstacles in scenarios:
             pyramid = Pyramid(CELL, fan_cols=fan, fan_rows=fan,
                               height=height)
-            bitmap = LazyPyramidBitmap(pyramid, obstacles)
+            bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
             total_bits += bitmap.bit_length()
             total_coverage += bitmap.coverage()
         rows.append((name, total_bits / len(scenarios),

@@ -13,8 +13,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
 from repro.mobility import SteadyMotionModel
-from repro.saferegion import (LazyPyramidBitmap, MWPSRComputer,
-                              PBSRComputer)
+from repro.saferegion import MWPSRComputer, PBSRComputer, PyramidBitmap
 
 CELL = Rect(0, 0, 1667, 1667)
 
@@ -79,7 +78,7 @@ def test_pbsr_h5_bitmap_build(benchmark, scenarios):
     def compute():
         _, _, obstacles = take()
         region = computer.compute(CELL, obstacles)
-        return region.size_bits()  # force the lazy count
+        return region.size_bits()
 
     benchmark(compute)
 
@@ -88,7 +87,7 @@ def test_pyramid_probe(benchmark, scenarios):
     """The client-side cost: one O(h) containment probe."""
     _, _, obstacles = scenarios[0]
     pyramid = Pyramid(CELL, height=5)
-    bitmap = LazyPyramidBitmap(pyramid, obstacles)
+    bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
     points = [Point(13.0 * k % 1667, 29.0 * k % 1667) for k in range(97)]
     counter = iter(range(10**9))
 

@@ -39,9 +39,8 @@ from .mobility import (MobilityConfig, SteadyMotionModel, Trace,
                        TraceGenerator, TraceSample, TraceSet,
                        UniformMotionModel)
 from .roadnet import NetworkConfig, RoadClass, RoadNetwork, generate_network
-from .saferegion import (BitmapSafeRegion, GBSRComputer, LazyPyramidBitmap,
-                         MWPSRComputer, PBSRComputer, PyramidBitmap,
-                         RectangularSafeRegion, build_pyramid_bitmap,
+from .saferegion import (BitmapSafeRegion, GBSRComputer, MWPSRComputer,
+                         PBSRComputer, PyramidBitmap, RectangularSafeRegion,
                          decode_bitstring)
 from .strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                          PeriodicStrategy, RectangularSafeRegionStrategy,
@@ -59,7 +58,6 @@ __all__ = [
     "EnergyModel",
     "GBSRComputer",
     "GridOverlay",
-    "LazyPyramidBitmap",
     "MessageSizes",
     "Metrics",
     "MobilityConfig",
@@ -90,7 +88,6 @@ __all__ = [
     "TriggerEvent",
     "UniformMotionModel",
     "World",
-    "build_pyramid_bitmap",
     "compute_ground_truth",
     "decode_bitstring",
     "generate_network",

@@ -1,14 +1,13 @@
 """``repro bench-hotpath``: scalar-vs-vectorized hot-path timings.
 
-Three microbenchmarks time one kernel against its scalar oracle on the
+Two microbenchmarks time one kernel against its scalar oracle on the
 same data — rectangle containment (:func:`repro.geometry.batch.contains`
-vs :meth:`~repro.geometry.rect.Rect.contains_point`), pyramid bitmap
-probing (:meth:`repro.saferegion.packed.PackedBitmap.probe_batch` vs
-:meth:`~repro.saferegion.bitmap.PyramidBitmap.probe`) and bitmap
+vs :meth:`~repro.geometry.rect.Rect.contains_point`) and bitmap
 bitstring packing/unpacking (:func:`repro.saferegion.packed.pack_bitstring`
 vs a pure-Python reference).  Each microbench *verifies* agreement
 before it times anything: a kernel that drifted from its oracle fails
-the run instead of producing a meaningless speedup number.
+the run instead of producing a meaningless speedup number.  (The
+``bitmap_probe`` case is gone with its subject, see :data:`NOTE`.)
 
 The end-to-end section replays one workload through the engines four
 ways — serial scalar, serial batch, sharded scalar, sharded batch —
@@ -26,17 +25,24 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..geometry import Point, Rect
 from ..geometry.batch import PointBatch, contains
 from ..index import Pyramid
-from ..saferegion.bitmap import PyramidBitmap, build_pyramid_bitmap
-from ..saferegion.packed import (PackedBitmap, pack_bitstring,
-                                 unpack_bitstring)
+from ..saferegion.bitmap import PyramidBitmap
+from ..saferegion.packed import pack_bitstring, unpack_bitstring
 from ..telemetry.manifest import RunManifest
+
+#: Carried at the head of every report (and so of ``BENCH_hotpath.json``).
+NOTE = ("bitmap_probe dropped in PR 13: the batch bitmap probe it timed "
+        "(PackedBitmap.probe_batch) no longer exists; PyramidBitmap.probe "
+        "is the only probe and bench_e2e's replay_pbsr/replay_gbsr time it "
+        "end to end.  bitmap_codec packs the new class's to_bitstring().  "
+        "GBSR/PBSR have no batch kernel: for them the *_batch_s walls "
+        "re-run the scalar loop.")
 
 if TYPE_CHECKING:
     from ..engine.parallel import StrategyFactory
@@ -94,6 +100,7 @@ class HotpathBenchResult:
         produced it.
         """
         payload: Dict[str, object] = {
+            "note": NOTE,
             "micro": [bench.to_dict() for bench in self.micro],
             "end_to_end": {
                 "strategy": self.strategy,
@@ -148,9 +155,8 @@ def _bench_containment(rng: random.Random, points: int,
     return MicroBench("containment", points, scalar_s, batch_s)
 
 
-def _probe_fixture(rng: random.Random, points: int
-                   ) -> Tuple[PyramidBitmap, List[Point], PointBatch]:
-    """A busy height-5 pyramid bitmap plus probe points over its base."""
+def _busy_bitmap(rng: random.Random) -> PyramidBitmap:
+    """A busy height-5 pyramid bitmap (24 alarms over a 900 m cell)."""
     base = Rect(0.0, 0.0, 900.0, 900.0)
     obstacles = []
     for _ in range(24):
@@ -158,32 +164,7 @@ def _probe_fixture(rng: random.Random, points: int
         y = rng.uniform(0.0, 850.0)
         side = rng.uniform(20.0, 120.0)
         obstacles.append(Rect(x, y, x + side, y + side))
-    pyramid = Pyramid(base, height=5)
-    bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
-    xs = [rng.uniform(-10.0, 910.0) for _ in range(points)]
-    ys = [rng.uniform(-10.0, 910.0) for _ in range(points)]
-    scalar_points = [Point(x, y) for x, y in zip(xs, ys)]
-    batch = PointBatch(np.array(xs, dtype=np.float64),
-                       np.array(ys, dtype=np.float64))
-    return bitmap, scalar_points, batch
-
-
-def _bench_bitmap_probe(rng: random.Random, points: int,
-                        repeats: int) -> MicroBench:
-    """Pyramid probes: per-point dict walk vs packed active-set kernel."""
-    bitmap, scalar_points, batch = _probe_fixture(rng, points)
-    packed = PackedBitmap.from_bitmap(bitmap)
-
-    expected = [bitmap.probe(p) for p in scalar_points]
-    inside, probes = packed.probe_batch(batch)
-    got = list(zip(inside.tolist(), probes.tolist()))
-    if [(bool(i), int(n)) for i, n in got] != expected:
-        raise AssertionError("packed probe kernel disagrees with "
-                             "PyramidBitmap.probe")
-    scalar_s = _best_of(
-        lambda: [bitmap.probe(p) for p in scalar_points], repeats)
-    batch_s = _best_of(lambda: packed.probe_batch(batch), repeats)
-    return MicroBench("bitmap_probe", points, scalar_s, batch_s)
+    return PyramidBitmap.from_obstacles(Pyramid(base, height=5), obstacles)
 
 
 def _pack_scalar(bits: str) -> List[int]:
@@ -212,11 +193,10 @@ def _unpack_scalar(words: List[int], bit_length: int) -> str:
 def _bench_bitmap_codec(rng: random.Random, points: int,
                         repeats: int) -> MicroBench:
     """Bitstring pack+unpack round trip: Python loop vs packbits."""
-    bitmap, _, _ = _probe_fixture(rng, max(points // 16, 64))
     # One busy pyramid serialization, tiled to the requested item count
     # so the codec benches the same order of magnitude of bits as the
     # other microbenches do points.
-    bits = bitmap.to_bitstring()
+    bits = _busy_bitmap(rng).to_bitstring()
     bits = bits * max(1, points // max(len(bits), 1))
 
     words, bit_length = pack_bitstring(bits)
@@ -295,7 +275,6 @@ def run_hotpath_bench(world: "World",
     rng = random.Random(seed)
     result = HotpathBenchResult()
     result.micro.append(_bench_containment(rng, points, repeats))
-    result.micro.append(_bench_bitmap_probe(rng, points, repeats))
     result.micro.append(_bench_bitmap_codec(rng, points, repeats))
     _run_end_to_end(world, strategy_factory, workers, result)
     return result

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..engine import World
 from ..geometry import Point, Rect
 from ..index import Pyramid
-from ..saferegion import LazyPyramidBitmap, MWPSRComputer
+from ..saferegion import MWPSRComputer, PyramidBitmap
 from ..strategies.base import ProcessingStrategy
 from .report import Table
 
@@ -117,8 +117,8 @@ def coverage_size_tradeoff(world: World,
             user = rng.choice(vehicle_ids)
             alarms = world.registry.relevant_intersecting(user, cell)
             pyramid = Pyramid(cell, height=height)
-            bitmap = LazyPyramidBitmap(pyramid,
-                                       [a.region for a in alarms])
+            bitmap = PyramidBitmap.from_obstacles(
+                pyramid, [a.region for a in alarms])
             coverages.append(bitmap.coverage())
             bits.append(float(bitmap.bit_length()))
         summary = DistributionSummary.of(bits)

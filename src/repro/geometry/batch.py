@@ -11,7 +11,7 @@ differential test suite).  Three rules keep that true:
   float64 comparisons are identical in numpy and CPython, so there is
   no tolerance to re-derive.
 * **Same arithmetic, same order.**  Where a kernel recomputes derived
-  coordinates (e.g. pyramid cell edges in ``saferegion.packed``), it
+  coordinates (e.g. the quadrant offsets in ``saferegion.packed``), it
   mirrors the scalar expression's operation order so rounding matches.
 * **Tolerant comparisons route through eps.py.**  The array forms
   :func:`~repro.geometry.eps.feq_array` / ``fzero_array`` carry the
@@ -185,11 +185,7 @@ def interior_intersects(rects: RectBatch, other: Rect) -> BoolArray:
 
 
 def interior_intersects_matrix(a: RectBatch, b: RectBatch) -> BoolArray:
-    """Pairwise open intersection: result ``[i, j]`` tests a[i] vs b[j].
-
-    The lazy-bitmap batch probe's work matrix: rows are per-sample
-    located cells, columns are the region's obstacles.
-    """
+    """Pairwise open intersection: result ``[i, j]`` tests a[i] vs b[j]."""
     result: BoolArray = ((a.min_xs[:, None] < b.max_xs[None, :])
                          & (b.min_xs[None, :] < a.max_xs[:, None])
                          & (a.min_ys[:, None] < b.max_ys[None, :])

@@ -19,11 +19,35 @@ canonical enumeration order everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Tuple
 
 from ..geometry import Point, Rect
 
 DEFAULT_FAN = 3  # the paper's figures use 3x3 splits
+
+
+@lru_cache(maxsize=None)
+def _level_dims(fan_cols: int, fan_rows: int,
+                height: int) -> Tuple[Tuple[int, int], ...]:
+    """Grid dimensions per level, shared by every same-shape pyramid."""
+    return tuple((fan_cols ** level, fan_rows ** level)
+                 for level in range(height + 1))
+
+
+def _boundary(lo: float, hi: float, k: int, level: int, fan: int) -> float:
+    """Boundary ``k`` of the ``fan**level`` equal parts of ``[lo, hi]``.
+
+    Evaluated at the coarsest level the boundary belongs to, so
+    boundaries that coincide across levels (24/27 and 8/9) are the same
+    float by construction, and the outermost ones are ``lo``/``hi``.
+    """
+    while level and k % fan == 0:
+        k //= fan
+        level -= 1
+    if level == 0:
+        return hi if k else lo
+    return lo + (hi - lo) * k / fan ** level
 
 
 @dataclass(frozen=True)
@@ -50,28 +74,39 @@ class Pyramid:
         self.fan_cols = fan_cols
         self.fan_rows = fan_rows
         self.height = height
+        #: ``(columns, rows)`` of the full grid at each level 0..height.
+        self.level_dims = _level_dims(fan_cols, fan_rows, height)
 
     # ------------------------------------------------------------------
     def grid_dims(self, level: int) -> Tuple[int, int]:
         """``(columns, rows)`` of the full grid at ``level``."""
-        self._check_level(level)
-        return (self.fan_cols ** level, self.fan_rows ** level)
+        if 0 <= level <= self.height:
+            return self.level_dims[level]
+        raise ValueError(
+            "level %d outside pyramid of height %d" % (level, self.height))
 
     def cell_rect(self, cell: PyramidCell) -> Rect:
         """Geometric rectangle of ``cell``.
 
-        Edges use the ratio form ``base.min + base.extent * k / n`` so
-        that coincident boundaries at *different* levels (e.g. 24/27 and
-        8/9) evaluate to bit-identical floats — cells then tile exactly
-        and never overlap across levels.
+        Edges use the ratio form ``base.min + base.extent * k / n``,
+        with coincident boundaries of *different* levels (e.g. 24/27
+        and 8/9) reduced to one expression (:func:`_boundary`) — cells
+        then tile exactly, children never stick out of their parent and
+        the root is the base.
         """
         cols, rows = self.grid_dims(cell.level)
         if not (0 <= cell.col < cols and 0 <= cell.row < rows):
             raise ValueError("cell %r outside level grid" % (cell,))
-        return Rect(self.base.min_x + self.base.width * cell.col / cols,
-                    self.base.min_y + self.base.height * cell.row / rows,
-                    self.base.min_x + self.base.width * (cell.col + 1) / cols,
-                    self.base.min_y + self.base.height * (cell.row + 1) / rows)
+        base = self.base
+        return Rect(
+            _boundary(base.min_x, base.max_x, cell.col, cell.level,
+                      self.fan_cols),
+            _boundary(base.min_y, base.max_y, cell.row, cell.level,
+                      self.fan_rows),
+            _boundary(base.min_x, base.max_x, cell.col + 1, cell.level,
+                      self.fan_cols),
+            _boundary(base.min_y, base.max_y, cell.row + 1, cell.level,
+                      self.fan_rows))
 
     def locate(self, p: Point, level: int) -> PyramidCell:
         """Cell of ``p`` at ``level``; boundary points clamp inward."""
@@ -88,7 +123,7 @@ class Pyramid:
         Raster-scan means top row of children first — this order defines
         the within-parent bit layout of the pyramid bitmap.
         """
-        self._check_level(cell.level + 1)
+        self.grid_dims(cell.level + 1)  # validates the child level
         base_col = cell.col * self.fan_cols
         base_row = cell.row * self.fan_rows
         for row_offset in range(self.fan_rows - 1, -1, -1):
@@ -129,9 +164,3 @@ class Pyramid:
     def fanout(self) -> int:
         """Number of children per cell (``U * V``)."""
         return self.fan_cols * self.fan_rows
-
-    # ------------------------------------------------------------------
-    def _check_level(self, level: int) -> None:
-        if not (0 <= level <= self.height):
-            raise ValueError(
-                "level %d outside pyramid of height %d" % (level, self.height))

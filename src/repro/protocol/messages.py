@@ -40,9 +40,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 from ..geometry import Point, Rect
 
 if TYPE_CHECKING:  # typing only: keeps the protocol package import-light
-    from ..saferegion.bitmap import LazyPyramidBitmap, PyramidBitmap
-
-    BitmapPayload = Union[PyramidBitmap, LazyPyramidBitmap]
+    from ..saferegion.bitmap import PyramidBitmap
 
 #: Downlink payload kinds as reported in telemetry (``downlink_sent``
 #: events and the per-kind ``downlink_messages_<kind>`` counters).  One
@@ -110,7 +108,7 @@ class InstallSafeRegion:
 
     rect: Optional[Rect] = None
     cell_ref: Optional[int] = None
-    bitmap: Optional["BitmapPayload"] = None
+    bitmap: Optional["PyramidBitmap"] = None
 
     def __post_init__(self) -> None:
         has_rect = self.rect is not None

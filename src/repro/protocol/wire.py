@@ -309,11 +309,11 @@ def encode_bitmap_region(cell_ref: int, bitmap: "PyramidBitmap",
     ``MessageSizes.bitmap_message``.
     """
     bits = bitmap.to_bitstring()
-    packed = bytearray((len(bits) + 7) // 8)
-    for index, bit in enumerate(bits):
-        if bit == "1":
-            packed[index // 8] |= 1 << (7 - index % 8)
-    payload = _BITMAP_FIXED.pack(cell_ref, len(bits)) + bytes(packed)
+    size = (len(bits) + 7) // 8
+    # Bit i lands in byte i // 8 at position 7 - i % 8: the zero-padded
+    # string read as one big-endian integer.
+    packed = int(bits.ljust(size * 8, "0"), 2).to_bytes(size, "big")
+    payload = _BITMAP_FIXED.pack(cell_ref, len(bits)) + packed
     return _header(MessageType.BITMAP_SAFE_REGION, len(payload), sender,
                    timestamp) + payload
 
@@ -329,11 +329,10 @@ def decode_bitmap_region(data: bytes, pyramid: "Pyramid"
     cell_ref, bit_count = _BITMAP_FIXED.unpack(
         payload[:_BITMAP_FIXED.size])
     packed = payload[_BITMAP_FIXED.size:]
-    bits: List[str] = []
-    for index in range(bit_count):
-        byte = packed[index // 8]
-        bits.append("1" if byte & (1 << (7 - index % 8)) else "0")
-    return cell_ref, decode_bitstring(pyramid, "".join(bits))
+    if bit_count > len(packed) * 8:
+        raise ValueError("bitmap payload shorter than its bit count")
+    bits = format(int.from_bytes(packed, "big"), "0%db" % (len(packed) * 8))
+    return cell_ref, decode_bitstring(pyramid, bits[:bit_count])
 
 
 def encode_invalidate(sender: int = 0, timestamp: float = 0.0) -> bytes:

@@ -2,8 +2,7 @@
 
 from .base import (FLOAT_BITS, RectangularSafeRegion, SafeRegion,
                    region_is_safe)
-from .bitmap import (BitmapBuildStats, BitmapSafeRegion, LazyPyramidBitmap,
-                     PyramidBitmap, build_pyramid_bitmap, decode_bitstring)
+from .bitmap import BitmapSafeRegion, PyramidBitmap, decode_bitstring
 from .gbsr import GBSRComputer
 from .hu_baseline import HuBaselineComputer
 from .mwpsr import MWPSRComputer, MWPSRResult
@@ -14,20 +13,17 @@ from .pbsr import PBSRComputer
 from .containment import ClientMonitor  # noqa: E402
 
 __all__ = [
-    "BitmapBuildStats",
     "BitmapSafeRegion",
     "ClientMonitor",
     "FLOAT_BITS",
     "GBSRComputer",
     "HuBaselineComputer",
-    "LazyPyramidBitmap",
     "MWPSRComputer",
     "MWPSRResult",
     "PBSRComputer",
     "PyramidBitmap",
     "RectangularSafeRegion",
     "SafeRegion",
-    "build_pyramid_bitmap",
     "decode_bitstring",
     "region_is_safe",
 ]

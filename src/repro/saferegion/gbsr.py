@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ..geometry import Rect
 from ..index import Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap
+from .bitmap import BitmapSafeRegion, PyramidBitmap
 
 
 class GBSRComputer:
@@ -41,4 +41,5 @@ class GBSRComputer:
         pyramid = Pyramid(cell, fan_cols=self.resolution,
                           fan_rows=self.resolution, height=1)
         obstacles = list(public_obstacles) + list(personal_obstacles)
-        return BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))
+        return BitmapSafeRegion(PyramidBitmap.from_obstacles(pyramid,
+                                                            obstacles))

@@ -1,51 +1,34 @@
-"""Packed bitmap kernels and batched safe-region probes.
-
-Batch-mode counterparts of the scalar safe-region machinery:
+"""Numpy kernels of the safe-region package.
 
 * :func:`pack_bitstring` / :func:`unpack_bitstring` / :func:`popcount`
-  — the serialized pyramid bitmap as packed uint64 words instead of a
+  — a serialized pyramid bitmap as packed uint64 words instead of a
   character string, with bitwise encode/decode and population count.
-* :class:`PackedBitmap` — an eager :class:`PyramidBitmap` flattened to
-  one dense per-level array, probing a whole population of points per
-  interpreter dispatch.
-* :class:`LazyBatchProbe` — the batch form of
-  :class:`LazyPyramidBitmap.probe`: the progressive obstacle filtering
-  becomes a points x obstacles survival matrix narrowed level by level.
 * :func:`quadrant_skyline` — the MWPSR candidate generation and
   dominance pruning (steps 1-2 of the paper's Section 3 algorithm)
   over an obstacle batch.
 
-Every kernel reproduces its scalar oracle bit for bit: same verdicts,
-same probe counts, same candidate staircases (see
+Every kernel reproduces its scalar oracle bit for bit (see
 ``docs/VECTORIZATION.md`` for the contract and the differential tests
-that enforce it).  Like :mod:`repro.geometry.batch` this module
-requires numpy and is imported explicitly, keeping the scalar
+that enforce it).  There is no batch bitmap probe: the one runtime
+bitmap (:class:`repro.saferegion.bitmap.PyramidBitmap`) probes in a
+handful of integer operations, and a vectorised walk over the same
+level blocks measured slower end to end (the numbers are in
+``docs/VECTORIZATION.md``).  Like :mod:`repro.geometry.batch` this
+module requires numpy and is imported explicitly, keeping the scalar
 safe-region package importable without it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union, cast
+from typing import List, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..geometry.batch import (INITIAL_SCAN_BLOCK, MAX_SCAN_BLOCK, BoolArray,
-                              IntArray, PointBatch, RectBatch, contains,
-                              interior_intersects_matrix)
+from ..geometry.batch import RectBatch
 from ..geometry.point import Point
-from ..geometry.rect import Rect
-from ..index.pyramid import Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap, PyramidBitmap
 
 WordArray = NDArray[np.uint64]
-
-#: Dense level-array cell states (:class:`PackedBitmap`).  ``UNSAFE``
-#: and ``SAFE`` are emitted bits; ``INHERITED`` marks cells that were
-#: never emitted because an ancestor is safe.
-UNSAFE = 0
-SAFE = 1
-INHERITED = 2
 
 
 # ----------------------------------------------------------------------
@@ -79,251 +62,6 @@ def unpack_bitstring(words: WordArray, bit_length: int) -> str:
 def popcount(words: WordArray) -> int:
     """Total number of set bits across the packed words."""
     return int(np.bitwise_count(words).sum())
-
-
-# ----------------------------------------------------------------------
-# Shared level walk
-# ----------------------------------------------------------------------
-def _locate_level(pyramid: Pyramid, xs: NDArray[np.float64],
-                  ys: NDArray[np.float64], level: int
-                  ) -> Tuple[IntArray, IntArray, int, int]:
-    """Vectorized ``Pyramid.locate``: per-point (col, row) at ``level``.
-
-    Mirrors the scalar arithmetic term for term — same subtraction,
-    divide, multiply order, truncation toward zero, then clamping —
-    and recomputes each level independently (deriving a child from its
-    parent via integer division is *not* float-exact near cell edges).
-    """
-    cols, rows = pyramid.grid_dims(level)
-    base = pyramid.base
-    col = ((xs - base.min_x) / base.width * cols).astype(np.int64)
-    row = ((ys - base.min_y) / base.height * rows).astype(np.int64)
-    np.clip(col, 0, cols - 1, out=col)
-    np.clip(row, 0, rows - 1, out=row)
-    return col, row, cols, rows
-
-
-def _level_cell_rects(pyramid: Pyramid, col: IntArray, row: IntArray,
-                      cols: int, rows: int) -> RectBatch:
-    """Vectorized ``Pyramid.cell_rect`` over located cells.
-
-    The ratio form ``base.min + extent * k / n`` is preserved exactly
-    so edges agree bit-for-bit with the scalar rectangles.
-    """
-    base = pyramid.base
-    col_f = col.astype(np.float64)
-    row_f = row.astype(np.float64)
-    return RectBatch(
-        base.min_x + base.width * col_f / cols,
-        base.min_y + base.height * row_f / rows,
-        base.min_x + base.width * (col_f + 1.0) / cols,
-        base.min_y + base.height * (row_f + 1.0) / rows)
-
-
-# ----------------------------------------------------------------------
-# Eager bitmaps, packed
-# ----------------------------------------------------------------------
-class PackedBitmap:
-    """An eager :class:`PyramidBitmap` in batch-probe form.
-
-    ``words`` packs the wire serialization; ``levels`` holds one dense
-    uint8 array per pyramid level (flat index ``row * cols + col``)
-    with :data:`UNSAFE` / :data:`SAFE` / :data:`INHERITED` states, the
-    array form of the ``bits.get(cell)`` lookup.
-    """
-
-    __slots__ = ("pyramid", "words", "bit_length", "levels")
-
-    def __init__(self, pyramid: Pyramid, words: WordArray,
-                 bit_length: int,
-                 levels: Sequence[NDArray[np.uint8]]) -> None:
-        self.pyramid = pyramid
-        self.words = words
-        self.bit_length = bit_length
-        self.levels = list(levels)
-
-    @classmethod
-    def from_bitmap(cls, bitmap: PyramidBitmap) -> "PackedBitmap":
-        pyramid = bitmap.pyramid
-        words, bit_length = pack_bitstring(bitmap.to_bitstring())
-        levels: List[NDArray[np.uint8]] = []
-        for level in range(pyramid.height + 1):
-            cols, rows = pyramid.grid_dims(level)
-            levels.append(np.full(cols * rows, INHERITED, dtype=np.uint8))
-        for cell, bit in bitmap.bits.items():
-            cols, _rows = pyramid.grid_dims(cell.level)
-            levels[cell.level][cell.row * cols + cell.col] = bit
-        return cls(pyramid, words, bit_length, levels)
-
-    def to_bitstring(self) -> str:
-        """The wire serialization; round-trips ``PyramidBitmap``'s."""
-        return unpack_bitstring(self.words, self.bit_length)
-
-    def popcount(self) -> int:
-        """Number of 1 bits in the serialization (safe pieces)."""
-        return popcount(self.words)
-
-    def probe_batch(self, points: PointBatch
-                    ) -> Tuple[BoolArray, IntArray]:
-        """Per-point ``(inside, probes)``; :meth:`PyramidBitmap.probe`.
-
-        Points outside the base cell report ``(False, 1)``; the rest
-        walk the levels together, each point retiring at its first
-        safe (or inherited-safe) cell, unsafe leaves costing
-        ``height + 1`` probes — the scalar counts exactly.
-        """
-        count = len(points)
-        inside = np.zeros(count, dtype=np.bool_)
-        probes = np.ones(count, dtype=np.int64)
-        active = np.flatnonzero(contains(self.pyramid.base, points))
-        probes[active] = 0
-        for level in range(self.pyramid.height + 1):
-            if active.size == 0:
-                break
-            probes[active] += 1
-            col, row, cols, _rows = _locate_level(
-                self.pyramid, points.xs[active], points.ys[active], level)
-            states = self.levels[level][row * cols + col]
-            safe = states > UNSAFE  # SAFE or INHERITED: probe resolves
-            inside[active[safe]] = True
-            active = active[~safe]
-        return inside, probes
-
-
-# ----------------------------------------------------------------------
-# Lazy bitmaps, batched
-# ----------------------------------------------------------------------
-class LazyBatchProbe:
-    """Batch form of :meth:`LazyPyramidBitmap.probe`.
-
-    The scalar probe narrows a per-point obstacle list level by level;
-    here that state is a ``points x obstacles`` boolean matrix narrowed
-    with one :func:`interior_intersects_matrix` per level.  A pair once
-    dead stays dead — exactly the scalar list filtering — and a point
-    whose row empties at level ``L`` resolves safe with ``L + 1``
-    probes.
-    """
-
-    __slots__ = ("pyramid", "obstacles")
-
-    def __init__(self, pyramid: Pyramid,
-                 obstacles: Sequence[Rect]) -> None:
-        # Callers pass LazyPyramidBitmap.obstacles, already filtered to
-        # those intersecting the base cell.
-        self.pyramid = pyramid
-        self.obstacles = RectBatch.from_rects(list(obstacles))
-
-    def probe_batch(self, points: PointBatch
-                    ) -> Tuple[BoolArray, IntArray]:
-        count = len(points)
-        inside = np.zeros(count, dtype=np.bool_)
-        probes = np.ones(count, dtype=np.int64)
-        active = np.flatnonzero(contains(self.pyramid.base, points))
-        if len(self.obstacles) == 0:
-            # Level 0 finds no relevant obstacle: (True, 1).
-            inside[active] = True
-            return inside, probes
-        probes[active] = 0
-        alive = np.ones((active.size, len(self.obstacles)),
-                        dtype=np.bool_)
-        for level in range(self.pyramid.height + 1):
-            if active.size == 0:
-                break
-            probes[active] += 1
-            col, row, cols, rows = _locate_level(
-                self.pyramid, points.xs[active], points.ys[active], level)
-            cells = _level_cell_rects(self.pyramid, col, row, cols, rows)
-            alive &= interior_intersects_matrix(cells, self.obstacles)
-            resolved = ~alive.any(axis=1)
-            inside[active[resolved]] = True
-            active = active[~resolved]
-            alive = alive[~resolved]
-        return inside, probes
-
-
-BatchProbe = Union[PackedBitmap, LazyBatchProbe]
-
-#: Samples scanned through the scalar oracle before the array kernels
-#: engage in :func:`bitmap_silent_run`.  Frequent reporters (GBSR's
-#: one-level bitmaps) end most silent runs within a handful of
-#: samples, where one array probe's fixed cost dwarfs the whole scalar
-#: walk; a run that survives the prefix is long enough to amortize
-#: packing and the per-block kernel dispatches.
-_SCALAR_PREFIX = 8
-
-
-def probe_for(region: BitmapSafeRegion) -> BatchProbe:
-    """The batch probe for ``region``, built once and cached on it.
-
-    GBSR/PBSR install fresh :class:`BitmapSafeRegion` instances per
-    cell entry, and one region is probed for every subsequent sample
-    in the cell — caching on the region amortizes packing across the
-    whole residence.
-    """
-    cached = region.batch_probe
-    if cached is None:
-        bitmap = region.bitmap
-        if isinstance(bitmap, PyramidBitmap):
-            cached = PackedBitmap.from_bitmap(bitmap)
-        else:
-            cached = LazyBatchProbe(bitmap.pyramid, bitmap.obstacles)
-        region.batch_probe = cached
-    return cast(BatchProbe, cached)
-
-
-def bitmap_silent_run(region: BitmapSafeRegion, cell: Rect,
-                      points: PointBatch, start: int) -> Tuple[int, int]:
-    """Scan the silent run of a bitmap-strategy client.
-
-    Returns ``(stop, ops)``: ``stop`` is the first index at/after
-    ``start`` that is *not* silent — outside ``cell`` (a region exit)
-    or probing unsafe (a report) — or ``len(points)`` when the trace
-    ends silent.  ``ops`` is the total probe count over the silent
-    prefix ``[start, stop)``, matching the scalar per-sample charges
-    exactly; the non-silent sample at ``stop`` is left for the scalar
-    path to handle (and charge).
-    """
-    length = len(points)
-    index = start
-    ops = 0
-    # Scalar prefix: probe the first few samples through the region's
-    # own (scalar) bitmap walk.  Short runs return from here without
-    # ever touching numpy — or packing the bitmap at all.
-    prefix_stop = min(index + _SCALAR_PREFIX, length)
-    while index < prefix_stop:
-        point = Point(float(points.xs[index]), float(points.ys[index]))
-        if not cell.contains_point(point):
-            return index, ops
-        inside, probes = region.probe(point)
-        if not inside:
-            return index, ops
-        ops += probes
-        index += 1
-    if index == length:
-        return length, ops
-    probe = probe_for(region)
-    block = INITIAL_SCAN_BLOCK
-    while index < length:
-        stop = min(index + block, length)
-        view = points.slice(index, stop)
-        in_cell = contains(cell, view)
-        if bool(in_cell.all()):
-            limit = stop - index
-        else:
-            limit = int(np.argmin(in_cell))
-        if limit == 0:
-            return index, ops
-        inside, probes = probe.probe_batch(view.slice(0, limit))
-        if not bool(inside.all()):
-            silent = int(np.argmin(inside))
-            ops += int(probes[:silent].sum())
-            return index + silent, ops
-        ops += int(probes.sum())
-        if limit < stop - index:
-            return index + limit, ops
-        index = stop
-        block = min(block * 2, MAX_SCAN_BLOCK)
-    return length, ops
 
 
 # ----------------------------------------------------------------------

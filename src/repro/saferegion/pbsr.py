@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..geometry import Rect
 from ..index import DEFAULT_FAN, Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap
+from .bitmap import BitmapSafeRegion, PyramidBitmap
 
 
 class PBSRComputer:
@@ -53,9 +53,10 @@ class PBSRComputer:
         callers indifferent to the optimization may pass everything as
         public.
         """
-        public_key = tuple(sorted(
-            (r.min_x, r.min_y, r.max_x, r.max_y) for r in public_obstacles))
         if (self.share_public and not personal_obstacles):
+            public_key = tuple(sorted(
+                (r.min_x, r.min_y, r.max_x, r.max_y)
+                for r in public_obstacles))
             cache_key = (cell.min_x, cell.min_y)
             cached = self._public_cache.get(cache_key)
             if cached is not None and cached[0] == public_key:
@@ -72,7 +73,8 @@ class PBSRComputer:
                obstacles: List[Rect]) -> BitmapSafeRegion:
         pyramid = Pyramid(cell, fan_cols=self.fan, fan_rows=self.fan,
                           height=self.height)
-        return BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))
+        return BitmapSafeRegion(PyramidBitmap.from_obstacles(pyramid,
+                                                            obstacles))
 
     def clear_cache(self) -> None:
         self._public_cache.clear()

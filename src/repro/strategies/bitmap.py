@@ -52,7 +52,6 @@ from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
     from ..engine.server import AlarmServer
-    from ..mobility.batch import SampleBatch
 
 
 class BitmapComputer(Protocol):
@@ -166,37 +165,6 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
         self._note_region_exit(client, sample.time)
         reply = self._send_report(client, sample, exit=True)
         self._install(client, sample, reply)
-
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Vectorized pyramid probes between reports.
-
-        While a bitmap is installed, the silent run — in the cell *and*
-        probing safe — is scanned by the packed kernel
-        (:func:`repro.saferegion.packed.bitmap_silent_run`), which also
-        returns the run's exact per-sample probe-op total for the bulk
-        charge.  Cell exits and unsafe-area fixes (where the protocol
-        actually speaks) go through the scalar path unchanged.
-        """
-        from ..saferegion.packed import bitmap_silent_run
-        samples = batch.samples
-        length = len(samples)
-        index = 0
-        while index < length:
-            cell = client.cell_rect
-            if cell is None:
-                self.on_sample(client, samples[index])
-                index += 1
-                continue
-            region = client.safe_region
-            assert isinstance(region, BitmapSafeRegion)
-            stop, ops = bitmap_silent_run(region, cell, batch.points,
-                                          index)
-            if stop > index:
-                self._charge_probe_batch(stop - index, ops)
-            if stop >= length:
-                return
-            self.on_sample(client, samples[stop])
-            index = stop + 1
 
     # ------------------------------------------------------------------
     def _install(self, client: ClientState, sample: TraceSample,

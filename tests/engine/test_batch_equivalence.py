@@ -109,10 +109,13 @@ def _trace_data(telemetry, metrics):
 
 
 class TestTracedBatchRun:
+    # MWPSR: the bitmap strategies have no batch kernel (PR 13 measured
+    # it slower than the scalar probe), so their batch run charges
+    # nothing to the batch counters.
     @pytest.mark.parametrize("use_batch", (False, True))
     def test_traced_run_reconciles(self, world, use_batch):
         telemetry = Telemetry.capture()
-        result = run_simulation(world, _pbsr(), telemetry=telemetry,
+        result = run_simulation(world, _mwpsr(), telemetry=telemetry,
                                 use_batch=use_batch)
         outcome = reconcile(_trace_data(telemetry, result.metrics))
         assert outcome["ok"], [entry for entry in outcome["checks"]
@@ -128,7 +131,7 @@ class TestTracedBatchRun:
         runs = {}
         for use_batch in (False, True):
             telemetry = Telemetry.capture()
-            result = run_simulation(world, _pbsr(), telemetry=telemetry,
+            result = run_simulation(world, _mwpsr(), telemetry=telemetry,
                                     use_batch=use_batch)
             runs[use_batch] = (result, telemetry)
         for use_batch, (result, telemetry) in runs.items():

@@ -17,7 +17,7 @@ from repro.protocol.wire import (MessageType, decode_alarm_push,
                                  encode_alarm_push, encode_bitmap_region,
                                  encode_location, encode_rect_region,
                                  encode_safe_period, peek_type)
-from repro.saferegion import build_pyramid_bitmap
+from repro.saferegion import PyramidBitmap
 
 SIZES = MessageSizes()
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -112,7 +112,7 @@ class TestBitmapRegion:
 
     def _bitmap(self, height=2):
         pyramid = Pyramid(self.CELL, fan_cols=3, fan_rows=3, height=height)
-        bitmap, _ = build_pyramid_bitmap(pyramid, self.OBSTACLES)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, self.OBSTACLES)
         return pyramid, bitmap
 
     def test_roundtrip(self):
@@ -121,7 +121,7 @@ class TestBitmapRegion:
         cell_ref, decoded = decode_bitmap_region(data, pyramid)
         assert cell_ref == 17
         assert decoded.to_bitstring() == bitmap.to_bitstring()
-        assert decoded.bits == bitmap.bits
+        assert decoded.bit_length() == bitmap.bit_length()
 
     def test_size_matches_cost_model(self):
         pyramid, bitmap = self._bitmap()
@@ -147,7 +147,7 @@ class TestBitmapRegion:
     def test_property_roundtrip(self, raw):
         obstacles = [Rect(x, y, x + s, y + s) for x, y, s in raw]
         pyramid = Pyramid(self.CELL, fan_cols=3, fan_rows=3, height=2)
-        bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         data = encode_bitmap_region(3, bitmap)
         _, decoded = decode_bitmap_region(data, pyramid)
         assert decoded.to_bitstring() == bitmap.to_bitstring()

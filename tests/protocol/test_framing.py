@@ -219,11 +219,11 @@ class TestReplyBatches:
 
     def test_bitmap_without_resolver_rejected(self):
         from repro.index import Pyramid
-        from repro.saferegion import build_pyramid_bitmap
+        from repro.saferegion import PyramidBitmap
 
         pyramid = Pyramid(Rect(0.0, 0.0, 9.0, 9.0), height=2)
-        bitmap, _stats = build_pyramid_bitmap(
-            pyramid, [Rect(1.0, 1.0, 2.0, 2.0)])
+        bitmap = PyramidBitmap.from_obstacles(pyramid,
+                                              [Rect(1.0, 1.0, 2.0, 2.0)])
         region = InstallSafeRegion(cell_ref=0, bitmap=bitmap)
         payload = encode_reply(self.codec, (region,), sender=0,
                                timestamp=0.0)
@@ -233,11 +233,12 @@ class TestReplyBatches:
     def test_bitmap_resolver_receives_the_cell_ref(self):
         from repro.index import Pyramid
         from repro.protocol.wire import pack_cell_ref
-        from repro.saferegion import build_pyramid_bitmap
+        from repro.saferegion import PyramidBitmap
 
         base = Rect(0.0, 0.0, 9.0, 9.0)
         pyramid = Pyramid(base, height=2)
-        bitmap, _stats = build_pyramid_bitmap(pyramid, [Rect(1.0, 1.0, 2.0, 2.0)])
+        bitmap = PyramidBitmap.from_obstacles(pyramid,
+                                              [Rect(1.0, 1.0, 2.0, 2.0)])
         cell_ref = pack_cell_ref(3, 4)
         region = InstallSafeRegion(cell_ref=cell_ref, bitmap=bitmap)
         payload = encode_reply(self.codec, (region,), sender=0,

@@ -11,15 +11,14 @@ from repro.protocol.messages import (AlarmNotification, AlarmRecord,
                                      InstallSafePeriod, InstallSafeRegion,
                                      InvalidateState, LocationReport,
                                      RegionExitReport, downlink_kind)
-from repro.saferegion import build_pyramid_bitmap
+from repro.saferegion import PyramidBitmap
 
 CELL = Rect(0, 0, 1000, 1000)
 
 
 def _bitmap():
-    bitmap, _ = build_pyramid_bitmap(Pyramid(CELL, height=1),
-                                     [Rect(100, 100, 200, 200)])
-    return bitmap
+    return PyramidBitmap.from_obstacles(Pyramid(CELL, height=1),
+                                        [Rect(100, 100, 200, 200)])
 
 
 class TestInstallSafeRegion:

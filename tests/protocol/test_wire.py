@@ -15,7 +15,7 @@ from repro.protocol.messages import (AlarmNotification, AlarmRecord,
                                      LocationReport, RegionExitReport)
 from repro.protocol.wire import (EXIT_FLAG, MessageType, WireCodec,
                                  pack_cell_ref, unpack_cell_ref)
-from repro.saferegion import build_pyramid_bitmap
+from repro.saferegion import PyramidBitmap
 
 CELL = Rect(0, 0, 1000, 1000)
 
@@ -83,7 +83,7 @@ class TestDownlinkRoundTrip:
 
     def test_bitmap(self):
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=2)
-        bitmap, _ = build_pyramid_bitmap(
+        bitmap = PyramidBitmap.from_obstacles(
             pyramid, [Rect(100, 100, 260, 260), Rect(700, 600, 800, 790)])
         data = wire.encode_bitmap_region(pack_cell_ref(2, 5), bitmap)
         cell_ref, decoded = wire.decode_bitmap_region(data, pyramid)
@@ -117,7 +117,7 @@ def _random_messages(rng):
     pyramid = Pyramid(CELL, fan_cols=rng.choice((2, 3)),
                       fan_rows=rng.choice((2, 3)),
                       height=rng.randrange(1, 5))
-    bitmap, _ = build_pyramid_bitmap(
+    bitmap = PyramidBitmap.from_obstacles(
         pyramid, [Rect(100, 100, 200, 200).translated(
             rng.uniform(0, 700), rng.uniform(0, 700))
             for _ in range(rng.randrange(0, 4))])

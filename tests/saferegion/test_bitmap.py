@@ -1,4 +1,10 @@
-"""Tests for bitmap-encoded safe regions: encode/decode, lazy/eager parity."""
+"""Tests for bitmap-encoded safe regions: encode/decode, oracle parity.
+
+Every test here exercises the one runtime :class:`PyramidBitmap`; the
+``TestLazyEagerParity`` class compares it with the cell-by-cell oracle
+(``oracle.py``) on ordinary geometry — the adversarial differential
+suite is ``test_bitmap_oracle.py``.
+"""
 
 import random
 
@@ -8,8 +14,10 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
-from repro.saferegion import (LazyPyramidBitmap, build_pyramid_bitmap,
-                              decode_bitstring)
+from repro.saferegion import PyramidBitmap, decode_bitstring
+from repro.saferegion.bitmap import COVERED
+
+from .oracle import build_pyramid_bitmap
 
 BASE = Rect(0, 0, 900, 900)
 
@@ -30,29 +38,29 @@ def obstacle_lists(draw, max_count=5):
 class TestEagerBitmap:
     def test_no_obstacles_single_one_bit(self):
         pyramid = Pyramid(BASE, height=2)
-        bitmap, stats = build_pyramid_bitmap(pyramid, [])
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [])
         assert bitmap.to_bitstring() == "1"
         assert bitmap.bit_length() == 1
         assert bitmap.coverage() == pytest.approx(1.0)
-        assert stats.cells_tested == 1
 
     def test_touching_obstacle_does_not_poison(self):
         """An alarm sharing only an edge with the cell leaves it safe."""
         pyramid = Pyramid(BASE, height=1)
         outside = Rect(900, 0, 1000, 900)  # abuts the right edge
-        bitmap, _ = build_pyramid_bitmap(pyramid, [outside])
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [outside])
         assert bitmap.to_bitstring() == "1"
 
     def test_full_cover_all_zero(self):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, [BASE.expanded(10)])
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [BASE.expanded(10)])
         assert bitmap.to_bitstring() == "0" + "0" * 9
         assert bitmap.coverage() == 0.0
 
     def test_single_corner_obstacle_level1(self):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=1)
         # obstacle strictly inside the bottom-left level-1 cell
-        bitmap, _ = build_pyramid_bitmap(pyramid, [Rect(10, 10, 100, 100)])
+        bitmap = PyramidBitmap.from_obstacles(pyramid,
+                                              [Rect(10, 10, 100, 100)])
         bits = bitmap.to_bitstring()
         # root 0, then raster scan: top row all 1, middle row all 1,
         # bottom row: 0 1 1
@@ -61,7 +69,7 @@ class TestEagerBitmap:
     def test_probe_matches_bits(self):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=2)
         obstacles = [Rect(10, 10, 100, 100), Rect(500, 500, 650, 620)]
-        bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         rng = random.Random(5)
         for _ in range(300):
             p = Point(rng.uniform(0, 900), rng.uniform(0, 900))
@@ -74,14 +82,18 @@ class TestEagerBitmap:
 
     def test_probe_outside_base(self):
         pyramid = Pyramid(BASE, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, [])
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [])
         assert bitmap.probe(Point(-1, -1)) == (False, 1)
 
     def test_region_pieces_disjoint_and_safe(self):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=3)
         obstacles = [Rect(100, 100, 400, 300), Rect(300, 500, 700, 760)]
-        bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
-        region = bitmap.to_region()
+        # The runtime bitmap keeps no rectangles; its bits are the
+        # oracle's, whose pieces are checked.
+        oracle, _ = build_pyramid_bitmap(pyramid, obstacles)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+        assert bitmap.to_bitstring() == oracle.to_bitstring()
+        region = oracle.to_region()
         region.validate_disjoint()
         for piece in region.pieces:
             for obstacle in obstacles:
@@ -92,7 +104,7 @@ class TestEagerBitmap:
         coverages = []
         for height in range(1, 5):
             pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=height)
-            bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+            bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
             coverages.append(bitmap.coverage())
         assert coverages == sorted(coverages)
         assert coverages[-1] > coverages[0]
@@ -103,11 +115,12 @@ class TestSerialization:
     @given(obstacle_lists(), st.integers(min_value=1, max_value=3))
     def test_roundtrip(self, obstacles, height):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=height)
-        bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         encoded = bitmap.to_bitstring()
         decoded = decode_bitstring(pyramid, encoded)
-        assert decoded.bits == bitmap.bits
         assert decoded.to_bitstring() == encoded
+        assert decoded.bit_length() == bitmap.bit_length() == len(encoded)
+        assert decoded.coverage() == pytest.approx(bitmap.coverage())
 
     def test_decode_rejects_short(self):
         pyramid = Pyramid(BASE, height=1)
@@ -131,16 +144,16 @@ class TestLazyEagerParity:
     def test_bit_length_matches(self, obstacles, height):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=height)
         eager, _ = build_pyramid_bitmap(pyramid, obstacles)
-        lazy = LazyPyramidBitmap(pyramid, obstacles)
-        assert lazy.bit_length() == eager.bit_length()
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+        assert bitmap.bit_length() == eager.bit_length()
 
     @settings(max_examples=40, deadline=None)
     @given(obstacle_lists(), st.integers(min_value=1, max_value=3))
     def test_coverage_matches(self, obstacles, height):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=height)
         eager, _ = build_pyramid_bitmap(pyramid, obstacles)
-        lazy = LazyPyramidBitmap(pyramid, obstacles)
-        assert lazy.coverage() == pytest.approx(eager.coverage())
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+        assert bitmap.coverage() == pytest.approx(eager.coverage())
 
     @settings(max_examples=25, deadline=None)
     @given(obstacle_lists(max_count=4), st.integers(min_value=1, max_value=3),
@@ -149,16 +162,20 @@ class TestLazyEagerParity:
     def test_probe_matches(self, obstacles, height, x, y):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=height)
         eager, _ = build_pyramid_bitmap(pyramid, obstacles)
-        lazy = LazyPyramidBitmap(pyramid, obstacles)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         p = Point(x, y)
-        assert lazy.probe(p) == eager.probe(p)
+        assert bitmap.probe(p) == eager.probe(p)
 
     def test_lazy_handles_deep_pyramids_fast(self):
-        """Height-7 full-split counting must not enumerate subtrees."""
+        """Height-7 all-zero subtrees are counted, never enumerated."""
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=7)
         obstacles = [Rect(100, 100, 500, 500)]
-        lazy = LazyPyramidBitmap(pyramid, obstacles)
-        bits = lazy.bit_length()
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         # a 400x400 obstacle in a 900-cell at height 7 expands into
-        # millions of implicit zero bits; the count must reflect them
-        assert bits > 100000
+        # millions of zero bits; the count must reflect them while the
+        # stored cells stay a small fraction
+        assert bitmap.bit_length() > 100000
+        stored = sum(len(cells) for cells in bitmap._levels)
+        assert stored * 20 < bitmap.bit_length()
+        assert any(COVERED in cells for cells in bitmap._levels)
+        assert bitmap.probe(Point(300, 300)) == (False, 8)

@@ -10,8 +10,7 @@ from repro.index import Pyramid
 from repro.mobility import SteadyMotionModel
 from repro.protocol.wire import (encode_bitmap_region, encode_rect_region,
                                  encode_safe_period)
-from repro.saferegion import (ClientMonitor, MWPSRComputer,
-                              build_pyramid_bitmap)
+from repro.saferegion import ClientMonitor, MWPSRComputer, PyramidBitmap
 
 CELL = Rect(0, 0, 1000, 1000)
 ALARMS = [Rect(400, 400, 520, 520), Rect(700, 100, 800, 260)]
@@ -35,7 +34,7 @@ class TestClientMonitor:
 
     def test_bitmap_region_roundtrip_decisions(self):
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=3)
-        bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, ALARMS)
         monitor = ClientMonitor(fan=3, height=3)
         monitor.receive(encode_bitmap_region(0, bitmap), cell_rect=CELL)
         # decisions must equal direct probes of the original bitmap
@@ -59,7 +58,7 @@ class TestClientMonitor:
 
     def test_bitmap_requires_cell_rect(self):
         pyramid = Pyramid(CELL, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, [])
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [])
         monitor = ClientMonitor(height=1)
         with pytest.raises(ValueError):
             monitor.receive(encode_bitmap_region(0, bitmap))
@@ -132,7 +131,7 @@ class TestWireTrueEquivalence:
                 0, cell, exclude_ids=fired)]
             if use_bitmap:
                 pyramid = Pyr(cell, fan_cols=3, fan_rows=3, height=3)
-                bitmap, _ = build_pyramid_bitmap(pyramid, pending)
+                bitmap = PyramidBitmap.from_obstacles(pyramid, pending)
                 monitor.receive(encode_bitmap_region(0, bitmap),
                                 cell_rect=cell)
             else:

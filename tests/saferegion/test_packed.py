@@ -1,35 +1,34 @@
 """Differential suite: packed safe-region kernels vs their scalar oracles.
 
-The batch mode's correctness story is that every kernel in
-:mod:`repro.saferegion.packed` reproduces one scalar code path bit for
-bit; this module holds each pairing to it.  The bitstring codec is
-checked against the serialized pyramid bitmaps it packs, the batch
-probes against :meth:`PyramidBitmap.probe` / :meth:`LazyPyramidBitmap.
-probe` verdict-and-count, the silent-run scanner against a literal
-per-sample replay of the strategy's scalar loop, and the MWPSR
-quadrant skyline against the computer's own candidate generation —
-including a full ``compute(batched=True)`` vs scalar comparison above
-the gate threshold, where the array path actually engages.
+Every kernel in :mod:`repro.saferegion.packed` reproduces one scalar
+code path bit for bit; this module holds each pairing to it.  The
+bitstring codec is checked against the serialized pyramid bitmaps it
+packs and the MWPSR quadrant skyline against the computer's own
+candidate generation — including a full ``compute(batched=True)`` vs
+scalar comparison above the gate threshold, where the array path
+actually engages.  ``TestProbeDifferential`` predates the one runtime
+bitmap (it used to pair batch probe kernels with two scalar classes);
+it now holds the level-packed :class:`PyramidBitmap` — as built and as
+decoded from the wire — to the cell-by-cell oracle on points that sit
+bit-exactly on cell edges.
 """
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.geometry.batch import PointBatch, RectBatch
+from repro.geometry.batch import RectBatch
 from repro.index import Pyramid
-from repro.saferegion.bitmap import (BitmapSafeRegion, LazyPyramidBitmap,
-                                     PyramidBitmap, build_pyramid_bitmap)
+from repro.saferegion.bitmap import PyramidBitmap, decode_bitstring
 from repro.saferegion.mwpsr import (_BATCH_MIN_OBSTACLES, _QUADRANT_SIGNS,
                                     MWPSRComputer)
-from repro.saferegion.packed import (_SCALAR_PREFIX, LazyBatchProbe,
-                                     PackedBitmap, bitmap_silent_run,
-                                     pack_bitstring, popcount, probe_for,
+from repro.saferegion.packed import (pack_bitstring, popcount,
                                      quadrant_skyline, unpack_bitstring)
+
+from .oracle import build_pyramid_bitmap
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=300)
 
@@ -96,137 +95,46 @@ class TestBitstringCodec:
 
     def test_packed_bitmap_round_trips_the_serialization(self):
         rng = random.Random(5)
-        bitmap, _ = build_pyramid_bitmap(Pyramid(BASE, height=3),
-                                         _obstacles(rng))
-        packed = PackedBitmap.from_bitmap(bitmap)
+        bitmap = PyramidBitmap.from_obstacles(Pyramid(BASE, height=3),
+                                              _obstacles(rng))
         bits = bitmap.to_bitstring()
-        assert packed.to_bitstring() == bits
-        assert packed.bit_length == bitmap.bit_length()
-        assert packed.popcount() == bits.count("1")
+        words, bit_length = pack_bitstring(bits)
+        assert unpack_bitstring(words, bit_length) == bits
+        assert bit_length == bitmap.bit_length()
+        assert popcount(words) == bits.count("1")
 
 
 # ----------------------------------------------------------------------
-# Batch probes
+# Probes of the level-packed bitmap
 # ----------------------------------------------------------------------
 class TestProbeDifferential:
     @pytest.mark.parametrize("height", (1, 2, 4))
     def test_packed_probe_matches_eager_bitmap(self, height):
         rng = random.Random(height)
-        bitmap, _ = build_pyramid_bitmap(Pyramid(BASE, height=height),
-                                         _obstacles(rng))
-        packed = PackedBitmap.from_bitmap(bitmap)
-        points = _probe_points(rng)
-        inside, probes = packed.probe_batch(PointBatch.from_points(points))
-        assert [(bool(i), int(n))
-                for i, n in zip(inside.tolist(), probes.tolist())] \
-            == [bitmap.probe(p) for p in points]
+        pyramid = Pyramid(BASE, height=height)
+        obstacles = _obstacles(rng)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+        eager, _ = build_pyramid_bitmap(pyramid, obstacles)
+        for point in _probe_points(rng):
+            assert bitmap.probe(point) == eager.probe(point)
 
     @pytest.mark.parametrize("height", (1, 2, 4))
     def test_lazy_probe_matches_lazy_bitmap(self, height):
+        """What a socket client decodes probes like what the server built."""
         rng = random.Random(10 + height)
-        bitmap = LazyPyramidBitmap(Pyramid(BASE, height=height),
-                                   _obstacles(rng))
-        probe = LazyBatchProbe(bitmap.pyramid, bitmap.obstacles)
-        points = _probe_points(rng)
-        inside, probes = probe.probe_batch(PointBatch.from_points(points))
-        assert [(bool(i), int(n))
-                for i, n in zip(inside.tolist(), probes.tolist())] \
-            == [bitmap.probe(p) for p in points]
+        pyramid = Pyramid(BASE, height=height)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, _obstacles(rng))
+        decoded = decode_bitstring(pyramid, bitmap.to_bitstring())
+        for point in _probe_points(rng):
+            assert decoded.probe(point) == bitmap.probe(point)
 
     def test_lazy_probe_with_no_obstacles(self):
-        probe = LazyBatchProbe(Pyramid(BASE, height=2), [])
+        bitmap = PyramidBitmap.from_obstacles(Pyramid(BASE, height=2), [])
         points = [Point(1.0, 1.0), Point(-5.0, 3.0), Point(899.0, 899.0)]
-        inside, probes = probe.probe_batch(PointBatch.from_points(points))
-        # Level 0 finds nothing relevant inside; outside is (False, 1).
-        assert inside.tolist() == [True, False, True]
-        assert probes.tolist() == [1, 1, 1]
-
-    def test_probe_for_selects_kernel_and_caches_on_the_region(self):
-        rng = random.Random(21)
-        pyramid = Pyramid(BASE, height=2)
-        eager, _ = build_pyramid_bitmap(pyramid, _obstacles(rng))
-        eager_region = BitmapSafeRegion(eager)
-        lazy_region = BitmapSafeRegion(LazyPyramidBitmap(pyramid,
-                                                         _obstacles(rng)))
-        eager_probe = probe_for(eager_region)
-        lazy_probe = probe_for(lazy_region)
-        assert isinstance(eager_probe, PackedBitmap)
-        assert isinstance(lazy_probe, LazyBatchProbe)
-        assert probe_for(eager_region) is eager_probe
-        assert probe_for(lazy_region) is lazy_probe
-
-
-# ----------------------------------------------------------------------
-# Silent-run scanner
-# ----------------------------------------------------------------------
-def _silent_run_oracle(region, cell, points, start):
-    """The scalar strategy loop's view of one silent run: (stop, ops)."""
-    index = start
-    ops = 0
-    while index < len(points):
-        point = points.point(index)
-        if not cell.contains_point(point):
-            return index, ops
-        inside, probes = region.probe(point)
-        if not inside:
-            return index, ops
-        ops += probes
-        index += 1
-    return len(points), ops
-
-
-class TestBitmapSilentRun:
-    def _walk(self, rng, count=600):
-        """A continuous random walk: long silent stretches, real exits."""
-        x, y = 450.0, 450.0
-        points = []
-        for _ in range(count):
-            x += rng.uniform(-18.0, 18.0)
-            y += rng.uniform(-18.0, 18.0)
-            points.append(Point(x, y))
-        return points
-
-    @pytest.mark.parametrize("lazy", (False, True))
-    def test_matches_scalar_replay_over_a_whole_walk(self, lazy):
-        rng = random.Random(31)
-        pyramid = Pyramid(BASE, height=3)
-        obstacles = _obstacles(rng, count=12)
-        if lazy:
-            region = BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))
-        else:
-            bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
-            region = BitmapSafeRegion(bitmap)
-        points = PointBatch.from_points(self._walk(rng))
-        index = 0
-        runs = 0
-        while index < len(points):
-            expected = _silent_run_oracle(region, BASE, points, index)
-            assert bitmap_silent_run(region, BASE, points, index) \
-                == expected
-            index = expected[0] + 1
-            runs += 1
-        # The walk must have produced real runs, not one degenerate scan.
-        assert runs > 5
-
-    def test_long_run_crosses_the_scalar_prefix_into_the_kernel(self):
-        # No obstacles: the whole in-cell walk is one silent run far
-        # longer than the scalar prefix, so the array path must carry
-        # the probe accounting (one probe per sample at level 0).
-        region = BitmapSafeRegion(
-            LazyPyramidBitmap(Pyramid(BASE, height=2), []))
-        count = _SCALAR_PREFIX * 40
-        xs = np.linspace(10.0, 890.0, count)
-        points = PointBatch(xs, np.full(count, 450.0))
-        assert bitmap_silent_run(region, BASE, points, 0) == (count, count)
-
-    def test_run_ending_inside_the_scalar_prefix(self):
-        region = BitmapSafeRegion(
-            LazyPyramidBitmap(Pyramid(BASE, height=2), []))
-        points = PointBatch.from_points(
-            [Point(1.0, 1.0), Point(2.0, 2.0), Point(-5.0, 0.0)])
-        # Two silent samples (one probe each), then the exit — which is
-        # not charged here; the scalar path reports it.
-        assert bitmap_silent_run(region, BASE, points, 0) == (2, 2)
+        # The root bit is 1: inside answers at level 0; outside the
+        # base is (False, 1).
+        assert [bitmap.probe(p) for p in points] \
+            == [(True, 1), (False, 1), (True, 1)]
 
 
 # ----------------------------------------------------------------------

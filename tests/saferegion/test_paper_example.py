@@ -18,8 +18,9 @@ import pytest
 
 from repro.geometry import Rect
 from repro.index import Pyramid
-from repro.saferegion import (GBSRComputer, LazyPyramidBitmap, PBSRComputer,
-                              build_pyramid_bitmap)
+from repro.saferegion import GBSRComputer, PBSRComputer, PyramidBitmap
+
+from .oracle import build_pyramid_bitmap
 
 # A 900x900 grid cell; level-1 cells are 300x300.  In Fig. 3(b) the safe
 # (bit 1) level-1 cells are: center, middle-right, bottom-middle — the
@@ -44,29 +45,29 @@ def _level1_pattern(bits):
 class TestFig3Counts:
     def test_gbsr_3x3_is_10_bits_with_paper_pattern(self):
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, ALARMS)
         assert bitmap.bit_length() == 10
         assert bitmap.to_bitstring() == "0000011010"
 
     def test_gbsr_9x9_is_82_bits(self):
         """Fig. 3(c): 1 bit for the cell plus 81 bits for the 9x9 grid."""
         pyramid = Pyramid(CELL, fan_cols=9, fan_rows=9, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, ALARMS)
         assert bitmap.bit_length() == 82
 
     def test_pbsr_h2_is_64_bits(self):
         """Fig. 3(d): 1 + 9 + 6 * 9 = 64 bits for the same safe region."""
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=2)
-        bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, ALARMS)
         assert bitmap.bit_length() == 64
         assert _level1_pattern(bitmap.to_bitstring()) == "000011010"
 
     def test_pbsr_smaller_than_fine_gbsr(self):
         """The paper's point: 64 < 82 at no less accuracy."""
         fine = Pyramid(CELL, fan_cols=9, fan_rows=9, height=1)
-        fine_bitmap, _ = build_pyramid_bitmap(fine, ALARMS)
+        fine_bitmap = PyramidBitmap.from_obstacles(fine, ALARMS)
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=2)
-        pbsr_bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        pbsr_bitmap = PyramidBitmap.from_obstacles(pyramid, ALARMS)
         assert pbsr_bitmap.bit_length() < fine_bitmap.bit_length()
         # level-2 3x3-of-3x3 cells coincide with the 9x9 grid, so the
         # two representations cover the identical safe region
@@ -74,10 +75,11 @@ class TestFig3Counts:
             fine_bitmap.coverage())
 
     def test_lazy_reproduces_the_same_counts(self):
+        """The cell-by-cell oracle agrees on all three Fig. 3 sizes."""
         for fan, height, expected in ((3, 1, 10), (9, 1, 82), (3, 2, 64)):
             pyramid = Pyramid(CELL, fan_cols=fan, fan_rows=fan, height=height)
-            lazy = LazyPyramidBitmap(pyramid, ALARMS)
-            assert lazy.bit_length() == expected
+            oracle, _ = build_pyramid_bitmap(pyramid, ALARMS)
+            assert oracle.bit_length() == expected
 
 
 class TestComputersOnExample:
