@@ -9,6 +9,7 @@ through the tree so its node-access counters feed the server cost model.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import (AbstractSet, Callable, Dict, Iterable, List,
                     Optional, Sequence)
 
@@ -67,6 +68,30 @@ class AlarmRegistry:
         self._notify(alarm.alarm_id, None, region)
         return alarm
 
+    def install_all(self, drafts: Iterable[SpatialAlarm]
+                    ) -> List[SpatialAlarm]:
+        """Install a population known up front; ids follow draft order.
+
+        Each draft's ``alarm_id`` is replaced by the next dense id.  On
+        an empty registry the index is packed in one STR pass and the
+        listeners are then told of every alarm in id order; a registry
+        that already holds alarms takes the drafts through
+        :meth:`install`, one dynamic insert each.
+        """
+        if self._alarms:
+            return [self.install(draft.region, draft.scope, draft.owner_id,
+                                 draft.subscribers, draft.moving_target,
+                                 draft.label) for draft in drafts]
+        alarms = [draft if draft.alarm_id == alarm_id
+                  else replace(draft, alarm_id=alarm_id)
+                  for alarm_id, draft in enumerate(drafts, self._next_id)]
+        self._next_id += len(alarms)
+        self._alarms = {alarm.alarm_id: alarm for alarm in alarms}
+        self.rebuild_index()
+        for alarm in alarms:
+            self._notify(alarm.alarm_id, None, alarm.region)
+        return alarms
+
     def remove(self, alarm_id: int) -> bool:
         """Uninstall an alarm; True when it existed."""
         alarm = self._alarms.pop(alarm_id, None)
@@ -93,10 +118,9 @@ class AlarmRegistry:
     def rebuild_index(self) -> None:
         """Repack the alarm index with bulk (STR) loading.
 
-        Incremental installs degrade index clustering over time; a
-        server can rebuild during quiet periods.  Query results are
-        unchanged — only the tree layout (and its node-access costs)
-        improves.  Operation counters reset with the new tree.
+        Query results are unchanged — only the tree layout (and with it
+        the node-access costs) moves.  Operation counters reset with
+        the new tree.
         """
         items = [(alarm.alarm_id, alarm.region)
                  for alarm in self.all_alarms()]
@@ -264,7 +288,7 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         raise ValueError("public_fraction must be in [0, 1]")
     if private_to_shared_ratio < 0:
         raise ValueError("private_to_shared_ratio must be non-negative")
-    installed: List[SpatialAlarm] = []
+    drafts: List[SpatialAlarm] = []
     private_share = (private_to_shared_ratio
                      / (1.0 + private_to_shared_ratio))
     for _ in range(count):
@@ -274,11 +298,13 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         assert clipped is not None  # centers are drawn inside the universe
         owner = rng.choice(user_ids)
         draw = rng.random()
+        subscribers: Sequence[int] = ()
         if draw < public_fraction:
-            alarm = registry.install(clipped, AlarmScope.PUBLIC, owner)
+            scope = AlarmScope.PUBLIC
         elif rng.random() < private_share:
-            alarm = registry.install(clipped, AlarmScope.PRIVATE, owner)
+            scope = AlarmScope.PRIVATE
         else:
+            scope = AlarmScope.SHARED
             pool = [uid for uid in user_ids if uid != owner]
             if pool:
                 size = min(len(pool),
@@ -286,7 +312,6 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
                 subscribers = rng.sample(pool, size)
             else:
                 subscribers = [owner]
-            alarm = registry.install(clipped, AlarmScope.SHARED, owner,
-                                     subscribers=subscribers)
-        installed.append(alarm)
-    return installed
+        drafts.append(SpatialAlarm(len(drafts), clipped, scope, owner,
+                                   frozenset(subscribers)))
+    return registry.install_all(drafts)

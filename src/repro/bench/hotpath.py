@@ -9,6 +9,15 @@ before it times anything: a kernel that drifted from its oracle fails
 the run instead of producing a meaningless speedup number.  (The
 ``bitmap_probe`` case is gone with its subject, see :data:`NOTE`.)
 
+The ``index_build`` section sets the two ways of building the alarm
+index side by side at 10^3/10^4/10^5 alarms of the paper's density:
+grown by R* inserts, or packed by :meth:`RStarTree.bulk_load` (what the
+registry does with a population known up front).  It reports what the
+packed tree buys (build seconds) *and* what it costs (nodes read per
+query: STR fills every leaf, forced reinsertion leaves ~30% slack), for
+point and cell-sized range queries, plus the price of a later dynamic
+insert into each tree.
+
 The end-to-end section replays one workload through the engines four
 ways — serial scalar, serial batch, sharded scalar, sharded batch —
 and records wall times plus whether every deterministic counter and the
@@ -25,13 +34,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Tuple)
 
 import numpy as np
 
 from ..geometry import Point, Rect
 from ..geometry.batch import PointBatch, contains
-from ..index import Pyramid
+from ..index import Pyramid, RStarTree
 from ..saferegion.bitmap import PyramidBitmap
 from ..saferegion.packed import pack_bitstring, unpack_bitstring
 from ..telemetry.manifest import RunManifest
@@ -77,6 +87,8 @@ class HotpathBenchResult:
     """What one ``bench-hotpath`` run measured."""
 
     micro: List[MicroBench] = field(default_factory=list)
+    #: One row per population size, see :func:`_bench_index_build`.
+    index_build: List[Dict[str, object]] = field(default_factory=list)
     strategy: str = ""
     vehicles: int = 0
     samples: int = 0
@@ -102,6 +114,7 @@ class HotpathBenchResult:
         payload: Dict[str, object] = {
             "note": NOTE,
             "micro": [bench.to_dict() for bench in self.micro],
+            "index_build": self.index_build,
             "end_to_end": {
                 "strategy": self.strategy,
                 "vehicles": self.vehicles,
@@ -221,6 +234,93 @@ def _bench_bitmap_codec(rng: random.Random, points: int,
 
 
 # ----------------------------------------------------------------------
+# Index build: grown by inserts vs packed by STR
+# ----------------------------------------------------------------------
+#: Populations benched (those no larger than ``points``).
+INDEX_BUILD_SIZES = (1_000, 10_000, 100_000)
+ALARMS_PER_KM2 = 10.0           # the paper's 10,000 alarms on ~1,000 km^2
+CELL_SIDE_M = 1581.0            # a 2.5 km^2 grid cell
+
+
+def _grow(items: List[Tuple[int, Rect]]) -> RStarTree:
+    tree = RStarTree()
+    for item, rect in items:
+        tree.insert(item, rect)
+    return tree
+
+
+def _squares(rng: random.Random, count: int, side_m: float,
+             first_id: int = 0) -> List[Tuple[int, Rect]]:
+    """``count`` alarm-sized squares (50-250 m) uniform over the universe."""
+    items = []
+    for item in range(first_id, first_id + count):
+        x, y = rng.uniform(0.0, side_m), rng.uniform(0.0, side_m)
+        side = rng.uniform(50.0, 250.0)
+        items.append((item, Rect(x, y, x + side, y + side)))
+    return items
+
+
+def _leaf_fill(tree: RStarTree) -> float:
+    """Mean entries per leaf (``max_entries`` is 16)."""
+    leaves = 0
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        if node.leaf:
+            leaves += 1
+        else:
+            stack.extend(entry.child for entry in node.entries
+                         if entry.child is not None)
+    return round(len(tree) / leaves, 2)
+
+
+def _bench_index_build(rng: random.Random, alarms: int, queries: int,
+                       repeats: int) -> Dict[str, object]:
+    """Both builds of one population, their query cost, a later insert."""
+    side_m = math.sqrt(alarms / ALARMS_PER_KM2) * 1000.0
+    items = _squares(rng, alarms, side_m)
+    later = _squares(rng, max(1, queries // 10), side_m, first_id=alarms)
+    points = [Point(rng.uniform(0.0, side_m), rng.uniform(0.0, side_m))
+              for _ in range(queries)]
+    cells = [Rect(p.x, p.y, p.x + CELL_SIDE_M, p.y + CELL_SIDE_M)
+             for p in points]
+    row: Dict[str, object] = {"alarms": alarms, "queries": queries,
+                              "later_inserts": len(later)}
+    answers = []
+    for name, build in (("inserted", _grow), ("packed", RStarTree.bulk_load)):
+        started = time.perf_counter()
+        tree = build(items)
+        measures = {"build_s": time.perf_counter() - started}
+        shape = {"height": tree.height, "leaf_fill": _leaf_fill(tree)}
+        answers.append(
+            [sorted(tree.search_containing(p, interior=True))
+             for p in points]
+            + [sorted(tree.search_interior_intersecting(cell))
+               for cell in cells])
+        for kind, run in (
+                ("point", lambda: [tree.search_containing(p, interior=True)
+                                   for p in points]),
+                ("range", lambda: [tree.search_interior_intersecting(cell)
+                                   for cell in cells])):
+            tree.stats.reset()
+            elapsed = _best_of(run, repeats)
+            measures[kind + "_us_per_query"] = elapsed * 1e6 / queries
+            measures[kind + "_nodes_per_query"] = (
+                tree.stats.node_accesses / (queries * repeats))
+        started = time.perf_counter()
+        for item, rect in later:
+            tree.insert(item, rect)
+        measures["later_insert_us"] = ((time.perf_counter() - started)
+                                       * 1e6 / len(later))
+        tree.validate()
+        row[name] = dict({key: round(value, 4)
+                          for key, value in measures.items()}, **shape)
+    if answers[0] != answers[1]:
+        raise AssertionError("packed and inserted trees answer differently")
+    return row
+
+
+# ----------------------------------------------------------------------
 # End-to-end engine comparison
 # ----------------------------------------------------------------------
 def _run_end_to_end(world: "World", strategy_factory: "StrategyFactory",
@@ -266,7 +366,9 @@ def run_hotpath_bench(world: "World",
     geometry, so two runs on the same machine bench identical inputs.
     The end-to-end section replays ``world`` through
     ``strategy_factory`` with and without ``use_batch``, serial and
-    sharded over ``workers`` processes.
+    sharded over ``workers`` processes.  The ``index_build`` section
+    runs every population of :data:`INDEX_BUILD_SIZES` up to ``points``
+    with ``points // 10`` queries of each kind.
     """
     if points < 1:
         raise ValueError("points must be positive")
@@ -277,4 +379,11 @@ def run_hotpath_bench(world: "World",
     result.micro.append(_bench_containment(rng, points, repeats))
     result.micro.append(_bench_bitmap_codec(rng, points, repeats))
     _run_end_to_end(world, strategy_factory, workers, result)
+    # Last: a 10^5-alarm tree leaves a heap the forked shard workers
+    # above would otherwise inherit (and pay for, page by page).
+    for alarms in INDEX_BUILD_SIZES:
+        if alarms <= points:
+            result.index_build.append(
+                _bench_index_build(rng, alarms, max(1, points // 10),
+                                   repeats))
     return result

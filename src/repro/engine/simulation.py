@@ -219,12 +219,9 @@ MutationFactory = Callable[[AlarmRegistry, float], WorldMutation]
 def _clone_registry(registry: AlarmRegistry) -> AlarmRegistry:
     """A fresh registry with identical alarms and identical ids."""
     clone = AlarmRegistry()
-    for alarm in registry.all_alarms():
-        installed = clone.install(alarm.region, alarm.scope, alarm.owner_id,
-                                  subscribers=alarm.subscribers,
-                                  moving_target=alarm.moving_target,
-                                  label=alarm.label)
-        assert installed.alarm_id == alarm.alarm_id
+    alarms = registry.all_alarms()
+    installed = clone.install_all(alarms)
+    assert installed == alarms  # the source's ids were already dense
     return clone
 
 

@@ -28,6 +28,7 @@ alongside wall-clock time.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Tuple
@@ -105,10 +106,11 @@ class RStarTree:
         and packs leaves in order; upper levels pack the same way over
         node centers.  The result is a valid R*-tree (the structural
         invariants, including minimum fill, hold — trailing nodes borrow
-        from their left sibling when short) that is both faster to build
-        and better clustered than one grown by repeated insertion.  The
-        alarm registry uses it when a large alarm population is known
-        up front.
+        from their left sibling when short) that is far faster to build
+        than one grown by repeated insertion, and fuller: 16 entries a
+        leaf against the ~11 forced reinsertion settles at, so a point
+        query reads up to a fifth more nodes.  The alarm registry uses
+        it whenever an alarm population is known up front.
         """
         tree = cls(max_entries=max_entries)
         if not items:
@@ -194,23 +196,29 @@ class RStarTree:
             self._height -= 1
         return True
 
+    # The four query loops sit under every uplink, hence the inlined
+    # comparisons and the once-per-query node-access charge.
     def search_intersecting(self, rect: Rect,
                             predicate: Optional[Callable[[Any], bool]] = None
                             ) -> List[Any]:
         """All items whose rectangle intersects ``rect`` (closed test)."""
+        qx0, qy0, qx1, qy1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
         results: List[Any] = []
         stack = [self._root]
+        accesses = 0
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
+            accesses += 1
+            leaf = node.leaf
             for entry in node.entries:
-                if not entry.rect.intersects(rect):
-                    continue
-                if node.leaf:
-                    if predicate is None or predicate(entry.item):
+                box = entry.rect
+                if (box.min_x <= qx1 and qx0 <= box.max_x
+                        and box.min_y <= qy1 and qy0 <= box.max_y):
+                    if not leaf:
+                        stack.append(entry.child)  # type: ignore[arg-type]
+                    elif predicate is None or predicate(entry.item):
                         results.append(entry.item)
-                else:
-                    stack.append(entry.child)  # type: ignore[arg-type]
+        self.stats.node_accesses += accesses
         return results
 
     def search_interior_intersecting(self, rect: Rect,
@@ -221,19 +229,30 @@ class RStarTree:
 
         Safe-region computation uses the open test: an alarm that merely
         touches the grid-cell boundary imposes no constraint inside it.
+        Internal descent uses the closed test, a correct superset.
         """
+        qx0, qy0, qx1, qy1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
         results: List[Any] = []
         stack = [self._root]
+        accesses = 0
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
-            for entry in node.entries:
-                if node.leaf:
-                    if entry.rect.interior_intersects(rect) and (
-                            predicate is None or predicate(entry.item)):
+            accesses += 1
+            if node.leaf:
+                for entry in node.entries:
+                    box = entry.rect
+                    if (box.min_x < qx1 and qx0 < box.max_x
+                            and box.min_y < qy1 and qy0 < box.max_y
+                            and (predicate is None
+                                 or predicate(entry.item))):
                         results.append(entry.item)
-                elif entry.rect.intersects(rect):
-                    stack.append(entry.child)  # type: ignore[arg-type]
+            else:
+                for entry in node.entries:
+                    box = entry.rect
+                    if (box.min_x <= qx1 and qx0 <= box.max_x
+                            and box.min_y <= qy1 and qy0 <= box.max_y):
+                        stack.append(entry.child)  # type: ignore[arg-type]
+        self.stats.node_accesses += accesses
         return results
 
     def search_containing(self, point: Point,
@@ -246,22 +265,27 @@ class RStarTree:
         semantics.  Internal descent always uses the closed test, which
         is a correct superset.
         """
+        px, py = point.x, point.y
         results: List[Any] = []
         stack = [self._root]
+        accesses = 0
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
+            accesses += 1
+            leaf = node.leaf
             for entry in node.entries:
-                if not entry.rect.contains_point(point):
-                    continue
-                if node.leaf:
-                    if interior and not entry.rect.interior_contains_point(
-                            point):
-                        continue
-                    if predicate is None or predicate(entry.item):
+                box = entry.rect
+                if (box.min_x <= px <= box.max_x
+                        and box.min_y <= py <= box.max_y):
+                    if not leaf:
+                        stack.append(entry.child)  # type: ignore[arg-type]
+                    elif ((not interior
+                           or (box.min_x < px < box.max_x
+                               and box.min_y < py < box.max_y))
+                          and (predicate is None
+                               or predicate(entry.item))):
                         results.append(entry.item)
-                else:
-                    stack.append(entry.child)  # type: ignore[arg-type]
+        self.stats.node_accesses += accesses
         return results
 
     def nearest_distance(self, point: Point,
@@ -273,26 +297,31 @@ class RStarTree:
         is a best-first branch-and-bound over node MBRs — the standard
         nearest-neighbour descent specialised to distance-only output.
         """
-        import heapq
-
+        px, py = point.x, point.y
+        hypot = math.hypot
         best = math.inf
         counter = 0  # tie-breaker so heap never compares nodes
         heap: List[Tuple[float, int, _Node]] = [(0.0, counter, self._root)]
+        accesses = 0
         while heap:
             lower_bound, _, node = heapq.heappop(heap)
             if lower_bound >= best:
                 break
-            self.stats.node_accesses += 1
+            accesses += 1
+            leaf = node.leaf
             for entry in node.entries:
-                distance = entry.rect.distance_to_point(point)
+                box = entry.rect
+                # Rect.distance_to_point, inlined.
+                distance = hypot(max(box.min_x - px, 0.0, px - box.max_x),
+                                 max(box.min_y - py, 0.0, py - box.max_y))
                 if distance >= best:
                     continue
-                if node.leaf:
-                    if predicate is None or predicate(entry.item):
-                        best = distance
-                else:
+                if not leaf:
                     counter += 1
                     heapq.heappush(heap, (distance, counter, entry.child))
+                elif predicate is None or predicate(entry.item):
+                    best = distance
+        self.stats.node_accesses += accesses
         return best
 
     def items(self) -> Iterator[Tuple[Any, Rect]]:
@@ -354,15 +383,6 @@ class RStarTree:
         if len(node.entries) > self.max_entries:
             self._overflow(node, target_level, reinsert_levels)
 
-    def _node_level(self, node: _Node) -> int:
-        """Level of ``node`` counting leaves as level 0."""
-        level = 0
-        probe = node
-        while not probe.leaf:
-            probe = probe.entries[0].child  # type: ignore[assignment]
-            level += 1
-        return level
-
     def _choose_subtree(self, rect: Rect, target_level: int) -> _Node:
         node = self._root
         level = self._height - 1
@@ -391,26 +411,52 @@ class RStarTree:
 
     @staticmethod
     def _least_overlap_child(node: _Node, rect: Rect) -> _Entry:
-        """ChooseSubtree at the level above leaves: minimise overlap growth."""
-        best = None
+        """ChooseSubtree at the level above leaves: minimise overlap growth.
+
+        The key is ``(overlap growth, area enlargement, area)``, on plain
+        floats.  Overlap growth is never negative and is exactly zero
+        for a child that already contains ``rect``, so once a
+        zero-growth child leads, the O(M) overlap sums are only run for
+        children that could still beat it on enlargement and area.
+        """
+        rx0, ry0, rx1, ry1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+        boxes = [(entry.rect.min_x, entry.rect.min_y,
+                  entry.rect.max_x, entry.rect.max_y)
+                 for entry in node.entries]
+        best = -1
         best_key: Tuple[float, float, float] = (math.inf, math.inf, math.inf)
-        for entry in node.entries:
-            enlarged = entry.rect.union(rect)
-            overlap_before = 0.0
-            overlap_after = 0.0
-            for other in node.entries:
-                if other is entry:
-                    continue
-                overlap_before += entry.rect.intersection_area(other.rect)
-                overlap_after += enlarged.intersection_area(other.rect)
-            key = (overlap_after - overlap_before,
-                   entry.rect.enlargement(rect),
-                   entry.rect.area)
+        for index, (x0, y0, x1, y1) in enumerate(boxes):
+            area = (x1 - x0) * (y1 - y0)
+            ex0 = x0 if x0 < rx0 else rx0
+            ey0 = y0 if y0 < ry0 else ry0
+            ex1 = x1 if x1 > rx1 else rx1
+            ey1 = y1 if y1 > ry1 else ry1
+            enlargement = (ex1 - ex0) * (ey1 - ey0) - area
+            if best_key[0] == 0.0 and (enlargement, area) >= best_key[1:]:
+                continue
+            growth = 0.0
+            if not (ex0 == x0 and ey0 == y0 and ex1 == x1 and ey1 == y1):
+                before = after = 0.0
+                for other, (ox0, oy0, ox1, oy1) in enumerate(boxes):
+                    if other == index:
+                        continue
+                    dx = (ex1 if ex1 < ox1 else ox1) - (
+                        ex0 if ex0 > ox0 else ox0)
+                    dy = (ey1 if ey1 < oy1 else oy1) - (
+                        ey0 if ey0 > oy0 else oy0)
+                    if dx <= 0.0 or dy <= 0.0:
+                        continue  # the smaller box cannot overlap either
+                    after += dx * dy
+                    dx = (x1 if x1 < ox1 else ox1) - (x0 if x0 > ox0 else ox0)
+                    dy = (y1 if y1 < oy1 else oy1) - (y0 if y0 > oy0 else oy0)
+                    if dx > 0.0 and dy > 0.0:
+                        before += dx * dy
+                growth = after - before
+            key = (growth, enlargement, area)
             if key < best_key:
                 best_key = key
-                best = entry
-        assert best is not None
-        return best
+                best = index
+        return node.entries[best]
 
     def _overflow(self, node: _Node, level: int, reinsert_levels: set) -> None:
         is_root = node.parent is None

@@ -57,19 +57,34 @@ class MobilityConfig:
 
 
 class _Vehicle:
-    """Kinematic state of one simulated vehicle."""
+    """Kinematic state of one simulated vehicle.
+
+    ``start_*``, ``delta_*``, ``heading`` and ``speed`` describe the
+    current leg: derived when the vehicle enters an edge, read by every
+    sample on it.
+    """
 
     __slots__ = ("rng", "speed_factor", "node_from", "edge", "offset",
-                 "route")
+                 "route", "start_x", "start_y", "delta_x", "delta_y",
+                 "heading", "speed")
 
-    def __init__(self, rng: random.Random, speed_factor: float,
-                 node_from: int, edge: Edge) -> None:
+    def __init__(self, rng: random.Random, speed_factor: float) -> None:
         self.rng = rng
         self.speed_factor = speed_factor
-        self.node_from = node_from  # endpoint the vehicle is moving away from
-        self.edge = edge
-        self.offset = 0.0           # meters travelled along the edge
         self.route: List[Edge] = []  # remaining planned edges (trip mode)
+
+    def enter(self, network: RoadNetwork, node_from: int,
+              edge: Edge) -> None:
+        """Start a leg: along ``edge``, moving away from ``node_from``."""
+        start = network.position(node_from)
+        end = network.position(edge.other(node_from))
+        self.node_from = node_from
+        self.edge = edge
+        self.offset = 0.0  # meters travelled along the edge
+        self.start_x, self.start_y = start.x, start.y
+        self.delta_x, self.delta_y = end.x - start.x, end.y - start.y
+        self.heading = start.heading_to(end)
+        self.speed = edge.road_class.speed_limit * self.speed_factor
 
 
 class TraceGenerator:
@@ -103,7 +118,8 @@ class TraceGenerator:
                                    self.config.max_speed_factor)
         node = self._random_node_with_edges(rng)
         edge = rng.choice(list(self.network.edges_at(node)))
-        vehicle = _Vehicle(rng, speed_factor, node, edge)
+        vehicle = _Vehicle(rng, speed_factor)
+        vehicle.enter(self.network, node, edge)
 
         samples: List[TraceSample] = []
         interval = self.config.sample_interval_s
@@ -129,20 +145,16 @@ class TraceGenerator:
         # Bounded iterations guard against pathological zero-progress loops;
         # a vehicle can cross only so many edges per sample interval.
         for _ in range(1000):
-            speed = (vehicle.edge.road_class.speed_limit
-                     * vehicle.speed_factor)
             distance_left = vehicle.edge.length - vehicle.offset
-            travel = speed * remaining
+            travel = vehicle.speed * remaining
             if travel < distance_left:
                 vehicle.offset += travel
                 return
             # Cross the far endpoint and continue on a new edge.
-            remaining -= distance_left / speed
+            remaining -= distance_left / vehicle.speed
             arrived_at = vehicle.edge.other(vehicle.node_from)
-            next_edge = self._next_edge(vehicle, arrived_at)
-            vehicle.node_from = arrived_at
-            vehicle.edge = next_edge
-            vehicle.offset = 0.0
+            vehicle.enter(self.network, arrived_at,
+                          self._next_edge(vehicle, arrived_at))
             if remaining <= 0.0:
                 return
         raise RuntimeError("vehicle failed to make progress")
@@ -158,11 +170,10 @@ class TraceGenerator:
                    if edge is not vehicle.edge]
         if not options:
             return vehicle.edge  # dead end: U-turn
-        heading = self._edge_heading(vehicle.edge, vehicle.node_from)
         weights: List[float] = []
         for edge in options:
             out_heading = self._edge_heading(edge, at_node)
-            deviation = normalize_angle(out_heading - heading)
+            deviation = normalize_angle(out_heading - vehicle.heading)
             weights.append(self._turn_model.pdf(deviation))
         total = sum(weights)
         pick = vehicle.rng.random() * total
@@ -191,12 +202,7 @@ class TraceGenerator:
         return start.heading_to(end)
 
     def _sample(self, vehicle: _Vehicle, time: float) -> TraceSample:
-        start = self.network.position(vehicle.node_from)
-        end = self.network.position(
-            vehicle.edge.other(vehicle.node_from))
         fraction = vehicle.offset / vehicle.edge.length
-        position = Point(start.x + (end.x - start.x) * fraction,
-                         start.y + (end.y - start.y) * fraction)
-        heading = start.heading_to(end)
-        speed = vehicle.edge.road_class.speed_limit * vehicle.speed_factor
-        return TraceSample(time, position, heading, speed)
+        position = Point(vehicle.start_x + vehicle.delta_x * fraction,
+                         vehicle.start_y + vehicle.delta_y * fraction)
+        return TraceSample(time, position, vehicle.heading, vehicle.speed)

@@ -22,20 +22,17 @@ from ..geometry import Point, Rect, fzero
 class RoadClass(Enum):
     """Road categories with their free-flow speeds (meters/second)."""
 
-    HIGHWAY = "highway"
-    ARTERIAL = "arterial"
-    LOCAL = "local"
+    HIGHWAY = "highway", 29.1    # ~65 mph
+    ARTERIAL = "arterial", 17.9  # ~40 mph
+    LOCAL = "local", 11.2        # ~25 mph
 
-    @property
-    def speed_limit(self) -> float:
-        return _SPEED_LIMITS[self]
+    speed_limit: float
 
-
-_SPEED_LIMITS = {
-    RoadClass.HIGHWAY: 29.1,   # ~65 mph
-    RoadClass.ARTERIAL: 17.9,  # ~40 mph
-    RoadClass.LOCAL: 11.2,     # ~25 mph
-}
+    def __new__(cls, value: str, speed_limit: float) -> "RoadClass":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.speed_limit = speed_limit
+        return member
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ class RoadNetwork:
         if source == target:
             return []
         target_pos = self._positions[target]
-        max_speed = _SPEED_LIMITS[RoadClass.HIGHWAY]
+        max_speed = RoadClass.HIGHWAY.speed_limit
 
         def heuristic(node: int) -> float:
             return self._positions[node].distance_to(target_pos) / max_speed

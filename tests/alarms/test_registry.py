@@ -1,12 +1,17 @@
 """Tests for the alarm registry: lifecycle, relevance queries, workload."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.alarms import (AlarmRegistry, AlarmScope,
-                          install_clustered_alarms, install_random_alarms)
+from repro.alarms import (AlarmRegistry, AlarmScope, CellAlarmCache,
+                          SpatialAlarm, install_clustered_alarms,
+                          install_random_alarms)
 from repro.geometry import Point, Rect
+from repro.index import GridOverlay
 
 UNIVERSE = Rect(0, 0, 10000, 10000)
 
@@ -152,6 +157,153 @@ class TestRebuildIndex:
         alarm = registry.install(Rect(1, 1, 5, 5), AlarmScope.PUBLIC, 1)
         assert registry.remove(alarm.alarm_id)
         registry.tree.validate()
+
+
+def drafts(count, seed=0, users=8):
+    """A mixed-scope population as ``install_all`` takes it (ids unset)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x, y = rng.uniform(0, 9000), rng.uniform(0, 9000)
+        region = Rect(x, y, x + rng.uniform(0, 900), y + rng.uniform(0, 900))
+        scope = rng.choice(list(AlarmScope))
+        subscribers = (frozenset(rng.sample(range(users), 2))
+                       if scope is AlarmScope.SHARED else frozenset())
+        out.append(SpatialAlarm(-1, region, scope, rng.randrange(users),
+                                subscribers, label="draft"))
+    return out
+
+
+def one_by_one(population):
+    registry = AlarmRegistry()
+    for draft in population:
+        registry.install(draft.region, draft.scope, draft.owner_id,
+                         draft.subscribers, draft.moving_target, draft.label)
+    return registry
+
+
+class TestInstallAll:
+    def test_equals_one_by_one_installs(self):
+        population = drafts(400, seed=11)
+        packed, grown = AlarmRegistry(), one_by_one(population)
+        installed = packed.install_all(population)
+        assert installed == packed.all_alarms() == grown.all_alarms()
+        assert [alarm.alarm_id for alarm in installed] == list(range(400))
+        packed.tree.validate()
+        assert len(packed.tree) == 400
+        rng = random.Random(12)
+        for _ in range(60):
+            point = Point(rng.uniform(0, 10000), rng.uniform(0, 10000))
+            rect = Rect(point.x, point.y, point.x + rng.uniform(0, 2500),
+                        point.y + rng.uniform(0, 2500))
+            user = rng.randrange(8)
+            fired = set(rng.sample(range(400), 40))
+            assert (packed.triggered_at(user, point, fired)
+                    == grown.triggered_at(user, point, fired))
+            assert (packed.relevant_intersecting(user, rect, fired)
+                    == grown.relevant_intersecting(user, rect, fired))
+            assert (packed.nearest_relevant_distance(user, point, fired)
+                    == grown.nearest_relevant_distance(user, point, fired))
+            assert (sorted(packed.tree.search_intersecting(rect))
+                    == sorted(grown.tree.search_intersecting(rect)))
+
+    def test_builds_the_index_without_dynamic_inserts(self):
+        registry = AlarmRegistry()
+        registry.install_all(drafts(300, seed=13))
+        assert registry.tree.stats.splits == 0
+        assert registry.tree.stats.reinserts == 0
+
+    def test_listeners_see_the_same_notifications_in_order(self):
+        population = drafts(120, seed=14)
+        grid = GridOverlay(UNIVERSE, 4.0)
+        seen = {}
+        caches = {}
+        for name in ("packed", "grown"):
+            registry = AlarmRegistry()
+            caches[name] = CellAlarmCache(registry, grid)
+            for cell in grid.cells_intersecting(UNIVERSE):
+                caches[name].relevant_pending(0, cell)  # fill, then mutate
+            seen[name] = []
+            registry.add_listener(
+                lambda *event, log=seen[name]: log.append(event))
+            if name == "packed":
+                registry.install_all(population)
+            else:
+                for draft in population:
+                    registry.install(draft.region, draft.scope,
+                                     draft.owner_id, draft.subscribers,
+                                     label=draft.label)
+        assert seen["packed"] == seen["grown"]
+        assert [event[0] for event in seen["packed"]] == list(range(120))
+        for cell in grid.cells_intersecting(UNIVERSE):
+            fresh = caches["packed"].registry.relevant_intersecting(
+                3, grid.cell_rect(cell))
+            assert caches["packed"].relevant_pending(3, cell) == fresh
+            assert caches["grown"].relevant_pending(3, cell) == fresh
+
+    def test_non_empty_registry_takes_the_dynamic_path(self):
+        registry = AlarmRegistry()
+        first = registry.install(Rect(0, 0, 10, 10), AlarmScope.PUBLIC, 1)
+        tree = registry.tree
+        population = drafts(50, seed=15)
+        installed = registry.install_all(population)
+        assert registry.tree is tree  # inserted into, not repacked
+        assert [alarm.alarm_id for alarm in installed] == list(range(1, 51))
+        assert registry.all_alarms() == [first] + installed
+        assert ([alarm.region for alarm in installed]
+                == [draft.region for draft in population])
+        assert installed[0].label == "draft"
+        registry.tree.validate()
+
+    def test_ids_stay_dense_after_the_registry_was_emptied(self):
+        registry = AlarmRegistry()
+        registry.install_all(drafts(5, seed=16))
+        for alarm_id in range(5):
+            assert registry.remove(alarm_id)
+        installed = registry.install_all(drafts(3, seed=17))
+        assert [alarm.alarm_id for alarm in installed] == [5, 6, 7]
+        assert registry.install(Rect(0, 0, 1, 1), AlarmScope.PUBLIC,
+                                1).alarm_id == 8
+        registry.tree.validate()
+
+    def test_empty_population(self):
+        registry = AlarmRegistry()
+        assert registry.install_all([]) == []
+        assert len(registry) == 0
+        registry.tree.validate()
+
+
+churn_step = st.one_of(
+    st.tuples(st.just("install"), st.integers(0, 90), st.integers(0, 90),
+              st.integers(0, 12)),
+    st.tuples(st.just("remove"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("relocate"), st.integers(0, 10 ** 6),
+              st.integers(0, 90), st.integers(0, 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 80), st.lists(churn_step, max_size=80))
+def test_property_packed_index_survives_churn(population, steps):
+    """install/remove/relocate on a packed tree keep it a valid R*-tree."""
+    registry = AlarmRegistry(max_tree_entries=4)
+    registry.install_all(drafts(population, seed=population))
+    for step in steps:
+        live = sorted(alarm.alarm_id for alarm in registry.all_alarms())
+        if step[0] == "install":
+            _, x, y, side = step
+            registry.install(Rect(x, y, x + side, y + side),
+                             AlarmScope.PUBLIC, 1)
+        elif live and step[0] == "remove":
+            assert registry.remove(live[step[1] % len(live)])
+        elif live:
+            _, pick, x, side = step
+            registry.relocate(live[pick % len(live)],
+                              Rect(x, x, x + side, x + side))
+        registry.tree.validate()
+    alarms = registry.all_alarms()
+    assert len(registry.tree) == len(alarms)
+    assert (sorted(registry.tree.items())
+            == sorted((alarm.alarm_id, alarm.region) for alarm in alarms))
 
 
 class TestClusteredWorkload:

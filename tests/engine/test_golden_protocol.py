@@ -15,6 +15,14 @@ alarm's interior are no longer selectable): rejecting the slivers both
 closes the missed-trigger hole and shrinks the counters — a sliver
 region is exited on the very next sample, so the old selection forced
 extra report/compute cycles (95 → 61 uplinks on this world).
+
+``index_node_accesses`` — and only that field, in every row here and in
+``mutation_goldens.json`` — was re-captured when the alarm workload
+generators began to bulk-load the index (PR 15): an STR-packed tree has
+fuller leaves and other node boundaries than one grown by 150 R*
+inserts, so the same queries read a different number of nodes (PRD
+3707 → 3999).  That is tree shape, not protocol: every message, byte,
+evaluation, computation, probe and trigger is unchanged.
 """
 
 import functools
