@@ -11,7 +11,7 @@ support this class.
 This example runs the class through the library's tracking engine
 (`repro.engine.run_tracking_simulation`): the alarm region follows the
 bus step by step, and the server push-invalidates exactly the clients
-whose cached safe regions the move touches.  It then contrasts the cost
+whose own safe region the move touches.  It then contrasts the cost
 of handling the class under three processors — periodic, safe-period
 and MWPSR safe regions — all verified against the moving ground truth.
 
@@ -75,6 +75,7 @@ for strategy in (PeriodicStrategy(),
              "yes"))
 
 print("\nThe safe-period bound is global, so every bus move invalidates "
-      "every\nsubscriber; cell-scoped safe regions confine the churn to "
-      "cars near the bus —\nthe distributed architecture survives the "
-      "paper's hardest alarm class.")
+      "every\nsubscriber and SP reports as often as PRD.  An MWPSR car is "
+      "woken only when\nthe bus zone leaves or reaches its own rectangle "
+      "(about a seventh of the\nmoves here) — the distributed architecture "
+      "survives the paper's hardest\nalarm class.")

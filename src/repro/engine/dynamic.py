@@ -10,11 +10,15 @@ in front of it.  This module supplies the missing machinery:
 * :class:`ScheduleMutation`, the schedule as a
   :class:`~repro.engine.simulation.WorldMutation`: each step it applies
   the due actions to the run's private registry, and the session's
-  time-major loop *push-invalidates* exactly the clients whose cached
-  state an install or removal made stale;
+  time-major loop *push-invalidates* exactly the clients whose
+  footprint — the area their installed state answers for: an MWPSR
+  rectangle, a bitmap's or OPT list's cell — an installed region
+  touches, or who locally hold a removed alarm; only a safe-period
+  timer, whose bound is global, is woken by every relevant install;
 * :func:`run_dynamic_simulation`, the session with that mutation;
 * :func:`compute_dynamic_ground_truth`, the reference trigger set under
-  alarm lifetimes (an alarm can only fire while installed).
+  alarm lifetimes (an alarm can only fire while installed), swept once
+  per trace rather than queried once per fix.
 
 Invalidation is counted as one downlink push (header-sized) per client;
 see :func:`~repro.engine.simulation.replay_time_major` for why the

@@ -18,11 +18,13 @@ timeliness (trigger at exactly the expected sample).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..alarms import AlarmRegistry
-from ..mobility import TraceSet
+from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
+from ..geometry import Rect
+from ..mobility import Trace, TraceSample, TraceSet
 from .metrics import Metrics
 
 TriggerKey = Tuple[int, int]  # (user_id, alarm_id)
@@ -31,6 +33,41 @@ TriggerKey = Tuple[int, int]  # (user_id, alarm_id)
 #: Samples per swept chunk: an alarm is tested against a chunk's samples
 #: only when it open-overlaps the chunk's bounding box.
 CHUNK_SAMPLES = 32
+
+
+#: A trace cut for the sweep: per chunk, its bounding box and samples.
+_Chunks = List[Tuple[float, float, float, float, Sequence[TraceSample]]]
+
+#: An alarm as it stood — where it stood — over steps ``[from, to)``.
+Lifetime = Tuple[SpatialAlarm, int, int]
+
+
+def _chunked(trace: Trace) -> _Chunks:
+    chunks = []
+    for start in range(0, len(trace), CHUNK_SAMPLES):
+        chunk = trace.samples[start:start + CHUNK_SAMPLES]
+        xs = [sample.position.x for sample in chunk]
+        ys = [sample.position.y for sample in chunk]
+        chunks.append((min(xs), min(ys), max(xs), max(ys), chunk))
+    return chunks
+
+
+def _first_inside(chunks: _Chunks, region: Rect, begin: int,
+                  end: int) -> Optional[TraceSample]:
+    """The first of samples ``[begin, end)`` strictly inside ``region``."""
+    x0, y0, x1, y1 = region.min_x, region.min_y, region.max_x, region.max_y
+    for index in range(begin // CHUNK_SAMPLES, -(-end // CHUNK_SAMPLES)):
+        cx0, cy0, cx1, cy1, chunk = chunks[index]
+        if not (x0 < cx1 and cx0 < x1 and y0 < cy1 and cy0 < y1):
+            continue
+        base = index * CHUNK_SAMPLES
+        if begin > base or end < base + CHUNK_SAMPLES:
+            chunk = chunk[max(begin - base, 0):end - base]
+        for sample in chunk:
+            if (x0 < sample.position.x < x1
+                    and y0 < sample.position.y < y1):
+                return sample
+    return None
 
 
 def compute_ground_truth(registry: AlarmRegistry,
@@ -45,26 +82,46 @@ def compute_ground_truth(registry: AlarmRegistry,
     for trace in traces:
         if not len(trace):
             continue
-        chunks = []
-        for start in range(0, len(trace), CHUNK_SAMPLES):
-            chunk = trace.samples[start:start + CHUNK_SAMPLES]
-            xs = [sample.position.x for sample in chunk]
-            ys = [sample.position.y for sample in chunk]
-            chunks.append((min(xs), min(ys), max(xs), max(ys), chunk))
+        chunks = _chunked(trace)
         for alarm in registry.relevant_intersecting(trace.vehicle_id,
                                                     trace.bounding_rect()):
-            region = alarm.region
-            x0, y0 = region.min_x, region.min_y
-            x1, y1 = region.max_x, region.max_y
-            for cx0, cy0, cx1, cy1, chunk in chunks:
-                if not (x0 < cx1 and cx0 < x1 and y0 < cy1 and cy0 < y1):
-                    continue
-                hit = next((sample for sample in chunk
-                            if x0 < sample.position.x < x1
-                            and y0 < sample.position.y < y1), None)
-                if hit is not None:
-                    expected[(trace.vehicle_id, alarm.alarm_id)] = hit.time
-                    break
+            hit = _first_inside(chunks, alarm.region, 0, len(trace))
+            if hit is not None:
+                expected[(trace.vehicle_id, alarm.alarm_id)] = hit.time
+    return expected
+
+
+def sweep_lifetimes(lifetimes: Iterable[Lifetime],
+                    traces: TraceSet) -> Dict[TriggerKey, float]:
+    """Expected triggers of a world whose alarms come, go and move.
+
+    The same sweep, each alarm tested only against the samples of its
+    lifetime; an alarm with several lifetimes (a moving target) fires at
+    the earliest hit of any of them.
+    """
+    public: List[Lifetime] = []
+    personal: Dict[int, List[Lifetime]] = {}
+    for lifetime in lifetimes:
+        alarm = lifetime[0]
+        if alarm.scope is AlarmScope.PUBLIC:
+            public.append(lifetime)
+        else:
+            for user_id in alarm.subscriber_set(frozenset()):
+                personal.setdefault(user_id, []).append(lifetime)
+    expected: Dict[TriggerKey, float] = {}
+    for trace in traces:
+        if not len(trace):
+            continue
+        chunks = _chunked(trace)
+        box = trace.bounding_rect()
+        for alarm, begin, end in public + personal.get(trace.vehicle_id, []):
+            if not alarm.region.interior_intersects(box):
+                continue
+            hit = _first_inside(chunks, alarm.region, begin,
+                                min(end, len(trace)))
+            key = (trace.vehicle_id, alarm.alarm_id)
+            if hit is not None and hit.time < expected.get(key, math.inf):
+                expected[key] = hit.time
     return expected
 
 

@@ -27,7 +27,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, Iterator,
-                    List, Optional, Protocol, Sequence, Set, Tuple)
+                    List, Optional, Protocol, Sequence, Tuple)
 
 from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Rect
@@ -40,7 +40,8 @@ from ..sanitize import DISABLED as SANITIZER_OFF
 from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from .energy import EnergyModel
-from .groundtruth import (AccuracyReport, TriggerKey, compute_ground_truth,
+from .groundtruth import (AccuracyReport, Lifetime, TriggerKey,
+                          compute_ground_truth, sweep_lifetimes,
                           verify_accuracy)
 from .metrics import Metrics
 from .network import MessageSizes
@@ -231,26 +232,30 @@ def _stale(client: "ClientState", server: AlarmServer,
 
     A removal: for a client locally holding the alarm (the OPT push
     list), which would otherwise fire it spuriously.  An install or a
-    move of an alarm that can still fire for the client: for cell-scoped
-    state (safe regions, OPT lists) when a gained or lost region touches
-    the client's cell, for a safe-period timer (a global bound) always.
+    move of an alarm that can still fire for the client: when a gained
+    or lost region touches the client's footprint — the area its
+    installed state answers for; it reports the moment it leaves it —
+    and always for a safe-period timer, whose bound is global and which
+    therefore has no footprint.
     """
     touched, removed = changes
     if removed and any(record.alarm_id in removed
                        for record in client.local_alarms):
         return True
-    relevant = [regions for alarm, regions in touched
-                if alarm.is_relevant_to(client.user_id)
-                and alarm.alarm_id not in server.fired_for(client.user_id)]
-    if not relevant:
-        return False
-    cell_rect = client.cell_rect
-    if cell_rect is not None:
-        return any(cell_rect.intersects(region)
-                   for regions in relevant for region in regions)
-    return (client.safe_region is not None
-            or client.expiry > float("-inf")
-            or bool(client.local_alarms))
+    footprint = client.footprint
+    if footprint is None:
+        # Flooding is for timers only: a strategy that installs a region
+        # must say what area it covers.
+        assert client.safe_region is None and not client.local_alarms
+        if client.expiry == float("-inf"):
+            return False
+    user_id = client.user_id
+    return any(alarm.is_relevant_to(user_id)
+               and alarm.alarm_id not in server.fired_for(user_id)
+               and (footprint is None
+                    or any(footprint.intersects(region)
+                           for region in regions))
+               for alarm, regions in touched)
 
 
 def _invalidate(client: "ClientState", session: ClientSession,
@@ -262,7 +267,7 @@ def _invalidate(client: "ClientState", session: ClientSession,
         telemetry.saferegion_exit(time_s, client.user_id,
                                   time_s - client.region_installed_at)
     client.safe_region = None
-    client.cell_rect = None
+    client.footprint = None
     client.expiry = float("-inf")
     client.local_alarms = []
     client.region_installed_at = None
@@ -283,45 +288,60 @@ def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
 
-    clients = {trace.vehicle_id: ClientState(trace.vehicle_id)
-               for trace in traces}
-    for step in range(max((len(trace) for trace in traces), default=0)):
+    lanes = [(ClientState(trace.vehicle_id), trace.samples)
+             for trace in traces]
+    clients = [client for client, _samples in lanes]
+    ends = {len(samples) for _client, samples in lanes}
+    on_sample, checking = strategy.on_sample, sanitizer.enabled
+    for step in range(max(ends, default=0)):
         changes = mutation.apply(step)
         if any(changes):
             step_time = step * traces.sample_interval
-            for client in clients.values():
+            for client in clients:
                 if _stale(client, server, changes):
                     _invalidate(client, strategy.session, step_time)
-        for trace in traces:
-            if step < len(trace):
-                if sanitizer.enabled:
-                    sanitizer.check_clock(trace.vehicle_id,
-                                          trace[step].time)
-                strategy.on_sample(clients[trace.vehicle_id], trace[step])
+        if step in ends:  # a trace ran out: its lane leaves the loop
+            lanes = [lane for lane in lanes if step < len(lane[1])]
+        for client, samples in lanes:
+            sample = samples[step]
+            if checking:
+                sanitizer.check_clock(client.user_id, sample.time)
+            on_sample(client, sample)
 
 
 def compute_mutating_ground_truth(world: World,
                                   mutation: MutationFactory) -> GroundTruth:
-    """Expected triggers, the registry taken as it stands at each step."""
+    """Expected triggers, every alarm taken as it stands at each step.
+
+    The mutation is replayed once on a private registry, whose own
+    change feed — not what the mutation reports to the engine under test
+    — becomes alarm lifetimes: an install opens one, a removal closes
+    one, a move closes one and opens the next.  The lifetimes are then
+    swept along the traces (the per-step point-query scan this replaces
+    is the oracle in ``tests/engine/test_groundtruth.py``).
+    """
     registry = _clone_registry(world.registry)
     bound = mutation(registry, world.traces.sample_interval)
-    fired: Dict[int, Set[int]] = {trace.vehicle_id: set()
-                                  for trace in world.traces}
-    expected: GroundTruth = {}
-    for step in range(max((len(trace) for trace in world.traces),
-                          default=0)):
+    alive = {alarm.alarm_id: (alarm, 0) for alarm in registry.all_alarms()}
+    lifetimes: List[Lifetime] = []
+    step = 0
+
+    def changed(alarm_id: int, old_region: Optional[Rect],
+                new_region: Optional[Rect]) -> None:
+        if old_region is not None:
+            alarm, since = alive.pop(alarm_id)
+            if since < step:  # else gone within the step it came: never live
+                lifetimes.append((alarm, since, step))
+        if new_region is not None:
+            alive[alarm_id] = (registry.get(alarm_id), step)
+
+    registry.add_listener(changed)
+    steps = max((len(trace) for trace in world.traces), default=0)
+    for step in range(steps):
         bound.apply(step)
-        for trace in world.traces:
-            if step >= len(trace):
-                continue
-            sample = trace[step]
-            user_fired = fired[trace.vehicle_id]
-            for alarm in registry.triggered_at(trace.vehicle_id,
-                                               sample.position,
-                                               exclude_ids=user_fired):
-                user_fired.add(alarm.alarm_id)
-                expected[(trace.vehicle_id, alarm.alarm_id)] = sample.time
-    return expected
+    lifetimes.extend((alarm, since, steps)
+                     for alarm, since in alive.values())
+    return sweep_lifetimes(lifetimes, world.traces)
 
 
 #: Connects a strategy's client half to the server for the length of a

@@ -98,9 +98,7 @@ class AdaptiveRectangularStrategy(RectangularSafeRegionStrategy):
                  reply: ServerReply) -> None:
         for message in reply:
             if isinstance(message, InstallSafeRegion):
-                assert message.rect is not None
-                client.safe_region = RectangularSafeRegion(message.rect)
+                rect = self._install_rectangle(client, sample, message)
                 client.expiry = sample.time + (
-                    message.rect.boundary_distance(sample.position)
+                    rect.boundary_distance(sample.position)
                     / self.max_speed)
-                self._mark_region_installed(client, sample.time)

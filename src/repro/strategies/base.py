@@ -41,7 +41,7 @@ class ClientState:
     object; the attributes below cover all built-in strategies.
     """
 
-    __slots__ = ("user_id", "sequence", "safe_region", "cell_rect",
+    __slots__ = ("user_id", "sequence", "safe_region", "footprint",
                  "expiry", "local_alarms", "region_installed_at")
 
     def __init__(self, user_id: int) -> None:
@@ -49,7 +49,10 @@ class ClientState:
         # Uplink sequence number; increments per report sent.
         self.sequence: int = 0
         self.safe_region: Optional[SafeRegion] = None
-        self.cell_rect: Optional[Rect] = None
+        # The area the installed state answers for (MWPSR: the
+        # rectangle; bitmap/OPT: the base cell).  A mutating world
+        # invalidates the client only when a change touches it.
+        self.footprint: Optional[Rect] = None
         self.expiry: float = float("-inf")  # safe-period strategy
         self.local_alarms: List[AlarmRecord] = []  # optimal strategy
         # Simulation time the current safe region (or safe period, or

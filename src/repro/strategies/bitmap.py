@@ -146,9 +146,9 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
         return BitmapPolicy(self.computer)
 
     def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if (client.cell_rect is not None
-                and client.cell_rect.contains_point(sample.position)):
-            # A cell_rect is only ever installed together with a region.
+        if (client.footprint is not None
+                and client.footprint.contains_point(sample.position)):
+            # The cell footprint is only ever installed with a region.
             assert client.safe_region is not None
             inside, ops = client.safe_region.probe(sample.position)
             self._charge_probe(ops)
@@ -174,7 +174,7 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
                 assert message.cell_ref is not None
                 assert message.bitmap is not None
                 col, row = unpack_cell_ref(message.cell_ref)
-                client.cell_rect = self.session.grid.cell_rect(
+                client.footprint = self.session.grid.cell_rect(
                     CellId(col, row))
                 client.safe_region = BitmapSafeRegion(message.bitmap)
                 self._mark_region_installed(client, sample.time)

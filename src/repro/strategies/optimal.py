@@ -68,8 +68,8 @@ class OptimalStrategy(ProcessingStrategy):
         return OptimalPolicy()
 
     def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if (client.cell_rect is None
-                or not client.cell_rect.contains_point(sample.position)):
+        if (client.footprint is None
+                or not client.footprint.contains_point(sample.position)):
             self._refresh_cell(client, sample)
             return
 
@@ -106,7 +106,7 @@ class OptimalStrategy(ProcessingStrategy):
         length = len(samples)
         index = 0
         while index < length:
-            cell = client.cell_rect
+            cell = client.footprint
             if cell is None:
                 self.on_sample(client, samples[index])
                 index += 1
@@ -139,6 +139,6 @@ class OptimalStrategy(ProcessingStrategy):
         reply = self._send_report(client, sample, exit=True)
         for message in reply:
             if isinstance(message, InstallAlarmList):
-                client.cell_rect = message.cell
+                client.footprint = message.cell
                 client.local_alarms = list(message.alarms)
                 self._mark_region_installed(client, sample.time)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from ..geometry import Point
+from ..geometry import Point, Rect
 from ..mobility import TraceSample
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafeRegion, Request, Response,
@@ -153,6 +153,18 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
                  reply: ServerReply) -> None:
         for message in reply:
             if isinstance(message, InstallSafeRegion):
-                assert message.rect is not None
-                client.safe_region = RectangularSafeRegion(message.rect)
-                self._mark_region_installed(client, sample.time)
+                self._install_rectangle(client, sample, message)
+
+    def _install_rectangle(self, client: ClientState, sample: TraceSample,
+                           message: InstallSafeRegion) -> Rect:
+        """Hold the shipped rectangle (returned); it is its own footprint.
+
+        Tighter than the cell and still sound under a mutating world: a
+        region that does not closed-intersect the rectangle cannot fire
+        inside it, and the client reports the moment it leaves.
+        """
+        assert message.rect is not None
+        client.safe_region = RectangularSafeRegion(message.rect)
+        client.footprint = message.rect
+        self._mark_region_installed(client, sample.time)
+        return message.rect

@@ -1,5 +1,13 @@
 """Tests for dynamic alarm lifecycle: mid-run installs/removals with
-push invalidation, and the accuracy contract under alarm lifetimes."""
+push invalidation, and the accuracy contract under alarm lifetimes.
+
+An install invalidates a client only when its region touches the
+client's *footprint* — the area the client's installed state answers
+for (MWPSR: the rectangle itself; bitmap/OPT: the base cell; a safe
+period: everywhere).  ``TestInvalidateByFootprint`` places installs
+against live footprints (see ``footprints.py``) and holds both halves:
+no trigger is missed or late, and nobody else is woken.
+"""
 
 
 import pytest
@@ -15,6 +23,9 @@ from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               RectangularSafeRegionStrategy,
                               SafePeriodStrategy)
 from ..strategies.conftest import make_world
+from .footprints import (FOOTPRINT_STRATEGIES, PLACEMENTS, STRATEGY_NAMES,
+                         exit_step, make_strategy, placements, record_pushes,
+                         touching)
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +175,150 @@ class TestDynamicAccuracy:
         schedule = AlarmSchedule([])
         expected = compute_dynamic_ground_truth(world, schedule)
         assert expected == world.ground_truth()
+
+
+def public_install(step, region):
+    return AlarmSchedule([InstallAction(float(step), region,
+                                        AlarmScope.PUBLIC, owner_id=0)])
+
+
+class TestInvalidateByFootprint:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_install_against_a_live_rectangle_is_safe(self, world, anchor,
+                                                      placement, name):
+        user, step, rectangle, side = anchor
+        region = placements(rectangle, side, world.universe)[placement]
+        schedule = public_install(step, region)
+        expected = compute_dynamic_ground_truth(world, schedule)
+        if placement == "covering it":
+            # the holder is strictly inside: due at the install's own step
+            assert expected[(user, len(world.registry))] == float(step)
+        result = run_dynamic_simulation(world, make_strategy(name, world),
+                                        schedule)
+        assert result.accuracy.perfect, (
+            "%s, install %s: %r" % (name, placement, result.accuracy))
+        assert result.accuracy.expected == len(expected)
+
+    @pytest.mark.parametrize("name", FOOTPRINT_STRATEGIES)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_pushes_exactly_the_clients_it_touches(self, world, logs, anchor,
+                                                   monkeypatch, placement,
+                                                   name):
+        _user, step, rectangle, side = anchor
+        region = placements(rectangle, side, world.universe)[placement]
+        pushes = record_pushes(monkeypatch)
+        run_dynamic_simulation(world, make_strategy(name, world),
+                               public_install(step, region))
+        assert sorted(pushes) == sorted(
+            (user, float(step))
+            for user in touching(logs[name], step, [region]))
+
+    def test_the_rectangle_is_a_tighter_footprint_than_the_cell(
+            self, world, anchor, monkeypatch):
+        user, step, rectangle, side = anchor
+        regions = placements(rectangle, side, world.universe)
+
+        def pushed(name, placement):
+            pushes = record_pushes(monkeypatch)
+            run_dynamic_simulation(world, make_strategy(name, world),
+                                   public_install(step, regions[placement]))
+            monkeypatch.undo()
+            return [who for who, _when in pushes]
+
+        beside = "in the cell, clear of the rectangle"
+        assert user not in pushed("rectangular", beside)
+        assert user not in pushed("adaptive", beside)
+        assert user in pushed("bitmap", beside)       # same cell
+        assert user in pushed("optimal", beside)
+        # closed intersection: an abutting region wakes the holder (it
+        # cannot fire inside, but one ulp more and it could)
+        assert user in pushed("rectangular", "sharing an edge")
+        assert user in pushed("rectangular", "sharing a corner")
+        assert user in pushed("rectangular", "overlapping by one ulp")
+        assert user not in pushed("rectangular", "one ulp clear")
+        assert user in pushed("rectangular", "covering it")
+        assert user in pushed("rectangular", "zero-area, across it")
+
+    @pytest.mark.parametrize("name", FOOTPRINT_STRATEGIES)
+    def test_install_disjoint_from_every_footprint_pushes_nothing(
+            self, world, logs, monkeypatch, name):
+        step = 40
+        spot = next(
+            region for region in world.universe.grid_split(40, 40)
+            if not touching(logs[name], step, [region]))
+        pushes = record_pushes(monkeypatch)
+        result = run_dynamic_simulation(world, make_strategy(name, world),
+                                        public_install(step, spot))
+        assert pushes == []
+        assert result.accuracy.perfect
+
+    def test_a_timer_has_no_footprint_and_periodic_holds_nothing(
+            self, world, monkeypatch):
+        spot = next(iter(world.universe.grid_split(40, 40)))
+        for name, woken in (("safeperiod", len(world.traces)),
+                            ("periodic", 0)):
+            pushes = record_pushes(monkeypatch)
+            run_dynamic_simulation(world, make_strategy(name, world),
+                                   public_install(40, spot))
+            monkeypatch.undo()
+            assert len(pushes) == woken, name
+
+    def test_private_install_wakes_only_its_owner(self, world, anchor,
+                                                  monkeypatch):
+        user, step, rectangle, _side = anchor
+        other = next(uid for uid in world.user_ids if uid != user)
+        for owner, woken in ((user, [(user, float(step))]), (other, [])):
+            pushes = record_pushes(monkeypatch)
+            run_dynamic_simulation(
+                world, make_strategy("rectangular", world),
+                AlarmSchedule([InstallAction(float(step),
+                                             rectangle.expanded(-1.0),
+                                             AlarmScope.PRIVATE, owner)]))
+            monkeypatch.undo()
+            assert [push for push in pushes if push[0] == user] == woken
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("lead", [0, 1, 5])
+    def test_install_where_the_client_lands_as_it_exits(self, world, logs,
+                                                        monkeypatch, lead,
+                                                        name):
+        """An alarm just outside the held rectangle, on the fix that
+        leaves it — installed on that very step, or earlier without
+        waking the holder — fires on that fix."""
+        user, step, gap = exit_step(logs["rectangular"], world)
+        landing = Rect.from_center(world.traces[user][step].position,
+                                   gap, gap)
+        schedule = public_install(step - lead, landing)
+        expected = compute_dynamic_ground_truth(world, schedule)
+        assert expected[(user, len(world.registry))] == float(step)
+        pushes = record_pushes(monkeypatch)
+        result = run_dynamic_simulation(world, make_strategy(name, world),
+                                        schedule)
+        assert result.accuracy.perfect, (name, result.accuracy)
+        if name in ("rectangular", "adaptive"):
+            assert user not in [who for who, _when in pushes]
+
+    def test_a_region_without_a_footprint_is_refused_not_flooded(
+            self, world):
+        """A strategy that installs a region must say what area it
+        covers: the engine will not quietly wake the whole fleet for it."""
+        class Forgetful(RectangularSafeRegionStrategy):
+            def _install(self, client, sample, reply):
+                super()._install(client, sample, reply)
+                client.footprint = None
+
+        with pytest.raises(AssertionError):
+            run_dynamic_simulation(world, Forgetful(),
+                                   AlarmSchedule(crossing_installs(world)))
+
+    def test_public_installs_do_not_flood_the_fleet(self, world):
+        """What a safe region is for: a public install wakes every
+        safe-period client, but only the rectangles it touches."""
+        schedule = AlarmSchedule(crossing_installs(world))
+        uplinks = {
+            name: run_dynamic_simulation(world, make_strategy(name, world),
+                                         schedule).metrics.uplink_messages
+            for name in ("safeperiod", "rectangular", "adaptive")}
+        assert 4 * uplinks["rectangular"] <= uplinks["safeperiod"], uplinks
+        assert 4 * uplinks["adaptive"] <= uplinks["safeperiod"], uplinks

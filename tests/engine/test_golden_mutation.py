@@ -16,6 +16,16 @@ every deterministic counter of ``Metrics.counters()`` plus the sorted
 Accuracy and "pushes > 0" were the only properties the older suites
 asserted for these drivers; a changed invalidation count passes those
 and fails here.
+
+The counters of ``dynamic/{rectangular,adaptive}`` and
+``tracking/{rectangular,adaptive}`` were re-captured once, in PR 16:
+not a protocol change but over-invalidation removed.  The capture above
+had pinned a defect — the rectangular install recorded no footprint, so
+every public install or target move push-invalidated the whole fleet
+(tracking/rectangular: 1,638 uplinks beside safe-period's 1,675) — and
+with the rectangle as the footprint only the clients a change touches
+are woken (98).  The ``fired_pairs`` of those four rows, the other
+eight rows and all of ``wire_goldens.json`` did not move.
 """
 
 import json

@@ -1,4 +1,10 @@
-"""Tests for moving-target tracking under every strategy."""
+"""Tests for moving-target tracking under every strategy.
+
+A target move invalidates a client only when the region it left or the
+region it reached touches the client's footprint (see
+``test_dynamic.py``); ``TestMovesAgainstFootprints`` relocates a target
+against live footprints and holds safety and economy both.
+"""
 
 import pytest
 
@@ -11,6 +17,9 @@ from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               RectangularSafeRegionStrategy,
                               SafePeriodStrategy)
 from ..strategies.conftest import make_world
+from .footprints import (FOOTPRINT_STRATEGIES, PLACEMENTS, STRATEGY_NAMES,
+                         exit_step, make_strategy, placements, record_pushes,
+                         touching)
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +100,98 @@ class TestTrackingAccuracy:
                 "%s under tracking: %r" % (strategy.name, result.accuracy))
             assert result.accuracy.expected == len(expected)
 
-    def test_safe_region_confines_the_churn(self, world, bus_track):
+    def test_safe_region_confines_the_churn(self, world, bus_track,
+                                            monkeypatch):
         """SP's global bound makes every target move invalidate every
-        subscriber; cell-scoped safe regions keep most clients asleep."""
-        sp = run_tracking_simulation(
-            world, SafePeriodStrategy(world.max_speed()), [bus_track])
-        mwpsr = run_tracking_simulation(
-            world, RectangularSafeRegionStrategy(MWPSRComputer(),
-                                                 name="MWPSR"),
-            [bus_track])
-        assert mwpsr.metrics.uplink_messages < sp.metrics.uplink_messages
+        subscriber; a safe region wakes only the clients whose own
+        rectangle the target leaves or reaches."""
+        uplinks = {
+            name: run_tracking_simulation(world, make_strategy(name, world),
+                                          [bus_track]).metrics.uplink_messages
+            for name in ("safeperiod", "rectangular", "adaptive")}
+        assert 4 * uplinks["rectangular"] <= uplinks["safeperiod"], uplinks
+        assert 4 * uplinks["adaptive"] <= uplinks["safeperiod"], uplinks
         # invalidation pushes are measured, not free
-        assert mwpsr.metrics.downlink_messages > 0
+        pushes = record_pushes(monkeypatch)
+        run_tracking_simulation(world, make_strategy("rectangular", world),
+                                [bus_track])
+        assert 0 < len(pushes) < uplinks["safeperiod"] // 4
 
     def test_world_registry_untouched(self, world, bus_track):
         region_before = world.registry.get(bus_track.alarm_id).region
         run_tracking_simulation(world, PeriodicStrategy(), [bus_track])
         assert world.registry.get(bus_track.alarm_id).region == \
             region_before
+
+
+@pytest.fixture(scope="module")
+def quiet_alarm(world):
+    """A public alarm nobody fires while it stays put: the target."""
+    from repro.alarms import AlarmScope
+    fired = {alarm_id for _user, alarm_id in world.ground_truth()}
+    return next(alarm for alarm in world.registry.all_alarms()
+                if alarm.scope is AlarmScope.PUBLIC
+                and alarm.alarm_id not in fired)
+
+
+def jump(alarm, step, region):
+    """The target stays put until ``step``, then parks on ``region``."""
+    return TargetTrack(alarm.alarm_id, (alarm.region,) * step + (region,))
+
+
+class TestMovesAgainstFootprints:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_move_against_a_live_rectangle_is_safe(self, world, anchor,
+                                                   quiet_alarm, placement,
+                                                   name):
+        user, step, rectangle, side = anchor
+        region = placements(rectangle, side, world.universe)[placement]
+        track = jump(quiet_alarm, step, region)
+        expected = compute_tracking_ground_truth(world, [track])
+        if placement == "covering it":
+            assert expected[(user, quiet_alarm.alarm_id)] == float(step)
+        result = run_tracking_simulation(world, make_strategy(name, world),
+                                         [track])
+        assert result.accuracy.perfect, (
+            "%s, target moved %s: %r" % (name, placement, result.accuracy))
+        assert result.accuracy.expected == len(expected)
+
+    @pytest.mark.parametrize("name", FOOTPRINT_STRATEGIES)
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_pushes_exactly_the_clients_it_leaves_or_reaches(
+            self, world, logs, anchor, quiet_alarm, monkeypatch, placement,
+            name):
+        _user, step, rectangle, side = anchor
+        region = placements(rectangle, side, world.universe)[placement]
+        pushes = record_pushes(monkeypatch)
+        run_tracking_simulation(world, make_strategy(name, world),
+                                [jump(quiet_alarm, step, region)])
+        assert sorted(pushes) == sorted(
+            (user, float(step)) for user in touching(
+                logs[name], step, [quiet_alarm.region, region]))
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_target_lands_where_the_client_exits(self, world, logs,
+                                                 quiet_alarm, name):
+        user, step, gap = exit_step(logs["rectangular"], world)
+        landing = Rect.from_center(world.traces[user][step].position,
+                                   gap, gap)
+        track = jump(quiet_alarm, step, landing)
+        expected = compute_tracking_ground_truth(world, [track])
+        assert expected[(user, quiet_alarm.alarm_id)] == float(step)
+        result = run_tracking_simulation(world, make_strategy(name, world),
+                                         [track])
+        assert result.accuracy.perfect, (name, result.accuracy)
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_target_hops_through_every_placement(self, world, anchor,
+                                                 quiet_alarm, name):
+        _user, step, rectangle, side = anchor
+        hops = tuple(placements(rectangle, side, world.universe).values())
+        track = TargetTrack(quiet_alarm.alarm_id,
+                            (quiet_alarm.region,) * step + hops * 3
+                            + (quiet_alarm.region,))
+        result = run_tracking_simulation(world, make_strategy(name, world),
+                                         [track])
+        assert result.accuracy.perfect, (name, result.accuracy)
