@@ -13,10 +13,9 @@ that they agree.  PA002 is the static twin: it verifies that the
   emitted somewhere (no declared-but-never-emitted names);
 * every registry counter incremented anywhere (``.counter(name)``) is
   covered by the reconciliation tables in ``telemetry/export.py`` —
-  ``RECONCILE_COUNTERS``, ``RECONCILE_REGISTRY_EVENTS``, a
-  ``RECONCILE_GROUP_SUMS`` member or, for dynamically-suffixed names,
-  a ``RECONCILE_PREFIX_SUMS`` prefix — and vice versa, every
-  reconciled name is actually incremented;
+  ``RECONCILE_COUNTERS``, ``RECONCILE_REGISTRY_EVENTS`` or, for
+  dynamically-suffixed names, a ``RECONCILE_PREFIX_SUMS`` prefix — and
+  vice versa, every reconciled name is actually incremented;
 * every ``Metrics`` field and event type the tables reference exists.
 
 Dynamic counter names are resolved through the model's string tables:
@@ -58,40 +57,6 @@ def _pairs_table(module: ModuleInfo, name: str
             assert isinstance(second, ast.Constant)
             pairs.append((str(first.value), str(second.value)))
         return pairs
-    return None
-
-
-def _group_table(module: ModuleInfo, name: str
-                 ) -> Optional[List[Tuple[Tuple[str, ...], str]]]:
-    """Parse ``NAME = ((("a", "b"), "c"), ...)`` from the module body.
-
-    Each entry pairs a tuple of registry counter names with the
-    ``Metrics`` field their sum must equal (the shape of
-    ``RECONCILE_GROUP_SUMS``).
-    """
-    for stmt in module.tree.body:
-        if not (isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == name
-                and isinstance(stmt.value, ast.Tuple)):
-            continue
-        groups: List[Tuple[Tuple[str, ...], str]] = []
-        for elt in stmt.value.elts:
-            if not (isinstance(elt, ast.Tuple) and len(elt.elts) == 2):
-                return None
-            members, field = elt.elts
-            if not (isinstance(members, ast.Tuple)
-                    and isinstance(field, ast.Constant)
-                    and isinstance(field.value, str)
-                    and all(isinstance(part, ast.Constant)
-                            and isinstance(part.value, str)
-                            for part in members.elts)):
-                return None
-            names = tuple(str(part.value) for part in members.elts
-                          if isinstance(part, ast.Constant))
-            groups.append((names, str(field.value)))
-        return groups
     return None
 
 
@@ -191,11 +156,8 @@ class TelemetryDriftChecker(Checker):
         registry_event_pairs = _pairs_table(
             export, "RECONCILE_REGISTRY_EVENTS") or []
         prefix_pairs = _pairs_table(export, "RECONCILE_PREFIX_SUMS") or []
-        group_pairs = _group_table(export, "RECONCILE_GROUP_SUMS") or []
         reconciled = ({name for name, _ in counter_pairs}
-                      | {name for name, _ in registry_event_pairs}
-                      | {name for members, _ in group_pairs
-                         for name in members})
+                      | {name for name, _ in registry_event_pairs})
         prefixes = {prefix for prefix, _ in prefix_pairs}
 
         incremented: Set[str] = set()
@@ -236,8 +198,7 @@ class TelemetryDriftChecker(Checker):
 
         yield from self._check_tables(
             model, events, export, declared, counter_pairs, event_pairs,
-            registry_event_pairs, prefix_pairs, group_pairs, incremented,
-            suffixes_used)
+            registry_event_pairs, prefix_pairs, incremented, suffixes_used)
 
     def _check_tables(self, model: ProjectModel, events: ModuleInfo,
                       export: ModuleInfo, declared: Set[str],
@@ -245,7 +206,6 @@ class TelemetryDriftChecker(Checker):
                       event_pairs: List[Tuple[str, str]],
                       registry_event_pairs: List[Tuple[str, str]],
                       prefix_pairs: List[Tuple[str, str]],
-                      group_pairs: List[Tuple[Tuple[str, ...], str]],
                       incremented: Set[str],
                       suffixes_used: Set[str]) -> Iterator[Diagnostic]:
         metrics_fields = self._metrics_fields(model)
@@ -292,19 +252,6 @@ class TelemetryDriftChecker(Checker):
                 yield self.file_diagnostic(
                     export.display_path,
                     "RECONCILE_PREFIX_SUMS references unknown Metrics "
-                    "field %r" % metrics_field)
-        for members, metrics_field in group_pairs:
-            for name in members:
-                if name not in incremented:
-                    yield self.file_diagnostic(
-                        export.display_path,
-                        "RECONCILE_GROUP_SUMS lists %r but nothing "
-                        "increments that counter" % name)
-            if (metrics_fields is not None
-                    and metrics_field not in metrics_fields):
-                yield self.file_diagnostic(
-                    export.display_path,
-                    "RECONCILE_GROUP_SUMS references unknown Metrics "
                     "field %r" % metrics_field)
 
     @staticmethod

@@ -1,12 +1,12 @@
-"""Benchmark harnesses for the vectorized hot paths.
+"""Benchmark harness for the alarm index build.
 
 ``repro bench-hotpath`` drives :func:`repro.bench.hotpath.run_hotpath_bench`
-and renders its result as JSON; the committed baseline lives in
+and renders its rows as JSON; the committed baseline lives in
 ``BENCH_hotpath.json``.  Everything here is importable engine code
 (RL007: no printing) and reads no clock other than
 ``time.perf_counter`` duration deltas (RL006's sanctioned form).
 """
 
-from .hotpath import HotpathBenchResult, MicroBench, run_hotpath_bench
+from .hotpath import run_hotpath_bench
 
-__all__ = ["HotpathBenchResult", "MicroBench", "run_hotpath_bench"]
+__all__ = ["run_hotpath_bench"]

@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional
 
+from .bench import run_hotpath_bench
 from .engine import PhaseProfiler, run_parallel_simulation, run_simulation
 from .engine.metrics import Metrics
 from .engine.server import AlarmServer
@@ -175,8 +176,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 use_region_cache=args.region_cache,
                 profile=args.profile, telemetry=telemetry,
                 transport_factory=transport_factory,
-                sanitize=True if args.sanitize else None,
-                use_batch=args.batch)
+                sanitize=True if args.sanitize else None)
         else:
             strategy = _resolve_strategy(args.strategy, world.max_speed())
             profiler = PhaseProfiler() if args.profile else None
@@ -185,8 +185,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                     use_region_cache=args.region_cache,
                                     profiler=profiler, telemetry=telemetry,
                                     transport_factory=transport_factory,
-                                    sanitize=True if args.sanitize else None,
-                                    use_batch=args.batch)
+                                    sanitize=True if args.sanitize else None)
         if telemetry is not None:
             telemetry.write_summary(result.metrics.counters(),
                                     triggers=len(result.metrics.triggers),
@@ -321,23 +320,15 @@ def _cmd_bench_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    """Time the vectorized kernels against their scalar oracles."""
-    from .bench.hotpath import run_hotpath_bench  # lazy: pulls numpy
-    config = _resolve_workload(args)
-    world = build_world(config, args.cell)
-    factory = functools.partial(_resolve_strategy, args.strategy,
-                                world.max_speed())
-    result = run_hotpath_bench(world, factory, workers=args.workers,
-                               points=args.points, repeats=args.repeats,
-                               seed=args.seed)
-    manifest = RunManifest.collect(
-        strategy="bench-hotpath", config=asdict(config),
-        workers=args.workers, sizes=world.sizes.to_dict(),
-        cell_area_km2=args.cell, points=args.points, repeats=args.repeats)
-    print(json.dumps(result.to_dict(manifest), indent=2, sort_keys=True))
-    # A batch run that fails to reproduce the scalar counters is a
-    # correctness bug, not a benchmark result.
-    return 0 if result.counters_match else 1
+    """Time the alarm index grown by inserts against the STR-packed one."""
+    options = {"points": args.points, "repeats": args.repeats,
+               "seed": args.seed}
+    rows = run_hotpath_bench(**options)
+    manifest = RunManifest.collect(strategy="bench-hotpath", config=options)
+    print(json.dumps({"index_build": rows,
+                      "run_manifest": manifest.to_dict()},
+                     indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -516,14 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "monotone clocks, wire fidelity, "
                                       "merge associativity); also via "
                                       "REPRO_SANITIZE=1")
-    simulate_parser.add_argument("--batch",
-                                 action=argparse.BooleanOptionalAction,
-                                 default=False,
-                                 help="replay through the vectorized "
-                                      "batch kernels (bit-identical "
-                                      "results, see docs/VECTORIZATION"
-                                      ".md; --no-batch is the scalar "
-                                      "oracle)")
     add_workload_options(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)
 
@@ -586,25 +569,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.set_defaults(handler=_cmd_bench_net)
 
     hotpath_parser = subparsers.add_parser(
-        "bench-hotpath", help="time the vectorized batch kernels "
-                              "against their scalar oracles "
-                              "(docs/VECTORIZATION.md)")
-    hotpath_parser.add_argument("--strategy", default="PBSR:5",
-                                help=STRATEGY_HELP
-                                + " (default PBSR:5)")
-    hotpath_parser.add_argument("--workers", type=int, default=2,
-                                help="worker count of the sharded "
-                                     "end-to-end runs (default 2)")
+        "bench-hotpath", help="time the alarm index grown by inserts "
+                              "against the STR-packed one")
     hotpath_parser.add_argument("--points", type=int, default=100000,
-                                help="microbench population size "
-                                     "(default 100000)")
+                                help="largest alarm population built; "
+                                     "a tenth as many queries of each "
+                                     "kind (default 100000)")
     hotpath_parser.add_argument("--repeats", type=int, default=3,
-                                help="timed repetitions per section; "
-                                     "best is kept (default 3)")
+                                help="timed repetitions per query "
+                                     "section; best is kept (default 3)")
     hotpath_parser.add_argument("--seed", type=int, default=11,
-                                help="seed of the microbench geometry "
-                                     "RNG (default 11)")
-    add_workload_options(hotpath_parser)
+                                help="seed of the geometry RNG "
+                                     "(default 11)")
     hotpath_parser.set_defaults(handler=_cmd_bench_hotpath)
 
     stats_parser = subparsers.add_parser(

@@ -127,7 +127,6 @@ class ShardJob:
     transport_factory: Optional[TransportFactory]
     use_cell_cache: bool
     use_region_cache: bool
-    use_batch: bool
     profile: bool
     trace: bool
     sanitize: bool
@@ -148,8 +147,7 @@ class ShardJob:
             functools.partial(in_process_link,
                               transport_factory=self.transport_factory),
             use_cell_cache=self.use_cell_cache,
-            use_region_cache=self.use_region_cache,
-            use_batch=self.use_batch, profiler=profiler,
+            use_region_cache=self.use_region_cache, profiler=profiler,
             telemetry=telemetry, sanitizer=Sanitizer.resolve(self.sanitize))
         return (metrics,
                 profiler.report() if profiler is not None else None,
@@ -221,8 +219,7 @@ def run_parallel_simulation(world: World,
                             transport_factory: Optional[TransportFactory]
                             = None,
                             use_region_cache: bool = False,
-                            sanitize: Optional[bool] = None,
-                            use_batch: bool = False
+                            sanitize: Optional[bool] = None
                             ) -> SimulationResult:
     """Replay the world sharded over ``workers`` processes and merge.
 
@@ -246,11 +243,6 @@ def run_parallel_simulation(world: World,
     outcome; the parent folds them into ``telemetry`` in shard order, so
     a traced parallel run produces one coherent event stream and one
     merged registry — reconcilable against the merged ``Metrics``.
-
-    ``use_batch`` replays each shard through the vectorized batch
-    kernels (see ``docs/VECTORIZATION.md``).  The batch contract is
-    observational identity, so the merged metrics stay bit-identical to
-    the scalar serial run either way.
     """
     if workers is None:
         workers = default_worker_count()
@@ -273,8 +265,8 @@ def run_parallel_simulation(world: World,
     outcomes = _dispatch(
         ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
                  transport_factory, use_cell_cache=use_cell_cache,
-                 use_region_cache=use_region_cache, use_batch=use_batch,
-                 profile=profile, trace=telemetry.enabled,
+                 use_region_cache=use_region_cache, profile=profile,
+                 trace=telemetry.enabled,
                  sanitize=sanitizer.enabled),
         shards)
     parts = [outcome[0] for outcome in outcomes]

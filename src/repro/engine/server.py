@@ -50,8 +50,7 @@ class AlarmServer:
                  use_cell_cache: bool = False,
                  use_region_cache: bool = False,
                  profiler: Optional[PhaseProfiler] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 use_batch: bool = False) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         # All mutable server knowledge lives in the explicit state store;
         # registry/grid stay as aliases because every policy and index
         # path reads them.
@@ -68,12 +67,6 @@ class AlarmServer:
         # (never None) keeps every hot-path guard a plain attribute
         # check instead of an `is None` test plus a method call.
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        # Batch mode: policies consult this to choose vectorized
-        # server-side kernels (e.g. the MWPSR skyline pruning).  Every
-        # kernel is bit-identical to its scalar twin, so the flag only
-        # changes speed — a ``use_batch=False`` run executes pure scalar
-        # code and stays the differential oracle.
-        self.use_batch = use_batch
 
     # ------------------------------------------------------------------
     # One-shot state

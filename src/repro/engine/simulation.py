@@ -156,40 +156,16 @@ def sanitize_transport_factory(
 
 def replay_vehicle_major(strategy: "ProcessingStrategy",
                          traces: TraceSet,
-                         sanitizer: Optional[Sanitizer] = None,
-                         use_batch: bool = False) -> None:
+                         sanitizer: Optional[Sanitizer] = None) -> None:
     """The core replay loop: each vehicle's trace, one client at a time.
 
     Shared by the serial engine and every shard of the parallel engine —
     determinism of the sharded path reduces to this loop visiting the
     same vehicles in the same order within each contiguous shard.
-
-    ``use_batch`` hands each client's whole trace to the strategy's
-    :meth:`~repro.strategies.base.ProcessingStrategy.on_batch` as one
-    SoA :class:`~repro.mobility.batch.SampleBatch` instead of sample by
-    sample.  The batch contract requires observational identity — same
-    messages in the same order, same counter totals — so both modes
-    produce bit-identical runs; the differential suite
-    (``tests/engine/test_batch_equivalence.py``) enforces it.
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
-    from ..strategies.base import ProcessingStrategy
 
     sanitizer = sanitizer if sanitizer is not None else SANITIZER_OFF
-    # Building the SoA batch costs O(samples); a strategy that kept the
-    # default on_batch (the scalar loop) would never read it, so batch
-    # mode only engages for strategies that actually override it.
-    if use_batch and (type(strategy).on_batch
-                      is not ProcessingStrategy.on_batch):
-        for trace in traces:
-            client = ClientState(trace.vehicle_id)
-            batch = trace.batch()
-            if len(batch) == 0:
-                continue
-            if sanitizer.enabled:
-                sanitizer.check_clock_batch(trace.vehicle_id, batch.times)
-            strategy.on_batch(client, batch)
-        return
     for trace in traces:
         client = ClientState(trace.vehicle_id)
         for sample in trace:
@@ -366,7 +342,6 @@ def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
 def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
            traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
            use_cell_cache: bool = False, use_region_cache: bool = False,
-           use_batch: bool = False,
            profiler: Optional[PhaseProfiler] = None,
            telemetry: Telemetry = DISABLED,
            sanitizer: Sanitizer = SANITIZER_OFF,
@@ -381,16 +356,14 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     server = AlarmServer(registry, grid, metrics, sizes=sizes,
                          use_cell_cache=use_cell_cache,
                          use_region_cache=use_region_cache,
-                         profiler=profiler, telemetry=telemetry,
-                         use_batch=use_batch)
+                         profiler=profiler, telemetry=telemetry)
     if telemetry.enabled:
         telemetry.shard_started(len(traces))
     started = time.perf_counter()
     try:
         with link(server, strategy, sanitizer) as client_metrics:
             if mutation is None:
-                replay_vehicle_major(strategy, traces, sanitizer,
-                                     use_batch=use_batch)
+                replay_vehicle_major(strategy, traces, sanitizer)
             else:
                 replay_time_major(
                     strategy, traces, sanitizer, server,
@@ -430,7 +403,7 @@ def score_run(world: World, strategy_name: str, metrics: Metrics,
 
 def run_session(world: World, strategy: "ProcessingStrategy",
                 link: Link, use_cell_cache: bool = False,
-                use_region_cache: bool = False, use_batch: bool = False,
+                use_region_cache: bool = False,
                 profiler: Optional[PhaseProfiler] = None,
                 telemetry: Optional[Telemetry] = None,
                 sanitize: Optional[bool] = None,
@@ -454,8 +427,8 @@ def run_session(world: World, strategy: "ProcessingStrategy",
     metrics, wall_time = replay(
         registry, world.grid, world.sizes, world.traces, strategy, link,
         use_cell_cache=use_cell_cache, use_region_cache=use_region_cache,
-        use_batch=use_batch, profiler=profiler, telemetry=telemetry,
-        sanitizer=sanitizer, mutation=mutation)
+        profiler=profiler, telemetry=telemetry, sanitizer=sanitizer,
+        mutation=mutation)
     return score_run(world, strategy.name, metrics, wall_time, sanitizer,
                      ground_truth=ground_truth,
                      profile=(profiler.report() if profiler is not None
@@ -469,6 +442,7 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
                    transport_factory: Optional[TransportFactory] = None,
                    use_region_cache: bool = False,
                    sanitize: Optional[bool] = None,
+                   # Accepted, no effect: bench_e2e/workloads.py:260 passes it.
                    use_batch: bool = False
                    ) -> SimulationResult:
     """Replay the world's traces through ``strategy`` and score the run.
@@ -490,15 +464,11 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     attribute check.  ``sanitize`` attaches the runtime invariant
     sanitizer (see :mod:`repro.sanitize`); ``None`` consults
     ``REPRO_SANITIZE``, and a disabled run carries the shared no-op
-    sanitizer at the same one-attribute-check cost.  ``use_batch``
-    replays through the vectorized batch kernels (see
-    ``docs/VECTORIZATION.md``); results are bit-identical to the
-    scalar replay — the flag trades nothing but speed.
+    sanitizer at the same one-attribute-check cost.
     """
     return run_session(world, strategy,
                        functools.partial(in_process_link,
                                          transport_factory=transport_factory),
                        use_cell_cache=use_cell_cache,
-                       use_region_cache=use_region_cache,
-                       use_batch=use_batch, profiler=profiler,
+                       use_region_cache=use_region_cache, profiler=profiler,
                        telemetry=telemetry, sanitize=sanitize)

@@ -1,13 +1,6 @@
-"""Planar geometry substrate: points, rectangles, rectilinear regions.
+"""Planar geometry substrate: points, rectangles, rectilinear regions."""
 
-The vectorized kernels live in :mod:`repro.geometry.batch` and are
-imported explicitly (``from repro.geometry.batch import ...``) rather
-than re-exported here: ``batch`` needs numpy at import time, while the
-scalar substrate stays importable without it.
-"""
-
-from .eps import (EPS, feq, feq_array, feq_exact, fzero, fzero_array,
-                  fzero_exact)
+from .eps import EPS, feq, feq_exact, fzero, fzero_exact
 from .point import ORIGIN, Point, normalize_angle
 from .polygon import RectilinearRegion, region_from_rect_minus_holes
 from .rect import Rect, total_disjoint_area
@@ -19,10 +12,8 @@ __all__ = [
     "Rect",
     "RectilinearRegion",
     "feq",
-    "feq_array",
     "feq_exact",
     "fzero",
-    "fzero_array",
     "fzero_exact",
     "normalize_angle",
     "region_from_rect_minus_holes",

@@ -24,15 +24,6 @@ linter's debt ledger stays at zero instead of tracking pragma sites.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:  # numpy is an accelerator dependency; keep this
-    import numpy as np  # module importable without it.
-    from numpy.typing import NDArray
-
-    FloatArray = NDArray[np.float64]
-    BoolArray = NDArray[np.bool_]
-
 #: Absolute comparison tolerance in meters.
 EPS: float = 1e-9
 
@@ -45,31 +36,6 @@ def feq(a: float, b: float, eps: float = EPS) -> bool:
 def fzero(value: float, eps: float = EPS) -> bool:
     """True when ``value`` is within ``eps`` of zero."""
     return abs(value) <= eps
-
-
-def feq_array(a: "FloatArray", b: "Union[float, FloatArray]",
-              eps: float = EPS) -> "BoolArray":
-    """Element-wise :func:`feq` over float64 arrays.
-
-    The vectorized kernels (``geometry.batch``, ``saferegion.packed``)
-    must not re-derive the tolerance: every tolerant array comparison
-    routes through here so scalar and batch paths cannot drift.  The
-    expression is the literal array form of :func:`feq` — ``abs(a - b)
-    <= eps`` on IEEE doubles — so each element agrees bit-for-bit with
-    the scalar helper.
-    """
-    import numpy
-
-    result: "BoolArray" = numpy.abs(a - b) <= eps
-    return result
-
-
-def fzero_array(values: "FloatArray", eps: float = EPS) -> "BoolArray":
-    """Element-wise :func:`fzero` over a float64 array."""
-    import numpy
-
-    result: "BoolArray" = numpy.abs(values) <= eps
-    return result
 
 
 def feq_exact(a: float, b: float) -> bool:

@@ -11,13 +11,9 @@ frequency trace of the motion pattern of the vehicles", Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Sequence
 
 from ..geometry import Point, Rect
-
-if TYPE_CHECKING:
-    from .batch import SampleBatch
 
 
 @dataclass(frozen=True)
@@ -33,25 +29,15 @@ class TraceSample:
 class Trace:
     """The ordered sample sequence of a single vehicle."""
 
-    __slots__ = ("vehicle_id", "samples", "_batch")
+    __slots__ = ("vehicle_id", "samples")
 
     def __init__(self, vehicle_id: int,
                  samples: Sequence[TraceSample]) -> None:
         self.vehicle_id = vehicle_id
         self.samples: List[TraceSample] = list(samples)
-        self._batch: Optional["SampleBatch"] = None
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __getstate__(self) -> Tuple[int, List[TraceSample]]:
-        # The SoA cache is derived data: dropping it keeps pickles to
-        # spawn-mode workers small, and each worker rebuilds its own.
-        return (self.vehicle_id, self.samples)
-
-    def __setstate__(self, state: Tuple[int, List[TraceSample]]) -> None:
-        self.vehicle_id, self.samples = state
-        self._batch = None
 
     def __iter__(self) -> Iterator[TraceSample]:
         return iter(self.samples)
@@ -71,20 +57,6 @@ class Trace:
         if not self.samples:
             return 0.0
         return max(sample.speed for sample in self.samples)
-
-    def batch(self) -> "SampleBatch":
-        """The structure-of-arrays view of this trace, built once.
-
-        Lazy on both axes: the batch is only materialized when the
-        batched engine asks (scalar runs never pay for it), and the
-        numpy-backed module is only imported here.  Workers build
-        their own batches after fork/spawn, so pickled traces travel
-        without the arrays.
-        """
-        if self._batch is None:
-            from .batch import SampleBatch
-            self._batch = SampleBatch(self.samples)
-        return self._batch
 
     def bounding_rect(self) -> Rect:
         """Bounding rectangle of all sampled positions."""

@@ -335,23 +335,7 @@ class ClientSession:
         self._metrics.containment_ops += ops
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.probe_scalar(1, ops)
-
-    def charge_probe_batch(self, checks: int, ops: int) -> None:
-        """Account a batch kernel's silent run in one call.
-
-        ``checks`` scalar probes totalling ``ops`` comparisons land on
-        the same ``Metrics`` fields as :meth:`charge_probe` — the
-        totals are identical whichever path charged them, which is the
-        batch engine's bit-identity contract.  Traced runs additionally
-        split the work by kernel so ``repro report`` can prove the
-        charges agree.
-        """
-        self._metrics.containment_checks += checks
-        self._metrics.containment_ops += ops
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.probe_batch(checks, ops)
+            telemetry.probe(ops)
 
 
 def connect(server: "AlarmServer", strategy: "ProcessingStrategy",

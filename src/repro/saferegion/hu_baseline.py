@@ -45,8 +45,7 @@ class HuBaselineComputer:
     """
 
     def compute(self, position: Point, heading: float, cell: Rect,
-                obstacles: Sequence[Rect],
-                batched: bool = False) -> "_HuResult":
+                obstacles: Sequence[Rect]) -> "_HuResult":
         """Safe-region rectangle per the corner-per-quadrant construction.
 
         For each alarm-region corner, the corner constrains only the
@@ -54,9 +53,7 @@ class HuBaselineComputer:
         nearest constraining corner, and the rectangle spans between
         those per-quadrant caps (cell-clipped).  Degenerate by design:
         regions straddling an axis or overlapping each other are
-        mishandled exactly as in the original.  ``batched`` is accepted
-        for signature compatibility with the MWPSR computer and ignored
-        — the corner scan has no vectorized variant.
+        mishandled exactly as in the original.
         """
         if not cell.contains_point(position):
             raise ValueError("subscriber position outside its grid cell")

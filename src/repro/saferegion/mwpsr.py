@@ -45,21 +45,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect, fzero, normalize_angle
-
-if TYPE_CHECKING:  # numpy-backed batch kernels; imported lazily below
-    from ..geometry.batch import RectBatch
 from ..mobility.motion import MotionModel, UniformMotionModel
 from .base import RectangularSafeRegion, region_is_safe
 
 TWO_PI = 2.0 * math.pi
-
-#: Obstacle count below which ``batched`` computes fall back to the
-#: scalar skyline: four quadrant kernels cost a fixed ~30us of array
-#: overhead, which the O(n) scalar scan undercuts on sparse cells.
-_BATCH_MIN_OBSTACLES = 64
 
 # Quadrant sign conventions: local coordinates (u, v) = (sx*(x-ox), sy*(y-oy))
 # map each quadrant onto the (+, +) orthant.  Order: I, II, III, IV.
@@ -128,17 +120,12 @@ class MWPSRComputer:
 
     # ------------------------------------------------------------------
     def compute(self, position: Point, heading: float, cell: Rect,
-                obstacles: Sequence[Rect],
-                batched: bool = False) -> MWPSRResult:
+                obstacles: Sequence[Rect]) -> MWPSRResult:
         """Safe region for a subscriber at ``position`` within ``cell``.
 
         ``obstacles`` are the regions of the relevant (unfired) alarms
         interior-intersecting the cell.  ``heading`` is the subscriber's
-        current direction of travel in world radians.  ``batched``
-        routes the candidate generation and dominance pruning (steps
-        1-2) through the vectorized kernel in
-        :mod:`repro.saferegion.packed` — bit-identical output, so the
-        flag only changes speed, never the region.
+        current direction of travel in world radians.
         """
         if not cell.contains_point(position):
             raise ValueError("subscriber position outside its grid cell")
@@ -158,17 +145,8 @@ class MWPSRComputer:
                                weighted_perimeter=self._weighted_perimeter(
                                    cell, position, heading))
 
-        obstacle_batch: Optional["RectBatch"] = None
-        if batched and len(obstacles) >= _BATCH_MIN_OBSTACLES:
-            # Lazy import: numpy enters only when batch mode is on.
-            # Below the threshold the scalar skyline wins — per-call
-            # array overhead beats the O(n) loop on small inputs — and
-            # both paths are bit-identical, so the gate is pure speed.
-            from ..geometry.batch import RectBatch
-            obstacle_batch = RectBatch.from_rects(list(obstacles))
         tension_lists = [
-            self._quadrant_tension_points(position, cell, obstacles, signs,
-                                          obstacle_batch)
+            self._quadrant_tension_points(position, cell, obstacles, signs)
             for signs in _QUADRANT_SIGNS
         ]
         combinations = 1
@@ -194,51 +172,42 @@ class MWPSRComputer:
     # ------------------------------------------------------------------
     def _quadrant_tension_points(self, origin: Point, cell: Rect,
                                  obstacles: Iterable[Rect],
-                                 signs: Tuple[int, int],
-                                 obstacle_batch: Optional["RectBatch"] = None
+                                 signs: Tuple[int, int]
                                  ) -> List[Tuple[float, float]]:
         """Tension points of one quadrant in local ``(u, v)`` coordinates.
 
         Every returned point ``(u, v)`` spans a component rectangle
         ``[0, u] x [0, v]`` whose interior avoids all obstacles within
         the quadrant, and the list covers all maximal such rectangles.
-        With ``obstacle_batch`` (the same obstacles in SoA form) the
-        candidate generation and pruning run vectorized; the skyline is
-        bit-identical either way.
         """
         sx, sy = signs
         u_max = (cell.max_x - origin.x) if sx > 0 else (origin.x - cell.min_x)
         v_max = (cell.max_y - origin.y) if sy > 0 else (origin.y - cell.min_y)
 
-        if obstacle_batch is not None:
-            from .packed import quadrant_skyline
-            skyline = quadrant_skyline(origin, obstacle_batch, signs,
-                                       u_max, v_max)
-        else:
-            candidates: List[Tuple[float, float]] = []
-            for obstacle in obstacles:
-                if sx > 0:
-                    u_lo = obstacle.min_x - origin.x
-                    u_hi = obstacle.max_x - origin.x
-                else:
-                    u_lo = origin.x - obstacle.max_x
-                    u_hi = origin.x - obstacle.min_x
-                if sy > 0:
-                    v_lo = obstacle.min_y - origin.y
-                    v_hi = obstacle.max_y - origin.y
-                else:
-                    v_lo = origin.y - obstacle.max_y
-                    v_hi = origin.y - obstacle.min_y
-                # The obstacle constrains this quadrant only when its
-                # interior reaches into the open quadrant and binds
-                # inside the cell.
-                if u_hi <= 0.0 or v_hi <= 0.0:
-                    continue
-                candidate = (max(u_lo, 0.0), max(v_lo, 0.0))
-                if candidate[0] >= u_max or candidate[1] >= v_max:
-                    continue
-                candidates.append(candidate)
-            skyline = self._skyline(candidates)
+        candidates: List[Tuple[float, float]] = []
+        for obstacle in obstacles:
+            if sx > 0:
+                u_lo = obstacle.min_x - origin.x
+                u_hi = obstacle.max_x - origin.x
+            else:
+                u_lo = origin.x - obstacle.max_x
+                u_hi = origin.x - obstacle.min_x
+            if sy > 0:
+                v_lo = obstacle.min_y - origin.y
+                v_hi = obstacle.max_y - origin.y
+            else:
+                v_lo = origin.y - obstacle.max_y
+                v_hi = origin.y - obstacle.min_y
+            # The obstacle constrains this quadrant only when its
+            # interior reaches into the open quadrant and binds
+            # inside the cell.
+            if u_hi <= 0.0 or v_hi <= 0.0:
+                continue
+            candidate = (max(u_lo, 0.0), max(v_lo, 0.0))
+            if candidate[0] >= u_max or candidate[1] >= v_max:
+                continue
+            candidates.append(candidate)
+        skyline = self._skyline(candidates)
         if not skyline:
             return [(u_max, v_max)]
 

@@ -51,16 +51,10 @@ import os
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # typing only: keeps this module import-light
-    from numpy.typing import NDArray
-
-    import numpy as np
-
     from .alarms import AlarmRegistry
     from .engine.metrics import Metrics
     from .protocol.messages import Response
     from .protocol.wire import WireCodec
-
-    FloatArray = NDArray[np.float64]
 
 #: Environment variable consulted when no explicit flag is passed;
 #: any value other than empty or ``"0"`` enables the sanitizer.
@@ -124,31 +118,6 @@ class Sanitizer:
                 "simulation clock of client %d went backwards: "
                 "%.6f after %.6f" % (user_id, time_s, last))
         self._clocks[user_id] = time_s
-
-    def check_clock_batch(self, user_id: int,
-                          times: "FloatArray") -> None:
-        """Vectorized :meth:`check_clock` over one client's whole batch.
-
-        Checks the batch head against the stored clock and every
-        adjacent pair inside the batch in one array comparison, then
-        stores the tail — the exact invariant the per-sample loop
-        enforces, at O(1) Python cost per batch.
-        """
-        if len(times) == 0:
-            return
-        last = self._clocks.get(user_id)
-        if last is not None and float(times[0]) < last:
-            raise SanitizerError(
-                "simulation clock of client %d went backwards: "
-                "%.6f after %.6f" % (user_id, float(times[0]), last))
-        backwards = times[1:] < times[:-1]
-        if bool(backwards.any()):
-            index = int(backwards.argmax()) + 1
-            raise SanitizerError(
-                "simulation clock of client %d went backwards: "
-                "%.6f after %.6f" % (user_id, float(times[index]),
-                                     float(times[index - 1])))
-        self._clocks[user_id] = float(times[-1])
 
     def _rows(self, registry: "AlarmRegistry"
               ) -> Tuple[_GeometryRow, ...]:
@@ -329,10 +298,6 @@ class _DisabledSanitizer(Sanitizer):
     enabled = False
 
     def check_clock(self, user_id: int, time_s: float) -> None:
-        return
-
-    def check_clock_batch(self, user_id: int,
-                          times: "FloatArray") -> None:
         return
 
     def snapshot_geometry(self, registry: "AlarmRegistry") -> None:

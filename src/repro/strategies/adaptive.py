@@ -24,12 +24,9 @@ suite asserts the accuracy contract is intact.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..mobility import TraceSample
-
-if TYPE_CHECKING:
-    from ..mobility.batch import SampleBatch
 from ..protocol.messages import InstallSafeRegion, ServerReply
 from ..saferegion import MWPSRComputer, RectangularSafeRegion
 from .base import ClientState
@@ -71,28 +68,6 @@ class AdaptiveRectangularStrategy(RectangularSafeRegionStrategy):
 
         reply = self._send_report(client, sample, exit=True)
         self._install(client, sample, reply)
-
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Skip scheduled-out samples with one sorted lookup.
-
-        The adaptive silent run costs *nothing* on the scalar path (no
-        probe before the scheduled time), so the batch form charges
-        nothing either: ``searchsorted`` jumps straight to the first
-        sample at or after the expiry — the array form of the strict
-        ``time < expiry`` skip — and everything else (probe,
-        rescheduling, exits) stays scalar.
-        """
-        samples = batch.samples
-        times = batch.times
-        length = len(samples)
-        index = 0
-        while index < length:
-            if (client.safe_region is not None
-                    and times[index] < client.expiry):
-                index = int(times.searchsorted(client.expiry, side="left"))
-                continue
-            self.on_sample(client, samples[index])
-            index += 1
 
     def _install(self, client: ClientState, sample: TraceSample,
                  reply: ServerReply) -> None:

@@ -28,7 +28,6 @@ from ..protocol.messages import (AlarmRecord, LocationReport,
                                  RegionExitReport, ServerReply)
 
 if TYPE_CHECKING:
-    from ..mobility.batch import SampleBatch
     from ..protocol.transport import ClientSession
     from ..saferegion.base import SafeRegion
 
@@ -93,23 +92,6 @@ class ProcessingStrategy:
         """Handle one position fix of one client."""
         raise NotImplementedError
 
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Handle one client's whole trace (the ``--batch`` engine path).
-
-        The default replays the scalar path sample by sample, so every
-        strategy works unmodified until it opts in.  Overrides must be
-        *observationally identical* to that loop: same messages in the
-        same order with the same timestamps, and the same
-        containment-check/op totals (bulk-charged via
-        :meth:`_charge_probe_batch`).  The standard shape is: scan the
-        silent run with a vectorized kernel, bulk-charge it, then hand
-        the first non-silent sample to the unchanged
-        :meth:`on_sample`.
-        """
-        on_sample = self.on_sample
-        for sample in batch.samples:
-            on_sample(client, sample)
-
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
@@ -155,13 +137,3 @@ class ProcessingStrategy:
 
     def _charge_probe(self, ops: int) -> None:
         self.session.charge_probe(ops)
-
-    def _charge_probe_batch(self, checks: int, ops: int) -> None:
-        """Charge a silent run's probes in one call.
-
-        ``checks`` is the number of samples the run's kernel cleared
-        (one scalar probe each), ``ops`` their summed op counts — the
-        exact totals the scalar loop would have accumulated one
-        :meth:`_charge_probe` at a time.
-        """
-        self.session.charge_probe_batch(checks, ops)

@@ -24,11 +24,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..mobility import TraceSample
-
-if TYPE_CHECKING:
-    from ..geometry import Rect
-    from ..geometry.batch import BoolArray
-    from ..mobility.batch import SampleBatch
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (AlarmNotification, AlarmRecord,
                                  InstallAlarmList, Request, Response,
@@ -88,47 +83,6 @@ class OptimalStrategy(ProcessingStrategy):
                      if isinstance(message, AlarmNotification)}
         client.local_alarms = [record for record in client.local_alarms
                                if record.alarm_id not in fired_ids]
-
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Vectorize the per-fix alarm-list evaluation.
-
-        The silent condition is "inside the cell and strictly inside no
-        local alarm" — one closed-containment kernel plus one
-        rects-vs-points broadcast per scan block, replacing ``1 + k``
-        scalar comparisons per sample.  Each silent sample is charged
-        exactly those ``1 + k`` ops; cell crossings and triggers fall
-        through to the scalar path (which recomputes the alarm list, so
-        the batch rebuilds its SoA per run).
-        """
-        from ..geometry.batch import (RectBatch, any_interior_contains,
-                                      contains, first_violation)
-        samples = batch.samples
-        length = len(samples)
-        index = 0
-        while index < length:
-            cell = client.footprint
-            if cell is None:
-                self.on_sample(client, samples[index])
-                index += 1
-                continue
-            alarms = RectBatch.from_rects(
-                [record.region for record in client.local_alarms])
-            ops_each = 1 + len(client.local_alarms)
-
-            def silent(start: int, stop: int, cell: Rect = cell,
-                       alarms: RectBatch = alarms) -> "BoolArray":
-                view = batch.points.slice(start, stop)
-                return contains(cell, view) & ~any_interior_contains(
-                    alarms, view)
-
-            stop = first_violation(silent, length, index)
-            if stop > index:
-                self._charge_probe_batch(stop - index,
-                                         (stop - index) * ops_each)
-            if stop >= length:
-                return
-            self.on_sample(client, samples[stop])
-            index = stop + 1
 
     # ------------------------------------------------------------------
     def _refresh_cell(self, client: ClientState,

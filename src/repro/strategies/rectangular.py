@@ -38,7 +38,6 @@ from .base import ClientState, ProcessingStrategy
 if TYPE_CHECKING:
     from ..alarms import SpatialAlarm
     from ..engine.server import AlarmServer
-    from ..mobility.batch import SampleBatch
 
 
 class RectangularPolicy(ServerPolicy):
@@ -62,13 +61,10 @@ class RectangularPolicy(ServerPolicy):
             cell = server.current_cell(request.position)
             pending = server.pending_alarms_in(request.user_id, cell)
             with server.profiled("saferegion_compute"):
-                # Batch mode also vectorizes the server-side candidate
-                # pruning; the computed rectangle is bit-identical.
                 result = self.computer.compute(request.position, heading,
                                                cell,
                                                [alarm.region
-                                                for alarm in pending],
-                                               batched=server.use_batch)
+                                                for alarm in pending])
         return (InstallSafeRegion(rect=result.rect),)
 
     def _heading_for(self, server: "AlarmServer",
@@ -119,35 +115,6 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
 
         reply = self._send_report(client, sample, exit=True)
         self._install(client, sample, reply)
-
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Vectorized silent runs between region exits.
-
-        While a rectangle is installed, the silent condition is plain
-        closed containment — one :func:`first_outside` scan replaces
-        the per-sample probes, bulk-charging one check and one op per
-        cleared sample (``RectangularSafeRegion.probe`` costs 1 op).
-        The exit sample goes through the scalar :meth:`on_sample`,
-        which charges its own probe and renews the region.
-        """
-        from ..geometry.batch import first_outside
-        samples = batch.samples
-        length = len(samples)
-        index = 0
-        while index < length:
-            region = client.safe_region
-            if region is None:
-                self.on_sample(client, samples[index])
-                index += 1
-                continue
-            assert isinstance(region, RectangularSafeRegion)
-            stop = first_outside(region.rect, batch.points, index)
-            if stop > index:
-                self._charge_probe_batch(stop - index, stop - index)
-            if stop >= length:
-                return
-            self.on_sample(client, samples[stop])
-            index = stop + 1
 
     def _install(self, client: ClientState, sample: TraceSample,
                  reply: ServerReply) -> None:

@@ -25,9 +25,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-if TYPE_CHECKING:
-    from ..mobility.batch import SampleBatch
-
 from ..mobility import TraceSample
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafePeriod, Request, Response,
@@ -82,31 +79,6 @@ class SafePeriodStrategy(ProcessingStrategy):
 
         reply = self._send_report(client, sample, exit=True)
         self._install(client, sample, reply)
-
-    def on_batch(self, client: ClientState, batch: "SampleBatch") -> None:
-        """Jump each waiting period with one sorted lookup.
-
-        ``searchsorted(expiry, side='left')`` lands on the first sample
-        with ``time >= expiry`` — the exact complement of the scalar
-        strict ``time < expiry`` wait.  The skipped samples each cost
-        the scalar path one timer comparison, so the run bulk-charges
-        one check and one op per sample; the expiring sample reports
-        through the scalar path.
-        """
-        samples = batch.samples
-        times = batch.times
-        length = len(samples)
-        index = 0
-        while index < length:
-            stop = int(times.searchsorted(client.expiry, side="left"))
-            if stop < index:
-                stop = index
-            if stop > index:
-                self._charge_probe_batch(stop - index, stop - index)
-            if stop >= length:
-                return
-            self.on_sample(client, samples[stop])
-            index = stop + 1
 
     def _install(self, client: ClientState, sample: TraceSample,
                  reply: ServerReply) -> None:

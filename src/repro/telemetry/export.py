@@ -41,6 +41,8 @@ RECONCILE_COUNTERS = (
     ("saferegion_computations", "safe_region_computations"),
     ("saferegion_cache_hits", "saferegion_cache_hits"),
     ("saferegion_cache_misses", "saferegion_cache_misses"),
+    ("containment_checks", "containment_checks"),
+    ("containment_ops", "containment_ops"),
     ("uplink_drops", "uplink_drops"),
     ("downlink_drops", "downlink_drops"),
 )
@@ -72,19 +74,6 @@ RECONCILE_REGISTRY_EVENTS = (
 #: downlink kind) must sum to the aggregate the engine counted.
 RECONCILE_PREFIX_SUMS = (
     ("downlink_messages_", "downlink_messages"),
-)
-
-#: Group-sum reconciliation: ((registry counters...), Metrics field).
-#: Counter groups that partition one ``Metrics`` total by execution
-#: path must sum to it exactly.  The containment split is the batch
-#: engine's equivalence witness: every probe is charged either through
-#: the scalar path or a vectorized kernel, and ``--batch`` only moves
-#: counts between the two legs — the group sum is invariant.
-RECONCILE_GROUP_SUMS = (
-    (("containment_checks_scalar", "containment_checks_batch"),
-     "containment_checks"),
-    (("containment_ops_scalar", "containment_ops_batch"),
-     "containment_ops"),
 )
 
 
@@ -193,14 +182,6 @@ def reconcile(data: TraceData) -> Dict[str, object]:
                                        if name.startswith(prefix))
                     if isinstance(instrument, Counter))
         check("sum(registry.%s*) == metrics.%s" % (prefix, metrics_field),
-              metrics.get(metrics_field, 0), total)
-    for members, metrics_field in RECONCILE_GROUP_SUMS:
-        total = sum(instrument.value
-                    for instrument in (registry.get(name)
-                                       for name in members)
-                    if isinstance(instrument, Counter))
-        check("sum(registry.{%s}) == metrics.%s"
-              % (",".join(members), metrics_field),
               metrics.get(metrics_field, 0), total)
 
     # Span-vs-instrument cross-checks.  All hold exactly for every

@@ -174,33 +174,17 @@ class Telemetry:
         self.registry.counter("saferegion_cache_hits" if hit
                               else "saferegion_cache_misses").inc()
 
-    def probe_scalar(self, checks: int, ops: int) -> None:
-        """Client containment work charged through the scalar path.
+    def probe(self, ops: int) -> None:
+        """One client containment check of ``ops`` comparisons.
 
         Registry-only, like :meth:`index_fanout`: a per-probe event
-        would dominate any trace.  Together with :meth:`probe_batch`
-        these split ``Metrics.containment_checks`` / ``_ops`` by the
-        kernel that did the work; ``repro report`` reconciles the
-        *sum* of each pair against the Metrics total, which is how a
-        traced run proves the batch kernels charged exactly what the
-        scalar loop would have.
+        would dominate any trace.
         """
         if not self.enabled:
             return
         registry = self.registry
-        registry.counter("containment_checks_scalar").inc(checks)
-        registry.counter("containment_ops_scalar").inc(ops)
-
-    def probe_batch(self, checks: int, ops: int) -> None:
-        """Client containment work bulk-charged by a batch kernel.
-
-        See :meth:`probe_scalar`; one call covers a whole silent run.
-        """
-        if not self.enabled:
-            return
-        registry = self.registry
-        registry.counter("containment_checks_batch").inc(checks)
-        registry.counter("containment_ops_batch").inc(ops)
+        registry.counter("containment_checks").inc()
+        registry.counter("containment_ops").inc(ops)
 
     def index_fanout(self, count: int) -> None:
         """One index lookup returned ``count`` pending alarms."""

@@ -36,6 +36,13 @@ class TestHelpers:
         assert fzero(-EPS / 2)
         assert not fzero(10 * EPS)
 
+    def test_exactly_eps_is_equal_and_one_ulp_beyond_is_not(self):
+        beyond = math.nextafter(EPS, 1.0)
+        assert feq(EPS, 0.0) and feq(-EPS, 0.0)
+        assert not feq(beyond, 0.0)
+        assert fzero(EPS) and fzero(-EPS)
+        assert not fzero(beyond)
+
 
 class TestRectDegenerate:
     """rect.py keeps exact-zero comparison (via fzero_exact)."""

@@ -82,6 +82,12 @@ class TestPredicates:
         assert not r.interior_contains_point(Point(0, 0.5))
         assert r.interior_contains_point(Point(0.5, 0.5))
 
+    def test_corners_of_the_rect_itself(self):
+        rect = Rect(10.0, 20.0, 30.0, 40.0)
+        for corner in rect.corners():
+            assert rect.contains_point(corner)
+            assert not rect.interior_contains_point(corner)
+
     def test_contains_rect(self):
         outer = Rect(0, 0, 10, 10)
         assert outer.contains_rect(Rect(1, 1, 9, 9))

@@ -2,7 +2,9 @@
 
 Every test here exercises the one runtime :class:`PyramidBitmap`; the
 ``TestLazyEagerParity`` class compares it with the cell-by-cell oracle
-(``oracle.py``) on ordinary geometry — the adversarial differential
+(``oracle.py``) on ordinary geometry and ``TestProbeDifferential``
+holds it — as built and as decoded from the wire — to that oracle on
+points that sit bit-exactly on cell edges; the adversarial differential
 suite is ``test_bitmap_oracle.py``.
 """
 
@@ -179,3 +181,59 @@ class TestLazyEagerParity:
         assert stored * 20 < bitmap.bit_length()
         assert any(COVERED in cells for cells in bitmap._levels)
         assert bitmap.probe(Point(300, 300)) == (False, 8)
+
+
+def _obstacles(rng, count=24):
+    rects = []
+    for _ in range(count):
+        x = rng.uniform(0.0, 850.0)
+        y = rng.uniform(0.0, 850.0)
+        side = rng.uniform(20.0, 120.0)
+        rects.append(Rect(x, y, x + side, y + side))
+    return rects
+
+
+def _probe_points(rng, count=400):
+    """Random points over (and just beyond) the base, plus exact edges.
+
+    The appended points sit bit-exactly on level-2 cell edges — the
+    locate arithmetic's knife edge, where a drifted reimplementation
+    would round a point into the neighbouring cell.
+    """
+    points = [Point(rng.uniform(-10.0, 910.0), rng.uniform(-10.0, 910.0))
+              for _ in range(count)]
+    for k in range(10):
+        edge = BASE.min_x + BASE.width * k / 9
+        points.append(Point(edge, BASE.min_y + BASE.height * k / 9))
+        points.append(Point(edge, 450.0))
+    return points
+
+
+class TestProbeDifferential:
+    @pytest.mark.parametrize("height", (1, 2, 4))
+    def test_packed_probe_matches_eager_bitmap(self, height):
+        rng = random.Random(height)
+        pyramid = Pyramid(BASE, height=height)
+        obstacles = _obstacles(rng)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+        eager, _ = build_pyramid_bitmap(pyramid, obstacles)
+        for point in _probe_points(rng):
+            assert bitmap.probe(point) == eager.probe(point)
+
+    @pytest.mark.parametrize("height", (1, 2, 4))
+    def test_lazy_probe_matches_lazy_bitmap(self, height):
+        """What a socket client decodes probes like what the server built."""
+        rng = random.Random(10 + height)
+        pyramid = Pyramid(BASE, height=height)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, _obstacles(rng))
+        decoded = decode_bitstring(pyramid, bitmap.to_bitstring())
+        for point in _probe_points(rng):
+            assert decoded.probe(point) == bitmap.probe(point)
+
+    def test_lazy_probe_with_no_obstacles(self):
+        bitmap = PyramidBitmap.from_obstacles(Pyramid(BASE, height=2), [])
+        points = [Point(1.0, 1.0), Point(-5.0, 3.0), Point(899.0, 899.0)]
+        # The root bit is 1: inside answers at level 0; outside the
+        # base is (False, 1).
+        assert [bitmap.probe(p) for p in points] \
+            == [(True, 1), (False, 1), (True, 1)]

@@ -74,8 +74,7 @@ class TestReconcile:
         # balance, client_request-vs-RTT and the three server pipeline
         # stages) added with the distributed-tracing layer (all 0 == 0
         # on a trace with no network serving, like this one), and the
-        # two scalar+batch probe-counter group sums added with batch
-        # mode (RECONCILE_GROUP_SUMS).
+        # two client probe counters (containment_checks/_ops).
         assert len(result["checks"]) == 29
 
     def test_dropped_event_breaks_reconciliation(self, tmp_path):

@@ -43,8 +43,7 @@ class TinyBoxComputer:
 
     SIDE = 60.0
 
-    def compute(self, position, heading, cell, obstacles,
-                batched=False):
+    def compute(self, position, heading, cell, obstacles):
         box = Rect(position.x - self.SIDE, position.y - self.SIDE,
                    position.x + self.SIDE, position.y + self.SIDE)
         region = box.intersection(cell)
