@@ -72,7 +72,7 @@ def test_mwpsr_pure_greedy(benchmark, scenarios):
 
 
 def test_pbsr_h5_bitmap_build(benchmark, scenarios):
-    computer = PBSRComputer(height=5, share_public=False)
+    computer = PBSRComputer(height=5)
     take = _cycled(scenarios)
 
     def compute():

@@ -39,8 +39,8 @@ from .mobility import (MobilityConfig, SteadyMotionModel, Trace,
                        TraceGenerator, TraceSample, TraceSet,
                        UniformMotionModel)
 from .roadnet import NetworkConfig, RoadClass, RoadNetwork, generate_network
-from .saferegion import (BitmapSafeRegion, GBSRComputer, MWPSRComputer,
-                         PBSRComputer, PyramidBitmap, RectangularSafeRegion,
+from .saferegion import (BitmapSafeRegion, MWPSRComputer, PBSRComputer,
+                         PyramidBitmap, RectangularSafeRegion,
                          decode_bitstring)
 from .strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                          PeriodicStrategy, RectangularSafeRegionStrategy,
@@ -56,7 +56,6 @@ __all__ = [
     "BitmapSafeRegion",
     "BitmapSafeRegionStrategy",
     "EnergyModel",
-    "GBSRComputer",
     "GridOverlay",
     "MessageSizes",
     "Metrics",

@@ -1,14 +1,12 @@
 """Spatial alarm model: alarms, scopes, server-side registry."""
 
 from .alarm import AlarmScope, SpatialAlarm
-from .cellcache import CellAlarmCache
 from .io import load_alarms, save_alarms
 from .registry import (AlarmRegistry, install_clustered_alarms,
                        install_random_alarms)
 
 __all__ = [
     "AlarmRegistry",
-    "CellAlarmCache",
     "AlarmScope",
     "SpatialAlarm",
     "install_clustered_alarms",

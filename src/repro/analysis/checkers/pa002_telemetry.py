@@ -15,7 +15,10 @@ that they agree.  PA002 is the static twin: it verifies that the
   covered by the reconciliation tables in ``telemetry/export.py`` —
   ``RECONCILE_COUNTERS``, ``RECONCILE_REGISTRY_EVENTS`` or, for
   dynamically-suffixed names, a ``RECONCILE_PREFIX_SUMS`` prefix — and
-  vice versa, every reconciled name is actually incremented;
+  vice versa, every reconciled name is actually incremented.  A counter
+  declared ``deterministic=False`` is exempt: reconciliation is exact
+  equality against the engine's deterministic totals, which a
+  machine- or sharding-dependent count has no twin among;
 * every ``Metrics`` field and event type the tables reference exists.
 
 Dynamic counter names are resolved through the model's string tables:
@@ -167,6 +170,11 @@ class TelemetryDriftChecker(Checker):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "counter" and node.args):
+                    continue
+                if any(keyword.arg == "deterministic"
+                       and isinstance(keyword.value, ast.Constant)
+                       and keyword.value.value is False
+                       for keyword in node.keywords):
                     continue
                 resolved = model.resolve_strings(module, node.args[0])
                 incremented.update(resolved.full)

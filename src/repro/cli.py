@@ -172,8 +172,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                         world.max_speed())
             result = run_parallel_simulation(
                 world, factory, workers=args.workers,
-                use_cell_cache=args.cell_cache,
-                use_region_cache=args.region_cache,
                 profile=args.profile, telemetry=telemetry,
                 transport_factory=transport_factory,
                 sanitize=True if args.sanitize else None)
@@ -181,8 +179,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             strategy = _resolve_strategy(args.strategy, world.max_speed())
             profiler = PhaseProfiler() if args.profile else None
             result = run_simulation(world, strategy,
-                                    use_cell_cache=args.cell_cache,
-                                    use_region_cache=args.region_cache,
                                     profiler=profiler, telemetry=telemetry,
                                     transport_factory=transport_factory,
                                     sanitize=True if args.sanitize else None)
@@ -211,12 +207,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           "safe-region computation"
           % (1000 * metrics.alarm_processing_time_s,
              1000 * metrics.saferegion_time_s))
-    if args.region_cache:
-        print("region cache:         %d hits / %d misses "
-              "(%d safe-region computations)"
-              % (metrics.saferegion_cache_hits,
-                 metrics.saferegion_cache_misses,
-                 metrics.safe_region_computations))
     if metrics.uplink_drops or metrics.downlink_drops:
         print("transport drops:      %d uplink, %d downlink (retried)"
               % (metrics.uplink_drops, metrics.downlink_drops))
@@ -258,10 +248,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sanitizer.snapshot_geometry(world.registry)
     metrics = Metrics()
     server = AlarmServer(world.registry, world.grid, metrics,
-                         sizes=world.sizes,
-                         use_cell_cache=args.cell_cache,
-                         use_region_cache=args.region_cache,
-                         telemetry=telemetry)
+                         sizes=world.sizes, telemetry=telemetry,
+                         sanitizer=sanitizer)
     daemon = AlarmDaemon(server, strategy.server_policy(),
                          WireCodec.from_sizes(world.sizes),
                          verify_wire=args.verify_wire or sanitizer.enabled,
@@ -478,15 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="record a JSONL telemetry trace "
                                       "(manifest + events + summary) "
                                       "readable by `repro report`")
-    simulate_parser.add_argument("--cell-cache", action="store_true",
-                                 help="enable the server's per-cell alarm "
-                                      "cache (identical results, less "
-                                      "index work)")
-    simulate_parser.add_argument("--region-cache", action="store_true",
-                                 help="enable the shared cell-keyed "
-                                      "safe-region memo (identical "
-                                      "messages, fewer bitmap "
-                                      "computations)")
     simulate_parser.add_argument("--uplink-drop", type=float, default=0.0,
                                  metavar="P",
                                  help="lossy transport: per-attempt uplink "
@@ -534,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--trace", default=None, metavar="PATH",
                               help="record a JSONL telemetry trace "
                                    "readable by `repro report`")
-    serve_parser.add_argument("--cell-cache", action="store_true",
-                              help="enable the server's per-cell alarm "
-                                   "cache")
-    serve_parser.add_argument("--region-cache", action="store_true",
-                              help="enable the cell-keyed safe-region "
-                                   "memo")
     serve_parser.add_argument("--verify-wire", action="store_true",
                               help="assert charged bytes == encoded "
                                    "bytes per message")

@@ -41,10 +41,6 @@ class Metrics:
     alarm_evaluations: int = 0
     safe_region_computations: int = 0
     index_node_accesses: int = 0
-    # Shared safe-region memo (see saferegion/cache.py; zero unless the
-    # run opts into the region cache).
-    saferegion_cache_hits: int = 0
-    saferegion_cache_misses: int = 0
     # Simulated transport loss (zero on the reliable in-process path).
     # Dropped attempts are *charged* — a retransmission consumes real
     # uplink/downlink bandwidth — and additionally counted here.

@@ -23,11 +23,6 @@ Determinism guarantee — the property the differential test suite
 * only the wall-clock timing buckets differ (they measure real time on
   real hardware), which is the entire point.
 
-One caveat: the optional per-cell alarm cache memoizes per *server*, so
-each shard re-fills its own cache and ``index_node_accesses`` may count
-cache-fill queries once per shard instead of once per run.  Everything
-else remains identical; the differential suite pins this down.
-
 Workers receive a :class:`ShardJob` (registry, grid, sizes, strategy
 factory, flags) and their slice of the traces rather than a
 :class:`World` — worlds may carry non-picklable memoization hooks — and
@@ -125,8 +120,6 @@ class ShardJob:
     sizes: MessageSizes
     strategy_factory: StrategyFactory
     transport_factory: Optional[TransportFactory]
-    use_cell_cache: bool
-    use_region_cache: bool
     profile: bool
     trace: bool
     sanitize: bool
@@ -146,9 +139,8 @@ class ShardJob:
             self.strategy_factory(),
             functools.partial(in_process_link,
                               transport_factory=self.transport_factory),
-            use_cell_cache=self.use_cell_cache,
-            use_region_cache=self.use_region_cache, profiler=profiler,
-            telemetry=telemetry, sanitizer=Sanitizer.resolve(self.sanitize))
+            profiler=profiler, telemetry=telemetry,
+            sanitizer=Sanitizer.resolve(self.sanitize))
         return (metrics,
                 profiler.report() if profiler is not None else None,
                 telemetry.drain_events() if self.trace else None,
@@ -213,12 +205,10 @@ def _dispatch(job: ShardJob, shards: List[TraceSet]) -> List[_ShardOutcome]:
 def run_parallel_simulation(world: World,
                             strategy_factory: StrategyFactory,
                             workers: Optional[int] = None,
-                            use_cell_cache: bool = False,
                             profile: bool = False,
                             telemetry: Optional[Telemetry] = None,
                             transport_factory: Optional[TransportFactory]
                             = None,
-                            use_region_cache: bool = False,
                             sanitize: Optional[bool] = None
                             ) -> SimulationResult:
     """Replay the world sharded over ``workers`` processes and merge.
@@ -264,8 +254,7 @@ def run_parallel_simulation(world: World,
     shards = shard_traces(world.traces, workers)
     outcomes = _dispatch(
         ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
-                 transport_factory, use_cell_cache=use_cell_cache,
-                 use_region_cache=use_region_cache, profile=profile,
+                 transport_factory, profile=profile,
                  trace=telemetry.enabled,
                  sanitize=sanitizer.enabled),
         shards)

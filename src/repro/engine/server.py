@@ -21,22 +21,21 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from typing import (TYPE_CHECKING, ContextManager, Iterator, List,
-                    Optional, Set)
+from typing import (Callable, ContextManager, Iterator, List, Optional,
+                    Set)
 
 from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Point, Rect
-from ..geometry.eps import feq
 from ..index import GridOverlay
 from ..protocol.state import ServerState
+from ..saferegion.bitmap import BitmapSafeRegion
+from ..saferegion.cache import MemoKey
+from ..sanitize import DISABLED as SANITIZER_OFF
+from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics, TriggerEvent
 from .network import MessageSizes
 from .profiling import PhaseProfiler
-
-if TYPE_CHECKING:  # runtime import would pull bitmap machinery eagerly
-    from ..saferegion.bitmap import BitmapSafeRegion
-    from ..saferegion.cache import CacheKey
 
 _NULL_CONTEXT: ContextManager[None] = nullcontext()
 
@@ -47,16 +46,13 @@ class AlarmServer:
     def __init__(self, registry: AlarmRegistry, grid: GridOverlay,
                  metrics: Metrics,
                  sizes: MessageSizes = MessageSizes(),
-                 use_cell_cache: bool = False,
-                 use_region_cache: bool = False,
                  profiler: Optional[PhaseProfiler] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None,
+                 sanitizer: Sanitizer = SANITIZER_OFF) -> None:
         # All mutable server knowledge lives in the explicit state store;
         # registry/grid stay as aliases because every policy and index
         # path reads them.
-        self.state = ServerState(registry, grid,
-                                 use_cell_cache=use_cell_cache,
-                                 use_region_cache=use_region_cache)
+        self.state = ServerState(registry, grid)
         self.registry = registry
         self.grid = grid
         self.metrics = metrics
@@ -67,6 +63,8 @@ class AlarmServer:
         # (never None) keeps every hot-path guard a plain attribute
         # check instead of an `is None` test plus a method call.
         self.telemetry = telemetry if telemetry is not None else DISABLED
+        # Runtime invariant checks (see repro.sanitize); same pattern.
+        self.sanitizer = sanitizer
 
     # ------------------------------------------------------------------
     # One-shot state
@@ -116,23 +114,8 @@ class AlarmServer:
                           rect: Rect) -> List[SpatialAlarm]:
         """Pending (unfired) relevant alarms interior-overlapping ``rect``."""
         with self.profiled("index_lookup"):
-            pending: Optional[List[SpatialAlarm]] = None
-            cell_cache = self.state.cell_cache
-            if cell_cache is not None:
-                cell = self.grid.cell_of(rect.center)
-                cell_rect = self.grid.cell_rect(cell)
-                # Tolerant match: the query rect may be reconstructed
-                # from wire floats, so exact equality would silently
-                # skip the cache on round-off (RL002 territory).
-                if (feq(cell_rect.min_x, rect.min_x)
-                        and feq(cell_rect.min_y, rect.min_y)
-                        and feq(cell_rect.max_x, rect.max_x)
-                        and feq(cell_rect.max_y, rect.max_y)):
-                    pending = cell_cache.relevant_pending(
-                        user_id, cell, exclude_ids=self.fired_for(user_id))
-            if pending is None:
-                pending = self.registry.relevant_intersecting(
-                    user_id, rect, exclude_ids=self.fired_for(user_id))
+            pending = self.registry.relevant_intersecting(
+                user_id, rect, exclude_ids=self.fired_for(user_id))
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.index_fanout(len(pending))
@@ -146,37 +129,33 @@ class AlarmServer:
                 user_id, position, exclude_ids=self.fired_for(user_id))
 
     # ------------------------------------------------------------------
-    # Shared safe-region memo (GBSR/PBSR computation sharing, paper §4)
+    # Shared safe-region memo (public-alarm bitmaps, paper §4.2)
     # ------------------------------------------------------------------
-    def cached_region(self, user_id: int, time_s: float,
-                      key: "CacheKey") -> Optional["BitmapSafeRegion"]:
-        """The memoized bitmap region for ``key``, or ``None``.
+    def shared_region(self, user_id: int, time_s: float, key: MemoKey,
+                      build: Callable[[], BitmapSafeRegion]
+                      ) -> BitmapSafeRegion:
+        """The bitmap region of a public-only pending set, built once.
 
-        Counts the hit or miss in ``Metrics`` and the telemetry registry
-        — the sanctioned path for policies, which may not touch either
-        directly (lintkit RL008).  Always ``None`` when the region cache
-        is disabled, without counting anything.
+        ``key`` names the cell and every pending alarm, all public, that
+        ``build`` carves the region from; the first subscriber to ask
+        pays for the build and every later one with the same key is
+        handed the same region.  Counts the hit or miss in the telemetry
+        registry — the sanctioned path for policies, which may not touch
+        it directly (lintkit RL008).  A sanitized run rebuilds on every
+        hit and checks the shared region against the subscriber's own.
         """
-        cache = self.state.region_cache
-        if cache is None:
-            return None
-        region = cache.lookup(key)
+        memo = self.state.region_cache
+        region = memo.lookup(key)
+        hit = region is not None
         if region is None:
-            self.metrics.saferegion_cache_misses += 1
-        else:
-            self.metrics.saferegion_cache_hits += 1
+            region = build()
+            memo.store(key, region)
+        elif self.sanitizer.enabled:
+            self.sanitizer.check_shared_region(user_id, key, region, build())
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.saferegion_cache(time_s, user_id,
-                                       hit=region is not None)
+            telemetry.saferegion_cache(time_s, user_id, hit=hit)
         return region
-
-    def store_region(self, key: "CacheKey",
-                     region: "BitmapSafeRegion") -> None:
-        """Memoize a freshly computed bitmap region (no-op when off)."""
-        cache = self.state.region_cache
-        if cache is not None:
-            cache.store(key, region)
 
     def close(self) -> None:
         """Release run-scoped resources (idempotent; delegates to state)."""
@@ -210,8 +189,7 @@ class AlarmServer:
 
     @contextmanager
     def timed_saferegion(self, user_id: Optional[int] = None,
-                         time_s: Optional[float] = None,
-                         count: bool = True) -> Iterator[None]:
+                         time_s: Optional[float] = None) -> Iterator[None]:
         """Time a block into the *safe-region computation* bucket.
 
         Policies wrap their safe-region (or safe-period) production in
@@ -219,10 +197,11 @@ class AlarmServer:
         ``user_id``/``time_s`` identify the computation for telemetry;
         the ``saferegion_computed`` event fires exactly when the
         ``safe_region_computations`` counter increments (on clean exit),
-        so the two reconcile by construction.  ``count=False`` accrues
-        time and index accesses without counting a computation — used
-        around the pending-alarm lookup on the region-cache path, where
-        a hit means no region was actually computed.
+        so the two reconcile by construction.  The counter is one per
+        safe region *served* to a client: a bitmap handed out of the
+        shared memo counts like one built for the occasion, which keeps
+        it identical between a serial run and a sharded one whose
+        shards each fill a memo of their own.
         """
         accesses_before = self.registry.tree.stats.node_accesses
         started = time.perf_counter()
@@ -233,8 +212,6 @@ class AlarmServer:
             self.metrics.saferegion_time_s += elapsed
             self.metrics.index_node_accesses += (
                 self.registry.tree.stats.node_accesses - accesses_before)
-        if not count:
-            return
         self.metrics.safe_region_computations += 1
         telemetry = self.telemetry
         if telemetry.enabled and user_id is not None and time_s is not None:

@@ -341,7 +341,6 @@ def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
 
 def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
            traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
-           use_cell_cache: bool = False, use_region_cache: bool = False,
            profiler: Optional[PhaseProfiler] = None,
            telemetry: Telemetry = DISABLED,
            sanitizer: Sanitizer = SANITIZER_OFF,
@@ -354,9 +353,8 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     """
     metrics = Metrics()
     server = AlarmServer(registry, grid, metrics, sizes=sizes,
-                         use_cell_cache=use_cell_cache,
-                         use_region_cache=use_region_cache,
-                         profiler=profiler, telemetry=telemetry)
+                         profiler=profiler, telemetry=telemetry,
+                         sanitizer=sanitizer)
     if telemetry.enabled:
         telemetry.shard_started(len(traces))
     started = time.perf_counter()
@@ -402,9 +400,7 @@ def score_run(world: World, strategy_name: str, metrics: Metrics,
 
 
 def run_session(world: World, strategy: "ProcessingStrategy",
-                link: Link, use_cell_cache: bool = False,
-                use_region_cache: bool = False,
-                profiler: Optional[PhaseProfiler] = None,
+                link: Link, profiler: Optional[PhaseProfiler] = None,
                 telemetry: Optional[Telemetry] = None,
                 sanitize: Optional[bool] = None,
                 mutation: Optional[MutationFactory] = None,
@@ -426,7 +422,6 @@ def run_session(world: World, strategy: "ProcessingStrategy",
         sanitizer.snapshot_geometry(registry)
     metrics, wall_time = replay(
         registry, world.grid, world.sizes, world.traces, strategy, link,
-        use_cell_cache=use_cell_cache, use_region_cache=use_region_cache,
         profiler=profiler, telemetry=telemetry, sanitizer=sanitizer,
         mutation=mutation)
     return score_run(world, strategy.name, metrics, wall_time, sanitizer,
@@ -436,26 +431,18 @@ def run_session(world: World, strategy: "ProcessingStrategy",
 
 
 def run_simulation(world: World, strategy: "ProcessingStrategy",
-                   use_cell_cache: bool = False,
                    profiler: Optional[PhaseProfiler] = None,
                    telemetry: Optional[Telemetry] = None,
                    transport_factory: Optional[TransportFactory] = None,
-                   use_region_cache: bool = False,
                    sanitize: Optional[bool] = None,
                    # Accepted, no effect: bench_e2e/workloads.py:260 passes it.
                    use_batch: bool = False
                    ) -> SimulationResult:
     """Replay the world's traces through ``strategy`` and score the run.
 
-    ``use_cell_cache`` enables the server's per-cell alarm cache (see
-    :class:`~repro.alarms.CellAlarmCache`) — identical results, less
-    index work per safe-region computation.  ``use_region_cache``
-    enables the cell-keyed safe-region memo (see
-    :class:`~repro.saferegion.cache.SafeRegionCache`) — identical
-    messages and bytes, fewer bitmap computations when many users share
-    cells.  ``transport_factory`` selects the link between the
-    strategy's client half and the server (default: the reliable
-    in-process transport; pass a :class:`~repro.protocol.transport.LossyTransport`
+    ``transport_factory`` selects the link between the strategy's
+    client half and the server (default: the reliable in-process
+    transport; pass a :class:`~repro.protocol.transport.LossyTransport`
     factory to simulate drops and retries).  ``profiler`` attaches
     per-phase wall-time accounting (see :mod:`repro.engine.profiling`);
     the report lands on ``result.profile``.  ``telemetry`` attaches the
@@ -469,6 +456,5 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     return run_session(world, strategy,
                        functools.partial(in_process_link,
                                          transport_factory=transport_factory),
-                       use_cell_cache=use_cell_cache,
-                       use_region_cache=use_region_cache, profiler=profiler,
-                       telemetry=telemetry, sanitize=sanitize)
+                       profiler=profiler, telemetry=telemetry,
+                       sanitize=sanitize)

@@ -149,17 +149,20 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
     vehicle_ids = world.traces.vehicle_ids()
     if max_vehicles is not None:
         vehicle_ids = vehicle_ids[:max_vehicles]
-    for vehicle_id in vehicle_ids:
-        trace = world.traces[vehicle_id]
-        client = ClientState(vehicle_id)
-        last_contact: Optional[float] = None
-        for sample in trace:
-            before = metrics.uplink_messages
-            strategy.on_sample(client, sample)
-            if metrics.uplink_messages > before:
-                if last_contact is not None:
-                    residences.append(sample.time - last_contact)
-                last_contact = sample.time
+    try:
+        for vehicle_id in vehicle_ids:
+            trace = world.traces[vehicle_id]
+            client = ClientState(vehicle_id)
+            last_contact: Optional[float] = None
+            for sample in trace:
+                before = metrics.uplink_messages
+                strategy.on_sample(client, sample)
+                if metrics.uplink_messages > before:
+                    if last_contact is not None:
+                        residences.append(sample.time - last_contact)
+                    last_contact = sample.time
+    finally:
+        server.close()  # detaches the memo from the world's registry
     if not residences:
         # a fully silent run: every region outlived its trace
         residences = [world.duration_s]

@@ -348,10 +348,17 @@ class AlarmDaemon:
             # which is already awaiting this task's orderly exit.
             clean = False
         finally:
-            await self._finish_connection(conn_id, queue, worker, writer,
-                                          clean, requests, error)
-            if task is not None:
-                self._conn_tasks.discard(task)
+            try:
+                await self._finish_connection(conn_id, queue, worker,
+                                              writer, clean, requests,
+                                              error)
+            except asyncio.CancelledError:
+                # aclose() caught this connection already tearing
+                # itself down; absorbed for the reason given above.
+                pass
+            finally:
+                if task is not None:
+                    self._conn_tasks.discard(task)
 
     def _decode_request(self, frame: Frame) -> Request:
         try:
@@ -393,10 +400,15 @@ class AlarmDaemon:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-        self._conn_queues.pop(conn_id, None)
-        telemetry = self.server.telemetry
-        if telemetry.enabled:
-            telemetry.net_conn_close(conn_id, clean, requests)
+        finally:
+            # Also on the CancelledError of an aclose() that finds the
+            # task parked in wait_closed: the connection is over either
+            # way, and a skipped close leaks the queue entry and leaves
+            # net_connections_closed one short of opened.
+            self._conn_queues.pop(conn_id, None)
+            telemetry = self.server.telemetry
+            if telemetry.enabled:
+                telemetry.net_conn_close(conn_id, clean, requests)
 
     # ------------------------------------------------------------------
     # Per-connection drain worker

@@ -57,20 +57,14 @@ class PyramidGeometry(NamedTuple):
 def bitmap_geometry_of(strategy: object) -> Optional[PyramidGeometry]:
     """The pyramid geometry a strategy's bitmap downlinks assume.
 
-    Returns ``None`` for strategies that never ship bitmaps.  Both
-    bitmap computers expose their shape: PBSR as ``fan``/``height``,
-    GBSR as a flat ``resolution``.
+    Returns ``None`` for strategies that never ship bitmaps.  The bitmap
+    computer exposes its shape as ``fan``/``height`` (GBSR is height 1).
     """
     computer = getattr(strategy, "computer", None)
-    if computer is None:
-        return None
     fan = getattr(computer, "fan", None)
     height = getattr(computer, "height", None)
     if fan is not None and height is not None:
         return PyramidGeometry(fan, fan, height)
-    resolution = getattr(computer, "resolution", None)
-    if resolution is not None:
-        return PyramidGeometry(resolution, resolution, 1)
     return None
 
 

@@ -13,14 +13,11 @@ in tests.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
 from ..alarms import AlarmRegistry
 from ..index import GridOverlay
-
-if TYPE_CHECKING:  # imported lazily at runtime (only when caching is on)
-    from ..alarms.cellcache import CellAlarmCache
-    from ..saferegion.cache import SafeRegionCache
+from ..saferegion.cache import SafeRegionCache
 
 
 class ServerState:
@@ -30,30 +27,21 @@ class ServerState:
     materializes on first touch; ``scratch`` is a namespaced dict for
     per-policy server-side memory (e.g. the rectangular policy's
     last-reported positions) so policies stay free of instance state;
-    the two caches are optional accelerators that subscribe to registry
-    mutations and must be detached at end of run — :meth:`close` does
-    that and is idempotent, so engine ``finally`` blocks and explicit
-    teardown can both call it safely.
+    ``region_cache`` is the §4.2 memo of public-alarm bitmaps, which
+    subscribes to registry mutations and must be detached at end of run
+    — :meth:`close` does that and is idempotent, so engine ``finally``
+    blocks and explicit teardown can both call it safely.
     """
 
-    __slots__ = ("registry", "grid", "fired", "cell_cache", "region_cache",
-                 "scratch", "_closed")
+    __slots__ = ("registry", "grid", "fired", "region_cache", "scratch",
+                 "_closed")
 
-    def __init__(self, registry: AlarmRegistry, grid: GridOverlay,
-                 use_cell_cache: bool = False,
-                 use_region_cache: bool = False) -> None:
+    def __init__(self, registry: AlarmRegistry, grid: GridOverlay) -> None:
         self.registry = registry
         self.grid = grid
         # One-shot bookkeeping: alarm ids already fired, per user.
         self.fired: Dict[int, Set[int]] = defaultdict(set)
-        self.cell_cache: Optional["CellAlarmCache"] = None
-        if use_cell_cache:
-            from ..alarms.cellcache import CellAlarmCache
-            self.cell_cache = CellAlarmCache(registry, grid)
-        self.region_cache: Optional["SafeRegionCache"] = None
-        if use_region_cache:
-            from ..saferegion.cache import SafeRegionCache
-            self.region_cache = SafeRegionCache(registry, grid)
+        self.region_cache = SafeRegionCache(registry)
         self.scratch: Dict[str, Any] = {}
         self._closed = False
 
@@ -70,10 +58,5 @@ class ServerState:
         if self._closed:
             return
         self._closed = True
-        if self.cell_cache is not None:
-            self.cell_cache.detach()
-            self.cell_cache = None
-        if self.region_cache is not None:
-            self.region_cache.detach()
-            self.region_cache = None
+        self.region_cache.detach()
         self.scratch.clear()

@@ -3,7 +3,6 @@
 from .base import (FLOAT_BITS, RectangularSafeRegion, SafeRegion,
                    region_is_safe)
 from .bitmap import BitmapSafeRegion, PyramidBitmap, decode_bitstring
-from .gbsr import GBSRComputer
 from .hu_baseline import HuBaselineComputer
 from .mwpsr import MWPSRComputer, MWPSRResult
 from .pbsr import PBSRComputer
@@ -16,7 +15,6 @@ __all__ = [
     "BitmapSafeRegion",
     "ClientMonitor",
     "FLOAT_BITS",
-    "GBSRComputer",
     "HuBaselineComputer",
     "MWPSRComputer",
     "MWPSRResult",

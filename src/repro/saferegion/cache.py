@@ -1,99 +1,84 @@
-"""Cell-keyed memo cache for bitmap (GBSR/PBSR) safe regions.
+"""The server's shared memo of public-alarm bitmap safe regions.
 
-The paper's §4 observation: a bitmap safe region depends only on the
-grid cell and the obstacle set carved out of it — not on which subscriber
-asked.  On a server with many users per cell, one computation can
-therefore serve every co-located subscriber whose *pending* alarm set
-over that cell is the same.  This cache memoizes computed bitmap regions
-under the key ``(cell, public alarm ids, personal alarm ids)``:
+The paper's §4.2 optimisation: "PBSR approach can be optimized by
+precomputing the bitmap at each level for public alarms".  The region
+public alarms carve out of a grid cell is the same for every
+subscriber, so it is state of the *cell*, not of whoever asked.  This
+memo holds it: one bitmap per ``(cell, pending public alarm ids)``,
+built on the first request and handed by reference to every later
+subscriber whose pending set over the cell is exactly those alarms.
 
-* the **cell id** scopes the geometry;
-* the **alarm-id fingerprints** capture everything the region depends
-  on.  Per-user divergence — a subscriber who already fired one of the
-  cell's alarms, or who owns private alarms there — lands on a different
-  fingerprint and misses, so sharing never leaks another user's region.
-
-Consistency with alarm churn mirrors
-:class:`~repro.alarms.cellcache.CellAlarmCache`: the cache subscribes to
-the registry's mutation hooks and drops exactly the cells an install /
-removal / relocation touches.  Hit/miss totals surface as ``Metrics``
-fields and ``MetricsRegistry`` counters so ``repro report`` reconciles
-them like every other instrument.
+* Only **public-only** pending sets are memoised.  A subscriber with a
+  private or shared alarm pending in the cell gets a fresh build that
+  never enters the memo, so a region carved from someone's private
+  alarm cannot be shared — by construction, not by fingerprint.
+* A subscriber who already fired one of the cell's public alarms has a
+  smaller pending set, hence a different key and its own entry.
+* The key names every alarm its region was carved from, so an *install*
+  can stale nothing (the new alarm's id is in no existing key) and only
+  the removal or relocation of a named alarm can.  The memo subscribes
+  to the registry's mutation hook and drops exactly those entries,
+  found through an index by alarm id — not through the grid, whose
+  ``cell_of`` and ``cell_rect`` can disagree by an ulp about which cell
+  an edge on a boundary belongs to.  It is therefore bounded by cells ×
+  live public pending sets and needs no capacity limit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..alarms import AlarmRegistry, SpatialAlarm
+from ..alarms import AlarmRegistry
 from ..geometry import Rect
-from ..index import CellId, GridOverlay
+from ..index import CellId
 from .bitmap import BitmapSafeRegion
 
-#: (cell, sorted public alarm ids, sorted personal alarm ids)
-CacheKey = Tuple[CellId, Tuple[int, ...], Tuple[int, ...]]
-
-
-def fingerprint(cell: CellId, public: Iterable[SpatialAlarm],
-                personal: Iterable[SpatialAlarm]) -> CacheKey:
-    """The memo key of a bitmap computation's full input."""
-    return (cell,
-            tuple(sorted(alarm.alarm_id for alarm in public)),
-            tuple(sorted(alarm.alarm_id for alarm in personal)))
+#: (cell, ids of the pending public alarms the region was carved from,
+#: ascending)
+MemoKey = Tuple[CellId, Tuple[int, ...]]
 
 
 class SafeRegionCache:
-    """Memoized bitmap safe regions over a fixed grid.
+    """Memoised public-alarm bitmap regions, consistent under alarm churn.
 
-    Plug into the server's bitmap path by consulting :meth:`lookup`
-    before computing and calling :meth:`store` after; the regions
-    themselves are immutable (the bitmap types expose only probes), so
-    a cached region is shared by reference, never copied.
+    The regions are immutable (the bitmap types expose only probes), so
+    a memoised region is shared by reference, never copied.
     """
 
-    def __init__(self, registry: AlarmRegistry, grid: GridOverlay) -> None:
+    def __init__(self, registry: AlarmRegistry) -> None:
         self.registry = registry
-        self.grid = grid
-        self._regions: Dict[CacheKey, BitmapSafeRegion] = {}
-        self.hits = 0
-        self.misses = 0
+        self._regions: Dict[MemoKey, BitmapSafeRegion] = {}
+        #: alarm id -> the held keys that name it
+        self._naming: Dict[int, Set[MemoKey]] = {}
         registry.add_listener(self._on_mutation)
 
-    # ------------------------------------------------------------------
-    def lookup(self, key: CacheKey) -> Optional[BitmapSafeRegion]:
-        """The memoized region for ``key``, counting the hit or miss."""
-        region = self._regions.get(key)
-        if region is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return region
+    def lookup(self, key: MemoKey) -> Optional[BitmapSafeRegion]:
+        """The memoised region for ``key``, or ``None``."""
+        return self._regions.get(key)
 
-    def store(self, key: CacheKey, region: BitmapSafeRegion) -> None:
-        """Memoize a freshly computed region under its input key."""
+    def store(self, key: MemoKey, region: BitmapSafeRegion) -> None:
+        """Memoise a freshly built region under the alarms it names."""
         self._regions[key] = region
+        for alarm_id in key[1]:
+            self._naming.setdefault(alarm_id, set()).add(key)
 
-    # ------------------------------------------------------------------
     def _on_mutation(self, alarm_id: int, old_region: Optional[Rect],
                      new_region: Optional[Rect]) -> None:
-        """Registry hook: drop the cells an alarm change touches."""
-        stale = set()
-        for region in (old_region, new_region):
-            if region is None:
-                continue
-            stale.update(self.grid.cells_intersecting(region))
-        if stale:
-            self._regions = {key: value
-                             for key, value in self._regions.items()
-                             if key[0] not in stale}
-
-    def invalidate_all(self) -> None:
-        self._regions.clear()
+        """Registry hook: drop the entries naming a removed or moved alarm."""
+        if old_region is None:  # an install: its id is in no key yet
+            return
+        for key in self._naming.pop(alarm_id, ()):
+            del self._regions[key]
+            for other_id in key[1]:
+                if other_id != alarm_id:
+                    self._naming[other_id].discard(key)
 
     def detach(self) -> None:
-        """Unsubscribe from the registry (end-of-run cleanup)."""
+        """Unsubscribe from the registry and drop every entry (end of run)."""
         self.registry.remove_listener(self._on_mutation)
+        self._regions.clear()
+        self._naming.clear()
 
-    @property
-    def cached_regions(self) -> int:
-        return len(self._regions)
+    def entries(self) -> Dict[MemoKey, BitmapSafeRegion]:
+        """A snapshot of what is held (inspection and tests)."""
+        return dict(self._regions)

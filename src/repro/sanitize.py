@@ -3,7 +3,7 @@
 The static analyzers (:mod:`repro.lintkit`, :mod:`repro.analysis`)
 prove what they can see; the sanitizer guards the residue at runtime.
 Enabled via ``repro simulate --sanitize`` or ``REPRO_SANITIZE=1``, it
-installs four invariant checks at simulation start:
+installs five invariant checks at simulation start:
 
 * **frozen geometry** — the alarm registry's regions are snapshotted
   at run start and compared at run end; any mutation (however it
@@ -13,6 +13,10 @@ installs four invariant checks at simulation start:
 * **wire fidelity** — the default transport is replaced by the
   verifying in-process transport, which encodes every message and
   asserts ``size_bits == 8 * len(encode(...))``;
+* **shared regions** — every bitmap the server hands out of its
+  public-alarm memo (:mod:`repro.saferegion.cache`) is rebuilt from the
+  subscriber's own pending alarms and compared bit for bit: sharing
+  must never leak another user's region or outlive an alarm's move;
 * **merge associativity** — the parallel engine's merged metrics are
   recomputed under a different fold order and compared, spot-checking
   the :meth:`~repro.engine.metrics.Metrics.merged` contract.
@@ -55,6 +59,7 @@ if TYPE_CHECKING:  # typing only: keeps this module import-light
     from .engine.metrics import Metrics
     from .protocol.messages import Response
     from .protocol.wire import WireCodec
+    from .saferegion.bitmap import BitmapSafeRegion
 
 #: Environment variable consulted when no explicit flag is passed;
 #: any value other than empty or ``"0"`` enables the sanitizer.
@@ -158,6 +163,22 @@ class Sanitizer:
                 "wire accounting drift: size_of_response says %d bytes "
                 "(%d bits) but encode_response produced %d bytes"
                 % (size, 8 * size, len(encoded)))
+
+    def check_shared_region(self, user_id: int, key: object,
+                            shared: "BitmapSafeRegion",
+                            own: "BitmapSafeRegion") -> None:
+        """Assert a memoised region is the one the subscriber is owed.
+
+        ``shared`` came out of the server's public-alarm memo; ``own``
+        was built afresh from this subscriber's pending alarms.  A
+        difference means the memo leaked another user's region or kept
+        one past a removal or relocation that staled it.
+        """
+        if shared.bitmap.to_bitstring() != own.bitmap.to_bitstring():
+            raise SanitizerError(
+                "shared safe region %r handed to client %d differs from "
+                "a fresh build over its own pending alarms"
+                % (key, user_id))
 
     def check_frame(self, direction: str, payload_bytes: int,
                     charged_bytes: int) -> None:
@@ -308,6 +329,11 @@ class _DisabledSanitizer(Sanitizer):
 
     def check_wire(self, codec: "WireCodec",
                    message: "Response") -> None:
+        return
+
+    def check_shared_region(self, user_id: int, key: object,
+                            shared: "BitmapSafeRegion",
+                            own: "BitmapSafeRegion") -> None:
         return
 
     def check_frame(self, direction: str, payload_bytes: int,

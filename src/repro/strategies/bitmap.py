@@ -22,24 +22,21 @@ The frequent reports from unsafe areas are exactly why coarse bitmaps
 rectangular strategies' message counts at higher client energy — the
 trade-off of Fig. 5.
 
-**Computation sharing** (paper §4): a bitmap depends only on the cell
-and the pending alarm set over it — not on which subscriber asked — so
-with the server's region cache enabled
-(``AlarmServer(use_region_cache=True)``) the policy consults the
-cell-keyed memo before computing and stores what it computes.  Per-user
-divergence (already-fired alarms, private alarms) lands on a different
-fingerprint and misses, so sharing never leaks another user's region;
-message and byte totals are unchanged because caching short-circuits
-only the *computation*, never the downlink.
+**Computation sharing** (paper §4.2): the region public alarms carve
+out of a cell is the same for every subscriber, so a subscriber whose
+pending alarms in the cell are all public is served from the server's
+memo (:mod:`repro.saferegion.cache`), keyed by the cell and exactly
+those alarm ids; one with a private or shared alarm pending there gets
+a fresh build that is never shared.  Message and byte totals do not
+depend on which happened: sharing short-circuits only the
+*computation*, never the downlink.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, List, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..alarms import AlarmScope, SpatialAlarm
-from ..geometry import Rect
 from ..index import CellId
 from ..mobility import TraceSample
 from ..protocol.handlers import ServerPolicy
@@ -47,24 +44,14 @@ from ..protocol.messages import (InstallSafeRegion, Request, Response,
                                  ServerReply)
 from ..protocol.wire import pack_cell_ref, unpack_cell_ref
 from ..saferegion import BitmapSafeRegion, PBSRComputer
-from ..saferegion.cache import fingerprint
 from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
     from ..engine.server import AlarmServer
 
 
-class BitmapComputer(Protocol):
-    """Structural interface of GBSR/PBSR safe-region computers."""
-
-    def compute(self, cell: Rect, public_obstacles: Sequence[Rect],
-                personal_obstacles: Sequence[Rect] = ()
-                ) -> BitmapSafeRegion:
-        ...
-
-
 class BitmapPolicy(ServerPolicy):
-    """Server half of GBSR/PBSR: cell bitmaps, with optional sharing."""
+    """Server half of GBSR/PBSR: cell bitmaps, public ones shared."""
 
     #: ``ServerState.scratch`` key mapping user id -> the cell id whose
     #: bitmap that user currently holds (needed on the quick-update
@@ -72,7 +59,7 @@ class BitmapPolicy(ServerPolicy):
     #: position, which may sit on a shared boundary — must be rebuilt).
     SCRATCH_KEY = "bitmap.installed_cell"
 
-    def __init__(self, computer: BitmapComputer) -> None:
+    def __init__(self, computer: PBSRComputer) -> None:
         self.computer = computer
 
     def on_region_exit(self, server: "AlarmServer", request: Request,
@@ -101,28 +88,28 @@ class BitmapPolicy(ServerPolicy):
     # ------------------------------------------------------------------
     def _build(self, server: "AlarmServer", user_id: int, time_s: float,
                cell_id: CellId) -> InstallSafeRegion:
-        """The install message for one cell's bitmap, memo-aware.
+        """The install message for one cell's bitmap.
 
-        The pending-alarm lookup is timed into the safe-region bucket
-        but does not count a computation (``count=False``): on a cache
-        hit no region is actually computed, and on a miss the counting
-        context around the computation proper increments exactly once —
-        so ``safe_region_computations`` measures real work with or
-        without the cache, while message accounting is untouched.
+        One safe region served, timed and counted as one, whether the
+        bitmap was built for this subscriber or shared.
         """
         cell = server.grid.cell_rect(cell_id)
-        with server.timed_saferegion(count=False):
+        with server.timed_saferegion(user_id, time_s):
             pending = server.pending_alarms_in(user_id, cell)
-            public, personal = _split_by_scope(pending)
-        key = fingerprint(cell_id, public, personal)
-        region = server.cached_region(user_id, time_s, key)
-        if region is None:
-            with server.timed_saferegion(user_id, time_s):
+
+            def build() -> BitmapSafeRegion:
                 with server.profiled("saferegion_compute"):
-                    region = self.computer.compute(
-                        cell, [alarm.region for alarm in public],
-                        [alarm.region for alarm in personal])
-            server.store_region(key, region)
+                    return self.computer.compute(
+                        cell, [alarm.region for alarm in pending])
+
+            if all(alarm.scope is AlarmScope.PUBLIC for alarm in pending):
+                # pending is in id order, so the ids are the memo key
+                region = server.shared_region(
+                    user_id, time_s,
+                    (cell_id, tuple(alarm.alarm_id for alarm in pending)),
+                    build)
+            else:
+                region = build()
         return InstallSafeRegion(
             cell_ref=pack_cell_ref(cell_id.col, cell_id.row),
             bitmap=region.bitmap)
@@ -131,13 +118,11 @@ class BitmapPolicy(ServerPolicy):
 class BitmapSafeRegionStrategy(ProcessingStrategy):
     """Safe region-based processing with pyramid bitmaps.
 
-    ``computer`` must provide ``compute(cell, public_obstacles,
-    personal_obstacles)`` — :class:`~repro.saferegion.PBSRComputer` (any
-    height; height 1 is the GBSR configuration) or
-    :class:`~repro.saferegion.GBSRComputer`.
+    ``computer`` is a :class:`~repro.saferegion.PBSRComputer` of any
+    height; height 1 is the GBSR configuration.
     """
 
-    def __init__(self, computer: Optional[BitmapComputer] = None,
+    def __init__(self, computer: Optional[PBSRComputer] = None,
                  name: str = "PBSR") -> None:
         self.computer = computer if computer is not None else PBSRComputer()
         self.name = name
@@ -178,16 +163,3 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
                     CellId(col, row))
                 client.safe_region = BitmapSafeRegion(message.bitmap)
                 self._mark_region_installed(client, sample.time)
-
-
-def _split_by_scope(alarms: List[SpatialAlarm]
-                    ) -> Tuple[List[SpatialAlarm], List[SpatialAlarm]]:
-    """Partition pending alarms into (public, private/shared) lists."""
-    public: List[SpatialAlarm] = []
-    personal: List[SpatialAlarm] = []
-    for alarm in alarms:
-        if alarm.scope is AlarmScope.PUBLIC:
-            public.append(alarm)
-        else:
-            personal.append(alarm)
-    return public, personal

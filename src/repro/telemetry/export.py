@@ -39,8 +39,6 @@ RECONCILE_COUNTERS = (
     ("downlink_bytes", "downlink_bytes"),
     ("alarms_fired", "trigger_notifications"),
     ("saferegion_computations", "safe_region_computations"),
-    ("saferegion_cache_hits", "saferegion_cache_hits"),
-    ("saferegion_cache_misses", "saferegion_cache_misses"),
     ("containment_checks", "containment_checks"),
     ("containment_ops", "containment_ops"),
     ("uplink_drops", "uplink_drops"),

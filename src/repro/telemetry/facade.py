@@ -164,15 +164,16 @@ class Telemetry:
                          hit: bool) -> None:
         """The shared safe-region memo answered (or missed) one lookup.
 
-        Registry-only, like :meth:`index_fanout`: the hit/miss totals
-        reconcile against the ``Metrics`` cache fields, and per-lookup
-        events would only duplicate the ``saferegion_computed`` stream
-        (every miss is followed by exactly one computation).
+        Registry-only, with no ``Metrics`` twin.  Not deterministic in
+        the cross-engine sense: each shard fills a memo of its own, so
+        a sharded run misses where the serial run hit.  What both agree
+        on is regions *served* (``saferegion_computations``).
         """
         if not self.enabled:
             return
         self.registry.counter("saferegion_cache_hits" if hit
-                              else "saferegion_cache_misses").inc()
+                              else "saferegion_cache_misses",
+                              deterministic=False).inc()
 
     def probe(self, ops: int) -> None:
         """One client containment check of ``ops`` comparisons.

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alarms import (AlarmRegistry, AlarmScope, CellAlarmCache,
-                          SpatialAlarm, install_clustered_alarms,
-                          install_random_alarms)
+from repro.alarms import (AlarmRegistry, AlarmScope, SpatialAlarm,
+                          install_clustered_alarms, install_random_alarms)
 from repro.geometry import Point, Rect
-from repro.index import GridOverlay
 
 UNIVERSE = Rect(0, 0, 10000, 10000)
 
@@ -215,14 +213,9 @@ class TestInstallAll:
 
     def test_listeners_see_the_same_notifications_in_order(self):
         population = drafts(120, seed=14)
-        grid = GridOverlay(UNIVERSE, 4.0)
         seen = {}
-        caches = {}
         for name in ("packed", "grown"):
             registry = AlarmRegistry()
-            caches[name] = CellAlarmCache(registry, grid)
-            for cell in grid.cells_intersecting(UNIVERSE):
-                caches[name].relevant_pending(0, cell)  # fill, then mutate
             seen[name] = []
             registry.add_listener(
                 lambda *event, log=seen[name]: log.append(event))
@@ -235,11 +228,6 @@ class TestInstallAll:
                                      label=draft.label)
         assert seen["packed"] == seen["grown"]
         assert [event[0] for event in seen["packed"]] == list(range(120))
-        for cell in grid.cells_intersecting(UNIVERSE):
-            fresh = caches["packed"].registry.relevant_intersecting(
-                3, grid.cell_rect(cell))
-            assert caches["packed"].relevant_pending(3, cell) == fresh
-            assert caches["grown"].relevant_pending(3, cell) == fresh
 
     def test_non_empty_registry_takes_the_dynamic_path(self):
         registry = AlarmRegistry()

@@ -7,7 +7,7 @@ class Sink:
     def emit(self, kind):
         pass
 
-    def counter(self, name):
+    def counter(self, name, deterministic=True):
         pass
 
 
@@ -17,3 +17,4 @@ def run(sink, dynamic):
     sink.emit(dynamic)      # not statically resolvable
     sink.counter("tracked")  # reconciled: fine
     sink.counter("orphan")   # no reconciliation table covers it
+    sink.counter("jittery", deterministic=False)  # exempt: nothing to match

@@ -92,6 +92,8 @@ class TestPA002:
         assert "'orphan' is incremented but no" in joined
         assert "'phantom' but nothing increments" in joined
         assert "undeclared event kind 'ghost_kind'" in joined
+        # counter(..., deterministic=False) has nothing to reconcile to
+        assert "jittery" not in joined
 
 
 class TestPA003:

@@ -125,18 +125,6 @@ class TestShardedEqualsSerial:
         computes = sharded.profile["saferegion_compute"]["calls"]
         assert computes == serial.metrics.safe_region_computations
 
-    def test_cell_cache_identical_up_to_index_accesses(self, world):
-        """Per-shard cell caches refill per worker: only node accesses move."""
-        serial = run_simulation(world, _mwpsr(), use_cell_cache=True)
-        sharded = run_parallel_simulation(world, _mwpsr, workers=2,
-                                          use_cell_cache=True)
-        serial_counters = serial.metrics.counters()
-        sharded_counters = sharded.metrics.counters()
-        serial_counters.pop("index_node_accesses")
-        sharded_counters.pop("index_node_accesses")
-        assert sharded_counters == serial_counters
-        assert sharded.metrics.triggers == serial.metrics.triggers
-
 
 # ----------------------------------------------------------------------
 # Sharding plumbing

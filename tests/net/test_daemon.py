@@ -189,6 +189,51 @@ class TestSanitizedServing:
         with pytest.raises(SanitizerError, match="event loop stalled"):
             asyncio.run(scenario())
 
+    def test_cancel_parked_in_wait_closed_still_closes_the_books(
+            self, monkeypatch):
+        """aclose() can find a connection already tearing itself down
+        and cancel it parked in ``wait_closed`` (the socket teardown
+        flake): the close bookkeeping must run all the same — no queue
+        entry left behind, closed == opened, every span closed."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+        async def scenario():
+            parked = asyncio.Event()
+
+            async def never_closed(_writer):
+                parked.set()
+                await asyncio.Event().wait()  # until cancelled
+
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                                never_closed)
+            telemetry = Telemetry.capture()
+            daemon = make_daemon(telemetry=telemetry)
+            port = await daemon.start_tcp("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(encode_frame(FrameKind.HELLO, encode_hello())
+                         + encode_frame(
+                             FrameKind.REQUEST,
+                             daemon.codec.encode_request(make_report()),
+                             1.0, trace_id=7, span_id=1))
+            decoder = FrameDecoder()
+            while not any(frame.kind is FrameKind.REPLY
+                          for frame in decoder.feed(
+                              await reader.read(1 << 16))):
+                pass
+            writer.close()  # EOF: the server side starts its teardown
+            await asyncio.wait_for(parked.wait(), 5.0)
+            await daemon.aclose()  # cancels the task parked above
+            return daemon, telemetry.registry
+
+        daemon, registry = asyncio.run(scenario())
+        assert daemon._conn_queues == {}
+        assert daemon._conn_tasks == set()
+        assert registry.counter("net_connections_opened").value == 1
+        assert registry.counter("net_connections_closed").value == 1
+        assert registry.counter("spans_opened").value \
+            == registry.counter("spans_closed").value > 0
+
     def test_untracked_daemon_task_is_reported_as_leak(self):
         """A daemon-module task that dodges the registries trips the
         task-leak check when aclose scans for survivors."""

@@ -1,11 +1,10 @@
 """ServerState: the one place server-side mutability lives."""
 
-import pytest
-
 from repro.alarms import AlarmRegistry, AlarmScope
 from repro.geometry import Rect
 from repro.index import GridOverlay
 from repro.protocol.state import ServerState
+from repro.saferegion.cache import SafeRegionCache
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
 
@@ -16,8 +15,8 @@ def _registry():
     return registry
 
 
-def _state(**kwargs):
-    return ServerState(_registry(), GridOverlay(UNIVERSE, 1.0), **kwargs)
+def _state():
+    return ServerState(_registry(), GridOverlay(UNIVERSE, 1.0))
 
 
 class TestFired:
@@ -37,7 +36,7 @@ class TestFired:
 
 class TestClose:
     def test_idempotent(self):
-        state = _state(use_cell_cache=True, use_region_cache=True)
+        state = _state()
         assert not state.closed
         state.close()
         assert state.closed
@@ -45,13 +44,15 @@ class TestClose:
         assert state.closed
 
     def test_detaches_caches(self):
-        state = _state(use_cell_cache=True, use_region_cache=True)
+        state = _state()
         registry = state.registry
+        assert registry._listeners == [state.region_cache._on_mutation]
         state.close()
-        assert state.cell_cache is None
-        assert state.region_cache is None
-        # A detached cache no longer listens: mutations must not call it.
+        # A detached memo no longer listens: the registry is left as the
+        # run found it, and later mutations reach nobody.
+        assert registry._listeners == []
         registry.install(Rect(300, 300, 400, 400), AlarmScope.PUBLIC, 1)
+        assert state.region_cache.entries() == {}
 
     def test_scratch_cleared(self):
         state = _state()
@@ -59,7 +60,7 @@ class TestClose:
         state.close()
         assert state.scratch == {}
 
-    def test_caches_off_by_default(self):
+    def test_memo_on_without_a_flag(self):
         state = _state()
-        assert state.cell_cache is None
-        assert state.region_cache is None
+        assert isinstance(state.region_cache, SafeRegionCache)
+        assert state.region_cache.entries() == {}

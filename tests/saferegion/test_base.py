@@ -57,57 +57,3 @@ class TestRegionIsSafe:
         region = Rect(0, 0, 10.5, 10)
         assert region_is_safe(region, [Rect(10, 0, 20, 10)], tolerance=1.0)
 
-
-class TestPBSRComputerCache:
-    def test_cache_hit_for_identical_public_sets(self):
-        from repro.saferegion import PBSRComputer
-
-        computer = PBSRComputer(height=2)
-        cell = Rect(0, 0, 900, 900)
-        obstacles = [Rect(100, 100, 200, 200)]
-        first = computer.compute(cell, obstacles)
-        second = computer.compute(cell, obstacles)
-        assert second is first  # the shared region object is reused
-        assert computer.cache_hits == 1
-
-    def test_cache_bypassed_for_personal_obstacles(self):
-        from repro.saferegion import PBSRComputer
-
-        computer = PBSRComputer(height=2)
-        cell = Rect(0, 0, 900, 900)
-        public = [Rect(100, 100, 200, 200)]
-        personal = [Rect(400, 400, 500, 500)]
-        shared = computer.compute(cell, public)
-        personalized = computer.compute(cell, public, personal)
-        assert personalized is not shared
-        # the personalized region excludes the personal alarm's area
-        assert personalized.bitmap.coverage() < shared.bitmap.coverage()
-
-    def test_cache_miss_on_different_public_sets(self):
-        from repro.saferegion import PBSRComputer
-
-        computer = PBSRComputer(height=2)
-        cell = Rect(0, 0, 900, 900)
-        computer.compute(cell, [Rect(100, 100, 200, 200)])
-        computer.compute(cell, [Rect(300, 300, 400, 400)])
-        assert computer.cache_misses == 2
-
-    def test_clear_cache(self):
-        from repro.saferegion import PBSRComputer
-
-        computer = PBSRComputer(height=2)
-        cell = Rect(0, 0, 900, 900)
-        computer.compute(cell, [])
-        computer.clear_cache()
-        assert computer.cache_hits == 0
-        computer.compute(cell, [])
-        assert computer.cache_misses == 1
-
-    def test_share_disabled(self):
-        from repro.saferegion import PBSRComputer
-
-        computer = PBSRComputer(height=2, share_public=False)
-        cell = Rect(0, 0, 900, 900)
-        first = computer.compute(cell, [])
-        second = computer.compute(cell, [])
-        assert first is not second

@@ -29,7 +29,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_sizing_a_bitmap_downlink_does_no_pyramid_work(monkeypatch):
-    region = PBSRComputer(height=5, share_public=False).compute(CELL, ALARMS)
+    region = PBSRComputer(height=5).compute(CELL, ALARMS)
     message = InstallSafeRegion(cell_ref=pack_cell_ref(1, 2),
                                 bitmap=region.bitmap)
     codec = WireCodec()

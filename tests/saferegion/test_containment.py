@@ -101,8 +101,7 @@ class TestWireTrueEquivalence:
         metrics = Metrics()
         server = AlarmServer(registry, grid, metrics, MessageSizes())
         if use_bitmap:
-            strategy = BitmapSafeRegionStrategy(
-                PBSRComputer(height=3, share_public=False))
+            strategy = BitmapSafeRegionStrategy(PBSRComputer(height=3))
         else:
             strategy = RectangularSafeRegionStrategy(
                 MWPSRComputer(SteadyMotionModel(1, 8)))

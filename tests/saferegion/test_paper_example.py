@@ -18,7 +18,7 @@ import pytest
 
 from repro.geometry import Rect
 from repro.index import Pyramid
-from repro.saferegion import GBSRComputer, PBSRComputer, PyramidBitmap
+from repro.saferegion import PBSRComputer, PyramidBitmap
 
 from .oracle import build_pyramid_bitmap
 
@@ -84,17 +84,16 @@ class TestFig3Counts:
 
 class TestComputersOnExample:
     def test_gbsr_computer(self):
-        region = GBSRComputer(resolution=3).compute(CELL, ALARMS)
+        region = PBSRComputer(height=1, fan=3).compute(CELL, ALARMS)
         assert region.size_bits() == 10
+        fine = PBSRComputer(height=1, fan=9).compute(CELL, ALARMS)
+        assert fine.size_bits() == 82  # Fig. 3(c)
 
     def test_pbsr_computer(self):
-        region = PBSRComputer(height=2, share_public=False).compute(
-            CELL, ALARMS)
+        region = PBSRComputer(height=2).compute(CELL, ALARMS)
         assert region.size_bits() == 64
 
     def test_coverage_improves_with_height(self):
-        shallow = PBSRComputer(height=1, share_public=False).compute(
-            CELL, ALARMS)
-        deep = PBSRComputer(height=4, share_public=False).compute(
-            CELL, ALARMS)
+        shallow = PBSRComputer(height=1).compute(CELL, ALARMS)
+        deep = PBSRComputer(height=4).compute(CELL, ALARMS)
         assert deep.bitmap.coverage() > shallow.bitmap.coverage()

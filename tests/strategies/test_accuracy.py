@@ -11,7 +11,7 @@ import pytest
 
 from repro.engine import run_simulation
 from repro.mobility import SteadyMotionModel, UniformMotionModel
-from repro.saferegion import GBSRComputer, MWPSRComputer, PBSRComputer
+from repro.saferegion import MWPSRComputer, PBSRComputer
 from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               PeriodicStrategy,
                               RectangularSafeRegionStrategy,
@@ -32,7 +32,8 @@ def all_strategies(world):
             name="MWPSR-x"),
         BitmapSafeRegionStrategy(PBSRComputer(height=1), name="GBSR"),
         BitmapSafeRegionStrategy(PBSRComputer(height=4), name="PBSR4"),
-        BitmapSafeRegionStrategy(GBSRComputer(resolution=5), name="GBSR5"),
+        BitmapSafeRegionStrategy(PBSRComputer(height=1, fan=5),
+                                 name="GBSR5"),
         OptimalStrategy(),
     ]
 

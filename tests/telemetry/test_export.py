@@ -65,8 +65,8 @@ class TestReconcile:
         result = reconcile(read_trace(path))
         assert result["ok"] is True
         assert all(entry["ok"] for entry in result["checks"])
-        # 29 = the 10 original counter checks, the transport-drop and
-        # safe-region-cache counters added with the protocol layer, the
+        # 27 = the 10 original counter checks, the transport-drop
+        # counters added with the protocol layer, the
         # registry-vs-event exit check and the per-kind downlink
         # prefix-sum check added with the contract analyzer, the four
         # net_* serving-path pairs added with the socket daemon, the
@@ -75,7 +75,7 @@ class TestReconcile:
         # stages) added with the distributed-tracing layer (all 0 == 0
         # on a trace with no network serving, like this one), and the
         # two client probe counters (containment_checks/_ops).
-        assert len(result["checks"]) == 29
+        assert len(result["checks"]) == 27
 
     def test_dropped_event_breaks_reconciliation(self, tmp_path):
         path = tmp_path / "t.jsonl"
