@@ -67,9 +67,9 @@ class PerClientStrategy(ProcessingStrategy):
         for strategy in self.strategies.values():
             strategy.attach(session)
 
-    def on_sample(self, client, sample):
-        self.strategies[self.assign(client.user_id)].on_sample(client,
-                                                               sample)
+    def advance(self, client, trace, start, stop):
+        strategy = self.strategies[self.assign(client.user_id)]
+        return strategy.advance(client, trace, start, stop)
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,9 @@ strategy = PerClientStrategy(device_class, {
 # Per-class accounting.  Uplinks are counted where they actually cross:
 # a custom transport (every request carries its user id).  Probe work is
 # counted by wrapping each class strategy's _charge_probe — dispatch is
-# per class, so each instance's probes belong to exactly one class.
+# per class, so each instance's probes belong to exactly one class — and
+# fixes by what each advance() call consumed: a client's whole silent
+# run, and the fix that ended it, is one call.
 # ----------------------------------------------------------------------
 per_class = defaultdict(lambda: {"uplinks": 0, "ops": 0, "fixes": 0})
 
@@ -132,21 +134,22 @@ class ClassCountingTransport(InProcessTransport):
 
 
 for class_name, class_strategy in strategy.strategies.items():
-    def charge(ops, _bucket=per_class[class_name],
+    def charge(ops, checks=1, _bucket=per_class[class_name],
                _charge=class_strategy._charge_probe):
         _bucket["ops"] += ops
-        _charge(ops)
+        _charge(ops, checks)
     class_strategy._charge_probe = charge
 
-original_on_sample = strategy.on_sample
+original_advance = strategy.advance
 
 
-def counting_on_sample(client, sample):
-    per_class[device_class(client.user_id)]["fixes"] += 1
-    original_on_sample(client, sample)
+def counting_advance(client, trace, start, stop):
+    reached = original_advance(client, trace, start, stop)
+    per_class[device_class(client.user_id)]["fixes"] += reached - start
+    return reached
 
 
-strategy.on_sample = counting_on_sample
+strategy.advance = counting_advance
 
 result = run_simulation(world, strategy,
                         transport_factory=ClassCountingTransport)

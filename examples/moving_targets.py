@@ -18,6 +18,8 @@ and MWPSR safe regions — all verified against the moving ground truth.
 Run:  python examples/moving_targets.py
 """
 
+import math
+
 from repro import (AlarmRegistry, AlarmScope, GridOverlay, MWPSRComputer,
                    MobilityConfig, NetworkConfig, PeriodicStrategy,
                    RectangularSafeRegionStrategy, Rect, SafePeriodStrategy,
@@ -51,8 +53,9 @@ encounters = sorted((when, user) for (user, _), when in expected.items()
                     if user != 0)
 print("The bus drove %.1f km in %d minutes; %d of %d cars came within "
       "250 m of it.\n"
-      % (sum(a.position.distance_to(b.position)
-             for a, b in zip(bus_trace.samples, bus_trace.samples[1:]))
+      % (sum(math.hypot(x1 - x0, y1 - y0)
+             for x0, y0, x1, y1 in zip(bus_trace.xs, bus_trace.ys,
+                                       bus_trace.xs[1:], bus_trace.ys[1:]))
          / 1000.0, bus_trace.duration // 60, len(encounters),
          len(traces) - 1))
 for when, user in encounters:

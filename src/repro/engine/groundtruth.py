@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
 from ..geometry import Rect
-from ..mobility import Trace, TraceSample, TraceSet
+from ..mobility import Trace, TraceSet
 from .metrics import Metrics
 
 TriggerKey = Tuple[int, int]  # (user_id, alarm_id)
@@ -35,8 +35,8 @@ TriggerKey = Tuple[int, int]  # (user_id, alarm_id)
 CHUNK_SAMPLES = 32
 
 
-#: A trace cut for the sweep: per chunk, its bounding box and samples.
-_Chunks = List[Tuple[float, float, float, float, Sequence[TraceSample]]]
+#: A trace cut for the sweep: the bounding box of each chunk of fixes.
+_Chunks = List[Tuple[float, float, float, float]]
 
 #: An alarm as it stood — where it stood — over steps ``[from, to)``.
 Lifetime = Tuple[SpatialAlarm, int, int]
@@ -45,28 +45,27 @@ Lifetime = Tuple[SpatialAlarm, int, int]
 def _chunked(trace: Trace) -> _Chunks:
     chunks = []
     for start in range(0, len(trace), CHUNK_SAMPLES):
-        chunk = trace.samples[start:start + CHUNK_SAMPLES]
-        xs = [sample.position.x for sample in chunk]
-        ys = [sample.position.y for sample in chunk]
-        chunks.append((min(xs), min(ys), max(xs), max(ys), chunk))
+        xs = trace.xs[start:start + CHUNK_SAMPLES]
+        ys = trace.ys[start:start + CHUNK_SAMPLES]
+        chunks.append((min(xs), min(ys), max(xs), max(ys)))
     return chunks
 
 
-def _first_inside(chunks: _Chunks, region: Rect, begin: int,
-                  end: int) -> Optional[TraceSample]:
-    """The first of samples ``[begin, end)`` strictly inside ``region``."""
+def _first_inside(trace: Trace, chunks: _Chunks, region: Rect, begin: int,
+                  end: int) -> Optional[float]:
+    """Time of the first of fixes ``[begin, end)`` strictly inside
+    ``region``."""
     x0, y0, x1, y1 = region.min_x, region.min_y, region.max_x, region.max_y
+    xs, ys = trace.xs, trace.ys
     for index in range(begin // CHUNK_SAMPLES, -(-end // CHUNK_SAMPLES)):
-        cx0, cy0, cx1, cy1, chunk = chunks[index]
+        cx0, cy0, cx1, cy1 = chunks[index]
         if not (x0 < cx1 and cx0 < x1 and y0 < cy1 and cy0 < y1):
             continue
         base = index * CHUNK_SAMPLES
-        if begin > base or end < base + CHUNK_SAMPLES:
-            chunk = chunk[max(begin - base, 0):end - base]
-        for sample in chunk:
-            if (x0 < sample.position.x < x1
-                    and y0 < sample.position.y < y1):
-                return sample
+        for fix in range(max(begin, base),
+                         min(end, base + CHUNK_SAMPLES)):
+            if x0 < xs[fix] < x1 and y0 < ys[fix] < y1:
+                return trace.times[fix]
     return None
 
 
@@ -85,9 +84,9 @@ def compute_ground_truth(registry: AlarmRegistry,
         chunks = _chunked(trace)
         for alarm in registry.relevant_intersecting(trace.vehicle_id,
                                                     trace.bounding_rect()):
-            hit = _first_inside(chunks, alarm.region, 0, len(trace))
+            hit = _first_inside(trace, chunks, alarm.region, 0, len(trace))
             if hit is not None:
-                expected[(trace.vehicle_id, alarm.alarm_id)] = hit.time
+                expected[(trace.vehicle_id, alarm.alarm_id)] = hit
     return expected
 
 
@@ -117,11 +116,11 @@ def sweep_lifetimes(lifetimes: Iterable[Lifetime],
         for alarm, begin, end in public + personal.get(trace.vehicle_id, []):
             if not alarm.region.interior_intersects(box):
                 continue
-            hit = _first_inside(chunks, alarm.region, begin,
+            hit = _first_inside(trace, chunks, alarm.region, begin,
                                 min(end, len(trace)))
             key = (trace.vehicle_id, alarm.alarm_id)
-            if hit is not None and hit.time < expected.get(key, math.inf):
-                expected[key] = hit.time
+            if hit is not None and hit < expected.get(key, math.inf):
+                expected[key] = hit
     return expected
 
 

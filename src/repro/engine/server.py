@@ -89,10 +89,18 @@ class AlarmServer:
         """
         fired = self.fired_for(user_id)
         telemetry = self.telemetry
-        with self._timed_alarm_processing(), \
-                self.profiled("alarm_processing"):
-            triggered = self.registry.triggered_at(user_id, position,
-                                                   exclude_ids=fired)
+        registry = self.registry
+        accesses_before = registry.tree.stats.node_accesses
+        started = time.perf_counter()
+        try:
+            with self.profiled("alarm_processing"):
+                triggered = registry.triggered_at(user_id, position,
+                                                  exclude_ids=fired)
+        finally:
+            self.metrics.alarm_processing_time_s += (
+                time.perf_counter() - started)
+            self.metrics.index_node_accesses += (
+                registry.tree.stats.node_accesses - accesses_before)
         self.metrics.alarm_evaluations += 1
         for alarm in triggered:
             fired.add(alarm.alarm_id)
@@ -174,18 +182,6 @@ class AlarmServer:
         if self.profiler is None:
             return _NULL_CONTEXT
         return self.profiler.timed(phase)
-
-    @contextmanager
-    def _timed_alarm_processing(self) -> Iterator[None]:
-        accesses_before = self.registry.tree.stats.node_accesses
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.metrics.alarm_processing_time_s += (
-                time.perf_counter() - started)
-            self.metrics.index_node_accesses += (
-                self.registry.tree.stats.node_accesses - accesses_before)
 
     @contextmanager
     def timed_saferegion(self, user_id: Optional[int] = None,

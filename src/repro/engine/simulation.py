@@ -166,12 +166,16 @@ def replay_vehicle_major(strategy: "ProcessingStrategy",
     from ..strategies.base import ClientState  # local import: avoid cycle
 
     sanitizer = sanitizer if sanitizer is not None else SANITIZER_OFF
+    advance = strategy.advance
     for trace in traces:
         client = ClientState(trace.vehicle_id)
-        for sample in trace:
-            if sanitizer.enabled:
-                sanitizer.check_clock(trace.vehicle_id, sample.time)
-            strategy.on_sample(client, sample)
+        if sanitizer.enabled:
+            for time_s in trace.times:
+                sanitizer.check_clock(trace.vehicle_id, time_s)
+        index, stop = 0, len(trace)
+        while index < stop:
+            # one silent run and the fix that ends it, per call
+            index = advance(client, trace, index, stop)
 
 
 #: What one step changed: the alarms whose coverage changed, each with
@@ -261,14 +265,15 @@ def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
     push-invalidated.  Such a client re-synchronizes on its fix of the
     same step — the earliest sample at which a new or moved alarm could
     trigger — so the accuracy contract extends to mutating worlds.
+    Each client is advanced through a one-fix window, so a push never
+    finds probes charged for fixes the client has yet to reach.
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
 
-    lanes = [(ClientState(trace.vehicle_id), trace.samples)
-             for trace in traces]
-    clients = [client for client, _samples in lanes]
-    ends = {len(samples) for _client, samples in lanes}
-    on_sample, checking = strategy.on_sample, sanitizer.enabled
+    lanes = [(ClientState(trace.vehicle_id), trace) for trace in traces]
+    clients = [client for client, _trace in lanes]
+    ends = {len(trace) for trace in traces}
+    advance, checking = strategy.advance, sanitizer.enabled
     for step in range(max(ends, default=0)):
         changes = mutation.apply(step)
         if any(changes):
@@ -278,11 +283,10 @@ def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
                     _invalidate(client, strategy.session, step_time)
         if step in ends:  # a trace ran out: its lane leaves the loop
             lanes = [lane for lane in lanes if step < len(lane[1])]
-        for client, samples in lanes:
-            sample = samples[step]
+        for client, trace in lanes:
             if checking:
-                sanitizer.check_clock(client.user_id, sample.time)
-            on_sample(client, sample)
+                sanitizer.check_clock(client.user_id, trace.times[step])
+            advance(client, trace, step, step + 1)
 
 
 def compute_mutating_ground_truth(world: World,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..alarms import AlarmRegistry, SpatialAlarm
-from ..geometry import Rect
+from ..geometry import Point, Rect
 from ..mobility import Trace
 from ..telemetry.facade import Telemetry
 from .profiling import PhaseProfiler
@@ -74,8 +74,8 @@ class TargetTrack:
     def following_trace(cls, alarm_id: int, trace: Trace,
                         width: float, height: float) -> "TargetTrack":
         """A track keeping the region centered on a vehicle's trace."""
-        regions = tuple(Rect.from_center(sample.position, width, height)
-                        for sample in trace)
+        regions = tuple(Rect.from_center(Point(x, y), width, height)
+                        for x, y in zip(trace.xs, trace.ys))
         return cls(alarm_id=alarm_id, regions=regions)
 
 

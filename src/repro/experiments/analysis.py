@@ -141,8 +141,7 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
     from ..protocol.transport import connect
     from ..strategies.base import ClientState
 
-    metrics = Metrics()
-    server = AlarmServer(world.registry, world.grid, metrics,
+    server = AlarmServer(world.registry, world.grid, Metrics(),
                          sizes=world.sizes)
     connect(server, strategy)
     residences: List[float] = []
@@ -154,13 +153,17 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
             trace = world.traces[vehicle_id]
             client = ClientState(vehicle_id)
             last_contact: Optional[float] = None
-            for sample in trace:
-                before = metrics.uplink_messages
-                strategy.on_sample(client, sample)
-                if metrics.uplink_messages > before:
-                    if last_contact is not None:
-                        residences.append(sample.time - last_contact)
-                    last_contact = sample.time
+            index, stop = 0, len(trace)
+            while index < stop:
+                reports = client.sequence
+                index = strategy.advance(client, trace, index, stop)
+                if client.sequence == reports:
+                    break  # silent to the end of the trace
+                # the fix before the returned index is the one it spoke on
+                contact = trace.times[index - 1]
+                if last_contact is not None:
+                    residences.append(contact - last_contact)
+                last_contact = contact
     finally:
         server.close()  # detaches the memo from the world's registry
     if not residences:

@@ -1,11 +1,13 @@
 """RL005: SafeRegion subclasses implement the probe contract, pure.
 
 A client-monitorable safe region (paper Section 2.1) must answer two
-questions: *is this position inside?* (``probe``, which also reports the
-comparison count the energy model charges) and *how many bits does it
-cost to ship?* (``size_bits``, the unit of the bandwidth model).  A
-subclass missing either silently inherits ``NotImplementedError`` and
-dies mid-replay — or worse, inherits a wrong default added later.
+questions: *is this position inside?* (``probe_xy``, on the raw
+coordinates of a fix, which also reports the comparison count the energy
+model charges; ``probe`` of a ``Point`` is derived from it) and *how
+many bits does it cost to ship?* (``size_bits``, the unit of the
+bandwidth model).  A subclass missing either silently inherits
+``NotImplementedError`` and dies mid-replay — or worse, inherits a wrong
+default added later.
 
 The second half of the contract is purity: safe-region code computes
 *from* alarms, it never writes *to* them.  Alarm regions are shared
@@ -24,7 +26,7 @@ from typing import Iterator, Set
 from ..base import LintRule, RuleContext, rule
 from ..diagnostics import Diagnostic
 
-_REQUIRED_METHODS = ("probe", "size_bits")
+_REQUIRED_METHODS = ("probe_xy", "size_bits")
 _MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
@@ -43,10 +45,11 @@ def _base_names(node: ast.ClassDef) -> Set[str]:
 
 @rule
 class SafeRegionContractRule(LintRule):
-    """SafeRegion subclasses define probe/size_bits and stay pure."""
+    """SafeRegion subclasses define probe_xy/size_bits and stay pure."""
 
     rule_id = "RL005"
-    title = "saferegion-contract: probe/size_bits defined, arguments pure"
+    title = ("saferegion-contract: probe_xy/size_bits defined, "
+             "arguments pure")
     scopes = ("saferegion",)
 
     def check(self, ctx: RuleContext) -> Iterator[Diagnostic]:
@@ -71,7 +74,7 @@ class SafeRegionContractRule(LintRule):
                 yield self.diagnostic(
                     ctx, node,
                     "SafeRegion subclass %r does not define %r; clients "
-                    "monitor through probe() and the bandwidth model "
+                    "monitor through probe_xy() and the bandwidth model "
                     "charges size_bits()" % (node.name, required))
 
     def _check_argument_purity(self, ctx: RuleContext,

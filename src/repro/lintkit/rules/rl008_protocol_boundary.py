@@ -5,7 +5,8 @@ protocol: the client half talks to ``ClientSession.send``/``push`` and
 the server half answers through ``ServerPolicy`` hooks.  The entire
 accounting model rests on that boundary — uplink/downlink traffic is
 charged exactly once, by the transport, and probe energy flows through
-the one sanctioned helper (``ProcessingStrategy._charge_probe``).
+the one sanctioned helper (``ProcessingStrategy._charge_probe(ops,
+checks)``: one call for a client's whole silent run).
 
 A strategy that reaches around the boundary breaks the books silently:
 
@@ -20,8 +21,12 @@ A strategy that reaches around the boundary breaks the books silently:
 
 ``self._*`` access is fine — that is the strategy's own (inherited)
 surface, including the sanctioned ``_send_report``/``_charge_probe``
-helpers.  Private access on anything *other than* ``self``/``cls`` is
-flagged, as is any ``metrics`` attribute access regardless of receiver.
+helpers.  So is everything public a client scans on the way: the
+columns of the trace handed to ``advance`` (``trace.xs``,
+``trace.times``, ...) and the installed region's coordinate-level
+``probe_xy``.  Private access on anything *other than* ``self``/``cls``
+is flagged, as is any ``metrics`` attribute access regardless of
+receiver.
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ from __future__ import annotations
 import gzip
 import io
 import os
-from typing import Dict, List, TextIO, Union
+from typing import Dict, TextIO, Union
 
-from ..geometry import Point
-from .trace import Trace, TraceSample, TraceSet
+from .trace import Trace, TraceSet
 
 _HEADER_PREFIX = "#repro-traces v1 interval="
 _COLUMNS = "vehicle_id,time,x,y,heading,speed"
@@ -47,11 +46,8 @@ def save_traces(traces: TraceSet, path: PathLike) -> None:
         stream.write("%s%r\n" % (_HEADER_PREFIX, traces.sample_interval))
         stream.write(_COLUMNS + "\n")
         for vehicle_id in traces.vehicle_ids():
-            for sample in traces[vehicle_id]:
-                stream.write("%d,%r,%r,%r,%r,%r\n"
-                             % (vehicle_id, sample.time, sample.position.x,
-                                sample.position.y, sample.heading,
-                                sample.speed))
+            for row in traces[vehicle_id].rows():
+                stream.write("%d,%r,%r,%r,%r,%r\n" % ((vehicle_id,) + row))
 
 
 def load_traces(path: PathLike) -> TraceSet:
@@ -70,7 +66,7 @@ def load_traces(path: PathLike) -> TraceSet:
         if columns != _COLUMNS:
             raise ValueError("unexpected column header: %r" % columns)
 
-        samples_by_vehicle: Dict[int, List[TraceSample]] = {}
+        traces: Dict[int, Trace] = {}
         for line_number, line in enumerate(stream, start=3):
             line = line.strip()
             if not line:
@@ -80,18 +76,15 @@ def load_traces(path: PathLike) -> TraceSet:
                 raise ValueError("line %d: expected 6 fields, got %d"
                                  % (line_number, len(fields)))
             vehicle_id = int(fields[0])
-            sample = TraceSample(time=float(fields[1]),
-                                 position=Point(float(fields[2]),
-                                                float(fields[3])),
-                                 heading=float(fields[4]),
-                                 speed=float(fields[5]))
-            bucket = samples_by_vehicle.setdefault(vehicle_id, [])
-            if bucket and sample.time <= bucket[-1].time:
+            trace = traces.get(vehicle_id)
+            if trace is None:
+                trace = traces[vehicle_id] = Trace(vehicle_id)
+            time = float(fields[1])
+            if trace.times and time <= trace.times[-1]:
                 raise ValueError(
                     "line %d: samples for vehicle %d out of order"
                     % (line_number, vehicle_id))
-            bucket.append(sample)
+            trace.append(time, float(fields[2]), float(fields[3]),
+                         float(fields[4]), float(fields[5]))
 
-    traces = {vehicle_id: Trace(vehicle_id, samples)
-              for vehicle_id, samples in samples_by_vehicle.items()}
     return TraceSet(traces, sample_interval=interval)

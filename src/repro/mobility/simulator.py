@@ -26,10 +26,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..geometry import Point, normalize_angle
+from ..geometry import normalize_angle
 from ..roadnet import Edge, RoadNetwork
 from .motion import SteadyMotionModel
-from .trace import Trace, TraceSample, TraceSet
+from .trace import Trace, TraceSet
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,16 @@ class TraceGenerator:
         vehicle = _Vehicle(rng, speed_factor)
         vehicle.enter(self.network, node, edge)
 
-        samples: List[TraceSample] = []
+        trace = Trace(vehicle_id)
         interval = self.config.sample_interval_s
         steps = int(self.config.duration_s / interval)
         time = 0.0
-        samples.append(self._sample(vehicle, time))
+        self._sample(trace, vehicle, time)
         for _ in range(steps):
             self._advance(vehicle, interval)
             time += interval
-            samples.append(self._sample(vehicle, time))
-        return Trace(vehicle_id, samples)
+            self._sample(trace, vehicle, time)
+        return trace
 
     def _random_node_with_edges(self, rng: random.Random) -> int:
         while True:
@@ -201,8 +201,8 @@ class TraceGenerator:
         end = self.network.position(edge.other(from_node))
         return start.heading_to(end)
 
-    def _sample(self, vehicle: _Vehicle, time: float) -> TraceSample:
+    def _sample(self, trace: Trace, vehicle: _Vehicle, time: float) -> None:
         fraction = vehicle.offset / vehicle.edge.length
-        position = Point(vehicle.start_x + vehicle.delta_x * fraction,
-                         vehicle.start_y + vehicle.delta_y * fraction)
-        return TraceSample(time, position, vehicle.heading, vehicle.speed)
+        trace.append(time, vehicle.start_x + vehicle.delta_x * fraction,
+                     vehicle.start_y + vehicle.delta_y * fraction,
+                     vehicle.heading, vehicle.speed)

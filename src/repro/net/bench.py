@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..geometry import Point
 from ..mobility.trace import Trace, TraceSet
 from ..protocol.framing import (Frame, FrameDecoder, FrameKind,
                                 decode_error, encode_frame, encode_hello,
@@ -169,16 +170,15 @@ def _encode_stream(codec: WireCodec, vehicles: List[Trace],
         shift = round_index * time_offset
         for trace in vehicles:
             user_id = trace.vehicle_id
-            for sample in trace:
+            for time_s, x, y, heading, speed in trace.rows():
                 sequence = sequences.get(user_id, 0)
                 sequences[user_id] = sequence + 1
-                report = LocationReport(user_id, sequence,
-                                        sample.position,
-                                        sample.heading, sample.speed)
+                report = LocationReport(user_id, sequence, Point(x, y),
+                                        heading, speed)
                 frames.append(
                     encode_frame(FrameKind.REQUEST,
                                  codec.encode_request(report),
-                                 sample.time + shift))
+                                 time_s + shift))
     return frames
 
 

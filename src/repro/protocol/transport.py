@@ -324,18 +324,21 @@ class ClientSession:
         """One stop-and-wait exchange: uplink in, typed responses out."""
         return self.transport.request(request, time_s)
 
-    def charge_probe(self, ops: int) -> None:
-        """Account one local containment check of ``ops`` comparisons.
+    def charge_probe(self, ops: int, checks: int = 1) -> None:
+        """Account ``checks`` local containment checks, ``ops``
+        comparisons between them.
 
-        The only sanctioned path from strategy code to the energy
-        counters (lintkit RL008 forbids direct ``Metrics`` access from
+        A client's whole silent run is charged in one call, with the
+        sums its fixes would have charged one by one.  The only
+        sanctioned path from strategy code to the energy counters
+        (lintkit RL008 forbids direct ``Metrics`` access from
         strategies).
         """
-        self._metrics.containment_checks += 1
+        self._metrics.containment_checks += checks
         self._metrics.containment_ops += ops
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.probe(ops)
+            telemetry.probe(ops, checks)
 
 
 def connect(server: "AlarmServer", strategy: "ProcessingStrategy",

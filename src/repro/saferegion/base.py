@@ -33,13 +33,19 @@ FLOAT_BITS = 64  # coordinates travel as float64 in the protocol
 class SafeRegion:
     """Interface of a client-monitorable safe region."""
 
-    def probe(self, p: Point) -> Tuple[bool, int]:
-        """Check whether ``p`` is inside; returns ``(inside, ops)``.
+    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
+        """Check whether ``(x, y)`` is inside; returns ``(inside, ops)``.
 
         ``ops`` is the number of elementary comparisons the client's
         monitoring loop performed — the energy model charges per op.
+        Coordinates, not a :class:`Point`: a client probes every fix of
+        its trace and builds a point only for the report it sends.
         """
         raise NotImplementedError
+
+    def probe(self, p: Point) -> Tuple[bool, int]:
+        """:meth:`probe_xy` of a :class:`Point`."""
+        return self.probe_xy(p.x, p.y)
 
     def size_bits(self) -> int:
         """Serialized payload size in bits (excluding transport headers)."""
@@ -62,8 +68,10 @@ class RectangularSafeRegion(SafeRegion):
     def __init__(self, rect: Rect) -> None:
         self.rect = rect
 
-    def probe(self, p: Point) -> Tuple[bool, int]:
-        return (self.rect.contains_point(p), 1)
+    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
+        rect = self.rect
+        return (rect.min_x <= x <= rect.max_x
+                and rect.min_y <= y <= rect.max_y, 1)
 
     def size_bits(self) -> int:
         return 4 * FLOAT_BITS

@@ -212,20 +212,23 @@ class PyramidBitmap:
     # Containment
     # ------------------------------------------------------------------
     def probe(self, p: Point) -> Tuple[bool, int]:
-        """Is ``p`` inside the safe region?  Returns ``(inside, probes)``.
+        """:meth:`probe_xy` of a :class:`Point`."""
+        return self.probe_xy(p.x, p.y)
 
-        Walks from the root toward the leaf containing ``p``, stopping at
-        the first 1 bit (inside) or at an unsplit 0 bit (outside).  The
-        probe count is the number of levels examined — worst case
-        ``height + 1``.  The cell of ``p`` is located independently at
-        every level (:meth:`Pyramid.locate`'s arithmetic); within an ulp
-        of a cell edge the located cell need not be a child of the
-        previous one, and :meth:`_lookup` then resolves it from the root.
+    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
+        """Is ``(x, y)`` inside the safe region?  ``(inside, probes)``.
+
+        Walks from the root toward the leaf containing the position,
+        stopping at the first 1 bit (inside) or at an unsplit 0 bit
+        (outside).  The probe count is the number of levels examined —
+        worst case ``height + 1``.  The cell of the position is located
+        independently at every level (:meth:`Pyramid.locate`'s
+        arithmetic); within an ulp of a cell edge the located cell need
+        not be a child of the previous one, and :meth:`_lookup` then
+        resolves it from the root.
         """
         pyramid = self.pyramid
         base = pyramid.base
-        x = p.x
-        y = p.y
         min_x = base.min_x
         min_y = base.min_y
         if not (min_x <= x <= base.max_x and min_y <= y <= base.max_y):
@@ -330,8 +333,8 @@ class BitmapSafeRegion(SafeRegion):
     def __init__(self, bitmap: PyramidBitmap) -> None:
         self.bitmap = bitmap
 
-    def probe(self, p: Point) -> Tuple[bool, int]:
-        return self.bitmap.probe(p)
+    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
+        return self.bitmap.probe_xy(x, y)
 
     def size_bits(self) -> int:
         return self.bitmap.bit_length()

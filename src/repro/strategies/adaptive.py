@@ -24,9 +24,11 @@ suite asserts the accuracy contract is intact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
-from ..mobility import TraceSample
+from ..geometry import Point
+from ..mobility import Trace
 from ..protocol.messages import InstallSafeRegion, ServerReply
 from ..saferegion import MWPSRComputer, RectangularSafeRegion
 from .base import ClientState
@@ -49,31 +51,47 @@ class AdaptiveRectangularStrategy(RectangularSafeRegionStrategy):
             raise ValueError("max_speed must be positive")
         self.max_speed = max_speed
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if client.safe_region is not None and sample.time < client.expiry:
-            return  # provably still inside; not even a probe is needed
-
-        if client.safe_region is not None:
-            region = client.safe_region
-            inside, ops = region.probe(sample.position)
-            self._charge_probe(ops)
-            if inside:
-                # This strategy only ever installs rectangular regions.
-                assert isinstance(region, RectangularSafeRegion)
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        index = start
+        region = client.safe_region
+        if region is not None:
+            # This strategy only ever installs rectangular regions.
+            assert isinstance(region, RectangularSafeRegion)
+            rect = region.rect
+            min_x, min_y = rect.min_x, rect.min_y
+            max_x, max_y = rect.max_x, rect.max_y
+            times, xs, ys = trace.times, trace.xs, trace.ys
+            probes = 0
+            while True:
+                # provably still inside until the scheduled probe: not
+                # even a probe is needed
+                index = bisect_left(times, client.expiry, index, stop)
+                if index == stop:
+                    self._charge_probe(probes, probes)
+                    return stop
+                x, y = xs[index], ys[index]
+                probes += 1
+                if not (min_x <= x <= max_x and min_y <= y <= max_y):
+                    break
                 # schedule the next probe by the distance to the boundary
-                slack = region.rect.boundary_distance(sample.position)
-                client.expiry = sample.time + slack / self.max_speed
-                return
-            self._note_region_exit(client, sample.time)
+                slack = min(x - min_x, max_x - x, y - min_y, max_y - y)
+                client.expiry = times[index] + slack / self.max_speed
+                index += 1
+            self._charge_probe(probes, probes)
+            self._note_region_exit(client, times[index])
 
-        reply = self._send_report(client, sample, exit=True)
-        self._install(client, sample, reply)
+        reply = self._send_report(client, trace, index, exit=True)
+        self._install(client, trace, index, reply)
+        return index + 1
 
-    def _install(self, client: ClientState, sample: TraceSample,
+    def _install(self, client: ClientState, trace: Trace, index: int,
                  reply: ServerReply) -> None:
+        time_s = trace.times[index]
         for message in reply:
             if isinstance(message, InstallSafeRegion):
-                rect = self._install_rectangle(client, sample, message)
-                client.expiry = sample.time + (
-                    rect.boundary_distance(sample.position)
+                rect = self._install_rectangle(client, time_s, message)
+                client.expiry = time_s + (
+                    rect.boundary_distance(Point(trace.xs[index],
+                                                 trace.ys[index]))
                     / self.max_speed)

@@ -2,8 +2,9 @@
 
 A *strategy* is one of the paper's alarm-processing approaches, split
 along the paper's own client/server line: the strategy object is the
-**client half** (what the device does on every position fix, and when it
-speaks), and its :meth:`ProcessingStrategy.server_policy` supplies the
+**client half** (how long the device stays silent along its trace, and
+what it says when it speaks), and its
+:meth:`ProcessingStrategy.server_policy` supplies the
 **server half** (a :class:`~repro.protocol.handlers.ServerPolicy` that
 computes safe regions, safe periods or alarm lists in response to
 requests).  The two halves communicate exclusively through the typed
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ..geometry import Rect
-from ..mobility import TraceSample
+from ..geometry import Point, Rect
+from ..mobility import Trace
 from ..protocol.handlers import EVALUATE_ONLY, ServerPolicy
 from ..protocol.messages import (AlarmRecord, LocationReport,
                                  RegionExitReport, ServerReply)
@@ -88,16 +89,31 @@ class ProcessingStrategy:
         """
         self.session = session
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        """Handle one position fix of one client."""
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        """Take ``client`` along fixes ``[start, stop)`` of its trace, up
+        to and including the first it cannot spend silently.
+
+        A fix is *silent* when the paper's client would neither send nor
+        change state on it: it lies in the installed rectangle or in a
+        safe cell of the installed bitmap, precedes the timer's expiry,
+        or enters none of the locally held alarms.  The method scans
+        the trace's columns over the silent run, charges the run's
+        containment probes — those of the probe that ended it included —
+        in one :meth:`_charge_probe` call, with the sums its fixes would
+        have charged one by one, then acts on the fix that ended the run
+        (a report, whatever its reply installs) and returns the index
+        after it; ``stop`` when the run outlasts the window.  The result
+        does not depend on how the caller windows the trace.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _send_report(self, client: ClientState, sample: TraceSample,
+    def _send_report(self, client: ClientState, trace: Trace, index: int,
                      exit: bool = False) -> ServerReply:
-        """One uplink exchange for this fix; returns the typed replies.
+        """One uplink exchange for fix ``index``; returns the typed replies.
 
         ``exit=True`` sends a :class:`RegionExitReport` (the client's
         installed state ended), telling the server policy to renew
@@ -106,11 +122,12 @@ class ProcessingStrategy:
         request_type = RegionExitReport if exit else LocationReport
         request = request_type(user_id=client.user_id,
                                sequence=client.sequence,
-                               position=sample.position,
-                               heading=sample.heading,
-                               speed=sample.speed)
+                               position=Point(trace.xs[index],
+                                              trace.ys[index]),
+                               heading=trace.headings[index],
+                               speed=trace.speeds[index])
         client.sequence += 1
-        return self.session.send(request, sample.time)
+        return self.session.send(request, trace.times[index])
 
     def _mark_region_installed(self, client: ClientState,
                                time_s: float) -> None:
@@ -135,5 +152,8 @@ class ProcessingStrategy:
             telemetry.saferegion_exit(time_s, client.user_id,
                                       time_s - installed_at)
 
-    def _charge_probe(self, ops: int) -> None:
-        self.session.charge_probe(ops)
+    def _charge_probe(self, ops: int, checks: int = 1) -> None:
+        """Account ``checks`` containment checks of ``ops`` comparisons
+        in all (nothing for a run of none)."""
+        if checks:
+            self.session.charge_probe(ops, checks)

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..alarms import AlarmScope, SpatialAlarm
 from ..index import CellId
-from ..mobility import TraceSample
+from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafeRegion, Request, Response,
                                  ServerReply)
@@ -130,29 +130,50 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
     def server_policy(self) -> BitmapPolicy:
         return BitmapPolicy(self.computer)
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if (client.footprint is not None
-                and client.footprint.contains_point(sample.position)):
-            # The cell footprint is only ever installed with a region.
-            assert client.safe_region is not None
-            inside, ops = client.safe_region.probe(sample.position)
-            self._charge_probe(ops)
-            if inside:
-                return
-            # Unsafe area within the cell: plain report; the server
-            # re-ships only when a firing actually changed the bitmap.
-            reply = self._send_report(client, sample)
-            self._install(client, sample, reply)
-            return
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        index = start
+        cell = client.footprint
+        if cell is not None:
+            # The cell footprint is only ever installed with a bitmap.
+            region = client.safe_region
+            assert isinstance(region, BitmapSafeRegion)
+            probe = region.bitmap.probe_xy
+            min_x, min_y = cell.min_x, cell.min_y
+            max_x, max_y = cell.max_x, cell.max_y
+            xs, ys = trace.xs, trace.ys
+            probes = ops = 0
+            unsafe = False
+            while index < stop:
+                x, y = xs[index], ys[index]
+                if not (min_x <= x <= max_x and min_y <= y <= max_y):
+                    break  # left the cell: not a probe of the bitmap
+                inside, levels = probe(x, y)
+                probes += 1
+                ops += levels
+                if not inside:
+                    unsafe = True
+                    break
+                index += 1
+            self._charge_probe(ops, probes)
+            if index == stop:
+                return stop
+            if unsafe:
+                # Unsafe area within the cell: plain report; the server
+                # re-ships only when a firing actually changed the bitmap.
+                reply = self._send_report(client, trace, index)
+                self._install(client, trace.times[index], reply)
+                return index + 1
 
         # Entered a new base cell (or first fix): full recomputation.
         # Leaving the cell ends the residency of the region scoped to it.
-        self._note_region_exit(client, sample.time)
-        reply = self._send_report(client, sample, exit=True)
-        self._install(client, sample, reply)
+        self._note_region_exit(client, trace.times[index])
+        reply = self._send_report(client, trace, index, exit=True)
+        self._install(client, trace.times[index], reply)
+        return index + 1
 
     # ------------------------------------------------------------------
-    def _install(self, client: ClientState, sample: TraceSample,
+    def _install(self, client: ClientState, time_s: float,
                  reply: ServerReply) -> None:
         for message in reply:
             if isinstance(message, InstallSafeRegion):
@@ -162,4 +183,4 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
                 client.footprint = self.session.grid.cell_rect(
                     CellId(col, row))
                 client.safe_region = BitmapSafeRegion(message.bitmap)
-                self._mark_region_installed(client, sample.time)
+                self._mark_region_installed(client, time_s)

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..mobility import TraceSample
+from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (AlarmNotification, AlarmRecord,
-                                 InstallAlarmList, Request, Response,
-                                 ServerReply)
+                                 InstallAlarmList, Request, Response)
 from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
@@ -62,37 +61,60 @@ class OptimalStrategy(ProcessingStrategy):
     def server_policy(self) -> OptimalPolicy:
         return OptimalPolicy()
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if (client.footprint is None
-                or not client.footprint.contains_point(sample.position)):
-            self._refresh_cell(client, sample)
-            return
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        cell = client.footprint
+        if cell is None:
+            return self._refresh_cell(client, trace, start)
 
         # Local evaluation: one comparison for the cell bound plus one per
-        # locally-held alarm region.
-        entered = [record for record in client.local_alarms
-                   if record.region.interior_contains_point(sample.position)]
-        self._charge_probe(ops=1 + len(client.local_alarms))
+        # locally-held alarm region, on every fix inside the cell.
+        min_x, min_y = cell.min_x, cell.min_y
+        max_x, max_y = cell.max_x, cell.max_y
+        boxes = [(record.region.min_x, record.region.min_y,
+                  record.region.max_x, record.region.max_y)
+                 for record in client.local_alarms]
+        xs, ys = trace.xs, trace.ys
+        index = start
+        entered = False
+        while index < stop:
+            x, y = xs[index], ys[index]
+            if not (min_x <= x <= max_x and min_y <= y <= max_y):
+                break  # left the cell: nothing evaluated, nothing charged
+            for box_min_x, box_min_y, box_max_x, box_max_y in boxes:
+                if box_min_x < x < box_max_x and box_min_y < y < box_max_y:
+                    entered = True
+                    break
+            if entered:
+                break
+            index += 1
+        evaluated = index - start + entered
+        self._charge_probe(evaluated * (1 + len(boxes)), evaluated)
+        if index == stop:
+            return stop
         if not entered:
-            return
+            return self._refresh_cell(client, trace, index)
 
         # A trigger occurred: report it so the server fires the alarms;
         # the in-band notifications name the alarms to retire locally.
-        reply = self._send_report(client, sample)
+        reply = self._send_report(client, trace, index)
         fired_ids = {message.alarm_id for message in reply
                      if isinstance(message, AlarmNotification)}
         client.local_alarms = [record for record in client.local_alarms
                                if record.alarm_id not in fired_ids]
+        return index + 1
 
     # ------------------------------------------------------------------
-    def _refresh_cell(self, client: ClientState,
-                      sample: TraceSample) -> None:
+    def _refresh_cell(self, client: ClientState, trace: Trace,
+                      index: int) -> int:
         """Cell crossing: report, fetch the new cell's alarm set."""
         # Leaving the previous cell ends its alarm set's residency.
-        self._note_region_exit(client, sample.time)
-        reply = self._send_report(client, sample, exit=True)
+        time_s = trace.times[index]
+        self._note_region_exit(client, time_s)
+        reply = self._send_report(client, trace, index, exit=True)
         for message in reply:
             if isinstance(message, InstallAlarmList):
                 client.footprint = message.cell
                 client.local_alarms = list(message.alarms)
-                self._mark_region_installed(client, sample.time)
+                self._mark_region_installed(client, time_s)
+        return index + 1

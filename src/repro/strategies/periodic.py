@@ -12,7 +12,7 @@ at most the in-band alarm notifications, never an install message.
 
 from __future__ import annotations
 
-from ..mobility import TraceSample
+from ..mobility import Trace
 from .base import ClientState, ProcessingStrategy
 
 
@@ -21,5 +21,8 @@ class PeriodicStrategy(ProcessingStrategy):
 
     name = "PRD"
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        self._send_report(client, sample)
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        # No fix is silent: the run is always empty.
+        self._send_report(client, trace, start)
+        return start + 1

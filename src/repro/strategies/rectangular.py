@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..geometry import Point, Rect
-from ..mobility import TraceSample
+from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafeRegion, Request, Response,
                                  ServerReply)
@@ -105,24 +105,38 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
     def server_policy(self) -> RectangularPolicy:
         return RectangularPolicy(self.computer, self.heading_source)
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        if client.safe_region is not None:
-            inside, ops = client.safe_region.probe(sample.position)
-            self._charge_probe(ops)
-            if inside:
-                return
-            self._note_region_exit(client, sample.time)
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        index = start
+        region = client.safe_region
+        if region is not None:
+            # This strategy only ever installs rectangular regions: one
+            # closed rectangle comparison per fix.
+            assert isinstance(region, RectangularSafeRegion)
+            rect = region.rect
+            min_x, min_y = rect.min_x, rect.min_y
+            max_x, max_y = rect.max_x, rect.max_y
+            xs, ys = trace.xs, trace.ys
+            while (index < stop and min_x <= xs[index] <= max_x
+                   and min_y <= ys[index] <= max_y):
+                index += 1
+            probes = index - start + (index < stop)  # the failing one too
+            self._charge_probe(probes, probes)
+            if index == stop:
+                return stop
+            self._note_region_exit(client, trace.times[index])
 
-        reply = self._send_report(client, sample, exit=True)
-        self._install(client, sample, reply)
+        reply = self._send_report(client, trace, index, exit=True)
+        self._install(client, trace, index, reply)
+        return index + 1
 
-    def _install(self, client: ClientState, sample: TraceSample,
+    def _install(self, client: ClientState, trace: Trace, index: int,
                  reply: ServerReply) -> None:
         for message in reply:
             if isinstance(message, InstallSafeRegion):
-                self._install_rectangle(client, sample, message)
+                self._install_rectangle(client, trace.times[index], message)
 
-    def _install_rectangle(self, client: ClientState, sample: TraceSample,
+    def _install_rectangle(self, client: ClientState, time_s: float,
                            message: InstallSafeRegion) -> Rect:
         """Hold the shipped rectangle (returned); it is its own footprint.
 
@@ -133,5 +147,5 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
         assert message.rect is not None
         client.safe_region = RectangularSafeRegion(message.rect)
         client.footprint = message.rect
-        self._mark_region_installed(client, sample.time)
+        self._mark_region_installed(client, time_s)
         return message.rect

@@ -23,12 +23,12 @@ at which a trigger occurs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Sequence
 
-from ..mobility import TraceSample
+from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
-from ..protocol.messages import (InstallSafePeriod, Request, Response,
-                                 ServerReply)
+from ..protocol.messages import InstallSafePeriod, Request, Response
 from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
@@ -70,19 +70,21 @@ class SafePeriodStrategy(ProcessingStrategy):
     def server_policy(self) -> SafePeriodPolicy:
         return SafePeriodPolicy(self.max_speed)
 
-    def on_sample(self, client: ClientState, sample: TraceSample) -> None:
-        # The client's only work while waiting is a timer comparison.
-        self._charge_probe(ops=1)
-        if sample.time < client.expiry:
-            return
-        self._note_region_exit(client, sample.time)
+    def advance(self, client: ClientState, trace: Trace, start: int,
+                stop: int) -> int:
+        # The client's only work while waiting is a timer comparison a
+        # fix; the silent fixes are those before the expiry.
+        index = bisect_left(trace.times, client.expiry, start, stop)
+        probes = index - start + (index < stop)  # the one that expired too
+        self._charge_probe(probes, probes)
+        if index == stop:
+            return stop
+        time_s = trace.times[index]
+        self._note_region_exit(client, time_s)
 
-        reply = self._send_report(client, sample, exit=True)
-        self._install(client, sample, reply)
-
-    def _install(self, client: ClientState, sample: TraceSample,
-                 reply: ServerReply) -> None:
+        reply = self._send_report(client, trace, index, exit=True)
         for message in reply:
             if isinstance(message, InstallSafePeriod):
                 client.expiry = message.expiry
-                self._mark_region_installed(client, sample.time)
+                self._mark_region_installed(client, time_s)
+        return index + 1

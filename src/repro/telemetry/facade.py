@@ -175,8 +175,9 @@ class Telemetry:
                               else "saferegion_cache_misses",
                               deterministic=False).inc()
 
-    def probe(self, ops: int) -> None:
-        """One client containment check of ``ops`` comparisons.
+    def probe(self, ops: int, checks: int = 1) -> None:
+        """``checks`` client containment checks, ``ops`` comparisons
+        between them (a whole silent run arrives as one call).
 
         Registry-only, like :meth:`index_fanout`: a per-probe event
         would dominate any trace.
@@ -184,7 +185,7 @@ class Telemetry:
         if not self.enabled:
             return
         registry = self.registry
-        registry.counter("containment_checks").inc()
+        registry.counter("containment_checks").inc(checks)
         registry.counter("containment_ops").inc(ops)
 
     def index_fanout(self, count: int) -> None:

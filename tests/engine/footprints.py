@@ -1,19 +1,20 @@
 """Helpers for the invalidate-by-footprint tests (dynamic and tracking).
 
 A mutating-world run is identical to the static run until its first
-change, so a *scout* — a static replay that logs every client's
-footprint after every fix — says what each client will be holding when
-a change lands at a chosen step.  The tests place installs and target
-moves against those footprints.
+change, so a *scout* — a static replay, one fix per call, that logs
+every client's footprint after every fix — says what each client will
+be holding when a change lands at a chosen step.  The tests place
+installs and target moves against those footprints.
 """
 
 import math
 
 import repro.engine.simulation as session
-from repro.engine import run_simulation
+from repro.engine import verify_accuracy
 from repro.geometry import Rect
 
 from .test_golden_protocol import STRATEGY_NAMES, _factory
+from .test_replay_oracle import one_fix_window, reference_replay
 
 #: The strategies (of ``STRATEGY_NAMES``, all six) whose installed state
 #: answers for an area.
@@ -26,16 +27,15 @@ def make_strategy(name, world):
 
 def scout(world, name):
     """``{user_id: [footprint after fix 0, after fix 1, ...]}``."""
-    strategy = make_strategy(name, world)
     log = {}
-    on_sample = strategy.on_sample
 
-    def logging_on_sample(client, sample):
-        on_sample(client, sample)
+    def logging_fix(strategy, client, trace, index):
+        one_fix_window(strategy, client, trace, index)
         log.setdefault(client.user_id, []).append(client.footprint)
 
-    strategy.on_sample = logging_on_sample
-    assert run_simulation(world, strategy).accuracy.perfect
+    metrics, _clients = reference_replay(world, make_strategy(name, world),
+                                         fix=logging_fix)
+    assert verify_accuracy(world.ground_truth(), metrics).perfect
     return log
 
 

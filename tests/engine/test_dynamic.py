@@ -304,8 +304,8 @@ class TestInvalidateByFootprint:
         """A strategy that installs a region must say what area it
         covers: the engine will not quietly wake the whole fleet for it."""
         class Forgetful(RectangularSafeRegionStrategy):
-            def _install(self, client, sample, reply):
-                super()._install(client, sample, reply)
+            def _install(self, client, trace, index, reply):
+                super()._install(client, trace, index, reply)
                 client.footprint = None
 
         with pytest.raises(AssertionError):

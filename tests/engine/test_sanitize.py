@@ -228,8 +228,8 @@ class TestSanitizedRuns:
 
     def test_mutating_run_checks_the_clock(self, monkeypatch):
         local = make_world(vehicles=2, duration=30.0, alarms=20)
-        samples = local.traces[local.traces.vehicle_ids()[0]].samples
-        samples[3], samples[4] = samples[4], samples[3]
+        times = local.traces[local.traces.vehicle_ids()[0]].times
+        times[3], times[4] = times[4], times[3]
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with pytest.raises(SanitizerError):
             run_dynamic_simulation(local, PeriodicStrategy(),
@@ -249,13 +249,13 @@ class TestSanitizedRuns:
         class _TamperingStrategy(PeriodicStrategy):
             tampered = False
 
-            def on_sample(self, client, sample):
+            def advance(self, client, trace, start, stop):
                 if not _TamperingStrategy.tampered:
                     _TamperingStrategy.tampered = True
                     region = local.registry.all_alarms()[0].region
                     object.__setattr__(region, "min_x",
                                        region.min_x - 25.0)
-                super().on_sample(client, sample)
+                return super().advance(client, trace, start, stop)
 
         with pytest.raises(SanitizerError, match="geometry changed"):
             run_simulation(local, _TamperingStrategy(), sanitize=True)

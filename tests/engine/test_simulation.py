@@ -64,16 +64,17 @@ class TestInterleavedSimulation:
 
 
 class _FailingStrategy(PeriodicStrategy):
-    """Raises from the third fix on, whichever loop delivers it."""
+    """Raises from the third fix on, whichever loop delivers it (a
+    periodic client is silent on none, so every call is one fix)."""
 
     def __init__(self):
-        self.samples = 0
+        self.fixes = 0
 
-    def on_sample(self, client, sample):
-        self.samples += 1
-        if self.samples > 2:
+    def advance(self, client, trace, start, stop):
+        self.fixes += 1
+        if self.fixes > 2:
             raise RuntimeError("client half failed mid-run")
-        super().on_sample(client, sample)
+        return super().advance(client, trace, start, stop)
 
 
 class TestServerClosedOnEveryPath:

@@ -4,11 +4,11 @@ from repro.saferegion.base import SafeRegion
 
 
 class HalfRegion(SafeRegion):  # RL005: missing size_bits
-    def probe(self, p):
+    def probe_xy(self, x, y):
         return (True, 1)
 
 
-class SilentRegion(SafeRegion):  # RL005: missing probe and size_bits
+class SilentRegion(SafeRegion):  # RL005: missing probe_xy and size_bits
     def area(self):
         return 0.0
 

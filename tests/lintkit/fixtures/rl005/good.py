@@ -4,7 +4,7 @@ from repro.saferegion.base import SafeRegion
 
 
 class WholeRegion(SafeRegion):
-    def probe(self, p):
+    def probe_xy(self, x, y):
         return (True, 1)
 
     def size_bits(self):

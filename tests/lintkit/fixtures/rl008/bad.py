@@ -2,7 +2,7 @@
 
 
 class SneakyStrategy:
-    def on_sample(self, client, sample):
+    def advance(self, client, trace, start, stop):
         client.server.metrics.uplink_messages += 1  # RL008: metrics
         session = client.session
         session._metrics.energy_ops += 3  # RL008: _metrics

@@ -75,7 +75,7 @@ def test_rl005_missing_methods_are_named(lint_fixture):
     messages = " ".join(d.message
                         for d in lint_fixture("RL005", "bad.py"))
     assert "'size_bits'" in messages
-    assert "'probe'" in messages
+    assert "'probe_xy'" in messages
     assert "read-only" in messages
 
 

@@ -19,6 +19,13 @@ def traces():
                           seed=2).generate()
 
 
+def columns(trace):
+    """A trace's five columns as raw bytes: equal means bit-equal."""
+    return [column.tobytes()
+            for column in (trace.times, trace.xs, trace.ys, trace.headings,
+                           trace.speeds)]
+
+
 class TestRoundTrip:
     def test_plain_file(self, traces, tmp_path):
         path = tmp_path / "traces.csv"
@@ -27,7 +34,7 @@ class TestRoundTrip:
         assert loaded.sample_interval == traces.sample_interval
         assert loaded.vehicle_ids() == traces.vehicle_ids()
         for vid in traces.vehicle_ids():
-            assert loaded[vid].samples == traces[vid].samples
+            assert columns(loaded[vid]) == columns(traces[vid])
 
     def test_gzip_file(self, traces, tmp_path):
         path = tmp_path / "traces.csv.gz"
@@ -47,6 +54,25 @@ class TestRoundTrip:
         save_traces(traces, path)
         loaded = load_traces(path)
         assert loaded[0][0] == sample
+
+    def test_accumulated_times_survive(self, tmp_path):
+        """A non-integral interval: the generator's ``time += interval``
+        drifts from ``step * interval``, and the file keeps the drift."""
+        network = generate_network(NetworkConfig(universe_side_m=2000.0,
+                                                 lattice_spacing_m=400.0),
+                                   seed=1)
+        config = MobilityConfig(vehicle_count=3, duration_s=20.0,
+                                sample_interval_s=0.1)
+        traces = TraceGenerator(network, config, seed=4).generate()
+        times = traces[0].times
+        assert len(times) == 201
+        assert any(time != step * 0.1 for step, time in enumerate(times))
+        path = tmp_path / "t.csv.gz"
+        save_traces(traces, path)
+        loaded = load_traces(path)
+        assert loaded.sample_interval == 0.1
+        for vid in traces.vehicle_ids():
+            assert columns(loaded[vid]) == columns(traces[vid])
 
 
 class TestValidation:
@@ -76,7 +102,7 @@ class TestValidation:
                         "vehicle_id,time,x,y,heading,speed\n"
                         "0,1.0,1.0,1.0,0.0,1.0\n"
                         "0,0.5,2.0,2.0,0.0,1.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 4"):
             load_traces(path)
 
     def test_blank_lines_skipped(self, tmp_path):

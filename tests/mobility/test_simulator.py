@@ -77,8 +77,8 @@ class TestTraceGeneration:
             return False
 
         trace = traces[0]
-        for sample in trace.samples[::10]:
-            assert on_any_segment(sample.position)
+        for x, y in zip(trace.xs[::10], trace.ys[::10]):
+            assert on_any_segment(Point(x, y))
 
     def test_speeds_within_limits(self, traces):
         max_limit = RoadClass.HIGHWAY.speed_limit
@@ -90,7 +90,8 @@ class TestTraceGeneration:
         """Per-interval displacement never exceeds speed * interval."""
         max_limit = RoadClass.HIGHWAY.speed_limit
         for trace in traces:
-            for before, after in zip(trace.samples, trace.samples[1:]):
+            samples = list(trace)
+            for before, after in zip(samples, samples[1:]):
                 moved = before.position.distance_to(after.position)
                 assert moved <= max_limit * CONFIG.sample_interval_s + 1e-6
 

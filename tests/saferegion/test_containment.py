@@ -84,7 +84,7 @@ class TestWireTrueEquivalence:
         from repro.strategies import (BitmapSafeRegionStrategy,
                                       RectangularSafeRegionStrategy)
         from repro.strategies.base import ClientState
-        from repro.mobility import TraceSample
+        from repro.mobility import Trace, TraceSample
 
         registry = AlarmRegistry()
         for region in ALARMS:
@@ -108,9 +108,10 @@ class TestWireTrueEquivalence:
         connect(server, strategy)
         client = ClientState(0)
         memory_reports = []
-        for sample in samples:
+        trace = Trace(0, samples)
+        for index, sample in enumerate(samples):
             before = metrics.uplink_messages
-            strategy.on_sample(client, sample)
+            strategy.advance(client, trace, index, index + 1)
             if metrics.uplink_messages > before:
                 memory_reports.append(sample.time)
 

@@ -68,10 +68,9 @@ class TestTeleportingClients:
         realized maximum speed (which includes the jump) it may not."""
         world = world_from_positions(teleporting_positions(), ALARMS)
         # realized per-interval displacement includes the ~2600 m jump
-        max_jump = max(
-            a.position.distance_to(b.position)
-            for a, b in zip(world.traces[0].samples,
-                            world.traces[0].samples[1:]))
+        samples = list(world.traces[0])
+        max_jump = max(a.position.distance_to(b.position)
+                       for a, b in zip(samples, samples[1:]))
         sound = run_simulation(world, SafePeriodStrategy(max_speed=max_jump))
         assert sound.accuracy.perfect
 

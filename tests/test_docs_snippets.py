@@ -24,10 +24,12 @@ class EveryOtherFix(ProcessingStrategy):
 
     name = "every-other"
 
-    def on_sample(self, client, sample):
-        if int(sample.time) % 2 == 1:
-            return
-        self._send_report(client, sample)
+    def advance(self, client, trace, start, stop):
+        for index in range(start, stop):
+            if int(trace.times[index]) % 2 == 0:
+                self._send_report(client, trace, index)
+                return index + 1
+        return stop
 
 
 class _Result:
