@@ -81,8 +81,9 @@ def test_disabled_emit_within_guard_ceiling():
 
 def test_disabled_facade_stays_empty():
     DISABLED.location_report(1.0, 1, nbytes=34, cost_us=1.0)
-    DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="push")
-    DISABLED.index_fanout(5)
+    DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="push", sizing_us=1.0)
+    DISABLED.trigger_eval(1.0)
+    DISABLED.index_lookup(1.0, fanout=5)
     assert len(DISABLED.registry) == 0
     assert DISABLED.drain_events() == []
 

@@ -11,27 +11,30 @@ that they agree.  PA002 is the static twin: it verifies that the
   fail ``repro trace validate`` at runtime);
 * every ``EVENT_*`` constant is a declared ``EVENT_FIELDS`` key and is
   emitted somewhere (no declared-but-never-emitted names);
-* every registry counter incremented anywhere (``.counter(name)``) is
-  covered by the reconciliation tables in ``telemetry/export.py`` —
-  ``RECONCILE_COUNTERS``, ``RECONCILE_REGISTRY_EVENTS`` or, for
-  dynamically-suffixed names, a ``RECONCILE_PREFIX_SUMS`` prefix — and
-  vice versa, every reconciled name is actually incremented.  A counter
-  declared ``deterministic=False`` is exempt: reconciliation is exact
-  equality against the engine's deterministic totals, which a
-  machine- or sharding-dependent count has no twin among;
+* no registry counter (``.counter(name)``) is named after a ``Metrics``
+  field: a count the figures report is written once, to ``Metrics``,
+  and a registry copy of it is a second ledger that can only ever be
+  reconciled against itself;
+* every other registry counter incremented anywhere is covered by the
+  reconciliation tables in ``telemetry/export.py`` —
+  ``RECONCILE_REGISTRY_EVENTS`` or, for dynamically-suffixed names, a
+  ``RECONCILE_PREFIX_SUMS`` prefix — and vice versa, every reconciled
+  name is actually incremented.  A counter declared
+  ``deterministic=False`` is exempt: reconciliation is exact equality
+  against deterministic totals, which a machine- or sharding-dependent
+  count has no twin among;
 * every ``Metrics`` field and event type the tables reference exists.
 
 Dynamic counter names are resolved through the model's string tables:
-an ``IfExp`` contributes both branches, and ``"prefix" + expr`` /
-``expr + "suffix"`` contribute a literal prefix/suffix matched against
-the tables (a prefix must appear in ``RECONCILE_PREFIX_SUMS``; a suffix
-is covered when a fully-reconciled name ends with it).
+an ``IfExp`` contributes both branches, and ``"prefix" + expr``
+contributes a literal prefix that must appear in
+``RECONCILE_PREFIX_SUMS``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ...lintkit.diagnostics import Diagnostic
 from ..base import Checker, checker
@@ -108,7 +111,7 @@ class TelemetryDriftChecker(Checker):
                 "the event vocabulary cannot be checked")
             return
         yield from self._check_emits(model, events, declared)
-        yield from self._check_counters(model, events, declared)
+        yield from self._check_counters(model, declared)
 
     # -- events --------------------------------------------------------
     def _check_emits(self, model: ProjectModel, events: ModuleInfo,
@@ -149,38 +152,44 @@ class TelemetryDriftChecker(Checker):
                     % value)
 
     # -- counters ------------------------------------------------------
-    def _check_counters(self, model: ProjectModel, events: ModuleInfo,
+    def _check_counters(self, model: ProjectModel,
                         declared: Set[str]) -> Iterator[Diagnostic]:
         export = model.find("telemetry/export.py")
         if export is None:
             return
-        counter_pairs = _pairs_table(export, "RECONCILE_COUNTERS") or []
         event_pairs = _pairs_table(export, "RECONCILE_EVENTS") or []
         registry_event_pairs = _pairs_table(
             export, "RECONCILE_REGISTRY_EVENTS") or []
         prefix_pairs = _pairs_table(export, "RECONCILE_PREFIX_SUMS") or []
-        reconciled = ({name for name, _ in counter_pairs}
-                      | {name for name, _ in registry_event_pairs})
+        drop_pairs = _pairs_table(export, "RECONCILE_DROPS") or []
+        reconciled = {name for name, _ in registry_event_pairs}
         prefixes = {prefix for prefix, _ in prefix_pairs}
+        metrics_fields = self._metrics_fields(model)
 
         incremented: Set[str] = set()
-        suffixes_used: Set[str] = set()
         for module in model.iter_modules():
             for node in ast.walk(module.tree):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "counter" and node.args):
                     continue
+                resolved = model.resolve_strings(module, node.args[0])
+                for name in resolved.full:
+                    if name in metrics_fields:
+                        yield self.diagnostic(
+                            module, node,
+                            "counter %r is a second ledger: Metrics.%s "
+                            "already holds that count, and a registry "
+                            "copy can only be reconciled against itself"
+                            % (name, name))
                 if any(keyword.arg == "deterministic"
                        and isinstance(keyword.value, ast.Constant)
                        and keyword.value.value is False
                        for keyword in node.keywords):
                     continue
-                resolved = model.resolve_strings(module, node.args[0])
                 incremented.update(resolved.full)
-                suffixes_used.update(resolved.suffixes)
                 for name in resolved.full:
-                    if name not in reconciled:
+                    if name not in reconciled | metrics_fields:
                         yield self.diagnostic(
                             module, node,
                             "counter %r is incremented but no "
@@ -191,13 +200,6 @@ class TelemetryDriftChecker(Checker):
                             module, node,
                             "dynamically-named counters %r* are not "
                             "covered by RECONCILE_PREFIX_SUMS" % prefix)
-                for suffix in resolved.suffixes:
-                    if not any(name.endswith(suffix)
-                               for name in reconciled):
-                        yield self.diagnostic(
-                            module, node,
-                            "dynamically-named counters *%r match no "
-                            "reconciled counter name" % suffix)
                 if resolved.unresolved and resolved.empty:
                     yield self.diagnostic(
                         module, node,
@@ -205,32 +207,16 @@ class TelemetryDriftChecker(Checker):
                         "reconciliation coverage cannot be checked")
 
         yield from self._check_tables(
-            model, events, export, declared, counter_pairs, event_pairs,
-            registry_event_pairs, prefix_pairs, incremented, suffixes_used)
+            export, declared, metrics_fields, event_pairs,
+            registry_event_pairs, prefix_pairs, drop_pairs, incremented)
 
-    def _check_tables(self, model: ProjectModel, events: ModuleInfo,
-                      export: ModuleInfo, declared: Set[str],
-                      counter_pairs: List[Tuple[str, str]],
+    def _check_tables(self, export: ModuleInfo, declared: Set[str],
+                      metrics_fields: Set[str],
                       event_pairs: List[Tuple[str, str]],
                       registry_event_pairs: List[Tuple[str, str]],
                       prefix_pairs: List[Tuple[str, str]],
-                      incremented: Set[str],
-                      suffixes_used: Set[str]) -> Iterator[Diagnostic]:
-        metrics_fields = self._metrics_fields(model)
-        for name, metrics_field in counter_pairs:
-            if not (name in incremented
-                    or any(name.endswith(suffix)
-                           for suffix in suffixes_used)):
-                yield self.file_diagnostic(
-                    export.display_path,
-                    "RECONCILE_COUNTERS lists %r but nothing "
-                    "increments that counter" % name)
-            if (metrics_fields is not None
-                    and metrics_field not in metrics_fields):
-                yield self.file_diagnostic(
-                    export.display_path,
-                    "RECONCILE_COUNTERS references unknown Metrics "
-                    "field %r" % metrics_field)
+                      drop_pairs: List[Tuple[str, str]],
+                      incremented: Set[str]) -> Iterator[Diagnostic]:
         for name, event_kind in registry_event_pairs:
             if name not in incremented:
                 yield self.file_diagnostic(
@@ -248,26 +234,20 @@ class TelemetryDriftChecker(Checker):
                     export.display_path,
                     "RECONCILE_EVENTS references undeclared event "
                     "kind %r" % event_kind)
-            if (metrics_fields is not None
-                    and metrics_field not in metrics_fields):
-                yield self.file_diagnostic(
-                    export.display_path,
-                    "RECONCILE_EVENTS references unknown Metrics "
-                    "field %r" % metrics_field)
-        for prefix, metrics_field in prefix_pairs:
-            if (metrics_fields is not None
-                    and metrics_field not in metrics_fields):
-                yield self.file_diagnostic(
-                    export.display_path,
-                    "RECONCILE_PREFIX_SUMS references unknown Metrics "
-                    "field %r" % metrics_field)
+        if not metrics_fields:  # fixture trees without a Metrics class
+            return
+        for table, pairs in (("RECONCILE_EVENTS", event_pairs),
+                             ("RECONCILE_PREFIX_SUMS", prefix_pairs),
+                             ("RECONCILE_DROPS", drop_pairs)):
+            for _, metrics_field in pairs:
+                if metrics_field not in metrics_fields:
+                    yield self.file_diagnostic(
+                        export.display_path,
+                        "%s references unknown Metrics field %r"
+                        % (table, metrics_field))
 
     @staticmethod
-    def _metrics_fields(model: ProjectModel) -> Optional[Set[str]]:
+    def _metrics_fields(model: ProjectModel) -> Set[str]:
         metrics = model.find("engine/metrics.py")
-        if metrics is None:
-            return None
-        info = metrics.classes.get("Metrics")
-        if info is None:
-            return None
-        return set(info.fields)
+        info = metrics.classes.get("Metrics") if metrics else None
+        return set(info.fields) if info is not None else set()

@@ -166,20 +166,19 @@ class ModuleInfo:
 class ResolvedStrings:
     """Outcome of resolving one expression to string values.
 
-    ``full`` holds completely-resolved values; ``prefixes``/``suffixes``
-    hold the literal halves of partially-dynamic concatenations
+    ``full`` holds completely-resolved values; ``prefixes`` holds the
+    literal head of a concatenation with a dynamic tail
     (``"downlink_messages_" + kind`` yields one prefix).  ``unresolved``
     is set when some branch produced no literal at all.
     """
 
     full: List[str] = field(default_factory=list)
     prefixes: List[str] = field(default_factory=list)
-    suffixes: List[str] = field(default_factory=list)
     unresolved: bool = False
 
     @property
     def empty(self) -> bool:
-        return not (self.full or self.prefixes or self.suffixes)
+        return not (self.full or self.prefixes)
 
 
 def _terminal_name(node: ast.expr) -> Optional[str]:
@@ -429,8 +428,8 @@ class ProjectModel:
 
         Handles literals, module-level constants (through one import
         hop), conditional expressions (both branches) and binary
-        concatenation with one dynamic side (recorded as a prefix or a
-        suffix).  Anything else marks the result ``unresolved``.
+        concatenation with a dynamic right side (recorded as a
+        prefix).  Anything else marks the result ``unresolved``.
         """
         result = ResolvedStrings()
         self._resolve_into(module, node, result)
@@ -461,8 +460,6 @@ class ProjectModel:
                                    for rhs in right.full)
             elif left.full and not left.unresolved:
                 result.prefixes.extend(left.full)
-            elif right.full and not right.unresolved:
-                result.suffixes.extend(right.full)
             else:
                 result.unresolved = True
             return

@@ -24,7 +24,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, List, Optional
 
 from .bench import run_hotpath_bench
-from .engine import PhaseProfiler, run_parallel_simulation, run_simulation
+from .engine import run_parallel_simulation, run_simulation
 from .engine.metrics import Metrics
 from .engine.server import AlarmServer
 from .net import (AlarmDaemon, render_stats_json, render_stats_prom,
@@ -44,8 +44,8 @@ from .protocol.transport import (InProcessTransport, LossyTransport,
                                  TransportFactory)
 from .strategies import (OptimalStrategy, PeriodicStrategy,
                          ProcessingStrategy, SafePeriodStrategy)
-from .telemetry import (EVENT_TYPES, JsonlSink, RunManifest, Telemetry,
-                        filter_events, read_trace, reconcile,
+from .telemetry import (EVENT_TYPES, JsonlSink, NullSink, RunManifest,
+                        Telemetry, filter_events, read_trace, reconcile,
                         render_event_line, render_json, render_prom,
                         render_text, validate_trace)
 
@@ -163,6 +163,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
                                       manifest=manifest)
         telemetry.write_manifest()
+    elif args.profile:
+        # The profile is read from the registry; the events go nowhere.
+        telemetry = Telemetry.capture(sink=NullSink())
     try:
         if args.workers > 1:
             # The sharded engine constructs one strategy per worker
@@ -171,15 +174,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             factory = functools.partial(_resolve_strategy, args.strategy,
                                         world.max_speed())
             result = run_parallel_simulation(
-                world, factory, workers=args.workers,
-                profile=args.profile, telemetry=telemetry,
+                world, factory, workers=args.workers, telemetry=telemetry,
                 transport_factory=transport_factory,
                 sanitize=True if args.sanitize else None)
         else:
             strategy = _resolve_strategy(args.strategy, world.max_speed())
-            profiler = PhaseProfiler() if args.profile else None
-            result = run_simulation(world, strategy,
-                                    profiler=profiler, telemetry=telemetry,
+            result = run_simulation(world, strategy, telemetry=telemetry,
                                     transport_factory=transport_factory,
                                     sanitize=True if args.sanitize else None)
         if telemetry is not None:
@@ -215,8 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           % (result.accuracy.delivered, result.accuracy.expected,
              result.accuracy.missed, result.accuracy.spurious,
              result.accuracy.late))
-    if args.profile:
-        print(profile_report(result))
+    if args.profile and telemetry is not None:
+        print(profile_report(telemetry.registry))
     if args.trace:
         print("trace:                %s" % args.trace)
     return 0 if result.accuracy.perfect else 1

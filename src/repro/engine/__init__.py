@@ -9,7 +9,6 @@ from .metrics import Metrics, TriggerEvent
 from .network import MessageSizes
 from .parallel import (default_worker_count, run_parallel_simulation,
                        shard_traces)
-from .profiling import PhaseProfiler, PhaseStat, merge_reports
 from .server import AlarmServer
 from .tracking import (TargetTrack, compute_tracking_ground_truth,
                        run_tracking_simulation)
@@ -17,10 +16,7 @@ from .simulation import (SimulationResult, World, replay_vehicle_major,
                          run_simulation)
 
 __all__ = [
-    "PhaseProfiler",
-    "PhaseStat",
     "default_worker_count",
-    "merge_reports",
     "replay_vehicle_major",
     "run_parallel_simulation",
     "shard_traces",

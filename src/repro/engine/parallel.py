@@ -26,7 +26,7 @@ Determinism guarantee — the property the differential test suite
 Workers receive a :class:`ShardJob` (registry, grid, sizes, strategy
 factory, flags) and their slice of the traces rather than a
 :class:`World` — worlds may carry non-picklable memoization hooks — and
-return plain metrics plus an optional profile report, keeping the
+return plain metrics plus, when traced, their telemetry, keeping the
 process boundary cheap and explicit.  A shard runs the same
 :func:`~repro.engine.simulation.replay` the serial engine runs on the
 whole trace set; only the scoring happens once, in the parent.
@@ -52,7 +52,6 @@ from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics
 from .network import MessageSizes
-from .profiling import PhaseProfiler, merge_reports
 from .simulation import (SimulationResult, World, in_process_link, replay,
                          score_run)
 
@@ -67,13 +66,11 @@ if TYPE_CHECKING:  # runtime import would cycle through strategies.base
 #: crosses the same process boundary.
 StrategyFactory = Callable[[], "ProcessingStrategy"]
 
-#: What one shard ships back: metrics, optional profile report, and —
-#: when the run is traced — the shard's buffered telemetry events plus
-#: its serialized metrics registry (plain dicts: cheap to pickle, merged
-#: in the parent through the associative registry merge exactly like
-#: ``Metrics.merged``).
-_ShardOutcome = Tuple[Metrics, Optional[Dict[str, Dict[str, float]]],
-                      Optional[List[Mapping[str, object]]],
+#: What one shard ships back: metrics and — when the run is traced —
+#: the shard's buffered telemetry events plus its serialized metrics
+#: registry (plain dicts: cheap to pickle, merged in the parent through
+#: the associative registry merge exactly like ``Metrics.merged``).
+_ShardOutcome = Tuple[Metrics, Optional[List[Mapping[str, object]]],
                       Optional[Dict[str, Dict[str, object]]]]
 
 
@@ -120,7 +117,6 @@ class ShardJob:
     sizes: MessageSizes
     strategy_factory: StrategyFactory
     transport_factory: Optional[TransportFactory]
-    profile: bool
     trace: bool
     sanitize: bool
 
@@ -131,7 +127,6 @@ class ShardJob:
         the same per-client clock invariant the serial engine would; a
         traced shard stamps its events with ``shard_index``.
         """
-        profiler = PhaseProfiler() if self.profile else None
         telemetry = (Telemetry.capture(shard=shard_index) if self.trace
                      else DISABLED)
         metrics, _ = replay(
@@ -139,10 +134,9 @@ class ShardJob:
             self.strategy_factory(),
             functools.partial(in_process_link,
                               transport_factory=self.transport_factory),
-            profiler=profiler, telemetry=telemetry,
+            telemetry=telemetry,
             sanitizer=Sanitizer.resolve(self.sanitize))
         return (metrics,
-                profiler.report() if profiler is not None else None,
                 telemetry.drain_events() if self.trace else None,
                 telemetry.registry.to_dict() if self.trace else None)
 
@@ -207,7 +201,6 @@ def _dispatch(job: ShardJob, shards: List[TraceSet]) -> List[_ShardOutcome]:
 def run_parallel_simulation(world: World,
                             strategy_factory: StrategyFactory,
                             workers: Optional[int] = None,
-                            profile: bool = False,
                             telemetry: Optional[Telemetry] = None,
                             transport_factory: Optional[TransportFactory]
                             = None,
@@ -234,7 +227,8 @@ def run_parallel_simulation(world: World,
     (stamped with the shard index) and ships them back in the shard
     outcome; the parent folds them into ``telemetry`` in shard order, so
     a traced parallel run produces one coherent event stream and one
-    merged registry — reconcilable against the merged ``Metrics``.
+    merged registry — reconcilable against the merged ``Metrics``, and
+    holding the wall time of every server stage summed over the shards.
     """
     if workers is None:
         workers = default_worker_count()
@@ -256,22 +250,18 @@ def run_parallel_simulation(world: World,
     shards = shard_traces(world.traces, workers)
     outcomes = _dispatch(
         ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
-                 transport_factory, profile=profile,
-                 trace=telemetry.enabled,
+                 transport_factory, trace=telemetry.enabled,
                  sanitize=sanitizer.enabled),
         shards)
     parts = [outcome[0] for outcome in outcomes]
     metrics = Metrics.merged(parts)
     sanitizer.check_merge(parts, metrics)
-    profile_report = (merge_reports([outcome[1] for outcome in outcomes])
-                      if profile else None)
     if telemetry.enabled:
         # Fold shard telemetry in shard order: the event stream then
         # mirrors the serial replay order the same way the trigger list
         # does, and the registry merge mirrors Metrics.merged.
         for outcome in outcomes:
-            telemetry.absorb_shard(outcome[2] or [], outcome[3])
+            telemetry.absorb_shard(outcome[1] or [], outcome[2])
     wall_time = time.perf_counter() - started
     return score_run(world, strategy_name, metrics, wall_time, sanitizer,
-                     profile=profile_report,
                      workers=len(shards) if shards else 1)

@@ -20,9 +20,8 @@ traffic counter.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
-from typing import (Callable, ContextManager, Iterator, List, Optional,
-                    Set)
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Set
 
 from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Point, Rect
@@ -35,9 +34,6 @@ from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics, TriggerEvent
 from .network import MessageSizes
-from .profiling import PhaseProfiler
-
-_NULL_CONTEXT: ContextManager[None] = nullcontext()
 
 
 class AlarmServer:
@@ -46,7 +42,6 @@ class AlarmServer:
     def __init__(self, registry: AlarmRegistry, grid: GridOverlay,
                  metrics: Metrics,
                  sizes: MessageSizes = MessageSizes(),
-                 profiler: Optional[PhaseProfiler] = None,
                  telemetry: Optional[Telemetry] = None,
                  sanitizer: Sanitizer = SANITIZER_OFF) -> None:
         # All mutable server knowledge lives in the explicit state store;
@@ -57,8 +52,6 @@ class AlarmServer:
         self.grid = grid
         self.metrics = metrics
         self.sizes = sizes
-        # Optional per-phase wall-time profiling (see engine.profiling).
-        self.profiler = profiler
         # Structured telemetry facade; the shared DISABLED singleton
         # (never None) keeps every hot-path guard a plain attribute
         # check instead of an `is None` test plus a method call.
@@ -82,10 +75,12 @@ class AlarmServer:
 
         Fires every pending relevant alarm whose region interior contains
         ``position`` and records a trigger notification per firing.  The
-        work is timed into the *alarm processing* bucket.  (The
-        ``location_report`` event and the uplink byte accounting belong
-        to the transport that delivered the report, not to this method —
-        it can be called directly in tests without touching a counter.)
+        work is timed into the *alarm processing* bucket, and the same
+        reading feeds the ``trigger_eval_cost_us`` histogram of a traced
+        run.  (The ``location_report`` event and the uplink byte
+        accounting belong to the transport that delivered the report,
+        not to this method — it can be called directly in tests without
+        touching a traffic counter.)
         """
         fired = self.fired_for(user_id)
         telemetry = self.telemetry
@@ -93,15 +88,16 @@ class AlarmServer:
         accesses_before = registry.tree.stats.node_accesses
         started = time.perf_counter()
         try:
-            with self.profiled("alarm_processing"):
-                triggered = registry.triggered_at(user_id, position,
-                                                  exclude_ids=fired)
+            triggered = registry.triggered_at(user_id, position,
+                                              exclude_ids=fired)
         finally:
-            self.metrics.alarm_processing_time_s += (
-                time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+            self.metrics.alarm_processing_time_s += elapsed
             self.metrics.index_node_accesses += (
                 registry.tree.stats.node_accesses - accesses_before)
         self.metrics.alarm_evaluations += 1
+        if telemetry.enabled:
+            telemetry.trigger_eval(elapsed * 1e6)
         for alarm in triggered:
             fired.add(alarm.alarm_id)
             self.metrics.triggers.append(
@@ -121,25 +117,30 @@ class AlarmServer:
     def pending_alarms_in(self, user_id: int,
                           rect: Rect) -> List[SpatialAlarm]:
         """Pending (unfired) relevant alarms interior-overlapping ``rect``."""
-        with self.profiled("index_lookup"):
-            pending = self.registry.relevant_intersecting(
-                user_id, rect, exclude_ids=self.fired_for(user_id))
         telemetry = self.telemetry
+        started = time.perf_counter() if telemetry.enabled else 0.0
+        pending = self.registry.relevant_intersecting(
+            user_id, rect, exclude_ids=self.fired_for(user_id))
         if telemetry.enabled:
-            telemetry.index_fanout(len(pending))
+            telemetry.index_lookup((time.perf_counter() - started) * 1e6,
+                                   fanout=len(pending))
         return pending
 
     def pending_nearest_distance(self, user_id: int,
                                  position: Point) -> float:
         """Distance to the nearest pending relevant alarm region."""
-        with self.profiled("index_lookup"):
-            return self.registry.nearest_relevant_distance(
-                user_id, position, exclude_ids=self.fired_for(user_id))
+        telemetry = self.telemetry
+        started = time.perf_counter() if telemetry.enabled else 0.0
+        distance = self.registry.nearest_relevant_distance(
+            user_id, position, exclude_ids=self.fired_for(user_id))
+        if telemetry.enabled:
+            telemetry.index_lookup((time.perf_counter() - started) * 1e6)
+        return distance
 
     # ------------------------------------------------------------------
     # Shared safe-region memo (public-alarm bitmaps, paper §4.2)
     # ------------------------------------------------------------------
-    def shared_region(self, user_id: int, time_s: float, key: MemoKey,
+    def shared_region(self, user_id: int, key: MemoKey,
                       build: Callable[[], BitmapSafeRegion]
                       ) -> BitmapSafeRegion:
         """The bitmap region of a public-only pending set, built once.
@@ -162,7 +163,7 @@ class AlarmServer:
             self.sanitizer.check_shared_region(user_id, key, region, build())
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.saferegion_cache(time_s, user_id, hit=hit)
+            telemetry.saferegion_cache(hit)
         return region
 
     def close(self) -> None:
@@ -172,32 +173,21 @@ class AlarmServer:
     # ------------------------------------------------------------------
     # Timing buckets
     # ------------------------------------------------------------------
-    def profiled(self, phase: str) -> ContextManager[None]:
-        """Time a block into the profiler's ``phase`` (no-op when off).
-
-        Policies mark their phase boundaries with this; with no
-        profiler attached it returns a shared null context, keeping the
-        unprofiled hot path allocation-free.
-        """
-        if self.profiler is None:
-            return _NULL_CONTEXT
-        return self.profiler.timed(phase)
-
     @contextmanager
-    def timed_saferegion(self, user_id: Optional[int] = None,
-                         time_s: Optional[float] = None) -> Iterator[None]:
+    def timed_saferegion(self, user_id: int,
+                         time_s: float) -> Iterator[None]:
         """Time a block into the *safe-region computation* bucket.
 
         Policies wrap their safe-region (or safe-period) production in
         this context manager so Fig. 4(b)/6(d) can split server load.
         ``user_id``/``time_s`` identify the computation for telemetry;
-        the ``saferegion_computed`` event fires exactly when the
-        ``safe_region_computations`` counter increments (on clean exit),
-        so the two reconcile by construction.  The counter is one per
-        safe region *served* to a client: a bitmap handed out of the
-        shared memo counts like one built for the occasion, which keeps
-        it identical between a serial run and a sharded one whose
-        shards each fill a memo of their own.
+        the ``saferegion_computed`` event, which carries this bucket's
+        reading into ``saferegion_compute_cost_us``, fires exactly when
+        the ``safe_region_computations`` counter increments (on clean
+        exit).  The counter is one per safe region *served* to a client:
+        a bitmap handed out of the shared memo counts like one built for
+        the occasion, which keeps it identical between a serial run and
+        a sharded one whose shards each fill a memo of their own.
         """
         accesses_before = self.registry.tree.stats.node_accesses
         started = time.perf_counter()
@@ -210,5 +200,5 @@ class AlarmServer:
                 self.registry.tree.stats.node_accesses - accesses_before)
         self.metrics.safe_region_computations += 1
         telemetry = self.telemetry
-        if telemetry.enabled and user_id is not None and time_s is not None:
+        if telemetry.enabled:
             telemetry.saferegion_computed(time_s, user_id, elapsed * 1e6)

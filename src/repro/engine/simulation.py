@@ -45,7 +45,6 @@ from .groundtruth import (AccuracyReport, Lifetime, TriggerKey,
                           verify_accuracy)
 from .metrics import Metrics
 from .network import MessageSizes
-from .profiling import PhaseProfiler
 from .server import AlarmServer
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
@@ -115,9 +114,6 @@ class SimulationResult:
     total_samples: int
     wall_time_s: float
     energy_model: EnergyModel
-    #: Per-phase profile report (``PhaseProfiler.report()``), present only
-    #: when the run was profiled.
-    profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Worker count of the sharded engine (1 for serial runs).
     workers: int = 1
 
@@ -345,7 +341,6 @@ def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
 
 def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
            traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
-           profiler: Optional[PhaseProfiler] = None,
            telemetry: Telemetry = DISABLED,
            sanitizer: Sanitizer = SANITIZER_OFF,
            mutation: Optional[MutationFactory] = None
@@ -357,8 +352,7 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     """
     metrics = Metrics()
     server = AlarmServer(registry, grid, metrics, sizes=sizes,
-                         profiler=profiler, telemetry=telemetry,
-                         sanitizer=sanitizer)
+                         telemetry=telemetry, sanitizer=sanitizer)
     if telemetry.enabled:
         telemetry.shard_started(len(traces))
     started = time.perf_counter()
@@ -387,7 +381,6 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
 def score_run(world: World, strategy_name: str, metrics: Metrics,
               wall_time: float, sanitizer: Sanitizer,
               ground_truth: Optional[Callable[[], GroundTruth]] = None,
-              profile: Optional[Dict[str, Dict[str, float]]] = None,
               workers: int = 1) -> SimulationResult:
     """Close a run: frozen-geometry check, accuracy, the result value."""
     sanitizer.verify_geometry(world.registry)
@@ -399,13 +392,11 @@ def score_run(world: World, strategy_name: str, metrics: Metrics,
                             client_count=len(world.traces),
                             total_samples=world.traces.total_samples,
                             wall_time_s=wall_time,
-                            energy_model=world.energy,
-                            profile=profile, workers=workers)
+                            energy_model=world.energy, workers=workers)
 
 
 def run_session(world: World, strategy: "ProcessingStrategy",
-                link: Link, profiler: Optional[PhaseProfiler] = None,
-                telemetry: Optional[Telemetry] = None,
+                link: Link, telemetry: Optional[Telemetry] = None,
                 sanitize: Optional[bool] = None,
                 mutation: Optional[MutationFactory] = None,
                 ground_truth: Optional[Callable[[], GroundTruth]] = None
@@ -426,16 +417,12 @@ def run_session(world: World, strategy: "ProcessingStrategy",
         sanitizer.snapshot_geometry(registry)
     metrics, wall_time = replay(
         registry, world.grid, world.sizes, world.traces, strategy, link,
-        profiler=profiler, telemetry=telemetry, sanitizer=sanitizer,
-        mutation=mutation)
+        telemetry=telemetry, sanitizer=sanitizer, mutation=mutation)
     return score_run(world, strategy.name, metrics, wall_time, sanitizer,
-                     ground_truth=ground_truth,
-                     profile=(profiler.report() if profiler is not None
-                              else None))
+                     ground_truth=ground_truth)
 
 
 def run_simulation(world: World, strategy: "ProcessingStrategy",
-                   profiler: Optional[PhaseProfiler] = None,
                    telemetry: Optional[Telemetry] = None,
                    transport_factory: Optional[TransportFactory] = None,
                    sanitize: Optional[bool] = None,
@@ -447,10 +434,9 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     ``transport_factory`` selects the link between the strategy's
     client half and the server (default: the reliable in-process
     transport; pass a :class:`~repro.protocol.transport.LossyTransport`
-    factory to simulate drops and retries).  ``profiler`` attaches
-    per-phase wall-time accounting (see :mod:`repro.engine.profiling`);
-    the report lands on ``result.profile``.  ``telemetry`` attaches the
-    structured telemetry facade (see :mod:`repro.telemetry`); ``None``
+    factory to simulate drops and retries).  ``telemetry`` attaches the
+    structured telemetry facade (see :mod:`repro.telemetry`), whose
+    registry also holds the run's wall time by server stage; ``None``
     means the shared disabled facade, whose per-site cost is one
     attribute check.  ``sanitize`` attaches the runtime invariant
     sanitizer (see :mod:`repro.sanitize`); ``None`` consults
@@ -460,5 +446,4 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     return run_session(world, strategy,
                        functools.partial(in_process_link,
                                          transport_factory=transport_factory),
-                       profiler=profiler, telemetry=telemetry,
-                       sanitize=sanitize)
+                       telemetry=telemetry, sanitize=sanitize)

@@ -41,7 +41,6 @@ from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Point, Rect
 from ..mobility import Trace
 from ..telemetry.facade import Telemetry
-from .profiling import PhaseProfiler
 from .simulation import (GroundTruth, SimulationResult, StepChanges, World,
                          compute_mutating_ground_truth, in_process_link,
                          run_session)
@@ -109,12 +108,10 @@ def compute_tracking_ground_truth(world: World,
 
 def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
                             tracks: Sequence[TargetTrack],
-                            profiler: Optional[PhaseProfiler] = None,
                             telemetry: Optional[Telemetry] = None
                             ) -> SimulationResult:
     """Time-major replay with per-step target moves and invalidation."""
     return run_session(
-        world, strategy, in_process_link,
-        profiler=profiler, telemetry=telemetry,
+        world, strategy, in_process_link, telemetry=telemetry,
         mutation=functools.partial(TrackMutation, tracks),
         ground_truth=lambda: compute_tracking_ground_truth(world, tracks))

@@ -8,10 +8,9 @@ the tables are the artifact, and EXPERIMENTS.md snapshots them.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, List, Sequence
+from typing import Any, List, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SimulationResult
+from ..telemetry.metrics import Histogram, MetricsRegistry
 
 
 class Table:
@@ -48,28 +47,23 @@ class Table:
         return "\n".join(lines)
 
 
-def profile_report(result: "SimulationResult", indent: int = 2) -> str:
-    """JSON per-phase profile of a (possibly sharded) simulation run.
+def profile_report(registry: MetricsRegistry, indent: int = 2) -> str:
+    """JSON wall time by server stage, read from a run's telemetry registry.
 
-    The payload carries the run's identity (strategy, worker count), the
-    end-to-end replay wall time, and the per-phase breakdown recorded by
-    the run's :class:`~repro.engine.profiling.PhaseProfiler` — for a
-    sharded run the phases are the merged totals over all workers, so
-    ``phases_wall_s`` can legitimately exceed ``wall_time_s`` (that
-    surplus *is* the parallelism).  Stable key order makes the report
-    diffable across runs.
+    Every ``*_cost_us`` histogram as ``{"calls": count, "wall_s": sum}``.
+    Stages nest — ``report_cost_us`` contains ``trigger_eval_cost_us`` and
+    ``saferegion_compute_cost_us``, which contains
+    ``index_lookup_cost_us`` — so they do not add up to the run's wall
+    time; a sharded run's are summed over its workers, so one can exceed
+    it (that surplus *is* the parallelism).
     """
-    phases = result.profile or {}
-    payload = {
-        "strategy": result.strategy_name,
-        "workers": result.workers,
-        "clients": result.client_count,
-        "total_samples": result.total_samples,
-        "wall_time_s": result.wall_time_s,
-        "phases_wall_s": sum(stat["wall_s"] for stat in phases.values()),
-        "phases": phases,
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    stages = {}
+    for name in registry.names():
+        instrument = registry.get(name)
+        if name.endswith("_cost_us") and isinstance(instrument, Histogram):
+            stages[name] = {"calls": instrument.count,
+                            "wall_s": instrument.sum / 1e6}
+    return json.dumps(stages, indent=indent, sort_keys=True)
 
 
 def _format(value: Any) -> str:

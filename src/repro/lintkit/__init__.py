@@ -4,7 +4,7 @@ The safe-region contract (paper Section 2.1) and the sharded engine's
 determinism guarantee rest on invariants ordinary tooling cannot see:
 geometry values are immutable, strategies are deterministic, worker code
 must not write shared module state.  This package encodes each invariant
-as a named AST-based lint rule (RL001-RL007) with a stable diagnostic
+as a named AST-based lint rule (RL001-RL008) with a stable diagnostic
 format, runnable as ``python -m repro lint``.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the

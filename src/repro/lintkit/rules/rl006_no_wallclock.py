@@ -6,8 +6,7 @@ date).  A ``time.time()`` or ``datetime.now()`` call in a strategy,
 safe-region computation or index operation couples results to the host
 clock — replays stop being reproducible, the differential serial-vs-
 sharded suite can no longer assert bit-equality, and golden figure
-tables drift.  The profiling module is the one sanctioned home for
-wall-time accounting and is exempt.
+tables drift.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class NoWallclockRule(LintRule):
     scopes = ("engine", "strategies", "saferegion", "index", "geometry",
               "mobility", "alarms", "telemetry", "protocol", "net",
               "bench")
-    exempt_files = ("engine/profiling.py",)
 
     def check(self, ctx: RuleContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):

@@ -11,9 +11,10 @@ printing here (RL007) and no host wall clock (RL006; the scrape RTT is
 a ``perf_counter`` delta).
 
 The Prometheus renderer reuses
-:func:`~repro.telemetry.export.render_registry_prom`, so a live scrape
-and a recorded trace of the same registry render byte-identically —
-the exporter conformance test pins this.
+:func:`~repro.telemetry.export.render_registry_prom` and
+:func:`~repro.telemetry.export.render_metrics_prom`, so a live scrape
+and a recorded trace of the same registry and ``Metrics`` totals render
+byte-identically — the exporter conformance test pins this.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..protocol.framing import (FrameDecoder, FrameKind, FramingError,
                                 decode_error, decode_stats, encode_frame,
                                 encode_hello)
 from ..protocol.transport import TransportError
-from ..telemetry.export import render_registry_prom
+from ..telemetry.export import render_metrics_prom, render_registry_prom
 from ..telemetry.metrics import Histogram, MetricsRegistry
 
 #: Socket read size, matching the daemon's.
@@ -200,12 +201,14 @@ def render_stats_json(snapshot: StatsSnapshot) -> str:
 def render_stats_prom(snapshot: StatsSnapshot) -> str:
     """Prometheus exposition of a live scrape.
 
-    Registry instruments render through the shared
-    :func:`~repro.telemetry.export.render_registry_prom` (byte-equal to
-    the trace exporter's rendering of the same registry); the live
-    gauges follow with a ``repro_live_`` prefix.
+    Registry instruments and the engine's ``Metrics`` counts render
+    through the shared :func:`~repro.telemetry.export.render_registry_prom`
+    and :func:`~repro.telemetry.export.render_metrics_prom` (byte-equal
+    to the trace exporter's rendering of the same run); the live gauges
+    follow with a ``repro_live_`` prefix.
     """
     lines = render_registry_prom(snapshot.registry())
+    lines.extend(render_metrics_prom(snapshot.metrics()))
     live = snapshot.live()
     for key in ("connections_open", "queue_depth_total"):
         metric = "repro_live_" + key
@@ -285,10 +288,14 @@ def render_top(snapshot: StatsSnapshot,
                     _rate(metrics, prev_metrics, "trigger_notifications",
                           interval_s)))
     registry = snapshot.registry()
-    for name in ("net_rtt_us", "net_batch_handle_us"):
+    # Outermost first, so a slow round trip reads down to the stage that
+    # took it (docs/OBSERVABILITY.md says what nests in what).
+    for name in ("net_rtt_us", "net_batch_handle_us", "report_cost_us",
+                 "trigger_eval_cost_us", "saferegion_compute_cost_us",
+                 "index_lookup_cost_us", "downlink_sizing_cost_us"):
         instrument = registry.get(name)
         if isinstance(instrument, Histogram) and instrument.count:
-            lines.append("%-20s p50 %8.0f us   p99 %8.0f us   (n=%d)"
+            lines.append("%-26s p50 %8.0f us   p99 %8.0f us   (n=%d)"
                          % (name,
                             histogram_percentile(instrument, 0.50),
                             histogram_percentile(instrument, 0.99),

@@ -91,7 +91,7 @@ class InProcessTransport(Transport):
     # ------------------------------------------------------------------
     def request(self, request: Request, time_s: float) -> ServerReply:
         server = self.server
-        nbytes = self._charge_uplink(request, time_s)
+        nbytes = self._charge_uplink(request)
         telemetry = server.telemetry
         cost_started = time.perf_counter() if telemetry.enabled else 0.0
         reply = handle_request(server, self.policy, request, time_s)
@@ -110,7 +110,7 @@ class InProcessTransport(Transport):
     # ------------------------------------------------------------------
     # Accounting (the only writers of the traffic counters)
     # ------------------------------------------------------------------
-    def _charge_uplink(self, request: Request, time_s: float) -> int:
+    def _charge_uplink(self, request: Request) -> int:
         server = self.server
         nbytes = self.codec.size_of_request(request)
         if self.verify_wire:
@@ -128,27 +128,29 @@ class InProcessTransport(Transport):
         """Charge one sized downlink payload; in-band messages are free.
 
         Returns the accounted byte count (0 for in-band messages, which
-        are not charged and emit no event).
+        are not charged and emit no event).  A traced run also times the
+        sizing (``downlink_sizing_cost_us``).
         """
         kind = downlink_kind(message)
         if kind is None:
             return 0
         server = self.server
-        with server.profiled("encoding"):
-            nbytes = self.codec.size_of_response(message)
-            if self.verify_wire:
-                encoded = self.codec.encode_response(message,
-                                                     sender=user_id,
-                                                     timestamp=time_s)
-                if len(encoded) != nbytes:
-                    raise WireFidelityError(
-                        "downlink %s charged %d bytes but encodes to %d"
-                        % (kind, nbytes, len(encoded)))
+        telemetry = server.telemetry
+        started = time.perf_counter() if telemetry.enabled else 0.0
+        nbytes = self.codec.size_of_response(message)
+        if self.verify_wire:
+            encoded = self.codec.encode_response(message, sender=user_id,
+                                                 timestamp=time_s)
+            if len(encoded) != nbytes:
+                raise WireFidelityError(
+                    "downlink %s charged %d bytes but encodes to %d"
+                    % (kind, nbytes, len(encoded)))
         server.metrics.downlink_messages += 1
         server.metrics.downlink_bytes += nbytes
-        telemetry = server.telemetry
         if telemetry.enabled:
-            telemetry.downlink_sent(time_s, user_id, nbytes, kind)
+            telemetry.downlink_sent(
+                time_s, user_id, nbytes, kind,
+                (time.perf_counter() - started) * 1e6)
         return nbytes
 
 
@@ -233,7 +235,7 @@ class LossyTransport(InProcessTransport):
         telemetry = server.telemetry
         latency = 0.0
         for attempt in range(self.max_attempts):
-            nbytes = self._charge_uplink(request, time_s)
+            nbytes = self._charge_uplink(request)
             latency += self._attempt_latency(attempt)
             if self._rng.random() < self.uplink_drop:
                 server.metrics.uplink_drops += 1
@@ -336,9 +338,6 @@ class ClientSession:
         """
         self._metrics.containment_checks += checks
         self._metrics.containment_ops += ops
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.probe(ops, checks)
 
 
 def connect(server: "AlarmServer", strategy: "ProcessingStrategy",

@@ -98,14 +98,13 @@ class BitmapPolicy(ServerPolicy):
             pending = server.pending_alarms_in(user_id, cell)
 
             def build() -> BitmapSafeRegion:
-                with server.profiled("saferegion_compute"):
-                    return self.computer.compute(
-                        cell, [alarm.region for alarm in pending])
+                return self.computer.compute(
+                    cell, [alarm.region for alarm in pending])
 
             if all(alarm.scope is AlarmScope.PUBLIC for alarm in pending):
                 # pending is in id order, so the ids are the memo key
                 region = server.shared_region(
-                    user_id, time_s,
+                    user_id,
                     (cell_id, tuple(alarm.alarm_id for alarm in pending)),
                     build)
             else:

@@ -41,8 +41,8 @@ class OptimalPolicy(ServerPolicy):
                        time_s: float,
                        triggered: Sequence["SpatialAlarm"]
                        ) -> Sequence[Response]:
-        # OPT's "safe-region computation" is pure alarm-list assembly, so
-        # the server's internal index_lookup profiling already covers it.
+        # OPT's "safe-region computation" is pure alarm-list assembly:
+        # the index lookup is all of it.
         with server.timed_saferegion(request.user_id, time_s):
             cell = server.current_cell(request.position)
             pending = server.pending_alarms_in(request.user_id, cell)

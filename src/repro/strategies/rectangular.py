@@ -60,11 +60,9 @@ class RectangularPolicy(ServerPolicy):
         with server.timed_saferegion(request.user_id, time_s):
             cell = server.current_cell(request.position)
             pending = server.pending_alarms_in(request.user_id, cell)
-            with server.profiled("saferegion_compute"):
-                result = self.computer.compute(request.position, heading,
-                                               cell,
-                                               [alarm.region
-                                                for alarm in pending])
+            result = self.computer.compute(request.position, heading, cell,
+                                           [alarm.region
+                                            for alarm in pending])
         return (InstallSafeRegion(rect=result.rect),)
 
     def _heading_for(self, server: "AlarmServer",

@@ -49,11 +49,10 @@ class SafePeriodPolicy(ServerPolicy):
         with server.timed_saferegion(request.user_id, time_s):
             distance = server.pending_nearest_distance(request.user_id,
                                                        request.position)
-            with server.profiled("saferegion_compute"):
-                if math.isinf(distance):
-                    expiry = math.inf
-                else:
-                    expiry = time_s + distance / self.max_speed
+            if math.isinf(distance):
+                expiry = math.inf
+            else:
+                expiry = time_s + distance / self.max_speed
         return (InstallSafePeriod(expiry=expiry),)
 
 

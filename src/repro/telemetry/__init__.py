@@ -26,8 +26,8 @@ from .events import (BASE_FIELDS, EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
                      TraceEvent, validate_event)
 from .export import (TraceData, event_counts, filter_events, read_trace,
                      reconcile, render_event_line, render_json,
-                     render_prom, render_registry_prom, render_text,
-                     validate_trace)
+                     render_metrics_prom, render_prom,
+                     render_registry_prom, render_text, validate_trace)
 from .facade import DISABLED, Telemetry
 from .manifest import (MANIFEST_VERSION, RunManifest, config_fingerprint,
                        current_git_sha, extract_seeds)
@@ -100,6 +100,7 @@ __all__ = [
     "reconcile",
     "render_event_line",
     "render_json",
+    "render_metrics_prom",
     "render_prom",
     "render_registry_prom",
     "render_text",

@@ -8,22 +8,26 @@ never touches the engine.
 
 The *reconciliation* check is the load-bearing piece: a trace's event
 stream, its telemetry registry and the engine's own ``Metrics`` totals
-(stored in the summary record) describe the same run three ways, and
-:func:`reconcile` asserts they agree — the cross-check that catches a
-dropped shard, a missed emit site or a broken merge before anyone
-trusts a dashboard built on the trace.
+(stored in the summary record) reach the report by three routes — the
+sink, the registry merge and the ``Metrics`` merge — and
+:func:`reconcile` asserts that wherever two of them witnessed the same
+thing they agree: the cross-check that catches a dropped shard, a
+missed emit site or a broken merge before anyone trusts a dashboard
+built on the trace.  No quantity is written twice to be compared with
+itself: a count the figures report lives in ``Metrics`` only.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from .events import (EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN, EVENT_TYPES,
-                     RECORD_EVENT, RECORD_MANIFEST, RECORD_SUMMARY,
-                     validate_event)
+from .events import (EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
+                     EVENT_TRANSPORT_DROP, EVENT_TYPES, RECORD_EVENT,
+                     RECORD_MANIFEST, RECORD_SUMMARY, validate_event)
 from .manifest import RunManifest
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sinks import read_jsonl
@@ -31,26 +35,19 @@ from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
                     SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE, STATUS_OK,
                     span_close_counts, validate_spans)
 
-#: Counter-level reconciliation pairs: (registry counter, Metrics field).
-RECONCILE_COUNTERS = (
-    ("uplink_messages", "uplink_messages"),
-    ("uplink_bytes", "uplink_bytes"),
-    ("downlink_messages", "downlink_messages"),
-    ("downlink_bytes", "downlink_bytes"),
-    ("alarms_fired", "trigger_notifications"),
-    ("saferegion_computations", "safe_region_computations"),
-    ("containment_checks", "containment_checks"),
-    ("containment_ops", "containment_ops"),
-    ("uplink_drops", "uplink_drops"),
-    ("downlink_drops", "downlink_drops"),
-)
-
 #: Event-count reconciliation pairs: (event type, Metrics field).
 RECONCILE_EVENTS = (
     ("location_report", "uplink_messages"),
     ("downlink_sent", "downlink_messages"),
     ("alarm_fired", "trigger_notifications"),
     ("saferegion_computed", "safe_region_computations"),
+)
+
+#: ``transport_drop`` events by ``direction`` vs the ``Metrics`` drop
+#: field of that direction: (direction, Metrics field).
+RECONCILE_DROPS = (
+    ("uplink", "uplink_drops"),
+    ("downlink", "downlink_drops"),
 )
 
 #: Registry-vs-event reconciliation pairs: (registry counter, event
@@ -144,12 +141,13 @@ def validate_trace(data: TraceData) -> List[str]:
 # Reconciliation
 # ----------------------------------------------------------------------
 def reconcile(data: TraceData) -> Dict[str, object]:
-    """Cross-check events and registry against the ``Metrics`` totals.
+    """Cross-check the event stream, the registry and ``Metrics``.
 
     Returns ``{"ok": bool, "checks": [{name, expected, actual, ok}]}``.
-    Every check compares one view of the run against the engine's own
-    deterministic counters; exact equality is the contract (both sides
-    are integer counts of the same protocol events).
+    Every check sets two of the three against each other where they
+    witnessed the same thing by different routes; exact equality is the
+    contract (both sides are integer counts of the same protocol
+    events).
     """
     metrics = data.metrics_counters()
     registry = data.registry()
@@ -160,14 +158,16 @@ def reconcile(data: TraceData) -> Dict[str, object]:
         checks.append({"name": name, "expected": expected,
                        "actual": actual, "ok": expected == actual})
 
-    for counter_name, metrics_field in RECONCILE_COUNTERS:
-        instrument = registry.get(counter_name)
-        value = instrument.value if isinstance(instrument, Counter) else 0
-        check("registry.%s == metrics.%s" % (counter_name, metrics_field),
-              metrics.get(metrics_field, 0), value)
     for event_type, metrics_field in RECONCILE_EVENTS:
         check("events.%s == metrics.%s" % (event_type, metrics_field),
               metrics.get(metrics_field, 0), counts.get(event_type, 0))
+    drops = collections.Counter(
+        record.get("direction") for record in data.events
+        if record.get("type") == EVENT_TRANSPORT_DROP)
+    for direction, metrics_field in RECONCILE_DROPS:
+        check("events.%s[%s] == metrics.%s"
+              % (EVENT_TRANSPORT_DROP, direction, metrics_field),
+              metrics.get(metrics_field, 0), drops[direction])
     for counter_name, event_type in RECONCILE_REGISTRY_EVENTS:
         instrument = registry.get(counter_name)
         value = instrument.value if isinstance(instrument, Counter) else 0
@@ -374,12 +374,29 @@ def render_registry_prom(registry: MetricsRegistry) -> List[str]:
     return lines
 
 
+def render_metrics_prom(metrics: Mapping[str, object]) -> List[str]:
+    """``Metrics.counters()`` totals as Prometheus counter lines.
+
+    The counts the figures report (``repro_uplink_messages`` and
+    friends) are rendered from the ``metrics`` section a trace summary
+    and a STATS snapshot both carry — the registry keeps no copy of
+    them.  Shared by the same two exporters as
+    :func:`render_registry_prom`, whose lines these follow.
+    """
+    lines: List[str] = []
+    for name in sorted(metrics):
+        lines.append("# TYPE repro_%s counter" % name)
+        lines.append("repro_%s %s" % (name, metrics[name]))
+    return lines
+
+
 def render_prom(data: TraceData) -> str:
     """Prometheus text exposition format (counters, gauges, histograms).
 
-    The registry rendering is :func:`render_registry_prom`; this adds
-    the run-info gauge from the manifest and per-event-type totals, so
-    the output scrapes directly into any Prometheus-compatible stack.
+    The registry rendering is :func:`render_registry_prom` and the
+    engine's counts :func:`render_metrics_prom`; this adds the run-info
+    gauge from the manifest and per-event-type totals, so the output
+    scrapes directly into any Prometheus-compatible stack.
     """
     lines: List[str] = []
     manifest = data.manifest
@@ -391,6 +408,7 @@ def render_prom(data: TraceData) -> str:
             % (manifest.strategy, manifest.config_hash,
                manifest.git_sha or "", manifest.workers))
     lines.extend(render_registry_prom(data.registry()))
+    lines.extend(render_metrics_prom(data.metrics_counters()))
     for event_type, count in sorted(event_counts(data.events).items()):
         metric = "repro_events_total"
         lines.append('%s{type="%s"} %d' % (metric, event_type, count))

@@ -20,9 +20,13 @@ An enabled facade bundles the three telemetry concerns:
 
 The typed ``emit`` helpers below are the only place events and their
 derived instruments are produced, so the event schema and the metric
-names stay in lockstep — and the per-event registry bookkeeping is
-what lets ``repro report`` reconcile a trace against the engine's own
-``Metrics`` totals (a cross-check the test suite asserts).
+names stay in lockstep.  Each quantity is written once: a count the
+figures report lives in the engine's ``Metrics`` and nowhere in the
+registry, which holds what ``Metrics`` has no field for — distributions,
+wall time per server stage (the ``*_cost_us`` histograms), and counters
+with no ``Metrics`` twin.  ``repro report`` cross-checks the routes a
+run reaches it by: the event stream, the registry merge and the
+``Metrics`` merge (see :func:`~repro.telemetry.export.reconcile`).
 """
 
 from __future__ import annotations
@@ -93,11 +97,8 @@ class Telemetry:
             return
         self.tracer.emit(EVENT_LOCATION_REPORT, time_s, user_id,
                          nbytes=nbytes, cost_us=cost_us)
-        registry = self.registry
-        registry.counter("uplink_messages").inc()
-        registry.counter("uplink_bytes").inc(nbytes)
-        registry.histogram("report_cost_us",
-                           deterministic=False).observe(cost_us)
+        self.registry.histogram("report_cost_us",
+                                deterministic=False).observe(cost_us)
 
     def alarm_fired(self, time_s: float, user_id: int,
                     alarm_id: int) -> None:
@@ -106,7 +107,6 @@ class Telemetry:
             return
         self.tracer.emit(EVENT_ALARM_FIRED, time_s, user_id,
                          alarm=alarm_id)
-        self.registry.counter("alarms_fired").inc()
 
     def saferegion_computed(self, time_s: float, user_id: int,
                             elapsed_us: float) -> None:
@@ -115,10 +115,8 @@ class Telemetry:
             return
         self.tracer.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
                          elapsed_us=elapsed_us)
-        registry = self.registry
-        registry.counter("saferegion_computations").inc()
-        registry.histogram("saferegion_compute_cost_us",
-                           deterministic=False).observe(elapsed_us)
+        self.registry.histogram("saferegion_compute_cost_us",
+                                deterministic=False).observe(elapsed_us)
 
     def saferegion_exit(self, time_s: float, user_id: int,
                         residence_s: float) -> None:
@@ -132,17 +130,21 @@ class Telemetry:
         registry.histogram("saferegion_residence_s").observe(residence_s)
 
     def downlink_sent(self, time_s: float, user_id: int, nbytes: int,
-                      kind: str) -> None:
-        """The server shipped a payload to a client."""
+                      kind: str, sizing_us: float) -> None:
+        """The server shipped a payload to a client.
+
+        ``sizing_us`` is the wall time the transport spent sizing (and,
+        with ``verify_wire``, encoding) the payload it charged.
+        """
         if not self.enabled:
             return
         self.tracer.emit(EVENT_DOWNLINK_SENT, time_s, user_id,
                          nbytes=nbytes, kind=kind)
         registry = self.registry
-        registry.counter("downlink_messages").inc()
-        registry.counter("downlink_bytes").inc(nbytes)
         registry.counter("downlink_messages_" + kind).inc()
         registry.histogram("downlink_payload_bits").observe(nbytes * 8)
+        registry.histogram("downlink_sizing_cost_us",
+                           deterministic=False).observe(sizing_us)
 
     def transport_drop(self, time_s: float, user_id: int,
                        direction: str) -> None:
@@ -150,24 +152,22 @@ class Telemetry:
 
         ``direction`` is ``"uplink"`` or ``"downlink"``.  The dropped
         attempt was still charged (its ``location_report`` /
-        ``downlink_sent`` event fired at send time), so the drop
-        counters sit *next to* the traffic counters rather than
-        replacing them — matching the ``Metrics`` drop fields.
+        ``downlink_sent`` event fired at send time), so these events
+        count *next to* the traffic events rather than replacing them —
+        matching the ``Metrics`` drop fields they reconcile against.
         """
         if not self.enabled:
             return
         self.tracer.emit(EVENT_TRANSPORT_DROP, time_s, user_id,
                          direction=direction)
-        self.registry.counter(direction + "_drops").inc()
 
-    def saferegion_cache(self, time_s: float, user_id: int,
-                         hit: bool) -> None:
+    def saferegion_cache(self, hit: bool) -> None:
         """The shared safe-region memo answered (or missed) one lookup.
 
         Registry-only, with no ``Metrics`` twin.  Not deterministic in
         the cross-engine sense: each shard fills a memo of its own, so
         a sharded run misses where the serial run hit.  What both agree
-        on is regions *served* (``saferegion_computations``).
+        on is regions *served* (``Metrics.safe_region_computations``).
         """
         if not self.enabled:
             return
@@ -175,24 +175,31 @@ class Telemetry:
                               else "saferegion_cache_misses",
                               deterministic=False).inc()
 
-    def probe(self, ops: int, checks: int = 1) -> None:
-        """``checks`` client containment checks, ``ops`` comparisons
-        between them (a whole silent run arrives as one call).
+    def trigger_eval(self, cost_us: float) -> None:
+        """The server evaluated one location report's triggers.
 
-        Registry-only, like :meth:`index_fanout`: a per-probe event
-        would dominate any trace.
+        Registry-only: the ``location_report`` event of the same uplink
+        already carries the enclosing ``cost_us``.
+        """
+        if not self.enabled:
+            return
+        self.registry.histogram("trigger_eval_cost_us",
+                                deterministic=False).observe(cost_us)
+
+    def index_lookup(self, cost_us: float,
+                     fanout: Optional[int] = None) -> None:
+        """One alarm-index lookup on behalf of a safe region.
+
+        A range lookup returned ``fanout`` pending alarms; a
+        nearest-distance lookup has none.  Registry-only.
         """
         if not self.enabled:
             return
         registry = self.registry
-        registry.counter("containment_checks").inc(checks)
-        registry.counter("containment_ops").inc(ops)
-
-    def index_fanout(self, count: int) -> None:
-        """One index lookup returned ``count`` pending alarms."""
-        if not self.enabled:
-            return
-        self.registry.histogram("index_fanout").observe(count)
+        registry.histogram("index_lookup_cost_us",
+                           deterministic=False).observe(cost_us)
+        if fanout is not None:
+            registry.histogram("index_fanout").observe(fanout)
 
     def net_conn_open(self, conn_id: int) -> None:
         """A socket client connected to the serving daemon.
@@ -293,7 +300,7 @@ class Telemetry:
     def net_rtt(self, rtt_us: float) -> None:
         """One framed request-reply round trip took ``rtt_us``.
 
-        Registry-only, like :meth:`index_fanout`: the client-side
+        Registry-only, like :meth:`index_lookup`: the client-side
         latency histogram feeds ``repro report``, and a per-request
         event would dwarf the rest of the trace at load-test rates.
         """

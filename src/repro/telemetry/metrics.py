@@ -40,6 +40,12 @@ DEFAULT_BUCKETS: Dict[str, Tuple[float, ...]] = {
     # Wall-clock cost of one safe-region computation, microseconds.
     "saferegion_compute_cost_us": (10.0, 20.0, 50.0, 100.0, 200.0,
                                    500.0, 1000.0, 5000.0),
+    # The stages nested inside the two above, microseconds each:
+    # trigger evaluation of one report, one index lookup feeding a safe
+    # region, sizing one downlink payload.
+    "trigger_eval_cost_us": (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0),
+    "index_lookup_cost_us": (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0),
+    "downlink_sizing_cost_us": (1.0, 2.0, 5.0, 10.0, 50.0, 200.0, 1000.0),
     # Pending alarms returned by one index lookup (fan-out).
     "index_fanout": (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
     # Uplink frames drained per daemon batch (1 = no coalescing).

@@ -18,3 +18,5 @@ def run(sink, dynamic):
     sink.counter("tracked")  # reconciled: fine
     sink.counter("orphan")   # no reconciliation table covers it
     sink.counter("jittery", deterministic=False)  # exempt: nothing to match
+    sink.counter("pings")    # second ledger: Metrics.pings holds that count
+    sink.counter(dynamic + "_drops")  # a suffix names no counter

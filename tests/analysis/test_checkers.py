@@ -19,7 +19,7 @@ CHECKER_IDS = ["PA001", "PA002", "PA003", "PA004", "PA005", "PA006",
 #: Expected diagnostic count per fixture tree (one per seeded shape).
 EXPECTED_FIXTURE_COUNTS = {
     "PA001": 10,
-    "PA002": 6,
+    "PA002": 9,
     "PA003": 3,
     "PA004": 2,
     "PA005": 6,
@@ -92,8 +92,28 @@ class TestPA002:
         assert "'orphan' is incremented but no" in joined
         assert "'phantom' but nothing increments" in joined
         assert "undeclared event kind 'ghost_kind'" in joined
+        assert "RECONCILE_DROPS references unknown Metrics field 'pongs'" \
+            in joined
         # counter(..., deterministic=False) has nothing to reconcile to
         assert "jittery" not in joined
+
+    def test_a_counter_named_after_a_metrics_field_is_a_second_ledger(
+            self, fixture_root):
+        """One finding for the copy, and not the coverage one on top:
+        the cure is deleting the counter, not reconciling it."""
+        about_pings = [d.message
+                       for d in _run(fixture_root("pa002"), "PA002")
+                       if "'pings'" in d.message]
+        assert len(about_pings) == 1
+        assert "second ledger" in about_pings[0]
+        assert "Metrics.pings" in about_pings[0]
+
+    def test_a_suffixed_counter_name_is_unresolvable(self, fixture_root):
+        """``direction + "_drops"`` was how the drop copies were named;
+        no table can cover a name known only by its tail."""
+        messages = [d.message
+                    for d in _run(fixture_root("pa002"), "PA002")]
+        assert sum("not statically resolvable" in m for m in messages) == 1
 
 
 class TestPA003:

@@ -25,6 +25,7 @@ from repro.mobility import MobilityConfig, TraceGenerator
 from repro.roadnet import NetworkConfig, generate_network
 from repro.strategies import (OptimalStrategy, PeriodicStrategy,
                               SafePeriodStrategy)
+from repro.telemetry import NullSink, Telemetry
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -116,14 +117,20 @@ class TestShardedEqualsSerial:
     @pytest.mark.parametrize("workers", (1, 3))
     def test_profiled_run_is_still_identical(self, world, serial_results,
                                              workers):
+        """What ``simulate --profile`` runs: a telemetry capture whose
+        events go nowhere, read back for its stage histograms."""
+        telemetry = Telemetry.capture(NullSink())
         sharded = run_parallel_simulation(world, _mwpsr, workers=workers,
-                                          profile=True)
-        serial = serial_results["MWPSR"]
+                                          telemetry=telemetry)
+        serial = serial_results["MWPSR"]  # untraced
         assert sharded.metrics.counters() == serial.metrics.counters()
         assert sharded.metrics.triggers == serial.metrics.triggers
         # The merged profile counts every safe-region computation once.
-        computes = sharded.profile["saferegion_compute"]["calls"]
-        assert computes == serial.metrics.safe_region_computations
+        computes = telemetry.registry.histogram("saferegion_compute_cost_us")
+        assert computes.count == serial.metrics.safe_region_computations
+        # ... from the bracket that feeds the Metrics bucket, not a second.
+        assert computes.sum / 1e6 \
+            == pytest.approx(sharded.metrics.saferegion_time_s)
 
 
 # ----------------------------------------------------------------------

@@ -89,10 +89,17 @@ class TestHelpers:
         assert metrics.downlink_bytes == server.sizes.safe_period_message()
 
     def test_timed_saferegion_bucket(self, server):
-        with server.timed_saferegion():
+        with server.timed_saferegion(2, 0.0):
             server.pending_alarms_in(2, Rect(0, 0, 500, 500))
         assert server.metrics.saferegion_time_s > 0
         assert server.metrics.safe_region_computations == 1
+
+    def test_timed_saferegion_must_say_whose_and_when(self, server):
+        """Called bare it used to count a computation and emit no
+        ``saferegion_computed`` event: a trace that cannot reconcile."""
+        with pytest.raises(TypeError):
+            server.timed_saferegion()
+        assert server.metrics.safe_region_computations == 0
 
     def test_current_cell(self, server):
         cell = server.current_cell(Point(1500, 500))

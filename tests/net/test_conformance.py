@@ -15,11 +15,12 @@ from repro.engine import run_simulation
 from repro.net import run_network_simulation
 from repro.protocol.transport import LossyTransport
 from repro.strategies import PeriodicStrategy
-from repro.telemetry import Telemetry, validate_event
+from repro.telemetry import Telemetry, reconcile, validate_event
 
 from ..engine.test_golden_protocol import (GOLDENS, STRATEGY_NAMES,
                                            _factory, _observed)
 from ..strategies.conftest import make_world
+from ..telemetry.test_reconcile import trace_data
 
 TRANSPORTS = ("inprocess", "lossy", "socket")
 
@@ -60,8 +61,8 @@ def test_socket_goldens_hold_with_tracing_enabled(world, name):
 
 
 def test_socket_run_telemetry_reconciles(world):
-    """The framed run's registry counters agree with its metrics, and
-    every traced event is schema-valid — the same reconciliation
+    """The framed run's events and registry agree with its metrics,
+    and every traced event is schema-valid — the same reconciliation
     ``repro report`` performs on a serve trace."""
     telemetry = Telemetry.capture()
     result = run_network_simulation(world, PeriodicStrategy(),
@@ -69,9 +70,18 @@ def test_socket_run_telemetry_reconciles(world):
     assert result.accuracy.perfect
     registry = telemetry.registry
     metrics = result.metrics
-    assert registry.counter("uplink_messages").value == \
-        metrics.uplink_messages
-    assert registry.counter("uplink_bytes").value == metrics.uplink_bytes
+    reports = [record for record in telemetry.tracer.sink.records
+               if record.get("type") == "location_report"]
+    assert len(reports) == metrics.uplink_messages
+    assert sum(record["nbytes"] for record in reports) \
+        == metrics.uplink_bytes
+    outcome = reconcile(trace_data(telemetry, metrics))
+    assert outcome["ok"], [entry for entry in outcome["checks"]
+                           if not entry["ok"]]
+    # The daemon serves through the same AlarmServer and transport, so
+    # the socket run carries the per-stage split too.
+    assert registry.histogram("trigger_eval_cost_us").count \
+        == metrics.alarm_evaluations
     assert registry.counter("net_connections_opened").value == 1
     assert registry.counter("net_connections_closed").value == 1
     assert registry.counter("net_batches").value >= 1

@@ -22,7 +22,8 @@ from repro.protocol.framing import (PROTOCOL_VERSION, FrameDecoder,
                                     FrameKind, decode_error, encode_frame,
                                     encode_stats)
 from repro.protocol.transport import TransportError
-from repro.telemetry import Telemetry, render_registry_prom
+from repro.telemetry import (Telemetry, render_metrics_prom,
+                             render_registry_prom)
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 from .conftest import make_daemon, make_report
@@ -94,9 +95,15 @@ class TestStatsChannel:
         assert live["connections_open"] == 1
         assert live["queue_depth_total"] == 0
         assert snapshot.scrape_rtt_us > 0
-        # The scraped registry round-trips the daemon's counters.
+        # The scraped sections round-trip the daemon's own: the counts
+        # as Metrics holds them, the registry with its stage histograms
+        # fed once per unit of the work Metrics counted.
+        assert snapshot.metrics() == daemon.server.metrics.counters()
         scraped = snapshot.registry()
-        assert scraped.counter("uplink_messages").value == 5
+        assert "uplink_messages" not in scraped.names()
+        assert scraped.histogram("report_cost_us").count == 5
+        assert scraped.histogram("trigger_eval_cost_us").count \
+            == snapshot.metrics()["alarm_evaluations"] == 5
 
     def test_stats_without_telemetry_still_serves(self, sock_path):
         daemon = make_daemon()
@@ -133,8 +140,9 @@ class TestStatsChannel:
 
 class TestPromConformance:
     def test_live_rendering_matches_the_trace_exporter(self, sock_path):
-        """Byte-for-byte: the registry section of a live prom scrape
-        equals ``render_registry_prom`` of the daemon's own registry —
+        """Byte-for-byte: the registry and metrics sections of a live
+        prom scrape equal ``render_registry_prom`` of the daemon's own
+        registry and ``render_metrics_prom`` of its own ``Metrics`` —
         the snapshot is read in-process here so no scrape connection
         perturbs the counters between the two renderings."""
         telemetry = Telemetry.capture()
@@ -145,8 +153,12 @@ class TestPromConformance:
         finally:
             hosted.stop()
         rendered = render_stats_prom(snapshot)
-        expected = render_registry_prom(telemetry.registry)
+        expected = (render_registry_prom(telemetry.registry)
+                    + render_metrics_prom(daemon.server.metrics.counters()))
         assert rendered.splitlines()[:len(expected)] == expected
+        assert "# TYPE repro_uplink_messages counter" in expected
+        assert "repro_uplink_messages 3" in expected
+        assert "repro_trigger_eval_cost_us_count 3" in expected
 
     def test_scraped_prom_has_the_histogram_series(self, sock_path):
         telemetry = Telemetry.capture()
@@ -219,6 +231,8 @@ class TestRenderers:
         rtt = registry.histogram("net_rtt_us", deterministic=False)
         for _ in range(4):
             rtt.observe(250.0)
+        registry.histogram("trigger_eval_cost_us",
+                           deterministic=False).observe(7.0)
         return StatsSnapshot(
             raw={"metrics": {"uplink_messages": uplinks,
                              "downlink_messages": uplinks // 2,
@@ -252,6 +266,10 @@ class TestRenderers:
         assert "connections 2" in screen
         assert "10.0/s" in screen          # (100 - 50) / 5
         assert "net_rtt_us" in screen
+        # ... and below the round trip, the stage that took it.
+        assert screen.index("net_rtt_us") \
+            < screen.index("trigger_eval_cost_us")
+        assert "saferegion_compute_cost_us" not in screen  # never observed
 
     def test_top_first_screen_has_zero_rates(self):
         screen = render_top(self._snapshot(), None, interval_s=1.0)

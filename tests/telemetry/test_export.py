@@ -17,7 +17,7 @@ def _traced_run(path):
     telemetry.location_report(1.0, 1, nbytes=34, cost_us=10.0)
     telemetry.location_report(2.0, 2, nbytes=34, cost_us=11.0)
     telemetry.saferegion_computed(1.0, 1, elapsed_us=50.0)
-    telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect")
+    telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect", sizing_us=0.5)
     telemetry.alarm_fired(2.0, 2, alarm_id=3)
     telemetry.write_summary(
         {"uplink_messages": 2, "uplink_bytes": 68,
@@ -65,17 +65,20 @@ class TestReconcile:
         result = reconcile(read_trace(path))
         assert result["ok"] is True
         assert all(entry["ok"] for entry in result["checks"])
-        # 27 = the 10 original counter checks, the transport-drop
-        # counters added with the protocol layer, the
-        # registry-vs-event exit check and the per-kind downlink
-        # prefix-sum check added with the contract analyzer, the four
-        # net_* serving-path pairs added with the socket daemon, the
-        # seven tracing rows (spans_opened/closed vs events, span
-        # balance, client_request-vs-RTT and the three server pipeline
-        # stages) added with the distributed-tracing layer (all 0 == 0
-        # on a trace with no network serving, like this one), and the
-        # two client probe counters (containment_checks/_ops).
-        assert len(result["checks"]) == 27
+        # 19 = 27 - 10 + 2: the parent's 27 rows, less the ten that set
+        # a registry counter against the Metrics field it was a copy of
+        # (uplink/downlink messages and bytes, alarms fired, safe-region
+        # computations, the two drop counters, the two probe counters),
+        # plus the two rows that took the drop counters' place with
+        # independent evidence, transport_drop events by direction vs
+        # Metrics.  What remains: 4 events-vs-Metrics pairs + those 2,
+        # 7 registry-vs-events pairs (saferegion_exits, four net_*, two
+        # spans_*), the per-kind downlink prefix sum, and the 5 span
+        # rows (balance, client_request-vs-RTT, three pipeline stages).
+        assert len(result["checks"]) == 19
+        assert not [entry["name"] for entry in result["checks"]
+                    if entry["name"].startswith("registry.")
+                    and "== metrics." in entry["name"]]
 
     def test_dropped_event_breaks_reconciliation(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -143,13 +146,18 @@ class TestRenderers:
         assert payload["reconciliation"]["ok"] is True
         assert payload["manifest"]["strategy"] == "mwpsr"
         assert payload["event_counts"]["location_report"] == 2
-        assert payload["registry"]["uplink_messages"]["value"] == 2
+        assert payload["metrics"]["uplink_messages"] == 2
+        assert payload["registry"]["report_cost_us"]["count"] == 2
+        assert "uplink_messages" not in payload["registry"]
 
     def test_prom_exposition(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _traced_run(path)
         prom = render_prom(read_trace(path))
-        assert '# TYPE repro_uplink_messages counter' in prom
+        # Rendered from the summary's metrics section, once.
+        assert prom.count('# TYPE repro_uplink_messages counter') == 1
+        assert 'repro_uplink_messages 2\n' in prom
+        assert 'repro_uplink_bytes 68\n' in prom
         assert 'repro_run_info{strategy="mwpsr"' in prom
         assert 'repro_downlink_payload_bits_bucket{le="+Inf"} 1' in prom
         assert 'repro_events_total{type="alarm_fired"} 1' in prom

@@ -33,7 +33,8 @@ class TestEmitters:
         telemetry.saferegion_computed(1.0, 1, elapsed_us=55.0)
         telemetry.saferegion_exit(9.0, 1, residence_s=8.0)
         telemetry.alarm_fired(9.0, 1, alarm_id=4)
-        telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect")
+        telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect",
+                                sizing_us=0.5)
         telemetry.shard_started(12)
         telemetry.shard_finished(12, wall_s=0.5)
         events = _events(telemetry)
@@ -45,28 +46,54 @@ class TestEmitters:
         telemetry = Telemetry.capture()
         telemetry.location_report(1.0, 1, nbytes=34, cost_us=12.0)
         telemetry.location_report(2.0, 2, nbytes=34, cost_us=9.0)
-        telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect")
+        telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect",
+                                sizing_us=0.5)
         registry = telemetry.registry
-        assert registry.counter("uplink_messages").value == 2
-        assert registry.counter("uplink_bytes").value == 68
+        # The uplink count and bytes are Metrics' to hold; the emitter
+        # leaves the events (two, 68 bytes) and the cost distribution.
+        assert [record["nbytes"] for record in _events(telemetry)
+                if record["type"] == "location_report"] == [34, 34]
+        cost = registry.histogram("report_cost_us")
+        assert cost.count == 2 and cost.sum == 21.0
         assert registry.counter("downlink_messages_rect").value == 1
         hist = registry.histogram("downlink_payload_bits")
         assert hist.count == 1 and hist.sum == 320
+        sizing = registry.histogram("downlink_sizing_cost_us")
+        assert sizing.count == 1 and sizing.sum == 0.5
+        assert registry.names() == [
+            "downlink_messages_rect", "downlink_payload_bits",
+            "downlink_sizing_cost_us", "report_cost_us"]
 
     def test_index_fanout_is_registry_only(self):
         telemetry = Telemetry.capture()
-        telemetry.index_fanout(3)
+        telemetry.index_lookup(6.0, fanout=3)
+        telemetry.index_lookup(2.0)  # nearest-distance: no fan-out
         assert _events(telemetry) == []
-        assert telemetry.registry.histogram("index_fanout").count == 1
+        registry = telemetry.registry
+        fanout = registry.histogram("index_fanout")
+        assert fanout.count == 1 and fanout.sum == 3
+        lookups = registry.histogram("index_lookup_cost_us")
+        assert lookups.count == 2 and lookups.sum == 8.0
+
+    def test_trigger_eval_is_registry_only(self):
+        telemetry = Telemetry.capture()
+        telemetry.trigger_eval(4.0)
+        assert _events(telemetry) == []
+        assert telemetry.registry.histogram(
+            "trigger_eval_cost_us").sum == 4.0
 
     def test_wall_time_histograms_are_nondeterministic(self):
         telemetry = Telemetry.capture()
         telemetry.location_report(1.0, 1, nbytes=34, cost_us=12.0)
         telemetry.saferegion_computed(1.0, 1, elapsed_us=5.0)
+        telemetry.trigger_eval(4.0)
+        telemetry.index_lookup(6.0, fanout=3)
+        telemetry.downlink_sent(1.0, 1, nbytes=40, kind="rect",
+                                sizing_us=0.5)
         snapshot = telemetry.registry.deterministic_snapshot()
-        assert "report_cost_us" not in snapshot
-        assert "saferegion_compute_cost_us" not in snapshot
-        assert "uplink_messages" in snapshot
+        assert not [name for name in snapshot
+                    if name.endswith("_cost_us")]
+        assert "index_fanout" in snapshot
 
 
 class TestDisabledMode:
@@ -74,7 +101,8 @@ class TestDisabledMode:
         telemetry = Telemetry.disabled()
         telemetry.location_report(1.0, 1, nbytes=34, cost_us=1.0)
         telemetry.alarm_fired(1.0, 1, alarm_id=1)
-        telemetry.index_fanout(5)
+        telemetry.trigger_eval(1.0)
+        telemetry.index_lookup(1.0, fanout=5)
         telemetry.shard_started(3)
         telemetry.write_summary({}, triggers=0, wall_time_s=0.0, workers=1)
         assert len(telemetry.registry) == 0
@@ -82,7 +110,8 @@ class TestDisabledMode:
     def test_shared_singleton_is_disabled(self):
         assert DISABLED.enabled is False
         before = len(DISABLED.registry)
-        DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="push")
+        DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="push",
+                               sizing_us=1.0)
         assert len(DISABLED.registry) == before == 0
 
 
@@ -92,6 +121,7 @@ class TestTraceLifecycle:
         telemetry = Telemetry.capture(manifest=manifest)
         telemetry.write_manifest()
         telemetry.alarm_fired(1.0, 1, alarm_id=1)
+        telemetry.saferegion_exit(1.0, 1, residence_s=1.0)
         telemetry.write_summary({"trigger_notifications": 1}, triggers=1,
                                 wall_time_s=0.25, workers=2)
         records = _events(telemetry)
@@ -99,18 +129,20 @@ class TestTraceLifecycle:
         assert records[-1]["record"] == "summary"
         assert records[-1]["metrics"] == {"trigger_notifications": 1}
         assert records[-1]["workers"] == 2
-        assert "alarms_fired" in records[-1]["registry"]
+        assert records[-1]["registry"]["saferegion_exits"]["value"] == 1
 
     def test_absorb_shard_merges_events_and_registry(self):
         shard = Telemetry.capture(shard=1)
-        shard.alarm_fired(3.0, 5, alarm_id=9)
+        shard.saferegion_exit(3.0, 5, residence_s=2.0)
         parent = Telemetry.capture()
-        parent.alarm_fired(1.0, 2, alarm_id=4)
+        parent.saferegion_exit(1.0, 2, residence_s=1.0)
         parent.absorb_shard(shard.drain_events(),
                             shard.registry.to_dict())
         events = _events(parent)
         assert [record["shard"] for record in events] == [0, 1]
-        assert parent.registry.counter("alarms_fired").value == 2
+        assert parent.registry.counter("saferegion_exits").value == 2
+        assert parent.registry.histogram(
+            "saferegion_residence_s").sum == 3.0
 
     def test_drain_events_empties_the_buffer(self):
         telemetry = Telemetry.capture()

@@ -55,6 +55,30 @@ class TestSimulate:
         assert main(["simulate", "--strategy", "mwpsr",
                      "--workload", "tiny", "--cell", "0.5"]) == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_profile_prints_the_stage_histograms(self, workers, capsys):
+        """``--profile`` reads the run's registry: no trace file, the
+        four server stages with a count each and a time."""
+        assert main(["simulate", "--strategy", "mwpsr", "--workload",
+                     "tiny", "--workers", str(workers), "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "trace:" not in out
+        stages = json.loads(out[out.index("\n{") + 1:])
+        assert {"trigger_eval_cost_us", "saferegion_compute_cost_us",
+                "index_lookup_cost_us", "downlink_sizing_cost_us"} \
+            <= set(stages)
+        assert all(name.endswith("_cost_us") for name in stages)
+        for stage in stages.values():
+            assert stage["calls"] > 0 and stage["wall_s"] > 0
+        # One uplink, one safe region, one lookup, one rectangle each.
+        uplinks = int(out.split("uplink messages:")[1].split()[0])
+        assert {stage["calls"] for stage in stages.values()} == {uplinks}
+        # Stages nest: the whole report contains the safe region in it,
+        # which contains its index lookup.
+        assert stages["report_cost_us"]["wall_s"] \
+            > stages["saferegion_compute_cost_us"]["wall_s"] \
+            > stages["index_lookup_cost_us"]["wall_s"]
+
 
 class TestFigure:
     def test_figure_1b(self, capsys):

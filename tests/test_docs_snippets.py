@@ -9,9 +9,14 @@ from repro.engine import run_simulation
 from repro.engine.simulation import (compute_mutating_ground_truth,
                                      in_process_link, run_session)
 from repro.geometry import Rect
+from repro.protocol.handlers import ServerPolicy
+from repro.protocol.messages import InstallSafeRegion
 from repro.saferegion import RectangularSafeRegion, region_is_safe
-from repro.strategies import ProcessingStrategy
+from repro.strategies import (ProcessingStrategy,
+                              RectangularSafeRegionStrategy)
+from repro.telemetry import Telemetry, event_counts, reconcile
 from .strategies.conftest import make_world
+from .telemetry.test_reconcile import trace_data
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +35,22 @@ class EveryOtherFix(ProcessingStrategy):
                 self._send_report(client, trace, index)
                 return index + 1
         return stop
+
+
+class WholeCellPolicy(ServerPolicy):
+    """The custom server-policy snippet."""
+
+    def on_region_exit(self, server, request, time_s, triggered):
+        with server.timed_saferegion(request.user_id, time_s):
+            cell = server.current_cell(request.position)
+            pending = server.pending_alarms_in(request.user_id, cell)
+            rect = Rect.point_rect(request.position) if pending else cell
+        return (InstallSafeRegion(rect=rect),)
+
+
+class WholeCell(RectangularSafeRegionStrategy):
+    def server_policy(self):
+        return WholeCellPolicy()
 
 
 class _Result:
@@ -68,6 +89,23 @@ class TestCustomStrategySnippet:
         # half the fixes reach the server
         assert result.metrics.uplink_messages == pytest.approx(
             world.traces.total_samples / 2, rel=0.05)
+
+
+class TestCustomPolicySnippet:
+    def test_a_policy_written_from_the_template_reconciles(self, world):
+        """Every region it serves is counted in ``Metrics`` *and* seen in
+        the event stream, so ``repro report`` passes on its trace."""
+        telemetry = Telemetry.capture()
+        result = run_simulation(world, WholeCell(name="whole-cell"),
+                                telemetry=telemetry)
+        assert result.accuracy.perfect
+        served = result.metrics.safe_region_computations
+        assert served == result.metrics.uplink_messages > 0
+        events = list(telemetry.tracer.sink.records)
+        assert event_counts(events)["saferegion_computed"] == served
+        outcome = reconcile(trace_data(telemetry, result.metrics))
+        assert outcome["ok"], [entry for entry in outcome["checks"]
+                               if not entry["ok"]]
 
 
 class TestCustomComputerSnippet:
