@@ -11,6 +11,7 @@ columns and rows over the universe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -51,6 +52,15 @@ class GridOverlay:
         self.rows = max(1, round(universe.height / side_m))
         self.cell_width = universe.width / self.columns
         self.cell_height = universe.height / self.rows
+        # Cell edges in ratio form ``min + extent * k / n``: the last
+        # column/row ends exactly on the universe boundary (points
+        # clamped onto the border cell are then geometrically inside it)
+        # and adjacent cells share bit-identical boundaries.  Both
+        # lookups below read these, so they cannot disagree.
+        self._x_edges = [universe.min_x + universe.width * k / self.columns
+                         for k in range(self.columns + 1)]
+        self._y_edges = [universe.min_y + universe.height * k / self.rows
+                         for k in range(self.rows + 1)]
 
     @property
     def cell_count(self) -> int:
@@ -68,28 +78,21 @@ class GridOverlay:
         road may terminate exactly on the boundary) attached to a valid
         cell rather than raising deep inside the simulation loop.
         """
-        col = int((p.x - self.universe.min_x) / self.cell_width)
-        row = int((p.y - self.universe.min_y) / self.cell_height)
-        col = min(max(col, 0), self.columns - 1)
-        row = min(max(row, 0), self.rows - 1)
-        return CellId(col, row)
+        # edge(k) <= value < edge(k + 1).  Not ``int((x - min_x) /
+        # cell_width)``: that quotient can land an ulp on the other side
+        # of the edge ``cell_rect`` reports, and the cell returned would
+        # not contain the point.
+        col = bisect_right(self._x_edges, p.x) - 1
+        row = bisect_right(self._y_edges, p.y) - 1
+        return CellId(min(max(col, 0), self.columns - 1),
+                      min(max(row, 0), self.rows - 1))
 
     def cell_rect(self, cell: CellId) -> Rect:
-        """Closed geometric rectangle of ``cell``.
-
-        Edges use the ratio form ``min + extent * k / n`` so the last
-        column/row ends exactly on the universe boundary (points clamped
-        onto the border cell are then geometrically inside it) and
-        adjacent cells share bit-identical boundaries.
-        """
+        """Closed geometric rectangle of ``cell``."""
         if not (0 <= cell.col < self.columns and 0 <= cell.row < self.rows):
             raise ValueError("cell %r outside grid" % (cell,))
-        universe = self.universe
-        return Rect(
-            universe.min_x + universe.width * cell.col / self.columns,
-            universe.min_y + universe.height * cell.row / self.rows,
-            universe.min_x + universe.width * (cell.col + 1) / self.columns,
-            universe.min_y + universe.height * (cell.row + 1) / self.rows)
+        return Rect(self._x_edges[cell.col], self._y_edges[cell.row],
+                    self._x_edges[cell.col + 1], self._y_edges[cell.row + 1])
 
     def cell_rect_of_point(self, p: Point) -> Rect:
         """Convenience: geometric cell of the cell containing ``p``."""

@@ -194,7 +194,26 @@ class SteadyMotionModel(MotionModel):
         return -self._half_mass(-t)
 
     def cumulative(self, phi: float) -> float:
-        return 0.5 + self._signed_mass(normalize_angle(phi))
+        # ``0.5 + _signed_mass(normalize_angle(phi))`` in one frame, the
+        # same arithmetic term by term: the MWPSR scorer calls this once
+        # per distinct rectangle corner.
+        t = math.fmod(phi, TWO_PI)
+        if t > math.pi:
+            t -= TWO_PI
+        elif t <= -math.pi:
+            t += TWO_PI
+        negative = t < 0.0
+        if negative:
+            t = -t
+        if t <= 0.0:
+            return 0.5
+        # 0 < t <= pi here, so the index needs no lower clamp and t no cap.
+        values = self._values
+        index = bisect.bisect_right(self._edges, t) - 1
+        if index >= len(values):
+            index = len(values) - 1
+        mass = self._prefix[index] + values[index] * (t - self._edges[index])
+        return 0.5 - mass if negative else 0.5 + mass
 
     def sector_mass(self, start: float, end: float) -> float:
         start = normalize_angle(start)

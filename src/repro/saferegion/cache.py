@@ -19,9 +19,10 @@ subscriber whose pending set over the cell is exactly those alarms.
   the removal or relocation of a named alarm can.  The memo subscribes
   to the registry's mutation hook and drops exactly those entries,
   found through an index by alarm id — not through the grid, whose
-  ``cell_of`` and ``cell_rect`` can disagree by an ulp about which cell
-  an edge on a boundary belongs to.  It is therefore bounded by cells ×
-  live public pending sets and needs no capacity limit.
+  half-open ``cell_of`` assigns an alarm edge lying on a cell boundary
+  to one side only while the closed ``cell_rect`` touches it from both.
+  It is therefore bounded by cells × live public pending sets and needs
+  no capacity limit.
 """
 
 from __future__ import annotations

@@ -38,32 +38,142 @@ safe region is the intersection of those regions clipped to the cell
 An exhaustive optimizer (``exhaustive=True``) enumerates every
 combination of component rectangles — the quartic-time optimum the paper
 contrasts with its greedy — and is used by the ablation benchmark.
+
+Selection works on plain floats: obstacles are unpacked once per
+computation, a candidate is four edges, every distinct candidate is
+scored once and every distinct corner's ``(angle, cumulative)`` once,
+and a :class:`Rect` is built for the winner only.  The ``Rect``-per-
+candidate definition this is held to, ``==`` on every output, lives in
+``tests/saferegion/oracle.py`` (``ReferenceMWPSRComputer``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Point, Rect, fzero, normalize_angle
 from ..mobility.motion import MotionModel, UniformMotionModel
-from .base import RectangularSafeRegion, region_is_safe
+from .base import RectangularSafeRegion
 
 TWO_PI = 2.0 * math.pi
 
-# Quadrant sign conventions: local coordinates (u, v) = (sx*(x-ox), sy*(y-oy))
-# map each quadrant onto the (+, +) orthant.  Order: I, II, III, IV.
-_QUADRANT_SIGNS: Tuple[Tuple[int, int], ...] = ((1, 1), (-1, 1), (-1, -1),
-                                                (1, -1))
 # World-frame angular sector of each quadrant (CCW [start, end]).
+# Order: I, II, III, IV.
 _QUADRANT_SECTORS: Tuple[Tuple[float, float], ...] = (
     (0.0, math.pi / 2.0),
     (math.pi / 2.0, math.pi),
     (-math.pi, -math.pi / 2.0),
     (-math.pi / 2.0, 0.0),
 )
+
+#: ``(min_x, min_y, max_x, max_y)`` of a candidate or an obstacle.
+Edges = Tuple[float, float, float, float]
+#: A tension point: the ``(u, v)`` extents of one component rectangle.
+Extent = Tuple[float, float]
+#: ``(angle, cumulative)`` of every corner scored so far in one
+#: computation, keyed by the corner's ``(x, y)``.
+CornerMemo = Dict[Tuple[float, float], Tuple[float, float]]
+
+
+def _shrink(min_x: float, min_y: float, max_x: float, max_y: float,
+            tolerance: float = 1e-9) -> Edges:
+    """An obstacle's box pulled in by ``tolerance`` (:func:`_penetrates`)."""
+    return (min_x + tolerance, min_y + tolerance,
+            max_x - tolerance, max_y - tolerance)
+
+
+def _penetrates(min_x: float, min_y: float, max_x: float, max_y: float,
+                shrunk: Sequence[Edges]) -> bool:
+    """Point-set check: does any point of the closed candidate lie
+    strictly (beyond the tolerance) inside an obstacle?
+
+    Interior-disjointness (:func:`region_is_safe`) is vacuous for a
+    degenerate rectangle, but the client suppresses reporting for
+    every point the *closed* rectangle contains — so a zero-width
+    sliver threading an alarm's interior (possible when the
+    subscriber sits exactly on the alarm's boundary) would silence
+    the alarm.  Non-degenerate rectangles whose interiors avoid the
+    obstacles can never penetrate, so this only ever rejects
+    slivers.
+    """
+    for box_min_x, box_min_y, box_max_x, box_max_y in shrunk:
+        if (max_x > box_min_x and min_x < box_max_x
+                and max_y > box_min_y and min_y < box_max_y):
+            return True
+    return False
+
+
+def _perimeter(model: MotionModel, min_x: float, min_y: float, max_x: float,
+               max_y: float, ox: float, oy: float, heading: float,
+               corners: CornerMemo) -> float:
+    """Perimeter with each side scaled by its relative motion density.
+
+    Each side subtends an angular sector as seen from the subscriber
+    at ``(ox, oy)``, which must lie within the edges; its weight is
+    the motion-probability mass of that sector divided by the
+    sector's uniform share, so a uniform model yields exactly the
+    geometric perimeter (the paper's non-weighted variant) and a
+    steady-motion model up-weights the sides ahead of the subscriber.
+
+    The four sector masses share their corner angles, so each corner
+    contributes one cumulative-distribution lookup instead of one
+    integration per sector, and ``corners`` carries those lookups
+    from one candidate of a computation to the next: candidates are
+    combinations of a few extents per side, so most corners recur.
+    ``(ox, oy)`` and ``heading`` are fixed for the life of a memo.
+    """
+    cumulative = model.cumulative
+    corner = corners.get((max_x, min_y))
+    if corner is None:
+        angle = math.atan2(min_y - oy, max_x - ox)
+        corner = corners[(max_x, min_y)] = (
+            angle, cumulative(angle - heading))
+    angle_br, cum_br = corner
+    corner = corners.get((max_x, max_y))
+    if corner is None:
+        angle = math.atan2(max_y - oy, max_x - ox)
+        corner = corners[(max_x, max_y)] = (
+            angle, cumulative(angle - heading))
+    angle_tr, cum_tr = corner
+    corner = corners.get((min_x, max_y))
+    if corner is None:
+        angle = math.atan2(max_y - oy, min_x - ox)
+        corner = corners[(min_x, max_y)] = (
+            angle, cumulative(angle - heading))
+    angle_tl, cum_tl = corner
+    corner = corners.get((min_x, min_y))
+    if corner is None:
+        angle = math.atan2(min_y - oy, min_x - ox)
+        corner = corners[(min_x, min_y)] = (
+            angle, cumulative(angle - heading))
+    angle_bl, cum_bl = corner
+    height = max_y - min_y
+    width = max_x - min_x
+    sides = (
+        (height, angle_br, angle_tr, cum_br, cum_tr),   # right
+        (width, angle_tr, angle_tl, cum_tr, cum_tl),    # top
+        (height, angle_tl, angle_bl, cum_tl, cum_bl),   # left
+        (width, angle_bl, angle_br, cum_bl, cum_br),    # bottom
+    )
+    total = 0.0
+    for length, start, end, cum_start, cum_end in sides:
+        if fzero(length):
+            continue
+        span = (end - start) % TWO_PI
+        if span < 1e-12:
+            # Degenerate sector (origin pinned on this side): the
+            # mass/span ratio converges to pdf(direction) * 2*pi.
+            mid = normalize_angle(start - heading)
+            density_ratio = model.pdf(mid) * TWO_PI
+        else:
+            mass = cum_end - cum_start
+            if mass < 0.0:
+                mass += 1.0  # the CCW sector wraps through +/- pi
+            density_ratio = mass / (span / TWO_PI)
+        total += length * density_ratio
+    return total
 
 
 @dataclass(frozen=True)
@@ -92,8 +202,7 @@ class MWPSRComputer:
                  exhaustive: bool = False,
                  refine_rounds: int = 2,
                  area_weight: float = 8.0,
-                 auto_threshold: int = 256,
-                 validate: bool = False) -> None:
+                 auto_threshold: int = 256) -> None:
         """Configure the computer.
 
         ``exhaustive=True`` forces full enumeration regardless of size.
@@ -116,7 +225,6 @@ class MWPSRComputer:
         self.refine_rounds = refine_rounds
         self.area_weight = area_weight
         self.auto_threshold = auto_threshold
-        self.validate = validate
 
     # ------------------------------------------------------------------
     def compute(self, position: Point, heading: float, cell: Rect,
@@ -129,9 +237,50 @@ class MWPSRComputer:
         """
         if not cell.contains_point(position):
             raise ValueError("subscriber position outside its grid cell")
+        if not obstacles:
+            return MWPSRResult(rect=cell, inside_alarm=False,
+                               weighted_perimeter=self._weighted_perimeter(
+                                   cell, position, heading))
 
-        containing = [obstacle for obstacle in obstacles
-                      if obstacle.interior_contains_point(position)]
+        # Steps 1-3 for all four quadrants in one pass: each obstacle is
+        # unpacked once, and clamped once per *direction* — a quadrant's
+        # candidate is one horizontal and one vertical clamp, and the
+        # obstacle constrains the quadrant only when its interior
+        # reaches into it and binds inside the cell.
+        ox = position.x
+        oy = position.y
+        east_max = cell.max_x - ox
+        north_max = cell.max_y - oy
+        west_max = ox - cell.min_x
+        south_max = oy - cell.min_y
+        containing: List[Rect] = []
+        shrunk: List[Edges] = []
+        candidates: Tuple[List[Extent], ...] = ([], [], [], [])
+        for obstacle in obstacles:
+            min_x = obstacle.min_x
+            min_y = obstacle.min_y
+            max_x = obstacle.max_x
+            max_y = obstacle.max_y
+            if min_x < ox < max_x and min_y < oy < max_y:
+                containing.append(obstacle)
+                continue
+            shrunk.append(_shrink(min_x, min_y, max_x, max_y))
+            # inf: the obstacle's interior does not reach that side of
+            # the subscriber, so it cannot bind there.
+            east = max(min_x - ox, 0.0) if max_x - ox > 0.0 else math.inf
+            west = max(ox - max_x, 0.0) if ox - min_x > 0.0 else math.inf
+            north = max(min_y - oy, 0.0) if max_y - oy > 0.0 else math.inf
+            south = max(oy - max_y, 0.0) if oy - min_y > 0.0 else math.inf
+            if north < north_max:
+                if east < east_max:
+                    candidates[0].append((east, north))
+                if west < west_max:
+                    candidates[1].append((west, north))
+            if south < south_max:
+                if west < west_max:
+                    candidates[2].append((west, south))
+                if east < east_max:
+                    candidates[3].append((east, south))
         if containing:
             region = cell
             for obstacle in containing:
@@ -140,78 +289,41 @@ class MWPSRComputer:
                 region = clipped
             return MWPSRResult(rect=region, inside_alarm=True)
 
-        if not obstacles:
-            return MWPSRResult(rect=cell, inside_alarm=False,
-                               weighted_perimeter=self._weighted_perimeter(
-                                   cell, position, heading))
-
-        tension_lists = [
-            self._quadrant_tension_points(position, cell, obstacles, signs)
-            for signs in _QUADRANT_SIGNS
-        ]
+        tension_lists = (
+            self._tension_points(candidates[0], east_max, north_max),
+            self._tension_points(candidates[1], west_max, north_max),
+            self._tension_points(candidates[2], west_max, south_max),
+            self._tension_points(candidates[3], east_max, south_max),
+        )
         combinations = 1
         for tension_list in tension_lists:
             combinations *= len(tension_list)
         if self.exhaustive or combinations <= self.auto_threshold:
-            rect, perimeter, order = self._select_exhaustive(
-                position, heading, tension_lists, obstacles)
+            edges, perimeter, order = self._select_exhaustive(
+                ox, oy, heading, tension_lists, shrunk)
         else:
-            rect, perimeter, order = self._select_greedy(
-                position, heading, cell, tension_lists, obstacles)
-
-        if self.validate and not region_is_safe(rect, obstacles):
-            raise AssertionError(
-                "safe-region invariant violated: %r intersects an alarm"
-                % (rect,))
-        return MWPSRResult(rect=rect, inside_alarm=False,
+            edges, perimeter, order = self._select_greedy(
+                ox, oy, heading, tension_lists, shrunk)
+        return MWPSRResult(rect=Rect(*edges), inside_alarm=False,
                            quadrant_order=order,
                            weighted_perimeter=perimeter)
 
     # ------------------------------------------------------------------
-    # Steps 1-3: candidates, skyline, tension points (per quadrant)
+    # Steps 2-3: skyline, tension points (per quadrant)
     # ------------------------------------------------------------------
-    def _quadrant_tension_points(self, origin: Point, cell: Rect,
-                                 obstacles: Iterable[Rect],
-                                 signs: Tuple[int, int]
-                                 ) -> List[Tuple[float, float]]:
+    @classmethod
+    def _tension_points(cls, candidates: List[Extent], u_max: float,
+                        v_max: float) -> List[Extent]:
         """Tension points of one quadrant in local ``(u, v)`` coordinates.
 
         Every returned point ``(u, v)`` spans a component rectangle
         ``[0, u] x [0, v]`` whose interior avoids all obstacles within
         the quadrant, and the list covers all maximal such rectangles.
         """
-        sx, sy = signs
-        u_max = (cell.max_x - origin.x) if sx > 0 else (origin.x - cell.min_x)
-        v_max = (cell.max_y - origin.y) if sy > 0 else (origin.y - cell.min_y)
-
-        candidates: List[Tuple[float, float]] = []
-        for obstacle in obstacles:
-            if sx > 0:
-                u_lo = obstacle.min_x - origin.x
-                u_hi = obstacle.max_x - origin.x
-            else:
-                u_lo = origin.x - obstacle.max_x
-                u_hi = origin.x - obstacle.min_x
-            if sy > 0:
-                v_lo = obstacle.min_y - origin.y
-                v_hi = obstacle.max_y - origin.y
-            else:
-                v_lo = origin.y - obstacle.max_y
-                v_hi = origin.y - obstacle.min_y
-            # The obstacle constrains this quadrant only when its
-            # interior reaches into the open quadrant and binds
-            # inside the cell.
-            if u_hi <= 0.0 or v_hi <= 0.0:
-                continue
-            candidate = (max(u_lo, 0.0), max(v_lo, 0.0))
-            if candidate[0] >= u_max or candidate[1] >= v_max:
-                continue
-            candidates.append(candidate)
-        skyline = self._skyline(candidates)
-        if not skyline:
+        if not candidates:
             return [(u_max, v_max)]
-
-        tension: List[Tuple[float, float]] = []
+        skyline = cls._skyline(candidates)
+        tension: List[Extent] = []
         tension.append((skyline[0][0], v_max))
         for index in range(1, len(skyline)):
             tension.append((skyline[index][0], skyline[index - 1][1]))
@@ -219,8 +331,7 @@ class MWPSRComputer:
         return tension
 
     @staticmethod
-    def _skyline(candidates: List[Tuple[float, float]]
-                 ) -> List[Tuple[float, float]]:
+    def _skyline(candidates: List[Extent]) -> List[Extent]:
         """Prune fully dominated candidates, keeping the binding staircase.
 
         A candidate is redundant when another candidate is at most as far
@@ -229,7 +340,7 @@ class MWPSRComputer:
         ``v``.
         """
         ordered = sorted(set(candidates))
-        skyline: List[Tuple[float, float]] = []
+        skyline: List[Extent] = []
         best_v = math.inf
         for u, v in ordered:
             if v < best_v:
@@ -243,34 +354,20 @@ class MWPSRComputer:
     @staticmethod
     def _penetrates_obstacle(rect: Rect, obstacles: Sequence[Rect],
                              tolerance: float = 1e-9) -> bool:
-        """Point-set check: does any point of ``rect`` lie strictly
-        inside an obstacle?
-
-        Interior-disjointness (:func:`region_is_safe`) is vacuous for a
-        degenerate rectangle, but the client suppresses reporting for
-        every point the *closed* rectangle contains — so a zero-width
-        sliver threading an alarm's interior (possible when the
-        subscriber sits exactly on the alarm's boundary) would silence
-        the alarm.  Non-degenerate rectangles whose interiors avoid the
-        obstacles can never penetrate, so this only ever rejects
-        slivers.
-        """
-        for obstacle in obstacles:
-            if (rect.max_x > obstacle.min_x + tolerance
-                    and rect.min_x < obstacle.max_x - tolerance
-                    and rect.max_y > obstacle.min_y + tolerance
-                    and rect.min_y < obstacle.max_y - tolerance):
-                return True
-        return False
+        """:func:`_penetrates` for a finished rectangle (used by tests)."""
+        return _penetrates(
+            rect.min_x, rect.min_y, rect.max_x, rect.max_y,
+            [_shrink(obstacle.min_x, obstacle.min_y, obstacle.max_x,
+                     obstacle.max_y, tolerance) for obstacle in obstacles])
 
     def _quadrant_masses(self, heading: float) -> List[float]:
         return [self.model.world_sector_mass(heading, start, end)
                 for start, end in _QUADRANT_SECTORS]
 
-    def _select_greedy(self, origin: Point, heading: float, cell: Rect,
-                       tension_lists: Sequence[List[Tuple[float, float]]],
-                       obstacles: Sequence[Rect]
-                       ) -> Tuple[Rect, float, Tuple[int, ...]]:
+    def _select_greedy(self, ox: float, oy: float, heading: float,
+                       tension_lists: Sequence[List[Extent]],
+                       shrunk: Sequence[Edges]
+                       ) -> Tuple[Edges, float, Tuple[int, ...]]:
         """The paper's greedy, hardened with coordinate-descent refinement.
 
         First pass (the paper's Step 4): quadrants are processed in
@@ -291,31 +388,32 @@ class MWPSRComputer:
         """
         masses = self._quadrant_masses(heading)
         order = tuple(sorted(range(4), key=lambda q: -masses[q]))
-        choices: List[Optional[Tuple[float, float]]] = [None] * 4
+        choices: List[Optional[Extent]] = [None] * 4
         # Refinement revisits many identical extent combinations; one
         # memo per computation caps the cost at distinct rectangles.
-        score_memo: dict = {}
+        score_memo: Dict[Edges, float] = {}
+        corners: CornerMemo = {}
 
         def score_current() -> float:
-            rect = self._choices_rect(origin, choices)
-            key = (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
-            cached = score_memo.get(key)
+            edges = self._choices_edges(ox, oy, choices)
+            cached = score_memo.get(edges)
             if cached is None:
-                if self._penetrates_obstacle(rect, obstacles):
+                if _penetrates(*edges, shrunk):
                     cached = -math.inf
                 else:
-                    cached = self._score(rect, origin, heading)
-                score_memo[key] = cached
+                    cached = self._score_edges(*edges, ox, oy, heading,
+                                               corners)[0]
+                score_memo[edges] = cached
             return cached
 
-        def trial_score(quadrant: int, option: Tuple[float, float]) -> float:
+        def trial_score(quadrant: int, option: Extent) -> float:
             saved = choices[quadrant]
             choices[quadrant] = option
             score = score_current()
             choices[quadrant] = saved
             return score
 
-        def best_choice(quadrant: int) -> Tuple[float, float]:
+        def best_choice(quadrant: int) -> Extent:
             """Best option for one quadrant, others fixed.
 
             The incumbent choice (when set) wins ties: drifting between
@@ -383,43 +481,69 @@ class MWPSRComputer:
             if not changed:
                 break
 
-        rect = self._choices_rect(origin, choices)
-        if self._penetrates_obstacle(rect, obstacles):
+        edges = self._choices_edges(ox, oy, choices)
+        if _penetrates(*edges, shrunk):
             # Every reachable combination threads an alarm (subscriber
             # pinned on an alarm boundary in a degenerate corner of the
             # cell): fall back to the point region, which forces a
             # report on the next sample instead of silencing the alarm.
-            rect = Rect(origin.x, origin.y, origin.x, origin.y)
-        return rect, self._weighted_perimeter(rect, origin, heading), order
+            # All four of its sides have zero length.
+            return (ox, oy, ox, oy), 0.0, order
+        return (edges,
+                _perimeter(self.model, *edges, ox, oy, heading, corners),
+                order)
 
-    def _select_exhaustive(self, origin: Point, heading: float,
-                           tension_lists: Sequence[List[Tuple[float, float]]],
-                           obstacles: Sequence[Rect]
-                           ) -> Tuple[Rect, float, Tuple[int, ...]]:
-        """Quartic-time optimum: every component-rectangle combination."""
+    def _select_exhaustive(self, ox: float, oy: float, heading: float,
+                           tension_lists: Sequence[List[Extent]],
+                           shrunk: Sequence[Edges]
+                           ) -> Tuple[Edges, float, Tuple[int, ...]]:
+        """Quartic-time optimum: every component-rectangle combination.
+
+        Combinations are visited in product order (quadrant I outermost)
+        and only a strictly better score displaces the incumbent, so the
+        first of several equal-score rectangles wins; a combination
+        whose four extents were already seen is skipped, which cannot
+        change the winner.
+        """
+        first, second, third, fourth = tension_lists
         best_score = -math.inf
-        best_rect: Optional[Rect] = None
-        for combo in itertools.product(*tension_lists):
-            right = min(combo[0][0], combo[3][0])
-            top = min(combo[0][1], combo[1][1])
-            left = min(combo[1][0], combo[2][0])
-            bottom = min(combo[2][1], combo[3][1])
-            rect = self._extents_rect(origin, right, top, left, bottom)
-            if self._penetrates_obstacle(rect, obstacles):
-                continue
-            score = self._score(rect, origin, heading)
-            if score > best_score:
-                best_score = score
-                best_rect = rect
-        if best_rect is None:
-            # See _select_greedy: all combinations penetrate an alarm.
-            best_rect = Rect(origin.x, origin.y, origin.x, origin.y)
-        return (best_rect,
-                self._weighted_perimeter(best_rect, origin, heading),
-                (0, 1, 2, 3))
+        # See _select_greedy: when all combinations penetrate an alarm
+        # the point region (perimeter zero) is the answer.
+        best_edges: Edges = (ox, oy, ox, oy)
+        best_perimeter = 0.0
+        seen: Set[Tuple[float, float, float, float]] = set()
+        corners: CornerMemo = {}
+        for u1, v1 in first:
+            for u2, v2 in second:
+                top = min(v1, v2)
+                for u3, v3 in third:
+                    left = min(u2, u3)
+                    for u4, v4 in fourth:
+                        right = min(u1, u4)
+                        bottom = min(v3, v4)
+                        extents = (right, top, left, bottom)
+                        if extents in seen:
+                            continue
+                        seen.add(extents)
+                        min_x = ox - left
+                        min_y = oy - bottom
+                        max_x = ox + right
+                        max_y = oy + top
+                        if _penetrates(min_x, min_y, max_x, max_y, shrunk):
+                            continue
+                        score, perimeter = self._score_edges(
+                            min_x, min_y, max_x, max_y, ox, oy, heading,
+                            corners)
+                        if score > best_score:
+                            best_score = score
+                            best_edges = (min_x, min_y, max_x, max_y)
+                            best_perimeter = perimeter
+        return best_edges, best_perimeter, (0, 1, 2, 3)
 
-    def _score(self, rect: Rect, origin: Point, heading: float) -> float:
-        """Selection score: weighted perimeter plus area regularization.
+    def _score_edges(self, min_x: float, min_y: float, max_x: float,
+                     max_y: float, ox: float, oy: float, heading: float,
+                     corners: CornerMemo) -> Tuple[float, float]:
+        """``(selection score, weighted perimeter)`` of one candidate.
 
         The paper's literal objective — the weighted perimeter alone —
         admits degenerate maximizers: a zero-width sliver spanning the
@@ -431,15 +555,25 @@ class MWPSRComputer:
         fat rectangles to the weighted perimeter, and vetoes slivers.
         Set ``area_weight=0`` for the paper's literal objective.
         """
-        score = self._weighted_perimeter(rect, origin, heading)
+        perimeter = _perimeter(self.model, min_x, min_y, max_x, max_y,
+                               ox, oy, heading, corners)
         if self.area_weight > 0.0:
-            score += self.area_weight * math.sqrt(rect.area)
-        return score
+            return (perimeter + self.area_weight
+                    * math.sqrt((max_x - min_x) * (max_y - min_y)),
+                    perimeter)
+        return perimeter, perimeter
+
+    def _score(self, rect: Rect, origin: Point, heading: float) -> float:
+        """:meth:`_score_edges`' selection score of a finished rectangle."""
+        if not rect.contains_point(origin):
+            raise ValueError("origin must lie within the rectangle")
+        return self._score_edges(rect.min_x, rect.min_y, rect.max_x,
+                                 rect.max_y, origin.x, origin.y, heading,
+                                 {})[0]
 
     @staticmethod
-    def _choices_rect(origin: Point,
-                      choices: Sequence[Optional[Tuple[float, float]]]
-                      ) -> Rect:
+    def _choices_edges(ox: float, oy: float,
+                       choices: Sequence[Optional[Extent]]) -> Edges:
         """Intersection rectangle of the committed component choices.
 
         Each extent is the minimum over its two *committed* contributors;
@@ -451,8 +585,8 @@ class MWPSRComputer:
         """
         q1, q2, q3, q4 = choices
 
-        def extent(a: Optional[Tuple[float, float]],
-                   b: Optional[Tuple[float, float]], index: int) -> float:
+        def extent(a: Optional[Extent], b: Optional[Extent],
+                   index: int) -> float:
             if a is not None and b is not None:
                 return min(a[index], b[index])
             if a is not None:
@@ -465,69 +599,16 @@ class MWPSRComputer:
         top = extent(q1, q2, 1)
         left = extent(q2, q3, 0)
         bottom = extent(q3, q4, 1)
-        return Rect(origin.x - left, origin.y - bottom,
-                    origin.x + right, origin.y + top)
-
-    @staticmethod
-    def _extents_rect(origin: Point, right: float, top: float, left: float,
-                      bottom: float) -> Rect:
-        return Rect(origin.x - left, origin.y - bottom,
-                    origin.x + right, origin.y + top)
+        return (ox - left, oy - bottom, ox + right, oy + top)
 
     # ------------------------------------------------------------------
     # Weighted perimeter
     # ------------------------------------------------------------------
     def _weighted_perimeter(self, rect: Rect, origin: Point,
                             heading: float) -> float:
-        """Perimeter with each side scaled by its relative motion density.
-
-        Each side subtends an angular sector as seen from the subscriber;
-        its weight is the motion-probability mass of that sector divided
-        by the sector's uniform share, so a uniform model yields exactly
-        the geometric perimeter (the paper's non-weighted variant) and a
-        steady-motion model up-weights the sides ahead of the subscriber.
-
-        Implementation note: the four sector masses share their corner
-        angles, so each corner contributes one cumulative-distribution
-        lookup instead of one integration per sector — this is the
-        hottest function of the whole simulation.
-        """
+        """:func:`_perimeter` of a finished rectangle around ``origin``."""
         if not rect.contains_point(origin):
             # Selection never produces this, but guard the public math.
             raise ValueError("origin must lie within the rectangle")
-        dx_max = rect.max_x - origin.x
-        dx_min = rect.min_x - origin.x
-        dy_max = rect.max_y - origin.y
-        dy_min = rect.min_y - origin.y
-        angle_br = math.atan2(dy_min, dx_max)
-        angle_tr = math.atan2(dy_max, dx_max)
-        angle_tl = math.atan2(dy_max, dx_min)
-        angle_bl = math.atan2(dy_min, dx_min)
-        model = self.model
-        cum_br = model.cumulative(angle_br - heading)
-        cum_tr = model.cumulative(angle_tr - heading)
-        cum_tl = model.cumulative(angle_tl - heading)
-        cum_bl = model.cumulative(angle_bl - heading)
-        sides = (
-            (rect.height, angle_br, angle_tr, cum_br, cum_tr),   # right
-            (rect.width, angle_tr, angle_tl, cum_tr, cum_tl),    # top
-            (rect.height, angle_tl, angle_bl, cum_tl, cum_bl),   # left
-            (rect.width, angle_bl, angle_br, cum_bl, cum_br),    # bottom
-        )
-        total = 0.0
-        for length, start, end, cum_start, cum_end in sides:
-            if fzero(length):
-                continue
-            span = (end - start) % TWO_PI
-            if span < 1e-12:
-                # Degenerate sector (origin pinned on this side): the
-                # mass/span ratio converges to pdf(direction) * 2*pi.
-                mid = normalize_angle(start - heading)
-                density_ratio = self.model.pdf(mid) * TWO_PI
-            else:
-                mass = cum_end - cum_start
-                if mass < 0.0:
-                    mass += 1.0  # the CCW sector wraps through +/- pi
-                density_ratio = mass / (span / TWO_PI)
-            total += length * density_ratio
-        return total
+        return _perimeter(self.model, rect.min_x, rect.min_y, rect.max_x,
+                          rect.max_y, origin.x, origin.y, heading, {})

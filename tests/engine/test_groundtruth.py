@@ -35,6 +35,7 @@ from repro.experiments.configs import clear_caches
 from repro.geometry import Point, Rect
 from repro.index import GridOverlay
 from repro.mobility import Trace, TraceSample, TraceSet
+from ..budget import examples
 from ..strategies.conftest import make_world
 
 
@@ -370,7 +371,7 @@ def mutating_worlds(draw):
 
 
 class TestLifetimeSweepEqualsPerStepScan:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(60, 300), deadline=None)
     @given(mutating_worlds())
     def test_property_schedules_and_tracks(self, drawn):
         world, schedule, tracks = drawn

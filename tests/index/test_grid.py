@@ -1,9 +1,12 @@
 """Tests for the uniform grid overlay."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.experiments import BENCH, PAPER, TINY
 from repro.geometry import Point, Rect
 from repro.index import CellId, GridOverlay
 
@@ -62,6 +65,75 @@ class TestLookup:
         assert 0 <= cell.col < grid.columns
         assert 0 <= cell.row < grid.rows
         assert grid.cell_rect(cell).contains_point(p)
+
+
+class TestCellOfAgreesWithCellRect:
+    """``cell_of`` and ``cell_rect`` name the same cell for a point one
+    ulp either side of any interior edge.
+
+    Regression: ``cell_of`` used to divide (``int((x - min_x) /
+    cell_width)``) while ``cell_rect`` reports ratio-form edges.  At
+    PAPER scale, 5.0 km^2 cells (14 columns), ``x = 27105.42857142857``
+    sits one ulp below the 11|12 edge but the quotient rounds up to
+    12.0, so ``cell_rect(cell_of(p))`` did not contain ``p`` and
+    ``MWPSRComputer.compute`` raised "subscriber position outside its
+    grid cell" mid-run.
+    """
+
+    #: Fig. 4's sweep plus the two sizes the figures and benches add.
+    AREAS = (0.4, 0.625, 1.0, 1.11, 2.5, 5.0, 10.0)
+
+    @staticmethod
+    def _edge_points(edge):
+        return (math.nextafter(edge, -math.inf), edge,
+                math.nextafter(edge, math.inf))
+
+    @pytest.mark.parametrize("config", [TINY, BENCH, PAPER],
+                             ids=["tiny", "bench", "paper"])
+    @pytest.mark.parametrize("area", AREAS)
+    def test_every_interior_edge_plus_minus_one_ulp(self, config, area):
+        side = config.universe_side_m
+        universe = Rect(0.0, 0.0, side, side)
+        grid = GridOverlay(universe, min(area, universe.area / 1e6))
+        # columns == rows on a square universe; probe both axes anyway,
+        # against a partner coordinate that is itself on an edge.
+        for k in range(1, grid.columns):
+            edge = universe.min_x + universe.width * k / grid.columns
+            for value in self._edge_points(edge):
+                for other in (side / 3.0, value):
+                    for p in (Point(value, other), Point(other, value)):
+                        cell = grid.cell_of(p)
+                        assert grid.cell_rect(cell).contains_point(p), \
+                            (p, cell)
+                        # half-open: the edge itself opens the upper cell
+                        expected = k if value >= edge else k - 1
+                        index = cell.col if p.x == value else cell.row
+                        assert index == expected, (p, cell)
+
+    def test_the_reproduced_points(self):
+        paper = GridOverlay(Rect(0, 0, PAPER.universe_side_m,
+                                 PAPER.universe_side_m), 5.0)
+        p = Point(27105.42857142857, 100.0)
+        assert paper.columns == 14
+        assert paper.cell_of(p) == CellId(11, 0)
+        assert paper.cell_rect(paper.cell_of(p)).contains_point(p)
+        tiny = GridOverlay(Rect(0, 0, TINY.universe_side_m,
+                                TINY.universe_side_m), 0.4)
+        p = Point(3333.333333333333, 100.0)
+        assert tiny.cell_rect(tiny.cell_of(p)).contains_point(p)
+
+    @given(st.floats(min_value=0, max_value=9999.99),
+           st.floats(min_value=0, max_value=9999.99))
+    def test_unchanged_away_from_edges(self, x, y):
+        """More than a micrometre from every edge the plain quotient
+        already names the cell, and that is what ``cell_of`` returns."""
+        grid = GridOverlay(UNIVERSE, cell_area_km2=1.11)
+        for value, width in ((x, grid.cell_width), (y, grid.cell_height)):
+            offset = math.fmod(value, width)
+            if min(offset, width - offset) < 1e-6:
+                return
+        assert grid.cell_of(Point(x, y)) == CellId(
+            int(x / grid.cell_width), int(y / grid.cell_height))
 
 
 class TestCoverage:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Rect
 from repro.index import RStarTree
+from ..budget import examples
 
 
 def reference_least_overlap_child(node, rect):
@@ -96,7 +97,7 @@ def test_alarm_sized_squares_build_the_identical_tree():
     """The benchmark's population shape: many small squares, few ties."""
     rng = random.Random(23)
     operations = []
-    for _ in range(3000):
+    for _ in range(examples(600, 3000)):
         x, y = rng.uniform(0, 10000), rng.uniform(0, 10000)
         side = rng.uniform(50, 250)
         operations.append(("insert", Rect(x, y, x + side, y + side)))

@@ -233,7 +233,7 @@ class TestSubscriberOnObstacleBoundary:
 @given(positions_in_cell(), obstacles_in_cell(),
        st.floats(min_value=-math.pi, max_value=math.pi))
 def test_property_safety_invariant_greedy(position, obstacles, heading):
-    computer = MWPSRComputer(SteadyMotionModel(1, 8), validate=False)
+    computer = MWPSRComputer(SteadyMotionModel(1, 8))
     result = computer.compute(position, heading, CELL, obstacles)
     assert_valid_safe_region(result, position, obstacles)
 
