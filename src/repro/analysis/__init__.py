@@ -1,35 +1,38 @@
-"""Whole-program contract analysis for the repro codebase.
+"""Static checking of the repro codebase: one framework, 18 rules.
 
-Where :mod:`repro.lintkit` checks invariants one file at a time, this
-package parses the whole source tree once into a
-:class:`~repro.analysis.model.ProjectModel` and runs interprocedural
-*checkers* (PA001-PA010) over it: protocol exhaustiveness, telemetry
-drift, cross-module fork safety, the pragma-debt ratchet, and — via
-the :class:`~repro.analysis.concurrency.ConcurrencyModel` call graph —
-blocking-call reachability from event-loop code, cross-domain shared
-state races with await-atomicity, and task lifecycle hygiene; then the
-protocol conformance gate: the session automaton, resource release on
-every exit path, and strategy downlink causality — the cross-module
-seams where drift previously surfaced only as a flaky
-simulation.  Runnable as ``python -m repro analyze`` with the same
-output formats and exit codes as the linter.
+The safe-region contract (paper Section 2.1), the sharded engine's
+determinism guarantee and the client/server protocol rest on invariants
+ordinary tooling cannot see.  This package parses the source tree once
+into a :class:`~repro.analysis.model.ProjectModel` and runs every rule
+over it: the file-local invariants RL001-RL008 (immutable geometry,
+tolerant float comparison, seeded randomness, fork safety, the
+``SafeRegion`` contract, no wall clock, no ``print``, the protocol
+boundary) and the whole-program contracts PA001-PA010 (protocol
+exhaustiveness, telemetry drift, cross-module fork safety, the
+pragma-debt ratchet, blocking-call reachability, cross-domain races,
+task lifecycle, the session automaton, resource release on every exit
+path, strategy downlink causality).  Runnable as ``python -m repro
+check``.
 
-See ``docs/STATIC_ANALYSIS.md`` for the checker catalogue, the shared
-``# lint: allow=PAxxx`` pragma syntax and the guide to adding checkers.
+See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the
+``# lint: allow=RLxxx`` pragma syntax and the guide to adding a rule.
 """
 
-from .base import ALL_CHECKERS, Checker, checker, get_checker
+from .base import ALL_RULES, Rule, get_rule, rule
+from .diagnostics import Diagnostic
 from .model import AnalysisError, ClassInfo, ModuleInfo, ProjectModel
-from .runner import run_analysis
+from .runner import Report, run_analysis
 
 __all__ = [
-    "ALL_CHECKERS",
+    "ALL_RULES",
     "AnalysisError",
-    "Checker",
     "ClassInfo",
+    "Diagnostic",
     "ModuleInfo",
     "ProjectModel",
-    "checker",
-    "get_checker",
+    "Report",
+    "Rule",
+    "get_rule",
+    "rule",
     "run_analysis",
 ]

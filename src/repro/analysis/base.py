@@ -1,41 +1,63 @@
-"""Checker plumbing: base class and the PA-rule registry.
+"""Rule plumbing: the one base class and the one registry.
 
-Mirrors :mod:`repro.lintkit.base` one level up: a *checker* is to the
-project model what a lint *rule* is to a single file.  Checkers have
-stable ``PAnnn`` ids (the shared pragma syntax ``# lint: allow=PA001``
-suppresses them line-by-line like any lint rule), a docstring stating
-the contract they enforce, and a ``check`` method that walks the
-:class:`~repro.analysis.model.ProjectModel` and yields diagnostics.
+A rule is a small class with a stable id (``RLnnn`` for the file-local
+invariants, ``PAnnn`` for the whole-program contracts — diagnostics,
+``# lint: allow=`` pragmas, the ``lint_debt.json`` ledger and the
+``--rule`` selector all refer to rules by this id), a docstring stating
+the invariant it enforces, and one of two hooks:
 
-Registration happens at import time through :func:`checker`;
-``checkers/__init__`` imports every checker module so importing
+* a *file-local* rule overrides :meth:`Rule.check_module` and may
+  narrow itself to package-relative path prefixes with ``scopes`` /
+  ``exempt_files``; the base :meth:`Rule.check` walks the model's
+  modules through :meth:`Rule.applies_to`;
+* a *whole-program* rule overrides :meth:`Rule.check` and reads
+  whatever it needs from the :class:`~repro.analysis.model.ProjectModel`.
+
+Registration happens at import time through :func:`rule`;
+``rules/__init__`` imports every rule module so importing
 :mod:`repro.analysis` populates the registry.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
-from ..lintkit.diagnostics import Diagnostic
+from .diagnostics import Diagnostic
 from .model import ModuleInfo, ProjectModel
 
 
-class Checker:
-    """Base class for one named cross-module contract check."""
+class Rule:
+    """Base class for one named invariant check."""
 
-    #: Stable identifier, ``PAnnn`` — diagnostics, pragmas and the
-    #: ``--rule`` selector all refer to checkers by this id.
-    checker_id: str = "PA000"
-    #: One-line human title shown in listings.
+    #: Stable identifier, ``RLnnn`` or ``PAnnn``.
+    rule_id: str = ""
+    #: One-line human title shown in listings (``"slug: description"``).
     title: str = ""
+    #: Root-relative directory prefixes (POSIX) a file-local rule
+    #: applies to; ``None`` applies everywhere.  A file matches when its
+    #: ``rel_path`` starts with ``prefix + "/"`` or equals the prefix.
+    scopes: Optional[Tuple[str, ...]] = None
+    #: Root-relative file paths exempt from the rule even in scope.
+    exempt_files: Tuple[str, ...] = ()
 
-    #: Optional path of the pragma-debt ledger (PA004 only; threaded
-    #: through from the runner so the CLI can override it).
-    debt_path: Optional[str] = None
+    def applies_to(self, rel_path: str) -> bool:
+        """Scope filter: does this rule run over ``rel_path`` at all?"""
+        if rel_path in self.exempt_files:
+            return False
+        if self.scopes is None:
+            return True
+        return any(rel_path == scope or rel_path.startswith(scope + "/")
+                   for scope in self.scopes)
 
     def check(self, model: ProjectModel) -> Iterator[Diagnostic]:
-        """Yield every violation of this contract in the model."""
+        """Yield every violation of this rule in the model."""
+        for module in model.iter_modules():
+            if self.applies_to(module.rel_path):
+                yield from self.check_module(module)
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
+        """Yield every violation of a file-local rule in ``module``."""
         raise NotImplementedError
 
     def diagnostic(self, module: ModuleInfo, node: Optional[ast.AST],
@@ -44,41 +66,42 @@ class Checker:
         return Diagnostic(path=module.display_path,
                           line=getattr(node, "lineno", 1),
                           col=getattr(node, "col_offset", 0),
-                          rule_id=self.checker_id, message=message)
+                          rule_id=self.rule_id, message=message)
 
     def file_diagnostic(self, path: str, message: str) -> Diagnostic:
         """Build a whole-file diagnostic (no meaningful line anchor)."""
         return Diagnostic(path=path, line=1, col=0,
-                          rule_id=self.checker_id, message=message)
+                          rule_id=self.rule_id, message=message)
 
 
-#: Registry of checker classes keyed by id, populated by @checker.
-_REGISTRY: Dict[str, Type[Checker]] = {}
+#: Registry of rule classes keyed by rule id, populated by @rule.
+_REGISTRY: Dict[str, Type[Rule]] = {}
 
 
-def checker(cls: Type[Checker]) -> Type[Checker]:
-    """Class decorator registering a checker under its ``checker_id``."""
-    if not cls.checker_id or cls.checker_id == "PA000":
-        raise ValueError("checker %r needs a non-default checker_id"
-                         % (cls,))
-    if cls.checker_id in _REGISTRY:
-        raise ValueError("duplicate checker id %s" % cls.checker_id)
-    _REGISTRY[cls.checker_id] = cls
+def rule(cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator registering a rule under its ``rule_id``."""
+    if not cls.rule_id:
+        raise ValueError("rule %r needs a rule_id" % (cls,))
+    if cls.rule_id in _REGISTRY:
+        raise ValueError("duplicate rule id %s" % cls.rule_id)
+    _REGISTRY[cls.rule_id] = cls
     return cls
 
 
-def get_checker(checker_id: str) -> Type[Checker]:
-    """Look up a registered checker class; ``KeyError`` when unknown."""
-    _ensure_checkers_loaded()
-    return _REGISTRY[checker_id]
+def get_rule(rule_id: str) -> Type[Rule]:
+    """Look up a registered rule class; ``KeyError`` when unknown."""
+    _ensure_rules_loaded()
+    return _REGISTRY[rule_id]
 
 
-def ALL_CHECKERS() -> List[Type[Checker]]:
-    """All registered checker classes, ordered by checker id."""
-    _ensure_checkers_loaded()
-    return [_REGISTRY[checker_id] for checker_id in sorted(_REGISTRY)]
+def ALL_RULES() -> List[Type[Rule]]:
+    """All registered rule classes: RL001… then PA001…, by number."""
+    _ensure_rules_loaded()
+    return [_REGISTRY[rule_id] for rule_id in sorted(
+        _REGISTRY, key=lambda rule_id: (not rule_id.startswith("RL"),
+                                        rule_id))]
 
 
-def _ensure_checkers_loaded() -> None:
-    # Importing the subpackage runs every checker module's decorator.
-    from . import checkers  # noqa: F401  (import-for-side-effect)
+def _ensure_rules_loaded() -> None:
+    # Importing the subpackage runs every rule module's @rule decorator.
+    from . import rules  # noqa: F401  (import-for-side-effect)

@@ -1,4 +1,4 @@
-"""Intraprocedural control-flow graphs for the analysis checkers.
+"""Intraprocedural control-flow graphs for the analysis rules.
 
 :class:`CFG` turns one function body into a statement-level graph with
 synthetic entry/exit nodes and *approximate* exception edges, built

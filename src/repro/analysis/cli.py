@@ -1,12 +1,12 @@
-"""The ``repro analyze`` subcommand.
+"""The ``repro check`` subcommand.
 
-Exit codes mirror ``repro lint`` (CI keys off them):
+Exit codes are part of the stable interface (CI keys off them):
 
-* ``0`` — every selected checker passed over the analyzed tree;
+* ``0`` — every selected rule passed over the checked tree;
 * ``1`` — one or more diagnostics (printed as
-  ``file:line:col: PAxxx message``, or as the JSON/SARIF report);
-* ``2`` — usage or input error (unknown checker id, missing root,
-  syntax error in an analyzed file).
+  ``file:line:col: RULE message``, or as the JSON/SARIF report);
+* ``2`` — usage or input error (unknown rule id, missing root,
+  syntax error in a checked file).
 """
 
 from __future__ import annotations
@@ -15,34 +15,34 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from ..lintkit.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS
-from ..lintkit.sarif import RuleMetadata, to_sarif
-from .base import ALL_CHECKERS, get_checker
+from .base import ALL_RULES, get_rule
 from .model import AnalysisError
 from .runner import run_analysis
+from .sarif import to_sarif
+
+EXIT_CLEAN = 0
+EXIT_FINDINGS = 1
+EXIT_ERROR = 2
 
 
-def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the analyze options to a (sub)parser."""
+def add_check_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the check options to a (sub)parser."""
     parser.add_argument("root", nargs="?", type=Path, default=None,
-                        help="directory to analyze "
+                        help="directory to check "
                              "(default: the repro package tree)")
+    parser.add_argument("--rule", action="append", default=None,
+                        metavar="ID", dest="rule_ids",
+                        help="run only this rule id (repeatable)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", dest="output_format",
                         help="report format (default: text)")
-    parser.add_argument("--rule", action="append", default=None,
-                        metavar="ID", dest="rule_ids",
-                        help="run only this checker id (repeatable)")
     parser.add_argument("--list-rules", action="store_true",
-                        help="list registered checkers and exit")
+                        help="list registered rules and exit")
     parser.add_argument("--debt", type=Path, default=None,
                         metavar="PATH",
                         help="pragma-debt ledger for PA004 "
                              "(default: lint_debt.json found from the "
                              "root upward)")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="parse with N worker processes when the "
-                             "tree is large enough (default: serial)")
     parser.add_argument("--sarif-base-uri", default=None,
                         metavar="URL", dest="sarif_base_uri",
                         help="prefix rule helpUris with this URL in "
@@ -50,35 +50,30 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
                              "URL)")
 
 
-def run_analyze_command(args: argparse.Namespace) -> int:
-    """Execute the analyze subcommand; returns the process exit code."""
+def run_check_command(args: argparse.Namespace) -> int:
+    """Execute the check subcommand; returns the process exit code."""
     if args.list_rules:
-        for cls in ALL_CHECKERS():
-            print("%s  %s" % (cls.checker_id, cls.title))
+        for cls in ALL_RULES():
+            print("%s  %s" % (cls.rule_id, cls.title))
         return EXIT_CLEAN
-    checker_classes = None
+    rule_classes = None
     if args.rule_ids:
         try:
-            checker_classes = [get_checker(rule_id.upper())
-                               for rule_id in args.rule_ids]
+            rule_classes = [get_rule(rule_id.upper())
+                            for rule_id in args.rule_ids]
         except KeyError as exc:
-            print("error: unknown checker id %s (try --list-rules)"
-                  % exc)
+            print("error: unknown rule id %s (try --list-rules)" % exc)
             return EXIT_ERROR
     try:
-        report = run_analysis(root=args.root,
-                              checker_classes=checker_classes,
-                              debt_path=args.debt, jobs=args.jobs)
+        report = run_analysis(root=args.root, rule_classes=rule_classes,
+                              debt_path=args.debt)
     except AnalysisError as exc:
         print("error: %s" % exc)
         return EXIT_ERROR
     if args.output_format == "json":
         print(report.to_json())
     elif args.output_format == "sarif":
-        print(to_sarif(report, "repro-analyze",
-                       [RuleMetadata.of(cls.checker_id, cls.title, cls)
-                        for cls in ALL_CHECKERS()],
-                       base_uri=args.sarif_base_uri))
+        print(to_sarif(report, base_uri=args.sarif_base_uri))
     else:
         print(report.render_text())
     return EXIT_CLEAN if report.ok else EXIT_FINDINGS
@@ -87,13 +82,14 @@ def run_analyze_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Standalone entry point (``python -m repro.analysis.cli``)."""
     parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="Whole-program contract analyzer for the repro "
-                    "codebase (see docs/STATIC_ANALYSIS.md)")
-    add_analyze_arguments(parser)
-    return run_analyze_command(parser.parse_args(argv))
+        prog="repro check",
+        description="Static checker for the repro codebase: file-local "
+                    "invariants and whole-program contracts "
+                    "(see docs/STATIC_ANALYSIS.md)")
+    add_check_arguments(parser)
+    return run_check_command(parser.parse_args(argv))
 
 
-if __name__ == "__main__":  # pragma: no cover - via `repro analyze`
+if __name__ == "__main__":  # pragma: no cover - via `repro check`
     import sys
     sys.exit(main())

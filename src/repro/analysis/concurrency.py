@@ -7,7 +7,7 @@ per :class:`~repro.analysis.model.ProjectModel` (cached via
 * a **call graph** with sync/async edges.  Each edge records how the
   callee was resolved (``via``): a plain name, a ``self`` method, a
   constructor-typed attribute or local, or a constructor call.  Awaited
-  calls are marked so checkers can tell ``await f()`` from a bare
+  calls are marked so rules can tell ``await f()`` from a bare
   ``f()``;
 * **concurrency roots** — the places code enters a domain other than
   the caller's thread: ``asyncio.create_task``/``ensure_future`` sites,

@@ -1,19 +1,21 @@
-"""The whole-program project model the checkers analyze.
+"""The project model every rule reads.
 
 :class:`ProjectModel` parses every ``.py`` file under one root exactly
-once and exposes the cross-module facts single-file lint rules cannot
-see: the module graph (resolved imports), the class/attribute table
-(dataclass field order per class), the function table (one level of the
-call graph), and the string-literal tables (module-level string
-constants, resolvable through imports).  Checkers locate the modules
-they care about by *package-relative path suffix* — e.g.
-``protocol/messages.py`` — so the same checker runs unchanged over the
-shipped tree and over the miniature fixture trees in
-``tests/analysis/fixtures/``.
+once.  A file-local rule reads one :class:`ModuleInfo` at a time (its
+tree, its root-relative path, its pragmas); a whole-program rule reads
+the cross-module facts: the module graph (resolved imports), the
+class/attribute table (dataclass field order per class), the function
+table (one level of the call graph), and the string-literal tables
+(module-level string constants, resolvable through imports).  Rules
+locate the modules they care about by *root-relative path* — a scope
+prefix such as ``strategies`` or a suffix such as
+``protocol/messages.py`` — so the same rule runs unchanged over the
+shipped tree, over a copy of it, and over the miniature fixture trees
+in ``tests/analysis/fixtures/``.
 
 Resolution is deliberately best-effort: a name that cannot be resolved
 statically (computed imports, ``*`` imports, attribute chains) resolves
-to ``None`` and checkers decide whether that is a finding or a shrug.
+to ``None`` and rules decide whether that is a finding or a shrug.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
-                    Optional, Tuple, Union)
+                    Optional, Set, Tuple, Union)
 
-from ..lintkit.pragmas import collect_pragmas
-from ..lintkit.rules.rl004_fork_safety import _module_level_mutables
+from .pragmas import collect_pragmas
 
 if TYPE_CHECKING:  # import cycle: concurrency builds on this module
     from .concurrency import ConcurrencyModel
@@ -122,13 +123,13 @@ class ModuleInfo:
     #: Module-level functions by name.
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: Every def in the module (methods and nested defs included),
-    #: keyed by qualname — the concurrency checkers' function table.
+    #: keyed by qualname — the concurrency rules' function table.
     all_functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Module-level ``NAME = "literal"`` string constants.
     constants: Dict[str, str] = field(default_factory=dict)
     #: ``from X import a as b`` edges: local name -> (dotted source
     #: module, original name).  Plain ``import X`` edges are omitted —
-    #: no checker needs them.
+    #: no rule needs them.
     imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: Module-level names bound to mutable containers (lists, dicts,
     #: sets and their factory calls) — the state PA003 guards.
@@ -203,34 +204,82 @@ def _class_info(node: ast.ClassDef) -> ClassInfo:
                      fields=tuple(fields_))
 
 
-#: Minimum tree size before ``--jobs`` forks a parse pool.  Below it,
-#: pool spin-up plus result pickling costs more than the parses.
-PARALLEL_THRESHOLD = 50
+#: Method names that mutate a list/dict/set/deque in place.
+MUTATOR_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear",
+    "appendleft", "extendleft",
+})
+_MUTABLE_FACTORIES = frozenset({
+    "list", "dict", "set", "defaultdict", "OrderedDict", "Counter",
+    "deque",
+})
 
 
-def _parse_path(root: Path, path: Path, rel_path: str) -> "ModuleInfo":
-    """Read and parse one file into its :class:`ModuleInfo`."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise AnalysisError("cannot read %s: %s" % (path, exc)) from exc
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        raise AnalysisError("cannot parse %s: %s" % (path, exc)) from exc
-    return ProjectModel._module_info(root, path, rel_path, source, tree)
+def module_level_mutables(tree: ast.Module) -> Set[str]:
+    """Module-level names bound to mutable containers."""
+    mutables: Set[str] = set()
+    for stmt in tree.body:
+        targets: List[ast.expr] = []
+        value: ast.expr
+        if isinstance(stmt, ast.Assign):
+            targets, value = list(stmt.targets), stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                              ast.DictComp, ast.SetComp)):
+            mutable = True
+        elif (isinstance(value, ast.Call)
+              and isinstance(value.func, ast.Name)
+              and value.func.id in _MUTABLE_FACTORIES):
+            mutable = True
+        else:
+            mutable = False
+        if mutable:
+            mutables.update(t.id for t in targets
+                            if isinstance(t, ast.Name))
+    return mutables
 
 
-def _parse_one(work: Tuple[str, str, str]) -> Tuple[str, "ModuleInfo"]:
-    """Process-pool worker: one ``(root, path, rel_path)`` → module.
-
-    Module-level and pure (no state beyond its argument) so it pickles
-    to worker processes and a parallel build is bit-identical to a
-    serial one.  :class:`AnalysisError` pickles too — a worker's parse
-    failure surfaces in the parent exactly as the serial loop's would.
-    """
-    root_s, path_s, rel_path = work
-    return rel_path, _parse_path(Path(root_s), Path(path_s), rel_path)
+def local_bindings(func: AnyFunctionDef) -> Set[str]:
+    """Names bound locally in ``func`` (params, assignments, loop and
+    ``with`` targets) — these shadow module globals, so writes to them
+    are not global writes."""
+    local: Set[str] = set()
+    globals_declared: Set[str] = set()
+    args = func.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        local.add(arg.arg)
+    if args.vararg is not None:
+        local.add(args.vararg.arg)
+    if args.kwarg is not None:
+        local.add(args.kwarg.arg)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            globals_declared.update(node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    local.add(target.id)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node.target, ast.Name):
+                local.add(node.target.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            for name_node in ast.walk(node.target):
+                if isinstance(name_node, ast.Name):
+                    local.add(name_node.id)
+        elif isinstance(node, ast.withitem):
+            if node.optional_vars is not None:
+                for name_node in ast.walk(node.optional_vars):
+                    if isinstance(name_node, ast.Name):
+                        local.add(name_node.id)
+        elif isinstance(node, ast.comprehension):
+            for name_node in ast.walk(node.target):
+                if isinstance(name_node, ast.Name):
+                    local.add(name_node.id)
+    return local - globals_declared
 
 
 class ProjectModel:
@@ -241,43 +290,46 @@ class ProjectModel:
         self.root = root
         #: Modules keyed by root-relative POSIX path.
         self.modules = modules
+        #: The pragma-debt ledger PA004 reads (``--debt``); ``None``
+        #: searches for ``lint_debt.json`` from the root upward.
+        self.debt_path: Optional[Path] = None
         self._by_name: Dict[str, ModuleInfo] = {
             info.name: info for info in modules.values()}
         self._concurrency: Optional["ConcurrencyModel"] = None
 
     # -- construction --------------------------------------------------
     @classmethod
-    def build(cls, root: Path, jobs: int = 0) -> "ProjectModel":
+    def build(cls, root: Path) -> "ProjectModel":
         """Parse every ``.py`` file under ``root`` into a model.
 
-        ``jobs`` > 1 parses with that many worker processes once the
-        tree is large enough to amortize the pool spin-up (see
-        :data:`PARALLEL_THRESHOLD`); the resulting model is identical
-        to a serial build — workers are pure path→``ModuleInfo``
-        functions and results are collected in the same sorted-path
-        order.
-
         Raises :class:`AnalysisError` when the root is missing, is not
-        a directory, or any file fails to read or parse — the analyzer
-        refuses to report "clean" over a tree it could not see.
+        a directory, holds no Python file, or any file fails to read or
+        parse — a run refuses to report "clean" over a tree it could
+        not see.
         """
         root = Path(root)
         if not root.is_dir():
             raise AnalysisError("no such directory: %s" % root)
-        paths = sorted(root.rglob("*.py"))
         modules: Dict[str, ModuleInfo] = {}
-        if jobs > 1 and len(paths) > PARALLEL_THRESHOLD:
-            from concurrent.futures import ProcessPoolExecutor
-            work = [(str(root), str(path),
-                     path.relative_to(root).as_posix())
-                    for path in paths]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for rel_path, info in pool.map(_parse_one, work):
-                    modules[rel_path] = info
-            return cls(root, modules)
-        for path in paths:
+        for path in sorted(root.rglob("*.py")):
             rel_path = path.relative_to(root).as_posix()
-            modules[rel_path] = _parse_path(root, path, rel_path)
+            try:
+                source = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise AnalysisError("cannot read %s: %s"
+                                    % (path, exc)) from exc
+            try:
+                tree = ast.parse(source, filename=str(path))
+            except SyntaxError as exc:
+                raise AnalysisError("cannot parse %s: %s"
+                                    % (path, exc)) from exc
+            modules[rel_path] = cls._module_info(root, path, rel_path,
+                                                 source, tree)
+        if not modules:
+            # "0 files checked, 0 problems" on a typo'd path is a silent
+            # false green in CI; an empty tree is an input error.
+            raise AnalysisError("no Python files to check under: %s"
+                                % root)
         return cls(root, modules)
 
     @classmethod
@@ -290,7 +342,7 @@ class ProjectModel:
                           name=".".join(parts), source=source, tree=tree,
                           allowed=collect_pragmas(source),
                           mutables=frozenset(
-                              _module_level_mutables(tree)))
+                              module_level_mutables(tree)))
         package = rel_path.split("/")[:-1]
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
@@ -375,16 +427,10 @@ class ProjectModel:
         for rel_path in sorted(self.modules):
             yield self.modules[rel_path]
 
-    def by_display_path(self, display_path: str) -> Optional[ModuleInfo]:
-        for info in self.modules.values():
-            if info.display_path == display_path:
-                return info
-        return None
-
     def concurrency(self) -> "ConcurrencyModel":
         """The (cached) concurrency view: call graph, domains, roots.
 
-        Built lazily so trees analyzed only by the structural checkers
+        Built lazily so trees analyzed only by the structural rules
         never pay for it, and cached so PA005-PA007 share one build.
         """
         if self._concurrency is None:

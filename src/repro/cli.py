@@ -38,8 +38,7 @@ from .experiments import (BENCH, PAPER, TINY, Table, WorkloadConfig,
                           make_pbsr_strategy, profile_report,
                           residence_statistics, safe_region_statistics,
                           workload_profile)
-from .analysis.cli import add_analyze_arguments, run_analyze_command
-from .lintkit.cli import add_lint_arguments, run_lint_command
+from .analysis.cli import add_check_arguments, run_check_command
 from .protocol.transport import (InProcessTransport, LossyTransport,
                                  TransportFactory)
 from .strategies import (OptimalStrategy, PeriodicStrategy,
@@ -599,17 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_options(figure_parser, with_cell=False)
     figure_parser.set_defaults(handler=_cmd_figure)
 
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the domain-invariant linter "
-                     "(docs/STATIC_ANALYSIS.md)")
-    add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(handler=run_lint_command)
-
-    analyze_parser = subparsers.add_parser(
-        "analyze", help="run the whole-program contract analyzer "
-                        "(docs/STATIC_ANALYSIS.md)")
-    add_analyze_arguments(analyze_parser)
-    analyze_parser.set_defaults(handler=run_analyze_command)
+    check_parser = subparsers.add_parser(
+        "check", help="run the static checker, rules RL001-RL008 and "
+                      "PA001-PA010 (docs/STATIC_ANALYSIS.md)")
+    add_check_arguments(check_parser)
+    check_parser.set_defaults(handler=run_check_command)
 
     report_parser = subparsers.add_parser(
         "report", help="render a recorded telemetry trace "

@@ -150,7 +150,7 @@ class AlarmServer:
         pays for the build and every later one with the same key is
         handed the same region.  Counts the hit or miss in the telemetry
         registry — the sanctioned path for policies, which may not touch
-        it directly (lintkit RL008).  A sanitized run rebuilds on every
+        it directly (rule RL008).  A sanitized run rebuilds on every
         hit and checks the shared region against the subscriber's own.
         """
         memo = self.state.region_cache

@@ -24,7 +24,7 @@ suite then pins them against the wire goldens.
 
 All mutable serving state (connection tasks, queues, counters) lives
 on daemon and connection scope — never at module level — so the module
-satisfies lintkit RL004 in letter and intent; the only host-clock reads
+satisfies rule RL004 in letter and intent; the only host-clock reads
 are ``perf_counter`` deltas for the batch latency probe (RL006's
 sanctioned form).
 """

@@ -14,7 +14,7 @@ sets, caches, per-policy scratch), which is what makes the handler
 shardable — the parallel engine simply builds one state per shard.
 Policies never touch ``Metrics`` or the transport: byte accounting
 happens at the transport boundary from the sizes of the responses they
-return (lintkit rule RL008 enforces the same boundary on the client
+return (rule RL008 enforces the same boundary on the client
 side).
 """
 

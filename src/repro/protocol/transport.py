@@ -333,7 +333,7 @@ class ClientSession:
         A client's whole silent run is charged in one call, with the
         sums its fixes would have charged one by one.  The only
         sanctioned path from strategy code to the energy counters
-        (lintkit RL008 forbids direct ``Metrics`` access from
+        (rule RL008 forbids direct ``Metrics`` access from
         strategies).
         """
         self._metrics.containment_checks += checks

@@ -69,9 +69,9 @@ EXIT_FLAG = 0x8000_0000
 #: and deduplicating yields the dataclass's declared field order —
 #: :func:`verify_field_layouts` asserts exactly that, plus, for the
 #: fixed-layout messages, that the value count matches the struct.
-#: The PA001 analyzer checks the same table statically, so a field
-#: added to a dataclass without a layout (or vice versa) fails both
-#: the unit suite and ``repro analyze``.
+#: Rule PA001 checks the same table statically, so a field added to a
+#: dataclass without a layout (or vice versa) fails both the unit
+#: suite and ``repro check``.
 FIELD_LAYOUTS: Dict[str, Tuple[str, ...]] = {
     "LocationReport": ("user_id", "sequence", "position.x",
                        "position.y", "heading", "speed"),

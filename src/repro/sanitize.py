@@ -1,7 +1,7 @@
 """Runtime invariant sanitizer: cheap checks a simulation can carry.
 
-The static analyzers (:mod:`repro.lintkit`, :mod:`repro.analysis`)
-prove what they can see; the sanitizer guards the residue at runtime.
+The static checker (:mod:`repro.analysis`, ``repro check``) proves
+what it can see; the sanitizer guards the residue at runtime.
 Enabled via ``repro simulate --sanitize`` or ``REPRO_SANITIZE=1``, it
 installs five invariant checks at simulation start:
 

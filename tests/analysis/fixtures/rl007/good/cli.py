@@ -1,0 +1,16 @@
+"""RL007 good tree: the bad fixture verbatim as ``cli.py``, which owns stdout."""
+
+
+def report_progress(step: int) -> None:
+    print("step", step)  # RL007: bypasses the trace sink
+
+
+def debug_dump(state) -> None:
+    import sys
+    print(repr(state), file=sys.stderr)  # RL007: still the builtin
+
+
+def nested_status() -> None:
+    def inner() -> None:
+        print("done")  # RL007: nested defs are scanned too
+    inner()

@@ -1,0 +1,13 @@
+"""RL008 good tree: the bad fixture verbatim, outside the rule's scope."""
+
+
+class SneakyStrategy:
+    def advance(self, client, trace, start, stop):
+        client.server.metrics.uplink_messages += 1  # RL008: metrics
+        session = client.session
+        session._metrics.energy_ops += 3  # RL008: _metrics
+        state = client.server._state  # RL008: collaborator private
+        return state
+
+    def server_policy(self):
+        return self.session._grid  # RL008: private via self.session

@@ -1,19 +1,22 @@
-"""Per-checker fixture tests: every PA rule fires on its seeded tree.
+"""Per-rule fixture tests: every PA rule fires on its seeded tree.
 
-Mirrors ``tests/lintkit/test_rules.py``: each checker has a miniature
-project under ``fixtures/<id>/`` seeding every violation shape the
-checker knows, and the expected diagnostic count is pinned so a checker
-silently going blind on one shape fails loudly.  The shipped tree
-itself must stay clean — the analyzer gates CI.
+The whole-program half of ``tests/lintkit/test_rules.py``: each rule
+has a miniature project under ``fixtures/<id>/`` seeding every
+violation shape the rule knows, and the expected diagnostic count is
+pinned so a rule silently going blind on one shape fails loudly.  The
+shipped tree itself must stay clean — ``repro check`` gates CI.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import (ALL_CHECKERS, ProjectModel, get_checker,
+from repro.analysis import (ALL_RULES, ProjectModel, get_rule,
                             run_analysis)
-from repro.analysis.checkers.pa004_debt import count_pragmas, find_ledger
+from repro.analysis.rules.pa004_debt import count_pragmas, find_ledger
 
-CHECKER_IDS = ["PA001", "PA002", "PA003", "PA004", "PA005", "PA006",
+PA_RULE_IDS = ["PA001", "PA002", "PA003", "PA004", "PA005", "PA006",
                "PA007", "PA008", "PA009", "PA010"]
 
 #: Expected diagnostic count per fixture tree (one per seeded shape).
@@ -31,21 +34,23 @@ EXPECTED_FIXTURE_COUNTS = {
 }
 
 
-def _run(root, checker_id):
+def _run(root, rule_id):
     report = run_analysis(root=root,
-                          checker_classes=[get_checker(checker_id)])
+                          rule_classes=[get_rule(rule_id)])
     return report.diagnostics
 
 
 def test_registry_is_complete():
-    assert [cls.checker_id for cls in ALL_CHECKERS()] == CHECKER_IDS
+    """One registry: RL001-RL008, then PA001-PA010."""
+    assert [cls.rule_id for cls in ALL_RULES()] \
+        == ["RL%03d" % n for n in range(1, 9)] + PA_RULE_IDS
 
 
-@pytest.mark.parametrize("checker_id", CHECKER_IDS)
-def test_fixture_tree_is_flagged(fixture_root, checker_id):
-    diagnostics = _run(fixture_root(checker_id.lower()), checker_id)
-    assert len(diagnostics) == EXPECTED_FIXTURE_COUNTS[checker_id]
-    assert all(diag.rule_id == checker_id for diag in diagnostics)
+@pytest.mark.parametrize("rule_id", PA_RULE_IDS)
+def test_fixture_tree_is_flagged(fixture_root, rule_id):
+    diagnostics = _run(fixture_root(rule_id.lower()), rule_id)
+    assert len(diagnostics) == EXPECTED_FIXTURE_COUNTS[rule_id]
+    assert all(diag.rule_id == rule_id for diag in diagnostics)
     for diag in diagnostics:
         assert diag.line > 0
         assert diag.col >= 0
@@ -53,7 +58,7 @@ def test_fixture_tree_is_flagged(fixture_root, checker_id):
 
 
 def test_shipped_tree_is_clean():
-    """The analyzer's own gate: ``repro analyze src/repro`` exits 0."""
+    """The gate itself: ``repro check src/repro`` exits 0."""
     report = run_analysis()
     assert report.ok, "\n" + report.render_text()
 
@@ -183,9 +188,25 @@ class TestPA004:
         ledger = tmp_path / "other_ledger.json"
         ledger.write_text('{"RL002": 1}\n', encoding="utf-8")
         report = run_analysis(root=fixture_root("pa004"),
-                              checker_classes=[get_checker("PA004")],
+                              rule_classes=[get_rule("PA004")],
                               debt_path=ledger)
         assert report.ok
+
+    def test_unknown_ledger_key_is_flagged(self, tmp_path):
+        """A retired rule takes its ledger entry with it."""
+        (tmp_path / "mod.py").write_text("X = 1\n", encoding="utf-8")
+        (tmp_path / "lint_debt.json").write_text(
+            '{"RL002": 0, "RL099": 0}\n', encoding="utf-8")
+        diagnostics = _run(tmp_path, "PA004")
+        assert [d.message for d in diagnostics] == [
+            "ledger entry RL099 names no registered rule; remove it"]
+        assert diagnostics[0].path.endswith("lint_debt.json")
+
+    def test_shipped_ledger_names_every_rule_at_zero(self):
+        ledger = json.loads(
+            (Path(__file__).resolve().parents[2]
+             / "lint_debt.json").read_text(encoding="utf-8"))
+        assert ledger == {cls.rule_id: 0 for cls in ALL_RULES()}
 
 
 class TestPA005:

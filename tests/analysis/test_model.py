@@ -1,18 +1,13 @@
-"""ProjectModel construction tests: import resolution and --jobs.
+"""ProjectModel construction tests: import resolution, loud failure.
 
-The checkers lean on two model behaviors that are easy to silently
-break: one-hop resolution of *relative* imports (PA010 follows
-``from .alpha import AlphaStrategy`` to the defining strategy module)
-and the guarantee that a ``--jobs`` parallel parse produces a model
-indistinguishable from a serial one.
+The rules lean on a model behavior that is easy to silently break:
+one-hop resolution of *relative* imports (PA010 follows
+``from .alpha import AlphaStrategy`` to the defining strategy module).
 """
-
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_analysis
-from repro.analysis.model import PARALLEL_THRESHOLD, ProjectModel
+from repro.analysis.model import ProjectModel
 
 
 def _write_tree(root, files):
@@ -87,52 +82,6 @@ class TestRelativeImportResolution:
         model = ProjectModel.build(tmp_path)
         use = model.find("pkg/use.py")
         assert model.resolve_constant(use, "NAME") == "daemon"
-
-
-class TestParallelParse:
-    @pytest.fixture()
-    def big_tree(self, tmp_path):
-        # One module over the threshold, so --jobs actually forks.
-        files = {
-            "pkg/mod_%03d.py" % index:
-                "VALUE_%03d = %d\n\n\ndef probe_%03d(x):\n"
-                "    return x + %d\n" % (index, index, index, index)
-            for index in range(PARALLEL_THRESHOLD + 1)
-        }
-        files["pkg/bad.py"] = "import time\n\n\nasync def nap():\n" \
-                              "    time.sleep(1)\n"
-        _write_tree(tmp_path, files)
-        return tmp_path
-
-    def test_small_trees_stay_serial(self, tmp_path, monkeypatch):
-        _write_tree(tmp_path, {"mod.py": "X = 1\n"})
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("pool must not spin up")
-
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures,
-                            "ProcessPoolExecutor", boom)
-        model = ProjectModel.build(tmp_path, jobs=8)
-        assert len(model.modules) == 1
-
-    def test_parallel_model_matches_serial(self, big_tree):
-        serial = ProjectModel.build(big_tree)
-        parallel = ProjectModel.build(big_tree, jobs=2)
-        assert list(serial.modules) == list(parallel.modules)
-        for rel_path, module in serial.modules.items():
-            twin = parallel.modules[rel_path]
-            assert module.name == twin.name
-            assert module.source == twin.source
-            assert sorted(module.all_functions) \
-                == sorted(twin.all_functions)
-            assert module.imports == twin.imports
-
-    def test_parallel_findings_match_serial(self, big_tree):
-        serial = run_analysis(root=big_tree)
-        parallel = run_analysis(root=big_tree, jobs=2)
-        assert serial.to_json() == parallel.to_json()
-        assert not serial.ok  # the seeded PA005 sleep is found
 
 
 def test_unparsable_file_fails_loudly(tmp_path):

@@ -1,52 +1,220 @@
-"""Mutation tests: PA008 catches real damage to the shipped daemon.
+"""Mutation tests: every rule catches real damage to the shipped code.
 
-Fixture trees prove the checker fires on *synthetic* drift; these
-tests prove it guards the *real* socket layer.  Each test copies the
-shipped ``net/daemon.py``/``net/sockets.py``/``net/stats.py`` and
-``protocol/spec.py``/``protocol/framing.py`` into a temporary tree,
-verifies the copy is clean, then applies one surgical mutation — the
-kind a refactor could plausibly introduce — and asserts PA008 reports
-it by (state, kind).
+Fixture trees prove a rule fires on *synthetic* drift; these tests
+prove it guards the *real* tree, and that it does so on a *copy* —
+scopes match the path relative to the root that was given.  Each case
+copies the shipped files its rule reads into a temporary tree, verifies
+the copy is clean, then applies one surgical mutation — the kind a
+refactor could plausibly introduce — and asserts the rule reports it,
+by id and message fragment.  A rule with no case here has not earned
+its place (ROADMAP item 7, static half).
+
+PA008, the first rule held to this standard, keeps its four hand-built
+mutations of the shipped daemon below the table.
 """
 
 import shutil
-from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import pytest
 
-from repro.analysis import get_checker, run_analysis
+from repro.analysis import ALL_RULES, get_rule, run_analysis
+from repro.analysis.cli import main
 from repro.analysis.runner import package_root
 
-_COPIED = (
-    "net/daemon.py",
-    "net/sockets.py",
-    "net/stats.py",
-    "protocol/spec.py",
-    "protocol/framing.py",
+_STRATEGIES = tuple(
+    "strategies/%s.py" % name
+    for name in ("__init__", "adaptive", "base", "bitmap", "optimal",
+                 "periodic", "rectangular", "safeperiod"))
+#: What PA008 reads: the socket layer and the declared automaton.
+_SESSION = ("net/daemon.py", "net/sockets.py", "net/stats.py",
+            "protocol/spec.py", "protocol/framing.py")
+
+
+class Seed(NamedTuple):
+    """One seeded defect: the files copied, the edit, the finding."""
+
+    rule_id: str
+    #: The shipped file that is edited (root-relative).
+    target: str
+    #: The other shipped files the rule reads.
+    context: Tuple[str, ...]
+    old: str
+    new: str
+    #: Must appear in a finding of ``rule_id`` after the edit.
+    fragment: str
+
+
+SEEDS = (
+    Seed("RL001", "geometry/rect.py", (),
+         "        return Rect(self.min_x + dx, self.min_y + dy,\n"
+         "                    self.max_x + dx, self.max_y + dy)\n",
+         "        self.min_x += dx  # 'saves an allocation'\n"
+         "        return self\n",
+         "frozen geometry value 'self' (a Rect)"),
+    Seed("RL002", "saferegion/mwpsr.py", (),
+         "if fzero(length):", "if length == 0.0:",
+         "exact float == comparison"),
+    Seed("RL003", "mobility/simulator.py", (),
+         "pick = vehicle.rng.random() * total",
+         "pick = random.random() * total",
+         "module-level random.random() call"),
+    Seed("RL004", "protocol/wire.py", (),
+         "fixed = _LAYOUT_STRUCTS.get(name)",
+         "fixed = _LAYOUT_STRUCTS.setdefault(name, struct.Struct(\"<d\"))",
+         "in-place mutation of module-level container '_LAYOUT_STRUCTS'"),
+    Seed("RL005", "saferegion/bitmap.py", (),
+         "    def size_bits(self) -> int:\n"
+         "        return self.bitmap.bit_length()\n\n",
+         "",
+         "'BitmapSafeRegion' does not define 'size_bits'"),
+    Seed("RL006", "engine/server.py", (),
+         "elapsed = time.perf_counter() - started\n"
+         "            self.metrics.alarm_processing_time_s",
+         "elapsed = time.time() - started\n"
+         "            self.metrics.alarm_processing_time_s",
+         "wall-clock read time.time()"),
+    Seed("RL007", "telemetry/sinks.py", (),
+         "    def close(self) -> None:  # noqa: B027",
+         "    def debug(self, record: object) -> None:\n"
+         "        print(record)\n\n"
+         "    def close(self) -> None:  # noqa: B027",
+         "print() in library code"),
+    Seed("RL008", "strategies/periodic.py", (),
+         "        return start + 1\n",
+         "        return start + 1\n\n\n"
+         "def _leak(server):\n"
+         "    return server.metrics\n",
+         "strategy touches 'metrics' on 'server'"),
+    Seed("PA001", "protocol/wire.py",
+         ("protocol/messages.py", "protocol/handlers.py",
+          "protocol/framing.py", "net/daemon.py", "net/sockets.py")
+         + _STRATEGIES,
+         '"position.y", "heading", "speed"),\n'
+         '    "RegionExitReport"',
+         '"position.y", "speed", "heading"),\n'
+         '    "RegionExitReport"',
+         "FIELD_LAYOUTS['LocationReport'] orders fields"),
+    Seed("PA002", "telemetry/facade.py",
+         ("telemetry/events.py", "telemetry/export.py",
+          "telemetry/tracer.py", "engine/metrics.py"),
+         'registry.counter("saferegion_exits").inc()',
+         'registry.counter("region_exits").inc()',
+         "'region_exits' is incremented but no"),
+    Seed("PA003", "engine/parallel.py", (),
+         "    assert _INHERITED is not None, \"inherited state missing in "
+         "fork child\"\n"
+         "    job, shards = _INHERITED\n",
+         "    global _INHERITED\n"
+         "    assert _INHERITED is not None\n"
+         "    job, shards = _INHERITED\n"
+         "    _INHERITED = None  # 'drop the child's reference early'\n",
+         "worker '_run_inherited_shard' rebinds module global "
+         "'_INHERITED'"),
+    Seed("PA004", "geometry/rect.py", (),
+         "        return Rect(self.min_x + dx, self.min_y + dy,\n",
+         "        return Rect(self.min_x + dx, self.min_y + dy,"
+         "  # lint: allow=RL002\n",
+         "pragma debt for RL002 grew to 1 (ledger allows 0)"),
+    Seed("PA005", "net/daemon.py", (),
+         "            await asyncio.sleep(interval)\n",
+         "            time.sleep(interval)\n",
+         "blocking time.sleep() is reachable from coroutine "
+         "'AlarmDaemon._stall_watchdog'"),
+    Seed("PA006", "net/daemon.py", (),
+         "        self._handshake.put_nowait((loop, port, None))\n",
+         "        self.port = port\n"
+         "        self._handshake.put_nowait((loop, port, None))\n",
+         "'port' of class DaemonThread is written from the event-loop "
+         "domain and accessed from the main domain"),
+    Seed("PA007", "net/daemon.py", (),
+         "            self._watchdog = asyncio.create_task(\n",
+         "            asyncio.create_task(\n",
+         "create_task() result is discarded"),
+    Seed("PA008", "net/daemon.py", _SESSION,
+         "                    elif frame.kind is FrameKind.SHUTDOWN:\n",
+         "                    elif frame.kind is FrameKind.SHUTDOWN:\n"
+         "                        if not greeted:\n"
+         "                            raise FramingError(\n"
+         "                                \"SHUTDOWN before the HELLO "
+         "handshake\")\n",
+         "spec declares (AWAIT_HELLO, SHUTDOWN, c2s) but no dispatch arm"),
+    Seed("PA009", "net/daemon.py", (),
+         "                    decoder.finish()  # raises if the peer died "
+         "mid-frame\n",
+         "",
+         "decoder 'decoder' acquired in AlarmDaemon._handle_connection "
+         "can reach a normal exit without a finish call"),
+    Seed("PA010", "strategies/safeperiod.py",
+         _STRATEGIES + ("protocol/spec.py", "protocol/messages.py"),
+         "            if isinstance(message, InstallSafePeriod):\n",
+         "            if message is not None:\n",
+         "server half emits InstallSafePeriod but its client half never "
+         "handles it"),
 )
 
 
-@pytest.fixture()
-def shipped_tree(tmp_path):
+def _copy_shipped(root, rel_paths):
     source_root = package_root()
-    for rel_path in _COPIED:
-        target = tmp_path / rel_path
+    for rel_path in rel_paths:
+        target = root / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(source_root / rel_path, target)
-    return tmp_path
-
-
-def _pa008(root):
-    report = run_analysis(root=root,
-                          checker_classes=[get_checker("PA008")])
-    return report
+    # PA004 reads the ledger beside the root; every copy carries it.
+    shutil.copyfile(source_root.parents[1] / "lint_debt.json",
+                    root / "lint_debt.json")
+    return root
 
 
 def _mutate(root, rel_path, old, new):
     path = root / rel_path
     source = path.read_text(encoding="utf-8")
-    assert old in source, "mutation anchor vanished: %r" % old
+    assert source.count(old) == 1, "mutation anchor moved: %r" % old
     path.write_text(source.replace(old, new), encoding="utf-8")
+
+
+def _check(root, rule_id):
+    return run_analysis(root=root, rule_classes=[get_rule(rule_id)])
+
+
+def test_every_rule_has_a_seeded_defect():
+    assert [seed.rule_id for seed in SEEDS] \
+        == [cls.rule_id for cls in ALL_RULES()]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.rule_id)
+def test_seeded_defect_in_a_shipped_copy_is_caught(tmp_path, seed):
+    root = _copy_shipped(tmp_path, (seed.target,) + seed.context)
+    clean = _check(root, seed.rule_id)
+    assert clean.ok, "\n" + clean.render_text()
+    _mutate(root, seed.target, seed.old, seed.new)
+    report = _check(root, seed.rule_id)
+    messages = [d.message for d in report.diagnostics]
+    assert any(seed.fragment in message for message in messages), \
+        "\n".join(messages) or "no finding"
+    assert all(d.rule_id == seed.rule_id for d in report.diagnostics)
+
+
+@pytest.mark.parametrize("rule_id", ["RL008", "PA003"])
+def test_seeded_defect_fails_the_gate(tmp_path, rule_id, capsys):
+    """The CI spelling: ``repro check <copy> --rule ID`` exits 1."""
+    seed = next(seed for seed in SEEDS if seed.rule_id == rule_id)
+    root = _copy_shipped(tmp_path, (seed.target,) + seed.context)
+    assert main([str(root), "--rule", rule_id]) == 0
+    _mutate(root, seed.target, seed.old, seed.new)
+    assert main([str(root), "--rule", rule_id]) == 1
+    assert " %s " % rule_id in capsys.readouterr().out
+
+
+# -- PA008 over the shipped socket layer -------------------------------
+
+@pytest.fixture()
+def shipped_tree(tmp_path):
+    return _copy_shipped(tmp_path, _SESSION)
+
+
+def _pa008(root):
+    return _check(root, "PA008")
 
 
 def test_shipped_copy_is_clean(shipped_tree):
@@ -107,8 +275,7 @@ def test_deleting_a_dispatch_arm_is_caught(shipped_tree):
 
 
 def test_mutations_exit_nonzero_through_the_cli(shipped_tree):
-    """The CI gate: a conformance finding fails the analyze command."""
-    from repro.analysis.cli import main
+    """The CI gate: a conformance finding fails the check command."""
     _mutate(shipped_tree, "protocol/spec.py",
             '    ("READY", "STATS", "c2s"): "READY",\n', "")
     assert main([str(shipped_tree), "--rule", "PA008"]) == 1

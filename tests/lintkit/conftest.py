@@ -1,30 +1,7 @@
-"""Shared helpers for the lintkit suite."""
+"""The RL-rule suites read the one fixture root of ``tests/analysis``.
 
-from pathlib import Path
-from typing import List
+(The directory keeps its name because the test ids are pinned; the
+package it was named after is ``repro.analysis`` now.)
+"""
 
-import pytest
-
-from repro.lintkit import Diagnostic, get_rule
-from repro.lintkit.runner import run_lint
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture
-def lint_fixture():
-    """Lint one fixture file with one rule, scopes disabled.
-
-    Fixture files live outside the package tree, so path scoping is
-    switched off — each test exercises exactly the rule under test.
-    """
-
-    def _lint(rule_id: str, name: str) -> List[Diagnostic]:
-        path = FIXTURES / rule_id.lower() / name
-        report = run_lint(paths=[path],
-                          rule_classes=[get_rule(rule_id)],
-                          respect_scopes=False)
-        assert report.files_checked == 1
-        return report.diagnostics
-
-    return _lint
+from ..analysis.conftest import FIXTURES, fixture_root  # noqa: F401

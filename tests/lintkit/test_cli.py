@@ -4,22 +4,22 @@ import json
 
 import pytest
 
-from repro.lintkit.cli import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
-                               main)
+from repro.analysis import get_rule, run_analysis
+from repro.analysis.cli import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
+                                main)
 
 from .conftest import FIXTURES
 
 
 def test_clean_file_exits_zero(capsys):
-    code = main([str(FIXTURES / "rl006" / "good.py")])
+    # Every rule, RL and PA alike, over a tree with nothing to report.
+    code = main([str(FIXTURES / "rl006" / "good" / "engine")])
     assert code == EXIT_CLEAN
     assert "0 problem(s) found" in capsys.readouterr().out
 
 
 def test_findings_exit_one_with_precise_locations(capsys):
-    # Scoped rules don't apply outside the package tree, so select the
-    # all-files rule explicitly against its bad fixture.
-    path = FIXTURES / "rl001" / "bad.py"
+    path = FIXTURES / "rl001" / "bad"
     code = main([str(path), "--rule", "RL001"])
     assert code == EXIT_FINDINGS
     out = capsys.readouterr().out
@@ -30,12 +30,12 @@ def test_findings_exit_one_with_precise_locations(capsys):
         location, message = line.split(" RL001 ")
         assert message
         file_part, line_no, col_no = location.rstrip(":").rsplit(":", 2)
-        assert file_part.endswith("bad.py")
+        assert file_part.endswith("bad/engine/relocate.py")
         assert int(line_no) > 0 and int(col_no) >= 0
 
 
 def test_rule_filter_is_case_insensitive(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad.py"), "--rule", "rl001"])
+    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "rl001"])
     assert code == EXIT_FINDINGS
 
 
@@ -46,7 +46,7 @@ def test_unknown_rule_exits_two(capsys):
 
 
 def test_missing_path_exits_two(capsys):
-    code = main([str(FIXTURES / "does_not_exist.py")])
+    code = main([str(FIXTURES / "does_not_exist")])
     assert code == EXIT_ERROR
     assert "error:" in capsys.readouterr().out
 
@@ -54,13 +54,13 @@ def test_missing_path_exits_two(capsys):
 def test_syntax_error_exits_two(tmp_path, capsys):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n")
-    code = main([str(broken)])
+    code = main([str(tmp_path)])
     assert code == EXIT_ERROR
     assert "cannot parse" in capsys.readouterr().out
 
 
 def test_json_format(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad.py"), "--rule", "RL001",
+    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "RL001",
                  "--format", "json"])
     assert code == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
@@ -70,9 +70,10 @@ def test_json_format(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005",
-                    "RL006", "RL007"):
-        assert rule_id in out
+    # One registry: the file-local rules, then the whole-program ones.
+    assert [line.split()[0] for line in out.splitlines()] == (
+        ["RL%03d" % n for n in range(1, 9)]
+        + ["PA%03d" % n for n in range(1, 11)])
 
 
 @pytest.mark.parametrize("rule_id, scoped_dir", [
@@ -82,9 +83,10 @@ def test_list_rules(capsys):
 ])
 def test_scoped_rules_skip_out_of_scope_files(tmp_path, rule_id,
                                               scoped_dir, capsys):
-    """A scoped rule ignores files outside its packages when linting a
-    tree that mirrors the package layout."""
-    bad_source = (FIXTURES / rule_id.lower() / "bad.py").read_text()
+    """A scoped rule ignores files outside its packages: scopes match
+    the path relative to the root that was given, whatever tree it is."""
+    bad_source = next((FIXTURES / rule_id.lower() / "bad").rglob(
+        "*.py")).read_text()
     in_scope = tmp_path / scoped_dir
     in_scope.mkdir()
     (in_scope / "mod.py").write_text(bad_source)
@@ -92,11 +94,8 @@ def test_scoped_rules_skip_out_of_scope_files(tmp_path, rule_id,
     out_of_scope.mkdir()
     (out_of_scope / "mod.py").write_text(bad_source)
 
-    from repro.lintkit import get_rule
-    from repro.lintkit.runner import run_lint
-
-    report = run_lint(paths=[tmp_path], rule_classes=[get_rule(rule_id)],
-                      root=tmp_path)
+    report = run_analysis(root=tmp_path,
+                          rule_classes=[get_rule(rule_id)])
     flagged_paths = {diag.path for diag in report.diagnostics}
     assert flagged_paths == {str(in_scope / "mod.py")}
 
@@ -105,20 +104,21 @@ def test_empty_directory_exits_two(tmp_path, capsys):
     """0 files checked must be an input error, not a silent green."""
     code = main([str(tmp_path)])
     assert code == EXIT_ERROR
-    assert "no Python files to lint" in capsys.readouterr().out
+    assert "no Python files to check" in capsys.readouterr().out
 
 
 def test_sarif_format(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad.py"), "--rule", "RL001",
+    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "RL001",
                  "--format", "sarif"])
     assert code == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
+    assert run["tool"]["driver"]["name"] == "repro-check"
     # The catalogue lists every registered rule, not just fired ones.
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert "RL001" in rule_ids and "RL008" in rule_ids
+    assert len(rule_ids) == 18
+    assert "RL001" in rule_ids and "PA010" in rule_ids
     assert run["results"]
     for result in run["results"]:
         assert result["ruleId"] == "RL001"

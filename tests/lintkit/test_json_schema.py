@@ -2,22 +2,21 @@
 
 import json
 
-from repro.lintkit import get_rule
-from repro.lintkit.runner import SCHEMA_VERSION, run_lint
+from repro.analysis import get_rule, run_analysis
+from repro.analysis.runner import SCHEMA_VERSION
 
 from .conftest import FIXTURES
 
 
 def _report_payload(rule_id: str, name: str) -> dict:
-    report = run_lint(paths=[FIXTURES / rule_id.lower() / name],
-                      rule_classes=[get_rule(rule_id)],
-                      respect_scopes=False)
+    report = run_analysis(root=FIXTURES / rule_id.lower() / name,
+                          rule_classes=[get_rule(rule_id)])
     payload = json.loads(report.to_json())
     return payload
 
 
 def test_top_level_schema():
-    payload = _report_payload("RL006", "bad.py")
+    payload = _report_payload("RL006", "bad")
     assert set(payload) == {"version", "files_checked", "diagnostics",
                             "counts"}
     assert payload["version"] == SCHEMA_VERSION
@@ -25,7 +24,7 @@ def test_top_level_schema():
 
 
 def test_diagnostic_entry_schema():
-    payload = _report_payload("RL006", "bad.py")
+    payload = _report_payload("RL006", "bad")
     assert payload["diagnostics"], "bad fixture must produce diagnostics"
     for entry in payload["diagnostics"]:
         assert set(entry) == {"path", "line", "col", "rule", "message"}
@@ -37,18 +36,18 @@ def test_diagnostic_entry_schema():
 
 
 def test_counts_cover_selected_rules():
-    payload = _report_payload("RL006", "bad.py")
+    payload = _report_payload("RL006", "bad")
     assert payload["counts"] == {"RL006": len(payload["diagnostics"])}
 
 
 def test_clean_run_reports_empty_diagnostics():
-    payload = _report_payload("RL006", "good.py")
+    payload = _report_payload("RL006", "good")
     assert payload["diagnostics"] == []
     assert payload["counts"] == {"RL006": 0}
 
 
 def test_diagnostics_are_sorted():
-    payload = _report_payload("RL003", "bad.py")
+    payload = _report_payload("RL003", "bad")
     locations = [(e["path"], e["line"], e["col"])
                  for e in payload["diagnostics"]]
     assert locations == sorted(locations)

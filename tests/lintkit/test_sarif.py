@@ -1,8 +1,8 @@
-"""SARIF schema-shape regression tests for the shared serializer.
+"""SARIF schema-shape regression tests.
 
 A code-scanning upload renders descriptions and "learn more" links
-from the rule metadata — these tests pin that every RL rule and PA
-checker ships ``shortDescription``, ``fullDescription`` and a
+from the rule metadata — these tests pin that every RL and PA rule
+ships ``shortDescription``, ``fullDescription`` and a
 ``helpUri`` whose anchor resolves to a real heading in
 ``docs/STATIC_ANALYSIS.md``.
 """
@@ -13,20 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_CHECKERS
-from repro.lintkit import ALL_RULES
-from repro.lintkit.diagnostics import Diagnostic
-from repro.lintkit.runner import LintReport
-from repro.lintkit.sarif import RULE_DOC_PATH, RuleMetadata, to_sarif
+from repro.analysis import ALL_RULES, Diagnostic, Report
+from repro.analysis.sarif import RULE_DOC_PATH, RuleMetadata, to_sarif
 
 DOC = Path(__file__).resolve().parents[2] / RULE_DOC_PATH
 
 
 def _all_metadata():
-    return ([RuleMetadata.of(cls.rule_id, cls.title, cls)
-             for cls in ALL_RULES()]
-            + [RuleMetadata.of(cls.checker_id, cls.title, cls)
-               for cls in ALL_CHECKERS()])
+    return [RuleMetadata.of(cls) for cls in ALL_RULES()]
 
 
 def _doc_anchors():
@@ -71,12 +65,11 @@ class TestRuleMetadata:
 
 class TestSarifShape:
     def _payload(self):
-        report = LintReport(
+        report = Report(
             [Diagnostic(path="src/x.py", line=3, col=1,
                         rule_id="RL001", message="boom")],
             files_checked=1, rule_ids=["RL001"])
-        return json.loads(to_sarif(report, "repro-lint",
-                                   _all_metadata()))
+        return json.loads(to_sarif(report))
 
     def test_schema_and_version(self):
         payload = self._payload()
@@ -95,10 +88,9 @@ class TestSarifShape:
             assert rule["defaultConfiguration"] == {"level": "error"}
 
     def test_base_uri_prefixes_links(self):
-        report = LintReport([], files_checked=0, rule_ids=[])
+        report = Report([], files_checked=0, rule_ids=[])
         payload = json.loads(to_sarif(
-            report, "repro-lint", _all_metadata(),
-            base_uri="https://example.test/repo/blob/main/"))
+            report, base_uri="https://example.test/repo/blob/main/"))
         driver = payload["runs"][0]["tool"]["driver"]
         assert driver["informationUri"].startswith("https://")
         assert all(rule["helpUri"].startswith("https://")
