@@ -10,8 +10,10 @@ Three scale presets:
   run 1,000 alarms over 100 km^2 — identical density — with 120 vehicles
   for 10 simulated minutes.
 * ``PAPER``  — the paper's full scale (10,000 vehicles, one hour,
-  10,000 alarms, ~1000 km^2).  Provided for completeness; a pure-Python
-  replay of its ~36M location fixes takes hours.
+  10,000 alarms, ~1000 km^2): 36.01M location fixes, 61,660 expected
+  triggers.  Serial on 2 vCPUs the world builds in ~38 s and its ground
+  truth sweeps in ~18 s; MWPSR replays it in ~72 s and PBSR(h=5) in
+  ~76 s, peak RSS ~1.5 GB.
 
 Worlds are memoized per (config, cell size): the expensive parts — map,
 traces, alarm installation and the ground-truth trigger scan — are built

@@ -50,6 +50,21 @@ def _boundary(lo: float, hi: float, k: int, level: int, fan: int) -> float:
     return lo + (hi - lo) * k / fan ** level
 
 
+@lru_cache(maxsize=256)
+def _level_edges(lo: float, hi: float, fan: int,
+                 height: int) -> Tuple[Tuple[float, ...], ...]:
+    """The ``fan**level + 1`` cell edges of one axis at each level.
+
+    The one table of :func:`_boundary` values that both
+    :meth:`Pyramid.cell_rect` and the bitmap builder read, shared by
+    every pyramid over the same span (a grid has one per column and one
+    per row).
+    """
+    return tuple(tuple(_boundary(lo, hi, k, level, fan)
+                       for k in range(fan ** level + 1))
+                 for level in range(height + 1))
+
+
 @dataclass(frozen=True)
 class PyramidCell:
     """Address of one cell in the decomposition."""
@@ -76,6 +91,10 @@ class Pyramid:
         self.height = height
         #: ``(columns, rows)`` of the full grid at each level 0..height.
         self.level_dims = _level_dims(fan_cols, fan_rows, height)
+        #: ``x_edges[L][k]`` / ``y_edges[L][k]``: vertical / horizontal
+        #: cell edge ``k`` of level ``L`` (:func:`_boundary`).
+        self.x_edges = _level_edges(base.min_x, base.max_x, fan_cols, height)
+        self.y_edges = _level_edges(base.min_y, base.max_y, fan_rows, height)
 
     # ------------------------------------------------------------------
     def grid_dims(self, level: int) -> Tuple[int, int]:
@@ -92,21 +111,16 @@ class Pyramid:
         with coincident boundaries of *different* levels (e.g. 24/27
         and 8/9) reduced to one expression (:func:`_boundary`) — cells
         then tile exactly, children never stick out of their parent and
-        the root is the base.
+        the root is the base.  Read from :attr:`x_edges` /
+        :attr:`y_edges`, the lists the bitmap builder bisects.
         """
         cols, rows = self.grid_dims(cell.level)
         if not (0 <= cell.col < cols and 0 <= cell.row < rows):
             raise ValueError("cell %r outside level grid" % (cell,))
-        base = self.base
-        return Rect(
-            _boundary(base.min_x, base.max_x, cell.col, cell.level,
-                      self.fan_cols),
-            _boundary(base.min_y, base.max_y, cell.row, cell.level,
-                      self.fan_rows),
-            _boundary(base.min_x, base.max_x, cell.col + 1, cell.level,
-                      self.fan_cols),
-            _boundary(base.min_y, base.max_y, cell.row + 1, cell.level,
-                      self.fan_rows))
+        xs = self.x_edges[cell.level]
+        ys = self.y_edges[cell.level]
+        return Rect(xs[cell.col], ys[cell.row],
+                    xs[cell.col + 1], ys[cell.row + 1])
 
     def locate(self, p: Point, level: int) -> PyramidCell:
         """Cell of ``p`` at ``level``; boundary points clamp inward."""

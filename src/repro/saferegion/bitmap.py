@@ -39,14 +39,25 @@ the cell is marked :data:`COVERED` and its descendants are accounted in
 closed form, so memory and build time stay proportional to the cells
 *outside* all-zero subtrees — what makes tall pyramids (Fig. 5 sweeps
 heights 1-7) affordable.
+
+The build never tests a cell against an obstacle.  A cell's state
+depends only on which obstacles meet or contain it, and on one level's
+grid an axis-aligned obstacle meets a run of rows, each meeting the same
+run of columns (the way Ghinita et al. write alert zones as sets of grid
+cells).  So each level costs a few bisections per obstacle on the
+pyramid's edge lists, which OR the runs into one integer mask per row,
+and then one table lookup per emitted block row (top row first, as the
+wire wants them).
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect
 from ..index import Pyramid, PyramidCell
@@ -62,10 +73,47 @@ COVERED = ord("z")
 
 _RUNS = re.compile(rb"z+|[01]+")
 
-_Box = Tuple[float, float, float, float]
-#: A cell awaiting its children: (col, row, its four edges, the
-#: obstacles over its row of siblings).
-_Parent = Tuple[int, int, float, float, float, float, List[_Box]]
+#: One block row: its cell bytes, the offsets of its SPLIT cells and the
+#: ``(start, stop)`` offset runs of its SAFE cells.
+_Row = Tuple[bytes, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+
+
+class _RowTable(Dict[int, _Row]):
+    """Every block row of ``width`` cells, keyed by its mask bits.
+
+    Key ``hit | cover << width``: bit ``i`` of ``hit`` says an obstacle's
+    interior meets cell ``i``, bit ``i`` of ``cover`` that one contains
+    it.  A row is filled the first time it is looked up.
+    """
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, key: int) -> _Row:
+        cells = bytearray()
+        splits: List[int] = []
+        runs: List[Tuple[int, int]] = []
+        for offset in range(self.width):
+            if key >> (self.width + offset) & 1:
+                cells.append(COVERED)
+            elif key >> offset & 1:
+                cells.append(SPLIT)
+                splits.append(offset)
+            else:
+                cells.append(SAFE)
+                if runs and runs[-1][1] == offset:
+                    runs[-1] = (runs[-1][0], offset + 1)
+                else:
+                    runs.append((offset, offset + 1))
+        row = self[key] = (bytes(cells), tuple(splits), tuple(runs))
+        return row
+
+
+@lru_cache(maxsize=None)
+def _row_table(width: int) -> _RowTable:
+    """The one :class:`_RowTable` of each fan width."""
+    return _RowTable(width)
 
 
 class PyramidBitmap:
@@ -116,62 +164,97 @@ class PyramidBitmap:
         interior — an alarm merely touching a cell edge does not poison
         it, consistent with interior-containment trigger semantics.
         0-cells above the maximum level are split, except that a cell
-        inside a single obstacle is closed as :data:`COVERED`.  One
-        breadth-first pass; a split cell hands down the obstacles over
-        its row of siblings and prunes them to its own width before it
-        tests its children, so deep cells see one or two obstacles.
-        Cell edges are :meth:`Pyramid.cell_rect`'s: a parent hands its
-        own edges down and the ones between its children use the ratio
-        form, so children nest exactly and pruning loses nothing.
+        inside a single obstacle is closed as :data:`COVERED`.
+
+        Built on row masks, level by level.  On a level's edge lists
+        (:attr:`Pyramid.x_edges` / :attr:`Pyramid.y_edges`, the ones
+        :meth:`Pyramid.cell_rect` reads, so the ranges are exact on any
+        edge) an obstacle meets a run of columns over a run of rows and
+        contains a possibly empty sub-run of each, all found by
+        bisection; the runs are ORed into one ``int`` per row, a *hit*
+        mask and (above the leaf level) a *cover* mask.  The split
+        parents of the level above are then walked in emission order,
+        and each of their block rows is one lookup of its mask bits in
+        :func:`_row_table`.
         """
         base = pyramid.base
-        min_x, min_y = base.min_x, base.min_y
-        width, depth = base.width, base.height
-        levels: List[bytes] = []
-        areas: List[float] = []
-        # The root is the single "child" of a virtual parent: the base.
-        parents: List[_Parent] = [
-            (0, 0, min_x, min_y, base.max_x, base.max_y,
-             [(o.min_x, o.min_y, o.max_x, o.max_y) for o in obstacles])]
-        span_x = span_y = 1
-        for level, (cols, rows) in enumerate(pyramid.level_dims):
-            leaf = level == pyramid.height
+        left, bottom, right, top = (base.min_x, base.min_y,
+                                    base.max_x, base.max_y)
+        height = pyramid.height
+        # The root is the base.  Obstacles that miss its interior are
+        # dropped here, so every bisection below lands inside the grid.
+        boxes: List[Tuple[float, float, float, float]] = []
+        root = SAFE
+        for obstacle in obstacles:
+            min_x, min_y = obstacle.min_x, obstacle.min_y
+            max_x, max_y = obstacle.max_x, obstacle.max_y
+            if left < max_x and min_x < right and bottom < max_y \
+                    and min_y < top:
+                boxes.append((min_x, min_y, max_x, max_y))
+                if min_x <= left and right <= max_x and min_y <= bottom \
+                        and top <= max_y:
+                    root = COVERED
+        if root == SAFE and boxes:
+            root = SPLIT
+        levels = [bytes((root,))]
+        area = base.area if root == SAFE else 0.0
+        fan_cols, fan_rows = pyramid.fan_cols, pyramid.fan_rows
+        fan_mask = (1 << fan_cols) - 1
+        table = _row_table(fan_cols)
+        # (col, row) of the split cells of the level above, in order.
+        parents = [(0, 0)] if root == SPLIT else []
+        for level in range(1, height + 1):
+            if not parents:
+                break
+            cols, rows = pyramid.level_dims[level]
+            xs = pyramid.x_edges[level]
+            ys = pyramid.y_edges[level]
+            leaf = level == height
+            hit = [0] * rows
+            cover = [0] * rows
+            for min_x, min_y, max_x, max_y in boxes:
+                # columns c with xs[c] < max_x and min_x < xs[c + 1]; none
+                # (c0 == c1 + 1) for a zero-width obstacle on an edge
+                c0 = bisect_right(xs, min_x, 1) - 1
+                c1 = bisect_left(xs, max_x, 0, cols) - 1
+                bits = (2 << c1) - (1 << c0)
+                for row in range(bisect_right(ys, min_y, 1) - 1,
+                                 bisect_left(ys, max_y, 0, rows)):
+                    hit[row] |= bits
+                if not leaf:
+                    # columns with min_x <= xs[c] and xs[c + 1] <= max_x
+                    c0 = bisect_left(xs, min_x)
+                    c1 = bisect_right(xs, max_x) - 2
+                    if c0 <= c1:
+                        bits = (2 << c1) - (1 << c0)
+                        for row in range(bisect_left(ys, min_y),
+                                         bisect_right(ys, max_y) - 1):
+                            cover[row] |= bits
             cells = bytearray()
-            split: List[_Parent] = []
-            for (parent_col, parent_row, left, bottom, right, top,
-                 reaching) in parents:
-                col0 = parent_col * span_x
-                row0 = parent_row * span_y
-                xs = [min_x + width * col / cols
-                      for col in range(col0 + 1, col0 + span_x)]
-                xs.append(right)
-                near = [o for o in reaching if left < o[2] and o[0] < right]
-                y1 = top
-                for j in range(span_y - 1, -1, -1):  # raster scan: top first
-                    y0 = min_y + depth * (row0 + j) / rows if j else bottom
-                    band = [o for o in near if y0 < o[3] and o[1] < y1]
-                    x0 = left
-                    for i, x1 in enumerate(xs):
-                        state = SAFE
-                        for o in band:
-                            if x0 < o[2] and o[0] < x1:
-                                if (not leaf and o[0] <= x0 and x1 <= o[2]
-                                        and o[1] <= y0 and y1 <= o[3]):
-                                    state = COVERED
-                                    break
-                                state = SPLIT
-                        cells.append(state)
-                        if state == SAFE:
-                            areas.append((x1 - x0) * (y1 - y0))
-                        elif state == SPLIT and not leaf:
-                            split.append((col0 + i, row0 + j,
-                                          x0, y0, x1, y1, band))
-                        x0 = x1
-                    y1 = y0
+            split: List[Tuple[int, int]] = []
+            for parent_col, parent_row in parents:
+                col0 = parent_col * fan_cols
+                row0 = parent_row * fan_rows
+                # raster scan: top row first
+                for row in range(row0 + fan_rows - 1, row0 - 1, -1):
+                    if leaf:
+                        chunk, splits, runs = table[hit[row] >> col0
+                                                    & fan_mask]
+                    else:
+                        chunk, splits, runs = table[
+                            (hit[row] >> col0 & fan_mask)
+                            | (cover[row] >> col0 & fan_mask) << fan_cols]
+                        for offset in splits:
+                            split.append((col0 + offset, row))
+                    cells += chunk
+                    if runs:
+                        dy = ys[row + 1] - ys[row]
+                        for start, stop in runs:
+                            area += (xs[col0 + stop] - xs[col0 + start]) * dy
             levels.append(bytes(cells))
             parents = split
-            span_x, span_y = pyramid.fan_cols, pyramid.fan_rows
-        return cls(pyramid, levels, sum(areas))
+        levels += [b""] * (height + 1 - len(levels))
+        return cls(pyramid, levels, area)
 
     # ------------------------------------------------------------------
     # Size and serialization

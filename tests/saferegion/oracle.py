@@ -5,7 +5,8 @@ imports this module.
 :func:`build_pyramid_bitmap` assigns one bit to every emitted cell by
 testing its :class:`~repro.geometry.Rect` against every obstacle and
 stores the result in a dict keyed by :class:`~repro.index.PyramidCell`;
-:meth:`EagerBitmap.probe` looks the located cell up level by level.
+:meth:`EagerBitmap.probe` looks the located cell up level by level, and
+:func:`stored_levels` derives the level blocks the runtime keeps.
 Nothing about it is fast — an all-zero subtree is enumerated bit by bit
 — it is the definition the runtime
 :class:`repro.saferegion.PyramidBitmap` is differentially tested
@@ -145,6 +146,34 @@ def build_pyramid_bitmap(pyramid: Pyramid, obstacles: Sequence[Rect]
     return (EagerBitmap(pyramid, bits, emission_order),
             BitmapBuildStats(cells_tested=len(emission_order),
                              intersection_tests=intersection_tests))
+
+
+def stored_levels(bitmap: EagerBitmap,
+                  obstacles: Sequence[Rect]) -> Tuple[bytes, ...]:
+    """What :class:`repro.saferegion.PyramidBitmap` stores, by definition.
+
+    The emitted cells level by level in emission order, ``'1'``/``'0'``,
+    except that a 0-cell above the leaf level lying inside one obstacle
+    is ``'z'`` (covered) and none of its descendants is stored.  The wire
+    cannot tell ``'z'`` from ``'0'``; the storage can.
+    """
+    pyramid = bitmap.pyramid
+    levels = [bytearray() for _ in range(pyramid.height + 1)]
+    pruned = set()
+    for cell in bitmap._emission_order:
+        if cell.level and pyramid.parent(cell) in pruned:
+            pruned.add(cell)
+            continue
+        bit = bitmap.bits[cell]
+        rect = pyramid.cell_rect(cell)
+        if (bit == 0 and cell.level < pyramid.height
+                and any(obstacle.contains_rect(rect)
+                        for obstacle in obstacles)):
+            levels[cell.level] += b"z"
+            pruned.add(cell)
+        else:
+            levels[cell.level] += b"%d" % bit
+    return tuple(bytes(cells) for cells in levels)
 
 
 # ----------------------------------------------------------------------

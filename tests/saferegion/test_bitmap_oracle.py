@@ -1,29 +1,43 @@
 """Differential suite: the runtime bitmap vs the cell-by-cell definition.
 
-:class:`repro.saferegion.PyramidBitmap` stores level blocks, closes
-all-zero subtrees in closed form and finds child blocks by rank; the
-oracle (``oracle.py``) tests every emitted cell's rectangle against
+:class:`repro.saferegion.PyramidBitmap` builds its levels from row masks,
+closes all-zero subtrees in closed form and finds child blocks by rank;
+the oracle (``oracle.py``) tests every emitted cell's rectangle against
 every obstacle and looks cells up in a dict.  They must agree on the
-serialization, its length, the coverage and every probe — above all on
-the geometry where reimplementations drift: obstacles snapped
-bit-exactly to cell edges of any level, zero-width and zero-area
-obstacles, obstacles covering the whole base cell or lying wholly
-outside it, nested and abutting pairs, and probe points on the edges
-and corners of every level and one ulp to either side of them.
+serialization, its length, the stored levels, the coverage and every
+probe — above all on the geometry where reimplementations drift:
+obstacles snapped bit-exactly to cell edges of any level, zero-width and
+zero-area obstacles, obstacles covering the whole base cell or lying
+wholly outside it, nested and abutting pairs, and probe points on the
+edges and corners of every level and one ulp to either side of them.
+
+Beyond the drawn worlds, every build of a BENCH PBSR(h=5) and GBSR
+replay must equal the definition (every ``REPLAY_STRIDE``-th build in
+tier-1, all of them under ``REPRO_SANITIZE=1``).  The seeded mutations
+at the end are the suite's own test: each is a plausible slip in the
+row-mask kernel that the fixed corpus must catch.
 """
 
+import functools
+import importlib
+import inspect
 import math
+import random
+import sys
+import types
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import run_simulation
+from repro.experiments import BENCH, build_world, make_pbsr_strategy
 from repro.geometry import Point, Rect
 from repro.index import Pyramid, PyramidCell
 from repro.saferegion import PyramidBitmap, decode_bitstring
 from repro.saferegion.bitmap import COVERED
-
-from .oracle import build_pyramid_bitmap
+from ..budget import examples
+from .oracle import build_pyramid_bitmap, stored_levels
 
 #: Base cells: the round one most tests use, an offset non-square one
 #: whose edges are not exactly representable, and a unit cell.
@@ -51,59 +65,43 @@ def _y_edge(pyramid, level, k):
     return pyramid.cell_rect(PyramidCell(level, 0, k)).min_y
 
 
-@st.composite
-def pyramids(draw):
-    base = draw(st.sampled_from(BASES))
-    return Pyramid(base, fan_cols=draw(st.integers(2, 3)),
-                   fan_rows=draw(st.integers(2, 3)),
-                   height=draw(st.integers(1, 7)))
-
-
-@st.composite
-def snapped_rects(draw, pyramid):
-    """A rectangle with every edge exactly on a cell edge of one level.
+# ----------------------------------------------------------------------
+# Obstacle shapes, drawn by hypothesis and by the seeded corpus alike
+# ----------------------------------------------------------------------
+def snapped_rect(pyramid, level, i0, i1, j0, j1):
+    """A rectangle with every edge exactly on a cell edge of ``level``.
 
     Equal indices give zero-width / zero-area obstacles.
     """
-    level = draw(st.integers(0, pyramid.height))
-    cols, rows = pyramid.level_dims[level]
-    i0, i1 = sorted(draw(st.tuples(st.integers(0, cols),
-                                   st.integers(0, cols))))
-    j0, j1 = sorted(draw(st.tuples(st.integers(0, rows),
-                                   st.integers(0, rows))))
+    i0, i1 = sorted((i0, i1))
+    j0, j1 = sorted((j0, j1))
     return Rect(_x_edge(pyramid, level, i0), _y_edge(pyramid, level, j0),
                 _x_edge(pyramid, level, i1), _y_edge(pyramid, level, j1))
 
 
-@st.composite
-def free_rects(draw, pyramid):
-    """A rectangle with arbitrary float edges in and around the base."""
+def free_rect(pyramid, x0, x1, y0, y1):
+    """A rectangle at unit coordinates of the base (outside if < 0, > 1)."""
     base = pyramid.base
-    unit = st.floats(-0.2, 1.2)
-    xs = sorted(draw(st.tuples(unit, unit)))
-    ys = sorted(draw(st.tuples(unit, unit)))
-    return Rect(base.min_x + base.width * xs[0],
-                base.min_y + base.height * ys[0],
-                base.min_x + base.width * xs[1],
-                base.min_y + base.height * ys[1])
+    x0, x1 = sorted((x0, x1))
+    y0, y1 = sorted((y0, y1))
+    return Rect(base.min_x + base.width * x0, base.min_y + base.height * y0,
+                base.min_x + base.width * x1, base.min_y + base.height * y1)
 
 
-def _special_rects(pyramid):
+def special_rects(pyramid):
     base = pyramid.base
-    return st.sampled_from([
+    return [
         base,                                        # exactly the base
         base.expanded(base.width),                   # covers it
         Rect(base.max_x, base.min_y,                 # abuts it outside
              base.max_x + base.width, base.max_y),
         Rect(base.min_x - 2 * base.width, base.min_y,  # wholly outside
              base.min_x - base.width, base.max_y),
-    ])
+    ]
 
 
-@st.composite
-def relatives(draw, rect):
-    """A rectangle nested in ``rect`` or sharing an edge with it."""
-    kind = draw(st.integers(0, 2))
+def relative(rect, kind):
+    """A rectangle nested in ``rect`` (0) or sharing an edge with it."""
     if kind == 0:
         return Rect(rect.min_x + rect.width / 4, rect.min_y + rect.height / 4,
                     rect.max_x - rect.width / 4, rect.max_y - rect.height / 4)
@@ -115,14 +113,65 @@ def relatives(draw, rect):
 
 
 @st.composite
+def pyramids(draw):
+    base = draw(st.sampled_from(BASES))
+    return Pyramid(base, fan_cols=draw(st.integers(2, 3)),
+                   fan_rows=draw(st.integers(2, 3)),
+                   height=draw(st.integers(1, 7)))
+
+
+@st.composite
+def snapped_rects(draw, pyramid):
+    level = draw(st.integers(0, pyramid.height))
+    cols, rows = pyramid.level_dims[level]
+    return snapped_rect(pyramid, level,
+                        *draw(st.tuples(st.integers(0, cols),
+                                        st.integers(0, cols),
+                                        st.integers(0, rows),
+                                        st.integers(0, rows))))
+
+
+@st.composite
+def free_rects(draw, pyramid):
+    """A rectangle with arbitrary float edges in and around the base."""
+    unit = st.floats(-0.2, 1.2)
+    return free_rect(pyramid, *draw(st.tuples(unit, unit, unit, unit)))
+
+
+@st.composite
 def obstacle_lists(draw, pyramid):
     rects = draw(st.lists(
         st.one_of(snapped_rects(pyramid), snapped_rects(pyramid),
-                  free_rects(pyramid), _special_rects(pyramid)),
+                  free_rects(pyramid),
+                  st.sampled_from(special_rects(pyramid))),
         max_size=4))
     for rect in list(rects):
         if draw(st.booleans()):
-            rects.append(draw(relatives(rect)))
+            rects.append(relative(rect, draw(st.integers(0, 2))))
+    return rects
+
+
+def draw_obstacles(rng, pyramid):
+    """:func:`obstacle_lists` drawn from a seeded ``random.Random``."""
+    rects = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(4)
+        if kind < 2:
+            level = rng.randint(0, pyramid.height)
+            cols, rows = pyramid.level_dims[level]
+            rects.append(snapped_rect(pyramid, level,
+                                      rng.randint(0, cols),
+                                      rng.randint(0, cols),
+                                      rng.randint(0, rows),
+                                      rng.randint(0, rows)))
+        elif kind == 2:
+            rects.append(free_rect(pyramid, *(rng.uniform(-0.2, 1.2)
+                                              for _ in range(4))))
+        else:
+            rects.append(rng.choice(special_rects(pyramid)))
+    for rect in list(rects):
+        if rng.random() < 0.5:
+            rects.append(relative(rect, rng.randrange(3)))
     return rects
 
 
@@ -154,14 +203,47 @@ def edge_points(pyramid):
     return points
 
 
-def assert_matches_oracle(pyramid, obstacles, points):
-    bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+# ----------------------------------------------------------------------
+# Named worlds
+# ----------------------------------------------------------------------
+def abutting_world():
+    """An alarm abutting the base and two on its bottom-left cell."""
+    pyramid = Pyramid(BASES[1], fan_cols=3, fan_rows=2, height=1)
+    base = pyramid.base
+    return pyramid, [Rect(base.min_x, base.min_y, base.min_x, base.min_y),
+                     Rect(base.min_x, base.min_y,
+                          _x_edge(pyramid, 1, 1), _y_edge(pyramid, 1, 1)),
+                     Rect(base.max_x, base.min_y,
+                          base.max_x + base.width, base.max_y)]
+
+
+def several_levels_world():
+    """Covered cells of different levels, interleaved in wire order."""
+    return Pyramid(BASES[0], 3, 3, 4), [
+        Rect(0, 600, 300, 900),      # one level-1 cell
+        Rect(400, 400, 500, 500),    # one level-2 cell
+        Rect(600, 0, 900, 250),      # not cell-aligned
+        Rect(333, 0, 334, 900)]      # a sliver through it all
+
+
+# ----------------------------------------------------------------------
+# The comparison
+# ----------------------------------------------------------------------
+def assert_equals_definition(bitmap, pyramid, obstacles):
+    """Everything a build stores equals the definition; the bits."""
     oracle, _ = build_pyramid_bitmap(pyramid, obstacles)
     bits = oracle.to_bitstring()
     assert bitmap.to_bitstring() == bits
     assert bitmap.bit_length() == oracle.bit_length() == len(bits)
+    assert bitmap._levels == stored_levels(oracle, obstacles)
     assert math.isclose(bitmap.coverage(), oracle.coverage(),
                         rel_tol=1e-12, abs_tol=0.0)
+    return oracle, bits
+
+
+def assert_matches_oracle(pyramid, obstacles, points):
+    bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
+    oracle, bits = assert_equals_definition(bitmap, pyramid, obstacles)
     decoded = decode_bitstring(pyramid, bits)
     assert decoded.to_bitstring() == bits
     assert decoded.bit_length() == len(bits)
@@ -187,7 +269,7 @@ def worlds(draw):
 
 
 class TestAgainstTheOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150, 2000), deadline=None)
     @given(worlds())
     def test_adversarial_geometry(self, world):
         pyramid, obstacles, points = world
@@ -207,11 +289,7 @@ class TestAgainstTheOracle:
 
     def test_covered_subtrees_at_several_levels(self):
         """Covered cells of different levels interleave in the wire order."""
-        pyramid = Pyramid(BASES[0], 3, 3, 4)
-        obstacles = [Rect(0, 600, 300, 900),      # one level-1 cell
-                     Rect(400, 400, 500, 500),    # one level-2 cell
-                     Rect(600, 0, 900, 250),      # not cell-aligned
-                     Rect(333, 0, 334, 900)]      # a sliver through it all
+        pyramid, obstacles = several_levels_world()
         bitmap = assert_matches_oracle(pyramid, obstacles,
                                        edge_points(pyramid))
         assert sum(COVERED in cells for cells in bitmap._levels) >= 2
@@ -226,13 +304,8 @@ class TestShrunkFailures:
         exactly on the base's right edge zeroed it in the flat oracle
         but not in a builder that prunes by parent.  Cell edges are now
         canonical across levels (``Pyramid.cell_rect``)."""
-        pyramid = Pyramid(BASES[1], fan_cols=3, fan_rows=2, height=1)
+        pyramid, obstacles = abutting_world()
         base = pyramid.base
-        obstacles = [Rect(base.min_x, base.min_y, base.min_x, base.min_y),
-                     Rect(base.min_x, base.min_y,
-                          _x_edge(pyramid, 1, 1), _y_edge(pyramid, 1, 1)),
-                     Rect(base.max_x, base.min_y,
-                          base.max_x + base.width, base.max_y)]
         bitmap = assert_matches_oracle(pyramid, obstacles,
                                        edge_points(pyramid))
         assert bitmap.to_bitstring() == "0111011"
@@ -282,3 +355,127 @@ class TestFloatInconsistentLocates:
             assert_matches_oracle(pyramid, obstacles, points)
             checked += 1
         assert checked >= 3
+
+
+# ----------------------------------------------------------------------
+# Every build of a BENCH replay
+# ----------------------------------------------------------------------
+#: Tier-1 compares every this-many-th build; REPRO_SANITIZE=1 every one.
+REPLAY_STRIDE = 8
+
+
+@pytest.fixture
+def compared_builds(monkeypatch):
+    """Hold builds of the run to the definition as they happen."""
+    shipped = PyramidBitmap.from_obstacles.__func__
+    stride = examples(REPLAY_STRIDE, 1)
+    counts = {"builds": 0, "compared": 0}
+
+    def from_obstacles(cls, pyramid, obstacles):
+        bitmap = shipped(cls, pyramid, obstacles)
+        if counts["builds"] % stride == 0:
+            assert_equals_definition(bitmap, pyramid, obstacles)
+            counts["compared"] += 1
+        counts["builds"] += 1
+        return bitmap
+
+    monkeypatch.setattr(PyramidBitmap, "from_obstacles",
+                        classmethod(from_obstacles))
+    return counts
+
+
+@pytest.mark.parametrize("height", [5, 1], ids=["PBSR(h=5)", "GBSR"])
+def test_bench_replay_builds_equal_the_definition(compared_builds, height):
+    result = run_simulation(build_world(BENCH), make_pbsr_strategy(height))
+    assert result.accuracy.perfect
+    assert compared_builds["builds"] > 300
+    assert (compared_builds["compared"]
+            >= compared_builds["builds"] // REPLAY_STRIDE)
+
+
+# ----------------------------------------------------------------------
+# The suite's own test: seeded slips in the shipped kernel
+# ----------------------------------------------------------------------
+#: Corpus worlds: pyramids up to this height, and no more leaf cells
+#: than this for the oracle to enumerate.
+CORPUS_HEIGHT = 5
+CORPUS_LEAF_BUDGET = 4000
+CORPUS_SIZE = 300
+
+
+@functools.lru_cache(maxsize=None)
+def corpus():
+    """A fixed draw of worlds with the definition's levels and coverage."""
+    rng = random.Random(25)
+    drawn = [abutting_world(), several_levels_world()]
+    drawn += [(Pyramid(base, 3, 2, 3), [base.expanded(1.0)])
+              for base in BASES]
+    while len(drawn) < CORPUS_SIZE:
+        pyramid = Pyramid(rng.choice(BASES), rng.randint(2, 3),
+                          rng.randint(2, 3), rng.randint(1, CORPUS_HEIGHT))
+        obstacles = draw_obstacles(rng, pyramid)
+        if _oracle_leaf_cells(pyramid, obstacles) <= CORPUS_LEAF_BUDGET:
+            drawn.append((pyramid, obstacles))
+    rows = []
+    for pyramid, obstacles in drawn:
+        oracle, _ = build_pyramid_bitmap(pyramid, obstacles)
+        rows.append((pyramid, obstacles, stored_levels(oracle, obstacles),
+                     oracle.coverage()))
+    return rows
+
+
+def assert_corpus_equals_definition(bitmap_class):
+    for pyramid, obstacles, levels, coverage in corpus():
+        bitmap = bitmap_class.from_obstacles(pyramid, obstacles)
+        assert bitmap._levels == levels, (pyramid.base, obstacles)
+        assert math.isclose(bitmap.coverage(), coverage,
+                            rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_shipped_kernel_passes_the_corpus():
+    assert_corpus_equals_definition(PyramidBitmap)
+
+
+#: ``(what slipped, shipped source, mutated source, sites)``; each site
+#: is in ``saferegion/bitmap.py``.
+MUTATIONS = [
+    ("bisect_left for bisect_right on the first intersecting column",
+     "c0 = bisect_right(xs, min_x, 1) - 1",
+     "c0 = bisect_left(xs, min_x, 1) - 1", 1),
+    ("covered range one cell too wide",
+     "c1 = bisect_right(xs, max_x) - 2", "c1 = bisect_right(xs, max_x) - 1",
+     1),
+    ("COVERED allowed on the leaf level",
+     "leaf = level == height", "leaf = False", 1),
+    ("block rows emitted bottom-first",
+     "range(row0 + fan_rows - 1, row0 - 1, -1)",
+     "range(row0, row0 + fan_rows)", 1),
+    ("edges recomputed in ratio form at every level",
+     "xs = pyramid.x_edges[level]\n",
+     "xs = [left + (right - left) * k / cols for k in range(cols + 1)]\n",
+     1),
+]
+
+
+def mutant_bitmap(shipped, mutated, count):
+    """``PyramidBitmap`` from its module's source, edited and re-run."""
+    module = importlib.import_module(PyramidBitmap.__module__)
+    source = inspect.getsource(module)
+    assert source.count(shipped) == count, "the mutation site moved"
+    mutant = types.ModuleType(module.__name__ + "_mutant")
+    mutant.__dict__.update(__package__=module.__package__)
+    sys.modules[mutant.__name__] = mutant
+    try:
+        exec(compile(source.replace(shipped, mutated), module.__file__,
+                     "exec"), mutant.__dict__)
+    finally:
+        del sys.modules[mutant.__name__]
+    return mutant.PyramidBitmap
+
+
+@pytest.mark.parametrize("what,shipped,mutated,count", MUTATIONS,
+                         ids=[row[0] for row in MUTATIONS])
+def test_seeded_mutation_is_caught(what, shipped, mutated, count):
+    mutant = mutant_bitmap(shipped, mutated, count)
+    with pytest.raises(AssertionError):
+        assert_corpus_equals_definition(mutant)
