@@ -7,8 +7,10 @@ height ``h``.  Only cells that intersect alarm regions (bit 0) are split
 further, which is where the representation wins over a flat grid.
 
 This module provides the pure *geometry* of the decomposition — cell
-addressing, rectangles, point location and parent/child navigation.  The
-bit assignment and serialization live in :mod:`repro.saferegion.bitmap`.
+addressing, rectangles, the per-level edge lists and parent/child
+navigation.  The bit assignment, the serialization and the probe walk
+(which locates a position by bisecting the edge lists) live in
+:mod:`repro.saferegion.bitmap`.
 
 Cell addressing: a cell at level ``L`` is identified by ``(col, row)``
 with ``0 <= col < U**L`` and ``0 <= row < V**L``.  Raster-scan order —
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-from ..geometry import Point, Rect
+from ..geometry import Rect
 
 DEFAULT_FAN = 3  # the paper's figures use 3x3 splits
 
@@ -55,10 +57,10 @@ def _level_edges(lo: float, hi: float, fan: int,
                  height: int) -> Tuple[Tuple[float, ...], ...]:
     """The ``fan**level + 1`` cell edges of one axis at each level.
 
-    The one table of :func:`_boundary` values that both
-    :meth:`Pyramid.cell_rect` and the bitmap builder read, shared by
-    every pyramid over the same span (a grid has one per column and one
-    per row).
+    The one table of :func:`_boundary` values that
+    :meth:`Pyramid.cell_rect`, the bitmap builder and the probe walk
+    read, shared by every pyramid over the same span (a grid has one
+    per column and one per row).
     """
     return tuple(tuple(_boundary(lo, hi, k, level, fan)
                        for k in range(fan ** level + 1))
@@ -112,7 +114,8 @@ class Pyramid:
         and 8/9) reduced to one expression (:func:`_boundary`) — cells
         then tile exactly, children never stick out of their parent and
         the root is the base.  Read from :attr:`x_edges` /
-        :attr:`y_edges`, the lists the bitmap builder bisects.
+        :attr:`y_edges`, the lists the bitmap builder and the probe
+        walk bisect.
         """
         cols, rows = self.grid_dims(cell.level)
         if not (0 <= cell.col < cols and 0 <= cell.row < rows):
@@ -121,15 +124,6 @@ class Pyramid:
         ys = self.y_edges[cell.level]
         return Rect(xs[cell.col], ys[cell.row],
                     xs[cell.col + 1], ys[cell.row + 1])
-
-    def locate(self, p: Point, level: int) -> PyramidCell:
-        """Cell of ``p`` at ``level``; boundary points clamp inward."""
-        cols, rows = self.grid_dims(level)
-        col = int((p.x - self.base.min_x) / self.base.width * cols)
-        row = int((p.y - self.base.min_y) / self.base.height * rows)
-        col = min(max(col, 0), cols - 1)
-        row = min(max(row, 0), rows - 1)
-        return PyramidCell(level, col, row)
 
     def children(self, cell: PyramidCell) -> Iterator[PyramidCell]:
         """Children of ``cell`` at the next level, in raster-scan order.
@@ -153,20 +147,6 @@ class Pyramid:
         return PyramidCell(cell.level - 1,
                            cell.col // self.fan_cols,
                            cell.row // self.fan_rows)
-
-    def child_slot(self, cell: PyramidCell) -> int:
-        """Index of ``cell`` within its parent's raster-scan child order.
-
-        The client containment probe uses this to walk the serialized
-        bitmap: at each level it needs to know which of the parent's
-        ``U*V`` child bits corresponds to its position.
-        """
-        if cell.level == 0:
-            raise ValueError("the root cell has no slot")
-        col_offset = cell.col % self.fan_cols
-        row_offset = cell.row % self.fan_rows
-        # raster-scan: top row (largest row index) first
-        return (self.fan_rows - 1 - row_offset) * self.fan_cols + col_offset
 
     def level_cells(self, level: int) -> Iterator[PyramidCell]:
         """All cells of ``level`` in raster-scan order."""

@@ -25,13 +25,16 @@ question the protocol asks is answered from the stored levels:
 * ``bit_length`` and ``coverage`` are recorded at construction, so
   charging a downlink is an attribute read;
 * ``to_bitstring`` concatenates the levels;
-* ``probe`` needs only the cells along the path from the root to the
-  leaf containing the position — O(h) integer locates and byte lookups
-  per position fix, the paper's "predefined worst-case number of
-  computations".  The child block of a 0-cell is found by rank: it is
-  the *k*-th block of the next level when the cell is the *k*-th split
-  cell of its own, and a per-block running count makes that rank one
-  short ``bytes.count``.
+* ``probe`` is one walk along the path from the root to the leaf
+  containing the position — at most ``h + 1`` levels, each one
+  bisection per axis over the children of the cell above and one byte
+  lookup, the paper's "predefined worst-case number of computations".
+  The child block of a 0-cell is found by rank: it is the *k*-th block
+  of the next level when the cell is the *k*-th split cell of its own,
+  and a per-block running count makes that rank one short
+  ``bytes.count``.  A walk that ends in a 1-cell also returns that
+  cell's rectangle (:meth:`PyramidBitmap.walk`), so a client can test
+  the next fixes against it and walk again only once it leaves.
 
 A cell lying entirely inside one alarm region expands into ``fanout**d``
 zero bits at every deeper level ``d``.  Those subtrees are never stored:
@@ -57,10 +60,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
+from math import inf, nextafter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect
-from ..index import Pyramid, PyramidCell
+from ..index import Pyramid
 from .base import SafeRegion
 
 #: Stored cell states.  ``SAFE`` and ``SPLIT`` are the wire characters
@@ -72,6 +76,10 @@ SPLIT = ord("0")
 COVERED = ord("z")
 
 _RUNS = re.compile(rb"z+|[01]+")
+
+#: A SAFE cell as the positions that walk to it:
+#: ``min_x <= x < max_x and min_y <= y < max_y`` (:meth:`PyramidBitmap.walk`).
+Block = Tuple[float, float, float, float]
 
 #: One block row: its cell bytes, the offsets of its SPLIT cells and the
 #: ``(start, stop)`` offset runs of its SAFE cells.
@@ -301,84 +309,83 @@ class PyramidBitmap:
     def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
         """Is ``(x, y)`` inside the safe region?  ``(inside, probes)``.
 
+        The first two fields of :meth:`walk`.
+        """
+        inside, probes, _block = self.walk(x, y)
+        return (inside, probes)
+
+    def walk(self, x: float, y: float
+             ) -> Tuple[bool, int, Optional[Block]]:
+        """The probe walk: ``(inside, probes, block)`` of ``(x, y)``.
+
         Walks from the root toward the leaf containing the position,
         stopping at the first 1 bit (inside) or at an unsplit 0 bit
         (outside).  The probe count is the number of levels examined —
-        worst case ``height + 1``.  The cell of the position is located
-        independently at every level (:meth:`Pyramid.locate`'s
-        arithmetic); within an ulp of a cell edge the located cell need
-        not be a child of the previous one, and :meth:`_lookup` then
-        resolves it from the root.
+        worst case ``height + 1``; a covered cell counts its all-zero
+        subtree down to the leaf level.
+
+        At each level the cell is found by bisecting the level's edge
+        lists (:attr:`Pyramid.x_edges` / :attr:`Pyramid.y_edges`, the
+        ones :meth:`Pyramid.cell_rect` and the builder read) over the
+        children of the cell found one level up, so it is the cell whose
+        half-open rectangle holds the position — closed on the base's
+        top and right edges — and always a child of its predecessor.
+
+        ``block`` is ``None`` outside; inside it is the SAFE cell the
+        walk stopped at, as ``(min_x, min_y, max_x, max_y)`` with
+        ``min <= coordinate < max`` on both axes exactly the positions
+        this walk sends to that cell (``max`` is one ulp above the base
+        edge in its last column or row).  Every position in it walks to
+        the same ``(True, probes)``.
         """
         pyramid = self.pyramid
         base = pyramid.base
-        min_x = base.min_x
-        min_y = base.min_y
-        if not (min_x <= x <= base.max_x and min_y <= y <= base.max_y):
-            return (False, 1)
+        if not (base.min_x <= x <= base.max_x
+                and base.min_y <= y <= base.max_y):
+            return (False, 1, None)
+        x_edges = pyramid.x_edges
+        y_edges = pyramid.y_edges
         levels = self._levels
         state = levels[0][0]
         if state == SAFE:
-            return (True, 1)
-        unit_x = (x - min_x) / (base.max_x - min_x)
-        unit_y = (y - min_y) / (base.max_y - min_y)
+            return (True, 1, _block(x_edges[0], y_edges[0], 0, 0))
         fan_cols = pyramid.fan_cols
         fan_rows = pyramid.fan_rows
         fanout = fan_cols * fan_rows
         height = pyramid.height
-        dims = pyramid.level_dims
         ranks = self._ranks
-        parent_col = parent_row = block = 0
+        col = row = block = 0
         for level in range(1, height + 1):
-            cols, rows = dims[level]
-            col = int(unit_x * cols)
-            if col >= cols:
-                col = cols - 1
-            row = int(unit_y * rows)
-            if row >= rows:
-                row = rows - 1
-            if col // fan_cols != parent_col or row // fan_rows != parent_row:
-                state, block = self._lookup(level, col, row)
-            elif state == SPLIT:
-                cells = levels[level]
-                start = block * fanout
-                slot = (start + (fan_rows - 1 - row % fan_rows) * fan_cols
-                        + col % fan_cols)
-                state = cells[slot]
-                if state == SPLIT and level < height:
-                    block = ranks[level][block] + cells.count(SPLIT, start,
-                                                              slot)
-            if state == SAFE:
-                return (True, level + 1)
-            parent_col = col
-            parent_row = row
-        return (False, height + 1)
-
-    def _lookup(self, level: int, col: int, row: int) -> Tuple[int, int]:
-        """State of an arbitrary cell and, if SPLIT, its child block.
-
-        Descends through the cell's integer ancestors; a cell below a
-        safe ancestor reports :data:`SAFE`, one below a covered ancestor
-        :data:`COVERED`.
-        """
-        pyramid = self.pyramid
-        fanout = pyramid.fanout()
-        state = self._levels[0][0]
-        block = 0
-        for depth in range(1, level + 1):
             if state != SPLIT:
-                break
-            cells = self._levels[depth]
-            above = level - depth
+                break  # covered: zero bits down to the leaf level
+            xs = x_edges[level]
+            ys = y_edges[level]
+            col0 = col * fan_cols
+            row0 = row * fan_rows
+            col = bisect_right(xs, x, col0 + 1, col0 + fan_cols) - 1
+            row = bisect_right(ys, y, row0 + 1, row0 + fan_rows) - 1
+            cells = levels[level]
             start = block * fanout
-            slot = start + pyramid.child_slot(PyramidCell(
-                depth, col // pyramid.fan_cols ** above,
-                row // pyramid.fan_rows ** above))
+            # raster scan within the block: top row first
+            slot = start + (row0 + fan_rows - 1 - row) * fan_cols + col - col0
             state = cells[slot]
-            if state == SPLIT and depth < pyramid.height:
-                block = self._ranks[depth][block] + cells.count(SPLIT, start,
-                                                                slot)
-        return (state, block)
+            if state == SAFE:
+                return (True, level + 1, _block(xs, ys, col, row))
+            if state == SPLIT and level < height:
+                block = ranks[level][block] + cells.count(SPLIT, start, slot)
+        return (False, height + 1, None)
+
+
+def _block(xs: Sequence[float], ys: Sequence[float], col: int,
+           row: int) -> Block:
+    """Cell ``(col, row)`` of one level's edges as a half-open block."""
+    max_x = xs[col + 1]
+    if col + 2 == len(xs):
+        max_x = nextafter(max_x, inf)
+    max_y = ys[row + 1]
+    if row + 2 == len(ys):
+        max_y = nextafter(max_y, inf)
+    return (xs[col], ys[row], max_x, max_y)
 
 
 def decode_bitstring(pyramid: Pyramid, bitstring: str) -> PyramidBitmap:

@@ -4,8 +4,12 @@ The server ships a bitmap safe region covering the client's current base
 grid cell (an :class:`~repro.protocol.messages.InstallSafeRegion`
 carrying a cell reference plus the pyramid bitmap); the client derives
 the cell rectangle from the reference and its grid configuration, then
-walks the pyramid (O(h) bit probes per fix) to monitor itself.  Protocol
-events:
+walks the pyramid (at most h + 1 bit probes per fix) to monitor itself.
+A walk that ends in a safe cell hands back that cell's rectangle, and
+the fixes after it are tested against the rectangle alone until one
+leaves it — each still charged the walk's probes, since it is the
+paper's cost model that is charged, not what the simulator executes.
+Protocol events:
 
 * client leaves the base cell -> :class:`RegionExitReport`; the server
   evaluates triggers, builds the bitmap for the new cell, ships it
@@ -137,7 +141,7 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
             # The cell footprint is only ever installed with a bitmap.
             region = client.safe_region
             assert isinstance(region, BitmapSafeRegion)
-            probe = region.bitmap.probe_xy
+            walk = region.bitmap.walk
             min_x, min_y = cell.min_x, cell.min_y
             max_x, max_y = cell.max_x, cell.max_y
             xs, ys = trace.xs, trace.ys
@@ -147,13 +151,23 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
                 x, y = xs[index], ys[index]
                 if not (min_x <= x <= max_x and min_y <= y <= max_y):
                     break  # left the cell: not a probe of the bitmap
-                inside, levels = probe(x, y)
+                inside, levels, block = walk(x, y)
                 probes += 1
                 ops += levels
                 if not inside:
                     unsafe = True
                     break
+                block_min_x, block_min_y, block_max_x, block_max_y = block
+                # Every fix in the safe block walks to the same 1-cell:
+                # one rectangle test each, charged the walk's levels.
                 index += 1
+                entered = index
+                while (index < stop
+                       and block_min_x <= xs[index] < block_max_x
+                       and block_min_y <= ys[index] < block_max_y):
+                    index += 1
+                probes += index - entered
+                ops += (index - entered) * levels
             self._charge_probe(ops, probes)
             if index == stop:
                 return stop

@@ -49,10 +49,11 @@ from repro.protocol.messages import (AlarmNotification, InstallAlarmList,
 from repro.protocol.transport import connect
 from repro.protocol.wire import unpack_cell_ref
 from repro.saferegion import (BitmapSafeRegion, PBSRComputer,
-                              RectangularSafeRegion)
+                              PyramidBitmap, RectangularSafeRegion)
 from repro.strategies import BitmapSafeRegionStrategy
 from repro.strategies import base as strategies_base
 from repro.strategies.base import ClientState
+from ..saferegion.test_bitmap_oracle import mutant_bitmap
 from ..strategies.conftest import make_world
 from .test_golden_mutation import golden_schedule, golden_track
 from .test_golden_protocol import STRATEGY_NAMES, _factory
@@ -587,3 +588,57 @@ def test_seeded_mutation_is_caught(name, what, shipped, mutated,
     with pytest.raises((AssertionError, IndexError)):
         for kind in FIXED_KINDS:
             assert_loops_agree(FIXED_WORLD, name, kind, shipped_clients, make)
+
+
+# ----------------------------------------------------------------------
+# Seeded slips in the bitmap client's block scan
+# ----------------------------------------------------------------------
+#: ``(what slipped, site, shipped source, mutated source)``: the site is
+#: the strategy's ``advance`` (``"scan"``) or ``PyramidBitmap.walk``,
+#: which hands the scan its block (``"walk"``).  The last-column clip is
+#: the walk's ``hi`` bound that keeps a fix on the base cell's closed
+#: right edge in the last column.
+BLOCK_MUTATIONS = [
+    ("block closed on its right edge", "scan",
+     "block_min_x <= xs[index] < block_max_x",
+     "block_min_x <= xs[index] <= block_max_x"),
+    ("block closed on its top edge", "scan",
+     "block_min_y <= ys[index] < block_max_y",
+     "block_min_y <= ys[index] <= block_max_y"),
+    ("last-column clip dropped", "walk",
+     "col = bisect_right(xs, x, col0 + 1, col0 + fan_cols) - 1",
+     "col = bisect_right(xs, x, col0 + 1) - 1"),
+    ("block taken from the parent level", "walk",
+     "_block(xs, ys, col, row)",
+     "_block(x_edges[level - 1], y_edges[level - 1],\n"
+     "                                                col0 // fan_cols,"
+     " row0 // fan_rows)"),
+    ("block fix charged 1 instead of its levels", "scan",
+     "ops += (index - entered) * levels", "ops += index - entered"),
+    ("bisect_left for bisect_right", "walk",
+     "col = bisect_right(xs, x, col0 + 1, col0 + fan_cols) - 1",
+     "col = bisect_left(xs, x, col0 + 1, col0 + fan_cols) - 1"),
+]
+
+
+@pytest.mark.parametrize("what,site,shipped,mutated", BLOCK_MUTATIONS,
+                         ids=[row[0] for row in BLOCK_MUTATIONS])
+def test_seeded_block_slip_is_caught(what, site, shipped, mutated,
+                                     shipped_clients, monkeypatch):
+    """The slipped client against the paper's, whose per-fix probe walks
+    with the shipped ``PyramidBitmap.walk``."""
+    if site == "scan":
+        make = mutant_factory("bitmap", shipped, mutated)
+        walk = PyramidBitmap.walk
+    else:
+        make = functools.partial(edge_strategy, "bitmap")
+        walk = mutant_bitmap(shipped, mutated, 1).walk
+    with pytest.raises((AssertionError, IndexError)):
+        for mutation, run in FIXED_KINDS:
+            del shipped_clients[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(PyramidBitmap, "walk", walk)
+                slipped = observed(run(FIXED_WORLD, make()).metrics,
+                                   shipped_clients)
+            assert slipped == observed(*reference_replay(
+                FIXED_WORLD, make(), mutation, fix=PAPER_CLIENTS["bitmap"]))

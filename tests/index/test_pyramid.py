@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.index import Pyramid, PyramidCell
+from ..saferegion.test_bitmap_probe_edges import walked_cell
 
 BASE = Rect(0, 0, 900, 900)
 
@@ -68,12 +69,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             pyramid.parent(PyramidCell(0, 0, 0))
 
-    def test_child_slot_matches_children_order(self):
-        pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=2)
-        parent = PyramidCell(1, 2, 0)
-        for slot, child in enumerate(pyramid.children(parent)):
-            assert pyramid.child_slot(child) == slot
-
     def test_level_cells_count_and_order(self):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=2)
         cells = list(pyramid.level_cells(2))
@@ -83,14 +78,17 @@ class TestGeometry:
 
 
 class TestLocate:
+    """Point location is the bitmap's probe walk, which bisects
+    :attr:`Pyramid.x_edges` / :attr:`Pyramid.y_edges` level by level."""
+
     @given(st.floats(min_value=0, max_value=899.99),
            st.floats(min_value=0, max_value=899.99),
            st.integers(min_value=0, max_value=3))
     def test_locate_consistent_with_rect(self, x, y, level):
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=3)
         p = Point(x, y)
-        cell = pyramid.locate(p, level)
-        assert pyramid.cell_rect(cell).contains_point(p)
+        rect = pyramid.cell_rect(walked_cell(pyramid, p, level))
+        assert rect.min_x <= x < rect.max_x and rect.min_y <= y < rect.max_y
 
     @given(st.floats(min_value=0, max_value=899.99),
            st.floats(min_value=0, max_value=899.99))
@@ -99,11 +97,12 @@ class TestLocate:
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=3)
         p = Point(x, y)
         for level in range(1, 4):
-            child = pyramid.locate(p, level)
-            parent = pyramid.locate(p, level - 1)
+            child = walked_cell(pyramid, p, level)
+            parent = walked_cell(pyramid, p, level - 1)
             assert pyramid.parent(child) == parent
 
     def test_boundary_points_clamp(self):
+        """The base's top and right edges belong to its last cells."""
         pyramid = Pyramid(BASE, fan_cols=3, fan_rows=3, height=1)
-        cell = pyramid.locate(Point(900, 900), 1)
+        cell = walked_cell(pyramid, Point(900, 900), 1)
         assert cell == PyramidCell(1, 2, 2)

@@ -5,7 +5,8 @@ imports this module.
 :func:`build_pyramid_bitmap` assigns one bit to every emitted cell by
 testing its :class:`~repro.geometry.Rect` against every obstacle and
 stores the result in a dict keyed by :class:`~repro.index.PyramidCell`;
-:meth:`EagerBitmap.probe` looks the located cell up level by level, and
+:meth:`EagerBitmap.probe` looks the located cell up level by level — a
+cell it finds by enumerating the level's cells (:func:`locate`) — and
 :func:`stored_levels` derives the level blocks the runtime keeps.
 Nothing about it is fast — an all-zero subtree is enumerated bit by bit
 — it is the definition the runtime
@@ -27,6 +28,7 @@ per candidate, duplicates and all.  The shipped
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections import deque
@@ -77,7 +79,7 @@ class EagerBitmap:
         probes = 0
         for level in range(self.pyramid.height + 1):
             probes += 1
-            cell = self.pyramid.locate(p, level)
+            cell = locate(self.pyramid, p, level)
             bit = self.bits.get(cell)
             if bit is None:
                 # The cell was never emitted: an ancestor is safe.
@@ -105,6 +107,37 @@ class EagerBitmap:
         safe_area = sum(self.pyramid.cell_rect(cell).area
                         for cell in self.safe_cells())
         return safe_area / self.pyramid.base.area
+
+
+@functools.lru_cache(maxsize=64)
+def _spans(pyramid: Pyramid, level: int
+           ) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
+    """``(min, max)`` of every column and every row of ``level``, read
+    off the rectangles of its bottom row and left column."""
+    cols, rows = pyramid.grid_dims(level)
+    columns = [pyramid.cell_rect(PyramidCell(level, col, 0))
+               for col in range(cols)]
+    row_cells = [pyramid.cell_rect(PyramidCell(level, 0, row))
+                 for row in range(rows)]
+    return ([(rect.min_x, rect.max_x) for rect in columns],
+            [(rect.min_y, rect.max_y) for rect in row_cells])
+
+
+def _index(spans: Sequence[Tuple[float, float]], value: float) -> int:
+    """The span holding ``value`` half-open, the last one closed."""
+    for index, (lo, hi) in enumerate(spans):
+        if lo <= value < hi:
+            return index
+    assert value == spans[-1][1], value
+    return len(spans) - 1
+
+
+def locate(pyramid: Pyramid, p: Point, level: int) -> PyramidCell:
+    """The cell of ``p`` (inside the base) at ``level``: the one whose
+    half-open rectangle holds it, closed on the base's top and right
+    edges — found by enumerating the level's columns and rows."""
+    columns, rows = _spans(pyramid, level)
+    return PyramidCell(level, _index(columns, p.x), _index(rows, p.y))
 
 
 @dataclass(frozen=True)

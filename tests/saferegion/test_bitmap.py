@@ -8,6 +8,7 @@ points that sit bit-exactly on cell edges; the adversarial differential
 suite is ``test_bitmap_oracle.py``.
 """
 
+import math
 import random
 
 import pytest
@@ -193,19 +194,23 @@ def _obstacles(rng, count=24):
     return rects
 
 
-def _probe_points(rng, count=400):
-    """Random points over (and just beyond) the base, plus exact edges.
+def _probe_points(rng, pyramid, count=400):
+    """Random points over (and just beyond) the base, plus every edge.
 
-    The appended points sit bit-exactly on level-2 cell edges — the
-    locate arithmetic's knife edge, where a drifted reimplementation
-    would round a point into the neighbouring cell.
+    The appended points sit bit-exactly on the cell edges of every
+    level and one ulp to either side, where the walk's bisection decides
+    which neighbouring cell a point belongs to (half-open, the base's
+    top and right edges closed).
     """
     points = [Point(rng.uniform(-10.0, 910.0), rng.uniform(-10.0, 910.0))
               for _ in range(count)]
-    for k in range(10):
-        edge = BASE.min_x + BASE.width * k / 9
-        points.append(Point(edge, BASE.min_y + BASE.height * k / 9))
-        points.append(Point(edge, 450.0))
+    for xs, ys in zip(pyramid.x_edges, pyramid.y_edges):
+        for x, y in zip(xs, ys):
+            for dx in (-math.inf, None, math.inf):
+                near_x = x if dx is None else math.nextafter(x, dx)
+                points.append(Point(near_x, y))
+                points.append(Point(near_x, 450.0))
+                points.append(Point(450.0, near_x))
     return points
 
 
@@ -217,7 +222,7 @@ class TestProbeDifferential:
         obstacles = _obstacles(rng)
         bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         eager, _ = build_pyramid_bitmap(pyramid, obstacles)
-        for point in _probe_points(rng):
+        for point in _probe_points(rng, pyramid):
             assert bitmap.probe(point) == eager.probe(point)
 
     @pytest.mark.parametrize("height", (1, 2, 4))
@@ -227,7 +232,7 @@ class TestProbeDifferential:
         pyramid = Pyramid(BASE, height=height)
         bitmap = PyramidBitmap.from_obstacles(pyramid, _obstacles(rng))
         decoded = decode_bitstring(pyramid, bitmap.to_bitstring())
-        for point in _probe_points(rng):
+        for point in _probe_points(rng, pyramid):
             assert decoded.probe(point) == bitmap.probe(point)
 
     def test_lazy_probe_with_no_obstacles(self):

@@ -37,7 +37,8 @@ from repro.index import Pyramid, PyramidCell
 from repro.saferegion import PyramidBitmap, decode_bitstring
 from repro.saferegion.bitmap import COVERED
 from ..budget import examples
-from .oracle import build_pyramid_bitmap, stored_levels
+from .oracle import build_pyramid_bitmap, locate, stored_levels
+from .test_bitmap_probe_edges import walked_cell
 
 #: Base cells: the round one most tests use, an offset non-square one
 #: whose edges are not exactly representable, and a unit cell.
@@ -315,14 +316,16 @@ class TestShrunkFailures:
 
 
 class TestFloatInconsistentLocates:
-    """Within an ulp of an edge, ``locate`` at level L + 1 need not land
-    in a child of the cell it found at level L; the probe must then give
-    what the oracle's independent per-level lookup gives."""
+    """Coordinates within an ulp of an edge where per-level arithmetic
+    (``int(unit * cols)``) names a cell at level L + 1 that is not a
+    child of the one it names at level L.  The probe walk bisects the
+    edge lists instead: at every level it must locate the cell whose
+    half-open rectangle holds the point, and probe like the oracle."""
 
     HEIGHT = 7
 
     def _inconsistent_units(self):
-        """Unit coordinates whose fan-3 cell chain is not a chain."""
+        """Unit coordinates whose fan-3 arithmetic chain is not a chain."""
         found = []
         for level in range(1, self.HEIGHT):
             cols = 3 ** level
@@ -353,6 +356,10 @@ class TestFloatInconsistentLocates:
             points = [Point(unit, y) for y in (0.05, 0.5, unit, 0.95)]
             points += [Point(y, unit) for y in (0.05, 0.5, 0.95)]
             assert_matches_oracle(pyramid, obstacles, points)
+            for point in points:
+                for depth in range(self.HEIGHT + 1):
+                    assert walked_cell(pyramid, point, depth) \
+                        == locate(pyramid, point, depth), (point, depth)
             checked += 1
         assert checked >= 3
 
