@@ -6,8 +6,7 @@ greedy gives up: messages sent (residence quality) and server time, for
 the refined greedy, the unrefined greedy, and the exhaustive optimum.
 """
 
-from repro.engine import run_simulation
-from repro.experiments import BENCH, Table, build_world
+from repro.experiments import BENCH, Table, build_world, timed_run
 from repro.mobility import SteadyMotionModel
 from repro.saferegion import MWPSRComputer
 from repro.strategies import RectangularSafeRegionStrategy
@@ -28,7 +27,7 @@ def _sweep():
     for name, kwargs in VARIANTS:
         computer = MWPSRComputer(SteadyMotionModel(1, 32), **kwargs)
         strategy = RectangularSafeRegionStrategy(computer, name=name)
-        results.append((name, run_simulation(world, strategy)))
+        results.append((name, *timed_run(world, strategy)))
     return results
 
 
@@ -38,21 +37,21 @@ def test_ablation_mwpsr_selection(benchmark):
     table = Table("Ablation: MWPSR selection strategy",
                   ["variant", "uplink msgs", "fix fraction",
                    "safe-region time (s)", "accuracy"])
-    for name, result in results:
+    for name, result, server in results:
         table.add_row(name, result.metrics.uplink_messages,
                       result.message_fraction,
-                      result.metrics.saferegion_time_s,
+                      server.index_lookup_s + server.saferegion_s,
                       result.accuracy.recall)
     print_table(table)
 
-    by_name = {name: result for name, result in results}
+    by_name = {name: result for name, result, _ in results}
     unrefined = by_name["greedy (no refinement)"].metrics.uplink_messages
     refined = by_name["greedy + refinement"].metrics.uplink_messages
     exhaustive = by_name["exhaustive (quartic)"].metrics.uplink_messages
     adaptive = by_name["adaptive (default)"].metrics.uplink_messages
 
     # every variant stays correct
-    assert all(result.accuracy.perfect for _, result in results)
+    assert all(result.accuracy.perfect for _, result, _ in results)
     # refinement recovers most of the greedy's loss; the optimum leads
     assert refined < unrefined
     assert exhaustive <= refined

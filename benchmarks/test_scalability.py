@@ -41,15 +41,17 @@ def test_scalability(benchmark):
 
     # every run is accurate
     for per_strategy in results.values():
-        for result in per_strategy.values():
+        for result, _ in per_strategy.values():
             assert result.accuracy.perfect
+
+    def uplinks(population, name):
+        return results[population][name][0].metrics.uplink_messages
 
     # the periodic-vs-safe-region message gap widens with population
     def message_gap(population):
-        per = results[population]
-        safe_region = min(per["MWPSR(y=1,z=32)"].metrics.uplink_messages,
-                          per["PBSR(h=5)"].metrics.uplink_messages)
-        return per["PRD"].metrics.uplink_messages - safe_region
+        safe_region = min(uplinks(population, "MWPSR(y=1,z=32)"),
+                          uplinks(population, "PBSR(h=5)"))
+        return uplinks(population, "PRD") - safe_region
 
     gaps = [message_gap(p) for p in POPULATIONS]
     assert gaps == sorted(gaps)
@@ -58,11 +60,9 @@ def test_scalability(benchmark):
     # PRD message volume is exactly linear in fixes; the safe-region
     # approaches grow sublinearly in comparison
     small, large = POPULATIONS[0], POPULATIONS[-1]
-    prd_growth = (results[large]["PRD"].metrics.uplink_messages
-                  / results[small]["PRD"].metrics.uplink_messages)
-    mwpsr_growth = (results[large]["MWPSR(y=1,z=32)"].metrics.uplink_messages
-                    / max(1, results[small][
-                        "MWPSR(y=1,z=32)"].metrics.uplink_messages))
+    prd_growth = uplinks(large, "PRD") / uplinks(small, "PRD")
+    mwpsr_growth = (uplinks(large, "MWPSR(y=1,z=32)")
+                    / max(1, uplinks(small, "MWPSR(y=1,z=32)")))
     assert mwpsr_growth <= prd_growth * 1.2
 
 

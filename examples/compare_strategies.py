@@ -10,10 +10,10 @@ figure, run ``pytest benchmarks/ --benchmark-only``.
 Run:  python examples/compare_strategies.py
 """
 
-from repro import (OptimalStrategy, PeriodicStrategy, SafePeriodStrategy,
-                   run_simulation)
+from repro import OptimalStrategy, PeriodicStrategy, SafePeriodStrategy
 from repro.experiments import (TINY, Table, build_world,
-                               make_mwpsr_strategy, make_pbsr_strategy)
+                               make_mwpsr_strategy, make_pbsr_strategy,
+                               timed_run)
 
 world = build_world(TINY)
 print("Workload: %d vehicles, %d alarms, %d location fixes, "
@@ -34,13 +34,13 @@ strategies = [
     OptimalStrategy(),
 ]
 for strategy in strategies:
-    result = run_simulation(world, strategy)
+    result, server = timed_run(world, strategy)
     metrics = result.metrics
     table.add_row(strategy.name, metrics.uplink_messages,
                   "%.1f%%" % (100 * result.message_fraction),
                   "%.1f" % (metrics.downlink_bytes / 1024),
                   "%.3f" % result.client_energy_mwh,
-                  "%.1f" % (1000 * metrics.server_time_s),
+                  "%.1f" % (1000 * server.total_s),
                   result.accuracy.perfect)
 
 print(table)

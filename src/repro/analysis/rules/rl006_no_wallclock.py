@@ -1,7 +1,7 @@
 """RL006: no wall-clock reads inside simulation hot paths.
 
-Simulation time is the trace's sample clock; engine timing buckets use
-``time.perf_counter`` deltas (a monotonic *duration*, never an absolute
+Simulation time is the trace's sample clock; the telemetry stage
+histograms use ``time.perf_counter`` deltas (a monotonic *duration*, never an absolute
 date).  A ``time.time()`` or ``datetime.now()`` call in a strategy,
 safe-region computation or index operation couples results to the host
 clock — replays stop being reproducible, the differential serial-vs-

@@ -31,10 +31,11 @@ from .net import (AlarmDaemon, render_stats_json, render_stats_prom,
                   render_stats_text, render_top, run_bench, scrape_stats)
 from .protocol.wire import WireCodec
 from .sanitize import Sanitizer
-from .experiments import (BENCH, PAPER, TINY, Table, WorkloadConfig,
-                          build_world, coverage_size_tradeoff, figure1b,
-                          figure4a, figure4b, figure5a, figure5b, figure6a,
-                          figure6b, figure6c, figure6d, make_mwpsr_strategy,
+from .experiments import (BENCH, PAPER, TINY, ServerTime, Table,
+                          WorkloadConfig, build_world,
+                          coverage_size_tradeoff, figure1b, figure4a,
+                          figure4b, figure5a, figure5b, figure6a, figure6b,
+                          figure6c, figure6d, make_mwpsr_strategy,
                           make_pbsr_strategy, profile_report,
                           residence_statistics, safe_region_statistics,
                           workload_profile)
@@ -153,7 +154,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
     transport_factory = _resolve_transport(args)
-    telemetry: Optional[Telemetry] = None
     if args.trace:
         manifest = RunManifest.collect(
             strategy=args.strategy, config=asdict(config),
@@ -162,8 +162,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
                                       manifest=manifest)
         telemetry.write_manifest()
-    elif args.profile:
-        # The profile is read from the registry; the events go nowhere.
+    else:
+        # Metrics-only: the server time below (and --profile) is read
+        # from the registry, and no event record is built.
         telemetry = Telemetry.capture(sink=NullSink())
     try:
         if args.workers > 1:
@@ -181,15 +182,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             result = run_simulation(world, strategy, telemetry=telemetry,
                                     transport_factory=transport_factory,
                                     sanitize=True if args.sanitize else None)
-        if telemetry is not None:
-            telemetry.write_summary(result.metrics.counters(),
-                                    triggers=len(result.metrics.triggers),
-                                    wall_time_s=result.wall_time_s,
-                                    workers=result.workers)
+        telemetry.write_summary(result.metrics.counters(),
+                                triggers=len(result.metrics.triggers),
+                                wall_time_s=result.wall_time_s,
+                                workers=result.workers)
     finally:
-        if telemetry is not None:
-            telemetry.close()
+        telemetry.close()
     metrics = result.metrics
+    server = ServerTime.of(telemetry.registry)
     print("strategy:             %s" % result.strategy_name)
     if result.workers > 1:
         print("workers:              %d shards, %.2f s wall"
@@ -203,9 +203,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print("client energy:        %.4f mWh (%d containment ops)"
           % (result.client_energy_mwh, metrics.containment_ops))
     print("server time:          %.1f ms alarm processing, %.1f ms "
-          "safe-region computation"
-          % (1000 * metrics.alarm_processing_time_s,
-             1000 * metrics.saferegion_time_s))
+          "index lookup, %.1f ms safe-region computation"
+          % (1000 * server.alarm_processing_s, 1000 * server.index_lookup_s,
+             1000 * server.saferegion_s))
     if metrics.uplink_drops or metrics.downlink_drops:
         print("transport drops:      %d uplink, %d downlink (retried)"
               % (metrics.uplink_drops, metrics.downlink_drops))
@@ -214,7 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           % (result.accuracy.delivered, result.accuracy.expected,
              result.accuracy.missed, result.accuracy.spurious,
              result.accuracy.late))
-    if args.profile and telemetry is not None:
+    if args.profile:
         print(profile_report(telemetry.registry))
     if args.trace:
         print("trace:                %s" % args.trace)

@@ -1,9 +1,12 @@
 """Run metrics: the quantities the paper's figures report.
 
 One :class:`Metrics` object accumulates over a full simulation run of one
-processing strategy.  Raw counters live here; derived quantities (energy
-in mWh, downstream bandwidth in Mbps) are computed by the energy model
-and the reporting layer so the counters stay model-independent.
+processing strategy.  Raw counters live here, and only counters: every
+scalar is a count, so a serial and a sharded run agree on all of them.
+Derived quantities (energy in mWh, downstream bandwidth in Mbps) are
+computed by the energy model and the reporting layer so the counters
+stay model-independent; server wall time is the telemetry registry's
+(see :class:`~repro.experiments.report.ServerTime`).
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ class Metrics:
     # Client-side monitoring work (client energy, Fig. 5b/6c).
     containment_checks: int = 0
     containment_ops: int = 0
-    # Server-side work split (server processing time, Fig. 4b/6d).
-    alarm_processing_time_s: float = 0.0
-    saferegion_time_s: float = 0.0
+    # Server-side work (Fig. 4b/6d read its wall time from the
+    # telemetry registry's stage histograms, not from here).
     alarm_evaluations: int = 0
     safe_region_computations: int = 0
     index_node_accesses: int = 0
@@ -50,11 +52,6 @@ class Metrics:
     triggers: List[TriggerEvent] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    @property
-    def server_time_s(self) -> float:
-        """Total server processing time (both components)."""
-        return self.alarm_processing_time_s + self.saferegion_time_s
-
     def downstream_bandwidth_mbps(self, duration_s: float) -> float:
         """Average downstream bandwidth over the run, in megabits/second."""
         if duration_s <= 0:
@@ -75,17 +72,15 @@ class Metrics:
     # ------------------------------------------------------------------
     # Merge contract (the parallel engine's reduction step)
     # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, float]:
-        """Every deterministic scalar counter, by field name.
+    def counters(self) -> Dict[str, int]:
+        """Every scalar counter, by field name.
 
-        Excludes the wall-clock timing fields (machine-dependent) and the
-        trigger list (compared structurally) — this is the signature the
-        differential tests assert bit-identical across serial and sharded
-        runs.
+        Excludes only the trigger list (compared structurally) — this is
+        the signature the differential tests assert bit-identical across
+        serial and sharded runs.
         """
-        timing = {"alarm_processing_time_s", "saferegion_time_s"}
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in timing and f.name != "triggers"}
+                if f.name != "triggers"}
 
     @classmethod
     def merged(cls, parts: Sequence["Metrics"]) -> "Metrics":
@@ -93,8 +88,7 @@ class Metrics:
 
         The contract the parallel engine relies on:
 
-        * every scalar counter (and timing bucket) is the exact sum of
-          the parts' counters;
+        * every scalar counter is the exact sum of the parts' counters;
         * trigger events are concatenated in part order — shards are
           contiguous slices of the serial replay order, so part-order
           concatenation reproduces the serial trigger sequence exactly;

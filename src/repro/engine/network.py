@@ -61,13 +61,17 @@ class MessageSizes:
 
     def bitmap_message(self, bit_length: int) -> int:
         """Bytes of a bitmap safe-region downlink of ``bit_length`` bits."""
-        return (self.downlink_header + self.bitmap_fixed
-                + (bit_length + 7) // 8)
+        return self._variable_message(self.bitmap_fixed
+                                      + (bit_length + 7) // 8)
 
     def alarm_push_message(self, alarm_count: int) -> int:
         """Bytes of an OPT downlink carrying ``alarm_count`` alarms."""
-        return (self.downlink_header + self.rect_payload  # the cell rect
-                + alarm_count * self.alarm_entry)
+        return self._variable_message(self.rect_payload  # the cell rect
+                                      + alarm_count * self.alarm_entry)
+
+    def _variable_message(self, payload: int) -> int:
+        return (self.downlink_header + wire.length_escape_size(payload)
+                + payload)
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dict form for run-manifest provenance."""

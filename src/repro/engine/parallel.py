@@ -20,8 +20,9 @@ Determinism guarantee — the property the differential test suite
 * every deterministic counter (messages, bytes, probes, evaluations,
   index node accesses) is a per-vehicle sum, so the shard sums equal the
   serial totals bit-for-bit;
-* only the wall-clock timing buckets differ (they measure real time on
-  real hardware), which is the entire point.
+* only wall-clock time differs (the run's wall time, and the telemetry
+  registry's stage histograms when captured), which is the entire
+  point.
 
 Workers receive a :class:`ShardJob` (registry, grid, sizes, strategy
 factory, flags) and their slice of the traces rather than a
@@ -50,6 +51,7 @@ from ..mobility import TraceSet
 from ..protocol.transport import TransportFactory
 from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
+from ..telemetry.sinks import NullSink
 from .metrics import Metrics
 from .network import MessageSizes
 from .simulation import (SimulationResult, World, in_process_link, replay,
@@ -66,10 +68,11 @@ if TYPE_CHECKING:  # runtime import would cycle through strategies.base
 #: crosses the same process boundary.
 StrategyFactory = Callable[[], "ProcessingStrategy"]
 
-#: What one shard ships back: metrics and — when the run is traced —
-#: the shard's buffered telemetry events plus its serialized metrics
-#: registry (plain dicts: cheap to pickle, merged in the parent through
-#: the associative registry merge exactly like ``Metrics.merged``).
+#: What one shard ships back: metrics, the shard's buffered telemetry
+#: events when the run is a full trace, and its serialized metrics
+#: registry when telemetry is on at all (plain dicts: cheap to pickle,
+#: merged in the parent through the associative registry merge exactly
+#: like ``Metrics.merged``).
 _ShardOutcome = Tuple[Metrics, Optional[List[Mapping[str, object]]],
                       Optional[Dict[str, Dict[str, object]]]]
 
@@ -110,6 +113,9 @@ class ShardJob:
 
     ``trace`` and ``sanitize`` are the parent's *resolved* telemetry and
     sanitizer switches: workers must not re-read the environment.
+    ``trace`` is the parent facade's capture mode: ``"off"``,
+    ``"metrics"`` (registry only: the worker builds and ships no event)
+    or ``"events"`` (a full trace).
     """
 
     registry: AlarmRegistry
@@ -117,7 +123,7 @@ class ShardJob:
     sizes: MessageSizes
     strategy_factory: StrategyFactory
     transport_factory: Optional[TransportFactory]
-    trace: bool
+    trace: str
     sanitize: bool
 
     def run(self, traces: TraceSet, shard_index: int) -> _ShardOutcome:
@@ -127,8 +133,9 @@ class ShardJob:
         the same per-client clock invariant the serial engine would; a
         traced shard stamps its events with ``shard_index``.
         """
-        telemetry = (Telemetry.capture(shard=shard_index) if self.trace
-                     else DISABLED)
+        telemetry = (DISABLED if self.trace == "off" else Telemetry.capture(
+            NullSink() if self.trace == "metrics" else None,
+            shard=shard_index))
         metrics, _ = replay(
             self.registry, self.grid, self.sizes, traces,
             self.strategy_factory(),
@@ -137,8 +144,8 @@ class ShardJob:
             telemetry=telemetry,
             sanitizer=Sanitizer.resolve(self.sanitize))
         return (metrics,
-                telemetry.drain_events() if self.trace else None,
-                telemetry.registry.to_dict() if self.trace else None)
+                telemetry.drain_events() if telemetry.events else None,
+                telemetry.registry.to_dict() if telemetry.enabled else None)
 
 
 #: The job and its shards, inherited by fork()ed workers: set in the
@@ -229,6 +236,8 @@ def run_parallel_simulation(world: World,
     a traced parallel run produces one coherent event stream and one
     merged registry — reconcilable against the merged ``Metrics``, and
     holding the wall time of every server stage summed over the shards.
+    A metrics-only facade (a ``NullSink`` capture) makes its workers
+    metrics-only too: they ship the registry and no events.
     """
     if workers is None:
         workers = default_worker_count()
@@ -250,7 +259,9 @@ def run_parallel_simulation(world: World,
     shards = shard_traces(world.traces, workers)
     outcomes = _dispatch(
         ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
-                 transport_factory, trace=telemetry.enabled,
+                 transport_factory,
+                 trace=("events" if telemetry.events else
+                        "metrics" if telemetry.enabled else "off"),
                  sanitize=sanitizer.enabled),
         shards)
     parts = [outcome[0] for outcome in outcomes]

@@ -2,11 +2,15 @@
 
 One :class:`AlarmServer` instance plays the server role for a single
 simulation run: it evaluates client location reports against the alarm
-index, fires alarms with one-shot semantics, and times its two work
+index, fires alarms with one-shot semantics, and counts its two work
 components — *alarm processing* (trigger evaluation per location report)
 and *safe-region computation* (everything a policy does to produce a
-safe region or safe period) — which are the two bars of the paper's
-server-load figures (Fig. 4(b), Fig. 6(d)).
+safe region or safe period) — which are the bars of the paper's
+server-load figures (Fig. 4(b), Fig. 6(d)).  Their wall time is read
+only under enabled telemetry and written only to the registry's stage
+histograms (``trigger_eval_cost_us``, ``saferegion_compute_cost_us``
+and, nested in the latter, ``index_lookup_cost_us``); an untraced run
+reads no clock here.
 
 Since the protocol refactor the server is *stateless handlers over
 explicit state*: every mutable thing it knows lives in its
@@ -74,30 +78,28 @@ class AlarmServer:
         """Evaluate a location report; fire and return triggered alarms.
 
         Fires every pending relevant alarm whose region interior contains
-        ``position`` and records a trigger notification per firing.  The
-        work is timed into the *alarm processing* bucket, and the same
-        reading feeds the ``trigger_eval_cost_us`` histogram of a traced
-        run.  (The ``location_report`` event and the uplink byte
-        accounting belong to the transport that delivered the report,
-        not to this method — it can be called directly in tests without
-        touching a traffic counter.)
+        ``position`` and records a trigger notification per firing.  With
+        telemetry enabled the evaluation's wall time feeds the
+        ``trigger_eval_cost_us`` histogram, the *alarm processing* column
+        of the server-load figures.  (The ``location_report`` event and
+        the uplink byte accounting belong to the transport that delivered
+        the report, not to this method — it can be called directly in
+        tests without touching a traffic counter.)
         """
         fired = self.fired_for(user_id)
         telemetry = self.telemetry
         registry = self.registry
         accesses_before = registry.tree.stats.node_accesses
-        started = time.perf_counter()
+        started = time.perf_counter() if telemetry.enabled else 0.0
         try:
             triggered = registry.triggered_at(user_id, position,
                                               exclude_ids=fired)
         finally:
-            elapsed = time.perf_counter() - started
-            self.metrics.alarm_processing_time_s += elapsed
             self.metrics.index_node_accesses += (
                 registry.tree.stats.node_accesses - accesses_before)
         self.metrics.alarm_evaluations += 1
         if telemetry.enabled:
-            telemetry.trigger_eval(elapsed * 1e6)
+            telemetry.trigger_eval((time.perf_counter() - started) * 1e6)
         for alarm in triggered:
             fired.add(alarm.alarm_id)
             self.metrics.triggers.append(
@@ -171,34 +173,34 @@ class AlarmServer:
         self.state.close()
 
     # ------------------------------------------------------------------
-    # Timing buckets
+    # The safe-region stage
     # ------------------------------------------------------------------
     @contextmanager
     def timed_saferegion(self, user_id: int,
                          time_s: float) -> Iterator[None]:
-        """Time a block into the *safe-region computation* bucket.
+        """Count a block as one *safe-region computation*.
 
         Policies wrap their safe-region (or safe-period) production in
         this context manager so Fig. 4(b)/6(d) can split server load.
         ``user_id``/``time_s`` identify the computation for telemetry;
-        the ``saferegion_computed`` event, which carries this bucket's
-        reading into ``saferegion_compute_cost_us``, fires exactly when
-        the ``safe_region_computations`` counter increments (on clean
-        exit).  The counter is one per safe region *served* to a client:
-        a bitmap handed out of the shared memo counts like one built for
-        the occasion, which keeps it identical between a serial run and
-        a sharded one whose shards each fill a memo of their own.
+        with telemetry enabled the block's wall time goes into
+        ``saferegion_compute_cost_us`` — through the
+        ``saferegion_computed`` event when the facade keeps events —
+        exactly when the ``safe_region_computations`` counter increments
+        (on clean exit).  The counter is one per safe region *served* to
+        a client: a bitmap handed out of the shared memo counts like one
+        built for the occasion, which keeps it identical between a serial
+        run and a sharded one whose shards each fill a memo of their own.
         """
+        telemetry = self.telemetry
         accesses_before = self.registry.tree.stats.node_accesses
-        started = time.perf_counter()
+        started = time.perf_counter() if telemetry.enabled else 0.0
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - started
-            self.metrics.saferegion_time_s += elapsed
             self.metrics.index_node_accesses += (
                 self.registry.tree.stats.node_accesses - accesses_before)
         self.metrics.safe_region_computations += 1
-        telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.saferegion_computed(time_s, user_id, elapsed * 1e6)
+            telemetry.saferegion_computed(
+                time_s, user_id, (time.perf_counter() - started) * 1e6)

@@ -8,8 +8,8 @@ from .configs import (BENCH, DEFAULT_CELL_AREA_KM2, PAPER, TINY,
                       scaled_cell_sizes)
 from .figures import (figure1b, figure4a, figure4b, figure5a, figure5b,
                       figure6a, figure6b, figure6c, figure6d,
-                      make_mwpsr_strategy, make_pbsr_strategy)
-from .report import Table, profile_report
+                      make_mwpsr_strategy, make_pbsr_strategy, timed_run)
+from .report import ServerTime, Table, profile_report
 from .scalability import (parallel_speedup_sweep, parallel_speedup_table,
                           scalability_sweep, scalability_table)
 from .viz import render_cell, render_legend
@@ -30,6 +30,7 @@ __all__ = [
     "scalability_table",
     "DEFAULT_CELL_AREA_KM2",
     "PAPER",
+    "ServerTime",
     "TINY",
     "Table",
     "WorkloadConfig",
@@ -47,4 +48,5 @@ __all__ = [
     "make_mwpsr_strategy",
     "make_pbsr_strategy",
     "scaled_cell_sizes",
+    "timed_run",
 ]

@@ -6,6 +6,12 @@ benchmark suite runs them and prints the tables.  Absolute magnitudes
 differ from the paper (different hardware, different map, scaled
 workload — see EXPERIMENTS.md), but each function's docstring states the
 qualitative shape that must hold.
+
+Every run goes through :func:`timed_run`, a metrics-only telemetry
+capture: counts come from the run's ``Metrics``, and the server-time
+columns of Figs. 4(b) and 6(d) from its registry's stage histograms
+(:class:`~repro.experiments.report.ServerTime`) — the one ledger of
+server time, which no other reader re-derives.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import SimulationResult, run_simulation
+from ..engine import SimulationResult, World, run_simulation
 from ..mobility import (MotionModel, SteadyMotionModel,
                         UniformMotionModel)
 from ..saferegion import MWPSRComputer, PBSRComputer
@@ -21,9 +27,10 @@ from ..strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                           PeriodicStrategy, ProcessingStrategy,
                           RectangularSafeRegionStrategy,
                           SafePeriodStrategy)
+from ..telemetry import NullSink, Telemetry
 from .configs import (DEFAULT_CELL_AREA_KM2, BENCH, WorkloadConfig,
                       build_world, scaled_cell_sizes)
-from .report import Table
+from .report import ServerTime, Table
 
 PUBLIC_SWEEP = (0.01, 0.10, 0.20)
 
@@ -53,11 +60,24 @@ def make_pbsr_strategy(height: int = 5) -> BitmapSafeRegionStrategy:
     return BitmapSafeRegionStrategy(PBSRComputer(height=height), name=name)
 
 
+def timed_run(world: World, strategy: ProcessingStrategy
+              ) -> Tuple[SimulationResult, ServerTime]:
+    """Run under a metrics-only capture: the result and its server time.
+
+    The capture feeds the registry's stage histograms, the one ledger of
+    server time, and builds no event record.
+    """
+    telemetry = Telemetry.capture(NullSink())
+    result = run_simulation(world, strategy, telemetry=telemetry)
+    return result, ServerTime.of(telemetry.registry)
+
+
 #: Memoized simulation runs.  Strategies are deterministic and fully
 #: described by their name, so one (workload, grid, strategy) run serves
 #: every figure that needs it — Fig. 5(a) and 5(b) share one height
 #: sweep, Fig. 6(a)-(d) share one strategy sweep.
-_RESULT_CACHE: Dict[Tuple[WorkloadConfig, float, str], SimulationResult] = {}
+_RESULT_CACHE: Dict[Tuple[WorkloadConfig, float, str],
+                    Tuple[SimulationResult, ServerTime]] = {}
 
 
 def clear_result_cache() -> None:
@@ -65,15 +85,20 @@ def clear_result_cache() -> None:
     _RESULT_CACHE.clear()
 
 
+def _timed(config: WorkloadConfig, strategy: ProcessingStrategy,
+           cell_area_km2: float = DEFAULT_CELL_AREA_KM2
+           ) -> Tuple[SimulationResult, ServerTime]:
+    key = (config, cell_area_km2, strategy.name)
+    run = _RESULT_CACHE.get(key)
+    if run is None:
+        run = timed_run(build_world(config, cell_area_km2), strategy)
+        _RESULT_CACHE[key] = run
+    return run
+
+
 def _run(config: WorkloadConfig, strategy: ProcessingStrategy,
          cell_area_km2: float = DEFAULT_CELL_AREA_KM2) -> SimulationResult:
-    key = (config, cell_area_km2, strategy.name)
-    result = _RESULT_CACHE.get(key)
-    if result is None:
-        world = build_world(config, cell_area_km2)
-        result = run_simulation(world, strategy)
-        _RESULT_CACHE[key] = result
-    return result
+    return _timed(config, strategy, cell_area_km2)[0]
 
 
 # ----------------------------------------------------------------------
@@ -137,18 +162,19 @@ def figure4b(config: WorkloadConfig = BENCH,
 
     Shape: alarm-processing time falls with cell size (fewer location
     reports), safe-region time rises (more alarms per cell), the total is
-    minimized at an interior cell size.
+    minimized at an interior cell size.  Every column is a
+    :class:`~repro.experiments.report.ServerTime` field: the per-uplink
+    R*-tree lookup a safe region starts from is its own column.
     """
     if cell_sizes is None:
         cell_sizes = scaled_cell_sizes(config)
     table = Table("Fig 4(b): server processing time, MWPSR y=1 z=%d" % z,
-                  ["cell km^2", "alarm proc (s)", "safe region (s)",
-                   "total (s)"])
+                  ["cell km^2", "alarm proc (s)", "index lookup (s)",
+                   "safe region (s)", "total (s)"])
     for size in cell_sizes:
-        result = _run(config, make_mwpsr_strategy(z=z), cell_area_km2=size)
-        metrics = result.metrics
-        table.add_row(size, metrics.alarm_processing_time_s,
-                      metrics.saferegion_time_s, metrics.server_time_s)
+        _, server = _timed(config, make_mwpsr_strategy(z=z),
+                           cell_area_km2=size)
+        table.add_row(size, *server, server.total_s)
     return table
 
 
@@ -280,20 +306,19 @@ def figure6d(config: WorkloadConfig = BENCH,
     Shape: PRD's alarm-processing time towers over everything; the
     safe-region approaches have the lowest totals, with the safe-region
     computation share growing with the public-alarm percentage; SP sits
-    between PRD and the safe-region approaches.
+    between PRD and the safe-region approaches.  The columns are
+    :class:`~repro.experiments.report.ServerTime`'s, as in Fig. 4(b).
     """
     table = Table("Fig 6(d): server processing time (s)",
-                  ["% public", "approach", "alarm proc", "safe region",
-                   "total"])
+                  ["% public", "approach", "alarm proc", "index lookup",
+                   "safe region", "total"])
     for public in publics:
         cfg = config.with_public_fraction(public)
         world = build_world(cfg, DEFAULT_CELL_AREA_KM2)
         strategies = [PeriodicStrategy()] + _fig6_strategies(
             world.max_speed())
         for strategy in strategies:
-            metrics = _run(cfg, strategy).metrics
-            table.add_row(round(100 * public), strategy.name,
-                          metrics.alarm_processing_time_s,
-                          metrics.saferegion_time_s,
-                          metrics.server_time_s)
+            _, server = _timed(cfg, strategy)
+            table.add_row(round(100 * public), strategy.name, *server,
+                          server.total_s)
     return table

@@ -8,7 +8,7 @@ the tables are the artifact, and EXPERIMENTS.md snapshots them.
 from __future__ import annotations
 
 import json
-from typing import Any, List, Sequence
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 from ..telemetry.metrics import Histogram, MetricsRegistry
 
@@ -47,22 +47,68 @@ class Table:
         return "\n".join(lines)
 
 
-def profile_report(registry: MetricsRegistry, indent: int = 2) -> str:
-    """JSON wall time by server stage, read from a run's telemetry registry.
+def stage_costs(registry: MetricsRegistry) -> Dict[str, Tuple[int, float]]:
+    """``{stage: (calls, wall seconds)}`` of a run's server stages.
 
-    Every ``*_cost_us`` histogram as ``{"calls": count, "wall_s": sum}``.
-    Stages nest — ``report_cost_us`` contains ``trigger_eval_cost_us`` and
-    ``saferegion_compute_cost_us``, which contains
-    ``index_lookup_cost_us`` — so they do not add up to the run's wall
-    time; a sharded run's are summed over its workers, so one can exceed
-    it (that surplus *is* the parallelism).
+    Every ``*_cost_us`` histogram of the telemetry registry, the one
+    ledger of server time.  Stages nest — ``report_cost_us`` contains
+    ``trigger_eval_cost_us`` and ``saferegion_compute_cost_us``, which
+    contains ``index_lookup_cost_us`` — so they do not add up to the
+    run's wall time; a sharded run's are summed over its workers, so one
+    can exceed it (that surplus *is* the parallelism).
     """
     stages = {}
     for name in registry.names():
         instrument = registry.get(name)
         if name.endswith("_cost_us") and isinstance(instrument, Histogram):
-            stages[name] = {"calls": instrument.count,
-                            "wall_s": instrument.sum / 1e6}
+            stages[name] = (instrument.count, instrument.sum / 1e6)
+    return stages
+
+
+class ServerTime(NamedTuple):
+    """A run's server wall time in the split of Figs. 4(b) and 6(d).
+
+    Read by :meth:`of` from the stage histograms (:func:`stage_costs`);
+    every reader of server time — the figures, ``repro simulate``'s
+    ``server time:`` line, the scalability table, the examples — takes
+    it from here.  The R\\*-tree lookup a safe region starts from is its
+    own column, not hidden inside the safe-region one.
+    """
+
+    #: ``trigger_eval_cost_us``: evaluating location reports.
+    alarm_processing_s: float
+    #: ``index_lookup_cost_us``: the pending-alarm lookups of the
+    #: safe-region stage.
+    index_lookup_s: float
+    #: ``saferegion_compute_cost_us`` minus the lookups nested in it.
+    saferegion_s: float
+
+    @property
+    def total_s(self) -> float:
+        """Alarm processing plus the whole safe-region stage."""
+        return (self.alarm_processing_s + self.index_lookup_s
+                + self.saferegion_s)
+
+    @classmethod
+    def of(cls, registry: MetricsRegistry) -> "ServerTime":
+        stages = stage_costs(registry)
+
+        def wall(name: str) -> float:
+            return stages.get(name, (0, 0.0))[1]
+
+        lookup_s = wall("index_lookup_cost_us")
+        return cls(wall("trigger_eval_cost_us"), lookup_s,
+                   wall("saferegion_compute_cost_us") - lookup_s)
+
+
+def profile_report(registry: MetricsRegistry, indent: int = 2) -> str:
+    """JSON wall time by server stage, read from a run's telemetry registry.
+
+    Every stage of :func:`stage_costs` as ``{"calls": count, "wall_s":
+    sum}``.
+    """
+    stages = {name: {"calls": calls, "wall_s": wall_s}
+              for name, (calls, wall_s) in stage_costs(registry).items()}
     return json.dumps(stages, indent=indent, sort_keys=True)
 
 

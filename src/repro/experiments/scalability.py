@@ -17,35 +17,39 @@ argument for the distributed architecture.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import SimulationResult, run_parallel_simulation, run_simulation
+from ..engine import SimulationResult, run_parallel_simulation
 from ..engine.parallel import StrategyFactory
 from ..strategies import PeriodicStrategy, SafePeriodStrategy
 from .configs import DEFAULT_CELL_AREA_KM2, WorkloadConfig, build_world
-from .figures import make_mwpsr_strategy, make_pbsr_strategy
-from .report import Table
+from .figures import make_mwpsr_strategy, make_pbsr_strategy, timed_run
+from .report import ServerTime, Table
+
+#: One sweep point: the run and its server time.
+TimedRun = Tuple[SimulationResult, ServerTime]
 
 
 def scalability_sweep(config: WorkloadConfig,
                       populations: Sequence[int] = (30, 60, 120, 240),
                       cell_area_km2: float = DEFAULT_CELL_AREA_KM2
-                      ) -> Dict[int, Dict[str, SimulationResult]]:
+                      ) -> Dict[int, Dict[str, TimedRun]]:
     """Run PRD, SP, MWPSR and PBSR at each population size.
 
-    Returns ``{population: {strategy_name: result}}``; worlds are the
+    Returns ``{population: {strategy_name: (result, server_time)}}``
+    (see :func:`~repro.experiments.figures.timed_run`); worlds are the
     standard memoized ones, so repeated sweeps are cheap.
     """
-    results: Dict[int, Dict[str, SimulationResult]] = {}
+    results: Dict[int, Dict[str, TimedRun]] = {}
     for population in populations:
         scaled = replace(config, vehicle_count=population)
         world = build_world(scaled, cell_area_km2)
-        per_strategy: Dict[str, SimulationResult] = {}
+        per_strategy: Dict[str, TimedRun] = {}
         for strategy in (PeriodicStrategy(),
                          SafePeriodStrategy(max_speed=world.max_speed()),
                          make_mwpsr_strategy(z=32),
                          make_pbsr_strategy(5)):
-            per_strategy[strategy.name] = run_simulation(world, strategy)
+            per_strategy[strategy.name] = timed_run(world, strategy)
         results[population] = per_strategy
     return results
 
@@ -89,8 +93,7 @@ def parallel_speedup_table(results: Dict[int, SimulationResult]) -> Table:
     return table
 
 
-def scalability_table(results: Dict[int, Dict[str, SimulationResult]]
-                      ) -> Table:
+def scalability_table(results: Dict[int, Dict[str, TimedRun]]) -> Table:
     """Render a sweep as server-time and message columns per approach."""
     populations = sorted(results)
     names: List[str] = list(results[populations[0]])
@@ -100,10 +103,10 @@ def scalability_table(results: Dict[int, Dict[str, SimulationResult]]
     table = Table("Scalability: server cost vs client population", headers)
     for population in populations:
         row: List[object] = [population]
+        per_strategy = results[population]
         for name in names:
-            row.append(results[population][name].metrics.uplink_messages)
+            row.append(per_strategy[name][0].metrics.uplink_messages)
         for name in names:
-            row.append(round(
-                1000 * results[population][name].metrics.server_time_s, 1))
+            row.append(round(1000 * per_strategy[name][1].total_s, 1))
         table.add_row(*row)
     return table

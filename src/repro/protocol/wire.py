@@ -11,10 +11,12 @@ construction (a property the wire-fidelity suite asserts by encoding).
 
 Layout conventions: little-endian, fixed-width header of
 ``(message_type: u8, reserved: u8, length: u16, sender: u32,
-timestamp: f64)`` = 16 bytes on downlinks; the uplink location report is
-a bare 32-byte struct (the header fields are folded into it).  A
-region-exit report is wire-identical to a location report except for the
-top bit of the sequence field (:data:`EXIT_FLAG`).  Bitmap payloads
+timestamp: f64)`` = 16 bytes on downlinks (a payload of 0xFFFF bytes or
+more escapes its length into a trailing u32, see :data:`LENGTH_ESCAPE`);
+the uplink location report is a bare 32-byte struct (the header fields
+are folded into it).  A region-exit report is wire-identical to a
+location report except for the top bit of the sequence field
+(:data:`EXIT_FLAG`).  Bitmap payloads
 carry the pyramid geometry needed to decode them (base-cell reference
 and bit count) followed by the packed bits.
 """
@@ -39,6 +41,14 @@ if TYPE_CHECKING:  # typing only: the codec stays import-light at runtime
 
 _UPLINK = struct.Struct("<IIddff")          # 32 bytes
 _HEADER = struct.Struct("<BBHId")           # 16 bytes
+#: The u16 length value that announces a long payload: the true length
+#: follows the header as a u32 (``_LONG_LENGTH``), so an escaped payload
+#: pays 4 header bytes more.  A payload is escaped exactly when it is
+#: 0xFFFF bytes or more (0xFFFF itself included), so the value is
+#: unambiguous and every shorter payload keeps its 16-byte header.  A
+#: full 3x3 pyramid split outgrows the u16 from height 6 on.
+LENGTH_ESCAPE = 0xFFFF
+_LONG_LENGTH = struct.Struct("<I")          # 4 bytes, escaped lengths only
 _RECT = struct.Struct("<dddd")              # 32 bytes
 _SAFE_PERIOD = struct.Struct("<d")          # 8 bytes
 _ALARM_FIXED = struct.Struct("<Qdddd")      # 40 bytes: id + rect
@@ -200,18 +210,38 @@ def decode_location(payload: bytes) -> Request:
                position=Point(x, y), heading=heading, speed=speed)
 
 
+def length_escape_size(payload_length: int) -> int:
+    """Extra header bytes a downlink payload of this length pays."""
+    return _LONG_LENGTH.size if payload_length >= LENGTH_ESCAPE else 0
+
+
 def _header(message_type: MessageType, payload_length: int, sender: int,
             timestamp: float) -> bytes:
-    if payload_length > 0xFFFF:
-        raise ValueError("payload too large for the 16-bit length field")
-    return _HEADER.pack(int(message_type), 0, payload_length, sender,
-                        timestamp)
+    if payload_length < LENGTH_ESCAPE:
+        return _HEADER.pack(int(message_type), 0, payload_length, sender,
+                            timestamp)
+    if payload_length > 0xFFFF_FFFF:
+        raise ValueError("payload too large for the 32-bit length field")
+    return (_HEADER.pack(int(message_type), 0, LENGTH_ESCAPE, sender,
+                         timestamp)
+            + _LONG_LENGTH.pack(payload_length))
+
+
+def _payload_start(data: bytes) -> Tuple[int, int]:
+    """``(payload length, payload offset)`` of an encoded downlink."""
+    length = _HEADER.unpack_from(data)[2]
+    if length != LENGTH_ESCAPE:
+        return length, _HEADER.size
+    (length,) = _LONG_LENGTH.unpack_from(data, _HEADER.size)
+    if length < LENGTH_ESCAPE:
+        raise ValueError("escaped length %d fits the 16-bit field" % length)
+    return length, _HEADER.size + _LONG_LENGTH.size
 
 
 def _split_header(data: bytes) -> Tuple[MessageType, int, float, bytes]:
-    message_type, _, length, sender, timestamp = _HEADER.unpack(
-        data[:_HEADER.size])
-    payload = data[_HEADER.size:]
+    message_type, _, _, sender, timestamp = _HEADER.unpack_from(data)
+    length, start = _payload_start(data)
+    payload = data[start:]
     if len(payload) != length:
         raise ValueError("payload length mismatch: header says %d, got %d"
                          % (length, len(payload)))
@@ -305,7 +335,8 @@ def encode_bitmap_region(cell_ref: int, bitmap: "PyramidBitmap",
     ``cell_ref`` identifies the base grid cell (the client derives the
     cell rectangle and pyramid geometry from its grid parameters).  The
     bit count travels explicitly so the final partial byte is
-    unambiguous; total size is 16 + 12 + ceil(bits/8) bytes, matching
+    unambiguous; total size is 16 + 12 + ceil(bits/8) bytes (plus the
+    4-byte length escape from 0xFFFF payload bytes on), matching
     ``MessageSizes.bitmap_message``.
     """
     bits = bitmap.to_bitstring()
@@ -360,7 +391,7 @@ def peek_bitmap_cell_ref(data: bytes) -> int:
     """
     if peek_type(data) is not MessageType.BITMAP_SAFE_REGION:
         raise ValueError("not a bitmap safe-region message")
-    cell_ref, _ = _BITMAP_FIXED.unpack_from(data, _HEADER.size)
+    cell_ref, _ = _BITMAP_FIXED.unpack_from(data, _payload_start(data)[1])
     return cell_ref
 
 
@@ -430,14 +461,17 @@ class WireCodec:
             if message.rect is not None:
                 return DOWNLINK_HEADER_SIZE + RECT_PAYLOAD_SIZE
             assert message.bitmap is not None
-            return (DOWNLINK_HEADER_SIZE + BITMAP_FIXED_SIZE
-                    + (message.bitmap.bit_length() + 7) // 8)
+            payload = (BITMAP_FIXED_SIZE
+                       + (message.bitmap.bit_length() + 7) // 8)
+            return (DOWNLINK_HEADER_SIZE + length_escape_size(payload)
+                    + payload)
         if isinstance(message, InstallSafePeriod):
             return DOWNLINK_HEADER_SIZE + SAFE_PERIOD_PAYLOAD_SIZE
         if isinstance(message, InstallAlarmList):
             entry = ALARM_FIXED_SIZE + self.alert_payload_bytes
-            return (DOWNLINK_HEADER_SIZE + RECT_PAYLOAD_SIZE
-                    + len(message.alarms) * entry)
+            payload = RECT_PAYLOAD_SIZE + len(message.alarms) * entry
+            return (DOWNLINK_HEADER_SIZE + length_escape_size(payload)
+                    + payload)
         if isinstance(message, InvalidateState):
             return DOWNLINK_HEADER_SIZE
         if isinstance(message, AlarmNotification):

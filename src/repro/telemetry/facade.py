@@ -18,6 +18,15 @@ An enabled facade bundles the three telemetry concerns:
 * the optional :class:`~repro.telemetry.manifest.RunManifest` written
   as the trace's provenance header.
 
+An enabled facade runs in one of two capture modes, worked out from
+its sink: a :class:`~repro.telemetry.sinks.NullSink` makes it
+*metrics-only* (``events`` is false: the registry is fed, no event
+record is built and ``Tracer.emit`` is never called), any other sink
+makes it a full trace.  ``repro simulate`` without ``--trace``,
+``--profile`` and the figure harness run metrics-only; a sharded run
+tells its workers which mode to capture in (``ShardJob.trace``), so a
+metrics-only worker ships back its registry and no events.
+
 The typed ``emit`` helpers below are the only place events and their
 derived instruments are produced, so the event schema and the metric
 names stay in lockstep.  Each quantity is written once: a count the
@@ -51,13 +60,16 @@ from .tracer import Tracer
 class Telemetry:
     """Facade over tracer, metrics registry and run manifest."""
 
-    __slots__ = ("enabled", "tracer", "registry", "manifest",
+    __slots__ = ("enabled", "events", "tracer", "registry", "manifest",
                  "_span_lock")
 
     def __init__(self, tracer: Tracer, registry: MetricsRegistry,
                  manifest: Optional[RunManifest] = None,
                  enabled: bool = True) -> None:
         self.enabled = enabled
+        # Metrics-only capture: a sink that drops every record is never
+        # handed one, so none is built.
+        self.events = enabled and not isinstance(tracer.sink, NullSink)
         self.tracer = tracer
         self.registry = registry
         self.manifest = manifest
@@ -74,7 +86,11 @@ class Telemetry:
     @classmethod
     def capture(cls, sink: Optional[TraceSink] = None, shard: int = 0,
                 manifest: Optional[RunManifest] = None) -> "Telemetry":
-        """An enabled facade; ``sink`` defaults to an in-memory buffer."""
+        """An enabled facade; ``sink`` defaults to an in-memory buffer.
+
+        ``NullSink()`` makes the capture metrics-only (see the module
+        docstring).
+        """
         return cls(Tracer(sink if sink is not None else ListSink(),
                           shard=shard),
                    MetricsRegistry(), manifest=manifest)
@@ -95,15 +111,16 @@ class Telemetry:
         """A client location report reached the server."""
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_LOCATION_REPORT, time_s, user_id,
-                         nbytes=nbytes, cost_us=cost_us)
+        if self.events:
+            self.tracer.emit(EVENT_LOCATION_REPORT, time_s, user_id,
+                             nbytes=nbytes, cost_us=cost_us)
         self.registry.histogram("report_cost_us",
                                 deterministic=False).observe(cost_us)
 
     def alarm_fired(self, time_s: float, user_id: int,
                     alarm_id: int) -> None:
         """An alarm fired (one-shot) for a subscriber."""
-        if not self.enabled:
+        if not self.events:
             return
         self.tracer.emit(EVENT_ALARM_FIRED, time_s, user_id,
                          alarm=alarm_id)
@@ -113,8 +130,9 @@ class Telemetry:
         """The server produced one safe region (or safe period)."""
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
-                         elapsed_us=elapsed_us)
+        if self.events:
+            self.tracer.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
+                             elapsed_us=elapsed_us)
         self.registry.histogram("saferegion_compute_cost_us",
                                 deterministic=False).observe(elapsed_us)
 
@@ -123,8 +141,9 @@ class Telemetry:
         """A client left its safe region (or its safe period expired)."""
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_SAFEREGION_EXIT, time_s, user_id,
-                         residence_s=residence_s)
+        if self.events:
+            self.tracer.emit(EVENT_SAFEREGION_EXIT, time_s, user_id,
+                             residence_s=residence_s)
         registry = self.registry
         registry.counter("saferegion_exits").inc()
         registry.histogram("saferegion_residence_s").observe(residence_s)
@@ -138,8 +157,9 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_DOWNLINK_SENT, time_s, user_id,
-                         nbytes=nbytes, kind=kind)
+        if self.events:
+            self.tracer.emit(EVENT_DOWNLINK_SENT, time_s, user_id,
+                             nbytes=nbytes, kind=kind)
         registry = self.registry
         registry.counter("downlink_messages_" + kind).inc()
         registry.histogram("downlink_payload_bits").observe(nbytes * 8)
@@ -156,7 +176,7 @@ class Telemetry:
         count *next to* the traffic events rather than replacing them —
         matching the ``Metrics`` drop fields they reconcile against.
         """
-        if not self.enabled:
+        if not self.events:
             return
         self.tracer.emit(EVENT_TRANSPORT_DROP, time_s, user_id,
                          direction=direction)
@@ -210,7 +230,8 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_NET_CONN_OPEN, 0.0, conn=conn_id)
+        if self.events:
+            self.tracer.emit(EVENT_NET_CONN_OPEN, 0.0, conn=conn_id)
         self.registry.counter("net_connections_opened").inc()
 
     def net_conn_close(self, conn_id: int, clean: bool,
@@ -223,8 +244,9 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_NET_CONN_CLOSE, 0.0, conn=conn_id,
-                         clean=clean, requests=requests)
+        if self.events:
+            self.tracer.emit(EVENT_NET_CONN_CLOSE, 0.0, conn=conn_id,
+                             clean=clean, requests=requests)
         self.registry.counter("net_connections_closed").inc()
 
     def net_batch(self, time_s: float, conn_id: int, requests: int,
@@ -238,8 +260,9 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_NET_BATCH, time_s, conn=conn_id,
-                         requests=requests)
+        if self.events:
+            self.tracer.emit(EVENT_NET_BATCH, time_s, conn=conn_id,
+                             requests=requests)
         registry = self.registry
         registry.counter("net_batches").inc()
         # Batch composition depends on socket arrival timing, never on
@@ -259,8 +282,9 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_NET_BACKPRESSURE, time_s, conn=conn_id,
-                         depth=depth)
+        if self.events:
+            self.tracer.emit(EVENT_NET_BACKPRESSURE, time_s, conn=conn_id,
+                             depth=depth)
         self.registry.counter("net_backpressure_stalls").inc()
 
     def span_open(self, time_s: float, trace_id: int, span_id: int,
@@ -276,8 +300,9 @@ class Telemetry:
         if not self.enabled:
             return
         with self._span_lock:
-            self.tracer.emit(EVENT_SPAN_OPEN, time_s, trace=trace_id,
-                             span=span_id, parent=parent_id, name=name)
+            if self.events:
+                self.tracer.emit(EVENT_SPAN_OPEN, time_s, trace=trace_id,
+                                 span=span_id, parent=parent_id, name=name)
             self.registry.counter("spans_opened").inc()
 
     def span_close(self, time_s: float, trace_id: int, span_id: int,
@@ -292,9 +317,10 @@ class Telemetry:
         if not self.enabled:
             return
         with self._span_lock:
-            self.tracer.emit(EVENT_SPAN_CLOSE, time_s, trace=trace_id,
-                             span=span_id, status=status,
-                             elapsed_us=elapsed_us)
+            if self.events:
+                self.tracer.emit(EVENT_SPAN_CLOSE, time_s, trace=trace_id,
+                                 span=span_id, status=status,
+                                 elapsed_us=elapsed_us)
             self.registry.counter("spans_closed").inc()
 
     def net_rtt(self, rtt_us: float) -> None:
@@ -313,7 +339,8 @@ class Telemetry:
         """A shard began its replay (``t`` pinned to simulation zero)."""
         if not self.enabled:
             return
-        self.tracer.emit(EVENT_SHARD_STARTED, 0.0, vehicles=vehicles)
+        if self.events:
+            self.tracer.emit(EVENT_SHARD_STARTED, 0.0, vehicles=vehicles)
         # Not deterministic in the cross-engine sense: the peak depends
         # on the shard topology (a serial run is one 'shard' holding
         # every vehicle), not only on the seeded world.
@@ -322,7 +349,7 @@ class Telemetry:
 
     def shard_finished(self, vehicles: int, wall_s: float) -> None:
         """A shard completed its replay after ``wall_s`` real seconds."""
-        if not self.enabled:
+        if not self.events:
             return
         self.tracer.emit(EVENT_SHARD_FINISHED, 0.0, vehicles=vehicles,
                          wall_s=wall_s)
@@ -332,7 +359,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def write_manifest(self) -> None:
         """Write the provenance header (first record of a trace)."""
-        if not self.enabled or self.manifest is None:
+        if not self.events or self.manifest is None:
             return
         self.tracer.sink.write_record(self.manifest.to_record())
 
@@ -346,7 +373,7 @@ class Telemetry:
         ``repro report`` can reconcile the two without re-running
         anything.
         """
-        if not self.enabled:
+        if not self.events:
             return
         self.tracer.sink.write_record({
             "record": RECORD_SUMMARY,

@@ -294,8 +294,8 @@ class MetricsRegistry:
         """Serialized form restricted to run-deterministic instruments.
 
         This is the signature the serial-vs-sharded golden tests compare
-        bit-for-bit; wall-time histograms are excluded the same way
-        ``Metrics.counters()`` excludes the timing fields.
+        bit-for-bit; wall-time histograms are machine-dependent and
+        excluded (``Metrics`` holds no time at all).
         """
         return {name: inst.to_dict()
                 for name, inst in sorted(self._instruments.items())

@@ -69,10 +69,8 @@ SEEDS = (
          "",
          "'BitmapSafeRegion' does not define 'size_bits'"),
     Seed("RL006", "engine/server.py", (),
-         "elapsed = time.perf_counter() - started\n"
-         "            self.metrics.alarm_processing_time_s",
-         "elapsed = time.time() - started\n"
-         "            self.metrics.alarm_processing_time_s",
+         "telemetry.index_lookup((time.perf_counter() - started) * 1e6,\n",
+         "telemetry.index_lookup((time.time() - started) * 1e6,\n",
          "wall-clock read time.time()"),
     Seed("RL007", "telemetry/sinks.py", (),
          "    def close(self) -> None:  # noqa: B027",

@@ -105,7 +105,7 @@ class TestShardedEqualsSerial:
         serial = serial_results[key]
         sharded = run_parallel_simulation(world, _factories(world)[key],
                                           workers=workers)
-        # Deterministic counters: every scalar except wall-clock timing.
+        # Deterministic counters: every Metrics scalar (all are counts).
         assert sharded.metrics.counters() == serial.metrics.counters()
         # The full trigger sequence — times, users, alarms, order.
         assert sharded.metrics.triggers == serial.metrics.triggers
@@ -128,9 +128,6 @@ class TestShardedEqualsSerial:
         # The merged profile counts every safe-region computation once.
         computes = telemetry.registry.histogram("saferegion_compute_cost_us")
         assert computes.count == serial.metrics.safe_region_computations
-        # ... from the bracket that feeds the Metrics bucket, not a second.
-        assert computes.sum / 1e6 \
-            == pytest.approx(sharded.metrics.saferegion_time_s)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Tests for the alarm server: one-shot firing, accounting, timing buckets."""
+"""Tests for the alarm server: one-shot firing, accounting, stage timing."""
+
+from types import SimpleNamespace
 
 import pytest
 
+import repro.engine.server as server_module
 from repro.alarms import AlarmRegistry, AlarmScope
 from repro.engine import AlarmServer, MessageSizes, Metrics
 from repro.geometry import Point, Rect
@@ -9,6 +12,7 @@ from repro.index import GridOverlay
 from repro.protocol.handlers import EVALUATE_ONLY
 from repro.protocol.messages import InstallSafePeriod, LocationReport
 from repro.protocol.transport import InProcessTransport
+from repro.telemetry import NullSink, Telemetry
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
 
@@ -47,12 +51,16 @@ class TestProcessLocation:
         assert {alarm.alarm_id for alarm in fired_other} == {0}
 
     def test_timing_and_counters(self, server):
+        server.telemetry = Telemetry.capture(NullSink())
         server.process_location(2, 0.0, Point(175, 175))
         metrics = server.metrics
         assert metrics.alarm_evaluations == 1
-        assert metrics.alarm_processing_time_s > 0
         assert metrics.index_node_accesses > 0
         assert metrics.trigger_notifications == 2
+        # The evaluation's wall time is the registry's stage histogram.
+        stage = server.telemetry.registry.histogram("trigger_eval_cost_us")
+        assert stage.count == 1
+        assert stage.sum > 0
 
 
 class TestHelpers:
@@ -89,9 +97,27 @@ class TestHelpers:
         assert metrics.downlink_bytes == server.sizes.safe_period_message()
 
     def test_timed_saferegion_bucket(self, server):
+        server.telemetry = Telemetry.capture(NullSink())
         with server.timed_saferegion(2, 0.0):
             server.pending_alarms_in(2, Rect(0, 0, 500, 500))
-        assert server.metrics.saferegion_time_s > 0
+        assert server.metrics.safe_region_computations == 1
+        registry = server.telemetry.registry
+        stage = registry.histogram("saferegion_compute_cost_us")
+        lookup = registry.histogram("index_lookup_cost_us")
+        assert stage.count == lookup.count == 1
+        # The lookup is nested in the safe-region stage.
+        assert stage.sum >= lookup.sum > 0
+
+    def test_untraced_stages_read_no_clock(self, server, monkeypatch):
+        def no_clock():
+            raise AssertionError("an untraced run read the clock")
+
+        monkeypatch.setattr(server_module, "time",
+                            SimpleNamespace(perf_counter=no_clock))
+        server.process_location(2, 0.0, Point(175, 175))
+        with server.timed_saferegion(2, 0.0):
+            server.pending_alarms_in(2, Rect(0, 0, 500, 500))
+        assert server.metrics.alarm_evaluations == 1
         assert server.metrics.safe_region_computations == 1
 
     def test_timed_saferegion_must_say_whose_and_when(self, server):

@@ -47,11 +47,14 @@ class TestFigure4:
 
     def test_server_time_table(self):
         table = figure4b(TINY, cell_sizes=CELL_SIZES, z=8)
-        assert table.headers[-1] == "total (s)"
+        assert table.headers[1:] == ["alarm proc (s)", "index lookup (s)",
+                                     "safe region (s)", "total (s)"]
         for row in table.rows:
-            alarm_s, sr_s, total_s = (float(v) for v in row[1:])
+            alarm_s, lookup_s, sr_s, total_s = (float(v) for v in row[1:])
+            assert lookup_s > 0
             # the table renders ~3 significant digits
-            assert total_s == pytest.approx(alarm_s + sr_s, abs=5e-3)
+            assert total_s == pytest.approx(alarm_s + lookup_s + sr_s,
+                                            abs=5e-3)
 
 
 class TestFigure5:
@@ -88,18 +91,27 @@ class TestFigure6:
         mwpsr, pbsr, opt = (float(v) for v in row[1:])
         assert opt > pbsr > mwpsr
 
-    def test_server_time_split(self):
+    def test_server_time_by_approach(self):
         table = figure6d(TINY, publics=(0.20,))
-        by_name = {row[1]: (float(row[2]), float(row[3]))
+        assert table.headers[2:] == ["alarm proc", "index lookup",
+                                     "safe region", "total"]
+        by_name = {row[1]: tuple(float(v) for v in row[2:])
                    for row in table.rows}
         assert set(by_name) == {"PRD", "MWPSR(y=1,z=32)", "PBSR(h=5)",
                                 "SP", "OPT"}
         # periodic has by far the largest alarm-processing bill and no
-        # safe-region computation at all
-        prd_alarm, prd_sr = by_name["PRD"]
-        assert prd_sr == 0.0
+        # safe-region computation (nor index lookup for one) at all
+        prd_alarm, prd_lookup, prd_sr, _ = by_name["PRD"]
+        assert prd_lookup == prd_sr == 0.0
         assert prd_alarm > by_name["MWPSR(y=1,z=32)"][0]
         assert prd_alarm > by_name["PBSR(h=5)"][0]
+        # every other approach starts its safe region from an index lookup
+        for name, (_, lookup_s, _, _) in by_name.items():
+            if name != "PRD":
+                assert lookup_s > 0, name
+        for alarm_s, lookup_s, sr_s, total_s in by_name.values():
+            assert total_s == pytest.approx(alarm_s + lookup_s + sr_s,
+                                            abs=5e-3)
 
 
 class TestStrategyFactories:

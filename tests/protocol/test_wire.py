@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.engine.network import MessageSizes
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
 from repro.protocol import wire
@@ -97,6 +98,59 @@ class TestDownlinkRoundTrip:
     def test_peek_type(self):
         assert wire.peek_type(wire.encode_safe_period(1.0)) \
             is MessageType.SAFE_PERIOD
+
+
+class TestLengthEscape:
+    """Payloads of 0xFFFF bytes or more escape their u16 length."""
+
+    def test_bitmap_beyond_the_u16_length_round_trips(self):
+        # A thin strip through every level-5 column leaves no safe cell
+        # above the finest level: a full 3x3 split of height 6.
+        pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=6)
+        width = CELL.width / 3 ** 5
+        strips = [Rect((i + 0.5) * width - 0.01, 0,
+                       (i + 0.5) * width + 0.01, 1000) for i in range(243)]
+        bitmap = PyramidBitmap.from_obstacles(pyramid, strips)
+        message = InstallSafeRegion(cell_ref=pack_cell_ref(3, 4),
+                                    bitmap=bitmap)
+        codec = WireCodec()
+        data = codec.encode_response(message, sender=2, timestamp=5.0)
+        assert len(data) > 0xFFFF
+        assert codec.size_of_response(message) == len(data)
+        assert MessageSizes().bitmap_message(bitmap.bit_length()) \
+            == len(data)
+        assert wire.peek_bitmap_cell_ref(data) == pack_cell_ref(3, 4)
+        cell_ref, decoded = wire.decode_bitmap_region(data, pyramid)
+        assert cell_ref == pack_cell_ref(3, 4)
+        assert decoded.to_bitstring() == bitmap.to_bitstring()
+
+    @pytest.mark.parametrize("payload, escaped", [(0xFFFE, False),
+                                                  (0xFFFF, True),
+                                                  (0x10000, True)])
+    def test_escape_starts_at_0xffff(self, payload, escaped):
+        # One alarm whose alert record pads the payload to ``payload``.
+        alert = payload - wire.RECT_PAYLOAD_SIZE - wire.ALARM_FIXED_SIZE
+        codec = WireCodec(alert_payload_bytes=alert)
+        message = InstallAlarmList(
+            cell=CELL, alarms=(AlarmRecord(alarm_id=8,
+                                           region=Rect(1, 2, 3, 4)),))
+        data = codec.encode_response(message)
+        header = wire.DOWNLINK_HEADER_SIZE + (4 if escaped else 0)
+        assert len(data) == codec.size_of_response(message) \
+            == header + payload
+        cell, alarms = wire.decode_alarm_push(data, alert)
+        assert cell == CELL and alarms == [(8, Rect(1, 2, 3, 4))]
+
+    def test_short_payload_keeps_the_16_byte_header(self):
+        assert len(wire.encode_safe_period(1.0)) \
+            == wire.DOWNLINK_HEADER_SIZE + wire.SAFE_PERIOD_PAYLOAD_SIZE
+
+    def test_non_canonical_escape_rejected(self):
+        plain = wire.encode_safe_period(1.0)
+        escaped = (plain[:2] + (0xFFFF).to_bytes(2, "little")
+                   + plain[4:16] + (8).to_bytes(4, "little") + plain[16:])
+        with pytest.raises(ValueError, match="fits the 16-bit field"):
+            wire.decode_safe_period(escaped)
 
 
 def _random_messages(rng):
