@@ -1,20 +1,21 @@
-"""Static checking of the repro codebase: one framework, 18 rules.
+"""Static checking of the repro codebase: one framework, 13 rules.
 
-The safe-region contract (paper Section 2.1), the sharded engine's
-determinism guarantee and the client/server protocol rest on invariants
-ordinary tooling cannot see.  This package parses the source tree once
-into a :class:`~repro.analysis.model.ProjectModel` and runs every rule
-over it: the file-local invariants RL001-RL008 (immutable geometry,
-tolerant float comparison, seeded randomness, fork safety, the
-``SafeRegion`` contract, no wall clock, no ``print``, the protocol
-boundary) and the whole-program contracts PA001-PA010 (protocol
-exhaustiveness, telemetry drift, cross-module fork safety, the
-pragma-debt ratchet, blocking-call reachability, cross-domain races,
-task lifecycle, the session automaton, resource release on every exit
-path, strategy downlink causality).  Runnable as ``python -m repro
-check``.
+The client/server protocol, the sharded engine's determinism guarantee
+and the daemon's concurrency rest on invariants ordinary tooling cannot
+see.  This package parses the source tree once into a
+:class:`~repro.analysis.model.ProjectModel` and runs every rule over
+it: the file-local invariants RL002-RL004 and RL006-RL008 (tolerant
+float comparison, seeded randomness, fork safety, no wall clock, no
+``print``, the protocol boundary) and the whole-program contracts
+PA002-PA006, PA008 and PA009 (telemetry drift, cross-module fork
+safety, the pragma-debt ratchet, blocking-call reachability,
+cross-domain races, the session automaton, resource release on every
+exit path).  Runnable as ``python -m repro check``.
 
-See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the
+The missing ids are retired: a guard that holds by construction (a
+frozen type, an abstract base, a check inside every codec or daemon
+close) enforces each.  See ``docs/STATIC_ANALYSIS.md`` for the rule
+catalogue, the retired rules and their guards, the
 ``# lint: allow=RLxxx`` pragma syntax and the guide to adding a rule.
 """
 

@@ -95,7 +95,7 @@ def get_rule(rule_id: str) -> Type[Rule]:
 
 
 def ALL_RULES() -> List[Type[Rule]]:
-    """All registered rule classes: RL001… then PA001…, by number."""
+    """All registered rule classes: the RL rules, then PA, by number."""
     _ensure_rules_loaded()
     return [_REGISTRY[rule_id] for rule_id in sorted(
         _REGISTRY, key=lambda rule_id: (not rule_id.startswith("RL"),

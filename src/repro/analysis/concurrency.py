@@ -1,6 +1,6 @@
 """Concurrency view of the project model: call graph, domains, roots.
 
-:class:`ConcurrencyModel` is the layer PA005-PA007 share.  Built once
+:class:`ConcurrencyModel` is the layer PA005 and PA006 share.  Built once
 per :class:`~repro.analysis.model.ProjectModel` (cached via
 :meth:`ProjectModel.concurrency`), it derives from the function table:
 
@@ -44,8 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .model import (FunctionInfo, ModuleInfo, ProjectModel,
-                    _terminal_name, own_nodes)
+from .model import FunctionInfo, ModuleInfo, ProjectModel, own_nodes
 
 #: A function's identity: (module rel path, qualname).
 FuncKey = Tuple[str, str]
@@ -98,20 +97,15 @@ class CallEdge:
     #: Resolution route: ``name`` | ``self`` | ``attr`` | ``local``
     #: | ``constructor``.
     via: str
-    #: The call's result is discarded (the call *is* an ``Expr``
-    #: statement) — PA007's never-awaited-coroutine signal.
-    discarded: bool = False
 
 
-@dataclass
-class TaskSpawn:
-    """One ``asyncio.create_task``/``ensure_future`` call site."""
-
-    module: ModuleInfo
-    #: Function containing the spawn (``None`` at module level).
-    caller: Optional[FuncKey]
-    node: ast.Call
-    api: str
+def _terminal_name(node: ast.expr) -> Optional[str]:
+    """The rightmost identifier of a Name/Attribute chain."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 @dataclass
@@ -127,7 +121,6 @@ class ConcurrencyModel:
     calls: Dict[FuncKey, List[CallEdge]] = field(default_factory=dict)
     #: Classified domains per function; absent means "main".
     domains: Dict[FuncKey, FrozenSet[str]] = field(default_factory=dict)
-    spawns: List[TaskSpawn] = field(default_factory=list)
     #: Constructor-derived attribute types per (rel, class, attr).
     attr_types: Dict[Tuple[str, str, str], TypeRef] = field(
         default_factory=dict)
@@ -329,8 +322,6 @@ class ConcurrencyModel:
         func = self.functions[key].node
         awaited_ids = {id(node.value) for node in own_nodes(func)
                        if isinstance(node, ast.Await)}
-        discarded_ids = {id(node.value) for node in own_nodes(func)
-                         if isinstance(node, ast.Expr)}
         edges: List[CallEdge] = []
         for node in own_nodes(func):
             if not isinstance(node, ast.Call):
@@ -340,8 +331,7 @@ class ConcurrencyModel:
                 callee, via = resolved
                 edges.append(CallEdge(
                     caller=key, callee=callee, node=node,
-                    awaited=id(node) in awaited_ids, via=via,
-                    discarded=id(node) in discarded_ids))
+                    awaited=id(node) in awaited_ids, via=via))
             self._extract_roots(key, module, node, entries)
         if edges:
             self.calls[key] = edges
@@ -350,10 +340,7 @@ class ConcurrencyModel:
                        node: ast.Call,
                        entries: List[Tuple[FuncKey, str]]) -> None:
         name = _terminal_name(node.func)
-        if name in ("create_task", "ensure_future") \
-                and name is not None:
-            self.spawns.append(TaskSpawn(module=module, caller=key,
-                                         node=node, api=name))
+        if name in ("create_task", "ensure_future"):
             self._note_entry(key, node.args[:1], DOMAIN_LOOP, entries)
         elif name == "Thread" and self._is_threading_thread(module,
                                                             node):

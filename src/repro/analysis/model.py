@@ -41,13 +41,10 @@ class AnalysisError(Exception):
 
 @dataclass
 class ClassInfo:
-    """One class definition: bases and annotated-field order."""
+    """One class definition and its annotated-field order."""
 
     name: str
     node: ast.ClassDef
-    #: Terminal names of the base expressions (``ServerPolicy`` for both
-    #: ``ServerPolicy`` and ``handlers.ServerPolicy``).
-    bases: Tuple[str, ...]
     #: Annotated class-level fields in declaration order — for the
     #: frozen protocol dataclasses this *is* the dataclass field order.
     fields: Tuple[str, ...]
@@ -135,33 +132,6 @@ class ModuleInfo:
     #: sets and their factory calls) — the state PA003 guards.
     mutables: FrozenSet[str] = frozenset()
 
-    def union_members(self, alias: str) -> Optional[Tuple[str, ...]]:
-        """Member class names of ``alias = Union[A, B, ...]``, if any.
-
-        A single-name alias (``Request = LocationReport``) resolves to
-        that one name; anything unrecognizable resolves to ``None``.
-        """
-        for stmt in self.tree.body:
-            if not (isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == alias):
-                continue
-            value = stmt.value
-            if (isinstance(value, ast.Subscript)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id == "Union"
-                    and isinstance(value.slice, ast.Tuple)):
-                names = [elt.id for elt in value.slice.elts
-                         if isinstance(elt, ast.Name)]
-                if len(names) == len(value.slice.elts):
-                    return tuple(names)
-                return None
-            if isinstance(value, ast.Name):
-                return (value.id,)
-            return None
-        return None
-
 
 @dataclass
 class ResolvedStrings:
@@ -182,26 +152,13 @@ class ResolvedStrings:
         return not (self.full or self.prefixes)
 
 
-def _terminal_name(node: ast.expr) -> Optional[str]:
-    """The rightmost identifier of a Name/Attribute chain."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _class_info(node: ast.ClassDef) -> ClassInfo:
-    bases = tuple(name for name in (_terminal_name(base)
-                                    for base in node.bases)
-                  if name is not None)
     fields_: List[str] = []
     for stmt in node.body:
         if (isinstance(stmt, ast.AnnAssign)
                 and isinstance(stmt.target, ast.Name)):
             fields_.append(stmt.target.id)
-    return ClassInfo(name=node.name, node=node, bases=bases,
-                     fields=tuple(fields_))
+    return ClassInfo(name=node.name, node=node, fields=tuple(fields_))
 
 
 #: Method names that mutate a list/dict/set/deque in place.
@@ -431,7 +388,7 @@ class ProjectModel:
         """The (cached) concurrency view: call graph, domains, roots.
 
         Built lazily so trees analyzed only by the structural rules
-        never pay for it, and cached so PA005-PA007 share one build.
+        never pay for it, and cached so PA005 and PA006 share one build.
         """
         if self._concurrency is None:
             from .concurrency import ConcurrencyModel

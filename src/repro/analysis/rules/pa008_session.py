@@ -43,7 +43,6 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Set,
 from ..base import Rule, rule
 from ..diagnostics import Diagnostic
 from ..model import ModuleInfo, ProjectModel
-from ._spec import literal_table
 
 _DIRECTIONS = ("c2s", "s2c")
 
@@ -201,6 +200,39 @@ def _framekind_call_args(module: ModuleInfo
     return out
 
 
+def _literal_table(module: ModuleInfo, name: str
+                   ) -> Optional[Tuple[ast.stmt, Optional[object]]]:
+    """The literal value assigned to ``name`` at module top level.
+
+    Read from the *analyzed tree*, not the import system, so a fixture
+    tree can carry its own (deliberately wrong) spec.  Returns ``None``
+    when ``name`` is never assigned; ``(stmt, None)`` when it is
+    assigned something ``ast.literal_eval`` rejects (a computed spec
+    table defeats the checker); ``(stmt, value)`` otherwise.
+    """
+    for stmt in module.tree.body:
+        if isinstance(stmt, ast.Assign):
+            if not (len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and stmt.targets[0].id == name):
+                continue
+            value_node: Optional[ast.expr] = stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            if not (isinstance(stmt.target, ast.Name)
+                    and stmt.target.id == name):
+                continue
+            value_node = stmt.value
+        else:
+            continue
+        if value_node is None:
+            return stmt, None
+        try:
+            return stmt, ast.literal_eval(value_node)
+        except ValueError:
+            return stmt, None
+    return None
+
+
 def _frame_kind_members(model: ProjectModel) -> Set[str]:
     framing = model.find("protocol/framing.py")
     if framing is None:
@@ -259,8 +291,8 @@ class SessionConformanceChecker(Rule):
     def _parse_spec(self, spec: ModuleInfo) -> Union[
             Diagnostic,
             Tuple[Tuple[str, str, str], _Transitions, ast.stmt]]:
-        states_parsed = literal_table(spec, "SESSION_STATES")
-        table_parsed = literal_table(spec, "SESSION_TRANSITIONS")
+        states_parsed = _literal_table(spec, "SESSION_STATES")
+        table_parsed = _literal_table(spec, "SESSION_TRANSITIONS")
         if states_parsed is None or table_parsed is None:
             return self.file_diagnostic(
                 spec.display_path,

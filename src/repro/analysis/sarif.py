@@ -10,7 +10,7 @@ docstring as ``fullDescription``, and a ``helpUri`` pointing at the
 rule's section of ``docs/STATIC_ANALYSIS.md`` — so a code-scanning
 upload renders a description and a "learn more" link instead of a bare
 rule id.  The anchor scheme mirrors GitHub's heading slugging of
-``### RL001 — frozen-geometry`` style headings; the docs test pins
+``### RL002 — float-equality`` style headings; the docs test pins
 that every generated anchor resolves to a real heading.
 
 The output is otherwise deliberately minimal — one run, one driver,
@@ -59,8 +59,8 @@ class RuleMetadata:
         """Anchor into the rule's docs section.
 
         Matches GitHub's slugging of the documented heading
-        ``### RL001 — frozen-geometry`` (lowercase, the em-dash
-        dropped, spaces to hyphens): ``rl001--frozen-geometry``.
+        ``### RL002 — float-equality`` (lowercase, the em-dash
+        dropped, spaces to hyphens): ``rl002--float-equality``.
         """
         return "%s#%s--%s" % (RULE_DOC_PATH, self.rule_id.lower(),
                               self.slug)

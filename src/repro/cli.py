@@ -599,8 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.set_defaults(handler=_cmd_figure)
 
     check_parser = subparsers.add_parser(
-        "check", help="run the static checker, rules RL001-RL008 and "
-                      "PA001-PA010 (docs/STATIC_ANALYSIS.md)")
+        "check", help="run the static checker, 13 rules: RL002-RL004, "
+                      "RL006-RL008, PA002-PA006, PA008, PA009 "
+                      "(docs/STATIC_ANALYSIS.md)")
     add_check_arguments(check_parser)
     check_parser.set_defaults(handler=run_check_command)
 

@@ -7,10 +7,12 @@ Since the protocol refactor the sizes are *derived*, not asserted: every
 default below points at the struct layout in :mod:`repro.protocol.wire`,
 so the accounting table cannot drift from what the codec actually
 serializes (``WireCodec.from_sizes`` additionally rejects any
-``MessageSizes`` whose fixed fields disagree with the wire).  The
-comparisons depend on the ratios (a rectangle is tiny, a bitmap is
-``|B|`` bits, an OPT alarm push grows with alarm count), not the
-absolute values.
+``MessageSizes`` whose fixed fields disagree with the wire).  A message's
+size is :meth:`WireCodec.size_of_response
+<repro.protocol.wire.WireCodec.size_of_response>` — the one sizing the
+transport charges.  The comparisons depend on the ratios (a rectangle
+is tiny, a bitmap is ``|B|`` bits, an OPT alarm push grows with alarm
+count), not the absolute values.
 """
 
 from __future__ import annotations
@@ -50,28 +52,6 @@ class MessageSizes:
     safe_period_payload: int = wire.SAFE_PERIOD_PAYLOAD_SIZE
     alarm_entry: int = wire.DEFAULT_ALARM_ENTRY_SIZE
     bitmap_fixed: int = wire.BITMAP_FIXED_SIZE
-
-    def rect_message(self) -> int:
-        """Bytes of a rectangular safe-region downlink."""
-        return self.downlink_header + self.rect_payload
-
-    def safe_period_message(self) -> int:
-        """Bytes of a safe-period downlink."""
-        return self.downlink_header + self.safe_period_payload
-
-    def bitmap_message(self, bit_length: int) -> int:
-        """Bytes of a bitmap safe-region downlink of ``bit_length`` bits."""
-        return self._variable_message(self.bitmap_fixed
-                                      + (bit_length + 7) // 8)
-
-    def alarm_push_message(self, alarm_count: int) -> int:
-        """Bytes of an OPT downlink carrying ``alarm_count`` alarms."""
-        return self._variable_message(self.rect_payload  # the cell rect
-                                      + alarm_count * self.alarm_entry)
-
-    def _variable_message(self, payload: int) -> int:
-        return (self.downlink_header + wire.length_escape_size(payload)
-                + payload)
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dict form for run-manifest provenance."""

@@ -147,13 +147,14 @@ class AlarmServer:
                       ) -> BitmapSafeRegion:
         """The bitmap region of a public-only pending set, built once.
 
-        ``key`` names the cell and every pending alarm, all public, that
-        ``build`` carves the region from; the first subscriber to ask
-        pays for the build and every later one with the same key is
-        handed the same region.  Counts the hit or miss in the telemetry
-        registry — the sanctioned path for policies, which may not touch
-        it directly (rule RL008).  A sanitized run rebuilds on every
-        hit and checks the shared region against the subscriber's own.
+        ``key`` names the cell, the pyramid shape and every pending
+        alarm, all public, that ``build`` carves the region from; the
+        first subscriber to ask pays for the build and every later one
+        with the same key is handed the same region.  Counts the hit or
+        miss in the telemetry registry — the sanctioned path for
+        policies, which may not touch it directly (rule RL008).  A
+        sanitized run rebuilds on every hit and checks the shared region
+        against the subscriber's own.
         """
         memo = self.state.region_cache
         region = memo.lookup(key)

@@ -11,7 +11,8 @@ containment are exact without any sweep-line machinery.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import FrozenInstanceError
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .eps import fzero
 from .point import Point
@@ -32,16 +33,34 @@ class RectilinearRegion:
     (hundreds at pyramid height 7) and this is entirely sufficient;
     clients in the actual protocol use the O(h) pyramid bit-probe path in
     :mod:`repro.saferegion.pbsr` instead of this generic geometry.
+
+    Immutable like the frozen :class:`Point` and :class:`Rect` it is
+    built from: an attribute write or delete after ``__init__`` raises
+    :class:`~dataclasses.FrozenInstanceError`.
     """
 
     __slots__ = ("_pieces", "_min_xs", "_bounds")
 
+    _pieces: List[Rect]
+    _min_xs: List[float]
+    _bounds: Optional[Rect]
+
     def __init__(self, pieces: Iterable[Rect]) -> None:
         ordered = sorted(pieces, key=lambda r: (r.min_x, r.min_y))
-        self._pieces: List[Rect] = ordered
-        self._min_xs: List[float] = [r.min_x for r in ordered]
-        self._bounds: Optional[Rect] = (
-            Rect.bounding(ordered) if ordered else None)
+        init = object.__setattr__
+        init(self, "_pieces", ordered)
+        init(self, "_min_xs", [r.min_x for r in ordered])
+        init(self, "_bounds", Rect.bounding(ordered) if ordered else None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self) -> Tuple[type, Tuple[List[Rect]]]:
+        # Slot state would be restored through __setattr__; rebuild instead.
+        return RectilinearRegion, (self._pieces,)
 
     # ------------------------------------------------------------------
     @property

@@ -216,8 +216,9 @@ class AlarmDaemon:
 
         Run after :meth:`aclose` has cancelled and gathered everything
         it tracks: any task whose coroutine lives in this module and is
-        still pending escaped the ``_conn_tasks``/watchdog registries —
-        the runtime shadow of the PA007 task-lifecycle contract.
+        still pending escaped the ``_conn_tasks``/watchdog registries
+        (the daemon is the one module that spawns tasks, so this check
+        is the whole task-lifecycle guard).
         """
         current = asyncio.current_task()
         names: List[str] = []

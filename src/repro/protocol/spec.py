@@ -4,23 +4,19 @@ The framed protocol (:mod:`repro.protocol.framing`, served by
 :mod:`repro.net.daemon`, spoken by :mod:`repro.net.sockets`) is an
 automaton: a connection starts unauthenticated, a HELLO establishes
 it, and only then may requests flow.  This module declares that
-automaton — and the per-strategy downlink causality contract — as
-plain data, so three consumers can share one source of truth:
+automaton as plain data, so two consumers share one source of truth:
 
 * the **PA008** checker extracts the *implemented* automaton from the
   dispatch chains in ``net/daemon.py``/``net/sockets.py`` and diffs it
   against :data:`SESSION_TRANSITIONS`;
-* the **PA010** checker cross-references each strategy's server-half
-  emissions and client-half handling against
-  :data:`STRATEGY_CAUSALITY`;
 * the **runtime sanitizer** (:meth:`repro.sanitize.Sanitizer.
   check_session_transition`) asserts the daemon's per-connection state
   walk stays inside the automaton while serving.
 
-Both tables are *literal* dicts on purpose: the analyzers read them
-with ``ast.literal_eval`` from the analyzed tree (so miniature fixture
-trees can carry their own spec), and the runtime imports this module —
-one declaration, two read paths.  Frame kinds are referred to by their
+Both tables are *literal* on purpose: PA008 reads them with
+``ast.literal_eval`` from the analyzed tree (so miniature fixture trees
+can carry their own spec), and the runtime imports this module — one
+declaration, two read paths.  Frame kinds are referred to by their
 :class:`~repro.protocol.framing.FrameKind` member *names* to keep this
 module import-light (it must not drag the framing layer into every
 sanitizer user).
@@ -37,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 #: Connection states, ordered pre-handshake → established → teardown.
-#: A *literal* tuple — the analyzers read it with ``ast.literal_eval``.
+#: A *literal* tuple — PA008 reads it with ``ast.literal_eval``.
 SESSION_STATES: Tuple[str, str, str] = (
     "AWAIT_HELLO", "READY", "CLOSING")
 
@@ -72,44 +68,9 @@ SESSION_TRANSITIONS: Dict[Tuple[str, str, str], str] = {
     ("READY", "ERROR", "s2c"): "CLOSING",
 }
 
-#: Downlink message kinds the *shared* handler layer may attach to any
-#: reply regardless of strategy (:func:`repro.protocol.handlers.
-#: handle_request` converts firings into ``AlarmNotification``; the
-#: churn engines invalidate with ``InvalidateState``).  PA010 exempts
-#: them from the per-strategy emitted↔handled symmetry check.
-BASELINE_DOWNLINKS: Tuple[str, ...] = (
-    "AlarmNotification", "InvalidateState")
-
-#: Per-strategy causality: which downlink message classes each
-#: strategy's :class:`~repro.protocol.handlers.ServerPolicy` may emit,
-#: and which its client half must recognize.  Keys are strategy module
-#: stems under ``strategies/`` (``base``/``__init__`` carry no
-#: strategy).  A strategy inheriting its policy (``adaptive`` reuses
-#: the rectangular policy) declares the inherited emissions — PA010
-#: follows the one-hop base-class import when extracting.
-STRATEGY_CAUSALITY: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "adaptive": {"emits": ("InstallSafeRegion",),
-                 "handles": ("InstallSafeRegion",)},
-    "bitmap": {"emits": ("InstallSafeRegion",),
-               "handles": ("InstallSafeRegion",)},
-    "optimal": {"emits": ("InstallAlarmList",),
-                "handles": ("InstallAlarmList", "AlarmNotification")},
-    "periodic": {"emits": (), "handles": ()},
-    "rectangular": {"emits": ("InstallSafeRegion",),
-                    "handles": ("InstallSafeRegion",)},
-    "safeperiod": {"emits": ("InstallSafePeriod",),
-                   "handles": ("InstallSafePeriod",)},
-}
-
 
 def session_next_state(state: str, kind_name: str,
                        direction: str) -> Optional[str]:
     """The state after one frame, or ``None`` when it is forbidden."""
     return SESSION_TRANSITIONS.get((state, kind_name, direction))
 
-
-def allowed_kinds(state: str, direction: str) -> Tuple[str, ...]:
-    """Frame kind names legal in ``state`` for ``direction``, sorted."""
-    return tuple(sorted(
-        kind for (st, kind, dirn) in SESSION_TRANSITIONS
-        if st == state and dirn == direction))

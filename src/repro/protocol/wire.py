@@ -79,9 +79,9 @@ EXIT_FLAG = 0x8000_0000
 #: and deduplicating yields the dataclass's declared field order —
 #: :func:`verify_field_layouts` asserts exactly that, plus, for the
 #: fixed-layout messages, that the value count matches the struct.
-#: Rule PA001 checks the same table statically, so a field added to a
-#: dataclass without a layout (or vice versa) fails both the unit
-#: suite and ``repro check``.
+#: :meth:`WireCodec.from_sizes` runs that check whenever a transport
+#: builds its codec, so a field added to a dataclass without a layout
+#: (or vice versa) fails the first run that sends a message.
 FIELD_LAYOUTS: Dict[str, Tuple[str, ...]] = {
     "LocationReport": ("user_id", "sequence", "position.x",
                        "position.y", "heading", "speed"),
@@ -337,7 +337,7 @@ def encode_bitmap_region(cell_ref: int, bitmap: "PyramidBitmap",
     bit count travels explicitly so the final partial byte is
     unambiguous; total size is 16 + 12 + ceil(bits/8) bytes (plus the
     4-byte length escape from 0xFFFF payload bytes on), matching
-    ``MessageSizes.bitmap_message``.
+    :meth:`WireCodec.size_of_response`.
     """
     bits = bitmap.to_bitstring()
     size = (len(bits) + 7) // 8

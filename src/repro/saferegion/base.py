@@ -23,6 +23,7 @@ region's interior".
 
 from __future__ import annotations
 
+import abc
 from typing import Iterable, Tuple
 
 from ..geometry import Point, Rect
@@ -30,9 +31,15 @@ from ..geometry import Point, Rect
 FLOAT_BITS = 64  # coordinates travel as float64 in the protocol
 
 
-class SafeRegion:
-    """Interface of a client-monitorable safe region."""
+class SafeRegion(abc.ABC):
+    """Interface of a client-monitorable safe region.
 
+    ``probe_xy``, ``size_bits`` and ``area`` are abstract: a subclass
+    missing one cannot be instantiated, so it fails where it is built,
+    not mid-replay at its first probe.
+    """
+
+    @abc.abstractmethod
     def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
         """Check whether ``(x, y)`` is inside; returns ``(inside, ops)``.
 
@@ -41,19 +48,18 @@ class SafeRegion:
         Coordinates, not a :class:`Point`: a client probes every fix of
         its trace and builds a point only for the report it sends.
         """
-        raise NotImplementedError
 
     def probe(self, p: Point) -> Tuple[bool, int]:
         """:meth:`probe_xy` of a :class:`Point`."""
         return self.probe_xy(p.x, p.y)
 
+    @abc.abstractmethod
     def size_bits(self) -> int:
         """Serialized payload size in bits (excluding transport headers)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def area(self) -> float:
         """Area of the region in square meters."""
-        raise NotImplementedError
 
 
 class RectangularSafeRegion(SafeRegion):

@@ -4,9 +4,15 @@ The paper's §4.2 optimisation: "PBSR approach can be optimized by
 precomputing the bitmap at each level for public alarms".  The region
 public alarms carve out of a grid cell is the same for every
 subscriber, so it is state of the *cell*, not of whoever asked.  This
-memo holds it: one bitmap per ``(cell, pending public alarm ids)``,
-built on the first request and handed by reference to every later
-subscriber whose pending set over the cell is exactly those alarms.
+memo holds it: one bitmap per ``(cell, pyramid shape, pending public
+alarm ids)``, built on the first request and handed by reference to
+every later subscriber whose pending set over the cell is exactly those
+alarms.
+
+* The key carries the pyramid's ``(height, fan)``: one server holds one
+  memo for every policy, and the paper lets "each client specify the
+  maximum height of the pyramid", so a PBSR(h=2) subscriber must never
+  be handed an h=6 bitmap of the same cell and alarms.
 
 * Only **public-only** pending sets are memoised.  A subscriber with a
   private or shared alarm pending in the cell gets a fresh build that
@@ -34,9 +40,9 @@ from ..geometry import Rect
 from ..index import CellId
 from .bitmap import BitmapSafeRegion
 
-#: (cell, ids of the pending public alarms the region was carved from,
-#: ascending)
-MemoKey = Tuple[CellId, Tuple[int, ...]]
+#: (cell, pyramid (height, fan), ids of the pending public alarms the
+#: region was carved from, ascending)
+MemoKey = Tuple[CellId, Tuple[int, int], Tuple[int, ...]]
 
 
 class SafeRegionCache:
@@ -60,7 +66,7 @@ class SafeRegionCache:
     def store(self, key: MemoKey, region: BitmapSafeRegion) -> None:
         """Memoise a freshly built region under the alarms it names."""
         self._regions[key] = region
-        for alarm_id in key[1]:
+        for alarm_id in key[2]:
             self._naming.setdefault(alarm_id, set()).add(key)
 
     def _on_mutation(self, alarm_id: int, old_region: Optional[Rect],
@@ -70,7 +76,7 @@ class SafeRegionCache:
             return
         for key in self._naming.pop(alarm_id, ()):
             del self._regions[key]
-            for other_id in key[1]:
+            for other_id in key[2]:
                 if other_id != alarm_id:
                     self._naming[other_id].discard(key)
 

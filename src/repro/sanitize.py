@@ -6,13 +6,13 @@ Enabled via ``repro simulate --sanitize`` or ``REPRO_SANITIZE=1``, it
 installs five invariant checks at simulation start:
 
 * **frozen geometry** — the alarm registry's regions are snapshotted
-  at run start and compared at run end; any mutation (however it
-  dodged RL001) raises;
+  at run start and compared at run end; any in-place mutation (however
+  it got past the frozen geometry types) raises;
 * **monotone simulation clock** — each client's samples must carry
   non-decreasing timestamps (the silence-period contract assumes it);
 * **wire fidelity** — the default transport is replaced by the
-  verifying in-process transport, which encodes every message and
-  asserts ``size_bits == 8 * len(encode(...))``;
+  verifying in-process transport, which encodes every downlink and
+  asserts ``size_of_response(m) == len(encode_response(m))``;
 * **shared regions** — every bitmap the server hands out of its
   public-alarm memo (:mod:`repro.saferegion.cache`) is rebuilt from the
   subscriber's own pending alarms and compared bit for bit: sharing
@@ -21,22 +21,25 @@ installs five invariant checks at simulation start:
   recomputed under a different fold order and compared, spot-checking
   the :meth:`~repro.engine.metrics.Metrics.merged` contract.
 
-A sanitized :class:`~repro.net.daemon.AlarmDaemon` carries two more,
-mirroring the static concurrency checkers at runtime:
+A sanitized :class:`~repro.net.daemon.AlarmDaemon` and its socket
+clients carry five more:
 
-* **event-loop stall monitor** (PA005's shadow) — a watchdog task
+* **framed accounting** — each frame carries exactly the bytes the
+  transport charged (:meth:`~Sanitizer.check_frame`);
+* **event-loop stall monitor** (PA005's runtime half) — a watchdog task
   measures how late periodic sleeps wake; a delay past
   :data:`LOOP_STALL_THRESHOLD_S` fails the run at ``aclose()``;
-* **task-leak check** (PA007's shadow) — after ``aclose()`` cancels
-  and gathers every tracked task, any daemon-owned task still pending
-  is a spawn that escaped the registry, and raises;
+* **task-leak check** — after ``aclose()`` cancels and gathers every
+  tracked task, any daemon-owned task still pending is a spawn that
+  escaped the registry, and raises (the guard that retired the static
+  task-lifecycle rule);
 * **span-balance ledger** (the tracing layer's mirror) — every span
   the transports and the daemon open is noted, every close must match
   an open, and ``check_span_balance`` at transport/daemon close raises
   on any span opened but never closed (the leak class the fault
   injection suite pins);
-* **session automaton walk** (PA008's shadow) — every accepted frame
-  advances the connection's session state through
+* **session automaton walk** (PA008's runtime half) — every accepted
+  frame advances the connection's session state through
   :meth:`~Sanitizer.check_session_transition`, which asserts the
   ``(state, kind, direction)`` step is a declared row of
   :data:`repro.protocol.spec.SESSION_TRANSITIONS`; a dispatch arm the
@@ -223,9 +226,8 @@ class Sanitizer:
 
         ``pending`` names the daemon-owned tasks still unfinished
         after ``aclose()`` cancelled and gathered everything it
-        tracks — the runtime counterpart of the PA007 task-lifecycle
-        contract (a non-empty list means a spawn escaped the
-        registry).
+        tracks (a non-empty list means a spawn escaped the registry:
+        a dropped ``create_task`` handle, a task never cancelled).
         """
         if pending:
             raise SanitizerError(

@@ -29,11 +29,11 @@ trade-off of Fig. 5.
 **Computation sharing** (paper §4.2): the region public alarms carve
 out of a cell is the same for every subscriber, so a subscriber whose
 pending alarms in the cell are all public is served from the server's
-memo (:mod:`repro.saferegion.cache`), keyed by the cell and exactly
-those alarm ids; one with a private or shared alarm pending there gets
-a fresh build that is never shared.  Message and byte totals do not
-depend on which happened: sharing short-circuits only the
-*computation*, never the downlink.
+memo (:mod:`repro.saferegion.cache`), keyed by the cell, the pyramid
+shape and exactly those alarm ids; one with a private or shared alarm
+pending there gets a fresh build that is never shared.  Message and
+byte totals do not depend on which happened: sharing short-circuits
+only the *computation*, never the downlink.
 """
 
 from __future__ import annotations
@@ -106,10 +106,13 @@ class BitmapPolicy(ServerPolicy):
                     cell, [alarm.region for alarm in pending])
 
             if all(alarm.scope is AlarmScope.PUBLIC for alarm in pending):
-                # pending is in id order, so the ids are the memo key
+                # pending is in id order, so the ids name the alarms; the
+                # shape keeps clients of different heights apart
+                computer = self.computer
                 region = server.shared_region(
                     user_id,
-                    (cell_id, tuple(alarm.alarm_id for alarm in pending)),
+                    (cell_id, (computer.height, computer.fan),
+                     tuple(alarm.alarm_id for alarm in pending)),
                     build)
             else:
                 region = build()

@@ -2,8 +2,6 @@
 
 import random
 
-import numpy as np
-
 
 def jitter(value: float, rng: random.Random) -> float:
     return value + rng.random()  # instance call: deterministic per seed
@@ -11,7 +9,3 @@ def jitter(value: float, rng: random.Random) -> float:
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed * 1_000_003)  # seeded construction is fine
-
-
-def make_generator(seed: int) -> object:
-    return np.random.default_rng(seed)  # seeded numpy Generator

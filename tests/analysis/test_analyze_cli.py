@@ -13,8 +13,9 @@ from repro.analysis.runner import package_root
 from repro.cli import main
 
 from .conftest import FIXTURES
+from .test_checkers import PA_RULE_IDS, RL_RULE_IDS
 
-FIXTURE = str(FIXTURES / "pa001")
+FIXTURE = str(FIXTURES / "pa002")
 
 
 class TestExitCodes:
@@ -23,9 +24,8 @@ class TestExitCodes:
         assert "0 problem(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("rule_id",
-                             ["PA001", "PA002", "PA003", "PA004",
-                              "PA005", "PA006", "PA007", "PA008",
-                              "PA009", "PA010"])
+                             ["PA002", "PA003", "PA004", "PA005",
+                              "PA006", "PA008", "PA009"])
     def test_fixture_exits_with_findings(self, rule_id, capsys):
         root = str(FIXTURES / rule_id.lower())
         assert main(["check", root, "--rule", rule_id]) == 1
@@ -40,7 +40,7 @@ class TestExitCodes:
         assert "unknown rule id" in capsys.readouterr().out
 
     def test_lowercase_rule_id_accepted(self):
-        assert main(["check", FIXTURE, "--rule", "pa001"]) == 1
+        assert main(["check", FIXTURE, "--rule", "pa002"]) == 1
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def (\n", encoding="utf-8")
@@ -83,21 +83,20 @@ class TestListRules:
         assert main(["check", "--list-rules"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == (
-            ["RL%03d" % n for n in range(1, 9)]
-            + ["PA%03d" % n for n in range(1, 11)])
+            RL_RULE_IDS + PA_RULE_IDS)
 
 
 class TestFormats:
     def test_json_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA001",
+        assert main(["check", FIXTURE, "--rule", "PA002",
                      "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["PA001"] == 10
-        assert all(diag["rule"] == "PA001"
+        assert payload["counts"]["PA002"] == 9
+        assert all(diag["rule"] == "PA002"
                    for diag in payload["diagnostics"])
 
     def test_sarif_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA001",
+        assert main(["check", FIXTURE, "--rule", "PA002",
                      "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
@@ -106,17 +105,16 @@ class TestFormats:
         # The full catalogue is listed, not just the fired rules.
         rule_ids = [rule["id"]
                     for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == (["RL%03d" % n for n in range(1, 9)]
-                            + ["PA%03d" % n for n in range(1, 11)])
-        assert len(run["results"]) == 10
+        assert rule_ids == RL_RULE_IDS + PA_RULE_IDS
+        assert len(run["results"]) == 9
         first = run["results"][0]
-        assert first["ruleId"] == "PA001"
+        assert first["ruleId"] == "PA002"
         assert first["level"] == "error"
         location = first["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] > 0
 
     def test_sarif_base_uri_makes_links_absolute(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA001",
+        assert main(["check", FIXTURE, "--rule", "PA002",
                      "--format", "sarif", "--sarif-base-uri",
                      "https://example.test/blob/main/"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -128,7 +126,7 @@ class TestFormats:
 
     def test_sarif_clean_tree_has_no_results(self, tmp_path, capsys):
         (tmp_path / "empty.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["check", str(tmp_path), "--rule", "PA001",
+        assert main(["check", str(tmp_path), "--rule", "PA002",
                      "--format", "sarif"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["results"] == []

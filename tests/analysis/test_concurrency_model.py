@@ -1,6 +1,6 @@
 """The concurrency model: await extraction, domains, call graph.
 
-The three concurrency checkers (PA005-PA007) are only as good as the
+The concurrency checkers (PA005 and PA006) are only as good as the
 model underneath, so the model is pinned directly: await-point
 extraction is property-tested against generated coroutines (every
 suspension kind, nested defs excluded), and domain classification is
@@ -155,10 +155,9 @@ class TestModelStructure:
             "async def inner():\n"
             "    return 1\n"))
         edges = conc.calls[("mod.py", "outer")]
-        flags = sorted((edge.awaited, edge.discarded)
-                       for edge in edges
+        flags = sorted(edge.awaited for edge in edges
                        if edge.callee == ("mod.py", "inner"))
-        assert flags == [(False, True), (True, False)]
+        assert flags == [False, True]
 
     def test_function_info_awaits_are_positions(self, tmp_path):
         conc = _concurrency(tmp_path, (

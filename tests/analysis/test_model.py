@@ -1,8 +1,8 @@
 """ProjectModel construction tests: import resolution, loud failure.
 
 The rules lean on a model behavior that is easy to silently break:
-one-hop resolution of *relative* imports (PA010 follows
-``from .alpha import AlphaStrategy`` to the defining strategy module).
+one-hop resolution of *relative* imports (PA003 follows
+``from .state import CACHE`` to the module that owns the container).
 """
 
 import pytest

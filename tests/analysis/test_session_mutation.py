@@ -7,7 +7,9 @@ copies the shipped files its rule reads into a temporary tree, verifies
 the copy is clean, then applies one surgical mutation — the kind a
 refactor could plausibly introduce — and asserts the rule reports it,
 by id and message fragment.  A rule with no case here has not earned
-its place (ROADMAP item 7, static half).
+its place (ROADMAP item 7, static half); a rule whose seed a runtime
+guard already catches has been retired, and ``test_retired_rules.py``
+pins that the guard still does (item 9, dynamic half).
 
 PA008, the first rule held to this standard, keeps its four hand-built
 mutations of the shipped daemon below the table.
@@ -22,10 +24,6 @@ from repro.analysis import ALL_RULES, get_rule, run_analysis
 from repro.analysis.cli import main
 from repro.analysis.runner import package_root
 
-_STRATEGIES = tuple(
-    "strategies/%s.py" % name
-    for name in ("__init__", "adaptive", "base", "bitmap", "optimal",
-                 "periodic", "rectangular", "safeperiod"))
 #: What PA008 reads: the socket layer and the declared automaton.
 _SESSION = ("net/daemon.py", "net/sockets.py", "net/stats.py",
             "protocol/spec.py", "protocol/framing.py")
@@ -46,12 +44,6 @@ class Seed(NamedTuple):
 
 
 SEEDS = (
-    Seed("RL001", "geometry/rect.py", (),
-         "        return Rect(self.min_x + dx, self.min_y + dy,\n"
-         "                    self.max_x + dx, self.max_y + dy)\n",
-         "        self.min_x += dx  # 'saves an allocation'\n"
-         "        return self\n",
-         "frozen geometry value 'self' (a Rect)"),
     Seed("RL002", "saferegion/mwpsr.py", (),
          "if fzero(length):", "if length == 0.0:",
          "exact float == comparison"),
@@ -63,11 +55,6 @@ SEEDS = (
          "fixed = _LAYOUT_STRUCTS.get(name)",
          "fixed = _LAYOUT_STRUCTS.setdefault(name, struct.Struct(\"<d\"))",
          "in-place mutation of module-level container '_LAYOUT_STRUCTS'"),
-    Seed("RL005", "saferegion/bitmap.py", (),
-         "    def size_bits(self) -> int:\n"
-         "        return self.bitmap.bit_length()\n\n",
-         "",
-         "'BitmapSafeRegion' does not define 'size_bits'"),
     Seed("RL006", "engine/server.py", (),
          "telemetry.index_lookup((time.perf_counter() - started) * 1e6,\n",
          "telemetry.index_lookup((time.time() - started) * 1e6,\n",
@@ -84,15 +71,6 @@ SEEDS = (
          "def _leak(server):\n"
          "    return server.metrics\n",
          "strategy touches 'metrics' on 'server'"),
-    Seed("PA001", "protocol/wire.py",
-         ("protocol/messages.py", "protocol/handlers.py",
-          "protocol/framing.py", "net/daemon.py", "net/sockets.py")
-         + _STRATEGIES,
-         '"position.y", "heading", "speed"),\n'
-         '    "RegionExitReport"',
-         '"position.y", "speed", "heading"),\n'
-         '    "RegionExitReport"',
-         "FIELD_LAYOUTS['LocationReport'] orders fields"),
     Seed("PA002", "telemetry/facade.py",
          ("telemetry/events.py", "telemetry/export.py",
           "telemetry/tracer.py", "engine/metrics.py"),
@@ -125,10 +103,6 @@ SEEDS = (
          "        self._handshake.put_nowait((loop, port, None))\n",
          "'port' of class DaemonThread is written from the event-loop "
          "domain and accessed from the main domain"),
-    Seed("PA007", "net/daemon.py", (),
-         "            self._watchdog = asyncio.create_task(\n",
-         "            asyncio.create_task(\n",
-         "create_task() result is discarded"),
     Seed("PA008", "net/daemon.py", _SESSION,
          "                    elif frame.kind is FrameKind.SHUTDOWN:\n",
          "                    elif frame.kind is FrameKind.SHUTDOWN:\n"
@@ -143,12 +117,6 @@ SEEDS = (
          "",
          "decoder 'decoder' acquired in AlarmDaemon._handle_connection "
          "can reach a normal exit without a finish call"),
-    Seed("PA010", "strategies/safeperiod.py",
-         _STRATEGIES + ("protocol/spec.py", "protocol/messages.py"),
-         "            if isinstance(message, InstallSafePeriod):\n",
-         "            if message is not None:\n",
-         "server half emits InstallSafePeriod but its client half never "
-         "handles it"),
 )
 
 

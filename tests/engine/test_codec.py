@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from repro.engine import MessageSizes
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
-from repro.protocol.messages import LocationReport
-from repro.protocol.wire import (MessageType, decode_alarm_push,
+from repro.protocol.messages import (AlarmRecord, InstallAlarmList,
+                                     InstallSafePeriod, InstallSafeRegion,
+                                     LocationReport)
+from repro.protocol.wire import (MessageType, WireCodec, decode_alarm_push,
                                  decode_bitmap_region, decode_location,
                                  decode_rect_region, decode_safe_period,
                                  encode_alarm_push, encode_bitmap_region,
@@ -20,6 +22,7 @@ from repro.protocol.wire import (MessageType, decode_alarm_push,
 from repro.saferegion import PyramidBitmap
 
 SIZES = MessageSizes()
+CODEC = WireCodec.from_sizes(SIZES)
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 
@@ -58,7 +61,8 @@ class TestRectRegion:
 
     def test_size_matches_cost_model(self):
         data = encode_rect_region(Rect(0, 0, 1, 1))
-        assert len(data) == SIZES.rect_message()
+        assert len(data) == CODEC.size_of_response(
+            InstallSafeRegion(rect=Rect(0, 0, 1, 1)))
 
     def test_type_confusion_rejected(self):
         data = encode_safe_period(5.0)
@@ -76,7 +80,8 @@ class TestSafePeriod:
         assert math.isinf(decode_safe_period(encode_safe_period(math.inf)))
 
     def test_size_matches_cost_model(self):
-        assert len(encode_safe_period(1.0)) == SIZES.safe_period_message()
+        assert len(encode_safe_period(1.0)) == CODEC.size_of_response(
+            InstallSafePeriod(expiry=1.0))
 
 
 class TestAlarmPush:
@@ -98,7 +103,11 @@ class TestAlarmPush:
     def test_size_matches_cost_model(self):
         for count in (0, 1, 2):
             data = encode_alarm_push(self.CELL, self.ALARMS[:count])
-            assert len(data) == SIZES.alarm_push_message(count)
+            message = InstallAlarmList(
+                cell=self.CELL,
+                alarms=tuple(AlarmRecord(alarm_id, region)
+                             for alarm_id, region in self.ALARMS[:count]))
+            assert len(data) == CODEC.size_of_response(message)
 
     def test_truncated_payload_rejected(self):
         data = encode_alarm_push(self.CELL, self.ALARMS)
@@ -126,7 +135,8 @@ class TestBitmapRegion:
     def test_size_matches_cost_model(self):
         pyramid, bitmap = self._bitmap()
         data = encode_bitmap_region(0, bitmap)
-        assert len(data) == SIZES.bitmap_message(bitmap.bit_length())
+        assert len(data) == CODEC.size_of_response(
+            InstallSafeRegion(cell_ref=0, bitmap=bitmap))
 
     def test_probe_equivalence_after_decode(self):
         """The decoded bitmap answers probes identically to the original."""

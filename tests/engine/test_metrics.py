@@ -4,6 +4,10 @@ import pytest
 
 from repro.engine import (EnergyModel, MessageSizes, Metrics,
                           RADIO_ENERGY_MODEL, TriggerEvent)
+from repro.geometry import Rect
+from repro.protocol.messages import (AlarmRecord, InstallAlarmList,
+                                     InstallSafePeriod, InstallSafeRegion)
+from repro.protocol.wire import WireCodec
 
 
 class TestMetrics:
@@ -124,25 +128,49 @@ class TestMergeGolden:
         assert counters["index_node_accesses"] == 37
 
 
+class _Bits:
+    """A bitmap stand-in: sizing reads only its bit length."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def bit_length(self):
+        return self.count
+
+
 class TestMessageSizes:
+    """The accounting table sized through the one sizing, the codec."""
+
+    sizes = MessageSizes()
+    codec = WireCodec.from_sizes(sizes)
+
     def test_rect_message(self):
-        sizes = MessageSizes()
-        assert sizes.rect_message() == 16 + 32
+        message = InstallSafeRegion(rect=Rect(0, 0, 1, 1))
+        assert self.codec.size_of_response(message) == 16 + 32
 
     def test_safe_period_message(self):
-        assert MessageSizes().safe_period_message() == 24
+        message = InstallSafePeriod(expiry=1.0)
+        assert self.codec.size_of_response(message) == 24
 
     def test_bitmap_message_rounds_bits_up(self):
-        sizes = MessageSizes()
-        base = sizes.downlink_header + sizes.bitmap_fixed
-        assert sizes.bitmap_message(1) == base + 1
-        assert sizes.bitmap_message(8) == base + 1
-        assert sizes.bitmap_message(9) == base + 2
+        base = self.sizes.downlink_header + self.sizes.bitmap_fixed
+
+        def size(count):
+            return self.codec.size_of_response(
+                InstallSafeRegion(cell_ref=0, bitmap=_Bits(count)))
+
+        assert size(1) == base + 1
+        assert size(8) == base + 1
+        assert size(9) == base + 2
 
     def test_alarm_push_scales_with_count(self):
-        sizes = MessageSizes()
-        empty = sizes.alarm_push_message(0)
-        assert sizes.alarm_push_message(3) == empty + 3 * sizes.alarm_entry
+        def size(count):
+            return self.codec.size_of_response(InstallAlarmList(
+                cell=Rect(0, 0, 1, 1),
+                alarms=tuple(AlarmRecord(alarm_id, Rect(0, 0, 1, 1))
+                             for alarm_id in range(count))))
+
+        assert size(3) == size(0) + 3 * self.sizes.alarm_entry
 
 
 class TestEnergyModel:

@@ -12,9 +12,12 @@ from repro.index import GridOverlay
 from repro.protocol.handlers import EVALUATE_ONLY
 from repro.protocol.messages import InstallSafePeriod, LocationReport
 from repro.protocol.transport import InProcessTransport
+from repro.protocol.wire import WireCodec
 from repro.telemetry import NullSink, Telemetry
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
+#: What one safe-period downlink is charged: the codec's sizing.
+SAFE_PERIOD_BYTES = WireCodec().size_of_response(InstallSafePeriod(0.0))
 
 
 @pytest.fixture
@@ -94,7 +97,7 @@ class TestHelpers:
         assert metrics.uplink_messages == 2
         assert metrics.uplink_bytes == 2 * server.sizes.uplink_location
         assert metrics.downlink_messages == 1
-        assert metrics.downlink_bytes == server.sizes.safe_period_message()
+        assert metrics.downlink_bytes == SAFE_PERIOD_BYTES
 
     def test_timed_saferegion_bucket(self, server):
         server.telemetry = Telemetry.capture(NullSink())

@@ -1,5 +1,9 @@
 """Tests for rectilinear regions (unions of disjoint rectangles)."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +72,22 @@ class TestRegionBasics:
         container = Rect(0, 0, 10, 10)
         region = RectilinearRegion([Rect(5, 0, 20, 10)])
         assert region.coverage_of(container) == pytest.approx(0.5)
+
+    def test_attribute_writes_raise(self):
+        """Frozen like Point and Rect: shared regions cannot be edited."""
+        region = RectilinearRegion([Rect(0, 0, 1, 1)])
+        with pytest.raises(FrozenInstanceError):
+            region._pieces = []
+        with pytest.raises(FrozenInstanceError):
+            del region._bounds
+        assert region.area == 1.0
+
+    def test_pickles_and_copies(self):
+        region = RectilinearRegion([Rect(2, 0, 3, 1), Rect(0, 0, 1, 1)])
+        for clone in (pickle.loads(pickle.dumps(region)),
+                      copy.deepcopy(region)):
+            assert clone.pieces == region.pieces
+            assert clone.bounds == region.bounds
 
 
 class TestRectMinusHoles:

@@ -8,6 +8,7 @@ from repro.analysis import get_rule, run_analysis
 from repro.analysis.cli import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                                 main)
 
+from ..analysis.test_checkers import PA_RULE_IDS, RL_RULE_IDS
 from .conftest import FIXTURES
 
 
@@ -19,23 +20,23 @@ def test_clean_file_exits_zero(capsys):
 
 
 def test_findings_exit_one_with_precise_locations(capsys):
-    path = FIXTURES / "rl001" / "bad"
-    code = main([str(path), "--rule", "RL001"])
+    path = FIXTURES / "rl006" / "bad"
+    code = main([str(path), "--rule", "RL006"])
     assert code == EXIT_FINDINGS
     out = capsys.readouterr().out
     # Every diagnostic line has the documented file:line:col: RULE shape.
-    diag_lines = [line for line in out.splitlines() if "RL001" in line]
+    diag_lines = [line for line in out.splitlines() if " RL006 " in line]
     assert diag_lines
     for line in diag_lines:
-        location, message = line.split(" RL001 ")
+        location, message = line.split(" RL006 ")
         assert message
         file_part, line_no, col_no = location.rstrip(":").rsplit(":", 2)
-        assert file_part.endswith("bad/engine/relocate.py")
+        assert file_part.endswith("bad/engine/clock.py")
         assert int(line_no) > 0 and int(col_no) >= 0
 
 
 def test_rule_filter_is_case_insensitive(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "rl001"])
+    code = main([str(FIXTURES / "rl006" / "bad"), "--rule", "rl006"])
     assert code == EXIT_FINDINGS
 
 
@@ -60,11 +61,11 @@ def test_syntax_error_exits_two(tmp_path, capsys):
 
 
 def test_json_format(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "RL001",
+    code = main([str(FIXTURES / "rl006" / "bad"), "--rule", "RL006",
                  "--format", "json"])
     assert code == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["RL001"] == len(payload["diagnostics"]) > 0
+    assert payload["counts"]["RL006"] == len(payload["diagnostics"]) > 0
 
 
 def test_list_rules(capsys):
@@ -72,8 +73,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     # One registry: the file-local rules, then the whole-program ones.
     assert [line.split()[0] for line in out.splitlines()] == (
-        ["RL%03d" % n for n in range(1, 9)]
-        + ["PA%03d" % n for n in range(1, 11)])
+        RL_RULE_IDS + PA_RULE_IDS)
 
 
 @pytest.mark.parametrize("rule_id, scoped_dir", [
@@ -108,7 +108,7 @@ def test_empty_directory_exits_two(tmp_path, capsys):
 
 
 def test_sarif_format(capsys):
-    code = main([str(FIXTURES / "rl001" / "bad"), "--rule", "RL001",
+    code = main([str(FIXTURES / "rl006" / "bad"), "--rule", "RL006",
                  "--format", "sarif"])
     assert code == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
@@ -117,11 +117,10 @@ def test_sarif_format(capsys):
     assert run["tool"]["driver"]["name"] == "repro-check"
     # The catalogue lists every registered rule, not just fired ones.
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert len(rule_ids) == 18
-    assert "RL001" in rule_ids and "PA010" in rule_ids
+    assert rule_ids == RL_RULE_IDS + PA_RULE_IDS
     assert run["results"]
     for result in run["results"]:
-        assert result["ruleId"] == "RL001"
+        assert result["ruleId"] == "RL006"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] > 0

@@ -25,8 +25,8 @@ def test_collect_single_rule():
 
 
 def test_collect_multiple_rules_and_spacing():
-    allowed = collect_pragmas("a\nb  #lint: allow=RL001 , RL004\n")
-    assert allowed == {2: frozenset({"RL001", "RL004"})}
+    allowed = collect_pragmas("a\nb  #lint: allow=RL003 , RL004\n")
+    assert allowed == {2: frozenset({"RL003", "RL004"})}
 
 
 def test_non_pragma_comments_ignored():
@@ -36,7 +36,7 @@ def test_non_pragma_comments_ignored():
 def test_is_allowed_is_line_and_rule_scoped():
     allowed = {3: frozenset({"RL002"})}
     assert is_allowed(allowed, 3, "RL002")
-    assert not is_allowed(allowed, 3, "RL001")
+    assert not is_allowed(allowed, 3, "RL003")
     assert not is_allowed(allowed, 4, "RL002")
 
 

@@ -16,6 +16,8 @@ import pytest
 from repro.analysis import ALL_RULES, Diagnostic, Report
 from repro.analysis.sarif import RULE_DOC_PATH, RuleMetadata, to_sarif
 
+from ..analysis.test_checkers import PA_RULE_IDS, RL_RULE_IDS
+
 DOC = Path(__file__).resolve().parents[2] / RULE_DOC_PATH
 
 
@@ -40,10 +42,8 @@ class TestRuleMetadata:
     def test_catalogue_covers_every_rule_and_checker(self):
         ids = [meta.rule_id for meta in _all_metadata()]
         assert len(ids) == len(set(ids))
-        assert [i for i in ids if i.startswith("RL")] \
-            == ["RL%03d" % n for n in range(1, 9)]
-        assert [i for i in ids if i.startswith("PA")] \
-            == ["PA%03d" % n for n in range(1, 11)]
+        assert [i for i in ids if i.startswith("RL")] == RL_RULE_IDS
+        assert [i for i in ids if i.startswith("PA")] == PA_RULE_IDS
 
     @pytest.mark.parametrize("meta", _all_metadata(),
                              ids=lambda meta: meta.rule_id)
@@ -67,8 +67,8 @@ class TestSarifShape:
     def _payload(self):
         report = Report(
             [Diagnostic(path="src/x.py", line=3, col=1,
-                        rule_id="RL001", message="boom")],
-            files_checked=1, rule_ids=["RL001"])
+                        rule_id="RL002", message="boom")],
+            files_checked=1, rule_ids=["RL002"])
         return json.loads(to_sarif(report))
 
     def test_schema_and_version(self):
@@ -79,7 +79,7 @@ class TestSarifShape:
     def test_every_rule_carries_full_metadata(self):
         driver = self._payload()["runs"][0]["tool"]["driver"]
         assert driver["informationUri"] == RULE_DOC_PATH
-        assert len(driver["rules"]) == 18
+        assert len(driver["rules"]) == len(RL_RULE_IDS + PA_RULE_IDS)
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
             assert rule["fullDescription"]["text"]

@@ -1,4 +1,4 @@
-"""Tests for the declared session/causality spec tables."""
+"""Tests for the declared session spec tables."""
 
 import ast
 from pathlib import Path
@@ -7,8 +7,6 @@ import pytest
 
 from repro.protocol import spec
 from repro.protocol.framing import FrameKind
-from repro.protocol.messages import Response
-from typing import get_args
 
 
 class TestTableShape:
@@ -39,25 +37,13 @@ class TestTableShape:
                     if target == spec.STATE_CLOSING}
         assert teardown == {"ERROR"}
 
-    def test_causality_names_are_response_members(self):
-        members = {cls.__name__ for cls in get_args(Response)}
-        for entry in spec.STRATEGY_CAUSALITY.values():
-            assert set(entry) == {"emits", "handles"}
-            for kind in entry["emits"] + entry["handles"]:
-                assert kind in members
-        for kind in spec.BASELINE_DOWNLINKS:
-            assert kind in members
-
 
 class TestLiteralness:
-    """The analyzers re-read the tables with ``ast.literal_eval`` from
-    source — a refactor computing them would silently blind PA008 and
-    PA010."""
+    """PA008 re-reads the tables with ``ast.literal_eval`` from source —
+    a refactor computing them would silently blind it."""
 
     @pytest.mark.parametrize("name", ["SESSION_STATES",
-                                      "SESSION_TRANSITIONS",
-                                      "BASELINE_DOWNLINKS",
-                                      "STRATEGY_CAUSALITY"])
+                                      "SESSION_TRANSITIONS"])
     def test_table_is_a_literal(self, name):
         source = Path(spec.__file__).read_text(encoding="utf-8")
         tree = ast.parse(source)
@@ -88,9 +74,3 @@ class TestHelpers:
             spec.STATE_READY, "HELLO",
             spec.DIR_CLIENT_TO_SERVER) is None
 
-    def test_allowed_kinds_sorted(self):
-        kinds = spec.allowed_kinds(spec.STATE_READY,
-                                   spec.DIR_CLIENT_TO_SERVER)
-        assert kinds == tuple(sorted(kinds))
-        assert "REQUEST" in kinds
-        assert "HELLO" not in kinds

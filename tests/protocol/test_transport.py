@@ -15,6 +15,8 @@ from repro.protocol.transport import (InProcessTransport, LossyTransport,
 from repro.protocol.wire import WireCodec
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
+#: What one safe-period downlink is charged: the codec's sizing.
+SAFE_PERIOD_BYTES = WireCodec().size_of_response(InstallSafePeriod(0.0))
 
 
 class InstallOnEveryReport(ServerPolicy):
@@ -50,7 +52,7 @@ class TestInProcessAccounting:
         assert metrics.uplink_messages == 1
         assert metrics.uplink_bytes == server.sizes.uplink_location
         assert metrics.downlink_messages == 1
-        assert metrics.downlink_bytes == server.sizes.safe_period_message()
+        assert metrics.downlink_bytes == SAFE_PERIOD_BYTES
 
     def test_in_band_notifications_are_free(self):
         server = make_server()
@@ -107,7 +109,7 @@ class TestLossyTransport:
         assert metrics.uplink_bytes == \
             metrics.uplink_messages * server.sizes.uplink_location
         assert metrics.downlink_bytes == \
-            metrics.downlink_messages * server.sizes.safe_period_message()
+            metrics.downlink_messages * SAFE_PERIOD_BYTES
 
     def test_seeded_runs_are_reproducible(self):
         def run():

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.engine.network import MessageSizes
 from repro.geometry import Point, Rect
 from repro.index import Pyramid
 from repro.protocol import wire
@@ -117,8 +116,6 @@ class TestLengthEscape:
         data = codec.encode_response(message, sender=2, timestamp=5.0)
         assert len(data) > 0xFFFF
         assert codec.size_of_response(message) == len(data)
-        assert MessageSizes().bitmap_message(bitmap.bit_length()) \
-            == len(data)
         assert wire.peek_bitmap_cell_ref(data) == pack_cell_ref(3, 4)
         cell_ref, decoded = wire.decode_bitmap_region(data, pyramid)
         assert cell_ref == pack_cell_ref(3, 4)

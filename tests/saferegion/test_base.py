@@ -1,9 +1,26 @@
 """Tests for the safe-region base abstractions."""
 
+import pytest
 
 from repro.geometry import Point, Rect
-from repro.saferegion import (FLOAT_BITS, RectangularSafeRegion,
+from repro.saferegion import (FLOAT_BITS, RectangularSafeRegion, SafeRegion,
                               region_is_safe)
+
+
+class TestContract:
+    def test_subclass_without_size_bits_cannot_be_instantiated(self):
+        """The bandwidth model charges size_bits(): a region that cannot
+        say fails where it is built, not at its first downlink."""
+
+        class Unsized(SafeRegion):
+            def probe_xy(self, x, y):
+                return True, 1
+
+            def area(self):
+                return 0.0
+
+        with pytest.raises(TypeError, match="size_bits"):
+            Unsized()
 
 
 class TestRectangularSafeRegion:

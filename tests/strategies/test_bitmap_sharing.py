@@ -44,6 +44,7 @@ UNIVERSE = Rect(0, 0, 3000, 3000)   # 3 x 3 cells of 1 km^2
 STEP = 125                          # lattice pitch: 8 per cell side
 USERS = (0, 1, 2, 3)
 HEIGHT = 2
+SHAPE = (HEIGHT, PBSRComputer(height=HEIGHT).fan)
 
 lattice = st.integers(0, 3000 // STEP).map(lambda k: float(k * STEP))
 
@@ -98,7 +99,7 @@ class SharedMemoMachine(RuleBasedStateMachine):
         """``before`` minus the entries naming ``alarm_id``, untouched."""
         after = self.memo.entries()
         assert set(after) == {key for key in before
-                              if alarm_id not in key[1]}
+                              if alarm_id not in key[2]}
         assert all(after[key] is before[key] for key in after)
         self.expected = set(after)
 
@@ -147,7 +148,7 @@ class SharedMemoMachine(RuleBasedStateMachine):
             assert all(install.bitmap is not region.bitmap
                        for region in now.values())
             return
-        key = (cell_id, tuple(alarm.alarm_id for alarm in pending))
+        key = (cell_id, SHAPE, tuple(alarm.alarm_id for alarm in pending))
         assert install.bitmap is now[key].bitmap
         if key in held:
             assert now[key] is held[key]  # shared, not rebuilt
@@ -158,7 +159,8 @@ class SharedMemoMachine(RuleBasedStateMachine):
     def memo_holds_exactly_the_live_public_regions(self):
         entries = self.memo.entries()
         assert set(entries) == self.expected
-        for (cell_id, public_ids), region in entries.items():
+        for (cell_id, shape, public_ids), region in entries.items():
+            assert shape == SHAPE
             cell = self.grid.cell_rect(cell_id)
             named = [self.registry.get(alarm_id)  # KeyError: not live
                      for alarm_id in public_ids]
@@ -200,7 +202,7 @@ def test_co_located_subscribers_share_one_build(served):
     second = report(server, policy, 2, INSIDE)
     assert second.bitmap is first.bitmap
     assert list(server.state.region_cache.entries()) == [
-        (CELL, (public.alarm_id,))]
+        (CELL, SHAPE, (public.alarm_id,))]
     # one region *served* each, shared or built
     assert server.metrics.safe_region_computations == 2
 
@@ -229,7 +231,24 @@ def test_a_fired_alarm_is_a_different_entry(served):
     fired = report(server, policy, 2, Point(1200.0, 1200.0))
     assert fired.bitmap is not everyone.bitmap
     assert set(server.state.region_cache.entries()) == {
-        (CELL, (public.alarm_id,)), (CELL, ())}
+        (CELL, SHAPE, (public.alarm_id,)), (CELL, SHAPE, ())}
+
+
+def test_clients_of_different_heights_never_share_a_bitmap(served):
+    """Paper §4.2 lets each client pick its pyramid height, and one
+    server holds one memo for every policy: the key carries the shape,
+    so each client is served the bitmap of its own height."""
+    registry, server, _ = served
+    registry.install(Rect(1100, 1100, 1300, 1300), AlarmScope.PUBLIC, 0)
+    cell = server.grid.cell_rect(CELL)
+    pending = registry.relevant_intersecting(1, cell)
+    for height in (2, 6, 2, 6):
+        computer = PBSRComputer(height=height)
+        served_bitmap = report(server, BitmapPolicy(computer), height,
+                               INSIDE).bitmap
+        assert bits(served_bitmap) == bits(
+            computer.compute(cell, [alarm.region for alarm in pending]))
+    assert len(server.state.region_cache.entries()) == 2
 
 
 def test_sanitizer_catches_a_stale_shared_region(served):
