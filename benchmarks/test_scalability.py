@@ -14,11 +14,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import (BENCH, parallel_speedup_sweep,
-                               parallel_speedup_table, scalability_sweep,
-                               scalability_table)
-
-from .conftest import print_table
+from repro.engine import run_parallel_simulation
+from repro.experiments import (BENCH, build_world, make_mwpsr_strategy,
+                               make_pbsr_strategy, timed_run)
+from repro.strategies import PeriodicStrategy, SafePeriodStrategy
 
 POPULATIONS = (30, 60, 120)
 
@@ -33,11 +32,21 @@ PARALLEL_CONFIG = replace(BENCH, vehicle_count=PARALLEL_POPULATION,
 PARALLEL_WORKERS = 4
 
 
+def _population_sweep():
+    """``{population: {strategy name: (result, server time)}}``."""
+    results = {}
+    for population in POPULATIONS:
+        world = build_world(replace(BENCH, vehicle_count=population))
+        strategies = (PeriodicStrategy(),
+                      SafePeriodStrategy(max_speed=world.max_speed()),
+                      make_mwpsr_strategy(z=32), make_pbsr_strategy(5))
+        results[population] = {strategy.name: timed_run(world, strategy)
+                               for strategy in strategies}
+    return results
+
+
 def test_scalability(benchmark):
-    results = benchmark.pedantic(scalability_sweep,
-                                 args=(BENCH, POPULATIONS),
-                                 rounds=1, iterations=1)
-    print_table(scalability_table(results))
+    results = benchmark.pedantic(_population_sweep, rounds=1, iterations=1)
 
     # every run is accurate
     for per_strategy in results.values():
@@ -68,11 +77,13 @@ def test_scalability(benchmark):
 
 def test_parallel_speedup(benchmark):
     """Sharded replay of 10k vehicles: identical results, less wall time."""
+    world = build_world(PARALLEL_CONFIG)
+    world.ground_truth()  # score once, outside both timed runs
     results = benchmark.pedantic(
-        parallel_speedup_sweep,
-        args=(PARALLEL_CONFIG, (1, PARALLEL_WORKERS)),
+        lambda: {workers: run_parallel_simulation(world, PeriodicStrategy,
+                                                  workers=workers)
+                 for workers in (1, PARALLEL_WORKERS)},
         rounds=1, iterations=1)
-    print_table(parallel_speedup_table(results))
     serial = results[1]
     sharded = results[PARALLEL_WORKERS]
 

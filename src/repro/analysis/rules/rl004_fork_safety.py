@@ -142,8 +142,7 @@ class ForkSafetyRule(Rule):
     # state would alias across connections exactly as it would across
     # forked shards.
     scopes = ("engine", "strategies", "saferegion", "index", "alarms",
-              "geometry", "mobility", "telemetry", "protocol", "net",
-              "bench")
+              "geometry", "mobility", "telemetry", "protocol", "net")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         scanner = _FunctionScanner(self, module)

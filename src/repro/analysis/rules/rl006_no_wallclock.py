@@ -42,8 +42,7 @@ class NoWallclockRule(Rule):
     # *simulation* clock on its envelope, so the serving side must stay
     # wallclock-free outside sanctioned perf_counter latency probes.
     scopes = ("engine", "strategies", "saferegion", "index", "geometry",
-              "mobility", "alarms", "telemetry", "protocol", "net",
-              "bench")
+              "mobility", "alarms", "telemetry", "protocol", "net")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):

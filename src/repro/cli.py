@@ -17,18 +17,16 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
-import json
 import sys
 import time
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .bench import run_hotpath_bench
 from .engine import run_parallel_simulation, run_simulation
 from .engine.metrics import Metrics
 from .engine.server import AlarmServer
 from .net import (AlarmDaemon, render_stats_json, render_stats_prom,
-                  render_stats_text, render_top, run_bench, scrape_stats)
+                  render_stats_text, render_top, scrape_stats)
 from .protocol.wire import WireCodec
 from .sanitize import Sanitizer
 from .experiments import (BENCH, PAPER, TINY, ServerTime, Table,
@@ -67,8 +65,15 @@ FIGURES: Dict[str, Callable[..., Table]] = {
     "6d": figure6d,
 }
 
-STRATEGY_HELP = ("periodic | sp | mwpsr | mwpsr-nw | gbsr | "
+STRATEGY_HELP = ("periodic | sp | mwpsr[:z] | mwpsr-nw | gbsr | "
                  "pbsr[:height] | opt")
+
+#: Every strategy name with the default of its one positive integer
+#: parameter; 0: the strategy takes no parameter.
+STRATEGY_DEFAULTS: Dict[str, int] = {
+    "periodic": 0, "sp": 0, "mwpsr": 32, "mwpsr-nw": 0, "gbsr": 0,
+    "pbsr": 5, "opt": 0,
+}
 
 
 def _resolve_workload(args: argparse.Namespace) -> WorkloadConfig:
@@ -81,25 +86,35 @@ def _resolve_workload(args: argparse.Namespace) -> WorkloadConfig:
     return config
 
 
+def _parse_strategy(spec: str) -> Tuple[str, int]:
+    """Split ``name[:parameter]``, exiting with the usage message unless
+    the name is known and a parameter, if given, is a positive integer
+    the strategy takes."""
+    name, colon, text = spec.lower().partition(":")
+    default = STRATEGY_DEFAULTS.get(name)
+    if default is not None and not colon:
+        return name, default
+    if default and text.isdecimal() and int(text) >= 1:
+        return name, int(text)
+    raise SystemExit("invalid strategy %r (choose from: %s)"
+                     % (spec, STRATEGY_HELP))
+
+
 def _resolve_strategy(spec: str, max_speed: float) -> ProcessingStrategy:
-    name, _, parameter = spec.partition(":")
-    name = name.lower()
+    name, parameter = _parse_strategy(spec)
     if name == "periodic":
         return PeriodicStrategy()
     if name == "sp":
         return SafePeriodStrategy(max_speed=max_speed)
     if name == "mwpsr":
-        return make_mwpsr_strategy(z=int(parameter) if parameter else 32)
+        return make_mwpsr_strategy(z=parameter)
     if name == "mwpsr-nw":
         return make_mwpsr_strategy(weighted=False)
     if name == "gbsr":
         return make_pbsr_strategy(1)
     if name == "pbsr":
-        return make_pbsr_strategy(int(parameter) if parameter else 5)
-    if name == "opt":
-        return OptimalStrategy()
-    raise SystemExit("unknown strategy %r (choose from: %s)"
-                     % (spec, STRATEGY_HELP))
+        return make_pbsr_strategy(parameter)
+    return OptimalStrategy()
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +164,9 @@ def _resolve_transport(args: argparse.Namespace
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # Checked here too, before the world is built: a worker process that
+    # resolves a bad spec would fail far from the usage message.
+    _parse_strategy(args.strategy)
     config = _resolve_workload(args)
     world = build_world(config, args.cell)
     if args.workers < 1:
@@ -224,12 +242,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a workload's alarm server over a real socket.
 
-    Runs until a client sends a SHUTDOWN frame (``repro bench-net
-    --shutdown``) or the process receives SIGINT.  With ``--trace`` the
-    daemon records the same JSONL telemetry a simulation records —
-    ``repro report`` reconciles it and renders the net_* counters and
-    latency histograms.
+    Runs until a client sends a SHUTDOWN frame
+    (:meth:`~repro.net.SocketTransport.send_shutdown`) or the process
+    receives SIGINT.  With ``--trace`` the daemon records the same JSONL
+    telemetry a simulation records — ``repro report`` reconciles it and
+    renders the net_* counters and latency histograms.
     """
+    _parse_strategy(args.strategy)  # before the world is built
     config = _resolve_workload(args)
     world = build_world(config, args.cell)
     strategy = _resolve_strategy(args.strategy, world.max_speed())
@@ -284,37 +303,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
              metrics.downlink_bytes, wall_time))
     if args.trace:
         print("trace: %s" % args.trace)
-    return 0
-
-
-def _cmd_bench_net(args: argparse.Namespace) -> int:
-    """Replay a workload's traces against a running daemon."""
-    if not args.uds and not args.port:
-        raise SystemExit("bench-net needs --uds PATH or --port N")
-    config = _resolve_workload(args)
-    world = build_world(config, args.cell)
-    result = run_bench(world.traces, path=args.uds, host=args.host,
-                       port=args.port,
-                       codec=WireCodec.from_sizes(world.sizes),
-                       connections=args.connections, window=args.window,
-                       repeat=args.repeat, shutdown=args.shutdown)
-    manifest = RunManifest.collect(
-        strategy="bench-net", config=asdict(config),
-        workers=args.connections, sizes=world.sizes.to_dict(),
-        cell_area_km2=args.cell, window=args.window, repeat=args.repeat)
-    print(json.dumps(result.to_dict(manifest), indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    """Time the alarm index grown by inserts against the STR-packed one."""
-    options = {"points": args.points, "repeats": args.repeats,
-               "seed": args.seed}
-    rows = run_hotpath_bench(**options)
-    manifest = RunManifest.collect(strategy="bench-hotpath", config=options)
-    print(json.dumps({"index_build": rows,
-                      "run_manifest": manifest.to_dict()},
-                     indent=2, sort_keys=True))
     return 0
 
 
@@ -521,39 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "accounting checks)")
     add_workload_options(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bench_parser = subparsers.add_parser(
-        "bench-net", help="replay a workload's traces against a "
-                          "running `repro serve` daemon")
-    add_endpoint_options(bench_parser)
-    bench_parser.add_argument("--connections", type=int, default=4,
-                              help="concurrent connections (default 4)")
-    bench_parser.add_argument("--window", type=int, default=64,
-                              help="in-flight requests per connection "
-                                   "(default 64)")
-    bench_parser.add_argument("--repeat", type=int, default=1,
-                              help="replay the trace set N times "
-                                   "(default 1)")
-    bench_parser.add_argument("--shutdown", action="store_true",
-                              help="send the daemon a SHUTDOWN frame "
-                                   "when done")
-    add_workload_options(bench_parser)
-    bench_parser.set_defaults(handler=_cmd_bench_net)
-
-    hotpath_parser = subparsers.add_parser(
-        "bench-hotpath", help="time the alarm index grown by inserts "
-                              "against the STR-packed one")
-    hotpath_parser.add_argument("--points", type=int, default=100000,
-                                help="largest alarm population built; "
-                                     "a tenth as many queries of each "
-                                     "kind (default 100000)")
-    hotpath_parser.add_argument("--repeats", type=int, default=3,
-                                help="timed repetitions per query "
-                                     "section; best is kept (default 3)")
-    hotpath_parser.add_argument("--seed", type=int, default=11,
-                                help="seed of the geometry RNG "
-                                     "(default 11)")
-    hotpath_parser.set_defaults(handler=_cmd_bench_hotpath)
 
     stats_parser = subparsers.add_parser(
         "stats", help="scrape a running daemon's live STATS snapshot "

@@ -10,8 +10,6 @@ from .figures import (figure1b, figure4a, figure4b, figure5a, figure5b,
                       figure6a, figure6b, figure6c, figure6d,
                       make_mwpsr_strategy, make_pbsr_strategy, timed_run)
 from .report import ServerTime, Table, profile_report
-from .scalability import (parallel_speedup_sweep, parallel_speedup_table,
-                          scalability_sweep, scalability_table)
 from .viz import render_cell, render_legend
 
 __all__ = [
@@ -23,11 +21,7 @@ __all__ = [
     "workload_profile",
     "render_cell",
     "render_legend",
-    "parallel_speedup_sweep",
-    "parallel_speedup_table",
     "profile_report",
-    "scalability_sweep",
-    "scalability_table",
     "DEFAULT_CELL_AREA_KM2",
     "PAPER",
     "ServerTime",

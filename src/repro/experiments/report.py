@@ -70,9 +70,10 @@ class ServerTime(NamedTuple):
 
     Read by :meth:`of` from the stage histograms (:func:`stage_costs`);
     every reader of server time — the figures, ``repro simulate``'s
-    ``server time:`` line, the scalability table, the examples — takes
-    it from here.  The R\\*-tree lookup a safe region starts from is its
-    own column, not hidden inside the safe-region one.
+    ``server time:`` line, :func:`~repro.experiments.figures.timed_run`,
+    the examples — takes it from here.  The R\\*-tree lookup a safe
+    region starts from is its own column, not hidden inside the
+    safe-region one.
     """
 
     #: ``trigger_eval_cost_us``: evaluating location reports.

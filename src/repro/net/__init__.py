@@ -16,8 +16,6 @@ this package plugs in an actual byte stream.  Four pieces:
 * :func:`run_network_simulation` — the serial replay loop with the
   client and server halves on opposite ends of a Unix socket; the
   conformance suite pins its counters byte-identical to the goldens.
-* :func:`run_bench` — the ``repro bench-net`` load generator: pipelined
-  mobility-trace replay over N concurrent connections.
 * :func:`scrape_stats` — the ``repro stats`` / ``repro top`` operator
   channel client: one STATS frame in, the daemon's live snapshot out,
   with pure renderers for text, JSON, Prometheus and the polling
@@ -30,7 +28,6 @@ tags, in-band notifications) is never charged — see
 ``docs/NETWORKING.md``.
 """
 
-from .bench import BenchResult, run_bench
 from .daemon import AlarmDaemon, DaemonThread
 from .engine import run_network_simulation
 from .sockets import (PyramidGeometry, SocketTransport, bitmap_geometry_of,
@@ -41,7 +38,6 @@ from .stats import (StatsSnapshot, histogram_percentile, render_stats_json,
 
 __all__ = [
     "AlarmDaemon",
-    "BenchResult",
     "DaemonThread",
     "PyramidGeometry",
     "SocketTransport",
@@ -53,7 +49,6 @@ __all__ = [
     "render_stats_prom",
     "render_stats_text",
     "render_top",
-    "run_bench",
     "run_network_simulation",
     "scrape_stats",
 ]

@@ -149,8 +149,9 @@ class AlarmDaemon:
         """Ask the daemon to stop (loop-thread only; idempotent).
 
         Also reachable over the wire: a SHUTDOWN frame on any
-        connection is the operator channel ``repro bench-net
-        --shutdown`` uses.
+        connection (:meth:`SocketTransport.send_shutdown
+        <repro.net.sockets.SocketTransport.send_shutdown>`) is the
+        operator channel that stops a ``repro serve`` daemon.
         """
         if self._stop_event is not None:
             self._stop_event.set()

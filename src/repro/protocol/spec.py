@@ -54,8 +54,8 @@ DIR_SERVER_TO_CLIENT = "s2c"
 SESSION_TRANSITIONS: Dict[Tuple[str, str, str], str] = {
     # Handshake: exactly one HELLO, first, from the client.
     ("AWAIT_HELLO", "HELLO", "c2s"): "READY",
-    # The operator channel works pre-handshake too: `repro bench-net
-    # --shutdown` must be able to stop a daemon unconditionally.
+    # The operator channel works pre-handshake too: a SHUTDOWN frame
+    # must be able to stop a daemon unconditionally.
     ("AWAIT_HELLO", "SHUTDOWN", "c2s"): "AWAIT_HELLO",
     ("AWAIT_HELLO", "ERROR", "s2c"): "CLOSING",
     # Established traffic.

@@ -2,8 +2,9 @@
 
 This module owns the byte layout of every message in
 :mod:`repro.protocol.messages` and is the *source of truth* for message
-sizes: :class:`~repro.engine.network.MessageSizes` defaults are derived
-from the struct sizes exported here, and :meth:`WireCodec.size_of_request`
+sizes: the struct sizes exported here are the accounting's sizes (only
+the OPT alarm entry, :class:`~repro.engine.network.MessageSizes`, is
+chosen by a caller), and :meth:`WireCodec.size_of_request`
 / :meth:`WireCodec.size_of_response` compute a payload's accounted byte
 cost from the same layout that :meth:`WireCodec.encode_response`
 serializes — so "bytes charged" equals "bytes on the wire" by
@@ -54,8 +55,8 @@ _SAFE_PERIOD = struct.Struct("<d")          # 8 bytes
 _ALARM_FIXED = struct.Struct("<Qdddd")      # 40 bytes: id + rect
 _BITMAP_FIXED = struct.Struct("<QI")        # 12 bytes: cell ref + bit count
 
-#: Struct-derived sizes.  ``MessageSizes`` defaults point here, so the
-#: accounting constants cannot drift from the actual encoding.
+#: Struct-derived sizes: the accounting charges these, so it cannot
+#: drift from the actual encoding.
 UPLINK_LOCATION_SIZE = _UPLINK.size
 DOWNLINK_HEADER_SIZE = _HEADER.size
 RECT_PAYLOAD_SIZE = _RECT.size
@@ -422,29 +423,17 @@ class WireCodec:
         """Codec matching a ``MessageSizes`` accounting table.
 
         Only the alarm-entry size is a free parameter (its alert
-        payload); every other field of ``sizes`` must equal the struct
-        sizes this codec encodes, or the accounting could not match the
-        wire.  Beyond the per-message totals, the per-field layouts
-        themselves are verified (:func:`verify_field_layouts`) — two
-        messages can agree on total bytes while disagreeing on field
-        order, and that drift must not decode silently.
+        payload); every other size is the struct this codec encodes.
+        The per-field layouts are verified first
+        (:func:`verify_field_layouts`) — two messages can agree on total
+        bytes while disagreeing on field order, and that drift must not
+        decode silently.
         """
         problems = verify_field_layouts()
         if problems:
             raise ValueError(
                 "wire field layouts disagree with the message "
                 "dataclasses: %s" % "; ".join(problems))
-        fixed = {"uplink_location": UPLINK_LOCATION_SIZE,
-                 "downlink_header": DOWNLINK_HEADER_SIZE,
-                 "rect_payload": RECT_PAYLOAD_SIZE,
-                 "safe_period_payload": SAFE_PERIOD_PAYLOAD_SIZE,
-                 "bitmap_fixed": BITMAP_FIXED_SIZE}
-        for field, expected in fixed.items():
-            if getattr(sizes, field) != expected:
-                raise ValueError(
-                    "MessageSizes.%s=%d does not match the wire layout "
-                    "(%d bytes); the codec cannot account it faithfully"
-                    % (field, getattr(sizes, field), expected))
         alert = sizes.alarm_entry - ALARM_FIXED_SIZE
         if alert < 0:
             raise ValueError("alarm_entry smaller than its fixed part")

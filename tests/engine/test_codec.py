@@ -13,7 +13,8 @@ from repro.index import Pyramid
 from repro.protocol.messages import (AlarmRecord, InstallAlarmList,
                                      InstallSafePeriod, InstallSafeRegion,
                                      LocationReport)
-from repro.protocol.wire import (MessageType, WireCodec, decode_alarm_push,
+from repro.protocol.wire import (UPLINK_LOCATION_SIZE, MessageType,
+                                 WireCodec, decode_alarm_push,
                                  decode_bitmap_region, decode_location,
                                  decode_rect_region, decode_safe_period,
                                  encode_alarm_push, encode_bitmap_region,
@@ -21,8 +22,7 @@ from repro.protocol.wire import (MessageType, WireCodec, decode_alarm_push,
                                  encode_safe_period, peek_type)
 from repro.saferegion import PyramidBitmap
 
-SIZES = MessageSizes()
-CODEC = WireCodec.from_sizes(SIZES)
+CODEC = WireCodec.from_sizes(MessageSizes())
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 
@@ -41,7 +41,7 @@ class TestLocationReport:
 
     def test_size_matches_cost_model(self):
         report = LocationReport(1, 1, Point(0, 0), 0.0, 0.0)
-        assert len(encode_location(report)) == SIZES.uplink_location
+        assert len(encode_location(report)) == UPLINK_LOCATION_SIZE
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), coords, coords)
     def test_property_roundtrip(self, user_id, x, y):

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import (EnergyModel, MessageSizes, Metrics,
                           RADIO_ENERGY_MODEL, TriggerEvent)
 from repro.geometry import Rect
+from repro.protocol import wire
 from repro.protocol.messages import (AlarmRecord, InstallAlarmList,
                                      InstallSafePeriod, InstallSafeRegion)
 from repro.protocol.wire import WireCodec
@@ -153,7 +154,7 @@ class TestMessageSizes:
         assert self.codec.size_of_response(message) == 24
 
     def test_bitmap_message_rounds_bits_up(self):
-        base = self.sizes.downlink_header + self.sizes.bitmap_fixed
+        base = wire.DOWNLINK_HEADER_SIZE + wire.BITMAP_FIXED_SIZE
 
         def size(count):
             return self.codec.size_of_response(

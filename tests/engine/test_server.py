@@ -12,7 +12,7 @@ from repro.index import GridOverlay
 from repro.protocol.handlers import EVALUATE_ONLY
 from repro.protocol.messages import InstallSafePeriod, LocationReport
 from repro.protocol.transport import InProcessTransport
-from repro.protocol.wire import WireCodec
+from repro.protocol.wire import UPLINK_LOCATION_SIZE, WireCodec
 from repro.telemetry import NullSink, Telemetry
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
@@ -95,7 +95,7 @@ class TestHelpers:
         transport.push(2, InstallSafePeriod(expiry=30.0), 1.0)
         metrics = server.metrics
         assert metrics.uplink_messages == 2
-        assert metrics.uplink_bytes == 2 * server.sizes.uplink_location
+        assert metrics.uplink_bytes == 2 * UPLINK_LOCATION_SIZE
         assert metrics.downlink_messages == 1
         assert metrics.downlink_bytes == SAFE_PERIOD_BYTES
 

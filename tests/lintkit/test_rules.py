@@ -84,9 +84,9 @@ def test_rl008_names_attribute_and_receiver(lint_fixture):
 def test_serving_modules_are_in_scope(rule_id):
     """The framed serving path is worker-reachable, wallclock-sensitive
     code: RL004 and RL006 must cover protocol (framing) and net (daemon,
-    sockets, bench) alongside the engine packages."""
+    sockets) alongside the engine packages."""
     rule = next(cls for cls in ALL_RULES() if cls.rule_id == rule_id)()
     for path in ("protocol/framing.py", "net/daemon.py",
-                 "net/sockets.py", "net/bench.py"):
+                 "net/sockets.py"):
         assert rule.applies_to(path), (rule_id, path)
     assert not rule.applies_to("cli.py")

@@ -108,7 +108,7 @@ class TestTraceFollowThrough:
 
     def test_untraced_uplinks_emit_no_server_spans(self, sock_path):
         """trace_id 0 means untraced: a traced daemon serving an
-        untraced client (e.g. bench-net load) emits no span events."""
+        untraced client (e.g. a load generator) emits no span events."""
         telemetry = Telemetry.capture()
         daemon = make_daemon(telemetry=telemetry)
         with DaemonThread(daemon, path=sock_path):

@@ -12,7 +12,8 @@ from repro.protocol.messages import (AlarmNotification, InstallSafePeriod,
                                      RegionExitReport)
 from repro.protocol.transport import (InProcessTransport, LossyTransport,
                                       TransportError, WireFidelityError)
-from repro.protocol.wire import WireCodec
+from repro.protocol.wire import (DOWNLINK_HEADER_SIZE, UPLINK_LOCATION_SIZE,
+                                 WireCodec)
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
 #: What one safe-period downlink is charged: the codec's sizing.
@@ -50,7 +51,7 @@ class TestInProcessAccounting:
         assert any(isinstance(m, InstallSafePeriod) for m in reply)
         metrics = server.metrics
         assert metrics.uplink_messages == 1
-        assert metrics.uplink_bytes == server.sizes.uplink_location
+        assert metrics.uplink_bytes == UPLINK_LOCATION_SIZE
         assert metrics.downlink_messages == 1
         assert metrics.downlink_bytes == SAFE_PERIOD_BYTES
 
@@ -67,7 +68,7 @@ class TestInProcessAccounting:
         transport = InProcessTransport(server, EVALUATE_ONLY)
         transport.push(2, InvalidateState(), 1.0)
         assert server.metrics.downlink_messages == 1
-        assert server.metrics.downlink_bytes == server.sizes.downlink_header
+        assert server.metrics.downlink_bytes == DOWNLINK_HEADER_SIZE
 
     def test_wire_fidelity_catches_size_lies(self):
         server = make_server()
@@ -107,7 +108,7 @@ class TestLossyTransport:
         assert metrics.uplink_messages == 20 + metrics.uplink_drops
         assert metrics.downlink_messages == 20 + metrics.downlink_drops
         assert metrics.uplink_bytes == \
-            metrics.uplink_messages * server.sizes.uplink_location
+            metrics.uplink_messages * UPLINK_LOCATION_SIZE
         assert metrics.downlink_bytes == \
             metrics.downlink_messages * SAFE_PERIOD_BYTES
 

@@ -200,7 +200,8 @@ class TestSizingProperty:
     def test_from_sizes_rejects_drifted_accounting(self):
         from repro.engine.network import MessageSizes
         with pytest.raises(ValueError):
-            WireCodec.from_sizes(MessageSizes(downlink_header=20))
+            WireCodec.from_sizes(
+                MessageSizes(alarm_entry=wire.ALARM_FIXED_SIZE - 1))
 
     def test_from_sizes_alert_payload(self):
         from repro.engine.network import MessageSizes

@@ -49,7 +49,7 @@ class TestRunManifest:
     def test_record_roundtrip(self):
         manifest = RunManifest.collect(
             "opt", {"trace_seed": 9, "duration_s": 60.0}, workers=4,
-            git_sha="deadbeef", sizes={"downlink_header": 16})
+            git_sha="deadbeef", sizes={"alarm_entry": 256})
         record = manifest.to_record()
         assert record["record"] == "manifest"
         assert record["version"] == MANIFEST_VERSION

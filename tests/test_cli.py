@@ -1,11 +1,25 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import threading
+import time
 
 import pytest
 
 from repro.cli import main
+from repro.engine import Metrics, replay_vehicle_major, run_simulation
+from repro.experiments import TINY, build_world, make_mwpsr_strategy
+from repro.net import SocketTransport
+from repro.protocol.transport import ClientSession
+from repro.protocol.wire import WireCodec
 from repro.telemetry import read_trace, validate_trace
+
+#: Specs with an unknown or malformed parameter, each once per command
+#: that resolves a strategy.
+MALFORMED_SPECS = ["pbsr:x", "mwpsr:x", "pbsr:0", "pbsr:-1", "mwpsr:0",
+                   "gbsr:3", "periodic:9"]
 
 
 class TestList:
@@ -50,6 +64,20 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--strategy", "teleport",
                   "--workload", "tiny"])
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["simulate", "--workers", "2"],
+        # The socket directory does not exist: a spec that slipped
+        # through fails on bind instead of serving forever.
+        ["serve", "--uds", os.path.join("missing", "alarm.sock")]],
+        ids=["serial", "workers2", "serve"])
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS)
+    def test_malformed_strategy_spec_fails(self, spec, command, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as failure:
+            main(command + ["--strategy", spec, "--workload", "tiny"])
+        assert "invalid strategy %r" % spec in str(failure.value)
 
     def test_cell_size_option(self, capsys):
         assert main(["simulate", "--strategy", "mwpsr",
@@ -206,6 +234,40 @@ class TestStatsAndTop:
                      "--iterations", "2", "--no-clear"]) == 0
         out = capsys.readouterr().out
         assert out.count("repro top") == 2
+
+
+class TestServe:
+    def test_serve_charges_what_the_in_process_run_does(self, tmp_path,
+                                                        capsys):
+        """``repro serve`` as a command: a stop-and-wait replay of TINY
+        over its socket is charged what the in-process run is."""
+        path = str(tmp_path / "alarm.sock")
+        exit_codes = []
+        daemon = threading.Thread(target=lambda: exit_codes.append(main(
+            ["serve", "--strategy", "mwpsr", "--workload", "tiny",
+             "--uds", path])), daemon=True)
+        daemon.start()
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(path):
+            assert daemon.is_alive() and time.monotonic() < deadline
+            time.sleep(0.01)
+        world = build_world(TINY)
+        strategy = make_mwpsr_strategy()
+        with SocketTransport.connect_unix(
+                path, WireCodec.from_sizes(world.sizes)) as transport:
+            strategy.attach(ClientSession(transport, Metrics(), world.grid))
+            replay_vehicle_major(strategy, world.traces)
+            transport.send_shutdown()
+        daemon.join(timeout=60.0)
+        assert exit_codes == [0]
+
+        served = re.search(r"served (\d+) uplink messages "
+                           r"\((\d+) bytes up, (\d+) down\)",
+                           capsys.readouterr().out)
+        expected = run_simulation(world, make_mwpsr_strategy()).metrics
+        assert tuple(map(int, served.groups())) == (
+            expected.uplink_messages, expected.uplink_bytes,
+            expected.downlink_bytes)
 
 
 class TestTrace:
