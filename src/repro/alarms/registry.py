@@ -180,12 +180,17 @@ class AlarmRegistry:
         This is the core position-update evaluation: "which alarms fire
         here?".  Triggering means *interior* containment — the alarm
         fires when the subscriber enters the region, not when it merely
-        touches the boundary.
+        touches the boundary.  The index is searched unfiltered and the
+        rare hits are filtered after, so a report with none builds no
+        relevance predicate.
         """
-        ids = self._tree.search_containing(
-            position, predicate=self._relevance(user_id, exclude_ids),
-            interior=True)
-        return [self._alarms[alarm_id] for alarm_id in sorted(ids)]
+        ids = self._tree.search_containing(position, interior=True)
+        if not ids:
+            return []
+        alarms = self._alarms
+        return [alarms[alarm_id] for alarm_id in sorted(ids)
+                if not (exclude_ids and alarm_id in exclude_ids)
+                and alarms[alarm_id].is_relevant_to(user_id)]
 
     def nearest_relevant_distance(self, user_id: int, position: Point,
                                   exclude_ids: Optional[

@@ -88,24 +88,27 @@ class AlarmServer:
         """
         fired = self.fired_for(user_id)
         telemetry = self.telemetry
-        registry = self.registry
-        accesses_before = registry.tree.stats.node_accesses
+        metrics = self.metrics
+        stats = self.registry.tree.stats
+        accesses_before = stats.node_accesses
         started = time.perf_counter() if telemetry.enabled else 0.0
         try:
-            triggered = registry.triggered_at(user_id, position,
-                                              exclude_ids=fired)
+            triggered = self.registry.triggered_at(user_id, position,
+                                                   exclude_ids=fired)
         finally:
-            self.metrics.index_node_accesses += (
-                registry.tree.stats.node_accesses - accesses_before)
-        self.metrics.alarm_evaluations += 1
+            metrics.index_node_accesses += (
+                stats.node_accesses - accesses_before)
+        metrics.alarm_evaluations += 1
         if telemetry.enabled:
             telemetry.trigger_eval((time.perf_counter() - started) * 1e6)
+        if not triggered:
+            return triggered
         for alarm in triggered:
             fired.add(alarm.alarm_id)
-            self.metrics.triggers.append(
+            metrics.triggers.append(
                 TriggerEvent(time=time_s, user_id=user_id,
                              alarm_id=alarm.alarm_id))
-            self.metrics.trigger_notifications += 1
+            metrics.trigger_notifications += 1
             if telemetry.enabled:
                 telemetry.alarm_fired(time_s, user_id, alarm.alarm_id)
         return triggered

@@ -10,7 +10,7 @@ server needs:
   safe-region computation);
 * ``search_containing(point)`` — all items whose region contains a point
   (used to evaluate a raw position update, i.e. "which alarms fire
-  here?");
+  here?"; see *Point queries* below);
 * ``nearest_distance(point)`` — distance from a point to the nearest
   indexed region (used by the safe-period baseline's pessimistic bound).
 
@@ -24,12 +24,27 @@ the distribution minimizing overlap (ties by area).
 Every node visit increments ``self.stats.node_accesses`` so the
 simulation's server cost model can report deterministic operation counts
 alongside wall-clock time.
+
+Point queries descend by x-slab.  Each internal node keeps, built on the
+first query that reaches it, the sorted distinct ``min_x``/``max_x``
+values of its entries and, for every open slab between two neighbours,
+the ``(min_y, max_y, child)`` of each entry spanning that slab.  A point
+strictly inside a slab lies inside exactly those entries' x-extents, so
+one ``bisect_right`` on ``x`` and a y-test per spanning entry pick the
+children the entry scan would pick, in the same order; a point exactly
+on a slab edge falls back to the scan, which keeps the closed test
+exact.  Leaves keep the scan (their tables would cost far more memory
+than they save).  Every change to a node's entries or to an entry's
+rectangle clears that node's table, and :meth:`RStarTree.validate`
+checks each cached table against a fresh build.  The nodes visited, and
+so ``node_accesses``, are those of the plain scan.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
@@ -63,16 +78,41 @@ class _Entry:
     item: Any = None
 
 
+#: An internal node's x-slab table: the sorted distinct x edges of its
+#: entries, and per slab ``k`` (between ``edges[k - 1]`` and
+#: ``edges[k]``, both open) the ``(min_y, max_y, child)`` of every entry
+#: spanning it, in entry order.
+_SlabTable = Tuple[Tuple[float, ...],
+                  List[Tuple[Tuple[float, float, "_Node"], ...]]]
+
+
 class _Node:
-    __slots__ = ("leaf", "entries", "parent")
+    __slots__ = ("leaf", "entries", "parent", "slabs")
 
     def __init__(self, leaf: bool) -> None:
         self.leaf = leaf
         self.entries: List[_Entry] = []
         self.parent: Optional["_Node"] = None
+        #: The x-slab table of an internal node; None until a point
+        #: query needs it and again after any change to ``entries``.
+        self.slabs: Optional[_SlabTable] = None
 
     def mbr(self) -> Rect:
         return Rect.bounding(entry.rect for entry in self.entries)
+
+    def slab_table(self) -> _SlabTable:
+        """Build the x-slab table: one sweep, two bisects per entry."""
+        edges = tuple(sorted({x for entry in self.entries
+                              for x in (entry.rect.min_x, entry.rect.max_x)}))
+        spans: List[List[Tuple[float, float, _Node]]] = [
+            [] for _ in range(len(edges) + 1)]
+        for entry in self.entries:
+            box = entry.rect
+            span = (box.min_y, box.max_y, entry.child)
+            for slab in range(bisect_left(edges, box.min_x) + 1,
+                              bisect_left(edges, box.max_x) + 1):
+                spans[slab].append(span)  # type: ignore[arg-type]
+        return edges, [tuple(slab) for slab in spans]
 
 
 class RStarTree:
@@ -256,14 +296,14 @@ class RStarTree:
         return results
 
     def search_containing(self, point: Point,
-                          predicate: Optional[Callable[[Any], bool]] = None,
                           interior: bool = False) -> List[Any]:
         """All items whose rectangle contains ``point``.
 
         With ``interior=True`` the leaf test is open containment (points
         on an item's boundary do not match) — the alarm-trigger
         semantics.  Internal descent always uses the closed test, which
-        is a correct superset.
+        is a correct superset; it reads the node's x-slab table (see the
+        module docstring) unless ``point`` lies on one of its edges.
         """
         px, py = point.x, point.y
         results: List[Any] = []
@@ -272,19 +312,31 @@ class RStarTree:
         while stack:
             node = stack.pop()
             accesses += 1
-            leaf = node.leaf
-            for entry in node.entries:
-                box = entry.rect
-                if (box.min_x <= px <= box.max_x
-                        and box.min_y <= py <= box.max_y):
-                    if not leaf:
-                        stack.append(entry.child)  # type: ignore[arg-type]
-                    elif ((not interior
-                           or (box.min_x < px < box.max_x
-                               and box.min_y < py < box.max_y))
-                          and (predicate is None
-                               or predicate(entry.item))):
+            if node.leaf:
+                for entry in node.entries:
+                    box = entry.rect
+                    if (box.min_x <= px <= box.max_x
+                            and box.min_y <= py <= box.max_y
+                            and (not interior
+                                 or (box.min_x < px < box.max_x
+                                     and box.min_y < py < box.max_y))):
                         results.append(entry.item)
+                continue
+            table = node.slabs
+            if table is None:
+                table = node.slabs = node.slab_table()
+            edges, slabs = table
+            slab = bisect_right(edges, px)
+            if slab and edges[slab - 1] == px:
+                for entry in node.entries:
+                    box = entry.rect
+                    if (box.min_x <= px <= box.max_x
+                            and box.min_y <= py <= box.max_y):
+                        stack.append(entry.child)  # type: ignore[arg-type]
+                continue
+            for min_y, max_y, child in slabs[slab]:
+                if min_y <= py <= max_y:
+                    stack.append(child)
         self.stats.node_accesses += accesses
         return results
 
@@ -340,9 +392,10 @@ class RStarTree:
 
         Verified invariants: every non-root node holds between
         ``min_entries`` and ``max_entries`` entries; internal entries'
-        rectangles equal their child's MBR; all leaves sit at the same
-        depth; parent pointers are consistent; the item count matches
-        ``len(self)``.
+        rectangles equal their child's MBR; every cached x-slab table
+        equals a fresh build and leaves cache none; all leaves sit at the
+        same depth; parent pointers are consistent; the item count
+        matches ``len(self)``.
         """
         leaf_depths: List[int] = []
         count = 0
@@ -353,9 +406,12 @@ class RStarTree:
                 assert len(node.entries) >= self.min_entries, "underfull node"
             assert len(node.entries) <= self.max_entries, "overfull node"
             if node.leaf:
+                assert node.slabs is None, "slab table on a leaf"
                 leaf_depths.append(depth)
                 count += len(node.entries)
                 return
+            assert node.slabs is None or node.slabs == node.slab_table(), \
+                "stale slab table"
             for entry in node.entries:
                 child = entry.child
                 assert child is not None, "internal entry without child"
@@ -377,6 +433,7 @@ class RStarTree:
                       reinsert_levels: set) -> None:
         node = self._choose_subtree(entry.rect, target_level)
         node.entries.append(entry)
+        node.slabs = None
         if entry.child is not None:
             entry.child.parent = node
         self._adjust_upward(node)
@@ -475,6 +532,7 @@ class RStarTree:
             key=lambda e: e.rect.center.squared_distance_to(center))
         evicted = node.entries[-self.reinsert_count:]
         del node.entries[-self.reinsert_count:]
+        node.slabs = None
         self._adjust_upward(node)
         # Close reinsert: nearest evictees first, as the R* paper found best.
         for entry in evicted:
@@ -485,6 +543,7 @@ class RStarTree:
         first_group, second_group = self._choose_split(node.entries)
 
         node.entries = first_group
+        node.slabs = None
         for entry in node.entries:
             if entry.child is not None:
                 entry.child.parent = node
@@ -513,6 +572,7 @@ class RStarTree:
                 entry.rect = node.mbr()
                 break
         parent.entries.append(_Entry(rect=sibling.mbr(), child=sibling))
+        parent.slabs = None
         sibling.parent = parent
         self._adjust_upward(parent)
         if len(parent.entries) > self.max_entries:
@@ -587,11 +647,15 @@ class RStarTree:
                     if entry.child is node:
                         del parent.entries[index]
                         break
+                parent.slabs = None
                 orphans.extend((entry, level) for entry in node.entries)
             else:
+                mbr = node.mbr()
                 for entry in parent.entries:
                     if entry.child is node:
-                        entry.rect = node.mbr()
+                        if entry.rect != mbr:
+                            entry.rect = mbr
+                            parent.slabs = None
                         break
             node = parent
             level += 1
@@ -600,12 +664,22 @@ class RStarTree:
 
     # ------------------------------------------------------------------
     def _adjust_upward(self, node: _Node) -> None:
-        """Refresh bounding rectangles from ``node`` up to the root."""
+        """Refresh bounding rectangles from ``node`` towards the root.
+
+        The classic AdjustTree: the walk stops at the first ancestor
+        entry whose rectangle the change leaves as it was, since nothing
+        above it moves either.  Each rectangle that does change clears
+        its node's slab table.
+        """
         current = node
         while current.parent is not None:
             parent = current.parent
+            mbr = current.mbr()
             for entry in parent.entries:
                 if entry.child is current:
-                    entry.rect = current.mbr()
                     break
+            if entry.rect == mbr:
+                return
+            entry.rect = mbr
+            parent.slabs = None
             current = parent

@@ -72,12 +72,14 @@ def handle_request(server: "AlarmServer", policy: ServerPolicy,
     """
     triggered = server.process_location(request.user_id, time_s,
                                         request.position)
+    if isinstance(request, RegionExitReport):
+        installs = policy.on_region_exit(server, request, time_s, triggered)
+    else:
+        installs = policy.on_location_report(server, request, time_s,
+                                             triggered)
+    if not triggered:
+        return tuple(installs)
     responses: List[Response] = [AlarmNotification(alarm.alarm_id)
                                  for alarm in triggered]
-    if isinstance(request, RegionExitReport):
-        responses.extend(policy.on_region_exit(server, request, time_s,
-                                               triggered))
-    else:
-        responses.extend(policy.on_location_report(server, request, time_s,
-                                                   triggered))
+    responses.extend(installs)
     return tuple(responses)

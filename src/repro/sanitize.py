@@ -7,7 +7,9 @@ installs five invariant checks at simulation start:
 
 * **frozen geometry** — the alarm registry's regions are snapshotted
   at run start and compared at run end; any in-place mutation (however
-  it got past the frozen geometry types) raises;
+  it got past the frozen geometry types) raises, and so does an alarm
+  index that fails :meth:`~repro.index.RStarTree.validate` (a point
+  query's cached x-slab table that no longer matches its node, say);
 * **monotone simulation clock** — each client's samples must carry
   non-decreasing timestamps (the silence-period contract assumes it);
 * **wire fidelity** — the default transport is replaced by the
@@ -144,7 +146,9 @@ class Sanitizer:
         Legitimate churn (the dynamic/tracking engines) goes through
         the registry's install/remove/relocate API — those runs do not
         carry the static-geometry check, so a difference here means an
-        in-place mutation of a frozen geometry value.
+        in-place mutation of a frozen geometry value.  Unchanged regions
+        are then held to the index's own invariants, the x-slab tables
+        the run's point queries cached included.
         """
         if self._geometry is None:
             return
@@ -155,6 +159,11 @@ class Sanitizer:
                 "differ from the start-of-run snapshot"
                 % sum(1 for before, after
                       in zip(self._geometry, current) if before != after))
+        try:
+            registry.tree.validate()
+        except AssertionError as error:
+            raise SanitizerError("alarm index invalid at run end: %s"
+                                 % error) from error
 
     def check_wire(self, codec: "WireCodec",
                    message: "Response") -> None:

@@ -80,6 +80,19 @@ class TestGeometry:
         with pytest.raises(SanitizerError, match="geometry changed"):
             sanitizer.verify_geometry(local.registry)
 
+    def test_stale_slab_table_is_caught(self):
+        local = make_world(vehicles=2, duration=30.0, alarms=200)
+        sanitizer = Sanitizer()
+        sanitizer.snapshot_geometry(local.registry)
+        tree = local.registry.tree
+        tree.search_containing(local.registry.all_alarms()[0].region.center)
+        sanitizer.verify_geometry(local.registry)
+        assert not tree._root.leaf and tree._root.slabs is not None
+        edges, slabs = tree._root.slabs
+        tree._root.slabs = (edges, [()] * len(slabs))
+        with pytest.raises(SanitizerError, match="stale slab table"):
+            sanitizer.verify_geometry(local.registry)
+
     def test_verify_without_snapshot_is_a_noop(self, world):
         Sanitizer().verify_geometry(world.registry)
 

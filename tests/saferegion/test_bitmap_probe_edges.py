@@ -20,6 +20,7 @@ Tier-1 probes every ``examples(EDGE_STRIDE, 1)``-th edge of a level;
 ``REPRO_SANITIZE=1`` probes all of them.
 """
 
+import functools
 import math
 import random
 
@@ -36,9 +37,12 @@ HEIGHT = 5
 EDGE_STRIDE = 7
 
 
+@functools.lru_cache(maxsize=8)
 def safe_at(pyramid, level):
     """A bitmap whose every walk stops at ``level``: each cell above it
-    split, each cell of it safe."""
+    split, each cell of it safe.  Built once per ``(pyramid, level)``:
+    the cache holds every level of one height-7 pyramid, whose deepest
+    bitmap has 3**14 cells."""
     fanout = pyramid.fanout()
     levels = [b"0" * fanout ** above for above in range(level)]
     levels.append(b"1" * fanout ** level)
