@@ -554,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.set_defaults(handler=_cmd_figure)
 
     check_parser = subparsers.add_parser(
-        "check", help="run the static checker, 13 rules: RL002-RL004, "
-                      "RL006-RL008, PA002-PA006, PA008, PA009 "
+        "check", help="run the static checker, 12 rules: RL002-RL004, "
+                      "RL006-RL008, PA002-PA006, PA009 "
                       "(docs/STATIC_ANALYSIS.md)")
     add_check_arguments(check_parser)
     check_parser.set_defaults(handler=run_check_command)

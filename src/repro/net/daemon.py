@@ -5,7 +5,10 @@ plus one :class:`~repro.protocol.handlers.ServerPolicy` over a real byte
 stream — TCP or a Unix domain socket.  Per connection it runs two
 tasks:
 
-* a **reader** feeding decoded REQUEST frames into a bounded
+* a **reader** that decides each frame by one lookup in the session
+  automaton (:data:`~repro.protocol.spec.CLIENT_TRANSITIONS`; a frame
+  without a row is answered with ERROR, the connection's last frame)
+  and feeds decoded REQUEST frames into a bounded
   :class:`asyncio.Queue` — when the queue is full the reader blocks,
   which stops reading the socket, which fills the kernel buffers,
   which stalls the sender: backpressure end to end, with a
@@ -45,7 +48,7 @@ from ..protocol.framing import (PROTOCOL_VERSION, Frame, FrameDecoder,
                                 encode_stats, reply_summary)
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import Request, downlink_kind
-from ..protocol.spec import DIR_CLIENT_TO_SERVER, STATE_AWAIT_HELLO
+from ..protocol.spec import CLIENT_TRANSITIONS, STATE_AWAIT_HELLO
 from ..protocol.transport import InProcessTransport
 from ..protocol.wire import WireCodec
 from ..sanitize import LOOP_WATCHDOG_INTERVAL_S, Sanitizer
@@ -251,40 +254,29 @@ class AlarmDaemon:
         requests = 0
         clean = True
         error: Optional[str] = None
-        session_state = STATE_AWAIT_HELLO
         # Spawned last: every statement between this spawn and the
         # try/finally that reaps the worker would be a window where an
         # exception leaks the task (the PA009 contract).
         worker = asyncio.create_task(
             self._drain_queue(conn_id, queue, writer))
         try:
-            greeted = False
+            state = STATE_AWAIT_HELLO
             while True:
                 chunk = await reader.read(_READ_CHUNK)
                 if not chunk:
                     decoder.finish()  # raises if the peer died mid-frame
                     break
-                for frame in decoder.feed(chunk):
-                    if frame.kind is FrameKind.HELLO:
-                        if greeted:
-                            raise FramingError(
-                                "duplicate HELLO handshake")
-                        decode_hello(frame.payload)
-                        greeted = True
-                        if self._sanitizer.enabled:
-                            session_state = \
-                                self._sanitizer.check_session_transition(
-                                    session_state, "HELLO",
-                                    DIR_CLIENT_TO_SERVER)
-                    elif frame.kind is FrameKind.REQUEST:
-                        if not greeted:
-                            raise FramingError(
-                                "REQUEST before the HELLO handshake")
-                        if self._sanitizer.enabled:
-                            session_state = \
-                                self._sanitizer.check_session_transition(
-                                    session_state, "REQUEST",
-                                    DIR_CLIENT_TO_SERVER)
+                for frame in decoder.frames(chunk):
+                    # The session automaton decides every frame; the
+                    # arms below only act on what it accepted.
+                    kind = frame.kind
+                    next_state = CLIENT_TRANSITIONS.get((state, kind))
+                    if next_state is None:
+                        raise FramingError(
+                            "%s frame not accepted in session state %s"
+                            % (kind.name, state))
+                    state = next_state
+                    if kind is FrameKind.REQUEST:
                         traced = (telemetry.enabled
                                   and frame.trace_id != 0)
                         decode_started = (time.perf_counter() if traced
@@ -307,15 +299,9 @@ class AlarmDaemon:
                                 telemetry.net_backpressure(
                                     frame.time_s, conn_id, queue.qsize())
                             await queue.put(item)
-                    elif frame.kind is FrameKind.STATS:
-                        if not greeted:
-                            raise FramingError(
-                                "STATS before the HELLO handshake")
-                        if self._sanitizer.enabled:
-                            session_state = \
-                                self._sanitizer.check_session_transition(
-                                    session_state, "STATS",
-                                    DIR_CLIENT_TO_SERVER)
+                    elif kind is FrameKind.HELLO:
+                        decode_hello(frame.payload)
+                    elif kind is FrameKind.STATS:
                         # Answered directly from the reader: one
                         # writer.write call is atomic with respect to
                         # the drain worker's coalesced writes, so the
@@ -326,17 +312,8 @@ class AlarmDaemon:
                             frame.time_s, frame.trace_id,
                             frame.span_id))
                         await writer.drain()
-                    elif frame.kind is FrameKind.SHUTDOWN:
-                        if self._sanitizer.enabled:
-                            session_state = \
-                                self._sanitizer.check_session_transition(
-                                    session_state, "SHUTDOWN",
-                                    DIR_CLIENT_TO_SERVER)
+                    elif kind is FrameKind.SHUTDOWN:
                         self.request_stop()
-                    else:
-                        raise FramingError(
-                            "unexpected %s frame from a client"
-                            % frame.kind.name)
         except FramingError as exc:
             clean = False
             error = str(exc)
@@ -380,15 +357,9 @@ class AlarmDaemon:
             worker: "asyncio.Task[None]", writer: asyncio.StreamWriter,
             clean: bool, requests: int,
             error: Optional[str]) -> None:
-        if error is not None:
-            try:
-                writer.write(encode_frame(FrameKind.ERROR,
-                                          encode_error(error)))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        # Prefer a graceful stop (the worker finishes queued work);
-        # cancel only if the queue is full, where a put would block.
+        # Answer the work queued before the end (or, when the queue is
+        # full and a put would block, cancel it) before any ERROR
+        # frame: nothing may follow an ERROR on the wire.
         try:
             queue.put_nowait(_SENTINEL)
         except asyncio.QueueFull:
@@ -397,6 +368,13 @@ class AlarmDaemon:
             await worker
         except asyncio.CancelledError:
             pass
+        if error is not None:
+            try:
+                writer.write(encode_frame(FrameKind.ERROR,
+                                          encode_error(error)))
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
         writer.close()
         try:
             await writer.wait_closed()

@@ -43,8 +43,8 @@ from __future__ import annotations
 import json
 import struct
 from enum import IntEnum
-from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping,
-                    NamedTuple, Optional, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Mapping, NamedTuple, Optional, Tuple)
 
 from .messages import AlarmNotification, Response, ServerReply
 from .wire import MessageType, WireCodec, peek_bitmap_cell_ref, peek_type
@@ -154,13 +154,17 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Frame]:
         """Absorb one chunk; return the frames it completed."""
+        return list(self.frames(data))
+
+    def frames(self, data: bytes) -> Iterator[Frame]:
+        """Absorb one chunk; yield the frames it completed in order.
+
+        A malformed header raises only when the iteration reaches it,
+        so a consumer acts on every frame that preceded the violation
+        (the daemon serves them before it answers with ERROR).
+        """
         self._buffer.extend(data)
-        frames: List[Frame] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
+        return iter(self._next_frame, None)
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary."""

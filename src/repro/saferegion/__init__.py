@@ -7,13 +7,8 @@ from .hu_baseline import HuBaselineComputer
 from .mwpsr import MWPSRComputer, MWPSRResult
 from .pbsr import PBSRComputer
 
-# imported last: ClientMonitor pulls in the wire codec, which needs the
-# bitmap types above
-from .containment import ClientMonitor  # noqa: E402
-
 __all__ = [
     "BitmapSafeRegion",
-    "ClientMonitor",
     "FLOAT_BITS",
     "HuBaselineComputer",
     "MWPSRComputer",

@@ -24,7 +24,7 @@ installs five invariant checks at simulation start:
   the :meth:`~repro.engine.metrics.Metrics.merged` contract.
 
 A sanitized :class:`~repro.net.daemon.AlarmDaemon` and its socket
-clients carry five more:
+clients carry four more:
 
 * **framed accounting** — each frame carries exactly the bytes the
   transport charged (:meth:`~Sanitizer.check_frame`);
@@ -39,14 +39,11 @@ clients carry five more:
   the transports and the daemon open is noted, every close must match
   an open, and ``check_span_balance`` at transport/daemon close raises
   on any span opened but never closed (the leak class the fault
-  injection suite pins);
-* **session automaton walk** (PA008's runtime half) — every accepted
-  frame advances the connection's session state through
-  :meth:`~Sanitizer.check_session_transition`, which asserts the
-  ``(state, kind, direction)`` step is a declared row of
-  :data:`repro.protocol.spec.SESSION_TRANSITIONS`; a dispatch arm the
-  static checker mis-modelled (or a spec edit that breaks the daemon)
-  fails loudly while serving.
+  injection suite pins).
+
+The session automaton needs no sanitizer check: the daemon's reader
+decides every frame by a lookup in
+:data:`repro.protocol.spec.CLIENT_TRANSITIONS`, on or off.
 
 Off by default and free when off: the engines hold the shared
 :data:`DISABLED` singleton and guard every site with one
@@ -280,27 +277,6 @@ class Sanitizer:
                 "span leak: %d span(s) opened but never closed: %s"
                 % (len(self._open_spans), leaked))
 
-    def check_session_transition(self, state: str, kind_name: str,
-                                 direction: str) -> str:
-        """Assert one session step is spec-legal; return the new state.
-
-        The runtime mirror of PA008: the daemon threads its
-        per-connection state through this method as it accepts frames,
-        so a step outside
-        :data:`repro.protocol.spec.SESSION_TRANSITIONS` raises at the
-        moment it happens instead of surfacing as a downstream protocol
-        error.  The disabled singleton returns ``state`` unchanged.
-        """
-        from .protocol.spec import session_next_state
-
-        next_state = session_next_state(state, kind_name, direction)
-        if next_state is None:
-            raise SanitizerError(
-                "session automaton violation: %s frame (%s) is not a "
-                "declared transition in state %s"
-                % (kind_name, direction, state))
-        return next_state
-
     def check_merge(self, parts: Sequence["Metrics"],
                     merged: "Metrics") -> None:
         """Spot-check the metrics merge: fold order must not matter."""
@@ -368,10 +344,6 @@ class _DisabledSanitizer(Sanitizer):
 
     def check_span_balance(self) -> None:
         return
-
-    def check_session_transition(self, state: str, kind_name: str,
-                                 direction: str) -> str:
-        return state
 
     def check_merge(self, parts: Sequence["Metrics"],
                     merged: "Metrics") -> None:

@@ -16,11 +16,10 @@ from repro.analysis import (ALL_RULES, ProjectModel, get_rule,
                             run_analysis)
 from repro.analysis.rules.pa004_debt import count_pragmas, find_ledger
 
-#: The surviving ids; PA001, PA007 and PA010 are retired (a runtime
-#: guard enforces each, docs/STATIC_ANALYSIS.md names it).
+#: The surviving ids; PA001, PA007, PA008 and PA010 are retired (a
+#: runtime guard enforces each, docs/STATIC_ANALYSIS.md names it).
 RL_RULE_IDS = ["RL002", "RL003", "RL004", "RL006", "RL007", "RL008"]
-PA_RULE_IDS = ["PA002", "PA003", "PA004", "PA005", "PA006", "PA008",
-               "PA009"]
+PA_RULE_IDS = ["PA002", "PA003", "PA004", "PA005", "PA006", "PA009"]
 
 #: Expected diagnostic count per fixture tree (one per seeded shape).
 EXPECTED_FIXTURE_COUNTS = {
@@ -29,7 +28,6 @@ EXPECTED_FIXTURE_COUNTS = {
     "PA004": 2,
     "PA005": 6,
     "PA006": 5,
-    "PA008": 11,
     "PA009": 7,
 }
 
@@ -57,10 +55,9 @@ def test_fixture_tree_is_flagged(fixture_root, rule_id):
         assert diag.message
 
 
-def test_shipped_tree_is_clean():
+def test_shipped_tree_is_clean(shipped_report):
     """The gate itself: ``repro check src/repro`` exits 0."""
-    report = run_analysis()
-    assert report.ok, "\n" + report.render_text()
+    assert shipped_report.ok, "\n" + shipped_report.render_text()
 
 
 class TestPA002:
@@ -232,50 +229,6 @@ class TestPA006:
                     for d in _run(fixture_root("pa006"), "PA006")]
         assert not any("_inbox" in m or "Handoff" in m
                        for m in messages)
-
-
-class TestPA008:
-    def test_names_every_server_shape(self, fixture_root):
-        messages = [d.message
-                    for d in _run(fixture_root("pa008"), "PA008")]
-        joined = "\n".join(messages)
-        assert ("accepts HELLO frames in state READY"
-                in joined)                       # duplicate handshake
-        assert ("accepts REQUEST frames in state AWAIT_HELLO"
-                in joined)                       # pre-handshake serve
-        assert ("the SHUTDOWN arm moves state AWAIT_HELLO to "
-                "AWAIT_HELLO but the spec declares") in joined
-        assert "no rejecting else arm" in joined
-        assert ("spec declares (READY, PING, c2s) but no dispatch "
-                "arm") in joined
-
-    def test_names_every_client_and_spec_shape(self, fixture_root):
-        messages = [d.message
-                    for d in _run(fixture_root("pa008"), "PA008")]
-        joined = "\n".join(messages)
-        assert ("the client handles STATS frames in state READY"
-                in joined)
-        assert "no client module handles PUSH frames" in joined
-        assert ("sends STATS frames (s2c) but the spec declares no "
-                "s2c transition") in joined
-        assert ("(GHOST, ERROR, s2c) -> CLOSING uses a state outside "
-                "SESSION_STATES") in joined
-        assert "unknown frame kind PING" in joined
-
-    def test_missing_spec_is_one_finding(self, tmp_path):
-        net = tmp_path / "net"
-        net.mkdir()
-        (net / "daemon.py").write_text(
-            "def handle(frame):\n    return frame\n", encoding="utf-8")
-        diagnostics = _run(tmp_path, "PA008")
-        assert len(diagnostics) == 1
-        assert "declares no protocol/spec.py" in diagnostics[0].message
-
-    def test_findings_name_state_and_kind(self, fixture_root):
-        """Every conformance finding names the offending pair."""
-        for diag in _run(fixture_root("pa008"), "PA008"):
-            if "forbidden transition" in diag.message:
-                assert "frames in state" in diag.message
 
 
 class TestPA009:

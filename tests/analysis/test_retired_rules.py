@@ -1,12 +1,15 @@
 """The retired rules stay retired only while their runtime guards hold.
 
 RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA007 (task lifecycle) and PA010 (downlink
-causality) were deleted from the checker because a guard that holds by
-construction already catches their defects: frozen geometry types, the
-abstract ``SafeRegion``, ``verify_field_layouts`` inside every codec
-built, the sanitizer's task-leak check at ``aclose()``, and the wire
-goldens plus the accuracy contract.  Each row below is the defect the
+(protocol exhaustiveness), PA007 (task lifecycle), PA008 (session
+conformance) and PA010 (downlink causality) were deleted from the
+checker because a guard that holds by construction already catches
+their defects: frozen geometry types, the abstract ``SafeRegion``,
+``verify_field_layouts`` inside every codec built, the sanitizer's
+task-leak check at ``aclose()``, the daemon's dispatch through the
+session table (held to the spec by the socket conformance suite), and
+the wire goldens plus the accuracy contract.  PA008's row restates its
+last seed against that dispatch.  Each row below is the defect the
 rule was last seeded with (``test_session_mutation.py`` held one per
 rule) and the test that catches it without the checker.  The row is
 applied to a copy of ``src/repro`` and that one test is run against the
@@ -77,6 +80,18 @@ RETIRED = (
             "tests/net/test_daemon.py::TestSanitizedServing::"
             "test_blocking_call_on_the_loop_is_caught_at_close",
             "task leak at daemon close"),
+    Retired("PA008", "net/daemon.py",
+            "                    elif kind is FrameKind.SHUTDOWN:\n",
+            "                    elif kind is FrameKind.SHUTDOWN:\n"
+            "                        if state == STATE_AWAIT_HELLO:\n"
+            "                            raise FramingError(\n"
+            "                                \"SHUTDOWN before the HELLO "
+            "handshake\")\n",
+            "tests/net/test_session_conformance.py::"
+            "test_frame_gets_the_spec_answer[AWAIT_HELLO-SHUTDOWN-"
+            "well-formed]",
+            "AWAIT_HELLO SHUTDOWN well-formed: the spec answers nothing, "
+            "the daemon sent ERROR"),
     Retired("PA010", "strategies/safeperiod.py",
             "            if isinstance(message, InstallSafePeriod):\n",
             "            if message is not None:\n",

@@ -10,9 +10,6 @@ by id and message fragment.  A rule with no case here has not earned
 its place (ROADMAP item 7, static half); a rule whose seed a runtime
 guard already catches has been retired, and ``test_retired_rules.py``
 pins that the guard still does (item 9, dynamic half).
-
-PA008, the first rule held to this standard, keeps its four hand-built
-mutations of the shipped daemon below the table.
 """
 
 import shutil
@@ -23,10 +20,6 @@ import pytest
 from repro.analysis import ALL_RULES, get_rule, run_analysis
 from repro.analysis.cli import main
 from repro.analysis.runner import package_root
-
-#: What PA008 reads: the socket layer and the declared automaton.
-_SESSION = ("net/daemon.py", "net/sockets.py", "net/stats.py",
-            "protocol/spec.py", "protocol/framing.py")
 
 
 class Seed(NamedTuple):
@@ -103,14 +96,6 @@ SEEDS = (
          "        self._handshake.put_nowait((loop, port, None))\n",
          "'port' of class DaemonThread is written from the event-loop "
          "domain and accessed from the main domain"),
-    Seed("PA008", "net/daemon.py", _SESSION,
-         "                    elif frame.kind is FrameKind.SHUTDOWN:\n",
-         "                    elif frame.kind is FrameKind.SHUTDOWN:\n"
-         "                        if not greeted:\n"
-         "                            raise FramingError(\n"
-         "                                \"SHUTDOWN before the HELLO "
-         "handshake\")\n",
-         "spec declares (AWAIT_HELLO, SHUTDOWN, c2s) but no dispatch arm"),
     Seed("PA009", "net/daemon.py", (),
          "                    decoder.finish()  # raises if the peer died "
          "mid-frame\n",
@@ -170,78 +155,3 @@ def test_seeded_defect_fails_the_gate(tmp_path, rule_id, capsys):
     _mutate(root, seed.target, seed.old, seed.new)
     assert main([str(root), "--rule", rule_id]) == 1
     assert " %s " % rule_id in capsys.readouterr().out
-
-
-# -- PA008 over the shipped socket layer -------------------------------
-
-@pytest.fixture()
-def shipped_tree(tmp_path):
-    return _copy_shipped(tmp_path, _SESSION)
-
-
-def _pa008(root):
-    return _check(root, "PA008")
-
-
-def test_shipped_copy_is_clean(shipped_tree):
-    report = _pa008(shipped_tree)
-    assert report.ok, "\n" + report.render_text()
-
-
-def test_deleting_the_duplicate_hello_guard_is_caught(shipped_tree):
-    _mutate(shipped_tree, "net/daemon.py",
-            "if greeted:\n"
-            "                            raise FramingError(\n"
-            "                                \"duplicate HELLO "
-            "handshake\")\n"
-            "                        decode_hello",
-            "decode_hello")
-    report = _pa008(shipped_tree)
-    messages = [d.message for d in report.diagnostics]
-    assert any("accepts HELLO frames in state READY" in m
-               and "(READY, HELLO, c2s)" in m for m in messages), \
-        "\n".join(messages)
-
-
-def test_deleting_the_request_handshake_guard_is_caught(shipped_tree):
-    _mutate(shipped_tree, "net/daemon.py",
-            "if not greeted:\n"
-            "                            raise FramingError(\n"
-            "                                \"REQUEST before the "
-            "HELLO handshake\")\n"
-            "                        if self._sanitizer.enabled:",
-            "if self._sanitizer.enabled:")
-    report = _pa008(shipped_tree)
-    messages = [d.message for d in report.diagnostics]
-    assert any("accepts REQUEST frames in state AWAIT_HELLO" in m
-               for m in messages), "\n".join(messages)
-
-
-def test_deleting_a_spec_row_is_caught(shipped_tree):
-    _mutate(shipped_tree, "protocol/spec.py",
-            '    ("READY", "STATS", "c2s"): "READY",\n', "")
-    report = _pa008(shipped_tree)
-    messages = [d.message for d in report.diagnostics]
-    assert any("accepts STATS frames in state READY" in m
-               and "(READY, STATS, c2s)" in m for m in messages), \
-        "\n".join(messages)
-
-
-def test_deleting_a_dispatch_arm_is_caught(shipped_tree):
-    source = (shipped_tree / "net/daemon.py").read_text(
-        encoding="utf-8")
-    start = source.index("elif frame.kind is FrameKind.STATS:")
-    end = source.index("elif frame.kind is FrameKind.SHUTDOWN:")
-    (shipped_tree / "net/daemon.py").write_text(
-        source[:start] + source[end:], encoding="utf-8")
-    report = _pa008(shipped_tree)
-    messages = [d.message for d in report.diagnostics]
-    assert any("spec declares (READY, STATS, c2s) but no dispatch arm"
-               in m for m in messages), "\n".join(messages)
-
-
-def test_mutations_exit_nonzero_through_the_cli(shipped_tree):
-    """The CI gate: a conformance finding fails the check command."""
-    _mutate(shipped_tree, "protocol/spec.py",
-            '    ("READY", "STATS", "c2s"): "READY",\n', "")
-    assert main([str(shipped_tree), "--rule", "PA008"]) == 1

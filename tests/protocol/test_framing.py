@@ -115,6 +115,17 @@ class TestRejection:
         with pytest.raises(FramingError, match="cap"):
             FrameDecoder().feed(header)
 
+    def test_frames_before_a_violation_come_out_first(self):
+        """The daemon acts on each frame in stream order, so the ones a
+        chunk completes ahead of a bad header are yielded before the
+        header raises."""
+        hello = encode_frame(FrameKind.HELLO, encode_hello())
+        frames = FrameDecoder().frames(hello + hello + b"\x00" * 32)
+        assert [next(frames).kind, next(frames).kind] \
+            == [FrameKind.HELLO, FrameKind.HELLO]
+        with pytest.raises(FramingError, match="magic"):
+            next(frames)
+
     def test_encode_rejects_oversized_payload(self):
         with pytest.raises(FramingError, match="cap"):
             encode_frame(FrameKind.PUSH, b"\0" * (MAX_FRAME_PAYLOAD + 1))

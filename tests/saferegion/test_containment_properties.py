@@ -1,29 +1,25 @@
-"""Property-based invariants for the wire-true client monitor and MWPSR.
+"""Property-based invariants for MWPSR and its wire form.
 
-Two families of randomized invariants on top of the example-based suites:
+A computed MWPSR safe region never covers an *uncovered* alarm-region
+point: any point drawn from an obstacle's interior may penetrate the
+safe rectangle by at most the float-slack tolerance the producers are
+allowed (``region_is_safe``'s 1e-9 m), and the rectangle a device
+decodes from the downlink bytes answers every point exactly like the
+computed one.
 
-* the :class:`ClientMonitor`'s byte-level decisions must agree with the
-  plain geometry of whatever was encoded — a rect downlink behaves
-  exactly like ``Rect.contains_point`` plus the base-cell check, a
-  safe-period downlink exactly like the expiry comparison;
-* a computed MWPSR safe region never covers an *uncovered* alarm-region
-  point: any point drawn from an obstacle's interior may penetrate the
-  safe rectangle by at most the float-slack tolerance the producers are
-  allowed (``region_is_safe``'s 1e-9 m).
-
-The second property is the point-sampled restatement of the paper's
-safe-region definition (i); unlike the rect-overlap check in
-``test_mwpsr.py`` it exercises the same predicate the client's
-monitoring loop runs, so a disagreement between "regions are disjoint"
-and "this point is inside both" cannot hide.
+This is the point-sampled restatement of the paper's safe-region
+definition (i); unlike the rect-overlap check in ``test_mwpsr.py`` it
+exercises the same predicate the client's monitoring loop runs, so a
+disagreement between "regions are disjoint" and "this point is inside
+both" cannot hide.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.protocol.wire import encode_rect_region, encode_safe_period
-from repro.saferegion import ClientMonitor, MWPSRComputer
+from repro.protocol.wire import decode_rect_region, encode_rect_region
+from repro.saferegion import MWPSRComputer
 
 CELL = Rect(0, 0, 1000, 1000)
 
@@ -57,13 +53,6 @@ def obstacles_in_cell(draw, max_count=6):
     return rects
 
 
-@st.composite
-def rects_in_cell(draw):
-    x1, x2 = draw(coords_in_cell), draw(coords_in_cell)
-    y1, y2 = draw(coords_in_cell), draw(coords_in_cell)
-    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-
-
 def interior_point(rect, fx, fy):
     """A point at fractional offsets (fx, fy) of ``rect``'s extents."""
     return Point(rect.min_x + fx * rect.width, rect.min_y + fy * rect.height)
@@ -73,44 +62,6 @@ def penetration_depth(rect, p):
     """How far ``p`` sits inside ``rect`` (negative when outside)."""
     return min(p.x - rect.min_x, rect.max_x - p.x,
                p.y - rect.min_y, rect.max_y - p.y)
-
-
-class TestMonitorMatchesGeometry:
-    """Byte-level decisions equal the geometry of what was encoded."""
-
-    @given(rects_in_cell(), positions_in_cell())
-    def test_rect_downlink_equals_direct_containment(self, rect, p):
-        monitor = ClientMonitor()
-        monitor.receive(encode_rect_region(rect), cell_rect=CELL)
-        assert monitor.should_report(0.0, p) == (not rect.contains_point(p))
-
-    @given(rects_in_cell(),
-           st.floats(min_value=-2000, max_value=3000),
-           st.floats(min_value=-2000, max_value=3000))
-    def test_cell_exit_overrides_region(self, rect, x, y):
-        """Outside the base cell the client reports, region or not."""
-        monitor = ClientMonitor()
-        monitor.receive(encode_rect_region(rect), cell_rect=CELL)
-        p = Point(x, y)
-        if not CELL.contains_point(p):
-            assert monitor.should_report(0.0, p)
-
-    @given(st.floats(min_value=0, max_value=1e6),
-           st.floats(min_value=0, max_value=1e6),
-           positions_in_cell())
-    def test_safe_period_equals_expiry_comparison(self, expiry, now, p):
-        monitor = ClientMonitor()
-        monitor.receive(encode_safe_period(expiry))
-        assert monitor.should_report(now, p) == (now >= expiry)
-
-    @given(rects_in_cell(), st.lists(positions_in_cell(), max_size=8))
-    def test_probe_count_matches_in_cell_fixes(self, rect, fixes):
-        """Every in-cell fix costs exactly one rect probe, no more."""
-        monitor = ClientMonitor()
-        monitor.receive(encode_rect_region(rect), cell_rect=CELL)
-        for p in fixes:
-            monitor.should_report(0.0, p)
-        assert monitor.probes == len(fixes)
 
 
 class TestMWPSRNeverCoversAlarmPoints:
@@ -140,12 +91,12 @@ class TestMWPSRNeverCoversAlarmPoints:
         result = MWPSRComputer().compute(position, heading, CELL, obstacles)
         if result.inside_alarm:
             return
-        monitor = ClientMonitor()
-        monitor.receive(encode_rect_region(result.rect), cell_rect=CELL)
-        assert not monitor.should_report(0.0, position)
+        decoded = decode_rect_region(encode_rect_region(result.rect))
+        assert CELL.contains_point(position) \
+            and decoded.contains_point(position)
         for obstacle in obstacles:
             p = interior_point(obstacle, fx, fy)
-            silent = not monitor.should_report(0.0, p)
+            silent = CELL.contains_point(p) and decoded.contains_point(p)
             assert silent == (CELL.contains_point(p)
                               and result.rect.contains_point(p))
             if silent:
