@@ -1,40 +1,26 @@
-"""Concurrency view of the project model: call graph, domains, roots.
+"""Concurrency view of the project model: call graph and loop code.
 
-:class:`ConcurrencyModel` is the layer PA005 and PA006 share.  Built once
-per :class:`~repro.analysis.model.ProjectModel` (cached via
+:class:`ConcurrencyModel` is PA005's substrate.  Built once per
+:class:`~repro.analysis.model.ProjectModel` (cached via
 :meth:`ProjectModel.concurrency`), it derives from the function table:
 
-* a **call graph** with sync/async edges.  Each edge records how the
-  callee was resolved (``via``): a plain name, a ``self`` method, a
-  constructor-typed attribute or local, or a constructor call.  Awaited
-  calls are marked so rules can tell ``await f()`` from a bare
-  ``f()``;
-* **concurrency roots** — the places code enters a domain other than
-  the caller's thread: ``asyncio.create_task``/``ensure_future`` sites,
-  ``threading.Thread(target=...)`` targets (through a ``lambda:
-  asyncio.run(...)`` trampoline too, the ``DaemonThread`` shape),
-  ``run_in_executor``/``pool.submit``/``initializer=`` submissions and
-  ``call_soon_threadsafe`` handoffs — unifying what PA003 resolved ad
-  hoc for process pools;
-* a **domain classification** per function.  Domains: every coroutine
-  (and every sync function transitively called from one by name or via
-  ``self``) runs on the *event loop*; thread targets run in a
-  *thread*; ``run_in_executor``/``ThreadPoolExecutor`` targets in an
-  *executor* thread; ``ProcessPoolExecutor`` targets in a *process*
-  (isolated address space — exempt from shared-memory race analysis,
-  PA003 owns that boundary).  Unclassified functions run wherever the
-  caller runs — the *main* domain by default;
-* **synchronizer typing** — attributes constructed from
-  ``asyncio``/``threading``/``queue``/``multiprocessing`` queue, lock
-  and event classes are recognized handoff points and exempt from race
-  analysis.
+* a **call graph**.  Each edge records how the callee was resolved
+  (``via``): a plain name, a ``self`` method, a constructor-typed
+  attribute or local, or a constructor call;
+* **constructor typing** of attributes and locals, so a call on
+  ``self._jobs`` can be told apart as ``queue.Queue.get`` (blocking)
+  or ``asyncio.Queue.get`` (awaitable);
+* the **loop code**: every coroutine, every sync callback handed to
+  ``create_task``/``ensure_future``, ``call_soon*``, ``call_later``/
+  ``call_at`` or the ``lambda: asyncio.run(...)`` trampoline of a
+  ``threading.Thread`` (the ``DaemonThread`` shape), and every sync
+  function transitively called from those by name or via ``self``.
+  Executor submissions and plain thread targets are never loop code.
 
-Propagation is deliberately narrow: domains flow only along ``name``
-and ``self`` call edges.  Attribute-typed calls cross object
+Propagation is deliberately narrow: loop membership flows only along
+``name`` and ``self`` call edges.  Attribute-typed calls cross object
 boundaries where *which instance* matters (the daemon's transport vs
-the client's), which a whole-program classifier cannot see — flowing
-domains through them manufactures false races, so those edges serve
-only reachability walks (PA005), never classification (PA006).
+the client's), so those edges serve only PA005's reachability walk.
 """
 
 from __future__ import annotations
@@ -42,29 +28,17 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import FunctionInfo, ModuleInfo, ProjectModel, own_nodes
 
 #: A function's identity: (module rel path, qualname).
 FuncKey = Tuple[str, str]
 
-DOMAIN_LOOP = "event-loop"
-DOMAIN_THREAD = "thread"
-DOMAIN_EXECUTOR = "executor"
-DOMAIN_PROCESS = "process"
-DOMAIN_MAIN = "main"
-
-#: Library modules whose constructors type queues/locks/events.
-_SYNC_LIBRARIES = frozenset(
+#: Library modules whose constructors are typed (queues, locks, pools).
+_TYPED_LIBRARIES = frozenset(
     {"queue", "asyncio", "threading", "multiprocessing",
      "concurrent.futures"})
-
-#: Class names recognized as synchronizers (thread-safe handoffs).
-_SYNCHRONIZER_CLASSES = frozenset(
-    {"Queue", "LifoQueue", "PriorityQueue", "SimpleQueue", "Event",
-     "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-     "Barrier"})
 
 
 @dataclass(frozen=True)
@@ -79,21 +53,12 @@ class TypeRef:
     rel_path: Optional[str]
     class_name: str
 
-    @property
-    def is_synchronizer(self) -> bool:
-        return (self.library in _SYNC_LIBRARIES
-                and self.class_name in _SYNCHRONIZER_CLASSES)
-
 
 @dataclass
 class CallEdge:
-    """One resolved call site: ``caller`` invokes ``callee``."""
+    """One resolved call site's callee."""
 
-    caller: FuncKey
     callee: FuncKey
-    node: ast.Call
-    #: The call sits directly under an ``await``.
-    awaited: bool
     #: Resolution route: ``name`` | ``self`` | ``attr`` | ``local``
     #: | ``constructor``.
     via: str
@@ -110,7 +75,7 @@ def _terminal_name(node: ast.expr) -> Optional[str]:
 
 @dataclass
 class ConcurrencyModel:
-    """Call graph, domain classification and roots for one model."""
+    """Call graph, constructor typing and loop code for one model."""
 
     model: ProjectModel
     functions: Dict[FuncKey, FunctionInfo] = field(default_factory=dict)
@@ -119,16 +84,13 @@ class ConcurrencyModel:
     methods: Dict[Tuple[str, str], List[FunctionInfo]] = field(
         default_factory=dict)
     calls: Dict[FuncKey, List[CallEdge]] = field(default_factory=dict)
-    #: Classified domains per function; absent means "main".
-    domains: Dict[FuncKey, FrozenSet[str]] = field(default_factory=dict)
+    #: Every function that runs on an event loop.
+    on_loop: Set[FuncKey] = field(default_factory=set)
     #: Constructor-derived attribute types per (rel, class, attr).
     attr_types: Dict[Tuple[str, str, str], TypeRef] = field(
         default_factory=dict)
     #: Constructor-derived local types per function.
     local_types: Dict[FuncKey, Dict[str, TypeRef]] = field(
-        default_factory=dict)
-    #: Synchronizer-typed attribute names per (rel, class).
-    synchronizers: Dict[Tuple[str, str], Set[str]] = field(
         default_factory=dict)
 
     # -- construction --------------------------------------------------
@@ -145,12 +107,12 @@ class ConcurrencyModel:
                         (module.rel_path, info.class_name),
                         []).append(info)
         conc._infer_attribute_types()
-        entries: List[Tuple[FuncKey, str]] = []
+        entries: List[FuncKey] = []
         for key in sorted(conc.functions):
             conc.local_types[key] = conc._infer_local_types(key)
         for key in sorted(conc.functions):
             conc._extract_calls_and_roots(key, entries)
-        conc._propagate_domains(entries)
+        conc._propagate_loop(entries)
         return conc
 
     # -- type inference ------------------------------------------------
@@ -171,12 +133,12 @@ class ConcurrencyModel:
             source = self.model.module_by_name(dotted)
             if source is not None and original in source.classes:
                 return TypeRef(None, source.rel_path, original)
-            if dotted in _SYNC_LIBRARIES:
+            if dotted in _TYPED_LIBRARIES:
                 return TypeRef(dotted, None, original)
             return None
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.value.id in _SYNC_LIBRARIES):
+                and func.value.id in _TYPED_LIBRARIES):
             return TypeRef(func.value.id, None, func.attr)
         return None
 
@@ -203,10 +165,6 @@ class ConcurrencyModel:
                         ambiguous.add(slot)
                         continue
                     self.attr_types[slot] = ref
-                    if ref.is_synchronizer:
-                        self.synchronizers.setdefault(
-                            (rel_path, class_name), set()).add(
-                            target.attr)
         for slot in ambiguous:
             self.attr_types.pop(slot, None)
 
@@ -315,64 +273,42 @@ class ConcurrencyModel:
                 return (ref.rel_path, qualname), via
         return None
 
-    def _extract_calls_and_roots(
-            self, key: FuncKey,
-            entries: List[Tuple[FuncKey, str]]) -> None:
+    def _extract_calls_and_roots(self, key: FuncKey,
+                                 entries: List[FuncKey]) -> None:
         module = self.module_of[key]
-        func = self.functions[key].node
-        awaited_ids = {id(node.value) for node in own_nodes(func)
-                       if isinstance(node, ast.Await)}
         edges: List[CallEdge] = []
-        for node in own_nodes(func):
+        for node in own_nodes(self.functions[key].node):
             if not isinstance(node, ast.Call):
                 continue
             resolved = self._resolve_call(key, node)
             if resolved is not None:
-                callee, via = resolved
-                edges.append(CallEdge(
-                    caller=key, callee=callee, node=node,
-                    awaited=id(node) in awaited_ids, via=via))
+                edges.append(CallEdge(*resolved))
             self._extract_roots(key, module, node, entries)
         if edges:
             self.calls[key] = edges
 
     def _extract_roots(self, key: FuncKey, module: ModuleInfo,
-                       node: ast.Call,
-                       entries: List[Tuple[FuncKey, str]]) -> None:
+                       node: ast.Call, entries: List[FuncKey]) -> None:
+        """Note the callables this call schedules onto an event loop."""
         name = _terminal_name(node.func)
-        if name in ("create_task", "ensure_future"):
-            self._note_entry(key, node.args[:1], DOMAIN_LOOP, entries)
+        if name in ("create_task", "ensure_future", "call_soon",
+                    "call_soon_threadsafe"):
+            self._note_entry(key, node.args[:1], entries)
+        elif name in ("call_later", "call_at"):
+            self._note_entry(key, node.args[1:2], entries)
         elif name == "Thread" and self._is_threading_thread(module,
                                                             node):
+            # The loop-hosting trampoline: ``lambda:
+            # asyncio.run(self._main())`` runs ``_main`` on a fresh
+            # event loop inside the new thread.
             for keyword in node.keywords:
-                if keyword.arg == "target":
-                    self._note_thread_target(key, keyword.value,
+                if (keyword.arg == "target"
+                        and isinstance(keyword.value, ast.Lambda)):
+                    for call in ast.walk(keyword.value.body):
+                        if (isinstance(call, ast.Call) and call.args
+                                and _terminal_name(call.func) == "run"):
+                            self._note_entry(key, call.args[:1],
                                              entries)
-        elif name == "submit" and isinstance(node.func, ast.Attribute):
-            pool = self.receiver_type(key, node.func.value)
-            domain = (DOMAIN_EXECUTOR
-                      if pool is not None
-                      and pool.class_name == "ThreadPoolExecutor"
-                      else DOMAIN_PROCESS)
-            self._note_entry(key, node.args[:1], domain, entries)
-        elif name == "run_in_executor":
-            self._note_entry(key, node.args[1:2], DOMAIN_EXECUTOR,
-                             entries)
-        elif name in ("call_soon_threadsafe", "call_soon"):
-            self._note_entry(key, node.args[:1], DOMAIN_LOOP, entries)
-        elif name in ("call_later", "call_at"):
-            self._note_entry(key, node.args[1:2], DOMAIN_LOOP, entries)
-        else:
-            ctor = self.constructed_type(module, node)
-            if ctor is not None and ctor.class_name in (
-                    "ProcessPoolExecutor", "ThreadPoolExecutor"):
-                domain = (DOMAIN_EXECUTOR
-                          if ctor.class_name == "ThreadPoolExecutor"
-                          else DOMAIN_PROCESS)
-                for keyword in node.keywords:
-                    if keyword.arg == "initializer":
-                        self._note_entry(key, [keyword.value], domain,
-                                         entries)
 
     @staticmethod
     def _is_threading_thread(module: ModuleInfo,
@@ -387,77 +323,26 @@ class ConcurrencyModel:
         return False
 
     def _note_entry(self, key: FuncKey, args: Iterable[ast.expr],
-                    domain: str,
-                    entries: List[Tuple[FuncKey, str]]) -> None:
+                    entries: List[FuncKey]) -> None:
         for arg in args:
             # ``create_task(coro())`` hands over the *call*'s function.
             target = arg.func if isinstance(arg, ast.Call) else arg
             ref = self._callable_ref(key, target)
             if ref is not None:
-                entries.append((ref, domain))
+                entries.append(ref)
 
-    def _note_thread_target(
-            self, key: FuncKey, target: ast.expr,
-            entries: List[Tuple[FuncKey, str]]) -> None:
-        if isinstance(target, ast.Lambda):
-            # The loop-hosting trampoline: ``lambda:
-            # asyncio.run(self._main())`` runs ``_main`` on a fresh
-            # event loop inside the new thread; any other call in the
-            # lambda body runs plainly on the thread.
-            for node in ast.walk(target.body):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _terminal_name(node.func)
-                if name == "run" and node.args:
-                    self._note_entry(key, node.args[:1], DOMAIN_LOOP,
-                                     entries)
-                elif name is not None:
-                    ref = self._callable_ref(key, node.func)
-                    if ref is not None:
-                        entries.append((ref, DOMAIN_THREAD))
-            return
-        ref = self._callable_ref(key, target)
-        if ref is not None:
-            entries.append((ref, DOMAIN_THREAD))
-
-    # -- domain propagation --------------------------------------------
-    def _propagate_domains(
-            self, entries: List[Tuple[FuncKey, str]]) -> None:
-        working: Dict[FuncKey, Set[str]] = {}
-        for key, info in self.functions.items():
-            if info.is_async:
-                working.setdefault(key, set()).add(DOMAIN_LOOP)
-        for key, domain in entries:
-            if self.functions[key].is_async:
-                continue  # coroutines are loop-domain regardless
-            working.setdefault(key, set()).add(domain)
-        queue = deque(sorted(working))
+    # -- loop propagation ----------------------------------------------
+    def _propagate_loop(self, entries: List[FuncKey]) -> None:
+        on_loop = {key for key, info in self.functions.items()
+                   if info.is_async}
+        on_loop.update(entries)
+        queue = deque(sorted(on_loop))
         while queue:
             key = queue.popleft()
             for edge in self.calls.get(key, []):
-                if edge.via not in ("name", "self"):
-                    continue
-                callee_info = self.functions.get(edge.callee)
-                if callee_info is None or callee_info.is_async:
-                    continue
-                target = working.setdefault(edge.callee, set())
-                added = working[key] - target
-                if added:
-                    target.update(added)
+                if (edge.via in ("name", "self")
+                        and edge.callee in self.functions
+                        and edge.callee not in on_loop):
+                    on_loop.add(edge.callee)
                     queue.append(edge.callee)
-        self.domains = {key: frozenset(value)
-                        for key, value in working.items()}
-
-    # -- queries -------------------------------------------------------
-    def effective_domains(self, key: FuncKey) -> FrozenSet[str]:
-        """Domains for race analysis: ``main`` when unclassified, and
-        process-pool code excluded (isolated address space)."""
-        classified = self.domains.get(key)
-        if classified is None:
-            return frozenset({DOMAIN_MAIN})
-        shared = classified - {DOMAIN_PROCESS}
-        return frozenset(shared)
-
-    def class_synchronizers(self, rel_path: str,
-                            class_name: str) -> Set[str]:
-        return self.synchronizers.get((rel_path, class_name), set())
+        self.on_loop = on_loop

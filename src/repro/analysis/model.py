@@ -67,9 +67,6 @@ class FunctionInfo:
     #: Immediately-enclosing class name, ``None`` outside class bodies.
     class_name: Optional[str]
     is_async: bool
-    #: Suspension points (``await`` / ``async for`` / ``async with``)
-    #: in source order, excluding nested defs — ``()`` for sync defs.
-    awaits: Tuple[Tuple[int, int], ...]
 
 
 def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -90,19 +87,6 @@ def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def await_points(func: AnyFunctionDef) -> Tuple[Tuple[int, int], ...]:
-    """Positions of every suspension point in ``func``, source order.
-
-    ``await`` expressions plus ``async for`` / ``async with`` headers;
-    suspension points inside nested defs belong to the nested def.
-    """
-    points = [(node.lineno, node.col_offset)
-              for node in own_nodes(func)
-              if isinstance(node, (ast.Await, ast.AsyncFor,
-                                   ast.AsyncWith))]
-    return tuple(sorted(points))
-
-
 @dataclass
 class ModuleInfo:
     """Everything the model knows about one parsed module."""
@@ -120,7 +104,7 @@ class ModuleInfo:
     #: Module-level functions by name.
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: Every def in the module (methods and nested defs included),
-    #: keyed by qualname — the concurrency rules' function table.
+    #: keyed by qualname — the concurrency model's function table.
     all_functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Module-level ``NAME = "literal"`` string constants.
     constants: Dict[str, str] = field(default_factory=dict)
@@ -324,8 +308,7 @@ class ProjectModel:
                 info.all_functions[qualname] = FunctionInfo(
                     qualname=qualname, name=stmt.name, node=stmt,
                     class_name=class_name,
-                    is_async=isinstance(stmt, ast.AsyncFunctionDef),
-                    awaits=await_points(stmt))
+                    is_async=isinstance(stmt, ast.AsyncFunctionDef))
                 # Nested defs are plain closures, not methods.
                 cls._collect_functions(info, stmt.body,
                                        prefix=qualname + ".",
@@ -385,10 +368,10 @@ class ProjectModel:
             yield self.modules[rel_path]
 
     def concurrency(self) -> "ConcurrencyModel":
-        """The (cached) concurrency view: call graph, domains, roots.
+        """The (cached) concurrency view: call graph and loop code.
 
         Built lazily so trees analyzed only by the structural rules
-        never pay for it, and cached so PA005 and PA006 share one build.
+        never pay for it.
         """
         if self._concurrency is None:
             from .concurrency import ConcurrencyModel

@@ -10,7 +10,7 @@ the runtime guard that replaced it.
 """
 
 from . import (pa002_telemetry, pa003_fork, pa004_debt,  # noqa: F401
-               pa005_blocking, pa006_races, pa009_leaks,
-               rl002_float_equality, rl003_unseeded_randomness,
-               rl004_fork_safety, rl006_no_wallclock,
-               rl007_no_print_telemetry, rl008_protocol_boundary)
+               pa005_blocking, pa009_leaks, rl002_float_equality,
+               rl003_unseeded_randomness, rl004_fork_safety,
+               rl006_no_wallclock, rl007_no_print_telemetry,
+               rl008_protocol_boundary)

@@ -45,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..base import Rule, rule
 from ..diagnostics import Diagnostic
-from ..concurrency import DOMAIN_LOOP, ConcurrencyModel, FuncKey
+from ..concurrency import ConcurrencyModel, FuncKey
 from ..model import ModuleInfo, ProjectModel, own_nodes
 
 #: ``module.attr`` calls that always block.
@@ -111,14 +111,11 @@ def _blocking_reason(conc: ConcurrencyModel, key: FuncKey,
 
 def _loop_roots(conc: ConcurrencyModel) -> List[FuncKey]:
     """Every function that runs on an event loop: coroutines plus
-    sync callbacks classified into the loop domain.  Coroutines walk
-    first so a blocking site shared between a coroutine and a
-    loop-classified sync helper is attributed to the coroutine, with
-    the helper in the call chain."""
-    roots = [key for key, info in conc.functions.items()
-             if info.is_async
-             or DOMAIN_LOOP in conc.domains.get(key, frozenset())]
-    return sorted(roots,
+    sync callbacks and the helpers they call.  Coroutines walk first so
+    a blocking site shared between a coroutine and a loop sync helper
+    is attributed to the coroutine, with the helper in the call
+    chain."""
+    return sorted(conc.on_loop,
                   key=lambda key: (not conc.functions[key].is_async,
                                    key))
 

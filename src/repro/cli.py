@@ -554,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.set_defaults(handler=_cmd_figure)
 
     check_parser = subparsers.add_parser(
-        "check", help="run the static checker, 12 rules: RL002-RL004, "
-                      "RL006-RL008, PA002-PA006, PA009 "
-                      "(docs/STATIC_ANALYSIS.md)")
+        "check", help="run the static checker; --list-rules names its "
+                      "rules (docs/STATIC_ANALYSIS.md)")
     add_check_arguments(check_parser)
     check_parser.set_defaults(handler=run_check_command)
 

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-import queue
 import stat
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..protocol.framing import (PROTOCOL_VERSION, Frame, FrameDecoder,
@@ -70,13 +71,42 @@ _SENTINEL = None
 #: ``queue_wait`` span when the drain worker picks the request up.
 _QueuedRequest = Tuple[float, Request, int, int, float]
 
-#: DaemonThread startup handshake: (running loop, bound TCP port,
-#: startup error) — exactly one of loop/error is non-None.
-_Handshake = Tuple[Optional[asyncio.AbstractEventLoop], Optional[int],
-                   Optional[BaseException]]
+#: What a DaemonThread's loop thread publishes once bound: its running
+#: loop and the bound TCP port (``None`` on a Unix socket).
+_Bound = Tuple[asyncio.AbstractEventLoop, Optional[int]]
 
 
-class AlarmDaemon:
+class _OwnedByOneThread:
+    """Refuse attribute writes from any thread but the owner's.
+
+    ``__init__`` writes freely and ends with :meth:`_seal`.  The first
+    thread to write after that owns the object, and a later write from
+    any other thread raises ``RuntimeError`` naming the class, the
+    attribute and both threads.  Reads are not intercepted, so the
+    request path pays nothing.
+    """
+
+    _sealed = False
+    _owner: Optional[threading.Thread] = None
+
+    def _seal(self) -> None:
+        object.__setattr__(self, "_sealed", True)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self._sealed:
+            current = threading.current_thread()
+            owner = self._owner
+            if owner is None:
+                object.__setattr__(self, "_owner", current)
+            elif owner is not current:
+                raise RuntimeError(
+                    "%s.%s written from thread %r; the object belongs to "
+                    "thread %r" % (type(self).__name__, name, current.name,
+                                   owner.name))
+        object.__setattr__(self, name, value)
+
+
+class AlarmDaemon(_OwnedByOneThread):
     """Asyncio server multiplexing framed client connections.
 
     ``batch_max`` bounds how many queued uplinks one drain wakeup
@@ -84,6 +114,9 @@ class AlarmDaemon:
     uplink queue (the backpressure knob).  ``verify_wire`` and
     ``sanitizer`` extend the wire-fidelity contract to the framed path:
     every charged size is checked against the bytes actually framed.
+    The loop that serves the daemon owns it: attributes are written at
+    start, at stop and once per connection, all on that loop's thread,
+    and a write from any other thread raises.
     """
 
     def __init__(self, server: AlarmServer, policy: ServerPolicy,
@@ -117,6 +150,7 @@ class AlarmDaemon:
         # state).
         self._conn_queues: Dict[
             int, "asyncio.Queue[Optional[_QueuedRequest]]"] = {}
+        self._seal()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -526,7 +560,7 @@ class AlarmDaemon:
         }
 
 
-class DaemonThread:
+class DaemonThread(_OwnedByOneThread):
     """Host one :class:`AlarmDaemon` in a background event-loop thread.
 
     The network engine and the test suite run daemon and client in one
@@ -537,6 +571,9 @@ class DaemonThread:
         with DaemonThread(daemon, path=sock) as hosted:
             transport = SocketTransport.connect_unix(hosted.path)
             ...
+
+    The thread that calls :meth:`start` owns this object; the loop
+    thread never writes to it and owns the daemon instead.
     """
 
     def __init__(self, daemon: AlarmDaemon, *, path: Optional[str] = None,
@@ -544,16 +581,24 @@ class DaemonThread:
         self.daemon = daemon
         self.path = path
         self.host = host
-        self.port: Optional[int] = None
         self._requested_port = port
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Startup handshake: the loop thread publishes (loop, port,
-        # error) exactly once; start() consumes it and performs every
-        # attribute write itself, so no instance state is mutated from
-        # two threads (PA006's hand-off-through-a-queue discipline).
-        self._handshake: "queue.Queue[_Handshake]" = \
-            queue.Queue(maxsize=1)
+        # The loop thread's one publication: what it bound, or the
+        # exception that stopped it first.
+        self._started: "Future[_Bound]" = Future()
+        self._seal()
+
+    @property
+    def port(self) -> Optional[int]:
+        """The bound TCP port; ``None`` before start and on a Unix socket."""
+        published = self._published()
+        return None if published is None else published[1]
+
+    def _published(self) -> Optional[_Bound]:
+        started = self._started
+        if started.done() and started.exception() is None:
+            return started.result()
+        return None
 
     def start(self) -> "DaemonThread":
         if self._thread is not None:
@@ -563,34 +608,35 @@ class DaemonThread:
             name="repro-alarm-daemon", daemon=True)
         self._thread.start()
         try:
-            loop, port, error = self._handshake.get(timeout=30.0)
-        except queue.Empty:
+            error = self._started.exception(timeout=30.0)
+        except FutureTimeout:
             raise RuntimeError(
                 "daemon thread failed to start in time") from None
         if error is not None:
-            raise RuntimeError("daemon failed to start: %s" % error)
-        self._loop = loop
-        self.port = port
+            raise RuntimeError("daemon failed to start: %s" % error) \
+                from error
         return self
 
     async def _main(self) -> None:
-        loop = asyncio.get_running_loop()
-        port: Optional[int] = None
+        # Everything before publication sits in the try, so start()
+        # sees every startup failure at once rather than at its timeout.
         try:
+            port: Optional[int] = None
             if self.path is not None:
                 await self.daemon.start_unix(self.path)
             else:
                 port = await self.daemon.start_tcp(
                     self.host, self._requested_port)
-        except BaseException as exc:  # surfaced to start()
-            self._handshake.put_nowait((None, None, exc))
+            self._started.set_result((asyncio.get_running_loop(), port))
+        except BaseException as exc:  # surfaced by start()
+            self._started.set_exception(exc)
             return
-        self._handshake.put_nowait((loop, port, None))
         await self.daemon.serve_until_stopped()
 
     def stop(self) -> None:
         """Stop the daemon and join the loop thread (idempotent)."""
-        loop = self._loop
+        published = self._published()
+        loop = None if published is None else published[0]
         if loop is not None and not loop.is_closed():
             try:
                 loop.call_soon_threadsafe(self.daemon.request_stop)

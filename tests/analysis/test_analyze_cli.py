@@ -25,9 +25,7 @@ class TestExitCodes:
         assert shipped_report.ok
         assert shipped_report.render_text().endswith("0 problem(s) found")
 
-    @pytest.mark.parametrize("rule_id",
-                             ["PA002", "PA003", "PA004", "PA005",
-                              "PA006", "PA009"])
+    @pytest.mark.parametrize("rule_id", PA_RULE_IDS)
     def test_fixture_exits_with_findings(self, rule_id, capsys):
         root = str(FIXTURES / rule_id.lower())
         assert main(["check", root, "--rule", rule_id]) == 1

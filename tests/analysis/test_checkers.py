@@ -16,10 +16,10 @@ from repro.analysis import (ALL_RULES, ProjectModel, get_rule,
                             run_analysis)
 from repro.analysis.rules.pa004_debt import count_pragmas, find_ledger
 
-#: The surviving ids; PA001, PA007, PA008 and PA010 are retired (a
-#: runtime guard enforces each, docs/STATIC_ANALYSIS.md names it).
+#: The surviving ids; PA001, PA006, PA007, PA008 and PA010 are retired
+#: (a runtime guard enforces each, docs/STATIC_ANALYSIS.md names it).
 RL_RULE_IDS = ["RL002", "RL003", "RL004", "RL006", "RL007", "RL008"]
-PA_RULE_IDS = ["PA002", "PA003", "PA004", "PA005", "PA006", "PA009"]
+PA_RULE_IDS = ["PA002", "PA003", "PA004", "PA005", "PA009"]
 
 #: Expected diagnostic count per fixture tree (one per seeded shape).
 EXPECTED_FIXTURE_COUNTS = {
@@ -27,7 +27,6 @@ EXPECTED_FIXTURE_COUNTS = {
     "PA003": 3,
     "PA004": 2,
     "PA005": 6,
-    "PA006": 5,
     "PA009": 7,
 }
 
@@ -208,27 +207,6 @@ class TestPA005:
         messages = [d.message
                     for d in _run(fixture_root("pa005"), "PA005")]
         assert not any("slow_square" in m for m in messages)
-
-
-class TestPA006:
-    def test_names_every_race_shape(self, fixture_root):
-        messages = [d.message
-                    for d in _run(fixture_root("pa006"), "PA006")]
-        joined = "\n".join(messages)
-        assert ("'count' of class ThreadCounter is written from the "
-                "thread domain") in joined
-        assert "read-modify-write on self.total" in joined
-        assert "'SlowAccumulator.bump'" in joined
-        assert "'SlowAccumulator.bump_augmented'" in joined
-        assert "module-level mutable 'RESULTS'" in joined
-        assert "'status' of class DualWriter" in joined
-
-    def test_queue_handoff_is_exempt(self, fixture_root):
-        """``Handoff._inbox`` crosses domains through asyncio.Queue."""
-        messages = [d.message
-                    for d in _run(fixture_root("pa006"), "PA006")]
-        assert not any("_inbox" in m or "Handoff" in m
-                       for m in messages)
 
 
 class TestPA009:

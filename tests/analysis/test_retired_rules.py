@@ -1,14 +1,16 @@
 """The retired rules stay retired only while their runtime guards hold.
 
 RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA007 (task lifecycle), PA008 (session
-conformance) and PA010 (downlink causality) were deleted from the
-checker because a guard that holds by construction already catches
-their defects: frozen geometry types, the abstract ``SafeRegion``,
-``verify_field_layouts`` inside every codec built, the sanitizer's
-task-leak check at ``aclose()``, the daemon's dispatch through the
-session table (held to the spec by the socket conformance suite), and
-the wire goldens plus the accuracy contract.  PA008's row restates its
+(protocol exhaustiveness), PA006 (cross-thread races), PA007 (task
+lifecycle), PA008 (session conformance) and PA010 (downlink
+causality) were deleted from the checker because a guard that holds
+by construction already catches their defects: frozen geometry types,
+the abstract ``SafeRegion``, ``verify_field_layouts`` inside every
+codec built, the daemon objects' refusal of writes from a thread
+other than their owner's, the sanitizer's task-leak check at
+``aclose()``, the daemon's dispatch through the session table (held
+to the spec by the socket conformance suite), and the wire goldens
+plus the accuracy contract.  PA008's row restates its
 last seed against that dispatch.  Each row below is the defect the
 rule was last seeded with (``test_session_mutation.py`` held one per
 rule) and the test that catches it without the checker.  The row is
@@ -74,6 +76,15 @@ RETIRED = (
             "tests/engine/test_dynamic.py::TestDynamicAccuracy::"
             "test_all_strategies_catch_mid_run_installs",
             "LocationReport layout orders fields"),
+    Retired("PA006", "net/daemon.py",
+            "            self._started.set_result("
+            "(asyncio.get_running_loop(), port))\n",
+            "            self.port = port\n"
+            "            self._started.set_result("
+            "(asyncio.get_running_loop(), port))\n",
+            "tests/net/test_daemon.py::TestRequestReply::test_tcp_roundtrip",
+            "DaemonThread.port written from thread 'repro-alarm-daemon'; "
+            "the object belongs to thread 'MainThread'"),
     Retired("PA007", "net/daemon.py",
             "            self._watchdog = asyncio.create_task(\n",
             "            asyncio.create_task(\n",

@@ -90,12 +90,6 @@ SEEDS = (
          "            time.sleep(interval)\n",
          "blocking time.sleep() is reachable from coroutine "
          "'AlarmDaemon._stall_watchdog'"),
-    Seed("PA006", "net/daemon.py", (),
-         "        self._handshake.put_nowait((loop, port, None))\n",
-         "        self.port = port\n"
-         "        self._handshake.put_nowait((loop, port, None))\n",
-         "'port' of class DaemonThread is written from the event-loop "
-         "domain and accessed from the main domain"),
     Seed("PA009", "net/daemon.py", (),
          "                    decoder.finish()  # raises if the peer died "
          "mid-frame\n",

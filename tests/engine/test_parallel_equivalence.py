@@ -17,8 +17,9 @@ import functools
 import pytest
 
 from repro.alarms import AlarmRegistry, install_random_alarms
-from repro.engine import (Metrics, World, run_parallel_simulation,
-                          run_simulation, shard_traces)
+from repro.engine import (Metrics, World, parallel,
+                          run_parallel_simulation, run_simulation,
+                          shard_traces)
 from repro.experiments.figures import make_mwpsr_strategy, make_pbsr_strategy
 from repro.index import GridOverlay
 from repro.mobility import MobilityConfig, TraceGenerator
@@ -183,6 +184,22 @@ class TestOneShotAcrossMerge:
         second = Metrics(triggers=[TriggerEvent(5.0, 7, 42)])
         with pytest.raises(ValueError, match="one-shot"):
             Metrics.merged([first, second])
+
+
+def test_one_worker_may_run_several_inherited_shards(world, monkeypatch):
+    """The pool may hand one fork worker several shards: run back to
+    back in one process, each inherited shard must equal ``job.run`` on
+    it, so no shard may spoil ``_INHERITED`` for the next."""
+    shards = shard_traces(world.traces, 3)
+    job = parallel.ShardJob(world.registry, world.grid, world.sizes,
+                            _mwpsr, None, trace="off", sanitize=False)
+    monkeypatch.setattr(parallel, "_INHERITED", (job, shards))
+    inherited = [parallel._run_inherited_shard(index)
+                 for index in range(len(shards))]
+    for index, (metrics, _, _) in enumerate(inherited):
+        expected, _, _ = job.run(shards[index], index)
+        assert metrics.counters() == expected.counters()
+        assert metrics.triggers == expected.triggers
 
 
 def test_worker_validation(world):

@@ -130,8 +130,11 @@ class TestDaemonThreadLifecycle:
     def test_startup_failure_surfaces(self, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "alarm.sock")
         hosted = DaemonThread(make_daemon(), path=missing)
+        started = time.monotonic()
         with pytest.raises(RuntimeError, match="failed to start"):
             hosted.start()
+        assert time.monotonic() - started < 5.0
+        assert hosted.port is None
 
     def test_stale_socket_file_is_replaced(self, sock_path):
         with DaemonThread(make_daemon(), path=sock_path):
@@ -143,11 +146,70 @@ class TestDaemonThreadLifecycle:
                                               daemon.codec) as transport:
                 transport.request(make_report(), 1.0)
 
+    def test_port_is_read_only(self):
+        with DaemonThread(make_daemon(), port=0) as hosted:
+            with pytest.raises(AttributeError):
+                hosted.port = 1
+
     def test_daemon_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             make_daemon(batch_max=0)
         with pytest.raises(ValueError):
             make_daemon(queue_limit=0)
+
+
+class TestOwnerThread:
+    """Each object has one writing thread: the caller owns the
+    ``DaemonThread``, the loop thread owns the ``AlarmDaemon``."""
+
+    def test_loop_thread_cannot_write_the_host(self, sock_path):
+        hosted = DaemonThread(make_daemon(), path=sock_path).start()
+        try:
+            loop, _ = hosted._started.result()
+
+            async def relabel():
+                hosted.host = "elsewhere"
+
+            with pytest.raises(
+                    RuntimeError,
+                    match=r"DaemonThread\.host written from thread "
+                          r"'repro-alarm-daemon'; the object belongs to "
+                          r"thread 'MainThread'"):
+                asyncio.run_coroutine_threadsafe(relabel(),
+                                                 loop).result(10.0)
+            assert hosted.host == "127.0.0.1"
+        finally:
+            hosted.stop()
+
+    def test_other_threads_cannot_write_the_daemon(self, sock_path):
+        daemon = make_daemon()
+        with DaemonThread(daemon, path=sock_path):
+            with pytest.raises(
+                    RuntimeError,
+                    match=r"AlarmDaemon\.batch_max written from thread "
+                          r"'MainThread'; the object belongs to thread "
+                          r"'repro-alarm-daemon'"):
+                daemon.batch_max = 1
+            assert daemon.batch_max == 64
+            with SocketTransport.connect_unix(sock_path,
+                                              daemon.codec) as transport:
+                transport.request(make_report(), 1.0)
+
+    def test_refused_startup_write_fails_start_at_once(self, sock_path):
+        """A daemon the main thread already wrote to belongs to it: the
+        loop thread's first write is refused before publication, and
+        start() raises that refusal at once, not at its 30 s timeout."""
+        daemon = make_daemon()
+        daemon.batch_max = 8
+        hosted = DaemonThread(daemon, path=sock_path)
+        started = time.monotonic()
+        with pytest.raises(
+                RuntimeError,
+                match=r"daemon failed to start: AlarmDaemon\.\w+ written "
+                      r"from thread 'repro-alarm-daemon'"):
+            hosted.start()
+        assert time.monotonic() - started < 5.0
+        hosted.stop()
 
 
 class TestSanitizedServing:
