@@ -11,11 +11,11 @@
   ``self._jobs`` can be told apart as ``queue.Queue.get`` (blocking)
   or ``asyncio.Queue.get`` (awaitable);
 * the **loop code**: every coroutine, every sync callback handed to
-  ``create_task``/``ensure_future``, ``call_soon*``, ``call_later``/
-  ``call_at`` or the ``lambda: asyncio.run(...)`` trampoline of a
-  ``threading.Thread`` (the ``DaemonThread`` shape), and every sync
-  function transitively called from those by name or via ``self``.
-  Executor submissions and plain thread targets are never loop code.
+  ``call_soon*`` or ``call_later``/``call_at``, and every sync function
+  transitively called from those by name or via ``self``.  What
+  ``create_task``, ``ensure_future`` or an ``asyncio.run`` trampoline
+  runs is a coroutine, so loop code already.  Executor submissions and
+  plain thread targets are never loop code.
 
 Propagation is deliberately narrow: loop membership flows only along
 ``name`` and ``self`` call edges.  Attribute-typed calls cross object
@@ -275,7 +275,6 @@ class ConcurrencyModel:
 
     def _extract_calls_and_roots(self, key: FuncKey,
                                  entries: List[FuncKey]) -> None:
-        module = self.module_of[key]
         edges: List[CallEdge] = []
         for node in own_nodes(self.functions[key].node):
             if not isinstance(node, ast.Call):
@@ -283,51 +282,23 @@ class ConcurrencyModel:
             resolved = self._resolve_call(key, node)
             if resolved is not None:
                 edges.append(CallEdge(*resolved))
-            self._extract_roots(key, module, node, entries)
+            self._extract_roots(key, node, entries)
         if edges:
             self.calls[key] = edges
 
-    def _extract_roots(self, key: FuncKey, module: ModuleInfo,
-                       node: ast.Call, entries: List[FuncKey]) -> None:
-        """Note the callables this call schedules onto an event loop."""
+    def _extract_roots(self, key: FuncKey, node: ast.Call,
+                       entries: List[FuncKey]) -> None:
+        """Note the sync callbacks this call schedules onto a loop."""
         name = _terminal_name(node.func)
-        if name in ("create_task", "ensure_future", "call_soon",
-                    "call_soon_threadsafe"):
+        if name in ("call_soon", "call_soon_threadsafe"):
             self._note_entry(key, node.args[:1], entries)
         elif name in ("call_later", "call_at"):
             self._note_entry(key, node.args[1:2], entries)
-        elif name == "Thread" and self._is_threading_thread(module,
-                                                            node):
-            # The loop-hosting trampoline: ``lambda:
-            # asyncio.run(self._main())`` runs ``_main`` on a fresh
-            # event loop inside the new thread.
-            for keyword in node.keywords:
-                if (keyword.arg == "target"
-                        and isinstance(keyword.value, ast.Lambda)):
-                    for call in ast.walk(keyword.value.body):
-                        if (isinstance(call, ast.Call) and call.args
-                                and _terminal_name(call.func) == "run"):
-                            self._note_entry(key, call.args[:1],
-                                             entries)
-
-    @staticmethod
-    def _is_threading_thread(module: ModuleInfo,
-                             node: ast.Call) -> bool:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return (isinstance(func.value, ast.Name)
-                    and func.value.id == "threading")
-        if isinstance(func, ast.Name):
-            return module.imports.get(func.id, ("", ""))[0] \
-                == "threading"
-        return False
 
     def _note_entry(self, key: FuncKey, args: Iterable[ast.expr],
                     entries: List[FuncKey]) -> None:
         for arg in args:
-            # ``create_task(coro())`` hands over the *call*'s function.
-            target = arg.func if isinstance(arg, ast.Call) else arg
-            ref = self._callable_ref(key, target)
+            ref = self._callable_ref(key, arg)
             if ref is not None:
                 entries.append(ref)
 

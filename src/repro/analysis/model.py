@@ -3,10 +3,8 @@
 :class:`ProjectModel` parses every ``.py`` file under one root exactly
 once.  A file-local rule reads one :class:`ModuleInfo` at a time (its
 tree, its root-relative path, its pragmas); a whole-program rule reads
-the cross-module facts: the module graph (resolved imports), the
-class/attribute table (dataclass field order per class), the function
-table (one level of the call graph), and the string-literal tables
-(module-level string constants, resolvable through imports).  Rules
+the cross-module facts: the module graph (resolved imports), the class
+table, and the function table (one level of the call graph).  Rules
 locate the modules they care about by *root-relative path* — a scope
 prefix such as ``strategies`` or a suffix such as
 ``protocol/messages.py`` — so the same rule runs unchanged over the
@@ -41,13 +39,10 @@ class AnalysisError(Exception):
 
 @dataclass
 class ClassInfo:
-    """One class definition and its annotated-field order."""
+    """One class definition."""
 
     name: str
     node: ast.ClassDef
-    #: Annotated class-level fields in declaration order — for the
-    #: frozen protocol dataclasses this *is* the dataclass field order.
-    fields: Tuple[str, ...]
 
 
 @dataclass
@@ -106,8 +101,6 @@ class ModuleInfo:
     #: Every def in the module (methods and nested defs included),
     #: keyed by qualname — the concurrency model's function table.
     all_functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Module-level ``NAME = "literal"`` string constants.
-    constants: Dict[str, str] = field(default_factory=dict)
     #: ``from X import a as b`` edges: local name -> (dotted source
     #: module, original name).  Plain ``import X`` edges are omitted —
     #: no rule needs them.
@@ -115,34 +108,6 @@ class ModuleInfo:
     #: Module-level names bound to mutable containers (lists, dicts,
     #: sets and their factory calls) — the state PA003 guards.
     mutables: FrozenSet[str] = frozenset()
-
-
-@dataclass
-class ResolvedStrings:
-    """Outcome of resolving one expression to string values.
-
-    ``full`` holds completely-resolved values; ``prefixes`` holds the
-    literal head of a concatenation with a dynamic tail
-    (``"downlink_messages_" + kind`` yields one prefix).  ``unresolved``
-    is set when some branch produced no literal at all.
-    """
-
-    full: List[str] = field(default_factory=list)
-    prefixes: List[str] = field(default_factory=list)
-    unresolved: bool = False
-
-    @property
-    def empty(self) -> bool:
-        return not (self.full or self.prefixes)
-
-
-def _class_info(node: ast.ClassDef) -> ClassInfo:
-    fields_: List[str] = []
-    for stmt in node.body:
-        if (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)):
-            fields_.append(stmt.target.id)
-    return ClassInfo(name=node.name, node=node, fields=tuple(fields_))
 
 
 #: Method names that mutate a list/dict/set/deque in place.
@@ -287,11 +252,9 @@ class ProjectModel:
         package = rel_path.split("/")[:-1]
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
-                info.classes[stmt.name] = _class_info(stmt)
+                info.classes[stmt.name] = ClassInfo(stmt.name, stmt)
             elif isinstance(stmt, ast.FunctionDef):
                 info.functions[stmt.name] = stmt
-            elif isinstance(stmt, ast.Assign):
-                cls._record_constant(info, stmt)
             elif isinstance(stmt, ast.ImportFrom):
                 cls._record_import(info, stmt, package, root.name)
         cls._collect_functions(info, tree.body, prefix="",
@@ -317,14 +280,6 @@ class ProjectModel:
                 cls._collect_functions(info, stmt.body,
                                        prefix=prefix + stmt.name + ".",
                                        class_name=stmt.name)
-
-    @staticmethod
-    def _record_constant(info: ModuleInfo, stmt: ast.Assign) -> None:
-        if (len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)):
-            info.constants[stmt.targets[0].id] = stmt.value.value
 
     @staticmethod
     def _record_import(info: ModuleInfo, stmt: ast.ImportFrom,
@@ -394,59 +349,3 @@ class ProjectModel:
         if func is None:
             return None
         return source_module, func
-
-    def resolve_constant(self, module: ModuleInfo,
-                         name: str) -> Optional[str]:
-        """Resolve a name to a module-level string constant's value."""
-        if name in module.constants:
-            return module.constants[name]
-        imported = module.imports.get(name)
-        if imported is None:
-            return None
-        source_module = self.module_by_name(imported[0])
-        if source_module is None:
-            return None
-        return source_module.constants.get(imported[1])
-
-    def resolve_strings(self, module: ModuleInfo,
-                        node: ast.expr) -> ResolvedStrings:
-        """Resolve an expression to the string values it can take.
-
-        Handles literals, module-level constants (through one import
-        hop), conditional expressions (both branches) and binary
-        concatenation with a dynamic right side (recorded as a
-        prefix).  Anything else marks the result ``unresolved``.
-        """
-        result = ResolvedStrings()
-        self._resolve_into(module, node, result)
-        return result
-
-    def _resolve_into(self, module: ModuleInfo, node: ast.expr,
-                      result: ResolvedStrings) -> None:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            result.full.append(node.value)
-            return
-        if isinstance(node, ast.Name):
-            value = self.resolve_constant(module, node.id)
-            if value is None:
-                result.unresolved = True
-            else:
-                result.full.append(value)
-            return
-        if isinstance(node, ast.IfExp):
-            self._resolve_into(module, node.body, result)
-            self._resolve_into(module, node.orelse, result)
-            return
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = self.resolve_strings(module, node.left)
-            right = self.resolve_strings(module, node.right)
-            if left.full and right.full and not left.unresolved \
-                    and not right.unresolved:
-                result.full.extend(lhs + rhs for lhs in left.full
-                                   for rhs in right.full)
-            elif left.full and not left.unresolved:
-                result.prefixes.extend(left.full)
-            else:
-                result.unresolved = True
-            return
-        result.unresolved = True

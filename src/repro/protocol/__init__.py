@@ -26,8 +26,8 @@ turn types against ``engine.server``).
 """
 
 from .messages import (DOWNLINK_ALARM_PUSH, DOWNLINK_BITMAP,
-                       DOWNLINK_INVALIDATE, DOWNLINK_KINDS, DOWNLINK_PUSH,
-                       DOWNLINK_RECT, DOWNLINK_SAFE_PERIOD,
+                       DOWNLINK_INVALIDATE, DOWNLINK_KINDS, DOWNLINK_RECT,
+                       DOWNLINK_SAFE_PERIOD,
                        AlarmNotification, AlarmRecord, InstallAlarmList,
                        InstallSafePeriod, InstallSafeRegion,
                        InvalidateState, LocationReport, RegionExitReport,
@@ -39,6 +39,5 @@ __all__ = [
     "LocationReport", "RegionExitReport", "Request", "Response",
     "ServerReply", "downlink_kind",
     "DOWNLINK_ALARM_PUSH", "DOWNLINK_BITMAP", "DOWNLINK_INVALIDATE",
-    "DOWNLINK_KINDS", "DOWNLINK_PUSH", "DOWNLINK_RECT",
-    "DOWNLINK_SAFE_PERIOD",
+    "DOWNLINK_KINDS", "DOWNLINK_RECT", "DOWNLINK_SAFE_PERIOD",
 ]

@@ -45,17 +45,16 @@ if TYPE_CHECKING:  # typing only: keeps the protocol package import-light
 #: Downlink payload kinds as reported in telemetry (``downlink_sent``
 #: events and the per-kind ``downlink_messages_<kind>`` counters).  One
 #: kind per protocol payload, plus the push-invalidation of the
-#: dynamic/tracking engines and a generic fallback.
+#: dynamic/tracking engines.
 DOWNLINK_RECT = "rect"
 DOWNLINK_SAFE_PERIOD = "safe_period"
 DOWNLINK_BITMAP = "bitmap"
 DOWNLINK_ALARM_PUSH = "alarm_push"
 DOWNLINK_INVALIDATE = "invalidate"
-DOWNLINK_PUSH = "push"
 
 DOWNLINK_KINDS: Tuple[str, ...] = (DOWNLINK_RECT, DOWNLINK_SAFE_PERIOD,
                                    DOWNLINK_BITMAP, DOWNLINK_ALARM_PUSH,
-                                   DOWNLINK_INVALIDATE, DOWNLINK_PUSH)
+                                   DOWNLINK_INVALIDATE)
 
 
 # ----------------------------------------------------------------------

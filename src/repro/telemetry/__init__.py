@@ -31,8 +31,8 @@ from .export import (TraceData, event_counts, filter_events, read_trace,
 from .facade import DISABLED, Telemetry
 from .manifest import (MANIFEST_VERSION, RunManifest, config_fingerprint,
                        current_git_sha, extract_seeds)
-from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                      Instrument, MetricsRegistry, TelemetryError)
+from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram, Instrument,
+                      MetricsRegistry, TelemetryError)
 from .sinks import JsonlSink, ListSink, NullSink, TraceSink, read_jsonl
 from .spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS, SPAN_CLIENT_REQUEST,
                     SPAN_DECODE, SPAN_HANDLE, SPAN_LOSSY_REQUEST,
@@ -44,7 +44,6 @@ from .tracer import Tracer
 __all__ = [
     "BASE_FIELDS",
     "Counter",
-    "DEFAULT_BUCKETS",
     "DISABLED",
     "EVENT_ALARM_FIRED",
     "EVENT_DOWNLINK_SENT",
@@ -63,6 +62,7 @@ __all__ = [
     "EVENT_TYPES",
     "Gauge",
     "Histogram",
+    "INSTRUMENTS",
     "Instrument",
     "JsonlSink",
     "ListSink",

@@ -13,9 +13,10 @@ reconciliation.  An event record always has the base fields
             timestamps);
 ``shard``   the shard index that produced the event (0 for serial runs)
 
-plus the per-type payload fields listed in :data:`EVENT_FIELDS`.  The
-schema is asserted by ``repro trace validate`` and the CI smoke job, so
-extending it is an explicit act: add the type constant, its field set,
+plus the per-type payload fields listed in :data:`EVENT_FIELDS`.
+``Tracer.emit`` refuses a type that is not declared there, and ``repro
+trace validate`` and the CI smoke job assert the fields, so extending
+the schema is an explicit act: add the type constant, its field set,
 an emitter on :class:`~repro.telemetry.facade.Telemetry`, and a schema
 row in ``docs/OBSERVABILITY.md``.
 """

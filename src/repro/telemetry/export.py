@@ -23,13 +23,14 @@ import collections
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .events import (EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
+from .events import (EVENT_FIELDS, EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
                      EVENT_TRANSPORT_DROP, EVENT_TYPES, RECORD_EVENT,
                      RECORD_MANIFEST, RECORD_SUMMARY, validate_event)
 from .manifest import RunManifest
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram,
+                      MetricsRegistry)
 from .sinks import read_jsonl
 from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
                     SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE, STATUS_OK,
@@ -51,25 +52,20 @@ RECONCILE_DROPS = (
 )
 
 #: Registry-vs-event reconciliation pairs: (registry counter, event
-#: type).  For counters with no ``Metrics`` twin the event stream is
-#: the only independent witness — the counter must equal the number of
-#: events of that type.
-RECONCILE_REGISTRY_EVENTS = (
-    ("saferegion_exits", "saferegion_exit"),
-    ("net_connections_opened", "net_conn_open"),
-    ("net_connections_closed", "net_conn_close"),
-    ("net_batches", "net_batch"),
-    ("net_backpressure_stalls", "net_backpressure"),
-    ("spans_opened", "span_open"),
-    ("spans_closed", "span_close"),
-)
+#: type), from the declared witnesses.  For counters with no ``Metrics``
+#: twin the event stream is the only independent witness — the counter
+#: must equal the number of events of that type.
+RECONCILE_REGISTRY_EVENTS: Tuple[Tuple[str, str], ...] = tuple(
+    (name, spec.witness) for name, spec in INSTRUMENTS.items()
+    if spec.witness is not None and spec.witness in EVENT_FIELDS)
 
 #: Prefix-sum reconciliation pairs: (registry counter prefix, Metrics
-#: field).  Dynamically-named counter families (one counter per
-#: downlink kind) must sum to the aggregate the engine counted.
-RECONCILE_PREFIX_SUMS = (
-    ("downlink_messages_", "downlink_messages"),
-)
+#: field), from the declared witnesses.  A counter family
+#: ``<field>_<member>`` (one counter per downlink kind) must sum to the
+#: aggregate the engine counted.
+RECONCILE_PREFIX_SUMS: Tuple[Tuple[str, str], ...] = tuple(sorted(
+    {(spec.witness + "_", spec.witness) for spec in INSTRUMENTS.values()
+     if spec.witness is not None and spec.witness not in EVENT_FIELDS}))
 
 
 @dataclass

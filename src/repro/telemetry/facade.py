@@ -28,14 +28,18 @@ tells its workers which mode to capture in (``ShardJob.trace``), so a
 metrics-only worker ships back its registry and no events.
 
 The typed ``emit`` helpers below are the only place events and their
-derived instruments are produced, so the event schema and the metric
-names stay in lockstep.  Each quantity is written once: a count the
-figures report lives in the engine's ``Metrics`` and nowhere in the
-registry, which holds what ``Metrics`` has no field for — distributions,
-wall time per server stage (the ``*_cost_us`` histograms), and counters
-with no ``Metrics`` twin.  ``repro report`` cross-checks the routes a
-run reaches it by: the event stream, the registry merge and the
-``Metrics`` merge (see :func:`~repro.telemetry.export.reconcile`).
+derived instruments are produced.  Both vocabularies are declared
+elsewhere and enforced where they are used: ``Tracer.emit`` refuses a
+type missing from ``EVENT_FIELDS``, and the registry refuses a name
+missing from ``INSTRUMENTS``, whose entries also carry each
+instrument's kind, flag and buckets.  Each quantity is written once: a
+count the figures report lives in the engine's ``Metrics`` and nowhere
+in the registry, which holds what ``Metrics`` has no field for —
+distributions, wall time per server stage (the ``*_cost_us``
+histograms), and counters with no ``Metrics`` twin.  ``repro report``
+cross-checks the routes a run reaches it by: the event stream, the
+registry merge and the ``Metrics`` merge (see
+:func:`~repro.telemetry.export.reconcile`).
 """
 
 from __future__ import annotations
@@ -114,8 +118,7 @@ class Telemetry:
         if self.events:
             self.tracer.emit(EVENT_LOCATION_REPORT, time_s, user_id,
                              nbytes=nbytes, cost_us=cost_us)
-        self.registry.histogram("report_cost_us",
-                                deterministic=False).observe(cost_us)
+        self.registry.histogram("report_cost_us").observe(cost_us)
 
     def alarm_fired(self, time_s: float, user_id: int,
                     alarm_id: int) -> None:
@@ -133,8 +136,8 @@ class Telemetry:
         if self.events:
             self.tracer.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
                              elapsed_us=elapsed_us)
-        self.registry.histogram("saferegion_compute_cost_us",
-                                deterministic=False).observe(elapsed_us)
+        self.registry.histogram("saferegion_compute_cost_us").observe(
+            elapsed_us)
 
     def saferegion_exit(self, time_s: float, user_id: int,
                         residence_s: float) -> None:
@@ -163,8 +166,7 @@ class Telemetry:
         registry = self.registry
         registry.counter("downlink_messages_" + kind).inc()
         registry.histogram("downlink_payload_bits").observe(nbytes * 8)
-        registry.histogram("downlink_sizing_cost_us",
-                           deterministic=False).observe(sizing_us)
+        registry.histogram("downlink_sizing_cost_us").observe(sizing_us)
 
     def transport_drop(self, time_s: float, user_id: int,
                        direction: str) -> None:
@@ -192,8 +194,7 @@ class Telemetry:
         if not self.enabled:
             return
         self.registry.counter("saferegion_cache_hits" if hit
-                              else "saferegion_cache_misses",
-                              deterministic=False).inc()
+                              else "saferegion_cache_misses").inc()
 
     def trigger_eval(self, cost_us: float) -> None:
         """The server evaluated one location report's triggers.
@@ -203,8 +204,7 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.registry.histogram("trigger_eval_cost_us",
-                                deterministic=False).observe(cost_us)
+        self.registry.histogram("trigger_eval_cost_us").observe(cost_us)
 
     def index_lookup(self, cost_us: float,
                      fanout: Optional[int] = None) -> None:
@@ -216,8 +216,7 @@ class Telemetry:
         if not self.enabled:
             return
         registry = self.registry
-        registry.histogram("index_lookup_cost_us",
-                           deterministic=False).observe(cost_us)
+        registry.histogram("index_lookup_cost_us").observe(cost_us)
         if fanout is not None:
             registry.histogram("index_fanout").observe(fanout)
 
@@ -265,12 +264,8 @@ class Telemetry:
                              requests=requests)
         registry = self.registry
         registry.counter("net_batches").inc()
-        # Batch composition depends on socket arrival timing, never on
-        # the seeded world — both histograms are host-dependent.
-        registry.histogram("net_batch_size",
-                           deterministic=False).observe(requests)
-        registry.histogram("net_batch_handle_us",
-                           deterministic=False).observe(handle_us)
+        registry.histogram("net_batch_size").observe(requests)
+        registry.histogram("net_batch_handle_us").observe(handle_us)
 
     def net_backpressure(self, time_s: float, conn_id: int,
                          depth: int) -> None:
@@ -332,8 +327,7 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        self.registry.histogram("net_rtt_us",
-                                deterministic=False).observe(rtt_us)
+        self.registry.histogram("net_rtt_us").observe(rtt_us)
 
     def shard_started(self, vehicles: int) -> None:
         """A shard began its replay (``t`` pinned to simulation zero)."""
@@ -341,11 +335,7 @@ class Telemetry:
             return
         if self.events:
             self.tracer.emit(EVENT_SHARD_STARTED, 0.0, vehicles=vehicles)
-        # Not deterministic in the cross-engine sense: the peak depends
-        # on the shard topology (a serial run is one 'shard' holding
-        # every vehicle), not only on the seeded world.
-        self.registry.gauge("shard_vehicles_peak",
-                            deterministic=False).set_max(vehicles)
+        self.registry.gauge("shard_vehicles_peak").set_max(vehicles)
 
     def shard_finished(self, vehicles: int, wall_s: float) -> None:
         """A shard completed its replay after ``wall_s`` real seconds."""

@@ -15,47 +15,113 @@ fan-out) are bit-identical between serial and sharded replays of the
 same seeded world, while wall-time histograms (per-report server cost)
 are machine-dependent by nature.  Equality tests compare
 :meth:`MetricsRegistry.deterministic_snapshot` only.
+
+:data:`INSTRUMENTS` declares every instrument once — name, kind, flag,
+buckets and reconciliation witness — and a registry creates nothing
+else, so a misspelt name fails where it is written.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Type,
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple, Type,
                     TypeVar, Union)
 
 Number = Union[int, float]
 
-#: Standard bucket bounds for the instrumented histograms (upper bounds,
-#: ``le`` semantics; one implicit overflow bucket above the last bound).
-DEFAULT_BUCKETS: Dict[str, Tuple[float, ...]] = {
+
+class Declared(NamedTuple):
+    """One registry instrument as the code may create it."""
+
+    #: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+    kind: str
+    #: Bit-identical between serial and sharded replays of one world.
+    deterministic: bool = True
+    #: Histogram upper bounds (``le`` semantics; one implicit overflow
+    #: bucket above the last bound).
+    buckets: Tuple[float, ...] = ()
+    #: What ``reconcile`` sets a deterministic counter against: the
+    #: event type it counts, or the ``Metrics`` field that its family
+    #: (``<field>_<member>``) sums to.
+    witness: Optional[str] = None
+
+
+_COST_US = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0)
+_STAGE_US = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
+
+#: Every instrument a registry can create, and nothing else: the
+#: accessors refuse an undeclared name or the wrong kind, and
+#: ``reconcile`` derives its registry rows from the witnesses.
+INSTRUMENTS: Dict[str, Declared] = {
+    # Counters with an event-stream witness.
+    "saferegion_exits": Declared("counter", witness="saferegion_exit"),
+    "net_connections_opened": Declared("counter",
+                                       witness="net_conn_open"),
+    "net_connections_closed": Declared("counter",
+                                       witness="net_conn_close"),
+    "net_batches": Declared("counter", witness="net_batch"),
+    "net_backpressure_stalls": Declared("counter",
+                                        witness="net_backpressure"),
+    "spans_opened": Declared("counter", witness="span_open"),
+    "spans_closed": Declared("counter", witness="span_close"),
+    # Downlinks by protocol message kind; the family sums to Metrics.
+    "downlink_messages_rect": Declared("counter",
+                                       witness="downlink_messages"),
+    "downlink_messages_safe_period": Declared(
+        "counter", witness="downlink_messages"),
+    "downlink_messages_bitmap": Declared("counter",
+                                         witness="downlink_messages"),
+    "downlink_messages_alarm_push": Declared(
+        "counter", witness="downlink_messages"),
+    "downlink_messages_invalidate": Declared(
+        "counter", witness="downlink_messages"),
+    # The shared safe-region memo: each shard fills a memo of its own.
+    "saferegion_cache_hits": Declared("counter", deterministic=False),
+    "saferegion_cache_misses": Declared("counter", deterministic=False),
+    # Peak vehicles of one shard: depends on the shard topology.
+    "shard_vehicles_peak": Declared("gauge", deterministic=False),
     # Seconds a client stays inside one safe region before exiting.
-    "saferegion_residence_s": (1.0, 2.0, 5.0, 10.0, 20.0, 60.0, 120.0,
-                               300.0, 600.0),
+    "saferegion_residence_s": Declared(
+        "histogram", buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 60.0, 120.0,
+                              300.0, 600.0)),
     # Downlink payload size in bits (rects are tiny, alarm pushes huge).
-    "downlink_payload_bits": (128.0, 256.0, 512.0, 1024.0, 2048.0,
-                              8192.0, 32768.0, 131072.0),
-    # Wall-clock cost of serving one location report, microseconds.
-    "report_cost_us": (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-                       5000.0),
-    # Wall-clock cost of one safe-region computation, microseconds.
-    "saferegion_compute_cost_us": (10.0, 20.0, 50.0, 100.0, 200.0,
-                                   500.0, 1000.0, 5000.0),
-    # The stages nested inside the two above, microseconds each:
-    # trigger evaluation of one report, one index lookup feeding a safe
-    # region, sizing one downlink payload.
-    "trigger_eval_cost_us": (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0),
-    "index_lookup_cost_us": (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0),
-    "downlink_sizing_cost_us": (1.0, 2.0, 5.0, 10.0, 50.0, 200.0, 1000.0),
+    "downlink_payload_bits": Declared(
+        "histogram", buckets=(128.0, 256.0, 512.0, 1024.0, 2048.0,
+                              8192.0, 32768.0, 131072.0)),
     # Pending alarms returned by one index lookup (fan-out).
-    "index_fanout": (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-    # Uplink frames drained per daemon batch (1 = no coalescing).
-    "net_batch_size": (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+    "index_fanout": Declared(
+        "histogram", buckets=(0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
+                              100.0)),
+    # Wall-clock cost of serving one location report and of one safe
+    # region, microseconds, and the stages nested inside them: trigger
+    # evaluation of one report, one index lookup feeding a safe region,
+    # sizing one downlink payload.
+    "report_cost_us": Declared("histogram", deterministic=False,
+                               buckets=_COST_US),
+    "saferegion_compute_cost_us": Declared("histogram", deterministic=False,
+                                           buckets=_COST_US),
+    "trigger_eval_cost_us": Declared("histogram", deterministic=False,
+                                     buckets=_STAGE_US),
+    "index_lookup_cost_us": Declared("histogram", deterministic=False,
+                                     buckets=_STAGE_US),
+    "downlink_sizing_cost_us": Declared(
+        "histogram", deterministic=False,
+        buckets=(1.0, 2.0, 5.0, 10.0, 50.0, 200.0, 1000.0)),
+    # Uplink frames drained per daemon batch (1 = no coalescing); batch
+    # composition depends on socket arrival timing.
+    "net_batch_size": Declared(
+        "histogram", deterministic=False,
+        buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)),
     # Wall-clock cost of serving one drained batch, microseconds.
-    "net_batch_handle_us": (10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
-                            1000.0, 5000.0, 20000.0),
+    "net_batch_handle_us": Declared(
+        "histogram", deterministic=False,
+        buckets=(10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0,
+                 20000.0)),
     # Client-observed framed request-reply round trip, microseconds.
-    "net_rtt_us": (50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
-                   20000.0, 100000.0),
+    "net_rtt_us": Declared(
+        "histogram", deterministic=False,
+        buckets=(50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
+                 20000.0, 100000.0)),
 }
 
 
@@ -198,12 +264,15 @@ _InstrumentT = TypeVar("_InstrumentT", Counter, Gauge, Histogram)
 class MetricsRegistry:
     """Named instruments with an associative cross-shard merge.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated
-    calls with the same name return the same instrument, and a name
-    can only ever hold one instrument kind.  Registries serialize to
-    plain dicts (picklable across the parallel engine's process
-    boundary, JSON-ready for the trace summary record) and rebuild via
-    :meth:`from_dict`.
+    ``counter``/``gauge``/``histogram`` are get-or-create over
+    :data:`INSTRUMENTS`: repeated calls with the same name return the
+    same instrument, and the first call creates it with the declared
+    kind, flag and buckets — or raises :class:`TelemetryError` for an
+    undeclared name or the wrong kind.  Registries serialize to plain
+    dicts (picklable across the parallel engine's process boundary,
+    JSON-ready for the trace summary record) and rebuild via
+    :meth:`from_dict`; that and :meth:`merge` take instruments as
+    recorded, their own metadata included.
     """
 
     def __init__(self) -> None:
@@ -212,33 +281,21 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Get-or-create accessors
     # ------------------------------------------------------------------
-    def counter(self, name: str, deterministic: bool = True) -> Counter:
-        return self._lookup(name, Counter,
-                            lambda: Counter(name, deterministic))
+    def counter(self, name: str) -> Counter:
+        return self._lookup(name, Counter)
 
-    def gauge(self, name: str, deterministic: bool = True) -> Gauge:
-        return self._lookup(name, Gauge, lambda: Gauge(name, deterministic))
+    def gauge(self, name: str) -> Gauge:
+        return self._lookup(name, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None,
-                  deterministic: bool = True) -> Histogram:
-        def make() -> Histogram:
-            bounds = buckets if buckets is not None \
-                else DEFAULT_BUCKETS.get(name)
-            if bounds is None:
-                raise TelemetryError(
-                    "histogram %r has no default buckets; pass explicit "
-                    "bounds" % name)
-            return Histogram(name, bounds, deterministic)
-        return self._lookup(name, Histogram, make)
+    def histogram(self, name: str) -> Histogram:
+        return self._lookup(name, Histogram)
 
-    def _lookup(self, name: str, cls: Type[_InstrumentT],
-                make: Callable[[], _InstrumentT]) -> _InstrumentT:
+    def _lookup(self, name: str, cls: Type[_InstrumentT]) -> _InstrumentT:
         instrument = self._instruments.get(name)
         if instrument is None:
-            created = make()
-            self._instruments[name] = created
-            return created
+            instrument = _declared(name)
+            if isinstance(instrument, cls):
+                self._instruments[name] = instrument
         if not isinstance(instrument, cls):
             raise TelemetryError(
                 "instrument %r is a %s, not a %s"
@@ -310,6 +367,18 @@ class MetricsRegistry:
             registry._instruments[name] = _instrument_from_dict(
                 name, payload[name])
         return registry
+
+
+def _declared(name: str) -> Instrument:
+    """A fresh instrument as :data:`INSTRUMENTS` declares ``name``."""
+    spec = INSTRUMENTS.get(name)
+    if spec is None:
+        raise TelemetryError("undeclared telemetry instrument %r" % name)
+    if spec.kind == Histogram.kind:
+        return Histogram(name, spec.buckets, spec.deterministic)
+    if spec.kind == Gauge.kind:
+        return Gauge(name, spec.deterministic)
+    return Counter(name, spec.deterministic)
 
 
 def _copy_instrument(instrument: Instrument) -> Instrument:

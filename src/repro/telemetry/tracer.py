@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .events import RECORD_EVENT
+from .events import EVENT_FIELDS, RECORD_EVENT
+from .metrics import TelemetryError
 from .sinks import TraceSink
 
 
@@ -35,11 +36,14 @@ class Tracer:
              user_id: Optional[int] = None, **fields: object) -> None:
         """Emit one event at simulation time ``time_s``.
 
-        ``fields`` must match the event type's schema
-        (:data:`~repro.telemetry.events.EVENT_FIELDS`); the writer does
-        not validate on the hot path — ``repro trace validate`` and the
-        test suite do, offline.
+        ``event_type`` must be declared in
+        :data:`~repro.telemetry.events.EVENT_FIELDS`, or
+        :class:`TelemetryError` is raised.  ``fields`` must match its
+        schema; that is checked offline, by ``repro trace validate``
+        and the test suite, not on the hot path.
         """
+        if event_type not in EVENT_FIELDS:
+            raise TelemetryError("undeclared event type %r" % event_type)
         record: Dict[str, object] = {"record": RECORD_EVENT,
                                      "type": event_type, "t": time_s,
                                      "shard": self.shard}

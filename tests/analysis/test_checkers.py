@@ -16,14 +16,14 @@ from repro.analysis import (ALL_RULES, ProjectModel, get_rule,
                             run_analysis)
 from repro.analysis.rules.pa004_debt import count_pragmas, find_ledger
 
-#: The surviving ids; PA001, PA006, PA007, PA008 and PA010 are retired
-#: (a runtime guard enforces each, docs/STATIC_ANALYSIS.md names it).
+#: The surviving ids; PA001, PA002, PA006, PA007, PA008 and PA010 are
+#: retired (a runtime guard enforces each, docs/STATIC_ANALYSIS.md names
+#: it).
 RL_RULE_IDS = ["RL002", "RL003", "RL004", "RL006", "RL007", "RL008"]
-PA_RULE_IDS = ["PA002", "PA003", "PA004", "PA005", "PA009"]
+PA_RULE_IDS = ["PA003", "PA004", "PA005", "PA009"]
 
 #: Expected diagnostic count per fixture tree (one per seeded shape).
 EXPECTED_FIXTURE_COUNTS = {
-    "PA002": 9,
     "PA003": 3,
     "PA004": 2,
     "PA005": 6,
@@ -57,41 +57,6 @@ def test_fixture_tree_is_flagged(fixture_root, rule_id):
 def test_shipped_tree_is_clean(shipped_report):
     """The gate itself: ``repro check src/repro`` exits 0."""
     assert shipped_report.ok, "\n" + shipped_report.render_text()
-
-
-class TestPA002:
-    def test_names_every_drift_shape(self, fixture_root):
-        messages = [d.message
-                    for d in _run(fixture_root("pa002"), "PA002")]
-        joined = "\n".join(messages)
-        assert "'mystery' is not declared" in joined
-        assert "not a declared event constant" in joined
-        assert "EVENT_GHOST" in joined
-        assert "'orphan' is incremented but no" in joined
-        assert "'phantom' but nothing increments" in joined
-        assert "undeclared event kind 'ghost_kind'" in joined
-        assert "RECONCILE_DROPS references unknown Metrics field 'pongs'" \
-            in joined
-        # counter(..., deterministic=False) has nothing to reconcile to
-        assert "jittery" not in joined
-
-    def test_a_counter_named_after_a_metrics_field_is_a_second_ledger(
-            self, fixture_root):
-        """One finding for the copy, and not the coverage one on top:
-        the cure is deleting the counter, not reconciling it."""
-        about_pings = [d.message
-                       for d in _run(fixture_root("pa002"), "PA002")
-                       if "'pings'" in d.message]
-        assert len(about_pings) == 1
-        assert "second ledger" in about_pings[0]
-        assert "Metrics.pings" in about_pings[0]
-
-    def test_a_suffixed_counter_name_is_unresolvable(self, fixture_root):
-        """``direction + "_drops"`` was how the drop copies were named;
-        no table can cover a name known only by its tail."""
-        messages = [d.message
-                    for d in _run(fixture_root("pa002"), "PA002")]
-        assert sum("not statically resolvable" in m for m in messages) == 1
 
 
 class TestPA003:
@@ -237,14 +202,14 @@ class TestPA009:
 
 class TestSuppression:
     def test_pa_pragma_suppresses_a_finding(self, tmp_path):
-        """``# lint: allow=PA002`` on the offending line is honored."""
-        telemetry = tmp_path / "telemetry"
-        telemetry.mkdir()
-        (telemetry / "events.py").write_text(
-            'EVENT_FIELDS = {"ping": ("user",)}\n', encoding="utf-8")
-        (telemetry / "facade.py").write_text(
-            "def run(sink):\n"
-            '    sink.emit("ping")\n'
-            '    sink.emit("mystery")  # lint: allow=PA002\n',
-            encoding="utf-8")
-        assert _run(tmp_path, "PA002") == []
+        """``# lint: allow=PA005`` on the offending line is honored."""
+        (tmp_path / "service.py").write_text(
+            "import time\n\n\n"
+            "async def serve():\n"
+            "    time.sleep(1)\n", encoding="utf-8")
+        assert len(_run(tmp_path, "PA005")) == 1
+        (tmp_path / "service.py").write_text(
+            "import time\n\n\n"
+            "async def serve():\n"
+            "    time.sleep(1)  # lint: allow=PA005\n", encoding="utf-8")
+        assert _run(tmp_path, "PA005") == []

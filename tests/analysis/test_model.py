@@ -73,16 +73,6 @@ class TestRelativeImportResolution:
         assert use is not None
         assert use.imports == {}
 
-    def test_constant_resolves_through_the_import(self, tmp_path):
-        """The one-hop lookup the checkers actually perform."""
-        _write_tree(tmp_path, {
-            "pkg/config.py": 'NAME = "daemon"\n',
-            "pkg/use.py": "from .config import NAME\n",
-        })
-        model = ProjectModel.build(tmp_path)
-        use = model.find("pkg/use.py")
-        assert model.resolve_constant(use, "NAME") == "daemon"
-
 
 def test_unparsable_file_fails_loudly(tmp_path):
     from repro.analysis.model import AnalysisError

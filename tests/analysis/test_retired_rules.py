@@ -1,21 +1,23 @@
 """The retired rules stay retired only while their runtime guards hold.
 
 RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA006 (cross-thread races), PA007 (task
-lifecycle), PA008 (session conformance) and PA010 (downlink
-causality) were deleted from the checker because a guard that holds
-by construction already catches their defects: frozen geometry types,
-the abstract ``SafeRegion``, ``verify_field_layouts`` inside every
-codec built, the daemon objects' refusal of writes from a thread
-other than their owner's, the sanitizer's task-leak check at
-``aclose()``, the daemon's dispatch through the session table (held
-to the spec by the socket conformance suite), and the wire goldens
-plus the accuracy contract.  PA008's row restates its
-last seed against that dispatch.  Each row below is the defect the
-rule was last seeded with (``test_session_mutation.py`` held one per
-rule) and the test that catches it without the checker.  The row is
-applied to a copy of ``src/repro`` and that one test is run against the
-copy in a subprocess; it must fail, with the guard's own words.
+(protocol exhaustiveness), PA002 (telemetry drift), PA006
+(cross-thread races), PA007 (task lifecycle), PA008 (session
+conformance) and PA010 (downlink causality) were deleted from the
+checker because a guard that holds by construction already catches
+their defects: frozen geometry types, the abstract ``SafeRegion``,
+``verify_field_layouts`` inside every codec built, the telemetry
+registry's refusal of an undeclared instrument, the daemon objects'
+refusal of writes from a thread other than their owner's, the
+sanitizer's task-leak check at ``aclose()``, the daemon's dispatch
+through the session table (held to the spec by the socket conformance
+suite), and the wire goldens plus the accuracy contract.  PA008's row
+restates its last seed against that dispatch.  Each row below is the
+defect the rule was last seeded with (``test_session_mutation.py`` held
+one per rule) and the test that catches it without the checker.  The
+row is applied to a copy of ``src/repro`` and that one test is run
+against the copy in a subprocess; it must fail, with the guard's own
+words.
 
 A row costs about two seconds, so tier-1 runs the first one only and
 ``REPRO_SANITIZE=1`` (CI's ``sanitize-smoke`` job) runs them all — see
@@ -76,6 +78,12 @@ RETIRED = (
             "tests/engine/test_dynamic.py::TestDynamicAccuracy::"
             "test_all_strategies_catch_mid_run_installs",
             "LocationReport layout orders fields"),
+    Retired("PA002", "telemetry/facade.py",
+            'registry.counter("saferegion_exits").inc()',
+            'registry.counter("region_exits").inc()',
+            "tests/telemetry/test_facade.py::TestTraceLifecycle::"
+            "test_manifest_and_summary_records",
+            "undeclared telemetry instrument 'region_exits'"),
     Retired("PA006", "net/daemon.py",
             "            self._started.set_result("
             "(asyncio.get_running_loop(), port))\n",

@@ -64,12 +64,6 @@ SEEDS = (
          "def _leak(server):\n"
          "    return server.metrics\n",
          "strategy touches 'metrics' on 'server'"),
-    Seed("PA002", "telemetry/facade.py",
-         ("telemetry/events.py", "telemetry/export.py",
-          "telemetry/tracer.py", "engine/metrics.py"),
-         'registry.counter("saferegion_exits").inc()',
-         'registry.counter("region_exits").inc()',
-         "'region_exits' is incremented but no"),
     Seed("PA003", "engine/parallel.py", (),
          "    assert _INHERITED is not None, \"inherited state missing in "
          "fork child\"\n"

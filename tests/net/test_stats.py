@@ -228,11 +228,10 @@ class TestHistogramPercentile:
 class TestRenderers:
     def _snapshot(self, uplinks=100):
         registry = MetricsRegistry()
-        rtt = registry.histogram("net_rtt_us", deterministic=False)
+        rtt = registry.histogram("net_rtt_us")
         for _ in range(4):
             rtt.observe(250.0)
-        registry.histogram("trigger_eval_cost_us",
-                           deterministic=False).observe(7.0)
+        registry.histogram("trigger_eval_cost_us").observe(7.0)
         return StatsSnapshot(
             raw={"metrics": {"uplink_messages": uplinks,
                              "downlink_messages": uplinks // 2,

@@ -1,7 +1,11 @@
 """The Telemetry facade: emitters, disabled mode, shard absorption."""
 
-from repro.telemetry import (DISABLED, Counter, Gauge, Histogram, ListSink,
-                             MetricsRegistry, RunManifest, Telemetry,
+import pytest
+
+from repro.protocol import DOWNLINK_KINDS
+from repro.telemetry import (DISABLED, EVENT_TYPES, INSTRUMENTS, Counter,
+                             Gauge, Histogram, ListSink, MetricsRegistry,
+                             RunManifest, Telemetry, TelemetryError,
                              Tracer, validate_event)
 
 
@@ -25,6 +29,13 @@ class TestTracer:
         Tracer(sink).emit("shard_started", 0.0, vehicles=5)
         assert "user" not in sink.records[0]
 
+    def test_undeclared_event_type_is_refused(self):
+        sink = ListSink()
+        with pytest.raises(TelemetryError,
+                           match="undeclared event type 'alarm_fire'"):
+            Tracer(sink).emit("alarm_fire", 1.0, 7, alarm=2)
+        assert sink.records == []
+
 
 class TestEmitters:
     def test_every_emitter_writes_valid_events(self):
@@ -41,6 +52,36 @@ class TestEmitters:
         assert len(events) == 7
         for record in events:
             assert validate_event(record) == []
+
+    def test_the_typed_emitters_cover_both_vocabularies(self):
+        """Every typed emitter once (``downlink_sent`` once per kind the
+        transport can charge): together they produce exactly the
+        declared event types and exactly the declared instruments."""
+        telemetry = Telemetry.capture()
+        telemetry.location_report(1.0, 1, nbytes=34, cost_us=12.0)
+        telemetry.alarm_fired(1.0, 1, alarm_id=4)
+        telemetry.saferegion_computed(1.0, 1, elapsed_us=55.0)
+        telemetry.saferegion_exit(9.0, 1, residence_s=8.0)
+        for kind in DOWNLINK_KINDS:
+            telemetry.downlink_sent(1.0, 1, nbytes=40, kind=kind,
+                                    sizing_us=0.5)
+        telemetry.transport_drop(1.0, 1, direction="uplink")
+        telemetry.saferegion_cache(hit=True)
+        telemetry.saferegion_cache(hit=False)
+        telemetry.trigger_eval(3.0)
+        telemetry.index_lookup(4.0, fanout=2)
+        telemetry.net_conn_open(1)
+        telemetry.net_conn_close(1, clean=True, requests=1)
+        telemetry.net_batch(1.0, 1, requests=1, handle_us=30.0)
+        telemetry.net_backpressure(1.0, 1, depth=4)
+        telemetry.span_open(1.0, 5, 1, 0, "client_request")
+        telemetry.span_close(1.0, 5, 1, "ok", 80.0)
+        telemetry.net_rtt(80.0)
+        telemetry.shard_started(12)
+        telemetry.shard_finished(12, wall_s=0.5)
+        assert {record["type"] for record in _events(telemetry)} \
+            == set(EVENT_TYPES)
+        assert telemetry.registry.names() == sorted(INSTRUMENTS)
 
     def test_emitters_feed_the_registry(self):
         telemetry = Telemetry.capture()
@@ -110,7 +151,7 @@ class TestDisabledMode:
     def test_shared_singleton_is_disabled(self):
         assert DISABLED.enabled is False
         before = len(DISABLED.registry)
-        DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="push",
+        DISABLED.downlink_sent(1.0, 1, nbytes=8, kind="rect",
                                sizing_us=1.0)
         assert len(DISABLED.registry) == before == 0
 

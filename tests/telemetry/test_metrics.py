@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
-                             TelemetryError)
+from repro.telemetry import (INSTRUMENTS, Counter, Gauge, Histogram,
+                             MetricsRegistry, TelemetryError)
 
 
 class TestCounter:
@@ -81,55 +81,69 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
+        assert registry.counter("net_batches") \
+            is registry.counter("net_batches")
 
     def test_kind_collision_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.counter("net_batches")
         with pytest.raises(TelemetryError, match="is a counter"):
-            registry.gauge("x")
+            registry.gauge("net_batches")
 
-    def test_histogram_without_default_buckets_needs_bounds(self):
+    def test_undeclared_name_is_refused(self):
         registry = MetricsRegistry()
-        with pytest.raises(TelemetryError, match="no default buckets"):
+        with pytest.raises(TelemetryError,
+                           match="undeclared telemetry instrument "
+                                 "'bespoke'"):
             registry.histogram("bespoke")
-        assert registry.histogram("bespoke", buckets=(1.0,)) is not None
+        assert len(registry) == 0
+
+    def test_declared_kind_is_enforced_at_creation(self):
+        registry = MetricsRegistry()
+        with pytest.raises(TelemetryError,
+                           match="'net_rtt_us' is a histogram, not a "
+                                 "counter"):
+            registry.counter("net_rtt_us")
+        assert len(registry) == 0
 
     def test_known_names_get_default_buckets(self):
         hist = MetricsRegistry().histogram("index_fanout")
+        assert hist.buckets == INSTRUMENTS["index_fanout"].buckets
         assert hist.buckets[0] == 0.0
 
     def test_roundtrip_through_dict(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set_max(9)
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+        registry.counter("net_batches").inc(3)
+        registry.gauge("shard_vehicles_peak").set_max(9)
+        registry.histogram("net_batch_size").observe(1.5)
         rebuilt = MetricsRegistry.from_dict(registry.to_dict())
         assert rebuilt.to_dict() == registry.to_dict()
 
     def test_merge_kind_mismatch_rejected(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("x")
-        right.gauge("x")
+        left = MetricsRegistry()
+        left.counter("net_batches")
+        # A recorded payload carries its own kind; only a foreign one
+        # can disagree with the declaration.
+        right = MetricsRegistry.from_dict(
+            {"net_batches": {"kind": "gauge", "value": 1}})
         with pytest.raises(TelemetryError, match="kind mismatch"):
             left.merge(right)
 
     def test_merge_copies_missing_instruments(self):
         left, right = MetricsRegistry(), MetricsRegistry()
-        right.counter("only_right").inc(2)
+        right.counter("net_batches").inc(2)
         left.merge(right)
-        right.counter("only_right").inc(10)  # no aliasing
-        instrument = left.get("only_right")
+        right.counter("net_batches").inc(10)  # no aliasing
+        instrument = left.get("net_batches")
         assert isinstance(instrument, Counter)
         assert instrument.value == 2
 
     def test_deterministic_snapshot_excludes_wall_time(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.histogram("report_cost_us",
-                           deterministic=False).observe(5.0)
+        registry.counter("net_batches").inc()
+        registry.histogram("report_cost_us").observe(5.0)
         snapshot = registry.deterministic_snapshot()
-        assert "c" in snapshot
+        assert "net_batches" in snapshot
         assert "report_cost_us" not in snapshot
         assert "report_cost_us" in registry.to_dict()
 

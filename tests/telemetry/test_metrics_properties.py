@@ -28,10 +28,10 @@ def _histogram(values):
 
 def _registry(values):
     registry = MetricsRegistry()
-    registry.counter("events").inc(len(values))
+    registry.counter("net_batches").inc(len(values))
     if values:
-        registry.gauge("peak").set_max(max(values))
-    hist = registry.histogram("h", buckets=BOUNDS)
+        registry.gauge("shard_vehicles_peak").set_max(max(values))
+    hist = registry.histogram("index_fanout")
     for value in values:
         hist.observe(value)
     return registry
