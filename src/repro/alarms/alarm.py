@@ -25,6 +25,7 @@ from enum import Enum
 from typing import FrozenSet, Optional
 
 from ..geometry import Rect
+from ..values import slot_init
 
 
 class AlarmScope(Enum):
@@ -35,7 +36,8 @@ class AlarmScope(Enum):
     PUBLIC = "public"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SpatialAlarm:
     """An installed spatial alarm.
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Set, Tuple
 
+from ..values import slot_init
 
-@dataclass(frozen=True)
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TriggerEvent:
     """One alarm firing: ``alarm_id`` fired for ``user_id`` at ``time``."""
 

@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from ..values import slot_init
 
-@dataclass(frozen=True)
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Point:
     """An immutable 2-D point (or vector) in meters.
 

@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from ..values import slot_init
 from .eps import fzero_exact
 from .point import Point
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Rect:
     """An immutable axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from ..geometry import Point, Rect
+from ..values import slot_init
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class CellId:
     """Discrete grid coordinates of a cell (column, row)."""
 

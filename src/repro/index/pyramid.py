@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Iterator, Tuple
 
 from ..geometry import Rect
+from ..values import slot_init
 
 DEFAULT_FAN = 3  # the paper's figures use 3x3 splits
 
@@ -67,7 +68,8 @@ def _level_edges(lo: float, hi: float, fan: int,
                  for level in range(height + 1))
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class PyramidCell:
     """Address of one cell in the decomposition."""
 

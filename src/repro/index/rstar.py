@@ -69,7 +69,7 @@ class TreeStats:
         self.reinserts = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     """A node slot: a bounding rectangle plus either a child or an item."""
 

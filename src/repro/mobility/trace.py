@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..geometry import Point, Rect
+from ..values import slot_init
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TraceSample:
     """One position fix: where a vehicle is at a point in time."""
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ..geometry import Point, Rect
+from ..values import slot_init
 
 if TYPE_CHECKING:  # typing only: keeps the protocol package import-light
     from ..saferegion.bitmap import PyramidBitmap
@@ -60,7 +61,8 @@ DOWNLINK_KINDS: Tuple[str, ...] = (DOWNLINK_RECT, DOWNLINK_SAFE_PERIOD,
 # ----------------------------------------------------------------------
 # Client -> server
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class LocationReport:
     """Client -> server position fix."""
 
@@ -71,7 +73,8 @@ class LocationReport:
     speed: float
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class RegionExitReport:
     """Client -> server position fix reported on safe-region/cell exit.
 
@@ -95,7 +98,8 @@ Request = Union[LocationReport, RegionExitReport]
 # ----------------------------------------------------------------------
 # Server -> client
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InstallSafeRegion:
     """Install a safe region: a rectangle, or a cell-scoped bitmap.
 
@@ -121,14 +125,16 @@ class InstallSafeRegion:
         return DOWNLINK_RECT if self.rect is not None else DOWNLINK_BITMAP
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InstallSafePeriod:
     """Install a safe period: the client stays silent until ``expiry``."""
 
     expiry: float
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AlarmRecord:
     """One alarm in an OPT push: id + region (+ opaque alert content).
 
@@ -142,7 +148,8 @@ class AlarmRecord:
     region: Rect
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InstallAlarmList:
     """Install a grid cell's full pending alarm set (the OPT push)."""
 
@@ -150,7 +157,8 @@ class InstallAlarmList:
     alarms: Tuple[AlarmRecord, ...]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AlarmNotification:
     """An alarm fired (one-shot) for the reporting subscriber.
 
@@ -163,7 +171,8 @@ class AlarmNotification:
     alarm_id: int
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InvalidateState:
     """Server push: drop installed monitoring state and re-sync.
 

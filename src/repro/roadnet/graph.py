@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Point, Rect, fzero
+from ..values import slot_init
 
 
 class RoadClass(Enum):
@@ -35,7 +36,8 @@ class RoadClass(Enum):
         return member
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An undirected road segment between two nodes."""
 
