@@ -28,7 +28,6 @@ from .engine.server import AlarmServer
 from .net import (AlarmDaemon, render_stats_json, render_stats_prom,
                   render_stats_text, render_top, scrape_stats)
 from .protocol.wire import WireCodec
-from .sanitize import Sanitizer
 from .experiments import (BENCH, PAPER, TINY, ServerTime, Table,
                           WorkloadConfig, build_world,
                           coverage_size_tradeoff, figure1b, figure4a,
@@ -193,13 +192,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                         world.max_speed())
             result = run_parallel_simulation(
                 world, factory, workers=args.workers, telemetry=telemetry,
-                transport_factory=transport_factory,
-                sanitize=True if args.sanitize else None)
+                transport_factory=transport_factory)
         else:
             strategy = _resolve_strategy(args.strategy, world.max_speed())
             result = run_simulation(world, strategy, telemetry=telemetry,
-                                    transport_factory=transport_factory,
-                                    sanitize=True if args.sanitize else None)
+                                    transport_factory=transport_factory)
         telemetry.write_summary(result.metrics.counters(),
                                 triggers=len(result.metrics.triggers),
                                 wall_time_s=result.wall_time_s,
@@ -261,18 +258,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
                                       manifest=manifest)
         telemetry.write_manifest()
-    sanitizer = Sanitizer.resolve(True if args.sanitize else None)
-    if sanitizer.enabled:
-        sanitizer.snapshot_geometry(world.registry)
     metrics = Metrics()
     server = AlarmServer(world.registry, world.grid, metrics,
-                         sizes=world.sizes, telemetry=telemetry,
-                         sanitizer=sanitizer)
+                         sizes=world.sizes, telemetry=telemetry)
     daemon = AlarmDaemon(server, strategy.server_policy(),
                          WireCodec.from_sizes(world.sizes),
-                         verify_wire=args.verify_wire or sanitizer.enabled,
-                         batch_max=args.batch, queue_limit=args.queue,
-                         sanitizer=sanitizer)
+                         verify_wire=args.verify_wire,
+                         batch_max=args.batch, queue_limit=args.queue)
 
     async def _serve() -> None:
         if args.uds:
@@ -296,8 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                     triggers=len(metrics.triggers),
                                     wall_time_s=wall_time, workers=1)
             telemetry.close()
-    if sanitizer.enabled:
-        sanitizer.verify_geometry(world.registry)
     print("served %d uplink messages (%d bytes up, %d down) in %.2f s"
           % (metrics.uplink_messages, metrics.uplink_bytes,
              metrics.downlink_bytes, wall_time))
@@ -467,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--verify-wire", action="store_true",
                                  help="encode every message and assert "
                                       "charged bytes == encoded bytes")
-    simulate_parser.add_argument("--sanitize", action="store_true",
-                                 help="enable the runtime invariant "
-                                      "sanitizer (frozen geometry, "
-                                      "monotone clocks, wire fidelity, "
-                                      "merge associativity); also via "
-                                      "REPRO_SANITIZE=1")
     add_workload_options(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)
 
@@ -502,11 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "readable by `repro report`")
     serve_parser.add_argument("--verify-wire", action="store_true",
                               help="assert charged bytes == encoded "
-                                   "bytes per message")
-    serve_parser.add_argument("--sanitize", action="store_true",
-                              help="enable the runtime invariant "
-                                   "sanitizer (adds framed-byte "
-                                   "accounting checks)")
+                                   "bytes per message and per frame")
     add_workload_options(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 

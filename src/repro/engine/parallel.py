@@ -49,7 +49,6 @@ from ..alarms import AlarmRegistry
 from ..index import GridOverlay
 from ..mobility import TraceSet
 from ..protocol.transport import TransportFactory
-from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from ..telemetry.sinks import NullSink
 from .metrics import Metrics
@@ -111,8 +110,6 @@ def shard_traces(traces: TraceSet, shards: int) -> List[TraceSet]:
 class ShardJob:
     """What every shard of one run shares; picklable by construction.
 
-    ``trace`` and ``sanitize`` are the parent's *resolved* telemetry and
-    sanitizer switches: workers must not re-read the environment.
     ``trace`` is the parent facade's capture mode: ``"off"``,
     ``"metrics"`` (registry only: the worker builds and ships no event)
     or ``"events"`` (a full trace).
@@ -124,14 +121,11 @@ class ShardJob:
     strategy_factory: StrategyFactory
     transport_factory: Optional[TransportFactory]
     trace: str
-    sanitize: bool
 
     def run(self, traces: TraceSet, shard_index: int) -> _ShardOutcome:
         """Worker body: replay one shard against a private server.
 
-        Shards hold disjoint vehicles, so a per-shard sanitizer checks
-        the same per-client clock invariant the serial engine would; a
-        traced shard stamps its events with ``shard_index``.
+        A traced shard stamps its events with ``shard_index``.
         """
         telemetry = (DISABLED if self.trace == "off" else Telemetry.capture(
             NullSink() if self.trace == "metrics" else None,
@@ -141,8 +135,7 @@ class ShardJob:
             self.strategy_factory(),
             functools.partial(in_process_link,
                               transport_factory=self.transport_factory),
-            telemetry=telemetry,
-            sanitizer=Sanitizer.resolve(self.sanitize))
+            telemetry=telemetry)
         return (metrics,
                 telemetry.drain_events() if telemetry.events else None,
                 telemetry.registry.to_dict() if telemetry.enabled else None)
@@ -210,8 +203,7 @@ def run_parallel_simulation(world: World,
                             workers: Optional[int] = None,
                             telemetry: Optional[Telemetry] = None,
                             transport_factory: Optional[TransportFactory]
-                            = None,
-                            sanitize: Optional[bool] = None
+                            = None
                             ) -> SimulationResult:
     """Replay the world sharded over ``workers`` processes and merge.
 
@@ -244,12 +236,6 @@ def run_parallel_simulation(world: World,
     if workers < 1:
         raise ValueError("workers must be positive")
     telemetry = telemetry if telemetry is not None else DISABLED
-    # Resolve once in the parent; the parent's sanitizer holds the
-    # geometry snapshot and runs the cross-shard merge spot-check, each
-    # worker carries its own clock state for its disjoint vehicle set.
-    sanitizer = Sanitizer.resolve(sanitize)
-    if sanitizer.enabled:
-        sanitizer.snapshot_geometry(world.registry)
     # The factory must be constructible in the parent too: the result
     # needs the strategy's display name, and failing fast here beats a
     # pickle traceback out of a worker.
@@ -261,12 +247,9 @@ def run_parallel_simulation(world: World,
         ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
                  transport_factory,
                  trace=("events" if telemetry.events else
-                        "metrics" if telemetry.enabled else "off"),
-                 sanitize=sanitizer.enabled),
+                        "metrics" if telemetry.enabled else "off")),
         shards)
-    parts = [outcome[0] for outcome in outcomes]
-    metrics = Metrics.merged(parts)
-    sanitizer.check_merge(parts, metrics)
+    metrics = Metrics.merged([outcome[0] for outcome in outcomes])
     if telemetry.enabled:
         # Fold shard telemetry in shard order: the event stream then
         # mirrors the serial replay order the same way the trigger list
@@ -274,5 +257,5 @@ def run_parallel_simulation(world: World,
         for outcome in outcomes:
             telemetry.absorb_shard(outcome[1] or [], outcome[2])
     wall_time = time.perf_counter() - started
-    return score_run(world, strategy_name, metrics, wall_time, sanitizer,
+    return score_run(world, strategy_name, metrics, wall_time,
                      workers=len(shards) if shards else 1)

@@ -33,8 +33,6 @@ from ..index import GridOverlay
 from ..protocol.state import ServerState
 from ..saferegion.bitmap import BitmapSafeRegion
 from ..saferegion.cache import MemoKey
-from ..sanitize import DISABLED as SANITIZER_OFF
-from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics, TriggerEvent
 from .network import MessageSizes
@@ -46,8 +44,7 @@ class AlarmServer:
     def __init__(self, registry: AlarmRegistry, grid: GridOverlay,
                  metrics: Metrics,
                  sizes: MessageSizes = MessageSizes(),
-                 telemetry: Optional[Telemetry] = None,
-                 sanitizer: Sanitizer = SANITIZER_OFF) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         # All mutable server knowledge lives in the explicit state store;
         # registry/grid stay as aliases because every policy and index
         # path reads them.
@@ -60,8 +57,6 @@ class AlarmServer:
         # (never None) keeps every hot-path guard a plain attribute
         # check instead of an `is None` test plus a method call.
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        # Runtime invariant checks (see repro.sanitize); same pattern.
-        self.sanitizer = sanitizer
 
     # ------------------------------------------------------------------
     # One-shot state
@@ -153,11 +148,10 @@ class AlarmServer:
         ``key`` names the cell, the pyramid shape and every pending
         alarm, all public, that ``build`` carves the region from; the
         first subscriber to ask pays for the build and every later one
-        with the same key is handed the same region.  Counts the hit or
-        miss in the telemetry registry — the sanctioned path for
-        policies, which may not touch it directly (rule RL008).  A
-        sanitized run rebuilds on every hit and checks the shared region
-        against the subscriber's own.
+        with the same key is handed the same region.  ``user_id`` is the
+        subscriber asking.  Counts the hit or miss in the telemetry
+        registry — the sanctioned path for policies, which may not touch
+        it directly (rule RL008).
         """
         memo = self.state.region_cache
         region = memo.lookup(key)
@@ -165,8 +159,6 @@ class AlarmServer:
         if region is None:
             region = build()
             memo.store(key, region)
-        elif self.sanitizer.enabled:
-            self.sanitizer.check_shared_region(user_id, key, region, build())
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.saferegion_cache(hit)

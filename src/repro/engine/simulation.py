@@ -6,8 +6,8 @@ so every strategy is scored against the identical reference.
 
 Every engine entry point is a thin front onto the session here:
 :func:`replay` (one server, one linked strategy, one loop, server closed
-on every path) and :func:`run_session` (what a whole run adds: sanitizer
-and telemetry, a private registry for mutating worlds, scoring).  They
+on every path) and :func:`run_session` (what a whole run adds:
+telemetry, a private registry for mutating worlds, scoring).  They
 are parameterised by what the engines really differ in.  The *loop*
 follows from the world: vehicles do not interact while the alarm set is
 static (one-shot state is per subscriber), so a static world replays
@@ -34,10 +34,7 @@ from ..geometry import Rect
 from ..index import GridOverlay
 from ..mobility import TraceSet
 from ..protocol.messages import InvalidateState
-from ..protocol.transport import (ClientSession, InProcessTransport,
-                                  TransportFactory, connect)
-from ..sanitize import DISABLED as SANITIZER_OFF
-from ..sanitize import Sanitizer
+from ..protocol.transport import ClientSession, TransportFactory, connect
 from ..telemetry.facade import DISABLED, Telemetry
 from .energy import EnergyModel
 from .groundtruth import (AccuracyReport, Lifetime, TriggerKey,
@@ -137,22 +134,8 @@ class SimulationResult:
         return self.metrics.uplink_messages / self.total_samples
 
 
-def sanitize_transport_factory(
-        factory: Optional[TransportFactory]) -> TransportFactory:
-    """The transport a sanitized run uses when none was chosen.
-
-    A caller-supplied factory is respected as-is; the default in-process
-    transport is upgraded to its wire-verifying variant, so every
-    message's accounted size is checked against ``len(encode(...))``.
-    """
-    if factory is not None:
-        return factory
-    return functools.partial(InProcessTransport, verify_wire=True)
-
-
 def replay_vehicle_major(strategy: "ProcessingStrategy",
-                         traces: TraceSet,
-                         sanitizer: Optional[Sanitizer] = None) -> None:
+                         traces: TraceSet) -> None:
     """The core replay loop: each vehicle's trace, one client at a time.
 
     Shared by the serial engine and every shard of the parallel engine —
@@ -161,13 +144,9 @@ def replay_vehicle_major(strategy: "ProcessingStrategy",
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
 
-    sanitizer = sanitizer if sanitizer is not None else SANITIZER_OFF
     advance = strategy.advance
     for trace in traces:
         client = ClientState(trace.vehicle_id)
-        if sanitizer.enabled:
-            for time_s in trace.times:
-                sanitizer.check_clock(trace.vehicle_id, time_s)
         index, stop = 0, len(trace)
         while index < stop:
             # one silent run and the fix that ends it, per call
@@ -252,8 +231,7 @@ def _invalidate(client: "ClientState", session: ClientSession,
 
 
 def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
-                      sanitizer: Sanitizer, server: AlarmServer,
-                      mutation: WorldMutation) -> None:
+                      server: AlarmServer, mutation: WorldMutation) -> None:
     """The mutating-world loop: every client's fix at one step, in turn.
 
     Before a step's samples the mutation changes the registry, and
@@ -269,7 +247,7 @@ def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
     lanes = [(ClientState(trace.vehicle_id), trace) for trace in traces]
     clients = [client for client, _trace in lanes]
     ends = {len(trace) for trace in traces}
-    advance, checking = strategy.advance, sanitizer.enabled
+    advance = strategy.advance
     for step in range(max(ends, default=0)):
         changes = mutation.apply(step)
         if any(changes):
@@ -280,8 +258,6 @@ def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
         if step in ends:  # a trace ran out: its lane leaves the loop
             lanes = [lane for lane in lanes if step < len(lane[1])]
         for client, trace in lanes:
-            if checking:
-                sanitizer.check_clock(client.user_id, trace.times[step])
             advance(client, trace, step, step + 1)
 
 
@@ -323,26 +299,22 @@ def compute_mutating_ground_truth(world: World,
 #: Connects a strategy's client half to the server for the length of a
 #: replay; yields the client side's own ``Metrics`` if it keeps one (the
 #: socket link does: the daemon thread owns the server's).
-Link = Callable[[AlarmServer, "ProcessingStrategy", Sanitizer],
+Link = Callable[[AlarmServer, "ProcessingStrategy"],
                 ContextManager[Optional[Metrics]]]
 
 
 @contextmanager
 def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
-                    sanitizer: Sanitizer,
                     transport_factory: Optional[TransportFactory] = None
                     ) -> Iterator[None]:
     """The link of every engine but the socket one: :func:`connect`."""
-    connect(server, strategy,
-            sanitize_transport_factory(transport_factory)
-            if sanitizer.enabled else transport_factory)
+    connect(server, strategy, transport_factory)
     yield
 
 
 def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
            traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
            telemetry: Telemetry = DISABLED,
-           sanitizer: Sanitizer = SANITIZER_OFF,
            mutation: Optional[MutationFactory] = None
            ) -> Tuple[Metrics, float]:
     """One server, one linked strategy, one loop: (metrics, wall time).
@@ -352,17 +324,17 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     """
     metrics = Metrics()
     server = AlarmServer(registry, grid, metrics, sizes=sizes,
-                         telemetry=telemetry, sanitizer=sanitizer)
+                         telemetry=telemetry)
     if telemetry.enabled:
         telemetry.shard_started(len(traces))
     started = time.perf_counter()
     try:
-        with link(server, strategy, sanitizer) as client_metrics:
+        with link(server, strategy) as client_metrics:
             if mutation is None:
-                replay_vehicle_major(strategy, traces, sanitizer)
+                replay_vehicle_major(strategy, traces)
             else:
                 replay_time_major(
-                    strategy, traces, sanitizer, server,
+                    strategy, traces, server,
                     mutation(registry, traces.sample_interval))
     finally:
         server.close()
@@ -372,18 +344,15 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     if client_metrics is not None:
         # The two sides charge disjoint fields, so the parallel
         # engine's exact-sum merge recombines them losslessly.
-        parts = [metrics, client_metrics]
-        metrics = Metrics.merged(parts)
-        sanitizer.check_merge(parts, metrics)
+        metrics = Metrics.merged([metrics, client_metrics])
     return metrics, wall_time
 
 
 def score_run(world: World, strategy_name: str, metrics: Metrics,
-              wall_time: float, sanitizer: Sanitizer,
+              wall_time: float,
               ground_truth: Optional[Callable[[], GroundTruth]] = None,
               workers: int = 1) -> SimulationResult:
-    """Close a run: frozen-geometry check, accuracy, the result value."""
-    sanitizer.verify_geometry(world.registry)
+    """Close a run: accuracy and the result value."""
     expected = (ground_truth if ground_truth is not None
                 else world.ground_truth)()
     return SimulationResult(strategy_name=strategy_name, metrics=metrics,
@@ -397,35 +366,29 @@ def score_run(world: World, strategy_name: str, metrics: Metrics,
 
 def run_session(world: World, strategy: "ProcessingStrategy",
                 link: Link, telemetry: Optional[Telemetry] = None,
-                sanitize: Optional[bool] = None,
                 mutation: Optional[MutationFactory] = None,
                 ground_truth: Optional[Callable[[], GroundTruth]] = None
                 ) -> SimulationResult:
     """Replay the whole world in this process and score the run.
 
     With a ``mutation`` the run works on a clone of the registry, so the
-    (memoized) world is untouched, and skips the sanitizer's
-    frozen-geometry snapshot: a mutation goes through the registry's
-    install/remove/relocate API on purpose.
+    (memoized) world is untouched: a mutation goes through the
+    registry's install/remove/relocate API on purpose.
     """
     telemetry = telemetry if telemetry is not None else DISABLED
-    sanitizer = Sanitizer.resolve(sanitize)
     registry = world.registry
     if mutation is not None:
         registry = _clone_registry(registry)
-    elif sanitizer.enabled:
-        sanitizer.snapshot_geometry(registry)
     metrics, wall_time = replay(
         registry, world.grid, world.sizes, world.traces, strategy, link,
-        telemetry=telemetry, sanitizer=sanitizer, mutation=mutation)
-    return score_run(world, strategy.name, metrics, wall_time, sanitizer,
+        telemetry=telemetry, mutation=mutation)
+    return score_run(world, strategy.name, metrics, wall_time,
                      ground_truth=ground_truth)
 
 
 def run_simulation(world: World, strategy: "ProcessingStrategy",
                    telemetry: Optional[Telemetry] = None,
                    transport_factory: Optional[TransportFactory] = None,
-                   sanitize: Optional[bool] = None,
                    # Accepted, no effect: bench_e2e/workloads.py:260 passes it.
                    use_batch: bool = False
                    ) -> SimulationResult:
@@ -438,12 +401,9 @@ def run_simulation(world: World, strategy: "ProcessingStrategy",
     structured telemetry facade (see :mod:`repro.telemetry`), whose
     registry also holds the run's wall time by server stage; ``None``
     means the shared disabled facade, whose per-site cost is one
-    attribute check.  ``sanitize`` attaches the runtime invariant
-    sanitizer (see :mod:`repro.sanitize`); ``None`` consults
-    ``REPRO_SANITIZE``, and a disabled run carries the shared no-op
-    sanitizer at the same one-attribute-check cost.
+    attribute check.
     """
     return run_session(world, strategy,
                        functools.partial(in_process_link,
                                          transport_factory=transport_factory),
-                       telemetry=telemetry, sanitize=sanitize)
+                       telemetry=telemetry)

@@ -50,9 +50,8 @@ from ..protocol.framing import (PROTOCOL_VERSION, Frame, FrameDecoder,
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import Request, downlink_kind
 from ..protocol.spec import CLIENT_TRANSITIONS, STATE_AWAIT_HELLO
-from ..protocol.transport import InProcessTransport
+from ..protocol.transport import InProcessTransport, WireFidelityError
 from ..protocol.wire import WireCodec
-from ..sanitize import LOOP_WATCHDOG_INTERVAL_S, Sanitizer
 from ..telemetry.facade import Telemetry
 from ..telemetry.spans import (SERVER_SPAN_IDS, SPAN_DECODE, SPAN_HANDLE,
                                SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE,
@@ -74,6 +73,21 @@ _QueuedRequest = Tuple[float, Request, int, int, float]
 #: What a DaemonThread's loop thread publishes once bound: its running
 #: loop and the bound TCP port (``None`` on a Unix socket).
 _Bound = Tuple[asyncio.AbstractEventLoop, Optional[int]]
+
+
+def _check_framed(direction: str, framed: int, charged: int) -> None:
+    """A frame must carry exactly the bytes the transport charged.
+
+    An uplink frame's payload is the request encoding; a reply frame's
+    sized entries sum to the downlink bytes of that exchange.  The
+    envelope (frame header, batch tags, in-band notifications) is free
+    by design and is not counted in ``framed``.
+    """
+    if framed != charged:
+        raise WireFidelityError(
+            "framed %s accounting drift: frame carries %d charged "
+            "byte(s) but the transport charged %d"
+            % (direction, framed, charged))
 
 
 class _OwnedByOneThread:
@@ -111,9 +125,13 @@ class AlarmDaemon(_OwnedByOneThread):
 
     ``batch_max`` bounds how many queued uplinks one drain wakeup
     processes before writing; ``queue_limit`` bounds the per-connection
-    uplink queue (the backpressure knob).  ``verify_wire`` and
-    ``sanitizer`` extend the wire-fidelity contract to the framed path:
-    every charged size is checked against the bytes actually framed.
+    uplink queue (the backpressure knob).  ``verify_wire`` extends the
+    wire-fidelity contract to the framed path: every charged size is
+    checked against the bytes actually framed.  A drift is named in the
+    ERROR frame that ends its connection, and :meth:`aclose` raises
+    it (:class:`~repro.protocol.transport.WireFidelityError`).
+    Whatever the flags, :meth:`aclose` refuses to leave a daemon task
+    running.
     The loop that serves the daemon owns it: attributes are written at
     start, at stop and once per connection, all on that loop's thread,
     and a write from any other thread raises.
@@ -122,8 +140,7 @@ class AlarmDaemon(_OwnedByOneThread):
     def __init__(self, server: AlarmServer, policy: ServerPolicy,
                  codec: Optional[WireCodec] = None, *,
                  verify_wire: bool = False, batch_max: int = 64,
-                 queue_limit: int = 256,
-                 sanitizer: Optional[Sanitizer] = None) -> None:
+                 queue_limit: int = 256) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be positive")
         if queue_limit < 1:
@@ -134,15 +151,11 @@ class AlarmDaemon(_OwnedByOneThread):
         self.codec = self._accounting.codec
         self.batch_max = batch_max
         self.queue_limit = queue_limit
-        # None consults REPRO_SANITIZE, so a sanitized test run (or
-        # `repro serve` under the env flag) gets the loop watchdog
-        # without every construction site threading the flag through.
-        self._sanitizer = sanitizer if sanitizer is not None \
-            else Sanitizer.resolve(None)
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
-        self._watchdog: Optional["asyncio.Task[None]"] = None
+        # verify_wire failures of any connection, raised by aclose().
+        self._failures: List[WireFidelityError] = []
         self._next_conn_id = 0
         # Live per-connection uplink queues, keyed by connection id —
         # the STATS snapshot reads open-connection and queue-depth
@@ -161,14 +174,14 @@ class AlarmDaemon(_OwnedByOneThread):
         if os.path.exists(path) and stat.S_ISSOCK(os.stat(path).st_mode):
             os.unlink(path)  # stale socket from a dead daemon
         self._asyncio_server = await asyncio.start_unix_server(
-            self._handle_connection, path=path)
+            self._accept, path=path)
 
     async def start_tcp(self, host: str = "127.0.0.1",
                         port: int = 0) -> int:
         """Bind and listen on TCP; returns the bound port."""
         self._prepare()
         self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port)
+            self._accept, host=host, port=port)
         sockets = self._asyncio_server.sockets
         assert sockets, "asyncio server bound no socket"
         bound_port: int = sockets[0].getsockname()[1]
@@ -178,9 +191,6 @@ class AlarmDaemon(_OwnedByOneThread):
         if self._asyncio_server is not None:
             raise RuntimeError("daemon is already serving")
         self._stop_event = asyncio.Event()
-        if self._sanitizer.enabled and self._watchdog is None:
-            self._watchdog = asyncio.create_task(
-                self._stall_watchdog())
 
     def request_stop(self) -> None:
         """Ask the daemon to stop (loop-thread only; idempotent).
@@ -203,10 +213,16 @@ class AlarmDaemon(_OwnedByOneThread):
             await self.aclose()
 
     async def aclose(self) -> None:
-        """Stop listening and cancel live connections (idempotent)."""
+        """Stop listening and cancel live connections (idempotent).
+
+        Then no task this module spawned may still be running: one that
+        has escaped the ``_conn_tasks`` registry (a dropped
+        ``create_task`` handle, a worker never reaped), and the close
+        raises ``RuntimeError`` naming it.  Otherwise the first
+        ``verify_wire`` failure of any connection is raised.
+        """
         server = self._asyncio_server
         if server is None:
-            await self._close_watchdog()
             return
         self._asyncio_server = None
         server.close()
@@ -216,47 +232,22 @@ class AlarmDaemon(_OwnedByOneThread):
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
-        await self._close_watchdog()
-        if self._sanitizer.enabled:
-            self._sanitizer.check_task_leaks(self._pending_task_names())
-            self._sanitizer.check_loop_health()
-            self._sanitizer.check_span_balance()
-
-    async def _stall_watchdog(self) -> None:
-        """Sample event-loop responsiveness while serving.
-
-        Each wakeup measures how late a periodic ``asyncio.sleep``
-        fired; the worst delay is reported to the sanitizer, whose
-        ``check_loop_health`` fails the run at close if any callback
-        held the loop past the stall threshold — the runtime shadow of
-        the PA005 no-blocking-calls contract.  Only spawned when the
-        sanitizer is on; cancelled (and awaited) by :meth:`aclose`.
-        """
-        interval = LOOP_WATCHDOG_INTERVAL_S
-        while True:
-            before = time.perf_counter()
-            await asyncio.sleep(interval)
-            lag = time.perf_counter() - before - interval
-            self._sanitizer.note_loop_lag(lag)
-
-    async def _close_watchdog(self) -> None:
-        if self._watchdog is None:
-            return
-        self._watchdog.cancel()
-        try:
-            await self._watchdog
-        except asyncio.CancelledError:
-            pass
-        self._watchdog = None
+        pending = self._pending_task_names()
+        if pending:
+            raise RuntimeError(
+                "task leak at daemon close: %d daemon task(s) still "
+                "pending: %s" % (len(pending), ", ".join(sorted(pending))))
+        if self._failures:
+            raise self._failures[0]
 
     def _pending_task_names(self) -> List[str]:
         """Coroutine names of unfinished daemon-owned tasks.
 
         Run after :meth:`aclose` has cancelled and gathered everything
         it tracks: any task whose coroutine lives in this module and is
-        still pending escaped the ``_conn_tasks``/watchdog registries
-        (the daemon is the one module that spawns tasks, so this check
-        is the whole task-lifecycle guard).
+        still pending escaped the ``_conn_tasks`` registry (the daemon
+        is the one module that spawns tasks, so this check is the whole
+        task-lifecycle guard).
         """
         current = asyncio.current_task()
         names: List[str] = []
@@ -271,11 +262,23 @@ class AlarmDaemon(_OwnedByOneThread):
     # ------------------------------------------------------------------
     # Per-connection reader
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Spawn a connection's task and register it in the same step.
+
+        A task that registered itself on its first step would be missed
+        by a close that came before that step.  A connection whose
+        accept completes after the close is refused.
+        """
+        if self._asyncio_server is None:
+            writer.close()
+            return
+        task = asyncio.create_task(self._handle_connection(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         telemetry = self.server.telemetry
@@ -351,14 +354,17 @@ class AlarmDaemon(_OwnedByOneThread):
         except FramingError as exc:
             clean = False
             error = str(exc)
+        except WireFidelityError as exc:
+            clean = False
+            error = str(exc)
+            self._failures.append(exc)
         except (ConnectionError, OSError):
             clean = False
         except asyncio.CancelledError:
             # Daemon shutdown with this connection still open.  The
-            # cancellation is absorbed (not re-raised): asyncio.streams
-            # logs a callback error for a connection task that ends
-            # cancelled, and the only canceller is our own aclose(),
-            # which is already awaiting this task's orderly exit.
+            # cancellation is absorbed (not re-raised): the only
+            # canceller is our own aclose(), which is already awaiting
+            # this task's orderly exit.
             clean = False
         finally:
             try:
@@ -369,9 +375,6 @@ class AlarmDaemon(_OwnedByOneThread):
                 # aclose() caught this connection already tearing
                 # itself down; absorbed for the reason given above.
                 pass
-            finally:
-                if task is not None:
-                    self._conn_tasks.discard(task)
 
     def _decode_request(self, frame: Frame) -> Request:
         try:
@@ -379,10 +382,9 @@ class AlarmDaemon(_OwnedByOneThread):
         except Exception as exc:
             raise FramingError("undecodable REQUEST payload: %s"
                                % exc) from exc
-        if self._sanitizer.enabled:
-            self._sanitizer.check_frame(
-                "uplink", len(frame.payload),
-                self.codec.size_of_request(request))
+        if self._accounting.verify_wire:
+            _check_framed("uplink", len(frame.payload),
+                          self.codec.size_of_request(request))
         return request
 
     async def _finish_connection(
@@ -402,6 +404,9 @@ class AlarmDaemon(_OwnedByOneThread):
             await worker
         except asyncio.CancelledError:
             pass
+        except WireFidelityError as exc:  # a reply failed verify_wire
+            error = error if error is not None else str(exc)
+            self._failures.append(exc)
         if error is not None:
             try:
                 writer.write(encode_frame(FrameKind.ERROR,
@@ -476,13 +481,11 @@ class AlarmDaemon(_OwnedByOneThread):
             encode_started = time.perf_counter() if traced else 0.0
             payload = encode_reply(self.codec, reply, request.user_id,
                                    time_s)
-            if self._sanitizer.enabled:
-                charged = sum(
+            if self._accounting.verify_wire:
+                _check_framed("reply", reply_summary(payload)[2], sum(
                     self.codec.size_of_response(message)
                     for message in reply
-                    if downlink_kind(message) is not None)
-                self._sanitizer.check_frame(
-                    "reply", reply_summary(payload)[2], charged)
+                    if downlink_kind(message) is not None))
             # The REPLY envelope echoes the request's trace pair so
             # the client can correlate replies with its root spans.
             parts.append(encode_frame(FrameKind.REPLY, payload, time_s,
@@ -515,12 +518,6 @@ class AlarmDaemon(_OwnedByOneThread):
         the client's root span id carried in the frame envelope.
         """
         span_id = SERVER_SPAN_IDS[name]
-        # Sanitizer bookkeeping runs before the telemetry pair so the
-        # open and close events are emitted back to back with nothing
-        # exception-capable between them (the PA009 contract).
-        if self._sanitizer.enabled:
-            self._sanitizer.note_span_open(trace_id, span_id)
-            self._sanitizer.note_span_close(trace_id, span_id)
         telemetry.span_open(time_s, trace_id, span_id, parent_id, name)
         telemetry.span_close(time_s, trace_id, span_id, STATUS_OK,
                              (time.perf_counter() - started) * 1e6)
@@ -573,7 +570,9 @@ class DaemonThread(_OwnedByOneThread):
             ...
 
     The thread that calls :meth:`start` owns this object; the loop
-    thread never writes to it and owns the daemon instead.
+    thread never writes to it and owns the daemon instead.  Whatever
+    ended the loop thread — a failed close included — is raised again
+    by :meth:`stop`, and so by leaving the ``with`` block.
     """
 
     def __init__(self, daemon: AlarmDaemon, *, path: Optional[str] = None,
@@ -586,6 +585,9 @@ class DaemonThread(_OwnedByOneThread):
         # The loop thread's one publication: what it bound, or the
         # exception that stopped it first.
         self._started: "Future[_Bound]" = Future()
+        # Its last: how the loop ended, read once by stop().
+        self._ended: "Future[None]" = Future()
+        self._reported = False
         self._seal()
 
     @property
@@ -604,8 +606,7 @@ class DaemonThread(_OwnedByOneThread):
         if self._thread is not None:
             raise RuntimeError("daemon thread already started")
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-alarm-daemon", daemon=True)
+            target=self._run, name="repro-alarm-daemon", daemon=True)
         self._thread.start()
         try:
             error = self._started.exception(timeout=30.0)
@@ -616,6 +617,14 @@ class DaemonThread(_OwnedByOneThread):
             raise RuntimeError("daemon failed to start: %s" % error) \
                 from error
         return self
+
+    def _run(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except BaseException as exc:  # surfaced by stop()
+            self._ended.set_exception(exc)
+        else:
+            self._ended.set_result(None)
 
     async def _main(self) -> None:
         # Everything before publication sits in the try, so start()
@@ -634,7 +643,10 @@ class DaemonThread(_OwnedByOneThread):
         await self.daemon.serve_until_stopped()
 
     def stop(self) -> None:
-        """Stop the daemon and join the loop thread (idempotent)."""
+        """Stop the daemon and join the loop thread (idempotent).
+
+        Raises, once, the exception that ended the loop thread.
+        """
         published = self._published()
         loop = None if published is None else published[0]
         if loop is not None and not loop.is_closed():
@@ -644,6 +656,12 @@ class DaemonThread(_OwnedByOneThread):
                 pass  # loop already shut down between the checks
         if self._thread is not None:
             self._thread.join(timeout=30.0)
+        ended = self._ended
+        if ended.done() and not self._reported:
+            error = ended.exception()
+            if error is not None:
+                self._reported = True
+                raise error
 
     def __enter__(self) -> "DaemonThread":
         return self.start()

@@ -27,7 +27,6 @@ from ..engine.server import AlarmServer
 from ..engine.simulation import SimulationResult, World, run_session
 from ..protocol.transport import ClientSession
 from ..protocol.wire import WireCodec
-from ..sanitize import Sanitizer
 from ..strategies.base import ProcessingStrategy
 from ..telemetry.facade import Telemetry
 from .daemon import AlarmDaemon, DaemonThread
@@ -41,16 +40,17 @@ READ_TIMEOUT_S = 60.0
 
 @contextmanager
 def socket_link(server: AlarmServer, strategy: ProcessingStrategy,
-                sanitizer: Sanitizer) -> Iterator[Metrics]:
+                verify_wire: bool = False) -> Iterator[Metrics]:
     """A daemon thread serving ``server``, the strategy on a socket to it.
 
     The daemon charges all traffic against the server's ``Metrics``; the
     client session counts its local containment probes into a second
-    one, yielded here for the session to merge.
+    one, yielded here for the session to merge.  ``verify_wire`` makes
+    the daemon check every charge against the bytes it frames.
     """
     codec = WireCodec.from_sizes(server.sizes)
     daemon = AlarmDaemon(server, strategy.server_policy(), codec,
-                         verify_wire=sanitizer.enabled, sanitizer=sanitizer)
+                         verify_wire=verify_wire)
     geometry = bitmap_geometry_of(strategy)
     pyramid_for = (pyramid_resolver(server.grid, geometry)
                    if geometry is not None else None)
@@ -60,8 +60,7 @@ def socket_link(server: AlarmServer, strategy: ProcessingStrategy,
         with DaemonThread(daemon, path=path):
             transport = SocketTransport.connect_unix(
                 path, codec, pyramid_for=pyramid_for,
-                telemetry=server.telemetry, timeout_s=READ_TIMEOUT_S,
-                sanitizer=sanitizer)
+                telemetry=server.telemetry, timeout_s=READ_TIMEOUT_S)
             try:
                 strategy.attach(ClientSession(transport, client_metrics,
                                               server.grid, server.telemetry))
@@ -71,13 +70,11 @@ def socket_link(server: AlarmServer, strategy: ProcessingStrategy,
 
 
 def run_network_simulation(world: World, strategy: ProcessingStrategy,
-                           *, telemetry: Optional[Telemetry] = None,
-                           sanitize: Optional[bool] = None
+                           *, telemetry: Optional[Telemetry] = None
                            ) -> SimulationResult:
     """Replay ``world`` through ``strategy`` over a Unix-domain socket.
 
     The serial session with a socket link; flags mirror the serial
     engine where they are meaningful.
     """
-    return run_session(world, strategy, socket_link, telemetry=telemetry,
-                       sanitize=sanitize)
+    return run_session(world, strategy, socket_link, telemetry=telemetry)

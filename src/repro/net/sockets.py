@@ -11,8 +11,7 @@ Division of accounting labour: the **daemon** charges all traffic
 (through its in-process transport), so this client charges nothing —
 with client and daemon in one test process the shared ``Metrics``
 would otherwise double-count.  The client's only instruments are the
-optional ``net_rtt_us`` histogram and the sanitizer's framed-uplink
-check.
+optional ``net_rtt_us`` histogram and the client spans.
 
 Bitmap strategies need one extra ingredient: a bitmap downlink carries
 the cell reference and the payload bits, but decoding the bits into a
@@ -37,7 +36,6 @@ from ..protocol.framing import (Frame, FrameDecoder, FrameKind, FramingError,
 from ..protocol.messages import Request, Response, ServerReply
 from ..protocol.transport import Transport, TransportError
 from ..protocol.wire import WireCodec, unpack_cell_ref
-from ..sanitize import Sanitizer
 from ..telemetry.facade import DISABLED, Telemetry
 from ..telemetry.spans import (ROOT_SPAN_ID, SPAN_CLIENT_REQUEST,
                                STATUS_ERROR, STATUS_OK, make_trace_id)
@@ -99,16 +97,14 @@ class SocketTransport(Transport):
     with the ``(trace, span)`` pair for the daemon to continue, and
     closes the span on *every* exit path — ``"ok"`` on a decoded
     reply, ``"error"`` on a send failure, timeout, EOF, ERROR frame or
-    undecodable reply.  An enabled ``sanitizer`` mirrors the ledger
-    and :meth:`close` asserts it balanced.
+    undecodable reply.
     """
 
     def __init__(self, sock: socket.socket,
                  codec: Optional[WireCodec] = None, *,
                  pyramid_for: Optional[Callable[[int], Pyramid]] = None,
                  telemetry: Optional[Telemetry] = None,
-                 timeout_s: float = 30.0, client_id: int = 0,
-                 sanitizer: Optional[Sanitizer] = None) -> None:
+                 timeout_s: float = 30.0, client_id: int = 0) -> None:
         self.codec = codec if codec is not None else WireCodec()
         self.pyramid_for = pyramid_for
         self.telemetry = telemetry if telemetry is not None else DISABLED
@@ -118,8 +114,6 @@ class SocketTransport(Transport):
         self._pending: Deque[Frame] = deque()
         self._client_id = client_id
         self._trace_count = 0
-        self._sanitizer = (sanitizer if sanitizer is not None
-                           else Sanitizer.resolve(False))
         sock.settimeout(timeout_s)
         sock.sendall(encode_frame(FrameKind.HELLO, encode_hello()))
 
@@ -164,11 +158,8 @@ class SocketTransport(Transport):
             trace_id = make_trace_id(self._client_id, self._trace_count)
             span_id = ROOT_SPAN_ID
             started = time.perf_counter()
-            # The sanitizer note runs first: once telemetry has opened
-            # the span, nothing exception-capable may run before the
-            # try block whose every exit closes it (PA009's contract).
-            if self._sanitizer.enabled:
-                self._sanitizer.note_span_open(trace_id, span_id)
+            # Once the span is open, nothing exception-capable may run
+            # before the try block whose every exit closes it (PA009).
             telemetry.span_open(time_s, trace_id, span_id, 0,
                                 SPAN_CLIENT_REQUEST)
         try:
@@ -200,8 +191,6 @@ class SocketTransport(Transport):
 
     def _finish_span(self, time_s: float, trace_id: int, status: str,
                      started: float) -> None:
-        if self._sanitizer.enabled:
-            self._sanitizer.note_span_close(trace_id, ROOT_SPAN_ID)
         self.telemetry.span_close(
             time_s, trace_id, ROOT_SPAN_ID, status,
             (time.perf_counter() - started) * 1e6)
@@ -269,7 +258,7 @@ class SocketTransport(Transport):
             raise TransportError("send failed: %s" % exc) from exc
 
     def close(self) -> None:
-        """Close the socket (idempotent); check the span ledger."""
+        """Close the socket (idempotent)."""
         sock = self._sock
         if sock is None:
             return
@@ -278,8 +267,6 @@ class SocketTransport(Transport):
             sock.close()
         except OSError:
             pass
-        if self._sanitizer.enabled:
-            self._sanitizer.check_span_balance()
 
     def __enter__(self) -> "SocketTransport":
         return self

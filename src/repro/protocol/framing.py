@@ -358,9 +358,9 @@ def reply_summary(payload: bytes) -> Tuple[int, int, int]:
     """``(messages, notifications, charged_bytes)`` of a REPLY payload.
 
     Walks the batch envelope without decoding any message — the load
-    generator's fast accounting path, and the sanitizer's cross-check
-    that a reply frame carries exactly the downlink bytes the server
-    charged (tag-0 notifications are in-band and charge nothing).
+    generator's fast accounting path, and the daemon's ``verify_wire``
+    check that a reply frame carries exactly the downlink bytes the
+    server charged (tag-0 notifications are in-band and charge nothing).
     """
     if len(payload) < _REPLY_COUNT.size:
         raise FramingError("reply payload shorter than its count field")

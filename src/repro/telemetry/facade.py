@@ -306,8 +306,8 @@ class Telemetry:
 
         ``elapsed_us`` is a wall-clock duration probe (perf-counter
         delta, the same sanction as ``net_batch``'s ``handle_us``);
-        every opened span must close exactly once — the sanitizer
-        mirrors the balance check live.
+        every opened span must close exactly once —
+        :func:`~repro.telemetry.spans.validate_spans` checks the balance.
         """
         if not self.enabled:
             return

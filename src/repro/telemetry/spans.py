@@ -19,9 +19,8 @@ keys on ``(shard, trace)``.
 :func:`validate_spans` is the read-side well-formedness check behind
 ``repro trace validate``: every opened span closes exactly once, no
 span closes unopened, parents exist before their children, and no span
-event carries the untraced id 0.  The runtime mirror lives in
-:mod:`repro.sanitize` (``note_span_open`` / ``note_span_close`` /
-``check_span_balance``).
+event carries the untraced id 0.  It is the one span-balance check:
+the traced socket and fault tests run it on their captured events.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ their defects: frozen geometry types, the abstract ``SafeRegion``,
 ``verify_field_layouts`` inside every codec built, the telemetry
 registry's refusal of an undeclared instrument, the daemon objects'
 refusal of writes from a thread other than their owner's, the
-sanitizer's task-leak check at ``aclose()``, the daemon's dispatch
-through the session table (held to the spec by the socket conformance
-suite), and the wire goldens plus the accuracy contract.  PA008's row
-restates its last seed against that dispatch.  Each row below is the
+daemon's always-on task-leak check at ``aclose()`` (raised by leaving
+a ``DaemonThread`` block), the daemon's dispatch through the session
+table (held to the spec by the socket conformance suite), and the wire
+goldens plus the accuracy contract.  PA008's row restates its last seed
+against that dispatch; PA007's restates its seed, a spawn whose handle
+is dropped, on the per-connection drain worker, since the loop watchdog
+it was last seeded on is gone.  Each row below is the
 defect the rule was last seeded with (``test_session_mutation.py`` held
 one per rule) and the test that catches it without the checker.  The
 row is applied to a copy of ``src/repro`` and that one test is run
@@ -20,7 +23,7 @@ against the copy in a subprocess; it must fail, with the guard's own
 words.
 
 A row costs about two seconds, so tier-1 runs the first one only and
-``REPRO_SANITIZE=1`` (CI's ``sanitize-smoke`` job) runs them all — see
+``REPRO_DEEP=1`` (CI's ``deep-checks`` job) runs them all — see
 :mod:`tests.budget`.  ``docs/STATIC_ANALYSIS.md`` ("Retired rules")
 names each guard.
 """
@@ -94,10 +97,13 @@ RETIRED = (
             "DaemonThread.port written from thread 'repro-alarm-daemon'; "
             "the object belongs to thread 'MainThread'"),
     Retired("PA007", "net/daemon.py",
-            "            self._watchdog = asyncio.create_task(\n",
-            "            asyncio.create_task(\n",
-            "tests/net/test_daemon.py::TestSanitizedServing::"
-            "test_blocking_call_on_the_loop_is_caught_at_close",
+            "            self._drain_queue(conn_id, queue, writer))\n",
+            "            self._drain_queue(conn_id, queue, writer))\n"
+            "        asyncio.create_task(  # 'a spare worker for bursts'\n"
+            "            self._drain_queue(conn_id, asyncio.Queue(), "
+            "writer))\n",
+            "tests/net/test_daemon.py::TestRequestReply::"
+            "test_unix_roundtrip_charges_the_server",
             "task leak at daemon close"),
     Retired("PA008", "net/daemon.py",
             "                    elif kind is FrameKind.SHUTDOWN:\n",

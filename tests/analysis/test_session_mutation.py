@@ -80,10 +80,11 @@ SEEDS = (
          "  # lint: allow=RL002\n",
          "pragma debt for RL002 grew to 1 (ledger allows 0)"),
     Seed("PA005", "net/daemon.py", (),
-         "            await asyncio.sleep(interval)\n",
-         "            time.sleep(interval)\n",
+         "        writer.close()\n        try:\n",
+         "        time.sleep(0.01)  # 'let the peer read the last frame'\n"
+         "        writer.close()\n        try:\n",
          "blocking time.sleep() is reachable from coroutine "
-         "'AlarmDaemon._stall_watchdog'"),
+         "'AlarmDaemon._finish_connection'"),
     Seed("PA009", "net/daemon.py", (),
          "                    decoder.finish()  # raises if the peer died "
          "mid-frame\n",

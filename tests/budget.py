@@ -1,13 +1,14 @@
 """Example budgets of the oracle property suites.
 
 Tier-1 has a two-minute budget, so the dearest differential suites draw
-a reduced number of examples there; the CI ``sanitize-smoke`` job
-re-runs the same files under ``REPRO_SANITIZE=1`` and draws them all.
+a reduced number of examples there; the CI ``deep-checks`` job re-runs
+the same files under ``REPRO_DEEP=1`` and draws them all.
 """
 
-from repro.sanitize import Sanitizer
+import os
 
 
 def examples(quick: int, full: int) -> int:
-    """``full`` under ``REPRO_SANITIZE=1``, ``quick`` otherwise."""
-    return full if Sanitizer.resolve().enabled else quick
+    """``full`` under ``REPRO_DEEP=1``, ``quick`` otherwise."""
+    deep = os.environ.get("REPRO_DEEP", "") not in ("", "0")
+    return full if deep else quick

@@ -6,7 +6,8 @@ client's *footprint* — the area the client's installed state answers
 for (MWPSR: the rectangle itself; bitmap/OPT: the base cell; a safe
 period: everywhere).  ``TestInvalidateByFootprint`` places installs
 against live footprints (see ``footprints.py``) and holds both halves:
-no trigger is missed or late, and nobody else is woken.
+no trigger is missed or late, and nobody else is woken.  Every run is
+pinned and wire-verified (``tests/oracles.py``).
 """
 
 
@@ -14,14 +15,14 @@ import pytest
 
 from repro.alarms import AlarmScope
 from repro.engine import (AlarmSchedule, InstallAction, RemoveAction,
-                          compute_dynamic_ground_truth,
-                          run_dynamic_simulation)
+                          compute_dynamic_ground_truth)
 from repro.geometry import Rect
 from repro.saferegion import MWPSRComputer, PBSRComputer
 from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               PeriodicStrategy,
                               RectangularSafeRegionStrategy,
                               SafePeriodStrategy)
+from ..oracles import run_dynamic_simulation
 from ..strategies.conftest import make_world
 from .footprints import (FOOTPRINT_STRATEGIES, PLACEMENTS, STRATEGY_NAMES,
                          exit_step, make_strategy, placements, record_pushes,

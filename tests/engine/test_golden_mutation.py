@@ -26,6 +26,8 @@ every public install or target move push-invalidated the whole fleet
 with the rectangle as the footprint only the clients a change touches
 are woken (98).  The ``fired_pairs`` of those four rows, the other
 eight rows and all of ``wire_goldens.json`` did not move.
+
+Every run is pinned and wire-verified (``tests/oracles.py``).
 """
 
 import json
@@ -35,9 +37,9 @@ import pytest
 
 from repro.alarms import AlarmScope
 from repro.engine import (AlarmSchedule, InstallAction, RemoveAction,
-                          TargetTrack, run_dynamic_simulation,
-                          run_tracking_simulation)
+                          TargetTrack)
 from repro.geometry import Rect
+from ..oracles import run_dynamic_simulation, run_tracking_simulation
 from ..strategies.conftest import make_world
 from .test_golden_protocol import STRATEGY_NAMES, _factory
 

@@ -9,7 +9,9 @@ set and the accuracy report must be identical to a serial run over the
 same seeded world.
 
 Shard factories live at module level: the pool pickles them into worker
-processes, and lambdas or closures would not survive the trip.
+processes, and lambdas or closures would not survive the trip.  Every
+run, serial or sharded, is pinned and wire-verified
+(``tests/oracles.py``).
 """
 
 import functools
@@ -17,9 +19,7 @@ import functools
 import pytest
 
 from repro.alarms import AlarmRegistry, install_random_alarms
-from repro.engine import (Metrics, World, parallel,
-                          run_parallel_simulation, run_simulation,
-                          shard_traces)
+from repro.engine import Metrics, World, parallel, shard_traces
 from repro.experiments.figures import make_mwpsr_strategy, make_pbsr_strategy
 from repro.index import GridOverlay
 from repro.mobility import MobilityConfig, TraceGenerator
@@ -27,6 +27,8 @@ from repro.roadnet import NetworkConfig, generate_network
 from repro.strategies import (OptimalStrategy, PeriodicStrategy,
                               SafePeriodStrategy)
 from repro.telemetry import NullSink, Telemetry
+
+from ..oracles import run_parallel_simulation, run_simulation
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -192,7 +194,7 @@ def test_one_worker_may_run_several_inherited_shards(world, monkeypatch):
     it, so no shard may spoil ``_INHERITED`` for the next."""
     shards = shard_traces(world.traces, 3)
     job = parallel.ShardJob(world.registry, world.grid, world.sizes,
-                            _mwpsr, None, trace="off", sanitize=False)
+                            _mwpsr, None, trace="off")
     monkeypatch.setattr(parallel, "_INHERITED", (job, shards))
     inherited = [parallel._run_inherited_shard(index)
                  for index in range(len(shards))]

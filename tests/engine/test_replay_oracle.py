@@ -19,7 +19,8 @@ Both must agree with the shipped loops on every deterministic counter,
 the trigger sequence and every client's final state, for all six
 strategies on static, scheduled and tracking worlds.  The seeded
 mutations at the end are the suite's own test: each is a plausible slip
-in a scan loop, and each must be caught.
+in a scan loop, and each must be caught.  The shipped loops run pinned
+and wire-verified (``tests/oracles.py``).
 """
 
 import functools
@@ -35,9 +36,7 @@ from hypothesis import strategies as st
 import repro.engine.simulation as session
 from repro.alarms import AlarmRegistry, AlarmScope
 from repro.engine import (AlarmSchedule, AlarmServer, InstallAction, Metrics,
-                          RemoveAction, TargetTrack, World,
-                          run_dynamic_simulation, run_simulation,
-                          run_tracking_simulation)
+                          RemoveAction, TargetTrack, World)
 from repro.engine.dynamic import ScheduleMutation
 from repro.engine.tracking import TrackMutation
 from repro.geometry import Point, Rect
@@ -53,6 +52,8 @@ from repro.saferegion import (BitmapSafeRegion, PBSRComputer,
 from repro.strategies import BitmapSafeRegionStrategy
 from repro.strategies import base as strategies_base
 from repro.strategies.base import ClientState
+from ..oracles import (run_dynamic_simulation, run_simulation,
+                       run_tracking_simulation)
 from ..saferegion.test_bitmap_oracle import mutant_bitmap
 from ..strategies.conftest import make_world
 from .test_golden_mutation import golden_schedule, golden_track

@@ -3,19 +3,20 @@
 A target move invalidates a client only when the region it left or the
 region it reached touches the client's footprint (see
 ``test_dynamic.py``); ``TestMovesAgainstFootprints`` relocates a target
-against live footprints and holds safety and economy both.
+against live footprints and holds safety and economy both.  Every run
+is pinned and wire-verified (``tests/oracles.py``).
 """
 
 import pytest
 
-from repro.engine import (TargetTrack, compute_tracking_ground_truth,
-                          run_tracking_simulation)
+from repro.engine import TargetTrack, compute_tracking_ground_truth
 from repro.geometry import Rect
 from repro.saferegion import MWPSRComputer, PBSRComputer
 from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               PeriodicStrategy,
                               RectangularSafeRegionStrategy,
                               SafePeriodStrategy)
+from ..oracles import run_tracking_simulation
 from ..strategies.conftest import make_world
 from .footprints import (FOOTPRINT_STRATEGIES, PLACEMENTS, STRATEGY_NAMES,
                          exit_step, make_strategy, placements, record_pushes,

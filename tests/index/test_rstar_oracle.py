@@ -17,7 +17,7 @@ operation both are asked for the items containing the edges and corners
 of entries and random points, closed and interior: the same items, as
 multisets, for the same node accesses; then the shipped tree validates,
 cached slab tables included.  The two long seeded replays probe every
-``examples(16, 1)``-th operation and the last one; ``REPRO_SANITIZE=1``
+``examples(16, 1)``-th operation and the last one; ``REPRO_DEEP=1``
 probes every operation (``tests/budget.py``).
 """
 

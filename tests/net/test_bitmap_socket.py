@@ -1,26 +1,26 @@
-"""Bitmap strategies over the socket engine, sanitized.
+"""Bitmap strategies over the socket engine, checked.
 
 PBSR(h=5) and GBSR on the ``tiny`` world through a real Unix-domain
-socket with the sanitizer on (the daemon then also asserts, per message,
-that the charged size equals the encoded length).  On top of the
-engine's own checks this pins the two properties the one-representation
-bitmap promises a socket client: the bitmap it decodes probes exactly
-like the one the server built, and nothing about the run's accounting
-differs from the in-process run.  CI's ``sanitize-smoke`` job runs this
-file under ``REPRO_SANITIZE=1``.
+socket, every run checked (``tests/oracles.py``: the daemon asserts,
+per message and per frame, that the charged size equals the encoded
+length, and every shared region it hands out is rebuilt and compared).
+On top of those checks this pins the two properties the
+one-representation bitmap promises a socket client: the bitmap it
+decodes probes exactly like the one the server built, and nothing about
+the run's accounting differs from the in-process run.
 """
 
 import random
 
 import pytest
 
-from repro.engine import run_simulation
 from repro.experiments import TINY, build_world
 from repro.experiments.figures import make_pbsr_strategy
 from repro.geometry import Point
-from repro.net import run_network_simulation
 from repro.protocol.messages import InstallSafeRegion
 from repro.protocol.wire import WireCodec
+
+from ..oracles import VERIFIED, VERIFIED_SOCKET, checked_run
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,10 @@ def test_decoded_bitmaps_probe_like_the_servers(world, height, monkeypatch):
 
     monkeypatch.setattr(WireCodec, "encode_response", spying_encode)
     monkeypatch.setattr(WireCodec, "decode_response", spying_decode)
-    over_socket = run_network_simulation(world, make_pbsr_strategy(height),
-                                         sanitize=True)
+    over_socket = checked_run(world, make_pbsr_strategy(height),
+                              VERIFIED_SOCKET)
     monkeypatch.undo()
-    in_process = run_simulation(world, make_pbsr_strategy(height),
-                                sanitize=True)
+    in_process = checked_run(world, make_pbsr_strategy(height), VERIFIED)
 
     assert over_socket.accuracy.perfect
     assert over_socket.metrics.counters() == in_process.metrics.counters()

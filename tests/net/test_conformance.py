@@ -6,12 +6,16 @@ real Unix-domain socket through the asyncio daemon — must charge the
 ``goldens/wire_goldens.json``, for every strategy.  The socket rows are
 the tentpole claim of the networking layer: the daemon charges through
 the same in-process accounting path the serial engine uses, so framing
-must be accounting-invisible, byte for byte.
+must be accounting-invisible, byte for byte.  Every run here is checked
+(``tests/oracles.py``): geometry pinned, every memo hit rebuilt, every
+charge and every frame verified against its encoding.
 """
+
+import functools
 
 import pytest
 
-from repro.engine import run_simulation
+from repro.engine.simulation import in_process_link
 from repro.net import run_network_simulation
 from repro.protocol.transport import LossyTransport
 from repro.strategies import PeriodicStrategy
@@ -19,10 +23,21 @@ from repro.telemetry import Telemetry, reconcile, validate_event
 
 from ..engine.test_golden_protocol import (GOLDENS, STRATEGY_NAMES,
                                            _factory, _observed)
+from ..oracles import VERIFIED, VERIFIED_SOCKET, checked_run
 from ..strategies.conftest import make_world
 from ..telemetry.test_reconcile import trace_data
 
 TRANSPORTS = ("inprocess", "lossy", "socket")
+
+#: Each transport's link, wire-verified.
+LINKS = {
+    "inprocess": VERIFIED,
+    "lossy": functools.partial(
+        in_process_link,
+        transport_factory=functools.partial(LossyTransport,
+                                            verify_wire=True)),
+    "socket": VERIFIED_SOCKET,
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +47,7 @@ def world():
 
 def _run(world, name, transport):
     strategy = _factory(name, world.max_speed())()
-    if transport == "socket":
-        return run_network_simulation(world, strategy, sanitize=True)
-    factory = LossyTransport if transport == "lossy" else None
-    return run_simulation(world, strategy, transport_factory=factory,
-                          sanitize=True)
+    return checked_run(world, strategy, LINKS[transport])
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
@@ -54,8 +65,8 @@ def test_socket_goldens_hold_with_tracing_enabled(world, name):
     traced socket run pins the same byte totals as the untraced
     goldens."""
     strategy = _factory(name, world.max_speed())()
-    result = run_network_simulation(world, strategy, sanitize=True,
-                                    telemetry=Telemetry.capture())
+    result = checked_run(world, strategy, VERIFIED_SOCKET,
+                         telemetry=Telemetry.capture())
     assert result.accuracy.perfect
     assert _observed(result.metrics) == GOLDENS[name]
 

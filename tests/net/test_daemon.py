@@ -1,5 +1,10 @@
 """Daemon behaviour: request/reply over real sockets, batching,
-backpressure, the SHUTDOWN channel, and the thread host's lifecycle."""
+backpressure, the SHUTDOWN channel, the thread host's lifecycle, and
+the checks a daemon's close makes.
+
+Every daemon here runs under the loop-stall sampler of
+``tests/net/conftest.py``.
+"""
 
 import asyncio
 import socket
@@ -8,12 +13,23 @@ import time
 import pytest
 
 from repro.net import DaemonThread, SocketTransport
-from repro.protocol.framing import (FrameDecoder, FrameKind, encode_frame,
-                                    encode_hello)
-from repro.sanitize import Sanitizer, SanitizerError
+from repro.net import daemon as daemon_module
+from repro.protocol.framing import (FrameDecoder, FrameKind, decode_error,
+                                    encode_frame, encode_hello)
+from repro.protocol.messages import InstallSafePeriod
+from repro.protocol.transport import WireFidelityError
+from repro.protocol.wire import WireCodec
 from repro.telemetry import Telemetry
 
 from .conftest import make_daemon, make_report
+
+pytestmark = pytest.mark.usefixtures("loop_stall_watch")
+
+
+def _leak_a_drain_worker(daemon):
+    """Spawn a daemon-module task no registry tracks (on the loop)."""
+    return asyncio.create_task(
+        daemon._drain_queue(0, asyncio.Queue(), None))
 
 
 class TestRequestReply:
@@ -151,6 +167,34 @@ class TestDaemonThreadLifecycle:
             with pytest.raises(AttributeError):
                 hosted.port = 1
 
+    def test_failure_at_close_leaves_the_with_block(self, sock_path):
+        """What ends the loop thread — here the task-leak check at the
+        daemon's close — is raised by leaving the ``with`` block."""
+        daemon = make_daemon()
+        with pytest.raises(RuntimeError,
+                           match=r"task leak at daemon close: 1 daemon "
+                                 r"task\(s\) still pending: _drain_queue"):
+            with DaemonThread(daemon, path=sock_path) as hosted:
+                loop, _ = hosted._started.result()
+
+                async def leak():
+                    _leak_a_drain_worker(daemon)
+
+                asyncio.run_coroutine_threadsafe(leak(), loop).result(10.0)
+
+    def test_failure_is_raised_once(self, sock_path):
+        daemon = make_daemon()
+        hosted = DaemonThread(daemon, path=sock_path).start()
+        loop, _ = hosted._started.result()
+
+        async def leak():
+            _leak_a_drain_worker(daemon)
+
+        asyncio.run_coroutine_threadsafe(leak(), loop).result(10.0)
+        with pytest.raises(RuntimeError, match="task leak at daemon close"):
+            hosted.stop()
+        hosted.stop()
+
     def test_daemon_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             make_daemon(batch_max=0)
@@ -212,21 +256,12 @@ class TestOwnerThread:
         hosted.stop()
 
 
-class TestSanitizedServing:
-    """The loop watchdog and task-leak check ride REPRO_SANITIZE=1."""
+class TestCloseChecks:
+    """What a daemon's close refuses: a stalled loop (the sampler of
+    ``loop_stall_watch``), a leaked task (always on)."""
 
-    def test_env_flag_reaches_the_daemon(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert make_daemon()._sanitizer.enabled
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not make_daemon()._sanitizer.enabled
-
-    def test_sanitized_roundtrip_is_clean(self, sock_path,
-                                          monkeypatch):
-        """A healthy serve-and-close must not trip the loop-stall or
-        task-leak checks: the watchdog spins up with the listener and
-        is cancelled (and awaited) by aclose before the leak scan."""
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_roundtrip_closes_clean(self, sock_path):
+        """A healthy serve-and-close trips neither check."""
         daemon = make_daemon()
         with DaemonThread(daemon, path=sock_path):
             with SocketTransport.connect_unix(sock_path,
@@ -237,18 +272,18 @@ class TestSanitizedServing:
 
     def test_blocking_call_on_the_loop_is_caught_at_close(self):
         """A blocking sleep smuggled onto the loop is caught at close:
-        the watchdog's pending wakeup fires late, the lag is recorded,
-        and check_loop_health fails the aclose."""
+        the sampler's pending wakeup fires late, the lag is recorded,
+        and the close fails."""
 
         async def scenario():
-            daemon = make_daemon(sanitizer=Sanitizer())
+            daemon = make_daemon()
             await daemon.start_tcp("127.0.0.1", 0)
-            await asyncio.sleep(0.1)   # watchdog takes a baseline
+            await asyncio.sleep(0.1)   # the sampler takes a baseline
             time.sleep(0.8)            # the PA005 sin, committed live
             await asyncio.sleep(0.1)   # late wakeup records the lag
             await daemon.aclose()
 
-        with pytest.raises(SanitizerError, match="event loop stalled"):
+        with pytest.raises(AssertionError, match="event loop stalled"):
             asyncio.run(scenario())
 
     def test_cancel_parked_in_wait_closed_still_closes_the_books(
@@ -257,7 +292,6 @@ class TestSanitizedServing:
         and cancel it parked in ``wait_closed`` (the socket teardown
         flake): the close bookkeeping must run all the same — no queue
         entry left behind, closed == opened, every span closed."""
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
 
         async def scenario():
             parked = asyncio.Event()
@@ -301,9 +335,9 @@ class TestSanitizedServing:
         task-leak check when aclose scans for survivors."""
 
         async def scenario():
-            daemon = make_daemon(sanitizer=Sanitizer())
+            daemon = make_daemon()
             await daemon.start_tcp("127.0.0.1", 0)
-            rogue = asyncio.create_task(daemon._stall_watchdog())
+            rogue = _leak_a_drain_worker(daemon)
             try:
                 await asyncio.sleep(0)
                 await daemon.aclose()
@@ -314,6 +348,68 @@ class TestSanitizedServing:
                 except asyncio.CancelledError:
                     pass
 
-        with pytest.raises(SanitizerError,
-                           match=r"task leak.*_stall_watchdog"):
+        with pytest.raises(RuntimeError,
+                           match=r"task leak.*_drain_queue"):
             asyncio.run(scenario())
+
+
+class TestFramedAccounting:
+    """``verify_wire`` holds every frame to the bytes the transport
+    charged; a drift is named in the connection's ERROR frame and
+    raised when the daemon closes."""
+
+    @staticmethod
+    def _exchange(sock_path, daemon, request_payload):
+        """HELLO and one REQUEST, then EOF; the frames sent back."""
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.settimeout(10.0)
+        client.connect(sock_path)
+        client.sendall(encode_frame(FrameKind.HELLO, encode_hello())
+                       + encode_frame(FrameKind.REQUEST, request_payload,
+                                      1.0))
+        client.shutdown(socket.SHUT_WR)
+        decoder, frames = FrameDecoder(), []
+        while True:
+            chunk = client.recv(1 << 16)
+            if not chunk:
+                client.close()
+                return frames
+            frames.extend(decoder.feed(chunk))
+
+    def test_reply_whose_sized_entries_disagree_is_caught(
+            self, sock_path, monkeypatch):
+        """A reply encoder that slips in an entry nobody charged."""
+        encode_reply = daemon_module.encode_reply
+
+        def drifting(codec, reply, sender, timestamp):
+            return encode_reply(codec, reply + (InstallSafePeriod(9.0),),
+                                sender, timestamp)
+
+        monkeypatch.setattr(daemon_module, "encode_reply", drifting)
+        daemon = make_daemon(verify_wire=True)
+        with pytest.raises(WireFidelityError,
+                           match="framed reply accounting drift"):
+            with DaemonThread(daemon, path=sock_path):
+                frames = self._exchange(
+                    sock_path, daemon,
+                    daemon.codec.encode_request(make_report()))
+                assert [frame.kind for frame in frames] \
+                    == [FrameKind.ERROR]
+                assert "framed reply accounting drift" \
+                    in decode_error(frames[0].payload)
+
+    def test_request_sizing_that_drifts_from_the_frame_is_caught(
+            self, sock_path, monkeypatch):
+        size_of_request = WireCodec.size_of_request
+        monkeypatch.setattr(WireCodec, "size_of_request",
+                            lambda codec, request:
+                            size_of_request(codec, request) + 1)
+        daemon = make_daemon(verify_wire=True)
+        with pytest.raises(WireFidelityError,
+                           match="framed uplink accounting drift"):
+            with DaemonThread(daemon, path=sock_path):
+                frames = self._exchange(
+                    sock_path, daemon,
+                    daemon.codec.encode_request(make_report()))
+                assert [frame.kind for frame in frames] \
+                    == [FrameKind.ERROR]

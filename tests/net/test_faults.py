@@ -25,7 +25,6 @@ from repro.protocol.framing import (FRAME_HEADER_SIZE, FrameDecoder,
 from repro.protocol.handlers import EVALUATE_ONLY
 from repro.protocol.transport import LossyTransport, TransportError
 from repro.protocol.wire import WireCodec
-from repro.sanitize import Sanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import (SPAN_CLIENT_REQUEST, SPAN_LOSSY_REQUEST,
                                    STATUS_ERROR, STATUS_OK,
@@ -242,47 +241,42 @@ class TestServerFaults:
 class TestSpanLeaksUnderFaults:
     """Failed exchanges must close their client span with ``"error"``
     status — a leaked span would hide exactly the worst-latency
-    (failed) requests from the trace, and the sanitizer's span ledger
-    would flag the imbalance at transport close."""
+    (failed) requests from the trace, and ``validate_spans`` — the
+    check behind ``repro trace validate`` — names it first."""
 
     def test_timeout_closes_the_client_span_with_error(self, sock_path):
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(sock_path)
         listener.listen(1)
         telemetry = Telemetry.capture()
-        sanitizer = Sanitizer.resolve(True)
         transport = None
         served = None
         try:
             client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             client.connect(sock_path)
             transport = SocketTransport(client, timeout_s=0.2,
-                                        telemetry=telemetry,
-                                        sanitizer=sanitizer)
+                                        telemetry=telemetry)
             served, _ = listener.accept()  # connected; never replies
             with pytest.raises(TransportError, match="timed out"):
                 transport.request(make_report(), 1.0)
         finally:
             if transport is not None:
-                # close() asserts the sanitizer's span ledger balanced:
-                # a leaked span would raise SanitizerError here.
                 transport.close()
             if served is not None:
                 served.close()
             listener.close()
+        assert validate_spans(telemetry.tracer.sink.records) == []
         assert _span_counts(telemetry) == \
             {(SPAN_CLIENT_REQUEST, STATUS_ERROR): 1}
-        assert validate_spans(telemetry.tracer.sink.records) == []
 
     def test_server_death_closes_the_client_span_with_error(
             self, sock_path, asyncio_log):
         telemetry = Telemetry.capture()
-        sanitizer = Sanitizer.resolve(True)
         daemon = make_daemon(telemetry=telemetry)
         hosted = DaemonThread(daemon, path=sock_path).start()
         transport = SocketTransport.connect_unix(
             sock_path, daemon.codec, timeout_s=10.0,
-            telemetry=telemetry, sanitizer=sanitizer)
+            telemetry=telemetry)
         try:
             transport.request(make_report(0), 1.0)
             hosted.stop()
@@ -291,11 +285,11 @@ class TestSpanLeaksUnderFaults:
         finally:
             transport.close()
             hosted.stop()
+        assert validate_spans(telemetry.tracer.sink.records) == []
         counts = _span_counts(telemetry)
         # One exchange succeeded, the post-shutdown one failed.
         assert counts[(SPAN_CLIENT_REQUEST, STATUS_OK)] == 1
         assert counts[(SPAN_CLIENT_REQUEST, STATUS_ERROR)] == 1
-        assert validate_spans(telemetry.tracer.sink.records) == []
         assert _asyncio_records(asyncio_log) == []
 
     def test_lossy_exhaustion_closes_the_span_with_error(self):
@@ -312,6 +306,6 @@ class TestSpanLeaksUnderFaults:
                                seed=7, max_attempts=2)
         with pytest.raises(TransportError):
             lossy.request(make_report(), 0.0)
+        assert validate_spans(telemetry.tracer.sink.records) == []
         assert _span_counts(telemetry) == \
             {(SPAN_LOSSY_REQUEST, STATUS_ERROR): 1}
-        assert validate_spans(telemetry.tracer.sink.records) == []

@@ -3,7 +3,7 @@
 Every live state (AWAIT_HELLO, READY) × every ``FrameKind`` plus one
 kind byte no member has × three frame shapes — well-formed, truncated
 (the stream half-closed mid-payload) and an oversized length prefix —
-is sent to a fresh sanitized daemon over a Unix-domain socket.  The
+is sent to a fresh daemon over a Unix-domain socket.  The
 expected answer is computed from ``protocol/spec.py`` alone: each
 accepted uplink moves the state and is answered (REQUEST with REPLY,
 STATS with STATS); the first frame without a row, or any framing
@@ -17,7 +17,9 @@ REPLYs must go out before the ERROR.  A well-formed case frame is
 followed by a STATS probe, which reads back the state the frame left
 (answered in READY, rejected by name in AWAIT_HELLO, ignored after an
 ERROR).  Throughout, a second connection keeps being served, and when
-the daemon closes no task, fd or span may leak.
+the daemon closes no task, fd or span may leak and its loop may not
+have stalled (``loop_stall_watch``); a failed close is raised by
+leaving the ``DaemonThread`` block.
 """
 
 import gc
@@ -25,7 +27,6 @@ import itertools
 import os
 import socket
 import struct
-import threading
 from collections import Counter
 
 import pytest
@@ -38,7 +39,6 @@ from repro.protocol.framing import (FRAME_HEADER_SIZE, MAX_FRAME_PAYLOAD,
 from repro.protocol.spec import (CLIENT_TRANSITIONS, DIR_SERVER_TO_CLIENT,
                                  STATE_AWAIT_HELLO, STATE_READY,
                                  session_next_state)
-from repro.sanitize import Sanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import validate_spans
 
@@ -129,16 +129,6 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-@pytest.fixture
-def thread_errors(monkeypatch):
-    """Exceptions that ended a thread — a sanitizer failure at the
-    daemon's close raises on the loop thread."""
-    errors = []
-    monkeypatch.setattr(threading, "excepthook",
-                        lambda args: errors.append(args.exc_value))
-    return errors
-
-
 def assert_spec_answer(label, uplinks, received):
     """``received`` is what the spec answers to ``uplinks``."""
     expected = spec_answer(uplinks)
@@ -168,12 +158,13 @@ def assert_spec_answer(label, uplinks, received):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts open fds through /proc")
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_frame_gets_the_spec_answer(case, sock_path, thread_errors):
+@pytest.mark.usefixtures("loop_stall_watch")
+def test_frame_gets_the_spec_answer(case, sock_path):
     state, kind, shape = case
     shutdown = kind is FrameKind.SHUTDOWN and shape == "well-formed"
     fds_before = _open_fds()
     telemetry = Telemetry.capture()
-    daemon = make_daemon(telemetry=telemetry, sanitizer=Sanitizer())
+    daemon = make_daemon(telemetry=telemetry)
     codec = daemon.codec
     prefix = []
     if state == STATE_READY:
@@ -215,7 +206,6 @@ def test_frame_gets_the_spec_answer(case, sock_path, thread_errors):
             bystander.request(make_report(user_id=2), 2.0)
         bystander.close()
 
-    assert thread_errors == []
     assert daemon._conn_tasks == set() and daemon._conn_queues == {}
     assert validate_spans(telemetry.tracer.sink.records) == []
     registry = telemetry.registry

@@ -15,7 +15,6 @@ from repro.net import DaemonThread, SocketTransport
 from repro.protocol.framing import (FrameDecoder, FrameKind, encode_frame,
                                     encode_hello)
 from repro.protocol.wire import WireCodec
-from repro.sanitize import Sanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS,
                                    SPAN_CLIENT_REQUEST, STATUS_OK,
@@ -33,12 +32,10 @@ def _span_events(telemetry, event_type):
 class TestTraceFollowThrough:
     def test_one_uplink_traced_end_to_end(self, sock_path):
         telemetry = Telemetry.capture()
-        sanitizer = Sanitizer.resolve(True)
-        daemon = make_daemon(telemetry=telemetry, sanitizer=sanitizer)
+        daemon = make_daemon(telemetry=telemetry)
         with DaemonThread(daemon, path=sock_path):
             transport = SocketTransport.connect_unix(
-                sock_path, telemetry=telemetry, client_id=7,
-                sanitizer=sanitizer)
+                sock_path, telemetry=telemetry, client_id=7)
             transport.request(make_report(), 0.0)
             transport.close()
 

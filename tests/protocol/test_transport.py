@@ -83,6 +83,21 @@ class TestInProcessAccounting:
         with pytest.raises(WireFidelityError):
             transport.request(report(), 0.0)
 
+    def test_wire_fidelity_catches_response_size_lies(self):
+        server = make_server()
+        transport = InProcessTransport(server, InstallOnEveryReport(),
+                                       verify_wire=True)
+
+        class DriftingCodec(WireCodec):
+            def size_of_response(self, message):
+                return super().size_of_response(message) + 1
+
+        transport.codec = DriftingCodec()
+        with pytest.raises(WireFidelityError,
+                           match="downlink safe_period charged"):
+            transport.request(report(), 0.0)
+        assert server.metrics.downlink_messages == 0
+
 
 class TestLossyTransport:
     def test_reliable_when_drop_free(self):

@@ -13,7 +13,7 @@ edges and corners of every level and one ulp to either side of them.
 
 Beyond the drawn worlds, every build of a BENCH PBSR(h=5) and GBSR
 replay must equal the definition (every ``REPLAY_STRIDE``-th build in
-tier-1, all of them under ``REPRO_SANITIZE=1``).  The seeded mutations
+tier-1, all of them under ``REPRO_DEEP=1``).  The seeded mutations
 at the end are the suite's own test: each is a plausible slip in the
 row-mask kernel that the fixed corpus must catch.
 """
@@ -367,7 +367,7 @@ class TestFloatInconsistentLocates:
 # ----------------------------------------------------------------------
 # Every build of a BENCH replay
 # ----------------------------------------------------------------------
-#: Tier-1 compares every this-many-th build; REPRO_SANITIZE=1 every one.
+#: Tier-1 compares every this-many-th build; REPRO_DEEP=1 every one.
 REPLAY_STRIDE = 8
 
 

@@ -17,7 +17,7 @@ base's own closed edges included) and one ulp to either side of it:
   and a safe block holds the point it was returned for.
 
 Tier-1 probes every ``examples(EDGE_STRIDE, 1)``-th edge of a level;
-``REPRO_SANITIZE=1`` probes all of them.
+``REPRO_DEEP=1`` probes all of them.
 """
 
 import functools

@@ -24,7 +24,6 @@ from repro.alarms import AlarmRegistry, AlarmScope
 from repro.engine import AlarmServer, Metrics
 from repro.engine.dynamic import (ScheduleMutation,
                                   compute_dynamic_ground_truth)
-from repro.engine.simulation import in_process_link, run_session
 from repro.engine.tracking import (TrackMutation,
                                    compute_tracking_ground_truth)
 from repro.geometry import Point, Rect
@@ -32,12 +31,12 @@ from repro.index import CellId, GridOverlay
 from repro.protocol.handlers import handle_request
 from repro.protocol.messages import InstallSafeRegion, RegionExitReport
 from repro.saferegion import PBSRComputer
-from repro.sanitize import Sanitizer, SanitizerError
 from repro.strategies import BitmapSafeRegionStrategy
 from repro.strategies.bitmap import BitmapPolicy
 from repro.telemetry import Telemetry
 
 from ..engine.test_golden_mutation import golden_schedule, golden_track
+from ..oracles import VERIFIED, check_shared_regions, checked_run
 from .conftest import make_world
 
 UNIVERSE = Rect(0, 0, 3000, 3000)   # 3 x 3 cells of 1 km^2
@@ -184,7 +183,7 @@ TestSharedMemoUnderChurn = SharedMemoMachine.TestCase
 def served():
     registry = AlarmRegistry()
     grid = GridOverlay(UNIVERSE, 1.0)
-    server = AlarmServer(registry, grid, Metrics(), sanitizer=Sanitizer())
+    server = check_shared_regions(AlarmServer(registry, grid, Metrics()))
     policy = BitmapPolicy(PBSRComputer(height=HEIGHT))
     yield registry, server, policy
     server.close()
@@ -251,7 +250,7 @@ def test_clients_of_different_heights_never_share_a_bitmap(served):
     assert len(server.state.region_cache.entries()) == 2
 
 
-def test_sanitizer_catches_a_stale_shared_region(served):
+def test_checked_server_catches_a_stale_shared_region(served):
     """What the hit re-verification is for: an entry that outlived the
     alarm geometry it was carved from."""
     registry, server, policy = served
@@ -261,11 +260,11 @@ def test_sanitizer_catches_a_stale_shared_region(served):
     memo = server.state.region_cache
     registry.remove_listener(memo._on_mutation)  # deafen the memo
     registry.relocate(public.alarm_id, Rect(1600, 1600, 1900, 1900))
-    with pytest.raises(SanitizerError, match="shared safe region"):
+    with pytest.raises(AssertionError, match="shared safe region"):
         report(server, policy, 2, INSIDE)
 
 
-def test_unsanitized_server_does_not_rebuild_on_a_hit(monkeypatch):
+def test_server_does_not_rebuild_on_a_hit(monkeypatch):
     registry = AlarmRegistry()
     registry.install(Rect(1100, 1100, 1300, 1300), AlarmScope.PUBLIC, 0)
     server = AlarmServer(registry, GridOverlay(UNIVERSE, 1.0), Metrics())
@@ -286,9 +285,9 @@ def test_unsanitized_server_does_not_rebuild_on_a_hit(monkeypatch):
 @pytest.mark.parametrize("kind", ["dynamic", "tracking"])
 def test_mutating_runs_share_across_changes_and_stay_exact(kind):
     """An all-public world, so nearly every region served is shareable,
-    under installs, removals and a moving target: the sanitizer rebuilds
-    every shared region it hands out, and no trigger is missed, spurious
-    or late."""
+    under installs, removals and a moving target: the checked link
+    rebuilds every shared region it hands out, and no trigger is missed,
+    spurious or late."""
     world = make_world(public_fraction=1.0, alarms=60)
     if kind == "dynamic":
         schedule = golden_schedule(world)
@@ -301,10 +300,10 @@ def test_mutating_runs_share_across_changes_and_stay_exact(kind):
         truth = functools.partial(compute_tracking_ground_truth, world,
                                   tracks)
     telemetry = Telemetry.capture()
-    result = run_session(
+    result = checked_run(
         world, BitmapSafeRegionStrategy(PBSRComputer(height=3)),
-        in_process_link, telemetry=telemetry, sanitize=True,
-        mutation=mutation, ground_truth=truth)
+        VERIFIED, telemetry=telemetry, mutation=mutation,
+        ground_truth=truth)
     assert result.accuracy.perfect, result.accuracy
     hits = telemetry.registry.counter("saferegion_cache_hits").value
     misses = telemetry.registry.counter("saferegion_cache_misses").value

@@ -65,6 +65,15 @@ class TestSimulate:
             main(["simulate", "--strategy", "teleport",
                   "--workload", "tiny"])
 
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    def test_there_is_no_sanitize_mode(self, command, capsys):
+        """The runtime mode is gone; its checks hold always or in tests."""
+        with pytest.raises(SystemExit) as failure:
+            main([command, "--strategy", "periodic", "--workload", "tiny",
+                  "--sanitize"])
+        assert failure.value.code == 2
+        assert "unrecognized arguments: --sanitize" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["simulate"], ["simulate", "--workers", "2"],
         # The socket directory does not exist: a spec that slipped

@@ -4,7 +4,7 @@ One subprocess (its own interpreter, so nothing pytest or hypothesis
 imported leaks in) blocks ``numpy`` — ``sys.modules["numpy"] = None``
 makes every ``import numpy`` raise — then imports every module under
 ``repro``, replays the TINY world through every strategy and runs the
-CLI's sanitized ``simulate`` through ``python -m repro``'s own entry.
+CLI's wire-verified ``simulate`` through ``python -m repro``'s own entry.
 """
 
 import pathlib
@@ -46,7 +46,7 @@ for strategy in (PeriodicStrategy(), SafePeriodStrategy(speed),
     assert result.accuracy.perfect, (strategy.name, result.accuracy)
 
 sys.argv = ["repro", "simulate", "--strategy", "mwpsr", "--workload",
-            "tiny", "--sanitize"]
+            "tiny", "--verify-wire"]
 try:
     runpy.run_module("repro", run_name="__main__")
 except SystemExit as exit:
