@@ -1,21 +1,99 @@
 """Alarm installation, indexing and relevance resolution.
 
-The registry is the server-side alarm store: installed alarms indexed in
-an R*-tree (paper Section 5.1: "position parameters are evaluated against
-installed spatial alarms indexed in an R*-tree").  All spatial queries go
-through the tree so its node-access counters feed the server cost model.
+The registry is the server-side alarm store.  The paper evaluates every
+position update "against installed spatial alarms indexed in an R*-tree"
+(Section 5.1); here the index is partitioned by audience as well as by
+place, as Keller et al. partition a dynamic spatial database by who asks
+(PAPERS.md):
+
+* **public** alarms, which every subscriber sees, live in one R*-tree
+  (:attr:`AlarmRegistry.tree`);
+* each subscriber's **private and shared** alarms live in that
+  subscriber's *audience list*: the :class:`SpatialAlarm` objects sorted
+  by ``region.min_x``, a parallel list of those keys, and ``reach``, the
+  widest member's width.  A shared alarm sits in its owner's list and in
+  each of its subscribers' lists.
+
+A query never meets an alarm its subscriber cannot see.  A point or
+range query over ``[x0, x1]`` searches the public tree and bisects the
+subscriber's list once: a member reaching past ``x0`` starts no further
+left than ``x0 - reach``, so only the window ``[x0 - reach, x1)`` —
+lowered by a relative margin far wider than the rounding of the
+subtraction and of the widths — is scanned, and the exact rectangle test
+decides membership.  The nearest-distance query walks the list outward
+from the bisect point and stops once the x-gap bound reaches the best
+distance so far.  ``exclude_ids`` (alarms already fired for the
+subscriber) stays a filter over both answers.
+
+Install, remove and relocate touch the public tree or each audience
+member's list; :meth:`AlarmRegistry.install_all` and
+:meth:`AlarmRegistry.rebuild_index` STR-pack the tree and sort the lists
+once.  :attr:`AlarmRegistry.node_accesses` is the index's cost counter:
+public-tree nodes visited plus one per audience list searched.
+:meth:`AlarmRegistry.validate` checks the whole partition.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from typing import (AbstractSet, Callable, Dict, Iterable, List,
-                    Optional, Sequence)
+from operator import attrgetter
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from ..geometry import Point, Rect
 from ..index import RStarTree
 from .alarm import AlarmScope, SpatialAlarm
+
+#: Relative margin (of ``|x| + span``) by which :func:`_floor` lowers
+#: ``x - span``: that subtraction and each member's width round by at
+#: most 2**-53 of their operands, so the margin is thousands of times
+#: what rounding can take away.
+_SLACK = 2.0 ** -40
+
+_by_id = attrgetter("alarm_id")
+
+
+def _floor(x: float, span: float) -> float:
+    """``x - span``, lowered by the rounding margin: a list member whose
+    ``min_x`` lies below it ends more than ``span - reach`` left of ``x``."""
+    return x - span - (abs(x) + span) * _SLACK
+
+
+class _AudienceList:
+    """One subscriber's private and shared alarms, sorted by ``min_x``.
+
+    ``keys[i]`` is ``alarms[i].region.min_x``; ``reach`` is at least the
+    width of every member (exactly the widest one after each change).
+    """
+
+    __slots__ = ("keys", "alarms", "reach")
+
+    def __init__(self, alarms: List[SpatialAlarm]) -> None:
+        alarms.sort(key=lambda alarm: alarm.region.min_x)
+        self.alarms = alarms
+        self.keys = [alarm.region.min_x for alarm in alarms]
+        self.reach = max((alarm.region.width for alarm in alarms),
+                         default=0.0)
+
+    def add(self, alarm: SpatialAlarm) -> None:
+        key = alarm.region.min_x
+        at = bisect_right(self.keys, key)
+        self.keys.insert(at, key)
+        self.alarms.insert(at, alarm)
+        self.reach = max(self.reach, alarm.region.width)
+
+    def discard(self, alarm: SpatialAlarm) -> None:
+        at = bisect_left(self.keys, alarm.region.min_x)
+        while self.alarms[at].alarm_id != alarm.alarm_id:
+            at += 1
+        del self.keys[at]
+        del self.alarms[at]
+        if alarm.region.width == self.reach:
+            self.reach = max((member.region.width
+                              for member in self.alarms), default=0.0)
 
 
 class AlarmRegistry:
@@ -23,6 +101,8 @@ class AlarmRegistry:
 
     def __init__(self, max_tree_entries: int = 16) -> None:
         self._tree = RStarTree(max_entries=max_tree_entries)
+        self._lists: Dict[int, _AudienceList] = {}
+        self._list_probes = 0
         self._alarms: Dict[int, SpatialAlarm] = {}
         self._next_id = 0
         # mutation listeners: callback(alarm_id, old_region, new_region);
@@ -53,6 +133,30 @@ class AlarmRegistry:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _index(self, alarm: SpatialAlarm) -> None:
+        if alarm.scope is AlarmScope.PUBLIC:
+            self._tree.insert(alarm.alarm_id, alarm.region)
+            return
+        lists = self._lists
+        for user_id in alarm.subscriber_set(frozenset()):
+            own = lists.get(user_id)
+            if own is None:
+                lists[user_id] = _AudienceList([alarm])
+            else:
+                own.add(alarm)
+
+    def _unindex(self, alarm: SpatialAlarm) -> None:
+        if alarm.scope is AlarmScope.PUBLIC:
+            removed = self._tree.delete(alarm.alarm_id, alarm.region)
+            assert removed, "registry and tree out of sync"
+            return
+        lists = self._lists
+        for user_id in alarm.subscriber_set(frozenset()):
+            own = lists[user_id]
+            own.discard(alarm)
+            if not own.alarms:
+                del lists[user_id]
+
     def install(self, region: Rect, scope: AlarmScope, owner_id: int,
                 subscribers: Iterable[int] = (),
                 moving_target: bool = False,
@@ -64,7 +168,7 @@ class AlarmRegistry:
                              moving_target=moving_target, label=label)
         self._next_id += 1
         self._alarms[alarm.alarm_id] = alarm
-        self._tree.insert(alarm.alarm_id, region)
+        self._index(alarm)
         self._notify(alarm.alarm_id, None, region)
         return alarm
 
@@ -73,7 +177,8 @@ class AlarmRegistry:
         """Install a population known up front; ids follow draft order.
 
         Each draft's ``alarm_id`` is replaced by the next dense id.  On
-        an empty registry the index is packed in one STR pass and the
+        an empty registry the index is built at once — the public tree
+        packed in one STR pass, each audience list sorted once — and the
         listeners are then told of every alarm in id order; a registry
         that already holds alarms takes the drafts through
         :meth:`install`, one dynamic insert each.
@@ -97,8 +202,7 @@ class AlarmRegistry:
         alarm = self._alarms.pop(alarm_id, None)
         if alarm is None:
             return False
-        removed = self._tree.delete(alarm_id, alarm.region)
-        assert removed, "registry and tree out of sync"
+        self._unindex(alarm)
         self._notify(alarm_id, alarm.region, None)
         return True
 
@@ -108,24 +212,33 @@ class AlarmRegistry:
         Re-indexes the alarm; returns the updated alarm object.
         """
         alarm = self._alarms[alarm_id]
-        self._tree.delete(alarm_id, alarm.region)
+        self._unindex(alarm)
         updated = alarm.with_region(region)
         self._alarms[alarm_id] = updated
-        self._tree.insert(alarm_id, region)
+        self._index(updated)
         self._notify(alarm_id, alarm.region, region)
         return updated
 
     def rebuild_index(self) -> None:
-        """Repack the alarm index with bulk (STR) loading.
+        """Rebuild the index in bulk: STR-pack the tree, sort each list.
 
         Query results are unchanged — only the tree layout (and with it
         the node-access costs) moves.  Operation counters reset with
-        the new tree.
+        the new index.
         """
-        items = [(alarm.alarm_id, alarm.region)
-                 for alarm in self.all_alarms()]
-        self._tree = RStarTree.bulk_load(items,
+        public = []
+        members: Dict[int, List[SpatialAlarm]] = {}
+        for alarm in self.all_alarms():
+            if alarm.scope is AlarmScope.PUBLIC:
+                public.append((alarm.alarm_id, alarm.region))
+                continue
+            for user_id in alarm.subscriber_set(frozenset()):
+                members.setdefault(user_id, []).append(alarm)
+        self._tree = RStarTree.bulk_load(public,
                                          max_entries=self._tree.max_entries)
+        self._lists = {user_id: _AudienceList(alarms)
+                       for user_id, alarms in members.items()}
+        self._list_probes = 0
 
     # ------------------------------------------------------------------
     # Lookup
@@ -141,23 +254,61 @@ class AlarmRegistry:
 
     @property
     def tree(self) -> RStarTree:
-        """The underlying index (exposed for cost accounting and tests)."""
+        """The public alarms' R*-tree (for cost accounting and tests)."""
         return self._tree
 
-    def _relevance(self, user_id: int,
-                   exclude_ids: Optional[AbstractSet[int]] = None
-                   ) -> Callable[[int], bool]:
-        """Predicate: alarm is relevant to the user and not excluded.
+    @property
+    def node_accesses(self) -> int:
+        """Index cost so far: public-tree nodes visited plus one per
+        audience list searched (the server's ``index_node_accesses``)."""
+        return self._tree.stats.node_accesses + self._list_probes
 
-        ``exclude_ids`` carries already-fired alarms (one-shot semantics:
-        a fired alarm stops constraining that subscriber).
+    def validate(self) -> None:
+        """Check the whole index; raises ``AssertionError`` on breakage.
+
+        The public tree passes :meth:`RStarTree.validate` and holds
+        exactly the public alarms under their regions.  Every private or
+        shared alarm sits once in the list of each of its owner and
+        subscribers and in no other list; no list is empty, each is
+        sorted by ``min_x`` with its keys in step, holds the installed
+        alarm objects, and its ``reach`` covers every member's width.
         """
+        self._tree.validate()
         alarms = self._alarms
-        if exclude_ids:
-            return lambda alarm_id: (alarm_id not in exclude_ids
-                                     and alarms[alarm_id].is_relevant_to(
-                                         user_id))
-        return lambda alarm_id: alarms[alarm_id].is_relevant_to(user_id)
+        public = sorted((alarm.alarm_id, alarm.region)
+                        for alarm in alarms.values()
+                        if alarm.scope is AlarmScope.PUBLIC)
+        assert sorted(self._tree.items()) == public, \
+            "public tree does not hold exactly the public alarms"
+        expected: Dict[int, List[int]] = {}
+        for alarm_id in sorted(alarms):
+            alarm = alarms[alarm_id]
+            if alarm.scope is not AlarmScope.PUBLIC:
+                for user_id in alarm.subscriber_set(frozenset()):
+                    expected.setdefault(user_id, []).append(alarm_id)
+        for user_id, own in self._lists.items():
+            ids = sorted(alarm.alarm_id for alarm in own.alarms)
+            for alarm_id in ids:
+                alarm = alarms.get(alarm_id)
+                assert alarm is None or alarm.scope is not AlarmScope.PUBLIC, \
+                    "public alarm %d in the list of subscriber %d" % (
+                        alarm_id, user_id)
+            assert ids == expected.get(user_id, []), \
+                "list of subscriber %d holds %r, its audience is %r" % (
+                    user_id, ids, expected.get(user_id, []))
+            assert all(alarm is alarms[alarm.alarm_id]
+                       for alarm in own.alarms), \
+                "stale alarm object in the list of subscriber %d" % user_id
+            assert own.keys == [alarm.region.min_x for alarm in own.alarms], \
+                "list keys of subscriber %d out of step" % user_id
+            assert all(left <= right
+                       for left, right in zip(own.keys, own.keys[1:])), \
+                "list of subscriber %d not sorted by min_x" % user_id
+            assert all(alarm.region.width <= own.reach
+                       for alarm in own.alarms), \
+                "reach of subscriber %d below a member's width" % user_id
+        missing = sorted(set(expected) - set(self._lists))
+        assert not missing, "no list for subscribers %r" % missing
 
     def relevant_intersecting(self, user_id: int, rect: Rect,
                               exclude_ids: Optional[AbstractSet[int]] = None
@@ -167,10 +318,27 @@ class AlarmRegistry:
         Uses the *open* overlap test: alarms merely touching the query
         rectangle's boundary impose no constraint inside it.  This is the
         working set for safe-region computation over a grid cell.
+        ``exclude_ids`` carries already-fired alarms (one-shot semantics:
+        a fired alarm stops constraining that subscriber).
         """
-        ids = self._tree.search_interior_intersecting(
-            rect, predicate=self._relevance(user_id, exclude_ids))
-        return [self._alarms[alarm_id] for alarm_id in sorted(ids)]
+        alarms = self._alarms
+        found = [alarms[alarm_id]
+                 for alarm_id in self._tree.search_interior_intersecting(rect)]
+        own = self._lists.get(user_id)
+        if own is not None:
+            self._list_probes += 1
+            qx0, qy0, qx1, qy1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+            keys, reach = own.keys, own.reach
+            low = bisect_left(keys, _floor(qx0, reach))
+            for alarm in own.alarms[low:bisect_left(keys, qx1, low)]:
+                box = alarm.region
+                if qx0 < box.max_x and box.min_y < qy1 and qy0 < box.max_y:
+                    found.append(alarm)
+        if exclude_ids:
+            found = [alarm for alarm in found
+                     if alarm.alarm_id not in exclude_ids]
+        found.sort(key=_by_id)
+        return found
 
     def triggered_at(self, user_id: int, position: Point,
                      exclude_ids: Optional[AbstractSet[int]] = None
@@ -180,17 +348,28 @@ class AlarmRegistry:
         This is the core position-update evaluation: "which alarms fire
         here?".  Triggering means *interior* containment — the alarm
         fires when the subscriber enters the region, not when it merely
-        touches the boundary.  The index is searched unfiltered and the
-        rare hits are filtered after, so a report with none builds no
-        relevance predicate.
+        touches the boundary.
         """
         ids = self._tree.search_containing(position, interior=True)
-        if not ids:
-            return []
         alarms = self._alarms
-        return [alarms[alarm_id] for alarm_id in sorted(ids)
-                if not (exclude_ids and alarm_id in exclude_ids)
-                and alarms[alarm_id].is_relevant_to(user_id)]
+        found = [alarms[alarm_id] for alarm_id in ids] if ids else []
+        own = self._lists.get(user_id)
+        if own is not None:
+            self._list_probes += 1
+            px, py = position.x, position.y
+            keys, reach = own.keys, own.reach
+            low = bisect_left(keys, _floor(px, reach))
+            for alarm in own.alarms[low:bisect_left(keys, px, low)]:
+                box = alarm.region
+                if px < box.max_x and box.min_y < py < box.max_y:
+                    found.append(alarm)
+        if not found:
+            return found
+        if exclude_ids:
+            found = [alarm for alarm in found
+                     if alarm.alarm_id not in exclude_ids]
+        found.sort(key=_by_id)
+        return found
 
     def nearest_relevant_distance(self, user_id: int, position: Point,
                                   exclude_ids: Optional[
@@ -199,9 +378,48 @@ class AlarmRegistry:
 
         The safe-period baseline divides this by the maximum velocity to
         bound how soon the subscriber could possibly reach any alarm.
+        The subscriber's list is walked outward from ``position.x``:
+        rightwards until a member's ``min_x`` gap reaches the best
+        distance, leftwards until no member ``reach`` wide can close it.
         """
-        return self._tree.nearest_distance(
-            position, predicate=self._relevance(user_id, exclude_ids))
+        best = self._tree.nearest_distance(
+            position, predicate=((lambda alarm_id: alarm_id not in
+                                  exclude_ids) if exclude_ids else None))
+        own = self._lists.get(user_id)
+        if own is None:
+            return best
+        self._list_probes += 1
+        px, py = position.x, position.y
+        keys, members, reach = own.keys, own.alarms, own.reach
+        hypot = math.hypot
+        split = bisect_right(keys, px)
+        for at in range(split, len(keys)):
+            if keys[at] - px >= best:
+                break
+            alarm = members[at]
+            if exclude_ids and alarm.alarm_id in exclude_ids:
+                continue
+            box = alarm.region
+            # Rect.distance_to_point, inlined: min_x > px, so dx is the gap.
+            distance = hypot(box.min_x - px,
+                             max(box.min_y - py, 0.0, py - box.max_y))
+            if distance < best:
+                best = distance
+        floor = _floor(px, reach + best)
+        for at in range(split - 1, -1, -1):
+            if keys[at] < floor:
+                break
+            alarm = members[at]
+            if exclude_ids and alarm.alarm_id in exclude_ids:
+                continue
+            box = alarm.region
+            # min_x <= px: dx is how far max_x falls short of px, or 0.
+            distance = hypot(max(px - box.max_x, 0.0),
+                             max(box.min_y - py, 0.0, py - box.max_y))
+            if distance < best:
+                best = distance
+                floor = _floor(px, reach + best)
+        return best
 
 
 def install_clustered_alarms(registry: AlarmRegistry, universe: Rect,

@@ -84,15 +84,15 @@ class AlarmServer:
         fired = self.fired_for(user_id)
         telemetry = self.telemetry
         metrics = self.metrics
-        stats = self.registry.tree.stats
-        accesses_before = stats.node_accesses
+        registry = self.registry
+        accesses_before = registry.node_accesses
         started = time.perf_counter() if telemetry.enabled else 0.0
         try:
-            triggered = self.registry.triggered_at(user_id, position,
-                                                   exclude_ids=fired)
+            triggered = registry.triggered_at(user_id, position,
+                                              exclude_ids=fired)
         finally:
             metrics.index_node_accesses += (
-                stats.node_accesses - accesses_before)
+                registry.node_accesses - accesses_before)
         metrics.alarm_evaluations += 1
         if telemetry.enabled:
             telemetry.trigger_eval((time.perf_counter() - started) * 1e6)
@@ -189,13 +189,13 @@ class AlarmServer:
         run and a sharded one whose shards each fill a memo of their own.
         """
         telemetry = self.telemetry
-        accesses_before = self.registry.tree.stats.node_accesses
+        accesses_before = self.registry.node_accesses
         started = time.perf_counter() if telemetry.enabled else 0.0
         try:
             yield
         finally:
             self.metrics.index_node_accesses += (
-                self.registry.tree.stats.node_accesses - accesses_before)
+                self.registry.node_accesses - accesses_before)
         self.metrics.safe_region_computations += 1
         if telemetry.enabled:
             telemetry.saferegion_computed(

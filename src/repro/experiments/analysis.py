@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..engine import World
 from ..geometry import Point, Rect
-from ..index import Pyramid
+from ..index import CellId, Pyramid
 from ..saferegion import MWPSRComputer, PyramidBitmap
 from ..strategies.base import ProcessingStrategy
 from .report import Table
@@ -173,19 +173,28 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
 
 
 def workload_profile(world: World) -> Table:
-    """Per-cell relevant-alarm density profile of a workload.
+    """Per-cell alarm density profile of a workload.
 
-    For every grid cell, counts the alarms interior-overlapping it (the
-    safe-region working set size); summarizes the distribution.  This is
-    the quantity the techniques' costs actually scale with.
+    For every grid cell, counts the installed alarms of every scope
+    interior-overlapping it (the safe-region working set, over all
+    subscribers); summarizes the distribution.  This is the quantity the
+    techniques' costs actually scale with.  The count is taken from the
+    registry's alarms, column by column, not from ``registry.tree``,
+    which holds the public alarms only.
     """
+    grid = world.grid
+    alarms = world.registry.all_alarms()
     counts: List[float] = []
-    for col in range(world.grid.columns):
-        for row in range(world.grid.rows):
-            from ..index import CellId
-            cell = world.grid.cell_rect(CellId(col, row))
-            alarms = world.registry.tree.search_interior_intersecting(cell)
-            counts.append(float(len(alarms)))
+    for col in range(grid.columns):
+        column = grid.cell_rect(CellId(col, 0))
+        in_column = [alarm.region for alarm in alarms
+                     if alarm.region.min_x < column.max_x
+                     and column.min_x < alarm.region.max_x]
+        for row in range(grid.rows):
+            cell = grid.cell_rect(CellId(col, row))
+            counts.append(float(sum(
+                1 for region in in_column
+                if region.min_y < cell.max_y and cell.min_y < region.max_y)))
     summary = DistributionSummary.of(counts)
     table = Table("Workload profile: alarms per grid cell",
                   ["cells", "mean", "p10", "median", "p90", "max"])

@@ -2,17 +2,23 @@
 
 The paper indexes installed spatial alarms in an R*-tree and evaluates
 subscriber position updates against it; this module is that substrate,
-implemented from scratch.  It provides the three query shapes the alarm
-server needs:
+implemented from scratch.  The alarm registry keeps its *public* alarms
+in one such tree (each subscriber's private and shared alarms live in a
+short sorted list beside it, see :mod:`repro.alarms.registry`), so every
+query here answers for all items and knows nothing of audiences.  It
+provides the three query shapes the alarm server needs:
 
-* ``search_intersecting(rect)`` — all items whose region intersects a
-  query rectangle (used to collect the alarms relevant to a grid cell for
-  safe-region computation);
+* ``search_intersecting(rect)`` / ``search_interior_intersecting(rect)``
+  — all items whose region intersects a query rectangle, closed or open
+  (used to collect the alarms over a grid cell for safe-region
+  computation);
 * ``search_containing(point)`` — all items whose region contains a point
   (used to evaluate a raw position update, i.e. "which alarms fire
   here?"; see *Point queries* below);
-* ``nearest_distance(point)`` — distance from a point to the nearest
-  indexed region (used by the safe-period baseline's pessimistic bound).
+* ``nearest_distance(point, predicate)`` — distance from a point to the
+  nearest indexed region whose item passes ``predicate`` (used by the
+  safe-period baseline's pessimistic bound, filtering out alarms that
+  already fired for the subscriber).
 
 The implementation follows the original paper: ChooseSubtree picks the
 child needing least *overlap* enlargement at the leaf level and least
@@ -238,9 +244,7 @@ class RStarTree:
 
     # The four query loops sit under every uplink, hence the inlined
     # comparisons and the once-per-query node-access charge.
-    def search_intersecting(self, rect: Rect,
-                            predicate: Optional[Callable[[Any], bool]] = None
-                            ) -> List[Any]:
+    def search_intersecting(self, rect: Rect) -> List[Any]:
         """All items whose rectangle intersects ``rect`` (closed test)."""
         qx0, qy0, qx1, qy1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
         results: List[Any] = []
@@ -256,15 +260,12 @@ class RStarTree:
                         and box.min_y <= qy1 and qy0 <= box.max_y):
                     if not leaf:
                         stack.append(entry.child)  # type: ignore[arg-type]
-                    elif predicate is None or predicate(entry.item):
+                    else:
                         results.append(entry.item)
         self.stats.node_accesses += accesses
         return results
 
-    def search_interior_intersecting(self, rect: Rect,
-                                     predicate: Optional[
-                                         Callable[[Any], bool]] = None
-                                     ) -> List[Any]:
+    def search_interior_intersecting(self, rect: Rect) -> List[Any]:
         """All items whose rectangle interior-overlaps ``rect``.
 
         Safe-region computation uses the open test: an alarm that merely
@@ -282,9 +283,7 @@ class RStarTree:
                 for entry in node.entries:
                     box = entry.rect
                     if (box.min_x < qx1 and qx0 < box.max_x
-                            and box.min_y < qy1 and qy0 < box.max_y
-                            and (predicate is None
-                                 or predicate(entry.item))):
+                            and box.min_y < qy1 and qy0 < box.max_y):
                         results.append(entry.item)
             else:
                 for entry in node.entries:

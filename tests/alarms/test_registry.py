@@ -143,7 +143,7 @@ class TestRebuildIndex:
         before = [sorted(a.alarm_id for a in registry.triggered_at(3, p))
                   for p in probe_points]
         registry.rebuild_index()
-        registry.tree.validate()
+        registry.validate()
         after = [sorted(a.alarm_id for a in registry.triggered_at(3, p))
                  for p in probe_points]
         assert before == after
@@ -154,7 +154,7 @@ class TestRebuildIndex:
         registry.rebuild_index()
         alarm = registry.install(Rect(1, 1, 5, 5), AlarmScope.PUBLIC, 1)
         assert registry.remove(alarm.alarm_id)
-        registry.tree.validate()
+        registry.validate()
 
 
 def drafts(count, seed=0, users=8):
@@ -187,8 +187,10 @@ class TestInstallAll:
         installed = packed.install_all(population)
         assert installed == packed.all_alarms() == grown.all_alarms()
         assert [alarm.alarm_id for alarm in installed] == list(range(400))
-        packed.tree.validate()
-        assert len(packed.tree) == 400
+        packed.validate()
+        assert index_contents(packed) == index_contents(grown)
+        assert len(packed.tree) == sum(
+            1 for alarm in installed if alarm.scope is AlarmScope.PUBLIC)
         rng = random.Random(12)
         for _ in range(60):
             point = Point(rng.uniform(0, 10000), rng.uniform(0, 10000))
@@ -241,7 +243,7 @@ class TestInstallAll:
         assert ([alarm.region for alarm in installed]
                 == [draft.region for draft in population])
         assert installed[0].label == "draft"
-        registry.tree.validate()
+        registry.validate()
 
     def test_ids_stay_dense_after_the_registry_was_emptied(self):
         registry = AlarmRegistry()
@@ -252,18 +254,19 @@ class TestInstallAll:
         assert [alarm.alarm_id for alarm in installed] == [5, 6, 7]
         assert registry.install(Rect(0, 0, 1, 1), AlarmScope.PUBLIC,
                                 1).alarm_id == 8
-        registry.tree.validate()
+        registry.validate()
 
     def test_empty_population(self):
         registry = AlarmRegistry()
         assert registry.install_all([]) == []
         assert len(registry) == 0
-        registry.tree.validate()
+        registry.validate()
+        assert index_contents(registry) == ([], {})
 
 
 churn_step = st.one_of(
-    st.tuples(st.just("install"), st.integers(0, 90), st.integers(0, 90),
-              st.integers(0, 12)),
+    st.tuples(st.just("install"), st.sampled_from(list(AlarmScope)),
+              st.integers(0, 90), st.integers(0, 90), st.integers(0, 12)),
     st.tuples(st.just("remove"), st.integers(0, 10 ** 6)),
     st.tuples(st.just("relocate"), st.integers(0, 10 ** 6),
               st.integers(0, 90), st.integers(0, 12)))
@@ -272,26 +275,114 @@ churn_step = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 80), st.lists(churn_step, max_size=80))
 def test_property_packed_index_survives_churn(population, steps):
-    """install/remove/relocate on a packed tree keep it a valid R*-tree."""
+    """install/remove/relocate of every scope on a packed index keep it
+    valid, holding each alarm exactly where its audience looks."""
     registry = AlarmRegistry(max_tree_entries=4)
     registry.install_all(drafts(population, seed=population))
     for step in steps:
         live = sorted(alarm.alarm_id for alarm in registry.all_alarms())
         if step[0] == "install":
-            _, x, y, side = step
-            registry.install(Rect(x, y, x + side, y + side),
-                             AlarmScope.PUBLIC, 1)
+            _, scope, x, y, side = step
+            registry.install(Rect(x, y, x + side, y + side), scope, x % 8,
+                             {y % 8} if scope is AlarmScope.SHARED else ())
         elif live and step[0] == "remove":
             assert registry.remove(live[step[1] % len(live)])
         elif live:
             _, pick, x, side = step
             registry.relocate(live[pick % len(live)],
                               Rect(x, x, x + side, x + side))
-        registry.tree.validate()
-    alarms = registry.all_alarms()
-    assert len(registry.tree) == len(alarms)
-    assert (sorted(registry.tree.items())
-            == sorted((alarm.alarm_id, alarm.region) for alarm in alarms))
+        registry.validate()
+    assert index_contents(registry) == expected_contents(
+        registry.all_alarms())
+
+
+def index_contents(registry):
+    """What the index holds: the public tree's pairs, and per subscriber
+    the ``(alarm id, region)`` pairs of their list."""
+    tree = sorted(registry.tree.items())
+    lists = {user_id: sorted((alarm.alarm_id, alarm.region)
+                             for alarm in own.alarms)
+             for user_id, own in registry._lists.items()}
+    return tree, lists
+
+
+def expected_contents(alarms):
+    """:func:`index_contents` of a registry holding ``alarms``, by
+    definition: public alarms in the tree, the others with everyone they
+    are relevant to."""
+    tree = sorted((alarm.alarm_id, alarm.region) for alarm in alarms
+                  if alarm.scope is AlarmScope.PUBLIC)
+    lists = {}
+    for alarm in alarms:
+        if alarm.scope is AlarmScope.PUBLIC:
+            continue
+        for user_id in range(8):
+            if alarm.is_relevant_to(user_id):
+                lists.setdefault(user_id, []).append(
+                    (alarm.alarm_id, alarm.region))
+    return tree, {user_id: sorted(pairs) for user_id, pairs in lists.items()}
+
+
+class TestValidate:
+    """Each slip in the partitioned index fails :meth:`validate`."""
+
+    @pytest.fixture
+    def registry(self):
+        registry = AlarmRegistry(max_tree_entries=4)
+        registry.install_all(drafts(60, seed=21))
+        registry.validate()
+        assert index_contents(registry) == expected_contents(
+            registry.all_alarms())
+        return registry
+
+    @staticmethod
+    def longest_list(registry):
+        return max(registry._lists.values(), key=lambda own: len(own.alarms))
+
+    def test_missing_entry(self, registry):
+        own = self.longest_list(registry)
+        del own.keys[1], own.alarms[1]
+        with pytest.raises(AssertionError, match="audience is"):
+            registry.validate()
+
+    def test_unsorted_list(self, registry):
+        own = self.longest_list(registry)
+        own.keys.reverse()
+        own.alarms.reverse()
+        with pytest.raises(AssertionError, match="not sorted"):
+            registry.validate()
+
+    def test_keys_out_of_step(self, registry):
+        own = self.longest_list(registry)
+        own.keys[0] -= 1.0
+        with pytest.raises(AssertionError, match="out of step"):
+            registry.validate()
+
+    def test_public_alarm_in_a_list(self, registry):
+        public = next(alarm for alarm in registry.all_alarms()
+                      if alarm.scope is AlarmScope.PUBLIC)
+        self.longest_list(registry).add(public)
+        with pytest.raises(AssertionError, match="public alarm"):
+            registry.validate()
+
+    def test_reach_too_small(self, registry):
+        own = self.longest_list(registry)
+        own.reach = max(alarm.region.width for alarm in own.alarms) / 2
+        with pytest.raises(AssertionError, match="reach"):
+            registry.validate()
+
+    def test_alarm_missing_from_the_tree(self, registry):
+        public = next(alarm for alarm in registry.all_alarms()
+                      if alarm.scope is AlarmScope.PUBLIC)
+        registry.tree.delete(public.alarm_id, public.region)
+        with pytest.raises(AssertionError, match="public tree"):
+            registry.validate()
+
+    def test_stale_alarm_object(self, registry):
+        own = self.longest_list(registry)
+        own.alarms[0] = own.alarms[0].with_region(own.alarms[0].region)
+        with pytest.raises(AssertionError, match="stale alarm object"):
+            registry.validate()
 
 
 class TestClusteredWorkload:

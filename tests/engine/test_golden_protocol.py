@@ -23,6 +23,16 @@ fuller leaves and other node boundaries than one grown by 150 R*
 inserts, so the same queries read a different number of nodes (PRD
 3707 → 3999).  That is tree shape, not protocol: every message, byte,
 evaluation, computation, probe and trigger is unchanged.
+
+It was re-captured a second time, again alone and in every row of both
+files, when the alarm index was partitioned by audience: the
+R*-tree holds the public alarms only and each subscriber's private and
+shared alarms sit in a sorted list beside it.  The field now counts
+public-tree nodes visited plus one per subscriber list searched, read
+from ``AlarmRegistry.node_accesses`` (PRD 3999 → 5184: on this world's
+150 alarms the per-query list probe outweighs the smaller tree).  Every
+other counter and every ``fired_pairs`` row of the 18 was unchanged, on
+the serial and the two-shard engine.
 """
 
 import functools

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.alarms import AlarmScope
 from repro.experiments import (TINY, DistributionSummary, build_world,
                                coverage_size_tradeoff,
                                make_mwpsr_strategy, residence_statistics,
                                safe_region_statistics, workload_profile)
+from repro.experiments.report import Table
+from repro.index import CellId
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +88,40 @@ class TestResidenceStatistics:
         assert deep.mean > shallow.mean
 
 
+def brute_force_profile(world, alarms):
+    """The profile row by definition, formatted as the table formats
+    it: per cell, the ``alarms`` interior-overlapping it.  On TINY's nine
+    cells one alarm more or less anywhere moves the mean by 0.11, which
+    the row's two decimals show."""
+    counts = [float(sum(1 for alarm in alarms
+                        if alarm.region.interior_intersects(
+                            world.grid.cell_rect(CellId(col, row)))))
+              for col in range(world.grid.columns)
+              for row in range(world.grid.rows)]
+    summary = DistributionSummary.of(counts)
+    table = Table("reference", ["cells", "mean", "p10", "median", "p90",
+                                "max"])
+    table.add_row(summary.count, summary.mean, summary.p10, summary.median,
+                  summary.p90, summary.maximum)
+    return table.rows[0]
+
+
 class TestWorkloadProfile:
     def test_counts_cover_all_cells(self, world):
         table = workload_profile(world)
         (row,) = table.rows
         assert int(row[0]) == world.grid.cell_count
         assert float(row[1]) > 0  # TINY has alarms everywhere
+
+    def test_counts_every_installed_alarm(self, world):
+        (row,) = workload_profile(world).rows
+        assert row == brute_force_profile(
+            world, world.registry.all_alarms())
+
+    def test_public_only_count_would_fail_the_pin(self, world):
+        """The registry's tree holds the public alarms only; a profile
+        read from it differs from the pinned one."""
+        public = [alarm for alarm in world.registry.all_alarms()
+                  if alarm.scope is AlarmScope.PUBLIC]
+        assert brute_force_profile(world, public) != brute_force_profile(
+            world, world.registry.all_alarms())

@@ -128,7 +128,7 @@ def test_traces_are_bit_identical(preset, behaviour):
 def test_installed_alarms_are_bit_identical(preset, placement):
     registry = make_registry(PRESETS[preset], placement)
     assert alarm_digest(registry) == PINNED_ALARMS[preset, placement]
-    registry.tree.validate()
+    registry.validate()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -146,13 +146,18 @@ class TestQueriesMatchBruteForce:
         assert tree.nearest_distance(p, predicate=even) == pytest.approx(
             expected)
 
-    def test_predicate_filters_results(self):
+    def test_range_searches_take_no_predicate(self):
+        """Range searches answer for every item; the alarm registry
+        partitions by audience instead of filtering (only
+        ``nearest_distance`` keeps a predicate, for fired alarms)."""
         items = random_items(200, seed=8)
         tree = build(items)
         query = Rect(0, 0, 1000, 1000)
         odd = lambda i: i % 2 == 1
-        assert sorted(tree.search_intersecting(query, predicate=odd)) == \
-            [i for i, _ in items if i % 2 == 1]
+        for search in (tree.search_intersecting,
+                       tree.search_interior_intersecting):
+            with pytest.raises(TypeError):
+                search(query, predicate=odd)
 
 
 class TestDeletion:

@@ -6,9 +6,10 @@ explicitly.
 
 * :func:`pinned_geometry` — the alarm registry's regions are recorded
   before a run and compared after it, and the alarm index is then held
-  to :meth:`~repro.index.RStarTree.validate` (the x-slab tables the
-  run's point queries cached included).  Geometry values are frozen, so
-  a difference means a write got past the frozen types.
+  to :meth:`~repro.alarms.AlarmRegistry.validate`: the public R*-tree's
+  invariants (the x-slab tables the run's point queries cached
+  included) and every subscriber's sorted alarm list.  Geometry values
+  are frozen, so a difference means a write got past the frozen types.
 * :func:`checked` — a link whose server rebuilds every region its
   public-alarm memo hands out on a hit, from the subscriber's own
   pending alarms, and compares the two bit for bit: sharing must never
@@ -67,7 +68,7 @@ def pinned_geometry(registry):
             "from the start-of-run snapshot"
             % sum(1 for old, new in zip(before, after) if old != new))
     try:
-        registry.tree.validate()
+        registry.validate()
     except AssertionError as error:
         raise AssertionError("alarm index invalid at run end: %s"
                              % error) from error
