@@ -9,8 +9,10 @@ in front of it.  This module supplies the missing machinery:
 * an :class:`AlarmSchedule` of timed install/remove actions;
 * :class:`ScheduleMutation`, the schedule as a
   :class:`~repro.engine.simulation.WorldMutation`: each step it applies
-  the due actions to the run's private registry, and the session's
-  time-major loop *push-invalidates* exactly the clients whose
+  the due actions to the run's private registry.  The session's loop
+  brings up to that step only the clients an action concerns — every
+  client for a public alarm, the owner and subscribers for a private
+  or shared one — and *push-invalidates* exactly those whose
   footprint — the area their installed state answers for: an MWPSR
   rectangle, a bitmap's or OPT list's cell — an installed region
   touches, or who locally hold a removed alarm; only a safe-period
@@ -21,7 +23,7 @@ in front of it.  This module supplies the missing machinery:
   per trace rather than queried once per fix.
 
 Invalidation is counted as one downlink push (header-sized) per client;
-see :func:`~repro.engine.simulation.replay_time_major` for why the
+see :func:`~repro.engine.simulation.replay_by_audience` for why the
 accuracy contract (zero misses, on-time triggers) survives it.
 """
 
@@ -161,7 +163,7 @@ def compute_dynamic_ground_truth(world: World,
 
 def run_dynamic_simulation(world: World, strategy: "ProcessingStrategy",
                            schedule: AlarmSchedule) -> SimulationResult:
-    """Time-major replay with lifecycle actions and push invalidation."""
+    """Replay by audience with lifecycle actions and push invalidation."""
     return run_session(
         world, strategy, in_process_link,
         mutation=functools.partial(ScheduleMutation, schedule),

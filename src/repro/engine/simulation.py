@@ -12,12 +12,20 @@ are parameterised by what the engines really differ in.  The *loop*
 follows from the world: vehicles do not interact while the alarm set is
 static (one-shot state is per subscriber), so a static world replays
 vehicle-major, which keeps each client's state hot; a world with a
-:class:`WorldMutation` replays time-major, because every client must
-observe an alarm change in timestamp order.  The *link* is how the
-client half reaches the server: :func:`~repro.protocol.transport.connect`
-in process, or a daemon thread and a socket (:mod:`repro.net.engine`).
-The *executor* is this process or a pool of shard workers
-(:mod:`repro.engine.parallel`).
+:class:`WorldMutation` replays by audience — each client still runs
+through long windows, but is brought up to every step whose alarm
+change concerns it (a change to a public alarm concerns everyone),
+where the change is made and the client pushed if it went stale.  Who a step
+concerns comes from the registry's own change feed, recorded once by
+:func:`record_changes`, which also gives the ground truth its alarm
+lifetimes.  Both loops end in the same per-vehicle run to the end of
+each trace.  The *link* is how the client half reaches the server:
+:func:`~repro.protocol.transport.connect` in process, or a daemon
+thread and a socket (:mod:`repro.net.engine`).  The *executor* is this
+process or a pool of shard workers (:mod:`repro.engine.parallel`).
+
+``Metrics.triggers`` is in replay order: by (lane, time) for a static
+world, and by (time, lane, alarm id) for a mutating one.
 """
 
 from __future__ import annotations
@@ -26,13 +34,14 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, Iterator,
-                    List, Optional, Protocol, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, Iterable,
+                    Iterator, List, Optional, Protocol, Sequence, Set,
+                    Tuple)
 
-from ..alarms import AlarmRegistry, SpatialAlarm
+from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
 from ..geometry import Rect
 from ..index import GridOverlay
-from ..mobility import TraceSet
+from ..mobility import Trace, TraceSet
 from ..protocol.messages import InvalidateState
 from ..protocol.transport import ClientSession, TransportFactory, connect
 from ..telemetry.facade import DISABLED, Telemetry
@@ -134,6 +143,37 @@ class SimulationResult:
         return self.metrics.uplink_messages / self.total_samples
 
 
+#: ``ProcessingStrategy.advance``: ``(client, trace, start, stop) ->``
+#: the index after the fix that ended the client's silent run.
+Advance = Callable[["ClientState", Trace, int, int], int]
+
+
+class _Lane:
+    """One client on its trace, and the index of its next fix."""
+
+    __slots__ = ("client", "trace", "index")
+
+    def __init__(self, client: "ClientState", trace: Trace) -> None:
+        self.client = client
+        self.trace = trace
+        self.index = 0
+
+    def run_to(self, advance: Advance, stop: int) -> None:
+        """Take the client along its fixes before ``stop`` (its trace's
+        end at most): one silent run and the fix that ends it per call."""
+        client, trace, index = self.client, self.trace, self.index
+        stop = min(stop, len(trace))
+        while index < stop:
+            index = advance(client, trace, index, stop)
+        self.index = index
+
+
+def _run_out(advance: Advance, lanes: Iterable[_Lane]) -> None:
+    """Each lane to the end of its trace, one vehicle at a time."""
+    for lane in lanes:
+        lane.run_to(advance, len(lane.trace))
+
+
 def replay_vehicle_major(strategy: "ProcessingStrategy",
                          traces: TraceSet) -> None:
     """The core replay loop: each vehicle's trace, one client at a time.
@@ -144,13 +184,8 @@ def replay_vehicle_major(strategy: "ProcessingStrategy",
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
 
-    advance = strategy.advance
-    for trace in traces:
-        client = ClientState(trace.vehicle_id)
-        index, stop = 0, len(trace)
-        while index < stop:
-            # one silent run and the fix that ends it, per call
-            index = advance(client, trace, index, stop)
+    _run_out(strategy.advance, (_Lane(ClientState(trace.vehicle_id), trace)
+                                for trace in traces))
 
 
 #: What one step changed: the alarms whose coverage changed, each with
@@ -168,7 +203,8 @@ class WorldMutation(Protocol):
 
 
 #: Binds a mutation to ``(private registry, sample interval)``: once for
-#: the replay and once for the ground-truth scan, each on a fresh clone.
+#: the replay and once for each change-feed recording
+#: (:func:`record_changes`), each on a fresh clone.
 MutationFactory = Callable[[AlarmRegistry, float], WorldMutation]
 
 
@@ -179,6 +215,64 @@ def _clone_registry(registry: AlarmRegistry) -> AlarmRegistry:
     installed = clone.install_all(alarms)
     assert installed == alarms  # the source's ids were already dense
     return clone
+
+
+@dataclass
+class ChangeFeed:
+    """A mutation as the registry's own change feed told it.
+
+    * ``lifetimes``: every alarm as it stood over steps ``[from, to)`` —
+      an install opens one, a removal closes one, a move closes one and
+      opens the next — which the mutating ground truth sweeps;
+    * ``audiences``: for each step that changed an alarm, the users the
+      change concerns — the owners and subscribers of the private and
+      shared alarms it changed — or ``None`` when it changed a public
+      alarm, which concerns everyone.  The replay wakes only these.
+    """
+
+    lifetimes: List[Lifetime]
+    audiences: Dict[int, Optional[Set[int]]]
+
+
+def record_changes(registry: AlarmRegistry, traces: TraceSet,
+                   mutation: MutationFactory) -> ChangeFeed:
+    """Replay ``mutation`` over the traces' steps on a clone of
+    ``registry`` and record what the clone's listener saw.
+
+    The feed is the registry's, not what the mutation reports to the
+    engine under test, so an unreported change still opens a lifetime
+    the ground truth sweeps — and still wakes the clients it concerns.
+    """
+    registry = _clone_registry(registry)
+    bound = mutation(registry, traces.sample_interval)
+    alive = {alarm.alarm_id: (alarm, 0) for alarm in registry.all_alarms()}
+    feed = ChangeFeed(lifetimes=[], audiences={})
+    step = 0
+
+    def changed(alarm_id: int, old_region: Optional[Rect],
+                new_region: Optional[Rect]) -> None:
+        if old_region is not None:
+            alarm, since = alive.pop(alarm_id)
+            if since < step:  # else gone within the step it came: never live
+                feed.lifetimes.append((alarm, since, step))
+        if new_region is not None:
+            alarm = registry.get(alarm_id)
+            alive[alarm_id] = (alarm, step)
+        if alarm.scope is AlarmScope.PUBLIC:
+            feed.audiences[step] = None
+            return
+        audience = feed.audiences.setdefault(step, set())
+        if audience is not None:  # else everyone already
+            audience.update(alarm.subscriber_set(frozenset()))
+
+    registry.add_listener(changed)
+    steps = max((len(trace) for trace in traces), default=0)
+    for step in range(steps):
+        bound.apply(step)
+    registry.remove_listener(changed)  # the clone is freed on return
+    feed.lifetimes.extend((alarm, since, steps)
+                          for alarm, since in alive.values())
+    return feed
 
 
 def _stale(client: "ClientState", server: AlarmServer,
@@ -230,70 +324,66 @@ def _invalidate(client: "ClientState", session: ClientSession,
     session.transport.push(client.user_id, InvalidateState(), time_s)
 
 
-def replay_time_major(strategy: "ProcessingStrategy", traces: TraceSet,
-                      server: AlarmServer, mutation: WorldMutation) -> None:
-    """The mutating-world loop: every client's fix at one step, in turn.
+def replay_by_audience(strategy: "ProcessingStrategy", traces: TraceSet,
+                       server: AlarmServer, mutation: WorldMutation,
+                       audiences: Dict[int, Optional[Set[int]]]) -> None:
+    """The mutating-world loop: a change wakes only the clients it concerns.
 
-    Before a step's samples the mutation changes the registry, and
-    exactly the clients whose cached state that made stale are
-    push-invalidated.  Such a client re-synchronizes on its fix of the
-    same step — the earliest sample at which a new or moved alarm could
-    trigger — so the accuracy contract extends to mutating worlds.
-    Each client is advanced through a one-fix window, so a push never
-    finds probes charged for fixes the client has yet to reach.
+    A client runs through long windows, as in a static world, except
+    that it is brought up to every step whose change concerns it (its
+    ``audiences`` entry, from :func:`record_changes`): its fixes before
+    the step are taken, the mutation makes the step's changes, and the
+    client is push-invalidated if they made its cached state stale —
+    also when its trace has already ended.  It re-synchronizes on its
+    fix of that step, the earliest sample at which a new or moved alarm
+    could trigger, so the accuracy contract extends to mutating worlds;
+    and since a window ends at that step, a push never finds probes
+    charged for fixes the client has yet to reach.
+
+    This is a replay in timestamp order, counter for counter: every
+    query a client makes is filtered by relevance, so a change outside
+    its audience cannot alter an answer it gets, and the public R*-tree
+    and the public-alarm memo change only at a public alarm's step,
+    when every client is brought up.  Each client thus makes the same
+    requests against the same index state.  Only the trigger log comes
+    out of order; it is sorted once, by (time, lane, alarm id).
     """
     from ..strategies.base import ClientState  # local import: avoid cycle
 
-    lanes = [(ClientState(trace.vehicle_id), trace) for trace in traces]
-    clients = [client for client, _trace in lanes]
-    ends = {len(trace) for trace in traces}
+    lanes = [_Lane(ClientState(trace.vehicle_id), trace) for trace in traces]
+    by_user = {lane.client.user_id: lane for lane in lanes}
+    woken = {step: lanes if users is None
+             else [by_user[user] for user in sorted(users) if user in by_user]
+             for step, users in audiences.items()}
     advance = strategy.advance
-    for step in range(max(ends, default=0)):
+    session = strategy.session
+    for step in range(max((len(trace) for trace in traces), default=0)):
+        wake = woken.get(step, ())
+        for lane in wake:
+            lane.run_to(advance, step)
         changes = mutation.apply(step)
-        if any(changes):
-            step_time = step * traces.sample_interval
-            for client in clients:
-                if _stale(client, server, changes):
-                    _invalidate(client, strategy.session, step_time)
-        if step in ends:  # a trace ran out: its lane leaves the loop
-            lanes = [lane for lane in lanes if step < len(lane[1])]
-        for client, trace in lanes:
-            advance(client, trace, step, step + 1)
+        if wake and any(changes):
+            time_s = step * traces.sample_interval
+            for lane in wake:
+                if _stale(lane.client, server, changes):
+                    _invalidate(lane.client, session, time_s)
+    _run_out(advance, lanes)
+    lane_of = {user: position for position, user in enumerate(by_user)}
+    server.metrics.triggers.sort(key=lambda event: (
+        event.time, lane_of[event.user_id], event.alarm_id))
 
 
 def compute_mutating_ground_truth(world: World,
                                   mutation: MutationFactory) -> GroundTruth:
     """Expected triggers, every alarm taken as it stands at each step.
 
-    The mutation is replayed once on a private registry, whose own
-    change feed — not what the mutation reports to the engine under test
-    — becomes alarm lifetimes: an install opens one, a removal closes
-    one, a move closes one and opens the next.  The lifetimes are then
-    swept along the traces (the per-step point-query scan this replaces
-    is the oracle in ``tests/engine/test_groundtruth.py``).
+    The alarm lifetimes of the mutation's change feed
+    (:func:`record_changes`) are swept along the traces (the per-step
+    point-query scan this replaces is the oracle in
+    ``tests/engine/test_groundtruth.py``).
     """
-    registry = _clone_registry(world.registry)
-    bound = mutation(registry, world.traces.sample_interval)
-    alive = {alarm.alarm_id: (alarm, 0) for alarm in registry.all_alarms()}
-    lifetimes: List[Lifetime] = []
-    step = 0
-
-    def changed(alarm_id: int, old_region: Optional[Rect],
-                new_region: Optional[Rect]) -> None:
-        if old_region is not None:
-            alarm, since = alive.pop(alarm_id)
-            if since < step:  # else gone within the step it came: never live
-                lifetimes.append((alarm, since, step))
-        if new_region is not None:
-            alive[alarm_id] = (registry.get(alarm_id), step)
-
-    registry.add_listener(changed)
-    steps = max((len(trace) for trace in world.traces), default=0)
-    for step in range(steps):
-        bound.apply(step)
-    lifetimes.extend((alarm, since, steps)
-                     for alarm, since in alive.values())
-    return sweep_lifetimes(lifetimes, world.traces)
+    feed = record_changes(world.registry, world.traces, mutation)
+    return sweep_lifetimes(feed.lifetimes, world.traces)
 
 
 #: Connects a strategy's client half to the server for the length of a
@@ -333,9 +423,11 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
             if mutation is None:
                 replay_vehicle_major(strategy, traces)
             else:
-                replay_time_major(
+                audiences = record_changes(registry, traces,
+                                           mutation).audiences
+                replay_by_audience(
                     strategy, traces, server,
-                    mutation(registry, traces.sample_interval))
+                    mutation(registry, traces.sample_interval), audiences)
     finally:
         server.close()
     wall_time = time.perf_counter() - started

@@ -12,8 +12,10 @@ the distributed architecture handle the class instead:
 * :class:`TrackMutation` is a set of tracks as a
   :class:`~repro.engine.simulation.WorldMutation`: each step it
   relocates the tracked alarms through the run's private registry, and
-  the session's time-major loop *push-invalidates* exactly the clients
-  whose footprint the region left or the region reached touches;
+  the session's loop brings the move's audience up to that step — every
+  client for a public target, the owner and subscribers otherwise — and
+  *push-invalidates* exactly those whose footprint the region left or
+  the region reached touches;
 * :func:`run_tracking_simulation` is the session with that mutation;
 * :func:`compute_tracking_ground_truth` scores the run against the
   moving reference, so the accuracy contract (zero misses, zero
@@ -110,7 +112,7 @@ def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
                             tracks: Sequence[TargetTrack],
                             telemetry: Optional[Telemetry] = None
                             ) -> SimulationResult:
-    """Time-major replay with per-step target moves and invalidation."""
+    """Replay by audience with per-step target moves and invalidation."""
     return run_session(
         world, strategy, in_process_link, telemetry=telemetry,
         mutation=functools.partial(TrackMutation, tracks),

@@ -8,7 +8,11 @@ the same files under ``REPRO_DEEP=1`` and draws them all.
 import os
 
 
+def deep() -> bool:
+    """Whether the full budgets are drawn (``REPRO_DEEP=1``)."""
+    return os.environ.get("REPRO_DEEP", "") not in ("", "0")
+
+
 def examples(quick: int, full: int) -> int:
     """``full`` under ``REPRO_DEEP=1``, ``quick`` otherwise."""
-    deep = os.environ.get("REPRO_DEEP", "") not in ("", "0")
-    return full if deep else quick
+    return full if deep() else quick

@@ -2,9 +2,10 @@
 
 ``ProcessingStrategy.advance`` scans a client's silent run over the
 trace's columns and charges it in one call; the engines hand it a whole
-trace (vehicle-major) or one fix (time-major).  Its definition is the
-loop it replaced — :func:`reference_replay` below, one fix per call —
-in two forms:
+trace (vehicle-major) or the fixes up to the next step whose alarm
+change concerns the client (by audience).  Its definition is the loop
+it replaced — :func:`reference_replay` below, one fix per call, every
+client stepped in timestamp order under a mutation — in two forms:
 
 * *one-fix windows*: ``advance(client, trace, i, i + 1)`` for every
   ``i``.  Whatever a scan does, it must not depend on how its caller
@@ -17,16 +18,20 @@ in two forms:
 
 Both must agree with the shipped loops on every deterministic counter,
 the trigger sequence and every client's final state, for all six
-strategies on static, scheduled and tracking worlds.  The seeded
-mutations at the end are the suite's own test: each is a plausible slip
-in a scan loop, and each must be caught.  The shipped loops run pinned
-and wire-verified (``tests/oracles.py``).
+strategies on static, scheduled and tracking worlds — the scheduled
+ones with shared alarms, owners who have no trace, removals in their
+install's step and removals of alarms already gone, and changes after
+a client's trace has ended.  The seeded mutations at the end are the
+suite's own test: each is a plausible slip in a scan loop or in the
+loop that wakes a change's audience, and each must be caught.  The
+shipped loops run pinned and wire-verified (``tests/oracles.py``).
 """
 
 import functools
 import importlib
 import inspect
 import math
+import sys
 import types
 
 import pytest
@@ -52,6 +57,7 @@ from repro.saferegion import (BitmapSafeRegion, PBSRComputer,
 from repro.strategies import BitmapSafeRegionStrategy
 from repro.strategies import base as strategies_base
 from repro.strategies.base import ClientState
+from ..budget import deep
 from ..oracles import (run_dynamic_simulation, run_simulation,
                        run_tracking_simulation)
 from ..saferegion.test_bitmap_oracle import mutant_bitmap
@@ -342,6 +348,18 @@ def test_bench_fleet(fleet, name, shipped_clients):
                                          fleet.max_speed()))
 
 
+def test_bench_fleet_churn(fleet, shipped_clients):
+    """``churn_mwpsr``'s own schedule (its quick size in tier-1, its full
+    one under ``REPRO_DEEP=1``) on the fleet, under its MWPSR(z=32)."""
+    worlds = pytest.importorskip("bench_e2e.worlds")
+    schedule = worlds.churn_schedule(fleet, worlds.world_config("fleet", 3),
+                                     3, quick=not deep())
+    assert_loops_agree(fleet, "rectangular", schedule_kind(schedule),
+                       shipped_clients,
+                       functools.partial(_bench_strategy, "rectangular",
+                                         fleet.max_speed()))
+
+
 # ----------------------------------------------------------------------
 # Adversarial traces: on, along and across every edge a client tests
 # ----------------------------------------------------------------------
@@ -356,13 +374,16 @@ HEIGHT = 2
 #: expires exactly on a fix as often as between two.
 MAX_SPEED = 0.5
 USERS = (0, 1, 2)
+#: A user who owns or shares alarms but has no trace.
+GHOST = 7
 
 
 def edge_world(positions_by_user, alarms):
-    """A world over the lattice; ``alarms`` are ``(region, scope, owner)``."""
+    """A world over the lattice; ``alarms`` are ``(region, scope, owner)``
+    or, shared, ``(region, scope, owner, subscribers)``."""
     registry = AlarmRegistry(max_tree_entries=4)
-    for region, scope, owner in alarms:
-        registry.install(region, scope, owner)
+    for region, scope, owner, *subscribers in alarms:
+        registry.install(region, scope, owner, *subscribers)
     traces = {user: Trace(user, [TraceSample(float(k), point, 0.0, MAX_SPEED)
                                  for k, point in enumerate(positions)])
               for user, positions in positions_by_user.items()}
@@ -409,11 +430,19 @@ def walks(draw):
 
 @st.composite
 def lattice_alarms(draw):
+    """``(region, scope, owner, subscribers)``: public, private or shared
+    with several subscribers, owned by anyone — the ghost too."""
     x, y = draw(st.integers(0, 26)), draw(st.integers(0, 26))
     region = Rect(x, y, min(27.0, x + draw(st.sampled_from([0, 1, 3, 5, 9]))),
                   min(27.0, y + draw(st.sampled_from([0, 1, 3, 5, 9]))))
-    scope = draw(st.sampled_from([AlarmScope.PUBLIC, AlarmScope.PRIVATE]))
-    return region, scope, draw(st.sampled_from(USERS))
+    scope = draw(st.sampled_from(list(AlarmScope)))
+    owner = draw(st.sampled_from(USERS + (GHOST,)))
+    subscribers = ()
+    if scope is AlarmScope.SHARED:
+        subscribers = tuple(sorted(draw(st.sets(
+            st.sampled_from([user for user in USERS + (GHOST,)
+                             if user != owner]), min_size=2))))
+    return region, scope, owner, subscribers
 
 
 @st.composite
@@ -424,11 +453,17 @@ def edge_worlds(draw):
 
 @st.composite
 def kinds(draw, world):
-    """Static, or a schedule, or a target hopping over the lattice."""
+    """Static, or a schedule, or a target hopping over the lattice.
+
+    A schedule's actions fall anywhere in the longest trace, so many
+    land after a shorter trace has ended; removals go by install index
+    (in the install's own step, too) or by id (of an alarm that may be
+    gone already)."""
     choice = draw(st.sampled_from(["static", "schedule", "track"]))
     if choice == "static":
         return STATIC
-    times = st.integers(0, 40).map(lambda k: k / 2.0)
+    longest = max(len(trace) for trace in world.traces)
+    times = st.integers(0, 2 * max(longest, 20)).map(lambda k: k / 2.0)
     if choice == "track":
         if not len(world.registry):
             return STATIC
@@ -440,10 +475,21 @@ def kinds(draw, world):
         held = [region for region in regions
                 for _ in range(draw(st.integers(1, 6)))]
         return track_kind([TargetTrack(target, tuple(held))])
-    actions = [InstallAction(draw(times), region, scope, owner)
-               for region, scope, owner
-               in draw(st.lists(lattice_alarms(), max_size=6))]
-    for alarm_id in draw(st.lists(
+    # in schedule order, which is what an install index counts in
+    installs = sorted((InstallAction(draw(times), region, scope, owner,
+                                     subscribers)
+                       for region, scope, owner, subscribers
+                       in draw(st.lists(lattice_alarms(), max_size=6))),
+                      key=lambda action: action.time)
+    actions = list(installs)
+    for index in draw(st.lists(st.integers(0, len(installs) - 1),
+                               max_size=3) if installs else st.just([])):
+        # at its install's time or after: the stable time sort keeps the
+        # removal behind the install it refers to
+        actions.append(RemoveAction(
+            installs[index].time + draw(st.sampled_from([0.0, 0.5, 3.0])),
+            install_index=index))
+    for alarm_id in draw(st.lists(  # repeats remove an alarm already gone
             st.integers(0, max(0, len(world.registry) - 1)), max_size=3)):
         actions.append(RemoveAction(draw(times), alarm_id=alarm_id))
     return schedule_kind(AlarmSchedule(actions))
@@ -498,6 +544,20 @@ FIXED_KINDS = (
     track_kind([TargetTrack(3, tuple(
         Rect(12.0 + k // 3, 12.0 + k // 3, 14.0 + k // 3, 14.0 + k // 3)
         for k in range(18)))]),
+    # shared alarms (one the ghost's), one removed in its install's step,
+    # a removal of an alarm already gone; clients 3 and then 2 out of fixes
+    schedule_kind(AlarmSchedule([
+        InstallAction(10.0, Rect(2.0, 8.0, 5.0, 11.0), AlarmScope.SHARED,
+                      GHOST, subscribers=(1, 2)),
+        InstallAction(12.0, Rect(15.0, 15.0, 16.0, 16.0), AlarmScope.SHARED,
+                      0, subscribers=(2, 3)),
+        InstallAction(14.0, Rect(20.0, 20.0, 21.0, 21.0), AlarmScope.PRIVATE,
+                      3),
+        RemoveAction(14.0, install_index=2),
+        RemoveAction(16.0, alarm_id=2),
+        RemoveAction(18.0, alarm_id=2),
+        InstallAction(30.0, Rect(15.0, 16.0, 16.0, 17.0), AlarmScope.PUBLIC,
+                      1)])),
 )
 
 
@@ -626,8 +686,9 @@ BLOCK_MUTATIONS = [
                          ids=[row[0] for row in BLOCK_MUTATIONS])
 def test_seeded_block_slip_is_caught(what, site, shipped, mutated,
                                      shipped_clients, monkeypatch):
-    """The slipped client against the paper's, whose per-fix probe walks
-    with the shipped ``PyramidBitmap.walk``."""
+    """The slipped client, in the shipped loop and in one-fix windows,
+    against the paper's, whose per-fix probe walks with the shipped
+    ``PyramidBitmap.walk``."""
     if site == "scan":
         make = mutant_factory("bitmap", shipped, mutated)
         walk = PyramidBitmap.walk
@@ -641,5 +702,59 @@ def test_seeded_block_slip_is_caught(what, site, shipped, mutated,
                 patch.setattr(PyramidBitmap, "walk", walk)
                 slipped = observed(run(FIXED_WORLD, make()).metrics,
                                    shipped_clients)
-            assert slipped == observed(*reference_replay(
+                windowed = observed(*reference_replay(FIXED_WORLD, make(),
+                                                      mutation))
+            defined = observed(*reference_replay(
                 FIXED_WORLD, make(), mutation, fix=PAPER_CLIENTS["bitmap"]))
+            assert slipped == defined
+            assert windowed == defined
+
+
+# ----------------------------------------------------------------------
+# Seeded slips in the loop that wakes a change's audience
+# ----------------------------------------------------------------------
+#: ``(what slipped, shipped source, mutated source)`` in
+#: ``repro/engine/simulation.py``: ``record_changes``, which names who a
+#: step's change concerns, and ``replay_by_audience``, which wakes them.
+LOOP_SLIPS = [
+    ("audience drops the shared subscribers",
+     "audience.update(alarm.subscriber_set(frozenset()))",
+     "audience.add(alarm.owner_id)"),
+    ("clients synchronised to step + 1",
+     "lane.run_to(advance, step)\n", "lane.run_to(advance, step + 1)\n"),
+    ("ended lanes skipped in the stale check",
+     "if _stale(lane.client, server, changes):",
+     "if (lane.index < len(lane.trace)\n"
+     "                        and _stale(lane.client, server, changes)):"),
+    ("trigger log left unsorted",
+     "server.metrics.triggers.sort(key=",
+     "sorted(server.metrics.triggers, key="),
+]
+
+
+def mutant_session(shipped, mutated, monkeypatch):
+    """``repro.engine.simulation``, its source edited and re-run (as a
+    module of its own, which its dataclasses look themselves up in)."""
+    source = inspect.getsource(session)
+    assert source.count(shipped) == 1, "the mutation site moved"
+    mutant = types.ModuleType(session.__name__ + "_mutant")
+    mutant.__dict__.update(__package__=session.__package__)
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(shipped, mutated), session.__file__, "exec"),
+         mutant.__dict__)
+    return mutant
+
+
+@pytest.mark.parametrize("what,shipped,mutated", LOOP_SLIPS,
+                         ids=[row[0] for row in LOOP_SLIPS])
+def test_seeded_loop_slip_is_caught(what, shipped, mutated, shipped_clients,
+                                    monkeypatch):
+    """Every engine front replays through the slipped session's
+    ``replay``; the per-fix references keep the shipped ``_stale``."""
+    monkeypatch.setattr(session, "replay",
+                        mutant_session(shipped, mutated, monkeypatch).replay)
+    with pytest.raises(AssertionError):
+        for name in STRATEGY_NAMES:
+            for kind in FIXED_KINDS[1:]:
+                assert_loops_agree(FIXED_WORLD, name, kind, shipped_clients,
+                                   functools.partial(edge_strategy, name))

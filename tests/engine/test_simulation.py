@@ -54,13 +54,13 @@ class TestInterleavedSimulation:
     def test_same_totals_as_vehicle_major(self, world):
         """With static alarms the two replay orders agree exactly."""
         vehicle_major = run_simulation(world, PeriodicStrategy())
-        time_major = run_dynamic_simulation(world, PeriodicStrategy(),
-                                            AlarmSchedule([]))
-        assert time_major.metrics.uplink_messages == \
+        by_audience = run_dynamic_simulation(world, PeriodicStrategy(),
+                                             AlarmSchedule([]))
+        assert by_audience.metrics.uplink_messages == \
             vehicle_major.metrics.uplink_messages
-        assert time_major.metrics.fired_pairs() == \
+        assert by_audience.metrics.fired_pairs() == \
             vehicle_major.metrics.fired_pairs()
-        assert time_major.accuracy.perfect
+        assert by_audience.accuracy.perfect
 
 
 class _FailingStrategy(PeriodicStrategy):
