@@ -1,35 +1,35 @@
-"""Static checking of the repro codebase: one framework, 10 rules.
+"""Static checking of the repro codebase: one framework, 8 rules.
 
-The client/server protocol, the sharded engine's determinism guarantee
-and the daemon's concurrency rest on invariants ordinary tooling cannot
-see.  This package parses the source tree once into a
+The client/server protocol and the sharded engine's determinism
+guarantee rest on invariants ordinary tooling cannot see.  This
+package parses the source tree once into a
 :class:`~repro.analysis.model.ProjectModel` and runs every rule over
 it: the file-local invariants RL002-RL004 and RL006-RL008 (tolerant
 float comparison, seeded randomness, fork safety, no wall clock, no
 ``print``, the protocol boundary) and the whole-program contracts
-PA003-PA005 and PA009 (cross-module fork safety, the pragma-debt
-ratchet, blocking-call reachability, resource release on every exit
-path).  Runnable as ``python -m repro check``.
+PA003 and PA004 (cross-module fork safety, the pragma-debt ratchet).
+Runnable as ``python -m repro check``.
 
-The missing ids are retired: a guard that holds by construction (a
+The missing ids are retired: a guard that holds at every site (a
 frozen type, an abstract base, a check inside every codec or daemon
 close, the daemon's dispatch through the session table, the daemon
 objects' refusal of writes from a thread other than their owner's, the
-telemetry registry's and tracer's refusal of an undeclared name)
-enforces each.  See ``docs/STATIC_ANALYSIS.md`` for the rule
-catalogue, the retired rules and their guards, the
-``# lint: allow=RLxxx`` pragma syntax and the guide to adding a rule.
+telemetry registry's and tracer's refusal of an undeclared name, the
+test harness's blocking-call guard on every daemon loop and its
+resource warnings as errors) enforces each.  See
+``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the retired rules
+and their guards, the ``# lint: allow=RLxxx`` pragma syntax and the
+guide to adding a rule.
 """
 
 from .base import ALL_RULES, Rule, get_rule, rule
 from .diagnostics import Diagnostic
-from .model import AnalysisError, ClassInfo, ModuleInfo, ProjectModel
+from .model import AnalysisError, ModuleInfo, ProjectModel
 from .runner import Report, run_analysis
 
 __all__ = [
     "ALL_RULES",
     "AnalysisError",
-    "ClassInfo",
     "Diagnostic",
     "ModuleInfo",
     "ProjectModel",

@@ -3,13 +3,13 @@
 :class:`ProjectModel` parses every ``.py`` file under one root exactly
 once.  A file-local rule reads one :class:`ModuleInfo` at a time (its
 tree, its root-relative path, its pragmas); a whole-program rule reads
-the cross-module facts: the module graph (resolved imports), the class
-table, and the function table (one level of the call graph).  Rules
-locate the modules they care about by *root-relative path* — a scope
-prefix such as ``strategies`` or a suffix such as
-``protocol/messages.py`` — so the same rule runs unchanged over the
-shipped tree, over a copy of it, and over the miniature fixture trees
-in ``tests/analysis/fixtures/``.
+the cross-module facts: the module graph (resolved imports), the
+module-level mutable containers and the module-level functions (one
+level of the call graph).  Rules locate the modules they care about by
+*root-relative path* — a scope prefix such as ``strategies`` or a
+suffix such as ``protocol/messages.py`` — so the same rule runs
+unchanged over the shipped tree, over a copy of it, and over the
+miniature fixture trees in ``tests/analysis/fixtures/``.
 
 Resolution is deliberately best-effort: a name that cannot be resolved
 statically (computed imports, ``*`` imports, attribute chains) resolves
@@ -21,13 +21,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
-                    Optional, Set, Tuple, Union)
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from .pragmas import collect_pragmas
-
-if TYPE_CHECKING:  # import cycle: concurrency builds on this module
-    from .concurrency import ConcurrencyModel
 
 #: Either def flavor — most model code treats them uniformly.
 AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -35,51 +32,6 @@ AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 class AnalysisError(Exception):
     """Unrecoverable analysis failure (unreadable or unparsable input)."""
-
-
-@dataclass
-class ClassInfo:
-    """One class definition."""
-
-    name: str
-    node: ast.ClassDef
-
-
-@dataclass
-class FunctionInfo:
-    """One function or method, with its concurrency-relevant facts.
-
-    Collected for *every* def in a module — module level, methods,
-    nested — unlike :attr:`ModuleInfo.functions`, which keeps only the
-    module-level sync defs the original resolvers were built around.
-    """
-
-    #: Dotted position in the module (``AlarmDaemon.aclose``,
-    #: ``outer.inner`` for nested defs).
-    qualname: str
-    name: str
-    node: AnyFunctionDef
-    #: Immediately-enclosing class name, ``None`` outside class bodies.
-    class_name: Optional[str]
-    is_async: bool
-
-
-def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``func``'s own body, not descending into nested defs.
-
-    The concurrency analyses ask "what does *this* function do when
-    called"; statements inside a nested ``def``/``lambda`` only run
-    when the nested callable is invoked, so they belong to the nested
-    function's own entry in the model.
-    """
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
@@ -95,12 +47,8 @@ class ModuleInfo:
     tree: ast.Module
     #: ``# lint: allow=`` pragmas by line (used for suppression).
     allowed: Dict[int, FrozenSet[str]]
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: Module-level functions by name.
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: Every def in the module (methods and nested defs included),
-    #: keyed by qualname — the concurrency model's function table.
-    all_functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: ``from X import a as b`` edges: local name -> (dotted source
     #: module, original name).  Plain ``import X`` edges are omitted —
     #: no rule needs them.
@@ -201,7 +149,6 @@ class ProjectModel:
         self.debt_path: Optional[Path] = None
         self._by_name: Dict[str, ModuleInfo] = {
             info.name: info for info in modules.values()}
-        self._concurrency: Optional["ConcurrencyModel"] = None
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -251,35 +198,11 @@ class ProjectModel:
                               module_level_mutables(tree)))
         package = rel_path.split("/")[:-1]
         for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                info.classes[stmt.name] = ClassInfo(stmt.name, stmt)
-            elif isinstance(stmt, ast.FunctionDef):
+            if isinstance(stmt, ast.FunctionDef):
                 info.functions[stmt.name] = stmt
             elif isinstance(stmt, ast.ImportFrom):
                 cls._record_import(info, stmt, package, root.name)
-        cls._collect_functions(info, tree.body, prefix="",
-                               class_name=None)
         return info
-
-    @classmethod
-    def _collect_functions(cls, info: ModuleInfo,
-                           body: List[ast.stmt], prefix: str,
-                           class_name: Optional[str]) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = prefix + stmt.name
-                info.all_functions[qualname] = FunctionInfo(
-                    qualname=qualname, name=stmt.name, node=stmt,
-                    class_name=class_name,
-                    is_async=isinstance(stmt, ast.AsyncFunctionDef))
-                # Nested defs are plain closures, not methods.
-                cls._collect_functions(info, stmt.body,
-                                       prefix=qualname + ".",
-                                       class_name=None)
-            elif isinstance(stmt, ast.ClassDef):
-                cls._collect_functions(info, stmt.body,
-                                       prefix=prefix + stmt.name + ".",
-                                       class_name=stmt.name)
 
     @staticmethod
     def _record_import(info: ModuleInfo, stmt: ast.ImportFrom,
@@ -321,17 +244,6 @@ class ProjectModel:
     def iter_modules(self) -> Iterator[ModuleInfo]:
         for rel_path in sorted(self.modules):
             yield self.modules[rel_path]
-
-    def concurrency(self) -> "ConcurrencyModel":
-        """The (cached) concurrency view: call graph and loop code.
-
-        Built lazily so trees analyzed only by the structural rules
-        never pay for it.
-        """
-        if self._concurrency is None:
-            from .concurrency import ConcurrencyModel
-            self._concurrency = ConcurrencyModel.build(self)
-        return self._concurrency
 
     # -- cross-module resolution ---------------------------------------
     def resolve_function(self, module: ModuleInfo, name: str

@@ -215,23 +215,37 @@ class AlarmDaemon(_OwnedByOneThread):
     async def aclose(self) -> None:
         """Stop listening and cancel live connections (idempotent).
 
-        Then no task this module spawned may still be running: one that
-        has escaped the ``_conn_tasks`` registry (a dropped
-        ``create_task`` handle, a worker never reaped), and the close
-        raises ``RuntimeError`` naming it.  Otherwise the first
+        Connections accepted before the listener stopped are served
+        and cancelled like the rest, and the listening server closes
+        last, so no accepted socket outlives the close.  Then no task
+        this module spawned may still be running: one that has escaped
+        the ``_conn_tasks`` registry (a dropped ``create_task`` handle,
+        a worker never reaped), and the close raises ``RuntimeError``
+        naming it.  Otherwise the first
         ``verify_wire`` failure of any connection is raised.
         """
         server = self._asyncio_server
         if server is None:
             return
+        # Stop accepting before closing the server.  A connection that
+        # asyncio has taken off the backlog still owes one loop turn
+        # each to attach to the server, to reach _accept and to step
+        # into the try whose finally closes it; an attach that runs
+        # after server.close() fails inside asyncio and leaks the
+        # accepted socket.
+        loop = asyncio.get_running_loop()
+        for listener in server.sockets:
+            loop.remove_reader(listener.fileno())
+        for _ in range(3):
+            await asyncio.sleep(0)
         self._asyncio_server = None
-        server.close()
-        await server.wait_closed()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
+        server.close()
+        await server.wait_closed()
         pending = self._pending_task_names()
         if pending:
             raise RuntimeError(
@@ -293,7 +307,7 @@ class AlarmDaemon(_OwnedByOneThread):
         error: Optional[str] = None
         # Spawned last: every statement between this spawn and the
         # try/finally that reaps the worker would be a window where an
-        # exception leaks the task (the PA009 contract).
+        # exception leaks the task (aclose()'s task-leak check).
         worker = asyncio.create_task(
             self._drain_queue(conn_id, queue, writer))
         try:

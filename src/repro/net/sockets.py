@@ -159,7 +159,8 @@ class SocketTransport(Transport):
             span_id = ROOT_SPAN_ID
             started = time.perf_counter()
             # Once the span is open, nothing exception-capable may run
-            # before the try block whose every exit closes it (PA009).
+            # before the try block whose every exit closes it (the
+            # span-leak fault tests hold this).
             telemetry.span_open(time_s, trace_id, span_id, 0,
                                 SPAN_CLIENT_REQUEST)
         try:

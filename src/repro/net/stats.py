@@ -89,7 +89,8 @@ def scrape_stats(*, path: Optional[str] = None, host: str = "127.0.0.1",
     try:
         try:
             # Inside the try/finally: even settimeout must not be able
-            # to leak the socket (PA009's contract).
+            # to leak the socket (the tests turn ResourceWarning into
+            # an error, so an unclosed socket fails them).
             sock.settimeout(timeout_s)
             sock.connect(target)  # type: ignore[arg-type]
             sock.sendall(encode_frame(FrameKind.HELLO, encode_hello())

@@ -15,7 +15,7 @@ from repro.cli import main
 from .conftest import FIXTURES
 from .test_checkers import PA_RULE_IDS, RL_RULE_IDS
 
-FIXTURE = str(FIXTURES / "pa009")
+FIXTURE = str(FIXTURES / "pa003")
 
 
 class TestExitCodes:
@@ -40,7 +40,7 @@ class TestExitCodes:
         assert "unknown rule id" in capsys.readouterr().out
 
     def test_lowercase_rule_id_accepted(self):
-        assert main(["check", FIXTURE, "--rule", "pa009"]) == 1
+        assert main(["check", FIXTURE, "--rule", "pa003"]) == 1
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def (\n", encoding="utf-8")
@@ -88,15 +88,15 @@ class TestListRules:
 
 class TestFormats:
     def test_json_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA009",
+        assert main(["check", FIXTURE, "--rule", "PA003",
                      "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["PA009"] == 7
-        assert all(diag["rule"] == "PA009"
+        assert payload["counts"]["PA003"] == 3
+        assert all(diag["rule"] == "PA003"
                    for diag in payload["diagnostics"])
 
     def test_sarif_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA009",
+        assert main(["check", FIXTURE, "--rule", "PA003",
                      "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
@@ -106,15 +106,15 @@ class TestFormats:
         rule_ids = [rule["id"]
                     for rule in run["tool"]["driver"]["rules"]]
         assert rule_ids == RL_RULE_IDS + PA_RULE_IDS
-        assert len(run["results"]) == 7
+        assert len(run["results"]) == 3
         first = run["results"][0]
-        assert first["ruleId"] == "PA009"
+        assert first["ruleId"] == "PA003"
         assert first["level"] == "error"
         location = first["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] > 0
 
     def test_sarif_base_uri_makes_links_absolute(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA009",
+        assert main(["check", FIXTURE, "--rule", "PA003",
                      "--format", "sarif", "--sarif-base-uri",
                      "https://example.test/blob/main/"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -126,7 +126,7 @@ class TestFormats:
 
     def test_sarif_clean_tree_has_no_results(self, tmp_path, capsys):
         (tmp_path / "empty.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["check", str(tmp_path), "--rule", "PA009",
+        assert main(["check", str(tmp_path), "--rule", "PA003",
                      "--format", "sarif"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["runs"][0]["results"] == []

@@ -1,18 +1,22 @@
 """The retired rules stay retired only while their runtime guards hold.
 
 RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA002 (telemetry drift), PA006
-(cross-thread races), PA007 (task lifecycle), PA008 (session
-conformance) and PA010 (downlink causality) were deleted from the
-checker because a guard that holds by construction already catches
+(protocol exhaustiveness), PA002 (telemetry drift), PA005 (blocking
+calls on the event loop), PA006 (cross-thread races), PA007 (task
+lifecycle), PA008 (session conformance), PA009 (resources leaked on
+an exit path) and PA010 (downlink causality) were deleted from the
+checker because a guard that holds at every site already catches
 their defects: frozen geometry types, the abstract ``SafeRegion``,
 ``verify_field_layouts`` inside every codec built, the telemetry
-registry's refusal of an undeclared instrument, the daemon objects'
-refusal of writes from a thread other than their owner's, the
-daemon's always-on task-leak check at ``aclose()`` (raised by leaving
-a ``DaemonThread`` block), the daemon's dispatch through the session
-table (held to the spec by the socket conformance suite), and the wire
-goldens plus the accuracy contract.  PA008's row restates its last seed
+registry's refusal of an undeclared instrument, the blocking-call
+guard on every daemon loop (``tests/conftest.py``), the daemon
+objects' refusal of writes from a thread other than their owner's,
+the daemon's always-on task-leak check at ``aclose()`` (raised by
+leaving a ``DaemonThread`` block), the daemon's dispatch through the
+session table (held to the spec by the socket conformance suite), the
+``ResourceWarning``-as-error filter of ``pyproject.toml`` plus the
+conformance suite's truncated-frame cases, and the wire goldens plus
+the accuracy contract.  PA008's row restates its last seed
 against that dispatch; PA007's restates its seed, a spawn whose handle
 is dropped, on the per-connection drain worker, since the loop watchdog
 it was last seeded on is gone.  Each row below is the
@@ -56,6 +60,8 @@ class Retired(NamedTuple):
     test_id: str
     #: Must appear in that test's failure output.
     fragment: str
+    #: Tells apart two seeds of one rule in the test id.
+    shape: str = ""
 
 
 RETIRED = (
@@ -87,6 +93,13 @@ RETIRED = (
             "tests/telemetry/test_facade.py::TestTraceLifecycle::"
             "test_manifest_and_summary_records",
             "undeclared telemetry instrument 'region_exits'"),
+    Retired("PA005", "net/daemon.py",
+            "        writer.close()\n        try:\n",
+            "        time.sleep(0.01)  # 'let the peer read the last frame'\n"
+            "        writer.close()\n        try:\n",
+            "tests/net/test_daemon.py::TestRequestReply::"
+            "test_unix_roundtrip_charges_the_server",
+            "1 blocking call(s) on the daemon loop: time.sleep() at "),
     Retired("PA006", "net/daemon.py",
             "            self._started.set_result("
             "(asyncio.get_running_loop(), port))\n",
@@ -117,6 +130,22 @@ RETIRED = (
             "well-formed]",
             "AWAIT_HELLO SHUTDOWN well-formed: the spec answers nothing, "
             "the daemon sent ERROR"),
+    Retired("PA009", "net/daemon.py",
+            "                    decoder.finish()  # raises if the peer died "
+            "mid-frame\n",
+            "",
+            "tests/net/test_session_conformance.py::"
+            "test_frame_gets_the_spec_answer[AWAIT_HELLO-HELLO-truncated]",
+            "AWAIT_HELLO HELLO truncated: the spec answers ERROR, the "
+            "daemon sent nothing"),
+    # PA009's socket shape: the test passes without the ResourceWarning
+    # filter of pyproject.toml, so this row proves the filter is live.
+    Retired("PA009", "net/stats.py",
+            "    finally:\n        sock.close()\n",
+            "    finally:\n        pass  # 'collecting it closes it'\n",
+            "tests/net/test_stats.py::TestStatsChannel::"
+            "test_snapshot_sections",
+            "unclosed <socket.socket", shape="socket"),
     Retired("PA010", "strategies/safeperiod.py",
             "            if isinstance(message, InstallSafePeriod):\n",
             "            if message is not None:\n",
@@ -127,7 +156,8 @@ RETIRED = (
 
 
 @pytest.mark.parametrize("row", RETIRED[:examples(1, len(RETIRED))],
-                         ids=lambda row: row.rule_id)
+                         ids=lambda row: "-".join(
+                             filter(None, (row.rule_id, row.shape))))
 def test_retired_seed_fails_its_catching_test(tmp_path, row):
     copy = tmp_path / "src" / "repro"
     shutil.copytree(package_root(), copy,

@@ -79,18 +79,6 @@ SEEDS = (
          "        return Rect(self.min_x + dx, self.min_y + dy,"
          "  # lint: allow=RL002\n",
          "pragma debt for RL002 grew to 1 (ledger allows 0)"),
-    Seed("PA005", "net/daemon.py", (),
-         "        writer.close()\n        try:\n",
-         "        time.sleep(0.01)  # 'let the peer read the last frame'\n"
-         "        writer.close()\n        try:\n",
-         "blocking time.sleep() is reachable from coroutine "
-         "'AlarmDaemon._finish_connection'"),
-    Seed("PA009", "net/daemon.py", (),
-         "                    decoder.finish()  # raises if the peer died "
-         "mid-frame\n",
-         "",
-         "decoder 'decoder' acquired in AlarmDaemon._handle_connection "
-         "can reach a normal exit without a finish call"),
 )
 
 

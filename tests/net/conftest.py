@@ -4,10 +4,13 @@
 periodic policy — which is all the framing/lifecycle/fault tests need;
 the conformance suite uses the full ``make_world`` path instead.
 
-``loop_stall_watch`` is the runtime half of PA005 (no blocking call in
-a coroutine): every daemon a test starts under it carries a sampler
-task on its event loop, and the daemon's close fails if any sleep of
-the sampler woke more than :data:`LOOP_STALL_THRESHOLD_S` late.
+``loop_stall_watch`` is opt-in: every daemon a test starts under it
+carries a sampler task on its event loop, and the daemon's close fails
+if any sleep of the sampler woke more than
+:data:`LOOP_STALL_THRESHOLD_S` late.  It sees what the autouse
+blocking-call guard of ``tests/conftest.py`` cannot: a long lock hold
+(``Lock.acquire`` is a C method and cannot be wrapped) or a loop held
+by pure computation.
 """
 
 import asyncio

@@ -257,8 +257,9 @@ class TestOwnerThread:
 
 
 class TestCloseChecks:
-    """What a daemon's close refuses: a stalled loop (the sampler of
-    ``loop_stall_watch``), a leaked task (always on)."""
+    """What a daemon's close refuses: a blocking call on its loop (the
+    autouse guard of ``tests/conftest.py``), a stalled loop (the
+    sampler of ``loop_stall_watch``), a leaked task (always on)."""
 
     def test_roundtrip_closes_clean(self, sock_path):
         """A healthy serve-and-close trips neither check."""
@@ -271,19 +272,38 @@ class TestCloseChecks:
         assert daemon.server.metrics.uplink_messages == 3
 
     def test_blocking_call_on_the_loop_is_caught_at_close(self):
-        """A blocking sleep smuggled onto the loop is caught at close:
-        the sampler's pending wakeup fires late, the lag is recorded,
-        and the close fails."""
+        """A loop held by a CPU busy-wait calls nothing the
+        blocking-call guard wraps, so only the sampler sees it: its
+        pending wakeup fires late, the lag is recorded, and the close
+        fails."""
 
         async def scenario():
             daemon = make_daemon()
             await daemon.start_tcp("127.0.0.1", 0)
             await asyncio.sleep(0.1)   # the sampler takes a baseline
-            time.sleep(0.8)            # the PA005 sin, committed live
+            deadline = time.perf_counter() + 0.8
+            while time.perf_counter() < deadline:
+                pass                   # the loop is held, not blocked
             await asyncio.sleep(0.1)   # late wakeup records the lag
             await daemon.aclose()
 
         with pytest.raises(AssertionError, match="event loop stalled"):
+            asyncio.run(scenario())
+
+    def test_blocking_sleep_is_caught_by_the_guard_at_close(self):
+        """A blocking sleep on the loop is recorded where it is made
+        and fails the close, however short it is."""
+
+        async def scenario():
+            daemon = make_daemon()
+            await daemon.start_tcp("127.0.0.1", 0)
+            time.sleep(0.01)
+            await daemon.aclose()
+
+        with pytest.raises(AssertionError,
+                           match=r"1 blocking call\(s\) on the daemon "
+                                 r"loop: time\.sleep\(\) at .*"
+                                 r"test_daemon\.py:\d+ in scenario"):
             asyncio.run(scenario())
 
     def test_cancel_parked_in_wait_closed_still_closes_the_books(

@@ -7,10 +7,12 @@ unclean-close telemetry record on the daemon side), never a hang and
 never an asyncio error logged from an orphaned task.
 """
 
+import gc
 import logging
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -236,6 +238,21 @@ class TestServerFaults:
             transport.close()  # idempotent
             with pytest.raises(TransportError, match="closed"):
                 transport.request(make_report(), 1.0)
+
+    def test_connect_close_stop_leaks_no_socket(self, sock_path):
+        """A client that connects and hangs up just as the daemon stops
+        leaves a connection asyncio has accepted but not yet handed to
+        the daemon.  The close must still close it, every time."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(20):
+                daemon = make_daemon()
+                with DaemonThread(daemon, path=sock_path):
+                    SocketTransport.connect_unix(sock_path,
+                                                 daemon.codec).close()
+                gc.collect()
+        assert [str(warning.message) for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
 
 
 class TestSpanLeaksUnderFaults:

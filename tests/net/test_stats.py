@@ -10,6 +10,7 @@ registry, and the channel obeys the framed protocol's handshake rules.
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -131,6 +132,35 @@ class TestStatsChannel:
                 client.close()
         assert frames[0].kind is FrameKind.ERROR
         assert "HELLO" in decode_error(frames[0].payload)
+
+    def test_bytes_after_the_snapshot_are_refused(self, sock_path):
+        """A clean scrape ends with the STATS frame.  A server that
+        writes the first bytes of another frame after it, in the same
+        write, is refused."""
+        snapshot = encode_frame(FrameKind.STATS, encode_stats({}))
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(sock_path)
+        listener.listen(1)
+
+        def answer_then_trail():
+            served, _ = listener.accept()
+            with served:
+                served.settimeout(10.0)
+                served.recv(1 << 16)  # HELLO + STATS
+                served.sendall(snapshot + snapshot[:7])
+                while served.recv(1 << 16):
+                    pass  # until the scraper hangs up
+
+        server = threading.Thread(target=answer_then_trail)
+        server.start()
+        try:
+            with pytest.raises(TransportError,
+                               match="undecodable STATS snapshot"):
+                scrape_stats(path=sock_path)
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
+        assert not server.is_alive()
 
     def test_scrape_against_nothing_raises(self, tmp_path):
         with pytest.raises(TransportError):
