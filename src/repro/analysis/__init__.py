@@ -1,4 +1,4 @@
-"""Static checking of the repro codebase: one framework, 8 rules.
+"""Static checking of the repro codebase: one framework, 7 rules.
 
 The client/server protocol and the sharded engine's determinism
 guarantee rest on invariants ordinary tooling cannot see.  This
@@ -6,9 +6,10 @@ package parses the source tree once into a
 :class:`~repro.analysis.model.ProjectModel` and runs every rule over
 it: the file-local invariants RL002-RL004 and RL006-RL008 (tolerant
 float comparison, seeded randomness, fork safety, no wall clock, no
-``print``, the protocol boundary) and the whole-program contracts
-PA003 and PA004 (cross-module fork safety, the pragma-debt ratchet).
-Runnable as ``python -m repro check``.
+``print``, the protocol boundary) and the whole-program contract PA003
+(cross-module fork safety).  Every finding is reported: none can be
+suppressed, so a finding is fixed or the rule changes.  Runnable as
+``python -m repro check``.
 
 The missing ids are retired: a guard that holds at every site (a
 frozen type, an abstract base, a check inside every codec or daemon
@@ -18,8 +19,7 @@ telemetry registry's and tracer's refusal of an undeclared name, the
 test harness's blocking-call guard on every daemon loop and its
 resource warnings as errors) enforces each.  See
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the retired rules
-and their guards, the ``# lint: allow=RLxxx`` pragma syntax and the
-guide to adding a rule.
+and their guards, and the guide to adding a rule.
 """
 
 from .base import ALL_RULES, Rule, get_rule, rule

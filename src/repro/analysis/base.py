@@ -1,10 +1,9 @@
 """Rule plumbing: the one base class and the one registry.
 
 A rule is a small class with a stable id (``RLnnn`` for the file-local
-invariants, ``PAnnn`` for the whole-program contracts — diagnostics,
-``# lint: allow=`` pragmas, the ``lint_debt.json`` ledger and the
-``--rule`` selector all refer to rules by this id), a docstring stating
-the invariant it enforces, and one of two hooks:
+invariants, ``PAnnn`` for the whole-program contracts — diagnostics
+and the ``--rule`` selector refer to rules by this id), a docstring
+stating the invariant it enforces, and one of two hooks:
 
 * a *file-local* rule overrides :meth:`Rule.check_module` and may
   narrow itself to package-relative path prefixes with ``scopes`` /
@@ -66,11 +65,6 @@ class Rule:
         return Diagnostic(path=module.display_path,
                           line=getattr(node, "lineno", 1),
                           col=getattr(node, "col_offset", 0),
-                          rule_id=self.rule_id, message=message)
-
-    def file_diagnostic(self, path: str, message: str) -> Diagnostic:
-        """Build a whole-file diagnostic (no meaningful line anchor)."""
-        return Diagnostic(path=path, line=1, col=0,
                           rule_id=self.rule_id, message=message)
 
 

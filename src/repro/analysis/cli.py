@@ -4,7 +4,7 @@ Exit codes are part of the stable interface (CI keys off them):
 
 * ``0`` — every selected rule passed over the checked tree;
 * ``1`` — one or more diagnostics (printed as
-  ``file:line:col: RULE message``, or as the JSON/SARIF report);
+  ``file:line:col: RULE message``, or as the JSON report);
 * ``2`` — usage or input error (unknown rule id, missing root,
   syntax error in a checked file).
 """
@@ -18,7 +18,6 @@ from typing import List, Optional
 from .base import ALL_RULES, get_rule
 from .model import AnalysisError
 from .runner import run_analysis
-from .sarif import to_sarif
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -33,21 +32,11 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rule", action="append", default=None,
                         metavar="ID", dest="rule_ids",
                         help="run only this rule id (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
                         help="report format (default: text)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    parser.add_argument("--debt", type=Path, default=None,
-                        metavar="PATH",
-                        help="pragma-debt ledger for PA004 "
-                             "(default: lint_debt.json found from the "
-                             "root upward)")
-    parser.add_argument("--sarif-base-uri", default=None,
-                        metavar="URL", dest="sarif_base_uri",
-                        help="prefix rule helpUris with this URL in "
-                             "SARIF output (e.g. a repository blob "
-                             "URL)")
 
 
 def run_check_command(args: argparse.Namespace) -> int:
@@ -65,15 +54,12 @@ def run_check_command(args: argparse.Namespace) -> int:
             print("error: unknown rule id %s (try --list-rules)" % exc)
             return EXIT_ERROR
     try:
-        report = run_analysis(root=args.root, rule_classes=rule_classes,
-                              debt_path=args.debt)
+        report = run_analysis(root=args.root, rule_classes=rule_classes)
     except AnalysisError as exc:
         print("error: %s" % exc)
         return EXIT_ERROR
     if args.output_format == "json":
         print(report.to_json())
-    elif args.output_format == "sarif":
-        print(to_sarif(report, base_uri=args.sarif_base_uri))
     else:
         print(report.render_text())
     return EXIT_CLEAN if report.ok else EXIT_FINDINGS

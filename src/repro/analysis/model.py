@@ -2,7 +2,7 @@
 
 :class:`ProjectModel` parses every ``.py`` file under one root exactly
 once.  A file-local rule reads one :class:`ModuleInfo` at a time (its
-tree, its root-relative path, its pragmas); a whole-program rule reads
+tree and its root-relative path); a whole-program rule reads
 the cross-module facts: the module graph (resolved imports), the
 module-level mutable containers and the module-level functions (one
 level of the call graph).  Rules locate the modules they care about by
@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple, Union)
 
-from .pragmas import collect_pragmas
-
 #: Either def flavor — most model code treats them uniformly.
 AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -43,10 +41,7 @@ class ModuleInfo:
     #: Dotted module name relative to the analysis root (``""`` for the
     #: root package's ``__init__``).
     name: str
-    source: str
     tree: ast.Module
-    #: ``# lint: allow=`` pragmas by line (used for suppression).
-    allowed: Dict[int, FrozenSet[str]]
     #: Module-level functions by name.
     functions: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: ``from X import a as b`` edges: local name -> (dotted source
@@ -144,9 +139,6 @@ class ProjectModel:
         self.root = root
         #: Modules keyed by root-relative POSIX path.
         self.modules = modules
-        #: The pragma-debt ledger PA004 reads (``--debt``); ``None``
-        #: searches for ``lint_debt.json`` from the root upward.
-        self.debt_path: Optional[Path] = None
         self._by_name: Dict[str, ModuleInfo] = {
             info.name: info for info in modules.values()}
 
@@ -177,7 +169,7 @@ class ProjectModel:
                 raise AnalysisError("cannot parse %s: %s"
                                     % (path, exc)) from exc
             modules[rel_path] = cls._module_info(root, path, rel_path,
-                                                 source, tree)
+                                                 tree)
         if not modules:
             # "0 files checked, 0 problems" on a typo'd path is a silent
             # false green in CI; an empty tree is an input error.
@@ -187,13 +179,12 @@ class ProjectModel:
 
     @classmethod
     def _module_info(cls, root: Path, path: Path, rel_path: str,
-                     source: str, tree: ast.Module) -> ModuleInfo:
+                     tree: ast.Module) -> ModuleInfo:
         parts = rel_path[:-len(".py")].split("/")
         if parts[-1] == "__init__":
             parts = parts[:-1]
         info = ModuleInfo(display_path=str(path), rel_path=rel_path,
-                          name=".".join(parts), source=source, tree=tree,
-                          allowed=collect_pragmas(source),
+                          name=".".join(parts), tree=tree,
                           mutables=frozenset(
                               module_level_mutables(tree)))
         package = rel_path.split("/")[:-1]

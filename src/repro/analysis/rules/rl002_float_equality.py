@@ -9,9 +9,8 @@ Use :func:`repro.geometry.eps.feq` / :func:`~repro.geometry.eps.fzero`
 instead, or — where exact comparison is semantically intended, e.g.
 the degenerate-rect check — :func:`~repro.geometry.eps.feq_exact` /
 :func:`~repro.geometry.eps.fzero_exact`, which name the intent and
-live in the one exempt module.  The ``# lint: allow=RL002`` pragma
-remains the last resort, tracked by the PA004 debt ratchet (currently
-at zero).
+live in the one exempt module.  There is no other way out: a finding
+cannot be suppressed.
 
 Detection is conservative (no false positives on int comparisons): a
 comparison is flagged only when one operand is a float *literal*, or

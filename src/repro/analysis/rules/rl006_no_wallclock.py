@@ -1,12 +1,12 @@
 """RL006: no wall-clock reads inside simulation hot paths.
 
 Simulation time is the trace's sample clock; the telemetry stage
-histograms use ``time.perf_counter`` deltas (a monotonic *duration*, never an absolute
-date).  A ``time.time()`` or ``datetime.now()`` call in a strategy,
-safe-region computation or index operation couples results to the host
-clock — replays stop being reproducible, the differential serial-vs-
-sharded suite can no longer assert bit-equality, and golden figure
-tables drift.
+histograms use ``time.perf_counter`` deltas (a monotonic *duration*,
+never an absolute date).  A ``time.time()`` or ``datetime.now()`` call
+in a strategy, safe-region computation or index operation couples
+results to the host clock — replays stop being reproducible, the
+differential serial-vs-sharded suite can no longer assert bit-equality,
+and golden figure tables drift.
 """
 
 from __future__ import annotations

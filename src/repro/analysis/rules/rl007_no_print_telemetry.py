@@ -13,8 +13,7 @@ Any call to the ``print`` builtin is flagged.  Two locations are
 sanctioned and excluded by scope: ``cli.py`` (the one place whose job
 *is* writing to stdout) and the ``analysis`` package itself (diagnostic
 rendering).  Code with a genuine reason to print — a doctest, a debug
-helper — should either live behind the CLI or carry a same-line
-``# lint: allow=RL007`` pragma explaining itself.
+helper — lives behind the CLI.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Model construction, rule dispatch and report assembly.
 
 One run is: build one :class:`ProjectModel` over the root (every file
-read and parsed once), run every selected rule against it, drop the
-diagnostics a same-line ``# lint: allow=`` pragma excuses, and return
-a :class:`Report` — the one object the text, JSON and SARIF renderers
-and the exit-code mapping read.
+read and parsed once), run every selected rule against it, and return
+every diagnostic in a :class:`Report` — the one object the text and
+JSON renderers and the exit-code mapping read.  Nothing suppresses a
+finding: it is fixed, or the rule changes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Type
 from .base import ALL_RULES, Rule
 from .diagnostics import Diagnostic
 from .model import ProjectModel
-from .pragmas import is_allowed
 
 #: JSON report schema version; bump on breaking field changes.
 SCHEMA_VERSION = 1
@@ -63,27 +62,18 @@ def package_root() -> Path:
 
 
 def run_analysis(root: Optional[Path] = None,
-                 rule_classes: Optional[Sequence[Type[Rule]]] = None,
-                 debt_path: Optional[Path] = None) -> Report:
+                 rule_classes: Optional[Sequence[Type[Rule]]] = None
+                 ) -> Report:
     """Check the tree under ``root`` and return the report.
 
-    ``rule_classes`` defaults to every registered rule; ``debt_path``
-    overrides PA004's upward search for ``lint_debt.json``.  Raises
+    ``rule_classes`` defaults to every registered rule.  Raises
     :class:`~repro.analysis.model.AnalysisError` on a missing root or
     unreadable or unparsable input.
     """
     model = ProjectModel.build(
         Path(root) if root is not None else package_root())
-    model.debt_path = Path(debt_path) if debt_path is not None else None
     classes = (list(rule_classes) if rule_classes is not None
                else ALL_RULES())
-    # Findings anchored outside the parsed modules (PA004's ledger)
-    # have no pragma table: nothing can suppress them.
-    allowed = {module.display_path: module.allowed
-               for module in model.iter_modules()}
-    diagnostics = [
-        diag for cls in classes for diag in cls().check(model)
-        if not is_allowed(allowed.get(diag.path, {}), diag.line,
-                          diag.rule_id)]
+    diagnostics = [diag for cls in classes for diag in cls().check(model)]
     return Report(diagnostics, files_checked=len(model.modules),
                   rule_ids=[cls.rule_id for cls in classes])

@@ -18,8 +18,9 @@ bit-identical coordinates, or the motion models' sector conventions,
 where equal endpoints mean an empty sector but an infinitesimally
 smaller ``end`` means a full wrap — use :func:`feq_exact` /
 :func:`fzero_exact`.  They compile to the same ``==`` but name the
-intent, and keeping them here (the one RL002-exempt module) means the
-linter's debt ledger stays at zero instead of tracking pragma sites.
+intent, and keeping them here (the one RL002-exempt module) makes them
+the only spelling of an exact comparison: an RL002 finding cannot be
+suppressed.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ sanctioned form).
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import stat
 import threading
@@ -90,6 +91,21 @@ def _check_framed(direction: str, framed: int, charged: int) -> None:
             % (direction, framed, charged))
 
 
+def _end_reading(reader_task: Optional["asyncio.Task[None]"],
+                 worker: "asyncio.Task[None]") -> None:
+    """A drain worker that failed ends its connection's read at once.
+
+    Otherwise the reader waits on the socket, and the ERROR frame
+    naming the failure (a reply that failed ``verify_wire``) is sent
+    only once the peer closes.  Cancelling the reader sends the
+    connection through :meth:`AlarmDaemon._finish_connection`, which
+    names the failure and closes.
+    """
+    if (reader_task is not None and not worker.cancelled()
+            and worker.exception() is not None):
+        reader_task.cancel()
+
+
 class _OwnedByOneThread:
     """Refuse attribute writes from any thread but the owner's.
 
@@ -127,9 +143,10 @@ class AlarmDaemon(_OwnedByOneThread):
     processes before writing; ``queue_limit`` bounds the per-connection
     uplink queue (the backpressure knob).  ``verify_wire`` extends the
     wire-fidelity contract to the framed path: every charged size is
-    checked against the bytes actually framed.  A drift is named in the
-    ERROR frame that ends its connection, and :meth:`aclose` raises
-    it (:class:`~repro.protocol.transport.WireFidelityError`).
+    checked against the bytes actually framed.  A drift is named at
+    once in the ERROR frame that ends its connection, and
+    :meth:`aclose` raises it
+    (:class:`~repro.protocol.transport.WireFidelityError`).
     Whatever the flags, :meth:`aclose` refuses to leave a daemon task
     running.
     The loop that serves the daemon owns it: attributes are written at
@@ -310,6 +327,8 @@ class AlarmDaemon(_OwnedByOneThread):
         # exception leaks the task (aclose()'s task-leak check).
         worker = asyncio.create_task(
             self._drain_queue(conn_id, queue, writer))
+        worker.add_done_callback(
+            functools.partial(_end_reading, asyncio.current_task()))
         try:
             state = STATE_AWAIT_HELLO
             while True:
@@ -375,10 +394,12 @@ class AlarmDaemon(_OwnedByOneThread):
         except (ConnectionError, OSError):
             clean = False
         except asyncio.CancelledError:
-            # Daemon shutdown with this connection still open.  The
-            # cancellation is absorbed (not re-raised): the only
-            # canceller is our own aclose(), which is already awaiting
-            # this task's orderly exit.
+            # Daemon shutdown with this connection still open, or a
+            # failed drain worker ending the read (_end_reading).  The
+            # cancellation is absorbed (not re-raised): the cancellers
+            # are our own aclose(), which is already awaiting this
+            # task's orderly exit, and the worker, whose failure
+            # _finish_connection reports.
             clean = False
         finally:
             try:
@@ -416,11 +437,16 @@ class AlarmDaemon(_OwnedByOneThread):
             worker.cancel()
         try:
             await worker
-        except asyncio.CancelledError:
+        except (asyncio.CancelledError, WireFidelityError):
+            # The worker's own outcome is read below: _end_reading's
+            # cancellation lands on this await when the worker fails
+            # just as the reader finishes.
             pass
-        except WireFidelityError as exc:  # a reply failed verify_wire
-            error = error if error is not None else str(exc)
-            self._failures.append(exc)
+        failure = (worker.exception()
+                   if worker.done() and not worker.cancelled() else None)
+        if isinstance(failure, WireFidelityError):  # failed verify_wire
+            error = error if error is not None else str(failure)
+            self._failures.append(failure)
         if error is not None:
             try:
                 writer.write(encode_frame(FrameKind.ERROR,

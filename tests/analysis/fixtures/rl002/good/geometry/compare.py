@@ -1,6 +1,6 @@
 """RL002 good fixture: tolerant comparison or justified exact zero."""
 
-from repro.geometry import feq, fzero
+from repro.geometry import feq, fzero, fzero_exact
 
 
 def is_origin_x(x: float) -> bool:
@@ -17,4 +17,4 @@ def count_matches(n: int, expected: int) -> bool:
 
 def is_point_rect(width: float) -> bool:
     # Exact-zero is intended: degenerate rects carry bit-identical edges.
-    return width == 0.0  # lint: allow=RL002
+    return fzero_exact(width)

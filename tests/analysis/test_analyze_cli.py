@@ -51,10 +51,14 @@ class TestExitCodes:
         ["lint"],
         ["analyze"],
         ["check", "--jobs", "2"],
+        ["check", "--debt", "x"],
+        ["check", "--format", "sarif"],
+        ["check", "--sarif-base-uri", "u"],
     ], ids=" ".join)
     def test_removed_spellings_are_usage_errors(self, argv, capsys):
-        """Replaced, not aliased: the two old subcommands and the
-        ``--jobs`` knob are argparse errors."""
+        """Replaced or removed, not aliased: the two old subcommands,
+        the ``--jobs`` knob, the pragma-debt ledger's ``--debt`` and
+        the SARIF format with its base URI are argparse errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -95,38 +99,3 @@ class TestFormats:
         assert all(diag["rule"] == "PA003"
                    for diag in payload["diagnostics"])
 
-    def test_sarif_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA003",
-                     "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-check"
-        # The full catalogue is listed, not just the fired rules.
-        rule_ids = [rule["id"]
-                    for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == RL_RULE_IDS + PA_RULE_IDS
-        assert len(run["results"]) == 3
-        first = run["results"][0]
-        assert first["ruleId"] == "PA003"
-        assert first["level"] == "error"
-        location = first["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] > 0
-
-    def test_sarif_base_uri_makes_links_absolute(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA003",
-                     "--format", "sarif", "--sarif-base-uri",
-                     "https://example.test/blob/main/"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        driver = payload["runs"][0]["tool"]["driver"]
-        assert driver["informationUri"].startswith(
-            "https://example.test/")
-        assert all(rule["helpUri"].startswith("https://example.test/")
-                   for rule in driver["rules"])
-
-    def test_sarif_clean_tree_has_no_results(self, tmp_path, capsys):
-        (tmp_path / "empty.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["check", str(tmp_path), "--rule", "PA003",
-                     "--format", "sarif"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"] == []

@@ -38,7 +38,7 @@ class Seed(NamedTuple):
 
 SEEDS = (
     Seed("RL002", "saferegion/mwpsr.py", (),
-         "if fzero(length):", "if length == 0.0:",
+         "if fzero(length):", "if length == 0.0:  # lint: allow=RL002",
          "exact float == comparison"),
     Seed("RL003", "mobility/simulator.py", (),
          "pick = vehicle.rng.random() * total",
@@ -74,11 +74,6 @@ SEEDS = (
          "    _INHERITED = None  # 'drop the child's reference early'\n",
          "worker '_run_inherited_shard' rebinds module global "
          "'_INHERITED'"),
-    Seed("PA004", "geometry/rect.py", (),
-         "        return Rect(self.min_x + dx, self.min_y + dy,\n",
-         "        return Rect(self.min_x + dx, self.min_y + dy,"
-         "  # lint: allow=RL002\n",
-         "pragma debt for RL002 grew to 1 (ledger allows 0)"),
 )
 
 
@@ -88,9 +83,6 @@ def _copy_shipped(root, rel_paths):
         target = root / rel_path
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(source_root / rel_path, target)
-    # PA004 reads the ledger beside the root; every copy carries it.
-    shutil.copyfile(source_root.parents[1] / "lint_debt.json",
-                    root / "lint_debt.json")
     return root
 
 

@@ -3,10 +3,9 @@
 One regression test per float-comparison site the linter audit flagged
 (see docs/STATIC_ANALYSIS.md): sites migrated to ``feq``/``fzero`` must
 tolerate sub-epsilon noise, and sites that kept exact comparison — now
-spelled ``feq_exact``/``fzero_exact`` rather than a pragma, so the
-RL002 debt ledger sits at zero — must preserve their bit-exact
-semantics.  The motion-model wrap cases below are exactly what an
-epsilon test would have broken.
+spelled ``feq_exact``/``fzero_exact``, the only exact spelling RL002
+accepts — must preserve their bit-exact semantics.  The motion-model
+wrap cases below are exactly what an epsilon test would have broken.
 """
 
 import math

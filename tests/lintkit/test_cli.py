@@ -106,22 +106,3 @@ def test_empty_directory_exits_two(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert "no Python files to check" in capsys.readouterr().out
 
-
-def test_sarif_format(capsys):
-    code = main([str(FIXTURES / "rl006" / "bad"), "--rule", "RL006",
-                 "--format", "sarif"])
-    assert code == EXIT_FINDINGS
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-check"
-    # The catalogue lists every registered rule, not just fired ones.
-    rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert rule_ids == RL_RULE_IDS + PA_RULE_IDS
-    assert run["results"]
-    for result in run["results"]:
-        assert result["ruleId"] == "RL006"
-        assert result["level"] == "error"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] > 0
-        assert region["startColumn"] > 0

@@ -376,28 +376,30 @@ class TestCloseChecks:
 class TestFramedAccounting:
     """``verify_wire`` holds every frame to the bytes the transport
     charged; a drift is named in the connection's ERROR frame and
-    raised when the daemon closes."""
+    raised when the daemon closes.  The frames are checked after the
+    ``with`` block, so the close's raise cannot mask a failed check."""
 
     @staticmethod
-    def _exchange(sock_path, daemon, request_payload):
-        """HELLO and one REQUEST, then EOF; the frames sent back."""
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.settimeout(10.0)
-        client.connect(sock_path)
-        client.sendall(encode_frame(FrameKind.HELLO, encode_hello())
-                       + encode_frame(FrameKind.REQUEST, request_payload,
-                                      1.0))
-        client.shutdown(socket.SHUT_WR)
-        decoder, frames = FrameDecoder(), []
-        while True:
-            chunk = client.recv(1 << 16)
-            if not chunk:
-                client.close()
-                return frames
-            frames.extend(decoder.feed(chunk))
+    def _exchange(sock_path, daemon, request_payload, shut_wr=True):
+        """HELLO and one REQUEST, then EOF unless ``shut_wr`` is
+        false; the frames sent back until the daemon's EOF."""
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.settimeout(10.0)
+            client.connect(sock_path)
+            client.sendall(encode_frame(FrameKind.HELLO, encode_hello())
+                           + encode_frame(FrameKind.REQUEST,
+                                          request_payload, 1.0))
+            if shut_wr:
+                client.shutdown(socket.SHUT_WR)
+            decoder, frames = FrameDecoder(), []
+            while True:
+                chunk = client.recv(1 << 16)
+                if not chunk:
+                    return frames
+                frames.extend(decoder.feed(chunk))
 
-    def test_reply_whose_sized_entries_disagree_is_caught(
-            self, sock_path, monkeypatch):
+    @staticmethod
+    def _drift_replies(monkeypatch):
         """A reply encoder that slips in an entry nobody charged."""
         encode_reply = daemon_module.encode_reply
 
@@ -406,17 +408,42 @@ class TestFramedAccounting:
                                 sender, timestamp)
 
         monkeypatch.setattr(daemon_module, "encode_reply", drifting)
+
+    def test_reply_whose_sized_entries_disagree_is_caught(
+            self, sock_path, monkeypatch):
+        self._drift_replies(monkeypatch)
         daemon = make_daemon(verify_wire=True)
+        frames = None
         with pytest.raises(WireFidelityError,
                            match="framed reply accounting drift"):
             with DaemonThread(daemon, path=sock_path):
                 frames = self._exchange(
                     sock_path, daemon,
                     daemon.codec.encode_request(make_report()))
-                assert [frame.kind for frame in frames] \
-                    == [FrameKind.ERROR]
-                assert "framed reply accounting drift" \
-                    in decode_error(frames[0].payload)
+        assert frames is not None, "the exchange did not end"
+        assert [frame.kind for frame in frames] == [FrameKind.ERROR]
+        assert "framed reply accounting drift" \
+            in decode_error(frames[0].payload)
+
+    def test_drifting_reply_ends_its_connection_at_once(
+            self, sock_path, monkeypatch):
+        """A stop-and-wait client keeps its write side open: the ERROR
+        frame and the daemon's EOF come without the client's EOF, well
+        inside its 10 s read timeout."""
+        self._drift_replies(monkeypatch)
+        daemon = make_daemon(verify_wire=True)
+        frames = None
+        with pytest.raises(WireFidelityError,
+                           match="framed reply accounting drift"):
+            with DaemonThread(daemon, path=sock_path):
+                frames = self._exchange(
+                    sock_path, daemon,
+                    daemon.codec.encode_request(make_report()),
+                    shut_wr=False)
+        assert frames is not None, "the exchange did not end"
+        assert [frame.kind for frame in frames] == [FrameKind.ERROR]
+        assert "framed reply accounting drift" \
+            in decode_error(frames[0].payload)
 
     def test_request_sizing_that_drifts_from_the_frame_is_caught(
             self, sock_path, monkeypatch):
@@ -425,11 +452,12 @@ class TestFramedAccounting:
                             lambda codec, request:
                             size_of_request(codec, request) + 1)
         daemon = make_daemon(verify_wire=True)
+        frames = None
         with pytest.raises(WireFidelityError,
                            match="framed uplink accounting drift"):
             with DaemonThread(daemon, path=sock_path):
                 frames = self._exchange(
                     sock_path, daemon,
                     daemon.codec.encode_request(make_report()))
-                assert [frame.kind for frame in frames] \
-                    == [FrameKind.ERROR]
+        assert frames is not None, "the exchange did not end"
+        assert [frame.kind for frame in frames] == [FrameKind.ERROR]
