@@ -483,9 +483,9 @@ def install_random_alarms(registry: AlarmRegistry, universe: Rect,
     ``public_fraction`` of them public, the remainder split private:shared
     at ``private_to_shared_ratio`` (the paper's default is 10% public and
     2:1 private:shared).  Owners and shared-subscriber lists are drawn
-    uniformly from ``user_ids``.  Alarm regions are axis-aligned squares
-    with side uniform in ``[min_side_m, max_side_m]``, clipped to the
-    universe.
+    uniformly from ``user_ids``, which must be distinct.  Alarm regions
+    are axis-aligned squares with side uniform in ``[min_side_m,
+    max_side_m]``, clipped to the universe.
     """
     rng = random.Random(seed)
 
@@ -511,6 +511,10 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         raise ValueError("public_fraction must be in [0, 1]")
     if private_to_shared_ratio < 0:
         raise ValueError("private_to_shared_ratio must be non-negative")
+    position = {uid: at for at, uid in enumerate(user_ids)}
+    if len(position) != len(user_ids):
+        raise ValueError("user ids must be distinct")
+    others = len(user_ids) - 1  # subscriber pool: every user but the owner
     drafts: List[SpatialAlarm] = []
     private_share = (private_to_shared_ratio
                      / (1.0 + private_to_shared_ratio))
@@ -528,11 +532,15 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
             scope = AlarmScope.PRIVATE
         else:
             scope = AlarmScope.SHARED
-            pool = [uid for uid in user_ids if uid != owner]
-            if pool:
-                size = min(len(pool),
-                           rng.randint(1, max_shared_subscribers))
-                subscribers = rng.sample(pool, size)
+            if others:
+                size = min(others, rng.randint(1, max_shared_subscribers))
+                # ``sample`` reads its population by length and index
+                # only, so drawing positions of the pool and mapping
+                # them past the owner's slot draws the same subscribers
+                # as sampling a copy of the user list without the owner.
+                skip = position[owner]
+                subscribers = [user_ids[at + (at >= skip)]
+                               for at in rng.sample(range(others), size)]
             else:
                 subscribers = [owner]
         drafts.append(SpatialAlarm(len(drafts), clipped, scope, owner,

@@ -11,9 +11,13 @@ Three scale presets:
   for 10 simulated minutes.
 * ``PAPER``  — the paper's full scale (10,000 vehicles, one hour,
   10,000 alarms, ~1000 km^2): 36.01M location fixes, 61,660 expected
-  triggers.  Serial on 2 vCPUs the world builds in ~38 s and its ground
-  truth sweeps in ~18 s; MWPSR replays it in ~72 s and PBSR(h=5) in
-  ~76 s, peak RSS ~1.5 GB.
+  triggers.  Measured serial on 2 vCPUs with a tenth of the vehicles
+  (1,000 for one hour, 3.6M fixes): traces generate in ~3.1 s (0.85 us
+  a fix), the alarms install in ~0.2 s (also with all 10,000 users)
+  and the ground truth sweeps in ~2.2 s.  Scaled by ten, the full world
+  builds in ~31 s and its ground truth sweeps in ~22 s.  The replay
+  times, MWPSR ~72 s and PBSR(h=5) ~76 s at a peak RSS of ~1.5 GB, come
+  from an earlier full-scale run and were not re-measured.
 
 Worlds are memoized per (config, cell size): the expensive parts — map,
 traces, alarm installation and the ground-truth trigger scan — are built

@@ -505,40 +505,49 @@ class AlarmDaemon(_OwnedByOneThread):
         telemetry = self.server.telemetry
         started = time.perf_counter() if telemetry.enabled else 0.0
         parts: List[bytes] = []
-        for time_s, request, trace_id, span_id, enqueued in batch:
-            traced = telemetry.enabled and trace_id != 0
-            if traced:
-                # queue_wait: enqueue (reader) → this drain wakeup.
-                self._emit_server_span(telemetry, time_s, trace_id,
-                                       span_id, SPAN_QUEUE_WAIT,
-                                       enqueued)
-            handle_started = time.perf_counter() if traced else 0.0
-            reply = self._accounting.request(request, time_s)
-            if traced:
-                self._emit_server_span(telemetry, time_s, trace_id,
-                                       span_id, SPAN_HANDLE,
-                                       handle_started)
-            encode_started = time.perf_counter() if traced else 0.0
-            payload = encode_reply(self.codec, reply, request.user_id,
-                                   time_s)
-            if self._accounting.verify_wire:
-                _check_framed("reply", reply_summary(payload)[2], sum(
-                    self.codec.size_of_response(message)
-                    for message in reply
-                    if downlink_kind(message) is not None))
-            # The REPLY envelope echoes the request's trace pair so
-            # the client can correlate replies with its root spans.
-            parts.append(encode_frame(FrameKind.REPLY, payload, time_s,
-                                      trace_id, span_id))
-            if traced:
-                self._emit_server_span(telemetry, time_s, trace_id,
-                                       span_id, SPAN_REPLY_ENCODE,
-                                       encode_started)
+        failure: Optional[WireFidelityError] = None
+        try:
+            for time_s, request, trace_id, span_id, enqueued in batch:
+                traced = telemetry.enabled and trace_id != 0
+                if traced:
+                    # queue_wait: enqueue (reader) → this drain wakeup.
+                    self._emit_server_span(telemetry, time_s, trace_id,
+                                           span_id, SPAN_QUEUE_WAIT,
+                                           enqueued)
+                handle_started = time.perf_counter() if traced else 0.0
+                reply = self._accounting.request(request, time_s)
+                if traced:
+                    self._emit_server_span(telemetry, time_s, trace_id,
+                                           span_id, SPAN_HANDLE,
+                                           handle_started)
+                encode_started = time.perf_counter() if traced else 0.0
+                payload = encode_reply(self.codec, reply, request.user_id,
+                                       time_s)
+                if self._accounting.verify_wire:
+                    _check_framed("reply", reply_summary(payload)[2], sum(
+                        self.codec.size_of_response(message)
+                        for message in reply
+                        if downlink_kind(message) is not None))
+                # The REPLY envelope echoes the request's trace pair so
+                # the client can correlate replies with its root spans.
+                parts.append(encode_frame(FrameKind.REPLY, payload, time_s,
+                                          trace_id, span_id))
+                if traced:
+                    self._emit_server_span(telemetry, time_s, trace_id,
+                                           span_id, SPAN_REPLY_ENCODE,
+                                           encode_started)
+        except WireFidelityError as exc:
+            # The exchanges before the failing one were handled and
+            # charged: their replies go out ahead of the ERROR frame.
+            failure = exc
         try:
             writer.write(b"".join(parts))
             await writer.drain()
         except (ConnectionError, OSError):
-            return False
+            if failure is None:
+                return False
+        if failure is not None:
+            raise failure
         if telemetry.enabled:
             telemetry.net_batch(batch[0][0], conn_id, len(batch),
                                 (time.perf_counter() - started) * 1e6)

@@ -131,6 +131,8 @@ class TestRandomWorkload:
         with pytest.raises(ValueError):
             install_random_alarms(registry, UNIVERSE, 10, [1],
                                   public_fraction=1.5)
+        with pytest.raises(ValueError, match="distinct"):
+            install_random_alarms(registry, UNIVERSE, 10, [1, 2, 1])
 
 
 class TestRebuildIndex:

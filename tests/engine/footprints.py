@@ -54,7 +54,8 @@ def record_pushes(monkeypatch):
 
 
 def touching(log, step, regions):
-    """Users whose footprint just before ``step`` closed-intersects a region."""
+    """Users whose footprint just before ``step`` closed-intersects a
+    region."""
     return {user for user, footprints in log.items()
             if step - 1 < len(footprints)
             and footprints[step - 1] is not None

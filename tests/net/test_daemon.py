@@ -7,6 +7,7 @@ Every daemon here runs under the loop-stall sampler of
 """
 
 import asyncio
+import itertools
 import socket
 import time
 
@@ -380,15 +381,19 @@ class TestFramedAccounting:
     ``with`` block, so the close's raise cannot mask a failed check."""
 
     @staticmethod
-    def _exchange(sock_path, daemon, request_payload, shut_wr=True):
-        """HELLO and one REQUEST, then EOF unless ``shut_wr`` is
-        false; the frames sent back until the daemon's EOF."""
+    def _exchange(sock_path, daemon, *request_payloads, shut_wr=True):
+        """HELLO and the REQUESTs in one write, then EOF unless
+        ``shut_wr`` is false; the frames sent back until the daemon's
+        EOF."""
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
             client.settimeout(10.0)
             client.connect(sock_path)
             client.sendall(encode_frame(FrameKind.HELLO, encode_hello())
-                           + encode_frame(FrameKind.REQUEST,
-                                          request_payload, 1.0))
+                           + b"".join(
+                               encode_frame(FrameKind.REQUEST, payload,
+                                            1.0 + index)
+                               for index, payload
+                               in enumerate(request_payloads)))
             if shut_wr:
                 client.shutdown(socket.SHUT_WR)
             decoder, frames = FrameDecoder(), []
@@ -399,11 +404,15 @@ class TestFramedAccounting:
                 frames.extend(decoder.feed(chunk))
 
     @staticmethod
-    def _drift_replies(monkeypatch):
-        """A reply encoder that slips in an entry nobody charged."""
+    def _drift_replies(monkeypatch, faithful=0):
+        """A reply encoder that slips in an entry nobody charged, from
+        the reply after the first ``faithful`` ones."""
         encode_reply = daemon_module.encode_reply
+        calls = itertools.count()
 
         def drifting(codec, reply, sender, timestamp):
+            if next(calls) < faithful:
+                return encode_reply(codec, reply, sender, timestamp)
             return encode_reply(codec, reply + (InstallSafePeriod(9.0),),
                                 sender, timestamp)
 
@@ -444,6 +453,30 @@ class TestFramedAccounting:
         assert [frame.kind for frame in frames] == [FrameKind.ERROR]
         assert "framed reply accounting drift" \
             in decode_error(frames[0].payload)
+
+    def test_replies_drained_before_a_drifting_one_are_written(
+            self, sock_path, monkeypatch):
+        """Two REQUESTs in one write drain as one batch and the second
+        reply drifts.  The first exchange was handled and charged, so
+        its REPLY reaches the wire ahead of the ERROR frame."""
+        self._drift_replies(monkeypatch, faithful=1)
+        daemon = make_daemon(verify_wire=True)
+        frames = None
+        with pytest.raises(WireFidelityError,
+                           match="framed reply accounting drift"):
+            with DaemonThread(daemon, path=sock_path):
+                frames = self._exchange(
+                    sock_path, daemon,
+                    daemon.codec.encode_request(make_report(0)),
+                    daemon.codec.encode_request(make_report(1)))
+        assert frames is not None, "the exchange did not end"
+        assert [frame.kind for frame in frames] \
+            == [FrameKind.REPLY, FrameKind.ERROR]
+        assert "framed reply accounting drift" \
+            in decode_error(frames[1].payload)
+        # Each charged exchange is answered on the wire: by its REPLY,
+        # or, for the one that drifted, by the ERROR frame naming it.
+        assert daemon.server.metrics.uplink_messages == len(frames)
 
     def test_request_sizing_that_drifts_from_the_frame_is_caught(
             self, sock_path, monkeypatch):
