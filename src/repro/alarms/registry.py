@@ -28,8 +28,10 @@ subscriber) stays a filter over both answers.
 Install, remove and relocate touch the public tree or each audience
 member's list; :meth:`AlarmRegistry.install_all` and
 :meth:`AlarmRegistry.rebuild_index` STR-pack the tree and sort the lists
-once.  :attr:`AlarmRegistry.node_accesses` is the index's cost counter:
-public-tree nodes visited plus one per audience list searched.
+once.  :attr:`AlarmRegistry.stats` is the index's cost counter, the
+public tree's :class:`~repro.index.TreeStats`, whose ``node_accesses``
+the lists charge too: public-tree nodes visited plus one per audience
+list searched.
 :meth:`AlarmRegistry.validate` checks the whole partition.
 """
 
@@ -101,8 +103,10 @@ class AlarmRegistry:
 
     def __init__(self, max_tree_entries: int = 16) -> None:
         self._tree = RStarTree(max_entries=max_tree_entries)
+        #: The index's cost counter (see the module docstring): a plain
+        #: attribute, read twice per evaluated report.
+        self.stats = self._tree.stats
         self._lists: Dict[int, _AudienceList] = {}
-        self._list_probes = 0
         self._alarms: Dict[int, SpatialAlarm] = {}
         self._next_id = 0
         # mutation listeners: callback(alarm_id, old_region, new_region);
@@ -236,9 +240,9 @@ class AlarmRegistry:
                 members.setdefault(user_id, []).append(alarm)
         self._tree = RStarTree.bulk_load(public,
                                          max_entries=self._tree.max_entries)
+        self.stats = self._tree.stats
         self._lists = {user_id: _AudienceList(alarms)
                        for user_id, alarms in members.items()}
-        self._list_probes = 0
 
     # ------------------------------------------------------------------
     # Lookup
@@ -254,14 +258,9 @@ class AlarmRegistry:
 
     @property
     def tree(self) -> RStarTree:
-        """The public alarms' R*-tree (for cost accounting and tests)."""
+        """The public alarms' R*-tree (for tests).  Its ``stats`` are
+        :attr:`stats`, so its ``node_accesses`` count list probes too."""
         return self._tree
-
-    @property
-    def node_accesses(self) -> int:
-        """Index cost so far: public-tree nodes visited plus one per
-        audience list searched (the server's ``index_node_accesses``)."""
-        return self._tree.stats.node_accesses + self._list_probes
 
     def validate(self) -> None:
         """Check the whole index; raises ``AssertionError`` on breakage.
@@ -326,7 +325,7 @@ class AlarmRegistry:
                  for alarm_id in self._tree.search_interior_intersecting(rect)]
         own = self._lists.get(user_id)
         if own is not None:
-            self._list_probes += 1
+            self.stats.node_accesses += 1
             qx0, qy0, qx1, qy1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
             keys, reach = own.keys, own.reach
             low = bisect_left(keys, _floor(qx0, reach))
@@ -355,7 +354,7 @@ class AlarmRegistry:
         found = [alarms[alarm_id] for alarm_id in ids] if ids else []
         own = self._lists.get(user_id)
         if own is not None:
-            self._list_probes += 1
+            self.stats.node_accesses += 1
             px, py = position.x, position.y
             keys, reach = own.keys, own.reach
             low = bisect_left(keys, _floor(px, reach))
@@ -388,7 +387,7 @@ class AlarmRegistry:
         own = self._lists.get(user_id)
         if own is None:
             return best
-        self._list_probes += 1
+        self.stats.node_accesses += 1
         px, py = position.x, position.y
         keys, members, reach = own.keys, own.alarms, own.reach
         hypot = math.hypot

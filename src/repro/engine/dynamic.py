@@ -17,10 +17,12 @@ in front of it.  This module supplies the missing machinery:
   rectangle, a bitmap's or OPT list's cell — an installed region
   touches, or who locally hold a removed alarm; only a safe-period
   timer, whose bound is global, is woken by every relevant install;
-* :func:`run_dynamic_simulation`, the session with that mutation;
-* :func:`compute_dynamic_ground_truth`, the reference trigger set under
-  alarm lifetimes (an alarm can only fire while installed), swept once
-  per trace rather than queried once per fix.
+* :func:`run_dynamic_simulation`, the session with that mutation,
+  scored against the lifetimes of the change feed it recorded once;
+* :func:`compute_dynamic_ground_truth`, the same reference trigger set
+  under alarm lifetimes (an alarm can only fire while installed),
+  recorded and swept from scratch: once per trace rather than queried
+  once per fix.
 
 Invalidation is counted as one downlink push (header-sized) per client;
 see :func:`~repro.engine.simulation.replay_by_audience` for why the
@@ -166,5 +168,4 @@ def run_dynamic_simulation(world: World, strategy: "ProcessingStrategy",
     """Replay by audience with lifecycle actions and push invalidation."""
     return run_session(
         world, strategy, in_process_link,
-        mutation=functools.partial(ScheduleMutation, schedule),
-        ground_truth=lambda: compute_dynamic_ground_truth(world, schedule))
+        mutation=functools.partial(ScheduleMutation, schedule))

@@ -43,12 +43,21 @@ Lifetime = Tuple[SpatialAlarm, int, int]
 
 
 def _chunked(trace: Trace) -> _Chunks:
+    xs, ys = trace.xs, trace.ys
     chunks = []
-    for start in range(0, len(trace), CHUNK_SAMPLES):
-        xs = trace.xs[start:start + CHUNK_SAMPLES]
-        ys = trace.ys[start:start + CHUNK_SAMPLES]
-        chunks.append((min(xs), min(ys), max(xs), max(ys)))
+    for start in range(0, len(xs), CHUNK_SAMPLES):
+        chunk_xs = xs[start:start + CHUNK_SAMPLES]
+        chunk_ys = ys[start:start + CHUNK_SAMPLES]
+        chunks.append((min(chunk_xs), min(chunk_ys),
+                       max(chunk_xs), max(chunk_ys)))
     return chunks
+
+
+def _bounds(chunks: _Chunks) -> Rect:
+    """The trace's bounding box, as the box of its chunk boxes (the
+    columns are read once, by :func:`_chunked`)."""
+    min_xs, min_ys, max_xs, max_ys = zip(*chunks)
+    return Rect(min(min_xs), min(min_ys), max(max_xs), max(max_ys))
 
 
 def _first_inside(trace: Trace, chunks: _Chunks, region: Rect, begin: int,
@@ -83,7 +92,7 @@ def compute_ground_truth(registry: AlarmRegistry,
             continue
         chunks = _chunked(trace)
         for alarm in registry.relevant_intersecting(trace.vehicle_id,
-                                                    trace.bounding_rect()):
+                                                    _bounds(chunks)):
             hit = _first_inside(trace, chunks, alarm.region, 0, len(trace))
             if hit is not None:
                 expected[(trace.vehicle_id, alarm.alarm_id)] = hit
@@ -112,7 +121,7 @@ def sweep_lifetimes(lifetimes: Iterable[Lifetime],
         if not len(trace):
             continue
         chunks = _chunked(trace)
-        box = trace.bounding_rect()
+        box = _bounds(chunks)
         for alarm, begin, end in public + personal.get(trace.vehicle_id, []):
             if not alarm.region.interior_intersects(box):
                 continue

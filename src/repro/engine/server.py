@@ -85,14 +85,15 @@ class AlarmServer:
         telemetry = self.telemetry
         metrics = self.metrics
         registry = self.registry
-        accesses_before = registry.node_accesses
+        stats = registry.stats
+        accesses_before = stats.node_accesses
         started = time.perf_counter() if telemetry.enabled else 0.0
         try:
             triggered = registry.triggered_at(user_id, position,
                                               exclude_ids=fired)
         finally:
             metrics.index_node_accesses += (
-                registry.node_accesses - accesses_before)
+                stats.node_accesses - accesses_before)
         metrics.alarm_evaluations += 1
         if telemetry.enabled:
             telemetry.trigger_eval((time.perf_counter() - started) * 1e6)
@@ -189,13 +190,14 @@ class AlarmServer:
         run and a sharded one whose shards each fill a memo of their own.
         """
         telemetry = self.telemetry
-        accesses_before = self.registry.node_accesses
+        stats = self.registry.stats
+        accesses_before = stats.node_accesses
         started = time.perf_counter() if telemetry.enabled else 0.0
         try:
             yield
         finally:
             self.metrics.index_node_accesses += (
-                self.registry.node_accesses - accesses_before)
+                stats.node_accesses - accesses_before)
         self.metrics.safe_region_computations += 1
         if telemetry.enabled:
             telemetry.saferegion_computed(

@@ -203,7 +203,7 @@ class WorldMutation(Protocol):
 
 
 #: Binds a mutation to ``(private registry, sample interval)``: once for
-#: the replay and once for each change-feed recording
+#: the replay and once for its change-feed recording
 #: (:func:`record_changes`), each on a fresh clone.
 MutationFactory = Callable[[AlarmRegistry, float], WorldMutation]
 
@@ -405,12 +405,14 @@ def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
 def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
            traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
            telemetry: Telemetry = DISABLED,
-           mutation: Optional[MutationFactory] = None
+           mutation: Optional[Tuple[MutationFactory, ChangeFeed]] = None
            ) -> Tuple[Metrics, float]:
     """One server, one linked strategy, one loop: (metrics, wall time).
 
     The unscored core of every run: the world's whole trace set, or one
-    shard's slice in a parallel worker.
+    shard's slice in a parallel worker.  A mutating world comes with
+    the change feed :func:`record_changes` recorded for it, whose
+    audiences the loop wakes.
     """
     metrics = Metrics()
     server = AlarmServer(registry, grid, metrics, sizes=sizes,
@@ -423,11 +425,11 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
             if mutation is None:
                 replay_vehicle_major(strategy, traces)
             else:
-                audiences = record_changes(registry, traces,
-                                           mutation).audiences
+                factory, feed = mutation
                 replay_by_audience(
                     strategy, traces, server,
-                    mutation(registry, traces.sample_interval), audiences)
+                    factory(registry, traces.sample_interval),
+                    feed.audiences)
     finally:
         server.close()
     wall_time = time.perf_counter() - started
@@ -465,15 +467,26 @@ def run_session(world: World, strategy: "ProcessingStrategy",
 
     With a ``mutation`` the run works on a clone of the registry, so the
     (memoized) world is untouched: a mutation goes through the
-    registry's install/remove/relocate API on purpose.
+    registry's install/remove/relocate API on purpose.  Its change feed
+    is recorded once, before the replay: the loop wakes its audiences,
+    and unless ``ground_truth`` is given the run is scored against the
+    sweep of its lifetimes (:func:`sweep_lifetimes`, what
+    :func:`compute_mutating_ground_truth` returns for the same
+    mutation).
     """
     telemetry = telemetry if telemetry is not None else DISABLED
     registry = world.registry
+    changes: Optional[Tuple[MutationFactory, ChangeFeed]] = None
     if mutation is not None:
         registry = _clone_registry(registry)
+        feed = record_changes(registry, world.traces, mutation)
+        changes = (mutation, feed)
+        if ground_truth is None:
+            ground_truth = functools.partial(sweep_lifetimes,
+                                             feed.lifetimes, world.traces)
     metrics, wall_time = replay(
         registry, world.grid, world.sizes, world.traces, strategy, link,
-        telemetry=telemetry, mutation=mutation)
+        telemetry=telemetry, mutation=changes)
     return score_run(world, strategy.name, metrics, wall_time,
                      ground_truth=ground_truth)
 

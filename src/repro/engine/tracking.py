@@ -16,10 +16,12 @@ the distributed architecture handle the class instead:
   client for a public target, the owner and subscribers otherwise — and
   *push-invalidates* exactly those whose footprint the region left or
   the region reached touches;
-* :func:`run_tracking_simulation` is the session with that mutation;
-* :func:`compute_tracking_ground_truth` scores the run against the
-  moving reference, so the accuracy contract (zero misses, zero
-  spurious, on-time) is *verified*, not assumed, for every strategy.
+* :func:`run_tracking_simulation` is the session with that mutation,
+  scored against the moving reference, so the accuracy contract (zero
+  misses, zero spurious, on-time) is *verified*, not assumed, for every
+  strategy; the session sweeps the change feed it recorded once, and
+  :func:`compute_tracking_ground_truth` computes the same reference
+  from scratch.
 
 The economics are the interesting part (see
 ``tests/engine/test_tracking.py`` and EXPERIMENTS.md, "Mutating
@@ -115,5 +117,4 @@ def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
     """Replay by audience with per-step target moves and invalidation."""
     return run_session(
         world, strategy, in_process_link, telemetry=telemetry,
-        mutation=functools.partial(TrackMutation, tracks),
-        ground_truth=lambda: compute_tracking_ground_truth(world, tracks))
+        mutation=functools.partial(TrackMutation, tracks))

@@ -67,8 +67,9 @@ _SENTINEL = None
 
 #: One queued uplink: (envelope simulation time, decoded request,
 #: trace id, client span id, enqueue ``perf_counter`` reading).  The
-#: trace pair is 0/0 for untraced uplinks; the perf reading feeds the
-#: ``queue_wait`` span when the drain worker picks the request up.
+#: trace pair is 0/0 for untraced uplinks; the perf reading, taken
+#: only for a traced one (else 0.0), feeds the ``queue_wait`` span
+#: when the drain worker picks the request up.
 _QueuedRequest = Tuple[float, Request, int, int, float]
 
 #: What a DaemonThread's loop thread publishes once bound: its running
@@ -360,7 +361,8 @@ class AlarmDaemon(_OwnedByOneThread):
                         requests += 1
                         item: _QueuedRequest = (
                             frame.time_s, request, frame.trace_id,
-                            frame.span_id, time.perf_counter())
+                            frame.span_id,
+                            time.perf_counter() if traced else 0.0)
                         try:
                             # Fast path: space available, no await.
                             queue.put_nowait(item)

@@ -206,9 +206,10 @@ def encode_location(report: Request) -> bytes:
 def decode_location(payload: bytes) -> Request:
     """Decode an uplink report (exit flag selects the request type)."""
     user_id, sequence, x, y, heading, speed = _UPLINK.unpack(payload)
-    cls = RegionExitReport if sequence & EXIT_FLAG else LocationReport
-    return cls(user_id=user_id, sequence=sequence & ~EXIT_FLAG,
-               position=Point(x, y), heading=heading, speed=speed)
+    if sequence & EXIT_FLAG:
+        return RegionExitReport(user_id, sequence & ~EXIT_FLAG,
+                                Point(x, y), heading, speed)
+    return LocationReport(user_id, sequence, Point(x, y), heading, speed)
 
 
 def length_escape_size(payload_length: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.alarms import AlarmScope
 from repro.engine import (AlarmSchedule, InstallAction, RemoveAction,
-                          compute_dynamic_ground_truth)
+                          compute_dynamic_ground_truth, simulation)
 from repro.geometry import Rect
 from repro.saferegion import MWPSRComputer, PBSRComputer
 from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
@@ -100,6 +100,33 @@ class TestSchedule:
     def test_unknown_action_rejected(self):
         with pytest.raises(TypeError):
             AlarmSchedule(["not an action"])
+
+
+class TestOneChangeFeed:
+    def test_a_run_records_its_feed_once_and_scores_against_it(
+            self, world, monkeypatch):
+        """The replay and the scoring share one recording, and what is
+        scored against is the public oracle's trigger set."""
+        recorded = []
+        record = simulation.record_changes
+
+        def counting(*args):
+            feed = record(*args)
+            recorded.append(feed)
+            return feed
+
+        monkeypatch.setattr(simulation, "record_changes", counting)
+        schedule = AlarmSchedule(crossing_installs(world) + [
+            RemoveAction(70.0, install_index=0),
+            RemoveAction(80.0, alarm_id=1)])
+        result = run_dynamic_simulation(
+            world, RectangularSafeRegionStrategy(MWPSRComputer()), schedule)
+        assert len(recorded) == 1
+        monkeypatch.undo()
+        expected = compute_dynamic_ground_truth(world, schedule)
+        assert result.accuracy.perfect
+        assert result.accuracy.expected == len(expected) > 0
+        assert result.accuracy.delivered == len(expected)
 
 
 class TestDynamicGroundTruth:

@@ -749,10 +749,12 @@ def mutant_session(shipped, mutated, monkeypatch):
                          ids=[row[0] for row in LOOP_SLIPS])
 def test_seeded_loop_slip_is_caught(what, shipped, mutated, shipped_clients,
                                     monkeypatch):
-    """Every engine front replays through the slipped session's
-    ``replay``; the per-fix references keep the shipped ``_stale``."""
-    monkeypatch.setattr(session, "replay",
-                        mutant_session(shipped, mutated, monkeypatch).replay)
+    """Every engine front records its change feed and replays through
+    the slipped session's ``record_changes`` and ``replay``; the per-fix
+    references keep the shipped ``_stale``."""
+    mutant = mutant_session(shipped, mutated, monkeypatch)
+    monkeypatch.setattr(session, "record_changes", mutant.record_changes)
+    monkeypatch.setattr(session, "replay", mutant.replay)
     with pytest.raises(AssertionError):
         for name in STRATEGY_NAMES:
             for kind in FIXED_KINDS[1:]:

@@ -7,8 +7,8 @@ live on here as the oracle:
 * ``_least_overlap_child`` (plain floats, early exit);
 * ``_adjust_upward`` (stops at the first unchanged ancestor rectangle
   instead of refreshing every rectangle up to the root);
-* ``search_containing`` (descends internal nodes by x-slab table instead
-  of scanning their entries).
+* ``search_containing`` (reads every node's x-slab table, a leaf's
+  included, instead of scanning its entries).
 
 Two trees fed the same insert/delete sequence — one shipped, one built
 and queried by the oracle — must come out identical node for node,
@@ -16,7 +16,8 @@ entry for entry, with equal split/reinsert/access counters.  After every
 operation both are asked for the items containing the edges and corners
 of entries and random points, closed and interior: the same items, as
 multisets, for the same node accesses; then the shipped tree validates,
-cached slab tables included.  The two long seeded replays probe every
+cached slab tables included (a delete that left its leaf's table stale
+fails there).  The two long seeded replays probe every
 ``examples(16, 1)``-th operation and the last one; ``REPRO_DEEP=1``
 probes every operation (``tests/budget.py``).
 """
@@ -275,3 +276,50 @@ def test_validate_rejects_a_stale_slab_table():
     tree._root.slabs = (edges, [()] * len(slabs))
     with pytest.raises(AssertionError, match="stale slab table"):
         tree.validate()
+
+
+def test_validate_rejects_a_stale_leaf_slab_table():
+    """The same at a leaf: a query caches its table, and a table that
+    no longer matches the leaf's entries fails ``validate``."""
+    tree = RStarTree(max_entries=4)
+    for serial in range(40):
+        x = float(serial % 7 * 10)
+        y = float(serial // 7 * 10)
+        tree.insert(serial, Rect(x, y, x + 12.0, y + 12.0))
+    point = Point(31.0, 23.0)
+    expected = sorted(reference_search_containing(tree, point))
+    assert sorted(tree.search_containing(point)) == expected
+    tree.validate()
+    leaves = [node for node in iter_nodes(tree) if node.leaf]
+    cached = [leaf for leaf in leaves if leaf.slabs is not None]
+    assert cached and len(cached) < len(leaves)  # built lazily
+    leaf = cached[0]
+    edges, slabs = leaf.slabs
+    leaf.slabs = (edges, [()] * len(slabs))
+    with pytest.raises(AssertionError, match="stale slab table"):
+        tree.validate()
+
+
+def test_delete_clears_its_leafs_slab_table():
+    """A delete that leaves its leaf full enough keeps the leaf, whose
+    cached table must go with the entry."""
+    tree = RStarTree(max_entries=4)
+    boxes = {serial: Rect(float(serial), 0.0, serial + 10.0, 10.0)
+             for serial in range(4)}
+    for serial, box in boxes.items():
+        tree.insert(serial, box)
+    point = Point(9.5, 5.0)
+    assert sorted(tree.search_containing(point)) == [0, 1, 2, 3]
+    assert tree._root.leaf and tree._root.slabs is not None
+    assert tree.delete(3, boxes[3])
+    tree.validate()
+    assert sorted(tree.search_containing(point)) == [0, 1, 2]
+
+
+def iter_nodes(tree):
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.leaf:
+            stack.extend(entry.child for entry in node.entries)

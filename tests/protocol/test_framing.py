@@ -2,10 +2,13 @@
 
 The decoder's contract is byte-boundary independence: however a
 stream of encoded frames is split into read chunks — including one
-byte at a time — the decoder yields the identical frame sequence.
-Hypothesis drives the frame contents and the split points; dedicated
-cases pin the rejection paths (bad magic, unknown kind, oversize
-length, truncated stream, trailing garbage).
+byte at a time — the decoder yields the identical frame sequence, and
+a consumer that stops early leaves exactly the frames it did not take
+buffered.  Hypothesis drives the frame contents and the split points;
+dedicated cases pin the rejection paths (bad magic, unknown kind,
+oversize length, truncated stream, trailing garbage).  The example
+budgets go through ``tests/budget.py``: ``REPRO_DEEP=1`` draws five
+times as many.
 """
 
 import struct
@@ -27,6 +30,7 @@ from repro.protocol.framing import (FRAME_HEADER_SIZE, FRAME_MAGIC,
 from repro.protocol.messages import (AlarmNotification, InstallSafePeriod,
                                      InstallSafeRegion, LocationReport)
 from repro.protocol.wire import WireCodec
+from ..budget import examples
 
 kinds = st.sampled_from(list(FrameKind))
 payloads = st.binary(min_size=0, max_size=200)
@@ -54,7 +58,7 @@ def feed_in_chunks(decoder, data, cuts):
 
 class TestRoundTrip:
     @given(frame_list=st.lists(frames, max_size=6), data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200, 1000), deadline=None)
     def test_any_chunking_yields_the_same_frames(self, frame_list, data):
         stream = b"".join(encode_frame(f.kind, f.payload, f.time_s)
                           for f in frame_list)
@@ -67,7 +71,7 @@ class TestRoundTrip:
         assert decoded == frame_list
 
     @given(frame=frames)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100, 500), deadline=None)
     def test_single_byte_feeds(self, frame):
         """The worst split — every byte its own read — still decodes."""
         stream = encode_frame(frame.kind, frame.payload, frame.time_s)
@@ -79,6 +83,36 @@ class TestRoundTrip:
             assert bool(decoded) == (index == len(stream) - 1)
         decoder.finish()
         assert decoded == [frame]
+
+    @given(frame_list=st.lists(frames, min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=examples(200, 1000), deadline=None)
+    def test_a_consumer_that_stops_early_leaves_the_rest_buffered(
+            self, frame_list, data):
+        """Stopping after ``taken`` frames keeps exactly the bytes of the
+        frames not taken (and of any incomplete tail) buffered; feeding
+        the rest of the stream yields the remaining frames."""
+        encoded = [encode_frame(f.kind, f.payload, f.time_s)
+                   for f in frame_list]
+        stream = b"".join(encoded)
+        cut = data.draw(st.integers(min_value=0, max_value=len(stream)))
+        taken = data.draw(st.integers(min_value=0,
+                                      max_value=len(frame_list)))
+        complete = 0
+        while (complete < len(encoded)
+               and len(b"".join(encoded[:complete + 1])) <= cut):
+            complete += 1
+        taken = min(taken, complete)
+        decoder = FrameDecoder()
+        iterator = decoder.frames(stream[:cut])
+        first = [next(iterator) for _ in range(taken)]
+        iterator.close()
+        assert first == frame_list[:taken]
+        consumed = len(b"".join(encoded[:taken]))
+        assert decoder.buffered == cut - consumed
+        rest = decoder.feed(stream[cut:])
+        decoder.finish()
+        assert first + rest == frame_list
 
     def test_split_at_every_boundary_of_a_two_frame_stream(self):
         first = encode_frame(FrameKind.REQUEST, b"x" * 32, 12.5)
@@ -120,18 +154,20 @@ class TestRejection:
         chunk completes ahead of a bad header are yielded before the
         header raises."""
         hello = encode_frame(FrameKind.HELLO, encode_hello())
-        frames = FrameDecoder().frames(hello + hello + b"\x00" * 32)
+        decoder = FrameDecoder()
+        frames = decoder.frames(hello + hello + b"\x00" * 32)
         assert [next(frames).kind, next(frames).kind] \
             == [FrameKind.HELLO, FrameKind.HELLO]
         with pytest.raises(FramingError, match="magic"):
             next(frames)
+        assert decoder.buffered == 32  # the frames served are dropped
 
     def test_encode_rejects_oversized_payload(self):
         with pytest.raises(FramingError, match="cap"):
             encode_frame(FrameKind.PUSH, b"\0" * (MAX_FRAME_PAYLOAD + 1))
 
     @given(cut=st.integers(min_value=1, max_value=63))
-    @settings(max_examples=63, deadline=None)
+    @settings(max_examples=examples(63, 315), deadline=None)
     def test_truncated_stream_raises_on_finish(self, cut):
         stream = encode_frame(FrameKind.REQUEST, b"z" * 32)
         assert len(stream) == FRAME_HEADER_SIZE + 32
@@ -142,7 +178,7 @@ class TestRejection:
             decoder.finish()
 
     @given(garbage=st.binary(min_size=FRAME_HEADER_SIZE, max_size=64))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100, 500), deadline=None)
     def test_garbage_never_yields_frames_silently(self, garbage):
         """Random bytes either raise or stay buffered as an incomplete
         frame — a full garbage 'frame' can only surface if it happens
@@ -206,6 +242,7 @@ class TestReplyBatches:
 
     def test_empty_reply(self):
         payload = encode_reply(self.codec, (), sender=0, timestamp=0.0)
+        assert payload == struct.pack("<H", 0)
         assert decode_reply(self.codec, payload) == ()
         assert reply_summary(payload) == (0, 0, 0)
 
@@ -274,7 +311,7 @@ class TestTraceEnvelope:
     @given(kind=kinds, payload=payloads, time_s=times,
            trace_id=st.integers(min_value=0, max_value=2 ** 64 - 1),
            span_id=st.integers(min_value=0, max_value=2 ** 64 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150, 750), deadline=None)
     def test_trace_pair_roundtrips(self, kind, payload, time_s,
                                    trace_id, span_id):
         stream = encode_frame(kind, payload, time_s, trace_id, span_id)
