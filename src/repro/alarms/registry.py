@@ -28,10 +28,10 @@ subscriber) stays a filter over both answers.
 Install, remove and relocate touch the public tree or each audience
 member's list; :meth:`AlarmRegistry.install_all` and
 :meth:`AlarmRegistry.rebuild_index` STR-pack the tree and sort the lists
-once.  :attr:`AlarmRegistry.stats` is the index's cost counter, the
-public tree's :class:`~repro.index.TreeStats`, whose ``node_accesses``
-the lists charge too: public-tree nodes visited plus one per audience
-list searched.
+once.  :attr:`AlarmRegistry.stats` is the index's cost counter, one
+:class:`~repro.index.TreeStats` that every public tree the registry
+builds is handed and whose ``node_accesses`` the lists charge too:
+public-tree nodes visited plus one per audience list searched.
 :meth:`AlarmRegistry.validate` checks the whole partition.
 """
 
@@ -46,7 +46,7 @@ from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Sequence)
 
 from ..geometry import Point, Rect
-from ..index import RStarTree
+from ..index import RStarTree, TreeStats
 from .alarm import AlarmScope, SpatialAlarm
 
 #: Relative margin (of ``|x| + span``) by which :func:`_floor` lowers
@@ -102,10 +102,11 @@ class AlarmRegistry:
     """Server-side store of installed spatial alarms."""
 
     def __init__(self, max_tree_entries: int = 16) -> None:
-        self._tree = RStarTree(max_entries=max_tree_entries)
-        #: The index's cost counter (see the module docstring): a plain
-        #: attribute, read twice per evaluated report.
-        self.stats = self._tree.stats
+        #: The index's cost counter (see the module docstring): one
+        #: object for the registry's lifetime, handed to every tree it
+        #: builds; a plain attribute, read twice per evaluated report.
+        self.stats = TreeStats()
+        self._tree = self._charging(RStarTree(max_entries=max_tree_entries))
         self._lists: Dict[int, _AudienceList] = {}
         self._alarms: Dict[int, SpatialAlarm] = {}
         self._next_id = 0
@@ -238,11 +239,16 @@ class AlarmRegistry:
                 continue
             for user_id in alarm.subscriber_set(frozenset()):
                 members.setdefault(user_id, []).append(alarm)
-        self._tree = RStarTree.bulk_load(public,
-                                         max_entries=self._tree.max_entries)
-        self.stats = self._tree.stats
+        self.stats.reset()
+        self._tree = self._charging(RStarTree.bulk_load(
+            public, max_entries=self._tree.max_entries))
         self._lists = {user_id: _AudienceList(alarms)
                        for user_id, alarms in members.items()}
+
+    def _charging(self, tree: RStarTree) -> RStarTree:
+        """``tree``, made to charge its node visits to :attr:`stats`."""
+        tree.stats = self.stats
+        return tree
 
     # ------------------------------------------------------------------
     # Lookup

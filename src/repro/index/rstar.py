@@ -67,7 +67,13 @@ MIN_FILL_FRACTION = 0.4
 
 @dataclass
 class TreeStats:
-    """Deterministic operation counters for the cost model."""
+    """Deterministic operation counters for the cost model.
+
+    A tree's owner may hand the tree a counter it charges itself: the
+    alarm registry shares one with its public tree and adds a node
+    access per audience list it searches, so there ``node_accesses``
+    is the whole index's cost, not the tree's nodes alone.
+    """
 
     node_accesses: int = 0
     splits: int = 0

@@ -148,22 +148,24 @@ class FrameDecoder:
     recoverable past a framing violation.  Call :meth:`finish` at
     end-of-stream to distinguish a clean close from a mid-frame one.
 
-    The buffer is an immutable ``bytes``: a chunk that arrives with
-    nothing buffered is walked in place, each payload is one slice, and
-    the consumed prefix is dropped once per chunk.  A payload that
-    spans many reads is re-joined per read, at most about 8 MiB of
-    copying for a frame at the 1 MiB cap in 64 KiB reads.
+    The buffer is a ``bytearray`` grown in place, so a frame assembled
+    from many reads costs time linear in its size, whoever picks the
+    read size.  ``_offset`` marks the first byte not yet yielded: the
+    walk moves it frame by frame, copies each payload out as ``bytes``,
+    and drops the consumed prefix once, when it ends.
     """
 
-    __slots__ = ("_buffer",)
+    __slots__ = ("_buffer", "_offset")
 
     def __init__(self) -> None:
-        self._buffer = b""
+        self._buffer = bytearray()
+        self._offset = 0
 
     @property
     def buffered(self) -> int:
-        """Bytes held waiting for the rest of an incomplete frame."""
-        return len(self._buffer)
+        """Bytes not yet taken as frames: an incomplete frame's, and
+        those of any frame a stopped walk did not reach."""
+        return len(self._buffer) - self._offset
 
     def feed(self, data: bytes) -> List[Frame]:
         """Absorb one chunk; return the frames it completed."""
@@ -176,28 +178,33 @@ class FrameDecoder:
         so a consumer acts on every frame that preceded the violation
         (the daemon serves them before it answers with ERROR).  A
         consumer that stops early leaves every frame it did not take
-        buffered, once the iterator is closed or dropped; take one
-        chunk's frames before feeding the next.
+        buffered for the next walk.
         """
         self._buffer += data
         return self._walk()
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary."""
-        if self._buffer:
+        if self.buffered:
             raise TruncatedFrameError(
                 "stream ended mid-frame with %d buffered byte(s)"
-                % len(self._buffer))
+                % self.buffered)
 
     def _walk(self) -> Iterator[Frame]:
-        """Yield the buffer's complete frames, walking it by offset."""
+        """Yield the buffer's complete frames from ``_offset`` on.
+
+        The offset lives on the decoder, not in the walk, so walks that
+        overlap (one left open while the next chunk is fed) still take
+        each frame once, in stream order.
+        """
         buffer = self._buffer
-        size = len(buffer)
-        offset = 0
         unpack = _FRAME_HEADER.unpack_from
         kinds = _FRAME_KINDS
         try:
-            while size - offset >= FRAME_HEADER_SIZE:
+            while True:
+                offset = self._offset
+                if len(buffer) - offset < FRAME_HEADER_SIZE:
+                    return
                 (magic, kind, _, length, time_s, trace_id,
                  span_id) = unpack(buffer, offset)
                 if magic != FRAME_MAGIC:
@@ -213,14 +220,15 @@ class FrameDecoder:
                         "%d-byte cap" % (length, MAX_FRAME_PAYLOAD))
                 start = offset + FRAME_HEADER_SIZE
                 end = start + length
-                if end > size:
-                    break
-                offset = end
-                yield Frame(frame_kind, time_s, buffer[start:end],
+                if end > len(buffer):
+                    return
+                self._offset = end
+                yield Frame(frame_kind, time_s, bytes(buffer[start:end]),
                             trace_id, span_id)
         finally:
-            if offset:
-                self._buffer = buffer[offset:]
+            if self._offset:
+                del buffer[:self._offset]
+                self._offset = 0
 
 
 # ----------------------------------------------------------------------

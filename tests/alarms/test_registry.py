@@ -158,6 +158,35 @@ class TestRebuildIndex:
         assert registry.remove(alarm.alarm_id)
         registry.validate()
 
+    def test_every_tree_charges_the_one_counter(self):
+        """The cost counter is one object for the registry's lifetime:
+        the tree a rebuild packs charges it, the lists charge it, and
+        the rebuild resets it with the new index."""
+        registry = AlarmRegistry()
+        counter = registry.stats
+        install_random_alarms(registry, UNIVERSE, 300, list(range(10)),
+                              seed=7)
+        registry.triggered_at(3, Point(5000, 5000))
+        assert counter.node_accesses > 0
+        registry.rebuild_index()
+        assert registry.stats is counter
+        assert registry.tree.stats is counter
+        assert (counter.node_accesses, counter.splits,
+                counter.reinserts) == (0, 0, 0)
+        has_list = any(alarm.scope is not AlarmScope.PUBLIC
+                       and 3 in alarm.subscriber_set(frozenset())
+                       for alarm in registry.all_alarms())
+        assert has_list
+        for k in range(40):
+            point = Point(137.0 * k % 10000, 211.0 * k % 10000)
+            before = counter.node_accesses
+            registry.tree.search_containing(point, interior=True)
+            tree_charge = counter.node_accesses - before
+            before = counter.node_accesses
+            registry.triggered_at(3, point)
+            # the same tree nodes again, plus one probe of user 3's list
+            assert counter.node_accesses - before == tree_charge + 1
+
 
 def drafts(count, seed=0, users=8):
     """A mixed-scope population as ``install_all`` takes it (ids unset)."""

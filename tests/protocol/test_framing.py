@@ -12,6 +12,7 @@ times as many.
 """
 
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,51 @@ class TestRoundTrip:
         rest = decoder.feed(stream[cut:])
         decoder.finish()
         assert first + rest == frame_list
+
+    @given(frame_list=st.lists(frames, min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=examples(200, 1000), deadline=None)
+    def test_bytes_fed_while_a_walk_is_open_are_kept(self, frame_list,
+                                                     data):
+        """A walk left open across the next feed loses nothing and
+        repeats nothing, whether it is closed before or after the next
+        walk runs: every frame comes out once, in stream order."""
+        stream = b"".join(encode_frame(f.kind, f.payload, f.time_s)
+                          for f in frame_list)
+        cut = data.draw(st.integers(min_value=0, max_value=len(stream)))
+        taken = data.draw(st.integers(min_value=0, max_value=6))
+        close_first = data.draw(st.booleans())
+        decoder = FrameDecoder()
+        first = decoder.frames(stream[:cut])
+        decoded = [frame for _, frame in zip(range(taken), first)]
+        second = decoder.frames(stream[cut:])
+        if close_first:
+            first.close()
+        decoded.extend(second)
+        decoded.extend(first)   # whatever the open walk still reaches
+        decoder.finish()
+        assert decoded == frame_list
+
+    def test_a_frame_spread_over_many_reads_costs_linear_time(self):
+        """Assembling a frame from small reads does work proportional to
+        its size: a frame four times larger, read in the same small
+        chunks, takes about four times as long, not sixteen (as
+        re-joining the whole buffer on every read would)."""
+        def assemble(size):
+            stream = encode_frame(FrameKind.REQUEST, bytes(size))
+            decoder = FrameDecoder()
+            started = time.perf_counter()
+            decoded = []
+            for at in range(0, len(stream), 64):
+                decoded.extend(decoder.frames(stream[at:at + 64]))
+            elapsed = time.perf_counter() - started
+            assert len(decoded) == 1 and decoder.buffered == 0
+            return elapsed
+
+        small = MAX_FRAME_PAYLOAD // 4
+        ratio = min(assemble(MAX_FRAME_PAYLOAD) / assemble(small)
+                    for _ in range(3))
+        assert ratio < 8.0, ratio
 
     def test_split_at_every_boundary_of_a_two_frame_stream(self):
         first = encode_frame(FrameKind.REQUEST, b"x" * 32, 12.5)

@@ -6,8 +6,7 @@ import pytest
 
 from repro.alarms import AlarmScope
 from repro.engine import run_simulation
-from repro.engine.simulation import (compute_mutating_ground_truth,
-                                     in_process_link, run_session)
+from repro.engine.simulation import in_process_link, run_session
 from repro.geometry import Rect
 from repro.protocol.handlers import ServerPolicy
 from repro.protocol.messages import InstallSafeRegion
@@ -171,9 +170,7 @@ class TestCustomMutationSnippet:
         growing = functools.partial(GrowingZone, alarm_id, 50.0)
         result = run_session(
             world, RectangularSafeRegionStrategy(MWPSRComputer()),
-            in_process_link, mutation=growing,
-            ground_truth=lambda: compute_mutating_ground_truth(world,
-                                                               growing))
+            in_process_link, mutation=growing)
         assert result.accuracy.perfect
         assert result.metrics.downlink_messages > \
             result.metrics.safe_region_computations  # pushes happened
