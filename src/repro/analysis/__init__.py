@@ -1,15 +1,14 @@
-"""Static checking of the repro codebase: one framework, 7 rules.
+"""Static checking of the repro codebase: one framework, 6 rules.
 
 The client/server protocol and the sharded engine's determinism
 guarantee rest on invariants ordinary tooling cannot see.  This
-package parses the source tree once into a
-:class:`~repro.analysis.model.ProjectModel` and runs every rule over
-it: the file-local invariants RL002-RL004 and RL006-RL008 (tolerant
+package parses every file of the source tree once
+(:func:`~repro.analysis.model.parse_tree`) and hands each module to
+every rule, one file at a time: RL002-RL004 and RL006-RL008 (tolerant
 float comparison, seeded randomness, fork safety, no wall clock, no
-``print``, the protocol boundary) and the whole-program contract PA003
-(cross-module fork safety).  Every finding is reported: none can be
-suppressed, so a finding is fixed or the rule changes.  Runnable as
-``python -m repro check``.
+``print``, the protocol boundary).  No rule reads across files.  Every
+finding is reported: none can be suppressed, so a finding is fixed or
+the rule changes.  Runnable as ``python -m repro check``.
 
 The missing ids are retired: a guard that holds at every site (a
 frozen type, an abstract base, a check inside every codec or daemon
@@ -17,14 +16,15 @@ close, the daemon's dispatch through the session table, the daemon
 objects' refusal of writes from a thread other than their owner's, the
 telemetry registry's and tracer's refusal of an undeclared name, the
 test harness's blocking-call guard on every daemon loop and its
-resource warnings as errors) enforces each.  See
+resource warnings as errors, the fork-worker test and the spawn
+differential run of the sharded engine) enforces each.  See
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the retired rules
 and their guards, and the guide to adding a rule.
 """
 
 from .base import ALL_RULES, Rule, get_rule, rule
 from .diagnostics import Diagnostic
-from .model import AnalysisError, ModuleInfo, ProjectModel
+from .model import AnalysisError, ModuleInfo, parse_tree
 from .runner import Report, run_analysis
 
 __all__ = [
@@ -32,10 +32,10 @@ __all__ = [
     "AnalysisError",
     "Diagnostic",
     "ModuleInfo",
-    "ProjectModel",
     "Report",
     "Rule",
     "get_rule",
+    "parse_tree",
     "rule",
     "run_analysis",
 ]

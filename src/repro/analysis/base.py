@@ -1,16 +1,11 @@
 """Rule plumbing: the one base class and the one registry.
 
-A rule is a small class with a stable id (``RLnnn`` for the file-local
-invariants, ``PAnnn`` for the whole-program contracts — diagnostics
-and the ``--rule`` selector refer to rules by this id), a docstring
-stating the invariant it enforces, and one of two hooks:
-
-* a *file-local* rule overrides :meth:`Rule.check_module` and may
-  narrow itself to package-relative path prefixes with ``scopes`` /
-  ``exempt_files``; the base :meth:`Rule.check` walks the model's
-  modules through :meth:`Rule.applies_to`;
-* a *whole-program* rule overrides :meth:`Rule.check` and reads
-  whatever it needs from the :class:`~repro.analysis.model.ProjectModel`.
+A rule is a small class with a stable id (``RLnnn`` — diagnostics and
+the ``--rule`` selector refer to rules by this id), a docstring stating
+the invariant it enforces, and one hook, :meth:`Rule.check_module`,
+which reads one parsed module at a time.  A rule may narrow itself to
+package-relative path prefixes with ``scopes`` / ``exempt_files``; the
+runner skips the modules :meth:`Rule.applies_to` declines.
 
 Registration happens at import time through :func:`rule`;
 ``rules/__init__`` imports every rule module so importing
@@ -23,18 +18,18 @@ import ast
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from .diagnostics import Diagnostic
-from .model import ModuleInfo, ProjectModel
+from .model import ModuleInfo
 
 
 class Rule:
     """Base class for one named invariant check."""
 
-    #: Stable identifier, ``RLnnn`` or ``PAnnn``.
+    #: Stable identifier, ``RLnnn``.
     rule_id: str = ""
     #: One-line human title shown in listings (``"slug: description"``).
     title: str = ""
-    #: Root-relative directory prefixes (POSIX) a file-local rule
-    #: applies to; ``None`` applies everywhere.  A file matches when its
+    #: Root-relative directory prefixes (POSIX) the rule applies to;
+    #: ``None`` applies everywhere.  A file matches when its
     #: ``rel_path`` starts with ``prefix + "/"`` or equals the prefix.
     scopes: Optional[Tuple[str, ...]] = None
     #: Root-relative file paths exempt from the rule even in scope.
@@ -49,14 +44,8 @@ class Rule:
         return any(rel_path == scope or rel_path.startswith(scope + "/")
                    for scope in self.scopes)
 
-    def check(self, model: ProjectModel) -> Iterator[Diagnostic]:
-        """Yield every violation of this rule in the model."""
-        for module in model.iter_modules():
-            if self.applies_to(module.rel_path):
-                yield from self.check_module(module)
-
     def check_module(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        """Yield every violation of a file-local rule in ``module``."""
+        """Yield every violation of this rule in ``module``."""
         raise NotImplementedError
 
     def diagnostic(self, module: ModuleInfo, node: Optional[ast.AST],
@@ -89,11 +78,9 @@ def get_rule(rule_id: str) -> Type[Rule]:
 
 
 def ALL_RULES() -> List[Type[Rule]]:
-    """All registered rule classes: the RL rules, then PA, by number."""
+    """All registered rule classes, by id."""
     _ensure_rules_loaded()
-    return [_REGISTRY[rule_id] for rule_id in sorted(
-        _REGISTRY, key=lambda rule_id: (not rule_id.startswith("RL"),
-                                        rule_id))]
+    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
 def _ensure_rules_loaded() -> None:

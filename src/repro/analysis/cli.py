@@ -70,8 +70,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description="Static checker for the repro codebase: file-local "
-                    "invariants and whole-program contracts "
-                    "(see docs/STATIC_ANALYSIS.md)")
+                    "invariants (see docs/STATIC_ANALYSIS.md)")
     add_check_arguments(parser)
     return run_check_command(parser.parse_args(argv))
 

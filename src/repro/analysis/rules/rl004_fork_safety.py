@@ -25,17 +25,96 @@ sanctioned alternative: every worker builds its own instances.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Tuple
+from typing import Iterator, List, Set, Tuple, Union
 
 from ..base import Rule, rule
 from ..diagnostics import Diagnostic
-from ..model import (MUTATOR_METHODS, AnyFunctionDef, ModuleInfo,
-                     local_bindings)
+from ..model import ModuleInfo
 
 #: (rel_path, global name) pairs exempt from the rebind check.
 _WHITELIST: Tuple[Tuple[str, str], ...] = (
     ("engine/parallel.py", "_INHERITED"),
 )
+
+#: Either def flavor: both are scanned alike.
+_AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: Method names that mutate a list/dict/set/deque in place.
+_MUTATOR_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear",
+    "appendleft", "extendleft",
+})
+_MUTABLE_FACTORIES = frozenset({
+    "list", "dict", "set", "defaultdict", "OrderedDict", "Counter",
+    "deque",
+})
+
+
+def _module_level_mutables(tree: ast.Module) -> Set[str]:
+    """Module-level names bound to mutable containers."""
+    mutables: Set[str] = set()
+    for stmt in tree.body:
+        targets: List[ast.expr] = []
+        value: ast.expr
+        if isinstance(stmt, ast.Assign):
+            targets, value = list(stmt.targets), stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                              ast.DictComp, ast.SetComp)):
+            mutable = True
+        elif (isinstance(value, ast.Call)
+              and isinstance(value.func, ast.Name)
+              and value.func.id in _MUTABLE_FACTORIES):
+            mutable = True
+        else:
+            mutable = False
+        if mutable:
+            mutables.update(t.id for t in targets
+                            if isinstance(t, ast.Name))
+    return mutables
+
+
+def _local_bindings(func: _AnyFunctionDef) -> Set[str]:
+    """Names bound locally in ``func`` (params, assignments, loop and
+    ``with`` targets) — these shadow module globals, so writes to them
+    are not global writes."""
+    local: Set[str] = set()
+    globals_declared: Set[str] = set()
+    args = func.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        local.add(arg.arg)
+    if args.vararg is not None:
+        local.add(args.vararg.arg)
+    if args.kwarg is not None:
+        local.add(args.kwarg.arg)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            globals_declared.update(node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    local.add(target.id)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node.target, ast.Name):
+                local.add(node.target.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            for name_node in ast.walk(node.target):
+                if isinstance(name_node, ast.Name):
+                    local.add(name_node.id)
+        elif isinstance(node, ast.withitem):
+            if node.optional_vars is not None:
+                for name_node in ast.walk(node.optional_vars):
+                    if isinstance(name_node, ast.Name):
+                        local.add(name_node.id)
+        elif isinstance(node, ast.comprehension):
+            for name_node in ast.walk(node.target):
+                if isinstance(name_node, ast.Name):
+                    local.add(name_node.id)
+    return local - globals_declared
 
 
 class _FunctionScanner:
@@ -45,12 +124,12 @@ class _FunctionScanner:
                  module: ModuleInfo) -> None:
         self.rule = rule_obj
         self.module = module
-        self.mutables = module.mutables
+        self.mutables = _module_level_mutables(module.tree)
 
-    def scan(self, func: AnyFunctionDef) -> Iterator[Diagnostic]:
+    def scan(self, func: _AnyFunctionDef) -> Iterator[Diagnostic]:
         """Scan one function body, excluding nested defs (scanned on
         their own with their own local-binding sets)."""
-        local_names = local_bindings(func)
+        local_names = _local_bindings(func)
         assigned = self._assigned_names(func)
         for node in self._walk_shallow(func):
             if isinstance(node, ast.Global):
@@ -101,7 +180,7 @@ class _FunctionScanner:
         func = node.func
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
-                and func.attr in MUTATOR_METHODS):
+                and func.attr in _MUTATOR_METHODS):
             name = func.value.id
             if (name in self.mutables and name not in local_names
                     and not self._whitelisted(name)):

@@ -1,10 +1,10 @@
-"""Model construction, rule dispatch and report assembly.
+"""Parsing, rule dispatch and report assembly.
 
-One run is: build one :class:`ProjectModel` over the root (every file
-read and parsed once), run every selected rule against it, and return
-every diagnostic in a :class:`Report` — the one object the text and
-JSON renderers and the exit-code mapping read.  Nothing suppresses a
-finding: it is fixed, or the rule changes.
+One run is: parse every file under the root once, hand each module to
+every selected rule whose scope covers it, and return every diagnostic
+in a :class:`Report` — the one object the text and JSON renderers and
+the exit-code mapping read.  Nothing suppresses a finding: it is
+fixed, or the rule changes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Type
 
 from .base import ALL_RULES, Rule
 from .diagnostics import Diagnostic
-from .model import ProjectModel
+from .model import parse_tree
 
 #: JSON report schema version; bump on breaking field changes.
 SCHEMA_VERSION = 1
@@ -70,10 +70,13 @@ def run_analysis(root: Optional[Path] = None,
     :class:`~repro.analysis.model.AnalysisError` on a missing root or
     unreadable or unparsable input.
     """
-    model = ProjectModel.build(
-        Path(root) if root is not None else package_root())
+    modules = parse_tree(Path(root) if root is not None
+                         else package_root())
     classes = (list(rule_classes) if rule_classes is not None
                else ALL_RULES())
-    diagnostics = [diag for cls in classes for diag in cls().check(model)]
-    return Report(diagnostics, files_checked=len(model.modules),
+    rules = [cls() for cls in classes]
+    diagnostics = [diag for module in modules for checker in rules
+                   if checker.applies_to(module.rel_path)
+                   for diag in checker.check_module(module)]
+    return Report(diagnostics, files_checked=len(modules),
                   rule_ids=[cls.rule_id for cls in classes])

@@ -80,11 +80,6 @@ _RESULT_CACHE: Dict[Tuple[WorkloadConfig, float, str],
                     Tuple[SimulationResult, ServerTime]] = {}
 
 
-def clear_result_cache() -> None:
-    """Drop memoized simulation runs (paired with configs.clear_caches)."""
-    _RESULT_CACHE.clear()
-
-
 def _timed(config: WorkloadConfig, strategy: ProcessingStrategy,
            cell_area_km2: float = DEFAULT_CELL_AREA_KM2
            ) -> Tuple[SimulationResult, ServerTime]:

@@ -1,4 +1,4 @@
-"""Shared helpers for the whole-program analyzer tests."""
+"""Shared helpers for the analyzer tests: the fixture trees."""
 
 from pathlib import Path
 

@@ -1,7 +1,8 @@
 """CLI contract of ``repro check``: formats, selection, exit codes.
 
-The whole-program half; ``tests/lintkit/test_cli.py`` drives the same
-command over the RL fixture trees.
+Over the shipped tree, a copy of it and RL004's bad fixture;
+``tests/lintkit/test_cli.py`` drives the same command over the other
+fixture trees.
 """
 
 import json
@@ -13,9 +14,9 @@ from repro.analysis.runner import package_root
 from repro.cli import main
 
 from .conftest import FIXTURES
-from .test_checkers import PA_RULE_IDS, RL_RULE_IDS
+from .test_checkers import RL_RULE_IDS
 
-FIXTURE = str(FIXTURES / "pa003")
+FIXTURE = str(FIXTURES / "rl004" / "bad")
 
 
 class TestExitCodes:
@@ -25,22 +26,18 @@ class TestExitCodes:
         assert shipped_report.ok
         assert shipped_report.render_text().endswith("0 problem(s) found")
 
-    @pytest.mark.parametrize("rule_id", PA_RULE_IDS)
-    def test_fixture_exits_with_findings(self, rule_id, capsys):
-        root = str(FIXTURES / rule_id.lower())
-        assert main(["check", root, "--rule", rule_id]) == 1
-        assert rule_id in capsys.readouterr().out
-
     def test_missing_root_exits_two(self, capsys):
         assert main(["check", "/no/such/tree"]) == 2
         assert "error:" in capsys.readouterr().out
 
     def test_unknown_rule_exits_two(self, capsys):
-        assert main(["check", "--rule", "PA999"]) == 2
+        # A retired id is unknown: PA003 went with the whole-program
+        # model.
+        assert main(["check", "--rule", "PA003"]) == 2
         assert "unknown rule id" in capsys.readouterr().out
 
     def test_lowercase_rule_id_accepted(self):
-        assert main(["check", FIXTURE, "--rule", "pa003"]) == 1
+        assert main(["check", FIXTURE, "--rule", "rl004"]) == 1
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def (\n", encoding="utf-8")
@@ -86,16 +83,15 @@ class TestListRules:
     def test_lists_all_checkers(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines] == (
-            RL_RULE_IDS + PA_RULE_IDS)
+        assert [line.split()[0] for line in lines] == RL_RULE_IDS
 
 
 class TestFormats:
     def test_json_report(self, capsys):
-        assert main(["check", FIXTURE, "--rule", "PA003",
+        assert main(["check", FIXTURE, "--rule", "RL004",
                      "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["PA003"] == 3
-        assert all(diag["rule"] == "PA003"
+        assert payload["counts"] == {"RL004": 4}
+        assert all(diag["rule"] == "RL004"
                    for diag in payload["diagnostics"])
 

@@ -1,25 +1,27 @@
 """The retired rules stay retired only while their runtime guards hold.
 
 RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA002 (telemetry drift), PA005 (blocking
-calls on the event loop), PA006 (cross-thread races), PA007 (task
-lifecycle), PA008 (session conformance), PA009 (resources leaked on
-an exit path) and PA010 (downlink causality) were deleted from the
-checker because a guard that holds at every site already catches
-their defects: frozen geometry types, the abstract ``SafeRegion``,
-``verify_field_layouts`` inside every codec built, the telemetry
-registry's refusal of an undeclared instrument, the blocking-call
-guard on every daemon loop (``tests/conftest.py``), the daemon
-objects' refusal of writes from a thread other than their owner's,
-the daemon's always-on task-leak check at ``aclose()`` (raised by
-leaving a ``DaemonThread`` block), the daemon's dispatch through the
-session table (held to the spec by the socket conformance suite), the
-``ResourceWarning``-as-error filter of ``pyproject.toml`` plus the
-conformance suite's truncated-frame cases, and the wire goldens plus
-the accuracy contract.  PA008's row restates its last seed
-against that dispatch; PA007's restates its seed, a spawn whose handle
-is dropped, on the per-connection drain worker, since the loop watchdog
-it was last seeded on is gone.  Each row below is the
+(protocol exhaustiveness), PA002 (telemetry drift), PA003 (fork
+safety across modules), PA005 (blocking calls on the event loop),
+PA006 (cross-thread races), PA007 (task lifecycle), PA008 (session
+conformance), PA009 (resources leaked on an exit path) and PA010
+(downlink causality) were deleted from the checker because a guard
+that holds at every site already catches their defects: frozen
+geometry types, the abstract ``SafeRegion``, ``verify_field_layouts``
+inside every codec built, the telemetry registry's refusal of an
+undeclared instrument, the sharded engine's fork-worker test and its
+spawn differential run (``tests/engine/test_parallel_equivalence.py``),
+the blocking-call guard on every daemon loop (``tests/conftest.py``),
+the daemon objects' refusal of writes from a thread other than their
+owner's, the daemon's always-on task-leak check at ``aclose()``
+(raised by leaving a ``DaemonThread`` block), the daemon's dispatch
+through the session table (held to the spec by the socket conformance
+suite), the ``ResourceWarning``-as-error filter of ``pyproject.toml``
+plus the conformance suite's truncated-frame cases, and the wire
+goldens plus the accuracy contract.  PA008's row restates its last
+seed against that dispatch; PA007's restates its seed, a spawn whose
+handle is dropped, on the per-connection drain worker, since the loop
+watchdog it was last seeded on is gone.  Each row below is the
 defect the rule was last seeded with (``test_session_mutation.py`` held
 one per rule) and the test that catches it without the checker.  The
 row is applied to a copy of ``src/repro`` and that one test is run
@@ -93,6 +95,21 @@ RETIRED = (
             "tests/telemetry/test_facade.py::TestTraceLifecycle::"
             "test_manifest_and_summary_records",
             "undeclared telemetry instrument 'region_exits'"),
+    # PA003's seed: a fork worker that drops the inherited job early.
+    # The pool may hand one worker several shards, so the next one
+    # finds nothing.  The spawn differential run guards the other
+    # branch of ``_dispatch``, where every shard is pickled.
+    Retired("PA003", "engine/parallel.py",
+            "    assert _INHERITED is not None, \"inherited state missing in "
+            "fork child\"\n"
+            "    job, shards = _INHERITED\n",
+            "    global _INHERITED\n"
+            "    assert _INHERITED is not None\n"
+            "    job, shards = _INHERITED\n"
+            "    _INHERITED = None  # 'drop the child's reference early'\n",
+            "tests/engine/test_parallel_equivalence.py::"
+            "test_one_worker_may_run_several_inherited_shards",
+            ">       assert _INHERITED is not None"),
     Retired("PA005", "net/daemon.py",
             "        writer.close()\n        try:\n",
             "        time.sleep(0.01)  # 'let the peer read the last frame'\n"

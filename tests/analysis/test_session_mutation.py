@@ -3,17 +3,17 @@
 Fixture trees prove a rule fires on *synthetic* drift; these tests
 prove it guards the *real* tree, and that it does so on a *copy* —
 scopes match the path relative to the root that was given.  Each case
-copies the shipped files its rule reads into a temporary tree, verifies
+copies the shipped file its rule reads into a temporary tree, verifies
 the copy is clean, then applies one surgical mutation — the kind a
 refactor could plausibly introduce — and asserts the rule reports it,
-by id and message fragment.  A rule with no case here has not earned
-its place (ROADMAP item 7, static half); a rule whose seed a runtime
-guard already catches has been retired, and ``test_retired_rules.py``
-pins that the guard still does (item 9, dynamic half).
+by id and message fragment.  Every rule reads one file, so a case
+copies that file alone.  A rule with no case here has not earned its
+place; a rule whose seed a runtime guard already catches has been
+retired, and ``test_retired_rules.py`` pins that the guard still does.
 """
 
 import shutil
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import pytest
 
@@ -28,8 +28,6 @@ class Seed(NamedTuple):
     rule_id: str
     #: The shipped file that is edited (root-relative).
     target: str
-    #: The other shipped files the rule reads.
-    context: Tuple[str, ...]
     old: str
     new: str
     #: Must appear in a finding of ``rule_id`` after the edit.
@@ -37,52 +35,40 @@ class Seed(NamedTuple):
 
 
 SEEDS = (
-    Seed("RL002", "saferegion/mwpsr.py", (),
+    Seed("RL002", "saferegion/mwpsr.py",
          "if fzero(length):", "if length == 0.0:  # lint: allow=RL002",
          "exact float == comparison"),
-    Seed("RL003", "mobility/simulator.py", (),
+    Seed("RL003", "mobility/simulator.py",
          "pick = vehicle.rng.random() * total",
          "pick = random.random() * total",
          "module-level random.random() call"),
-    Seed("RL004", "protocol/wire.py", (),
+    Seed("RL004", "protocol/wire.py",
          "fixed = _LAYOUT_STRUCTS.get(name)",
          "fixed = _LAYOUT_STRUCTS.setdefault(name, struct.Struct(\"<d\"))",
          "in-place mutation of module-level container '_LAYOUT_STRUCTS'"),
-    Seed("RL006", "engine/server.py", (),
+    Seed("RL006", "engine/server.py",
          "telemetry.index_lookup((time.perf_counter() - started) * 1e6,\n",
          "telemetry.index_lookup((time.time() - started) * 1e6,\n",
          "wall-clock read time.time()"),
-    Seed("RL007", "telemetry/sinks.py", (),
+    Seed("RL007", "telemetry/sinks.py",
          "    def close(self) -> None:  # noqa: B027",
          "    def debug(self, record: object) -> None:\n"
          "        print(record)\n\n"
          "    def close(self) -> None:  # noqa: B027",
          "print() in library code"),
-    Seed("RL008", "strategies/periodic.py", (),
+    Seed("RL008", "strategies/periodic.py",
          "        return start + 1\n",
          "        return start + 1\n\n\n"
          "def _leak(server):\n"
          "    return server.metrics\n",
          "strategy touches 'metrics' on 'server'"),
-    Seed("PA003", "engine/parallel.py", (),
-         "    assert _INHERITED is not None, \"inherited state missing in "
-         "fork child\"\n"
-         "    job, shards = _INHERITED\n",
-         "    global _INHERITED\n"
-         "    assert _INHERITED is not None\n"
-         "    job, shards = _INHERITED\n"
-         "    _INHERITED = None  # 'drop the child's reference early'\n",
-         "worker '_run_inherited_shard' rebinds module global "
-         "'_INHERITED'"),
 )
 
 
-def _copy_shipped(root, rel_paths):
-    source_root = package_root()
-    for rel_path in rel_paths:
-        target = root / rel_path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(source_root / rel_path, target)
+def _copy_shipped(root, rel_path):
+    target = root / rel_path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(package_root() / rel_path, target)
     return root
 
 
@@ -104,7 +90,7 @@ def test_every_rule_has_a_seeded_defect():
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.rule_id)
 def test_seeded_defect_in_a_shipped_copy_is_caught(tmp_path, seed):
-    root = _copy_shipped(tmp_path, (seed.target,) + seed.context)
+    root = _copy_shipped(tmp_path, seed.target)
     clean = _check(root, seed.rule_id)
     assert clean.ok, "\n" + clean.render_text()
     _mutate(root, seed.target, seed.old, seed.new)
@@ -115,11 +101,11 @@ def test_seeded_defect_in_a_shipped_copy_is_caught(tmp_path, seed):
     assert all(d.rule_id == seed.rule_id for d in report.diagnostics)
 
 
-@pytest.mark.parametrize("rule_id", ["RL008", "PA003"])
+@pytest.mark.parametrize("rule_id", ["RL008", "RL004"])
 def test_seeded_defect_fails_the_gate(tmp_path, rule_id, capsys):
     """The CI spelling: ``repro check <copy> --rule ID`` exits 1."""
     seed = next(seed for seed in SEEDS if seed.rule_id == rule_id)
-    root = _copy_shipped(tmp_path, (seed.target,) + seed.context)
+    root = _copy_shipped(tmp_path, seed.target)
     assert main([str(root), "--rule", rule_id]) == 0
     _mutate(root, seed.target, seed.old, seed.new)
     assert main([str(root), "--rule", rule_id]) == 1

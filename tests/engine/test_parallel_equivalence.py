@@ -15,6 +15,7 @@ run, serial or sharded, is pinned and wire-verified
 """
 
 import functools
+import multiprocessing
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.strategies import (OptimalStrategy, PeriodicStrategy,
                               SafePeriodStrategy)
 from repro.telemetry import NullSink, Telemetry
 
+from ..budget import examples
 from ..oracles import run_parallel_simulation, run_simulation
 
 WORKER_COUNTS = (1, 2, 4)
@@ -131,6 +133,28 @@ class TestShardedEqualsSerial:
         # The merged profile counts every safe-region computation once.
         computes = telemetry.registry.histogram("saferegion_compute_cost_us")
         assert computes.count == serial.metrics.safe_region_computations
+
+
+@pytest.mark.parametrize(
+    "key", STRATEGY_KEYS[:examples(1, len(STRATEGY_KEYS))])
+def test_spawn_workers_equal_serial(world, serial_results, key):
+    """The non-fork branch of ``_dispatch``: under the spawn start
+    method (macOS's default, and Linux's ``forkserver`` takes the same
+    branch) every shard is pickled into a fresh interpreter, and the
+    merged run must still be bit-identical to the serial one.  A worker
+    that leaned on state inherited from the parent, or wrote module
+    state it expected a sibling to see, diverges here."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        sharded = run_parallel_simulation(world, _factories(world)[key],
+                                          workers=2)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    serial = serial_results[key]
+    assert sharded.metrics.counters() == serial.metrics.counters()
+    assert sharded.metrics.triggers == serial.metrics.triggers
+    assert sharded.accuracy == serial.accuracy
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,12 @@ from repro.analysis import get_rule, run_analysis
 from repro.analysis.cli import (EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS,
                                 main)
 
-from ..analysis.test_checkers import PA_RULE_IDS, RL_RULE_IDS
+from ..analysis.test_checkers import RL_RULE_IDS
 from .conftest import FIXTURES
 
 
 def test_clean_file_exits_zero(capsys):
-    # Every rule, RL and PA alike, over a tree with nothing to report.
+    # Every rule over a tree with nothing to report.
     code = main([str(FIXTURES / "rl006" / "good" / "engine")])
     assert code == EXIT_CLEAN
     assert "0 problem(s) found" in capsys.readouterr().out
@@ -71,9 +71,8 @@ def test_json_format(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    # One registry: the file-local rules, then the whole-program ones.
-    assert [line.split()[0] for line in out.splitlines()] == (
-        RL_RULE_IDS + PA_RULE_IDS)
+    # One registry, by id.
+    assert [line.split()[0] for line in out.splitlines()] == RL_RULE_IDS
 
 
 @pytest.mark.parametrize("rule_id, scoped_dir", [
