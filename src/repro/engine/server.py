@@ -81,7 +81,7 @@ class AlarmServer:
         the report, not to this method — it can be called directly in
         tests without touching a traffic counter.)
         """
-        fired = self.fired_for(user_id)
+        fired = self.state.fired[user_id]
         telemetry = self.telemetry
         metrics = self.metrics
         registry = self.registry

@@ -20,7 +20,7 @@ side).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .messages import (AlarmNotification, RegionExitReport, Request,
                        Response, ServerReply)
@@ -34,9 +34,10 @@ class ServerPolicy:
     """Strategy-specific server behaviour behind :func:`handle_request`.
 
     ``triggered`` is the list of alarms the report just fired (their
-    notifications are already queued by the handler).  A hook returns
-    the additional responses the strategy's server side ships — install
-    messages, typically.  The default policy is evaluate-only: the
+    notifications are already queued by the handler).  A hook returns a
+    tuple of the additional responses the strategy's server side ships
+    — install messages, typically; when nothing fired, that tuple is
+    the reply as it stands.  The default policy is evaluate-only: the
     server answers location reports with nothing but notifications,
     which is exactly the periodic baseline's server.
     """
@@ -44,14 +45,14 @@ class ServerPolicy:
     def on_location_report(self, server: "AlarmServer", request: Request,
                            time_s: float,
                            triggered: Sequence["SpatialAlarm"]
-                           ) -> Sequence[Response]:
+                           ) -> Tuple[Response, ...]:
         """An ordinary report: the client did not leave installed state."""
         return ()
 
     def on_region_exit(self, server: "AlarmServer", request: Request,
                        time_s: float,
                        triggered: Sequence["SpatialAlarm"]
-                       ) -> Sequence[Response]:
+                       ) -> Tuple[Response, ...]:
         """The client left its safe region / base cell (or first report)."""
         return ()
 
@@ -78,7 +79,7 @@ def handle_request(server: "AlarmServer", policy: ServerPolicy,
         installs = policy.on_location_report(server, request, time_s,
                                              triggered)
     if not triggered:
-        return tuple(installs)
+        return installs
     responses: List[Response] = [AlarmNotification(alarm.alarm_id)
                                  for alarm in triggered]
     responses.extend(installs)

@@ -92,18 +92,23 @@ class ProcessingStrategy:
     def advance(self, client: ClientState, trace: Trace, start: int,
                 stop: int) -> int:
         """Take ``client`` along fixes ``[start, stop)`` of its trace, up
-        to and including the first it cannot spend silently.
+        to and including the first whose reply it must act on.
 
-        A fix is *silent* when the paper's client would neither send nor
-        change state on it: it lies in the installed rectangle or in a
-        safe cell of the installed bitmap, precedes the timer's expiry,
-        or enters none of the locally held alarms.  The method scans
-        the trace's columns over the silent run, charges the run's
-        containment probes — those of the probe that ended it included —
-        in one :meth:`_charge_probe` call, with the sums its fixes would
-        have charged one by one, then acts on the fix that ended the run
-        (a report, whatever its reply installs) and returns the index
-        after it; ``stop`` when the run outlasts the window.  The result
+        A client stops at the first fix whose reply can change what it
+        does on a later fix — a report that may bring back an install
+        message — and returns the index after it; ``stop`` when no fix
+        of the window has one.  The fixes before it are *silent*, where
+        the paper's client would neither send nor change state (the fix
+        lies in the installed rectangle or in a safe cell of the
+        installed bitmap, precedes the timer's expiry, or enters none
+        of the locally held alarms), or are reports whose replies carry
+        nothing to act on: a periodic (PRD) client acts on no reply, so
+        it reports every fix of the window in one call.  The method
+        scans the trace's columns over the run, charges the run's
+        containment probes — those of the probe that ended it included
+        — in one :meth:`_charge_probe` call, with the sums its fixes
+        would have charged one by one, then acts on the fix that ended
+        the run (a report, whatever its reply installs).  The result
         does not depend on how the caller windows the trace.
         """
         raise NotImplementedError

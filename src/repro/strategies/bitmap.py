@@ -38,7 +38,7 @@ only the *computation*, never the downlink.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..alarms import AlarmScope, SpatialAlarm
 from ..index import CellId
@@ -69,7 +69,7 @@ class BitmapPolicy(ServerPolicy):
     def on_region_exit(self, server: "AlarmServer", request: Request,
                        time_s: float,
                        triggered: Sequence[SpatialAlarm]
-                       ) -> Sequence[Response]:
+                       ) -> Tuple[Response, ...]:
         cell_id = server.grid.cell_of(request.position)
         installed = server.state.scratch.setdefault(self.SCRATCH_KEY, {})
         installed[request.user_id] = cell_id
@@ -78,7 +78,7 @@ class BitmapPolicy(ServerPolicy):
     def on_location_report(self, server: "AlarmServer", request: Request,
                            time_s: float,
                            triggered: Sequence[SpatialAlarm]
-                           ) -> Sequence[Response]:
+                           ) -> Tuple[Response, ...]:
         # Unsafe-area report: only a firing changes the bitmap, so only
         # then is a re-ship worth its bytes (quick-update, Section 4.2).
         if not triggered:

@@ -21,7 +21,7 @@ have very high capacity".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
@@ -40,7 +40,7 @@ class OptimalPolicy(ServerPolicy):
     def on_region_exit(self, server: "AlarmServer", request: Request,
                        time_s: float,
                        triggered: Sequence["SpatialAlarm"]
-                       ) -> Sequence[Response]:
+                       ) -> Tuple[Response, ...]:
         # OPT's "safe-region computation" is pure alarm-list assembly:
         # the index lookup is all of it.
         with server.timed_saferegion(request.user_id, time_s):

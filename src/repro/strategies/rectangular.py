@@ -25,7 +25,7 @@ policy object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect
 from ..mobility import Trace
@@ -55,7 +55,7 @@ class RectangularPolicy(ServerPolicy):
     def on_region_exit(self, server: "AlarmServer", request: Request,
                        time_s: float,
                        triggered: Sequence["SpatialAlarm"]
-                       ) -> Sequence[Response]:
+                       ) -> Tuple[Response, ...]:
         heading = self._heading_for(server, request)
         with server.timed_saferegion(request.user_id, time_s):
             cell = server.current_cell(request.position)

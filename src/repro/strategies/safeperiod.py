@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
@@ -45,7 +45,7 @@ class SafePeriodPolicy(ServerPolicy):
     def on_region_exit(self, server: "AlarmServer", request: Request,
                        time_s: float,
                        triggered: Sequence["SpatialAlarm"]
-                       ) -> Sequence[Response]:
+                       ) -> Tuple[Response, ...]:
         with server.timed_saferegion(request.user_id, time_s):
             distance = server.pending_nearest_distance(request.user_id,
                                                        request.position)

@@ -44,7 +44,8 @@ SEEDS = (
          "module-level random.random() call"),
     Seed("RL004", "protocol/wire.py",
          "fixed = _LAYOUT_STRUCTS.get(name)",
-         "fixed = _LAYOUT_STRUCTS.setdefault(name, struct.Struct(\"<d\"))",
+         "fixed = _LAYOUT_STRUCTS.setdefault(\n"
+         "            name, struct.Struct(\"<%dd\" % len(layout)))",
          "in-place mutation of module-level container '_LAYOUT_STRUCTS'"),
     Seed("RL006", "engine/server.py",
          "telemetry.index_lookup((time.perf_counter() - started) * 1e6,\n",
@@ -57,8 +58,8 @@ SEEDS = (
          "    def close(self) -> None:  # noqa: B027",
          "print() in library code"),
     Seed("RL008", "strategies/periodic.py",
-         "        return start + 1\n",
-         "        return start + 1\n\n\n"
+         "        return stop\n",
+         "        return stop\n\n\n"
          "def _leak(server):\n"
          "    return server.metrics\n",
          "strategy touches 'metrics' on 'server'"),

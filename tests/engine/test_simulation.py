@@ -64,15 +64,17 @@ class TestInterleavedSimulation:
 
 
 class _FailingStrategy(PeriodicStrategy):
-    """Raises from the third fix on, whichever loop delivers it (a
-    periodic client is silent on none, so every call is one fix)."""
+    """Raises from its third ``advance`` call on, whichever loop makes
+    it (a periodic client acts on no reply, so each call takes its
+    whole window: here one vehicle's trace, so the run dies at the
+    third vehicle, mid-loop)."""
 
     def __init__(self):
-        self.fixes = 0
+        self.calls = 0
 
     def advance(self, client, trace, start, stop):
-        self.fixes += 1
-        if self.fixes > 2:
+        self.calls += 1
+        if self.calls > 2:
             raise RuntimeError("client half failed mid-run")
         return super().advance(client, trace, start, stop)
 

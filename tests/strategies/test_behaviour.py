@@ -5,20 +5,24 @@ against a hand-placed alarm so every message and state transition is
 predictable.
 """
 
+import functools
 import math
 
 import pytest
 
 from repro.alarms import AlarmRegistry, AlarmScope
-from repro.engine import World, run_simulation
+from repro.engine import AlarmServer, Metrics, World, run_simulation
 from repro.geometry import Point, Rect
 from repro.index import GridOverlay
 from repro.mobility import Trace, TraceSample, TraceSet
+from repro.protocol.transport import (InProcessTransport, LossyTransport,
+                                      connect)
 from repro.saferegion import MWPSRComputer, PBSRComputer
 from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                               PeriodicStrategy,
                               RectangularSafeRegionStrategy,
                               SafePeriodStrategy)
+from repro.strategies.base import ClientState
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
 
@@ -46,6 +50,20 @@ def world_with(trace: Trace, alarms, cell_area_km2=16.0) -> World:
                  traces=traces)
 
 
+class _Recording(InProcessTransport):
+    """The in-process transport, keeping every request it carries."""
+
+    __slots__ = ("sent",)
+
+    def __init__(self, server, policy):
+        super().__init__(server, policy)
+        self.sent = []
+
+    def request(self, request, time_s):
+        self.sent.append((request, time_s))
+        return super().request(request, time_s)
+
+
 class TestPeriodic:
     def test_one_uplink_per_sample_no_downlink(self):
         trace = straight_trace(Point(100, 2000), 0.0, 10.0, 50)
@@ -58,6 +76,48 @@ class TestPeriodic:
         # x(t) = 100 + 10t is strictly inside (300, 400) first at t=21
         assert len(result.metrics.triggers) == 1
         assert result.metrics.triggers[0].time == 21.0
+
+    @staticmethod
+    def _attached(transport_factory):
+        """A periodic client half on the straight-line world's server."""
+        trace = straight_trace(Point(100, 2000), 0.0, 10.0, 50)
+        world = world_with(trace, [(Rect(300, 1900, 400, 2100),
+                                    AlarmScope.PUBLIC, 9)])
+        server = AlarmServer(world.registry, world.grid, Metrics(),
+                             sizes=world.sizes)
+        strategy = PeriodicStrategy()
+        session = connect(server, strategy, transport_factory)
+        return strategy, session, server, trace
+
+    def test_one_call_reports_its_whole_window(self):
+        strategy, session, server, trace = self._attached(_Recording)
+        client = ClientState(trace.vehicle_id)
+        client.sequence = 7
+        assert strategy.advance(client, trace, 5, 30) == 30
+        sent = session.transport.sent
+        assert [request.sequence for request, _ in sent] \
+            == list(range(7, 32))
+        assert [time_s for _, time_s in sent] == list(trace.times[5:30])
+        assert [request.position for request, _ in sent] \
+            == [Point(trace.xs[index], trace.ys[index])
+                for index in range(5, 30)]
+        assert client.sequence == 32
+        assert server.metrics.uplink_messages == 25
+        assert [event.time for event in server.metrics.triggers] == [21.0]
+        assert strategy.advance(client, trace, 30, 30) == 30
+        assert len(sent) == 25 and client.sequence == 32
+
+    def test_a_window_over_a_lossy_link_charges_every_attempt(self):
+        strategy, session, server, trace = self._attached(functools.partial(
+            LossyTransport, uplink_drop=0.3, downlink_drop=0.3, seed=4,
+            max_attempts=64))
+        client = ClientState(trace.vehicle_id)
+        assert strategy.advance(client, trace, 0, len(trace)) == len(trace)
+        metrics = server.metrics
+        assert metrics.uplink_drops > 0
+        assert metrics.uplink_messages == len(trace) + metrics.uplink_drops
+        assert client.sequence == len(trace)
+        assert [event.time for event in metrics.triggers] == [21.0]
 
 
 class TestSafePeriod:
