@@ -14,11 +14,15 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..engine import World
+from ..engine import Metrics, World
+from ..engine.server import AlarmServer
 from ..geometry import Point, Rect
 from ..index import CellId, Pyramid
+from ..protocol.handlers import ServerPolicy
+from ..protocol.messages import Request, ServerReply
+from ..protocol.transport import InProcessTransport, connect
 from ..saferegion import MWPSRComputer, PyramidBitmap
-from ..strategies.base import ProcessingStrategy
+from ..strategies.base import ClientState, ProcessingStrategy
 from .report import Table
 
 
@@ -134,16 +138,15 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
 
     Replays traces through ``strategy`` and measures, for every client,
     the gaps between consecutive server contacts — how long each shipped
-    safe region (or safe period) actually kept its client silent.
+    safe region (or safe period) actually kept its client silent.  The
+    contacts are the reports the transport carried, whatever the number
+    of them one ``advance`` call sends.
     """
-    from ..engine import Metrics
-    from ..engine.server import AlarmServer
-    from ..protocol.transport import connect
-    from ..strategies.base import ClientState
-
     server = AlarmServer(world.registry, world.grid, Metrics(),
                          sizes=world.sizes)
-    connect(server, strategy)
+    transport = connect(server, strategy, _ContactLog).transport
+    assert isinstance(transport, _ContactLog)
+    contacts = transport.times
     residences: List[float] = []
     vehicle_ids = world.traces.vehicle_ids()
     if max_vehicles is not None:
@@ -152,24 +155,32 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
         for vehicle_id in vehicle_ids:
             trace = world.traces[vehicle_id]
             client = ClientState(vehicle_id)
-            last_contact: Optional[float] = None
+            del contacts[:]
             index, stop = 0, len(trace)
             while index < stop:
-                reports = client.sequence
                 index = strategy.advance(client, trace, index, stop)
-                if client.sequence == reports:
-                    break  # silent to the end of the trace
-                # the fix before the returned index is the one it spoke on
-                contact = trace.times[index - 1]
-                if last_contact is not None:
-                    residences.append(contact - last_contact)
-                last_contact = contact
+            residences.extend(later - earlier for earlier, later
+                              in zip(contacts, contacts[1:]))
     finally:
         server.close()  # detaches the memo from the world's registry
     if not residences:
         # a fully silent run: every region outlived its trace
         residences = [world.duration_s]
     return DistributionSummary.of(residences)
+
+
+class _ContactLog(InProcessTransport):
+    """The reliable in-process transport, noting each report's time."""
+
+    __slots__ = ("times",)
+
+    def __init__(self, server: AlarmServer, policy: ServerPolicy) -> None:
+        super().__init__(server, policy)
+        self.times: List[float] = []
+
+    def request(self, request: Request, time_s: float) -> ServerReply:
+        self.times.append(time_s)
+        return super().request(request, time_s)
 
 
 def workload_profile(world: World) -> Table:

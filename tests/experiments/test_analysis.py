@@ -87,6 +87,18 @@ class TestResidenceStatistics:
                                     max_vehicles=6)
         assert deep.mean > shallow.mean
 
+    def test_periodic_client_contacts_every_fix(self, world):
+        # One advance call reports a PRD client's whole window; each of
+        # those reports is a contact, so every residence is one sample.
+        from repro.strategies.periodic import PeriodicStrategy
+        summary = residence_statistics(world, PeriodicStrategy(),
+                                       max_vehicles=3)
+        interval = world.traces.sample_interval
+        assert summary.minimum == summary.maximum == interval
+        assert summary.count == sum(
+            len(world.traces[vehicle_id]) - 1
+            for vehicle_id in world.traces.vehicle_ids()[:3])
+
 
 def brute_force_profile(world, alarms):
     """The profile row by definition, formatted as the table formats
