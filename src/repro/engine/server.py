@@ -12,27 +12,28 @@ histograms (``trigger_eval_cost_us``, ``saferegion_compute_cost_us``
 and, nested in the latter, ``index_lookup_cost_us``); an untraced run
 reads no clock here.
 
-Since the protocol refactor the server is *stateless handlers over
-explicit state*: every mutable thing it knows lives in its
-:class:`~repro.protocol.state.ServerState`, requests arrive as typed
-messages through :func:`~repro.protocol.handlers.handle_request`, and
-all message/byte accounting happens at the transport boundary
-(:mod:`repro.protocol.transport`) — this class no longer owns any
-traffic counter.
+The request handlers are stateless: every mutable thing the server
+knows — the per-user one-shot fired sets, the shared safe-region memo
+and the per-policy scratch space — is an attribute of this class,
+requests arrive as typed messages through
+:func:`~repro.protocol.handlers.handle_request`, and all message/byte
+accounting happens at the transport boundary
+(:mod:`repro.protocol.transport`) — this class owns no traffic
+counter.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Point, Rect
 from ..index import GridOverlay
-from ..protocol.state import ServerState
 from ..saferegion.bitmap import BitmapSafeRegion
-from ..saferegion.cache import MemoKey
+from ..saferegion.cache import MemoKey, SafeRegionCache
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics, TriggerEvent
 from .network import MessageSizes
@@ -45,10 +46,6 @@ class AlarmServer:
                  metrics: Metrics,
                  sizes: MessageSizes = MessageSizes(),
                  telemetry: Optional[Telemetry] = None) -> None:
-        # All mutable server knowledge lives in the explicit state store;
-        # registry/grid stay as aliases because every policy and index
-        # path reads them.
-        self.state = ServerState(registry, grid)
         self.registry = registry
         self.grid = grid
         self.metrics = metrics
@@ -57,13 +54,24 @@ class AlarmServer:
         # (never None) keeps every hot-path guard a plain attribute
         # check instead of an `is None` test plus a method call.
         self.telemetry = telemetry if telemetry is not None else DISABLED
+        # One-shot bookkeeping: alarm ids already fired, per user; a
+        # user's set materializes on first touch.
+        self.fired: Dict[int, Set[int]] = defaultdict(set)
+        # The §4.2 memo of public-alarm bitmaps.  It listens to registry
+        # mutations until close() detaches it.
+        self.region_cache = SafeRegionCache(registry)
+        # Per-policy server-side memory, namespaced by key (e.g. the
+        # rectangular policy's last-reported positions), so policies
+        # keep no instance state.
+        self.scratch: Dict[str, Any] = {}
+        self.closed = False
 
     # ------------------------------------------------------------------
     # One-shot state
     # ------------------------------------------------------------------
     def fired_for(self, user_id: int) -> Set[int]:
         """Alarm ids already fired for ``user_id`` (mutable view)."""
-        return self.state.fired_for(user_id)
+        return self.fired[user_id]
 
     # ------------------------------------------------------------------
     # Alarm processing
@@ -81,7 +89,7 @@ class AlarmServer:
         the report, not to this method — it can be called directly in
         tests without touching a traffic counter.)
         """
-        fired = self.state.fired[user_id]
+        fired = self.fired[user_id]
         telemetry = self.telemetry
         metrics = self.metrics
         registry = self.registry
@@ -154,7 +162,7 @@ class AlarmServer:
         registry — the sanctioned path for policies, which may not touch
         it directly (rule RL008).
         """
-        memo = self.state.region_cache
+        memo = self.region_cache
         region = memo.lookup(key)
         hit = region is not None
         if region is None:
@@ -166,8 +174,17 @@ class AlarmServer:
         return region
 
     def close(self) -> None:
-        """Release run-scoped resources (idempotent; delegates to state)."""
-        self.state.close()
+        """Release run-scoped resources; safe to call more than once.
+
+        Detaches the memo from the registry and clears the scratch
+        space, so engine ``finally`` blocks and explicit teardown can
+        both call it.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        self.region_cache.detach()
+        self.scratch.clear()
 
     # ------------------------------------------------------------------
     # The safe-region stage

@@ -49,7 +49,7 @@ from ..protocol.framing import (PROTOCOL_VERSION, Frame, FrameDecoder,
                                 encode_error, encode_frame, encode_reply,
                                 encode_stats, reply_summary)
 from ..protocol.handlers import ServerPolicy
-from ..protocol.messages import Request, downlink_kind
+from ..protocol.messages import Request
 from ..protocol.spec import CLIENT_TRANSITIONS, STATE_AWAIT_HELLO
 from ..protocol.transport import InProcessTransport, WireFidelityError
 from ..protocol.wire import WireCodec
@@ -528,8 +528,7 @@ class AlarmDaemon(_OwnedByOneThread):
                 if self._accounting.verify_wire:
                     _check_framed("reply", reply_summary(payload)[2], sum(
                         self.codec.size_of_response(message)
-                        for message in reply
-                        if downlink_kind(message) is not None))
+                        for message in reply))
                 # The REPLY envelope echoes the request's trace pair so
                 # the client can correlate replies with its root spans.
                 parts.append(encode_frame(FrameKind.REPLY, payload, time_s,

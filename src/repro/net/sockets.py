@@ -2,7 +2,7 @@
 
 :class:`SocketTransport` is a blocking-socket
 :class:`~repro.protocol.transport.Transport`: a
-:class:`~repro.protocol.state.ClientSession` drives it exactly as it
+:class:`~repro.protocol.transport.ClientSession` drives it exactly as it
 drives the in-process transports, while every exchange actually
 crosses a TCP or Unix-domain stream as frames (see
 :mod:`repro.protocol.framing`).
@@ -27,12 +27,12 @@ from __future__ import annotations
 import socket
 import time
 from collections import deque
-from typing import Callable, Deque, List, NamedTuple, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from ..index import CellId, GridOverlay, Pyramid
 from ..protocol.framing import (Frame, FrameDecoder, FrameKind, FramingError,
-                                decode_error, decode_reply, encode_frame,
-                                encode_hello)
+                                decode_error, decode_reply, decode_stats,
+                                encode_frame, encode_hello)
 from ..protocol.messages import Request, Response, ServerReply
 from ..protocol.transport import Transport, TransportError
 from ..protocol.wire import WireCodec, unpack_cell_ref
@@ -42,6 +42,8 @@ from ..telemetry.spans import (ROOT_SPAN_ID, SPAN_CLIENT_REQUEST,
 
 #: Socket read size, matching the daemon's.
 _READ_CHUNK = 1 << 16
+#: Default bound on connecting and on each blocking read, in seconds.
+_TIMEOUT_S = 30.0
 
 
 class PyramidGeometry(NamedTuple):
@@ -104,7 +106,8 @@ class SocketTransport(Transport):
                  codec: Optional[WireCodec] = None, *,
                  pyramid_for: Optional[Callable[[int], Pyramid]] = None,
                  telemetry: Optional[Telemetry] = None,
-                 timeout_s: float = 30.0, client_id: int = 0) -> None:
+                 timeout_s: float = _TIMEOUT_S,
+                 client_id: int = 0) -> None:
         self.codec = codec if codec is not None else WireCodec()
         self.pyramid_for = pyramid_for
         self.telemetry = telemetry if telemetry is not None else DISABLED
@@ -122,32 +125,36 @@ class SocketTransport(Transport):
     def connect_unix(cls, path: str, codec: Optional[WireCodec] = None,
                      **kwargs: object) -> "SocketTransport":
         """Connect to a daemon listening on a Unix domain socket."""
+        timeout_s = kwargs.get("timeout_s", _TIMEOUT_S)
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
+            sock.settimeout(timeout_s)  # type: ignore[arg-type]
             sock.connect(path)
-        except OSError:
+            return cls(sock, codec, **kwargs)  # type: ignore[arg-type]
+        except BaseException:
             sock.close()
             raise
-        return cls(sock, codec, **kwargs)  # type: ignore[arg-type]
 
     @classmethod
     def connect_tcp(cls, host: str, port: int,
                     codec: Optional[WireCodec] = None,
                     **kwargs: object) -> "SocketTransport":
         """Connect to a daemon listening on TCP ``host:port``."""
-        sock = socket.create_connection((host, port))
+        timeout_s = kwargs.get("timeout_s", _TIMEOUT_S)
+        sock = socket.create_connection(
+            (host, port), timeout_s)  # type: ignore[arg-type]
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
+            return cls(sock, codec, **kwargs)  # type: ignore[arg-type]
+        except BaseException:
             sock.close()
             raise
-        return cls(sock, codec, **kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Transport interface
     # ------------------------------------------------------------------
     def request(self, request: Request, time_s: float) -> ServerReply:
-        sock = self._require_socket()
+        self._require_socket()
         payload = self.codec.encode_request(request)
         telemetry = self.telemetry
         traced = telemetry.enabled
@@ -164,11 +171,8 @@ class SocketTransport(Transport):
             telemetry.span_open(time_s, trace_id, span_id, 0,
                                 SPAN_CLIENT_REQUEST)
         try:
-            try:
-                sock.sendall(encode_frame(FrameKind.REQUEST, payload,
-                                          time_s, trace_id, span_id))
-            except OSError as exc:
-                raise TransportError("send failed: %s" % exc) from exc
+            self._send(encode_frame(FrameKind.REQUEST, payload, time_s,
+                                    trace_id, span_id))
             frame = self._read_frame(FrameKind.REPLY)
             try:
                 reply = decode_reply(self.codec, frame.payload,
@@ -206,6 +210,12 @@ class SocketTransport(Transport):
         if self._sock is None:
             raise TransportError("transport is closed")
         return self._sock
+
+    def _send(self, data: bytes) -> None:
+        try:
+            self._require_socket().sendall(data)
+        except OSError as exc:
+            raise TransportError("send failed: %s" % exc) from exc
 
     def _read_frame(self, wanted: FrameKind) -> Frame:
         """Read until a ``wanted`` frame arrives, absorbing PUSHes."""
@@ -252,11 +262,24 @@ class SocketTransport(Transport):
     # ------------------------------------------------------------------
     def send_shutdown(self) -> None:
         """Ask the daemon to stop serving (operator channel)."""
-        sock = self._require_socket()
+        self._send(encode_frame(FrameKind.SHUTDOWN, b""))
+
+    def stats(self) -> Dict[str, object]:
+        """One STATS exchange (operator channel): the daemon's snapshot.
+
+        The scrape's whole conversation: the daemon sends nothing after
+        the snapshot, so bytes that follow it are refused.
+        """
+        self._send(encode_frame(FrameKind.STATS, b""))
+        frame = self._read_frame(FrameKind.STATS)
+        if self._pending or self._decoder.buffered:
+            raise TransportError("undecodable STATS snapshot: bytes "
+                                 "follow it")
         try:
-            sock.sendall(encode_frame(FrameKind.SHUTDOWN, b""))
-        except OSError as exc:
-            raise TransportError("send failed: %s" % exc) from exc
+            return decode_stats(frame.payload)
+        except FramingError as exc:
+            raise TransportError("undecodable STATS snapshot: %s"
+                                 % exc) from exc
 
     def close(self) -> None:
         """Close the socket (idempotent)."""

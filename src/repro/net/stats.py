@@ -4,7 +4,8 @@
 :class:`~repro.net.daemon.AlarmDaemon` over its operator STATS channel:
 one HELLO, one STATS request frame, one STATS reply frame carrying the
 daemon's canonical JSON snapshot (see
-:meth:`~repro.net.daemon.AlarmDaemon.stats_snapshot`).  Everything in
+:meth:`~repro.net.daemon.AlarmDaemon.stats_snapshot`), spoken by the
+one framed client, :class:`~repro.net.sockets.SocketTransport`.  Everything in
 this module is either that one-exchange scrape (:func:`scrape_stats`)
 or a pure snapshot-to-string renderer — importable engine code, so no
 printing here (RL007) and no host wall clock (RL006; the scrape RTT is
@@ -20,20 +21,14 @@ byte-identically — the exporter conformance test pins this.
 from __future__ import annotations
 
 import json
-import socket
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from ..protocol.framing import (FrameDecoder, FrameKind, FramingError,
-                                decode_error, decode_stats, encode_frame,
-                                encode_hello)
 from ..protocol.transport import TransportError
 from ..telemetry.export import render_metrics_prom, render_registry_prom
 from ..telemetry.metrics import Histogram, MetricsRegistry
-
-#: Socket read size, matching the daemon's.
-_READ_CHUNK = 1 << 16
+from .sockets import SocketTransport
 
 
 @dataclass
@@ -75,70 +70,26 @@ def scrape_stats(*, path: Optional[str] = None, host: str = "127.0.0.1",
                  port: int = 0, timeout_s: float = 10.0) -> StatsSnapshot:
     """One STATS exchange with a running daemon.
 
-    ``path`` selects a Unix-domain socket (else TCP ``host:port``).
+    ``path`` selects a Unix-domain socket (else TCP ``host:port``); the
+    exchange is :meth:`SocketTransport.stats
+    <repro.net.sockets.SocketTransport.stats>` on a fresh connection.
     Every failure — refused connection, timeout, ERROR frame, an
-    undecodable snapshot — surfaces as
+    undecodable snapshot, bytes after it — surfaces as
     :class:`~repro.protocol.transport.TransportError`, never a hang.
     """
-    if path is not None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        target: object = path
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        target = (host, port)
     try:
-        try:
-            # Inside the try/finally: even settimeout must not be able
-            # to leak the socket (the tests turn ResourceWarning into
-            # an error, so an unclosed socket fails them).
-            sock.settimeout(timeout_s)
-            sock.connect(target)  # type: ignore[arg-type]
-            sock.sendall(encode_frame(FrameKind.HELLO, encode_hello())
-                         + encode_frame(FrameKind.STATS, b""))
-        except OSError as exc:
-            raise TransportError("stats scrape failed: %s" % exc) from exc
+        transport = (
+            SocketTransport.connect_unix(path, timeout_s=timeout_s)
+            if path is not None
+            else SocketTransport.connect_tcp(host, port,
+                                             timeout_s=timeout_s))
+    except OSError as exc:
+        raise TransportError("stats scrape failed: %s" % exc) from exc
+    with transport:
         started = time.perf_counter()
-        decoder = FrameDecoder()
-        while True:
-            try:
-                chunk = sock.recv(_READ_CHUNK)
-            except socket.timeout as exc:
-                raise TransportError(
-                    "timed out waiting for a STATS frame") from exc
-            except OSError as exc:
-                raise TransportError(
-                    "stats scrape failed: %s" % exc) from exc
-            if not chunk:
-                raise TransportError(
-                    "server closed the connection before answering STATS")
-            try:
-                frames = decoder.feed(chunk)
-            except FramingError as exc:
-                raise TransportError(
-                    "corrupt frame from the server: %s" % exc) from exc
-            for frame in frames:
-                if frame.kind is FrameKind.STATS:
-                    rtt_us = (time.perf_counter() - started) * 1e6
-                    try:
-                        # A clean scrape ends the stream here: a
-                        # buffered partial frame means the server
-                        # wrote garbage after the snapshot.
-                        decoder.finish()
-                        snapshot = decode_stats(frame.payload)
-                    except FramingError as exc:
-                        raise TransportError(
-                            "undecodable STATS snapshot: %s"
-                            % exc) from exc
-                    return StatsSnapshot(raw=snapshot,
-                                         scrape_rtt_us=rtt_us)
-                if frame.kind is FrameKind.ERROR:
-                    raise TransportError(
-                        "server error: %s" % decode_error(frame.payload))
-                raise TransportError(
-                    "unexpected %s frame from the server"
-                    % frame.kind.name)
-    finally:
-        sock.close()
+        snapshot = transport.stats()
+        rtt_us = (time.perf_counter() - started) * 1e6
+    return StatsSnapshot(raw=snapshot, scrape_rtt_us=rtt_us)
 
 
 # ----------------------------------------------------------------------

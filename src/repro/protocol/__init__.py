@@ -4,11 +4,9 @@ Layering (see ``docs/ARCHITECTURE.md``):
 
 * :mod:`~repro.protocol.messages` — the typed requests and responses
   (the contract both endpoints speak);
-* :mod:`~repro.protocol.wire` — their byte layout and the
-  :class:`~repro.protocol.wire.WireCodec` that derives every accounted
-  size from it;
-* :mod:`~repro.protocol.state` — the explicit
-  :class:`~repro.protocol.state.ServerState` store behind the handlers;
+* :mod:`~repro.protocol.wire` — their byte layout, in the one
+  :class:`~repro.protocol.wire.WireCodec` that encodes, decodes and
+  derives every accounted size from it;
 * :mod:`~repro.protocol.handlers` — stateless request handling plus the
   per-strategy :class:`~repro.protocol.handlers.ServerPolicy` hooks;
 * :mod:`~repro.protocol.transport` — pluggable carriers (reliable

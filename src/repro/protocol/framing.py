@@ -43,14 +43,11 @@ from __future__ import annotations
 import json
 import struct
 from enum import IntEnum
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    Mapping, NamedTuple, Optional, Tuple)
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from .messages import AlarmNotification, Response, ServerReply
-from .wire import MessageType, WireCodec, peek_bitmap_cell_ref, peek_type
-
-if TYPE_CHECKING:  # typing only: keeps the module import-light
-    from ..index import Pyramid
+from .wire import PyramidResolver, WireCodec
 
 #: First byte of every frame; anything else is a foreign protocol.
 FRAME_MAGIC = 0xF7
@@ -324,9 +321,46 @@ def encode_reply(codec: WireCodec, reply: ServerReply, sender: int,
     return b"".join(parts)
 
 
-#: Resolves a bitmap downlink's wire cell reference to the pyramid
-#: geometry the client derives from its grid configuration.
-PyramidResolver = Callable[[int], "Pyramid"]
+def _reply_entries(payload: bytes) -> List[Tuple[int, int, int]]:
+    """``(tag, start, end)`` of every entry of a REPLY payload.
+
+    The one walk of the batch envelope: ``payload[start:end]`` is a
+    notification's u64 alarm id or a sized entry's codec bytes.  Every
+    count, tag and length is checked against the bytes there are, so a
+    malformed envelope raises :class:`FramingError`.
+    """
+    size = len(payload)
+    if size < _REPLY_COUNT.size:
+        raise FramingError("reply payload shorter than its count field")
+    (count,) = _REPLY_COUNT.unpack_from(payload)
+    cursor = _REPLY_COUNT.size
+    entries: List[Tuple[int, int, int]] = []
+    for index in range(count):
+        if cursor >= size:
+            raise FramingError("reply batch truncated before entry %d"
+                               % index)
+        tag = payload[cursor]
+        cursor += 1
+        if tag == _TAG_NOTIFICATION:
+            length = _REPLY_NOTIFICATION.size
+        elif tag == _TAG_PAYLOAD:
+            if cursor + _REPLY_LENGTH.size > size:
+                raise FramingError("payload entry length truncated")
+            (length,) = _REPLY_LENGTH.unpack_from(payload, cursor)
+            cursor += _REPLY_LENGTH.size
+        else:
+            raise FramingError("unknown reply entry tag %d" % tag)
+        end = cursor + length
+        if end > size:
+            raise FramingError("reply entry %d truncated: announced %d "
+                               "bytes, %d available"
+                               % (index, length, size - cursor))
+        entries.append((tag, cursor, end))
+        cursor = end
+    if cursor != size:
+        raise FramingError("%d trailing byte(s) after the last reply "
+                           "entry" % (size - cursor))
+    return entries
 
 
 def decode_reply(codec: WireCodec, payload: bytes,
@@ -336,52 +370,22 @@ def decode_reply(codec: WireCodec, payload: bytes,
 
     ``pyramid_for`` supplies the client-side pyramid geometry for
     bitmap safe regions (see
-    :func:`~repro.protocol.wire.decode_bitmap_region`); replies without
-    bitmap payloads need none.
+    :meth:`~repro.protocol.wire.WireCodec.decode_response`); replies
+    without bitmap payloads need none.  A malformed envelope or entry
+    raises :class:`FramingError`.
     """
-    if len(payload) < _REPLY_COUNT.size:
-        raise FramingError("reply payload shorter than its count field")
-    (count,) = _REPLY_COUNT.unpack_from(payload)
-    cursor = _REPLY_COUNT.size
     messages: List[Response] = []
-    for _ in range(count):
-        if cursor >= len(payload):
-            raise FramingError("reply batch truncated before entry %d"
-                               % len(messages))
-        tag = payload[cursor]
-        cursor += 1
+    for tag, start, end in _reply_entries(payload):
         if tag == _TAG_NOTIFICATION:
-            end = cursor + _REPLY_NOTIFICATION.size
-            if end > len(payload):
-                raise FramingError("notification entry truncated")
-            (alarm_id,) = _REPLY_NOTIFICATION.unpack_from(payload, cursor)
+            (alarm_id,) = _REPLY_NOTIFICATION.unpack_from(payload, start)
             messages.append(AlarmNotification(alarm_id=alarm_id))
-            cursor = end
             continue
-        if tag != _TAG_PAYLOAD:
-            raise FramingError("unknown reply entry tag %d" % tag)
-        end = cursor + _REPLY_LENGTH.size
-        if end > len(payload):
-            raise FramingError("payload entry length truncated")
-        (length,) = _REPLY_LENGTH.unpack_from(payload, cursor)
-        cursor = end
-        end = cursor + length
-        if end > len(payload):
-            raise FramingError("payload entry truncated: announced %d "
-                               "bytes, %d available"
-                               % (length, len(payload) - cursor))
-        encoded = payload[cursor:end]
-        cursor = end
-        pyramid = None
-        if peek_type(encoded) is MessageType.BITMAP_SAFE_REGION:
-            if pyramid_for is None:
-                raise FramingError("reply carries a bitmap safe region "
-                                   "but no pyramid resolver was given")
-            pyramid = pyramid_for(peek_bitmap_cell_ref(encoded))
-        messages.append(codec.decode_response(encoded, pyramid))
-    if cursor != len(payload):
-        raise FramingError("%d trailing byte(s) after the last reply "
-                           "entry" % (len(payload) - cursor))
+        try:
+            messages.append(codec.decode_response(payload[start:end],
+                                                  pyramid_for))
+        except ValueError as exc:
+            raise FramingError("undecodable reply entry %d: %s"
+                               % (len(messages), exc)) from exc
     return tuple(messages)
 
 
@@ -393,28 +397,12 @@ def reply_summary(payload: bytes) -> Tuple[int, int, int]:
     check that a reply frame carries exactly the downlink bytes the
     server charged (tag-0 notifications are in-band and charge nothing).
     """
-    if len(payload) < _REPLY_COUNT.size:
-        raise FramingError("reply payload shorter than its count field")
-    (count,) = _REPLY_COUNT.unpack_from(payload)
-    cursor = _REPLY_COUNT.size
+    entries = _reply_entries(payload)
     notifications = 0
     charged = 0
-    for _ in range(count):
-        if cursor >= len(payload):
-            raise FramingError("reply batch truncated")
-        tag = payload[cursor]
-        cursor += 1
+    for tag, start, end in entries:
         if tag == _TAG_NOTIFICATION:
             notifications += 1
-            cursor += _REPLY_NOTIFICATION.size
-        elif tag == _TAG_PAYLOAD:
-            if cursor + _REPLY_LENGTH.size > len(payload):
-                raise FramingError("payload entry length truncated")
-            (length,) = _REPLY_LENGTH.unpack_from(payload, cursor)
-            cursor += _REPLY_LENGTH.size + length
-            charged += length
         else:
-            raise FramingError("unknown reply entry tag %d" % tag)
-    if cursor != len(payload):
-        raise FramingError("reply batch length mismatch")
-    return count, notifications, charged
+            charged += end - start
+    return len(entries), notifications, charged

@@ -9,9 +9,9 @@ counterpart of a processing strategy (compute a safe region, a safe
 period, or an alarm list, and decide when to ship it).
 
 Handlers and policies are *stateless*: everything mutable lives in the
-server's :class:`~repro.protocol.state.ServerState` (one-shot fired
-sets, caches, per-policy scratch), which is what makes the handler
-shardable — the parallel engine simply builds one state per shard.
+:class:`~repro.engine.server.AlarmServer` (one-shot fired sets, the
+safe-region memo, per-policy scratch), which is what makes the handler
+shardable — the parallel engine simply builds one server per shard.
 Policies never touch ``Metrics`` or the transport: byte accounting
 happens at the transport boundary from the sizes of the responses they
 return (rule RL008 enforces the same boundary on the client

@@ -192,8 +192,9 @@ ServerReply = Tuple[Response, ...]
 def downlink_kind(message: Response) -> Optional[str]:
     """Telemetry kind of a response, or ``None`` for in-band messages.
 
-    ``None`` means the message is delivered in-band with the reply and
-    is not charged as a downlink payload (:class:`AlarmNotification`).
+    Only names the kind: whether a message is charged is decided by its
+    size (:meth:`~repro.protocol.wire.WireCodec.size_of_response` is 0
+    for an in-band :class:`AlarmNotification`).
     """
     if isinstance(message, InstallSafeRegion):
         return message.kind

@@ -129,27 +129,28 @@ class InProcessTransport(Transport):
                          time_s: float) -> int:
         """Charge one sized downlink payload; in-band messages are free.
 
-        Returns the accounted byte count (0 for in-band messages, which
-        are not charged and emit no event).  A traced run also times the
-        sizing (``downlink_sizing_cost_us``).
+        Returns the accounted byte count: 0 marks an in-band message,
+        which is not charged and emits no event.  A traced run also
+        times the sizing (``downlink_sizing_cost_us``).
         """
-        kind = downlink_kind(message)
-        if kind is None:
-            return 0
         server = self.server
         telemetry = server.telemetry
         started = time.perf_counter() if telemetry.enabled else 0.0
         nbytes = self.codec.size_of_response(message)
+        if not nbytes:
+            return 0
         if self.verify_wire:
             encoded = self.codec.encode_response(message, sender=user_id,
                                                  timestamp=time_s)
             if len(encoded) != nbytes:
                 raise WireFidelityError(
                     "downlink %s charged %d bytes but encodes to %d"
-                    % (kind, nbytes, len(encoded)))
+                    % (downlink_kind(message), nbytes, len(encoded)))
         server.metrics.downlink_messages += 1
         server.metrics.downlink_bytes += nbytes
         if telemetry.enabled:
+            kind = downlink_kind(message)
+            assert kind is not None  # every charged payload has a kind
             telemetry.downlink_sent(
                 time_s, user_id, nbytes, kind,
                 (time.perf_counter() - started) * 1e6)
@@ -272,12 +273,11 @@ class LossyTransport(InProcessTransport):
     def _deliver_downlink(self, message: Response, user_id: int,
                           time_s: float) -> float:
         """Retransmit one payload until delivered; return its latency."""
-        if downlink_kind(message) is None:
-            return 0.0  # in-band: rides the (already delivered) reply
         server = self.server
         latency = 0.0
         for attempt in range(self.max_attempts):
-            self._charge_downlink(message, user_id, time_s)
+            if not self._charge_downlink(message, user_id, time_s):
+                return 0.0  # in-band: rides the (already delivered) reply
             latency += self._attempt_latency(attempt)
             if self._rng.random() < self.downlink_drop:
                 server.metrics.downlink_drops += 1

@@ -9,6 +9,8 @@ chosen by a caller), and :meth:`WireCodec.size_of_request`
 cost from the same layout that :meth:`WireCodec.encode_response`
 serializes — so "bytes charged" equals "bytes on the wire" by
 construction (a property the wire-fidelity suite asserts by encoding).
+:class:`WireCodec` is the one codec: each message's layout, size and
+validation live in its methods, so a new payload is added there.
 
 Layout conventions: little-endian, fixed-width header of
 ``(message_type: u8, reserved: u8, length: u16, sender: u32,
@@ -27,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from enum import IntEnum
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..geometry import Rect, Point
 from .messages import (AlarmNotification, AlarmRecord, InstallAlarmList,
@@ -38,7 +40,6 @@ from .messages import (AlarmNotification, AlarmRecord, InstallAlarmList,
 if TYPE_CHECKING:  # typing only: the codec stays import-light at runtime
     from ..engine.network import MessageSizes
     from ..index import Pyramid
-    from ..saferegion.bitmap import PyramidBitmap
 
 _UPLINK = struct.Struct("<IIddff")          # 32 bytes
 _HEADER = struct.Struct("<BBHId")           # 16 bytes
@@ -176,6 +177,24 @@ class MessageType(IntEnum):
     INVALIDATE = 5
 
 
+#: Value -> member map of the downlink discriminators: the decoder's
+#: one lookup (an unknown byte is a malformed downlink).
+_MESSAGE_TYPES = {member.value: member for member in MessageType}
+
+#: Payload bytes of the fixed-size downlinks; any other length is a
+#: malformed downlink.
+_FIXED_PAYLOADS = {MessageType.RECT_SAFE_REGION: _RECT.size,
+                   MessageType.SAFE_PERIOD: _SAFE_PERIOD.size,
+                   MessageType.INVALIDATE: 0}
+
+_RECT_DOWNLINK_SIZE = DOWNLINK_HEADER_SIZE + RECT_PAYLOAD_SIZE
+_SAFE_PERIOD_DOWNLINK_SIZE = DOWNLINK_HEADER_SIZE + SAFE_PERIOD_PAYLOAD_SIZE
+
+#: Resolves a bitmap downlink's wire cell reference to the pyramid
+#: geometry the client derives from its grid configuration.
+PyramidResolver = Callable[[int], "Pyramid"]
+
+
 def pack_cell_ref(col: int, row: int) -> int:
     """Pack grid-cell coordinates into the 64-bit wire cell reference."""
     if col < 0 or row < 0 or col > 0xFFFF_FFFF or row > 0xFFFF_FFFF:
@@ -188,226 +207,83 @@ def unpack_cell_ref(cell_ref: int) -> Tuple[int, int]:
     return cell_ref >> 32, cell_ref & 0xFFFF_FFFF
 
 
-# ----------------------------------------------------------------------
-# Uplink: location / region-exit reports
-# ----------------------------------------------------------------------
-def encode_location(report: Request) -> bytes:
-    """Encode an uplink report (32 bytes; exit flag in the sequence)."""
-    sequence = report.sequence
-    if sequence & EXIT_FLAG:
-        raise ValueError("sequence overflows into the exit-flag bit")
-    if isinstance(report, RegionExitReport):
-        sequence |= EXIT_FLAG
-    return _UPLINK.pack(report.user_id, sequence,
-                        report.position.x, report.position.y,
-                        report.heading, report.speed)
-
-
-def decode_location(payload: bytes) -> Request:
-    """Decode an uplink report (exit flag selects the request type)."""
-    user_id, sequence, x, y, heading, speed = _UPLINK.unpack(payload)
-    if sequence & EXIT_FLAG:
-        return RegionExitReport(user_id, sequence & ~EXIT_FLAG,
-                                Point(x, y), heading, speed)
-    return LocationReport(user_id, sequence, Point(x, y), heading, speed)
-
-
-def length_escape_size(payload_length: int) -> int:
-    """Extra header bytes a downlink payload of this length pays."""
-    return _LONG_LENGTH.size if payload_length >= LENGTH_ESCAPE else 0
-
-
-def _header(message_type: MessageType, payload_length: int, sender: int,
-            timestamp: float) -> bytes:
+def _downlink_size(payload_length: int) -> int:
+    """Bytes of a downlink carrying ``payload_length`` payload bytes."""
     if payload_length < LENGTH_ESCAPE:
-        return _HEADER.pack(int(message_type), 0, payload_length, sender,
-                            timestamp)
-    if payload_length > 0xFFFF_FFFF:
-        raise ValueError("payload too large for the 32-bit length field")
-    return (_HEADER.pack(int(message_type), 0, LENGTH_ESCAPE, sender,
-                         timestamp)
-            + _LONG_LENGTH.pack(payload_length))
+        return DOWNLINK_HEADER_SIZE + payload_length
+    return DOWNLINK_HEADER_SIZE + _LONG_LENGTH.size + payload_length
 
 
-def _payload_start(data: bytes) -> Tuple[int, int]:
-    """``(payload length, payload offset)`` of an encoded downlink."""
-    length = _HEADER.unpack_from(data)[2]
-    if length != LENGTH_ESCAPE:
-        return length, _HEADER.size
-    (length,) = _LONG_LENGTH.unpack_from(data, _HEADER.size)
+def _downlink(message_type: MessageType, payload: bytes, sender: int,
+              timestamp: float) -> bytes:
+    """Header plus payload of one downlink."""
+    length = len(payload)
     if length < LENGTH_ESCAPE:
-        raise ValueError("escaped length %d fits the 16-bit field" % length)
-    return length, _HEADER.size + _LONG_LENGTH.size
+        return _HEADER.pack(message_type, 0, length, sender,
+                            timestamp) + payload
+    if length > 0xFFFF_FFFF:
+        raise ValueError("payload too large for the 32-bit length field")
+    return (_HEADER.pack(message_type, 0, LENGTH_ESCAPE, sender, timestamp)
+            + _LONG_LENGTH.pack(length) + payload)
 
 
-def _split_header(data: bytes) -> Tuple[MessageType, int, float, bytes]:
-    message_type, _, _, sender, timestamp = _HEADER.unpack_from(data)
-    length, start = _payload_start(data)
+def _split_downlink(data: bytes) -> Tuple[MessageType, bytes]:
+    """``(message type, payload)`` of an encoded downlink.
+
+    The one header split: every length the header announces is checked
+    against the bytes there are, so a malformed downlink raises
+    ``ValueError`` here and nowhere else in the header.
+    """
+    if len(data) < DOWNLINK_HEADER_SIZE:
+        raise ValueError("downlink of %d byte(s) is shorter than its "
+                         "%d-byte header" % (len(data), DOWNLINK_HEADER_SIZE))
+    type_byte, _, length, _, _ = _HEADER.unpack_from(data)
+    start = DOWNLINK_HEADER_SIZE
+    if length == LENGTH_ESCAPE:
+        if len(data) < start + _LONG_LENGTH.size:
+            raise ValueError("escaped downlink length truncated")
+        (length,) = _LONG_LENGTH.unpack_from(data, start)
+        if length < LENGTH_ESCAPE:
+            raise ValueError("escaped length %d fits the 16-bit field"
+                             % length)
+        start += _LONG_LENGTH.size
+    message_type = _MESSAGE_TYPES.get(type_byte)
+    if message_type is None:
+        raise ValueError("unknown downlink message type %d" % type_byte)
     payload = data[start:]
     if len(payload) != length:
         raise ValueError("payload length mismatch: header says %d, got %d"
                          % (length, len(payload)))
-    return MessageType(message_type), sender, timestamp, payload
+    fixed = _FIXED_PAYLOADS.get(message_type)
+    if fixed is not None and length != fixed:
+        raise ValueError("%s payload must be %d bytes, got %d"
+                         % (message_type.name, fixed, length))
+    return message_type, payload
 
 
 # ----------------------------------------------------------------------
-# Rectangular safe region
-# ----------------------------------------------------------------------
-def encode_rect_region(rect: Rect, sender: int = 0,
-                       timestamp: float = 0.0) -> bytes:
-    """Encode a rectangular safe-region downlink (16 + 32 bytes)."""
-    payload = _RECT.pack(rect.min_x, rect.min_y, rect.max_x, rect.max_y)
-    return _header(MessageType.RECT_SAFE_REGION, len(payload), sender,
-                   timestamp) + payload
-
-
-def decode_rect_region(data: bytes) -> Rect:
-    message_type, _, _, payload = _split_header(data)
-    if message_type is not MessageType.RECT_SAFE_REGION:
-        raise ValueError("not a rectangular safe-region message")
-    return Rect(*_RECT.unpack(payload))
-
-
-# ----------------------------------------------------------------------
-# Safe period
-# ----------------------------------------------------------------------
-def encode_safe_period(expiry: float, sender: int = 0,
-                       timestamp: float = 0.0) -> bytes:
-    """Encode a safe-period downlink (16 + 8 bytes)."""
-    payload = _SAFE_PERIOD.pack(expiry)
-    return _header(MessageType.SAFE_PERIOD, len(payload), sender,
-                   timestamp) + payload
-
-
-def decode_safe_period(data: bytes) -> float:
-    message_type, _, _, payload = _split_header(data)
-    if message_type is not MessageType.SAFE_PERIOD:
-        raise ValueError("not a safe-period message")
-    return float(_SAFE_PERIOD.unpack(payload)[0])
-
-
-# ----------------------------------------------------------------------
-# Alarm push (the OPT strategy)
-# ----------------------------------------------------------------------
-def encode_alarm_push(cell: Rect, alarms: List[Tuple[int, Rect]],
-                      alert_payload_bytes: int = DEFAULT_ALERT_PAYLOAD_BYTES,
-                      sender: int = 0, timestamp: float = 0.0) -> bytes:
-    """Encode an OPT alarm push.
-
-    Each alarm entry carries its id, region and ``alert_payload_bytes``
-    of opaque alert content (the text/media the client must be able to
-    raise without contacting the server).  The default entry size
-    (40 + 216 = 256 bytes) matches ``MessageSizes.alarm_entry``.
-    """
-    parts = [_RECT.pack(cell.min_x, cell.min_y, cell.max_x, cell.max_y)]
-    for alarm_id, region in alarms:
-        parts.append(_ALARM_FIXED.pack(alarm_id, region.min_x, region.min_y,
-                                       region.max_x, region.max_y))
-        parts.append(bytes(alert_payload_bytes))
-    payload = b"".join(parts)
-    return _header(MessageType.ALARM_PUSH, len(payload), sender,
-                   timestamp) + payload
-
-
-def decode_alarm_push(data: bytes,
-                      alert_payload_bytes: int = DEFAULT_ALERT_PAYLOAD_BYTES
-                      ) -> Tuple[Rect, List[Tuple[int, Rect]]]:
-    message_type, _, _, payload = _split_header(data)
-    if message_type is not MessageType.ALARM_PUSH:
-        raise ValueError("not an alarm-push message")
-    cell = Rect(*_RECT.unpack(payload[:_RECT.size]))
-    cursor = _RECT.size
-    entry_size = _ALARM_FIXED.size + alert_payload_bytes
-    alarms: List[Tuple[int, Rect]] = []
-    while cursor < len(payload):
-        alarm_id, min_x, min_y, max_x, max_y = _ALARM_FIXED.unpack(
-            payload[cursor:cursor + _ALARM_FIXED.size])
-        alarms.append((alarm_id, Rect(min_x, min_y, max_x, max_y)))
-        cursor += entry_size
-    return cell, alarms
-
-
-# ----------------------------------------------------------------------
-# Bitmap safe region
-# ----------------------------------------------------------------------
-def encode_bitmap_region(cell_ref: int, bitmap: "PyramidBitmap",
-                         sender: int = 0, timestamp: float = 0.0) -> bytes:
-    """Encode a bitmap safe-region downlink.
-
-    ``cell_ref`` identifies the base grid cell (the client derives the
-    cell rectangle and pyramid geometry from its grid parameters).  The
-    bit count travels explicitly so the final partial byte is
-    unambiguous; total size is 16 + 12 + ceil(bits/8) bytes (plus the
-    4-byte length escape from 0xFFFF payload bytes on), matching
-    :meth:`WireCodec.size_of_response`.
-    """
-    bits = bitmap.to_bitstring()
-    size = (len(bits) + 7) // 8
-    # Bit i lands in byte i // 8 at position 7 - i % 8: the zero-padded
-    # string read as one big-endian integer.
-    packed = int(bits.ljust(size * 8, "0"), 2).to_bytes(size, "big")
-    payload = _BITMAP_FIXED.pack(cell_ref, len(bits)) + packed
-    return _header(MessageType.BITMAP_SAFE_REGION, len(payload), sender,
-                   timestamp) + payload
-
-
-def decode_bitmap_region(data: bytes, pyramid: "Pyramid"
-                         ) -> Tuple[int, "PyramidBitmap"]:
-    """Decode a bitmap downlink against the client's pyramid geometry."""
-    from ..saferegion.bitmap import decode_bitstring
-
-    message_type, _, _, payload = _split_header(data)
-    if message_type is not MessageType.BITMAP_SAFE_REGION:
-        raise ValueError("not a bitmap safe-region message")
-    cell_ref, bit_count = _BITMAP_FIXED.unpack(
-        payload[:_BITMAP_FIXED.size])
-    packed = payload[_BITMAP_FIXED.size:]
-    if bit_count > len(packed) * 8:
-        raise ValueError("bitmap payload shorter than its bit count")
-    bits = format(int.from_bytes(packed, "big"), "0%db" % (len(packed) * 8))
-    return cell_ref, decode_bitstring(pyramid, bits[:bit_count])
-
-
-def encode_invalidate(sender: int = 0, timestamp: float = 0.0) -> bytes:
-    """Encode a header-only state-invalidation push (16 bytes)."""
-    return _header(MessageType.INVALIDATE, 0, sender, timestamp)
-
-
-def decode_invalidate(data: bytes) -> InvalidateState:
-    message_type, _, _, payload = _split_header(data)
-    if message_type is not MessageType.INVALIDATE:
-        raise ValueError("not an invalidation message")
-    return InvalidateState()
-
-
-def peek_type(data: bytes) -> MessageType:
-    """Message type of an encoded downlink without full decoding."""
-    return MessageType(data[0])
-
-
-def peek_bitmap_cell_ref(data: bytes) -> int:
-    """Wire cell reference of an encoded bitmap downlink.
-
-    Reads only the fixed prefix — the framed client uses this to build
-    the pyramid geometry *before* the full decode, which needs it.
-    """
-    if peek_type(data) is not MessageType.BITMAP_SAFE_REGION:
-        raise ValueError("not a bitmap safe-region message")
-    cell_ref, _ = _BITMAP_FIXED.unpack_from(data, _payload_start(data)[1])
-    return cell_ref
-
-
-# ----------------------------------------------------------------------
-# The codec object: typed message <-> bytes, with derived sizes
+# The codec: typed message <-> bytes, with derived sizes
 # ----------------------------------------------------------------------
 class WireCodec:
-    """Serializer for protocol messages with struct-derived sizing.
+    """The one serializer of protocol messages, with struct-derived sizing.
 
     The transport charges every exchange through :meth:`size_of_request`
     and :meth:`size_of_response`; both are computed from the struct
     layouts above, and the wire-fidelity tests additionally assert
     ``size_of_response(m) == len(encode_response(m))`` for every payload
-    a simulation ships.
+    a simulation ships.  A size of 0 marks an in-band message
+    (:class:`~repro.protocol.messages.AlarmNotification`, which rides
+    the reply): it encodes to ``b""`` and nothing is charged for it.
+
+    Downlink payloads: a rectangular safe region is four float64s; a
+    bitmap safe region is its base-cell reference and bit count, then
+    the bits packed big-endian (bit ``i`` in byte ``i // 8`` at position
+    ``7 - i % 8``); a safe period is one float64; an OPT alarm push is
+    the cell rectangle, then per alarm its id, its region and
+    ``alert_payload_bytes`` of opaque alert content (the text/media the
+    client must raise without contacting the server; the default makes
+    one entry 40 + 216 = 256 bytes, ``MessageSizes.alarm_entry``); an
+    invalidation is header-only.
     """
 
     __slots__ = ("alert_payload_bytes",)
@@ -440,88 +316,142 @@ class WireCodec:
             raise ValueError("alarm_entry smaller than its fixed part")
         return cls(alert_payload_bytes=alert)
 
-    # -- sizing --------------------------------------------------------
+    # -- uplink --------------------------------------------------------
     def size_of_request(self, request: Request) -> int:
         """Accounted bytes of an uplink report (fixed 32)."""
         return UPLINK_LOCATION_SIZE
 
+    def encode_request(self, request: Request) -> bytes:
+        """Serialize an uplink report (exit flag in the sequence)."""
+        sequence = request.sequence
+        if sequence & EXIT_FLAG:
+            raise ValueError("sequence overflows into the exit-flag bit")
+        if isinstance(request, RegionExitReport):
+            sequence |= EXIT_FLAG
+        position = request.position
+        return _UPLINK.pack(request.user_id, sequence, position.x,
+                            position.y, request.heading, request.speed)
+
+    def decode_request(self, payload: bytes) -> Request:
+        """Deserialize an uplink report (the exit flag picks the type)."""
+        user_id, sequence, x, y, heading, speed = _UPLINK.unpack(payload)
+        if sequence & EXIT_FLAG:
+            return RegionExitReport(user_id, sequence & ~EXIT_FLAG,
+                                    Point(x, y), heading, speed)
+        return LocationReport(user_id, sequence, Point(x, y), heading,
+                              speed)
+
+    # -- downlink ------------------------------------------------------
     def size_of_response(self, message: Response) -> int:
         """Accounted bytes of a downlink payload (0 for in-band)."""
         if isinstance(message, InstallSafeRegion):
             if message.rect is not None:
-                return DOWNLINK_HEADER_SIZE + RECT_PAYLOAD_SIZE
+                return _RECT_DOWNLINK_SIZE
             assert message.bitmap is not None
-            payload = (BITMAP_FIXED_SIZE
-                       + (message.bitmap.bit_length() + 7) // 8)
-            return (DOWNLINK_HEADER_SIZE + length_escape_size(payload)
-                    + payload)
+            return _downlink_size(
+                BITMAP_FIXED_SIZE + (message.bitmap.bit_length() + 7) // 8)
         if isinstance(message, InstallSafePeriod):
-            return DOWNLINK_HEADER_SIZE + SAFE_PERIOD_PAYLOAD_SIZE
+            return _SAFE_PERIOD_DOWNLINK_SIZE
         if isinstance(message, InstallAlarmList):
             entry = ALARM_FIXED_SIZE + self.alert_payload_bytes
-            payload = RECT_PAYLOAD_SIZE + len(message.alarms) * entry
-            return (DOWNLINK_HEADER_SIZE + length_escape_size(payload)
-                    + payload)
+            return _downlink_size(RECT_PAYLOAD_SIZE
+                                  + len(message.alarms) * entry)
         if isinstance(message, InvalidateState):
             return DOWNLINK_HEADER_SIZE
         if isinstance(message, AlarmNotification):
             return 0  # in-band with the reply; never a downlink payload
         raise TypeError("unknown response message: %r" % (message,))
 
-    # -- encoding ------------------------------------------------------
-    def encode_request(self, request: Request) -> bytes:
-        """Serialize an uplink report."""
-        return encode_location(request)
-
-    def decode_request(self, payload: bytes) -> Request:
-        """Deserialize an uplink report."""
-        return decode_location(payload)
-
     def encode_response(self, message: Response, sender: int = 0,
                         timestamp: float = 0.0) -> bytes:
         """Serialize a downlink payload (empty for in-band messages)."""
         if isinstance(message, InstallSafeRegion):
-            if message.rect is not None:
-                return encode_rect_region(message.rect, sender, timestamp)
+            rect = message.rect
+            if rect is not None:
+                return _downlink(MessageType.RECT_SAFE_REGION,
+                                 _RECT.pack(rect.min_x, rect.min_y,
+                                            rect.max_x, rect.max_y),
+                                 sender, timestamp)
             assert message.cell_ref is not None
             assert message.bitmap is not None
-            return encode_bitmap_region(message.cell_ref, message.bitmap,
-                                        sender, timestamp)
+            bits = message.bitmap.to_bitstring()
+            size = (len(bits) + 7) // 8
+            # The zero-padded string read as one big-endian integer.
+            packed = int(bits.ljust(size * 8, "0"), 2).to_bytes(size, "big")
+            return _downlink(MessageType.BITMAP_SAFE_REGION,
+                             _BITMAP_FIXED.pack(message.cell_ref, len(bits))
+                             + packed, sender, timestamp)
         if isinstance(message, InstallSafePeriod):
-            return encode_safe_period(message.expiry, sender, timestamp)
+            return _downlink(MessageType.SAFE_PERIOD,
+                             _SAFE_PERIOD.pack(message.expiry), sender,
+                             timestamp)
         if isinstance(message, InstallAlarmList):
-            entries = [(record.alarm_id, record.region)
-                       for record in message.alarms]
-            return encode_alarm_push(message.cell, entries,
-                                     self.alert_payload_bytes, sender,
-                                     timestamp)
+            cell = message.cell
+            parts = [_RECT.pack(cell.min_x, cell.min_y, cell.max_x,
+                                cell.max_y)]
+            alert = bytes(self.alert_payload_bytes)
+            for record in message.alarms:
+                region = record.region
+                parts.append(_ALARM_FIXED.pack(
+                    record.alarm_id, region.min_x, region.min_y,
+                    region.max_x, region.max_y))
+                parts.append(alert)
+            return _downlink(MessageType.ALARM_PUSH, b"".join(parts),
+                             sender, timestamp)
         if isinstance(message, InvalidateState):
-            return encode_invalidate(sender, timestamp)
+            return _downlink(MessageType.INVALIDATE, b"", sender, timestamp)
         if isinstance(message, AlarmNotification):
             return b""  # rides the reply; nothing crosses the downlink
         raise TypeError("unknown response message: %r" % (message,))
 
     def decode_response(self, data: bytes,
-                        pyramid: Optional["Pyramid"] = None) -> Response:
-        """Deserialize a downlink payload into its typed message."""
-        message_type = peek_type(data)
+                        pyramid_for: Optional[PyramidResolver] = None
+                        ) -> Response:
+        """Deserialize a downlink payload into its typed message.
+
+        ``pyramid_for`` maps a bitmap's wire cell reference to the
+        client's pyramid geometry, which decoding the bits needs;
+        downlinks without a bitmap need none.  Any malformed downlink
+        raises ``ValueError``.
+        """
+        message_type, payload = _split_downlink(data)
         if message_type is MessageType.RECT_SAFE_REGION:
-            return InstallSafeRegion(rect=decode_rect_region(data))
-        if message_type is MessageType.BITMAP_SAFE_REGION:
-            if pyramid is None:
-                raise ValueError("bitmap decoding needs the client's "
-                                 "pyramid geometry")
-            cell_ref, bitmap = decode_bitmap_region(data, pyramid)
-            return InstallSafeRegion(cell_ref=cell_ref, bitmap=bitmap)
+            return InstallSafeRegion(rect=Rect(*_RECT.unpack(payload)))
         if message_type is MessageType.SAFE_PERIOD:
-            return InstallSafePeriod(expiry=decode_safe_period(data))
-        if message_type is MessageType.ALARM_PUSH:
-            cell, entries = decode_alarm_push(data,
-                                              self.alert_payload_bytes)
-            return InstallAlarmList(
-                cell=cell,
-                alarms=tuple(AlarmRecord(alarm_id=a, region=r)
-                             for a, r in entries))
+            return InstallSafePeriod(expiry=_SAFE_PERIOD.unpack(payload)[0])
         if message_type is MessageType.INVALIDATE:
-            return decode_invalidate(data)
-        raise ValueError("undecodable message type: %r" % (message_type,))
+            return InvalidateState()
+        if message_type is MessageType.ALARM_PUSH:
+            entry = ALARM_FIXED_SIZE + self.alert_payload_bytes
+            if (len(payload) < RECT_PAYLOAD_SIZE
+                    or (len(payload) - RECT_PAYLOAD_SIZE) % entry):
+                raise ValueError(
+                    "alarm push of %d payload bytes is not a cell and "
+                    "whole %d-byte entries" % (len(payload), entry))
+            alarms: List[AlarmRecord] = []
+            for offset in range(RECT_PAYLOAD_SIZE, len(payload), entry):
+                alarm_id, min_x, min_y, max_x, max_y = \
+                    _ALARM_FIXED.unpack_from(payload, offset)
+                alarms.append(AlarmRecord(alarm_id,
+                                          Rect(min_x, min_y, max_x, max_y)))
+            return InstallAlarmList(cell=Rect(*_RECT.unpack_from(payload)),
+                                    alarms=tuple(alarms))
+        assert message_type is MessageType.BITMAP_SAFE_REGION
+        from ..saferegion.bitmap import decode_bitstring
+
+        if len(payload) < BITMAP_FIXED_SIZE:
+            raise ValueError("bitmap payload shorter than its fixed part")
+        cell_ref, bit_count = _BITMAP_FIXED.unpack_from(payload)
+        packed = payload[BITMAP_FIXED_SIZE:]
+        if len(packed) != (bit_count + 7) // 8:
+            raise ValueError("bitmap of %d bits packed in %d bytes"
+                             % (bit_count, len(packed)))
+        if pyramid_for is None:
+            raise ValueError("a bitmap safe region needs a pyramid "
+                             "resolver to decode")
+        bits = format(int.from_bytes(packed, "big"),
+                      "0%db" % (len(packed) * 8))
+        return InstallSafeRegion(
+            cell_ref=cell_ref,
+            bitmap=decode_bitstring(pyramid_for(cell_ref),
+                                    bits[:bit_count]))

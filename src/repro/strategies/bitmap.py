@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 class BitmapPolicy(ServerPolicy):
     """Server half of GBSR/PBSR: cell bitmaps, public ones shared."""
 
-    #: ``ServerState.scratch`` key mapping user id -> the cell id whose
+    #: ``AlarmServer.scratch`` key mapping user id -> the cell id whose
     #: bitmap that user currently holds (needed on the quick-update
     #: path, where the *installed* cell — not the cell of the reported
     #: position, which may sit on a shared boundary — must be rebuilt).
@@ -71,7 +71,7 @@ class BitmapPolicy(ServerPolicy):
                        triggered: Sequence[SpatialAlarm]
                        ) -> Tuple[Response, ...]:
         cell_id = server.grid.cell_of(request.position)
-        installed = server.state.scratch.setdefault(self.SCRATCH_KEY, {})
+        installed = server.scratch.setdefault(self.SCRATCH_KEY, {})
         installed[request.user_id] = cell_id
         return (self._build(server, request.user_id, time_s, cell_id),)
 
@@ -83,7 +83,7 @@ class BitmapPolicy(ServerPolicy):
         # then is a re-ship worth its bytes (quick-update, Section 4.2).
         if not triggered:
             return ()
-        installed = server.state.scratch.get(self.SCRATCH_KEY, {})
+        installed = server.scratch.get(self.SCRATCH_KEY, {})
         cell_id = installed.get(request.user_id)
         if cell_id is None:  # no bitmap installed: nothing to update
             return ()

@@ -19,7 +19,7 @@ derives it from the two most recent reported positions — exactly the
 ``l_s(t')`` to ``l_s(t)`` construction of the paper's Fig. 1(a) — and
 needs nothing beyond the position fix.  The reported-position history
 is server-side state and lives in the run's
-:class:`~repro.protocol.state.ServerState` scratch space, never on the
+:class:`~repro.engine.server.AlarmServer` scratch space, never on the
 policy object.
 """
 
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 class RectangularPolicy(ServerPolicy):
     """Server half of MWPSR: a fresh rectangle per region-exit report."""
 
-    #: ``ServerState.scratch`` key of the per-user last-reported
+    #: ``AlarmServer.scratch`` key of the per-user last-reported
     #: positions (server-side heading estimation).
     SCRATCH_KEY = "rect.last_reported"
 
@@ -75,7 +75,7 @@ class RectangularPolicy(ServerPolicy):
         """
         if self.heading_source == "client":
             return request.heading
-        last_reported: Dict[int, Point] = server.state.scratch.setdefault(
+        last_reported: Dict[int, Point] = server.scratch.setdefault(
             self.SCRATCH_KEY, {})
         previous = last_reported.get(request.user_id)
         last_reported[request.user_id] = request.position

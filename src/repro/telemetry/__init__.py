@@ -23,7 +23,7 @@ from .events import (BASE_FIELDS, EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
                      EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
                      EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN, EVENT_TYPES,
                      RECORD_EVENT, RECORD_MANIFEST, RECORD_SUMMARY,
-                     TraceEvent, validate_event)
+                     validate_event)
 from .export import (TraceData, event_counts, filter_events, read_trace,
                      reconcile, render_event_line, render_json,
                      render_metrics_prom, render_prom,
@@ -86,7 +86,6 @@ __all__ = [
     "Telemetry",
     "TelemetryError",
     "TraceData",
-    "TraceEvent",
     "TraceSink",
     "Tracer",
     "config_fingerprint",

@@ -23,8 +23,7 @@ row in ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 #: Record kinds (the ``record`` field of every trace line).
 RECORD_MANIFEST = "manifest"
@@ -72,34 +71,6 @@ EVENT_TYPES: Tuple[str, ...] = tuple(sorted(EVENT_FIELDS))
 
 #: Base fields present on every event record.
 BASE_FIELDS: FrozenSet[str] = frozenset({"record", "type", "t", "shard"})
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One decoded trace event (the reader-side structured form).
-
-    The hot emit path writes plain dicts (see
-    :class:`~repro.telemetry.tracer.Tracer`); readers — exporters, the
-    ``repro trace`` CLI, tests — decode records into this dataclass for
-    typed access.
-    """
-
-    type: str
-    time_s: float
-    shard: int
-    user_id: Optional[int]
-    fields: Mapping[str, object]
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, object]) -> "TraceEvent":
-        """Decode one raw event record (schema errors raise KeyError)."""
-        payload = {key: value for key, value in record.items()
-                   if key not in BASE_FIELDS and key != "user"}
-        user = record.get("user")
-        return cls(type=str(record["type"]), time_s=float(record["t"]),
-                   shard=int(record["shard"]),
-                   user_id=int(user) if user is not None else None,
-                   fields=payload)
 
 
 def validate_event(record: Mapping[str, object]) -> List[str]:

@@ -158,8 +158,8 @@ RETIRED = (
     # PA009's socket shape: the test passes without the ResourceWarning
     # filter of pyproject.toml, so this row proves the filter is live.
     Retired("PA009", "net/stats.py",
-            "    finally:\n        sock.close()\n",
-            "    finally:\n        pass  # 'collecting it closes it'\n",
+            "    with transport:\n",
+            "    if transport:  # 'collecting it closes it'\n",
             "tests/net/test_stats.py::TestStatsChannel::"
             "test_snapshot_sections",
             "unclosed <socket.socket", shape="socket"),

@@ -1,4 +1,5 @@
-"""Tests for the alarm server: one-shot firing, accounting, stage timing."""
+"""Tests for the alarm server: one-shot firing, accounting, stage timing,
+and the run-scoped state it owns (fired sets, memo, scratch, close)."""
 
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from repro.protocol.handlers import EVALUATE_ONLY
 from repro.protocol.messages import InstallSafePeriod, LocationReport
 from repro.protocol.transport import InProcessTransport
 from repro.protocol.wire import UPLINK_LOCATION_SIZE, WireCodec
+from repro.saferegion.cache import SafeRegionCache
 from repro.telemetry import NullSink, Telemetry
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
@@ -133,3 +135,44 @@ class TestHelpers:
     def test_current_cell(self, server):
         cell = server.current_cell(Point(1500, 500))
         assert cell.contains_point(Point(1500, 500))
+
+
+class TestFired:
+    def test_materializes_on_first_touch(self, server):
+        # Regression: the fired table is a defaultdict — reading an
+        # unseen user's set must not require a prior setdefault dance.
+        assert server.fired_for(42) == set()
+        server.fired_for(42).add(7)
+        assert server.fired[42] == {7}
+
+    def test_per_user_isolation(self, server):
+        server.fired_for(1).add(5)
+        assert server.fired_for(2) == set()
+
+
+class TestClose:
+    def test_idempotent(self, server):
+        assert not server.closed
+        server.close()
+        assert server.closed
+        server.close()  # second close must be a no-op, not an error
+        assert server.closed
+
+    def test_detaches_caches(self, server):
+        registry = server.registry
+        assert registry._listeners == [server.region_cache._on_mutation]
+        server.close()
+        # A detached memo no longer listens: the registry is left as the
+        # run found it, and later mutations reach nobody.
+        assert registry._listeners == []
+        registry.install(Rect(300, 300, 400, 400), AlarmScope.PUBLIC, 1)
+        assert server.region_cache.entries() == {}
+
+    def test_scratch_cleared(self, server):
+        server.scratch["policy.key"] = {"user": 1}
+        server.close()
+        assert server.scratch == {}
+
+    def test_memo_on_without_a_flag(self, server):
+        assert isinstance(server.region_cache, SafeRegionCache)
+        assert server.region_cache.entries() == {}

@@ -86,7 +86,7 @@ class TestServerClosedOnEveryPath:
         strategy = _FailingStrategy()
         with pytest.raises(RuntimeError):
             run(strategy)
-        assert strategy.session.transport.server.state.closed
+        assert strategy.session.transport.server.closed
 
     def test_static_run(self, world):
         self._assert_closed(lambda s: run_simulation(world, s))

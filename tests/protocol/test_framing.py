@@ -6,9 +6,11 @@ byte at a time — the decoder yields the identical frame sequence, and
 a consumer that stops early leaves exactly the frames it did not take
 buffered.  Hypothesis drives the frame contents and the split points;
 dedicated cases pin the rejection paths (bad magic, unknown kind,
-oversize length, truncated stream, trailing garbage).  The example
-budgets go through ``tests/budget.py``: ``REPRO_DEEP=1`` draws five
-times as many.
+oversize length, truncated stream, trailing garbage).  The REPLY
+decoder is fuzzed: any bytes decode or raise ``FramingError``, a
+malformed downlink inside the envelope included.  The example budgets
+go through ``tests/budget.py``: ``REPRO_DEEP=1`` draws five times as
+many.
 """
 
 import struct
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
+from repro.index import Pyramid
 from repro.protocol.framing import (FRAME_HEADER_SIZE, FRAME_MAGIC,
                                     MAX_FRAME_PAYLOAD, Frame, FrameDecoder,
                                     FrameKind, FramingError,
@@ -28,9 +31,11 @@ from repro.protocol.framing import (FRAME_HEADER_SIZE, FRAME_MAGIC,
                                     encode_frame, encode_hello,
                                     encode_reply, encode_stats,
                                     reply_summary)
-from repro.protocol.messages import (AlarmNotification, InstallSafePeriod,
-                                     InstallSafeRegion, LocationReport)
-from repro.protocol.wire import WireCodec
+from repro.protocol.messages import (AlarmNotification, AlarmRecord,
+                                     InstallAlarmList, InstallSafePeriod,
+                                     InstallSafeRegion, InvalidateState)
+from repro.protocol.wire import WireCodec, pack_cell_ref
+from repro.saferegion import PyramidBitmap
 from ..budget import examples
 
 kinds = st.sampled_from(list(FrameKind))
@@ -348,6 +353,95 @@ class TestReplyBatches:
         assert decoded[0].cell_ref == cell_ref
         probe = decoded[0].bitmap.probe(Point(1.5, 1.5))
         assert probe == bitmap.probe(Point(1.5, 1.5))
+
+
+def _downlink(type_byte, payload):
+    """A downlink with a hand-written 16-byte header."""
+    return struct.pack("<BBHId", type_byte, 0, len(payload), 0,
+                       0.0) + payload
+
+
+def _one_entry_reply(entry):
+    """A well-formed REPLY envelope around one sized entry."""
+    return struct.pack("<HBI", 1, 1, len(entry)) + entry
+
+
+_CELL_BYTES = struct.pack("<dddd", 0.0, 0.0, 10.0, 10.0)
+_ALARM_FIXED = struct.pack("<Qdddd", 4, 1.0, 1.0, 2.0, 2.0)
+
+#: Malformed downlinks inside a well-formed envelope; each must come
+#: out of ``decode_reply`` as a ``FramingError`` (the only error the
+#: socket client turns into a ``TransportError``).
+MALFORMED_ENTRIES = {
+    "rect-announcing-4-bytes": _downlink(1, bytes(4)),
+    "message-type-9": _downlink(9, b""),
+    "empty-entry": b"",
+    "push-whose-last-entry-lacks-its-alert": _downlink(
+        4, _CELL_BYTES + _ALARM_FIXED + bytes(216) + _ALARM_FIXED),
+}
+
+
+@pytest.mark.parametrize("entry", list(MALFORMED_ENTRIES.values()),
+                         ids=list(MALFORMED_ENTRIES))
+def test_malformed_downlink_entry_raises_framing_error(entry):
+    with pytest.raises(FramingError, match="undecodable reply entry 0"):
+        decode_reply(WireCodec(), _one_entry_reply(entry))
+
+
+def _overwritten(data, edits, cut):
+    """``data`` with ``(index, byte)`` edits applied, cut at ``cut``."""
+    edited = bytearray(data)
+    for index, value in edits:
+        edited[index % len(edited)] = value
+    return bytes(edited[:cut])
+
+
+class TestReplyFuzz:
+    """Any bytes given to ``decode_reply`` decode or raise
+    ``FramingError``, nothing else; ``reply_summary`` walks the same
+    envelope under the same contract.  Half the inputs are a valid
+    reply of every payload kind with bytes overwritten and the tail
+    cut, so the walk reaches the downlink decoder too."""
+
+    PYRAMID = Pyramid(Rect(0.0, 0.0, 9.0, 9.0), height=2)
+    CODEC = WireCodec(alert_payload_bytes=8)
+    VALID = encode_reply(CODEC, (
+        AlarmNotification(alarm_id=3),
+        InstallSafeRegion(rect=Rect(0.0, 0.0, 4.0, 4.0)),
+        InstallSafeRegion(cell_ref=pack_cell_ref(1, 2),
+                          bitmap=PyramidBitmap.from_obstacles(
+                              PYRAMID, [Rect(1.0, 1.0, 2.0, 2.0)])),
+        InstallSafePeriod(expiry=7.5),
+        InstallAlarmList(cell=Rect(0.0, 0.0, 9.0, 9.0),
+                         alarms=(AlarmRecord(5, Rect(1.0, 1.0, 3.0, 3.0)),)),
+        InvalidateState()), sender=1, timestamp=2.0)
+
+    @given(payload=st.one_of(
+        st.binary(max_size=400),
+        st.builds(_overwritten, st.just(VALID),
+                  st.lists(st.tuples(st.integers(min_value=0),
+                                     st.integers(0, 255)), max_size=4),
+                  st.one_of(st.none(), st.integers(0, len(VALID))))))
+    @settings(max_examples=examples(300, 1500), deadline=None)
+    def test_bytes_decode_or_raise_framing_error(self, payload):
+        try:
+            decoded = decode_reply(self.CODEC, payload,
+                                   pyramid_for=lambda ref: self.PYRAMID)
+        except FramingError:
+            decoded = None
+        try:
+            summary = reply_summary(payload)
+        except FramingError:
+            assert decoded is None
+            return
+        if decoded is not None:
+            assert summary[:2] == (len(decoded), sum(
+                isinstance(m, AlarmNotification) for m in decoded))
+
+    def test_the_valid_reply_decodes(self):
+        decoded = decode_reply(self.CODEC, self.VALID,
+                               pyramid_for=lambda ref: self.PYRAMID)
+        assert len(decoded) == 6
 
 
 class TestTraceEnvelope:

@@ -1,6 +1,6 @@
-"""Wire codec: round-trips, and the sizing property the accounting
-rests on — ``size_of_*`` equals the length of the actual encoding for
-every message the protocol can ship."""
+"""Wire codec: round-trips through the one codec, and the sizing
+property the accounting rests on — ``size_of_*`` equals the length of
+the actual encoding for every message the protocol can ship."""
 
 import random
 
@@ -18,6 +18,15 @@ from repro.protocol.wire import (EXIT_FLAG, MessageType, WireCodec,
 from repro.saferegion import PyramidBitmap
 
 CELL = Rect(0, 0, 1000, 1000)
+CODEC = WireCodec()
+
+
+def _records(alarms):
+    return tuple(AlarmRecord(alarm_id, region) for alarm_id, region in alarms)
+
+
+def _entries(message):
+    return [(record.alarm_id, record.region) for record in message.alarms]
 
 
 class TestUplinkRoundTrip:
@@ -25,18 +34,20 @@ class TestUplinkRoundTrip:
         report = LocationReport(user_id=9, sequence=41,
                                 position=Point(123.5, 67.25),
                                 heading=1.25, speed=13.5)
-        decoded = wire.decode_location(wire.encode_location(report))
+        decoded = CODEC.decode_request(CODEC.encode_request(report))
         assert isinstance(decoded, LocationReport)
         assert decoded.user_id == 9 and decoded.sequence == 41
         assert decoded.position == Point(123.5, 67.25)
+        assert decoded.heading == pytest.approx(1.25)
+        assert decoded.speed == pytest.approx(13.5)
 
     def test_exit_report_flag(self):
         report = RegionExitReport(user_id=9, sequence=41,
                                   position=Point(1.0, 2.0),
                                   heading=0.0, speed=0.0)
-        encoded = wire.encode_location(report)
+        encoded = CODEC.encode_request(report)
         assert len(encoded) == wire.UPLINK_LOCATION_SIZE
-        decoded = wire.decode_location(encoded)
+        decoded = CODEC.decode_request(encoded)
         assert isinstance(decoded, RegionExitReport)
         assert decoded.sequence == 41  # flag stripped on decode
 
@@ -45,7 +56,7 @@ class TestUplinkRoundTrip:
                                 position=Point(0, 0), heading=0.0,
                                 speed=0.0)
         with pytest.raises(ValueError):
-            wire.encode_location(report)
+            CODEC.encode_request(report)
 
 
 class TestCellRef:
@@ -62,32 +73,38 @@ class TestCellRef:
 class TestDownlinkRoundTrip:
     def test_rect(self):
         rect = Rect(10.5, 20.25, 30.75, 40.125)
-        assert wire.decode_rect_region(
-            wire.encode_rect_region(rect, sender=3, timestamp=7.0)) == rect
+        data = CODEC.encode_response(InstallSafeRegion(rect=rect),
+                                     sender=3, timestamp=7.0)
+        assert data[0] == MessageType.RECT_SAFE_REGION
+        assert CODEC.decode_response(data).rect == rect
 
     def test_safe_period(self):
-        assert wire.decode_safe_period(
-            wire.encode_safe_period(123.5)) == 123.5
+        data = CODEC.encode_response(InstallSafePeriod(expiry=123.5))
+        assert data[0] == MessageType.SAFE_PERIOD
+        assert CODEC.decode_response(data).expiry == 123.5
 
     def test_invalidate(self):
-        data = wire.encode_invalidate(sender=5, timestamp=1.0)
+        data = CODEC.encode_response(InvalidateState(), sender=5,
+                                     timestamp=1.0)
         assert len(data) == wire.DOWNLINK_HEADER_SIZE
-        assert isinstance(wire.decode_invalidate(data), InvalidateState)
+        assert isinstance(CODEC.decode_response(data), InvalidateState)
 
     def test_alarm_push(self):
         alarms = [(4, Rect(1, 2, 3, 4)), (9, Rect(5, 6, 7, 8))]
-        cell, decoded = wire.decode_alarm_push(
-            wire.encode_alarm_push(CELL, alarms))
-        assert cell == CELL
-        assert decoded == alarms
+        decoded = CODEC.decode_response(CODEC.encode_response(
+            InstallAlarmList(cell=CELL, alarms=_records(alarms))))
+        assert decoded.cell == CELL
+        assert _entries(decoded) == alarms
 
     def test_bitmap(self):
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=2)
         bitmap = PyramidBitmap.from_obstacles(
             pyramid, [Rect(100, 100, 260, 260), Rect(700, 600, 800, 790)])
-        data = wire.encode_bitmap_region(pack_cell_ref(2, 5), bitmap)
-        cell_ref, decoded = wire.decode_bitmap_region(data, pyramid)
-        assert unpack_cell_ref(cell_ref) == (2, 5)
+        data = CODEC.encode_response(InstallSafeRegion(
+            cell_ref=pack_cell_ref(2, 5), bitmap=bitmap))
+        message = CODEC.decode_response(data, lambda cell_ref: pyramid)
+        decoded = message.bitmap
+        assert unpack_cell_ref(message.cell_ref) == (2, 5)
         # decisions are what travels: every probe must agree
         for x in range(50, 1000, 75):
             for y in range(50, 1000, 75):
@@ -95,8 +112,10 @@ class TestDownlinkRoundTrip:
                 assert decoded.probe(point)[0] == bitmap.probe(point)[0]
 
     def test_peek_type(self):
-        assert wire.peek_type(wire.encode_safe_period(1.0)) \
-            is MessageType.SAFE_PERIOD
+        """The leading type byte picks the message the decoder builds."""
+        data = CODEC.encode_response(InstallSafePeriod(expiry=1.0))
+        assert MessageType(data[0]) is MessageType.SAFE_PERIOD
+        assert isinstance(CODEC.decode_response(data), InstallSafePeriod)
 
 
 class TestLengthEscape:
@@ -116,10 +135,16 @@ class TestLengthEscape:
         data = codec.encode_response(message, sender=2, timestamp=5.0)
         assert len(data) > 0xFFFF
         assert codec.size_of_response(message) == len(data)
-        assert wire.peek_bitmap_cell_ref(data) == pack_cell_ref(3, 4)
-        cell_ref, decoded = wire.decode_bitmap_region(data, pyramid)
-        assert cell_ref == pack_cell_ref(3, 4)
-        assert decoded.to_bitstring() == bitmap.to_bitstring()
+        resolved = []
+
+        def resolve(cell_ref):
+            resolved.append(cell_ref)
+            return pyramid
+
+        decoded = codec.decode_response(data, resolve)
+        assert resolved == [pack_cell_ref(3, 4)]
+        assert decoded.cell_ref == pack_cell_ref(3, 4)
+        assert decoded.bitmap.to_bitstring() == bitmap.to_bitstring()
 
     @pytest.mark.parametrize("payload, escaped", [(0xFFFE, False),
                                                   (0xFFFF, True),
@@ -135,19 +160,20 @@ class TestLengthEscape:
         header = wire.DOWNLINK_HEADER_SIZE + (4 if escaped else 0)
         assert len(data) == codec.size_of_response(message) \
             == header + payload
-        cell, alarms = wire.decode_alarm_push(data, alert)
-        assert cell == CELL and alarms == [(8, Rect(1, 2, 3, 4))]
+        decoded = codec.decode_response(data)
+        assert decoded.cell == CELL
+        assert _entries(decoded) == [(8, Rect(1, 2, 3, 4))]
 
     def test_short_payload_keeps_the_16_byte_header(self):
-        assert len(wire.encode_safe_period(1.0)) \
+        assert len(CODEC.encode_response(InstallSafePeriod(expiry=1.0))) \
             == wire.DOWNLINK_HEADER_SIZE + wire.SAFE_PERIOD_PAYLOAD_SIZE
 
     def test_non_canonical_escape_rejected(self):
-        plain = wire.encode_safe_period(1.0)
+        plain = CODEC.encode_response(InstallSafePeriod(expiry=1.0))
         escaped = (plain[:2] + (0xFFFF).to_bytes(2, "little")
                    + plain[4:16] + (8).to_bytes(4, "little") + plain[16:])
         with pytest.raises(ValueError, match="fits the 16-bit field"):
-            wire.decode_safe_period(escaped)
+            CODEC.decode_response(escaped)
 
 
 def _random_messages(rng):

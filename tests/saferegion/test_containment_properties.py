@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
-from repro.protocol.wire import decode_rect_region, encode_rect_region
+from repro.protocol.messages import InstallSafeRegion
+from repro.protocol.wire import WireCodec
 from repro.saferegion import MWPSRComputer
 
 CELL = Rect(0, 0, 1000, 1000)
@@ -91,7 +92,9 @@ class TestMWPSRNeverCoversAlarmPoints:
         result = MWPSRComputer().compute(position, heading, CELL, obstacles)
         if result.inside_alarm:
             return
-        decoded = decode_rect_region(encode_rect_region(result.rect))
+        codec = WireCodec()
+        decoded = codec.decode_response(codec.encode_response(
+            InstallSafeRegion(rect=result.rect))).rect
         assert CELL.contains_point(position) \
             and decoded.contains_point(position)
         for obstacle in obstacles:

@@ -82,7 +82,7 @@ class SharedMemoMachine(RuleBasedStateMachine):
         self.grid = GridOverlay(UNIVERSE, 1.0)
         self.server = AlarmServer(self.registry, self.grid, Metrics())
         self.policy = BitmapPolicy(PBSRComputer(height=HEIGHT))
-        self.memo = self.server.state.region_cache
+        self.memo = self.server.region_cache
         self.expected = set()   # the keys the memo should hold
         self.clock = 0.0
 
@@ -200,7 +200,7 @@ def test_co_located_subscribers_share_one_build(served):
     first = report(server, policy, 1, INSIDE)
     second = report(server, policy, 2, INSIDE)
     assert second.bitmap is first.bitmap
-    assert list(server.state.region_cache.entries()) == [
+    assert list(server.region_cache.entries()) == [
         (CELL, SHAPE, (public.alarm_id,))]
     # one region *served* each, shared or built
     assert server.metrics.safe_region_computations == 2
@@ -215,7 +215,7 @@ def test_private_alarm_in_the_cell_bypasses_the_memo(served):
     assert personalized.bitmap is not shared.bitmap
     # the personalized region also excludes the private alarm's area
     assert personalized.bitmap.coverage() < shared.bitmap.coverage()
-    assert len(server.state.region_cache.entries()) == 1
+    assert len(server.region_cache.entries()) == 1
     # and the next public-only subscriber still gets the shared one
     assert report(server, policy, 3, INSIDE).bitmap is shared.bitmap
 
@@ -229,7 +229,7 @@ def test_a_fired_alarm_is_a_different_entry(served):
     # constrains user 2 and the region served is the empty cell's
     fired = report(server, policy, 2, Point(1200.0, 1200.0))
     assert fired.bitmap is not everyone.bitmap
-    assert set(server.state.region_cache.entries()) == {
+    assert set(server.region_cache.entries()) == {
         (CELL, SHAPE, (public.alarm_id,)), (CELL, SHAPE, ())}
 
 
@@ -247,7 +247,7 @@ def test_clients_of_different_heights_never_share_a_bitmap(served):
                                INSIDE).bitmap
         assert bits(served_bitmap) == bits(
             computer.compute(cell, [alarm.region for alarm in pending]))
-    assert len(server.state.region_cache.entries()) == 2
+    assert len(server.region_cache.entries()) == 2
 
 
 def test_checked_server_catches_a_stale_shared_region(served):
@@ -257,7 +257,7 @@ def test_checked_server_catches_a_stale_shared_region(served):
     public = registry.install(Rect(1100, 1100, 1300, 1300),
                               AlarmScope.PUBLIC, 0)
     report(server, policy, 1, INSIDE)
-    memo = server.state.region_cache
+    memo = server.region_cache
     registry.remove_listener(memo._on_mutation)  # deafen the memo
     registry.relocate(public.alarm_id, Rect(1600, 1600, 1900, 1900))
     with pytest.raises(AssertionError, match="shared safe region"):

@@ -1,9 +1,7 @@
-"""Event schema: constants, decoding, and the validator."""
-
-import pytest
+"""Event schema: constants and the validator."""
 
 from repro.telemetry import (BASE_FIELDS, EVENT_FIELDS, EVENT_TYPES,
-                             RECORD_EVENT, TraceEvent, validate_event)
+                             validate_event)
 
 
 def _event(**overrides):
@@ -55,24 +53,3 @@ class TestValidateEvent:
     def test_negative_shard_rejected(self):
         problems = validate_event(_event(shard=-1))
         assert any("'shard'" in p for p in problems)
-
-
-class TestTraceEvent:
-    def test_from_record_splits_base_and_payload(self):
-        event = TraceEvent.from_record(_event())
-        assert event.type == "alarm_fired"
-        assert event.time_s == 12.5
-        assert event.shard == 0
-        assert event.user_id == 3
-        assert event.fields == {"alarm": 7}
-
-    def test_userless_event(self):
-        record = {"record": RECORD_EVENT, "type": "shard_started",
-                  "t": 0.0, "shard": 2, "vehicles": 10}
-        event = TraceEvent.from_record(record)
-        assert event.user_id is None
-        assert event.fields == {"vehicles": 10}
-
-    def test_schema_error_raises(self):
-        with pytest.raises(KeyError):
-            TraceEvent.from_record({"record": "event"})
