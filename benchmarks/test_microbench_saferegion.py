@@ -77,8 +77,7 @@ def test_pbsr_h5_bitmap_build(benchmark, scenarios):
 
     def compute():
         _, _, obstacles = take()
-        region = computer.compute(CELL, obstacles)
-        return region.size_bits()
+        return computer.compute(CELL, obstacles).bit_length()
 
     benchmark(compute)
 

@@ -62,10 +62,9 @@ print(render_legend())
 # 3. The same cell as a pyramid bitmap safe region.
 # ----------------------------------------------------------------------
 pbsr = PBSRComputer(height=4)
-bitmap_region = pbsr.compute(cell, [a.region for a in relevant])
+bitmap = pbsr.compute(cell, [a.region for a in relevant])
 print("PBSR(h=4) safe region: %d bits on the wire, %.1f%% of the cell"
-      % (bitmap_region.size_bits(),
-         100 * bitmap_region.bitmap.coverage()))
+      % (bitmap.bit_length(), 100 * bitmap.coverage()))
 
 # ----------------------------------------------------------------------
 # 4. Drive east and monitor: one cheap check per fix, silence until the
@@ -76,8 +75,7 @@ position = me
 server_contacts = 0
 for second in range(0, 90):
     position = Point(me.x + 15.0 * second, me.y)
-    inside, ops = result.to_safe_region().probe(position)
-    if inside:
+    if result.rect.contains_point(position):
         continue
     server_contacts += 1
     fired = registry.triggered_at(1, position)

@@ -39,8 +39,7 @@ from .mobility import (MobilityConfig, SteadyMotionModel, Trace,
                        TraceGenerator, TraceSample, TraceSet,
                        UniformMotionModel)
 from .roadnet import NetworkConfig, RoadClass, RoadNetwork, generate_network
-from .saferegion import (BitmapSafeRegion, MWPSRComputer, PBSRComputer,
-                         PyramidBitmap, RectangularSafeRegion,
+from .saferegion import (MWPSRComputer, PBSRComputer, PyramidBitmap,
                          decode_bitstring)
 from .strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                          PeriodicStrategy, RectangularSafeRegionStrategy,
@@ -53,7 +52,6 @@ __all__ = [
     "AlarmRegistry",
     "AlarmScope",
     "AlarmServer",
-    "BitmapSafeRegion",
     "BitmapSafeRegionStrategy",
     "EnergyModel",
     "GridOverlay",
@@ -71,7 +69,6 @@ __all__ = [
     "PyramidCell",
     "RStarTree",
     "Rect",
-    "RectangularSafeRegion",
     "RectangularSafeRegionStrategy",
     "RectilinearRegion",
     "RoadClass",

@@ -55,6 +55,10 @@ from .alarm import AlarmScope, SpatialAlarm
 #: what rounding can take away.
 _SLACK = 2.0 ** -40
 
+#: A generated shared alarm names 1 to this many subscribers besides its
+#: owner (fewer when the population is smaller).
+MAX_SHARED_SUBSCRIBERS = 5
+
 _by_id = attrgetter("alarm_id")
 
 
@@ -480,7 +484,6 @@ def install_random_alarms(registry: AlarmRegistry, universe: Rect,
                           private_to_shared_ratio: float = 2.0,
                           min_side_m: float = 200.0,
                           max_side_m: float = 1000.0,
-                          max_shared_subscribers: int = 5,
                           seed: int = 23) -> List[SpatialAlarm]:
     """Install the paper's default alarm workload.
 
@@ -500,15 +503,15 @@ def install_random_alarms(registry: AlarmRegistry, universe: Rect,
 
     return _install_alarms(registry, universe, count, user_ids, draw_center,
                            rng, public_fraction, private_to_shared_ratio,
-                           min_side_m, max_side_m, max_shared_subscribers)
+                           min_side_m, max_side_m)
 
 
 def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
                     user_ids: Sequence[int],
                     draw_center: Callable[[], Point], rng: random.Random,
                     public_fraction: float, private_to_shared_ratio: float,
-                    min_side_m: float, max_side_m: float,
-                    max_shared_subscribers: int = 5) -> List[SpatialAlarm]:
+                    min_side_m: float, max_side_m: float
+                    ) -> List[SpatialAlarm]:
     """Shared workload machinery: sizes, scopes, owners, subscribers."""
     if not user_ids:
         raise ValueError("alarm workload needs a user population")
@@ -538,7 +541,7 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         else:
             scope = AlarmScope.SHARED
             if others:
-                size = min(others, rng.randint(1, max_shared_subscribers))
+                size = min(others, rng.randint(1, MAX_SHARED_SUBSCRIBERS))
                 # ``sample`` reads its population by length and index
                 # only, so drawing positions of the pool and mapping
                 # them past the owner's slot draws the same subscribers

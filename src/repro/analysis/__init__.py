@@ -11,15 +11,15 @@ finding is reported: none can be suppressed, so a finding is fixed or
 the rule changes.  Runnable as ``python -m repro check``.
 
 The missing ids are retired: a guard that holds at every site (a
-frozen type, an abstract base, a check inside every codec or daemon
-close, the daemon's dispatch through the session table, the daemon
-objects' refusal of writes from a thread other than their owner's, the
-telemetry registry's and tracer's refusal of an undeclared name, the
-test harness's blocking-call guard on every daemon loop and its
-resource warnings as errors, the fork-worker test and the spawn
-differential run of the sharded engine) enforces each.  See
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the retired rules
-and their guards, and the guide to adding a rule.
+frozen type, a check inside every codec or daemon close, the daemon's
+dispatch through the session table, the daemon objects' refusal of
+writes from a thread other than their owner's, the telemetry
+registry's and tracer's refusal of an undeclared name, the test
+harness's blocking-call guard on every daemon loop and its resource
+warnings as errors, the fork-worker test and the spawn differential
+run of the sharded engine) enforces each, or the code it guarded is
+gone.  See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the
+retired rules and their guards, and the guide to adding a rule.
 """
 
 from .base import ALL_RULES, Rule, get_rule, rule

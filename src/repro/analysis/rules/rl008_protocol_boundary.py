@@ -23,8 +23,8 @@ A strategy that reaches around the boundary breaks the books silently:
 surface, including the sanctioned ``_send_report``/``_charge_probe``
 helpers.  So is everything public a client scans on the way: the
 columns of the trace handed to ``advance`` (``trace.xs``,
-``trace.times``, ...) and the installed region's coordinate-level
-``probe_xy``.  Private access on anything *other than* ``self``/``cls``
+``trace.times``, ...) and the installed bitmap's coordinate-level
+``walk``.  Private access on anything *other than* ``self``/``cls``
 is flagged, as is any ``metrics`` attribute access regardless of
 receiver.
 """

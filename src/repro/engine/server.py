@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 from ..alarms import AlarmRegistry, SpatialAlarm
 from ..geometry import Point, Rect
 from ..index import GridOverlay
-from ..saferegion.bitmap import BitmapSafeRegion
+from ..saferegion.bitmap import PyramidBitmap
 from ..saferegion.cache import MemoKey, SafeRegionCache
 from ..telemetry.facade import DISABLED, Telemetry
 from .metrics import Metrics, TriggerEvent
@@ -150,9 +150,9 @@ class AlarmServer:
     # Shared safe-region memo (public-alarm bitmaps, paper §4.2)
     # ------------------------------------------------------------------
     def shared_region(self, user_id: int, key: MemoKey,
-                      build: Callable[[], BitmapSafeRegion]
-                      ) -> BitmapSafeRegion:
-        """The bitmap region of a public-only pending set, built once.
+                      build: Callable[[], PyramidBitmap]
+                      ) -> PyramidBitmap:
+        """The bitmap of a public-only pending set, built once.
 
         ``key`` names the cell, the pyramid shape and every pending
         alarm, all public, that ``build`` carves the region from; the

@@ -295,7 +295,7 @@ def _stale(client: "ClientState", server: AlarmServer,
     if footprint is None:
         # Flooding is for timers only: a strategy that installs a region
         # must say what area it covers.
-        assert client.safe_region is None and not client.local_alarms
+        assert client.bitmap is None and not client.local_alarms
         if client.expiry == float("-inf"):
             return False
     user_id = client.user_id
@@ -315,7 +315,7 @@ def _invalidate(client: "ClientState", session: ClientSession,
         # A push-invalidation forcibly ends the client's residency.
         telemetry.saferegion_exit(time_s, client.user_id,
                                   time_s - client.region_installed_at)
-    client.safe_region = None
+    client.bitmap = None
     client.footprint = None
     client.expiry = float("-inf")
     client.local_alarms = []

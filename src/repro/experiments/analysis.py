@@ -10,19 +10,22 @@ distributions from a world without modifying it.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import Metrics, World
+from ..engine import World
 from ..engine.server import AlarmServer
+from ..engine.simulation import in_process_link, replay
 from ..geometry import Point, Rect
 from ..index import CellId, Pyramid
+from ..mobility import TraceSet
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import Request, ServerReply
-from ..protocol.transport import InProcessTransport, connect
+from ..protocol.transport import InProcessTransport
 from ..saferegion import MWPSRComputer, PyramidBitmap
-from ..strategies.base import ClientState, ProcessingStrategy
+from ..strategies.base import ProcessingStrategy
 from .report import Table
 
 
@@ -136,33 +139,24 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
                          ) -> DistributionSummary:
     """Distribution of safe-region residence times (seconds).
 
-    Replays traces through ``strategy`` and measures, for every client,
-    the gaps between consecutive server contacts — how long each shipped
+    Replays the traces of the first ``max_vehicles`` vehicles (all by
+    default) through ``strategy`` and measures, for every client, the
+    gaps between consecutive server contacts — how long each shipped
     safe region (or safe period) actually kept its client silent.  The
     contacts are the reports the transport carried, whatever the number
     of them one ``advance`` call sends.
     """
-    server = AlarmServer(world.registry, world.grid, Metrics(),
-                         sizes=world.sizes)
-    transport = connect(server, strategy, _ContactLog).transport
-    assert isinstance(transport, _ContactLog)
-    contacts = transport.times
-    residences: List[float] = []
-    vehicle_ids = world.traces.vehicle_ids()
+    traces = world.traces
     if max_vehicles is not None:
-        vehicle_ids = vehicle_ids[:max_vehicles]
-    try:
-        for vehicle_id in vehicle_ids:
-            trace = world.traces[vehicle_id]
-            client = ClientState(vehicle_id)
-            del contacts[:]
-            index, stop = 0, len(trace)
-            while index < stop:
-                index = strategy.advance(client, trace, index, stop)
-            residences.extend(later - earlier for earlier, later
-                              in zip(contacts, contacts[1:]))
-    finally:
-        server.close()  # detaches the memo from the world's registry
+        traces = TraceSet({vehicle_id: traces[vehicle_id] for vehicle_id
+                           in traces.vehicle_ids()[:max_vehicles]},
+                          traces.sample_interval)
+    contacts: Dict[int, List[float]] = {}
+    replay(world.registry, world.grid, world.sizes, traces, strategy,
+           functools.partial(in_process_link, transport_factory=(
+               functools.partial(_ContactLog, times=contacts))))
+    residences = [later - earlier for times in contacts.values()
+                  for earlier, later in zip(times, times[1:])]
     if not residences:
         # a fully silent run: every region outlived its trace
         residences = [world.duration_s]
@@ -170,16 +164,18 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
 
 
 class _ContactLog(InProcessTransport):
-    """The reliable in-process transport, noting each report's time."""
+    """The reliable in-process transport, noting each report's time
+    under its user."""
 
     __slots__ = ("times",)
 
-    def __init__(self, server: AlarmServer, policy: ServerPolicy) -> None:
+    def __init__(self, server: AlarmServer, policy: ServerPolicy,
+                 times: Dict[int, List[float]]) -> None:
         super().__init__(server, policy)
-        self.times: List[float] = []
+        self.times = times
 
     def request(self, request: Request, time_s: float) -> ServerReply:
-        self.times.append(time_s)
+        self.times.setdefault(request.user_id, []).append(time_s)
         return super().request(request, time_s)
 
 

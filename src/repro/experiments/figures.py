@@ -34,6 +34,9 @@ from .report import ServerTime, Table
 
 PUBLIC_SWEEP = (0.01, 0.10, 0.20)
 
+#: The pyramid height of the PBSR column in Fig. 6.
+FIG6_PBSR_HEIGHT = 5
+
 
 # ----------------------------------------------------------------------
 # Strategy factories
@@ -222,11 +225,10 @@ def figure5b(config: WorkloadConfig = BENCH,
 # ----------------------------------------------------------------------
 # Fig. 6: safe region vs the other approaches
 # ----------------------------------------------------------------------
-def _fig6_strategies(world_max_speed: float,
-                     pbsr_height: int = 5) -> List[ProcessingStrategy]:
+def _fig6_strategies(world_max_speed: float) -> List[ProcessingStrategy]:
     return [
         make_mwpsr_strategy(z=32),
-        make_pbsr_strategy(pbsr_height),
+        make_pbsr_strategy(FIG6_PBSR_HEIGHT),
         SafePeriodStrategy(max_speed=world_max_speed),
         OptimalStrategy(),
     ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from ..geometry import Point, Rect
-from ..saferegion.base import SafeRegion
+from ..saferegion.bitmap import PyramidBitmap
 
 SUBSCRIBER = "@"
 ALARM = "#"
@@ -33,7 +33,7 @@ EMPTY = " "
 
 def render_cell(cell: Rect, alarms: Sequence[Rect],
                 position: Optional[Point] = None,
-                safe_region: Union[Rect, SafeRegion, None] = None,
+                safe_region: Union[Rect, PyramidBitmap, None] = None,
                 width: int = 60, height: Optional[int] = None) -> str:
     """Render ``cell`` as a ``width x height`` character raster.
 

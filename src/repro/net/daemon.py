@@ -416,7 +416,7 @@ class AlarmDaemon(_OwnedByOneThread):
     def _decode_request(self, frame: Frame) -> Request:
         try:
             request = self.codec.decode_request(frame.payload)
-        except Exception as exc:
+        except ValueError as exc:
             raise FramingError("undecodable REQUEST payload: %s"
                                % exc) from exc
         if self._accounting.verify_wire:

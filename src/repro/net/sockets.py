@@ -27,7 +27,7 @@ from __future__ import annotations
 import socket
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from typing import Callable, Deque, Dict, NamedTuple, Optional
 
 from ..index import CellId, GridOverlay, Pyramid
 from ..protocol.framing import (Frame, FrameDecoder, FrameKind, FramingError,
@@ -87,9 +87,8 @@ class SocketTransport(Transport):
     """Blocking framed-socket client transport (stop-and-wait).
 
     ``request`` frames one uplink, then reads until the matching REPLY
-    frame arrives; PUSH frames interleaved before it are decoded and
-    collected in :attr:`pushes` (order preserved).  Any ERROR frame,
-    EOF, or timeout surfaces as
+    frame arrives.  Any ERROR frame, a frame of a kind the daemon never
+    sends, EOF, or timeout surfaces as
     :class:`~repro.protocol.transport.TransportError` — never a hang.
 
     With telemetry enabled, every request is traced: the transport
@@ -111,7 +110,6 @@ class SocketTransport(Transport):
         self.codec = codec if codec is not None else WireCodec()
         self.pyramid_for = pyramid_for
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        self.pushes: List[Response] = []
         self._sock: Optional[socket.socket] = sock
         self._decoder = FrameDecoder()
         self._pending: Deque[Frame] = deque()
@@ -218,22 +216,14 @@ class SocketTransport(Transport):
             raise TransportError("send failed: %s" % exc) from exc
 
     def _read_frame(self, wanted: FrameKind) -> Frame:
-        """Read until a ``wanted`` frame arrives, absorbing PUSHes."""
+        """Read until a ``wanted`` frame arrives."""
         sock = self._require_socket()
         while True:
             while self._pending:
                 frame = self._pending.popleft()
                 if frame.kind is wanted:
                     return frame
-                if frame.kind is FrameKind.PUSH:
-                    try:
-                        reply = decode_reply(self.codec, frame.payload,
-                                             pyramid_for=self.pyramid_for)
-                    except FramingError as exc:
-                        raise TransportError(
-                            "undecodable PUSH: %s" % exc) from exc
-                    self.pushes.extend(reply)
-                elif frame.kind is FrameKind.ERROR:
+                if frame.kind is FrameKind.ERROR:
                     raise TransportError(
                         "server error: %s" % decode_error(frame.payload))
                 else:

@@ -83,7 +83,7 @@ class FrameKind(IntEnum):
     HELLO = 1      # client -> server: protocol version handshake
     REQUEST = 2    # client -> server: one encoded uplink report
     REPLY = 3      # server -> client: the request's ServerReply batch
-    PUSH = 4       # server -> client: one encoded downlink outside a reply
+    PUSH = 4       # unused: no session state accepts it either way
     ERROR = 5      # server -> client: UTF-8 reason, connection closing
     SHUTDOWN = 6   # client -> server: stop the daemon (operator channel)
     STATS = 7      # both ways: operator scrape of the live registry

@@ -53,7 +53,6 @@ SESSION_TRANSITIONS: Dict[Tuple[str, FrameKind, str], str] = {
     (STATE_READY, FrameKind.STATS, DIR_CLIENT_TO_SERVER): STATE_READY,
     (STATE_READY, FrameKind.SHUTDOWN, DIR_CLIENT_TO_SERVER): STATE_READY,
     (STATE_READY, FrameKind.REPLY, DIR_SERVER_TO_CLIENT): STATE_READY,
-    (STATE_READY, FrameKind.PUSH, DIR_SERVER_TO_CLIENT): STATE_READY,
     (STATE_READY, FrameKind.STATS, DIR_SERVER_TO_CLIENT): STATE_READY,
     (STATE_READY, FrameKind.ERROR, DIR_SERVER_TO_CLIENT): STATE_CLOSING,
 }

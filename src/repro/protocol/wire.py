@@ -333,8 +333,16 @@ class WireCodec:
                             position.y, request.heading, request.speed)
 
     def decode_request(self, payload: bytes) -> Request:
-        """Deserialize an uplink report (the exit flag picks the type)."""
-        user_id, sequence, x, y, heading, speed = _UPLINK.unpack(payload)
+        """Deserialize an uplink report (the exit flag picks the type).
+
+        Raises ``ValueError`` on a payload that is not exactly one
+        report long.
+        """
+        try:
+            user_id, sequence, x, y, heading, speed = _UPLINK.unpack(payload)
+        except struct.error as exc:
+            raise ValueError("uplink payload of %d bytes, a report has %d"
+                             % (len(payload), _UPLINK.size)) from exc
         if sequence & EXIT_FLAG:
             return RegionExitReport(user_id, sequence & ~EXIT_FLAG,
                                     Point(x, y), heading, speed)

@@ -1,4 +1,4 @@
-"""Safe-region abstractions (paper Section 2.1).
+"""The safe-region definition and its invariant check (paper Section 2.1).
 
 A safe region ``Psi_s`` for mobile user ``s`` satisfies:
 
@@ -12,7 +12,10 @@ Consequently, as long as the client observes itself inside its safe
 region, no alarm evaluation — client- or server-side — is necessary.
 The client performs a cheap *containment probe* on every position fix;
 probes are the unit of the client energy model, and the serialized size
-of the region is the unit of the downstream bandwidth model.
+of the region is the unit of the downstream bandwidth model.  A client
+holds exactly what the server ships: an MWPSR :class:`~repro.geometry.Rect`
+(one closed-rectangle comparison per probe) or a GBSR/PBSR
+:class:`~repro.saferegion.PyramidBitmap` (one :meth:`walk` per probe).
 
 Trigger semantics note: alarms fire on *interior* containment ("entering
 the spatial region"), so safe regions may legitimately share boundary
@@ -23,70 +26,9 @@ region's interior".
 
 from __future__ import annotations
 
-import abc
-from typing import Iterable, Tuple
+from typing import Iterable
 
-from ..geometry import Point, Rect
-
-FLOAT_BITS = 64  # coordinates travel as float64 in the protocol
-
-
-class SafeRegion(abc.ABC):
-    """Interface of a client-monitorable safe region.
-
-    ``probe_xy``, ``size_bits`` and ``area`` are abstract: a subclass
-    missing one cannot be instantiated, so it fails where it is built,
-    not mid-replay at its first probe.
-    """
-
-    @abc.abstractmethod
-    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
-        """Check whether ``(x, y)`` is inside; returns ``(inside, ops)``.
-
-        ``ops`` is the number of elementary comparisons the client's
-        monitoring loop performed — the energy model charges per op.
-        Coordinates, not a :class:`Point`: a client probes every fix of
-        its trace and builds a point only for the report it sends.
-        """
-
-    def probe(self, p: Point) -> Tuple[bool, int]:
-        """:meth:`probe_xy` of a :class:`Point`."""
-        return self.probe_xy(p.x, p.y)
-
-    @abc.abstractmethod
-    def size_bits(self) -> int:
-        """Serialized payload size in bits (excluding transport headers)."""
-
-    @abc.abstractmethod
-    def area(self) -> float:
-        """Area of the region in square meters."""
-
-
-class RectangularSafeRegion(SafeRegion):
-    """A single axis-aligned rectangle — the MWPSR representation.
-
-    The most compact representation the paper considers: four float64
-    coordinates, one rectangle comparison per probe.
-    """
-
-    __slots__ = ("rect",)
-
-    def __init__(self, rect: Rect) -> None:
-        self.rect = rect
-
-    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
-        rect = self.rect
-        return (rect.min_x <= x <= rect.max_x
-                and rect.min_y <= y <= rect.max_y, 1)
-
-    def size_bits(self) -> int:
-        return 4 * FLOAT_BITS
-
-    def area(self) -> float:
-        return self.rect.area
-
-    def __repr__(self) -> str:
-        return "RectangularSafeRegion(%r)" % (self.rect,)
+from ..geometry import Rect
 
 
 def region_is_safe(rect: Rect, obstacles: Iterable[Rect],

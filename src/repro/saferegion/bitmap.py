@@ -65,7 +65,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Rect
 from ..index import Pyramid
-from .base import SafeRegion
 
 #: Stored cell states.  ``SAFE`` and ``SPLIT`` are the wire characters
 #: ``'1'`` and ``'0'``; a ``SPLIT`` cell above the leaf level owns one
@@ -303,16 +302,11 @@ class PyramidBitmap:
     # Containment
     # ------------------------------------------------------------------
     def probe(self, p: Point) -> Tuple[bool, int]:
-        """:meth:`probe_xy` of a :class:`Point`."""
-        return self.probe_xy(p.x, p.y)
-
-    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
-        """Is ``(x, y)`` inside the safe region?  ``(inside, probes)``.
+        """Is ``p`` inside the safe region?  ``(inside, probes)``.
 
         The first two fields of :meth:`walk`.
         """
-        inside, probes, _block = self.walk(x, y)
-        return (inside, probes)
+        return self.walk(p.x, p.y)[:2]
 
     def walk(self, x: float, y: float
              ) -> Tuple[bool, int, Optional[Block]]:
@@ -413,25 +407,3 @@ def decode_bitstring(pyramid: Pyramid, bitstring: str) -> PyramidBitmap:
     if cursor != len(data):
         raise ValueError("bitstring longer than the pyramid requires")
     return PyramidBitmap(pyramid, levels)
-
-
-class BitmapSafeRegion(SafeRegion):
-    """A :class:`PyramidBitmap` in the role of a client safe region."""
-
-    __slots__ = ("bitmap",)
-
-    def __init__(self, bitmap: PyramidBitmap) -> None:
-        self.bitmap = bitmap
-
-    def probe_xy(self, x: float, y: float) -> Tuple[bool, int]:
-        return self.bitmap.probe_xy(x, y)
-
-    def size_bits(self) -> int:
-        return self.bitmap.bit_length()
-
-    def area(self) -> float:
-        return self.bitmap.coverage() * self.bitmap.pyramid.base.area
-
-    def __repr__(self) -> str:
-        return ("BitmapSafeRegion(height=%d, bits=%d)"
-                % (self.bitmap.pyramid.height, self.bitmap.bit_length()))

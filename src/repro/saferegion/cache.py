@@ -38,7 +38,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..alarms import AlarmRegistry
 from ..geometry import Rect
 from ..index import CellId
-from .bitmap import BitmapSafeRegion
+from .bitmap import PyramidBitmap
 
 #: (cell, pyramid (height, fan), ids of the pending public alarms the
 #: region was carved from, ascending)
@@ -46,26 +46,26 @@ MemoKey = Tuple[CellId, Tuple[int, int], Tuple[int, ...]]
 
 
 class SafeRegionCache:
-    """Memoised public-alarm bitmap regions, consistent under alarm churn.
+    """Memoised public-alarm bitmaps, consistent under alarm churn.
 
-    The regions are immutable (the bitmap types expose only probes), so
-    a memoised region is shared by reference, never copied.
+    A bitmap is immutable (it exposes only probes and its wire form), so
+    a memoised one is shared by reference, never copied.
     """
 
     def __init__(self, registry: AlarmRegistry) -> None:
         self.registry = registry
-        self._regions: Dict[MemoKey, BitmapSafeRegion] = {}
+        self._regions: Dict[MemoKey, PyramidBitmap] = {}
         #: alarm id -> the held keys that name it
         self._naming: Dict[int, Set[MemoKey]] = {}
         registry.add_listener(self._on_mutation)
 
-    def lookup(self, key: MemoKey) -> Optional[BitmapSafeRegion]:
-        """The memoised region for ``key``, or ``None``."""
+    def lookup(self, key: MemoKey) -> Optional[PyramidBitmap]:
+        """The memoised bitmap for ``key``, or ``None``."""
         return self._regions.get(key)
 
-    def store(self, key: MemoKey, region: BitmapSafeRegion) -> None:
-        """Memoise a freshly built region under the alarms it names."""
-        self._regions[key] = region
+    def store(self, key: MemoKey, bitmap: PyramidBitmap) -> None:
+        """Memoise a freshly built bitmap under the alarms it names."""
+        self._regions[key] = bitmap
         for alarm_id in key[2]:
             self._naming.setdefault(alarm_id, set()).add(key)
 
@@ -86,6 +86,6 @@ class SafeRegionCache:
         self._regions.clear()
         self._naming.clear()
 
-    def entries(self) -> Dict[MemoKey, BitmapSafeRegion]:
+    def entries(self) -> Dict[MemoKey, PyramidBitmap]:
         """A snapshot of what is held (inspection and tests)."""
         return dict(self._regions)

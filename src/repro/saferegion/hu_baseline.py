@@ -33,7 +33,7 @@ import math
 from typing import List, Sequence, Tuple
 
 from ..geometry import Point, Rect
-from .base import RectangularSafeRegion
+from .mwpsr import MWPSRResult
 
 
 class HuBaselineComputer:
@@ -45,7 +45,7 @@ class HuBaselineComputer:
     """
 
     def compute(self, position: Point, heading: float, cell: Rect,
-                obstacles: Sequence[Rect]) -> "_HuResult":
+                obstacles: Sequence[Rect]) -> MWPSRResult:
         """Safe-region rectangle per the corner-per-quadrant construction.
 
         For each alarm-region corner, the corner constrains only the
@@ -84,7 +84,7 @@ class HuBaselineComputer:
         bottom = min(caps[2][1], caps[3][1], bottom)
         rect = Rect(position.x - left, position.y - bottom,
                     position.x + right, position.y + top)
-        return _HuResult(rect)
+        return MWPSRResult(rect, inside_alarm=False)
 
     @staticmethod
     def _quadrant(dx: float, dy: float) -> int:
@@ -92,14 +92,3 @@ class HuBaselineComputer:
             return 0 if dy >= 0.0 else 3
         return 1 if dy >= 0.0 else 2
 
-
-class _HuResult:
-    """Result shim matching :class:`MWPSRResult`'s strategy-facing API."""
-
-    __slots__ = ("rect",)
-
-    def __init__(self, rect: Rect) -> None:
-        self.rect = rect
-
-    def to_safe_region(self) -> RectangularSafeRegion:
-        return RectangularSafeRegion(self.rect)

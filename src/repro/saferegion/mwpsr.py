@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Point, Rect, fzero, normalize_angle
 from ..mobility.motion import MotionModel, UniformMotionModel
-from .base import RectangularSafeRegion
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,9 +183,6 @@ class MWPSRResult:
     inside_alarm: bool          # definition (ii) applied
     quadrant_order: Tuple[int, ...] = ()
     weighted_perimeter: float = 0.0
-
-    def to_safe_region(self) -> RectangularSafeRegion:
-        return RectangularSafeRegion(self.rect)
 
 
 class MWPSRComputer:

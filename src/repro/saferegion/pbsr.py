@@ -23,7 +23,7 @@ from typing import Sequence
 
 from ..geometry import Rect
 from ..index import DEFAULT_FAN, Pyramid
-from .bitmap import BitmapSafeRegion, PyramidBitmap
+from .bitmap import PyramidBitmap
 
 
 class PBSRComputer:
@@ -36,9 +36,8 @@ class PBSRComputer:
         self.fan = fan
 
     def compute(self, cell: Rect,
-                obstacles: Sequence[Rect]) -> BitmapSafeRegion:
-        """Safe region of ``cell`` around the pending alarm regions."""
+                obstacles: Sequence[Rect]) -> PyramidBitmap:
+        """Safe-region bitmap of ``cell`` around the pending alarm regions."""
         pyramid = Pyramid(cell, fan_cols=self.fan, fan_rows=self.fan,
                           height=self.height)
-        return BitmapSafeRegion(PyramidBitmap.from_obstacles(pyramid,
-                                                            obstacles))
+        return PyramidBitmap.from_obstacles(pyramid, obstacles)

@@ -30,7 +30,7 @@ from typing import Optional
 from ..geometry import Point
 from ..mobility import Trace
 from ..protocol.messages import InstallSafeRegion, ServerReply
-from ..saferegion import MWPSRComputer, RectangularSafeRegion
+from ..saferegion import MWPSRComputer
 from .base import ClientState
 from .rectangular import RectangularSafeRegionStrategy
 
@@ -54,11 +54,9 @@ class AdaptiveRectangularStrategy(RectangularSafeRegionStrategy):
     def advance(self, client: ClientState, trace: Trace, start: int,
                 stop: int) -> int:
         index = start
-        region = client.safe_region
-        if region is not None:
-            # This strategy only ever installs rectangular regions.
-            assert isinstance(region, RectangularSafeRegion)
-            rect = region.rect
+        rect = client.footprint
+        if rect is not None:
+            # the installed rectangle
             min_x, min_y = rect.min_x, rect.min_y
             max_x, max_y = rect.max_x, rect.max_y
             times, xs, ys = trace.times, trace.xs, trace.ys

@@ -30,7 +30,7 @@ from ..protocol.messages import (AlarmRecord, LocationReport,
 
 if TYPE_CHECKING:
     from ..protocol.transport import ClientSession
-    from ..saferegion.base import SafeRegion
+    from ..saferegion.bitmap import PyramidBitmap
 
 
 class ClientState:
@@ -41,17 +41,19 @@ class ClientState:
     object; the attributes below cover all built-in strategies.
     """
 
-    __slots__ = ("user_id", "sequence", "safe_region", "footprint",
+    __slots__ = ("user_id", "sequence", "bitmap", "footprint",
                  "expiry", "local_alarms", "region_installed_at")
 
     def __init__(self, user_id: int) -> None:
         self.user_id = user_id
         # Uplink sequence number; increments per report sent.
         self.sequence: int = 0
-        self.safe_region: Optional[SafeRegion] = None
-        # The area the installed state answers for (MWPSR: the
-        # rectangle; bitmap/OPT: the base cell).  A mutating world
-        # invalidates the client only when a change touches it.
+        # The installed GBSR/PBSR bitmap; its base cell is the footprint.
+        self.bitmap: Optional[PyramidBitmap] = None
+        # The area the installed state answers for (MWPSR: the shipped
+        # rectangle, which is also the whole region it monitors;
+        # bitmap/OPT: the base cell).  A mutating world invalidates the
+        # client only when a change touches it.
         self.footprint: Optional[Rect] = None
         self.expiry: float = float("-inf")  # safe-period strategy
         self.local_alarms: List[AlarmRecord] = []  # optimal strategy

@@ -47,7 +47,7 @@ from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafeRegion, Request, Response,
                                  ServerReply)
 from ..protocol.wire import pack_cell_ref, unpack_cell_ref
-from ..saferegion import BitmapSafeRegion, PBSRComputer
+from ..saferegion import PBSRComputer, PyramidBitmap
 from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
@@ -101,7 +101,7 @@ class BitmapPolicy(ServerPolicy):
         with server.timed_saferegion(user_id, time_s):
             pending = server.pending_alarms_in(user_id, cell)
 
-            def build() -> BitmapSafeRegion:
+            def build() -> PyramidBitmap:
                 return self.computer.compute(
                     cell, [alarm.region for alarm in pending])
 
@@ -109,16 +109,15 @@ class BitmapPolicy(ServerPolicy):
                 # pending is in id order, so the ids name the alarms; the
                 # shape keeps clients of different heights apart
                 computer = self.computer
-                region = server.shared_region(
+                bitmap = server.shared_region(
                     user_id,
                     (cell_id, (computer.height, computer.fan),
                      tuple(alarm.alarm_id for alarm in pending)),
                     build)
             else:
-                region = build()
+                bitmap = build()
         return InstallSafeRegion(
-            cell_ref=pack_cell_ref(cell_id.col, cell_id.row),
-            bitmap=region.bitmap)
+            cell_ref=pack_cell_ref(cell_id.col, cell_id.row), bitmap=bitmap)
 
 
 class BitmapSafeRegionStrategy(ProcessingStrategy):
@@ -142,9 +141,8 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
         cell = client.footprint
         if cell is not None:
             # The cell footprint is only ever installed with a bitmap.
-            region = client.safe_region
-            assert isinstance(region, BitmapSafeRegion)
-            walk = region.bitmap.walk
+            assert client.bitmap is not None
+            walk = client.bitmap.walk
             min_x, min_y = cell.min_x, cell.min_y
             max_x, max_y = cell.max_x, cell.max_y
             xs, ys = trace.xs, trace.ys
@@ -198,5 +196,5 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
                 col, row = unpack_cell_ref(message.cell_ref)
                 client.footprint = self.session.grid.cell_rect(
                     CellId(col, row))
-                client.safe_region = BitmapSafeRegion(message.bitmap)
+                client.bitmap = message.bitmap
                 self._mark_region_installed(client, time_s)

@@ -32,7 +32,7 @@ from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
 from ..protocol.messages import (InstallSafeRegion, Request, Response,
                                  ServerReply)
-from ..saferegion import MWPSRComputer, RectangularSafeRegion
+from ..saferegion import MWPSRComputer
 from .base import ClientState, ProcessingStrategy
 
 if TYPE_CHECKING:
@@ -106,12 +106,9 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
     def advance(self, client: ClientState, trace: Trace, start: int,
                 stop: int) -> int:
         index = start
-        region = client.safe_region
-        if region is not None:
-            # This strategy only ever installs rectangular regions: one
-            # closed rectangle comparison per fix.
-            assert isinstance(region, RectangularSafeRegion)
-            rect = region.rect
+        rect = client.footprint
+        if rect is not None:
+            # The installed rectangle: one closed comparison per fix.
             min_x, min_y = rect.min_x, rect.min_y
             max_x, max_y = rect.max_x, rect.max_y
             xs, ys = trace.xs, trace.ys
@@ -136,14 +133,14 @@ class RectangularSafeRegionStrategy(ProcessingStrategy):
 
     def _install_rectangle(self, client: ClientState, time_s: float,
                            message: InstallSafeRegion) -> Rect:
-        """Hold the shipped rectangle (returned); it is its own footprint.
+        """Hold the shipped rectangle (returned) as the client's footprint.
 
-        Tighter than the cell and still sound under a mutating world: a
+        The region the client monitors is the area it answers for:
+        tighter than the cell and still sound under a mutating world: a
         region that does not closed-intersect the rectangle cannot fire
         inside it, and the client reports the moment it leaves.
         """
         assert message.rect is not None
-        client.safe_region = RectangularSafeRegion(message.rect)
         client.footprint = message.rect
         self._mark_region_installed(client, time_s)
         return message.rect

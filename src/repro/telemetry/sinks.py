@@ -13,8 +13,10 @@ works.  Three implementations cover every current consumer —
   consume.
 
 Records are plain dicts with JSON-scalar values; sinks never mutate
-them.  JSON encoding sorts keys, so traces of the same run are
-byte-stable and diffable.
+them.  JSON encoding sorts keys, so two traces of the same seeded run
+diff line by line and differ only in their wall-time fields
+(``cost_us``, ``elapsed_us``, ``wall_s``, the summary's
+``wall_time_s`` and the registry's non-deterministic instruments).
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ all is the facade's single ``enabled`` attribute check (see
 :mod:`repro.telemetry.facade`).
 
 Timestamps are simulation-clock seconds supplied by the caller, never
-read from the host clock: traces of the same seeded world are
-reproducible artifacts, byte-identical across machines.
+read from the host clock, so traces of the same seeded world are equal
+except in their wall-time fields: ``cost_us``, ``elapsed_us``,
+``wall_s``, the summary's ``wall_time_s`` and the registry's
+non-deterministic instruments (``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

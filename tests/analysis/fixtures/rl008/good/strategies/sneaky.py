@@ -3,8 +3,8 @@
 
 class PoliteStrategy:
     def advance(self, client, trace, start, stop):
-        inside, ops = client.safe_region.probe_xy(trace.xs[start],
-                                                  trace.ys[start])
+        inside, ops, _block = client.bitmap.walk(trace.xs[start],
+                                                 trace.ys[start])
         self._charge_probe(ops, checks=1)  # own inherited helper: fine
         reply = self._send_report(client, trace, start)
         self.session.send(reply, trace.times[start])  # public surface

@@ -1,14 +1,13 @@
 """The retired rules stay retired only while their runtime guards hold.
 
-RL001 (frozen geometry), RL005 (the ``SafeRegion`` contract), PA001
-(protocol exhaustiveness), PA002 (telemetry drift), PA003 (fork
-safety across modules), PA005 (blocking calls on the event loop),
-PA006 (cross-thread races), PA007 (task lifecycle), PA008 (session
-conformance), PA009 (resources leaked on an exit path) and PA010
-(downlink causality) were deleted from the checker because a guard
-that holds at every site already catches their defects: frozen
-geometry types, the abstract ``SafeRegion``, ``verify_field_layouts``
-inside every codec built, the telemetry registry's refusal of an
+RL001 (frozen geometry), PA001 (protocol exhaustiveness), PA002
+(telemetry drift), PA003 (fork safety across modules), PA005 (blocking
+calls on the event loop), PA006 (cross-thread races), PA007 (task
+lifecycle), PA008 (session conformance), PA009 (resources leaked on an
+exit path) and PA010 (downlink causality) were deleted from the checker
+because a guard that holds at every site already catches their
+defects: frozen geometry types, ``verify_field_layouts`` inside every
+codec built, the telemetry registry's refusal of an
 undeclared instrument, the sharded engine's fork-worker test and its
 spawn differential run (``tests/engine/test_parallel_equivalence.py``),
 the blocking-call guard on every daemon loop (``tests/conftest.py``),
@@ -26,7 +25,8 @@ defect the rule was last seeded with (``test_session_mutation.py`` held
 one per rule) and the test that catches it without the checker.  The
 row is applied to a copy of ``src/repro`` and that one test is run
 against the copy in a subprocess; it must fail, with the guard's own
-words.
+words.  RL005 (the safe-region class contract) has no row: the
+abstract class it guarded is gone, so there is nothing left to seed.
 
 A row costs about two seconds, so tier-1 runs the first one only and
 ``REPRO_DEEP=1`` (CI's ``deep-checks`` job) runs them all — see
@@ -74,13 +74,6 @@ RETIRED = (
             "        return self\n",
             "tests/geometry/test_rect.py::TestCombination::test_translated",
             "FrozenInstanceError"),
-    Retired("RL005", "saferegion/bitmap.py",
-            "    def size_bits(self) -> int:\n"
-            "        return self.bitmap.bit_length()\n\n",
-            "",
-            "tests/saferegion/test_bitmap_cost.py::"
-            "test_sizing_a_bitmap_downlink_does_no_pyramid_work",
-            "abstract method size_bits"),
     Retired("PA001", "protocol/wire.py",
             '"position.y", "heading", "speed"),\n'
             '    "RegionExitReport"',

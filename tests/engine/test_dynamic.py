@@ -330,10 +330,12 @@ class TestInvalidateByFootprint:
     def test_a_region_without_a_footprint_is_refused_not_flooded(
             self, world):
         """A strategy that installs a region must say what area it
-        covers: the engine will not quietly wake the whole fleet for it."""
-        class Forgetful(RectangularSafeRegionStrategy):
-            def _install(self, client, trace, index, reply):
-                super()._install(client, trace, index, reply)
+        covers: the engine will not quietly wake the whole fleet for it.
+        (An MWPSR client cannot hold a rectangle without a footprint:
+        the rectangle is its footprint.)"""
+        class Forgetful(BitmapSafeRegionStrategy):
+            def _install(self, client, time_s, reply):
+                super()._install(client, time_s, reply)
                 client.footprint = None
 
         with pytest.raises(AssertionError):

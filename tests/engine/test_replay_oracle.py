@@ -12,7 +12,7 @@ client stepped in timestamp order under a mutation — in two forms:
   windows the trace.
 * *the paper's client* (:data:`PAPER_CLIENTS`): what the device does on
   one position fix, written out on the public value types
-  (:class:`TraceSample`, ``Rect.contains_point``, ``SafeRegion.probe``
+  (:class:`TraceSample`, ``Rect.contains_point``, ``PyramidBitmap.probe``
   of a ``Point``) and charged one probe at a time.  It shares no scan,
   no comparison and no charge arithmetic with the shipped clients.
 
@@ -52,8 +52,7 @@ from repro.protocol.messages import (AlarmNotification, InstallAlarmList,
                                      LocationReport, RegionExitReport)
 from repro.protocol.transport import connect
 from repro.protocol.wire import unpack_cell_ref
-from repro.saferegion import (BitmapSafeRegion, PBSRComputer,
-                              PyramidBitmap, RectangularSafeRegion)
+from repro.saferegion import PBSRComputer, PyramidBitmap
 from repro.strategies import BitmapSafeRegionStrategy
 from repro.strategies import base as strategies_base
 from repro.strategies.base import ClientState
@@ -144,31 +143,27 @@ def _renew_rectangle(strategy, client, sample):
     for message in _report(strategy, client, sample, exit=True):
         if isinstance(message, InstallSafeRegion):
             rect = message.rect
-            client.safe_region = RectangularSafeRegion(rect)
             client.footprint = rect
             strategy._mark_region_installed(client, sample.time)
     return rect
 
 
 def rectangular_fix(strategy, client, sample):
-    if client.safe_region is not None:
-        inside, ops = client.safe_region.probe(sample.position)
-        strategy.session.charge_probe(ops)
-        if inside:
+    if client.footprint is not None:
+        strategy.session.charge_probe(1)  # one rectangle comparison
+        if client.footprint.contains_point(sample.position):
             return
         strategy._note_region_exit(client, sample.time)
     _renew_rectangle(strategy, client, sample)
 
 
 def adaptive_fix(strategy, client, sample):
-    if client.safe_region is not None and sample.time < client.expiry:
+    if client.footprint is not None and sample.time < client.expiry:
         return  # provably still inside: not even a probe
-    if client.safe_region is not None:
-        inside, ops = client.safe_region.probe(sample.position)
-        strategy.session.charge_probe(ops)
-        if inside:
-            slack = client.safe_region.rect.boundary_distance(
-                sample.position)
+    if client.footprint is not None:
+        strategy.session.charge_probe(1)  # one rectangle comparison
+        if client.footprint.contains_point(sample.position):
+            slack = client.footprint.boundary_distance(sample.position)
             client.expiry = sample.time + slack / strategy.max_speed
             return
         strategy._note_region_exit(client, sample.time)
@@ -184,14 +179,14 @@ def _install_bitmap(strategy, client, sample, reply):
             col, row = unpack_cell_ref(message.cell_ref)
             client.footprint = strategy.session.grid.cell_rect(
                 CellId(col, row))
-            client.safe_region = BitmapSafeRegion(message.bitmap)
+            client.bitmap = message.bitmap
             strategy._mark_region_installed(client, sample.time)
 
 
 def bitmap_fix(strategy, client, sample):
     if (client.footprint is not None
             and client.footprint.contains_point(sample.position)):
-        inside, ops = client.safe_region.probe(sample.position)
+        inside, ops = client.bitmap.probe(sample.position)
         strategy.session.charge_probe(ops)
         if not inside:  # unsafe area within the cell: plain report
             _install_bitmap(strategy, client, sample,
@@ -243,13 +238,10 @@ assert tuple(PAPER_CLIENTS) == STRATEGY_NAMES
 # ----------------------------------------------------------------------
 def snapshot(client):
     """A client's state as comparable values."""
-    region = client.safe_region
-    if isinstance(region, RectangularSafeRegion):
-        region = ("rect", region.rect)
-    elif isinstance(region, BitmapSafeRegion):
-        region = ("bitmap", region.bitmap.pyramid.base,
-                  region.bitmap.to_bitstring())
-    return (client.user_id, client.sequence, region, client.footprint,
+    bitmap = client.bitmap
+    if bitmap is not None:
+        bitmap = (bitmap.pyramid.base, bitmap.to_bitstring())
+    return (client.user_id, client.sequence, bitmap, client.footprint,
             client.expiry, client.local_alarms, client.region_installed_at)
 
 

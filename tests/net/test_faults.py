@@ -130,6 +130,24 @@ class TestPeerFaults:
         assert frames and frames[0].kind is FrameKind.ERROR
         assert "magic" in decode_error(frames[0].payload)
 
+    def test_short_request_payload_gets_an_error_frame_then_close(
+            self, sock_path):
+        """A well-framed REQUEST whose payload is one byte short of a
+        report: the codec's ValueError becomes the daemon's ERROR."""
+        daemon = make_daemon()
+        with DaemonThread(daemon, path=sock_path):
+            client = _raw_connect(sock_path)
+            payload = daemon.codec.encode_request(make_report())[:-1]
+            client.sendall(encode_frame(FrameKind.HELLO, encode_hello())
+                           + encode_frame(FrameKind.REQUEST, payload, 1.0))
+            frames = _read_frames(client, 1)
+            assert client.recv(1 << 16) == b""
+            client.close()
+        assert frames and frames[0].kind is FrameKind.ERROR
+        assert decode_error(frames[0].payload).startswith(
+            "undecodable REQUEST payload: uplink payload of 31 bytes")
+        assert daemon.server.metrics.uplink_messages == 0
+
     def test_slow_loris_single_byte_writes_still_served(self, sock_path):
         """Frames dribbled one byte per write must decode and be
         answered — boundary tolerance end to end, not just in the
@@ -208,6 +226,22 @@ class TestServerFaults:
             if transport is not None:
                 transport.close()
             listener.close()
+
+    def test_a_push_frame_is_an_unexpected_frame(self):
+        """The daemon never pushes: a PUSH frame before the REPLY is
+        refused like any other kind the client does not expect."""
+        client, served = socket.socketpair()
+        transport = SocketTransport(client, timeout_s=10.0)
+        try:
+            served.sendall(encode_frame(FrameKind.PUSH, b"\x00\x00", 1.0)
+                           + encode_frame(FrameKind.REPLY, b"\x00\x00",
+                                          1.0))
+            with pytest.raises(TransportError,
+                               match="unexpected PUSH frame from the server"):
+                transport.request(make_report(), 1.0)
+        finally:
+            transport.close()
+            served.close()
 
     def test_unresponsive_server_times_out(self, sock_path):
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

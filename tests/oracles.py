@@ -85,14 +85,14 @@ def check_shared_regions(server):
             built.append(True)
             return build()
 
-        region = serve(user_id, key, counted_build)
-        if not built and (region.bitmap.to_bitstring()
-                          != build().bitmap.to_bitstring()):
+        bitmap = serve(user_id, key, counted_build)
+        if not built and (bitmap.to_bitstring()
+                          != build().to_bitstring()):
             raise AssertionError(
                 "shared safe region %r handed to client %d differs from "
                 "a fresh build over its own pending alarms"
                 % (key, user_id))
-        return region
+        return bitmap
 
     server.shared_region = shared_region
     return server

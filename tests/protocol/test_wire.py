@@ -58,6 +58,13 @@ class TestUplinkRoundTrip:
         with pytest.raises(ValueError):
             CODEC.encode_request(report)
 
+    @pytest.mark.parametrize("length", [wire.UPLINK_LOCATION_SIZE - 1,
+                                        wire.UPLINK_LOCATION_SIZE + 1])
+    def test_payload_of_the_wrong_length_is_a_value_error(self, length):
+        with pytest.raises(ValueError, match="uplink payload of %d bytes"
+                           % length):
+            CODEC.decode_request(b"x" * length)
+
 
 class TestCellRef:
     def test_round_trip(self):

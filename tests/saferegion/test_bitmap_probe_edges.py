@@ -154,7 +154,7 @@ def test_walk_equals_the_oracle_on_every_edge(config):
             for p in edge_points(pyramid, level, stride):
                 inside, probes, block = bitmap.walk(p.x, p.y)
                 assert (inside, probes) == oracle.probe(p), p
-                assert bitmap.probe_xy(p.x, p.y) == (inside, probes)
+                assert bitmap.probe(p) == (inside, probes)
                 if inside:
                     min_x, min_y, max_x, max_y = block
                     assert min_x <= p.x < max_x and min_y <= p.y < max_y, p

@@ -85,15 +85,15 @@ class TestFig3Counts:
 class TestComputersOnExample:
     def test_gbsr_computer(self):
         region = PBSRComputer(height=1, fan=3).compute(CELL, ALARMS)
-        assert region.size_bits() == 10
+        assert region.bit_length() == 10
         fine = PBSRComputer(height=1, fan=9).compute(CELL, ALARMS)
-        assert fine.size_bits() == 82  # Fig. 3(c)
+        assert fine.bit_length() == 82  # Fig. 3(c)
 
     def test_pbsr_computer(self):
         region = PBSRComputer(height=2).compute(CELL, ALARMS)
-        assert region.size_bits() == 64
+        assert region.bit_length() == 64
 
     def test_coverage_improves_with_height(self):
         shallow = PBSRComputer(height=1).compute(CELL, ALARMS)
         deep = PBSRComputer(height=4).compute(CELL, ALARMS)
-        assert deep.bitmap.coverage() > shallow.bitmap.coverage()
+        assert deep.coverage() > shallow.coverage()

@@ -58,8 +58,7 @@ def rects(draw):
     return Rect(x0, y0, x1, y1)
 
 
-def bits(region_or_bitmap):
-    bitmap = getattr(region_or_bitmap, "bitmap", region_or_bitmap)
+def bits(bitmap):
     return bitmap.to_bitstring()
 
 
@@ -144,11 +143,11 @@ class SharedMemoMachine(RuleBasedStateMachine):
         if any(alarm.scope is not AlarmScope.PUBLIC for alarm in pending):
             # Built for this user alone: not from the memo, not into it.
             assert set(now) == set(held)
-            assert all(install.bitmap is not region.bitmap
-                       for region in now.values())
+            assert all(install.bitmap is not bitmap
+                       for bitmap in now.values())
             return
         key = (cell_id, SHAPE, tuple(alarm.alarm_id for alarm in pending))
-        assert install.bitmap is now[key].bitmap
+        assert install.bitmap is now[key]
         if key in held:
             assert now[key] is held[key]  # shared, not rebuilt
         self.expected.add(key)

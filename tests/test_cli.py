@@ -172,6 +172,38 @@ class TestSimulateTrace:
         assert "energy" in manifest.extras
 
 
+#: What a trace measures on the host: event fields and summary keys.
+WALL_TIME_FIELDS = frozenset({"cost_us", "elapsed_us", "wall_s"})
+WALL_TIME_SUMMARY = frozenset({"wall_time_s", "registry"})
+
+
+def _seeded_part(path):
+    """A trace without its wall-time fields; the registry compared
+    through its deterministic snapshot."""
+    data = read_trace(path)
+    events = [{key: value for key, value in record.items()
+               if key not in WALL_TIME_FIELDS} for record in data.events]
+    summary = {key: value for key, value in data.summary.items()
+               if key not in WALL_TIME_SUMMARY}
+    return (path.read_text().splitlines()[0], events, summary,
+            data.registry().deterministic_snapshot())
+
+
+class TestTraceDeterminism:
+    def test_two_traced_runs_differ_only_in_wall_time(self, tmp_path):
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        for path in paths:
+            assert main(["simulate", "--strategy", "pbsr", "--workload",
+                         "tiny", "--workers", "2", "--trace",
+                         str(path)]) == 0
+        first, second = (_seeded_part(path) for path in paths)
+        assert first == second
+        # every field dropped is there to drop
+        events = read_trace(paths[0]).events
+        assert all(any(field in record for record in events)
+                   for field in WALL_TIME_FIELDS)
+
+
 class TestReport:
     def test_text_report_reconciles(self, trace_path, capsys):
         assert main(["report", str(trace_path)]) == 0

@@ -10,7 +10,7 @@ from repro.engine.simulation import in_process_link, run_session
 from repro.geometry import Rect
 from repro.protocol.handlers import ServerPolicy
 from repro.protocol.messages import InstallSafeRegion
-from repro.saferegion import RectangularSafeRegion, region_is_safe
+from repro.saferegion import region_is_safe
 from repro.strategies import (ProcessingStrategy,
                               RectangularSafeRegionStrategy)
 from repro.telemetry import Telemetry, event_counts, reconcile
@@ -55,9 +55,6 @@ class WholeCell(RectangularSafeRegionStrategy):
 class _Result:
     def __init__(self, rect):
         self.rect = rect
-
-    def to_safe_region(self):
-        return RectangularSafeRegion(self.rect)
 
 
 class TinyBoxComputer:
