@@ -150,17 +150,21 @@ class AlarmServer:
     # Shared safe-region memo (public-alarm bitmaps, paper §4.2)
     # ------------------------------------------------------------------
     def shared_region(self, user_id: int, key: MemoKey,
-                      build: Callable[[], PyramidBitmap]
+                      build: Callable[[], PyramidBitmap],
+                      edit: Optional[Callable[[PyramidBitmap],
+                                              PyramidBitmap]] = None
                       ) -> PyramidBitmap:
-        """The bitmap of a public-only pending set, built once.
+        """A subscriber's bitmap, from the cell's shared public one.
 
         ``key`` names the cell, the pyramid shape and every pending
-        alarm, all public, that ``build`` carves the region from; the
+        public alarm that ``build`` carves the shared region from; the
         first subscriber to ask pays for the build and every later one
-        with the same key is handed the same region.  ``user_id`` is the
-        subscriber asking.  Counts the hit or miss in the telemetry
-        registry — the sanctioned path for policies, which may not touch
-        it directly (rule RL008).
+        with the same key is handed the same region.  ``edit``, given
+        when the subscriber also has private or shared alarms pending
+        there, turns that region into the subscriber's own, which is
+        never stored.  ``user_id`` is the subscriber asking.  Counts the
+        hit or miss in the telemetry registry — the sanctioned path for
+        policies, which may not touch it directly (rule RL008).
         """
         memo = self.region_cache
         region = memo.lookup(key)
@@ -171,7 +175,7 @@ class AlarmServer:
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.saferegion_cache(hit)
-        return region
+        return region if edit is None else edit(region)
 
     def close(self) -> None:
         """Release run-scoped resources; safe to call more than once.

@@ -18,12 +18,15 @@ There is one representation, :class:`PyramidBitmap`, and it *is* that
 wire layout: one byte string per level holding the emitted cells of the
 level in emission order, i.e. one ``fanout``-cell block per split parent.
 The server builds it once per safe-region computation
-(:meth:`PyramidBitmap.from_obstacles`), a socket client rebuilds the
-same thing from the received bits (:func:`decode_bitstring`), and every
-question the protocol asks is answered from the stored levels:
+(:meth:`PyramidBitmap.from_obstacles`), or edits a built one by adding
+obstacles (:meth:`PyramidBitmap.edit`, which copies the blocks they do
+not touch), a socket client rebuilds the same thing from the received
+bits (:func:`decode_bitstring`), and every question the protocol asks
+is answered from the stored levels:
 
-* ``bit_length`` and ``coverage`` are recorded at construction, so
-  charging a downlink is an attribute read;
+* ``bit_length`` is recorded at construction, so charging a downlink
+  is an attribute read; ``coverage`` is summed over the levels when
+  first read;
 * ``to_bitstring`` concatenates the levels;
 * ``probe`` is one walk along the path from the root to the leaf
   containing the position — at most ``h + 1`` levels, each one
@@ -51,6 +54,12 @@ cells).  So each level costs a few bisections per obstacle on the
 pyramid's edge lists, which OR the runs into one integer mask per row,
 and then one table lookup per emitted block row (top row first, as the
 wire wants them).
+
+For the same reason an obstacle added to a built bitmap changes only
+the cells it meets and their subtrees: every other block keeps its
+bytes, and runs of them are copied level by level as slices.  There is
+one emission loop, the edit's; a fresh build is the edit of the all-safe
+bitmap, where every parent is met and emitted afresh.
 """
 
 from __future__ import annotations
@@ -59,9 +68,9 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import inf, nextafter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Point, Rect
 from ..index import Pyramid
@@ -84,36 +93,43 @@ Block = Tuple[float, float, float, float]
 #: ``(start, stop)`` offset runs of its SAFE cells.
 _Row = Tuple[bytes, Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
+#: An obstacle as ``(min_x, min_y, max_x, max_y)``.
+Box = Tuple[float, float, float, float]
 
-class _RowTable(Dict[int, _Row]):
-    """Every block row of ``width`` cells, keyed by its mask bits.
 
-    Key ``hit | cover << width``: bit ``i`` of ``hit`` says an obstacle's
-    interior meets cell ``i``, bit ``i`` of ``cover`` that one contains
-    it.  A row is filled the first time it is looked up.
+class _RowTable(Dict[Union[int, bytes], _Row]):
+    """Every block row of ``width`` cells, keyed by its mask bits or bytes.
+
+    Mask key ``hit | cover << width``: bit ``i`` of ``hit`` says an
+    obstacle's interior meets cell ``i``, bit ``i`` of ``cover`` that
+    one contains it (what the builder looks up).  A stored row's bytes
+    are a key too (what :meth:`PyramidBitmap.coverage` looks up).  A
+    row is filled the first time it is looked up.
     """
 
     def __init__(self, width: int) -> None:
         super().__init__()
         self.width = width
 
-    def __missing__(self, key: int) -> _Row:
-        cells = bytearray()
+    def __missing__(self, key: Union[int, bytes]) -> _Row:
+        width = self.width
+        if isinstance(key, bytes):
+            cells = key
+        else:
+            cells = bytes(COVERED if key >> (width + offset) & 1
+                          else SPLIT if key >> offset & 1 else SAFE
+                          for offset in range(width))
         splits: List[int] = []
         runs: List[Tuple[int, int]] = []
-        for offset in range(self.width):
-            if key >> (self.width + offset) & 1:
-                cells.append(COVERED)
-            elif key >> offset & 1:
-                cells.append(SPLIT)
+        for offset, state in enumerate(cells):
+            if state == SPLIT:
                 splits.append(offset)
-            else:
-                cells.append(SAFE)
+            elif state == SAFE:
                 if runs and runs[-1][1] == offset:
                     runs[-1] = (runs[-1][0], offset + 1)
                 else:
                     runs.append((offset, offset + 1))
-        row = self[key] = (bytes(cells), tuple(splits), tuple(runs))
+        row = self[key] = (cells, tuple(splits), tuple(runs))
         return row
 
 
@@ -123,41 +139,77 @@ def _row_table(width: int) -> _RowTable:
     return _RowTable(width)
 
 
+def _or_masks(boxes: Sequence[Box], xs: Sequence[float],
+              ys: Sequence[float], cols: int, leaf: bool, hit: List[int],
+              cover: List[int], low: int, high: int) -> None:
+    """OR one level's row masks of ``boxes`` into ``hit`` and ``cover``.
+
+    On the level's edge lists an obstacle meets a run of columns over a
+    run of rows and (above the leaf level) contains a possibly empty
+    sub-run of each, all found by bisection.  Only rows ``low`` to
+    ``high - 1`` are written; the rows a box contains are among those
+    it meets.
+    """
+    for min_x, min_y, max_x, max_y in boxes:
+        first = bisect_right(ys, min_y, low + 1) - 1
+        stop = bisect_left(ys, max_y, low, high)
+        if first >= stop:
+            continue
+        # columns c with xs[c] < max_x and min_x < xs[c + 1]; none
+        # (c0 == c1 + 1) for a zero-width obstacle on an edge
+        c0 = bisect_right(xs, min_x, 1) - 1
+        c1 = bisect_left(xs, max_x, 0, cols) - 1
+        bits = (2 << c1) - (1 << c0)
+        for row in range(first, stop):
+            hit[row] |= bits
+        if not leaf:
+            # columns with min_x <= xs[c] and xs[c + 1] <= max_x
+            c0 = bisect_left(xs, min_x)
+            c1 = bisect_right(xs, max_x) - 2
+            if c0 <= c1:
+                bits = (2 << c1) - (1 << c0)
+                for row in range(bisect_left(ys, min_y, low, high),
+                                 bisect_right(ys, max_y, low, high + 1) - 1):
+                    cover[row] |= bits
+
+
 class PyramidBitmap:
     """A pyramid bitmap stored as its own serialization, level by level.
 
     ``levels[L]`` holds the emitted cells of level ``L`` (minus the
     descendants of :data:`COVERED` cells) as one byte per cell, in
     emission order.  Cells that were never emitted because an ancestor
-    is safe are part of the safe region by inheritance.
+    is safe are part of the safe region by inheritance.  ``obstacles``
+    are the ones the levels were built over (those meeting the base's
+    interior), kept by reference; a decoded bitmap has none to give
+    (``None``) and cannot be edited.
     """
 
-    __slots__ = ("pyramid", "_levels", "_ranks", "_bit_length", "_coverage")
+    __slots__ = ("pyramid", "_levels", "_ranks", "_bit_length", "_coverage",
+                 "_obstacles")
 
     def __init__(self, pyramid: Pyramid, levels: Sequence[bytes],
-                 safe_area: Optional[float] = None) -> None:
+                 obstacles: Optional[Tuple[Rect, ...]] = None) -> None:
         self.pyramid = pyramid
         self._levels = tuple(levels)
+        self._obstacles = obstacles
         fanout = pyramid.fanout()
-        # _ranks[L][b]: SPLIT cells of level L stored before block b.
+        # _ranks[L][b]: SPLIT cells of level L stored before block b, for
+        # b up to the level's block count (its last entry is the total).
         self._ranks = tuple(
             array("I", accumulate(
-                (cells.count(SPLIT, start, start + fanout)
-                 for start in range(0, len(cells) - fanout, fanout)),
+                map(cells.count, repeat(SPLIT),
+                    range(0, len(cells), fanout),
+                    range(fanout, len(cells) + fanout, fanout)),
                 initial=0))
             for cells in self._levels[:-1])
         bits = 0
         covered = 0  # cells of this level inside all-zero subtrees
-        nominal = 0.0
-        for cells, (cols, rows) in zip(self._levels, pyramid.level_dims):
+        for cells in self._levels:
             bits += len(cells) + covered
             covered = (covered + cells.count(COVERED)) * fanout
-            nominal += cells.count(SAFE) / (cols * rows)
         self._bit_length = bits
-        # A decoded bitmap has no cell rectangles at hand; equal-size
-        # cells per level give its coverage to within float rounding.
-        self._coverage = (nominal if safe_area is None
-                          else safe_area / pyramid.base.area)
+        self._coverage: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Construction from alarm regions
@@ -173,95 +225,146 @@ class PyramidBitmap:
         0-cells above the maximum level are split, except that a cell
         inside a single obstacle is closed as :data:`COVERED`.
 
-        Built on row masks, level by level.  On a level's edge lists
-        (:attr:`Pyramid.x_edges` / :attr:`Pyramid.y_edges`, the ones
-        :meth:`Pyramid.cell_rect` reads, so the ranges are exact on any
-        edge) an obstacle meets a run of columns over a run of rows and
-        contains a possibly empty sub-run of each, all found by
-        bisection; the runs are ORed into one ``int`` per row, a *hit*
-        mask and (above the leaf level) a *cover* mask.  The split
-        parents of the level above are then walked in emission order,
-        and each of their block rows is one lookup of its mask bits in
-        :func:`_row_table`.
+        The all-safe bitmap of ``pyramid`` edited by adding every
+        obstacle (:meth:`edit`): every parent is then emitted afresh.
         """
+        empty = cls(pyramid, [bytes((SAFE,))] + [b""] * pyramid.height, ())
+        return empty.edit(obstacles)
+
+    def edit(self, obstacles: Sequence[Rect]) -> "PyramidBitmap":
+        """This bitmap with the alarm ``obstacles`` added to its own.
+
+        Equals :meth:`from_obstacles` over both sets byte for byte; this
+        bitmap is not changed.  A cell whose interior no added obstacle
+        meets keeps its state and its whole subtree, so the edit walks
+        the levels in emission order with one list of items per level:
+
+        * a *copy run* ``(k0, None, k1)`` of untouched blocks of this
+          bitmap's level, appended as one slice, which becomes the run
+          ``(ranks[k0], None, ranks[k1])`` of their children's blocks one
+          level down;
+        * a *fresh parent* ``(col, row, block)`` — a split cell whose
+          interior an added obstacle meets, and its own block in this
+          bitmap or ``-1`` — whose children are emitted from row masks
+          against every obstacle.  Each split child is fresh again if an
+          added obstacle meets it, else a one-block copy run located by
+          rank.
+
+        Row masks: on a level's edge lists (:attr:`Pyramid.x_edges` /
+        :attr:`Pyramid.y_edges`, the ones :meth:`Pyramid.cell_rect`
+        reads, so the ranges are exact on any edge) :func:`_or_masks`
+        ORs each obstacle's runs into one *hit* and one *cover* ``int``
+        per row, and each block row of a fresh parent is one lookup of
+        its mask bits in :func:`_row_table`; the added obstacles' own
+        hit masks say which children are fresh.
+        """
+        carved = self._obstacles
+        if carved is None:
+            raise ValueError("a decoded bitmap cannot be edited: it does "
+                             "not know the obstacles it was built over")
+        pyramid = self.pyramid
         base = pyramid.base
         left, bottom, right, top = (base.min_x, base.min_y,
                                     base.max_x, base.max_y)
         height = pyramid.height
-        # The root is the base.  Obstacles that miss its interior are
-        # dropped here, so every bisection below lands inside the grid.
-        boxes: List[Tuple[float, float, float, float]] = []
-        root = SAFE
+        # Obstacles that miss the root's interior are dropped here, so
+        # every bisection below lands inside the grid.
+        kept: List[Rect] = []
+        added: List[Box] = []
+        root = self._levels[0][0]
         for obstacle in obstacles:
             min_x, min_y = obstacle.min_x, obstacle.min_y
             max_x, max_y = obstacle.max_x, obstacle.max_y
             if left < max_x and min_x < right and bottom < max_y \
                     and min_y < top:
-                boxes.append((min_x, min_y, max_x, max_y))
+                kept.append(obstacle)
+                added.append((min_x, min_y, max_x, max_y))
                 if min_x <= left and right <= max_x and min_y <= bottom \
                         and top <= max_y:
                     root = COVERED
-        if root == SAFE and boxes:
+        if root == SAFE and added:
             root = SPLIT
         levels = [bytes((root,))]
-        area = base.area if root == SAFE else 0.0
+        base_levels = self._levels
+        base_ranks = self._ranks
         fan_cols, fan_rows = pyramid.fan_cols, pyramid.fan_rows
+        fanout = fan_cols * fan_rows
         fan_mask = (1 << fan_cols) - 1
         table = _row_table(fan_cols)
-        # (col, row) of the split cells of the level above, in order.
-        parents = [(0, 0)] if root == SPLIT else []
+        boxes = [(obstacle.min_x, obstacle.min_y, obstacle.max_x,
+                  obstacle.max_y) for obstacle in carved]
+        # A fresh parent is (col, row, block); a copy run has no row:
+        # (k0, None, k1).
+        items: List[Tuple[int, Optional[int], int]] = []
+        if root == SPLIT and added:
+            items.append((0, 0, 0 if base_levels[0][0] == SPLIT else -1))
+        elif root == SPLIT:
+            items.append((0, None, 1))
+        below: List[Tuple[int, Optional[int], int]] = []
+
+        def copy(k0: int, k1: int) -> None:
+            """Append the copy run ``[k0, k1)``, joined to one it ends."""
+            if below and below[-1][1] is None and below[-1][2] == k0:
+                k0 = below.pop()[0]
+            below.append((k0, None, k1))
+
         for level in range(1, height + 1):
-            if not parents:
+            if not items:
                 break
             cols, rows = pyramid.level_dims[level]
             xs = pyramid.x_edges[level]
             ys = pyramid.y_edges[level]
             leaf = level == height
-            hit = [0] * rows
-            cover = [0] * rows
-            for min_x, min_y, max_x, max_y in boxes:
-                # columns c with xs[c] < max_x and min_x < xs[c + 1]; none
-                # (c0 == c1 + 1) for a zero-width obstacle on an edge
-                c0 = bisect_right(xs, min_x, 1) - 1
-                c1 = bisect_left(xs, max_x, 0, cols) - 1
-                bits = (2 << c1) - (1 << c0)
-                for row in range(bisect_right(ys, min_y, 1) - 1,
-                                 bisect_left(ys, max_y, 0, rows)):
-                    hit[row] |= bits
-                if not leaf:
-                    # columns with min_x <= xs[c] and xs[c + 1] <= max_x
-                    c0 = bisect_left(xs, min_x)
-                    c1 = bisect_right(xs, max_x) - 2
-                    if c0 <= c1:
-                        bits = (2 << c1) - (1 << c0)
-                        for row in range(bisect_left(ys, min_y),
-                                         bisect_right(ys, max_y) - 1):
-                            cover[row] |= bits
+            base_cells = base_levels[level]
+            fresh_rows = [row for _, row, _ in items if row is not None]
+            if fresh_rows:
+                # Only the rows of the fresh parents' blocks are read:
+                # the cells an added obstacle meets, then every obstacle.
+                low = min(fresh_rows) * fan_rows
+                high = (max(fresh_rows) + 1) * fan_rows
+                touched = [0] * rows
+                cover = [0] * rows
+                _or_masks(added, xs, ys, cols, leaf, touched, cover, low, high)
+                hit = touched.copy()
+                _or_masks(boxes, xs, ys, cols, leaf, hit, cover, low, high)
             cells = bytearray()
-            split: List[Tuple[int, int]] = []
-            for parent_col, parent_row in parents:
-                col0 = parent_col * fan_cols
+            below = []
+            for first, parent_row, last in items:
+                if parent_row is None:
+                    cells += base_cells[first * fanout:last * fanout]
+                    if leaf:
+                        continue
+                    ranks = base_ranks[level]
+                    if ranks[first] < ranks[last]:
+                        copy(ranks[first], ranks[last])
+                    continue
+                col0 = first * fan_cols
                 row0 = parent_row * fan_rows
+                start = slot = last * fanout  # the parent's block here
                 # raster scan: top row first
                 for row in range(row0 + fan_rows - 1, row0 - 1, -1):
                     if leaf:
-                        chunk, splits, runs = table[hit[row] >> col0
-                                                    & fan_mask]
-                    else:
-                        chunk, splits, runs = table[
-                            (hit[row] >> col0 & fan_mask)
-                            | (cover[row] >> col0 & fan_mask) << fan_cols]
-                        for offset in splits:
-                            split.append((col0 + offset, row))
+                        cells += table[hit[row] >> col0 & fan_mask][0]
+                        continue
+                    chunk, splits, _ = table[
+                        (hit[row] >> col0 & fan_mask)
+                        | (cover[row] >> col0 & fan_mask) << fan_cols]
                     cells += chunk
-                    if runs:
-                        dy = ys[row + 1] - ys[row]
-                        for start, stop in runs:
-                            area += (xs[col0 + stop] - xs[col0 + start]) * dy
+                    for offset in splits:
+                        col = col0 + offset
+                        child = -1  # the child's block here, if it has one
+                        if last >= 0 and base_cells[slot + offset] == SPLIT:
+                            child = base_ranks[level][last] + \
+                                base_cells.count(SPLIT, start, slot + offset)
+                        if touched[row] >> col & 1:
+                            below.append((col, row, child))
+                        else:  # untouched: that block, copied whole
+                            copy(child, child + 1)
+                    slot += fan_cols
             levels.append(bytes(cells))
-            parents = split
+            items = below
         levels += [b""] * (height + 1 - len(levels))
-        return cls(pyramid, levels, area)
+        return PyramidBitmap(pyramid, levels, carved + tuple(kept))
 
     # ------------------------------------------------------------------
     # Size and serialization
@@ -271,8 +374,54 @@ class PyramidBitmap:
         return self._bit_length
 
     def coverage(self) -> float:
-        """The paper's coverage metric ``eta``: safe area / cell area."""
-        return self._coverage
+        """The paper's coverage metric ``eta``: safe area / cell area.
+
+        Summed on the first call by one walk of the stored levels: per
+        split parent in emission order, per block row top first, each
+        run of SAFE cells as ``width * height`` — the same expressions
+        in the same order whether the levels were built, edited or
+        decoded, so equal levels give equal floats.
+        """
+        coverage = self._coverage
+        if coverage is None:
+            coverage = self._coverage = (self._safe_area()
+                                         / self.pyramid.base.area)
+        return coverage
+
+    def _safe_area(self) -> float:
+        pyramid = self.pyramid
+        levels = self._levels
+        if levels[0][0] == SAFE:
+            return pyramid.base.area
+        fan_cols, fan_rows = pyramid.fan_cols, pyramid.fan_rows
+        table = _row_table(fan_cols)
+        height = pyramid.height
+        area = 0.0
+        parents = [(0, 0)] if levels[0][0] == SPLIT else []
+        for level in range(1, height + 1):
+            if not parents:
+                break
+            cells = levels[level]
+            x_edges = pyramid.x_edges[level]
+            y_edges = pyramid.y_edges[level]
+            split: List[Tuple[int, int]] = []
+            start = 0
+            for parent_col, parent_row in parents:
+                col0 = parent_col * fan_cols
+                row0 = parent_row * fan_rows
+                # raster scan: top row first
+                for row in range(row0 + fan_rows - 1, row0 - 1, -1):
+                    _, splits, runs = table[cells[start:start + fan_cols]]
+                    start += fan_cols
+                    if runs:
+                        dy = y_edges[row + 1] - y_edges[row]
+                        for first, stop in runs:
+                            area += (x_edges[col0 + stop]
+                                     - x_edges[col0 + first]) * dy
+                    if level < height:
+                        split += [(col0 + offset, row) for offset in splits]
+            parents = split
+        return area
 
     def to_bitstring(self) -> str:
         """The serialized bitmap as a string of '0'/'1' characters."""

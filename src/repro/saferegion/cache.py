@@ -6,18 +6,21 @@ public alarms carve out of a grid cell is the same for every
 subscriber, so it is state of the *cell*, not of whoever asked.  This
 memo holds it: one bitmap per ``(cell, pyramid shape, pending public
 alarm ids)``, built on the first request and handed by reference to
-every later subscriber whose pending set over the cell is exactly those
-alarms.
+every later request whose pending public alarms over the cell are
+exactly those.
 
 * The key carries the pyramid's ``(height, fan)``: one server holds one
   memo for every policy, and the paper lets "each client specify the
   maximum height of the pyramid", so a PBSR(h=2) subscriber must never
   be handed an h=6 bitmap of the same cell and alarms.
 
-* Only **public-only** pending sets are memoised.  A subscriber with a
-  private or shared alarm pending in the cell gets a fresh build that
-  never enters the memo, so a region carved from someone's private
-  alarm cannot be shared — by construction, not by fingerprint.
+* Only **public-only** regions are memoised.  A subscriber with a
+  private or shared alarm pending in the cell asks the memo for its
+  public base all the same and is served that base edited by adding
+  its own alarms (:meth:`PyramidBitmap.edit`): a new bitmap that never
+  enters the memo and leaves the entry as it was, so a region carved
+  from someone's private alarm cannot be shared — by construction, not
+  by fingerprint.
 * A subscriber who already fired one of the cell's public alarms has a
   smaller pending set, hence a different key and its own entry.
 * The key names every alarm its region was carved from, so an *install*
@@ -48,8 +51,9 @@ MemoKey = Tuple[CellId, Tuple[int, int], Tuple[int, ...]]
 class SafeRegionCache:
     """Memoised public-alarm bitmaps, consistent under alarm churn.
 
-    A bitmap is immutable (it exposes only probes and its wire form), so
-    a memoised one is shared by reference, never copied.
+    A bitmap is immutable (it exposes only probes and its wire form,
+    and an edit makes a new one), so a memoised one is shared by
+    reference, never copied.
     """
 
     def __init__(self, registry: AlarmRegistry) -> None:

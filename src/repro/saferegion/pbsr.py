@@ -11,15 +11,17 @@ experiments treat "h = 1" as the GBSR configuration; it exists mostly
 to demonstrate the accuracy/size dilemma that motivates PBSR — a coarse
 grid wastes safe area (Fig. 3(b)), a fine grid wastes bits (Fig. 3(c)).
 
-The computer is a stateless function of ``(cell, obstacles)``.  The
-server-side sharing of public-alarm regions across subscribers (Section
-4.2, last paragraph) lives in the server's state, not here: see
-:mod:`repro.saferegion.cache`.
+The computer is a stateless function of ``(cell, obstacles)``, or of
+``(base, obstacles)`` for an edit: the cell's bitmap over other alarms
+with these added, where only the blocks the added alarms touch are
+emitted afresh.  The server-side sharing of public-alarm regions across
+subscribers (Section 4.2, last paragraph) lives in the server's state,
+not here: see :mod:`repro.saferegion.cache`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..geometry import Rect
 from ..index import DEFAULT_FAN, Pyramid
@@ -35,9 +37,17 @@ class PBSRComputer:
         self.height = height
         self.fan = fan
 
-    def compute(self, cell: Rect,
-                obstacles: Sequence[Rect]) -> PyramidBitmap:
-        """Safe-region bitmap of ``cell`` around the pending alarm regions."""
+    def compute(self, cell: Rect, obstacles: Sequence[Rect],
+                base: Optional[PyramidBitmap] = None) -> PyramidBitmap:
+        """Safe-region bitmap of ``cell`` around the pending alarm regions.
+
+        With ``base`` — a bitmap this computer built for ``cell`` over
+        other alarms — the result is ``base`` edited by adding
+        ``obstacles`` (:meth:`PyramidBitmap.edit`); ``base`` is not
+        changed.
+        """
+        if base is not None:
+            return base.edit(obstacles)
         pyramid = Pyramid(cell, fan_cols=self.fan, fan_rows=self.fan,
                           height=self.height)
         return PyramidBitmap.from_obstacles(pyramid, obstacles)

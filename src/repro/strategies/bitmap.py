@@ -27,18 +27,22 @@ rectangular strategies' message counts at higher client energy — the
 trade-off of Fig. 5.
 
 **Computation sharing** (paper §4.2): the region public alarms carve
-out of a cell is the same for every subscriber, so a subscriber whose
-pending alarms in the cell are all public is served from the server's
-memo (:mod:`repro.saferegion.cache`), keyed by the cell, the pyramid
-shape and exactly those alarm ids; one with a private or shared alarm
-pending there gets a fresh build that is never shared.  Message and
-byte totals do not depend on which happened: sharing short-circuits
-only the *computation*, never the downlink.
+out of a cell is the same for every subscriber, so every request takes
+it from the server's memo (:mod:`repro.saferegion.cache`), keyed by the
+cell, the pyramid shape and exactly the pending public alarm ids.  A
+subscriber whose pending alarms there are all public is served that
+bitmap itself; one with a private or shared alarm pending there gets it
+edited by adding those alarms (:meth:`PyramidBitmap.edit` re-emits only
+the blocks they touch), and the edit is never stored.  The firing path
+takes the same route with the smaller pending set.  Message and byte
+totals do not depend on which happened: sharing short-circuits only the
+*computation*, never the downlink.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+import functools
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from ..alarms import AlarmScope, SpatialAlarm
 from ..index import CellId
@@ -95,27 +99,30 @@ class BitmapPolicy(ServerPolicy):
         """The install message for one cell's bitmap.
 
         One safe region served, timed and counted as one, whether the
-        bitmap was built for this subscriber or shared.
+        bitmap was shared, built or edited from the shared one.
         """
         cell = server.grid.cell_rect(cell_id)
+        computer = self.computer
         with server.timed_saferegion(user_id, time_s):
             pending = server.pending_alarms_in(user_id, cell)
-
-            def build() -> PyramidBitmap:
-                return self.computer.compute(
-                    cell, [alarm.region for alarm in pending])
-
-            if all(alarm.scope is AlarmScope.PUBLIC for alarm in pending):
-                # pending is in id order, so the ids name the alarms; the
-                # shape keeps clients of different heights apart
-                computer = self.computer
-                bitmap = server.shared_region(
-                    user_id,
-                    (cell_id, (computer.height, computer.fan),
-                     tuple(alarm.alarm_id for alarm in pending)),
-                    build)
-            else:
-                bitmap = build()
+            public = [alarm for alarm in pending
+                      if alarm.scope is AlarmScope.PUBLIC]
+            edit: Optional[Callable[[PyramidBitmap], PyramidBitmap]] = None
+            if len(public) < len(pending):
+                # the shared bitmap plus this subscriber's own alarms
+                edit = functools.partial(
+                    computer.compute, cell,
+                    [alarm.region for alarm in pending
+                     if alarm.scope is not AlarmScope.PUBLIC])
+            # pending is in id order, so the ids name the alarms; the
+            # shape keeps clients of different heights apart
+            bitmap = server.shared_region(
+                user_id,
+                (cell_id, (computer.height, computer.fan),
+                 tuple(alarm.alarm_id for alarm in public)),
+                lambda: computer.compute(
+                    cell, [alarm.region for alarm in public]),
+                edit)
         return InstallSafeRegion(
             cell_ref=pack_cell_ref(cell_id.col, cell_id.row), bitmap=bitmap)
 

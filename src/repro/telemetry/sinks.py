@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import IO, List, Mapping, Optional, Union
+from typing import IO, List, Mapping, Union
 
 
 class TraceSink:

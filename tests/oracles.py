@@ -10,10 +10,12 @@ explicitly.
   invariants (the x-slab tables the run's point queries cached
   included) and every subscriber's sorted alarm list.  Geometry values
   are frozen, so a difference means a write got past the frozen types.
-* :func:`checked` — a link whose server rebuilds every region its
-  public-alarm memo hands out on a hit, from the subscriber's own
-  pending alarms, and compares the two bit for bit: sharing must never
-  leak another user's region or outlive an alarm's move.
+* :func:`checked` — a link whose server rebuilds every region it
+  serves from its public-alarm memo — a hit, or the memo's bitmap edited
+  by a subscriber's own alarms — afresh over that subscriber's
+  whole pending set, and compares the two byte for byte: sharing must
+  never leak another user's region or outlive an alarm's move, and an
+  edit must equal the build it stands for.
 * :data:`VERIFYING`, :data:`VERIFIED`, :data:`VERIFIED_SOCKET` and
   :func:`verifying` — the transports and links with ``verify_wire`` on:
   every message is encoded and its charged size compared with
@@ -33,6 +35,7 @@ from repro import engine
 from repro.engine.simulation import in_process_link, run_session
 from repro.net.engine import socket_link
 from repro.protocol.transport import InProcessTransport
+from repro.saferegion import PBSRComputer
 
 #: The in-process transport that checks every charge against its encoding.
 VERIFYING = functools.partial(InProcessTransport, verify_wire=True)
@@ -75,23 +78,36 @@ def pinned_geometry(registry):
 
 
 def check_shared_regions(server):
-    """Make ``server`` rebuild and compare every memo hit it serves."""
+    """Make ``server`` rebuild and compare every region it serves from
+    its memo: each hit, and each edit of the memo's bitmap."""
     serve = server.shared_region
 
-    def shared_region(user_id, key, build):
+    def shared_region(user_id, key, build, edit=None):
         built = []
 
         def counted_build():
             built.append(True)
             return build()
 
-        bitmap = serve(user_id, key, counted_build)
-        if not built and (bitmap.to_bitstring()
-                          != build().to_bitstring()):
+        bitmap = serve(user_id, key, counted_build, edit)
+        if built and edit is None:
+            return bitmap  # built for this request, served as built
+        cell_id, (height, fan), _ = key
+        cell = server.grid.cell_rect(cell_id)
+        # a scan, not an index query: the run's node accesses are counted
+        fired = server.fired_for(user_id)
+        pending = [alarm for alarm in server.registry.all_alarms()
+                   if alarm.is_relevant_to(user_id)
+                   and alarm.alarm_id not in fired
+                   and alarm.region.interior_intersects(cell)]
+        fresh = PBSRComputer(height, fan).compute(
+            cell, [alarm.region for alarm in pending])
+        if (bitmap.to_bitstring() != fresh.to_bitstring()
+                or bitmap._levels != fresh._levels):
             raise AssertionError(
-                "shared safe region %r handed to client %d differs from "
-                "a fresh build over its own pending alarms"
-                % (key, user_id))
+                "%s safe region %r handed to client %d differs from a "
+                "fresh build over its own pending alarms"
+                % ("edited shared" if edit else "shared", key, user_id))
         return bitmap
 
     server.shared_region = shared_region

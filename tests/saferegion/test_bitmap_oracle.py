@@ -11,11 +11,18 @@ zero-area obstacles, obstacles covering the whole base cell or lying
 wholly outside it, nested and abutting pairs, and probe points on the
 edges and corners of every level and one ulp to either side of them.
 
-Beyond the drawn worlds, every build of a BENCH PBSR(h=5) and GBSR
-replay must equal the definition (every ``REPLAY_STRIDE``-th build in
-tier-1, all of them under ``REPRO_DEEP=1``).  The seeded mutations
-at the end are the suite's own test: each is a plausible slip in the
-row-mask kernel that the fixed corpus must catch.
+An edit (:meth:`PyramidBitmap.edit`: a bitmap with obstacles added,
+copying the blocks they do not touch) must equal the fresh build over
+both sets in every stored byte, rank, length and coverage float, on the
+same adversarial geometry split into a base and its additions — and
+leave the base as it was.
+
+Beyond the drawn worlds, every build and every edit of a BENCH
+PBSR(h=5) and GBSR replay must equal the definition (every
+``REPLAY_STRIDE``-th of each in tier-1, all of them under
+``REPRO_DEEP=1``).  The seeded mutations at the end are the suite's own
+test: each is a plausible slip in the row-mask kernel or the edit's
+copying that the fixed corpus, built and edited, must catch.
 """
 
 import functools
@@ -34,7 +41,7 @@ from repro.engine import run_simulation
 from repro.experiments import BENCH, build_world, make_pbsr_strategy
 from repro.geometry import Point, Rect
 from repro.index import Pyramid, PyramidCell
-from repro.saferegion import PyramidBitmap, decode_bitstring
+from repro.saferegion import PBSRComputer, PyramidBitmap, decode_bitstring
 from repro.saferegion.bitmap import COVERED
 from ..budget import examples
 from .oracle import build_pyramid_bitmap, locate, stored_levels
@@ -296,6 +303,71 @@ class TestAgainstTheOracle:
         assert sum(COVERED in cells for cells in bitmap._levels) >= 2
 
 
+@st.composite
+def parent_cells(draw, pyramid):
+    """A rectangle that is, or contains, one cell above the leaf level."""
+    level = draw(st.integers(0, pyramid.height - 1))
+    cols, rows = pyramid.level_dims[level]
+    col = draw(st.integers(0, cols - 1))
+    row = draw(st.integers(0, rows - 1))
+    cell = snapped_rect(pyramid, level, col, col + 1, row, row + 1)
+    if draw(st.booleans()):
+        return cell
+    return cell.expanded(min(cell.width, cell.height) / 4)
+
+
+@st.composite
+def edit_worlds(draw):
+    """A pyramid and its obstacles split into a base and the added."""
+    pyramid = draw(pyramids())
+    obstacles = draw(obstacle_lists(pyramid))
+    obstacles += draw(st.lists(parent_cells(pyramid), max_size=2))
+    added = draw(st.lists(st.booleans(), min_size=len(obstacles),
+                          max_size=len(obstacles)))
+    return (pyramid,
+            [rect for rect, new in zip(obstacles, added) if not new],
+            [rect for rect, new in zip(obstacles, added) if new])
+
+
+def assert_edit_equals_build(pyramid, public, added):
+    """``from_obstacles(public).edit(added)`` is the build over both."""
+    base = PyramidBitmap.from_obstacles(pyramid, public)
+    levels, bits = base._levels, base.to_bitstring()
+    edited = base.edit(added)
+    fresh = PyramidBitmap.from_obstacles(pyramid, public + added)
+    assert edited._levels == fresh._levels
+    assert edited._ranks == fresh._ranks
+    assert edited.bit_length() == fresh.bit_length()
+    assert edited.coverage() == fresh.coverage()
+    assert base._levels == levels and base.to_bitstring() == bits
+    return edited
+
+
+class TestEditsEqualBuilds:
+    @settings(max_examples=examples(150, 2000), deadline=None)
+    @given(edit_worlds())
+    def test_adversarial_geometry(self, world):
+        assert_edit_equals_build(*world)
+
+    def test_covered_and_split_parents_meet_the_added(self):
+        """Additions across covered, split and safe cells of several
+        levels: a split level-1 cell turns covered, a safe one splits,
+        and the untouched split ones are copied with their subtrees."""
+        pyramid, obstacles = several_levels_world()
+        edited = assert_edit_equals_build(
+            pyramid, obstacles, [Rect(250, 550, 350, 650),
+                                 Rect(0, 0, 100, 100),
+                                 Rect(300, 300, 600, 600)])
+        assert edited._levels != PyramidBitmap.from_obstacles(
+            pyramid, obstacles)._levels
+
+    def test_a_decoded_bitmap_cannot_be_edited(self):
+        pyramid, obstacles = several_levels_world()
+        bits = PyramidBitmap.from_obstacles(pyramid, obstacles).to_bitstring()
+        with pytest.raises(ValueError, match="decoded"):
+            decode_bitstring(pyramid, bits).edit(obstacles)
+
+
 class TestShrunkFailures:
     """Counterexamples this suite found, kept as fixtures."""
 
@@ -373,21 +445,35 @@ REPLAY_STRIDE = 8
 
 @pytest.fixture
 def compared_builds(monkeypatch):
-    """Hold builds of the run to the definition as they happen."""
-    shipped = PyramidBitmap.from_obstacles.__func__
-    stride = examples(REPLAY_STRIDE, 1)
-    counts = {"builds": 0, "compared": 0}
+    """Hold the run's builds and edits to the definition as they happen.
 
-    def from_obstacles(cls, pyramid, obstacles):
-        bitmap = shipped(cls, pyramid, obstacles)
-        if counts["builds"] % stride == 0:
-            assert_equals_definition(bitmap, pyramid, obstacles)
+    Every bitmap a policy serves comes out of :meth:`PBSRComputer.compute`:
+    a build, or — with ``base`` — the cell's shared bitmap edited by
+    adding a subscriber's own alarms, held to the definition over the
+    base's obstacles and those.  Each kind is compared at the stride.
+    """
+    shipped = PBSRComputer.compute
+    stride = examples(REPLAY_STRIDE, 1)
+    counts = {"builds": 0, "compared": 0, "edits": 0, "edits_compared": 0}
+
+    def compute(self, cell, obstacles, base=None):
+        edit = base is not None
+        made = counts["edits"] if edit else counts["builds"] - counts["edits"]
+        before = base.to_bitstring() if edit else None
+        bitmap = shipped(self, cell, obstacles, base)
+        if made % stride == 0:
+            carved = list(base._obstacles) if edit else []
+            assert_equals_definition(bitmap, bitmap.pyramid,
+                                     carved + list(obstacles))
             counts["compared"] += 1
+            if edit:
+                assert base.to_bitstring() == before
+                counts["edits_compared"] += 1
         counts["builds"] += 1
+        counts["edits"] += edit
         return bitmap
 
-    monkeypatch.setattr(PyramidBitmap, "from_obstacles",
-                        classmethod(from_obstacles))
+    monkeypatch.setattr(PBSRComputer, "compute", compute)
     return counts
 
 
@@ -398,6 +484,9 @@ def test_bench_replay_builds_equal_the_definition(compared_builds, height):
     assert compared_builds["builds"] > 300
     assert (compared_builds["compared"]
             >= compared_builds["builds"] // REPLAY_STRIDE)
+    assert compared_builds["edits"] > 100
+    assert (compared_builds["edits_compared"]
+            >= compared_builds["edits"] // REPLAY_STRIDE)
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +521,16 @@ def corpus():
 
 
 def assert_corpus_equals_definition(bitmap_class):
+    """Every corpus world built, then built from alternate obstacles and
+    edited by adding the others, equals the definition."""
     for pyramid, obstacles, levels, coverage in corpus():
         bitmap = bitmap_class.from_obstacles(pyramid, obstacles)
+        assert bitmap._levels == levels, (pyramid.base, obstacles)
+        assert math.isclose(bitmap.coverage(), coverage,
+                            rel_tol=1e-12, abs_tol=0.0)
+    for pyramid, obstacles, levels, coverage in corpus():
+        base = bitmap_class.from_obstacles(pyramid, obstacles[::2])
+        bitmap = base.edit(obstacles[1::2])
         assert bitmap._levels == levels, (pyramid.base, obstacles)
         assert math.isclose(bitmap.coverage(), coverage,
                             rel_tol=1e-12, abs_tol=0.0)
@@ -444,7 +541,8 @@ def test_shipped_kernel_passes_the_corpus():
 
 
 #: ``(what slipped, shipped source, mutated source, sites)``; each site
-#: is in ``saferegion/bitmap.py``.
+#: is in ``saferegion/bitmap.py``.  The last three are slips in the
+#: edit's copying, which only the corpus's edits reach.
 MUTATIONS = [
     ("bisect_left for bisect_right on the first intersecting column",
      "c0 = bisect_right(xs, min_x, 1) - 1",
@@ -456,11 +554,20 @@ MUTATIONS = [
      "leaf = level == height", "leaf = False", 1),
     ("block rows emitted bottom-first",
      "range(row0 + fan_rows - 1, row0 - 1, -1)",
-     "range(row0, row0 + fan_rows)", 1),
+     "range(row0, row0 + fan_rows)", 2),
     ("edges recomputed in ratio form at every level",
      "xs = pyramid.x_edges[level]\n",
      "xs = [left + (right - left) * k / cols for k in range(cols + 1)]\n",
      1),
+    ("copy run shifted by one block",
+     "cells += base_cells[first * fanout:last * fanout]",
+     "cells += base_cells[first * fanout + fanout:last * fanout + fanout]",
+     1),
+    ("child tested for an added box at its parent's column",
+     "if touched[row] >> col & 1:", "if touched[row] >> col0 & 1:", 1),
+    ("copied child's block counted from its row, not its parent's block",
+     "base_cells.count(SPLIT, start, slot + offset)",
+     "base_cells.count(SPLIT, slot, slot + offset)", 1),
 ]
 
 

@@ -7,9 +7,10 @@ installs, removes and relocates public, private and shared alarms
 boundaries), fires them per user, and after every step holds the server
 to what a memo-less one would do — each region served equals a fresh
 :class:`PBSRComputer` build over that user's own pending alarms, a user
-with a private alarm in the cell is never handed a shared region, and
-the memo holds exactly the entries its invalidation rule says it
-should.
+with a private alarm in the cell is handed the shared public region
+edited by that alarm and never the shared region itself, the memo holds
+only public-only regions and exactly the entries its invalidation rule
+says it should, and no edit changes an entry.
 """
 
 import functools
@@ -140,17 +141,20 @@ class SharedMemoMachine(RuleBasedStateMachine):
             user, cell, exclude_ids=self.server.fired_for(user))
         assert bits(install.bitmap) == bits(self.fresh(cell, pending))
         now = self.memo.entries()
-        if any(alarm.scope is not AlarmScope.PUBLIC for alarm in pending):
-            # Built for this user alone: not from the memo, not into it.
-            assert set(now) == set(held)
-            assert all(install.bitmap is not bitmap
-                       for bitmap in now.values())
-            return
-        key = (cell_id, SHAPE, tuple(alarm.alarm_id for alarm in pending))
-        assert install.bitmap is now[key]
+        public = [alarm for alarm in pending
+                  if alarm.scope is AlarmScope.PUBLIC]
+        key = (cell_id, SHAPE, tuple(alarm.alarm_id for alarm in public))
         if key in held:
             assert now[key] is held[key]  # shared, not rebuilt
         self.expected.add(key)
+        assert set(now) == set(held) | {key}
+        if len(public) < len(pending):
+            # Edited from the shared base for this user alone: only the
+            # base is in the memo, the edit is not.
+            assert all(install.bitmap is not bitmap
+                       for bitmap in now.values())
+            return
+        assert install.bitmap is now[key]
 
     # -- what must hold between any two steps ---------------------------
     @invariant()
@@ -205,7 +209,9 @@ def test_co_located_subscribers_share_one_build(served):
     assert server.metrics.safe_region_computations == 2
 
 
-def test_private_alarm_in_the_cell_bypasses_the_memo(served):
+def test_private_alarm_in_the_cell_is_edited_from_the_shared_base(served):
+    """A subscriber with a private alarm in the cell gets its own region,
+    built from the cell's shared public one and never stored."""
     registry, server, policy = served
     registry.install(Rect(1100, 1100, 1300, 1300), AlarmScope.PUBLIC, 0)
     registry.install(Rect(1600, 1600, 1800, 1800), AlarmScope.PRIVATE, 2)
@@ -217,6 +223,26 @@ def test_private_alarm_in_the_cell_bypasses_the_memo(served):
     assert len(server.region_cache.entries()) == 1
     # and the next public-only subscriber still gets the shared one
     assert report(server, policy, 3, INSIDE).bitmap is shared.bitmap
+
+
+def test_edits_store_the_public_key_and_leave_its_entry_alone(served):
+    registry, server, policy = served
+    public = registry.install(Rect(1100, 1100, 1300, 1300),
+                              AlarmScope.PUBLIC, 0)
+    for user in USERS:
+        registry.install(Rect(1000 + 100 * user, 1700, 1050 + 100 * user,
+                              1900), AlarmScope.PRIVATE, user)
+    report(server, policy, 1, INSIDE)  # a mixed request comes first
+    key = (CELL, SHAPE, (public.alarm_id,))
+    entries = server.region_cache.entries()
+    assert list(entries) == [key]
+    shared_bits = bits(entries[key])
+    for turn in range(10):
+        edited = report(server, policy, USERS[turn % len(USERS)],
+                        INSIDE).bitmap
+        assert edited is not entries[key]
+    assert server.region_cache.entries() == entries
+    assert bits(entries[key]) == shared_bits
 
 
 def test_a_fired_alarm_is_a_different_entry(served):
@@ -307,5 +333,5 @@ def test_mutating_runs_share_across_changes_and_stay_exact(kind):
     hits = telemetry.registry.counter("saferegion_cache_hits").value
     misses = telemetry.registry.counter("saferegion_cache_misses").value
     assert hits > 0 and misses > 0
-    # served = shared + built, and only the public-only ones were looked up
-    assert hits + misses <= result.metrics.safe_region_computations
+    # every region served looks its cell's public region up in the memo
+    assert hits + misses == result.metrics.safe_region_computations
