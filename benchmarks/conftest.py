@@ -36,9 +36,10 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
         strategy="benchmark-suite", config=asdict(BENCH)).to_dict()
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def warm_bench_world():
-    """Build the shared BENCH world once so timings exclude setup."""
+    """The BENCH world with its ground truth, built once for the
+    benchmarks that time a pass over it."""
     from repro.experiments import BENCH, build_world
 
     world = build_world(BENCH)

@@ -75,6 +75,26 @@ STRATEGY_DEFAULTS: Dict[str, int] = {
 }
 
 
+def _checked(convert: Callable[[str], float], test: Callable[[float], bool],
+             bounds: str) -> Callable[[str], float]:
+    """An argparse ``type=``: ``convert``, then refuse a value outside
+    ``bounds`` with the usage error (exit 2), before anything runs."""
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(
+                "%s is not in %s" % (text, bounds))
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value"
+    return parse
+
+
+DROP_RATE = _checked(float, lambda p: 0.0 <= p < 1.0, "[0, 1)")
+SHARE = _checked(float, lambda p: 0.0 <= p <= 1.0, "[0, 1]")
+POSITIVE = _checked(float, lambda x: x > 0.0, "(0, inf)")
+COUNT = _checked(int, lambda n: n >= 1, "[1, inf)")
+
+
 def _resolve_workload(args: argparse.Namespace) -> WorkloadConfig:
     config = WORKLOADS[args.workload]
     if getattr(args, "public", None) is not None:
@@ -168,8 +188,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _parse_strategy(args.strategy)
     config = _resolve_workload(args)
     world = build_world(config, args.cell)
-    if args.workers < 1:
-        raise SystemExit("--workers must be a positive integer")
     transport_factory = _resolve_transport(args)
     if args.trace:
         manifest = RunManifest.collect(
@@ -416,12 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
                              with_cell: bool = True) -> None:
         sub.add_argument("--workload", choices=sorted(WORKLOADS),
                          default="tiny", help="workload preset")
-        sub.add_argument("--public", type=float, default=None,
+        sub.add_argument("--public", type=SHARE, default=None,
                          help="public-alarm fraction override (0..1)")
         sub.add_argument("--placement", choices=("uniform", "clustered"),
                          default=None, help="alarm target placement")
         if with_cell:
-            sub.add_argument("--cell", type=float, default=2.5,
+            sub.add_argument("--cell", type=POSITIVE, default=2.5,
                              help="grid cell area in km^2 (default 2.5)")
 
     world_parser = subparsers.add_parser(
@@ -433,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run one strategy over a workload")
     simulate_parser.add_argument("--strategy", required=True,
                                  help=STRATEGY_HELP)
-    simulate_parser.add_argument("--workers", type=int, default=1,
+    simulate_parser.add_argument("--workers", type=COUNT, default=1,
                                  help="shard the replay over N worker "
                                       "processes (default 1: serial)")
     simulate_parser.add_argument("--profile", action="store_true",
@@ -443,12 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="record a JSONL telemetry trace "
                                       "(manifest + events + summary) "
                                       "readable by `repro report`")
-    simulate_parser.add_argument("--uplink-drop", type=float, default=0.0,
+    simulate_parser.add_argument("--uplink-drop", type=DROP_RATE, default=0.0,
                                  metavar="P",
                                  help="lossy transport: per-attempt uplink "
                                       "drop probability in [0, 1)")
-    simulate_parser.add_argument("--downlink-drop", type=float, default=0.0,
-                                 metavar="P",
+    simulate_parser.add_argument("--downlink-drop", type=DROP_RATE,
+                                 default=0.0, metavar="P",
                                  help="lossy transport: per-attempt "
                                       "downlink drop probability in [0, 1)")
     simulate_parser.add_argument("--net-seed", type=int, default=0,

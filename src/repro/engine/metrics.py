@@ -118,7 +118,3 @@ class Metrics:
                 fired.add(key)
                 merged.triggers.append(event)
         return merged
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold ``other`` into a new :class:`Metrics` (see :meth:`merged`)."""
-        return Metrics.merged([self, other])

@@ -24,11 +24,11 @@ Determinism guarantee — the property the differential test suite
   registry's stage histograms when captured), which is the entire
   point.
 
-Workers receive a :class:`ShardJob` (registry, grid, sizes, strategy
-factory, flags) and their slice of the traces rather than a
-:class:`World` — worlds may carry non-picklable memoization hooks — and
-return plain metrics plus, when traced, their telemetry, keeping the
-process boundary cheap and explicit.  A shard runs the same
+Workers receive a :class:`ShardJob` (registry, grid, strategy factory,
+flags) and their slice of the traces rather than a :class:`World`, which
+would carry every vehicle's trace to every worker, and return plain
+metrics plus, when traced, their telemetry, keeping the process
+boundary cheap and explicit.  A shard runs the same
 :func:`~repro.engine.simulation.replay` the serial engine runs on the
 whole trace set; only the scoring happens once, in the parent.
 """
@@ -52,7 +52,6 @@ from ..protocol.transport import TransportFactory
 from ..telemetry.facade import DISABLED, Telemetry
 from ..telemetry.sinks import NullSink
 from .metrics import Metrics
-from .network import MessageSizes
 from .simulation import (SimulationResult, World, in_process_link, replay,
                          score_run)
 
@@ -117,7 +116,6 @@ class ShardJob:
 
     registry: AlarmRegistry
     grid: GridOverlay
-    sizes: MessageSizes
     strategy_factory: StrategyFactory
     transport_factory: Optional[TransportFactory]
     trace: str
@@ -131,7 +129,7 @@ class ShardJob:
             NullSink() if self.trace == "metrics" else None,
             shard=shard_index))
         metrics, _ = replay(
-            self.registry, self.grid, self.sizes, traces,
+            self.registry, self.grid, traces,
             self.strategy_factory(),
             functools.partial(in_process_link,
                               transport_factory=self.transport_factory),
@@ -244,7 +242,7 @@ def run_parallel_simulation(world: World,
     started = time.perf_counter()
     shards = shard_traces(world.traces, workers)
     outcomes = _dispatch(
-        ShardJob(world.registry, world.grid, world.sizes, strategy_factory,
+        ShardJob(world.registry, world.grid, strategy_factory,
                  transport_factory,
                  trace=("events" if telemetry.events else
                         "metrics" if telemetry.enabled else "off")),

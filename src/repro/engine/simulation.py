@@ -61,24 +61,36 @@ GroundTruth = Dict[TriggerKey, float]
 
 
 class World:
-    """Immutable-by-convention bundle of one experiment's inputs."""
+    """One experiment's inputs: universe, grid, alarms and traces.
+
+    A plain value its caller holds; every world charges the paper's
+    message sizes and energy model.  The ground truth is computed once,
+    on first use, and :meth:`regrid` shares it with the same world over
+    another grid.
+    """
+
+    sizes = MessageSizes()
+    energy = EnergyModel()
 
     def __init__(self, universe: Rect, grid: GridOverlay,
-                 registry: AlarmRegistry, traces: TraceSet,
-                 sizes: MessageSizes = MessageSizes(),
-                 energy: EnergyModel = EnergyModel(),
-                 ground_truth_supplier: Optional[Callable[[], GroundTruth]]
-                 = None) -> None:
+                 registry: AlarmRegistry, traces: TraceSet) -> None:
         self.universe = universe
         self.grid = grid
         self.registry = registry
         self.traces = traces
-        self.sizes = sizes
-        self.energy = energy
         self._ground_truth: Optional[GroundTruth] = None
-        # Optional externally-memoized supplier so worlds differing only
-        # in grid size can share the (grid-independent) ground truth.
-        self._ground_truth_supplier = ground_truth_supplier
+
+    def regrid(self, cell_area_km2: float) -> "World":
+        """This world over a grid of ``cell_area_km2`` cells.
+
+        The registry, the traces and the ground truth (computed here
+        first: it does not depend on the grid) are shared, not copied.
+        """
+        twin = World(self.universe,
+                     GridOverlay(self.universe, cell_area_km2),
+                     self.registry, self.traces)
+        twin._ground_truth = self.ground_truth()
+        return twin
 
     @property
     def user_ids(self) -> List[int]:
@@ -100,11 +112,8 @@ class World:
     def ground_truth(self) -> GroundTruth:
         """Expected triggers, computed once and shared across runs."""
         if self._ground_truth is None:
-            if self._ground_truth_supplier is not None:
-                self._ground_truth = self._ground_truth_supplier()
-            else:
-                self._ground_truth = compute_ground_truth(self.registry,
-                                                          self.traces)
+            self._ground_truth = compute_ground_truth(self.registry,
+                                                      self.traces)
         return self._ground_truth
 
 
@@ -402,8 +411,8 @@ def in_process_link(server: AlarmServer, strategy: "ProcessingStrategy",
     yield
 
 
-def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
-           traces: TraceSet, strategy: "ProcessingStrategy", link: Link,
+def replay(registry: AlarmRegistry, grid: GridOverlay, traces: TraceSet,
+           strategy: "ProcessingStrategy", link: Link,
            telemetry: Telemetry = DISABLED,
            mutation: Optional[Tuple[MutationFactory, ChangeFeed]] = None
            ) -> Tuple[Metrics, float]:
@@ -415,8 +424,7 @@ def replay(registry: AlarmRegistry, grid: GridOverlay, sizes: MessageSizes,
     audiences the loop wakes.
     """
     metrics = Metrics()
-    server = AlarmServer(registry, grid, metrics, sizes=sizes,
-                         telemetry=telemetry)
+    server = AlarmServer(registry, grid, metrics, telemetry=telemetry)
     if telemetry.enabled:
         telemetry.shard_started(len(traces))
     started = time.perf_counter()
@@ -466,8 +474,8 @@ def run_session(world: World, strategy: "ProcessingStrategy",
     """Replay the whole world in this process and score the run.
 
     With a ``mutation`` the run works on a clone of the registry, so the
-    (memoized) world is untouched: a mutation goes through the
-    registry's install/remove/relocate API on purpose.  Its change feed
+    world is untouched: a mutation goes through the registry's
+    install/remove/relocate API on purpose.  Its change feed
     is recorded once, before the replay: the loop wakes its audiences,
     and unless ``ground_truth`` is given the run is scored against the
     sweep of its lifetimes (:func:`sweep_lifetimes`, what
@@ -485,7 +493,7 @@ def run_session(world: World, strategy: "ProcessingStrategy",
             ground_truth = functools.partial(sweep_lifetimes,
                                              feed.lifetimes, world.traces)
     metrics, wall_time = replay(
-        registry, world.grid, world.sizes, world.traces, strategy, link,
+        registry, world.grid, world.traces, strategy, link,
         telemetry=telemetry, mutation=changes)
     return score_run(world, strategy.name, metrics, wall_time,
                      ground_truth=ground_truth)

@@ -4,8 +4,7 @@ from .analysis import (DistributionSummary, coverage_size_tradeoff,
                        residence_statistics, safe_region_statistics,
                        workload_profile)
 from .configs import (BENCH, DEFAULT_CELL_AREA_KM2, PAPER, TINY,
-                      WorkloadConfig, build_world, clear_caches,
-                      scaled_cell_sizes)
+                      WorkloadConfig, build_world, scaled_cell_sizes)
 from .figures import (figure1b, figure4a, figure4b, figure5a, figure5b,
                       figure6a, figure6b, figure6c, figure6d,
                       make_mwpsr_strategy, make_pbsr_strategy, timed_run)
@@ -29,7 +28,6 @@ __all__ = [
     "Table",
     "WorkloadConfig",
     "build_world",
-    "clear_caches",
     "figure1b",
     "figure4a",
     "figure4b",

@@ -152,7 +152,7 @@ def residence_statistics(world: World, strategy: ProcessingStrategy,
                            in traces.vehicle_ids()[:max_vehicles]},
                           traces.sample_interval)
     contacts: Dict[int, List[float]] = {}
-    replay(world.registry, world.grid, world.sizes, traces, strategy,
+    replay(world.registry, world.grid, traces, strategy,
            functools.partial(in_process_link, transport_factory=(
                functools.partial(_ContactLog, times=contacts))))
     residences = [later - earlier for times in contacts.values()

@@ -19,15 +19,17 @@ Three scale presets:
   times, MWPSR ~72 s and PBSR(h=5) ~76 s at a peak RSS of ~1.5 GB, come
   from an earlier full-scale run and were not re-measured.
 
-Worlds are memoized per (config, cell size): the expensive parts — map,
-traces, alarm installation and the ground-truth trigger scan — are built
-once per config and shared across grid-cell sweeps and strategy runs.
+:func:`build_world` builds a fresh world on every call: a BENCH world
+builds in ~0.06 s and sweeps its ground truth in ~0.02 s (2 vCPUs).  A
+caller that runs one world under several grids holds it and calls
+:meth:`~repro.engine.World.regrid`, which shares the map, traces,
+alarms and ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..alarms import (AlarmRegistry, install_clustered_alarms,
                       install_random_alarms)
@@ -80,19 +82,12 @@ PAPER = WorkloadConfig(universe_side_m=31623.0, lattice_spacing_m=800.0,
                        alarm_count=10000)
 
 
-# ----------------------------------------------------------------------
-# World construction (memoized)
-# ----------------------------------------------------------------------
-_BASE_CACHE: Dict[WorkloadConfig, Tuple] = {}
-_WORLD_CACHE: Dict[Tuple[WorkloadConfig, float], World] = {}
+def build_world(config: WorkloadConfig,
+                cell_area_km2: float = DEFAULT_CELL_AREA_KM2) -> World:
+    """A new, ready-to-simulate :class:`World` for the config and grid.
 
-
-def _build_base(config: WorkloadConfig) -> Tuple:
-    """Map, traces and alarm registry for a config (built once)."""
-    cached = _BASE_CACHE.get(config)
-    if cached is not None:
-        return cached
-
+    A cell as large as the (square) universe or larger is one cell.
+    """
     network_config = NetworkConfig(universe_side_m=config.universe_side_m,
                                    lattice_spacing_m=config.lattice_spacing_m)
     network = generate_network(network_config, seed=config.map_seed)
@@ -114,56 +109,13 @@ def _build_base(config: WorkloadConfig) -> Tuple:
               min_side_m=config.alarm_min_side_m,
               max_side_m=config.alarm_max_side_m,
               seed=config.alarm_seed)
-
-    base = (universe, registry, traces)
-    _BASE_CACHE[config] = base
-    return base
-
-
-def build_world(config: WorkloadConfig,
-                cell_area_km2: float = DEFAULT_CELL_AREA_KM2) -> World:
-    """A ready-to-simulate :class:`World` for the config and grid size.
-
-    Worlds for the same config share their registry, traces and ground
-    truth across different grid-cell sizes (the ground truth does not
-    depend on the grid).
-    """
-    key = (config, cell_area_km2)
-    world = _WORLD_CACHE.get(key)
-    if world is not None:
-        return world
-
-    universe, registry, traces = _build_base(config)
-    # Grid cells cannot exceed the universe.
-    max_area = universe.area / 1e6
-    grid = GridOverlay(universe, min(cell_area_km2, max_area))
-    world = World(universe=universe, grid=grid, registry=registry,
-                  traces=traces,
-                  ground_truth_supplier=lambda: _ground_truth_for(config))
-    _WORLD_CACHE[key] = world
-    return world
-
-
-_GT_CACHE: Dict[WorkloadConfig, Dict] = {}
-
-
-def _ground_truth_for(config: WorkloadConfig) -> Dict:
-    """Grid-independent ground truth, memoized per config."""
-    from ..engine import compute_ground_truth
-
-    cached = _GT_CACHE.get(config)
-    if cached is None:
-        universe, registry, traces = _build_base(config)
-        cached = compute_ground_truth(registry, traces)
-        _GT_CACHE[config] = cached
-    return cached
+    return World(universe, GridOverlay(universe, cell_area_km2), registry,
+                 traces)
 
 
 def clear_caches() -> None:
-    """Drop memoized worlds (tests use this to control memory)."""
-    _BASE_CACHE.clear()
-    _WORLD_CACHE.clear()
-    _GT_CACHE.clear()
+    """Does nothing: there is no world cache.  Kept only because the
+    benchmark harness (``bench_e2e/workloads.py``) still imports it."""
 
 
 def scaled_cell_sizes(config: WorkloadConfig) -> Tuple[float, ...]:

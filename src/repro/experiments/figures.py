@@ -17,7 +17,7 @@ server time, which no other reader re-derives.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..engine import SimulationResult, World, run_simulation
 from ..mobility import (MotionModel, SteadyMotionModel,
@@ -82,21 +82,49 @@ def timed_run(world: World, strategy: ProcessingStrategy
 _RESULT_CACHE: Dict[Tuple[WorkloadConfig, float, str],
                     Tuple[SimulationResult, ServerTime]] = {}
 
-
-def _timed(config: WorkloadConfig, strategy: ProcessingStrategy,
-           cell_area_km2: float = DEFAULT_CELL_AREA_KM2
-           ) -> Tuple[SimulationResult, ServerTime]:
-    key = (config, cell_area_km2, strategy.name)
-    run = _RESULT_CACHE.get(key)
-    if run is None:
-        run = timed_run(build_world(config, cell_area_km2), strategy)
-        _RESULT_CACHE[key] = run
-    return run
+#: What a figure runs: a strategy, or the SP class, which is made with
+#: the world's speed bound only if its run is not in the result cache.
+FigureStrategy = Union[ProcessingStrategy, Type[SafePeriodStrategy]]
 
 
-def _run(config: WorkloadConfig, strategy: ProcessingStrategy,
-         cell_area_km2: float = DEFAULT_CELL_AREA_KM2) -> SimulationResult:
-    return _timed(config, strategy, cell_area_km2)[0]
+class _Runs:
+    """One config's runs within one figure.
+
+    A run comes from the result cache, or runs on the config's world.
+    The world is built on the first run the cache misses, and other
+    cell sizes regrid it: a cell sweep builds its world, and sweeps the
+    ground truth, once.
+    """
+
+    def __init__(self, config: WorkloadConfig) -> None:
+        self.config = config
+        self._worlds: Dict[float, World] = {}
+
+    def _world(self, cell_area_km2: float) -> World:
+        world = self._worlds.get(cell_area_km2)
+        if world is None:
+            world = (next(iter(self._worlds.values())).regrid(cell_area_km2)
+                     if self._worlds
+                     else build_world(self.config, cell_area_km2))
+            self._worlds[cell_area_km2] = world
+        return world
+
+    def timed(self, strategy: FigureStrategy,
+              cell_area_km2: float = DEFAULT_CELL_AREA_KM2
+              ) -> Tuple[SimulationResult, ServerTime]:
+        key = (self.config, cell_area_km2, strategy.name)
+        run = _RESULT_CACHE.get(key)
+        if run is None:
+            world = self._world(cell_area_km2)
+            if isinstance(strategy, type):  # SP, made on its world
+                strategy = strategy(max_speed=world.max_speed())
+            run = _RESULT_CACHE[key] = timed_run(world, strategy)
+        return run
+
+    def run(self, strategy: FigureStrategy,
+            cell_area_km2: float = DEFAULT_CELL_AREA_KM2
+            ) -> SimulationResult:
+        return self.timed(strategy, cell_area_km2)[0]
 
 
 # ----------------------------------------------------------------------
@@ -137,13 +165,12 @@ def figure4a(config: WorkloadConfig = BENCH,
                + ["y=1,z=%d" % z for z in zs] + ["fix fraction"])
     table = Table("Fig 4(a): client-to-server messages (rectangular)",
                   headers)
+    runs = _Runs(config)
     for size in cell_sizes:
         row: List[float] = [size]
-        results = [_run(config, make_mwpsr_strategy(weighted=False),
-                        cell_area_km2=size)]
+        results = [runs.run(make_mwpsr_strategy(weighted=False), size)]
         for z in zs:
-            results.append(_run(config, make_mwpsr_strategy(z=z),
-                                cell_area_km2=size))
+            results.append(runs.run(make_mwpsr_strategy(z=z), size))
         row.extend(result.metrics.uplink_messages for result in results)
         row.append(max(result.message_fraction for result in results))
         table.add_row(*row)
@@ -169,9 +196,9 @@ def figure4b(config: WorkloadConfig = BENCH,
     table = Table("Fig 4(b): server processing time, MWPSR y=1 z=%d" % z,
                   ["cell km^2", "alarm proc (s)", "index lookup (s)",
                    "safe region (s)", "total (s)"])
+    runs = _Runs(config)
     for size in cell_sizes:
-        _, server = _timed(config, make_mwpsr_strategy(z=z),
-                           cell_area_km2=size)
+        _, server = runs.timed(make_mwpsr_strategy(z=z), size)
         table.add_row(size, *server, server.total_s)
     return table
 
@@ -191,11 +218,11 @@ def figure5a(config: WorkloadConfig = BENCH,
     table = Table("Fig 5(a): client-to-server messages (BSR)",
                   ["height"] + ["%d%% public" % round(100 * p)
                                 for p in publics])
+    runs = [_Runs(config.with_public_fraction(public)) for public in publics]
     for height in heights:
         row = [height]
-        for public in publics:
-            result = _run(config.with_public_fraction(public),
-                          make_pbsr_strategy(height))
+        for public_runs in runs:
+            result = public_runs.run(make_pbsr_strategy(height))
             row.append(result.metrics.uplink_messages)
         table.add_row(*row)
     return table
@@ -212,11 +239,11 @@ def figure5b(config: WorkloadConfig = BENCH,
     table = Table("Fig 5(b): client energy mWh (BSR)",
                   ["height"] + ["%d%% public" % round(100 * p)
                                 for p in publics])
+    runs = [_Runs(config.with_public_fraction(public)) for public in publics]
     for height in heights:
         row: List[float] = [height]
-        for public in publics:
-            result = _run(config.with_public_fraction(public),
-                          make_pbsr_strategy(height))
+        for public_runs in runs:
+            result = public_runs.run(make_pbsr_strategy(height))
             row.append(result.client_energy_mwh)
         table.add_row(*row)
     return table
@@ -225,11 +252,11 @@ def figure5b(config: WorkloadConfig = BENCH,
 # ----------------------------------------------------------------------
 # Fig. 6: safe region vs the other approaches
 # ----------------------------------------------------------------------
-def _fig6_strategies(world_max_speed: float) -> List[ProcessingStrategy]:
+def _fig6_strategies() -> List[FigureStrategy]:
     return [
         make_mwpsr_strategy(z=32),
         make_pbsr_strategy(FIG6_PBSR_HEIGHT),
-        SafePeriodStrategy(max_speed=world_max_speed),
+        SafePeriodStrategy,
         OptimalStrategy(),
     ]
 
@@ -246,12 +273,11 @@ def figure6a(config: WorkloadConfig = BENCH,
                   ["% public", "MWPSR", "PBSR", "SP", "OPT",
                    "PRD (off-chart)"])
     for public in publics:
-        cfg = config.with_public_fraction(public)
-        world = build_world(cfg, DEFAULT_CELL_AREA_KM2)
+        runs = _Runs(config.with_public_fraction(public))
         row = [round(100 * public)]
-        for strategy in _fig6_strategies(world.max_speed()):
-            row.append(_run(cfg, strategy).metrics.uplink_messages)
-        row.append(_run(cfg, PeriodicStrategy()).metrics.uplink_messages)
+        for strategy in _fig6_strategies():
+            row.append(runs.run(strategy).metrics.uplink_messages)
+        row.append(runs.run(PeriodicStrategy()).metrics.uplink_messages)
         table.add_row(*row)
     return table
 
@@ -268,11 +294,11 @@ def figure6b(config: WorkloadConfig = BENCH,
     table = Table("Fig 6(b): downstream bandwidth (Mbps)",
                   ["% public", "MWPSR", "PBSR", "OPT"])
     for public in publics:
-        cfg = config.with_public_fraction(public)
+        runs = _Runs(config.with_public_fraction(public))
         row: List[float] = [round(100 * public)]
         for strategy in (make_mwpsr_strategy(z=32), make_pbsr_strategy(5),
                          OptimalStrategy()):
-            row.append(_run(cfg, strategy).downstream_bandwidth_mbps)
+            row.append(runs.run(strategy).downstream_bandwidth_mbps)
         table.add_row(*row)
     return table
 
@@ -287,11 +313,11 @@ def figure6c(config: WorkloadConfig = BENCH,
     table = Table("Fig 6(c): client energy (mWh)",
                   ["% public", "MWPSR", "PBSR", "OPT"])
     for public in publics:
-        cfg = config.with_public_fraction(public)
+        runs = _Runs(config.with_public_fraction(public))
         row: List[float] = [round(100 * public)]
         for strategy in (make_mwpsr_strategy(z=32), make_pbsr_strategy(5),
                          OptimalStrategy()):
-            row.append(_run(cfg, strategy).client_energy_mwh)
+            row.append(runs.run(strategy).client_energy_mwh)
         table.add_row(*row)
     return table
 
@@ -310,12 +336,9 @@ def figure6d(config: WorkloadConfig = BENCH,
                   ["% public", "approach", "alarm proc", "index lookup",
                    "safe region", "total"])
     for public in publics:
-        cfg = config.with_public_fraction(public)
-        world = build_world(cfg, DEFAULT_CELL_AREA_KM2)
-        strategies = [PeriodicStrategy()] + _fig6_strategies(
-            world.max_speed())
-        for strategy in strategies:
-            _, server = _timed(cfg, strategy)
+        runs = _Runs(config.with_public_fraction(public))
+        for strategy in [PeriodicStrategy()] + _fig6_strategies():
+            _, server = runs.timed(strategy)
             table.add_row(round(100 * public), strategy.name, *server,
                           server.total_s)
     return table

@@ -31,7 +31,6 @@ from repro.engine.simulation import (_clone_registry,
                                      compute_mutating_ground_truth)
 from repro.engine.tracking import TrackMutation
 from repro.experiments import TINY, build_world
-from repro.experiments.configs import clear_caches
 from repro.geometry import Point, Rect
 from repro.index import GridOverlay
 from repro.mobility import Trace, TraceSample, TraceSet
@@ -513,6 +512,5 @@ class TestLifetimeSweepEqualsPerStepScan:
         worlds = pytest.importorskip("bench_e2e.worlds")
         config = worlds.world_config("fleet", seed)
         world = build_world(config)
-        clear_caches()  # do not keep a 180k-fix world for the session
         schedule = worlds.churn_schedule(world, config, seed)
         assert self.dynamic(world, schedule.actions)

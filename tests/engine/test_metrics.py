@@ -104,7 +104,7 @@ class TestMergeGolden:
         assert left == right
 
     def test_pairwise_merge_method(self):
-        merged = self._shard_a().merge(self._shard_b())
+        merged = Metrics.merged([self._shard_a(), self._shard_b()])
         assert merged.uplink_messages == 17
         assert len(merged.triggers) == 3
 

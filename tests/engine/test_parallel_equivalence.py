@@ -217,8 +217,8 @@ def test_one_worker_may_run_several_inherited_shards(world, monkeypatch):
     back in one process, each inherited shard must equal ``job.run`` on
     it, so no shard may spoil ``_INHERITED`` for the next."""
     shards = shard_traces(world.traces, 3)
-    job = parallel.ShardJob(world.registry, world.grid, world.sizes,
-                            _mwpsr, None, trace="off")
+    job = parallel.ShardJob(world.registry, world.grid, _mwpsr, None,
+                            trace="off")
     monkeypatch.setattr(parallel, "_INHERITED", (job, shards))
     inherited = [parallel._run_inherited_shard(index)
                  for index in range(len(shards))]

@@ -317,10 +317,8 @@ class TestGoldenWorlds:
 def fleet():
     """The benchmark's own ``fleet`` world, at a seed it is run with."""
     worlds = pytest.importorskip("bench_e2e.worlds")
-    from repro.experiments.configs import build_world, clear_caches
-    clear_caches()
-    yield build_world(worlds.world_config("fleet", 3))
-    clear_caches()
+    from repro.experiments.configs import build_world
+    return build_world(worlds.world_config("fleet", 3))
 
 
 def _bench_strategy(name, max_speed):

@@ -1,9 +1,12 @@
-"""Tests for experiment configs and memoized world construction."""
+"""Tests for experiment configs, world construction and regridding."""
 
 import pytest
 
+from repro.alarms import AlarmScope
+from repro.engine import simulation
 from repro.experiments import (BENCH, PAPER, TINY,
-                               build_world, clear_caches, scaled_cell_sizes)
+                               build_world, scaled_cell_sizes)
+from repro.geometry import Rect
 
 
 class TestPresets:
@@ -42,32 +45,54 @@ class TestWorldConstruction:
         assert len(world.registry) == TINY.alarm_count
         assert world.universe.width == TINY.universe_side_m
 
-    def test_worlds_memoized(self):
+    def test_builds_share_no_state(self):
+        """Every build is a fresh world: an alarm installed into one is
+        not in the next."""
         first = build_world(TINY)
+        first.registry.install(Rect(0.0, 0.0, 10.0, 10.0),
+                               AlarmScope.PUBLIC, owner_id=0)
         second = build_world(TINY)
-        assert first is second
+        assert second.registry is not first.registry
+        assert len(first.registry) == TINY.alarm_count + 1
+        assert len(second.registry) == TINY.alarm_count
 
-    def test_cell_size_variants_share_base(self):
+    def test_regrid_is_a_new_world_over_another_grid(self):
         small = build_world(TINY, cell_area_km2=0.4)
-        large = build_world(TINY, cell_area_km2=2.5)
-        assert small is not large
+        large = small.regrid(2.5)
+        assert large is not small
+        assert large.universe is small.universe
+        assert large.grid.cell_count < small.grid.cell_count
+
+    def test_regrid_shares_registry_and_traces(self):
+        small = build_world(TINY, cell_area_km2=0.4)
+        large = small.regrid(2.5)
         assert small.registry is large.registry
         assert small.traces is large.traces
 
-    def test_ground_truth_shared_across_cell_sizes(self):
+    def test_regrid_shares_the_ground_truth(self, monkeypatch):
+        sweeps = []
+        sweep = simulation.compute_ground_truth
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+        monkeypatch.setattr(simulation, "compute_ground_truth", counted)
         small = build_world(TINY, cell_area_km2=0.4)
-        large = build_world(TINY, cell_area_km2=2.5)
+        large = small.regrid(2.5)
         assert small.ground_truth() is large.ground_truth()
+        assert large.regrid(1.11).ground_truth() is small.ground_truth()
+        assert len(sweeps) == 1
 
     def test_cell_size_clamped_to_universe(self):
         world = build_world(TINY, cell_area_km2=1e6)
         assert world.grid.cell_count == 1
 
-    def test_clear_caches(self):
-        first = build_world(TINY)
-        clear_caches()
-        second = build_world(TINY)
-        assert first is not second
+    def test_regrid_equals_a_fresh_build(self):
+        regridded = build_world(TINY).regrid(0.4)
+        fresh = build_world(TINY, cell_area_km2=0.4)
+        assert (regridded.grid.columns, regridded.grid.rows) \
+            == (fresh.grid.columns, fresh.grid.rows)
+        assert regridded.ground_truth() == fresh.ground_truth()
 
     def test_max_speed_positive(self):
         world = build_world(TINY)

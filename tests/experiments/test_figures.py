@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import (TINY, figure1b, figure4a, figure4b, figure5a,
                                figure5b, figure6a, figure6b, figure6c,
-                               figure6d, make_mwpsr_strategy,
+                               figure6d, figures, make_mwpsr_strategy,
                                make_pbsr_strategy)
 
 CELL_SIZES = (0.4, 1.11)
@@ -112,6 +112,40 @@ class TestFigure6:
         for alarm_s, lookup_s, sr_s, total_s in by_name.values():
             assert total_s == pytest.approx(alarm_s + lookup_s + sr_s,
                                             abs=5e-3)
+
+
+class TestWorldBuilds:
+    """A figure holds its worlds: built on the first missed run, at most
+    once a config, regridded across a cell sweep."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(figures, "_RESULT_CACHE", {})
+        built = []
+        build = figures.build_world
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(figures, "build_world", counted)
+        return built
+
+    def test_a_cell_sweep_builds_one_world(self, builds):
+        figure4a(TINY, cell_sizes=CELL_SIZES, zs=(8,))
+        assert builds == [(TINY, CELL_SIZES[0])]
+
+    def test_a_public_sweep_builds_one_world_a_share(self, builds):
+        figure5a(TINY, heights=HEIGHTS, publics=PUBLICS)
+        assert builds == [(TINY.with_public_fraction(public),
+                           figures.DEFAULT_CELL_AREA_KM2)
+                          for public in PUBLICS]
+
+    def test_cached_runs_build_no_world(self, builds):
+        figure6a(TINY, publics=PUBLICS)
+        del builds[:]
+        figure6d(TINY, publics=PUBLICS)
+        figure5b(TINY, heights=(5,), publics=PUBLICS)
+        assert builds == []
 
 
 class TestStrategyFactories:

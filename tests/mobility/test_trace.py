@@ -17,7 +17,6 @@ import pytest
 from repro.engine import (AlarmSchedule, run_dynamic_simulation,
                           run_simulation)
 from repro.experiments import TINY, build_world, make_mwpsr_strategy
-from repro.experiments.configs import clear_caches
 from repro.geometry import Point
 from repro.mobility import Trace, TraceSample, TraceSet
 
@@ -73,7 +72,6 @@ class TestMemory:
                     if isinstance(thing, TraceSample)}
 
         before = alive()
-        clear_caches()  # a world built here, not one a test left behind
         world = build_world(TINY)
         static = run_simulation(world, make_mwpsr_strategy())
         mutating = run_dynamic_simulation(world, make_mwpsr_strategy(),

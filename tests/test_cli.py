@@ -88,6 +88,25 @@ class TestSimulate:
             main(command + ["--strategy", spec, "--workload", "tiny"])
         assert "invalid strategy %r" % spec in str(failure.value)
 
+    @pytest.mark.parametrize("flags", [
+        ["--uplink-drop", "1.5"], ["--uplink-drop", "1"],
+        ["--uplink-drop", "-0.1"], ["--downlink-drop", "-0.1"],
+        ["--downlink-drop", "1"], ["--workers", "0"], ["--workers", "-2"],
+        ["--cell", "0"], ["--cell", "-1"], ["--public", "1.5"],
+        ["--public", "-0.5"], ["--public", "nan"]],
+        ids=lambda flags: " ".join(flags))
+    def test_out_of_range_argument_is_a_usage_error(self, flags, capsys,
+                                                    monkeypatch):
+        """Checked by the parser, before any world is built."""
+        def no_world(*args):
+            raise AssertionError("built a world for a bad argument")
+        monkeypatch.setattr("repro.cli.build_world", no_world)
+        with pytest.raises(SystemExit) as failure:
+            main(["simulate", "--strategy", "mwpsr", "--workload", "tiny"]
+                 + flags)
+        assert failure.value.code == 2
+        assert "argument %s:" % flags[0] in capsys.readouterr().err
+
     def test_cell_size_option(self, capsys):
         assert main(["simulate", "--strategy", "mwpsr",
                      "--workload", "tiny", "--cell", "0.5"]) == 0
