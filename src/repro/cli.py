@@ -493,10 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--strategy", required=True,
                               help=STRATEGY_HELP)
     add_endpoint_options(serve_parser)
-    serve_parser.add_argument("--batch", type=int, default=64,
+    serve_parser.add_argument("--batch", type=COUNT, default=64,
                               help="max uplinks per drain batch "
                                    "(default 64)")
-    serve_parser.add_argument("--queue", type=int, default=256,
+    serve_parser.add_argument("--queue", type=COUNT, default=256,
                               help="per-connection uplink queue bound "
                                    "(default 256)")
     serve_parser.add_argument("--trace", default=None, metavar="PATH",
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = subparsers.add_parser(
         "profile", help="profile a workload and its safe regions")
-    profile_parser.add_argument("--samples", type=int, default=60,
+    profile_parser.add_argument("--samples", type=COUNT, default=60,
                                 help="sample count for distributions")
     add_workload_options(profile_parser)
     profile_parser.set_defaults(handler=_cmd_profile)

@@ -35,9 +35,9 @@ is answered from the stored levels:
   The child block of a 0-cell is found by rank: it is the *k*-th block
   of the next level when the cell is the *k*-th split cell of its own,
   and a per-block running count makes that rank one short
-  ``bytes.count``.  A walk that ends in a 1-cell also returns that
-  cell's rectangle (:meth:`PyramidBitmap.walk`), so a client can test
-  the next fixes against it and walk again only once it leaves.
+  ``bytes.count``.  A walk also returns the rectangle of the cell it
+  ended in, safe or not (:meth:`PyramidBitmap.walk`), so a client can
+  test the next fixes against it and walk again only once it leaves.
 
 A cell lying entirely inside one alarm region expands into ``fanout**d``
 zero bits at every deeper level ``d``.  Those subtrees are never stored:
@@ -85,7 +85,7 @@ COVERED = ord("z")
 
 _RUNS = re.compile(rb"z+|[01]+")
 
-#: A SAFE cell as the positions that walk to it:
+#: The cell a walk stopped at as the positions that walk to it:
 #: ``min_x <= x < max_x and min_y <= y < max_y`` (:meth:`PyramidBitmap.walk`).
 Block = Tuple[float, float, float, float]
 
@@ -474,12 +474,15 @@ class PyramidBitmap:
         half-open rectangle holds the position — closed on the base's
         top and right edges — and always a child of its predecessor.
 
-        ``block`` is ``None`` outside; inside it is the SAFE cell the
-        walk stopped at, as ``(min_x, min_y, max_x, max_y)`` with
-        ``min <= coordinate < max`` on both axes exactly the positions
-        this walk sends to that cell (``max`` is one ulp above the base
-        edge in its last column or row).  Every position in it walks to
-        the same ``(True, probes)``.
+        ``block`` is the cell the walk stopped at — a safe cell, a
+        covered cell of any level (the base itself when the root is
+        covered) or an unsafe leaf — as ``(min_x, min_y, max_x, max_y)``
+        with ``min <= coordinate < max`` on both axes exactly the
+        positions this walk sends to that cell (``max`` is one ulp above
+        the base edge in its last column or row).  Every position in it
+        walks to the same ``(inside, probes)``: ``(True, level + 1)`` for
+        a safe cell, ``(False, height + 1)`` otherwise.  Outside the base
+        the walk is ``(False, 1, None)``.
         """
         pyramid = self.pyramid
         base = pyramid.base
@@ -489,18 +492,17 @@ class PyramidBitmap:
         x_edges = pyramid.x_edges
         y_edges = pyramid.y_edges
         levels = self._levels
+        height = pyramid.height
         state = levels[0][0]
-        if state == SAFE:
-            return (True, 1, _block(x_edges[0], y_edges[0], 0, 0))
+        xs = x_edges[0]
+        ys = y_edges[0]
         fan_cols = pyramid.fan_cols
         fan_rows = pyramid.fan_rows
         fanout = fan_cols * fan_rows
-        height = pyramid.height
         ranks = self._ranks
-        col = row = block = 0
-        for level in range(1, height + 1):
-            if state != SPLIT:
-                break  # covered: zero bits down to the leaf level
+        col = row = block = level = 0
+        while state == SPLIT and level < height:
+            level += 1
             xs = x_edges[level]
             ys = y_edges[level]
             col0 = col * fan_cols
@@ -512,11 +514,13 @@ class PyramidBitmap:
             # raster scan within the block: top row first
             slot = start + (row0 + fan_rows - 1 - row) * fan_cols + col - col0
             state = cells[slot]
-            if state == SAFE:
-                return (True, level + 1, _block(xs, ys, col, row))
             if state == SPLIT and level < height:
                 block = ranks[level][block] + cells.count(SPLIT, start, slot)
-        return (False, height + 1, None)
+        # stopped at a safe cell, a covered one or an unsafe leaf
+        stopped = _block(xs, ys, col, row)
+        if state == SAFE:
+            return (True, level + 1, stopped)
+        return (False, height + 1, stopped)  # zero bits down to the leaves
 
 
 def _block(xs: Sequence[float], ys: Sequence[float], col: int,

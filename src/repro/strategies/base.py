@@ -105,7 +105,9 @@ class ProcessingStrategy:
         installed bitmap, precedes the timer's expiry, or enters none
         of the locally held alarms), or are reports whose replies carry
         nothing to act on: a periodic (PRD) client acts on no reply, so
-        it reports every fix of the window in one call.  The method
+        it reports every fix of the window in one call, and a bitmap
+        client reports every fix of an unsafe area in one call, up to
+        the reply that re-ships its bitmap (an alarm fired).  The method
         scans the trace's columns over the run, charges the run's
         containment probes — those of the probe that ended it included
         — in one :meth:`_charge_probe` call, with the sums its fixes

@@ -5,10 +5,10 @@ grid cell (an :class:`~repro.protocol.messages.InstallSafeRegion`
 carrying a cell reference plus the pyramid bitmap); the client derives
 the cell rectangle from the reference and its grid configuration, then
 walks the pyramid (at most h + 1 bit probes per fix) to monitor itself.
-A walk that ends in a safe cell hands back that cell's rectangle, and
-the fixes after it are tested against the rectangle alone until one
-leaves it — each still charged the walk's probes, since it is the
-paper's cost model that is charged, not what the simulator executes.
+A walk hands back the rectangle of the cell it stopped in, safe or
+unsafe, and the fixes after it are tested against the rectangle alone
+until one leaves it — each still charged the walk's probes, since it is
+the paper's cost model that is charged, not what the simulator executes.
 Protocol events:
 
 * client leaves the base cell -> :class:`RegionExitReport`; the server
@@ -18,7 +18,9 @@ Protocol events:
   :class:`LocationReport` every fix while there; the server evaluates
   triggers and, only when an alarm actually fired, folds the fired
   alarm back into the safe region and ships the updated bitmap (the
-  paper's quick-update path);
+  paper's quick-update path).  Every other reply is empty, so one
+  ``advance`` call reports the whole unsafe run and returns only at a
+  re-shipped bitmap or when the client leaves the cell;
 * client in a safe (bit 1) area -> silence.
 
 The frequent reports from unsafe areas are exactly why coarse bitmaps
@@ -45,11 +47,12 @@ import functools
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from ..alarms import AlarmScope, SpatialAlarm
+from ..geometry import Point
 from ..index import CellId
 from ..mobility import Trace
 from ..protocol.handlers import ServerPolicy
-from ..protocol.messages import (InstallSafeRegion, Request, Response,
-                                 ServerReply)
+from ..protocol.messages import (InstallSafeRegion, LocationReport, Request,
+                                 Response, ServerReply)
 from ..protocol.wire import pack_cell_ref, unpack_cell_ref
 from ..saferegion import PBSRComputer, PyramidBitmap
 from .base import ClientState, ProcessingStrategy
@@ -150,41 +153,52 @@ class BitmapSafeRegionStrategy(ProcessingStrategy):
             # The cell footprint is only ever installed with a bitmap.
             assert client.bitmap is not None
             walk = client.bitmap.walk
+            send = self.session.send
+            user_id = client.user_id
+            sequence = client.sequence
             min_x, min_y = cell.min_x, cell.min_y
             max_x, max_y = cell.max_x, cell.max_y
-            xs, ys = trace.xs, trace.ys
+            times, xs, ys = trace.times, trace.xs, trace.ys
+            headings, speeds = trace.headings, trace.speeds
             probes = ops = 0
-            unsafe = False
+            reply: ServerReply = ()
             while index < stop:
                 x, y = xs[index], ys[index]
                 if not (min_x <= x <= max_x and min_y <= y <= max_y):
                     break  # left the cell: not a probe of the bitmap
                 inside, levels, block = walk(x, y)
-                probes += 1
-                ops += levels
-                if not inside:
-                    unsafe = True
-                    break
                 block_min_x, block_min_y, block_max_x, block_max_y = block
-                # Every fix in the safe block walks to the same 1-cell:
-                # one rectangle test each, charged the walk's levels.
-                index += 1
+                # Every fix in the block walks to the same cell: one
+                # rectangle test each, charged the walk's levels.
                 entered = index
+                index += 1
                 while (index < stop
                        and block_min_x <= xs[index] < block_max_x
                        and block_min_y <= ys[index] < block_max_y):
                     index += 1
+                if not inside:
+                    # Unsafe area: a plain report per fix.  The server
+                    # re-ships the bitmap only when a firing changed it
+                    # (the quick update), and that reply ends the run.
+                    for fix in range(entered, index):
+                        reply = send(LocationReport(
+                            user_id, sequence, Point(xs[fix], ys[fix]),
+                            headings[fix], speeds[fix]), times[fix])
+                        sequence += 1
+                        if reply:
+                            index = fix + 1
+                            break
                 probes += index - entered
                 ops += (index - entered) * levels
+                if reply:
+                    break
+            client.sequence = sequence
             self._charge_probe(ops, probes)
+            if reply:
+                self._install(client, times[index - 1], reply)
+                return index
             if index == stop:
                 return stop
-            if unsafe:
-                # Unsafe area within the cell: plain report; the server
-                # re-ships only when a firing actually changed the bitmap.
-                reply = self._send_report(client, trace, index)
-                self._install(client, trace.times[index], reply)
-                return index + 1
 
         # Entered a new base cell (or first fix): full recomputation.
         # Leaving the cell ends the residency of the region scoped to it.

@@ -591,13 +591,11 @@ MUTATIONS = [
     ("bitmap", "closed cell test made open",
      "if not (min_x <= x <= max_x and min_y <= y <= max_y):",
      "if not (min_x < x < max_x and min_y < y < max_y):"),
-    ("bitmap", "failing probe not charged",
-     "                probes += 1\n                ops += levels\n"
-     "                if not inside:\n                    unsafe = True\n"
-     "                    break\n",
-     "                if not inside:\n                    unsafe = True\n"
-     "                    break\n"
-     "                probes += 1\n                ops += levels\n"),
+    ("bitmap", "failing probe not charged",  # the walk to an unsafe block
+     "                probes += index - entered\n"
+     "                ops += (index - entered) * levels\n",
+     "                probes += index - entered - (not inside)\n"
+     "                ops += (index - entered - (not inside)) * levels\n"),
     ("bitmap", "scan stops one fix early",
      "while index < stop:", "while index < stop - 1:"),
     ("optimal", "open alarm test made closed",
@@ -618,7 +616,7 @@ def mutant_factory(name, shipped, mutated):
     source = inspect.getsource(module)
     assert source.count(shipped) == 1, "the mutation site moved"
     mutant = types.ModuleType(module.__name__ + "_mutant")
-    mutant.__dict__.update(__package__=module.__package__,
+    mutant.__dict__.update(__package__=module.__package__, math=math,
                            bisect_right=__import__("bisect").bisect_right)
     exec(compile(source.replace(shipped, mutated), module.__file__, "exec"),
          mutant.__dict__)
@@ -646,9 +644,10 @@ def test_seeded_mutation_is_caught(name, what, shipped, mutated,
 # ----------------------------------------------------------------------
 #: ``(what slipped, site, shipped source, mutated source)``: the site is
 #: the strategy's ``advance`` (``"scan"``) or ``PyramidBitmap.walk``,
-#: which hands the scan its block (``"walk"``).  The last-column clip is
-#: the walk's ``hi`` bound that keeps a fix on the base cell's closed
-#: right edge in the last column.
+#: which hands the scan its block, safe or unsafe (``"walk"``).  The
+#: last-column clip is the walk's ``hi`` bound that keeps a fix on the
+#: base cell's closed right edge in the last column.  The scan reports
+#: every fix of an unsafe block until a reply installs a bitmap.
 BLOCK_MUTATIONS = [
     ("block closed on its right edge", "scan",
      "block_min_x <= xs[index] < block_max_x",
@@ -661,14 +660,26 @@ BLOCK_MUTATIONS = [
      "col = bisect_right(xs, x, col0 + 1) - 1"),
     ("block taken from the parent level", "walk",
      "_block(xs, ys, col, row)",
-     "_block(x_edges[level - 1], y_edges[level - 1],\n"
-     "                                                col0 // fan_cols,"
-     " row0 // fan_rows)"),
+     "_block(x_edges[max(level - 1, 0)], y_edges[max(level - 1, 0)],"
+     " col // fan_cols, row // fan_rows)"),
     ("block fix charged 1 instead of its levels", "scan",
      "ops += (index - entered) * levels", "ops += index - entered"),
     ("bisect_left for bisect_right", "walk",
      "col = bisect_right(xs, x, col0 + 1, col0 + fan_cols) - 1",
      "col = bisect_left(xs, x, col0 + 1, col0 + fan_cols) - 1"),
+    ("unsafe run continues past an install", "scan",
+     "                            index = fix + 1\n"
+     "                            break\n",
+     "                            pass\n"),
+    ("unsafe block closed on its right edge", "scan",
+     "block_min_x, block_min_y, block_max_x, block_max_y = block\n",
+     "block_min_x, block_min_y, block_max_x, block_max_y = block\n"
+     "                if not inside:\n"
+     "                    block_max_x = math.nextafter(block_max_x,"
+     " math.inf)\n"),
+    ("unsafe report charged no probe", "scan",
+     "                probes += index - entered\n",
+     "                probes += (index - entered) * inside\n"),
 ]
 
 

@@ -14,7 +14,10 @@ base's own closed edges included) and one ulp to either side of it:
   (:func:`safe_at` makes every walk stop at the level under test);
 * on a bitmap built from obstacles snapped to those edges, ``(inside,
   probes)`` equals the cell-by-cell oracle's :meth:`EagerBitmap.probe`,
-  and a safe block holds the point it was returned for.
+  and the block, safe or unsafe, holds the point it was returned for
+  and every other probed point it holds walks to the same outcome —
+  ``(False, height + 1)`` for an unsafe one;
+* a cell swallowed whole by one alarm walks to its base as the block.
 
 Tier-1 probes every ``examples(EDGE_STRIDE, 1)``-th edge of a level;
 ``REPRO_DEEP=1`` probes all of them.
@@ -149,16 +152,50 @@ def test_walk_equals_the_oracle_on_every_edge(config):
         obstacles = snapped_obstacles(pyramid, rng)
         bitmap = PyramidBitmap.from_obstacles(pyramid, obstacles)
         oracle, _ = build_pyramid_bitmap(pyramid, obstacles)
-        outcomes = set()
-        for level in range(HEIGHT + 1):
-            for p in edge_points(pyramid, level, stride):
-                inside, probes, block = bitmap.walk(p.x, p.y)
-                assert (inside, probes) == oracle.probe(p), p
-                assert bitmap.probe(p) == (inside, probes)
-                if inside:
-                    min_x, min_y, max_x, max_y = block
-                    assert min_x <= p.x < max_x and min_y <= p.y < max_y, p
-                outcomes.add((inside, probes))
-        # the premise: the edges separate cells of different bits
+        walked = {p: bitmap.walk(p.x, p.y)
+                  for level in range(HEIGHT + 1)
+                  for p in edge_points(pyramid, level, stride)}
+        blocks = {}
+        for p, (inside, probes, block) in walked.items():
+            assert (inside, probes) == oracle.probe(p), p
+            assert bitmap.probe(p) == (inside, probes)
+            if block is None:
+                assert not base.contains_point(p), p
+                continue
+            if not inside:
+                assert probes == HEIGHT + 1, p
+            min_x, min_y, max_x, max_y = block
+            assert min_x <= p.x < max_x and min_y <= p.y < max_y, p
+            blocks[block] = (inside, probes)
+        # every edge point a block holds walks to the block's outcome
+        for block, outcome in blocks.items():
+            min_x, min_y, max_x, max_y = block
+            for p, (inside, probes, _) in walked.items():
+                if min_x <= p.x < max_x and min_y <= p.y < max_y:
+                    assert (inside, probes) == outcome, (p, block)
+        # the premise: the edges separate cells of different bits, and
+        # unsafe walks stop at more than one block
+        outcomes = set(blocks.values())
         assert {False, True} <= {inside for inside, _ in outcomes}
         assert len(outcomes) >= 4
+        assert sum(not inside for inside, _ in blocks.values()) >= 2
+
+
+@CONFIGS
+def test_a_cell_one_alarm_swallows_walks_to_its_base(config):
+    """A covered root: every position of the base walks to the whole
+    base as its (unsafe) block."""
+    stride = examples(EDGE_STRIDE, 1)
+    for base in bases(config):
+        pyramid = Pyramid(base, height=HEIGHT)
+        bitmap = PyramidBitmap.from_obstacles(pyramid, [Rect(
+            base.min_x - 1.0, base.min_y - 1.0,
+            base.max_x + 1.0, base.max_y + 1.0)])
+        whole = half_open_block(pyramid, PyramidCell(0, 0, 0))
+        for level in range(HEIGHT + 1):
+            for p in edge_points(pyramid, level, stride):
+                if base.contains_point(p):
+                    assert bitmap.walk(p.x, p.y) == (
+                        False, HEIGHT + 1, whole), p
+                else:
+                    assert bitmap.walk(p.x, p.y) == (False, 1, None), p

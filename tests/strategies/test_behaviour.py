@@ -15,6 +15,7 @@ from repro.engine import AlarmServer, Metrics, World, run_simulation
 from repro.geometry import Point, Rect
 from repro.index import GridOverlay
 from repro.mobility import Trace, TraceSample, TraceSet
+from repro.protocol.messages import LocationReport
 from repro.protocol.transport import (InProcessTransport, LossyTransport,
                                       connect)
 from repro.saferegion import MWPSRComputer, PBSRComputer
@@ -203,6 +204,58 @@ class TestBitmapStrategy:
         result = run_simulation(world, strategy)
         # downlinks: initial bitmap + one refresh after the alarm fires
         assert result.metrics.downlink_messages == 2
+
+    @staticmethod
+    def _attached(transport_factory):
+        """A GBSR client half on the straight-line world's server, its
+        bitmap installed by the first fix: it starts on the alarm's
+        unsafe 0-cell and enters the alarm first at t = 41."""
+        trace = straight_trace(Point(100, 2000), 0.0, 10.0, 80)
+        world = world_with(trace, [(Rect(500, 1900, 640, 2100),
+                                    AlarmScope.PUBLIC, 9)])
+        server = AlarmServer(world.registry, world.grid, Metrics(),
+                             sizes=world.sizes)
+        strategy = BitmapSafeRegionStrategy(PBSRComputer(height=1),
+                                            name="GBSR")
+        session = connect(server, strategy, transport_factory)
+        client = ClientState(trace.vehicle_id)
+        assert strategy.advance(client, trace, 0, len(trace)) == 1
+        assert client.sequence == 1
+        assert not client.bitmap.probe(Point(trace.xs[1], trace.ys[1]))[0]
+        return strategy, session, server, trace, client
+
+    def test_one_call_reports_its_whole_unsafe_run(self):
+        strategy, session, server, trace, client = self._attached(_Recording)
+        shipped = client.bitmap
+        assert strategy.advance(client, trace, 1, len(trace)) == 42
+        sent = session.transport.sent[1:]
+        assert all(isinstance(request, LocationReport)
+                   for request, _ in sent)
+        assert [request.sequence for request, _ in sent] \
+            == list(range(1, 42))
+        assert [time_s for _, time_s in sent] == list(trace.times[1:42])
+        assert [request.position for request, _ in sent] \
+            == [Point(trace.xs[index], trace.ys[index])
+                for index in range(1, 42)]
+        assert client.sequence == 42
+        assert [event.time for event in server.metrics.triggers] == [41.0]
+        # the quick update: the fired alarm no longer carves the cell
+        assert client.bitmap is not shipped
+        assert client.bitmap.probe(Point(trace.xs[42], trace.ys[42]))[0]
+        assert server.metrics.downlink_messages == 2
+
+    def test_an_unsafe_run_over_a_lossy_link_charges_every_attempt(self):
+        strategy, session, server, trace, client = self._attached(
+            functools.partial(LossyTransport, uplink_drop=0.4,
+                              downlink_drop=0.4, seed=3, max_attempts=64))
+        assert strategy.advance(client, trace, 1, len(trace)) == 42
+        metrics = server.metrics
+        assert metrics.uplink_drops > 0 and metrics.downlink_drops > 0
+        assert metrics.uplink_messages == 42 + metrics.uplink_drops
+        assert metrics.downlink_messages == 2 + metrics.downlink_drops
+        assert client.sequence == 42
+        assert [event.time for event in metrics.triggers] == [41.0]
+        assert client.bitmap.probe(Point(trace.xs[42], trace.ys[42]))[0]
 
     def test_gbsr_chattier_than_deep_pbsr(self):
         trace = straight_trace(Point(100, 2000), 0.0, 10.0, 300)

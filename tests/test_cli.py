@@ -156,6 +156,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    #: A serve whose count slipped through would fail to bind to the
+    #: missing directory rather than serve forever.
+    SERVE = ["serve", "--strategy", "mwpsr", "--uds", "missing/alarm.sock"]
+
+    @pytest.mark.parametrize("flags", [
+        SERVE + ["--batch", "0"], SERVE + ["--batch", "-3"],
+        SERVE + ["--queue", "0"], SERVE + ["--queue", "-1"],
+        ["profile", "--samples", "0"], ["profile", "--samples", "-5"]],
+        ids=lambda flags: " ".join([flags[0]] + flags[-2:]))
+    def test_a_count_below_one_is_a_usage_error(self, flags, capsys,
+                                                tmp_path, monkeypatch):
+        """Checked by the parser, before any world is built."""
+        def no_world(*args):
+            raise AssertionError("built a world for a bad count")
+        monkeypatch.setattr("repro.cli.build_world", no_world)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as failure:
+            main(flags + ["--workload", "tiny"])
+        assert failure.value.code == 2
+        assert "argument %s:" % flags[-2] in capsys.readouterr().err
+
 
 class TestProfile:
     def test_profile_runs(self, capsys):
