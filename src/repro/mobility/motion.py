@@ -47,7 +47,20 @@ TWO_PI = 2.0 * math.pi
 
 
 class MotionModel:
-    """Interface: a direction-deviation density over ``(-pi, pi]``."""
+    """Interface: a direction-deviation density over ``(-pi, pi]``.
+
+    ``peak_ratio`` is the density's maximum over the uniform density,
+    ``max pdf(phi) * 2*pi`` (at least 1).  No sector's mass over its
+    uniform share can exceed it, so a rectangle's weighted perimeter is
+    at most ``peak_ratio`` times its geometric perimeter: the MWPSR
+    enumeration bounds every candidate by it before scoring.  It is a
+    read-only property of the model, fixed at construction.
+    """
+
+    @property
+    def peak_ratio(self) -> float:
+        """``max pdf(phi) * 2*pi``: the largest side weight there is."""
+        raise NotImplementedError
 
     def pdf(self, phi: float) -> float:
         """Density at deviation ``phi`` from the current heading."""
@@ -89,6 +102,10 @@ class UniformMotionModel(MotionModel):
     on Hu et al. [10] only through overlap handling; Fig. 4(a) compares
     it against the weighted variants.
     """
+
+    @property
+    def peak_ratio(self) -> float:
+        return 1.0
 
     def pdf(self, phi: float) -> float:  # noqa: ARG002 - uniform by design
         return 1.0 / TWO_PI
@@ -150,6 +167,7 @@ class SteadyMotionModel(MotionModel):
                     "density negative for y=%g z=%d; choose y/z smaller"
                     % (self.y, self.z))
             self._values.append(value)
+        self._peak_ratio = max(self._values) * TWO_PI
         # Prefix integrals over [0, edge_i] for exact sector masses.
         self._prefix: List[float] = [0.0]
         for (lo, hi), value in zip(zip(self._edges, self._edges[1:]),
@@ -165,6 +183,10 @@ class SteadyMotionModel(MotionModel):
             return (1.0 + (self.y / self.z) * steps) / TWO_PI
         steps = math.ceil((deviation - half_pi) / self._step)
         return (1.0 - (self.y / self.z) * steps) / TWO_PI
+
+    @property
+    def peak_ratio(self) -> float:
+        return self._peak_ratio
 
     def pdf(self, phi: float) -> float:
         deviation = abs(normalize_angle(phi))

@@ -41,8 +41,10 @@ contrasts with its greedy — and is used by the ablation benchmark.
 
 Selection works on plain floats: obstacles are unpacked once per
 computation, a candidate is four edges, every distinct candidate is
-scored once and every distinct corner's ``(angle, cumulative)`` once,
-and a :class:`Rect` is built for the winner only.  The ``Rect``-per-
+scored once unless its bound (the model's ``peak_ratio`` times its
+geometric perimeter, plus its area term) cannot beat the incumbent,
+every distinct corner's ``(angle, cumulative)`` is looked up once, and
+a :class:`Rect` is built for the winner only.  The ``Rect``-per-
 candidate definition this is held to, ``==`` on every output, lives in
 ``tests/saferegion/oracle.py`` (``ReferenceMWPSRComputer``).
 """
@@ -66,6 +68,14 @@ _QUADRANT_SECTORS: Tuple[Tuple[float, float], ...] = (
     (-math.pi, -math.pi / 2.0),
     (-math.pi / 2.0, 0.0),
 )
+
+#: Relative widening of the enumeration's score bound.  The bound is
+#: tight (a steady model's side weight reaches ``peak_ratio`` exactly),
+#: and the scored perimeter is a float sum of per-side mass/span ratios
+#: that can round a few ulps past it (the uniform model's reads up to
+#: 7e-16 relative past it on adversarial layouts): a bound that rounded
+#: below a score would skip a winner.
+_BOUND_MARGIN = 1e-9
 
 #: ``(min_x, min_y, max_x, max_y)`` of a candidate or an obstacle.
 Edges = Tuple[float, float, float, float]
@@ -500,8 +510,20 @@ class MWPSRComputer:
         first of several equal-score rectangles wins; a combination
         whose four extents were already seen is skipped, which cannot
         change the winner.
+
+        No side weighs more than the model's ``peak_ratio`` per unit
+        length, so a combination's score is at most its geometric
+        perimeter times that ratio plus its area term.  A combination
+        whose bound is strictly below the incumbent's score cannot win
+        or tie; it is skipped before the seen-set, the penetration test
+        and the corner lookups, which leaves the winner, its perimeter
+        and every tie-break unchanged.
         """
         first, second, third, fourth = tension_lists
+        model = self.model
+        area_weight = self.area_weight
+        peak_bound = 2.0 * model.peak_ratio * (1.0 + _BOUND_MARGIN)
+        sqrt = math.sqrt
         best_score = -math.inf
         # See _select_greedy: when all combinations penetrate an alarm
         # the point region (perimeter zero) is the answer.
@@ -509,27 +531,34 @@ class MWPSRComputer:
         best_perimeter = 0.0
         seen: Set[Tuple[float, float, float, float]] = set()
         corners: CornerMemo = {}
+        # ``b if b < a else a`` is ``min(a, b)`` down to which operand a
+        # tie returns, without a call per combination.
         for u1, v1 in first:
             for u2, v2 in second:
-                top = min(v1, v2)
+                top = v2 if v2 < v1 else v1
+                max_y = oy + top
                 for u3, v3 in third:
-                    left = min(u2, u3)
+                    left = u3 if u3 < u2 else u2
+                    min_x = ox - left
                     for u4, v4 in fourth:
-                        right = min(u1, u4)
-                        bottom = min(v3, v4)
+                        right = u4 if u4 < u1 else u1
+                        bottom = v4 if v4 < v3 else v3
+                        min_y = oy - bottom
+                        max_x = ox + right
+                        width = max_x - min_x
+                        height = max_y - min_y
+                        area = area_weight * sqrt(width * height)
+                        if (width + height) * peak_bound + area < best_score:
+                            continue
                         extents = (right, top, left, bottom)
                         if extents in seen:
                             continue
                         seen.add(extents)
-                        min_x = ox - left
-                        min_y = oy - bottom
-                        max_x = ox + right
-                        max_y = oy + top
                         if _penetrates(min_x, min_y, max_x, max_y, shrunk):
                             continue
-                        score, perimeter = self._score_edges(
-                            min_x, min_y, max_x, max_y, ox, oy, heading,
-                            corners)
+                        perimeter = _perimeter(model, min_x, min_y, max_x,
+                                               max_y, ox, oy, heading, corners)
+                        score = perimeter + area
                         if score > best_score:
                             best_score = score
                             best_edges = (min_x, min_y, max_x, max_y)

@@ -245,8 +245,12 @@ def snapshot(client):
             client.expiry, client.local_alarms, client.region_installed_at)
 
 
-def observed(metrics, clients):
-    return (metrics.counters(), metrics.triggers,
+def observed(metrics, clients, without=()):
+    """Counters (but those named in ``without``), triggers, clients."""
+    counters = metrics.counters()
+    for name in without:
+        del counters[name]
+    return (counters, metrics.triggers,
             sorted(snapshot(client) for client in clients))
 
 
@@ -512,13 +516,17 @@ def _fixed_world():
             + [Point(9.0 + 0.5 * k, 9.0 + 0.5 * k) for k in range(1, 14)]
             + [Point(15.5, 15.5)] * 9)     # ends parked, mid-run
     brief = [Point(20.5, 20.5)] * 3        # ends before its first timer
+    # up out of the unsafe leaf row an alarm's top edge (y = 4.5) cuts,
+    # through a leaf's top edge (y = 5) once and never back down
+    rise = [Point(19.5, 4.5 + 0.25 * k) for k in range(8)]
     alarms = [(Rect(3.0, 2.0, 6.0, 7.0), AlarmScope.PUBLIC, 0),
               (Rect(12.0, 3.0, 13.0, 5.0), AlarmScope.PUBLIC, 0),
               (Rect(3.0, 12.0, 8.0, 15.0), AlarmScope.PRIVATE, 1),
               (Rect(12.0, 12.0, 14.0, 14.0), AlarmScope.PUBLIC, 2),
               (Rect(18.0, 0.0, 27.0, 4.5), AlarmScope.PUBLIC, 0),
               (Rect(22.0, 22.0, 22.0, 26.0), AlarmScope.PUBLIC, 0)]
-    return edge_world({0: along_x, 1: slide, 2: park, 3: brief}, alarms)
+    return edge_world({0: along_x, 1: slide, 2: park, 3: brief, 4: rise},
+                      alarms)
 
 
 FIXED_WORLD = _fixed_world()
@@ -709,6 +717,28 @@ def test_seeded_block_slip_is_caught(what, site, shipped, mutated,
                 FIXED_WORLD, make(), mutation, fix=PAPER_CLIENTS["bitmap"]))
             assert slipped == defined
             assert windowed == defined
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS,
+                         ids=["static", "schedule", "track", "shared"])
+def test_top_edge_slip_shows_in_what_the_client_reports(kind,
+                                                         shipped_clients):
+    """``block closed on its top edge``, caught on every kind without
+    ``index_node_accesses``: ``rise`` crosses a leaf's top edge upward
+    only, so the report the slip adds there has no dropped report at
+    another top edge to cancel it in the uplinks and client sequences."""
+    mutation, run = kind
+    _, _, shipped, mutated = next(row for row in BLOCK_MUTATIONS
+                                  if row[0] == "block closed on its top edge")
+    make = mutant_factory("bitmap", shipped, mutated)
+    without = ("index_node_accesses",)
+    del shipped_clients[:]
+    slipped = observed(run(FIXED_WORLD, make()).metrics, shipped_clients,
+                       without)
+    defined = observed(*reference_replay(FIXED_WORLD, make(), mutation,
+                                         fix=PAPER_CLIENTS["bitmap"]),
+                       without)
+    assert slipped != defined
 
 
 # ----------------------------------------------------------------------

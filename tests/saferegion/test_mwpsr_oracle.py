@@ -1,7 +1,8 @@
 """The float-only MWPSR kernel against the ``Rect``-per-candidate one.
 
-``repro.saferegion.MWPSRComputer`` scores every distinct rectangle once
-and every distinct corner once on plain floats;
+``repro.saferegion.MWPSRComputer`` scores every distinct rectangle its
+score bound does not rule out once, and every distinct corner once, on
+plain floats;
 ``tests/saferegion/oracle.py`` keeps the kernel it replaced, bodies
 verbatim.  The two must agree with ``==`` — never a tolerance — on
 ``(rect, inside_alarm, quadrant_order, weighted_perimeter)``:
@@ -14,6 +15,10 @@ verbatim.  The two must agree with ``==`` — never a tolerance — on
   churn schedule;
 * ``SteadyMotionModel.cumulative`` on a dense sweep and one ulp around
   every staircase edge.
+
+The bound the enumeration skips by is held on its own: no weighed
+perimeter exceeds ``peak_ratio`` times the geometric one (widened by the
+kernel's margin), and ``peak_ratio`` is the densest direction's weight.
 
 The seeded mutations at the end are the suite's own test: each is a
 plausible slip in the shipped kernel that the fixed corpus must catch.
@@ -35,7 +40,7 @@ from repro.experiments import BENCH, build_world, make_mwpsr_strategy
 from repro.geometry import Point, Rect
 from repro.index import CellId, GridOverlay
 from repro.mobility import SteadyMotionModel, UniformMotionModel
-from repro.saferegion import MWPSRComputer
+from repro.saferegion import MWPSRComputer, mwpsr
 from ..budget import examples
 from ..engine.test_golden_mutation import golden_schedule
 from .oracle import ReferenceMWPSRComputer, reference_cumulative
@@ -224,7 +229,51 @@ def test_cumulative_equals_the_four_frame_chain(model):
 
 
 # ----------------------------------------------------------------------
-# (iv) the suite's own test: seeded slips in the shipped kernel
+# (iv) the enumeration's score bound
+# ----------------------------------------------------------------------
+@settings(max_examples=examples(200, 3000), deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CELLS),
+       st.sampled_from(MODELS), st.sampled_from(MODES))
+def test_property_no_weighted_perimeter_exceeds_the_bound(rng, cell, model,
+                                                          mode):
+    """Every rectangle the kernel weighs, in every mode, has a weighted
+    perimeter within ``peak_ratio`` times its geometric one, widened by
+    the kernel's margin: what lets the enumeration skip by the bound."""
+    weighed = []
+    shipped_perimeter = mwpsr._perimeter
+
+    def perimeter(*args):
+        value = shipped_perimeter(*args)
+        min_x, min_y, max_x, max_y = args[1:5]
+        weighed.append((value, 2.0 * ((max_x - min_x) + (max_y - min_y))))
+        return value
+
+    position, heading, obstacles = draw_case(rng, cell)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mwpsr, "_perimeter", perimeter)
+        MWPSRComputer(model, **mode).compute(position, heading, cell,
+                                             obstacles)
+    for value, geometric in weighed:
+        assert value <= (model.peak_ratio * geometric
+                         * (1.0 + mwpsr._BOUND_MARGIN)), (value, geometric)
+
+
+@pytest.mark.parametrize("model", MODELS + (SteadyMotionModel(0.5, 3),),
+                         ids=["uniform", "z=2", "z=8", "z=32", "y=0.5,z=3"])
+def test_peak_ratio_is_the_densest_direction(model):
+    steps = 20000
+    angles = [-math.pi + 2.0 * math.pi * step / steps
+              for step in range(steps + 1)]
+    for edge in getattr(model, "_edges", ()):
+        for signed in (edge, -edge):
+            angles.extend(around(signed)[:3])
+    densest = max(model.pdf(phi) * 2.0 * math.pi for phi in angles)
+    assert densest == model.peak_ratio
+    assert densest >= 1.0
+
+
+# ----------------------------------------------------------------------
+# (v) the suite's own test: seeded slips in the shipped kernel
 # ----------------------------------------------------------------------
 def corpus():
     """A fixed draw of adversarial cases, each with a model and a mode."""
@@ -268,6 +317,14 @@ MUTATIONS = [
     ("the wrap mass += 1.0 removed",
      "                mass += 1.0  # the CCW",
      "                pass  # the CCW", 1),
+    ("the area term left out of the bound",
+     "(width + height) * peak_bound + area < best_score",
+     "(width + height) * peak_bound < best_score", 1),
+    ("the peak ratio taken as 1.0 for every model",
+     "2.0 * model.peak_ratio", "2.0 * 1.0", 1),
+    ("the bound on half the perimeter",
+     "peak_bound = 2.0 * model.peak_ratio", "peak_bound = model.peak_ratio",
+     1),
 ]
 
 
