@@ -282,7 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     daemon = AlarmDaemon(server, strategy.server_policy(),
                          WireCodec.from_sizes(world.sizes),
                          verify_wire=args.verify_wire,
-                         batch_max=args.batch, queue_limit=args.queue)
+                         batch_max=args.batch)
 
     async def _serve() -> None:
         if args.uds:
@@ -494,11 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help=STRATEGY_HELP)
     add_endpoint_options(serve_parser)
     serve_parser.add_argument("--batch", type=COUNT, default=64,
-                              help="max uplinks per drain batch "
+                              help="max REPLY frames per write "
                                    "(default 64)")
-    serve_parser.add_argument("--queue", type=COUNT, default=256,
-                              help="per-connection uplink queue bound "
-                                   "(default 256)")
     serve_parser.add_argument("--trace", default=None, metavar="PATH",
                               help="record a JSONL telemetry trace "
                                    "readable by `repro report`")

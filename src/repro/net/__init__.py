@@ -5,8 +5,9 @@ this package plugs in an actual byte stream.  Four pieces:
 
 * :class:`AlarmDaemon` — an asyncio server (TCP or Unix domain socket)
   that frames uplink reports off connections, drives the stateless
-  :func:`~repro.protocol.handlers.handle_request` pipeline with uplink
-  batching and bounded-queue backpressure, and writes framed replies.
+  :func:`~repro.protocol.handlers.handle_request` pipeline on each
+  read's frames in order, and writes their replies in coalesced
+  writes, backpressured by ``drain``.
   :class:`DaemonThread` hosts one in a background thread for tests and
   the in-process network engine.
 * :class:`SocketTransport` — a blocking-socket client implementing the

@@ -2,31 +2,29 @@
 
 One :class:`AlarmDaemon` serves one :class:`~repro.engine.server.AlarmServer`
 plus one :class:`~repro.protocol.handlers.ServerPolicy` over a real byte
-stream — TCP or a Unix domain socket.  Per connection it runs two
-tasks:
-
-* a **reader** that decides each frame by one lookup in the session
-  automaton (:data:`~repro.protocol.spec.CLIENT_TRANSITIONS`; a frame
-  without a row is answered with ERROR, the connection's last frame)
-  and feeds decoded REQUEST frames into a bounded
-  :class:`asyncio.Queue` — when the queue is full the reader blocks,
-  which stops reading the socket, which fills the kernel buffers,
-  which stalls the sender: backpressure end to end, with a
-  ``net_backpressure`` event per stall;
-* a **drain worker** pulling requests in batches (up to ``batch_max``
-  per wakeup), driving the stateless
-  :func:`~repro.protocol.handlers.handle_request` pipeline through the
-  same :class:`~repro.protocol.transport.InProcessTransport` accounting
-  path the serial engine uses, and writing one REPLY frame per request
-  in a single coalesced write.
+stream — TCP or a Unix domain socket.  Per connection it runs one
+task, which answers each read where it reads it: it walks the read's
+frames in order, decides each by one lookup in the session automaton
+(:data:`~repro.protocol.spec.CLIENT_TRANSITIONS`; a frame without a
+row is answered with ERROR, the connection's last frame), drives each
+REQUEST through the stateless
+:func:`~repro.protocol.handlers.handle_request` pipeline by way of the
+same :class:`~repro.protocol.transport.InProcessTransport` accounting
+path the serial engine uses, and answers a STATS frame with the state
+the frames before it left.  The answers go out in one coalesced write
+per ``batch_max`` replies and per read, each followed by
+``await writer.drain()``: a peer that stops reading stalls its own
+connection in ``drain``, and with it the reading of its socket, which
+stalls the sender — backpressure end to end, and no other connection
+waits.
 
 Charging through the in-process transport is the point: the framed
 path adds *zero* accounting code of its own, so its message and byte
 totals are the in-process totals by construction — the conformance
 suite then pins them against the wire goldens.
 
-All mutable serving state (connection tasks, queues, counters) lives
-on daemon and connection scope — never at module level — so the module
+All mutable serving state (connection tasks, counters) lives on
+daemon and connection scope — never at module level — so the module
 satisfies rule RL004 in letter and intent; the only host-clock reads
 are ``perf_counter`` deltas for the batch latency probe (RL006's
 sanctioned form).
@@ -35,7 +33,6 @@ sanctioned form).
 from __future__ import annotations
 
 import asyncio
-import functools
 import os
 import stat
 import threading
@@ -49,28 +46,16 @@ from ..protocol.framing import (PROTOCOL_VERSION, Frame, FrameDecoder,
                                 encode_error, encode_frame, encode_reply,
                                 encode_stats, reply_summary)
 from ..protocol.handlers import ServerPolicy
-from ..protocol.messages import Request
 from ..protocol.spec import CLIENT_TRANSITIONS, STATE_AWAIT_HELLO
 from ..protocol.transport import InProcessTransport, WireFidelityError
 from ..protocol.wire import WireCodec
 from ..telemetry.facade import Telemetry
 from ..telemetry.spans import (SERVER_SPAN_IDS, SPAN_DECODE, SPAN_HANDLE,
-                               SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE,
-                               STATUS_OK)
+                               SPAN_REPLY_ENCODE, STATUS_OK)
 from ..engine.server import AlarmServer
 
 #: Socket read size; large enough to complete many frames per wakeup.
 _READ_CHUNK = 1 << 16
-
-#: Queue sentinel telling a drain worker its connection is done.
-_SENTINEL = None
-
-#: One queued uplink: (envelope simulation time, decoded request,
-#: trace id, client span id, enqueue ``perf_counter`` reading).  The
-#: trace pair is 0/0 for untraced uplinks; the perf reading, taken
-#: only for a traced one (else 0.0), feeds the ``queue_wait`` span
-#: when the drain worker picks the request up.
-_QueuedRequest = Tuple[float, Request, int, int, float]
 
 #: What a DaemonThread's loop thread publishes once bound: its running
 #: loop and the bound TCP port (``None`` on a Unix socket).
@@ -90,21 +75,6 @@ def _check_framed(direction: str, framed: int, charged: int) -> None:
             "framed %s accounting drift: frame carries %d charged "
             "byte(s) but the transport charged %d"
             % (direction, framed, charged))
-
-
-def _end_reading(reader_task: Optional["asyncio.Task[None]"],
-                 worker: "asyncio.Task[None]") -> None:
-    """A drain worker that failed ends its connection's read at once.
-
-    Otherwise the reader waits on the socket, and the ERROR frame
-    naming the failure (a reply that failed ``verify_wire``) is sent
-    only once the peer closes.  Cancelling the reader sends the
-    connection through :meth:`AlarmDaemon._finish_connection`, which
-    names the failure and closes.
-    """
-    if (reader_task is not None and not worker.cancelled()
-            and worker.exception() is not None):
-        reader_task.cancel()
 
 
 class _OwnedByOneThread:
@@ -140,9 +110,8 @@ class _OwnedByOneThread:
 class AlarmDaemon(_OwnedByOneThread):
     """Asyncio server multiplexing framed client connections.
 
-    ``batch_max`` bounds how many queued uplinks one drain wakeup
-    processes before writing; ``queue_limit`` bounds the per-connection
-    uplink queue (the backpressure knob).  ``verify_wire`` extends the
+    ``batch_max`` bounds how many REPLY frames one coalesced write
+    carries.  ``verify_wire`` extends the
     wire-fidelity contract to the framed path: every charged size is
     checked against the bytes actually framed.  A drift is named at
     once in the ERROR frame that ends its connection, and
@@ -158,29 +127,21 @@ class AlarmDaemon(_OwnedByOneThread):
     def __init__(self, server: AlarmServer, policy: ServerPolicy,
                  codec: Optional[WireCodec] = None, *,
                  verify_wire: bool = False, batch_max: int = 64,
+                 # Accepted, no effect: bench_e2e/daemon_main.py passes it.
                  queue_limit: int = 256) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be positive")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be positive")
         self._accounting = InProcessTransport(server, policy, codec,
                                               verify_wire)
         self.server = server
         self.codec = self._accounting.codec
         self.batch_max = batch_max
-        self.queue_limit = queue_limit
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         # verify_wire failures of any connection, raised by aclose().
         self._failures: List[WireFidelityError] = []
         self._next_conn_id = 0
-        # Live per-connection uplink queues, keyed by connection id —
-        # the STATS snapshot reads open-connection and queue-depth
-        # gauges straight from here (loop-thread only, like all daemon
-        # state).
-        self._conn_queues: Dict[
-            int, "asyncio.Queue[Optional[_QueuedRequest]]"] = {}
         self._seal()
 
     # ------------------------------------------------------------------
@@ -238,7 +199,8 @@ class AlarmDaemon(_OwnedByOneThread):
         last, so no accepted socket outlives the close.  Then no task
         this module spawned may still be running: one that has escaped
         the ``_conn_tasks`` registry (a dropped ``create_task`` handle,
-        a worker never reaped), and the close raises ``RuntimeError``
+        a connection task spawned outside :meth:`_accept`), and the
+        close raises ``RuntimeError``
         naming it.  Otherwise the first
         ``verify_wire`` failure of any connection is raised.
         """
@@ -292,7 +254,7 @@ class AlarmDaemon(_OwnedByOneThread):
         return names
 
     # ------------------------------------------------------------------
-    # Per-connection reader
+    # Per-connection task
     # ------------------------------------------------------------------
     def _accept(self, reader: asyncio.StreamReader,
                 writer: asyncio.StreamWriter) -> None:
@@ -311,25 +273,35 @@ class AlarmDaemon(_OwnedByOneThread):
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Answer each read's frames in order, in coalesced writes."""
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         telemetry = self.server.telemetry
         if telemetry.enabled:
             telemetry.net_conn_open(conn_id)
-        queue: "asyncio.Queue[Optional[_QueuedRequest]]" = asyncio.Queue(
-            maxsize=self.queue_limit)
-        self._conn_queues[conn_id] = queue
         decoder = FrameDecoder()
+        batch_max = self.batch_max
+        # Answers not yet written, and how many of them are REPLYs;
+        # the first of those gives net_batch its clock and start.
+        pending: List[bytes] = []
+        replies = 0
+        batch_time = batch_started = 0.0
         requests = 0
         clean = True
         error: Optional[str] = None
-        # Spawned last: every statement between this spawn and the
-        # try/finally that reaps the worker would be a window where an
-        # exception leaks the task (aclose()'s task-leak check).
-        worker = asyncio.create_task(
-            self._drain_queue(conn_id, queue, writer))
-        worker.add_done_callback(
-            functools.partial(_end_reading, asyncio.current_task()))
+
+        async def write_pending() -> None:
+            """One write of the pending answers; then wait out the peer."""
+            nonlocal replies
+            writer.write(b"".join(pending))
+            pending.clear()
+            written, replies = replies, 0
+            await writer.drain()
+            if written and telemetry.enabled:
+                telemetry.net_batch(
+                    batch_time, conn_id, written,
+                    (time.perf_counter() - batch_started) * 1e6)
+
         try:
             state = STATE_AWAIT_HELLO
             while True:
@@ -348,44 +320,30 @@ class AlarmDaemon(_OwnedByOneThread):
                             % (kind.name, state))
                     state = next_state
                     if kind is FrameKind.REQUEST:
-                        traced = (telemetry.enabled
-                                  and frame.trace_id != 0)
-                        decode_started = (time.perf_counter() if traced
-                                          else 0.0)
-                        request = self._decode_request(frame)
-                        if traced:
-                            self._emit_server_span(
-                                telemetry, frame.time_s, frame.trace_id,
-                                frame.span_id, SPAN_DECODE,
-                                decode_started)
+                        if not replies and telemetry.enabled:
+                            batch_time = frame.time_s
+                            batch_started = time.perf_counter()
+                        pending.append(self._reply(frame, telemetry))
                         requests += 1
-                        item: _QueuedRequest = (
-                            frame.time_s, request, frame.trace_id,
-                            frame.span_id,
-                            time.perf_counter() if traced else 0.0)
-                        try:
-                            # Fast path: space available, no await.
-                            queue.put_nowait(item)
-                        except asyncio.QueueFull:
-                            if telemetry.enabled:
-                                telemetry.net_backpressure(
-                                    frame.time_s, conn_id, queue.qsize())
-                            await queue.put(item)
+                        replies += 1
+                        if replies == batch_max:
+                            await write_pending()
                     elif kind is FrameKind.HELLO:
                         decode_hello(frame.payload)
                     elif kind is FrameKind.STATS:
-                        # Answered directly from the reader: one
-                        # writer.write call is atomic with respect to
-                        # the drain worker's coalesced writes, so the
-                        # snapshot frame never interleaves mid-frame.
-                        writer.write(encode_frame(
+                        # Read here, so it sees what every frame before
+                        # it did, and sent after their replies.
+                        pending.append(encode_frame(
                             FrameKind.STATS,
                             encode_stats(self.stats_snapshot()),
                             frame.time_s, frame.trace_id,
                             frame.span_id))
-                        await writer.drain()
                     elif kind is FrameKind.SHUTDOWN:
+                        if pending:
+                            await write_pending()
                         self.request_stop()
+                if pending:
+                    await write_pending()
         except FramingError as exc:
             clean = False
             error = str(exc)
@@ -396,63 +354,71 @@ class AlarmDaemon(_OwnedByOneThread):
         except (ConnectionError, OSError):
             clean = False
         except asyncio.CancelledError:
-            # Daemon shutdown with this connection still open, or a
-            # failed drain worker ending the read (_end_reading).  The
-            # cancellation is absorbed (not re-raised): the cancellers
-            # are our own aclose(), which is already awaiting this
-            # task's orderly exit, and the worker, whose failure
-            # _finish_connection reports.
+            # Daemon shutdown with this connection still open.  The
+            # cancellation is absorbed (not re-raised): the canceller
+            # is our own aclose(), which is already awaiting this
+            # task's orderly exit.
             clean = False
         finally:
             try:
-                await self._finish_connection(conn_id, queue, worker,
-                                              writer, clean, requests,
-                                              error)
+                await self._finish_connection(conn_id, writer, pending,
+                                              clean, requests, error)
             except asyncio.CancelledError:
                 # aclose() caught this connection already tearing
                 # itself down; absorbed for the reason given above.
                 pass
 
-    def _decode_request(self, frame: Frame) -> Request:
+    def _reply(self, frame: Frame, telemetry: Telemetry) -> bytes:
+        """Decode, handle and encode one REQUEST: its REPLY frame."""
+        time_s = frame.time_s
+        trace_id = frame.trace_id
+        span_id = frame.span_id
+        traced = telemetry.enabled and trace_id != 0
+        started = time.perf_counter() if traced else 0.0
+        codec = self.codec
+        verify_wire = self._accounting.verify_wire
         try:
-            request = self.codec.decode_request(frame.payload)
+            request = codec.decode_request(frame.payload)
         except ValueError as exc:
             raise FramingError("undecodable REQUEST payload: %s"
                                % exc) from exc
-        if self._accounting.verify_wire:
+        if verify_wire:
             _check_framed("uplink", len(frame.payload),
-                          self.codec.size_of_request(request))
-        return request
+                          codec.size_of_request(request))
+        if traced:
+            self._emit_server_span(telemetry, time_s, trace_id, span_id,
+                                   SPAN_DECODE, started)
+            started = time.perf_counter()
+        reply = self._accounting.request(request, time_s)
+        if traced:
+            self._emit_server_span(telemetry, time_s, trace_id, span_id,
+                                   SPAN_HANDLE, started)
+            started = time.perf_counter()
+        payload = encode_reply(codec, reply, request.user_id, time_s)
+        if verify_wire:
+            _check_framed("reply", reply_summary(payload)[2], sum(
+                codec.size_of_response(message) for message in reply))
+        # The REPLY envelope echoes the request's trace pair so the
+        # client can correlate replies with its root spans.
+        framed = encode_frame(FrameKind.REPLY, payload, time_s, trace_id,
+                              span_id)
+        if traced:
+            self._emit_server_span(telemetry, time_s, trace_id, span_id,
+                                   SPAN_REPLY_ENCODE, started)
+        return framed
 
     async def _finish_connection(
-            self, conn_id: int,
-            queue: "asyncio.Queue[Optional[_QueuedRequest]]",
-            worker: "asyncio.Task[None]", writer: asyncio.StreamWriter,
-            clean: bool, requests: int,
+            self, conn_id: int, writer: asyncio.StreamWriter,
+            pending: List[bytes], clean: bool, requests: int,
             error: Optional[str]) -> None:
-        # Answer the work queued before the end (or, when the queue is
-        # full and a put would block, cancel it) before any ERROR
-        # frame: nothing may follow an ERROR on the wire.
-        try:
-            queue.put_nowait(_SENTINEL)
-        except asyncio.QueueFull:
-            worker.cancel()
-        try:
-            await worker
-        except (asyncio.CancelledError, WireFidelityError):
-            # The worker's own outcome is read below: _end_reading's
-            # cancellation lands on this await when the worker fails
-            # just as the reader finishes.
-            pass
-        failure = (worker.exception()
-                   if worker.done() and not worker.cancelled() else None)
-        if isinstance(failure, WireFidelityError):  # failed verify_wire
-            error = error if error is not None else str(failure)
-            self._failures.append(failure)
+        # The answers handled before the end go out first: nothing may
+        # follow an ERROR on the wire.
         if error is not None:
+            pending.append(encode_frame(FrameKind.ERROR,
+                                        encode_error(error)))
+        if pending:
             try:
-                writer.write(encode_frame(FrameKind.ERROR,
-                                          encode_error(error)))
+                writer.write(b"".join(pending))
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass
@@ -464,95 +430,11 @@ class AlarmDaemon(_OwnedByOneThread):
         finally:
             # Also on the CancelledError of an aclose() that finds the
             # task parked in wait_closed: the connection is over either
-            # way, and a skipped close leaks the queue entry and leaves
-            # net_connections_closed one short of opened.
-            self._conn_queues.pop(conn_id, None)
+            # way, and a skipped close leaves net_connections_closed
+            # one short of opened.
             telemetry = self.server.telemetry
             if telemetry.enabled:
                 telemetry.net_conn_close(conn_id, clean, requests)
-
-    # ------------------------------------------------------------------
-    # Per-connection drain worker
-    # ------------------------------------------------------------------
-    async def _drain_queue(
-            self, conn_id: int,
-            queue: "asyncio.Queue[Optional[_QueuedRequest]]",
-            writer: asyncio.StreamWriter) -> None:
-        broken = False
-        while True:
-            item = await queue.get()
-            if item is _SENTINEL:
-                return
-            batch: List[_QueuedRequest] = [item]
-            stop = False
-            while len(batch) < self.batch_max:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _SENTINEL:
-                    stop = True
-                    break
-                batch.append(extra)
-            if not broken:
-                broken = not await self._serve_batch(conn_id, batch,
-                                                     writer)
-            if stop:
-                return
-
-    async def _serve_batch(self, conn_id: int,
-                           batch: List[_QueuedRequest],
-                           writer: asyncio.StreamWriter) -> bool:
-        """Handle one drained batch; returns ``False`` on a dead peer."""
-        telemetry = self.server.telemetry
-        started = time.perf_counter() if telemetry.enabled else 0.0
-        parts: List[bytes] = []
-        failure: Optional[WireFidelityError] = None
-        try:
-            for time_s, request, trace_id, span_id, enqueued in batch:
-                traced = telemetry.enabled and trace_id != 0
-                if traced:
-                    # queue_wait: enqueue (reader) → this drain wakeup.
-                    self._emit_server_span(telemetry, time_s, trace_id,
-                                           span_id, SPAN_QUEUE_WAIT,
-                                           enqueued)
-                handle_started = time.perf_counter() if traced else 0.0
-                reply = self._accounting.request(request, time_s)
-                if traced:
-                    self._emit_server_span(telemetry, time_s, trace_id,
-                                           span_id, SPAN_HANDLE,
-                                           handle_started)
-                encode_started = time.perf_counter() if traced else 0.0
-                payload = encode_reply(self.codec, reply, request.user_id,
-                                       time_s)
-                if self._accounting.verify_wire:
-                    _check_framed("reply", reply_summary(payload)[2], sum(
-                        self.codec.size_of_response(message)
-                        for message in reply))
-                # The REPLY envelope echoes the request's trace pair so
-                # the client can correlate replies with its root spans.
-                parts.append(encode_frame(FrameKind.REPLY, payload, time_s,
-                                          trace_id, span_id))
-                if traced:
-                    self._emit_server_span(telemetry, time_s, trace_id,
-                                           span_id, SPAN_REPLY_ENCODE,
-                                           encode_started)
-        except WireFidelityError as exc:
-            # The exchanges before the failing one were handled and
-            # charged: their replies go out ahead of the ERROR frame.
-            failure = exc
-        try:
-            writer.write(b"".join(parts))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            if failure is None:
-                return False
-        if failure is not None:
-            raise failure
-        if telemetry.enabled:
-            telemetry.net_batch(batch[0][0], conn_id, len(batch),
-                                (time.perf_counter() - started) * 1e6)
-        return True
 
     def _emit_server_span(self, telemetry: Telemetry, time_s: float,
                           trace_id: int, parent_id: int, name: str,
@@ -580,28 +462,23 @@ class AlarmDaemon(_OwnedByOneThread):
         with.
 
         Deterministic given the serving state: engine counters, the
-        telemetry registry dump (empty when telemetry is off), live
-        gauges read straight from the connection registry (the
-        scraping connection counts itself in ``connections_open``),
+        telemetry registry dump (empty when telemetry is off), the live
+        gauge of open connections read straight from the connection
+        task registry (the scraping connection counts itself),
         and the serving configuration.  Encoded canonically by
         :func:`~repro.protocol.framing.encode_stats`, so two scrapes
         of an idle daemon are byte-identical.
         """
         telemetry = self.server.telemetry
-        queues = {str(conn_id): q.qsize()
-                  for conn_id, q in sorted(self._conn_queues.items())}
         return {
             "metrics": self.server.metrics.counters(),
             "registry": (telemetry.registry.to_dict()
                          if telemetry.enabled else {}),
             "live": {
-                "connections_open": len(self._conn_queues),
-                "queue_depth": queues,
-                "queue_depth_total": sum(queues.values()),
+                "connections_open": len(self._conn_tasks),
             },
             "serving": {
                 "batch_max": self.batch_max,
-                "queue_limit": self.queue_limit,
                 "protocol_version": PROTOCOL_VERSION,
             },
         }

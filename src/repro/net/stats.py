@@ -104,16 +104,8 @@ def render_stats_text(snapshot: StatsSnapshot) -> str:
     live = snapshot.live()
     serving = snapshot.serving()
     lines.append("connections open:   %s" % live.get("connections_open", 0))
-    lines.append("queue depth total:  %s" % live.get("queue_depth_total", 0))
-    depths = live.get("queue_depth")
-    if isinstance(depths, dict) and depths:
-        lines.append("queue depth by connection:")
-        for conn_id in sorted(depths, key=int):
-            lines.append("  conn %-6s %6s" % (conn_id, depths[conn_id]))
-    lines.append("serving:            batch_max=%s queue_limit=%s "
-                 "protocol=v%s"
+    lines.append("serving:            batch_max=%s protocol=v%s"
                  % (serving.get("batch_max", "?"),
-                    serving.get("queue_limit", "?"),
                     serving.get("protocol_version", "?")))
     metrics = snapshot.metrics()
     if metrics:
@@ -156,16 +148,14 @@ def render_stats_prom(snapshot: StatsSnapshot) -> str:
     Registry instruments and the engine's ``Metrics`` counts render
     through the shared :func:`~repro.telemetry.export.render_registry_prom`
     and :func:`~repro.telemetry.export.render_metrics_prom` (byte-equal
-    to the trace exporter's rendering of the same run); the live gauges
-    follow with a ``repro_live_`` prefix.
+    to the trace exporter's rendering of the same run); the live gauge
+    of open connections follows with a ``repro_live_`` prefix.
     """
     lines = render_registry_prom(snapshot.registry())
     lines.extend(render_metrics_prom(snapshot.metrics()))
-    live = snapshot.live()
-    for key in ("connections_open", "queue_depth_total"):
-        metric = "repro_live_" + key
-        lines.append("# TYPE %s gauge" % metric)
-        lines.append("%s %s" % (metric, live.get(key, 0)))
+    lines.append("# TYPE repro_live_connections_open gauge")
+    lines.append("repro_live_connections_open %s"
+                 % snapshot.live().get("connections_open", 0))
     return "\n".join(lines) + "\n"
 
 
@@ -222,10 +212,8 @@ def render_top(snapshot: StatsSnapshot,
     lines: List[str] = []
     lines.append("repro top — scrape rtt %6.0f us" % snapshot.scrape_rtt_us)
     lines.append("=" * 60)
-    lines.append("connections %-6s queue depth %-6s (limit %s x batch %s)"
+    lines.append("connections %-6s (batch %s)"
                  % (live.get("connections_open", 0),
-                    live.get("queue_depth_total", 0),
-                    snapshot.serving().get("queue_limit", "?"),
                     snapshot.serving().get("batch_max", "?")))
     lines.append("uplinks   %10s  (%8.1f/s)"
                  % (metrics.get("uplink_messages", 0),
@@ -252,8 +240,4 @@ def render_top(snapshot: StatsSnapshot,
                             histogram_percentile(instrument, 0.50),
                             histogram_percentile(instrument, 0.99),
                             instrument.count))
-    stalls = registry.get("net_backpressure_stalls")
-    value = getattr(stalls, "value", 0)
-    if value:
-        lines.append("backpressure stalls %s" % value)
     return "\n".join(lines)

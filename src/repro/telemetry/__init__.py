@@ -17,8 +17,8 @@ catalogue and the reconciliation contract.
 
 from .events import (BASE_FIELDS, EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
                      EVENT_FIELDS, EVENT_LOCATION_REPORT,
-                     EVENT_NET_BACKPRESSURE, EVENT_NET_BATCH,
-                     EVENT_NET_CONN_CLOSE, EVENT_NET_CONN_OPEN,
+                     EVENT_NET_BATCH, EVENT_NET_CONN_CLOSE,
+                     EVENT_NET_CONN_OPEN,
                      EVENT_SAFEREGION_COMPUTED, EVENT_SAFEREGION_EXIT,
                      EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
                      EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN, EVENT_TYPES,
@@ -36,9 +36,8 @@ from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram, Instrument,
 from .sinks import JsonlSink, ListSink, NullSink, TraceSink, read_jsonl
 from .spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS, SPAN_CLIENT_REQUEST,
                     SPAN_DECODE, SPAN_HANDLE, SPAN_LOSSY_REQUEST,
-                    SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE, STATUS_ERROR,
-                    STATUS_OK, make_trace_id, span_close_counts,
-                    validate_spans)
+                    SPAN_REPLY_ENCODE, STATUS_ERROR, STATUS_OK,
+                    make_trace_id, span_close_counts, validate_spans)
 from .tracer import Tracer
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "EVENT_DOWNLINK_SENT",
     "EVENT_FIELDS",
     "EVENT_LOCATION_REPORT",
-    "EVENT_NET_BACKPRESSURE",
     "EVENT_NET_BATCH",
     "EVENT_NET_CONN_CLOSE",
     "EVENT_NET_CONN_OPEN",
@@ -79,7 +77,6 @@ __all__ = [
     "SPAN_DECODE",
     "SPAN_HANDLE",
     "SPAN_LOSSY_REQUEST",
-    "SPAN_QUEUE_WAIT",
     "SPAN_REPLY_ENCODE",
     "STATUS_ERROR",
     "STATUS_OK",

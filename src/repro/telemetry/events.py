@@ -42,7 +42,6 @@ EVENT_SHARD_FINISHED = "shard_finished"
 EVENT_NET_CONN_OPEN = "net_conn_open"
 EVENT_NET_CONN_CLOSE = "net_conn_close"
 EVENT_NET_BATCH = "net_batch"
-EVENT_NET_BACKPRESSURE = "net_backpressure"
 EVENT_SPAN_OPEN = "span_open"
 EVENT_SPAN_CLOSE = "span_close"
 
@@ -60,7 +59,6 @@ EVENT_FIELDS: Dict[str, FrozenSet[str]] = {
     EVENT_NET_CONN_OPEN: frozenset({"conn"}),
     EVENT_NET_CONN_CLOSE: frozenset({"conn", "clean", "requests"}),
     EVENT_NET_BATCH: frozenset({"conn", "requests"}),
-    EVENT_NET_BACKPRESSURE: frozenset({"conn", "depth"}),
     EVENT_SPAN_OPEN: frozenset({"trace", "span", "parent", "name"}),
     EVENT_SPAN_CLOSE: frozenset({"trace", "span", "status",
                                  "elapsed_us"}),

@@ -33,8 +33,8 @@ from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram,
                       MetricsRegistry)
 from .sinks import read_jsonl
 from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
-                    SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE, STATUS_OK,
-                    span_close_counts, validate_spans)
+                    SPAN_REPLY_ENCODE, STATUS_OK, span_close_counts,
+                    validate_spans)
 
 #: Event-count reconciliation pairs: (event type, Metrics field).
 RECONCILE_EVENTS = (
@@ -191,9 +191,9 @@ def reconcile(data: TraceData) -> Dict[str, object]:
           span_counts.get((SPAN_CLIENT_REQUEST, STATUS_OK), 0),
           rtt.count if isinstance(rtt, Histogram) else 0)
     # The serving pipeline is lock-step per handled request: one
-    # decode, one queue wait and one reply encode each.
+    # decode and one reply encode each.
     handled = span_counts.get((SPAN_HANDLE, STATUS_OK), 0)
-    for stage in (SPAN_DECODE, SPAN_QUEUE_WAIT, SPAN_REPLY_ENCODE):
+    for stage in (SPAN_DECODE, SPAN_REPLY_ENCODE):
         check("spans.%s[ok] == spans.handle[ok]" % stage,
               handled, span_counts.get((stage, STATUS_OK), 0))
     return {"ok": all(bool(entry["ok"]) for entry in checks),

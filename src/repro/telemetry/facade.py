@@ -48,13 +48,12 @@ import threading
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .events import (EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
-                     EVENT_LOCATION_REPORT, EVENT_NET_BACKPRESSURE,
-                     EVENT_NET_BATCH, EVENT_NET_CONN_CLOSE,
-                     EVENT_NET_CONN_OPEN, EVENT_SAFEREGION_COMPUTED,
-                     EVENT_SAFEREGION_EXIT, EVENT_SHARD_FINISHED,
-                     EVENT_SHARD_STARTED, EVENT_SPAN_CLOSE,
-                     EVENT_SPAN_OPEN, EVENT_TRANSPORT_DROP,
-                     RECORD_SUMMARY)
+                     EVENT_LOCATION_REPORT, EVENT_NET_BATCH,
+                     EVENT_NET_CONN_CLOSE, EVENT_NET_CONN_OPEN,
+                     EVENT_SAFEREGION_COMPUTED, EVENT_SAFEREGION_EXIT,
+                     EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
+                     EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
+                     EVENT_TRANSPORT_DROP, RECORD_SUMMARY)
 from .manifest import RunManifest
 from .metrics import MetricsRegistry
 from .sinks import ListSink, NullSink, TraceSink
@@ -250,12 +249,12 @@ class Telemetry:
 
     def net_batch(self, time_s: float, conn_id: int, requests: int,
                   handle_us: float) -> None:
-        """The daemon drained one uplink batch of ``requests`` frames.
+        """The daemon made one coalesced write of ``requests`` REPLY frames.
 
-        ``time_s`` is the simulation timestamp of the batch's first
-        request (the envelope clock); ``handle_us`` is the wall-clock
-        latency probe over decode-handle-encode, the one sanctioned
-        host-time measurement on the serving path.
+        ``time_s`` is the simulation timestamp of the first request
+        answered (the envelope clock); ``handle_us`` is the wall-clock
+        latency probe from that request's decode to the write's drain,
+        the one sanctioned host-time measurement on the serving path.
         """
         if not self.enabled:
             return
@@ -266,21 +265,6 @@ class Telemetry:
         registry.counter("net_batches").inc()
         registry.histogram("net_batch_size").observe(requests)
         registry.histogram("net_batch_handle_us").observe(handle_us)
-
-    def net_backpressure(self, time_s: float, conn_id: int,
-                         depth: int) -> None:
-        """A connection's bounded uplink queue filled; the reader stalled.
-
-        Emitted once per stall (the reader blocks until the drain task
-        frees a slot), so the counter is the number of times
-        backpressure actually bit, not a queue-depth sample stream.
-        """
-        if not self.enabled:
-            return
-        if self.events:
-            self.tracer.emit(EVENT_NET_BACKPRESSURE, time_s, conn=conn_id,
-                             depth=depth)
-        self.registry.counter("net_backpressure_stalls").inc()
 
     def span_open(self, time_s: float, trace_id: int, span_id: int,
                   parent_id: int, name: str) -> None:

@@ -60,8 +60,6 @@ INSTRUMENTS: Dict[str, Declared] = {
     "net_connections_closed": Declared("counter",
                                        witness="net_conn_close"),
     "net_batches": Declared("counter", witness="net_batch"),
-    "net_backpressure_stalls": Declared("counter",
-                                        witness="net_backpressure"),
     "spans_opened": Declared("counter", witness="span_open"),
     "spans_closed": Declared("counter", witness="span_close"),
     # Downlinks by protocol message kind; the family sums to Metrics.
@@ -107,12 +105,13 @@ INSTRUMENTS: Dict[str, Declared] = {
     "downlink_sizing_cost_us": Declared(
         "histogram", deterministic=False,
         buckets=(1.0, 2.0, 5.0, 10.0, 50.0, 200.0, 1000.0)),
-    # Uplink frames drained per daemon batch (1 = no coalescing); batch
-    # composition depends on socket arrival timing.
+    # REPLY frames per coalesced daemon write (1 = no coalescing); the
+    # split depends on socket arrival timing.
     "net_batch_size": Declared(
         "histogram", deterministic=False,
         buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)),
-    # Wall-clock cost of serving one drained batch, microseconds.
+    # Wall-clock cost of one coalesced write, first decode to drain,
+    # microseconds.
     "net_batch_handle_us": Declared(
         "histogram", deterministic=False,
         buckets=(10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0,

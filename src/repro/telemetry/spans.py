@@ -4,7 +4,7 @@ One traced exchange is a tiny fixed tree: the client opens a *root*
 span around its stop-and-wait request, the frame envelope carries the
 ``(trace, span)`` pair to the daemon (see
 :mod:`repro.protocol.framing`), and the daemon emits one child span per
-serving stage — decode, queue-wait, handle, reply-encode — all parented
+serving stage — decode, handle, reply-encode — all parented
 on the client's span id.  Span ids inside a trace are therefore
 *static*: the root is always :data:`ROOT_SPAN_ID` and each server stage
 owns the fixed id in :data:`SERVER_SPAN_IDS`, so well-formedness is
@@ -35,7 +35,6 @@ SPAN_LOSSY_REQUEST = "lossy_request"     # LossyTransport.request
 
 #: Span names, server side (the daemon's serving stages, in order).
 SPAN_DECODE = "decode"
-SPAN_QUEUE_WAIT = "queue_wait"
 SPAN_HANDLE = "handle"
 SPAN_REPLY_ENCODE = "reply_encode"
 
@@ -45,7 +44,6 @@ ROOT_SPAN_ID = 1
 #: Fixed server-side span ids, keyed by stage name.
 SERVER_SPAN_IDS: Dict[str, int] = {
     SPAN_DECODE: 2,
-    SPAN_QUEUE_WAIT: 3,
     SPAN_HANDLE: 4,
     SPAN_REPLY_ENCODE: 5,
 }

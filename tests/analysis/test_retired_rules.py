@@ -19,10 +19,11 @@ suite), the ``ResourceWarning``-as-error filter of ``pyproject.toml``
 plus the conformance suite's truncated-frame cases, and the wire
 goldens plus the accuracy contract.  PA008's row restates its last
 seed against that dispatch; PA007's restates its seed, a spawn whose
-handle is dropped, on the per-connection drain worker, since the loop
-watchdog it was last seeded on is gone.  Each row below is the
-defect the rule was last seeded with (``test_session_mutation.py`` held
-one per rule) and the test that catches it without the checker.  The
+handle is dropped, on a per-connection idle watch, since the drain
+worker and the loop watchdog it was seeded on before are gone.  Each
+row below is the defect the rule was last seeded with
+(``test_session_mutation.py`` held one per rule) and the test that
+catches it without the checker.  The
 row is applied to a copy of ``src/repro`` and that one test is run
 against the copy in a subprocess; it must fail, with the guard's own
 words.  RL005 (the safe-region class contract) has no row: the
@@ -120,11 +121,14 @@ RETIRED = (
             "DaemonThread.port written from thread 'repro-alarm-daemon'; "
             "the object belongs to thread 'MainThread'"),
     Retired("PA007", "net/daemon.py",
-            "            self._drain_queue(conn_id, queue, writer))\n",
-            "            self._drain_queue(conn_id, queue, writer))\n"
-            "        asyncio.create_task(  # 'a spare worker for bursts'\n"
-            "            self._drain_queue(conn_id, asyncio.Queue(), "
-            "writer))\n",
+            "        decoder = FrameDecoder()\n",
+            "        decoder = FrameDecoder()\n"
+            "\n"
+            "        async def idle_watch() -> None:  # 'drop idle peers'\n"
+            "            await asyncio.sleep(3600.0)\n"
+            "            writer.close()\n"
+            "\n"
+            "        asyncio.create_task(idle_watch())\n",
             "tests/net/test_daemon.py::TestRequestReply::"
             "test_unix_roundtrip_charges_the_server",
             "task leak at daemon close"),

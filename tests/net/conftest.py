@@ -14,6 +14,8 @@ by pure computation.
 """
 
 import asyncio
+import gc
+import os
 import time
 
 import pytest
@@ -52,6 +54,12 @@ def make_report(sequence=0, user_id=1):
     return LocationReport(user_id=user_id, sequence=sequence,
                           position=Point(1000.0, 1000.0),
                           heading=0.0, speed=5.0)
+
+
+def open_fds():
+    """This process's open file descriptors, counted through /proc."""
+    gc.collect()  # a socket dropped by an earlier test closes here
+    return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture

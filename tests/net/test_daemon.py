@@ -1,6 +1,6 @@
-"""Daemon behaviour: request/reply over real sockets, batching,
-backpressure, the SHUTDOWN channel, the thread host's lifecycle, and
-the checks a daemon's close makes.
+"""Daemon behaviour: request/reply over real sockets, in-order answers
+in coalesced writes, backpressure, the SHUTDOWN channel, the thread
+host's lifecycle, and the checks a daemon's close makes.
 
 Every daemon here runs under the loop-stall sampler of
 ``tests/net/conftest.py``.
@@ -8,6 +8,7 @@ Every daemon here runs under the loop-stall sampler of
 
 import asyncio
 import itertools
+import os
 import socket
 import time
 
@@ -16,21 +17,75 @@ import pytest
 from repro.net import DaemonThread, SocketTransport
 from repro.net import daemon as daemon_module
 from repro.protocol.framing import (FrameDecoder, FrameKind, decode_error,
-                                    encode_frame, encode_hello)
+                                    decode_stats, encode_frame,
+                                    encode_hello)
 from repro.protocol.messages import InstallSafePeriod
 from repro.protocol.transport import WireFidelityError
 from repro.protocol.wire import WireCodec
 from repro.telemetry import Telemetry
+from repro.telemetry.spans import validate_spans
 
-from .conftest import make_daemon, make_report
+from .conftest import make_daemon, make_report, open_fds
 
 pytestmark = pytest.mark.usefixtures("loop_stall_watch")
 
 
-def _leak_a_drain_worker(daemon):
-    """Spawn a daemon-module task no registry tracks (on the loop)."""
-    return asyncio.create_task(
-        daemon._drain_queue(0, asyncio.Queue(), None))
+class _Unwritable:
+    """The writer of a connection no client is on."""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _leak_a_connection_task(daemon):
+    """Spawn a daemon-module task no registry tracks (on the loop): a
+    connection task started outside ``_accept``, on a stream that never
+    gets data."""
+    return asyncio.create_task(daemon._handle_connection(
+        asyncio.StreamReader(), _Unwritable()))
+
+
+def _daemon_task_names(hosted):
+    """The daemon-module tasks live on a hosted daemon's loop, counted
+    the way its close does (``_main`` is the loop thread's own)."""
+    loop, _ = hosted._started.result()
+
+    async def names():
+        return hosted.daemon._pending_task_names()
+
+    return sorted(asyncio.run_coroutine_threadsafe(names(),
+                                                   loop).result(10.0))
+
+
+def test_stats_after_requests_reads_their_state(sock_path):
+    """HELLO, N REQUESTs and STATS in one write: the STATS frame comes
+    after the N REPLYs and reads the state they left."""
+    requests = 5
+    daemon = make_daemon()
+    codec = daemon.codec
+    with DaemonThread(daemon, path=sock_path):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.settimeout(10.0)
+            client.connect(sock_path)
+            client.sendall(
+                encode_frame(FrameKind.HELLO, encode_hello())
+                + b"".join(encode_frame(
+                    FrameKind.REQUEST,
+                    codec.encode_request(make_report(sequence)),
+                    float(sequence)) for sequence in range(requests))
+                + encode_frame(FrameKind.STATS, b"", float(requests)))
+            decoder, frames = FrameDecoder(), []
+            while len(frames) < requests + 1:
+                chunk = client.recv(1 << 16)
+                assert chunk, "daemon closed before answering"
+                frames.extend(decoder.feed(chunk))
+    assert [frame.kind for frame in frames] \
+        == [FrameKind.REPLY] * requests + [FrameKind.STATS]
+    snapshot = decode_stats(frames[-1].payload)
+    assert snapshot["metrics"]["uplink_messages"] == requests
 
 
 class TestRequestReply:
@@ -74,13 +129,12 @@ class TestRequestReply:
 
 
 class TestBatchingAndBackpressure:
-    def test_flood_triggers_backpressure_and_batches(self, sock_path):
-        """A client that writes 64 uplinks before reading anything must
-        fill a queue_limit=2 queue: the reader stalls (recorded), the
-        drain worker batches, and every report is still answered."""
+    def test_flood_is_answered_in_order_in_capped_writes(self, sock_path):
+        """A client that writes 64 uplinks before reading anything gets
+        every report answered, in request order, in writes of at most
+        ``batch_max`` REPLY frames."""
         telemetry = Telemetry.capture()
-        daemon = make_daemon(telemetry=telemetry, batch_max=8,
-                             queue_limit=2)
+        daemon = make_daemon(telemetry=telemetry, batch_max=8)
         frames = 64
         with DaemonThread(daemon, path=sock_path):
             client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -95,19 +149,85 @@ class TestBatchingAndBackpressure:
                     float(sequence)))
             client.sendall(b"".join(stream))
             decoder = FrameDecoder()
-            replies = 0
-            while replies < frames:
+            times = []
+            while len(times) < frames:
                 chunk = client.recv(1 << 16)
                 assert chunk, "daemon closed before replying to all"
-                replies += sum(frame.kind is FrameKind.REPLY
-                               for frame in decoder.feed(chunk))
+                times.extend(frame.time_s for frame in decoder.feed(chunk)
+                             if frame.kind is FrameKind.REPLY)
             client.close()
+        assert times == [float(sequence) for sequence in range(frames)]
         assert daemon.server.metrics.uplink_messages == frames
         registry = telemetry.registry
-        assert registry.counter("net_backpressure_stalls").value >= 1
+        sizes = registry.histogram("net_batch_size")
+        assert sizes.max <= 8
         batches = registry.counter("net_batches").value
         assert 1 <= batches <= frames
-        assert registry.histogram("net_batch_size").count == batches
+        assert sizes.count == batches
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open fds through /proc")
+    def test_a_peer_that_stops_reading_stalls_only_itself(self,
+                                                          sock_path):
+        """Client A writes until the kernel refuses and never reads: its
+        connection stalls in ``drain``, while client B's round trips
+        are still answered in time.  One daemon task per connection,
+        and after A closes the daemon stops with no leaked task, fd or
+        span."""
+        fds_before = open_fds()
+        telemetry = Telemetry.capture()
+        daemon = make_daemon(telemetry=telemetry)
+        codec = daemon.codec
+        sequences = itertools.count()
+
+        def traced_requests(count):
+            return b"".join(encode_frame(
+                FrameKind.REQUEST,
+                codec.encode_request(make_report(sequence)),
+                float(sequence), trace_id=sequence + 1, span_id=1)
+                for sequence in itertools.islice(sequences, count))
+
+        with DaemonThread(daemon, path=sock_path) as hosted:
+            flooder = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            flooder.connect(sock_path)
+            flooder.sendall(encode_frame(FrameKind.HELLO, encode_hello()))
+            flooder.setblocking(False)
+            # Refused five times running, 50 ms apart: the daemon has
+            # stopped reading A.
+            outgoing, sent, refusals = b"", 0, 0
+            deadline = time.monotonic() + 30.0
+            while refusals < 5:
+                assert time.monotonic() < deadline, \
+                    "the daemon kept reading a peer that never reads"
+                if len(outgoing) < 4096:
+                    outgoing += traced_requests(256)
+                try:
+                    accepted = flooder.send(outgoing)
+                except BlockingIOError:
+                    refusals += 1
+                    time.sleep(0.05)
+                    continue
+                outgoing = outgoing[accepted:]
+                sent += accepted
+                refusals = 0
+            assert sent > 1 << 16
+            with SocketTransport.connect_unix(sock_path, codec,
+                                              timeout_s=5.0) as other:
+                for sequence in range(3):
+                    reply = other.request(
+                        make_report(sequence, user_id=2), 1.0)
+                    assert isinstance(reply, tuple)
+                assert _daemon_task_names(hosted) == [
+                    "_handle_connection", "_handle_connection", "_main"]
+            flooder.close()
+        assert daemon._conn_tasks == set()
+        assert validate_spans(telemetry.tracer.sink.records) == []
+        registry = telemetry.registry
+        assert registry.counter("spans_opened").value \
+            == registry.counter("spans_closed").value > 0
+        assert registry.counter("net_connections_opened").value \
+            == registry.counter("net_connections_closed").value == 2
+        assert open_fds() == fds_before
 
 
 class TestShutdownChannel:
@@ -174,12 +294,13 @@ class TestDaemonThreadLifecycle:
         daemon = make_daemon()
         with pytest.raises(RuntimeError,
                            match=r"task leak at daemon close: 1 daemon "
-                                 r"task\(s\) still pending: _drain_queue"):
+                                 r"task\(s\) still pending: "
+                                 r"_handle_connection"):
             with DaemonThread(daemon, path=sock_path) as hosted:
                 loop, _ = hosted._started.result()
 
                 async def leak():
-                    _leak_a_drain_worker(daemon)
+                    _leak_a_connection_task(daemon)
 
                 asyncio.run_coroutine_threadsafe(leak(), loop).result(10.0)
 
@@ -189,7 +310,7 @@ class TestDaemonThreadLifecycle:
         loop, _ = hosted._started.result()
 
         async def leak():
-            _leak_a_drain_worker(daemon)
+            _leak_a_connection_task(daemon)
 
         asyncio.run_coroutine_threadsafe(leak(), loop).result(10.0)
         with pytest.raises(RuntimeError, match="task leak at daemon close"):
@@ -199,8 +320,6 @@ class TestDaemonThreadLifecycle:
     def test_daemon_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             make_daemon(batch_max=0)
-        with pytest.raises(ValueError):
-            make_daemon(queue_limit=0)
 
 
 class TestOwnerThread:
@@ -311,8 +430,8 @@ class TestCloseChecks:
             self, monkeypatch):
         """aclose() can find a connection already tearing itself down
         and cancel it parked in ``wait_closed`` (the socket teardown
-        flake): the close bookkeeping must run all the same — no queue
-        entry left behind, closed == opened, every span closed."""
+        flake): the close bookkeeping must run all the same — no task
+        left behind, closed == opened, every span closed."""
 
         async def scenario():
             parked = asyncio.Event()
@@ -344,7 +463,6 @@ class TestCloseChecks:
             return daemon, telemetry.registry
 
         daemon, registry = asyncio.run(scenario())
-        assert daemon._conn_queues == {}
         assert daemon._conn_tasks == set()
         assert registry.counter("net_connections_opened").value == 1
         assert registry.counter("net_connections_closed").value == 1
@@ -358,7 +476,7 @@ class TestCloseChecks:
         async def scenario():
             daemon = make_daemon()
             await daemon.start_tcp("127.0.0.1", 0)
-            rogue = _leak_a_drain_worker(daemon)
+            rogue = _leak_a_connection_task(daemon)
             try:
                 await asyncio.sleep(0)
                 await daemon.aclose()
@@ -370,7 +488,7 @@ class TestCloseChecks:
                     pass
 
         with pytest.raises(RuntimeError,
-                           match=r"task leak.*_drain_queue"):
+                           match=r"task leak.*_handle_connection"):
             asyncio.run(scenario())
 
 
@@ -456,8 +574,8 @@ class TestFramedAccounting:
 
     def test_replies_drained_before_a_drifting_one_are_written(
             self, sock_path, monkeypatch):
-        """Two REQUESTs in one write drain as one batch and the second
-        reply drifts.  The first exchange was handled and charged, so
+        """Two REQUESTs in one write are answered in one write and the
+        second reply drifts.  The first exchange was handled and charged, so
         its REPLY reaches the wire ahead of the ERROR frame."""
         self._drift_replies(monkeypatch, faithful=1)
         daemon = make_daemon(verify_wire=True)

@@ -12,22 +12,21 @@ daemon closes the connection.  Every frame the daemon sends must have
 a server-to-client row from the state it was sent in.
 
 READY is reached with HELLO and three REQUESTs in the same write as
-the case frame, so a rejected frame arrives behind queued work: their
-REPLYs must go out before the ERROR.  A well-formed case frame is
-followed by a STATS probe, which reads back the state the frame left
-(answered in READY, rejected by name in AWAIT_HELLO, ignored after an
-ERROR).  Throughout, a second connection keeps being served, and when
+the case frame, so a rejected frame, and a SHUTDOWN, arrive behind
+work not yet answered: their REPLYs must go out first.  The answers
+come in exactly the order the spec gives.  A well-formed case frame
+is followed by a STATS probe, which reads back the state the frame
+left (answered in READY, rejected by name in AWAIT_HELLO, ignored
+after an ERROR).  Throughout, a second connection keeps being served, and when
 the daemon closes no task, fd or span may leak and its loop may not
 have stalled (``loop_stall_watch``); a failed close is raised by
 leaving the ``DaemonThread`` block.
 """
 
-import gc
 import itertools
 import os
 import socket
 import struct
-from collections import Counter
 
 import pytest
 
@@ -42,7 +41,7 @@ from repro.protocol.spec import (CLIENT_TRANSITIONS, DIR_SERVER_TO_CLIENT,
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import validate_spans
 
-from .conftest import make_daemon, make_report
+from .conftest import make_daemon, make_report, open_fds
 
 #: A kind byte that names no ``FrameKind`` member.
 UNKNOWN_KIND = max(FrameKind) + 1
@@ -124,19 +123,12 @@ def _read_to_close(client, decoder):
         frames.extend(decoder.feed(chunk))
 
 
-def _open_fds():
-    gc.collect()  # a socket dropped by an earlier test closes here
-    return len(os.listdir("/proc/self/fd"))
-
-
 def assert_spec_answer(label, uplinks, received):
     """``received`` is what the spec answers to ``uplinks``."""
     expected = spec_answer(uplinks)
     sent = [frame.kind for frame in received]
     wanted = [answer for _, answer, _ in expected]
-    # REPLYs come from the drain worker and STATS from the reader, so
-    # only their counts are fixed; ERROR is fixed as the last frame.
-    assert Counter(sent) == Counter(wanted), (
+    assert sent == wanted, (
         "%s: the spec answers %s, the daemon sent %s"
         % (label, ", ".join(map(_name, wanted)) or "nothing",
            ", ".join(map(_name, sent)) or "nothing"))
@@ -145,9 +137,7 @@ def assert_spec_answer(label, uplinks, received):
             is not None, (label, state, answer)
     if FrameKind.ERROR not in wanted:
         return
-    assert sent[-1] is FrameKind.ERROR, (
-        "%s: ERROR must be the last frame, the daemon sent %s"
-        % (label, ", ".join(map(_name, sent))))
+    # ERROR is the last frame (the spec answers nothing after it).
     state, _, rejected = expected[-1]
     if isinstance(rejected, FrameKind):
         # A frame without a row: the reason names the kind and state.
@@ -162,7 +152,7 @@ def assert_spec_answer(label, uplinks, received):
 def test_frame_gets_the_spec_answer(case, sock_path):
     state, kind, shape = case
     shutdown = kind is FrameKind.SHUTDOWN and shape == "well-formed"
-    fds_before = _open_fds()
+    fds_before = open_fds()
     telemetry = Telemetry.capture()
     daemon = make_daemon(telemetry=telemetry)
     codec = daemon.codec
@@ -183,12 +173,9 @@ def test_frame_gets_the_spec_answer(case, sock_path):
         decoder = FrameDecoder()
         received = []
         if shutdown:
-            # The daemon stops on SHUTDOWN; the queued work is answered
-            # first, so that no reply races the stop.
-            client.sendall(head)
-            while len(received) < len(spec_answer(prefix)):
-                received += decoder.feed(client.recv(1 << 16))
-            client.sendall(case_bytes)
+            # The daemon stops on SHUTDOWN, after answering the
+            # requests before it in the same write.
+            client.sendall(head + case_bytes)
         else:
             if shape == "well-formed":
                 case_bytes += encode_frame(FrameKind.STATS, b"", 1.0)
@@ -200,15 +187,17 @@ def test_frame_gets_the_spec_answer(case, sock_path):
         assert_spec_answer("%s %s %s" % (state, _name(kind), shape),
                            uplinks, received)
         if shutdown:
+            assert [frame.kind for frame in received] \
+                == [FrameKind.REPLY] * prefix.count(FrameKind.REQUEST)
             hosted._thread.join(timeout=10.0)
             assert not hosted._thread.is_alive(), "SHUTDOWN did not stop"
         else:
             bystander.request(make_report(user_id=2), 2.0)
         bystander.close()
 
-    assert daemon._conn_tasks == set() and daemon._conn_queues == {}
+    assert daemon._conn_tasks == set()
     assert validate_spans(telemetry.tracer.sink.records) == []
     registry = telemetry.registry
     assert registry.counter("net_connections_opened").value \
         == registry.counter("net_connections_closed").value == 2
-    assert _open_fds() == fds_before
+    assert open_fds() == fds_before

@@ -70,15 +70,10 @@ class TestStatsChannel:
         finally:
             hosted.stop()
         # The scrape itself perturbs the connection counters (every
-        # scrape is one open+close) and each scrape connection gets a
-        # fresh conn id, so strip the registry section and key the
-        # queue-depth map by position — everything else of an idle
-        # daemon must encode byte-identically.
+        # scrape is one open+close), so strip the registry section —
+        # everything else of an idle daemon must encode byte-identically.
         for snapshot in (first, second):
             snapshot.raw.pop("registry")
-            live = snapshot.raw["live"]
-            assert isinstance(live, dict)
-            live["queue_depth"] = sorted(live["queue_depth"].values())
         assert encode_stats(first.raw) == encode_stats(second.raw)
 
     def test_snapshot_sections(self, sock_path):
@@ -93,8 +88,7 @@ class TestStatsChannel:
         assert snapshot.serving()["batch_max"] == daemon.batch_max
         live = snapshot.live()
         # The scraper's own connection is live at snapshot time.
-        assert live["connections_open"] == 1
-        assert live["queue_depth_total"] == 0
+        assert live == {"connections_open": 1}
         assert snapshot.scrape_rtt_us > 0
         # The scraped sections round-trip the daemon's own: the counts
         # as Metrics holds them, the registry with its stage histograms
@@ -207,8 +201,8 @@ class TestPromConformance:
                    for line in lines)
         # Live gauges follow the registry section.
         assert "# TYPE repro_live_connections_open gauge" in lines
-        assert "repro_live_connections_open 1" in lines
-        assert "repro_live_queue_depth_total 0" in lines
+        assert [line for line in lines if line.startswith("repro_live_")] \
+            == ["repro_live_connections_open 1"]
 
     def test_deterministic_lines_survive_the_wire(self, sock_path):
         """Gauge/counter/histogram lines of every run-deterministic
@@ -267,10 +261,8 @@ class TestRenderers:
                              "downlink_messages": uplinks // 2,
                              "trigger_notifications": 3},
                  "registry": registry.to_dict(),
-                 "live": {"connections_open": 2,
-                          "queue_depth": {"1": 0, "2": 4},
-                          "queue_depth_total": 4},
-                 "serving": {"batch_max": 64, "queue_limit": 1024,
+                 "live": {"connections_open": 2},
+                 "serving": {"batch_max": 64,
                              "protocol_version": PROTOCOL_VERSION}},
             scrape_rtt_us=123.0)
 
@@ -278,7 +270,7 @@ class TestRenderers:
         text = render_stats_text(self._snapshot())
         assert "daemon stats" in text
         assert "connections open:   2" in text
-        assert "protocol=v%d" % PROTOCOL_VERSION in text
+        assert "batch_max=64 protocol=v%d" % PROTOCOL_VERSION in text
         assert "uplink_messages" in text
         assert "net_rtt_us" in text
 

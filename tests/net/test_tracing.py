@@ -41,9 +41,9 @@ class TestTraceFollowThrough:
 
         opens = _span_events(telemetry, "span_open")
         closes = _span_events(telemetry, "span_close")
-        # One root + four server stages, every one closed.
-        assert len(opens) == 5
-        assert len(closes) == 5
+        # One root + three server stages, every one closed.
+        assert len(opens) == 4
+        assert len(closes) == 4
 
         roots = [record for record in opens
                  if record["name"] == SPAN_CLIENT_REQUEST]

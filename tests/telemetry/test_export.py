@@ -65,17 +65,19 @@ class TestReconcile:
         result = reconcile(read_trace(path))
         assert result["ok"] is True
         assert all(entry["ok"] for entry in result["checks"])
-        # 19 = 27 - 10 + 2: the parent's 27 rows, less the ten that set
+        # 17 = 27 - 10 + 2 - 2: the parent's 27 rows, less the ten that set
         # a registry counter against the Metrics field it was a copy of
         # (uplink/downlink messages and bytes, alarms fired, safe-region
         # computations, the two drop counters, the two probe counters),
         # plus the two rows that took the drop counters' place with
         # independent evidence, transport_drop events by direction vs
-        # Metrics.  What remains: 4 events-vs-Metrics pairs + those 2,
-        # 7 registry-vs-events pairs (saferegion_exits, four net_*, two
-        # spans_*), the per-kind downlink prefix sum, and the 5 span
-        # rows (balance, client_request-vs-RTT, three pipeline stages).
-        assert len(result["checks"]) == 19
+        # Metrics, less the backpressure-stall and queue-wait rows that
+        # went with the daemon's queue.  What remains: 4 events-vs-Metrics
+        # pairs + those 2, 6 registry-vs-events pairs (saferegion_exits,
+        # three net_*, two spans_*), the per-kind downlink prefix sum,
+        # and the 4 span rows (balance, client_request-vs-RTT, two
+        # pipeline stages).
+        assert len(result["checks"]) == 17
         assert not [entry["name"] for entry in result["checks"]
                     if entry["name"].startswith("registry.")
                     and "== metrics." in entry["name"]]

@@ -73,7 +73,6 @@ class TestEmitters:
         telemetry.net_conn_open(1)
         telemetry.net_conn_close(1, clean=True, requests=1)
         telemetry.net_batch(1.0, 1, requests=1, handle_us=30.0)
-        telemetry.net_backpressure(1.0, 1, depth=4)
         telemetry.span_open(1.0, 5, 1, 0, "client_request")
         telemetry.span_close(1.0, 5, 1, "ok", 80.0)
         telemetry.net_rtt(80.0)

@@ -162,7 +162,6 @@ class TestParser:
 
     @pytest.mark.parametrize("flags", [
         SERVE + ["--batch", "0"], SERVE + ["--batch", "-3"],
-        SERVE + ["--queue", "0"], SERVE + ["--queue", "-1"],
         ["profile", "--samples", "0"], ["profile", "--samples", "-5"]],
         ids=lambda flags: " ".join([flags[0]] + flags[-2:]))
     def test_a_count_below_one_is_a_usage_error(self, flags, capsys,
