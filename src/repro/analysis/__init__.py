@@ -14,7 +14,7 @@ The missing ids are retired: a guard that holds at every site (a
 frozen type, a check inside every codec or daemon close, the daemon's
 dispatch through the session table, the daemon objects' refusal of
 writes from a thread other than their owner's, the telemetry
-registry's and tracer's refusal of an undeclared name, the test
+registry's and facade's refusal of an undeclared name, the test
 harness's blocking-call guard on every daemon loop and its resource
 warnings as errors, the fork-worker test and the spawn differential
 run of the sharded engine) enforces each, or the code it guarded is

@@ -41,8 +41,8 @@ from .protocol.transport import (InProcessTransport, LossyTransport,
                                  TransportFactory)
 from .strategies import (OptimalStrategy, PeriodicStrategy,
                          ProcessingStrategy, SafePeriodStrategy)
-from .telemetry import (EVENT_TYPES, JsonlSink, NullSink, RunManifest,
-                        Telemetry, filter_events, read_trace, reconcile,
+from .telemetry import (EVENT_TYPES, JsonlSink, RunManifest, Telemetry,
+                        filter_events, read_trace, reconcile,
                         render_event_line, render_json, render_prom,
                         render_text, validate_trace)
 
@@ -200,7 +200,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         # Metrics-only: the server time below (and --profile) is read
         # from the registry, and no event record is built.
-        telemetry = Telemetry.capture(sink=NullSink())
+        telemetry = Telemetry.metrics_only()
     try:
         if args.workers > 1:
             # The sharded engine constructs one strategy per worker

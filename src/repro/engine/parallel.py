@@ -50,7 +50,6 @@ from ..index import GridOverlay
 from ..mobility import TraceSet
 from ..protocol.transport import TransportFactory
 from ..telemetry.facade import DISABLED, Telemetry
-from ..telemetry.sinks import NullSink
 from .metrics import Metrics
 from .simulation import (SimulationResult, World, in_process_link, replay,
                          score_run)
@@ -125,9 +124,9 @@ class ShardJob:
 
         A traced shard stamps its events with ``shard_index``.
         """
-        telemetry = (DISABLED if self.trace == "off" else Telemetry.capture(
-            NullSink() if self.trace == "metrics" else None,
-            shard=shard_index))
+        telemetry = (DISABLED if self.trace == "off"
+                     else Telemetry.metrics_only() if self.trace == "metrics"
+                     else Telemetry.capture(shard=shard_index))
         metrics, _ = replay(
             self.registry, self.grid, traces,
             self.strategy_factory(),
@@ -226,8 +225,8 @@ def run_parallel_simulation(world: World,
     a traced parallel run produces one coherent event stream and one
     merged registry — reconcilable against the merged ``Metrics``, and
     holding the wall time of every server stage summed over the shards.
-    A metrics-only facade (a ``NullSink`` capture) makes its workers
-    metrics-only too: they ship the registry and no events.
+    A metrics-only facade (:meth:`Telemetry.metrics_only`) makes its
+    workers metrics-only too: they ship the registry and no events.
     """
     if workers is None:
         workers = default_worker_count()

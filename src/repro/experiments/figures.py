@@ -27,7 +27,7 @@ from ..strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                           PeriodicStrategy, ProcessingStrategy,
                           RectangularSafeRegionStrategy,
                           SafePeriodStrategy)
-from ..telemetry import NullSink, Telemetry
+from ..telemetry import Telemetry
 from .configs import (DEFAULT_CELL_AREA_KM2, BENCH, WorkloadConfig,
                       build_world, scaled_cell_sizes)
 from .report import ServerTime, Table
@@ -42,10 +42,13 @@ FIG6_PBSR_HEIGHT = 5
 # Strategy factories
 # ----------------------------------------------------------------------
 def make_mwpsr_strategy(y: float = 1.0, z: int = 32,
-                        weighted: bool = True,
-                        exhaustive: bool = False
+                        weighted: bool = True
                         ) -> RectangularSafeRegionStrategy:
-    """The rectangular strategy in any of its Fig. 4 variants."""
+    """The rectangular strategy in any of its Fig. 4 variants.
+
+    The name keys ``_RESULT_CACHE``, so it names every argument that
+    changes the computer.
+    """
     model: MotionModel
     if weighted:
         model = SteadyMotionModel(y=y, z=z)
@@ -53,7 +56,7 @@ def make_mwpsr_strategy(y: float = 1.0, z: int = 32,
     else:
         model = UniformMotionModel()
         name = "MPSR(non-weighted)"
-    computer = MWPSRComputer(model=model, exhaustive=exhaustive)
+    computer = MWPSRComputer(model=model)
     return RectangularSafeRegionStrategy(computer, name=name)
 
 
@@ -70,7 +73,7 @@ def timed_run(world: World, strategy: ProcessingStrategy
     The capture feeds the registry's stage histograms, the one ledger of
     server time, and builds no event record.
     """
-    telemetry = Telemetry.capture(NullSink())
+    telemetry = Telemetry.metrics_only()
     result = run_simulation(world, strategy, telemetry=telemetry)
     return result, ServerTime.of(telemetry.registry)
 

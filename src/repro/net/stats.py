@@ -47,11 +47,11 @@ class StatsSnapshot:
         return self._section("metrics")
 
     def live(self) -> Dict[str, object]:
-        """Live gauges: open connections and per-connection queue depth."""
+        """Live readings: the number of open connections."""
         return self._section("live")
 
     def serving(self) -> Dict[str, object]:
-        """Serving configuration: batch/queue knobs, protocol version."""
+        """Serving configuration: ``batch_max`` and the protocol version."""
         return self._section("serving")
 
     def registry(self) -> MetricsRegistry:
@@ -165,24 +165,26 @@ def render_stats_prom(snapshot: StatsSnapshot) -> str:
 def histogram_percentile(histogram: Histogram, q: float) -> float:
     """Estimate the ``q``-quantile from a histogram's bucket counts.
 
-    Linear interpolation within the bucket the quantile falls in (the
-    first bucket interpolates from 0); a quantile landing in the
-    overflow bucket reports the observed maximum.  Exact percentiles
-    need the raw samples — this is the scrape-side estimate ``repro
-    top`` displays.
+    Linear interpolation within the bucket the quantile falls in, its
+    edges clamped to the observed minimum and maximum (no sample lies
+    outside them, so a histogram of equal samples reads their value at
+    every quantile); a quantile landing in the overflow bucket reports
+    the observed maximum.  Exact percentiles need the raw samples —
+    this is the scrape-side estimate ``repro top`` displays.
     """
-    if histogram.count <= 0:
+    minimum, maximum = histogram.min, histogram.max
+    if histogram.count <= 0 or minimum is None or maximum is None:
         return 0.0
     rank = q * histogram.count
     cumulative = 0.0
-    lower = 0.0
+    lower = minimum
     for bound, count in zip(histogram.buckets, histogram.bucket_counts):
         if count and cumulative + count >= rank:
             fraction = (rank - cumulative) / count
-            return lower + (bound - lower) * fraction
+            return float(lower + (min(bound, maximum) - lower) * fraction)
         cumulative += count
-        lower = bound
-    return float(histogram.max if histogram.max is not None else lower)
+        lower = max(bound, minimum)
+    return float(maximum)
 
 
 def _rate(current: Mapping[str, object], previous: Mapping[str, object],

@@ -162,14 +162,9 @@ class LossyTransport(InProcessTransport):
 
     ``uplink_drop`` / ``downlink_drop`` are per-attempt loss
     probabilities drawn from a seeded private RNG (runs are exactly
-    reproducible).  ``delay_s`` is the one-way delivery latency charged
-    per attempt; retransmission ``attempt`` additionally waits
-    ``backoff_s * 2**(attempt-1)`` before resending.  The accumulated
-    virtual latency of the worst exchange is exposed as
-    ``max_exchange_latency_s`` so scenarios can assert it stays below
-    the sampling interval — the condition under which stop-and-wait
-    retry preserves the accuracy contract (the reply installs state
-    before the next fix is taken).
+    reproducible).  Retries take no simulated time, so the reply
+    installs its state before the next fix is taken — the condition
+    under which stop-and-wait retry preserves the accuracy contract.
 
     Dropped attempts are charged like delivered ones (bandwidth is
     consumed either way) and counted in ``Metrics.uplink_drops`` /
@@ -184,15 +179,13 @@ class LossyTransport(InProcessTransport):
     per-transport trace-id counter behind those spans.
     """
 
-    __slots__ = ("uplink_drop", "downlink_drop", "delay_s", "backoff_s",
-                 "max_attempts", "max_exchange_latency_s", "_rng",
+    __slots__ = ("uplink_drop", "downlink_drop", "max_attempts", "_rng",
                  "_trace_count")
 
     def __init__(self, server: "AlarmServer", policy: ServerPolicy,
                  codec: Optional[WireCodec] = None,
                  verify_wire: bool = False, *,
                  uplink_drop: float = 0.0, downlink_drop: float = 0.0,
-                 delay_s: float = 0.0, backoff_s: float = 0.05,
                  max_attempts: int = 8, seed: int = 0) -> None:
         super().__init__(server, policy, codec, verify_wire)
         for name, probability in (("uplink_drop", uplink_drop),
@@ -203,10 +196,7 @@ class LossyTransport(InProcessTransport):
             raise ValueError("max_attempts must be positive")
         self.uplink_drop = uplink_drop
         self.downlink_drop = downlink_drop
-        self.delay_s = delay_s
-        self.backoff_s = backoff_s
         self.max_attempts = max_attempts
-        self.max_exchange_latency_s = 0.0
         self._rng = random.Random(seed)
         self._trace_count = 0
 
@@ -236,10 +226,8 @@ class LossyTransport(InProcessTransport):
     def _exchange(self, request: Request, time_s: float) -> ServerReply:
         server = self.server
         telemetry = server.telemetry
-        latency = 0.0
-        for attempt in range(self.max_attempts):
+        for _ in range(self.max_attempts):
             nbytes = self._charge_uplink(request)
-            latency += self._attempt_latency(attempt)
             if self._rng.random() < self.uplink_drop:
                 server.metrics.uplink_drops += 1
                 if telemetry.enabled:
@@ -256,10 +244,7 @@ class LossyTransport(InProcessTransport):
                     time_s, request.user_id, nbytes,
                     (time.perf_counter() - cost_started) * 1e6)
             for message in reply:
-                latency += self._deliver_downlink(message,
-                                                  request.user_id, time_s)
-            self.max_exchange_latency_s = max(self.max_exchange_latency_s,
-                                              latency)
+                self._deliver_downlink(message, request.user_id, time_s)
             return reply
         raise TransportError(
             "uplink report of user %d undeliverable after %d attempts"
@@ -271,30 +256,22 @@ class LossyTransport(InProcessTransport):
 
     # ------------------------------------------------------------------
     def _deliver_downlink(self, message: Response, user_id: int,
-                          time_s: float) -> float:
-        """Retransmit one payload until delivered; return its latency."""
+                          time_s: float) -> None:
+        """Retransmit one payload until delivered."""
         server = self.server
-        latency = 0.0
-        for attempt in range(self.max_attempts):
+        for _ in range(self.max_attempts):
             if not self._charge_downlink(message, user_id, time_s):
-                return 0.0  # in-band: rides the (already delivered) reply
-            latency += self._attempt_latency(attempt)
+                return  # in-band: rides the (already delivered) reply
             if self._rng.random() < self.downlink_drop:
                 server.metrics.downlink_drops += 1
                 if server.telemetry.enabled:
                     server.telemetry.transport_drop(time_s, user_id,
                                                     "downlink")
                 continue
-            return latency
+            return
         raise TransportError(
             "downlink payload for user %d undeliverable after %d attempts"
             % (user_id, self.max_attempts))
-
-    def _attempt_latency(self, attempt: int) -> float:
-        """Virtual seconds attempt number ``attempt`` (0-based) costs."""
-        if attempt == 0:
-            return self.delay_s
-        return self.delay_s + self.backoff_s * (2.0 ** (attempt - 1))
 
 
 #: Builds the transport for one (server, policy) pair.  Must be

@@ -3,8 +3,9 @@
 The package is split read-side/write-side around the JSONL trace file:
 
 * **write side** (on the engine's hot paths): the :class:`Telemetry`
-  facade bundling a :class:`Tracer`, a :class:`MetricsRegistry` and an
-  optional :class:`RunManifest`; disabled telemetry — the shared
+  facade, which writes its event records to a :class:`TraceSink` and
+  bundles a :class:`MetricsRegistry` and an optional
+  :class:`RunManifest`; disabled telemetry — the shared
   :data:`DISABLED` singleton — costs one attribute check per
   instrumented site.
 * **read side** (offline, pure): :func:`read_trace`,
@@ -31,14 +32,13 @@ from .export import (TraceData, event_counts, filter_events, read_trace,
 from .facade import DISABLED, Telemetry
 from .manifest import (MANIFEST_VERSION, RunManifest, config_fingerprint,
                        current_git_sha, extract_seeds)
-from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram, Instrument,
+from .metrics import (INSTRUMENTS, Counter, Histogram, Instrument,
                       MetricsRegistry, TelemetryError)
-from .sinks import JsonlSink, ListSink, NullSink, TraceSink, read_jsonl
+from .sinks import JsonlSink, ListSink, TraceSink, read_jsonl
 from .spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS, SPAN_CLIENT_REQUEST,
                     SPAN_DECODE, SPAN_HANDLE, SPAN_LOSSY_REQUEST,
                     SPAN_REPLY_ENCODE, STATUS_ERROR, STATUS_OK,
                     make_trace_id, span_close_counts, validate_spans)
-from .tracer import Tracer
 
 __all__ = [
     "BASE_FIELDS",
@@ -58,7 +58,6 @@ __all__ = [
     "EVENT_SPAN_CLOSE",
     "EVENT_SPAN_OPEN",
     "EVENT_TYPES",
-    "Gauge",
     "Histogram",
     "INSTRUMENTS",
     "Instrument",
@@ -66,7 +65,6 @@ __all__ = [
     "ListSink",
     "MANIFEST_VERSION",
     "MetricsRegistry",
-    "NullSink",
     "RECORD_EVENT",
     "RECORD_MANIFEST",
     "RECORD_SUMMARY",
@@ -84,7 +82,6 @@ __all__ = [
     "TelemetryError",
     "TraceData",
     "TraceSink",
-    "Tracer",
     "config_fingerprint",
     "current_git_sha",
     "event_counts",

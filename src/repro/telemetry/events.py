@@ -14,7 +14,7 @@ reconciliation.  An event record always has the base fields
 ``shard``   the shard index that produced the event (0 for serial runs)
 
 plus the per-type payload fields listed in :data:`EVENT_FIELDS`.
-``Tracer.emit`` refuses a type that is not declared there, and ``repro
+``Telemetry.emit`` refuses a type that is not declared there, and ``repro
 trace validate`` and the CI smoke job assert the fields, so extending
 the schema is an explicit act: add the type constant, its field set,
 an emitter on :class:`~repro.telemetry.facade.Telemetry`, and a schema

@@ -29,8 +29,7 @@ from .events import (EVENT_FIELDS, EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
                      EVENT_TRANSPORT_DROP, EVENT_TYPES, RECORD_EVENT,
                      RECORD_MANIFEST, RECORD_SUMMARY, validate_event)
 from .manifest import RunManifest
-from .metrics import (INSTRUMENTS, Counter, Gauge, Histogram,
-                      MetricsRegistry)
+from .metrics import INSTRUMENTS, Counter, Histogram, MetricsRegistry
 from .sinks import read_jsonl
 from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
                     SPAN_REPLY_ENCODE, STATUS_OK, span_close_counts,
@@ -273,21 +272,15 @@ def render_text(data: TraceData) -> str:
     counters = [inst for inst in (registry.get(name)
                                   for name in registry.names())
                 if isinstance(inst, Counter)]
-    gauges = [inst for inst in (registry.get(name)
-                                for name in registry.names())
-              if isinstance(inst, Gauge)]
     histograms = [inst for inst in (registry.get(name)
                                     for name in registry.names())
                   if isinstance(inst, Histogram)]
-    if counters or gauges:
+    if counters:
         lines.append("")
-        lines.append("counters & gauges")
+        lines.append("counters")
         lines.append("-" * 60)
         for counter in counters:
             lines.append("  %-28s %12s" % (counter.name, counter.value))
-        for gauge in gauges:
-            lines.append("  %-28s %12s  (gauge, peak)"
-                         % (gauge.name, gauge.value))
     for histogram in histograms:
         lines.append("")
         lines.extend(_render_histogram(histogram))
@@ -351,10 +344,6 @@ def render_registry_prom(registry: MetricsRegistry) -> List[str]:
         if isinstance(instrument, Counter):
             lines.append("# TYPE %s counter" % metric)
             lines.append("%s %s" % (metric, instrument.value))
-        elif isinstance(instrument, Gauge):
-            lines.append("# TYPE %s gauge" % metric)
-            if instrument.value is not None:
-                lines.append("%s %s" % (metric, instrument.value))
         elif isinstance(instrument, Histogram):
             lines.append("# TYPE %s histogram" % metric)
             cumulative = 0
@@ -387,7 +376,7 @@ def render_metrics_prom(metrics: Mapping[str, object]) -> List[str]:
 
 
 def render_prom(data: TraceData) -> str:
-    """Prometheus text exposition format (counters, gauges, histograms).
+    """Prometheus text exposition format (counters, histograms, run info).
 
     The registry rendering is :func:`render_registry_prom` and the
     engine's counts :func:`render_metrics_prom`; this adds the run-info

@@ -11,30 +11,32 @@ plus one boolean test per instrumented site (the microbench guard in
 
 An enabled facade bundles the three telemetry concerns:
 
-* the :class:`~repro.telemetry.tracer.Tracer` writing typed events to
-  a pluggable sink;
-* the :class:`~repro.telemetry.metrics.MetricsRegistry` of counters,
-  gauges and histograms, merged across shards like ``Metrics.merged``;
+* the typed event records it builds and writes to a pluggable
+  :class:`~repro.telemetry.sinks.TraceSink`, each stamped with the
+  facade's ``shard`` index;
+* the :class:`~repro.telemetry.metrics.MetricsRegistry` of counters
+  and histograms, merged across shards like ``Metrics.merged``;
 * the optional :class:`~repro.telemetry.manifest.RunManifest` written
   as the trace's provenance header.
 
-An enabled facade runs in one of two capture modes, worked out from
-its sink: a :class:`~repro.telemetry.sinks.NullSink` makes it
-*metrics-only* (``events`` is false: the registry is fed, no event
-record is built and ``Tracer.emit`` is never called), any other sink
-makes it a full trace.  ``repro simulate`` without ``--trace``,
-``--profile`` and the figure harness run metrics-only; a sharded run
-tells its workers which mode to capture in (``ShardJob.trace``), so a
-metrics-only worker ships back its registry and no events.
+An enabled facade runs in one of two capture modes, fixed by its
+constructor: :meth:`Telemetry.metrics_only` holds no sink (``events``
+is false: the registry is fed, no event record is built), and
+:meth:`Telemetry.capture` holds one and writes a full trace.  ``repro
+simulate`` without ``--trace``, ``--profile`` and the figure harness
+run metrics-only; a sharded run tells its workers which mode to
+capture in (``ShardJob.trace``), so a metrics-only worker ships back
+its registry and no events.
 
-The typed ``emit`` helpers below are the only place events and their
-derived instruments are produced.  Both vocabularies are declared
-elsewhere and enforced where they are used: ``Tracer.emit`` refuses a
-type missing from ``EVENT_FIELDS``, and the registry refuses a name
-missing from ``INSTRUMENTS``, whose entries also carry each
-instrument's kind, flag and buckets.  Each quantity is written once: a
-count the figures report lives in the engine's ``Metrics`` and nowhere
-in the registry, which holds what ``Metrics`` has no field for —
+The typed emitters below are the only callers of :meth:`Telemetry.emit`
+and the only place events and their derived instruments are produced.
+Both vocabularies are declared elsewhere and enforced where they are
+used: ``emit`` refuses a type missing from ``EVENT_FIELDS``, and the
+registry refuses a name missing from ``INSTRUMENTS``, whose entries
+also carry each instrument's kind, flag and buckets.  Each quantity is
+written once: a count the figures report lives in the engine's
+``Metrics`` and nowhere in the registry, which holds what ``Metrics``
+has no field for —
 distributions, wall time per server stage (the ``*_cost_us``
 histograms), and counters with no ``Metrics`` twin.  ``repro report``
 cross-checks the routes a run reaches it by: the event stream, the
@@ -47,33 +49,34 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .events import (EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
+from .events import (EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT, EVENT_FIELDS,
                      EVENT_LOCATION_REPORT, EVENT_NET_BATCH,
                      EVENT_NET_CONN_CLOSE, EVENT_NET_CONN_OPEN,
                      EVENT_SAFEREGION_COMPUTED, EVENT_SAFEREGION_EXIT,
                      EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
                      EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
-                     EVENT_TRANSPORT_DROP, RECORD_SUMMARY)
+                     EVENT_TRANSPORT_DROP, RECORD_EVENT, RECORD_SUMMARY)
 from .manifest import RunManifest
-from .metrics import MetricsRegistry
-from .sinks import ListSink, NullSink, TraceSink
-from .tracer import Tracer
+from .metrics import MetricsRegistry, TelemetryError
+from .sinks import ListSink, TraceSink
 
 
 class Telemetry:
-    """Facade over tracer, metrics registry and run manifest."""
+    """Facade over event records, metrics registry and run manifest."""
 
-    __slots__ = ("enabled", "events", "tracer", "registry", "manifest",
-                 "_span_lock")
+    __slots__ = ("enabled", "events", "sink", "shard", "registry",
+                 "manifest", "_span_lock")
 
-    def __init__(self, tracer: Tracer, registry: MetricsRegistry,
+    def __init__(self, sink: Optional[TraceSink], registry: MetricsRegistry,
                  manifest: Optional[RunManifest] = None,
-                 enabled: bool = True) -> None:
+                 enabled: bool = True, shard: int = 0) -> None:
+        if shard < 0:
+            raise ValueError("shard index must be non-negative")
         self.enabled = enabled
-        # Metrics-only capture: a sink that drops every record is never
-        # handed one, so none is built.
-        self.events = enabled and not isinstance(tracer.sink, NullSink)
-        self.tracer = tracer
+        # Metrics-only capture: a facade without a sink builds no record.
+        self.events = enabled and sink is not None
+        self.sink = sink
+        self.shard = shard
         self.registry = registry
         self.manifest = manifest
         # Span events are the one emitter family called from two
@@ -89,19 +92,44 @@ class Telemetry:
     @classmethod
     def capture(cls, sink: Optional[TraceSink] = None, shard: int = 0,
                 manifest: Optional[RunManifest] = None) -> "Telemetry":
-        """An enabled facade; ``sink`` defaults to an in-memory buffer.
+        """A full trace into ``sink`` (default: an in-memory buffer)."""
+        return cls(sink if sink is not None else ListSink(),
+                   MetricsRegistry(), manifest=manifest, shard=shard)
 
-        ``NullSink()`` makes the capture metrics-only (see the module
-        docstring).
-        """
-        return cls(Tracer(sink if sink is not None else ListSink(),
-                          shard=shard),
-                   MetricsRegistry(), manifest=manifest)
+    @classmethod
+    def metrics_only(cls) -> "Telemetry":
+        """An enabled facade that feeds its registry and builds no event."""
+        return cls(None, MetricsRegistry())
 
     @classmethod
     def disabled(cls) -> "Telemetry":
         """A no-op facade (every emit returns at the ``enabled`` check)."""
-        return cls(Tracer(NullSink()), MetricsRegistry(), enabled=False)
+        return cls(None, MetricsRegistry(), enabled=False)
+
+    def emit(self, event_type: str, time_s: float,
+             user_id: Optional[int] = None, **fields: object) -> None:
+        """Write one event record at simulation time ``time_s``.
+
+        Called by the typed emitters below, and only when ``events``
+        is true.  ``event_type`` must be declared in
+        :data:`~repro.telemetry.events.EVENT_FIELDS`, or
+        :class:`TelemetryError` is raised.  ``fields`` must match its
+        schema; that is checked offline, by ``repro trace validate``
+        and the test suite, not on the hot path.  Timestamps are
+        simulation-clock seconds supplied by the caller, never read
+        from the host clock.
+        """
+        if event_type not in EVENT_FIELDS:
+            raise TelemetryError("undeclared event type %r" % event_type)
+        sink = self.sink
+        assert sink is not None, "a metrics-only facade emits no event"
+        record: Dict[str, object] = {"record": RECORD_EVENT,
+                                     "type": event_type, "t": time_s,
+                                     "shard": self.shard}
+        if user_id is not None:
+            record["user"] = user_id
+        record.update(fields)
+        sink.write_record(record)
 
     # ------------------------------------------------------------------
     # Typed emitters: one event + its derived instruments per call.
@@ -115,8 +143,8 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_LOCATION_REPORT, time_s, user_id,
-                             nbytes=nbytes, cost_us=cost_us)
+            self.emit(EVENT_LOCATION_REPORT, time_s, user_id,
+                      nbytes=nbytes, cost_us=cost_us)
         self.registry.histogram("report_cost_us").observe(cost_us)
 
     def alarm_fired(self, time_s: float, user_id: int,
@@ -124,8 +152,7 @@ class Telemetry:
         """An alarm fired (one-shot) for a subscriber."""
         if not self.events:
             return
-        self.tracer.emit(EVENT_ALARM_FIRED, time_s, user_id,
-                         alarm=alarm_id)
+        self.emit(EVENT_ALARM_FIRED, time_s, user_id, alarm=alarm_id)
 
     def saferegion_computed(self, time_s: float, user_id: int,
                             elapsed_us: float) -> None:
@@ -133,8 +160,8 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
-                             elapsed_us=elapsed_us)
+            self.emit(EVENT_SAFEREGION_COMPUTED, time_s, user_id,
+                      elapsed_us=elapsed_us)
         self.registry.histogram("saferegion_compute_cost_us").observe(
             elapsed_us)
 
@@ -144,8 +171,8 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_SAFEREGION_EXIT, time_s, user_id,
-                             residence_s=residence_s)
+            self.emit(EVENT_SAFEREGION_EXIT, time_s, user_id,
+                      residence_s=residence_s)
         registry = self.registry
         registry.counter("saferegion_exits").inc()
         registry.histogram("saferegion_residence_s").observe(residence_s)
@@ -160,8 +187,8 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_DOWNLINK_SENT, time_s, user_id,
-                             nbytes=nbytes, kind=kind)
+            self.emit(EVENT_DOWNLINK_SENT, time_s, user_id,
+                      nbytes=nbytes, kind=kind)
         registry = self.registry
         registry.counter("downlink_messages_" + kind).inc()
         registry.histogram("downlink_payload_bits").observe(nbytes * 8)
@@ -179,8 +206,7 @@ class Telemetry:
         """
         if not self.events:
             return
-        self.tracer.emit(EVENT_TRANSPORT_DROP, time_s, user_id,
-                         direction=direction)
+        self.emit(EVENT_TRANSPORT_DROP, time_s, user_id, direction=direction)
 
     def saferegion_cache(self, hit: bool) -> None:
         """The shared safe-region memo answered (or missed) one lookup.
@@ -229,7 +255,7 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_NET_CONN_OPEN, 0.0, conn=conn_id)
+            self.emit(EVENT_NET_CONN_OPEN, 0.0, conn=conn_id)
         self.registry.counter("net_connections_opened").inc()
 
     def net_conn_close(self, conn_id: int, clean: bool,
@@ -243,8 +269,8 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_NET_CONN_CLOSE, 0.0, conn=conn_id,
-                             clean=clean, requests=requests)
+            self.emit(EVENT_NET_CONN_CLOSE, 0.0, conn=conn_id,
+                      clean=clean, requests=requests)
         self.registry.counter("net_connections_closed").inc()
 
     def net_batch(self, time_s: float, conn_id: int, requests: int,
@@ -259,8 +285,7 @@ class Telemetry:
         if not self.enabled:
             return
         if self.events:
-            self.tracer.emit(EVENT_NET_BATCH, time_s, conn=conn_id,
-                             requests=requests)
+            self.emit(EVENT_NET_BATCH, time_s, conn=conn_id, requests=requests)
         registry = self.registry
         registry.counter("net_batches").inc()
         registry.histogram("net_batch_size").observe(requests)
@@ -280,8 +305,8 @@ class Telemetry:
             return
         with self._span_lock:
             if self.events:
-                self.tracer.emit(EVENT_SPAN_OPEN, time_s, trace=trace_id,
-                                 span=span_id, parent=parent_id, name=name)
+                self.emit(EVENT_SPAN_OPEN, time_s, trace=trace_id,
+                          span=span_id, parent=parent_id, name=name)
             self.registry.counter("spans_opened").inc()
 
     def span_close(self, time_s: float, trace_id: int, span_id: int,
@@ -297,9 +322,9 @@ class Telemetry:
             return
         with self._span_lock:
             if self.events:
-                self.tracer.emit(EVENT_SPAN_CLOSE, time_s, trace=trace_id,
-                                 span=span_id, status=status,
-                                 elapsed_us=elapsed_us)
+                self.emit(EVENT_SPAN_CLOSE, time_s, trace=trace_id,
+                          span=span_id, status=status,
+                          elapsed_us=elapsed_us)
             self.registry.counter("spans_closed").inc()
 
     def net_rtt(self, rtt_us: float) -> None:
@@ -315,18 +340,15 @@ class Telemetry:
 
     def shard_started(self, vehicles: int) -> None:
         """A shard began its replay (``t`` pinned to simulation zero)."""
-        if not self.enabled:
+        if not self.events:
             return
-        if self.events:
-            self.tracer.emit(EVENT_SHARD_STARTED, 0.0, vehicles=vehicles)
-        self.registry.gauge("shard_vehicles_peak").set_max(vehicles)
+        self.emit(EVENT_SHARD_STARTED, 0.0, vehicles=vehicles)
 
     def shard_finished(self, vehicles: int, wall_s: float) -> None:
         """A shard completed its replay after ``wall_s`` real seconds."""
         if not self.events:
             return
-        self.tracer.emit(EVENT_SHARD_FINISHED, 0.0, vehicles=vehicles,
-                         wall_s=wall_s)
+        self.emit(EVENT_SHARD_FINISHED, 0.0, vehicles=vehicles, wall_s=wall_s)
 
     # ------------------------------------------------------------------
     # Trace life cycle
@@ -335,7 +357,8 @@ class Telemetry:
         """Write the provenance header (first record of a trace)."""
         if not self.events or self.manifest is None:
             return
-        self.tracer.sink.write_record(self.manifest.to_record())
+        assert self.sink is not None
+        self.sink.write_record(self.manifest.to_record())
 
     def write_summary(self, metrics_counters: Mapping[str, float],
                       triggers: int, wall_time_s: float,
@@ -349,7 +372,8 @@ class Telemetry:
         """
         if not self.events:
             return
-        self.tracer.sink.write_record({
+        assert self.sink is not None
+        self.sink.write_record({
             "record": RECORD_SUMMARY,
             "metrics": dict(metrics_counters),
             "triggers": triggers,
@@ -372,21 +396,21 @@ class Telemetry:
         """
         if not self.enabled:
             return
-        sink = self.tracer.sink
-        for record in events:
-            sink.write_record(record)
+        if self.sink is not None:
+            for record in events:
+                self.sink.write_record(record)
         if registry_payload is not None:
             self.registry.merge(MetricsRegistry.from_dict(registry_payload))
 
     def drain_events(self) -> List[Mapping[str, object]]:
         """Drain a buffering sink (shard workers ship these back)."""
-        sink = self.tracer.sink
-        if isinstance(sink, ListSink):
-            return sink.drain()
+        if isinstance(self.sink, ListSink):
+            return self.sink.drain()
         return []
 
     def close(self) -> None:
-        self.tracer.close()
+        if self.sink is not None:
+            self.sink.close()
 
 
 #: The shared no-op facade.  Engine components default to this instead

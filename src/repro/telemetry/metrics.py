@@ -1,4 +1,4 @@
-"""Telemetry instruments: counters, gauges and fixed-bucket histograms.
+"""Telemetry instruments: counters and fixed-bucket histograms.
 
 :class:`~repro.engine.metrics.Metrics` reduces a run to the paper's
 aggregate numbers; the roadmap's scale needs *distributions* — how long
@@ -33,7 +33,7 @@ Number = Union[int, float]
 class Declared(NamedTuple):
     """One registry instrument as the code may create it."""
 
-    #: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+    #: ``"counter"`` or ``"histogram"``.
     kind: str
     #: Bit-identical between serial and sharded replays of one world.
     deterministic: bool = True
@@ -76,8 +76,6 @@ INSTRUMENTS: Dict[str, Declared] = {
     # The shared safe-region memo: each shard fills a memo of its own.
     "saferegion_cache_hits": Declared("counter", deterministic=False),
     "saferegion_cache_misses": Declared("counter", deterministic=False),
-    # Peak vehicles of one shard: depends on the shard topology.
-    "shard_vehicles_peak": Declared("gauge", deterministic=False),
     # Seconds a client stays inside one safe region before exiting.
     "saferegion_residence_s": Declared(
         "histogram", buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 60.0, 120.0,
@@ -146,40 +144,6 @@ class Counter:
 
     def merge(self, other: "Counter") -> None:
         self.value += other.value
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "deterministic": self.deterministic,
-                "value": self.value}
-
-
-class Gauge:
-    """Last-set level; merge keeps the maximum (peak semantics).
-
-    ``max`` is the only associative, commutative combination that keeps
-    a meaningful reading when per-shard gauges fold together — "the
-    highest level any shard saw" — which is what capacity planning
-    wants from a level metric.
-    """
-
-    kind = "gauge"
-    __slots__ = ("name", "deterministic", "value")
-
-    def __init__(self, name: str, deterministic: bool = True) -> None:
-        self.name = name
-        self.deterministic = deterministic
-        self.value: Optional[Number] = None
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def set_max(self, value: Number) -> None:
-        """Raise the gauge to ``value`` if it is a new peak."""
-        if self.value is None or value > self.value:
-            self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        if other.value is not None:
-            self.set_max(other.value)
 
     def to_dict(self) -> Dict[str, object]:
         return {"kind": self.kind, "deterministic": self.deterministic,
@@ -255,15 +219,15 @@ class Histogram:
                 "min": self.min, "max": self.max}
 
 
-Instrument = Union[Counter, Gauge, Histogram]
+Instrument = Union[Counter, Histogram]
 
-_InstrumentT = TypeVar("_InstrumentT", Counter, Gauge, Histogram)
+_InstrumentT = TypeVar("_InstrumentT", Counter, Histogram)
 
 
 class MetricsRegistry:
     """Named instruments with an associative cross-shard merge.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create over
+    ``counter``/``histogram`` are get-or-create over
     :data:`INSTRUMENTS`: repeated calls with the same name return the
     same instrument, and the first call creates it with the declared
     kind, flag and buckets — or raises :class:`TelemetryError` for an
@@ -282,9 +246,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         return self._lookup(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._lookup(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._lookup(name, Histogram)
@@ -375,8 +336,6 @@ def _declared(name: str) -> Instrument:
         raise TelemetryError("undeclared telemetry instrument %r" % name)
     if spec.kind == Histogram.kind:
         return Histogram(name, spec.buckets, spec.deterministic)
-    if spec.kind == Gauge.kind:
-        return Gauge(name, spec.deterministic)
     return Counter(name, spec.deterministic)
 
 
@@ -392,12 +351,6 @@ def _instrument_from_dict(name: str,
         counter = Counter(name, deterministic)
         counter.value = _number(data["value"])
         return counter
-    if kind == Gauge.kind:
-        gauge = Gauge(name, deterministic)
-        value = data.get("value")
-        if value is not None:
-            gauge.value = _number(value)
-        return gauge
     if kind == Histogram.kind:
         buckets = data["buckets"]
         assert isinstance(buckets, (list, tuple))

@@ -1,10 +1,8 @@
 """Pluggable trace sinks: where emitted event records go.
 
-The tracer is sink-agnostic: anything with ``write_record``/``close``
-works.  Three implementations cover every current consumer —
+The facade is sink-agnostic: anything with ``write_record``/``close``
+works.  Two implementations cover every current consumer —
 
-* :class:`NullSink` swallows records (the disabled facade's sink, and
-  the metrics-only capture mode);
 * :class:`ListSink` buffers records in memory (tests, and the parallel
   engine's workers, whose buffered events ship back to the parent
   through the shard outcome);
@@ -35,13 +33,6 @@ class TraceSink:
 
     def close(self) -> None:  # noqa: B027 - optional hook, default no-op
         """Release resources (default: nothing to release)."""
-
-
-class NullSink(TraceSink):
-    """Swallows every record."""
-
-    def write_record(self, record: Mapping[str, object]) -> None:
-        pass
 
 
 class ListSink(TraceSink):

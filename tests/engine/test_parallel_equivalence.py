@@ -27,7 +27,7 @@ from repro.mobility import MobilityConfig, TraceGenerator
 from repro.roadnet import NetworkConfig, generate_network
 from repro.strategies import (OptimalStrategy, PeriodicStrategy,
                               SafePeriodStrategy)
-from repro.telemetry import NullSink, Telemetry
+from repro.telemetry import Telemetry
 
 from ..budget import examples
 from ..oracles import run_parallel_simulation, run_simulation
@@ -122,9 +122,9 @@ class TestShardedEqualsSerial:
     @pytest.mark.parametrize("workers", (1, 3))
     def test_profiled_run_is_still_identical(self, world, serial_results,
                                              workers):
-        """What ``simulate --profile`` runs: a telemetry capture whose
-        events go nowhere, read back for its stage histograms."""
-        telemetry = Telemetry.capture(NullSink())
+        """What ``simulate --profile`` runs: a metrics-only capture,
+        read back for its stage histograms."""
+        telemetry = Telemetry.metrics_only()
         sharded = run_parallel_simulation(world, _mwpsr, workers=workers,
                                           telemetry=telemetry)
         serial = serial_results["MWPSR"]  # untraced

@@ -15,7 +15,7 @@ from repro.protocol.messages import InstallSafePeriod, LocationReport
 from repro.protocol.transport import InProcessTransport
 from repro.protocol.wire import UPLINK_LOCATION_SIZE, WireCodec
 from repro.saferegion.cache import SafeRegionCache
-from repro.telemetry import NullSink, Telemetry
+from repro.telemetry import Telemetry
 
 UNIVERSE = Rect(0, 0, 4000, 4000)
 #: What one safe-period downlink is charged: the codec's sizing.
@@ -56,7 +56,7 @@ class TestProcessLocation:
         assert {alarm.alarm_id for alarm in fired_other} == {0}
 
     def test_timing_and_counters(self, server):
-        server.telemetry = Telemetry.capture(NullSink())
+        server.telemetry = Telemetry.metrics_only()
         server.process_location(2, 0.0, Point(175, 175))
         metrics = server.metrics
         assert metrics.alarm_evaluations == 1
@@ -102,7 +102,7 @@ class TestHelpers:
         assert metrics.downlink_bytes == SAFE_PERIOD_BYTES
 
     def test_timed_saferegion_bucket(self, server):
-        server.telemetry = Telemetry.capture(NullSink())
+        server.telemetry = Telemetry.metrics_only()
         with server.timed_saferegion(2, 0.0):
             server.pending_alarms_in(2, Rect(0, 0, 500, 500))
         assert server.metrics.safe_region_computations == 1

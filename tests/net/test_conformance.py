@@ -81,7 +81,7 @@ def test_socket_run_telemetry_reconciles(world):
     assert result.accuracy.perfect
     registry = telemetry.registry
     metrics = result.metrics
-    reports = [record for record in telemetry.tracer.sink.records
+    reports = [record for record in telemetry.sink.records
                if record.get("type") == "location_report"]
     assert len(reports) == metrics.uplink_messages
     assert sum(record["nbytes"] for record in reports) \
@@ -99,5 +99,5 @@ def test_socket_run_telemetry_reconciles(world):
     # Stop-and-wait: one RTT observation per uplink exchange.
     assert registry.histogram("net_rtt_us").count == \
         metrics.uplink_messages
-    for record in telemetry.tracer.sink.records:
+    for record in telemetry.sink.records:
         assert validate_event(record) == []

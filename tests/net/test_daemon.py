@@ -121,7 +121,7 @@ class TestRequestReply:
             second.request(make_report(0, user_id=2), 1.0)
             first.close()
             second.close()
-        opens = [record for record in telemetry.tracer.sink.records
+        opens = [record for record in telemetry.sink.records
                  if record["type"] == "net_conn_open"]
         assert sorted(record["conn"] for record in opens) == [0, 1]
         assert telemetry.registry.counter(
@@ -221,7 +221,7 @@ class TestBatchingAndBackpressure:
                     "_handle_connection", "_handle_connection", "_main"]
             flooder.close()
         assert daemon._conn_tasks == set()
-        assert validate_spans(telemetry.tracer.sink.records) == []
+        assert validate_spans(telemetry.sink.records) == []
         registry = telemetry.registry
         assert registry.counter("spans_opened").value \
             == registry.counter("spans_closed").value > 0

@@ -48,13 +48,13 @@ def _asyncio_records(caplog):
 
 
 def _close_events(telemetry):
-    return [record for record in telemetry.tracer.sink.records
+    return [record for record in telemetry.sink.records
             if record["type"] == "net_conn_close"]
 
 
 def _span_counts(telemetry):
     """``{(span name, close status): count}`` for the captured events."""
-    return span_close_counts(telemetry.tracer.sink.records)
+    return span_close_counts(telemetry.sink.records)
 
 
 def _raw_connect(path):
@@ -316,7 +316,7 @@ class TestSpanLeaksUnderFaults:
             if served is not None:
                 served.close()
             listener.close()
-        assert validate_spans(telemetry.tracer.sink.records) == []
+        assert validate_spans(telemetry.sink.records) == []
         assert _span_counts(telemetry) == \
             {(SPAN_CLIENT_REQUEST, STATUS_ERROR): 1}
 
@@ -336,7 +336,7 @@ class TestSpanLeaksUnderFaults:
         finally:
             transport.close()
             hosted.stop()
-        assert validate_spans(telemetry.tracer.sink.records) == []
+        assert validate_spans(telemetry.sink.records) == []
         counts = _span_counts(telemetry)
         # One exchange succeeded, the post-shutdown one failed.
         assert counts[(SPAN_CLIENT_REQUEST, STATUS_OK)] == 1
@@ -357,6 +357,6 @@ class TestSpanLeaksUnderFaults:
                                seed=7, max_attempts=2)
         with pytest.raises(TransportError):
             lossy.request(make_report(), 0.0)
-        assert validate_spans(telemetry.tracer.sink.records) == []
+        assert validate_spans(telemetry.sink.records) == []
         assert _span_counts(telemetry) == \
             {(SPAN_LOSSY_REQUEST, STATUS_ERROR): 1}

@@ -196,7 +196,7 @@ def test_frame_gets_the_spec_answer(case, sock_path):
         bystander.close()
 
     assert daemon._conn_tasks == set()
-    assert validate_spans(telemetry.tracer.sink.records) == []
+    assert validate_spans(telemetry.sink.records) == []
     registry = telemetry.registry
     assert registry.counter("net_connections_opened").value \
         == registry.counter("net_connections_closed").value == 2

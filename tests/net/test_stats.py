@@ -205,7 +205,7 @@ class TestPromConformance:
             == ["repro_live_connections_open 1"]
 
     def test_deterministic_lines_survive_the_wire(self, sock_path):
-        """Gauge/counter/histogram lines of every run-deterministic
+        """Counter and histogram lines of every run-deterministic
         instrument byte-compare between the scraped registry and a
         ``deterministic_snapshot`` rebuild of the daemon's registry.
         (The scrape's own connection increments
@@ -230,10 +230,27 @@ class TestHistogramPercentile:
     def test_empty_histogram_is_zero(self):
         assert histogram_percentile(Histogram("h", [10.0]), 0.99) == 0.0
 
-    def test_first_bucket_interpolates_from_zero(self):
+    def test_first_bucket_starts_at_the_observed_minimum(self):
         histogram = Histogram("h", [10.0, 20.0])
         histogram.observe(5.0)
         assert histogram_percentile(histogram, 0.5) == 5.0
+
+    def test_equal_samples_read_their_value_at_every_quantile(self):
+        # 137 one-frame writes all sit in the first bucket (<= 1); no
+        # quantile may read below the one value observed.
+        histogram = MetricsRegistry().histogram("net_batch_size")
+        for _ in range(137):
+            histogram.observe(1)
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert histogram_percentile(histogram, q) == 1.0
+
+    def test_populated_bucket_is_clamped_to_the_observed_range(self):
+        histogram = Histogram("h", [10.0, 20.0, 40.0])
+        for value in (12.0, 14.0):
+            histogram.observe(value)
+        # Both samples sit in (10, 20], which the range narrows to
+        # [12, 14].
+        assert histogram_percentile(histogram, 0.5) == 13.0
 
     def test_interpolates_within_the_covering_bucket(self):
         histogram = Histogram("h", [10.0, 20.0, 40.0])

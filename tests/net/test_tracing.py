@@ -25,7 +25,7 @@ from .conftest import make_daemon, make_report
 
 
 def _span_events(telemetry, event_type):
-    return [record for record in telemetry.tracer.sink.records
+    return [record for record in telemetry.sink.records
             if record["type"] == event_type]
 
 
@@ -66,7 +66,7 @@ class TestTraceFollowThrough:
 
         # The stream passes the `repro trace validate` span check, and
         # every close carries ok status.
-        events = telemetry.tracer.sink.records
+        events = telemetry.sink.records
         assert validate_spans(events) == []
         counts = span_close_counts(events)
         assert counts == {(name, STATUS_OK): 1
@@ -133,4 +133,4 @@ class TestTraceFollowThrough:
         traces = [record["trace"] for record in roots]
         assert traces == [make_trace_id(1, counter)
                           for counter in (1, 2, 3)]
-        assert validate_spans(telemetry.tracer.sink.records) == []
+        assert validate_spans(telemetry.sink.records) == []

@@ -149,18 +149,6 @@ class TestLossyTransport:
             lossy.request(report(), 0.0)
         assert server.metrics.uplink_drops == 3
 
-    def test_backoff_latency_accumulates(self):
-        server = make_server()
-        lossy = LossyTransport(server, EVALUATE_ONLY, uplink_drop=0.5,
-                               delay_s=0.1, backoff_s=0.2, seed=2,
-                               max_attempts=64)
-        for sequence in range(10):
-            lossy.request(report(sequence=sequence), float(sequence))
-        assert server.metrics.uplink_drops > 0
-        # At least one exchange needed a retry, so the worst exchange
-        # paid the base delay twice plus one backoff step.
-        assert lossy.max_exchange_latency_s >= 0.1 + (0.1 + 0.2)
-
     def test_invalid_probabilities_rejected(self):
         server = make_server()
         with pytest.raises(ValueError):

@@ -35,8 +35,6 @@ def full_registry():
     for position, (name, spec) in enumerate(INSTRUMENTS.items()):
         if spec.kind == "counter":
             registry.counter(name).inc()
-        elif spec.kind == "gauge":
-            registry.gauge(name).set(1)
         else:
             registry.histogram(name).observe(float(position + 1))
     return registry
@@ -45,7 +43,7 @@ def full_registry():
 class TestDeclaration:
     def test_every_entry_is_well_formed(self):
         for name, spec in INSTRUMENTS.items():
-            assert spec.kind in ("counter", "gauge", "histogram"), name
+            assert spec.kind in ("counter", "histogram"), name
             # A histogram's bounds are validated when it is built.
             assert bool(spec.buckets) == (spec.kind == "histogram"), name
             if spec.kind == "histogram":

@@ -9,7 +9,7 @@ covers
 * the event records as the JSONL sink writes them (compact, key-sorted
   JSON, one line each, in emission order), with the wall-time fields
   ``cost_us``, ``elapsed_us`` and ``wall_s`` dropped, and
-* the registry's :meth:`~repro.telemetry.MetricsRegistry.deterministic_snapshot`.
+* the registry's ``deterministic_snapshot()``.
 
 The other goldens pin ``Metrics``; these pin what the telemetry plane
 writes beside them, so a refactor of the emitters must leave every

@@ -4,21 +4,22 @@ import pytest
 
 from repro.protocol import DOWNLINK_KINDS
 from repro.telemetry import (DISABLED, EVENT_TYPES, INSTRUMENTS, Counter,
-                             Gauge, Histogram, ListSink, MetricsRegistry,
+                             Histogram, ListSink, MetricsRegistry,
                              RunManifest, Telemetry, TelemetryError,
-                             Tracer, validate_event)
+                             validate_event)
 
 
 def _events(telemetry):
-    sink = telemetry.tracer.sink
+    sink = telemetry.sink
     assert isinstance(sink, ListSink)
     return sink.records
 
 
-class TestTracer:
+class TestEmit:
     def test_emit_builds_a_schema_valid_record(self):
         sink = ListSink()
-        Tracer(sink, shard=3).emit("alarm_fired", 10.0, 7, alarm=2)
+        Telemetry.capture(sink, shard=3).emit("alarm_fired", 10.0, 7,
+                                              alarm=2)
         record = sink.records[0]
         assert record == {"record": "event", "type": "alarm_fired",
                           "t": 10.0, "shard": 3, "user": 7, "alarm": 2}
@@ -26,15 +27,37 @@ class TestTracer:
 
     def test_userless_emit_omits_user(self):
         sink = ListSink()
-        Tracer(sink).emit("shard_started", 0.0, vehicles=5)
+        Telemetry.capture(sink).emit("shard_started", 0.0, vehicles=5)
         assert "user" not in sink.records[0]
 
     def test_undeclared_event_type_is_refused(self):
         sink = ListSink()
         with pytest.raises(TelemetryError,
                            match="undeclared event type 'alarm_fire'"):
-            Tracer(sink).emit("alarm_fire", 1.0, 7, alarm=2)
+            Telemetry.capture(sink).emit("alarm_fire", 1.0, 7, alarm=2)
         assert sink.records == []
+
+    def test_negative_shard_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Telemetry.capture(shard=-1)
+
+
+class TestCaptureModes:
+    def test_metrics_only_feeds_the_registry_and_holds_no_sink(self):
+        telemetry = Telemetry.metrics_only()
+        assert telemetry.enabled and not telemetry.events
+        assert telemetry.sink is None
+        telemetry.location_report(1.0, 1, nbytes=34, cost_us=12.0)
+        telemetry.alarm_fired(1.0, 1, alarm_id=4)
+        telemetry.shard_started(3)
+        telemetry.write_manifest()
+        telemetry.write_summary({}, triggers=0, wall_time_s=0.0, workers=1)
+        telemetry.absorb_shard([], {"net_batches": {
+            "kind": "counter", "deterministic": True, "value": 2}})
+        assert telemetry.drain_events() == []
+        telemetry.close()
+        assert telemetry.registry.names() == ["net_batches",
+                                              "report_cost_us"]
 
 
 class TestEmitters:
@@ -193,4 +216,4 @@ class TestTraceLifecycle:
 
 def test_public_surface_reexports():
     # The package root is the supported import path.
-    assert Counter and Gauge and Histogram and MetricsRegistry
+    assert Counter and Histogram and MetricsRegistry

@@ -1,8 +1,8 @@
-"""Instrument behavior: counters, gauges, histograms, the registry."""
+"""Instrument behavior: counters, histograms, the registry."""
 
 import pytest
 
-from repro.telemetry import (INSTRUMENTS, Counter, Gauge, Histogram,
+from repro.telemetry import (INSTRUMENTS, Counter, Histogram,
                              MetricsRegistry, TelemetryError)
 
 
@@ -23,27 +23,6 @@ class TestCounter:
         right.inc(3)
         left.merge(right)
         assert left.value == 5
-
-
-class TestGauge:
-    def test_set_max_keeps_peak(self):
-        gauge = Gauge("g")
-        gauge.set_max(5)
-        gauge.set_max(3)
-        assert gauge.value == 5
-
-    def test_merge_is_peak(self):
-        left, right = Gauge("g"), Gauge("g")
-        left.set_max(2)
-        right.set_max(7)
-        left.merge(right)
-        assert left.value == 7
-
-    def test_merge_with_unset_other_is_noop(self):
-        left, right = Gauge("g"), Gauge("g")
-        left.set_max(2)
-        left.merge(right)
-        assert left.value == 2
 
 
 class TestHistogram:
@@ -88,7 +67,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("net_batches")
         with pytest.raises(TelemetryError, match="is a counter"):
-            registry.gauge("net_batches")
+            registry.histogram("net_batches")
 
     def test_undeclared_name_is_refused(self):
         registry = MetricsRegistry()
@@ -114,7 +93,7 @@ class TestRegistry:
     def test_roundtrip_through_dict(self):
         registry = MetricsRegistry()
         registry.counter("net_batches").inc(3)
-        registry.gauge("shard_vehicles_peak").set_max(9)
+        registry.counter("saferegion_cache_hits").inc(9)
         registry.histogram("net_batch_size").observe(1.5)
         rebuilt = MetricsRegistry.from_dict(registry.to_dict())
         assert rebuilt.to_dict() == registry.to_dict()
@@ -125,7 +104,9 @@ class TestRegistry:
         # A recorded payload carries its own kind; only a foreign one
         # can disagree with the declaration.
         right = MetricsRegistry.from_dict(
-            {"net_batches": {"kind": "gauge", "value": 1}})
+            {"net_batches": {"kind": "histogram", "buckets": [1.0],
+                             "bucket_counts": [1, 0], "count": 1,
+                             "sum": 1, "min": 1, "max": 1}})
         with pytest.raises(TelemetryError, match="kind mismatch"):
             left.merge(right)
 

@@ -1,9 +1,10 @@
 """The metrics-only capture: the registry is fed, no event is built.
 
-A ``Telemetry.capture(NullSink())`` facade is what the figure harness
-and ``repro simulate`` without ``--trace`` run under.  It must feed the
+A ``Telemetry.metrics_only()`` facade is what the figure harness and
+``repro simulate`` without ``--trace`` run under.  It must feed the
 stage histograms every reader of server time uses, exactly once per
-counted stage, without ever calling ``Tracer.emit`` — serial or sharded.
+counted stage, without ever calling ``Telemetry.emit`` — serial or
+sharded.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.engine import run_parallel_simulation, run_simulation
 from repro.experiments import (TINY, ServerTime, build_world,
                                make_mwpsr_strategy, make_pbsr_strategy)
 from repro.strategies import PeriodicStrategy
-from repro.telemetry import NullSink, Telemetry, Tracer
+from repro.telemetry import Telemetry
 
 FACTORIES = {"PRD": PeriodicStrategy, "MWPSR": make_mwpsr_strategy,
              "PBSR": make_pbsr_strategy}
@@ -26,15 +27,15 @@ def world():
 
 @pytest.fixture
 def emits(monkeypatch):
-    """Count every ``Tracer.emit`` call made in this process."""
+    """Count every ``Telemetry.emit`` call made in this process."""
     calls = []
-    original = Tracer.emit
+    original = Telemetry.emit
 
     def counting(self, *args, **kwargs):
         calls.append(args[0])
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Tracer, "emit", counting)
+    monkeypatch.setattr(Telemetry, "emit", counting)
     return calls
 
 
@@ -44,7 +45,7 @@ def _stage_count(telemetry, name):
 
 @pytest.mark.parametrize("key", sorted(FACTORIES))
 def test_metrics_only_run_emits_no_event(world, emits, key):
-    telemetry = Telemetry.capture(NullSink())
+    telemetry = Telemetry.metrics_only()
     assert telemetry.enabled and not telemetry.events
     result = run_simulation(world, FACTORIES[key](), telemetry=telemetry)
     assert emits == []
@@ -69,7 +70,7 @@ def test_sharded_metrics_only_run_ships_no_events(world, monkeypatch):
         return result
 
     monkeypatch.setattr(parallel, "_dispatch", recording)
-    telemetry = Telemetry.capture(NullSink())
+    telemetry = Telemetry.metrics_only()
     result = run_parallel_simulation(world, make_mwpsr_strategy, workers=2,
                                      telemetry=telemetry)
     assert len(outcomes) == 2
@@ -85,7 +86,7 @@ def test_sharded_metrics_only_run_ships_no_events(world, monkeypatch):
 
 
 def test_server_time_reads_the_stage_histograms(world):
-    telemetry = Telemetry.capture(NullSink())
+    telemetry = Telemetry.metrics_only()
     run_simulation(world, make_mwpsr_strategy(), telemetry=telemetry)
     server = ServerTime.of(telemetry.registry)
     registry = telemetry.registry
@@ -101,5 +102,5 @@ def test_server_time_reads_the_stage_histograms(world):
 
 
 def test_server_time_of_an_empty_registry_is_zero():
-    assert ServerTime.of(Telemetry.capture(NullSink()).registry) \
+    assert ServerTime.of(Telemetry.metrics_only().registry) \
         == ServerTime(0.0, 0.0, 0.0)

@@ -30,7 +30,7 @@ def _registry(values):
     registry = MetricsRegistry()
     registry.counter("net_batches").inc(len(values))
     if values:
-        registry.gauge("shard_vehicles_peak").set_max(max(values))
+        registry.counter("saferegion_cache_hits").inc(len(values))
     hist = registry.histogram("index_fanout")
     for value in values:
         hist.observe(value)

@@ -103,7 +103,7 @@ def trace_data(telemetry, metrics):
     telemetry is shared across tests.
     """
     return TraceData(
-        manifest=None, events=list(telemetry.tracer.sink.records),
+        manifest=None, events=list(telemetry.sink.records),
         summary={"record": "summary", "metrics": metrics.counters(),
                  "registry": telemetry.registry.to_dict()})
 
@@ -161,7 +161,7 @@ class TestSerialReconciliation:
     def test_event_pairing_invariants(self, serial_runs, key):
         """The 1:1 pairings behind the reconciliation contract."""
         result, telemetry = serial_runs[key]
-        events = telemetry.tracer.sink.records
+        events = telemetry.sink.records
         counts = event_counts(events)
         metrics = result.metrics
         assert counts.get("location_report", 0) == metrics.uplink_messages
@@ -215,7 +215,7 @@ class TestShardedEqualsSerial:
 def test_shard_events_carry_their_shard_index(world):
     telemetry = Telemetry.capture()
     run_parallel_simulation(world, _mwpsr, workers=2, telemetry=telemetry)
-    events = telemetry.tracer.sink.records
+    events = telemetry.sink.records
     shards = {record["shard"] for record in events}
     assert shards == {0, 1}
     starts = [record for record in events

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.telemetry import (JsonlSink, ListSink, NullSink, read_jsonl)
+from repro.telemetry import JsonlSink, ListSink, read_jsonl
 
 
 class TestListSink:
@@ -20,12 +20,6 @@ class TestListSink:
         assert sink.drain() == [{"n": 1}]
         assert sink.records == []
         assert sink.drain() == []
-
-
-def test_null_sink_swallows():
-    sink = NullSink()
-    sink.write_record({"n": 1})
-    sink.close()
 
 
 class TestJsonlSink:

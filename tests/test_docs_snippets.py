@@ -97,7 +97,7 @@ class TestCustomPolicySnippet:
         assert result.accuracy.perfect
         served = result.metrics.safe_region_computations
         assert served == result.metrics.uplink_messages > 0
-        events = list(telemetry.tracer.sink.records)
+        events = list(telemetry.sink.records)
         assert event_counts(events)["saferegion_computed"] == served
         outcome = reconcile(trace_data(telemetry, result.metrics))
         assert outcome["ok"], [entry for entry in outcome["checks"]
