@@ -16,10 +16,10 @@ dispatch through the session table, the daemon objects' refusal of
 writes from a thread other than their owner's, the telemetry
 registry's and facade's refusal of an undeclared name, the test
 harness's blocking-call guard on every daemon loop and its resource
-warnings as errors, the fork-worker test and the spawn differential
-run of the sharded engine) enforces each, or the code it guarded is
-gone.  See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the
-retired rules and their guards, and the guide to adding a rule.
+warnings as errors, the sharded engine's spawn differential run)
+enforces each, or the code it guarded is gone.  See
+``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the retired rules
+and their guards, and the guide to adding a rule.
 """
 
 from .base import ALL_RULES, Rule, get_rule, rule

@@ -7,8 +7,8 @@ it a fixture tree and a section in ``docs/STATIC_ANALYSIS.md``.  Six
 rules are registered.  A retired rule keeps its id unused, and
 ``docs/STATIC_ANALYSIS.md`` names the guard that replaced it: PA005's
 and PA009's are the test harness's blocking-call guard on every daemon
-loop and its resource warnings as errors, PA003's the fork-worker test
-and the spawn differential run of the sharded engine.
+loop and its resource warnings as errors, PA003's the sharded engine's
+spawn differential run.
 """
 
 from . import (rl002_float_equality, rl003_unseeded_randomness,  # noqa: F401

@@ -1,20 +1,20 @@
 """RL004: worker-reachable code must not write module-level state.
 
-The sharded engine (:mod:`repro.engine.parallel`) forks workers that
-share the parent's heap copy-on-write and assumes shard replays are
+The sharded engine (:mod:`repro.engine.parallel`) starts one worker
+process per shard, its job handed over as process arguments (shared
+copy-on-write under ``fork``), and assumes shard replays are
 independent: results are merged by the ``Metrics.merged`` contract, and
 the differential suite asserts bit-equality with the serial engine.  A
 function that writes a module-level global breaks both properties —
-state written in the parent between submits leaks into later-forked
+state written in the parent between starts leaks into later-forked
 children, state written in a child silently diverges from its siblings,
 and under the spawn start method it simply disappears.
 
-Two shapes are flagged in every worker-reachable package:
+Two shapes are flagged in every worker-reachable package, with no
+exemption:
 
 * rebinding a module global from inside a function (``global NAME`` +
-  assignment), except the documented ``_INHERITED`` fork handshake in
-  ``engine/parallel.py`` itself, which is set and cleared only in the
-  parent around pool creation;
+  assignment);
 * in-place mutation of a module-level mutable container (append/update/
   subscript-assignment on a module-level list/dict/set).
 
@@ -25,16 +25,11 @@ sanctioned alternative: every worker builds its own instances.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple, Union
+from typing import Iterator, List, Set, Union
 
 from ..base import Rule, rule
 from ..diagnostics import Diagnostic
 from ..model import ModuleInfo
-
-#: (rel_path, global name) pairs exempt from the rebind check.
-_WHITELIST: Tuple[Tuple[str, str], ...] = (
-    ("engine/parallel.py", "_INHERITED"),
-)
 
 #: Either def flavor: both are scanned alike.
 _AnyFunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -134,7 +129,7 @@ class _FunctionScanner:
         for node in self._walk_shallow(func):
             if isinstance(node, ast.Global):
                 for name in node.names:
-                    if self._whitelisted(name) or name not in assigned:
+                    if name not in assigned:
                         continue
                     yield self.rule.diagnostic(
                         self.module, node,
@@ -172,9 +167,6 @@ class _FunctionScanner:
                     assigned.add(node.target.id)
         return assigned
 
-    def _whitelisted(self, name: str) -> bool:
-        return (self.module.rel_path, name) in _WHITELIST
-
     def _check_mutation_call(self, node: ast.Call, local_names: Set[str]
                              ) -> Iterator[Diagnostic]:
         func = node.func
@@ -182,8 +174,7 @@ class _FunctionScanner:
                 and isinstance(func.value, ast.Name)
                 and func.attr in _MUTATOR_METHODS):
             name = func.value.id
-            if (name in self.mutables and name not in local_names
-                    and not self._whitelisted(name)):
+            if name in self.mutables and name not in local_names:
                 yield self.rule.diagnostic(
                     self.module, node,
                     "in-place mutation of module-level container %r "
@@ -199,8 +190,7 @@ class _FunctionScanner:
             if (isinstance(target, ast.Subscript)
                     and isinstance(target.value, ast.Name)):
                 name = target.value.id
-                if (name in self.mutables and name not in local_names
-                        and not self._whitelisted(name)):
+                if name in self.mutables and name not in local_names:
                     yield self.rule.diagnostic(
                         self.module, target,
                         "subscript write to module-level container %r; "

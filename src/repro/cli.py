@@ -42,9 +42,9 @@ from .protocol.transport import (InProcessTransport, LossyTransport,
 from .strategies import (OptimalStrategy, PeriodicStrategy,
                          ProcessingStrategy, SafePeriodStrategy)
 from .telemetry import (EVENT_TYPES, JsonlSink, RunManifest, Telemetry,
-                        filter_events, read_trace, reconcile,
-                        render_event_line, render_json, render_prom,
-                        render_text, validate_trace)
+                        TelemetryError, TraceData, filter_events, read_trace,
+                        reconcile, render_event_line, render_json,
+                        render_prom, render_text, validate_trace)
 
 WORKLOADS: Dict[str, WorkloadConfig] = {
     "tiny": TINY,
@@ -354,9 +354,25 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
+def _read_trace(path: str) -> Optional[TraceData]:
+    """The trace at ``path``, its registry parsed too; or ``None`` once
+    one stderr line says why not (exit 2: 1 means it did not reconcile)."""
+    try:
+        data = read_trace(path)
+        data.registry()
+        return data
+    except (OSError, ValueError, TelemetryError) as exc:
+        print("repro: cannot read trace %s: %s"
+              % (path, getattr(exc, "strerror", None) or exc),
+              file=sys.stderr)
+        return None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a recorded trace; exit non-zero if it fails to reconcile."""
-    data = read_trace(args.trace)
+    data = _read_trace(args.trace)
+    if data is None:
+        return 2
     if args.format == "json":
         print(render_json(data))
     elif args.format == "prom":
@@ -369,7 +385,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Slice or validate a recorded trace's event stream."""
-    data = read_trace(args.trace)
+    data = _read_trace(args.trace)
+    if data is None:
+        return 2
     if args.mode == "validate":
         problems = validate_trace(data)
         for problem in problems:

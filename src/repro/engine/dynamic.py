@@ -9,20 +9,19 @@ in front of it.  This module supplies the missing machinery:
 * an :class:`AlarmSchedule` of timed install/remove actions;
 * :class:`ScheduleMutation`, the schedule as a
   :class:`~repro.engine.simulation.WorldMutation`: each step it applies
-  the due actions to the run's private registry.  The session's loop
-  brings up to that step only the clients an action concerns — every
-  client for a public alarm, the owner and subscribers for a private
-  or shared one — and *push-invalidates* exactly those whose
-  footprint — the area their installed state answers for: an MWPSR
-  rectangle, a bitmap's or OPT list's cell — an installed region
-  touches, or who locally hold a removed alarm; only a safe-period
-  timer, whose bound is global, is woken by every relevant install;
+  the due actions to the run's private registry, whose listeners tell
+  the session's loop.  The loop brings up to that step only the clients
+  an action concerns — every client for a public alarm, the owner and
+  subscribers for a private or shared one — and *push-invalidates*
+  exactly those whose footprint (an MWPSR rectangle, a bitmap's or OPT
+  list's cell) an installed region touches, or who locally hold a
+  removed alarm; a safe-period timer, whose bound is global, is woken
+  by every relevant install;
 * :func:`run_dynamic_simulation`, the session with that mutation,
   scored against the lifetimes of the change feed it recorded once;
 * :func:`compute_dynamic_ground_truth`, the same reference trigger set
-  under alarm lifetimes (an alarm can only fire while installed),
-  recorded and swept from scratch: once per trace rather than queried
-  once per fix.
+  under alarm lifetimes (an alarm fires only while installed), recorded
+  and swept from scratch.
 
 Invalidation is counted as one downlink push (header-sized) per client;
 see :func:`~repro.engine.simulation.replay_by_audience` for why the
@@ -36,9 +35,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
-from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
+from ..alarms import AlarmRegistry, AlarmScope
 from ..geometry import Rect
-from .simulation import (GroundTruth, SimulationResult, StepChanges, World,
+from .simulation import (GroundTruth, SimulationResult, World,
                          compute_mutating_ground_truth, in_process_link,
                          run_session)
 
@@ -131,29 +130,22 @@ class ScheduleMutation:
         self.installed_ids: List[int] = []
         self._applied_until = float("-inf")
 
-    def apply(self, step: int) -> StepChanges:
-        """Apply due actions; returns (installs with region, removed ids)."""
+    def apply(self, step: int) -> None:
+        """Apply the actions due at step ``step``."""
         start = self._applied_until
         end = step * self.sample_interval + self.sample_interval / 2.0
         self._applied_until = end
-        installed: List[Tuple[SpatialAlarm, Tuple[Rect, ...]]] = []
-        removed: List[int] = []
         for action in self.schedule.due(start, end):
             if isinstance(action, InstallAction):
                 alarm = self.registry.install(
                     action.region, action.scope, action.owner_id,
                     subscribers=action.subscribers, label=action.label)
                 self.installed_ids.append(alarm.alarm_id)
-                installed.append((alarm, (alarm.region,)))
+            elif action.install_index is not None:
+                self.registry.remove(self.installed_ids[action.install_index])
             else:
-                if action.install_index is not None:
-                    alarm_id = self.installed_ids[action.install_index]
-                else:
-                    assert action.alarm_id is not None  # __post_init__
-                    alarm_id = action.alarm_id
-                if self.registry.remove(alarm_id):
-                    removed.append(alarm_id)
-        return installed, removed
+                assert action.alarm_id is not None  # __post_init__
+                self.registry.remove(action.alarm_id)
 
 
 def compute_dynamic_ground_truth(world: World,

@@ -1,13 +1,10 @@
 """Sharded, multi-process simulation engine.
 
-The serial engine replays every vehicle in one process — fine for the
-paper's figures, a wall for the roadmap's "millions of users".  This
-module breaks it by exploiting the engine's documented independence
-property: alarm targets are static within a run and one-shot state is
-per subscriber, so vehicles never interact.  The trace set therefore
-partitions *vehicle-major* into contiguous shards, each shard replays in
-its own worker process against its own :class:`AlarmServer` (own
-one-shot table, own index copy), and the per-shard
+Vehicles never interact in a static world: alarm targets stay put and
+one-shot state is per subscriber.  So the trace set partitions
+*vehicle-major* into contiguous shards, each shard replays in its own
+worker process against its own :class:`AlarmServer` (own one-shot
+table, own index copy), and the per-shard
 :class:`~repro.engine.metrics.Metrics` fold back together through the
 merge contract (:meth:`Metrics.merged`).
 
@@ -24,13 +21,13 @@ Determinism guarantee — the property the differential test suite
   registry's stage histograms when captured), which is the entire
   point.
 
-Workers receive a :class:`ShardJob` (registry, grid, strategy factory,
-flags) and their slice of the traces rather than a :class:`World`, which
-would carry every vehicle's trace to every worker, and return plain
-metrics plus, when traced, their telemetry, keeping the process
-boundary cheap and explicit.  A shard runs the same
-:func:`~repro.engine.simulation.replay` the serial engine runs on the
-whole trace set; only the scoring happens once, in the parent.
+Each shard's process gets a :class:`ShardJob` (registry, grid,
+strategy factory, flags) and its slice of the traces as arguments, not
+a :class:`World`, which would carry every vehicle's trace to every
+worker, and sends home plain metrics plus, when traced, its telemetry.
+A shard runs the same :func:`~repro.engine.simulation.replay` the
+serial engine runs on the whole trace set; only the scoring happens
+once, in the parent.
 """
 
 from __future__ import annotations
@@ -40,8 +37,9 @@ import gc
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
                     Tuple)
 
@@ -57,19 +55,15 @@ from .simulation import (SimulationResult, World, in_process_link, replay,
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
     from ..strategies.base import ProcessingStrategy
 
-#: A picklable zero-argument callable producing a fresh strategy.
-#: Module-level functions, classes and :func:`functools.partial` of
-#: either all qualify; lambdas and closures do not cross the process
-#: boundary.  The same constraint applies to the optional
-#: ``TransportFactory`` handed to :func:`run_parallel_simulation` — it
-#: crosses the same process boundary.
+#: A zero-argument callable producing a fresh strategy.  A worker
+#: started under ``spawn`` unpickles it, as it does the optional
+#: ``TransportFactory``: module-level functions, classes and
+#: :func:`functools.partial` of either qualify, lambdas and closures not.
 StrategyFactory = Callable[[], "ProcessingStrategy"]
 
-#: What one shard ships back: metrics, the shard's buffered telemetry
-#: events when the run is a full trace, and its serialized metrics
-#: registry when telemetry is on at all (plain dicts: cheap to pickle,
-#: merged in the parent through the associative registry merge exactly
-#: like ``Metrics.merged``).
+#: What one shard ships back: metrics, its buffered telemetry events
+#: when the run is a full trace, and its registry as plain dicts when
+#: telemetry is on at all (merged in the parent like ``Metrics.merged``).
 _ShardOutcome = Tuple[Metrics, Optional[List[Mapping[str, object]]],
                       Optional[Dict[str, Dict[str, object]]]]
 
@@ -138,61 +132,64 @@ class ShardJob:
                 telemetry.registry.to_dict() if telemetry.enabled else None)
 
 
-#: The job and its shards, inherited by fork()ed workers: set in the
-#: parent immediately before pool creation, cleared after the run.  Fork
-#: children snapshot the parent's memory, so they read the registry,
-#: grid and their shard's traces directly and nothing but a shard index
-#: goes through the pool's pickle queue.  Where there is no fork a
-#: shard's traces cross it as five arrays a vehicle, 40 bytes a fix
-#: (``fleet``: 3.6 MB a shard, pickled and loaded in ~20 ms), beside
-#: one copy of the alarm registry and its index.
-_INHERITED: Optional[Tuple[ShardJob, List[TraceSet]]] = None
+def _run_shard(job: ShardJob, shard: TraceSet, index: int,
+               pipe: Connection) -> None:
+    """Worker body: replay shard ``index`` and send home ``(outcome,
+    None)``, or ``(exception, its traceback)``.
 
-
-def _worker_init() -> None:
-    """Worker bootstrap: freeze the inherited heap out of the gc.
-
-    A fork child shares the parent's (potentially huge) world heap
-    copy-on-write; a single gc pass in the child would touch every
-    inherited object header and fault-copy the lot.  Freezing moves the
-    inherited objects to the permanent generation, so the child's gc
-    only ever scans what the child itself allocates.
+    Under ``fork`` the arguments are the parent's objects, shared
+    copy-on-write; the heap is frozen out of the gc first, since one gc
+    pass would touch every inherited object header and copy the lot.
     """
     gc.collect()
     gc.freeze()
-
-
-def _run_inherited_shard(index: int) -> _ShardOutcome:
-    """Fork-path worker body: run shard ``index`` of ``_INHERITED``."""
-    assert _INHERITED is not None, "inherited state missing in fork child"
-    job, shards = _INHERITED
-    return job.run(shards[index], index)
+    with pipe:
+        try:
+            pipe.send((job.run(shard, index), None))
+        except Exception as error:  # raised again in the parent
+            pipe.send((error, traceback.format_exc()))
 
 
 def _dispatch(job: ShardJob, shards: List[TraceSet]) -> List[_ShardOutcome]:
-    """Run every shard, in shard order, where the platform allows."""
+    """Run each shard in a process of its own; outcomes in shard order.
+
+    The start method hands a worker its arguments: inherited under
+    ``fork``, pickled under ``spawn`` and ``forkserver``.  A worker's
+    exception is raised here, and no worker outlives the call.
+    """
     if len(shards) <= 1:  # zero or one shard: stay in-process
         return [job.run(shard, 0) for shard in shards]
-    # Fast path: fork children inherit the job through copy-on-write
-    # memory, so only a shard *index* crosses the process boundary going
-    # in and only per-shard metrics coming back.  Workers are spawned
-    # after the global is set; clearing it afterwards keeps runs
-    # re-entrant-safe.
-    global _INHERITED
-    fork = multiprocessing.get_start_method() == "fork"
-    _INHERITED = (job, shards) if fork else None
+    workers: List[Tuple[multiprocessing.Process, Connection]] = []
     try:
-        with ProcessPoolExecutor(max_workers=len(shards),
-                                 initializer=_worker_init) as pool:
-            if fork:
-                futures = [pool.submit(_run_inherited_shard, index)
-                           for index in range(len(shards))]
-            else:  # spawn/forkserver: ship the shards through pickle
-                futures = [pool.submit(job.run, shard, index)
-                           for index, shard in enumerate(shards)]
-            return [future.result() for future in futures]  # shard order
+        for index, shard in enumerate(shards):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_run_shard, args=(job, shard, index, send))
+            process.start()
+            send.close()  # the worker's end: EOF once the worker is gone
+            workers.append((process, receive))
+        outcomes: List[_ShardOutcome] = []
+        for index, (process, receive) in enumerate(workers):
+            try:
+                outcome, failure = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError("shard %d's worker exited with code %s "
+                                   "and sent no outcome"
+                                   % (index, process.exitcode)) from None
+            if failure is not None:
+                raise outcome from RuntimeError(
+                    "in shard %d's worker:\n%s" % (index, failure))
+            outcomes.append(outcome)
+        return outcomes
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()  # no-op for a worker already gone
+        raise
     finally:
-        _INHERITED = None
+        for process, receive in workers:
+            process.join()
+            receive.close()
 
 
 def run_parallel_simulation(world: World,
@@ -212,21 +209,20 @@ def run_parallel_simulation(world: World,
     keyed by user id, and shards hold disjoint users, so per-shard
     instances are exact).
 
-    ``workers=1`` runs the single shard in-process — no pool, no pickle
-    — which keeps the differential baseline and small runs cheap.
-    ``result.wall_time_s`` covers sharding, worker dispatch, replay and
-    merge (everything but ground-truth scoring), so measured speedups
-    include the parallelism overhead they paid.
+    ``workers=1`` runs the single shard in-process, which keeps the
+    differential baseline and small runs cheap.  ``result.wall_time_s``
+    covers sharding, worker dispatch, replay and merge (everything but
+    ground-truth scoring), so measured speedups include the parallelism
+    overhead they paid.
 
-    When an enabled ``telemetry`` facade is passed, each worker captures
-    its shard's events and metrics into a private in-memory facade
-    (stamped with the shard index) and ships them back in the shard
-    outcome; the parent folds them into ``telemetry`` in shard order, so
-    a traced parallel run produces one coherent event stream and one
-    merged registry — reconcilable against the merged ``Metrics``, and
-    holding the wall time of every server stage summed over the shards.
-    A metrics-only facade (:meth:`Telemetry.metrics_only`) makes its
-    workers metrics-only too: they ship the registry and no events.
+    Under an enabled ``telemetry`` facade each worker captures its
+    shard's events (stamped with the shard index) and metrics in a
+    private facade of the same mode (:meth:`Telemetry.metrics_only`
+    ships no events) and sends them home; the parent folds them into
+    ``telemetry`` in shard order, so a traced parallel run makes one
+    coherent event stream and one merged registry, reconcilable against
+    the merged ``Metrics`` and holding every server stage's wall time
+    summed over the shards.
     """
     if workers is None:
         workers = default_worker_count()

@@ -4,25 +4,24 @@ A :class:`World` bundles everything a run needs — universe, grid
 overlay, installed alarms, vehicle traces — and caches the ground truth
 so every strategy is scored against the identical reference.
 
-Every engine entry point is a thin front onto the session here:
-:func:`replay` (one server, one linked strategy, one loop, server closed
-on every path) and :func:`run_session` (what a whole run adds:
-telemetry, a private registry for mutating worlds, scoring).  They
-are parameterised by what the engines really differ in.  The *loop*
-follows from the world: vehicles do not interact while the alarm set is
-static (one-shot state is per subscriber), so a static world replays
-vehicle-major, which keeps each client's state hot; a world with a
-:class:`WorldMutation` replays by audience — each client still runs
-through long windows, but is brought up to every step whose alarm
-change concerns it (a change to a public alarm concerns everyone),
-where the change is made and the client pushed if it went stale.  Who a step
-concerns comes from the registry's own change feed, recorded once by
-:func:`record_changes`, which also gives the ground truth its alarm
-lifetimes.  Both loops end in the same per-vehicle run to the end of
-each trace.  The *link* is how the client half reaches the server:
+Every engine entry point is a thin front onto :func:`replay` (one
+server, one linked strategy, one loop, server closed on every path) and
+:func:`run_session` (what a whole run adds: telemetry, a private
+registry for mutating worlds, scoring), parameterised by what the
+engines really differ in.  The *loop* follows from the world: vehicles
+do not interact while the alarm set is static (one-shot state is per
+subscriber), so a static world replays vehicle-major, which keeps each
+client's state hot.  A world with a :class:`WorldMutation` replays by
+audience: each client is brought up to every step whose alarm change
+concerns it (a public alarm's concerns everyone), where the change is
+made and the client pushed if it went stale.  Every fact about a change
+comes from the registry's listeners: who a step concerns and the
+ground truth's alarm lifetimes from the feed :func:`record_changes`
+records once, what the step changed from the replay's own registry.
+The *link* is how the client half reaches the server:
 :func:`~repro.protocol.transport.connect` in process, or a daemon
 thread and a socket (:mod:`repro.net.engine`).  The *executor* is this
-process or a pool of shard workers (:mod:`repro.engine.parallel`).
+process or one worker process per shard (:mod:`repro.engine.parallel`).
 
 ``Metrics.triggers`` is in replay order: by (lane, time) for a static
 world, and by (time, lane, alarm id) for a mutating one.
@@ -35,7 +34,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, Iterable,
-                    Iterator, List, Optional, Protocol, Sequence, Set,
+                    Iterator, List, Optional, Protocol, Set,
                     Tuple)
 
 from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
@@ -197,18 +196,15 @@ def replay_vehicle_major(strategy: "ProcessingStrategy",
                                 for trace in traces))
 
 
-#: What one step changed: the alarms whose coverage changed, each with
-#: the regions it gained or lost (an install: its region; a move: the
-#: old and the new region), and the ids of the alarms removed.
-StepChanges = Tuple[Sequence[Tuple[SpatialAlarm, Tuple[Rect, ...]]],
-                    Sequence[int]]
-
-
 class WorldMutation(Protocol):
-    """Alarm churn or target motion, bound to one run's private registry."""
+    """Alarm churn or target motion, bound to one run's private registry.
 
-    def apply(self, step: int) -> StepChanges:
-        """Make step ``step``'s changes to the registry; report them."""
+    It only mutates, through the registry's install, remove and
+    relocate, whose listeners tell the engine every change.
+    """
+
+    def apply(self, step: int) -> None:
+        """Make step ``step``'s changes to the registry."""
 
 
 #: Binds a mutation to ``(private registry, sample interval)``: once for
@@ -246,12 +242,7 @@ class ChangeFeed:
 def record_changes(registry: AlarmRegistry, traces: TraceSet,
                    mutation: MutationFactory) -> ChangeFeed:
     """Replay ``mutation`` over the traces' steps on a clone of
-    ``registry`` and record what the clone's listener saw.
-
-    The feed is the registry's, not what the mutation reports to the
-    engine under test, so an unreported change still opens a lifetime
-    the ground truth sweeps — and still wakes the clients it concerns.
-    """
+    ``registry`` and record what the clone's listener heard."""
     registry = _clone_registry(registry)
     bound = mutation(registry, traces.sample_interval)
     alive = {alarm.alarm_id: (alarm, 0) for alarm in registry.all_alarms()}
@@ -284,8 +275,13 @@ def record_changes(registry: AlarmRegistry, traces: TraceSet,
     return feed
 
 
-def _stale(client: "ClientState", server: AlarmServer,
-           changes: StepChanges) -> bool:
+#: The alarms a step installed or moved, each with the regions it gained
+#: or lost: an install its region, a move the old and the new one.
+Touched = List[Tuple[SpatialAlarm, Tuple[Rect, ...]]]
+
+
+def _stale(client: "ClientState", server: AlarmServer, touched: Touched,
+           removed: List[int]) -> bool:
     """Did this step's changes make the client's cached state unsafe?
 
     A removal: for a client locally holding the alarm (the OPT push
@@ -296,7 +292,6 @@ def _stale(client: "ClientState", server: AlarmServer,
     and always for a safe-period timer, whose bound is global and which
     therefore has no footprint.
     """
-    touched, removed = changes
     if removed and any(record.alarm_id in removed
                        for record in client.local_alarms):
         return True
@@ -341,13 +336,14 @@ def replay_by_audience(strategy: "ProcessingStrategy", traces: TraceSet,
     A client runs through long windows, as in a static world, except
     that it is brought up to every step whose change concerns it (its
     ``audiences`` entry, from :func:`record_changes`): its fixes before
-    the step are taken, the mutation makes the step's changes, and the
-    client is push-invalidated if they made its cached state stale —
-    also when its trace has already ended.  It re-synchronizes on its
-    fix of that step, the earliest sample at which a new or moved alarm
-    could trigger, so the accuracy contract extends to mutating worlds;
-    and since a window ends at that step, a push never finds probes
-    charged for fixes the client has yet to reach.
+    the step are taken, the mutation makes the step's changes (the loop
+    hears them from the server's registry), and the client is pushed an
+    invalidation if they made its cached state stale, even after its
+    trace has ended.  It re-synchronizes on its fix of that step, the
+    earliest sample at which a new or moved alarm could trigger, so the
+    accuracy contract extends to mutating worlds; and since a window
+    ends at that step, a push never finds probes charged for fixes the
+    client has yet to reach.
 
     This is a replay in timestamp order, counter for counter: every
     query a client makes is filtered by relevance, so a change outside
@@ -366,16 +362,30 @@ def replay_by_audience(strategy: "ProcessingStrategy", traces: TraceSet,
              for step, users in audiences.items()}
     advance = strategy.advance
     session = strategy.session
+    touched: Touched = []
+    removed: List[int] = []
+
+    def heard(alarm_id: int, old: Optional[Rect], new: Optional[Rect]
+              ) -> None:
+        if new is None:
+            removed.append(alarm_id)
+        else:
+            regions = (new,) if old is None else (old, new)
+            touched.append((server.registry.get(alarm_id), regions))
+
+    server.registry.add_listener(heard)
     for step in range(max((len(trace) for trace in traces), default=0)):
         wake = woken.get(step, ())
         for lane in wake:
             lane.run_to(advance, step)
-        changes = mutation.apply(step)
-        if wake and any(changes):
+        del touched[:], removed[:]
+        mutation.apply(step)
+        if wake and (touched or removed):
             time_s = step * traces.sample_interval
             for lane in wake:
-                if _stale(lane.client, server, changes):
+                if _stale(lane.client, server, touched, removed):
                     _invalidate(lane.client, session, time_s)
+    server.registry.remove_listener(heard)
     _run_out(advance, lanes)
     lane_of = {user: position for position, user in enumerate(by_user)}
     server.metrics.triggers.sort(key=lambda event: (
@@ -474,13 +484,10 @@ def run_session(world: World, strategy: "ProcessingStrategy",
     """Replay the whole world in this process and score the run.
 
     With a ``mutation`` the run works on a clone of the registry, so the
-    world is untouched: a mutation goes through the registry's
-    install/remove/relocate API on purpose.  Its change feed
-    is recorded once, before the replay: the loop wakes its audiences,
-    and unless ``ground_truth`` is given the run is scored against the
-    sweep of its lifetimes (:func:`sweep_lifetimes`, what
-    :func:`compute_mutating_ground_truth` returns for the same
-    mutation).
+    world is untouched.  Its change feed is recorded once, before the
+    replay: the loop wakes its audiences, and unless ``ground_truth`` is
+    given the run is scored against the sweep of its lifetimes (what
+    :func:`compute_mutating_ground_truth` returns for the mutation).
     """
     telemetry = telemetry if telemetry is not None else DISABLED
     registry = world.registry

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from ..alarms import AlarmRegistry, SpatialAlarm
+from ..alarms import AlarmRegistry
 from ..geometry import Point, Rect
 from ..mobility import Trace
 from ..telemetry.facade import Telemetry
-from .simulation import (GroundTruth, SimulationResult, StepChanges, World,
+from .simulation import (GroundTruth, SimulationResult, World,
                          compute_mutating_ground_truth, in_process_link,
                          run_session)
 
@@ -90,16 +90,12 @@ class TrackMutation:
         self.tracks = tracks
         self.registry = registry
 
-    def apply(self, step: int) -> StepChanges:
-        """Relocate the targets that moved; returns them with both regions."""
-        moved: List[Tuple[SpatialAlarm, Tuple[Rect, ...]]] = []
+    def apply(self, step: int) -> None:
+        """Relocate the targets whose region differs at step ``step``."""
         for track in self.tracks:
-            old_region = self.registry.get(track.alarm_id).region
-            new_region = track.region_at(step)
-            if new_region != old_region:
-                alarm = self.registry.relocate(track.alarm_id, new_region)
-                moved.append((alarm, (old_region, new_region)))
-        return moved, ()
+            region = track.region_at(step)
+            if region != self.registry.get(track.alarm_id).region:
+                self.registry.relocate(track.alarm_id, region)
 
 
 def compute_tracking_ground_truth(world: World,

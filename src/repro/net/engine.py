@@ -34,7 +34,6 @@ from .sockets import SocketTransport, bitmap_geometry_of, pyramid_resolver
 
 #: Bound on every client read, so a wedged daemon surfaces as
 #: :class:`~repro.protocol.transport.TransportError`, never a hang.
-#: (The daemon's batching and queue bounds are ``AlarmDaemon``'s own.)
 READ_TIMEOUT_S = 60.0
 
 

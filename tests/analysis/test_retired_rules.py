@@ -8,8 +8,8 @@ exit path) and PA010 (downlink causality) were deleted from the checker
 because a guard that holds at every site already catches their
 defects: frozen geometry types, ``verify_field_layouts`` inside every
 codec built, the telemetry registry's refusal of an
-undeclared instrument, the sharded engine's fork-worker test and its
-spawn differential run (``tests/engine/test_parallel_equivalence.py``),
+undeclared instrument, the sharded engine's spawn differential run
+(``tests/engine/test_parallel_equivalence.py``),
 the blocking-call guard on every daemon loop (``tests/conftest.py``),
 the daemon objects' refusal of writes from a thread other than their
 owner's, the daemon's always-on task-leak check at ``aclose()``
@@ -17,8 +17,10 @@ owner's, the daemon's always-on task-leak check at ``aclose()``
 through the session table (held to the spec by the socket conformance
 suite), the ``ResourceWarning``-as-error filter of ``pyproject.toml``
 plus the conformance suite's truncated-frame cases, and the wire
-goldens plus the accuracy contract.  PA008's row restates its last
-seed against that dispatch; PA007's restates its seed, a spawn whose
+goldens plus the accuracy contract.  PA003's row restates its seed
+against the one dispatch path left, where a worker takes its job as a
+process argument; PA008's row restates its last seed against the
+daemon's session-table dispatch; PA007's restates its seed, a spawn whose
 handle is dropped, on a per-connection idle watch, since the drain
 worker and the loop watchdog it was seeded on before are gone.  Each
 row below is the defect the rule was last seeded with
@@ -40,7 +42,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -65,6 +67,9 @@ class Retired(NamedTuple):
     fragment: str
     #: Tells apart two seeds of one rule in the test id.
     shape: str = ""
+    #: Further ``(old, new)`` edits to the same file, for a seed that
+    #: needs more than one site.
+    also: Tuple[Tuple[str, str], ...] = ()
 
 
 RETIRED = (
@@ -89,21 +94,23 @@ RETIRED = (
             "tests/telemetry/test_facade.py::TestTraceLifecycle::"
             "test_manifest_and_summary_records",
             "undeclared telemetry instrument 'region_exits'"),
-    # PA003's seed: a fork worker that drops the inherited job early.
-    # The pool may hand one worker several shards, so the next one
-    # finds nothing.  The spawn differential run guards the other
-    # branch of ``_dispatch``, where every shard is pickled.
+    # PA003's seed: the worker looks its job up in a module dict the
+    # parent filled, which a forked child inherits and a spawned one
+    # does not.  The spawn differential run starts fresh interpreters.
     Retired("PA003", "engine/parallel.py",
-            "    assert _INHERITED is not None, \"inherited state missing in "
-            "fork child\"\n"
-            "    job, shards = _INHERITED\n",
-            "    global _INHERITED\n"
-            "    assert _INHERITED is not None\n"
-            "    job, shards = _INHERITED\n"
-            "    _INHERITED = None  # 'drop the child's reference early'\n",
+            "pipe.send((job.run(shard, index), None))",
+            "pipe.send((_JOBS[index].run(shard, index), None))",
             "tests/engine/test_parallel_equivalence.py::"
-            "test_one_worker_may_run_several_inherited_shards",
-            ">       assert _INHERITED is not None"),
+            "test_spawn_workers_equal_serial",
+            "KeyError: 0",
+            also=(("def _run_shard(",
+                   "#: The parent's jobs by shard ('a child inherits them "
+                   "for free').\n"
+                   "_JOBS: Dict[int, ShardJob] = {}\n\n\n"
+                   "def _run_shard("),
+                  ("            process.start()\n",
+                   "            _JOBS[index] = job\n"
+                   "            process.start()\n"))),
     Retired("PA005", "net/daemon.py",
             "        writer.close()\n        try:\n",
             "        time.sleep(0.01)  # 'let the peer read the last frame'\n"
@@ -178,8 +185,10 @@ def test_retired_seed_fails_its_catching_test(tmp_path, row):
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = copy / row.target
     source = path.read_text(encoding="utf-8")
-    assert source.count(row.old) == 1, "seed anchor moved: %r" % row.old
-    path.write_text(source.replace(row.old, row.new), encoding="utf-8")
+    for old, new in ((row.old, row.new),) + row.also:
+        assert source.count(old) == 1, "seed anchor moved: %r" % old
+        source = source.replace(old, new)
+    path.write_text(source, encoding="utf-8")
     completed = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p",
          "no:cacheprovider", row.test_id],

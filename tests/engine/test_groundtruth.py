@@ -28,7 +28,8 @@ from repro.engine import (AlarmSchedule, InstallAction, Metrics,
 from repro.engine.dynamic import ScheduleMutation
 from repro.engine.groundtruth import CHUNK_SAMPLES
 from repro.engine.simulation import (_clone_registry,
-                                     compute_mutating_ground_truth)
+                                     compute_mutating_ground_truth,
+                                     in_process_link, run_session)
 from repro.engine.tracking import TrackMutation
 from repro.experiments import TINY, build_world
 from repro.geometry import Point, Rect
@@ -36,6 +37,7 @@ from repro.index import GridOverlay
 from repro.mobility import Trace, TraceSample, TraceSet
 from ..budget import examples
 from ..strategies.conftest import make_world
+from .test_golden_protocol import STRATEGY_NAMES, _factory
 
 
 def make_traces(positions_by_vehicle):
@@ -297,9 +299,8 @@ class BothMutations:
                       TrackMutation(tracks, registry, sample_interval))
 
     def apply(self, step):
-        changes = [part.apply(step) for part in self.parts]
-        return ([touch for touched, _ in changes for touch in touched],
-                [gone for _, removed in changes for gone in removed])
+        for part in self.parts:
+            part.apply(step)
 
 
 #: Action times: on a sample, either side of a step window's end
@@ -410,8 +411,8 @@ class TestLifetimeSweepEqualsPerStepScan:
         return expected
 
     def test_installed_and_removed_inside_one_step_window(self):
-        # ScheduleMutation.apply reports the alarm as installed *and*
-        # removed by step 3: it was never live at a sample
+        # The registry tells of the alarm's install *and* its removal
+        # by step 3: it was never live at a sample
         assert self.dynamic(self.parked_world(), [
             InstallAction(3.0, self.INSIDE, AlarmScope.PUBLIC, 0),
             RemoveAction(3.25, install_index=0)]) == {}
@@ -484,9 +485,10 @@ class TestLifetimeSweepEqualsPerStepScan:
             InstallAction(2.0, self.INSIDE, AlarmScope.SHARED, 7,
                           subscribers=(1,))]) == {(1, 0): 1.0, (1, 1): 2.0}
 
-    def test_oracle_hears_the_registry_not_the_mutations_reports(self):
-        """A mutation that under-reports leaves clients asleep; the
-        oracle must still see the change, or it would agree with them."""
+    def unreported(self):
+        """A parked client's world, and a mutation that moves an alarm
+        onto it at step 2 and returns empty change lists: the engine
+        must hear the move from the registry, not from ``apply``."""
         class Unreported(TrackMutation):
             def apply(self, step):
                 super().apply(step)
@@ -494,11 +496,26 @@ class TestLifetimeSweepEqualsPerStepScan:
 
         away = Rect(10.0, 10.0, 14.0, 14.0)
         world = self.parked_world(specs=[(away, AlarmScope.PUBLIC, 0, ())])
-        mutation = functools.partial(
+        return world, functools.partial(
             Unreported, [TargetTrack(0, (away, away, self.INSIDE))])
+
+    def test_oracle_hears_the_registry_not_the_mutations_reports(self):
+        world, mutation = self.unreported()
         assert compute_mutating_ground_truth(world, mutation) \
             == reference_mutating_ground_truth(world, mutation) \
             == {(0, 0): 2.0}
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_unreported_change_still_wakes_the_client(self, name):
+        """The replay hears a step's changes from the registry too, so
+        what a mutation reports cannot leave a client asleep."""
+        world, mutation = self.unreported()
+        result = run_session(world, _factory(name, world.max_speed())(),
+                             in_process_link, mutation=mutation)
+        accuracy = result.accuracy
+        assert (accuracy.missed, accuracy.spurious, accuracy.late) \
+            == (0, 0, 0)
+        assert result.metrics.fired_pairs() == {(0, 0)}
 
     # -- the fixed points ----------------------------------------------
     def test_golden_dynamic_and_tracking_worlds(self):

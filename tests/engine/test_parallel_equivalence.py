@@ -8,14 +8,16 @@ deterministic counters, the full trigger event sequence, the fired-alarm
 set and the accuracy report must be identical to a serial run over the
 same seeded world.
 
-Shard factories live at module level: the pool pickles them into worker
-processes, and lambdas or closures would not survive the trip.  Every
+Shard factories live at module level: a worker started under ``spawn``
+unpickles them, and lambdas or closures would not survive the trip.  Every
 run, serial or sharded, is pinned and wire-verified
 (``tests/oracles.py``).
 """
 
+import contextlib
 import functools
 import multiprocessing
+import os
 
 import pytest
 
@@ -58,6 +60,17 @@ def _make_world():
 @pytest.fixture(scope="module")
 def world():
     return _make_world()
+
+
+@contextlib.contextmanager
+def start_method(method):
+    """Start worker processes by ``method`` inside the block."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
 
 
 # ----------------------------------------------------------------------
@@ -138,19 +151,15 @@ class TestShardedEqualsSerial:
 @pytest.mark.parametrize(
     "key", STRATEGY_KEYS[:examples(1, len(STRATEGY_KEYS))])
 def test_spawn_workers_equal_serial(world, serial_results, key):
-    """The non-fork branch of ``_dispatch``: under the spawn start
-    method (macOS's default, and Linux's ``forkserver`` takes the same
-    branch) every shard is pickled into a fresh interpreter, and the
-    merged run must still be bit-identical to the serial one.  A worker
-    that leaned on state inherited from the parent, or wrote module
-    state it expected a sibling to see, diverges here."""
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
-    try:
+    """Under the spawn start method (macOS's default; Linux's
+    ``forkserver`` pickles alike) every shard's arguments are pickled
+    into a fresh interpreter, and the merged run must still be
+    bit-identical to the serial one.  A worker that leaned on state
+    inherited from the parent, or wrote module state it expected a
+    sibling to see, diverges here."""
+    with start_method("spawn"):
         sharded = run_parallel_simulation(world, _factories(world)[key],
                                           workers=2)
-    finally:
-        multiprocessing.set_start_method(previous, force=True)
     serial = serial_results[key]
     assert sharded.metrics.counters() == serial.metrics.counters()
     assert sharded.metrics.triggers == serial.metrics.triggers
@@ -212,20 +221,59 @@ class TestOneShotAcrossMerge:
             Metrics.merged([first, second])
 
 
-def test_one_worker_may_run_several_inherited_shards(world, monkeypatch):
-    """The pool may hand one fork worker several shards: run back to
-    back in one process, each inherited shard must equal ``job.run`` on
-    it, so no shard may spoil ``_INHERITED`` for the next."""
+def test_dispatch_returns_each_shard_outcome_in_shard_order(world):
+    """One process per shard, and the outcomes come back in shard order:
+    the ``i``-th is ``job.run`` on the ``i``-th shard."""
     shards = shard_traces(world.traces, 3)
     job = parallel.ShardJob(world.registry, world.grid, _mwpsr, None,
                             trace="off")
-    monkeypatch.setattr(parallel, "_INHERITED", (job, shards))
-    inherited = [parallel._run_inherited_shard(index)
-                 for index in range(len(shards))]
-    for index, (metrics, _, _) in enumerate(inherited):
+    outcomes = parallel._dispatch(job, shards)
+    assert len(outcomes) == len(shards)
+    for index, (metrics, _, _) in enumerate(outcomes):
         expected, _, _ = job.run(shards[index], index)
         assert metrics.counters() == expected.counters()
         assert metrics.triggers == expected.triggers
+    assert not multiprocessing.active_children()
+
+
+class ClientFault(Exception):
+    """What :class:`FaultyClient` raises inside a worker."""
+
+
+class FaultyClient(PeriodicStrategy):
+    """A periodic strategy whose client half fails on its first fix."""
+
+    def advance(self, client, trace, start, stop):
+        raise ClientFault("vehicle %d" % client.user_id)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_worker_exception_reaches_the_parent(world, method):
+    """A client that raises in a worker raises the same exception type
+    here, chained to the worker's traceback, and leaves no worker
+    behind."""
+    with start_method(method), pytest.raises(ClientFault) as raised:
+        run_parallel_simulation(world, FaultyClient, workers=3)
+    assert "in shard 0's worker" in str(raised.value.__cause__)
+    assert not multiprocessing.active_children()
+
+
+class DyingJob(parallel.ShardJob):
+    """A job whose second shard's worker exits without a word."""
+
+    def run(self, traces, shard_index):
+        if shard_index == 1:
+            os._exit(3)
+        return super().run(traces, shard_index)
+
+
+def test_worker_that_dies_silently_is_named(world):
+    shards = shard_traces(world.traces, 3)
+    job = DyingJob(world.registry, world.grid, _mwpsr, None, trace="off")
+    with pytest.raises(RuntimeError,
+                       match="shard 1's worker exited with code 3"):
+        parallel._dispatch(job, shards)
+    assert not multiprocessing.active_children()
 
 
 def test_worker_validation(world):

@@ -77,8 +77,9 @@ def reference_replay(world, strategy, mutation=None, fix=one_fix_window):
     """``(metrics, clients)`` of a replay that hands ``fix`` one fix at
     a time: vehicle-major over a static world, time-major — mutate,
     push-invalidate the stale, then every client's fix of the step —
-    under a ``mutation`` (a ``MutationFactory``).  The clients are
-    returned as they ended, in trace order."""
+    under a ``mutation`` (a ``MutationFactory``), whose changes it hears
+    from its registry's listeners.  The clients are returned as they
+    ended, in trace order."""
     registry = world.registry
     if mutation is not None:
         registry = session._clone_registry(registry)
@@ -95,11 +96,23 @@ def reference_replay(world, strategy, mutation=None, fix=one_fix_window):
                     fix(strategy, clients[trace.vehicle_id], trace, index)
             return metrics, list(clients.values())
         bound = mutation(registry, traces.sample_interval)
+        touched, removed = [], []
+
+        def heard(alarm_id, old, new):
+            if new is None:
+                removed.append(alarm_id)
+                return
+            regions = tuple(region for region in (old, new)
+                            if region is not None)
+            touched.append((registry.get(alarm_id), regions))
+
+        registry.add_listener(heard)
         for step in range(max((len(trace) for trace in traces), default=0)):
-            changes = bound.apply(step)
-            if any(changes):
+            del touched[:], removed[:]
+            bound.apply(step)
+            if touched or removed:
                 for client in clients.values():
-                    if session._stale(client, server, changes):
+                    if session._stale(client, server, touched, removed):
                         session._invalidate(client, strategy.session,
                                             step * traces.sample_interval)
             for trace in traces:
@@ -754,9 +767,10 @@ LOOP_SLIPS = [
     ("clients synchronised to step + 1",
      "lane.run_to(advance, step)\n", "lane.run_to(advance, step + 1)\n"),
     ("ended lanes skipped in the stale check",
-     "if _stale(lane.client, server, changes):",
+     "if _stale(lane.client, server, touched, removed):",
      "if (lane.index < len(lane.trace)\n"
-     "                        and _stale(lane.client, server, changes)):"),
+     "                            and _stale(lane.client, server, touched,\n"
+     "                                       removed)):"),
     ("trigger log left unsorted",
      "server.metrics.triggers.sort(key=",
      "sorted(server.metrics.triggers, key="),

@@ -276,6 +276,49 @@ class TestReport:
         assert main(["report", str(broken)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
+    @staticmethod
+    def _with_gauge(trace_path, tmp_path):
+        """The trace, its summary holding a ``gauge`` instrument as a
+        trace recorded before that kind was retired does."""
+        lines = trace_path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["registry"]["shard_vehicles_peak"] = {
+            "kind": "gauge", "deterministic": False, "value": 6.0}
+        path = tmp_path / "gauge.jsonl"
+        path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        return path, "unknown instrument kind 'gauge'"
+
+    @staticmethod
+    def _corrupt(trace_path, tmp_path):
+        lines = trace_path.read_text().splitlines()
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text("\n".join(lines[:3] + ['{"record": "ev'] + lines[3:])
+                        + "\n")
+        return path, "corrupt.jsonl:4: corrupt trace line"
+
+    @staticmethod
+    def _missing(trace_path, tmp_path):
+        return tmp_path / "missing.jsonl", "No such file or directory"
+
+    @pytest.mark.parametrize("command", [["report"], ["trace", "validate"],
+                                         ["trace", "tail"]],
+                             ids=["report", "validate", "tail"])
+    @pytest.mark.parametrize("case", ["_missing", "_corrupt", "_with_gauge"])
+    def test_unreadable_trace_exits_2_with_one_line(self, trace_path,
+                                                     tmp_path, capsys,
+                                                     command, case):
+        """Exit 1 means "read, did not reconcile"; a trace that cannot
+        be read at all exits 2, with one stderr line naming the file
+        and the reason, and no traceback."""
+        path, reason = getattr(self, case)(trace_path, tmp_path)
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro: cannot read trace %s: "
+                                       % path)
+        assert reason in captured.err
+
 
 class TestStatsAndTop:
     @pytest.fixture

@@ -147,12 +147,11 @@ class GrowingZone:
 
     def apply(self, step):
         if step == 0 or step % self.every:
-            return (), ()
+            return
         old = self.registry.get(self.alarm_id).region
-        new = Rect(old.min_x - self.margin_m, old.min_y - self.margin_m,
-                   old.max_x + self.margin_m, old.max_y + self.margin_m)
-        alarm = self.registry.relocate(self.alarm_id, new)
-        return [(alarm, (old, new))], ()
+        self.registry.relocate(self.alarm_id, Rect(
+            old.min_x - self.margin_m, old.min_y - self.margin_m,
+            old.max_x + self.margin_m, old.max_y + self.margin_m))
 
 
 class TestCustomMutationSnippet:
