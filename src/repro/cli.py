@@ -25,8 +25,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .engine import run_parallel_simulation, run_simulation
 from .engine.metrics import Metrics
 from .engine.server import AlarmServer
-from .net import (AlarmDaemon, render_stats_json, render_stats_prom,
-                  render_stats_text, render_top, scrape_stats)
+from .net import (AlarmDaemon, StatsSnapshot, render_stats_json,
+                  render_stats_prom, render_stats_text, render_top,
+                  scrape_stats)
 from .protocol.wire import WireCodec
 from .experiments import (BENCH, PAPER, TINY, ServerTime, Table,
                           WorkloadConfig, build_world,
@@ -38,7 +39,7 @@ from .experiments import (BENCH, PAPER, TINY, ServerTime, Table,
                           workload_profile)
 from .analysis.cli import add_check_arguments, run_check_command
 from .protocol.transport import (InProcessTransport, LossyTransport,
-                                 TransportFactory)
+                                 TransportError, TransportFactory)
 from .strategies import (OptimalStrategy, PeriodicStrategy,
                          ProcessingStrategy, SafePeriodStrategy)
 from .telemetry import (EVENT_TYPES, JsonlSink, RunManifest, Telemetry,
@@ -91,8 +92,9 @@ def _checked(convert: Callable[[str], float], test: Callable[[float], bool],
 
 DROP_RATE = _checked(float, lambda p: 0.0 <= p < 1.0, "[0, 1)")
 SHARE = _checked(float, lambda p: 0.0 <= p <= 1.0, "[0, 1]")
-POSITIVE = _checked(float, lambda x: x > 0.0, "(0, inf)")
+POSITIVE = _checked(float, lambda x: 0.0 < x < float("inf"), "(0, inf)")
 COUNT = _checked(int, lambda n: n >= 1, "[1, inf)")
+LIMIT = _checked(int, lambda n: n >= 0, "[0, inf)")
 
 
 def _resolve_workload(args: argparse.Namespace) -> WorkloadConfig:
@@ -314,12 +316,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cannot(what: str, exc: BaseException) -> None:
+    """Say in one stderr line why ``what`` failed (the command then
+    exits 2: 1 means its input was read and failed a check)."""
+    reason = getattr(exc.__cause__ or exc, "strerror", None) or exc
+    print("repro: cannot %s: %s" % (what, reason), file=sys.stderr)
+
+
+def _scrape(args: argparse.Namespace) -> Optional[StatsSnapshot]:
+    """The snapshot of the daemon at the endpoint ``args`` names; or
+    ``None`` once :func:`_cannot` has said why not."""
+    if not args.uds and not args.port:
+        raise SystemExit("%s needs --uds PATH or --port N" % args.command)
+    try:
+        return scrape_stats(path=args.uds, host=args.host, port=args.port,
+                            timeout_s=args.timeout)
+    except TransportError as exc:
+        _cannot("scrape %s" % (args.uds or "%s:%d" % (args.host, args.port)),
+                exc)
+        return None
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     """One-shot scrape of a running daemon's STATS channel."""
-    if not args.uds and not args.port:
-        raise SystemExit("stats needs --uds PATH or --port N")
-    snapshot = scrape_stats(path=args.uds, host=args.host, port=args.port,
-                            timeout_s=args.timeout)
+    snapshot = _scrape(args)
+    if snapshot is None:
+        return 2
     if args.format == "json":
         print(render_stats_json(snapshot))
     elif args.format == "prom":
@@ -331,15 +353,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Poll the STATS channel and render a live dashboard."""
-    if not args.uds and not args.port:
-        raise SystemExit("top needs --uds PATH or --port N")
     previous = None
     screens = 0
     try:
         while True:
-            snapshot = scrape_stats(path=args.uds, host=args.host,
-                                    port=args.port,
-                                    timeout_s=args.timeout)
+            snapshot = _scrape(args)
+            if snapshot is None:
+                return 2
             screen = render_top(snapshot, previous, args.interval)
             if not args.no_clear:
                 # ANSI clear-screen + cursor-home, like top(1).
@@ -347,7 +367,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print(screen, flush=True)
             previous = snapshot
             screens += 1
-            if args.iterations is not None and screens >= args.iterations:
+            if screens == args.iterations:
                 return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -355,16 +375,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _read_trace(path: str) -> Optional[TraceData]:
-    """The trace at ``path``, its registry parsed too; or ``None`` once
-    one stderr line says why not (exit 2: 1 means it did not reconcile)."""
+    """The trace at ``path``, its ledger parsed; or ``None`` once
+    :func:`_cannot` has said why not."""
     try:
-        data = read_trace(path)
-        data.registry()
-        return data
+        return read_trace(path)
     except (OSError, ValueError, TelemetryError) as exc:
-        print("repro: cannot read trace %s: %s"
-              % (path, getattr(exc, "strerror", None) or exc),
-              file=sys.stderr)
+        _cannot("read trace %s" % path, exc)
         return None
 
 
@@ -530,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument("--format", choices=("text", "json", "prom"),
                               default="text",
                               help="output format (default: text)")
-    stats_parser.add_argument("--timeout", type=float, default=10.0,
+    stats_parser.add_argument("--timeout", type=POSITIVE, default=10.0,
                               help="scrape timeout in seconds "
                                    "(default 10)")
     stats_parser.set_defaults(handler=_cmd_stats)
@@ -539,16 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="poll a running daemon's STATS channel as a live "
                     "dashboard (Ctrl-C to exit)")
     add_endpoint_options(top_parser)
-    top_parser.add_argument("--interval", type=float, default=1.0,
+    top_parser.add_argument("--interval", type=POSITIVE, default=1.0,
                             help="seconds between scrapes (default 1)")
-    top_parser.add_argument("--iterations", type=int, default=None,
+    top_parser.add_argument("--iterations", type=COUNT, default=None,
                             metavar="N",
                             help="stop after N screens (default: run "
                                  "until interrupted)")
     top_parser.add_argument("--no-clear", action="store_true",
                             help="append screens instead of clearing "
                                  "the terminal (useful under CI)")
-    top_parser.add_argument("--timeout", type=float, default=10.0,
+    top_parser.add_argument("--timeout", type=POSITIVE, default=10.0,
                             help="scrape timeout in seconds "
                                  "(default 10)")
     top_parser.set_defaults(handler=_cmd_top)
@@ -597,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="keep events of this user id")
     trace_parser.add_argument("--shard", type=int, default=None,
                               help="keep events of this shard index")
-    trace_parser.add_argument("--limit", type=int, default=None,
+    trace_parser.add_argument("--limit", type=LIMIT, default=None,
                               help="keep the last N matches "
                                    "(default 10 for tail)")
     trace_parser.set_defaults(handler=_cmd_trace)

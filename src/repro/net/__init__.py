@@ -33,9 +33,8 @@ from .daemon import AlarmDaemon, DaemonThread
 from .engine import run_network_simulation
 from .sockets import (PyramidGeometry, SocketTransport, bitmap_geometry_of,
                       pyramid_resolver)
-from .stats import (StatsSnapshot, histogram_percentile, render_stats_json,
-                    render_stats_prom, render_stats_text, render_top,
-                    scrape_stats)
+from .stats import (StatsSnapshot, render_stats_json, render_stats_prom,
+                    render_stats_text, render_top, scrape_stats)
 
 __all__ = [
     "AlarmDaemon",
@@ -44,7 +43,6 @@ __all__ = [
     "SocketTransport",
     "StatsSnapshot",
     "bitmap_geometry_of",
-    "histogram_percentile",
     "pyramid_resolver",
     "render_stats_json",
     "render_stats_prom",

@@ -50,6 +50,7 @@ from ..protocol.spec import CLIENT_TRANSITIONS, STATE_AWAIT_HELLO
 from ..protocol.transport import InProcessTransport, WireFidelityError
 from ..protocol.wire import WireCodec
 from ..telemetry.facade import Telemetry
+from ..telemetry.metrics import Ledger, MetricsRegistry
 from ..telemetry.spans import (SERVER_SPAN_IDS, SPAN_DECODE, SPAN_HANDLE,
                                SPAN_REPLY_ENCODE, STATUS_OK)
 from ..engine.server import AlarmServer
@@ -470,10 +471,11 @@ class AlarmDaemon(_OwnedByOneThread):
         of an idle daemon are byte-identical.
         """
         telemetry = self.server.telemetry
+        ledger = Ledger(self.server.metrics.counters(),
+                        telemetry.registry if telemetry.enabled
+                        else MetricsRegistry())
         return {
-            "metrics": self.server.metrics.counters(),
-            "registry": (telemetry.registry.to_dict()
-                         if telemetry.enabled else {}),
+            **ledger.to_payload(),
             "live": {
                 "connections_open": len(self._conn_tasks),
             },

@@ -10,7 +10,9 @@ The package is split read-side/write-side around the JSONL trace file:
   instrumented site.
 * **read side** (offline, pure): :func:`read_trace`,
   :func:`reconcile` and the ``render_*`` exporters behind
-  ``repro report`` / ``repro trace``.
+  ``repro report`` / ``repro trace``; a trace's summary and a daemon's
+  STATS snapshot carry one :class:`Ledger` (``Metrics`` counts plus the
+  registry), parsed once and rendered by ``render_ledger_*``.
 
 See ``docs/OBSERVABILITY.md`` for the event schema, the instrument
 catalogue and the reconciliation contract.
@@ -27,12 +29,12 @@ from .events import (BASE_FIELDS, EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
                      validate_event)
 from .export import (TraceData, event_counts, filter_events, read_trace,
                      reconcile, render_event_line, render_json,
-                     render_metrics_prom, render_prom,
-                     render_registry_prom, render_text, validate_trace)
+                     render_ledger_prom, render_ledger_text, render_prom,
+                     render_text, validate_trace)
 from .facade import DISABLED, Telemetry
 from .manifest import (MANIFEST_VERSION, RunManifest, config_fingerprint,
                        current_git_sha, extract_seeds)
-from .metrics import (INSTRUMENTS, Counter, Histogram, Instrument,
+from .metrics import (INSTRUMENTS, Counter, Histogram, Instrument, Ledger,
                       MetricsRegistry, TelemetryError)
 from .sinks import JsonlSink, ListSink, TraceSink, read_jsonl
 from .spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS, SPAN_CLIENT_REQUEST,
@@ -62,6 +64,7 @@ __all__ = [
     "INSTRUMENTS",
     "Instrument",
     "JsonlSink",
+    "Ledger",
     "ListSink",
     "MANIFEST_VERSION",
     "MetricsRegistry",
@@ -93,9 +96,9 @@ __all__ = [
     "reconcile",
     "render_event_line",
     "render_json",
-    "render_metrics_prom",
+    "render_ledger_prom",
+    "render_ledger_text",
     "render_prom",
-    "render_registry_prom",
     "render_text",
     "span_close_counts",
     "validate_event",

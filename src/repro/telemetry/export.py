@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -29,7 +29,7 @@ from .events import (EVENT_FIELDS, EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
                      EVENT_TRANSPORT_DROP, EVENT_TYPES, RECORD_EVENT,
                      RECORD_MANIFEST, RECORD_SUMMARY, validate_event)
 from .manifest import RunManifest
-from .metrics import INSTRUMENTS, Counter, Histogram, MetricsRegistry
+from .metrics import INSTRUMENTS, Counter, Histogram, Ledger
 from .sinks import read_jsonl
 from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
                     SPAN_REPLY_ENCODE, STATUS_OK, span_close_counts,
@@ -69,27 +69,20 @@ RECONCILE_PREFIX_SUMS: Tuple[Tuple[str, str], ...] = tuple(sorted(
 
 @dataclass
 class TraceData:
-    """One parsed trace: provenance header, events, trailing summary."""
+    """One parsed trace: provenance header, events, trailing summary.
+
+    The summary's ledger is parsed once, here (empty without a summary);
+    a malformed one raises :class:`~repro.telemetry.metrics.TelemetryError`.
+    """
 
     manifest: Optional[RunManifest]
     events: List[Dict[str, object]]
     summary: Optional[Dict[str, object]]
+    ledger: Ledger = field(init=False)
 
-    def registry(self) -> MetricsRegistry:
-        """The run's metrics registry, rebuilt from the summary."""
-        if self.summary is None:
-            return MetricsRegistry()
-        payload = self.summary.get("registry")
-        if not isinstance(payload, dict):
-            return MetricsRegistry()
-        return MetricsRegistry.from_dict(payload)
-
-    def metrics_counters(self) -> Dict[str, float]:
-        """The engine's ``Metrics.counters()`` totals from the summary."""
-        if self.summary is None:
-            return {}
-        counters = self.summary.get("metrics")
-        return dict(counters) if isinstance(counters, dict) else {}
+    def __post_init__(self) -> None:
+        self.ledger = (Ledger() if self.summary is None
+                       else Ledger.from_payload(self.summary))
 
 
 def read_trace(path: Union[str, Path]) -> TraceData:
@@ -144,8 +137,8 @@ def reconcile(data: TraceData) -> Dict[str, object]:
     contract (both sides are integer counts of the same protocol
     events).
     """
-    metrics = data.metrics_counters()
-    registry = data.registry()
+    metrics = data.ledger.counters
+    registry = data.ledger.registry
     counts = event_counts(data.events)
     checks: List[Dict[str, object]] = []
 
@@ -268,22 +261,7 @@ def render_text(data: TraceData) -> str:
         if event_type in counts:
             lines.append("  %-22s %10d" % (event_type, counts[event_type]))
 
-    registry = data.registry()
-    counters = [inst for inst in (registry.get(name)
-                                  for name in registry.names())
-                if isinstance(inst, Counter)]
-    histograms = [inst for inst in (registry.get(name)
-                                    for name in registry.names())
-                  if isinstance(inst, Histogram)]
-    if counters:
-        lines.append("")
-        lines.append("counters")
-        lines.append("-" * 60)
-        for counter in counters:
-            lines.append("  %-28s %12s" % (counter.name, counter.value))
-    for histogram in histograms:
-        lines.append("")
-        lines.extend(_render_histogram(histogram))
+    lines.extend(render_ledger_text(data.ledger))
 
     result = reconcile(data)
     lines.append("")
@@ -299,18 +277,39 @@ def render_text(data: TraceData) -> str:
     return "\n".join(lines)
 
 
-def _render_histogram(histogram: Histogram, width: int = 30) -> List[str]:
-    """ASCII bucket bars, one bucket per line, plus the moment summary."""
-    lines = ["%s  (count %d, mean %.3f, min %s, max %s)"
-             % (histogram.name, histogram.count, histogram.mean,
-                histogram.min, histogram.max),
-             "-" * 60]
-    peak = max(histogram.bucket_counts) if histogram.count else 0
-    labels = ["<= %g" % bound for bound in histogram.buckets]
-    labels.append("> %g" % histogram.buckets[-1])
-    for label, count in zip(labels, histogram.bucket_counts):
-        bar = "#" * (count * width // peak if peak else 0)
-        lines.append("  %-12s %8d  %s" % (label, count, bar))
+def render_ledger_text(ledger: Ledger, width: int = 30) -> List[str]:
+    """The engine's counters, then the registry, for both dashboards.
+
+    A histogram reads as one line of count, mean, p50, p99, min and max
+    (the percentiles are :meth:`Histogram.percentile` estimates), then
+    one ASCII bar per bucket.  Each section opens with a blank line.
+    """
+    lines: List[str] = []
+    if ledger.counters:
+        lines.extend(["", "engine counters", "-" * 60])
+        for name in sorted(ledger.counters):
+            lines.append("  %-28s %12s" % (name, ledger.counters[name]))
+    registry = ledger.registry
+    if len(registry):
+        lines.extend(["", "telemetry registry", "-" * 60])
+    for name in registry.names():
+        instrument = registry.get(name)
+        if isinstance(instrument, Counter):
+            lines.append("  %-28s %12s" % (name, instrument.value))
+            continue
+        assert isinstance(instrument, Histogram)
+        lines.append(
+            "  %-28s count=%d mean=%.1f p50=%.1f p99=%.1f min=%.1f max=%.1f"
+            % (name, instrument.count, instrument.mean,
+               instrument.percentile(0.50), instrument.percentile(0.99),
+               instrument.min or 0.0, instrument.max or 0.0))
+        peak = max(instrument.bucket_counts)
+        labels = ["<= %g" % bound for bound in instrument.buckets]
+        labels.append("> %g" % instrument.buckets[-1])
+        for label, count in zip(labels, instrument.bucket_counts):
+            bar = "#" * (count * width // peak if peak else 0)
+            lines.append(("      %-12s %8d  %s" % (label, count, bar))
+                         .rstrip())
     return lines
 
 
@@ -320,24 +319,27 @@ def render_json(data: TraceData) -> str:
         "manifest": (data.manifest.to_dict()
                      if data.manifest is not None else None),
         "event_counts": event_counts(data.events),
-        "registry": data.registry().to_dict(),
-        "metrics": data.metrics_counters(),
+        "registry": data.ledger.registry.to_dict(),
+        "metrics": dict(data.ledger.counters),
         "reconciliation": reconcile(data),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_registry_prom(registry: MetricsRegistry) -> List[str]:
-    """One registry as Prometheus exposition lines (no trailing blank).
+def render_ledger_prom(ledger: Ledger) -> List[str]:
+    """One ledger as Prometheus exposition lines (no trailing blank).
 
-    Metric names are prefixed ``repro_``; histograms expose cumulative
-    ``_bucket{le=...}`` series plus ``_sum``/``_count``, matching the
-    Prometheus histogram convention.  Shared by the trace exporter
+    Metric names are prefixed ``repro_``: the registry's instruments
+    first, histograms as cumulative ``_bucket{le=...}`` series plus
+    ``_sum``/``_count`` (the Prometheus histogram convention), then the
+    engine's counts (``repro_uplink_messages`` and friends; the registry
+    keeps no copy of them).  Shared by the trace exporter
     (:func:`render_prom`) and the live STATS scraper (``repro stats
     --format prom``), so a scraped snapshot and a recorded trace of the
-    same registry render byte-identically.
+    same ledger render byte-identically.
     """
     lines: List[str] = []
+    registry = ledger.registry
     for name in registry.names():
         instrument = registry.get(name)
         metric = "repro_" + name
@@ -356,32 +358,18 @@ def render_registry_prom(registry: MetricsRegistry) -> List[str]:
                          % (metric, instrument.count))
             lines.append("%s_sum %s" % (metric, instrument.sum))
             lines.append("%s_count %d" % (metric, instrument.count))
-    return lines
-
-
-def render_metrics_prom(metrics: Mapping[str, object]) -> List[str]:
-    """``Metrics.counters()`` totals as Prometheus counter lines.
-
-    The counts the figures report (``repro_uplink_messages`` and
-    friends) are rendered from the ``metrics`` section a trace summary
-    and a STATS snapshot both carry — the registry keeps no copy of
-    them.  Shared by the same two exporters as
-    :func:`render_registry_prom`, whose lines these follow.
-    """
-    lines: List[str] = []
-    for name in sorted(metrics):
+    for name in sorted(ledger.counters):
         lines.append("# TYPE repro_%s counter" % name)
-        lines.append("repro_%s %s" % (name, metrics[name]))
+        lines.append("repro_%s %s" % (name, ledger.counters[name]))
     return lines
 
 
 def render_prom(data: TraceData) -> str:
     """Prometheus text exposition format (counters, histograms, run info).
 
-    The registry rendering is :func:`render_registry_prom` and the
-    engine's counts :func:`render_metrics_prom`; this adds the run-info
-    gauge from the manifest and per-event-type totals, so the output
-    scrapes directly into any Prometheus-compatible stack.
+    The ledger renders through :func:`render_ledger_prom`; this adds the
+    run-info gauge from the manifest and per-event-type totals, so the
+    output scrapes directly into any Prometheus-compatible stack.
     """
     lines: List[str] = []
     manifest = data.manifest
@@ -392,8 +380,7 @@ def render_prom(data: TraceData) -> str:
             'git_sha="%s",workers="%d"} 1'
             % (manifest.strategy, manifest.config_hash,
                manifest.git_sha or "", manifest.workers))
-    lines.extend(render_registry_prom(data.registry()))
-    lines.extend(render_metrics_prom(data.metrics_counters()))
+    lines.extend(render_ledger_prom(data.ledger))
     for event_type, count in sorted(event_counts(data.events).items()):
         metric = "repro_events_total"
         lines.append('%s{type="%s"} %d' % (metric, event_type, count))

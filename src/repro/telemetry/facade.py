@@ -57,7 +57,7 @@ from .events import (EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT, EVENT_FIELDS,
                      EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
                      EVENT_TRANSPORT_DROP, RECORD_EVENT, RECORD_SUMMARY)
 from .manifest import RunManifest
-from .metrics import MetricsRegistry, TelemetryError
+from .metrics import Ledger, MetricsRegistry, TelemetryError
 from .sinks import ListSink, TraceSink
 
 
@@ -366,8 +366,9 @@ class Telemetry:
         """Write the trailing summary record.
 
         ``metrics_counters`` is ``Metrics.counters()`` — the engine's
-        own deterministic totals, stored next to the event stream so
-        ``repro report`` can reconcile the two without re-running
+        own deterministic totals, written with the registry as one
+        :class:`~repro.telemetry.metrics.Ledger` next to the event stream
+        so ``repro report`` can reconcile them without re-running
         anything.
         """
         if not self.events:
@@ -375,9 +376,8 @@ class Telemetry:
         assert self.sink is not None
         self.sink.write_record({
             "record": RECORD_SUMMARY,
-            "metrics": dict(metrics_counters),
+            **Ledger(metrics_counters, self.registry).to_payload(),
             "triggers": triggers,
-            "registry": self.registry.to_dict(),
             "wall_time_s": wall_time_s,
             "workers": workers,
         })

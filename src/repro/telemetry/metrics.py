@@ -24,8 +24,9 @@ else, so a misspelt name fails where it is written.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple, Type,
-                    TypeVar, Union)
+from dataclasses import dataclass, field
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Type, TypeVar, Union)
 
 Number = Union[int, float]
 
@@ -195,6 +196,29 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
+    def percentile(self, q: float) -> float:
+        """Estimate the ``q``-quantile from the bucket counts.
+
+        Linear interpolation within the bucket the quantile falls in, its
+        edges clamped to the observed minimum and maximum (no sample lies
+        outside them, so a histogram of equal samples reads their value at
+        every quantile); a quantile landing in the overflow bucket reports
+        the observed maximum.  Exact percentiles need the raw samples.
+        """
+        minimum, maximum = self.min, self.max
+        if self.count <= 0 or minimum is None or maximum is None:
+            return 0.0
+        rank = q * self.count
+        cumulative = 0.0
+        lower = minimum
+        for bound, count in zip(self.buckets, self.bucket_counts):
+            if count and cumulative + count >= rank:
+                fraction = (rank - cumulative) / count
+                return float(lower + (min(bound, maximum) - lower) * fraction)
+            cumulative += count
+            lower = max(bound, minimum)
+        return float(maximum)
+
     def merge(self, other: "Histogram") -> None:
         if other.buckets != self.buckets:
             raise TelemetryError(
@@ -319,8 +343,7 @@ class MetricsRegistry:
                 if inst.deterministic}
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Dict[str, object]]
-                  ) -> "MetricsRegistry":
+    def from_dict(cls, payload: Mapping[str, object]) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_dict` output."""
         registry = cls()
         for name in sorted(payload):
@@ -343,28 +366,29 @@ def _copy_instrument(instrument: Instrument) -> Instrument:
     return _instrument_from_dict(instrument.name, instrument.to_dict())
 
 
-def _instrument_from_dict(name: str,
-                          data: Dict[str, object]) -> Instrument:
+def _instrument_from_dict(name: str, data: object) -> Instrument:
+    if not isinstance(data, dict):
+        raise TelemetryError("instrument %r is not an object" % name)
     kind = data.get("kind")
     deterministic = bool(data.get("deterministic", True))
     if kind == Counter.kind:
         counter = Counter(name, deterministic)
-        counter.value = _number(data["value"])
+        counter.value = _number(data.get("value"))
         return counter
     if kind == Histogram.kind:
-        buckets = data["buckets"]
-        assert isinstance(buckets, (list, tuple))
-        histogram = Histogram(name, [float(b) for b in buckets],
+        buckets, counts = data.get("buckets"), data.get("bucket_counts")
+        if not isinstance(buckets, list) or not isinstance(counts, list):
+            raise TelemetryError("histogram %r payload lacks its bucket "
+                                 "lists" % name)
+        histogram = Histogram(name, [_number(b) for b in buckets],
                               deterministic)
-        counts = data["bucket_counts"]
-        assert isinstance(counts, (list, tuple))
         if len(counts) != len(histogram.bucket_counts):
             raise TelemetryError(
                 "histogram %r payload has %d bucket counts for %d "
                 "buckets" % (name, len(counts), len(histogram.buckets)))
-        histogram.bucket_counts = [int(c) for c in counts]
-        histogram.count = int(_number(data["count"]))
-        histogram.sum = _number(data["sum"])
+        histogram.bucket_counts = [int(_number(c)) for c in counts]
+        histogram.count = int(_number(data.get("count")))
+        histogram.sum = _number(data.get("sum"))
         minimum, maximum = data.get("min"), data.get("max")
         histogram.min = _number(minimum) if minimum is not None else None
         histogram.max = _number(maximum) if maximum is not None else None
@@ -376,3 +400,42 @@ def _number(value: object) -> Number:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TelemetryError("expected a number, got %r" % (value,))
     return value
+
+
+def payload_object(payload: Mapping[str, object],
+                   name: str) -> Dict[str, object]:
+    """Section ``name`` of a payload read from outside the process."""
+    section = payload.get(name)
+    if not isinstance(section, dict):
+        raise TelemetryError("payload section %r is not an object (%s)"
+                             % (name, type(section).__name__))
+    return section
+
+
+@dataclass(frozen=True)
+class Ledger:
+    """A run's counts and times: ``Metrics.counters()`` and a registry.
+
+    The one ``{metrics, registry}`` payload that a trace's summary
+    record and a daemon's STATS snapshot both carry.  :meth:`to_payload`
+    writes it; :meth:`from_payload` parses it, once, for every reader
+    (``repro report``, ``repro stats``/``top``, the exporters).
+    """
+
+    counters: Mapping[str, Number] = field(default_factory=dict)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    def to_payload(self) -> Dict[str, object]:
+        return {"metrics": dict(self.counters),
+                "registry": self.registry.to_dict()}
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, object]) -> "Ledger":
+        """Parse a trace summary or a STATS snapshot: each section must
+        be an object, of numbers and of instruments, or
+        :class:`TelemetryError` says which is not."""
+        counters = payload_object(payload, "metrics")
+        return cls({name: _number(value)
+                    for name, value in counters.items()},
+                   MetricsRegistry.from_dict(
+                       payload_object(payload, "registry")))

@@ -16,15 +16,14 @@ import time
 import pytest
 
 from repro.net import (DaemonThread, SocketTransport, StatsSnapshot,
-                       histogram_percentile, render_stats_json,
-                       render_stats_prom, render_stats_text, render_top,
-                       scrape_stats)
+                       render_stats_json, render_stats_prom,
+                       render_stats_text, render_top, scrape_stats)
 from repro.protocol.framing import (PROTOCOL_VERSION, FrameDecoder,
                                     FrameKind, decode_error, encode_frame,
                                     encode_stats)
 from repro.protocol.transport import TransportError
-from repro.telemetry import (Telemetry, render_metrics_prom,
-                             render_registry_prom)
+from repro.telemetry import (Ledger, Telemetry, TelemetryError,
+                             render_ledger_prom)
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 from .conftest import make_daemon, make_report
@@ -83,30 +82,30 @@ class TestStatsChannel:
             snapshot = scrape_stats(path=sock_path)
         finally:
             hosted.stop()
-        assert snapshot.metrics()["uplink_messages"] == 5
-        assert snapshot.serving()["protocol_version"] == PROTOCOL_VERSION
-        assert snapshot.serving()["batch_max"] == daemon.batch_max
-        live = snapshot.live()
+        assert snapshot.ledger.counters["uplink_messages"] == 5
+        assert snapshot.protocol_version == PROTOCOL_VERSION
+        assert snapshot.batch_max == daemon.batch_max
         # The scraper's own connection is live at snapshot time.
-        assert live == {"connections_open": 1}
+        assert snapshot.raw["live"] == {"connections_open": 1}
+        assert snapshot.connections_open == 1
         assert snapshot.scrape_rtt_us > 0
         # The scraped sections round-trip the daemon's own: the counts
         # as Metrics holds them, the registry with its stage histograms
         # fed once per unit of the work Metrics counted.
-        assert snapshot.metrics() == daemon.server.metrics.counters()
-        scraped = snapshot.registry()
+        assert snapshot.ledger.counters == daemon.server.metrics.counters()
+        scraped = snapshot.ledger.registry
         assert "uplink_messages" not in scraped.names()
         assert scraped.histogram("report_cost_us").count == 5
         assert scraped.histogram("trigger_eval_cost_us").count \
-            == snapshot.metrics()["alarm_evaluations"] == 5
+            == snapshot.ledger.counters["alarm_evaluations"] == 5
 
     def test_stats_without_telemetry_still_serves(self, sock_path):
         daemon = make_daemon()
         with DaemonThread(daemon, path=sock_path):
             snapshot = scrape_stats(path=sock_path)
         assert snapshot.raw["registry"] == {}
-        assert len(snapshot.registry()) == 0
-        assert snapshot.serving()["protocol_version"] == PROTOCOL_VERSION
+        assert len(snapshot.ledger.registry) == 0
+        assert snapshot.protocol_version == PROTOCOL_VERSION
 
     def test_stats_before_hello_gets_an_error_frame(self, sock_path):
         daemon = make_daemon()
@@ -164,11 +163,10 @@ class TestStatsChannel:
 
 class TestPromConformance:
     def test_live_rendering_matches_the_trace_exporter(self, sock_path):
-        """Byte-for-byte: the registry and metrics sections of a live
-        prom scrape equal ``render_registry_prom`` of the daemon's own
-        registry and ``render_metrics_prom`` of its own ``Metrics`` —
-        the snapshot is read in-process here so no scrape connection
-        perturbs the counters between the two renderings."""
+        """Byte-for-byte: the ledger section of a live prom scrape
+        equals ``render_ledger_prom`` of the daemon's own registry and
+        ``Metrics`` — the snapshot is read in-process here so no scrape
+        connection perturbs the counters between the two renderings."""
         telemetry = Telemetry.capture()
         daemon, hosted = _drive_traffic(sock_path, telemetry)
         try:
@@ -177,8 +175,8 @@ class TestPromConformance:
         finally:
             hosted.stop()
         rendered = render_stats_prom(snapshot)
-        expected = (render_registry_prom(telemetry.registry)
-                    + render_metrics_prom(daemon.server.metrics.counters()))
+        expected = render_ledger_prom(
+            Ledger(daemon.server.metrics.counters(), telemetry.registry))
         assert rendered.splitlines()[:len(expected)] == expected
         assert "# TYPE repro_uplink_messages counter" in expected
         assert "repro_uplink_messages 3" in expected
@@ -219,8 +217,8 @@ class TestPromConformance:
             snapshot = scrape_stats(path=sock_path)
         finally:
             hosted.stop()
-        scraped = set(render_registry_prom(snapshot.registry()))
-        for line in render_registry_prom(local):
+        scraped = set(render_ledger_prom(snapshot.ledger))
+        for line in render_ledger_prom(Ledger({}, local)):
             if line.startswith("repro_net_connections_opened "):
                 continue
             assert line in scraped
@@ -228,12 +226,12 @@ class TestPromConformance:
 
 class TestHistogramPercentile:
     def test_empty_histogram_is_zero(self):
-        assert histogram_percentile(Histogram("h", [10.0]), 0.99) == 0.0
+        assert Histogram("h", [10.0]).percentile(0.99) == 0.0
 
     def test_first_bucket_starts_at_the_observed_minimum(self):
         histogram = Histogram("h", [10.0, 20.0])
         histogram.observe(5.0)
-        assert histogram_percentile(histogram, 0.5) == 5.0
+        assert histogram.percentile(0.5) == 5.0
 
     def test_equal_samples_read_their_value_at_every_quantile(self):
         # 137 one-frame writes all sit in the first bucket (<= 1); no
@@ -242,7 +240,7 @@ class TestHistogramPercentile:
         for _ in range(137):
             histogram.observe(1)
         for q in (0.0, 0.5, 0.99, 1.0):
-            assert histogram_percentile(histogram, q) == 1.0
+            assert histogram.percentile(q) == 1.0
 
     def test_populated_bucket_is_clamped_to_the_observed_range(self):
         histogram = Histogram("h", [10.0, 20.0, 40.0])
@@ -250,20 +248,20 @@ class TestHistogramPercentile:
             histogram.observe(value)
         # Both samples sit in (10, 20], which the range narrows to
         # [12, 14].
-        assert histogram_percentile(histogram, 0.5) == 13.0
+        assert histogram.percentile(0.5) == 13.0
 
     def test_interpolates_within_the_covering_bucket(self):
         histogram = Histogram("h", [10.0, 20.0, 40.0])
         for value in (5.0, 15.0, 35.0):
             histogram.observe(value)
         # rank 1.5 falls halfway through the (10, 20] bucket.
-        assert histogram_percentile(histogram, 0.5) == 15.0
+        assert histogram.percentile(0.5) == 15.0
 
     def test_overflow_quantile_reports_the_observed_max(self):
         histogram = Histogram("h", [10.0])
         histogram.observe(5.0)
         histogram.observe(100.0)
-        assert histogram_percentile(histogram, 0.99) == 100.0
+        assert histogram.percentile(0.99) == 100.0
 
 
 class TestRenderers:
@@ -291,6 +289,18 @@ class TestRenderers:
         assert "uplink_messages" in text
         assert "net_rtt_us" in text
 
+    def test_text_rendering_shows_each_histograms_buckets(self):
+        """One summary line per histogram, then its bucket bars: the
+        four 250 us round trips fill the ``<= 500`` bucket."""
+        lines = render_stats_text(self._snapshot()).splitlines()
+        [summary] = [line for line in lines
+                     if line.split()[:1] == ["net_rtt_us"]]
+        assert "count=4 mean=250.0 p50=250.0 p99=250.0" in summary
+        bars = lines[lines.index(summary) + 1:][:10]
+        assert [bar.split()[:3] for bar in bars if "#" in bar] \
+            == [["<=", "500", "4"]]
+        assert bars[-1].split() == [">", "100000", "0"]
+
     def test_json_rendering_round_trips(self):
         payload = json.loads(render_stats_json(self._snapshot()))
         assert payload["metrics"]["uplink_messages"] == 100
@@ -312,3 +322,47 @@ class TestRenderers:
     def test_top_first_screen_has_zero_rates(self):
         screen = render_top(self._snapshot(), None, interval_s=1.0)
         assert "0.0/s" in screen
+
+    def test_top_first_screen_reads_no_rate_from_the_totals(self):
+        """With no previous scrape there is no delta: the totals (100
+        uplinks, 50 downlinks, 3 alarms) are not rates per second."""
+        screen = render_top(self._snapshot(), None, interval_s=1.0)
+        rates = [line.split("(")[-1] for line in screen.splitlines()
+                 if line.endswith("/s)")]
+        assert rates == ["     0.0/s)"] * 3
+
+
+class TestSnapshotParse:
+    """A snapshot comes from outside the process: it is parsed once, at
+    construction, and a malformed one is refused there."""
+
+    @staticmethod
+    def _raw(**sections):
+        raw = {"metrics": {"uplink_messages": 3}, "registry": {},
+               "live": {"connections_open": 1},
+               "serving": {"batch_max": 64, "protocol_version": 2}}
+        raw.update(sections)
+        return raw
+
+    @pytest.mark.parametrize("sections, reason", [
+        ({"registry": "off"}, "section 'registry' is not an object"),
+        ({"registry": []}, "section 'registry' is not an object"),
+        ({"registry": {"shard_vehicles_peak": {
+            "kind": "gauge", "deterministic": False, "value": 6.0}}},
+         "unknown instrument kind 'gauge'"),
+        ({"registry": {"net_batches": {"kind": "counter"}}},
+         "expected a number, got None"),
+        ({"metrics": {"uplink_messages": "3"}}, "expected a number"),
+        ({"live": None}, "section 'live' is not an object"),
+    ], ids=["registry-string", "registry-list", "unknown-kind",
+            "counter-without-value", "metrics-string", "live-missing"])
+    def test_malformed_snapshot_is_refused(self, sections, reason):
+        with pytest.raises(TelemetryError, match=reason):
+            StatsSnapshot(raw=self._raw(**sections), scrape_rtt_us=0.0)
+
+    def test_sections_are_parsed_once(self):
+        snapshot = StatsSnapshot(raw=self._raw(), scrape_rtt_us=0.0)
+        assert snapshot.ledger.counters == {"uplink_messages": 3}
+        assert len(snapshot.ledger.registry) == 0
+        assert (snapshot.connections_open, snapshot.batch_max,
+                snapshot.protocol_version) == (1, 64, 2)

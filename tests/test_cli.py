@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import json
 import os
 import re
+import socket
 import threading
 import time
 
@@ -12,9 +14,10 @@ from repro.cli import main
 from repro.engine import Metrics, replay_vehicle_major, run_simulation
 from repro.experiments import TINY, build_world, make_mwpsr_strategy
 from repro.net import SocketTransport
+from repro.protocol.framing import FrameKind, encode_frame, encode_stats
 from repro.protocol.transport import ClientSession
 from repro.protocol.wire import WireCodec
-from repro.telemetry import read_trace, validate_trace
+from repro.telemetry import MetricsRegistry, read_trace, validate_trace
 
 #: Specs with an unknown or malformed parameter, each once per command
 #: that resolves a strategy.
@@ -177,6 +180,29 @@ class TestParser:
         assert "argument %s:" % flags[-2] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [
+        ["stats", "--uds", "x.sock", "--timeout", "-1"],
+        ["stats", "--uds", "x.sock", "--timeout", "inf"],
+        ["top", "--uds", "x.sock", "--timeout", "-1"],
+        ["top", "--uds", "x.sock", "--interval", "-1"],
+        ["top", "--uds", "x.sock", "--interval", "0"],
+        ["top", "--uds", "x.sock", "--interval", "inf"],
+        ["top", "--uds", "x.sock", "--iterations", "0"],
+        ["trace", "tail", "run.jsonl", "--limit", "-3"]],
+        ids=lambda flags: " ".join([flags[0]] + flags[-2:]))
+    def test_a_bad_read_side_value_is_a_usage_error(self, flags, capsys,
+                                                    monkeypatch):
+        """Checked by the parser, before any daemon or trace is read."""
+        def no_read(*args, **kwargs):
+            raise AssertionError("read past a bad value")
+        monkeypatch.setattr("repro.cli.scrape_stats", no_read)
+        monkeypatch.setattr("repro.cli.read_trace", no_read)
+        with pytest.raises(SystemExit) as failure:
+            main(flags)
+        assert failure.value.code == 2
+        assert "argument %s:" % flags[-2] in capsys.readouterr().err
+
+
 class TestProfile:
     def test_profile_runs(self, capsys):
         assert main(["profile", "--workload", "tiny", "--samples", "10"]) == 0
@@ -193,6 +219,30 @@ def trace_path(tmp_path_factory):
     assert main(["simulate", "--strategy", "mwpsr", "--workload", "tiny",
                  "--workers", "2", "--trace", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def lossy_trace_path(tmp_path_factory):
+    """A traced two-shard tiny run over a lossy link."""
+    path = tmp_path_factory.mktemp("traces") / "lossy.jsonl"
+    assert main(["simulate", "--strategy", "pbsr", "--workload", "tiny",
+                 "--workers", "2", "--uplink-drop", "0.1",
+                 "--downlink-drop", "0.1", "--trace", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def registry_parses(monkeypatch):
+    """The list of ``MetricsRegistry.from_dict`` calls from now on."""
+    calls = []
+    parse = MetricsRegistry.from_dict.__func__
+
+    def counted(cls, payload):
+        calls.append(len(payload))
+        return parse(cls, payload)
+
+    monkeypatch.setattr(MetricsRegistry, "from_dict", classmethod(counted))
+    return calls
 
 
 class TestSimulateTrace:
@@ -225,7 +275,7 @@ def _seeded_part(path):
     summary = {key: value for key, value in data.summary.items()
                if key not in WALL_TIME_SUMMARY}
     return (path.read_text().splitlines()[0], events, summary,
-            data.registry().deterministic_snapshot())
+            data.ledger.registry.deterministic_snapshot())
 
 
 class TestTraceDeterminism:
@@ -264,6 +314,23 @@ class TestReport:
         assert "# TYPE repro_uplink_messages counter" in out
         assert 'repro_run_info{strategy="mwpsr"' in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "prom"])
+    def test_report_parses_the_ledger_once(self, lossy_trace_path, fmt,
+                                           registry_parses, capsys):
+        assert main(["report", str(lossy_trace_path),
+                     "--format", fmt]) == 0
+        assert len(registry_parses) == 1
+
+    def test_text_report_shows_the_engine_counters(self, lossy_trace_path,
+                                                   capsys):
+        assert main(["report", str(lossy_trace_path)]) == 0
+        out = capsys.readouterr().out
+        metrics = read_trace(lossy_trace_path).summary["metrics"]
+        for name in ("uplink_messages", "downlink_bytes", "uplink_drops"):
+            assert re.search(r"^  %s +%d$" % (name, metrics[name]), out,
+                             re.MULTILINE), name
+        assert metrics["uplink_drops"] > 0
+
     def test_broken_trace_exits_nonzero(self, trace_path, tmp_path,
                                         capsys):
         # Drop one event record: reconciliation must fail loudly.
@@ -289,6 +356,15 @@ class TestReport:
         return path, "unknown instrument kind 'gauge'"
 
     @staticmethod
+    def _registry_not_an_object(trace_path, tmp_path):
+        lines = trace_path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["registry"] = "off"
+        path = tmp_path / "registry.jsonl"
+        path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+        return path, "payload section 'registry' is not an object"
+
+    @staticmethod
     def _corrupt(trace_path, tmp_path):
         lines = trace_path.read_text().splitlines()
         path = tmp_path / "corrupt.jsonl"
@@ -303,7 +379,8 @@ class TestReport:
     @pytest.mark.parametrize("command", [["report"], ["trace", "validate"],
                                          ["trace", "tail"]],
                              ids=["report", "validate", "tail"])
-    @pytest.mark.parametrize("case", ["_missing", "_corrupt", "_with_gauge"])
+    @pytest.mark.parametrize("case", ["_missing", "_corrupt", "_with_gauge",
+                                      "_registry_not_an_object"])
     def test_unreadable_trace_exits_2_with_one_line(self, trace_path,
                                                      tmp_path, capsys,
                                                      command, case):
@@ -357,6 +434,81 @@ class TestStatsAndTop:
                      "--iterations", "2", "--no-clear"]) == 0
         out = capsys.readouterr().out
         assert out.count("repro top") == 2
+
+    def test_a_top_screen_parses_its_snapshot_once(self, served,
+                                                   registry_parses,
+                                                   monkeypatch, capsys):
+        """Once per scrape, when it is read; drawing it parses nothing."""
+        from repro.net import render_top
+        parsed_while_drawing = []
+
+        def draw(*args):
+            before = len(registry_parses)
+            screen = render_top(*args)
+            parsed_while_drawing.append(len(registry_parses) - before)
+            return screen
+
+        monkeypatch.setattr("repro.cli.render_top", draw)
+        assert main(["top", "--uds", served, "--interval", "0.01",
+                     "--iterations", "3", "--no-clear"]) == 0
+        assert parsed_while_drawing == [0, 0, 0]
+        assert len(registry_parses) == 3
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _answering(path, payload):
+        """A Unix socket at ``path`` that answers one scrape with a STATS
+        frame carrying ``payload``."""
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+
+        def answer():
+            served, _ = listener.accept()
+            with served:
+                served.settimeout(10.0)
+                served.recv(1 << 16)  # HELLO + STATS
+                served.sendall(encode_frame(FrameKind.STATS,
+                                            encode_stats(payload)))
+                while served.recv(1 << 16):
+                    pass  # until the scraper hangs up
+
+        server = threading.Thread(target=answer)
+        server.start()
+        try:
+            yield
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
+        assert not server.is_alive()
+
+    @pytest.mark.parametrize("command", [["stats"], ["top", "--no-clear"]],
+                             ids=["stats", "top"])
+    @pytest.mark.parametrize("payload, reason", [
+        (None, "No such file or directory"),
+        ({"metrics": {}, "registry": "off", "live": {}, "serving": {}},
+         "malformed STATS snapshot: payload section 'registry' is not "
+         "an object"),
+        ({"metrics": {}, "live": {}, "serving": {},
+          "registry": {"shard_vehicles_peak": {
+              "kind": "gauge", "deterministic": False, "value": 6.0}}},
+         "unknown instrument kind 'gauge'")],
+        ids=["absent", "registry-not-an-object", "unknown-kind"])
+    def test_unreadable_daemon_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      command, payload,
+                                                      reason):
+        """Like an unreadable trace: exit 2, one stderr line naming the
+        endpoint and the reason, no traceback."""
+        path = str(tmp_path / "daemon.sock")
+        answering = (contextlib.nullcontext() if payload is None
+                     else self._answering(path, payload))
+        with answering:
+            assert main(command + ["--uds", path, "--timeout", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro: cannot scrape %s: " % path)
+        assert reason in captured.err
 
 
 class TestServe:
