@@ -3,7 +3,7 @@
 from .eps import EPS, feq, feq_exact, fzero, fzero_exact
 from .point import ORIGIN, Point, normalize_angle
 from .polygon import RectilinearRegion, region_from_rect_minus_holes
-from .rect import Rect, total_disjoint_area
+from .rect import Rect
 
 __all__ = [
     "EPS",
@@ -17,5 +17,4 @@ __all__ = [
     "fzero_exact",
     "normalize_angle",
     "region_from_rect_minus_holes",
-    "total_disjoint_area",
 ]

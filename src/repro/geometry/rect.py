@@ -297,8 +297,3 @@ class Rect:
                            else self.min_x + self.width * (col + 1) / columns,
                            self.max_y if row + 1 == rows
                            else self.min_y + self.height * (row + 1) / rows)
-
-
-def total_disjoint_area(rects: Iterable[Rect]) -> float:
-    """Sum of areas of rectangles assumed pairwise interior-disjoint."""
-    return sum(r.area for r in rects)

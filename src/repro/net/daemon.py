@@ -26,8 +26,8 @@ suite then pins them against the wire goldens.
 All mutable serving state (connection tasks, counters) lives on
 daemon and connection scope — never at module level — so the module
 satisfies rule RL004 in letter and intent; the only host-clock reads
-are ``perf_counter`` deltas for the batch latency probe (RL006's
-sanctioned form).
+are ``perf_counter`` deltas for the batch latency probe and the stage
+spans (RL006's sanctioned form).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..protocol.wire import WireCodec
 from ..telemetry.facade import Telemetry
 from ..telemetry.metrics import Ledger, MetricsRegistry
 from ..telemetry.spans import (SERVER_SPAN_IDS, SPAN_DECODE, SPAN_HANDLE,
-                               SPAN_REPLY_ENCODE, STATUS_OK)
+                               SPAN_REPLY_ENCODE, STATUS_ERROR, STATUS_OK)
 from ..engine.server import AlarmServer
 
 #: Socket read size; large enough to complete many frames per wakeup.
@@ -76,6 +76,22 @@ def _check_framed(direction: str, framed: int, charged: int) -> None:
             "framed %s accounting drift: frame carries %d charged "
             "byte(s) but the transport charged %d"
             % (direction, framed, charged))
+
+
+def _stage_span(telemetry: Telemetry, frame: Frame, stage: str,
+                status: str, started: float) -> float:
+    """Record one finished serving stage; the ``perf_counter`` after it.
+
+    ``started`` is the stage's begin reading.  The span id is the
+    stage's fixed id from :data:`~repro.telemetry.spans.SERVER_SPAN_IDS`
+    and the parent the client's root span id carried in the frame
+    envelope; an untraced frame (trace id 0) feeds only the stage's
+    histogram.
+    """
+    telemetry.span(frame.time_s, frame.trace_id, SERVER_SPAN_IDS[stage],
+                   frame.span_id, stage, status,
+                   (time.perf_counter() - started) * 1e6)
+    return time.perf_counter()
 
 
 class _OwnedByOneThread:
@@ -370,43 +386,50 @@ class AlarmDaemon(_OwnedByOneThread):
                 pass
 
     def _reply(self, frame: Frame, telemetry: Telemetry) -> bytes:
-        """Decode, handle and encode one REQUEST: its REPLY frame."""
+        """Decode, handle and encode one REQUEST: its REPLY frame.
+
+        With telemetry on, each stage is timed into one
+        :func:`_stage_span` as it ends; the stage an exception escapes
+        from is recorded ``error``, in the ``finally``.
+        """
         time_s = frame.time_s
-        trace_id = frame.trace_id
-        span_id = frame.span_id
-        traced = telemetry.enabled and trace_id != 0
-        started = time.perf_counter() if traced else 0.0
         codec = self.codec
         verify_wire = self._accounting.verify_wire
+        timed = telemetry.enabled
+        if timed:
+            stage, status = SPAN_DECODE, STATUS_ERROR
+            started = time.perf_counter()
         try:
-            request = codec.decode_request(frame.payload)
-        except ValueError as exc:
-            raise FramingError("undecodable REQUEST payload: %s"
-                               % exc) from exc
-        if verify_wire:
-            _check_framed("uplink", len(frame.payload),
-                          codec.size_of_request(request))
-        if traced:
-            self._emit_server_span(telemetry, time_s, trace_id, span_id,
-                                   SPAN_DECODE, started)
-            started = time.perf_counter()
-        reply = self._accounting.request(request, time_s)
-        if traced:
-            self._emit_server_span(telemetry, time_s, trace_id, span_id,
-                                   SPAN_HANDLE, started)
-            started = time.perf_counter()
-        payload = encode_reply(codec, reply, request.user_id, time_s)
-        if verify_wire:
-            _check_framed("reply", reply_summary(payload)[2], sum(
-                codec.size_of_response(message) for message in reply))
-        # The REPLY envelope echoes the request's trace pair so the
-        # client can correlate replies with its root spans.
-        framed = encode_frame(FrameKind.REPLY, payload, time_s, trace_id,
-                              span_id)
-        if traced:
-            self._emit_server_span(telemetry, time_s, trace_id, span_id,
-                                   SPAN_REPLY_ENCODE, started)
-        return framed
+            try:
+                request = codec.decode_request(frame.payload)
+            except ValueError as exc:
+                raise FramingError("undecodable REQUEST payload: %s"
+                                   % exc) from exc
+            if verify_wire:
+                _check_framed("uplink", len(frame.payload),
+                              codec.size_of_request(request))
+            if timed:
+                started = _stage_span(telemetry, frame, stage, STATUS_OK,
+                                      started)
+                stage = SPAN_HANDLE
+            reply = self._accounting.request(request, time_s)
+            if timed:
+                started = _stage_span(telemetry, frame, stage, STATUS_OK,
+                                      started)
+                stage = SPAN_REPLY_ENCODE
+            payload = encode_reply(codec, reply, request.user_id, time_s)
+            if verify_wire:
+                _check_framed("reply", reply_summary(payload)[2], sum(
+                    codec.size_of_response(message) for message in reply))
+            # The REPLY envelope echoes the request's trace pair so the
+            # client can correlate replies with its root spans.
+            framed = encode_frame(FrameKind.REPLY, payload, time_s,
+                                  frame.trace_id, frame.span_id)
+            status = STATUS_OK
+            return framed
+        finally:
+            if timed:
+                _stage_span(telemetry, frame, stage, status, started)
 
     async def _finish_connection(
             self, conn_id: int, writer: asyncio.StreamWriter,
@@ -436,24 +459,6 @@ class AlarmDaemon(_OwnedByOneThread):
             telemetry = self.server.telemetry
             if telemetry.enabled:
                 telemetry.net_conn_close(conn_id, clean, requests)
-
-    def _emit_server_span(self, telemetry: Telemetry, time_s: float,
-                          trace_id: int, parent_id: int, name: str,
-                          started: float) -> None:
-        """Emit one completed server-stage span, retrospectively.
-
-        Server spans are opened and closed adjacently (the stage has
-        already finished; ``started`` is its begin ``perf_counter``
-        reading) so no span is ever held across an ``await`` — the
-        ledger stays balanced even if the connection dies between
-        stages.  The span id is the stage's fixed id from
-        :data:`~repro.telemetry.spans.SERVER_SPAN_IDS`; the parent is
-        the client's root span id carried in the frame envelope.
-        """
-        span_id = SERVER_SPAN_IDS[name]
-        telemetry.span_open(time_s, trace_id, span_id, parent_id, name)
-        telemetry.span_close(time_s, trace_id, span_id, STATUS_OK,
-                             (time.perf_counter() - started) * 1e6)
 
     # ------------------------------------------------------------------
     # Operator STATS channel

@@ -11,7 +11,7 @@ Division of accounting labour: the **daemon** charges all traffic
 (through its in-process transport), so this client charges nothing —
 with client and daemon in one test process the shared ``Metrics``
 would otherwise double-count.  The client's only instruments are the
-optional ``net_rtt_us`` histogram and the client spans.
+optional ``net_rtt_us`` histogram and the client span records.
 
 Bitmap strategies need one extra ingredient: a bitmap downlink carries
 the cell reference and the payload bits, but decoding the bits into a
@@ -93,12 +93,11 @@ class SocketTransport(Transport):
 
     With telemetry enabled, every request is traced: the transport
     assigns a trace id (``client_id`` salts the ids so concurrently
-    tracing transports never collide in one trace file), opens a
-    ``client_request`` root span, stamps the REQUEST frame's envelope
-    with the ``(trace, span)`` pair for the daemon to continue, and
-    closes the span on *every* exit path — ``"ok"`` on a decoded
-    reply, ``"error"`` on a send failure, timeout, EOF, ERROR frame or
-    undecodable reply.
+    tracing transports never collide in one trace file), stamps the
+    REQUEST frame's envelope with the ``(trace, span)`` pair for the
+    daemon to continue, and writes one ``client_request`` root span
+    on *every* exit path — ``"ok"`` on a decoded reply, ``"error"`` on
+    a send failure, timeout, EOF, ERROR frame or undecodable reply.
     """
 
     def __init__(self, sock: socket.socket,
@@ -157,17 +156,12 @@ class SocketTransport(Transport):
         telemetry = self.telemetry
         traced = telemetry.enabled
         trace_id = span_id = 0
-        started = 0.0
         if traced:
             self._trace_count += 1
             trace_id = make_trace_id(self._client_id, self._trace_count)
             span_id = ROOT_SPAN_ID
+            status = STATUS_ERROR
             started = time.perf_counter()
-            # Once the span is open, nothing exception-capable may run
-            # before the try block whose every exit closes it (the
-            # span-leak fault tests hold this).
-            telemetry.span_open(time_s, trace_id, span_id, 0,
-                                SPAN_CLIENT_REQUEST)
         try:
             self._send(encode_frame(FrameKind.REQUEST, payload, time_s,
                                     trace_id, span_id))
@@ -178,25 +172,18 @@ class SocketTransport(Transport):
             except FramingError as exc:
                 raise TransportError("undecodable REPLY: %s"
                                      % exc) from exc
-        except BaseException:
-            # Every failure path — send error, timeout, EOF, ERROR
-            # frame, undecodable reply — closes the span: an exchange
-            # that died still happened, and a leaked span would hide
-            # exactly the worst-latency (failed) requests.
             if traced:
-                self._finish_span(time_s, trace_id, STATUS_ERROR,
-                                  started)
-            raise
-        if traced:
-            telemetry.net_rtt((time.perf_counter() - started) * 1e6)
-            self._finish_span(time_s, trace_id, STATUS_OK, started)
-        return reply
-
-    def _finish_span(self, time_s: float, trace_id: int, status: str,
-                     started: float) -> None:
-        self.telemetry.span_close(
-            time_s, trace_id, ROOT_SPAN_ID, status,
-            (time.perf_counter() - started) * 1e6)
+                telemetry.net_rtt((time.perf_counter() - started) * 1e6)
+                status = STATUS_OK
+            return reply
+        finally:
+            # Every exit writes the span: an exchange that died (send
+            # error, timeout, EOF, ERROR frame, undecodable reply)
+            # still happened, and its record is the worst latency.
+            if traced:
+                telemetry.span(time_s, trace_id, span_id, 0,
+                               SPAN_CLIENT_REQUEST, status,
+                               (time.perf_counter() - started) * 1e6)
 
     def push(self, user_id: int, message: Response,
              time_s: float) -> None:

@@ -155,9 +155,11 @@ def render_top(snapshot: StatsSnapshot,
     registry = snapshot.ledger.registry
     # Outermost first, so a slow round trip reads down to the stage that
     # took it (docs/OBSERVABILITY.md says what nests in what).
-    for name in ("net_rtt_us", "net_batch_handle_us", "report_cost_us",
+    for name in ("net_rtt_us", "net_batch_handle_us", "decode_cost_us",
+                 "handle_cost_us", "report_cost_us",
                  "trigger_eval_cost_us", "saferegion_compute_cost_us",
-                 "index_lookup_cost_us", "downlink_sizing_cost_us"):
+                 "index_lookup_cost_us", "downlink_sizing_cost_us",
+                 "reply_encode_cost_us"):
         instrument = registry.get(name)
         if isinstance(instrument, Histogram) and instrument.count:
             lines.append("%-26s p50 %8.0f us   p99 %8.0f us   (n=%d)"

@@ -171,12 +171,11 @@ class LossyTransport(InProcessTransport):
     ``downlink_drops``; a request whose uplink or any of whose reply
     payloads exhausts ``max_attempts`` raises :class:`TransportError`.
 
-    With telemetry enabled each exchange is additionally wrapped in a
-    ``lossy_request`` root span that closes ``"ok"`` on delivery and
-    ``"error"`` on attempt-budget exhaustion — the retry loop may
-    abandon an exchange, but it may never leak its span (``repro trace
-    validate`` checks the ledger balances); ``_trace_count`` is the
-    per-transport trace-id counter behind those spans.
+    With telemetry enabled each exchange additionally writes one
+    ``lossy_request`` root span, ``"ok"`` on delivery and ``"error"``
+    on whatever abandoned it (attempt-budget exhaustion, or an
+    exception from the server); ``_trace_count`` is the per-transport
+    trace-id counter behind those spans.
     """
 
     __slots__ = ("uplink_drop", "downlink_drop", "max_attempts", "_rng",
@@ -206,22 +205,18 @@ class LossyTransport(InProcessTransport):
         if not telemetry.enabled:
             return self._exchange(request, time_s)
         self._trace_count += 1
-        trace_id = make_trace_id(0, self._trace_count)
+        status = STATUS_ERROR
         started = time.perf_counter()
-        telemetry.span_open(time_s, trace_id, ROOT_SPAN_ID, 0,
-                            SPAN_LOSSY_REQUEST)
         try:
             reply = self._exchange(request, time_s)
-        except TransportError:
-            # Attempt-budget exhaustion (uplink or any reply payload)
-            # abandons the exchange but must not leak its span.
-            telemetry.span_close(time_s, trace_id, ROOT_SPAN_ID,
-                                 STATUS_ERROR,
-                                 (time.perf_counter() - started) * 1e6)
-            raise
-        telemetry.span_close(time_s, trace_id, ROOT_SPAN_ID, STATUS_OK,
-                             (time.perf_counter() - started) * 1e6)
-        return reply
+            status = STATUS_OK
+            return reply
+        finally:
+            # Whatever ends the exchange — attempt-budget exhaustion or
+            # a fault in the server — it leaves its one record.
+            telemetry.span(time_s, make_trace_id(0, self._trace_count),
+                           ROOT_SPAN_ID, 0, SPAN_LOSSY_REQUEST, status,
+                           (time.perf_counter() - started) * 1e6)
 
     def _exchange(self, request: Request, time_s: float) -> ServerReply:
         server = self.server

@@ -24,7 +24,7 @@ from .events import (BASE_FIELDS, EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT,
                      EVENT_NET_CONN_OPEN,
                      EVENT_SAFEREGION_COMPUTED, EVENT_SAFEREGION_EXIT,
                      EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
-                     EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN, EVENT_TYPES,
+                     EVENT_SPAN, EVENT_TYPES,
                      RECORD_EVENT, RECORD_MANIFEST, RECORD_SUMMARY,
                      validate_event)
 from .export import (TraceData, event_counts, filter_events, read_trace,
@@ -40,7 +40,7 @@ from .sinks import JsonlSink, ListSink, TraceSink, read_jsonl
 from .spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS, SPAN_CLIENT_REQUEST,
                     SPAN_DECODE, SPAN_HANDLE, SPAN_LOSSY_REQUEST,
                     SPAN_REPLY_ENCODE, STATUS_ERROR, STATUS_OK,
-                    make_trace_id, span_close_counts, validate_spans)
+                    make_trace_id, span_counts, validate_spans)
 
 __all__ = [
     "BASE_FIELDS",
@@ -57,8 +57,7 @@ __all__ = [
     "EVENT_SAFEREGION_EXIT",
     "EVENT_SHARD_FINISHED",
     "EVENT_SHARD_STARTED",
-    "EVENT_SPAN_CLOSE",
-    "EVENT_SPAN_OPEN",
+    "EVENT_SPAN",
     "EVENT_TYPES",
     "Histogram",
     "INSTRUMENTS",
@@ -100,7 +99,7 @@ __all__ = [
     "render_ledger_text",
     "render_prom",
     "render_text",
-    "span_close_counts",
+    "span_counts",
     "validate_event",
     "validate_spans",
     "validate_trace",

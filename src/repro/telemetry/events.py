@@ -42,8 +42,7 @@ EVENT_SHARD_FINISHED = "shard_finished"
 EVENT_NET_CONN_OPEN = "net_conn_open"
 EVENT_NET_CONN_CLOSE = "net_conn_close"
 EVENT_NET_BATCH = "net_batch"
-EVENT_SPAN_OPEN = "span_open"
-EVENT_SPAN_CLOSE = "span_close"
+EVENT_SPAN = "span"
 
 #: Required payload fields per event type (beyond the base fields).
 #: ``user`` appears where the event concerns one subscriber.
@@ -59,9 +58,8 @@ EVENT_FIELDS: Dict[str, FrozenSet[str]] = {
     EVENT_NET_CONN_OPEN: frozenset({"conn"}),
     EVENT_NET_CONN_CLOSE: frozenset({"conn", "clean", "requests"}),
     EVENT_NET_BATCH: frozenset({"conn", "requests"}),
-    EVENT_SPAN_OPEN: frozenset({"trace", "span", "parent", "name"}),
-    EVENT_SPAN_CLOSE: frozenset({"trace", "span", "status",
-                                 "elapsed_us"}),
+    EVENT_SPAN: frozenset({"trace", "span", "parent", "name", "status",
+                           "elapsed_us"}),
 }
 
 #: All known event types, sorted for stable listings.

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .events import (EVENT_FIELDS, EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
-                     EVENT_TRANSPORT_DROP, EVENT_TYPES, RECORD_EVENT,
-                     RECORD_MANIFEST, RECORD_SUMMARY, validate_event)
-from .manifest import RunManifest
-from .metrics import INSTRUMENTS, Counter, Histogram, Ledger
+from .events import (EVENT_FIELDS, EVENT_TRANSPORT_DROP, EVENT_TYPES,
+                     RECORD_EVENT, RECORD_MANIFEST, RECORD_SUMMARY,
+                     validate_event)
+from .manifest import MANIFEST_VERSION, RunManifest
+from .metrics import INSTRUMENTS, Counter, Histogram, Ledger, TelemetryError
 from .sinks import read_jsonl
 from .spans import (SPAN_CLIENT_REQUEST, SPAN_DECODE, SPAN_HANDLE,
-                    SPAN_REPLY_ENCODE, STATUS_OK, span_close_counts,
+                    SPAN_REPLY_ENCODE, STATUS_OK, span_counts,
                     validate_spans)
 
 #: Event-count reconciliation pairs: (event type, Metrics field).
@@ -86,13 +86,25 @@ class TraceData:
 
 
 def read_trace(path: Union[str, Path]) -> TraceData:
-    """Parse a JSONL trace file into its three record kinds."""
+    """Parse a JSONL trace file into its three record kinds.
+
+    A manifest of any schema version but :data:`MANIFEST_VERSION`, or of
+    none, raises :class:`~repro.telemetry.metrics.TelemetryError`
+    naming the version found: its records are not the ones this reader
+    knows.
+    """
     manifest: Optional[RunManifest] = None
     events: List[Dict[str, object]] = []
     summary: Optional[Dict[str, object]] = None
     for record in read_jsonl(path):
         kind = record.get("record")
         if kind == RECORD_MANIFEST:
+            version = record.get("version")
+            if type(version) is not int or version != MANIFEST_VERSION:
+                raise TelemetryError(
+                    "trace schema version %s; this reader reads version %d"
+                    % ("missing" if version is None else repr(version),
+                       MANIFEST_VERSION))
             manifest = RunManifest.from_record(record)
         elif kind == RECORD_EVENT:
             events.append(record)
@@ -172,22 +184,20 @@ def reconcile(data: TraceData) -> Dict[str, object]:
 
     # Span-vs-instrument cross-checks.  All hold exactly for every
     # trace kind — untraced runs compare 0 == 0.
-    span_counts = span_close_counts(data.events)
-    check("events.span_open == events.span_close",
-          counts.get(EVENT_SPAN_OPEN, 0), counts.get(EVENT_SPAN_CLOSE, 0))
+    spans = span_counts(data.events)
     # Every successful framed round trip observed exactly one RTT
-    # sample (the histogram is fed after a decoded reply, just before
-    # the ok close — failed exchanges close "error" and observe none).
+    # sample (the histogram is fed after a decoded reply, before the
+    # "ok" record — a failed exchange's "error" record observes none).
     rtt = registry.get("net_rtt_us")
     check("spans.client_request[ok] == registry.net_rtt_us.count",
-          span_counts.get((SPAN_CLIENT_REQUEST, STATUS_OK), 0),
+          spans.get((SPAN_CLIENT_REQUEST, STATUS_OK), 0),
           rtt.count if isinstance(rtt, Histogram) else 0)
     # The serving pipeline is lock-step per handled request: one
     # decode and one reply encode each.
-    handled = span_counts.get((SPAN_HANDLE, STATUS_OK), 0)
+    handled = spans.get((SPAN_HANDLE, STATUS_OK), 0)
     for stage in (SPAN_DECODE, SPAN_REPLY_ENCODE):
         check("spans.%s[ok] == spans.handle[ok]" % stage,
-              handled, span_counts.get((stage, STATUS_OK), 0))
+              handled, spans.get((stage, STATUS_OK), 0))
     return {"ok": all(bool(entry["ok"]) for entry in checks),
             "checks": checks}
 

@@ -46,26 +46,25 @@ registry merge and the ``Metrics`` merge (see
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .events import (EVENT_ALARM_FIRED, EVENT_DOWNLINK_SENT, EVENT_FIELDS,
                      EVENT_LOCATION_REPORT, EVENT_NET_BATCH,
                      EVENT_NET_CONN_CLOSE, EVENT_NET_CONN_OPEN,
                      EVENT_SAFEREGION_COMPUTED, EVENT_SAFEREGION_EXIT,
-                     EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED,
-                     EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN,
+                     EVENT_SHARD_FINISHED, EVENT_SHARD_STARTED, EVENT_SPAN,
                      EVENT_TRANSPORT_DROP, RECORD_EVENT, RECORD_SUMMARY)
 from .manifest import RunManifest
 from .metrics import Ledger, MetricsRegistry, TelemetryError
 from .sinks import ListSink, TraceSink
+from .spans import STAGE_HISTOGRAMS
 
 
 class Telemetry:
     """Facade over event records, metrics registry and run manifest."""
 
     __slots__ = ("enabled", "events", "sink", "shard", "registry",
-                 "manifest", "_span_lock")
+                 "manifest")
 
     def __init__(self, sink: Optional[TraceSink], registry: MetricsRegistry,
                  manifest: Optional[RunManifest] = None,
@@ -79,12 +78,11 @@ class Telemetry:
         self.shard = shard
         self.registry = registry
         self.manifest = manifest
-        # Span events are the one emitter family called from two
-        # threads of one process (the network engine's client thread
-        # and the daemon's loop thread share this facade); the lock
-        # keeps the shared span counters exact.  Every other emitter
-        # has a single writer and stays lock-free.
-        self._span_lock = threading.Lock()
+        # No lock: the network engine's client thread and the daemon's
+        # loop thread share this facade, but each instrument has one
+        # writer (the client: net_rtt_us, saferegion_exits and
+        # saferegion_residence_s; the daemon: the rest), and JsonlSink
+        # serializes its own writes.
 
     # ------------------------------------------------------------------
     # Construction
@@ -291,41 +289,32 @@ class Telemetry:
         registry.histogram("net_batch_size").observe(requests)
         registry.histogram("net_batch_handle_us").observe(handle_us)
 
-    def span_open(self, time_s: float, trace_id: int, span_id: int,
-                  parent_id: int, name: str) -> None:
-        """A traced operation began.
+    def span(self, time_s: float, trace_id: int, span_id: int,
+             parent_id: int, name: str, status: str,
+             elapsed_us: float) -> None:
+        """A traced operation finished with ``status`` ``"ok"``/``"error"``.
 
+        Called once per span, when it ends (its writer calls it in a
+        ``finally``), so a failed exchange leaves its record too.
         ``trace_id`` groups every span of one request's journey;
-        ``parent_id`` is 0 for the root (client) span and the opener's
-        span id for server-side children.  ``repro trace validate``
-        checks the open/close pairing and parent/child well-formedness
-        (see :func:`~repro.telemetry.export.validate_spans`).
+        ``parent_id`` is 0 for a root (client) span and the client's
+        span id for a server stage.  ``elapsed_us`` is a wall-clock
+        duration probe (perf-counter delta, the same sanction as
+        ``net_batch``'s ``handle_us``).  A server stage's time feeds its
+        ``*_cost_us`` histogram whether or not the request was traced;
+        the record is written only for a traced request (``trace_id``
+        non-zero) — :func:`~repro.telemetry.spans.validate_spans`
+        checks the records' trees.
         """
         if not self.enabled:
             return
-        with self._span_lock:
-            if self.events:
-                self.emit(EVENT_SPAN_OPEN, time_s, trace=trace_id,
-                          span=span_id, parent=parent_id, name=name)
-            self.registry.counter("spans_opened").inc()
-
-    def span_close(self, time_s: float, trace_id: int, span_id: int,
-                   status: str, elapsed_us: float) -> None:
-        """A traced operation ended with ``status`` ``"ok"``/``"error"``.
-
-        ``elapsed_us`` is a wall-clock duration probe (perf-counter
-        delta, the same sanction as ``net_batch``'s ``handle_us``);
-        every opened span must close exactly once —
-        :func:`~repro.telemetry.spans.validate_spans` checks the balance.
-        """
-        if not self.enabled:
-            return
-        with self._span_lock:
-            if self.events:
-                self.emit(EVENT_SPAN_CLOSE, time_s, trace=trace_id,
-                          span=span_id, status=status,
-                          elapsed_us=elapsed_us)
-            self.registry.counter("spans_closed").inc()
+        if self.events and trace_id:
+            self.emit(EVENT_SPAN, time_s, trace=trace_id, span=span_id,
+                      parent=parent_id, name=name, status=status,
+                      elapsed_us=elapsed_us)
+        histogram = STAGE_HISTOGRAMS.get(name)
+        if histogram is not None:
+            self.registry.histogram(histogram).observe(elapsed_us)
 
     def net_rtt(self, rtt_us: float) -> None:
         """One framed request-reply round trip took ``rtt_us``.

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
-#: Manifest schema version; bump on breaking field changes.
-MANIFEST_VERSION = 1
+#: Trace schema version; bump on breaking record changes.  Version 2
+#: writes one ``span`` event per finished span where version 1 wrote an
+#: open and a close event.
+MANIFEST_VERSION = 2
 
 
 def config_fingerprint(config: Mapping[str, object]) -> str:

@@ -61,8 +61,6 @@ INSTRUMENTS: Dict[str, Declared] = {
     "net_connections_closed": Declared("counter",
                                        witness="net_conn_close"),
     "net_batches": Declared("counter", witness="net_batch"),
-    "spans_opened": Declared("counter", witness="span_open"),
-    "spans_closed": Declared("counter", witness="span_close"),
     # Downlinks by protocol message kind; the family sums to Metrics.
     "downlink_messages_rect": Declared("counter",
                                        witness="downlink_messages"),
@@ -104,6 +102,14 @@ INSTRUMENTS: Dict[str, Declared] = {
     "downlink_sizing_cost_us": Declared(
         "histogram", deterministic=False,
         buckets=(1.0, 2.0, 5.0, 10.0, 50.0, 200.0, 1000.0)),
+    # The daemon's serving stages of one REQUEST, microseconds: decode,
+    # handle (the in-process exchange), reply encode and framing.
+    "decode_cost_us": Declared("histogram", deterministic=False,
+                               buckets=_STAGE_US),
+    "handle_cost_us": Declared("histogram", deterministic=False,
+                               buckets=_STAGE_US),
+    "reply_encode_cost_us": Declared("histogram", deterministic=False,
+                                     buckets=_STAGE_US),
     # REPLY frames per coalesced daemon write (1 = no coalescing); the
     # split depends on socket arrival timing.
     "net_batch_size": Declared(

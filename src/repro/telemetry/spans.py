@@ -1,11 +1,13 @@
 """The span vocabulary of the distributed-tracing layer.
 
-One traced exchange is a tiny fixed tree: the client opens a *root*
+One traced exchange is a tiny fixed tree: the client times a *root*
 span around its stop-and-wait request, the frame envelope carries the
 ``(trace, span)`` pair to the daemon (see
-:mod:`repro.protocol.framing`), and the daemon emits one child span per
+:mod:`repro.protocol.framing`), and the daemon times one child span per
 serving stage — decode, handle, reply-encode — all parented
-on the client's span id.  Span ids inside a trace are therefore
+on the client's span id.  Each span is one ``span`` record, written
+once when it finishes (in a ``finally``, so a failed exchange leaves
+its ``error`` record too).  Span ids inside a trace are therefore
 *static*: the root is always :data:`ROOT_SPAN_ID` and each server stage
 owns the fixed id in :data:`SERVER_SPAN_IDS`, so well-formedness is
 checkable without any runtime id allocator on the serving hot path.
@@ -17,17 +19,17 @@ different engine shards never share a tree, so every grouping below
 keys on ``(shard, trace)``.
 
 :func:`validate_spans` is the read-side well-formedness check behind
-``repro trace validate``: every opened span closes exactly once, no
-span closes unopened, parents exist before their children, and no span
-event carries the untraced id 0.  It is the one span-balance check:
-the traced socket and fault tests run it on their captured events.
+``repro trace validate``: no span id repeats in its tree, every parent
+is a span of the same tree, statuses are legal, and no span record
+carries the untraced id 0.  The traced socket and fault tests run it
+on their captured events.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from .events import EVENT_SPAN_CLOSE, EVENT_SPAN_OPEN
+from .events import EVENT_SPAN
 
 #: Span names, client side.
 SPAN_CLIENT_REQUEST = "client_request"   # SocketTransport.request
@@ -48,7 +50,14 @@ SERVER_SPAN_IDS: Dict[str, int] = {
     SPAN_REPLY_ENCODE: 5,
 }
 
-#: Span close statuses.
+#: The registry histogram each server stage's time feeds.
+STAGE_HISTOGRAMS: Dict[str, str] = {
+    SPAN_DECODE: "decode_cost_us",
+    SPAN_HANDLE: "handle_cost_us",
+    SPAN_REPLY_ENCODE: "reply_encode_cost_us",
+}
+
+#: Span statuses.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
@@ -72,14 +81,14 @@ _SpanKey = Tuple[object, object, object]   # (shard, trace, span)
 
 
 def validate_spans(events: Sequence[Mapping[str, object]]) -> List[str]:
-    """Well-formedness problems of a trace's span stream.
+    """Well-formedness problems of a trace's span records.
 
-    Checks, per ``(shard, trace)`` tree: every ``span_open`` has a
-    fresh id, its parent (when non-zero) was opened earlier in the same
-    tree, every ``span_close`` matches an open span, statuses are
-    legal, no span event carries trace or span id 0, and at
-    end-of-stream no span is left open.  Returns an empty list for a
-    valid stream.
+    Checks, per ``(shard, trace)`` tree: no span id appears twice, a
+    parent (when non-zero) is a span of the same tree, statuses are
+    legal, and no record carries trace or span id 0.  Returns an empty
+    list for a valid stream.  A child is written before its parent (it
+    finishes first), so parents are resolved once the whole stream
+    has been read.
 
     One parent is allowed to be absent: :data:`ROOT_SPAN_ID`.  In a
     genuinely distributed run the client and the daemon trace into
@@ -89,74 +98,49 @@ def validate_spans(events: Sequence[Mapping[str, object]]) -> List[str]:
     other unresolved parent still flags.
     """
     problems: List[str] = []
-    open_spans: Dict[_SpanKey, str] = {}
-    ever_opened: Set[_SpanKey] = set()
+    seen: Set[_SpanKey] = set()
+    parented: List[Tuple[int, _SpanKey, object]] = []
     for index, record in enumerate(events):
-        event_type = record.get("type")
-        if event_type not in (EVENT_SPAN_OPEN, EVENT_SPAN_CLOSE):
+        if record.get("type") != EVENT_SPAN:
             continue
         shard = record.get("shard")
         trace = record.get("trace")
         span = record.get("span")
-        key: _SpanKey = (shard, trace, span)
         if not trace or not span:
             problems.append(
-                "event %d: %s carries the untraced id 0 "
-                "(trace=%r span=%r)" % (index, event_type, trace, span))
+                "event %d: span carries the untraced id 0 "
+                "(trace=%r span=%r)" % (index, trace, span))
             continue
-        if event_type == EVENT_SPAN_OPEN:
-            if key in ever_opened:
-                problems.append(
-                    "event %d: span (trace %s, span %s) opened twice"
-                    % (index, trace, span))
-                continue
-            parent = record.get("parent")
-            if (parent and parent != ROOT_SPAN_ID
-                    and (shard, trace, parent) not in ever_opened):
-                problems.append(
-                    "event %d: span (trace %s, span %s) parented on "
-                    "%s, which was never opened in that trace"
-                    % (index, trace, span, parent))
-            open_spans[key] = str(record.get("name"))
-            ever_opened.add(key)
-        else:
-            status = record.get("status")
-            if status not in (STATUS_OK, STATUS_ERROR):
-                problems.append(
-                    "event %d: span close status %r is not %r or %r"
-                    % (index, status, STATUS_OK, STATUS_ERROR))
-            if key not in open_spans:
-                problems.append(
-                    "event %d: span (trace %s, span %s) closed but "
-                    "not open" % (index, trace, span))
-                continue
-            del open_spans[key]
-    for (shard, trace, span), name in sorted(
-            open_spans.items(), key=lambda item: str(item[0])):
-        problems.append(
-            "span (trace %s, span %s, name %r) opened but never closed"
-            % (trace, span, name))
+        status = record.get("status")
+        if status not in (STATUS_OK, STATUS_ERROR):
+            problems.append(
+                "event %d: span status %r is not %r or %r"
+                % (index, status, STATUS_OK, STATUS_ERROR))
+        key: _SpanKey = (shard, trace, span)
+        if key in seen:
+            problems.append(
+                "event %d: span (trace %s, span %s) recorded twice"
+                % (index, trace, span))
+            continue
+        seen.add(key)
+        parent = record.get("parent")
+        if parent and parent != ROOT_SPAN_ID:
+            parented.append((index, key, parent))
+    for index, (shard, trace, span), parent in parented:
+        if (shard, trace, parent) not in seen:
+            problems.append(
+                "event %d: span (trace %s, span %s) parented on %s, "
+                "which is not a span of that trace"
+                % (index, trace, span, parent))
     return problems
 
 
-def span_close_counts(events: Sequence[Mapping[str, object]]
-                      ) -> Dict[Tuple[str, str], int]:
-    """``{(span name, close status): count}`` over an event stream.
-
-    Close events carry no name (the open event owns it), so closes are
-    joined back to their opens by ``(shard, trace, span)``; a close
-    with no matching open counts under the name ``"?"`` — and will
-    separately fail :func:`validate_spans`.
-    """
-    names: Dict[_SpanKey, str] = {}
+def span_counts(events: Sequence[Mapping[str, object]]
+                ) -> Dict[Tuple[str, str], int]:
+    """``{(span name, status): count}`` over an event stream."""
     counts: Dict[Tuple[str, str], int] = {}
     for record in events:
-        event_type = record.get("type")
-        key: _SpanKey = (record.get("shard"), record.get("trace"),
-                         record.get("span"))
-        if event_type == EVENT_SPAN_OPEN:
-            names[key] = str(record.get("name"))
-        elif event_type == EVENT_SPAN_CLOSE:
-            pair = (names.get(key, "?"), str(record.get("status")))
+        if record.get("type") == EVENT_SPAN:
+            pair = (str(record.get("name")), str(record.get("status")))
             counts[pair] = counts.get(pair, 0) + 1
     return counts

@@ -24,13 +24,13 @@ from repro.net import DaemonThread, SocketTransport
 from repro.protocol.framing import (FRAME_HEADER_SIZE, FrameDecoder,
                                     FrameKind, decode_error, encode_frame,
                                     encode_hello)
-from repro.protocol.handlers import EVALUATE_ONLY
+from repro.protocol.handlers import EVALUATE_ONLY, ServerPolicy
 from repro.protocol.transport import LossyTransport, TransportError
 from repro.protocol.wire import WireCodec
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import (SPAN_CLIENT_REQUEST, SPAN_LOSSY_REQUEST,
-                                   STATUS_ERROR, STATUS_OK,
-                                   span_close_counts, validate_spans)
+                                   STATUS_ERROR, STATUS_OK, span_counts,
+                                   validate_spans)
 
 from .conftest import make_daemon, make_report
 
@@ -53,8 +53,8 @@ def _close_events(telemetry):
 
 
 def _span_counts(telemetry):
-    """``{(span name, close status): count}`` for the captured events."""
-    return span_close_counts(telemetry.sink.records)
+    """``{(span name, status): count}`` for the captured events."""
+    return span_counts(telemetry.sink.records)
 
 
 def _raw_connect(path):
@@ -289,11 +289,26 @@ class TestServerFaults:
                 if issubclass(warning.category, ResourceWarning)] == []
 
 
+class _FaultingPolicy(ServerPolicy):
+    """A server policy whose every hook fails inside the exchange."""
+
+    def on_location_report(self, server, request, time_s, triggered):
+        raise RuntimeError("policy fault")
+
+    on_region_exit = on_location_report
+
+
+def _lossy_server(telemetry):
+    registry = AlarmRegistry()
+    registry.install(Rect(100, 100, 200, 200), AlarmScope.PUBLIC, 1)
+    grid = GridOverlay(Rect(0, 0, 4000, 4000), cell_area_km2=1.0)
+    return AlarmServer(registry, grid, Metrics(), telemetry=telemetry)
+
+
 class TestSpanLeaksUnderFaults:
-    """Failed exchanges must close their client span with ``"error"``
-    status — a leaked span would hide exactly the worst-latency
-    (failed) requests from the trace, and ``validate_spans`` — the
-    check behind ``repro trace validate`` — names it first."""
+    """A failed exchange must still leave its one span record, with
+    ``"error"`` status — a missing record would hide exactly the
+    worst-latency (failed) requests from the trace."""
 
     def test_timeout_closes_the_client_span_with_error(self, sock_path):
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -345,17 +360,24 @@ class TestSpanLeaksUnderFaults:
 
     def test_lossy_exhaustion_closes_the_span_with_error(self):
         """The in-process lossy transport honours the same contract:
-        an attempt-budget exhaustion closes its ``lossy_request`` span
-        with error status, never leaking it."""
+        an attempt-budget exhaustion leaves one ``lossy_request``
+        record with error status."""
         telemetry = Telemetry.capture()
-        registry = AlarmRegistry()
-        registry.install(Rect(100, 100, 200, 200), AlarmScope.PUBLIC, 1)
-        grid = GridOverlay(Rect(0, 0, 4000, 4000), cell_area_km2=1.0)
-        server = AlarmServer(registry, grid, Metrics(),
-                             telemetry=telemetry)
-        lossy = LossyTransport(server, EVALUATE_ONLY, uplink_drop=0.99,
-                               seed=7, max_attempts=2)
+        lossy = LossyTransport(_lossy_server(telemetry), EVALUATE_ONLY,
+                               uplink_drop=0.99, seed=7, max_attempts=2)
         with pytest.raises(TransportError):
+            lossy.request(make_report(), 0.0)
+        assert validate_spans(telemetry.sink.records) == []
+        assert _span_counts(telemetry) == \
+            {(SPAN_LOSSY_REQUEST, STATUS_ERROR): 1}
+
+    def test_lossy_server_fault_leaves_an_error_span(self):
+        """An exception that is not a TransportError — here a server
+        policy failing inside the exchange — also leaves one
+        ``lossy_request`` record with error status."""
+        telemetry = Telemetry.capture()
+        lossy = LossyTransport(_lossy_server(telemetry), _FaultingPolicy())
+        with pytest.raises(RuntimeError, match="policy fault"):
             lossy.request(make_report(), 0.0)
         assert validate_spans(telemetry.sink.records) == []
         assert _span_counts(telemetry) == \

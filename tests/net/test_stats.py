@@ -9,6 +9,7 @@ registry, and the channel obeys the framed protocol's handshake rules.
 """
 
 import json
+import re
 import socket
 import threading
 import time
@@ -98,6 +99,33 @@ class TestStatsChannel:
         assert scraped.histogram("report_cost_us").count == 5
         assert scraped.histogram("trigger_eval_cost_us").count \
             == snapshot.ledger.counters["alarm_evaluations"] == 5
+
+    def test_metrics_only_daemon_reports_its_stages(self, sock_path):
+        """A metrics-only daemon serving untraced requests still times
+        its three serving stages, and every STATS reader shows them."""
+        served = 4
+        daemon = make_daemon(telemetry=Telemetry.metrics_only())
+        with DaemonThread(daemon, path=sock_path):
+            with SocketTransport.connect_unix(sock_path,
+                                              daemon.codec) as transport:
+                for sequence in range(served):
+                    transport.request(make_report(sequence=sequence),
+                                      float(sequence))
+                snapshot = scrape_stats(path=sock_path)
+        stages = ("decode_cost_us", "handle_cost_us",
+                  "reply_encode_cost_us")
+        registry = snapshot.ledger.registry
+        assert [registry.histogram(name).count for name in stages] \
+            == [served] * 3
+        text = render_stats_text(snapshot)
+        prom = render_stats_prom(snapshot)
+        top = render_top(snapshot, None, 1.0)
+        for name in stages:
+            assert re.search(r"^  %s +count=%d " % (name, served), text,
+                             re.MULTILINE), name
+            assert "repro_%s_count %d\n" % (name, served) in prom
+            assert re.search(r"^%s +p50 .*\(n=%d\)$" % (name, served), top,
+                             re.MULTILINE), name
 
     def test_stats_without_telemetry_still_serves(self, sock_path):
         daemon = make_daemon()

@@ -1,11 +1,11 @@
 """Wire-level distributed tracing: client span → daemon children → reply.
 
 The tentpole acceptance test follows one uplink's trace id end to end:
-the client assigns it, opens the ``client_request`` root span, the
+the client assigns it and times the ``client_request`` root span, the
 frame envelope carries the ``(trace, span)`` pair across the socket,
-the daemon emits one child span per serving stage parented on the
+the daemon writes one child span per serving stage parented on the
 client's span, and the REPLY envelope echoes the pair back.  The
-span stream must pass the same well-formedness validation ``repro
+span records must pass the same well-formedness validation ``repro
 trace validate`` runs.
 """
 
@@ -18,15 +18,15 @@ from repro.protocol.wire import WireCodec
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import (ROOT_SPAN_ID, SERVER_SPAN_IDS,
                                    SPAN_CLIENT_REQUEST, STATUS_OK,
-                                   make_trace_id, span_close_counts,
+                                   make_trace_id, span_counts,
                                    validate_spans)
 
 from .conftest import make_daemon, make_report
 
 
-def _span_events(telemetry, event_type):
+def _spans(telemetry):
     return [record for record in telemetry.sink.records
-            if record["type"] == event_type]
+            if record["type"] == "span"]
 
 
 class TestTraceFollowThrough:
@@ -39,13 +39,13 @@ class TestTraceFollowThrough:
             transport.request(make_report(), 0.0)
             transport.close()
 
-        opens = _span_events(telemetry, "span_open")
-        closes = _span_events(telemetry, "span_close")
-        # One root + three server stages, every one closed.
-        assert len(opens) == 4
-        assert len(closes) == 4
+        spans = _spans(telemetry)
+        # One root + three server stages, one record each; the root
+        # finishes last.
+        assert len(spans) == 4
+        assert spans[-1]["name"] == SPAN_CLIENT_REQUEST
 
-        roots = [record for record in opens
+        roots = [record for record in spans
                  if record["name"] == SPAN_CLIENT_REQUEST]
         assert len(roots) == 1
         root = roots[0]
@@ -56,7 +56,7 @@ class TestTraceFollowThrough:
 
         # Every daemon child span carries the client's trace id and is
         # parented on the client's root span.
-        children = [record for record in opens if record is not root]
+        children = [record for record in spans if record is not root]
         assert {record["name"] for record in children} == \
             set(SERVER_SPAN_IDS)
         for record in children:
@@ -65,10 +65,10 @@ class TestTraceFollowThrough:
             assert record["span"] == SERVER_SPAN_IDS[record["name"]]
 
         # The stream passes the `repro trace validate` span check, and
-        # every close carries ok status.
+        # every span ended ok.
         events = telemetry.sink.records
         assert validate_spans(events) == []
-        counts = span_close_counts(events)
+        counts = span_counts(events)
         assert counts == {(name, STATUS_OK): 1
                           for name in [SPAN_CLIENT_REQUEST,
                                        *SERVER_SPAN_IDS]}
@@ -105,7 +105,8 @@ class TestTraceFollowThrough:
 
     def test_untraced_uplinks_emit_no_server_spans(self, sock_path):
         """trace_id 0 means untraced: a traced daemon serving an
-        untraced client (e.g. a load generator) emits no span events."""
+        untraced client (e.g. a load generator) writes no span record;
+        its stages still reach the stage histograms."""
         telemetry = Telemetry.capture()
         daemon = make_daemon(telemetry=telemetry)
         with DaemonThread(daemon, path=sock_path):
@@ -114,8 +115,10 @@ class TestTraceFollowThrough:
             transport = SocketTransport.connect_unix(sock_path)
             transport.request(make_report(), 0.0)
             transport.close()
-        assert _span_events(telemetry, "span_open") == []
-        assert _span_events(telemetry, "span_close") == []
+        assert _spans(telemetry) == []
+        for name in ("decode_cost_us", "handle_cost_us",
+                     "reply_encode_cost_us"):
+            assert telemetry.registry.histogram(name).count == 1
 
     def test_trace_ids_are_unique_per_transport(self, sock_path):
         telemetry = Telemetry.capture()
@@ -127,8 +130,7 @@ class TestTraceFollowThrough:
                 transport.request(make_report(sequence=sequence),
                                   float(sequence))
             transport.close()
-        roots = [record for record in
-                 _span_events(telemetry, "span_open")
+        roots = [record for record in _spans(telemetry)
                  if record["name"] == SPAN_CLIENT_REQUEST]
         traces = [record["trace"] for record in roots]
         assert traces == [make_trace_id(1, counter)

@@ -76,7 +76,7 @@ class TestDeclaration:
 class TestReaders:
     """A renamed instrument must not read as zero in a reader."""
 
-    def test_top_shows_its_seven_latency_histograms(self):
+    def test_top_shows_its_ten_latency_histograms(self):
         snapshot = StatsSnapshot(
             raw={"metrics": {}, "registry": full_registry().to_dict(),
                  "live": {}, "serving": {}},
@@ -84,7 +84,7 @@ class TestReaders:
         rows = [line.split()[0]
                 for line in render_top(snapshot, None, 1.0).splitlines()
                 if " p99 " in line]
-        assert len(rows) == 7
+        assert len(rows) == 10
         assert all(INSTRUMENTS[name].kind == "histogram" for name in rows)
 
     def test_server_time_reads_its_three_stages(self):

@@ -2,7 +2,10 @@
 
 import json
 
-from repro.telemetry import (JsonlSink, RunManifest, Telemetry, TraceData,
+import pytest
+
+from repro.telemetry import (MANIFEST_VERSION, JsonlSink, RunManifest,
+                             Telemetry, TelemetryError, TraceData,
                              event_counts, filter_events, read_trace,
                              reconcile, render_event_line, render_json,
                              render_prom, render_text, validate_trace)
@@ -38,6 +41,23 @@ class TestReadAndValidate:
         assert data.summary is not None
         assert validate_trace(data) == []
 
+    @pytest.mark.parametrize("version, named", [
+        (MANIFEST_VERSION - 1, "1;"), (MANIFEST_VERSION + 1, "3;"),
+        (str(MANIFEST_VERSION), "'2';"), (None, "missing;")])
+    def test_read_trace_refuses_another_schema_version(self, tmp_path,
+                                                       version, named):
+        path = tmp_path / "t.jsonl"
+        _traced_run(path)
+        lines = path.read_text().splitlines()
+        manifest = json.loads(lines[0])
+        if version is None:
+            del manifest["version"]
+        else:
+            manifest["version"] = version
+        path.write_text("\n".join([json.dumps(manifest)] + lines[1:]))
+        with pytest.raises(TelemetryError, match="schema version " + named):
+            read_trace(path)
+
     def test_validate_flags_missing_header_and_summary(self):
         data = TraceData(manifest=None, events=[], summary=None)
         problems = validate_trace(data)
@@ -65,19 +85,21 @@ class TestReconcile:
         result = reconcile(read_trace(path))
         assert result["ok"] is True
         assert all(entry["ok"] for entry in result["checks"])
-        # 17 = 27 - 10 + 2 - 2: the parent's 27 rows, less the ten that set
-        # a registry counter against the Metrics field it was a copy of
-        # (uplink/downlink messages and bytes, alarms fired, safe-region
-        # computations, the two drop counters, the two probe counters),
-        # plus the two rows that took the drop counters' place with
-        # independent evidence, transport_drop events by direction vs
+        # 14 = 27 - 10 + 2 - 2 - 3: the 27 rows of the first ledger, less
+        # the ten that set a registry counter against the Metrics field it
+        # was a copy of (uplink/downlink messages and bytes, alarms fired,
+        # safe-region computations, the two drop counters, the two probe
+        # counters), plus the two rows that took the drop counters' place
+        # with independent evidence, transport_drop events by direction vs
         # Metrics, less the backpressure-stall and queue-wait rows that
-        # went with the daemon's queue.  What remains: 4 events-vs-Metrics
-        # pairs + those 2, 6 registry-vs-events pairs (saferegion_exits,
-        # three net_*, two spans_*), the per-kind downlink prefix sum,
-        # and the 4 span rows (balance, client_request-vs-RTT, two
-        # pipeline stages).
-        assert len(result["checks"]) == 17
+        # went with the daemon's queue, less the three that balanced span
+        # opens against closes (events, and the two spans_* counters),
+        # which lost their subject with the one record per span.  What
+        # remains: 4 events-vs-Metrics pairs + those 2, 4 registry-vs-
+        # events pairs (saferegion_exits, three net_*), the per-kind
+        # downlink prefix sum, and 3 span rows (client_request-vs-RTT,
+        # two pipeline stages).
+        assert len(result["checks"]) == 14
         assert not [entry["name"] for entry in result["checks"]
                     if entry["name"].startswith("registry.")
                     and "== metrics." in entry["name"]]

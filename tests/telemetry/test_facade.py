@@ -96,8 +96,9 @@ class TestEmitters:
         telemetry.net_conn_open(1)
         telemetry.net_conn_close(1, clean=True, requests=1)
         telemetry.net_batch(1.0, 1, requests=1, handle_us=30.0)
-        telemetry.span_open(1.0, 5, 1, 0, "client_request")
-        telemetry.span_close(1.0, 5, 1, "ok", 80.0)
+        telemetry.span(1.0, 5, 1, 0, "client_request", "ok", 80.0)
+        for stage in ("decode", "handle", "reply_encode"):
+            telemetry.span(1.0, 5, 2, 1, stage, "ok", 3.0)
         telemetry.net_rtt(80.0)
         telemetry.shard_started(12)
         telemetry.shard_finished(12, wall_s=0.5)

@@ -2,19 +2,14 @@
 
 from repro.telemetry.spans import (CLIENT_TRACE_SHIFT, ROOT_SPAN_ID,
                                    SERVER_SPAN_IDS, make_trace_id,
-                                   span_close_counts, validate_spans)
+                                   span_counts, validate_spans)
 
 
-def _open(trace, span, parent, name, shard=0):
-    return {"record": "event", "type": "span_open", "t": 0.0,
+def _span(trace, span, parent, name, status="ok", shard=0):
+    return {"record": "event", "type": "span", "t": 0.0,
             "shard": shard, "trace": trace, "span": span,
-            "parent": parent, "name": name}
-
-
-def _close(trace, span, status="ok", shard=0):
-    return {"record": "event", "type": "span_close", "t": 0.0,
-            "shard": shard, "trace": trace, "span": span,
-            "status": status, "elapsed_us": 1.0}
+            "parent": parent, "name": name, "status": status,
+            "elapsed_us": 1.0}
 
 
 class TestMakeTraceId:
@@ -30,65 +25,53 @@ class TestMakeTraceId:
 
 class TestValidateSpans:
     def test_balanced_tree_is_clean(self):
-        events = [_open(5, ROOT_SPAN_ID, 0, "client_request")]
-        for name, span in SERVER_SPAN_IDS.items():
-            events.append(_open(5, span, ROOT_SPAN_ID, name))
-            events.append(_close(5, span))
-        events.append(_close(5, ROOT_SPAN_ID))
+        # Children finish, and so are written, before their root.
+        events = [_span(5, span, ROOT_SPAN_ID, name)
+                  for name, span in SERVER_SPAN_IDS.items()]
+        events.append(_span(5, ROOT_SPAN_ID, 0, "client_request"))
         assert validate_spans(events) == []
 
     def test_remote_root_parent_is_well_formed(self):
         """A serve trace of a distributed run holds the server children
         while the client root lives in the client's own trace — a child
         parented on the absent ROOT_SPAN_ID must not flag."""
-        events = [_open(5, 2, ROOT_SPAN_ID, "decode"), _close(5, 2)]
+        events = [_span(5, 2, ROOT_SPAN_ID, "decode")]
         assert validate_spans(events) == []
 
     def test_other_missing_parents_still_flag(self):
-        events = [_open(5, 4, 3, "handle"), _close(5, 4)]
+        events = [_span(5, 4, 3, "handle")]
         problems = validate_spans(events)
         assert len(problems) == 1
-        assert "never opened" in problems[0]
+        assert "not a span of that trace" in problems[0]
 
     def test_double_open_flags(self):
-        events = [_open(5, 1, 0, "a"), _open(5, 1, 0, "a"),
-                  _close(5, 1)]
-        assert any("opened twice" in p for p in validate_spans(events))
-
-    def test_close_without_open_flags(self):
-        assert any("not open" in p
-                   for p in validate_spans([_close(5, 1)]))
-
-    def test_leaked_span_flags(self):
-        problems = validate_spans([_open(5, 1, 0, "client_request")])
-        assert any("never closed" in p for p in problems)
+        events = [_span(5, 1, 0, "a"), _span(5, 1, 0, "a")]
+        assert any("recorded twice" in p for p in validate_spans(events))
 
     def test_untraced_zero_ids_flag(self):
-        problems = validate_spans([_open(0, 1, 0, "a")])
+        problems = validate_spans([_span(0, 1, 0, "a")])
         assert any("untraced id 0" in p for p in problems)
 
     def test_bad_status_flags(self):
-        events = [_open(5, 1, 0, "a"), _close(5, 1, status="meh")]
+        events = [_span(5, 1, 0, "a", status="meh")]
         assert any("status" in p for p in validate_spans(events))
 
     def test_shards_are_independent_trees(self):
-        events = [_open(5, 1, 0, "a", shard=0),
-                  _close(5, 1, shard=0),
-                  _open(5, 1, 0, "a", shard=1),
-                  _close(5, 1, shard=1)]
+        events = [_span(5, 1, 0, "a", shard=0),
+                  _span(5, 1, 0, "a", shard=1)]
         assert validate_spans(events) == []
+        # A parent in another shard's tree is not this tree's parent.
+        events = [_span(5, 2, 0, "a", shard=0),
+                  _span(5, 4, 2, "b", shard=1)]
+        assert len(validate_spans(events)) == 1
 
 
-class TestSpanCloseCounts:
-    def test_joins_names_across_the_pair(self):
-        events = [_open(5, 1, 0, "client_request"),
-                  _close(5, 1, status="ok"),
-                  _open(6, 1, 0, "client_request"),
-                  _close(6, 1, status="error")]
-        assert span_close_counts(events) == {
-            ("client_request", "ok"): 1,
+class TestSpanCounts:
+    def test_counts_by_name_and_status(self):
+        events = [_span(5, 1, 0, "client_request", status="ok"),
+                  _span(6, 1, 0, "client_request", status="error"),
+                  _span(7, 1, 0, "client_request", status="ok")]
+        assert span_counts(events) == {
+            ("client_request", "ok"): 2,
             ("client_request", "error"): 1,
         }
-
-    def test_orphan_close_counts_under_question_mark(self):
-        assert span_close_counts([_close(5, 1)]) == {("?", "ok"): 1}

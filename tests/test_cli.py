@@ -373,6 +373,17 @@ class TestReport:
         return path, "corrupt.jsonl:4: corrupt trace line"
 
     @staticmethod
+    def _version_1(trace_path, tmp_path):
+        """The trace, its manifest at schema version 1, as a trace
+        recorded before each span was one record reads."""
+        lines = trace_path.read_text().splitlines()
+        manifest = json.loads(lines[0])
+        manifest["version"] = 1
+        path = tmp_path / "version1.jsonl"
+        path.write_text("\n".join([json.dumps(manifest)] + lines[1:]) + "\n")
+        return path, "trace schema version 1;"
+
+    @staticmethod
     def _missing(trace_path, tmp_path):
         return tmp_path / "missing.jsonl", "No such file or directory"
 
@@ -380,7 +391,8 @@ class TestReport:
                                          ["trace", "tail"]],
                              ids=["report", "validate", "tail"])
     @pytest.mark.parametrize("case", ["_missing", "_corrupt", "_with_gauge",
-                                      "_registry_not_an_object"])
+                                      "_registry_not_an_object",
+                                      "_version_1"])
     def test_unreadable_trace_exits_2_with_one_line(self, trace_path,
                                                      tmp_path, capsys,
                                                      command, case):
@@ -395,6 +407,47 @@ class TestReport:
         assert captured.err.startswith("repro: cannot read trace %s: "
                                        % path)
         assert reason in captured.err
+
+
+class TestTelemetrySmoke:
+    """CI's telemetry-smoke assertions, on the same two traced runs."""
+
+    @staticmethod
+    def _json_report(path, capsys):
+        assert main(["trace", "validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(path), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_two_shard_report_reconciles(self, trace_path, capsys):
+        payload = self._json_report(trace_path, capsys)
+        assert payload["reconciliation"]["ok"], payload["reconciliation"]
+        assert payload["manifest"]["strategy"] == "mwpsr"
+        assert payload["manifest"]["workers"] == 2
+        checks = payload["reconciliation"]["checks"]
+        # 14 rows, each two of {events, registry, Metrics}; none sets a
+        # registry counter against the Metrics field of the same name.
+        assert len(checks) == 14, [entry["name"] for entry in checks]
+        assert all(entry["ok"] for entry in checks), checks
+        assert not set(payload["metrics"]) & set(payload["registry"])
+
+    def test_lossy_report_reconciles(self, lossy_trace_path, capsys):
+        payload = self._json_report(lossy_trace_path, capsys)
+        checks = payload["reconciliation"]["checks"]
+        assert len(checks) == 14, [entry["name"] for entry in checks]
+        assert payload["reconciliation"]["ok"], checks
+        rows = {entry["name"]: entry["actual"] for entry in checks}
+        # Both drop directions and the lossy_request spans of both
+        # shards reach the report, and they reconcile.
+        drops = [name for name in rows
+                 if name.startswith("events.transport_drop[")]
+        assert len(drops) == 2
+        assert all(rows[name] > 0 for name in drops), rows
+        assert payload["event_counts"]["span"] > 0
+        shards = {record["shard"]
+                  for record in read_trace(lossy_trace_path).events
+                  if record["type"] == "span"}
+        assert shards == {0, 1}, shards
 
 
 class TestStatsAndTop:
