@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .engine import run_parallel_simulation, run_simulation
+from .engine import World, run_parallel_simulation, run_simulation
 from .engine.metrics import Metrics
 from .engine.server import AlarmServer
 from .net import (AlarmDaemon, StatsSnapshot, render_stats_json,
@@ -184,6 +184,27 @@ def _resolve_transport(args: argparse.Namespace
     return None
 
 
+def _telemetry(args: argparse.Namespace, config: WorkloadConfig,
+               world: World, workers: int) -> Telemetry:
+    """The capture of a ``simulate`` or ``serve`` run.
+
+    With ``--trace``, a JSONL trace whose manifest is already written.
+    Without it, metrics-only: the registry is fed (the server time,
+    ``--profile``, ``repro stats`` and ``repro top`` read it) and no
+    event record is built.
+    """
+    if not args.trace:
+        return Telemetry.metrics_only()
+    manifest = RunManifest.collect(
+        strategy=args.strategy, config=asdict(config), workers=workers,
+        sizes=world.sizes.to_dict(), energy=world.energy.to_dict(),
+        cell_area_km2=args.cell)
+    telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
+                                  manifest=manifest)
+    telemetry.write_manifest()
+    return telemetry
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # Checked here too, before the world is built: a worker process that
     # resolves a bad spec would fail far from the usage message.
@@ -191,18 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_workload(args)
     world = build_world(config, args.cell)
     transport_factory = _resolve_transport(args)
-    if args.trace:
-        manifest = RunManifest.collect(
-            strategy=args.strategy, config=asdict(config),
-            workers=args.workers, sizes=world.sizes.to_dict(),
-            energy=world.energy.to_dict(), cell_area_km2=args.cell)
-        telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
-                                      manifest=manifest)
-        telemetry.write_manifest()
-    else:
-        # Metrics-only: the server time below (and --profile) is read
-        # from the registry, and no event record is built.
-        telemetry = Telemetry.metrics_only()
+    telemetry = _telemetry(args, config, world, args.workers)
     try:
         if args.workers > 1:
             # The sharded engine constructs one strategy per worker
@@ -263,21 +273,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     (:meth:`~repro.net.SocketTransport.send_shutdown`) or the process
     receives SIGINT.  With ``--trace`` the daemon records the same JSONL
     telemetry a simulation records — ``repro report`` reconciles it and
-    renders the net_* counters and latency histograms.
+    renders the net_* counters and latency histograms; without it the
+    daemon runs metrics-only, its registry read by ``repro stats`` and
+    ``repro top``.
     """
     _parse_strategy(args.strategy)  # before the world is built
     config = _resolve_workload(args)
     world = build_world(config, args.cell)
     strategy = _resolve_strategy(args.strategy, world.max_speed())
-    telemetry: Optional[Telemetry] = None
-    if args.trace:
-        manifest = RunManifest.collect(
-            strategy=args.strategy, config=asdict(config), workers=1,
-            sizes=world.sizes.to_dict(), energy=world.energy.to_dict(),
-            cell_area_km2=args.cell)
-        telemetry = Telemetry.capture(sink=JsonlSink(args.trace),
-                                      manifest=manifest)
-        telemetry.write_manifest()
+    telemetry = _telemetry(args, config, world, 1)
     metrics = Metrics()
     server = AlarmServer(world.registry, world.grid, metrics,
                          sizes=world.sizes, telemetry=telemetry)
@@ -303,11 +307,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         wall_time = time.perf_counter() - started
         server.close()
-        if telemetry is not None:
-            telemetry.write_summary(metrics.counters(),
-                                    triggers=len(metrics.triggers),
-                                    wall_time_s=wall_time, workers=1)
-            telemetry.close()
+        telemetry.write_summary(metrics.counters(),
+                                triggers=len(metrics.triggers),
+                                wall_time_s=wall_time, workers=1)
+        telemetry.close()
     print("served %d uplink messages (%d bytes up, %d down) in %.2f s"
           % (metrics.uplink_messages, metrics.uplink_bytes,
              metrics.downlink_bytes, wall_time))

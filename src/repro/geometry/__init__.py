@@ -2,7 +2,7 @@
 
 from .eps import EPS, feq, feq_exact, fzero, fzero_exact
 from .point import ORIGIN, Point, normalize_angle
-from .polygon import RectilinearRegion, region_from_rect_minus_holes
+from .polygon import RectilinearRegion
 from .rect import Rect
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "fzero",
     "fzero_exact",
     "normalize_angle",
-    "region_from_rect_minus_holes",
 ]

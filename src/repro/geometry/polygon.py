@@ -137,25 +137,3 @@ class RectilinearRegion:
                     raise ValueError(
                         "overlapping pieces: %r and %r" % (first, second))
 
-
-def region_from_rect_minus_holes(container: Rect,
-                                 holes: Iterable[Rect]) -> RectilinearRegion:
-    """Decompose ``container`` minus the union of ``holes`` into rectangles.
-
-    This computes the *exact* safe region of a grid cell — the cell minus
-    every intersecting alarm region — which is what the optimal (OPT)
-    strategy conceptually ships to the client and what bitmap encodings
-    approximate from below.  Works by iterated guillotine subtraction;
-    the result pieces are pairwise interior-disjoint.
-    """
-    pieces: List[Rect] = [container]
-    for hole in holes:
-        if not container.interior_intersects(hole):
-            continue
-        next_pieces: List[Rect] = []
-        for piece in pieces:
-            next_pieces.extend(piece.subtract(hole))
-        pieces = next_pieces
-        if not pieces:
-            break
-    return RectilinearRegion(pieces)

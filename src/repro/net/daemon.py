@@ -94,6 +94,12 @@ def _stage_span(telemetry: Telemetry, frame: Frame, stage: str,
     return time.perf_counter()
 
 
+def _remove_socket_file(path: str) -> None:
+    """Unlink ``path`` if it is a Unix socket; any other file stays."""
+    if os.path.exists(path) and stat.S_ISSOCK(os.stat(path).st_mode):
+        os.unlink(path)
+
+
 class _OwnedByOneThread:
     """Refuse attribute writes from any thread but the owner's.
 
@@ -154,6 +160,7 @@ class AlarmDaemon(_OwnedByOneThread):
         self.codec = self._accounting.codec
         self.batch_max = batch_max
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
+        self._unix_path: Optional[str] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         # verify_wire failures of any connection, raised by aclose().
@@ -167,10 +174,10 @@ class AlarmDaemon(_OwnedByOneThread):
     async def start_unix(self, path: str) -> None:
         """Bind and listen on a Unix domain socket at ``path``."""
         self._prepare()
-        if os.path.exists(path) and stat.S_ISSOCK(os.stat(path).st_mode):
-            os.unlink(path)  # stale socket from a dead daemon
+        _remove_socket_file(path)  # stale socket from a dead daemon
         self._asyncio_server = await asyncio.start_unix_server(
             self._accept, path=path)
+        self._unix_path = path
 
     async def start_tcp(self, host: str = "127.0.0.1",
                         port: int = 0) -> int:
@@ -213,7 +220,8 @@ class AlarmDaemon(_OwnedByOneThread):
 
         Connections accepted before the listener stopped are served
         and cancelled like the rest, and the listening server closes
-        last, so no accepted socket outlives the close.  Then no task
+        last, so no accepted socket outlives the close; the socket file
+        :meth:`start_unix` bound goes with it.  Then no task
         this module spawned may still be running: one that has escaped
         the ``_conn_tasks`` registry (a dropped ``create_task`` handle,
         a connection task spawned outside :meth:`_accept`), and the
@@ -243,6 +251,9 @@ class AlarmDaemon(_OwnedByOneThread):
                                  return_exceptions=True)
         server.close()
         await server.wait_closed()
+        if self._unix_path is not None:
+            _remove_socket_file(self._unix_path)
+            self._unix_path = None
         pending = self._pending_task_names()
         if pending:
             raise RuntimeError(

@@ -17,7 +17,7 @@ See ``docs/NETWORKING.md`` ("The session automaton") for the diagram.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .framing import FrameKind
 
@@ -63,9 +63,3 @@ CLIENT_TRANSITIONS: Dict[Tuple[str, FrameKind], str] = {
     (state, kind): target
     for (state, kind, direction), target in SESSION_TRANSITIONS.items()
     if direction == DIR_CLIENT_TO_SERVER}
-
-
-def session_next_state(state: str, kind: FrameKind,
-                       direction: str) -> Optional[str]:
-    """The state after one frame, or ``None`` when it is forbidden."""
-    return SESSION_TRANSITIONS.get((state, kind, direction))

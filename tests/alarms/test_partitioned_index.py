@@ -21,8 +21,8 @@ without exclusions, on geometry built to break a window:
 
 The churn property installs, removes and relocates alarms of all three
 scopes and holds :meth:`AlarmRegistry.validate` and every query after
-each step.  Example counts come from ``tests/budget.py``; CI's
-``deep-checks`` job runs the full budget under ``REPRO_DEEP=1``.
+each step.  Example counts come from ``tests/budget.py``: the full
+budget is drawn under ``REPRO_DEEP=1``.
 """
 
 import math

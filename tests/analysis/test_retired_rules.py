@@ -32,8 +32,7 @@ words.  RL005 (the safe-region class contract) has no row: the
 abstract class it guarded is gone, so there is nothing left to seed.
 
 A row costs about two seconds, so tier-1 runs the first one only and
-``REPRO_DEEP=1`` (CI's ``deep-checks`` job) runs them all — see
-:mod:`tests.budget`.  ``docs/STATIC_ANALYSIS.md`` ("Retired rules")
+the deep run (``REPRO_DEEP=1``) runs them all — see :mod:`tests.budget`.  ``docs/STATIC_ANALYSIS.md`` ("Retired rules")
 names each guard.
 """
 

@@ -1,8 +1,9 @@
 """Example budgets of the oracle property suites.
 
 Tier-1 has a two-minute budget, so the dearest differential suites draw
-a reduced number of examples there; the CI ``deep-checks`` job re-runs
-the same files under ``REPRO_DEEP=1`` and draws them all.
+a reduced number of examples there.  The deep run is the whole suite
+under ``REPRO_DEEP=1`` (``REPRO_DEEP=1 PYTHONPATH=src python -m pytest``,
+CI's ``deep-checks`` job), and it draws them all.
 """
 
 import os

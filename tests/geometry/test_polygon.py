@@ -5,23 +5,8 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.geometry import (Point, Rect, RectilinearRegion,
-                            region_from_rect_minus_holes)
-
-coords = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False,
-                   allow_infinity=False)
-
-
-@st.composite
-def holes(draw, container):
-    x1 = draw(st.floats(min_value=container.min_x, max_value=container.max_x))
-    x2 = draw(st.floats(min_value=container.min_x, max_value=container.max_x))
-    y1 = draw(st.floats(min_value=container.min_y, max_value=container.max_y))
-    y2 = draw(st.floats(min_value=container.min_y, max_value=container.max_y))
-    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+from repro.geometry import Point, Rect, RectilinearRegion
 
 
 class TestRegionBasics:
@@ -89,59 +74,3 @@ class TestRegionBasics:
             assert clone.pieces == region.pieces
             assert clone.bounds == region.bounds
 
-
-class TestRectMinusHoles:
-    def test_no_holes(self):
-        container = Rect(0, 0, 10, 10)
-        region = region_from_rect_minus_holes(container, [])
-        assert region.area == pytest.approx(100.0)
-
-    def test_full_cover(self):
-        container = Rect(0, 0, 10, 10)
-        region = region_from_rect_minus_holes(container,
-                                              [Rect(-1, -1, 11, 11)])
-        assert region.is_empty()
-
-    def test_one_hole(self):
-        container = Rect(0, 0, 10, 10)
-        region = region_from_rect_minus_holes(container, [Rect(2, 2, 4, 4)])
-        assert region.area == pytest.approx(96.0)
-        region.validate_disjoint()
-        assert not region.contains_point(Point(3, 3))
-        assert region.contains_point(Point(1, 1))
-
-    def test_overlapping_holes_not_double_counted(self):
-        container = Rect(0, 0, 10, 10)
-        region = region_from_rect_minus_holes(
-            container, [Rect(0, 0, 6, 6), Rect(4, 4, 10, 10)])
-        # union of holes covers 36 + 36 - 4 = 68
-        assert region.area == pytest.approx(100 - 68)
-        region.validate_disjoint()
-
-    @given(st.lists(holes(Rect(0, 0, 100, 100)), max_size=6))
-    def test_properties(self, hole_list):
-        container = Rect(0, 0, 100, 100)
-        region = region_from_rect_minus_holes(container, hole_list)
-        region.validate_disjoint()
-        # area never exceeds the container and never goes negative
-        assert -1e-6 <= region.area <= container.area + 1e-6
-        # no piece overlaps any hole's interior
-        for piece in region.pieces:
-            assert container.contains_rect(piece)
-            for hole in hole_list:
-                assert not piece.interior_intersects(hole)
-
-    @given(st.lists(holes(Rect(0, 0, 100, 100)), max_size=4),
-           st.floats(min_value=1, max_value=99),
-           st.floats(min_value=1, max_value=99))
-    def test_containment_matches_hole_membership(self, hole_list, px, py):
-        container = Rect(0, 0, 100, 100)
-        region = region_from_rect_minus_holes(container, hole_list)
-        p = Point(px, py)
-        inside_hole = any(hole.interior_contains_point(p)
-                          for hole in hole_list)
-        if inside_hole:
-            assert not region.contains_point(p)
-        else:
-            # Closed pieces cover everything outside the hole interiors.
-            assert region.contains_point(p)

@@ -275,14 +275,30 @@ class TestDaemonThreadLifecycle:
         assert hosted.port is None
 
     def test_stale_socket_file_is_replaced(self, sock_path):
-        with DaemonThread(make_daemon(), path=sock_path):
-            pass
-        # A second daemon binds over whatever the first left behind.
+        # A socket file with no listener, as a killed daemon leaves it.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+            dead.bind(sock_path)
+        assert os.path.exists(sock_path)
         daemon = make_daemon()
         with DaemonThread(daemon, path=sock_path):
             with SocketTransport.connect_unix(sock_path,
                                               daemon.codec) as transport:
                 transport.request(make_report(), 1.0)
+
+    def test_a_stopped_daemon_removes_its_socket_file(self, sock_path):
+        with DaemonThread(make_daemon(), path=sock_path):
+            assert os.path.exists(sock_path)
+        assert not os.path.exists(sock_path)
+
+    def test_a_file_put_at_the_socket_path_is_left(self, sock_path):
+        """Only a socket is removed: a file that replaced it while the
+        daemon served is someone else's."""
+        with DaemonThread(make_daemon(), path=sock_path):
+            os.unlink(sock_path)
+            with open(sock_path, "w") as other:
+                other.write("not a socket\n")
+        with open(sock_path) as other:
+            assert other.read() == "not a socket\n"
 
     def test_port_is_read_only(self):
         with DaemonThread(make_daemon(), port=0) as hosted:

@@ -36,8 +36,8 @@ from repro.protocol.framing import (FRAME_HEADER_SIZE, MAX_FRAME_PAYLOAD,
                                     encode_error, encode_frame,
                                     encode_hello)
 from repro.protocol.spec import (CLIENT_TRANSITIONS, DIR_SERVER_TO_CLIENT,
-                                 STATE_AWAIT_HELLO, STATE_READY,
-                                 session_next_state)
+                                 SESSION_TRANSITIONS, STATE_AWAIT_HELLO,
+                                 STATE_READY)
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import validate_spans
 
@@ -133,8 +133,9 @@ def assert_spec_answer(label, uplinks, received):
         % (label, ", ".join(map(_name, wanted)) or "nothing",
            ", ".join(map(_name, sent)) or "nothing"))
     for state, answer, _ in expected:
-        assert session_next_state(state, answer, DIR_SERVER_TO_CLIENT) \
-            is not None, (label, state, answer)
+        assert SESSION_TRANSITIONS.get(
+            (state, answer, DIR_SERVER_TO_CLIENT)) is not None, (
+                label, state, answer)
     if FrameKind.ERROR not in wanted:
         return
     # ERROR is the last frame (the spec answers nothing after it).

@@ -47,11 +47,11 @@ class TestTableShape:
 
 class TestHelpers:
     def test_next_state_on_declared_row(self):
-        assert spec.session_next_state(
-            spec.STATE_AWAIT_HELLO, FrameKind.HELLO,
-            spec.DIR_CLIENT_TO_SERVER) == spec.STATE_READY
+        assert spec.SESSION_TRANSITIONS.get(
+            (spec.STATE_AWAIT_HELLO, FrameKind.HELLO,
+             spec.DIR_CLIENT_TO_SERVER)) == spec.STATE_READY
 
     def test_next_state_on_forbidden_row(self):
-        assert spec.session_next_state(
-            spec.STATE_READY, FrameKind.HELLO,
-            spec.DIR_CLIENT_TO_SERVER) is None
+        assert spec.SESSION_TRANSITIONS.get(
+            (spec.STATE_READY, FrameKind.HELLO,
+             spec.DIR_CLIENT_TO_SERVER)) is None

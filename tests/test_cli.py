@@ -5,13 +5,16 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.engine import Metrics, replay_vehicle_major, run_simulation
+from repro.engine import Metrics, replay_vehicle_major
 from repro.experiments import TINY, build_world, make_mwpsr_strategy
 from repro.net import SocketTransport
 from repro.protocol.framing import FrameKind, encode_frame, encode_stats
@@ -19,10 +22,30 @@ from repro.protocol.transport import ClientSession
 from repro.protocol.wire import WireCodec
 from repro.telemetry import MetricsRegistry, read_trace, validate_trace
 
+from .budget import examples
+
 #: Specs with an unknown or malformed parameter, each once per command
 #: that resolves a strategy.
 MALFORMED_SPECS = ["pbsr:x", "mwpsr:x", "pbsr:0", "pbsr:-1", "mwpsr:0",
                    "gbsr:3", "periodic:9"]
+
+#: ``simulate --verify-wire`` runs as (strategy, workers, lossy link):
+#: PBSR up to h=7, whose downlinks pass the u16 length and are escaped;
+#: PRD, every fix through the x-slab point query; GBSR, a whole unsafe
+#: run per advance call up to the quick-update re-ship; MWPSR's bounded
+#: enumeration under the steady and the uniform model; sharded runs
+#: with per-shard memos; lossy links retried, a whole window per
+#: advance call.  Tier-1 runs the first.
+WIRE_VERIFIED_RUNS = [
+    pytest.param(spec, workers, lossy, id="%s-%s-%s" % (
+        spec, "serial" if workers == 1 else "%d-shards" % workers,
+        "lossy" if lossy else "clean"))
+    for spec, workers, lossy in [
+        ("mwpsr", 2, False), ("pbsr", 1, False), ("pbsr", 2, False),
+        ("pbsr:7", 1, False), ("periodic", 1, False),
+        ("periodic", 2, False), ("periodic", 1, True), ("gbsr", 1, False),
+        ("gbsr", 1, True), ("mwpsr", 1, False), ("mwpsr", 1, True),
+        ("mwpsr-nw", 1, False)]]
 
 
 class TestList:
@@ -110,6 +133,21 @@ class TestSimulate:
         assert failure.value.code == 2
         assert "argument %s:" % flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, workers, lossy",
+        WIRE_VERIFIED_RUNS[:examples(1, len(WIRE_VERIFIED_RUNS))])
+    def test_wire_verified_run(self, spec, workers, lossy, capsys):
+        """Every charged size equals the bytes the codec encodes (a
+        drift raises), and every trigger is delivered on time."""
+        argv = ["simulate", "--strategy", spec, "--workload", "tiny",
+                "--workers", str(workers), "--verify-wire"]
+        if lossy:
+            argv += ["--uplink-drop", "0.1", "--downlink-drop", "0.1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(missed 0, spurious 0, late 0)" in out
+        assert ("transport drops:" in out) == lossy
+
     def test_cell_size_option(self, capsys):
         assert main(["simulate", "--strategy", "mwpsr",
                      "--workload", "tiny", "--cell", "0.5"]) == 0
@@ -117,11 +155,13 @@ class TestSimulate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_profile_prints_the_stage_histograms(self, workers, capsys):
         """``--profile`` reads the run's registry: no trace file, the
-        four server stages with a count each and a time."""
+        four server stages with a count each and a time, and the
+        ``server time:`` line split from the same ledger."""
         assert main(["simulate", "--strategy", "mwpsr", "--workload",
                      "tiny", "--workers", str(workers), "--profile"]) == 0
         out = capsys.readouterr().out
         assert "trace:" not in out
+        assert ("workers:              2 shards" in out) == (workers == 2)
         stages = json.loads(out[out.index("\n{") + 1:])
         assert {"trigger_eval_cost_us", "saferegion_compute_cost_us",
                 "index_lookup_cost_us", "downlink_sizing_cost_us"} \
@@ -137,6 +177,21 @@ class TestSimulate:
         assert stages["report_cost_us"]["wall_s"] \
             > stages["saferegion_compute_cost_us"]["wall_s"] \
             > stages["index_lookup_cost_us"]["wall_s"]
+        # Split as in Figs. 4(b)/6(d): alarm processing, index lookup,
+        # safe region without its lookup (ms, printed to 0.1).
+        line = next(row for row in out.splitlines()
+                    if row.startswith("server time:"))
+        printed = [float(word) for word in line.split()
+                   if word.replace(".", "", 1).isdigit()]
+        wall_ms = {name: 1000 * stage["wall_s"]
+                   for name, stage in stages.items()}
+        expected = [wall_ms["trigger_eval_cost_us"],
+                    wall_ms["index_lookup_cost_us"],
+                    wall_ms["saferegion_compute_cost_us"]
+                    - wall_ms["index_lookup_cost_us"]]
+        assert len(printed) == 3, line
+        for shown, exact in zip(printed, expected):
+            assert abs(shown - exact) <= 0.05 + 1e-9, (line, expected)
 
 
 class TestFigure:
@@ -321,15 +376,18 @@ class TestReport:
                      "--format", fmt]) == 0
         assert len(registry_parses) == 1
 
-    def test_text_report_shows_the_engine_counters(self, lossy_trace_path,
+    def test_text_report_shows_the_engine_counters(self, trace_path,
+                                                   lossy_trace_path,
                                                    capsys):
-        assert main(["report", str(lossy_trace_path)]) == 0
-        out = capsys.readouterr().out
-        metrics = read_trace(lossy_trace_path).summary["metrics"]
-        for name in ("uplink_messages", "downlink_bytes", "uplink_drops"):
-            assert re.search(r"^  %s +%d$" % (name, metrics[name]), out,
-                             re.MULTILINE), name
-        assert metrics["uplink_drops"] > 0
+        for path in (trace_path, lossy_trace_path):
+            assert main(["report", str(path)]) == 0
+            out = capsys.readouterr().out
+            metrics = read_trace(path).summary["metrics"]
+            for name in ("uplink_messages", "downlink_bytes",
+                         "uplink_drops"):
+                assert re.search(r"^  %s +%d$" % (name, metrics[name]), out,
+                                 re.MULTILINE), (path.name, name)
+        assert metrics["uplink_drops"] > 0  # the lossy trace, read last
 
     def test_broken_trace_exits_nonzero(self, trace_path, tmp_path,
                                         capsys):
@@ -409,18 +467,21 @@ class TestReport:
         assert reason in captured.err
 
 
-class TestTelemetrySmoke:
-    """CI's telemetry-smoke assertions, on the same two traced runs."""
+def _validated_json_report(path, capsys):
+    """``repro report --format json`` of a trace ``trace validate``
+    passes."""
+    assert main(["trace", "validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(path), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
-    @staticmethod
-    def _json_report(path, capsys):
-        assert main(["trace", "validate", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["report", str(path), "--format", "json"]) == 0
-        return json.loads(capsys.readouterr().out)
+
+class TestTelemetrySmoke:
+    """A traced two-shard run and a lossy one each validate and
+    reconcile, row by row."""
 
     def test_two_shard_report_reconciles(self, trace_path, capsys):
-        payload = self._json_report(trace_path, capsys)
+        payload = _validated_json_report(trace_path, capsys)
         assert payload["reconciliation"]["ok"], payload["reconciliation"]
         assert payload["manifest"]["strategy"] == "mwpsr"
         assert payload["manifest"]["workers"] == 2
@@ -432,7 +493,7 @@ class TestTelemetrySmoke:
         assert not set(payload["metrics"]) & set(payload["registry"])
 
     def test_lossy_report_reconciles(self, lossy_trace_path, capsys):
-        payload = self._json_report(lossy_trace_path, capsys)
+        payload = _validated_json_report(lossy_trace_path, capsys)
         checks = payload["reconciliation"]["checks"]
         assert len(checks) == 14, [entry["name"] for entry in checks]
         assert payload["reconciliation"]["ok"], checks
@@ -564,38 +625,132 @@ class TestStatsAndTop:
         assert reason in captured.err
 
 
+#: The directory that holds the ``repro`` package, for child processes.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: The serving stages a daemon times whenever its telemetry is on.
+SERVING_STAGES = ("decode_cost_us", "handle_cost_us", "reply_encode_cost_us")
+
+
+def _finish(child, timeout):
+    """The child's output once it has exited, killed after ``timeout``."""
+    try:
+        return child.communicate(timeout=timeout)[0]
+    except subprocess.TimeoutExpired:
+        child.kill()
+        return child.communicate()[0]
+
+
+def _connect(child, path, codec):
+    """A transport to the Unix socket ``child`` serves, once it listens."""
+    deadline = time.monotonic() + 60.0
+    while True:
+        try:
+            return SocketTransport.connect_unix(path, codec)
+        except OSError:  # not bound yet, or bound and not yet listening
+            assert child.poll() is None, child.stdout.read()
+            assert time.monotonic() < deadline, "no listener in 60 s"
+            time.sleep(0.02)
+
+
 class TestServe:
+    """``repro serve`` as a command, in a child process: MWPSR over TINY
+    on a Unix socket, ``--verify-wire``, replayed stop-and-wait,
+    scraped and stopped over the wire."""
+
+    @staticmethod
+    def _serve_tiny(tmp_path, capsys, *flags):
+        """The ``served`` line's three counts and the json, prom and text
+        scrapes taken after the replay; the child has exited 0 and
+        removed its socket file."""
+        path = str(tmp_path / "alarm.sock")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--strategy", "mwpsr",
+             "--workload", "tiny", "--uds", path, "--verify-wire", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        stopped = False
+        try:
+            world = build_world(TINY)
+            strategy = make_mwpsr_strategy()
+            with _connect(child, path,
+                          WireCodec.from_sizes(world.sizes)) as transport:
+                strategy.attach(ClientSession(transport, Metrics(),
+                                              world.grid))
+                replay_vehicle_major(strategy, world.traces)
+            scrapes = {}
+            for fmt in ("json", "prom", "text"):
+                assert main(["stats", "--uds", path, "--format", fmt]) == 0
+                scrapes[fmt] = capsys.readouterr().out
+            with SocketTransport.connect_unix(path) as transport:
+                transport.send_shutdown()
+            stopped = True
+        finally:
+            out = _finish(child, 60.0 if stopped else 0.0)
+        assert child.returncode == 0, out
+        assert not os.path.exists(path), "the socket file outlived serve"
+        served = re.search(r"served (\d+) uplink messages "
+                           r"\((\d+) bytes up, (\d+) down\)", out)
+        assert served, out
+        return (tuple(map(int, served.groups())), json.loads(scrapes["json"]),
+                scrapes["prom"], scrapes["text"])
+
     def test_serve_charges_what_the_in_process_run_does(self, tmp_path,
                                                         capsys):
-        """``repro serve`` as a command: a stop-and-wait replay of TINY
-        over its socket is charged what the in-process run is."""
-        path = str(tmp_path / "alarm.sock")
-        exit_codes = []
-        daemon = threading.Thread(target=lambda: exit_codes.append(main(
-            ["serve", "--strategy", "mwpsr", "--workload", "tiny",
-             "--uds", path])), daemon=True)
-        daemon.start()
-        deadline = time.monotonic() + 60.0
-        while not os.path.exists(path):
-            assert daemon.is_alive() and time.monotonic() < deadline
-            time.sleep(0.01)
-        world = build_world(TINY)
-        strategy = make_mwpsr_strategy()
-        with SocketTransport.connect_unix(
-                path, WireCodec.from_sizes(world.sizes)) as transport:
-            strategy.attach(ClientSession(transport, Metrics(), world.grid))
-            replay_vehicle_major(strategy, world.traces)
-            transport.send_shutdown()
-        daemon.join(timeout=60.0)
-        assert exit_codes == [0]
+        """The framed path charges exactly what the in-process path
+        does; the live scrape and the daemon's own trace witnessed the
+        same traffic, and that trace validates and reconciles."""
+        trace = tmp_path / "serve.jsonl"
+        served, scrape, prom, text = self._serve_tiny(
+            tmp_path, capsys, "--trace", str(trace))
+        serve = _validated_json_report(trace, capsys)
+        in_process = tmp_path / "simulate.jsonl"
+        assert main(["simulate", "--strategy", "mwpsr", "--workload",
+                     "tiny", "--trace", str(in_process)]) == 0
+        capsys.readouterr()
+        sim = _validated_json_report(in_process, capsys)
 
-        served = re.search(r"served (\d+) uplink messages "
-                           r"\((\d+) bytes up, (\d+) down\)",
-                           capsys.readouterr().out)
-        expected = run_simulation(world, make_mwpsr_strategy()).metrics
-        assert tuple(map(int, served.groups())) == (
-            expected.uplink_messages, expected.uplink_bytes,
-            expected.downlink_bytes)
+        assert serve["reconciliation"]["ok"], serve["reconciliation"]
+        for key in ("uplink_messages", "uplink_bytes", "downlink_messages",
+                    "downlink_bytes"):
+            assert serve["metrics"][key] == sim["metrics"][key], key
+        assert served == (sim["metrics"]["uplink_messages"],
+                          sim["metrics"]["uplink_bytes"],
+                          sim["metrics"]["downlink_bytes"])
+        assert scrape["metrics"] == serve["metrics"]
+        registry = serve["registry"]
+        assert registry["net_connections_opened"]["value"] \
+            == registry["net_connections_closed"]["value"]
+        assert scrape["serving"]["protocol_version"] == 2
+        assert set(scrape["live"]) == {"connections_open"}
+        assert "queue_limit" not in scrape["serving"]
+        for stage in SERVING_STAGES:
+            assert scrape["registry"][stage]["count"] == served[0], stage
+
+        # Rendered from the snapshot's metrics section: the registry
+        # keeps no copy of a Metrics count.
+        assert "# TYPE repro_uplink_messages counter" in prom
+        assert "uplink_messages" not in scrape["registry"]
+        assert ("repro_uplink_messages %d\n"
+                % scrape["metrics"]["uplink_messages"]) in prom
+        # The daemon carries the per-stage split.
+        assert ("repro_trigger_eval_cost_us_count %d\n"
+                % scrape["metrics"]["alarm_evaluations"]) in prom
+        assert "# TYPE repro_live_connections_open gauge" in prom
+        assert "daemon stats" in text
+
+        assert main(["report", str(trace)]) == 0
+        assert re.search(r"^  uplink_messages +[0-9]+$",
+                         capsys.readouterr().out, re.MULTILINE)
+
+    def test_untraced_serve_times_its_serving_stages(self, tmp_path,
+                                                     capsys):
+        """Without ``--trace`` the daemon runs metrics-only: its scrape
+        carries each serving stage, one observation per uplink."""
+        served, scrape, _, _ = self._serve_tiny(tmp_path, capsys)
+        assert served[0] == scrape["metrics"]["uplink_messages"] > 0
+        for stage in SERVING_STAGES:
+            assert scrape["registry"][stage]["count"] == served[0], stage
 
 
 class TestTrace:
