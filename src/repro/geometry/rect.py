@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..values import slot_init
 from .eps import fzero_exact
@@ -244,39 +244,6 @@ class Rect:
     # ------------------------------------------------------------------
     # Decomposition
     # ------------------------------------------------------------------
-    def subtract(self, other: "Rect") -> List["Rect"]:
-        """This rectangle minus ``other``'s *interior*, as disjoint rects.
-
-        The decomposition is the standard guillotine split: a full-width
-        band below and above the hole, plus left and right side pieces at
-        the hole's vertical extent.  Returns ``[self]`` when ``other``'s
-        interior does not reach into this rectangle.
-
-        Subtracting the open interior (not the closed hole) means a hole
-        edge that coincides exactly with an edge of this rectangle leaves
-        a zero-area sliver behind: points on a hole's boundary are not
-        inside the hole, so the seam between two abutting holes — or
-        between a hole and the container edge — stays covered.  The
-        intersection test below answers "does ``other``'s open interior
-        meet this closed rectangle?" even when this rectangle is itself
-        degenerate, so slivers produced here are cut correctly by later
-        subtractions.
-        """
-        if not self.interior_intersects(other):
-            return [self]
-        hole = self.intersection(other)
-        assert hole is not None  # interiors overlap, so closed overlap too
-        pieces: List[Rect] = []
-        if self.min_y <= other.min_y:
-            pieces.append(Rect(self.min_x, self.min_y, self.max_x, hole.min_y))
-        if other.max_y <= self.max_y:
-            pieces.append(Rect(self.min_x, hole.max_y, self.max_x, self.max_y))
-        if self.min_x <= other.min_x:
-            pieces.append(Rect(self.min_x, hole.min_y, hole.min_x, hole.max_y))
-        if other.max_x <= self.max_x:
-            pieces.append(Rect(hole.max_x, hole.min_y, self.max_x, hole.max_y))
-        return pieces
-
     def grid_split(self, columns: int, rows: int) -> Iterator["Rect"]:
         """Yield ``columns x rows`` equi-sized sub-rectangles.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..geometry import Point, Rect
 from ..values import slot_init
@@ -63,6 +63,8 @@ class GridOverlay:
                          for k in range(self.columns + 1)]
         self._y_edges = [universe.min_y + universe.height * k / self.rows
                          for k in range(self.rows + 1)]
+        #: :meth:`cell_rect_of_point`'s rectangles, by ``(col, row)``.
+        self._cell_rects: Dict[Tuple[int, int], Rect] = {}
 
     @property
     def cell_count(self) -> int:
@@ -97,8 +99,21 @@ class GridOverlay:
                     self._x_edges[cell.col + 1], self._y_edges[cell.row + 1])
 
     def cell_rect_of_point(self, p: Point) -> Rect:
-        """Convenience: geometric cell of the cell containing ``p``."""
-        return self.cell_rect(self.cell_of(p))
+        """Geometric cell of the cell containing ``p``.
+
+        :meth:`cell_of`'s lookup, then one ``Rect`` per cell, built on
+        first use and handed out again: the rectangular safe-region
+        policies ask for it on every region-exit report.
+        """
+        col = min(max(bisect_right(self._x_edges, p.x) - 1, 0),
+                  self.columns - 1)
+        row = min(max(bisect_right(self._y_edges, p.y) - 1, 0),
+                  self.rows - 1)
+        rect = self._cell_rects.get((col, row))
+        if rect is None:
+            rect = self._cell_rects[(col, row)] = self.cell_rect(
+                CellId(col, row))
+        return rect
 
     def cells_intersecting(self, rect: Rect) -> Iterator[CellId]:
         """Yield every cell whose closed rectangle intersects ``rect``."""

@@ -44,6 +44,9 @@ from ..geometry import normalize_angle
 from ..geometry.eps import feq_exact, fzero_exact
 
 TWO_PI = 2.0 * math.pi
+_PI = math.pi
+_fmod = math.fmod
+_bisect_right = bisect.bisect_right
 
 
 class MotionModel:
@@ -173,6 +176,10 @@ class SteadyMotionModel(MotionModel):
         for (lo, hi), value in zip(zip(self._edges, self._edges[1:]),
                                    self._values):
             self._prefix.append(self._prefix[-1] + value * (hi - lo))
+        #: ``(edge, prefix, value)`` of each band, for :meth:`cumulative`;
+        #: the last band repeated answers ``t == pi`` (the last edge).
+        self._bands = list(zip(self._edges, self._prefix, self._values))
+        self._bands.append(self._bands[-1])
 
     # ------------------------------------------------------------------
     def _raw_pdf(self, deviation: float) -> float:
@@ -218,23 +225,24 @@ class SteadyMotionModel(MotionModel):
     def cumulative(self, phi: float) -> float:
         # ``0.5 + _signed_mass(normalize_angle(phi))`` in one frame, the
         # same arithmetic term by term: the MWPSR scorer calls this once
-        # per distinct rectangle corner.
-        t = math.fmod(phi, TWO_PI)
-        if t > math.pi:
-            t -= TWO_PI
-        elif t <= -math.pi:
-            t += TWO_PI
+        # per distinct rectangle corner.  fmod is exact and the identity
+        # on (-pi, pi], where nearly every deviation already lies.
+        if -_PI < phi <= _PI:
+            t = phi
+        else:
+            t = _fmod(phi, TWO_PI)
+            if t > _PI:
+                t -= TWO_PI
+            elif t <= -_PI:
+                t += TWO_PI
         negative = t < 0.0
         if negative:
             t = -t
         if t <= 0.0:
             return 0.5
         # 0 < t <= pi here, so the index needs no lower clamp and t no cap.
-        values = self._values
-        index = bisect.bisect_right(self._edges, t) - 1
-        if index >= len(values):
-            index = len(values) - 1
-        mass = self._prefix[index] + values[index] * (t - self._edges[index])
+        edge, base, value = self._bands[_bisect_right(self._edges, t) - 1]
+        mass = base + value * (t - edge)
         return 0.5 - mass if negative else 0.5 + mass
 
     def sector_mass(self, start: float, end: float) -> float:

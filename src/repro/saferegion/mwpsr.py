@@ -39,14 +39,18 @@ An exhaustive optimizer (``exhaustive=True``) enumerates every
 combination of component rectangles — the quartic-time optimum the paper
 contrasts with its greedy — and is used by the ablation benchmark.
 
-Selection works on plain floats: obstacles are unpacked once per
-computation, a candidate is four edges, every distinct candidate is
-scored once unless its bound (the model's ``peak_ratio`` times its
-geometric perimeter, plus its area term) cannot beat the incumbent,
-every distinct corner's ``(angle, cumulative)`` is looked up once, and
-a :class:`Rect` is built for the winner only.  The ``Rect``-per-
-candidate definition this is held to, ``==`` on every output, lives in
-``tests/saferegion/oracle.py`` (``ReferenceMWPSRComputer``).
+Selection works on plain floats and pays per computation, not per
+call: each obstacle is unpacked, shrunk and clamped once, in one loop;
+a quadrant's skyline and staircase are one pass over its sorted
+candidates (no sort for one candidate); a candidate is four edges;
+every distinct candidate is scored once unless its bound (the model's
+``peak_ratio`` times its geometric perimeter, plus its area term)
+cannot beat the incumbent; every distinct corner's ``(angle,
+cumulative)`` is looked up once; the four sides of a scored rectangle
+are written out, not looped over; and a :class:`Rect` is built for the
+winner only.  The ``Rect``-per-candidate definition this is held to,
+``==`` on every output, lives in ``tests/saferegion/oracle.py``
+(``ReferenceMWPSRComputer``).
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..geometry import Point, Rect, fzero, normalize_angle
+from ..geometry import EPS, Point, Rect, normalize_angle
 from ..mobility.motion import MotionModel, UniformMotionModel
+from ..values import slot_init
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +82,9 @@ _QUADRANT_SECTORS: Tuple[Tuple[float, float], ...] = (
 #: below a score would skip a winner.
 _BOUND_MARGIN = 1e-9
 
+#: How far :func:`_shrink` pulls an obstacle's box in.
+_TOLERANCE = 1e-9
+
 #: ``(min_x, min_y, max_x, max_y)`` of a candidate or an obstacle.
 Edges = Tuple[float, float, float, float]
 #: A tension point: the ``(u, v)`` extents of one component rectangle.
@@ -87,7 +95,7 @@ CornerMemo = Dict[Tuple[float, float], Tuple[float, float]]
 
 
 def _shrink(min_x: float, min_y: float, max_x: float, max_y: float,
-            tolerance: float = 1e-9) -> Edges:
+            tolerance: float = _TOLERANCE) -> Edges:
     """An obstacle's box pulled in by ``tolerance`` (:func:`_penetrates`)."""
     return (min_x + tolerance, min_y + tolerance,
             max_x - tolerance, max_y - tolerance)
@@ -130,62 +138,96 @@ def _perimeter(model: MotionModel, min_x: float, min_y: float, max_x: float,
     contributes one cumulative-distribution lookup instead of one
     integration per sector, and ``corners`` carries those lookups
     from one candidate of a computation to the next: candidates are
-    combinations of a few extents per side, so most corners recur.
+    combinations of a few extents per side, so corners recur.
     ``(ox, oy)`` and ``heading`` are fixed for the life of a memo.
+
+    The sides are written out in the order right, top, left, bottom,
+    which is the order of the float sum.  A side no longer than ``EPS``
+    weighs nothing.  A side whose sector is degenerate is weighed by
+    :func:`_pinned_ratio`: the subscriber on the left end of the top or
+    bottom side, or a side just over ``EPS`` long seen from across a
+    cell wide enough that it subtends less than 1e-12 rad.
     """
     cumulative = model.cumulative
-    corner = corners.get((max_x, min_y))
+    key = (max_x, min_y)
+    corner = corners.get(key)
     if corner is None:
         angle = math.atan2(min_y - oy, max_x - ox)
-        corner = corners[(max_x, min_y)] = (
-            angle, cumulative(angle - heading))
+        corner = corners[key] = (angle, cumulative(angle - heading))
     angle_br, cum_br = corner
-    corner = corners.get((max_x, max_y))
+    key = (max_x, max_y)
+    corner = corners.get(key)
     if corner is None:
         angle = math.atan2(max_y - oy, max_x - ox)
-        corner = corners[(max_x, max_y)] = (
-            angle, cumulative(angle - heading))
+        corner = corners[key] = (angle, cumulative(angle - heading))
     angle_tr, cum_tr = corner
-    corner = corners.get((min_x, max_y))
+    key = (min_x, max_y)
+    corner = corners.get(key)
     if corner is None:
         angle = math.atan2(max_y - oy, min_x - ox)
-        corner = corners[(min_x, max_y)] = (
-            angle, cumulative(angle - heading))
+        corner = corners[key] = (angle, cumulative(angle - heading))
     angle_tl, cum_tl = corner
-    corner = corners.get((min_x, min_y))
+    key = (min_x, min_y)
+    corner = corners.get(key)
     if corner is None:
         angle = math.atan2(min_y - oy, min_x - ox)
-        corner = corners[(min_x, min_y)] = (
-            angle, cumulative(angle - heading))
+        corner = corners[key] = (angle, cumulative(angle - heading))
     angle_bl, cum_bl = corner
     height = max_y - min_y
     width = max_x - min_x
-    sides = (
-        (height, angle_br, angle_tr, cum_br, cum_tr),   # right
-        (width, angle_tr, angle_tl, cum_tr, cum_tl),    # top
-        (height, angle_tl, angle_bl, cum_tl, cum_bl),   # left
-        (width, angle_bl, angle_br, cum_bl, cum_br),    # bottom
-    )
+    # The four sides written out in the order right, top, left, bottom,
+    # each from its CCW start corner to its end corner.  Lengths are
+    # non-negative, so ``length > EPS`` is ``not fzero(length)``.
     total = 0.0
-    for length, start, end, cum_start, cum_end in sides:
-        if fzero(length):
-            continue
-        span = (end - start) % TWO_PI
+    if height > EPS:  # right
+        span = (angle_tr - angle_br) % TWO_PI
         if span < 1e-12:
-            # Degenerate sector (origin pinned on this side): the
-            # mass/span ratio converges to pdf(direction) * 2*pi.
-            mid = normalize_angle(start - heading)
-            density_ratio = model.pdf(mid) * TWO_PI
+            total += height * _pinned_ratio(model, angle_br, heading)
         else:
-            mass = cum_end - cum_start
+            mass = cum_tr - cum_br
             if mass < 0.0:
                 mass += 1.0  # the CCW sector wraps through +/- pi
-            density_ratio = mass / (span / TWO_PI)
-        total += length * density_ratio
+            total += height * (mass / (span / TWO_PI))
+    if width > EPS:  # top
+        span = (angle_tl - angle_tr) % TWO_PI
+        if span < 1e-12:
+            total += width * _pinned_ratio(model, angle_tr, heading)
+        else:
+            mass = cum_tl - cum_tr
+            if mass < 0.0:
+                mass += 1.0  # the CCW sector wraps through +/- pi
+            total += width * (mass / (span / TWO_PI))
+    if height > EPS:  # left
+        span = (angle_bl - angle_tl) % TWO_PI
+        if span < 1e-12:
+            total += height * _pinned_ratio(model, angle_tl, heading)
+        else:
+            mass = cum_bl - cum_tl
+            if mass < 0.0:
+                mass += 1.0  # the CCW sector wraps through +/- pi
+            total += height * (mass / (span / TWO_PI))
+    if width > EPS:  # bottom
+        span = (angle_br - angle_bl) % TWO_PI
+        if span < 1e-12:
+            total += width * _pinned_ratio(model, angle_bl, heading)
+        else:
+            mass = cum_br - cum_bl
+            if mass < 0.0:
+                mass += 1.0  # the CCW sector wraps through +/- pi
+            total += width * (mass / (span / TWO_PI))
     return total
 
 
-@dataclass(frozen=True)
+def _pinned_ratio(model: MotionModel, start: float, heading: float) -> float:
+    """Weight of a degenerate sector (the origin pinned on its side).
+
+    The mass/span ratio converges to ``pdf(direction) * 2*pi``.
+    """
+    return model.pdf(normalize_angle(start - heading)) * TWO_PI
+
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class MWPSRResult:
     """Outcome of a safe-region computation."""
 
@@ -262,6 +304,8 @@ class MWPSRComputer:
         containing: List[Rect] = []
         shrunk: List[Edges] = []
         candidates: Tuple[List[Extent], ...] = ([], [], [], [])
+        tolerance = _TOLERANCE
+        inf = math.inf
         for obstacle in obstacles:
             min_x = obstacle.min_x
             min_y = obstacle.min_y
@@ -270,13 +314,37 @@ class MWPSRComputer:
             if min_x < ox < max_x and min_y < oy < max_y:
                 containing.append(obstacle)
                 continue
-            shrunk.append(_shrink(min_x, min_y, max_x, max_y))
-            # inf: the obstacle's interior does not reach that side of
-            # the subscriber, so it cannot bind there.
-            east = max(min_x - ox, 0.0) if max_x - ox > 0.0 else math.inf
-            west = max(ox - max_x, 0.0) if ox - min_x > 0.0 else math.inf
-            north = max(min_y - oy, 0.0) if max_y - oy > 0.0 else math.inf
-            south = max(oy - max_y, 0.0) if oy - min_y > 0.0 else math.inf
+            # _shrink, inlined.
+            shrunk.append((min_x + tolerance, min_y + tolerance,
+                           max_x - tolerance, max_y - tolerance))
+            # Each extent is ``max(offset, 0.0)``, inlined: ``d < 0.0``
+            # keeps max's answer for -0.0 (returned as is) and NaN.  inf:
+            # the obstacle's interior does not reach that side of the
+            # subscriber, so it cannot bind there.
+            if max_x - ox > 0.0:
+                east = min_x - ox
+                if east < 0.0:
+                    east = 0.0
+            else:
+                east = inf
+            if ox - min_x > 0.0:
+                west = ox - max_x
+                if west < 0.0:
+                    west = 0.0
+            else:
+                west = inf
+            if max_y - oy > 0.0:
+                north = min_y - oy
+                if north < 0.0:
+                    north = 0.0
+            else:
+                north = inf
+            if oy - min_y > 0.0:
+                south = oy - max_y
+                if south < 0.0:
+                    south = 0.0
+            else:
+                south = inf
             if north < north_max:
                 if east < east_max:
                     candidates[0].append((east, north))
@@ -317,8 +385,8 @@ class MWPSRComputer:
     # ------------------------------------------------------------------
     # Steps 2-3: skyline, tension points (per quadrant)
     # ------------------------------------------------------------------
-    @classmethod
-    def _tension_points(cls, candidates: List[Extent], u_max: float,
+    @staticmethod
+    def _tension_points(candidates: List[Extent], u_max: float,
                         v_max: float) -> List[Extent]:
         """Tension points of one quadrant in local ``(u, v)`` coordinates.
 
@@ -328,31 +396,24 @@ class MWPSRComputer:
         """
         if not candidates:
             return [(u_max, v_max)]
-        skyline = cls._skyline(candidates)
-        tension: List[Extent] = []
-        tension.append((skyline[0][0], v_max))
-        for index in range(1, len(skyline)):
-            tension.append((skyline[index][0], skyline[index - 1][1]))
-        tension.append((u_max, skyline[-1][1]))
-        return tension
-
-    @staticmethod
-    def _skyline(candidates: List[Extent]) -> List[Extent]:
-        """Prune fully dominated candidates, keeping the binding staircase.
-
-        A candidate is redundant when another candidate is at most as far
-        along *both* axes (the other is the stricter constraint).  The
-        result has strictly increasing ``u`` and strictly decreasing
-        ``v``.
-        """
-        ordered = sorted(set(candidates))
-        skyline: List[Extent] = []
-        best_v = math.inf
+        if len(candidates) == 1:
+            # The one-step staircase, without the skyline's sort.
+            u, v = candidates[0]
+            return [(u, v_max), (u_max, v)]
+        # The skyline and its steps in one pass over the candidates in
+        # ``(u, v)`` order.  A candidate binds when it is strictly lower
+        # than every one before it (a candidate at most as far along
+        # both axes as another is redundant, and so is a duplicate); each
+        # binding candidate pairs its ``u`` with the previous one's ``v``.
+        ordered = sorted(candidates)
+        u, last_v = ordered[0]
+        tension = [(u, v_max)]
         for u, v in ordered:
-            if v < best_v:
-                skyline.append((u, v))
-                best_v = v
-        return skyline
+            if v < last_v:
+                tension.append((u, last_v))
+                last_v = v
+        tension.append((u_max, last_v))
+        return tension
 
     # ------------------------------------------------------------------
     # Step 4: selection

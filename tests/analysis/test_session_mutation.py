@@ -36,7 +36,8 @@ class Seed(NamedTuple):
 
 SEEDS = (
     Seed("RL002", "saferegion/mwpsr.py",
-         "if fzero(length):", "if length == 0.0:  # lint: allow=RL002",
+         "if height > EPS:  # right",
+         "if height == 0.0:  # lint: allow=RL002",
          "exact float == comparison"),
     Seed("RL003", "mobility/simulator.py",
          "pick = vehicle.rng.random() * total",

@@ -139,7 +139,7 @@ class TestRoadnetZeroLengthEdge:
 
 
 class TestMwpsrDegenerateSide:
-    """mwpsr.py skips zero-length perimeter sides via fzero."""
+    """mwpsr.py skips perimeter sides no longer than EPS."""
 
     def test_degenerate_rect_has_zero_weighted_perimeter(self):
         computer = MWPSRComputer()

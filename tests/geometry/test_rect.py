@@ -1,9 +1,7 @@
 """Unit and property tests for repro.geometry.rect."""
 
-from fractions import Fraction
-
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
@@ -182,49 +180,6 @@ class TestDistances:
             assert r.distance_to_point(p) == 0.0
         else:
             assert r.distance_to_point(p) > 0.0
-
-
-def _exact_area(rect):
-    return ((Fraction(rect.max_x) - Fraction(rect.min_x))
-            * (Fraction(rect.max_y) - Fraction(rect.min_y)))
-
-
-def _exact_overlap(a, b):
-    """The intersection area of ``a`` and ``b``, in exact arithmetic."""
-    width = (min(Fraction(a.max_x), Fraction(b.max_x))
-             - max(Fraction(a.min_x), Fraction(b.min_x)))
-    height = (min(Fraction(a.max_y), Fraction(b.max_y))
-              - max(Fraction(a.min_y), Fraction(b.min_y)))
-    return max(width, Fraction(0)) * max(height, Fraction(0))
-
-
-class TestSubtract:
-    def test_disjoint_returns_self(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.subtract(Rect(5, 5, 6, 6)) == [r]
-
-    def test_hole_in_middle_gives_four(self):
-        outer = Rect(0, 0, 10, 10)
-        pieces = outer.subtract(Rect(4, 4, 6, 6))
-        assert len(pieces) == 4
-        assert sum(p.area for p in pieces) == pytest.approx(100 - 4)
-
-    def test_full_cover_gives_empty(self):
-        assert Rect(2, 2, 3, 3).subtract(Rect(0, 0, 10, 10)) == []
-
-    @given(rects(), rects())
-    # outer.area - intersection_area, two numbers of ~5.2e9, is off by
-    # 1.06e-6 here, beyond abs=1e-6; the pieces (0.02266704) are right
-    @example(Rect(-2.88e-07, 0.0, 65536.4, 78705.0),
-             Rect(0.0, 0.0, 65537.0, 78705.0))
-    def test_pieces_disjoint_from_hole_and_cover_rest(self, outer, hole):
-        pieces = outer.subtract(hole)
-        total = sum(p.area for p in pieces)
-        expected = float(_exact_area(outer) - _exact_overlap(outer, hole))
-        assert total == pytest.approx(expected, rel=1e-9, abs=1e-6)
-        for piece in pieces:
-            assert not piece.interior_intersects(hole)
-            assert outer.contains_rect(piece)
 
 
 class TestGridSplit:

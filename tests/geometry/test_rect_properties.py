@@ -5,7 +5,7 @@ module pins the *relations between* predicates that the safe-region
 layer silently leans on — above all that containment and intersection
 can never disagree (a rectangle that contains a point intersects every
 rectangle holding that point, an interior hit implies a closed hit, and
-``intersection``/``intersection_area``/``subtract`` tell one consistent
+``intersection``/``intersection_area``/``union`` tell one consistent
 story).  The differential engine suite catches a broken relation only
 after it corrupts a full simulation; these properties catch it at the
 geometry layer with a minimal counterexample.
@@ -121,23 +121,6 @@ class TestCombinationConsistency:
         hole = a.intersection(b)
         if hole is not None:
             assert a.union(b).contains_rect(hole)
-
-    @given(rects(), rects())
-    def test_subtract_pieces_avoid_hole_and_stay_inside(self, a, b):
-        for piece in a.subtract(b):
-            assert a.contains_rect(piece)
-            assert not piece.interior_intersects(b)
-
-    @given(rects(), rects())
-    def test_subtract_conserves_area(self, a, b):
-        pieces = a.subtract(b)
-        removed = a.intersection_area(b)
-        total = sum(piece.area for piece in pieces)
-        # Compare the sums, not their difference: ``a.area - removed``
-        # cancels two near-equal products whose ulp alone can exceed
-        # any fixed absolute tolerance for large rectangles.
-        assert total + removed == pytest.approx(a.area,
-                                                rel=1e-9, abs=1e-6)
 
     @given(rects(), st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=5))

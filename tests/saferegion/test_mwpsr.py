@@ -9,15 +9,18 @@ intersecting the quadrant axes.
 """
 
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import values
 from repro.geometry import Point, Rect
 from repro.mobility import SteadyMotionModel, UniformMotionModel
-from repro.saferegion import MWPSRComputer, region_is_safe
+from repro.saferegion import MWPSRComputer, MWPSRResult, region_is_safe
 
 CELL = Rect(0, 0, 1000, 1000)
 
@@ -54,6 +57,21 @@ def assert_valid_safe_region(result, position, obstacles, cell=CELL):
         # rect may lie strictly inside an obstacle.
         assert not MWPSRComputer._penetrates_obstacle(rect, obstacles), \
             "safe region must not thread an obstacle's interior"
+
+
+class TestResultValue:
+    def test_built_through_its_slots(self):
+        result = MWPSRResult(CELL, False, (0, 1, 2, 3), 2.5)
+        assert MWPSRResult.__init__.__module__ == values.__name__
+        assert not hasattr(result, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            result.inside_alarm = True  # type: ignore[misc]
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_the_hu_baselines_positional_call_fits(self):
+        assert (MWPSRResult(CELL, inside_alarm=False)
+                == MWPSRResult(rect=CELL, inside_alarm=False,
+                               quadrant_order=(), weighted_perimeter=0.0))
 
 
 class TestBasicCases:

@@ -10,7 +10,9 @@ verbatim.  The two must agree with ``==`` — never a tolerance — on
 * over adversarial layouts (subscriber on alarm edges, corners and the
   cell border; obstacles abutting, nested, overlapping, straddling the
   quadrant axes, zero-width, with duplicate tension values; headings on
-  the axes and one ulp around them) for every model and selection mode;
+  the axes and one ulp around them) for every model and selection mode,
+  and to the bit on the four layouts that run each side's pinned-sector
+  branch;
 * on every computation of a BENCH replay, static and under the golden
   churn schedule;
 * ``SteadyMotionModel.cumulative`` on a dense sweep and one ulp around
@@ -101,6 +103,13 @@ def outcome(result):
             result.weighted_perimeter)
 
 
+def bits(result):
+    """The rectangle's edges and the perimeter, to the bit (``-0.0`` too)."""
+    rect = result.rect
+    return [value.hex() for value in (rect.min_x, rect.min_y, rect.max_x,
+                                      rect.max_y, result.weighted_perimeter)]
+
+
 def assert_equals_oracle(shipped_class, model, mode, cell, case):
     position, heading, obstacles = case
     shipped = shipped_class(model, **mode).compute(position, heading, cell,
@@ -152,6 +161,30 @@ NAMED_CASES = {
     "combinations equal but for bottom, the first threads one":
         (Point(900.0, 100.0), 1.0,
          [Rect(500.0, 0.0, 900.0, 750.0), Rect(900.0, 0.0, 1000.0, 250.0)]),
+    # Its quadrant III/IV tension points include a zero-width one that
+    # runs down through the alarm: the enumeration must test penetration.
+    "subscriber a sub-EPS gap above an alarm: a zero-width combination "
+    "threads it":
+        (Point(400.0, 500.0), 1.75,
+         [Rect(250.0, 250.0, 750.0, 500.0 - 2.5e-10)]),
+}
+
+#: The subscriber on each side of a cell wide enough that a side just
+#: longer than EPS, across the cell, subtends less than 1e-12 rad: two
+#: alarms pinch the safe region to that sliver, so the kernel weighs the
+#: far side by its pinned-side branch (the one copy of it per side that
+#: the corner-pinned layouts above do not reach for right and left).
+PINNED_CELL = Rect(0.0, 0.0, 2000.0, 2000.0)
+_GAP = 7.5e-10
+_ABOVE_AND_BELOW = [Rect(0.0, 1000.0 + _GAP, 2000.0, 2000.0),
+                    Rect(0.0, 0.0, 2000.0, 1000.0 - _GAP)]
+_RIGHT_AND_LEFT = [Rect(1000.0 + _GAP, 0.0, 2000.0, 2000.0),
+                   Rect(0.0, 0.0, 1000.0 - _GAP, 2000.0)]
+PINNED_CASES = {
+    "left": (Point(0.0, 1000.0), 0.3, _ABOVE_AND_BELOW),
+    "right": (Point(2000.0, 1000.0), 2.9, _ABOVE_AND_BELOW),
+    "bottom": (Point(1000.0, 0.0), 1.5, _RIGHT_AND_LEFT),
+    "top": (Point(1000.0, 2000.0), -1.5, _RIGHT_AND_LEFT),
 }
 
 
@@ -162,6 +195,20 @@ NAMED_CASES = {
 def test_named_layouts_equal_the_reference(model, mode, name):
     assert_equals_oracle(MWPSRComputer, model, mode, SQUARE,
                          NAMED_CASES[name])
+
+
+@pytest.mark.parametrize("side", PINNED_CASES)
+@pytest.mark.parametrize("model", MODELS,
+                         ids=["uniform", "z=2", "z=8", "z=32"])
+def test_pinned_sides_equal_the_reference_to_the_bit(model, side):
+    position, heading, obstacles = PINNED_CASES[side]
+    for mode in MODES:
+        shipped = MWPSRComputer(model, **mode).compute(
+            position, heading, PINNED_CELL, obstacles)
+        reference = ReferenceMWPSRComputer(model, **mode).compute(
+            position, heading, PINNED_CELL, obstacles)
+        assert outcome(shipped) == outcome(reference), mode
+        assert bits(shipped) == bits(reference), mode
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +327,9 @@ def corpus():
     rng = random.Random(23)
     rows = [(model, mode, SQUARE, case) for case in NAMED_CASES.values()
             for model in MODELS for mode in MODES]
+    rows += [(model, mode, PINNED_CELL, case)
+             for case in PINNED_CASES.values()
+             for model in MODELS for mode in MODES]
     for index in range(800):
         cell = CELLS[index % len(CELLS)]
         rows.append((MODELS[index % len(MODELS)],
@@ -304,19 +354,17 @@ MUTATIONS = [
      "                        if score > best_score:\n",
      "                        if score >= best_score:\n", 1),
     ("tolerance dropped from the penetration boxes",
-     "    return (min_x + tolerance, min_y + tolerance,\n"
-     "            max_x - tolerance, max_y - tolerance)\n",
-     "    return (min_x, min_y, max_x, max_y)\n", 1),
+     "_TOLERANCE = 1e-9\n", "_TOLERANCE = 0.0\n", 1),
     ("corner memo keyed by x alone",
-     "(max_x, min_y)", "(max_x,)", 2),
+     "key = (max_x, min_y)", "key = (max_x,)", 1),
     ("dedupe keyed without bottom",
      "extents = (right, top, left, bottom)", "extents = (right, top, left)",
      1),
     ("the fzero(length) side-skip removed",
-     "        if fzero(length):\n            continue\n", "", 1),
+     " > EPS:  # ", " >= 0.0:  # ", 4),
     ("the wrap mass += 1.0 removed",
      "                mass += 1.0  # the CCW",
-     "                pass  # the CCW", 1),
+     "                pass  # the CCW", 4),
     ("the area term left out of the bound",
      "(width + height) * peak_bound + area < best_score",
      "(width + height) * peak_bound < best_score", 1),
@@ -325,7 +373,18 @@ MUTATIONS = [
     ("the bound on half the perimeter",
      "peak_bound = 2.0 * model.peak_ratio", "peak_bound = model.peak_ratio",
      1),
-]
+    ("the penetration test dropped from the enumeration",
+     "                        if _penetrates(min_x, min_y, max_x, max_y, "
+     "shrunk):\n                            continue\n", "", 1),
+    ("the one-candidate tension list with v_max and u_max swapped",
+     "return [(u, v_max), (u_max, v)]", "return [(u, u_max), (v_max, v)]",
+     1),
+    ("a staircase step paired with its own v",
+     "tension.append((u, last_v))", "tension.append((u, v))", 1),
+] + [("the %s side's pinned weight taken as 1.0" % side,
+      "_pinned_ratio(model, angle_%s, heading)" % start, "1.0", 1)
+     for side, start in (("right", "br"), ("top", "tr"), ("left", "tl"),
+                         ("bottom", "bl"))]
 
 
 def mutant_computer(shipped, mutated, count):

@@ -66,13 +66,9 @@ class TinyBoxComputer:
         box = Rect(position.x - self.SIDE, position.y - self.SIDE,
                    position.x + self.SIDE, position.y + self.SIDE)
         region = box.intersection(cell)
-        for obstacle in obstacles:
-            pieces = region.subtract(obstacle)
-            region = max((p for p in pieces
-                          if p.contains_point(position)),
-                         key=lambda p: p.area, default=None)
-            if region is None:
-                region = Rect.point_rect(position)
+        if any(region.interior_intersects(obstacle)
+               for obstacle in obstacles):
+            region = Rect.point_rect(position)
         assert region_is_safe(region, obstacles)
         return _Result(region)
 
